@@ -24,8 +24,10 @@ type deltaEnum struct {
 	classes []int
 	uniq    []int
 	slot    []int
-	// frontier is the covered candidate-prefix length per uniq class.
+	// frontier is the covered candidate-prefix length per uniq class; cur
+	// is refresh's scratch for the current lengths.
 	frontier []int
+	cur      []int
 	blocks   []deltaBlock
 	// odo is the odometer within blocks[0] when inBlock.
 	odo     []int
@@ -41,36 +43,39 @@ type deltaBlock struct {
 
 func newDeltaEnum(classes []int) *deltaEnum {
 	e := &deltaEnum{classes: classes, slot: make([]int, len(classes))}
-	pos := make(map[int]int)
 	for k, c := range classes {
-		j, ok := pos[c]
-		if !ok {
-			j = len(e.uniq)
-			pos[c] = j
+		j := 0
+		for j < len(e.uniq) && e.uniq[j] != c {
+			j++
+		}
+		if j == len(e.uniq) {
 			e.uniq = append(e.uniq, c)
 		}
 		e.slot[k] = j
 	}
 	e.frontier = make([]int, len(e.uniq))
+	e.cur = make([]int, len(e.uniq))
 	return e
 }
 
 // refresh carves the growth of the candidate sets since the last refresh
-// into pending blocks and advances the frontier.
+// into pending blocks and advances the frontier. It is called several
+// times per wave and mostly finds nothing grown, which costs one length
+// comparison per class.
 func (e *deltaEnum) refresh(V []*candSet) {
-	if len(e.uniq) == 0 {
-		return
-	}
-	cur := make([]int, len(e.uniq))
 	grown := false
 	for j, c := range e.uniq {
-		cur[j] = len(V[c].vals)
-		if cur[j] > e.frontier[j] {
+		if len(V[c].vals) > e.frontier[j] {
 			grown = true
+			break
 		}
 	}
 	if !grown {
 		return
+	}
+	cur := e.cur
+	for j, c := range e.uniq {
+		cur[j] = len(V[c].vals)
 	}
 	for j := range e.uniq {
 		if cur[j] <= e.frontier[j] {

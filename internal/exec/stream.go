@@ -36,10 +36,15 @@ import (
 //     they appear. A row whose value is not yet a candidate is parked and
 //     rechecked when the candidate sets grow (membership failures are
 //     transient; within-atom consistency failures are permanent).
-//   - join: semi-naive. When table t gains ΔR_t in a wave, the wave joins
-//     new_{<t} ⋈ ΔR_t ⋈ old_{>t}, which partitions the new join results
-//     exactly — no combination is produced twice — and projected answers
-//     dedupe through one output set shared across waves.
+//   - join: semi-naive and indexed. When table t gains ΔR_t in a wave, the
+//     wave joins new_{<t} ⋈ ΔR_t ⋈ old_{>t}, which partitions the new join
+//     results exactly — no combination is produced twice. Each table keeps
+//     persistent hash indexes (join.go) extended with just the wave's new
+//     rows; a delta row is joined depth-first through a static, connected
+//     table order over one reused class → value binding, the partition
+//     enforced by row-number bounds on the index chains. Nothing is
+//     materialized between tables, and projected answers dedupe through
+//     one output set shared across waves.
 //
 // Early termination: with Limit > 0 the stream stops — mid-join if need
 // be — once that many distinct answers exist, leaving the enumerators'
@@ -58,7 +63,18 @@ type Stream struct {
 	// order (vstate.tbl points into this slice's elements).
 	tables []*streamTable
 
-	seenOut map[string]bool
+	// Join state (join.go): bind is the class → value binding the
+	// depth-first walk fills in place, pre-set with the seed constants;
+	// orders[t] is table t's delta join order, computed on first use;
+	// keybuf is the one buffer every key of the stream is encoded into.
+	bind   []value.Value
+	orders [][]joinStep
+	keybuf []byte
+	// joinLeaves counts complete join results reached, joinVisits the rows
+	// the walk stepped onto — the join's work, for span tags and tests.
+	joinLeaves, joinVisits int64
+
+	seenOut keySet
 	outbuf  []value.Tuple
 	outHead int
 
@@ -133,10 +149,13 @@ type pendRow struct {
 type streamTable struct {
 	classes []int
 	rows    []value.Tuple
-	seen    map[string]bool
+	seen    keySet
 	// waveBase is len(rows) at the start of the current wave; rows beyond
 	// it are the wave's delta.
 	waveBase int
+	// indexes are the table's join indexes, one per key-column list some
+	// delta join order probes it by.
+	indexes []*joinIndex
 }
 
 // Stream opens a pull-based evaluation of a bounded plan against a store.
@@ -186,7 +205,7 @@ func (e *Executor) Stream(p *plan.Plan, db Store, opts StreamOptions) *Stream {
 			for k, src := range vs.Row {
 				classes[k] = src.Class
 			}
-			st.tbl = &streamTable{classes: classes, seen: map[string]bool{}}
+			st.tbl = &streamTable{classes: classes, seen: keySet{}}
 			s.tables = append(s.tables, st.tbl)
 			if vs.FromStep < 0 {
 				st.enum = newDeltaEnum(vs.XClasses)
@@ -194,7 +213,7 @@ func (e *Executor) Stream(p *plan.Plan, db Store, opts StreamOptions) *Stream {
 		}
 		s.vst[vi] = st
 	}
-	s.seenOut = map[string]bool{}
+	s.seenOut = keySet{}
 	return s
 }
 
@@ -414,8 +433,16 @@ func (s *Stream) advance() {
 	}
 
 	joinSpan := waveSpan.Child("join")
+	leaves := s.joinLeaves
 	emitted, err := s.emitWave()
-	joinSpan.End()
+	if joinSpan != nil {
+		deltaRows := 0
+		for _, tbl := range s.tables {
+			deltaRows += len(tbl.rows) - tbl.waveBase
+		}
+		joinSpan.TagInt("delta_rows", int64(deltaRows)).TagInt("results", s.joinLeaves-leaves)
+		joinSpan.End()
+	}
 	if err != nil {
 		s.err = err
 		return
@@ -541,8 +568,8 @@ func (s *Stream) advanceVerify(vi int, waveSpan *obs.Span) (bool, error) {
 			st.pendMark = mark
 			keep := st.pending[:0]
 			for _, pr := range st.pending {
-				if row, ok := s.memberRow(vs, pr.combo, pr.entry); ok {
-					s.addRow(st, row)
+				if s.memberRow(vs, pr.combo, pr.entry) {
+					s.addRow(st, vs, pr.combo, pr.entry)
 					progress = true
 				} else {
 					keep = append(keep, pr)
@@ -585,66 +612,72 @@ func (s *Stream) candMark(vs plan.VerifyStep) int64 {
 	return n
 }
 
-// offerRow builds one candidate row. Consistency failures are permanent
-// (the values are fixed in the entry); membership failures park the row
-// for recheck after the candidate sets grow.
+// offerRow considers one fetched entry as a row of its table. Consistency
+// failures are permanent (the values are fixed in the entry); membership
+// failures park the entry for recheck after the candidate sets grow.
 func (s *Stream) offerRow(vi int, st *vstate, combo value.Tuple, e storage.IndexEntry) {
 	vs := s.r.p.Verifies[vi]
-	get := func(src plan.RowSource) value.Value {
-		if src.FromX >= 0 {
-			return combo[src.FromX]
-		}
-		return e.Y[src.FromY]
-	}
 	for k := 0; k+1 < len(vs.Consistency); k += 2 {
-		if get(vs.Consistency[k]) != get(vs.Consistency[k+1]) {
+		if rowValue(vs.Consistency[k], combo, e) != rowValue(vs.Consistency[k+1], combo, e) {
 			return
 		}
 	}
-	if row, ok := s.memberRow(vs, combo, e); ok {
-		s.addRow(st, row)
+	if s.memberRow(vs, combo, e) {
+		s.addRow(st, vs, combo, e)
 		return
 	}
 	st.pending = append(st.pending, pendRow{combo: combo, entry: e})
 }
 
-// memberRow applies candidate-membership filtering (consistency is the
-// caller's, checked once — it never changes).
-func (s *Stream) memberRow(vs plan.VerifyStep, combo value.Tuple, e storage.IndexEntry) (value.Tuple, bool) {
+// rowValue reads one row column from its source: the lookup combo or the
+// fetched entry.
+func rowValue(src plan.RowSource, combo value.Tuple, e storage.IndexEntry) value.Value {
+	if src.FromX >= 0 {
+		return combo[src.FromX]
+	}
+	return e.Y[src.FromY]
+}
+
+// memberRow reports whether every value of the entry's row is a candidate
+// of its class (consistency is the caller's, checked once — it never
+// changes).
+func (s *Stream) memberRow(vs plan.VerifyStep, combo value.Tuple, e storage.IndexEntry) bool {
+	for _, src := range vs.Row {
+		if !s.r.V[src.Class].has[rowValue(src, combo, e)] {
+			return false
+		}
+	}
+	return true
+}
+
+// addRow appends the entry's verified row to its table unless the table
+// already has it; only a new row is materialized.
+func (s *Stream) addRow(st *vstate, vs plan.VerifyStep, combo value.Tuple, e storage.IndexEntry) {
+	buf := s.keybuf[:0]
+	for _, src := range vs.Row {
+		buf = rowValue(src, combo, e).AppendKey(buf)
+	}
+	s.keybuf = buf
+	if !st.tbl.seen.insert(buf) {
+		return
+	}
 	row := make(value.Tuple, len(vs.Row))
 	for k, src := range vs.Row {
-		var v value.Value
-		if src.FromX >= 0 {
-			v = combo[src.FromX]
-		} else {
-			v = e.Y[src.FromY]
-		}
-		if !s.r.V[src.Class].has[v] {
-			return nil, false
-		}
-		row[k] = v
+		row[k] = rowValue(src, combo, e)
 	}
-	return row, true
+	st.tbl.rows = append(st.tbl.rows, row)
 }
 
-// addRow appends a verified row to its table, deduplicated.
-func (s *Stream) addRow(st *vstate, row value.Tuple) {
-	key := row.Key()
-	if !st.tbl.seen[key] {
-		st.tbl.seen[key] = true
-		st.tbl.rows = append(st.tbl.rows, row)
-	}
-}
-
-// joinInput is one table's contribution to a wave join.
-type joinInput struct {
-	classes []int
-	rows    []value.Tuple
-}
-
-// emitWave joins the wave's table deltas semi-naively and emits the new
-// projected answers.
+// emitWave joins the wave's table deltas semi-naively, in table order,
+// and reports whether a new distinct answer was emitted.
 func (s *Stream) emitWave() (bool, error) {
+	before := len(s.seenOut)
+	if s.bind == nil {
+		s.bind = make([]value.Value, s.r.p.Closure.NumClasses())
+		for _, sd := range s.r.p.Seeds {
+			s.bind[sd.Class] = sd.Val
+		}
+	}
 	if len(s.tables) == 0 {
 		// Every verification is an existence gate; once all have passed,
 		// the join is the seed tuple alone.
@@ -652,24 +685,37 @@ func (s *Stream) emitWave() (bool, error) {
 			return false, nil
 		}
 		s.seedOnlyEmitted = true
-		return s.emitJoin(nil)
+		for _, c := range s.r.p.OutputClasses {
+			if !s.seeded(c) {
+				return false, fmt.Errorf("exec: output class %d never joined (malformed plan)", c)
+			}
+		}
+		s.joinLeaves++
+		s.project()
+		return true, nil
 	}
-	any := false
 	for t, tbl := range s.tables {
-		delta := tbl.rows[tbl.waveBase:]
-		if len(delta) == 0 {
+		if len(tbl.rows) == tbl.waveBase {
 			continue
 		}
-		em, err := s.joinDelta(t, delta)
-		if err != nil {
-			return any, err
+		if err := s.joinDelta(t); err != nil {
+			return false, err
 		}
-		any = any || em
 		if s.done {
-			return any, nil
+			break
 		}
 	}
-	return any, nil
+	return len(s.seenOut) > before, nil
+}
+
+// seeded reports whether a seed constant pins the class.
+func (s *Stream) seeded(class int) bool {
+	for _, sd := range s.r.p.Seeds {
+		if sd.Class == class {
+			return true
+		}
+	}
+	return false
 }
 
 func (s *Stream) allComplete() bool {
@@ -679,108 +725,6 @@ func (s *Stream) allComplete() bool {
 		}
 	}
 	return true
-}
-
-// joinDelta computes the wave's new join results that include at least
-// one row of table t's delta: new_{<t} ⋈ ΔR_t ⋈ old_{>t}. Using the
-// pre-wave rows for tables after t partitions the new results across the
-// wave's per-table joins, so nothing is computed twice.
-func (s *Stream) joinDelta(t int, delta []value.Tuple) (bool, error) {
-	inputs := make([]joinInput, 0, len(s.tables))
-	inputs = append(inputs, joinInput{classes: s.tables[t].classes, rows: delta})
-	for i, tbl := range s.tables {
-		if i == t {
-			continue
-		}
-		rows := tbl.rows
-		if i > t {
-			rows = tbl.rows[:tbl.waveBase]
-		}
-		if len(rows) == 0 {
-			return false, nil // some table contributes nothing yet
-		}
-		inputs = append(inputs, joinInput{classes: tbl.classes, rows: rows})
-	}
-	// Smallest-first keeps the intermediate join narrow (rows per input
-	// are fixed above; order is free).
-	sort.SliceStable(inputs, func(a, b int) bool { return len(inputs[a].rows) < len(inputs[b].rows) })
-	return s.emitJoin(inputs)
-}
-
-// emitJoin hash-joins the inputs on shared classes, starting from the
-// seed constants, projects onto the output classes and emits the answers
-// not seen before. It aborts as soon as the stream's limit is reached.
-func (s *Stream) emitJoin(inputs []joinInput) (bool, error) {
-	covered := make(map[int]int) // class -> column in the partial join
-	var joinCols []int
-	start := value.Tuple{}
-	for _, sd := range s.r.p.Seeds {
-		covered[sd.Class] = len(joinCols)
-		joinCols = append(joinCols, sd.Class)
-		start = append(start, sd.Val)
-	}
-	partial := []value.Tuple{start}
-
-	for _, tbl := range inputs {
-		var sharedTblPos, sharedJoinPos, newTblPos []int
-		for k, c := range tbl.classes {
-			if j, ok := covered[c]; ok {
-				sharedTblPos = append(sharedTblPos, k)
-				sharedJoinPos = append(sharedJoinPos, j)
-			} else {
-				newTblPos = append(newTblPos, k)
-			}
-		}
-		hash := make(map[string][]value.Tuple, len(tbl.rows))
-		for _, row := range tbl.rows {
-			hash[value.KeyOf(row, sharedTblPos)] = append(hash[value.KeyOf(row, sharedTblPos)], row)
-		}
-		var next []value.Tuple
-		for _, b := range partial {
-			key := value.KeyOf(b, sharedJoinPos)
-			for _, row := range hash[key] {
-				nb := make(value.Tuple, len(b), len(b)+len(newTblPos))
-				copy(nb, b)
-				for _, k := range newTblPos {
-					nb = append(nb, row[k])
-				}
-				next = append(next, nb)
-			}
-		}
-		for _, k := range newTblPos {
-			covered[tbl.classes[k]] = len(joinCols)
-			joinCols = append(joinCols, tbl.classes[k])
-		}
-		partial = next
-		if len(partial) == 0 {
-			break
-		}
-	}
-
-	emitted := false
-	for _, b := range partial {
-		out := make(value.Tuple, len(s.r.p.OutputClasses))
-		for k, c := range s.r.p.OutputClasses {
-			j, ok := covered[c]
-			if !ok {
-				return emitted, fmt.Errorf("exec: output class %d never joined (malformed plan)", c)
-			}
-			out[k] = b[j]
-		}
-		key := out.Key()
-		if s.seenOut[key] {
-			continue
-		}
-		s.seenOut[key] = true
-		s.outbuf = append(s.outbuf, out)
-		emitted = true
-		if s.opts.Limit > 0 && len(s.seenOut) >= s.opts.Limit {
-			s.limited = true
-			s.done = true
-			return emitted, nil
-		}
-	}
-	return emitted, nil
 }
 
 // finishEmpty concludes the evaluation with an empty answer (a gate

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"bcq/internal/exec"
 	"bcq/internal/live"
@@ -84,6 +85,43 @@ func encodeValue(v value.Value) any {
 	default:
 		return nil
 	}
+}
+
+// appendRow appends one answer tuple as a JSON array, byte for byte what
+// json.Marshal gives for the tuple's encodeValue'd columns, without
+// boxing the values or allocating per row.
+func appendRow(dst []byte, tu value.Tuple) []byte {
+	dst = append(dst, '[')
+	for j, v := range tu {
+		if j > 0 {
+			dst = append(dst, ',')
+		}
+		switch v.Kind() {
+		case value.KindInt:
+			dst = strconv.AppendInt(dst, v.AsInt(), 10)
+		case value.KindString:
+			dst = appendJSONString(dst, v.AsString())
+		default:
+			dst = append(dst, "null"...)
+		}
+	}
+	return append(dst, ']')
+}
+
+// appendJSONString appends s as a JSON literal with jsonString's quoting.
+// Printable ASCII that encoding/json leaves alone is copied as is; a
+// string holding anything it would escape (quotes, backslashes, control
+// bytes, the HTML characters, any non-ASCII byte) goes through it.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20, c >= 0x7f, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			return append(dst, jsonString(s)...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
 }
 
 // decodeArgs converts a JSON argument vector.

@@ -605,6 +605,8 @@ func (s *Server) writePage(ctx context.Context, w http.ResponseWriter, st *curso
 		n         int
 		streamErr error
 		timedOut  bool
+		// buf holds the encoded rows since the last flush.
+		buf []byte
 	)
 	for n < st.pageSize {
 		if ctx.Err() != nil {
@@ -622,24 +624,20 @@ func (s *Server) writePage(ctx context.Context, w http.ResponseWriter, st *curso
 		if !ok {
 			break
 		}
-		row := make([]any, len(tu))
-		for j, v := range tu {
-			row[j] = encodeValue(v)
-		}
-		b, err := json.Marshal(row)
-		if err != nil {
-			streamErr = err
-			break
-		}
 		if n > 0 {
-			_, _ = w.Write([]byte{','})
+			buf = append(buf, ',')
 		}
-		_, _ = w.Write(b)
+		buf = appendRow(buf, tu)
 		n++
-		if flusher != nil && n%pageFlushEvery == 0 {
-			flusher.Flush()
+		if n%pageFlushEvery == 0 {
+			_, _ = w.Write(buf)
+			buf = buf[:0]
+			if flusher != nil {
+				flusher.Flush()
+			}
 		}
 	}
+	_, _ = w.Write(buf)
 
 	res := st.stream.Result()
 	complete := streamErr == nil && !timedOut && st.stream.Done()

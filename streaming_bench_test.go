@@ -9,6 +9,10 @@
 //	ttft_us    — time from opening the stream to the first answer
 //	total_ms   — wall time to consume the whole run
 //
+// BenchmarkStreamingDeepJoin is the join guardrail: a four-step chain
+// whose answers arrive over many waves, so its time and allocation are
+// the executor's per-tuple join overhead rather than its fetches.
+//
 // TestStreamingBenchEmit measures the same matrix once with
 // runtime.MemStats deltas and — when STREAMING_BENCH_JSON names a path —
 // writes the perf trajectory to BENCH_streaming.json.
@@ -70,6 +74,119 @@ func streamScene(tb testing.TB, groups, fan int) *Prepared {
 		tb.Fatal(err)
 	}
 	return prep
+}
+
+// deepJoinDDL is a friends-of-friends chain scene: four fetch steps from
+// one seed user to the photos in the albums of that user's friends'
+// friends.
+const deepJoinDDL = `
+relation friends(user_id, friend_id)
+relation album_owner(album_id, user_id)
+relation in_album(photo_id, album_id)
+
+constraint friends: (user_id) -> (friend_id, 64)
+constraint album_owner: (user_id) -> (album_id, 16)
+constraint in_album: (album_id) -> (photo_id, 64)
+`
+
+const deepJoinQuery = `
+query DEEP:
+select t4.photo_id
+from friends as t1, friends as t2, album_owner as t3, in_album as t4
+where t1.user_id = 0 and t1.friend_id = t2.user_id
+  and t2.friend_id = t3.user_id and t3.album_id = t4.album_id
+`
+
+// Every user has deepJoinFriends friends, deepJoinAlbums albums and
+// deepJoinPhotos photos an album; the friend lists of user 0's friends
+// overlap, so the chain has more join results than distinct answers.
+const (
+	deepJoinUsers   = 400
+	deepJoinFriends = 12
+	deepJoinAlbums  = 2
+	deepJoinPhotos  = 6
+)
+
+// deepJoinScene builds the chain scene and prepares its query. The
+// answer is the photos of user 0's friends' friends: at least 500 of
+// them, reached through several thousand join results.
+func deepJoinScene(tb testing.TB) *Prepared {
+	tb.Helper()
+	cat, acc, err := ParseDDL(deepJoinDDL)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	db := NewDatabase(cat)
+	ins := func(rel string, a, b int) {
+		if err := db.Insert(rel, Tuple{Int(int64(a)), Int(int64(b))}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for u := 0; u < deepJoinUsers; u++ {
+		for k := 0; k < deepJoinFriends; k++ {
+			ins("friends", u, (u*5+k*7+1)%deepJoinUsers)
+		}
+		for a := 0; a < deepJoinAlbums; a++ {
+			album := u*deepJoinAlbums + a
+			ins("album_owner", album, u)
+			for ph := 0; ph < deepJoinPhotos; ph++ {
+				ins("in_album", album*deepJoinPhotos+ph, album)
+			}
+		}
+	}
+	eng, err := NewEngine(cat, acc, db, EngineOptions{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	q, err := ParseQuery(deepJoinQuery, cat)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	prep, err := eng.PrepareQuery(q)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return prep
+}
+
+// drainDeepJoin consumes the chain query's stream at the default batch
+// size and returns the number of answers and the time to the first one.
+func drainDeepJoin(tb testing.TB, prep *Prepared) (int, time.Duration) {
+	start := time.Now()
+	s, err := prep.ExecStream(StreamOptions{BatchSize: 64})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	n := 0
+	var ttft time.Duration
+	for {
+		_, ok, err := s.Next()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if !ok {
+			return n, ttft
+		}
+		if n == 0 {
+			ttft = time.Since(start)
+		}
+		n++
+	}
+}
+
+// BenchmarkStreamingDeepJoin drains the four-step chain at BatchSize 64.
+// Run with -benchmem: B/op is the guardrail on what the join allocates.
+func BenchmarkStreamingDeepJoin(b *testing.B) {
+	prep := deepJoinScene(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	n := 0
+	for i := 0; i < b.N; i++ {
+		n, _ = drainDeepJoin(b, prep)
+	}
+	if n < 500 {
+		b.Fatalf("deep join produced %d answers, want ≥ 500", n)
+	}
 }
 
 // streamBenchSizes is the result-size sweep.
@@ -245,8 +362,8 @@ func allocDuring(fn func()) uint64 {
 }
 
 // TestStreamingBenchEmit measures materializing vs streaming execution
-// on the large fan-out scene and asserts the streaming contract the
-// benchmarks exist to guard: a first page allocates ≥ 10× less than
+// on the large fan-out scene, and the deep-join drain, and asserts the
+// streaming contract the benchmarks exist to guard: a first page allocates ≥ 10× less than
 // materializing the full answer, and the stream's first tuple arrives
 // measurably before the materialized result would. With
 // STREAMING_BENCH_JSON set, the measurements are written there
@@ -320,6 +437,27 @@ func TestStreamingBenchEmit(t *testing.T) {
 		TTFTNS: pageTotal.Nanoseconds(), TotalNS: pageTotal.Nanoseconds(), AllocBytes: pageAlloc,
 	})
 
+	// The four-step chain drained at the default batch size: the join
+	// guardrail. A drain takes a millisecond or two, so the times are the
+	// fastest of several — the estimate a busy machine disturbs least;
+	// the allocation of one drain is exact.
+	deep := deepJoinScene(t)
+	var deepAnswers int
+	deepTTFT, deepTotal := time.Hour, time.Hour
+	for i := 0; i < 15; i++ {
+		start := time.Now()
+		n, ttft := drainDeepJoin(t, deep)
+		deepAnswers, deepTTFT, deepTotal = n, min(deepTTFT, ttft), min(deepTotal, time.Since(start))
+	}
+	deepAlloc := allocDuring(func() { drainDeepJoin(t, deep) })
+	rows = append(rows, streamBenchRow{
+		Mode: "deep-join", ResultSize: deepAnswers, Answers: deepAnswers,
+		TTFTNS: deepTTFT.Nanoseconds(), TotalNS: deepTotal.Nanoseconds(), AllocBytes: deepAlloc,
+	})
+	if deepAnswers < 500 {
+		t.Fatalf("deep join produced %d answers, want ≥ 500", deepAnswers)
+	}
+
 	if streamed != matAnswers {
 		t.Fatalf("stream produced %d answers, materialize %d", streamed, matAnswers)
 	}
@@ -334,6 +472,7 @@ func TestStreamingBenchEmit(t *testing.T) {
 	}
 	t.Logf("|Q(D)| = %d: materialize %v / %d B; stream ttft %v, total %v / %d B; limit-100 page %v / %d B",
 		size, matTotal, matAlloc, ttft, streamTotal, streamAlloc, pageTotal, pageAlloc)
+	t.Logf("deep join, %d answers: ttft %v, total %v / %d B", deepAnswers, deepTTFT, deepTotal, deepAlloc)
 
 	if path := os.Getenv("STREAMING_BENCH_JSON"); path != "" {
 		f, err := os.Create(path)
