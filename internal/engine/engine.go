@@ -13,6 +13,9 @@
 //     query fingerprint. Parameterized templates ("attr = ?") are planned
 //     once against opaque sentinel constants; the plan's structure is
 //     value-independent, so it is reusable for every argument vector.
+//     In front of the plan cache a text memo remembers the parse itself
+//     (text → query + fingerprint), so a repeated text reaches its plan
+//     in two map lookups.
 //   - Prepared.Exec binds the placeholder arguments into the cached
 //     plan's seeds and runs bounded evaluation — the only per-request
 //     work is the (bounded) data access itself, optionally fanned out
@@ -70,9 +73,17 @@ type Source interface {
 	EpochKey() string
 	// CardStats is the store's current cardinality statistics — the
 	// input of the cost-based planner and of the plan cache's drift
-	// check. Implementations must make this cheap and lock-free: it runs
-	// on every cache-hit Prepare.
+	// check. Implementations must keep it lock-free: it runs on the first
+	// cache-hit Prepare of every plan after each Epoch advance.
 	CardStats() stats.Snapshot
+	// Epoch is a cheap, monotone token of the store's data version — a
+	// few atomic loads, no formatting: it advances with every commit,
+	// compaction and schema extension (on a sharded store it is the sum
+	// of the shards' epochs). Implementations must publish a change's
+	// statistics before advancing it, so an epoch-then-statistics reader
+	// can never pair moved statistics with a token that will not move
+	// again. Not a cache key: it identifies no consistent cut.
+	Epoch() uint64
 	// NumShards is the store's partition count: 1 for unsharded stores.
 	// Readiness reporting (/healthz) reads it without pinning a view.
 	NumShards() int
@@ -92,6 +103,7 @@ func (s dbSource) Access() *schema.AccessSchema { return s.acc }
 func (s dbSource) Version() uint64              { return 0 }
 func (s dbSource) EpochKey() string             { return s.db.EpochKey() }
 func (s dbSource) CardStats() stats.Snapshot    { return s.cs }
+func (s dbSource) Epoch() uint64                { return 0 }
 func (s dbSource) NumShards() int               { return 1 }
 
 // liveSource pins the live store's current epoch per evaluation.
@@ -102,6 +114,7 @@ func (s liveSource) Access() *schema.AccessSchema { return s.ls.Access() }
 func (s liveSource) Version() uint64              { return s.ls.SchemaVersion() }
 func (s liveSource) EpochKey() string             { return s.ls.EpochKey() }
 func (s liveSource) CardStats() stats.Snapshot    { return s.ls.CardStats() }
+func (s liveSource) Epoch() uint64                { return s.ls.Epoch() }
 func (s liveSource) NumShards() int               { return 1 }
 
 // shardSource pins a consistent epoch vector across every shard per
@@ -114,6 +127,13 @@ func (s shardSource) Version() uint64              { return s.ss.SchemaVersion()
 func (s shardSource) EpochKey() string             { return s.ss.EpochKey() }
 func (s shardSource) CardStats() stats.Snapshot    { return s.ss.CardStats() }
 func (s shardSource) NumShards() int               { return s.ss.NumShards() }
+func (s shardSource) Epoch() uint64 {
+	var sum uint64
+	for i := 0; i < s.ss.NumShards(); i++ {
+		sum += s.ss.Shard(i).Epoch()
+	}
+	return sum
+}
 
 // Options tunes an engine.
 type Options struct {
@@ -204,6 +224,11 @@ type Engine struct {
 	cache  *lru.Cache[*cacheEntry]
 	errs   *lru.Cache[*cacheEntry]
 	flight map[string]*inflight
+	// texts memoises the pure step in front of the plan cache: query text
+	// → parsed query and fingerprint, so a repeated text is never parsed
+	// or re-rendered. It shares the plan cache's capacity and mutex and
+	// decides nothing: every text still goes through lookupOrBuild.
+	texts *lru.Cache[parsedText]
 
 	// mode is the cold-prepare planning tier (Options.PlanMode).
 	mode PlanMode
@@ -321,6 +346,7 @@ func assemble(cat *schema.Catalog, db *storage.Database, src Source, opts Option
 		exe:       exec.New(opts.Parallelism),
 		cache:     lru.New[*cacheEntry](size),
 		errs:      lru.New[*cacheEntry](size),
+		texts:     lru.New[parsedText](size),
 		flight:    make(map[string]*inflight),
 		mode:      opts.PlanMode,
 		upgrading: make(map[string]bool),
@@ -388,6 +414,12 @@ func (e *Engine) View() exec.Store { return e.src.View() }
 // writers). Cache keys must come from a pinned view instead.
 func (e *Engine) EpochKey() string { return e.src.EpochKey() }
 
+// Epoch is a cheap token of the store's data version, without pinning a
+// view: it advances with every commit, compaction and schema extension,
+// so two equal reads bracket a stretch in which a pinned view stayed
+// current. Not a cache key (see EpochKey and Source.Epoch).
+func (e *Engine) Epoch() uint64 { return e.src.Epoch() }
+
 // Shards returns the source's partition count (1 for unsharded stores),
 // without pinning a view — readiness reporting reads it per request.
 func (e *Engine) Shards() int { return e.src.NumShards() }
@@ -423,26 +455,77 @@ func (e *Engine) CacheLen() int {
 	return e.cache.Len()
 }
 
+// parsedText is a query as the plan cache wants it: validated, with the
+// fingerprint rendered once.
+type parsedText struct {
+	q  *spc.Query
+	fp string
+}
+
+// maxMemoText bounds the texts the memo retains: it keeps the caller's
+// string, and 128 request bodies' worth of one hostile text must not pin
+// a gigabyte.
+const maxMemoText = 4 << 10
+
+// parse resolves a text through the memo, parsing (and remembering) it
+// only when the memo has never seen it. Failed parses are not remembered:
+// the catalog is fixed, so they fail the same way every time, cheaply.
+func (e *Engine) parse(text string) (parsedText, error) {
+	if pt, ok := e.memoised(text); ok {
+		return pt, nil
+	}
+	q, err := spc.Parse(text, e.cat)
+	if err != nil {
+		return parsedText{}, err
+	}
+	pt := parsedText{q: q, fp: fingerprint(q)}
+	if len(text) <= maxMemoText {
+		e.mu.Lock()
+		e.texts.Put(text, pt)
+		e.mu.Unlock()
+	}
+	return pt, nil
+}
+
+func (e *Engine) memoised(text string) (parsedText, bool) {
+	e.mu.Lock()
+	pt, ok := e.texts.Get(text)
+	e.mu.Unlock()
+	return pt, ok
+}
+
 // Prepare parses a query text and returns its prepared form, planning it
 // only if no plan for the same normalized fingerprint is cached. The
 // returned Prepared is shared: it may be executed concurrently by many
 // goroutines.
 func (e *Engine) Prepare(text string) (*Prepared, error) {
-	q, err := spc.Parse(text, e.cat)
-	if err != nil {
-		return nil, err
-	}
-	return e.prepare(q, nil)
+	return e.PrepareTraced(text, nil)
 }
 
 // PrepareTraced is Prepare with a "prepare" span recorded on tr, tagged
 // with whether the plan cache answered. Nil tr behaves like Prepare.
 func (e *Engine) PrepareTraced(text string, tr *obs.Trace) (*Prepared, error) {
-	q, err := spc.Parse(text, e.cat)
+	pt, err := e.parse(text)
 	if err != nil {
 		return nil, err
 	}
-	return e.prepare(q, tr)
+	return e.prepare(pt, tr, true)
+}
+
+// PrepareCached is PrepareTraced restricted to what costs no parse, no
+// analysis and no planning: it answers only a text the memo knows whose
+// plan is cached and current, and returns nil — counting nothing and
+// recording no span — for anything else, cached errors included. A
+// non-nil answer is a plan-cache hit exactly like Prepare's. It is the
+// serving layer's lookup before admission: what it declines, a worker
+// prepares.
+func (e *Engine) PrepareCached(text string, tr *obs.Trace) *Prepared {
+	pt, ok := e.memoised(text)
+	if !ok {
+		return nil
+	}
+	prep, _ := e.prepare(pt, tr, false)
+	return prep
 }
 
 // PrepareQuery prepares an already-built SPC query. The query is cloned
@@ -459,7 +542,7 @@ func (e *Engine) PrepareQueryTraced(q *spc.Query, tr *obs.Trace) (*Prepared, err
 	if err := cq.Validate(e.cat); err != nil {
 		return nil, err
 	}
-	return e.prepare(cq, tr)
+	return e.prepare(parsedText{q: cq, fp: fingerprint(cq)}, tr, true)
 }
 
 // Exec is the one-shot convenience: Prepare followed by Exec. Repeated
@@ -475,19 +558,21 @@ func (e *Engine) Exec(text string, args ...value.Value) (*exec.Result, error) {
 // prepare wraps lookupOrBuild with the engine's prepare instrumentation:
 // latency observed on the outcome-labeled histogram, and — when tr is
 // non-nil — a "prepare" span tagged with the cache verdict. With metrics
-// disabled and no trace it costs exactly one extra branch.
-func (e *Engine) prepare(q *spc.Query, tr *obs.Trace) (*Prepared, error) {
+// disabled and no trace it costs exactly one extra branch. A lookup that
+// may not build and found nothing (nil, nil) observes and records
+// nothing: the prepare that follows it is the one that counts.
+func (e *Engine) prepare(pt parsedText, tr *obs.Trace, build bool) (*Prepared, error) {
 	if e.metrics == nil && tr == nil {
-		prep, _, err := e.lookupOrBuild(q)
+		prep, _, err := e.lookupOrBuild(pt, build)
 		return prep, err
 	}
-	var sp *obs.Span
-	if tr != nil {
-		sp = tr.Root().Child("prepare")
-	}
 	start := time.Now()
-	prep, cached, err := e.lookupOrBuild(q)
+	prep, cached, err := e.lookupOrBuild(pt, build)
+	if prep == nil && err == nil {
+		return nil, nil
+	}
 	d := time.Since(start).Seconds()
+	sp := tr.Root().ChildAt("prepare", start)
 	switch {
 	case err != nil:
 		e.prepErr.Observe(d)
@@ -526,9 +611,18 @@ func (e *Engine) prepare(q *spc.Query, tr *obs.Trace) (*Prepared, error) {
 // mutex is never held across the boundedness analysis: concurrent
 // prepares of distinct fingerprints overlap, and same-fingerprint
 // prepares coalesce on one in-flight analysis.
-func (e *Engine) lookupOrBuild(q *spc.Query) (prep *Prepared, cached bool, err error) {
-	e.prepares.Add(1)
-	fp := fingerprint(q)
+//
+// With build false the call answers a current cached plan or nothing at
+// all (nil, false, nil): it waits for no build, serves no cached error,
+// discards no drifted plan and moves no counter, so the full call that
+// follows sees the cache exactly as this one found it. Every Prepare
+// therefore moves Prepares by one and exactly one of CacheHits and
+// CacheMisses, however many lookups preceded it.
+func (e *Engine) lookupOrBuild(pt parsedText, build bool) (prep *Prepared, cached bool, err error) {
+	if build {
+		e.prepares.Add(1)
+	}
+	fp := pt.fp
 
 	for {
 		// Read the version before the schema: if an extension lands between
@@ -540,16 +634,19 @@ func (e *Engine) lookupOrBuild(q *spc.Query) (prep *Prepared, cached bool, err e
 		e.mu.Lock()
 		if ent, ok := e.cache.Get(fp); ok {
 			e.mu.Unlock()
-			// Drift check outside the mutex: CardStats is lock-free but
-			// materializes a (small) snapshot, and this runs on every
-			// cache hit — the one path that must never serialize behind
-			// the engine mutex under serving load. The plan state is
+			// Drift check outside the mutex — the hit path must never
+			// serialize behind it under serving load. The plan state is
 			// loaded once so the fingerprint is compared against the keys
 			// of the same (possibly just-upgraded) plan.
-			st := ent.prep.state.Load()
-			if st.statsFP == "" || e.src.CardStats().Fingerprint(st.acKeys) == st.statsFP {
+			if e.current(ent.prep.state.Load()) {
+				if !build {
+					e.prepares.Add(1)
+				}
 				e.hits.Add(1)
 				return ent.prep, true, nil
+			}
+			if !build {
+				return nil, false, nil
 			}
 			// Observed cardinalities drifted: re-plan without restart.
 			// Remove only the entry we judged stale — a concurrent
@@ -562,6 +659,10 @@ func (e *Engine) lookupOrBuild(q *spc.Query) (prep *Prepared, cached bool, err e
 			}
 			e.mu.Unlock()
 			continue
+		}
+		if !build {
+			e.mu.Unlock()
+			return nil, false, nil
 		}
 		if ent, ok := e.errs.Get(fp); ok {
 			if ent.version >= ver {
@@ -594,7 +695,7 @@ func (e *Engine) lookupOrBuild(q *spc.Query) (prep *Prepared, cached bool, err e
 		if h := e.buildHook; h != nil {
 			h(fp)
 		}
-		prep, err = e.build(q, acc)
+		prep, err = e.build(pt, acc)
 
 		e.mu.Lock()
 		if err == nil {
@@ -617,6 +718,29 @@ func (e *Engine) lookupOrBuild(q *spc.Query) (prep *Prepared, cached bool, err e
 		close(fl.done)
 		return prep, false, err
 	}
+}
+
+// current reports whether a plan bundle was costed against statistics the
+// store still shows, within the re-planning threshold. Statistics cannot
+// move unless the store's epoch does, so the fingerprint is compared once
+// per epoch and plan: a hit at the epoch the bundle was last verified at
+// loads two atomics and materializes no statistics snapshot. The epoch is
+// read before the statistics (see Source.Epoch), so a commit landing
+// between the two reads leaves the older token behind and the next hit
+// verifies again.
+func (e *Engine) current(st *planState) bool {
+	if st.statsFP == "" {
+		return true
+	}
+	epoch := e.src.Epoch()
+	if st.verifiedAt.Load() == epoch {
+		return true
+	}
+	if e.src.CardStats().Fingerprint(st.acKeys) != st.statsFP {
+		return false
+	}
+	st.verifiedAt.Store(epoch)
+	return true
 }
 
 // fingerprint normalizes a validated query to its cache key: the

@@ -1,0 +1,168 @@
+package engine
+
+import (
+	"testing"
+
+	"bcq/internal/spc"
+	"bcq/internal/value"
+)
+
+// Two spellings of one shape, and two other shapes, over tieredScene's
+// r(a, b).
+const (
+	memoA1 = `select b from r where a = ?`
+	memoA2 = `select  r.b  from r  where r.a = ?`
+	memoB  = `select a from r where a = ? and b = ?`
+	memoC  = `select b from r where a = 7`
+)
+
+func wantStats(t *testing.T, e *Engine, prepares, hits, misses int64) {
+	t.Helper()
+	st := e.Stats()
+	if st.Prepares != prepares || st.CacheHits != hits || st.CacheMisses != misses {
+		t.Fatalf("stats = %d prepares, %d hits, %d misses; want %d, %d, %d",
+			st.Prepares, st.CacheHits, st.CacheMisses, prepares, hits, misses)
+	}
+}
+
+// TestTextMemoOnlySkipsTheParser holds the memo to its one job: a text it
+// knows reaches lookupOrBuild without a parse, and every rule of the plan
+// cache still applies behind it. The memo holds no Prepared, so an
+// evicted or re-planned one cannot come back through it.
+func TestTextMemoOnlySkipsTheParser(t *testing.T) {
+	ls, e := tieredScene(t, PlanOptimized)
+
+	// A text nobody prepared: the lookup declines and counts nothing.
+	if p := e.PrepareCached(memoA1, nil); p != nil {
+		t.Fatal("PrepareCached answered a text the engine has never seen")
+	}
+	wantStats(t, e, 0, 0, 0)
+
+	p1, err := e.Prepare(memoA1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantStats(t, e, 1, 0, 1)
+	if p := e.PrepareCached(memoA1, nil); p != p1 {
+		t.Fatal("PrepareCached did not return the cached Prepared")
+	}
+	wantStats(t, e, 2, 1, 1)
+
+	// Another spelling shares the fingerprint, hence the plan; its text is
+	// new to the memo, so only a full Prepare resolves it the first time.
+	if p := e.PrepareCached(memoA2, nil); p != nil {
+		t.Fatal("PrepareCached parsed a text")
+	}
+	if p, err := e.Prepare(memoA2); err != nil || p != p1 {
+		t.Fatalf("second spelling: %v, same Prepared %v", err, p == p1)
+	}
+	if p1.Fingerprint() != p1.Query().String() {
+		t.Errorf("Fingerprint() = %q, want the template's rendering %q", p1.Fingerprint(), p1.Query().String())
+	}
+	wantStats(t, e, 3, 2, 1)
+
+	// Statistics drift: the lookup declines without discarding anything,
+	// the full Prepare re-plans, and the memo then leads to the new
+	// Prepared.
+	for i := int64(0); i < 400; i++ {
+		if err := ls.Insert("r", value.Tuple{value.Int(100 + i%8), value.Int(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if p := e.PrepareCached(memoA1, nil); p != nil {
+		t.Fatal("PrepareCached served a plan whose statistics drifted")
+	}
+	if st := e.Stats(); st.Replans != 0 || st.Prepares != 3 {
+		t.Fatalf("a declined lookup moved counters: %+v", st)
+	}
+	p2, err := e.Prepare(memoA1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p2 == p1 || e.Stats().Replans != 1 {
+		t.Fatalf("drift did not re-plan: same Prepared %v, stats %+v", p2 == p1, e.Stats())
+	}
+	if p := e.PrepareCached(memoA2, nil); p != p2 {
+		t.Fatal("after the re-plan the memo leads to something other than the new Prepared")
+	}
+}
+
+// TestTextMemoAfterEviction: the memo may remember a text longer than the
+// plan cache remembers its plan. Then the lookup declines, and the full
+// Prepare builds a new Prepared rather than finding the old one.
+func TestTextMemoAfterEviction(t *testing.T) {
+	ls, _ := tieredScene(t, PlanOptimized)
+	e, err := NewLive(ls, Options{PlanCacheSize: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p1, err := e.Prepare(memoA1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two shapes prepared as built queries go past the memo and push A's
+	// plan out of the two-entry cache.
+	for _, text := range []string{memoB, memoC} {
+		if _, err := e.PrepareQuery(spc.MustParse(text, e.Catalog())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := e.Stats()
+	if before.Evictions != 1 {
+		t.Fatalf("evictions = %d, want 1", before.Evictions)
+	}
+	if p := e.PrepareCached(memoA1, nil); p != nil {
+		t.Fatal("the memo resurrected an evicted Prepared")
+	}
+	if e.Stats() != before {
+		t.Fatalf("a declined lookup moved counters: %+v -> %+v", before, e.Stats())
+	}
+	p2, err := e.Prepare(memoA1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p2 == p1 {
+		t.Fatal("Prepare returned the evicted Prepared")
+	}
+	wantStats(t, e, before.Prepares+1, before.CacheHits, before.CacheMisses+1)
+}
+
+// TestMemoisedPrepareHitAllocatesNothing is the fast lane's engine-side
+// ceiling: while the epoch stands still a repeated text costs no parse,
+// no statistics snapshot and no allocation at all, and every hit still
+// moves the counters.
+func TestMemoisedPrepareHitAllocatesNothing(t *testing.T) {
+	ls, e := tieredScene(t, PlanOptimized)
+	if _, err := e.Prepare(memoA1); err != nil {
+		t.Fatal(err)
+	}
+	before := e.Stats()
+	const runs = 200
+	if n := testing.AllocsPerRun(runs, func() {
+		if p, err := e.Prepare(memoA1); err != nil || p == nil {
+			t.Fatal("memoised prepare failed")
+		}
+		if p := e.PrepareCached(memoA1, nil); p == nil {
+			t.Fatal("memoised lookup failed")
+		}
+	}); n != 0 {
+		t.Errorf("memoised Prepare + PrepareCached allocate %v times per hit, want 0", n)
+	}
+	// AllocsPerRun makes one warm-up call.
+	after := e.Stats()
+	if got := after.Prepares - before.Prepares; got != 2*(runs+1) || after.CacheHits-before.CacheHits != got {
+		t.Errorf("%d prepares and %d hits for %d calls", got, after.CacheHits-before.CacheHits, 2*(runs+1))
+	}
+
+	// An epoch advance costs the next hit one statistics snapshot; the hit
+	// after it is free again.
+	if err := ls.Insert("r", value.Tuple{value.Int(2), value.Int(20)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Prepare(memoA1); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(runs, func() { _, _ = e.Prepare(memoA1) }); n != 0 {
+		t.Errorf("after the epoch's one verification a hit allocates %v times, want 0", n)
+	}
+}

@@ -26,8 +26,10 @@ import (
 // re-plan) swapping the plan never exposes a half-replaced bundle.
 type Prepared struct {
 	eng *Engine
-	// query is the validated template (placeholders unbound).
+	// query is the validated template (placeholders unbound) and fp its
+	// fingerprint, the key this Prepared was cached under.
 	query *spc.Query
+	fp    string
 	// state is the atomically published plan bundle. Readers load it
 	// exactly once per operation (bind, Explain, the accessor methods),
 	// so every execution runs one coherent plan even while an upgrade
@@ -54,6 +56,10 @@ type planState struct {
 	// Engine.prepare).
 	acKeys  []string
 	statsFP string
+	// verifiedAt is the source epoch at which statsFP was last seen to
+	// match the store's statistics (Engine.current) — the one mutable
+	// field of the bundle, a memo of a check and no part of the plan.
+	verifiedAt atomic.Uint64
 }
 
 // paramSlot says how one placeholder argument binds into the plan.
@@ -81,12 +87,12 @@ type paramSlot struct {
 // follows the engine's mode: optimized engines pay the full search on
 // the cold path, greedy and tiered engines return the greedy order (and
 // tiered engines enqueue the background upgrade from lookupOrBuild).
-func (e *Engine) build(q *spc.Query, acc *schema.AccessSchema) (*Prepared, error) {
-	st, err := e.buildState(q, acc, e.mode == PlanOptimized)
+func (e *Engine) build(pt parsedText, acc *schema.AccessSchema) (*Prepared, error) {
+	st, err := e.buildState(pt.q, acc, e.mode == PlanOptimized)
 	if err != nil {
 		return nil, err
 	}
-	p := &Prepared{eng: e, query: q}
+	p := &Prepared{eng: e, query: pt.q, fp: pt.fp}
 	p.state.Store(st)
 	return p, nil
 }
@@ -128,6 +134,8 @@ func (e *Engine) buildState(q *spc.Query, acc *schema.AccessSchema, exhaustive b
 	if err != nil {
 		return nil, err
 	}
+	// Epoch before statistics, like every reader of the pair.
+	epoch := e.src.Epoch()
 	cs := e.src.CardStats()
 	var pl *plan.Plan
 	if exhaustive {
@@ -144,10 +152,12 @@ func (e *Engine) buildState(q *spc.Query, acc *schema.AccessSchema, exhaustive b
 		slots[i].class = pl.Closure.MustClass(slots[i].ref)
 	}
 	acKeys := planACKeys(pl)
-	return &planState{
+	st := &planState{
 		pl: pl, slots: slots,
 		acKeys: acKeys, statsFP: cs.Fingerprint(acKeys),
-	}, nil
+	}
+	st.verifiedAt.Store(epoch)
+	return st, nil
 }
 
 // planACKeys collects the constraints a plan probes — the slice of the
@@ -191,6 +201,11 @@ func sentinel(q *spc.Query, k int) value.Value {
 
 // Query returns the prepared template. Treat it as immutable.
 func (p *Prepared) Query() *spc.Query { return p.query }
+
+// Fingerprint is the normalized rendering of the template the plan cache
+// keys on (Query().String(), rendered once at preparation): two texts of
+// one shape share it.
+func (p *Prepared) Fingerprint() string { return p.fp }
 
 // Plan returns the currently installed plan — re-read it per use, since
 // a background upgrade or drift re-plan may have replaced it since the

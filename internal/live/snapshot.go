@@ -125,11 +125,11 @@ func (s *Snapshot) lookupGroup(acKey, xk string) []storage.IndexEntry {
 			}
 		}
 	}
-	b, ok := s.binds[acKey]
-	if !ok {
+	if _, ok := s.binds[acKey]; !ok {
 		return nil
 	}
-	if idx, ok := s.base.AccessIndexFor(b.ac); ok {
+	// By the key the caller already holds: a probe formats nothing.
+	if idx, ok := s.base.AccessIndexByKey(acKey); ok {
 		return idx.Entries(xk)
 	}
 	return nil

@@ -111,6 +111,16 @@ type Span struct {
 // descendants the same way.
 func (s *Span) Child(name string) *Span {
 	if s == nil {
+		return nil // before time.Now: untraced hot paths pay one branch
+	}
+	return s.ChildAt(name, time.Now())
+}
+
+// ChildAt is Child for work that has already begun: the sub-span starts
+// at the given instant. It lets a caller time first and record only the
+// operations that turn out to be worth a span.
+func (s *Span) ChildAt(name string, start time.Time) *Span {
+	if s == nil {
 		return nil
 	}
 	t := s.tr
@@ -121,7 +131,7 @@ func (s *Span) Child(name string) *Span {
 		return nil
 	}
 	t.spans++
-	c := &Span{tr: t, name: name, start: time.Now()}
+	c := &Span{tr: t, name: name, start: start}
 	s.children = append(s.children, c)
 	t.mu.Unlock()
 	return c

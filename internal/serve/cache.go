@@ -17,7 +17,7 @@ import (
 // entry can ever match. Old-epoch entries become unreachable garbage
 // and age out of the LRU.
 func cacheKey(p *engine.Prepared, args []value.Value, epoch string) string {
-	return p.Query().String() + "\x00" + value.Tuple(args).Key() + "\x00" + epoch
+	return p.Fingerprint() + "\x00" + value.Tuple(args).Key() + "\x00" + epoch
 }
 
 // CacheStats is the result cache's counter snapshot.
@@ -47,16 +47,17 @@ func newResultCache(capacity int) *resultCache {
 	return &resultCache{cap: capacity, lru: lru.New[[]byte](capacity)}
 }
 
+// get returns the payload under key and counts the hit. A probe that
+// finds nothing counts nothing: the request may ask again (execQuery),
+// and its miss is counted once, when it executes.
 func (c *resultCache) get(key string) ([]byte, bool) {
 	c.mu.Lock()
 	body, ok := c.lru.Get(key)
 	c.mu.Unlock()
-	if !ok {
-		c.misses.Add(1)
-		return nil, false
+	if ok {
+		c.hits.Add(1)
 	}
-	c.hits.Add(1)
-	return body, true
+	return body, ok
 }
 
 // put stores a payload; when a concurrent execution of the same key

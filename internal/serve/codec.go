@@ -51,8 +51,53 @@ type opRequest struct {
 
 // decodeValue converts one JSON scalar into a database value: null,
 // integer or string. Fractional numbers have no database representation
-// and are rejected.
+// and are rejected. Integer literals and escape-free ASCII strings — what
+// arguments nearly always are — are read straight off the raw bytes;
+// everything else, every error included, is decodeValueJSON's.
 func decodeValue(raw json.RawMessage) (value.Value, error) {
+	if v, ok := decodePlain(raw); ok {
+		return v, nil
+	}
+	return decodeValueJSON(raw)
+}
+
+// decodePlain reads the two literal forms that need no decoder: a string
+// of printable ASCII without quotes or backslashes, and an integer of at
+// most 18 digits (so it cannot overflow) in JSON's own spelling — no
+// leading zeros, no sign but '-'. It declines anything else.
+func decodePlain(raw []byte) (value.Value, bool) {
+	n := len(raw)
+	if n >= 2 && raw[0] == '"' && raw[n-1] == '"' {
+		for _, c := range raw[1 : n-1] {
+			if c < 0x20 || c >= 0x7f || c == '"' || c == '\\' {
+				return value.Null, false
+			}
+		}
+		return value.Str(string(raw[1 : n-1])), true
+	}
+	digits, neg := raw, n > 0 && raw[0] == '-'
+	if neg {
+		digits = raw[1:]
+	}
+	if len(digits) == 0 || len(digits) > 18 || (digits[0] == '0' && len(digits) > 1) {
+		return value.Null, false
+	}
+	var i int64
+	for _, c := range digits {
+		if c < '0' || c > '9' {
+			return value.Null, false
+		}
+		i = i*10 + int64(c-'0')
+	}
+	if neg {
+		i = -i
+	}
+	return value.Int(i), true
+}
+
+// decodeValueJSON is decodeValue through encoding/json: the reference for
+// every literal, and the only path that rejects one.
+func decodeValueJSON(raw json.RawMessage) (value.Value, error) {
 	var v any
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.UseNumber()

@@ -1,0 +1,406 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"bcq/internal/engine"
+	"bcq/internal/live"
+	"bcq/internal/schema"
+	"bcq/internal/value"
+)
+
+// queryEnvelope is the /query response as a struct: what the server
+// encoded reflectively before appendEnvelope, kept as its reference.
+type queryEnvelope struct {
+	Result  json.RawMessage `json:"result"`
+	Cached  bool            `json:"cached"`
+	Epoch   string          `json:"epoch"`
+	TraceID string          `json:"trace_id,omitempty"`
+	Debug   *debugPayload   `json:"debug,omitempty"`
+}
+
+// TestAppendEnvelopeMatchesJSONEncoder: the hand-written envelope must be
+// byte for byte what json.Encoder gave for the struct, trailing newline
+// included — plain, traced, with the debug block, and with epoch keys and
+// trace IDs (a client's header, adopted verbatim) that need escaping.
+func TestAppendEnvelopeMatchesJSONEncoder(t *testing.T) {
+	result := json.RawMessage(`{"cols":["photo_id"],"tuples":[["p1"],["\u003cp2\u003e"],[7]],"stats":{"index_lookups":1,"tuples_fetched":2,"tuples_scanned":0},"dq_size":2}`)
+	spans := json.RawMessage(`{"trace_id":"abc","root":{"name":"query","duration_us":12,"tags":{"result_cache":"hit"}}}`)
+	debugs := []*debugPayload{
+		nil,
+		{Explain: "plan (cost-based)\n  fetch T1: \"in_album\" via <in_album: (album_id) -> (photo_id, 1000)> & more\n"},
+		{Explain: "", Spans: spans},
+		{Explain: "tab\there \\ back", Spans: json.RawMessage("null")},
+	}
+	epochs := []string{"live:0", "live:18446744073709551615", "shard:3,0,12", "sealed", "", `he"llo\`, "<e&>", "épo\u2028que 🙂", "bad\xff\x00utf8\x7f"}
+	traceIDs := []string{"", "9f3c2a1b0d4e5f60", `client "id"`, "<script>", "tr\u00e4ce\n"}
+	buf := []byte("reused")
+	for _, debug := range debugs {
+		for _, epoch := range epochs {
+			for _, id := range traceIDs {
+				for _, cached := range []bool{true, false} {
+					var want bytes.Buffer
+					env := queryEnvelope{Result: result, Cached: cached, Epoch: epoch, TraceID: id, Debug: debug}
+					if err := json.NewEncoder(&want).Encode(env); err != nil {
+						t.Fatal(err)
+					}
+					buf = appendEnvelope(buf[:0], result, cached, epoch, id, debug)
+					if !bytes.Equal(buf, want.Bytes()) {
+						t.Fatalf("epoch %q trace %q cached %v debug %+v:\n got %s\nwant %s", epoch, id, cached, debug, buf, want.Bytes())
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDecodeValueMatchesJSONDecoder: reading a literal off the raw bytes
+// must give the value — and for everything it declines, the error text —
+// of the decoder it stands in front of.
+func TestDecodeValueMatchesJSONDecoder(t *testing.T) {
+	raws := []string{
+		// the plain forms
+		`0`, `7`, `-7`, `-0`, `42`, `999999999999999999`, `-999999999999999999`,
+		`""`, `"a0"`, `"plain_id-42"`, `"with space~"`, `"<tag>&"`,
+		// integers the plain reader must leave alone
+		`1000000000000000000`, `9223372036854775807`, `-9223372036854775808`,
+		`9223372036854775808`, `-9223372036854775809`, `123456789012345678901234567890`,
+		// fractional and exponent forms
+		`1.5`, `-0.0`, `1e3`, `1E-2`, `2.0`,
+		// strings with escapes, control bytes, DEL and non-ASCII
+		`"say \"hi\""`, `"back\\slash"`, `"tab\tnl\n"`, `"\u00e9\u4e16"`, `"\ud83d\ude42"`, `"del` + "\x7f" + `"`,
+		`"héllo"`, `"日本語"`, `"bad` + "\xff" + `utf8"`,
+		// null, nested and other types
+		`null`, `true`, `false`, `[1,2]`, `[]`, `{"a":1}`, `{}`,
+		// padded and malformed
+		` 7`, `7 `, ` "x" `, `007`, `-`, `--1`, `+1`, `1-`, `0x10`, `"open`, `open"`, `"`, ``, `"a"b"`, `nul`, `7 8`,
+	}
+	for _, raw := range raws {
+		got, gotErr := decodeValue(json.RawMessage(raw))
+		want, wantErr := decodeValueJSON(json.RawMessage(raw))
+		if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+			t.Errorf("decodeValue(%q): error %v, the decoder's is %v", raw, gotErr, wantErr)
+			continue
+		}
+		if got != want {
+			t.Errorf("decodeValue(%q) = %v (%v), the decoder gives %v (%v)", raw, got, got.Kind(), want, want.Kind())
+		}
+	}
+	// The argument vector adds the position and nothing else.
+	_, err := decodeArgs([]json.RawMessage{json.RawMessage(`1`), json.RawMessage(`1.5`)})
+	if want := "argument 1: value 1.5 is not an integer (fractional values are unsupported)"; err == nil || err.Error() != want {
+		t.Errorf("decodeArgs error = %v, want %q", err, want)
+	}
+}
+
+// serveInProcess sends one /query body to the handler without a socket.
+func serveInProcess(h http.Handler, body string) (int, []byte) {
+	req := httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(body))
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	return rec.Code, rec.Body.Bytes()
+}
+
+// TestCountersStayExact: however a /query is answered — fast lane, worker
+// with the lookup handed over, worker from scratch, cached rejection —
+// it moves Prepares by one, exactly one of the plan cache's hits and
+// misses, and, when it reaches the result cache, exactly one of that
+// cache's hits and misses. A fast-lane probe that misses and the
+// execution that follows are one miss, not two.
+func TestCountersStayExact(t *testing.T) {
+	ls, srv, _ := newTestServer(t, engine.Options{}, Options{})
+	h := srv.Handler()
+	const (
+		albums  = `select photo_id from in_album where album_id = ?`
+		albums2 = `select  in_album.photo_id  from in_album where in_album.album_id = ?`
+		friends = `select friend_id from friends where user_id = ?`
+	)
+	ask := func(text, arg string, wantCached bool) {
+		t.Helper()
+		code, raw := serveInProcess(h, fmt.Sprintf(`{"query": %q, "args": [%q]}`, text, arg))
+		var env envelope
+		if err := json.Unmarshal(raw, &env); err != nil || code != http.StatusOK {
+			t.Fatalf("%s [%s]: status %d: %s", text, arg, code, raw)
+		}
+		if env.Cached != wantCached {
+			t.Fatalf("%s [%s]: cached %v, want %v", text, arg, env.Cached, wantCached)
+		}
+	}
+	// Both spellings are one shape, so an answer either of them fetched
+	// is cached for the other.
+	n, seen := 0, map[string]bool{}
+	askOnce := func(text, shape, arg string) {
+		t.Helper()
+		ask(text, arg, seen[shape+arg])
+		seen[shape+arg] = true
+		n++
+	}
+	for round := 0; round < 3; round++ {
+		for _, arg := range []string{"a0", "a1", "a0"} {
+			askOnce(albums, "albums", arg)
+			askOnce(albums2, "albums", arg)
+		}
+		askOnce(friends, "friends", "u0")
+	}
+	// A write moves the epoch: answers miss once each; plans still hit,
+	// unless the write drifted their statistics (in a scene this small it
+	// does), and a re-plan is a miss.
+	if err := ls.Insert("in_album", strT("p7", "a0")); err != nil {
+		t.Fatal(err)
+	}
+	ask(albums, "a0", false)
+	ask(albums2, "a0", true)
+	ask(friends, "u0", false)
+	n += 3
+
+	eng, cache := srv.Engine().Stats(), srv.CacheStats()
+	if eng.Prepares != int64(n) || eng.CacheHits+eng.CacheMisses != int64(n) || eng.CacheMisses != 2+eng.Replans {
+		t.Errorf("%d requests: engine %d prepares, %d hits, %d misses, %d re-plans; want %d prepares and a miss per shape and re-plan",
+			n, eng.Prepares, eng.CacheHits, eng.CacheMisses, eng.Replans, n)
+	}
+	if cache.Hits+cache.Misses != int64(n) || cache.Misses != 5 {
+		t.Errorf("%d requests: result cache %d hits, %d misses; want them to sum to %d with 5 misses", n, cache.Hits, cache.Misses, n)
+	}
+
+	// A rejected shape is a prepare like any other and never reaches the
+	// result cache; a text that does not parse is not a prepare at all.
+	for i := 0; i < 3; i++ {
+		if code, _ := serveInProcess(h, `{"query": "select photo_id from in_album"}`); code != http.StatusBadRequest {
+			t.Fatalf("unbounded shape: status %d, want 400", code)
+		}
+	}
+	if code, _ := serveInProcess(h, `{"query": "select from where"}`); code != http.StatusBadRequest {
+		t.Fatalf("unparseable text: status %d, want 400", code)
+	}
+	eng2 := srv.Engine().Stats()
+	if eng2.Prepares != eng.Prepares+3 || eng2.CacheMisses != eng.CacheMisses+1 || eng2.CacheHits != eng.CacheHits+2 {
+		t.Errorf("three rejections moved the engine from %+v to %+v; want +3 prepares, +1 miss, +2 hits", eng, eng2)
+	}
+	if srv.CacheStats() != cache {
+		t.Errorf("rejections moved the result cache: %+v -> %+v", cache, srv.CacheStats())
+	}
+}
+
+// TestCachedErrorRetriedBehindTheMemo: a rejected text sits in the memo
+// like any other, and its cached rejection is still retried once the
+// schema version advances — after which the fast lane serves it.
+func TestCachedErrorRetriedBehindTheMemo(t *testing.T) {
+	ls, srv, _ := newTestServer(t, engine.Options{}, Options{})
+	h := srv.Handler()
+	const body = `{"query": "select photo_id from tagging where tagger_id = ?", "args": ["f1"]}`
+	for i := 0; i < 2; i++ {
+		if code, raw := serveInProcess(h, body); code != http.StatusBadRequest {
+			t.Fatalf("before the extension: status %d: %s", code, raw)
+		}
+	}
+	if err := ls.ExtendAccess(schema.MustAccessConstraint("tagging", []string{"tagger_id"}, []string{"photo_id"}, 50)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		code, raw := serveInProcess(h, body)
+		var env envelope
+		if err := json.Unmarshal(raw, &env); err != nil || code != http.StatusOK {
+			t.Fatalf("after the extension: status %d: %s", code, raw)
+		}
+		if env.Cached != (i == 1) || !strings.Contains(string(env.Result), `[["p1"],["p3"]]`) {
+			t.Errorf("request %d after the extension: cached %v, result %s", i, env.Cached, env.Result)
+		}
+	}
+	if st := srv.Engine().Stats(); st.StaleRetries != 1 || st.Prepares != 4 {
+		t.Errorf("stats %+v, want 4 prepares and 1 stale retry", st)
+	}
+}
+
+// TestFastLaneNeverStaleUnderChurn hammers the fast lane with everything
+// that can move under it at once: a two-entry plan cache (and memo)
+// shared by five hot texts, so plans and texts are evicted constantly;
+// tiered planning, so plans are upgraded in place; ingest that advances
+// the epoch and drifts the statistics, so plans are re-planned; and one
+// ExtendAccess that turns a rejected text into an answerable one. Every
+// 200 is replayed against the snapshot of the epoch it names, as in
+// TestServedResponsesMatchDirectExecution: a memo or fast lane that
+// outlived an eviction, a re-plan or an epoch would serve bytes that
+// differ. Run with -race.
+func TestFastLaneNeverStaleUnderChurn(t *testing.T) {
+	ls := serveScene(t)
+	eng, err := engine.NewLive(ls, engine.Options{PlanCacheSize: 2, PlanMode: engine.PlanTiered})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(eng, Options{ResultCacheSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+
+	pinned := sync.Map{} // epoch key -> *live.Snapshot
+	pin := func() {
+		s := ls.Snapshot()
+		pinned.Store(s.EpochKey(), s)
+	}
+	pin()
+
+	templates := []struct {
+		query string
+		args  func(r *rand.Rand) []any
+	}{
+		{`select photo_id from in_album where album_id = ?`, func(r *rand.Rand) []any { return []any{fmt.Sprintf("a%d", r.Intn(3))} }},
+		{`select  photo_id  from in_album where album_id = ?`, func(r *rand.Rand) []any { return []any{fmt.Sprintf("a%d", r.Intn(3))} }},
+		{`select friend_id from friends where user_id = ?`, func(r *rand.Rand) []any { return []any{fmt.Sprintf("u%d", r.Intn(3))} }},
+		{`select t1.photo_id from in_album as t1, tagging as t3
+			where t1.album_id = ? and t1.photo_id = t3.photo_id and t3.taggee_id = ?`,
+			func(r *rand.Rand) []any { return []any{fmt.Sprintf("a%d", r.Intn(2)), "u0"} }},
+		{`select tagger_id from tagging where photo_id = ? and taggee_id = ?`, func(r *rand.Rand) []any { return []any{fmt.Sprintf("p%d", 1+r.Intn(3)), "u0"} }},
+		// Rejected until the writer extends the schema.
+		{`select photo_id from tagging where tagger_id = ?`, func(r *rand.Rand) []any { return []any{"f1"} }},
+	}
+	const evolving = 5
+
+	// The one writer: every commit pinned; halfway, the extension.
+	batches := 240
+	if testing.Short() {
+		batches = 80
+	}
+	var extended atomic.Bool
+	writerDone := make(chan error, 1)
+	go func() {
+		for i := 0; i < batches; i++ {
+			// Friends fan out fast (statistics drift, re-plans); albums
+			// cycle through a bounded set of photos.
+			ops := []live.Op{
+				live.Insert("in_album", strT(fmt.Sprintf("px%d", i%300), fmt.Sprintf("a%d", i%3))),
+				live.Insert("friends", strT(fmt.Sprintf("u%d", i%3), fmt.Sprintf("g%d", i))),
+				live.Insert("friends", strT(fmt.Sprintf("v%d", i), "f1")),
+			}
+			if _, err := ls.Apply(ops); err != nil {
+				writerDone <- err
+				return
+			}
+			pin()
+			if i == batches/2 {
+				ac := schema.MustAccessConstraint("tagging", []string{"tagger_id"}, []string{"photo_id"}, 50)
+				if err := ls.ExtendAccess(ac); err != nil {
+					writerDone <- err
+					return
+				}
+				pin()
+				extended.Store(true)
+			}
+		}
+		writerDone <- nil
+	}()
+
+	type sample struct {
+		template int
+		args     []any
+		epoch    string
+		payload  string
+	}
+	clients, perClient := 6, 400
+	if testing.Short() {
+		clients, perClient = 4, 150
+	}
+	var (
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		all      []sample
+		rejected int
+		answered atomic.Int64
+	)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(int64(200 + c)))
+			var out []sample
+			refused := 0
+			for i := 0; i < perClient; i++ {
+				ti := r.Intn(len(templates))
+				args := templates[ti].args(r)
+				body, _ := json.Marshal(map[string]any{"query": templates[ti].query, "args": args})
+				answerable := ti != evolving || extended.Load()
+				code, raw := serveInProcess(h, string(body))
+				if code == http.StatusBadRequest && ti == evolving && !answerable {
+					refused++
+					continue
+				}
+				var env envelope
+				if err := json.Unmarshal(raw, &env); err != nil || code != http.StatusOK {
+					t.Errorf("client %d, template %d: status %d: %s", c, ti, code, raw)
+					return
+				}
+				answered.Add(1)
+				out = append(out, sample{template: ti, args: args, epoch: env.Epoch, payload: string(env.Result)})
+			}
+			mu.Lock()
+			all, rejected = append(all, out...), rejected+refused
+			mu.Unlock()
+		}(c)
+	}
+	wg.Wait()
+	if err := <-writerDone; err != nil {
+		t.Fatal(err)
+	}
+	eng.DrainUpgrades()
+	if t.Failed() {
+		return
+	}
+
+	// Counters first, before the replay prepares anything: one prepare per
+	// request, each exactly one hit or miss; one result-cache verdict per
+	// request that got as far as a plan.
+	st, cs := eng.Stats(), srv.CacheStats()
+	requests := int64(len(all) + rejected)
+	if st.Prepares != requests || st.CacheHits+st.CacheMisses != requests {
+		t.Errorf("%d requests: %d prepares, %d hits + %d misses", requests, st.Prepares, st.CacheHits, st.CacheMisses)
+	}
+	if cs.Hits+cs.Misses != answered.Load() {
+		t.Errorf("%d answers: result cache %d hits + %d misses", answered.Load(), cs.Hits, cs.Misses)
+	}
+	if st.Evictions == 0 || st.Replans == 0 || cs.Hits == 0 || rejected == 0 {
+		t.Errorf("the hammer missed a mechanism: %d evictions, %d re-plans, %d cache hits, %d rejections", st.Evictions, st.Replans, cs.Hits, rejected)
+	}
+
+	epochs := map[string]bool{}
+	for i, smp := range all {
+		v, ok := pinned.Load(smp.epoch)
+		if !ok {
+			t.Fatalf("sample %d claims unknown epoch %s", i, smp.epoch)
+		}
+		p, err := eng.Prepare(templates[smp.template].query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals := make([]value.Value, len(smp.args))
+		for j, a := range smp.args {
+			vals[j] = value.Str(a.(string))
+		}
+		res, err := p.ExecOn(v.(*live.Snapshot), vals...)
+		if err != nil {
+			t.Fatalf("sample %d (template %d, epoch %s): %v", i, smp.template, smp.epoch, err)
+		}
+		want, err := marshalResult(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if smp.payload != string(want) {
+			t.Fatalf("sample %d (template %d, args %v, epoch %s):\n served %s\n direct %s",
+				i, smp.template, smp.args, smp.epoch, smp.payload, want)
+		}
+		epochs[smp.epoch] = true
+	}
+	if len(epochs) < 2 {
+		t.Error("all responses saw one epoch; the writer did not overlap the clients")
+	}
+	t.Logf("verified %d responses over %d epochs: %d result-cache hits, %d plan evictions, %d re-plans, %d upgrades, %d rejections before the extension",
+		len(all), len(epochs), cs.Hits, st.Evictions, st.Replans, st.Upgrades, rejected)
+}

@@ -179,7 +179,7 @@ func (s *Server) maybeSlowLog(endpoint string, p *engine.Prepared, res *exec.Res
 		sl.Record(obs.SlowEntry{
 			TraceID:     tr.ID(),
 			Endpoint:    endpoint,
-			Fingerprint: p.Query().String(),
+			Fingerprint: p.Fingerprint(),
 			DurationMS:  float64(d) / float64(time.Millisecond),
 			Outcome:     outcome,
 			Answers:     answers,
@@ -194,7 +194,7 @@ func (s *Server) maybeSlowLog(endpoint string, p *engine.Prepared, res *exec.Res
 	}
 	s.obs.TraceRec().Consider(tr, obs.TraceMeta{
 		Endpoint:    endpoint,
-		Fingerprint: p.Query().String(),
+		Fingerprint: p.Fingerprint(),
 		Duration:    d,
 		Outcome:     outcome,
 		Err:         outcome == "error",

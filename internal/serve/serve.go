@@ -13,7 +13,12 @@
 //     503 beyond it, so an overload degrades crisply instead of
 //     collapsing the process. Every request carries a deadline (the
 //     server default, or the request's timeout_ms), enforced while
-//     queued and while executing.
+//     queued and while executing. Admission covers everything that
+//     analyses, plans, executes or writes. A /query whose plan and
+//     answer are both cached is not work: it is answered on the handler
+//     goroutine before admission (the fast lane) and never queues — a
+//     saturated server keeps serving what it already knows and sheds
+//     only what it would have to compute.
 //   - an epoch-keyed result cache: answers are cached under the key
 //     (plan fingerprint, bound arguments, snapshot epoch). The epoch
 //     component rides on the live/shard layers' snapshot machinery —
@@ -39,6 +44,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -321,16 +327,25 @@ func apiError(w http.ResponseWriter, status int, format string, args ...any) {
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	handlerResult{status: status, v: v}.write(w)
 }
 
 // handlerResult is one handler body's outcome: an HTTP status and the
-// JSON document to write.
+// JSON document to write — v to encode, or raw, already encoded.
 type handlerResult struct {
 	status int
 	v      any
+	raw    []byte
+}
+
+func (out handlerResult) write(w http.ResponseWriter) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(out.status)
+	if out.raw != nil {
+		_, _ = w.Write(out.raw)
+		return
+	}
+	_ = json.NewEncoder(w).Encode(out.v)
 }
 
 // errResult builds an error outcome.
@@ -345,7 +360,8 @@ func errResult(status int, format string, args ...any) handlerResult {
 // mid-execution; the slot is released when fn actually finishes, which
 // keeps the admission bound honest. Every endpoint that executes or
 // writes goes through here — /prepare's boundedness analysis and
-// /ingest's admission checks are as CPU-real as query execution.
+// /ingest's admission checks are as CPU-real as query execution. The one
+// thing that does not is a /query answered from the caches (handleQuery).
 func (s *Server) runOnWorker(w http.ResponseWriter, r *http.Request, timeoutMS int64, fn func() handlerResult) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.deadline(timeoutMS))
 	defer cancel()
@@ -371,7 +387,7 @@ func (s *Server) runOnWorker(w http.ResponseWriter, r *http.Request, timeoutMS i
 	}()
 	select {
 	case out := <-outCh:
-		writeJSON(w, out.status, out.v)
+		out.write(w)
 	case <-ctx.Done():
 		s.timeouts.Add(1)
 		apiError(w, http.StatusGatewayTimeout, "deadline exceeded")
@@ -385,6 +401,13 @@ func (s *Server) runOnWorker(w http.ResponseWriter, r *http.Request, timeoutMS i
 // as the stream produces answers and never touches the result cache —
 // a page is a prefix of the answer, and caching a prefix under the
 // full-query key would serve truncated answers to unlimited requests.
+//
+// The buffered path is split in two. lookup runs here, on the handler
+// goroutine and before admission: a few map reads that find the cached
+// plan and the cached answer, or do not. A hit is written at once — no
+// deadline context, no worker, no queue; it is not work, and a saturated
+// server answers it all the same. Anything else goes through runOnWorker
+// exactly as before, taking along what lookup resolved.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		apiError(w, http.StatusMethodNotAllowed, "POST required")
@@ -426,23 +449,20 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.servePage(w, r, req, args, tr, start)
 		return
 	}
+	var lk lookup
+	// A draining server answers nothing new, cached or not.
+	if !s.closed.Load() {
+		if p := s.eng.PrepareCached(req.Query, tr); p != nil {
+			lk = s.lookup(p, args)
+		}
+		if lk.body != nil {
+			s.hitResult(req, lk, tr, start).write(w)
+			return
+		}
+	}
 	s.runOnWorker(w, r, req.TimeoutMS, func() handlerResult {
-		return s.execQuery(req, args, tr, start)
+		return s.execQuery(req, args, tr, start, lk)
 	})
-}
-
-// queryEnvelope wraps the canonical payload with per-request metadata.
-// The payload bytes are cached and replayed verbatim, so two requests
-// answered at one epoch are byte-identical in the result field.
-type queryEnvelope struct {
-	Result json.RawMessage `json:"result"`
-	Cached bool            `json:"cached"`
-	Epoch  string          `json:"epoch"`
-	// TraceID identifies a traced request (minted, or adopted from the
-	// X-BQ-Trace-Id header); Debug carries the rendered plan and span
-	// tree when the request asked for them.
-	TraceID string        `json:"trace_id,omitempty"`
-	Debug   *debugPayload `json:"debug,omitempty"`
 }
 
 // debugPayload is the opt-in diagnostics block of a /query response.
@@ -454,66 +474,136 @@ type debugPayload struct {
 	Spans json.RawMessage `json:"spans,omitempty"`
 }
 
-// execQuery is the cache-or-execute core of /query.
-func (s *Server) execQuery(req queryRequest, args []value.Value, tr *obs.Trace, start time.Time) handlerResult {
-	var p *engine.Prepared
-	var err error
-	if tr != nil {
-		p, err = s.eng.PrepareTraced(req.Query, tr)
-	} else {
-		p, err = s.eng.Prepare(req.Query)
+// appendEnvelope appends the /query response document: the canonical
+// payload wrapped with per-request metadata — trace_id for a traced
+// request, debug when the request asked for it. It writes byte for byte
+// what json.Encoder writes for the struct of these fields (trailing
+// newline included), without reflecting over it or re-compacting the
+// payload, which is cached and replayed verbatim: two requests answered
+// at one epoch are byte-identical in the result field.
+func appendEnvelope(dst, result []byte, cached bool, epoch, traceID string, debug *debugPayload) []byte {
+	dst = append(dst, `{"result":`...)
+	dst = append(dst, result...)
+	dst = append(dst, `,"cached":`...)
+	dst = strconv.AppendBool(dst, cached)
+	dst = append(dst, `,"epoch":`...)
+	dst = appendJSONString(dst, epoch)
+	if traceID != "" {
+		dst = append(dst, `,"trace_id":`...)
+		dst = appendJSONString(dst, traceID)
 	}
-	if err != nil {
-		s.considerError("query", "", tr, time.Since(start))
-		return errResult(http.StatusBadRequest, "%v", err)
+	if debug != nil {
+		dst = append(dst, `,"debug":`...)
+		b, _ := json.Marshal(debug)
+		dst = append(dst, b...)
 	}
+	return append(dst, "}\n"...)
+}
 
-	// Pin the view first, key off the pinned view's own epoch: the key
-	// can never name data the execution would not see.
-	view := s.eng.View()
-	epoch := epochKeyOf(view)
-	var key string
-	if s.cache != nil && epoch != "" {
-		key = cacheKey(p, args, epoch)
-		if body, ok := s.cache.get(key); ok {
-			tr.Root().Tag("result_cache", "hit")
-			tr.Finish()
-			s.obs.TraceRec().Consider(tr, obs.TraceMeta{
-				Endpoint: "query", Fingerprint: p.Query().String(),
-				Duration: time.Since(start), Outcome: "ok",
-			})
-			env := queryEnvelope{Result: body, Cached: true, Epoch: epoch, TraceID: tr.ID()}
-			if req.Debug {
-				env.Debug = &debugPayload{Explain: p.Explain(nil), Spans: tr.JSON()}
-			}
-			return handlerResult{status: http.StatusOK, v: env}
-		}
+// okResult wraps a payload as the 200 outcome of a /query.
+func okResult(result []byte, cached bool, epoch string, tr *obs.Trace, debug *debugPayload) handlerResult {
+	raw := make([]byte, 0, len(result)+len(epoch)+96)
+	return handlerResult{status: http.StatusOK, raw: appendEnvelope(raw, result, cached, epoch, tr.ID(), debug)}
+}
+
+// lookup is what a /query resolved short of executing: the prepared
+// plan, the view pinned for it, the view's epoch, the result-cache key
+// ("" when the answer is not cacheable) and, on a hit, the cached
+// payload. The zero value means nothing is resolved yet.
+type lookup struct {
+	p *engine.Prepared
+	// at is the engine's epoch token read before the view was pinned: as
+	// long as the engine still reports it, the view is the current one.
+	at    uint64
+	view  exec.Store
+	epoch string
+	key   string
+	body  []byte
+}
+
+// lookup pins a view for a prepared query and asks the result cache for
+// its answer. The view is pinned first and the key comes off the pinned
+// view's own epoch: the key can never name data the execution would not
+// see, whichever goroutine runs this and however long the request then
+// waits for a worker.
+func (s *Server) lookup(p *engine.Prepared, args []value.Value) lookup {
+	lk := lookup{p: p, at: s.eng.Epoch()}
+	lk.view = s.eng.View()
+	lk.epoch = epochKeyOf(lk.view)
+	if s.cache != nil && lk.epoch != "" {
+		lk.key = cacheKey(p, args, lk.epoch)
+		lk.body, _ = s.cache.get(lk.key)
 	}
-	var res *exec.Result
+	return lk
+}
+
+// hitResult finishes a request the result cache answered.
+func (s *Server) hitResult(req queryRequest, lk lookup, tr *obs.Trace, start time.Time) handlerResult {
+	var debug *debugPayload
 	if tr != nil {
-		res, err = p.ExecTraceOn(view, tr, args...)
-	} else {
-		res, err = p.ExecOn(view, args...)
+		tr.Root().Tag("result_cache", "hit")
+		tr.Finish()
+		s.obs.TraceRec().Consider(tr, obs.TraceMeta{
+			Endpoint: "query", Fingerprint: lk.p.Fingerprint(),
+			Duration: time.Since(start), Outcome: "ok",
+		})
 	}
+	if req.Debug {
+		debug = &debugPayload{Explain: lk.p.Explain(nil), Spans: tr.JSON()}
+	}
+	return okResult(lk.body, true, lk.epoch, tr, debug)
+}
+
+// execQuery is the execute half of /query, on a worker slot: whatever
+// lookup left unresolved — the plan may need building, and then the view
+// and the cache have not been asked either — and the execution itself.
+// What lookup did resolve is used as it stands, unless the store has
+// moved while the request waited for its slot: then the view and the
+// cache are asked again, so that a queued request executes at the epoch
+// current when it runs, as it always has, and shares its answer with the
+// requests arriving now instead of caching it under an epoch nobody will
+// ask about again.
+func (s *Server) execQuery(req queryRequest, args []value.Value, tr *obs.Trace, start time.Time, lk lookup) handlerResult {
+	switch {
+	case lk.p == nil:
+		p, err := s.eng.PrepareTraced(req.Query, tr)
+		if err != nil {
+			s.considerError("query", "", tr, time.Since(start))
+			return errResult(http.StatusBadRequest, "%v", err)
+		}
+		lk = s.lookup(p, args)
+	case s.eng.Epoch() != lk.at:
+		lk = s.lookup(lk.p, args)
+	}
+	if lk.body != nil {
+		return s.hitResult(req, lk, tr, start)
+	}
+	if lk.key != "" {
+		// Counted here and not by the probe: a miss is a cacheable query
+		// that had to execute, however many times the cache was asked.
+		s.cache.misses.Add(1)
+	}
+	p := lk.p
+	res, err := p.ExecTraceOn(lk.view, tr, args...)
 	if err != nil {
-		s.considerError("query", p.Query().String(), tr, time.Since(start))
+		s.considerError("query", p.Fingerprint(), tr, time.Since(start))
 		return errResult(http.StatusBadRequest, "%v", err)
 	}
 	body, err := marshalResult(res)
 	if err != nil {
-		s.considerError("query", p.Query().String(), tr, time.Since(start))
+		s.considerError("query", p.Fingerprint(), tr, time.Since(start))
 		return errResult(http.StatusInternalServerError, "%v", err)
 	}
-	if key != "" {
-		s.cache.put(key, body)
+	if lk.key != "" {
+		s.cache.put(lk.key, body)
 	}
 	tr.Finish()
 	s.maybeSlowLog("query", p, res, tr, time.Since(start), len(res.Tuples), "")
-	env := queryEnvelope{Result: body, Epoch: epoch, TraceID: tr.ID()}
+	var debug *debugPayload
 	if req.Debug {
-		env.Debug = &debugPayload{Explain: p.Explain(res), Spans: tr.JSON()}
+		debug = &debugPayload{Explain: p.Explain(res), Spans: tr.JSON()}
 	}
-	return handlerResult{status: http.StatusOK, v: env}
+	return okResult(body, false, lk.epoch, tr, debug)
 }
 
 // pageFlushEvery is how many streamed tuples are written between
@@ -549,13 +639,7 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request, req queryRequ
 			st.pageSize = int(req.Limit)
 		}
 	} else {
-		var p *engine.Prepared
-		var err error
-		if tr != nil {
-			p, err = s.eng.PrepareTraced(req.Query, tr)
-		} else {
-			p, err = s.eng.Prepare(req.Query)
-		}
+		p, err := s.eng.PrepareTraced(req.Query, tr)
 		if err != nil {
 			s.considerError("query", "", tr, time.Since(start))
 			apiError(w, http.StatusBadRequest, "%v", err)
@@ -568,7 +652,7 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request, req queryRequ
 		view := s.eng.View()
 		stream, err := p.ExecStreamOn(view, exec.StreamOptions{Trace: tr}, args...)
 		if err != nil {
-			s.considerError("query", p.Query().String(), tr, time.Since(start))
+			s.considerError("query", p.Fingerprint(), tr, time.Since(start))
 			apiError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
@@ -576,7 +660,7 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request, req queryRequ
 			stream:      stream,
 			view:        view,
 			epoch:       epochKeyOf(view),
-			fingerprint: p.Query().String(),
+			fingerprint: p.Fingerprint(),
 			pageSize:    int(req.Limit),
 			prep:        p,
 			trace:       tr,
@@ -740,7 +824,7 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 			StatsFP     string   `json:"stats_fingerprint"`
 			Explain     string   `json:"explain"`
 		}{
-			Fingerprint: p.Query().String(),
+			Fingerprint: p.Fingerprint(),
 			NumParams:   p.NumParams(),
 			PlanTier:    string(snap.Tier),
 			FetchBound:  pl.FetchBound.String(),

@@ -13,6 +13,7 @@ import (
 
 	"bcq/internal/engine"
 	"bcq/internal/live"
+	"bcq/internal/obs"
 	"bcq/internal/schema"
 	"bcq/internal/stats"
 	"bcq/internal/storage"
@@ -411,11 +412,13 @@ func TestBackpressureAndDeadlines(t *testing.T) {
 	}
 
 	// Deadline: a held execution must answer 504 within the request
-	// timeout, not hang.
+	// timeout, not hang. The argument is one nobody has asked about: a
+	// cached answer would not execute at all (see
+	// TestCachedAnswersBypassAdmission).
 	srv.testHold = make(chan struct{})
 	start := time.Now()
 	code, _ = post(t, hs.URL+"/query",
-		`{"query": "select photo_id from in_album where album_id = ?", "args": ["a0"], "timeout_ms": 50}`)
+		`{"query": "select photo_id from in_album where album_id = ?", "args": ["a1"], "timeout_ms": 50}`)
 	if code != http.StatusGatewayTimeout {
 		t.Errorf("held execution: status %d, want 504", code)
 	}
@@ -423,6 +426,67 @@ func TestBackpressureAndDeadlines(t *testing.T) {
 		t.Errorf("deadline took %v to fire", elapsed)
 	}
 	close(srv.testHold)
+}
+
+// TestCachedAnswersBypassAdmission is the converse of the backpressure
+// test: with every worker held and the queue full, a question whose plan
+// and answer are cached is answered 200 on the handler goroutine, while
+// one that would have to execute is shed 503. The fast lane never waited
+// for a slot, so the queue-wait histogram does not see it.
+func TestCachedAnswersBypassAdmission(t *testing.T) {
+	_, srv, hs := newTestServer(t, engine.Options{}, Options{
+		Workers:  1,
+		MaxQueue: 1,
+		Obs:      &obs.Observer{Metrics: obs.NewRegistry()},
+	})
+	const q = `"query": "select photo_id from in_album where album_id = ?"`
+	hot := `{` + q + `, "args": ["a0"]}`
+	if code, env := queryOnce(t, hs.URL, hot); code != http.StatusOK || env.Cached {
+		t.Fatalf("warm-up: status %d cached %v", code, env.Cached)
+	}
+	waited := srv.queueSec.Count()
+	if waited != 1 {
+		t.Fatalf("queue-wait histogram saw %d requests after one execution, want 1", waited)
+	}
+
+	hold := make(chan struct{})
+	srv.testHold = hold
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if code, raw := post(t, hs.URL+"/query", `{`+q+`, "args": ["a1"]}`); code != http.StatusOK {
+				t.Errorf("held request: status %d: %s", code, raw)
+			}
+		}()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.waiting.Load() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("requests never filled the worker and the queue")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	for i := 0; i < 3; i++ {
+		if code, env := queryOnce(t, hs.URL, hot); code != http.StatusOK || !env.Cached {
+			t.Errorf("cached question on a saturated server: status %d cached %v, want a cached 200", code, env.Cached)
+		}
+	}
+	if code, _ := post(t, hs.URL+"/query", `{`+q+`, "args": ["a2"]}`); code != http.StatusServiceUnavailable {
+		t.Errorf("uncached question on a saturated server: status %d, want 503", code)
+	}
+	if srv.waiting.Load() != 2 {
+		t.Errorf("%d requests admitted, want the 2 held ones: the fast lane takes no slot", srv.waiting.Load())
+	}
+	close(hold)
+	wg.Wait()
+	// One execution warmed the cache and two were held; the three cached
+	// answers and the shed request never waited for a slot.
+	if got := srv.queueSec.Count(); got != waited+2 {
+		t.Errorf("queue-wait histogram saw %d requests, want %d: cached answers do not queue", got, waited+2)
+	}
 }
 
 func TestStatsAndHealth(t *testing.T) {

@@ -117,7 +117,14 @@ func (idx *AccessIndex) Entries(xKey string) []IndexEntry { return idx.m[xKey] }
 // AccessIndexFor returns the built index of a constraint, if any. Like
 // AccessIndex.Entries it is an uncounted, layering-oriented accessor.
 func (db *Database) AccessIndexFor(ac schema.AccessConstraint) (*AccessIndex, bool) {
-	idx, ok := db.access[ac.Key()]
+	return db.AccessIndexByKey(ac.Key())
+}
+
+// AccessIndexByKey is AccessIndexFor for a caller that already holds the
+// constraint's Key(): the live overlays resolve a base group per probe,
+// and rendering the key per probe cost more than the probe.
+func (db *Database) AccessIndexByKey(key string) (*AccessIndex, bool) {
+	idx, ok := db.access[key]
 	return idx, ok
 }
 

@@ -8,6 +8,7 @@
 //
 //	q/s       — served queries per second (throughput benchmark)
 //	hit_pct   — result-cache hit rate under the given churn interval
+//	ns/op, allocs/op — one cached answer in process (BenchmarkServe_CachedHit)
 package bcq
 
 import (
@@ -125,6 +126,44 @@ func BenchmarkServe_HitRateUnderChurn(b *testing.B) {
 				b.ReportMetric(100*float64(hits)/float64(hits+misses), "hit_pct")
 			}
 		})
+	}
+}
+
+// nullWriter is the cheapest http.ResponseWriter there is, so that
+// BenchmarkServe_CachedHit measures the handler and not the recorder.
+type nullWriter struct{ h http.Header }
+
+func (w *nullWriter) Header() http.Header         { return w.h }
+func (w *nullWriter) WriteHeader(int)             {}
+func (w *nullWriter) Write(b []byte) (int, error) { return len(b), nil }
+
+// BenchmarkServe_CachedHit is the fast lane's guardrail: one /query whose
+// plan and answer are cached, sent in process to Handler().ServeHTTP with
+// no socket and no client, so ns/op and allocs/op are the handler's own.
+// What is left is decoding the request; a parse, a statistics snapshot
+// or a worker hand-off creeping back in shows as a multiple.
+func BenchmarkServe_CachedHit(b *testing.B) {
+	_, srv, _ := benchServer(b)
+	h := srv.Handler()
+	const body = `{"query": "select photo_id from in_album where album_id = ?", "args": [3]}`
+	var rd strings.Reader
+	req := httptest.NewRequest(http.MethodPost, "/query", nil)
+	w := &nullWriter{h: http.Header{}}
+	send := func() {
+		rd.Reset(body)
+		req.Body = io.NopCloser(&rd)
+		h.ServeHTTP(w, req)
+	}
+	send() // executes and caches
+	base := srv.CacheStats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		send()
+	}
+	b.StopTimer()
+	if cs := srv.CacheStats(); cs.Hits-base.Hits != int64(b.N) || cs.Misses != base.Misses {
+		b.Fatalf("%d requests: %d hits, %d misses; every one must be a cached answer", b.N, cs.Hits-base.Hits, cs.Misses-base.Misses)
 	}
 }
 
