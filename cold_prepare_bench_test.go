@@ -1,0 +1,69 @@
+// BenchmarkColdPrepare is the cold-path guardrail: an engine-level
+// Prepare that misses both the text memo and the plan cache, so every
+// iteration pays parse → closure → actualize → EBCheck → cost search →
+// emit → statistics fingerprint, on the live engine bqserve runs. The
+// shapes are the 3-, 4- and 6-atom ad hoc families of testdata/adhoc with
+// their literals inlined; each is prepared at the greedy tier (what a
+// tiered cold prepare pays on the request path) and at the optimized
+// tier (what its background upgrade pays). CI runs it once per change
+// with -benchmem; TestPlannerBenchEmit records the 6-atom greedy case in
+// BENCH_planner.json (plan.cold_prepare_ns, plan.cold_prepare_bytes).
+package bcq
+
+import (
+	"os"
+	"strings"
+	"testing"
+)
+
+// coldPrepareEngine builds a live engine over the ad hoc scene whose plan
+// cache (and text memo) hold one entry, and two texts of the named shape
+// that differ in one literal: prepared alternately, each evicts the
+// other, so every Prepare is cold.
+func coldPrepareEngine(t testing.TB, shape string, mode PlanMode) (*Engine, [2]string) {
+	t.Helper()
+	_, acc, db := adhocScene(t)
+	ld, err := NewLiveDatabase(db, acc, LiveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewLiveEngine(ld, EngineOptions{PlanCacheSize: 1, PlanMode: mode})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := os.ReadFile("testdata/adhoc/" + shape + ".sql")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := string(src)
+	if !strings.Contains(text, "album_id = 5\n") {
+		t.Fatalf("%s: no album literal to vary", shape)
+	}
+	return eng, [2]string{text, strings.Replace(text, "album_id = 5\n", "album_id = 6\n", 1)}
+}
+
+func BenchmarkColdPrepare(b *testing.B) {
+	for _, shape := range []struct{ name, file string }{
+		{"3atoms", "s01"}, {"4atoms", "s06"}, {"6atoms", "s11"},
+	} {
+		for _, tier := range []struct {
+			name string
+			mode PlanMode
+		}{{"greedy", PlanModeGreedy}, {"optimized", PlanModeOptimized}} {
+			b.Run(shape.name+"/"+tier.name, func(b *testing.B) {
+				eng, texts := coldPrepareEngine(b, shape.file, tier.mode)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := eng.Prepare(texts[i&1]); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				if st := eng.Stats(); st.CacheMisses != int64(b.N) {
+					b.Fatalf("%d of %d prepares were cold", st.CacheMisses, b.N)
+				}
+			})
+		}
+	}
+}

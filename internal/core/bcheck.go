@@ -2,7 +2,6 @@ package core
 
 import (
 	"bcq/internal/deduce"
-	"bcq/internal/spc"
 )
 
 // BoundedResult is the outcome of the boundedness check (problem
@@ -90,10 +89,9 @@ func (an *Analysis) EBCheck() EBResult {
 	res := deduce.Close(cl, an.Acts, cl.XC())
 	out := EBResult{Derivation: res}
 
-	allParams := spc.NewClassSet(cl.NumClasses())
-	for i := range cl.Query().Atoms {
-		allParams.AddAll(cl.AtomParams(i))
-	}
+	// ∪_i X^i_Q is the closure's parameter set: every parameter occurrence
+	// belongs to exactly one atom.
+	allParams := cl.Params()
 	if !res.Covers(allParams) {
 		out.MissingClasses = an.describeClasses(res.Missing(allParams))
 	}

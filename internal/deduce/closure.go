@@ -1,7 +1,8 @@
 package deduce
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"bcq/internal/schema"
 	"bcq/internal/spc"
@@ -16,9 +17,17 @@ type Actualized struct {
 	Atom int
 	// AC is the underlying access constraint.
 	AC schema.AccessConstraint
+	// Ord is AC's ordinal in the access schema it was actualized from (its
+	// index in Constraints()): acts sort by N, and declaration order is
+	// what breaks the planner's ties between equally priced constraints.
+	Ord int
 	// XClasses are the class ids of S_i[X], deduplicated and sorted
 	// (several X attributes may share a class).
 	XClasses []int
+	// XAttrClasses are the same class ids aligned with AC.X (one entry per
+	// X attribute, duplicates possible) — the order a probe's lookup key is
+	// assembled in.
+	XAttrClasses []int
 	// YClasses are the class ids of S_i[Y], aligned with AC.Y (one entry
 	// per Y attribute, duplicates possible).
 	YClasses []int
@@ -32,29 +41,46 @@ type Actualized struct {
 // from them — toward cheap constraints first.
 func Actualize(cl *spc.Closure, a *schema.AccessSchema) []Actualized {
 	q := cl.Query()
-	var out []Actualized
+	// Size the act list and the one array all its class lists are cut from.
+	acts, classes := 0, 0
 	for _, ac := range a.Constraints() {
+		for _, atom := range q.Atoms {
+			if atom.Rel == ac.Rel {
+				acts++
+				classes += 2*len(ac.X) + len(ac.Y)
+			}
+		}
+	}
+	out := make([]Actualized, 0, acts)
+	slab := make([]int, 0, classes)
+	for ord, ac := range a.Constraints() {
 		for i, atom := range q.Atoms {
 			if atom.Rel != ac.Rel {
 				continue
 			}
-			act := Actualized{Atom: i, AC: ac}
-			seen := map[int]bool{}
+			act := Actualized{Atom: i, AC: ac, Ord: ord}
+			from := len(slab)
 			for _, x := range ac.X {
-				id := cl.MustClass(spc.AttrRef{Atom: i, Attr: x})
-				if !seen[id] {
-					seen[id] = true
-					act.XClasses = append(act.XClasses, id)
+				slab = append(slab, cl.MustClass(spc.AttrRef{Atom: i, Attr: x}))
+			}
+			act.XAttrClasses = slab[from:len(slab):len(slab)]
+			from = len(slab)
+			for k, id := range act.XAttrClasses {
+				if !slices.Contains(act.XAttrClasses[:k], id) {
+					slab = append(slab, id)
 				}
 			}
-			sort.Ints(act.XClasses)
+			act.XClasses = slab[from:len(slab):len(slab)]
+			slices.Sort(act.XClasses)
+			from = len(slab)
 			for _, y := range ac.Y {
-				act.YClasses = append(act.YClasses, cl.MustClass(spc.AttrRef{Atom: i, Attr: y}))
+				slab = append(slab, cl.MustClass(spc.AttrRef{Atom: i, Attr: y}))
 			}
+			act.YClasses = slab[from:len(slab):len(slab)]
 			out = append(out, act)
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].AC.N < out[j].AC.N })
+	slices.SortStableFunc(out, func(a, b Actualized) int { return cmp.Compare(a.AC.N, b.AC.N) })
 	return out
 }
 
@@ -95,31 +121,54 @@ type Result struct {
 // occurrence Σ_Q-equal to it.
 func Close(cl *spc.Closure, acts []Actualized, seed spc.ClassSet) *Result {
 	n := cl.NumClasses()
-	res := &Result{Reached: seed.Clone(), BoundOf: make([]Bound, n)}
+	res := &Result{Reached: seed.Clone(), BoundOf: make([]Bound, n), Steps: make([]Step, 0, min(len(acts), n))}
 	for i := range res.BoundOf {
 		res.BoundOf[i] = Unbounded
 	}
-	for _, c := range seed.Members() {
+	for c := seed.Next(0); c >= 0; c = seed.Next(c + 1) {
 		res.BoundOf[c] = NewBound(1)
 	}
 
-	counters := make([]int, len(acts))
-	watch := make([][]int, n) // class -> constraints watching it
-	queue := make([]int, 0, n)
+	// One array carries every integer table: the counters, the per-class
+	// watch lists (class c's watchers are watchers[watchAt[c]:watchAt[c+1]],
+	// counted then filled), the work queue and the derivation's class lists
+	// — each class enters the last two at most once.
+	watching := 0
+	for _, act := range acts {
+		watching += len(act.XClasses)
+	}
+	ints := make([]int, len(acts)+(n+1)+watching+2*n)
+	counters, ints := ints[:len(acts)], ints[len(acts):]
+	watchAt, ints := ints[:n+1], ints[n+1:]
+	watchers, ints := ints[:watching], ints[watching:]
+	queue, newSlab := ints[:0:n], ints[n:n:2*n]
 
 	for ai, act := range acts {
-		counters[ai] = len(act.XClasses)
 		for _, c := range act.XClasses {
-			if res.Reached.Has(c) {
-				counters[ai]--
-			} else {
-				watch[c] = append(watch[c], ai)
+			if !res.Reached.Has(c) {
+				counters[ai]++
+				watchAt[c+1]++
+			}
+		}
+	}
+	for c := 0; c < n; c++ {
+		watchAt[c+1] += watchAt[c]
+	}
+	fill := newSlab[:n] // next free slot per class; the slab is not in use yet
+	copy(fill, watchAt[:n])
+	for ai, act := range acts {
+		for _, c := range act.XClasses {
+			if !res.Reached.Has(c) {
+				watchers[fill[c]] = ai
+				fill[c]++
 			}
 		}
 	}
 
-	fired := make([]bool, len(acts))
-	fire := func(ai int) []int {
+	// fire covers the act's Y classes and records the firing when it
+	// covered anything new. Every act fires at most once: in the first
+	// sweep when its counter starts at zero, or the moment it reaches it.
+	fire := func(ai int) {
 		act := acts[ai]
 		// Bound of the fired X set: product of class bounds. Distinct
 		// X-value combinations are at most the product; each contributes at
@@ -129,41 +178,34 @@ func Close(cl *spc.Closure, acts []Actualized, seed spc.ClassSet) *Result {
 			xb = xb.Mul(res.BoundOf[c])
 		}
 		yb := xb.Mul(NewBound(act.AC.N))
-		var newClasses []int
+		from := len(newSlab)
 		for _, c := range act.YClasses {
 			if !res.Reached.Has(c) {
 				res.Reached.Add(c)
 				res.BoundOf[c] = yb
-				newClasses = append(newClasses, c)
+				newSlab = append(newSlab, c)
 			}
 		}
-		sort.Ints(newClasses)
-		return newClasses
+		if newClasses := newSlab[from:len(newSlab):len(newSlab)]; len(newClasses) > 0 {
+			slices.Sort(newClasses)
+			res.Steps = append(res.Steps, Step{Act: ai, NewClasses: newClasses})
+			queue = append(queue, newClasses...)
+		}
 	}
 
 	// Fire constraints that are ready immediately (all X in seed),
 	// in actualization (= ascending N) order.
 	for ai := range acts {
-		if counters[ai] == 0 && !fired[ai] {
-			fired[ai] = true
-			if newClasses := fire(ai); len(newClasses) > 0 {
-				res.Steps = append(res.Steps, Step{Act: ai, NewClasses: newClasses})
-				queue = append(queue, newClasses...)
-			}
+		if counters[ai] == 0 {
+			fire(ai)
 		}
 	}
-
-	for len(queue) > 0 {
-		c := queue[0]
-		queue = queue[1:]
-		for _, ai := range watch[c] {
+	for head := 0; head < len(queue); head++ {
+		c := queue[head]
+		for _, ai := range watchers[watchAt[c]:watchAt[c+1]] {
 			counters[ai]--
-			if counters[ai] == 0 && !fired[ai] {
-				fired[ai] = true
-				if newClasses := fire(ai); len(newClasses) > 0 {
-					res.Steps = append(res.Steps, Step{Act: ai, NewClasses: newClasses})
-					queue = append(queue, newClasses...)
-				}
+			if counters[ai] == 0 {
+				fire(ai)
 			}
 		}
 	}
@@ -174,7 +216,7 @@ func Close(cl *spc.Closure, acts []Actualized, seed spc.ClassSet) *Result {
 // bound on the number of distinct value combinations the set can take.
 func (r *Result) BoundOfSet(s spc.ClassSet) Bound {
 	b := NewBound(1)
-	for _, c := range s.Members() {
+	for c := s.Next(0); c >= 0; c = s.Next(c + 1) {
 		b = b.Mul(r.BoundOf[c])
 	}
 	return b

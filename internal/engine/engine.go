@@ -695,7 +695,7 @@ func (e *Engine) lookupOrBuild(pt parsedText, build bool) (prep *Prepared, cache
 		if h := e.buildHook; h != nil {
 			h(fp)
 		}
-		prep, err = e.build(pt, acc)
+		prep, err = e.build(pt, acc, ver)
 
 		e.mu.Lock()
 		if err == nil {

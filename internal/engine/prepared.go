@@ -2,6 +2,8 @@ package engine
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -60,6 +62,14 @@ type planState struct {
 	// match the store's statistics (Engine.current) — the one mutable
 	// field of the bundle, a memo of a check and no part of the plan.
 	verifiedAt atomic.Uint64
+	// checked is the analysis the plan was generated from, with its
+	// EBCheck verdict, and checkedAt the source version read before the
+	// access schema it was analysed under. Only a tiered engine's greedy
+	// bundle carries them: the background upgrade plans the optimized tier
+	// from the same analysis when the version has not moved, and the bundle
+	// it installs carries none, so an upgraded plan holds no analysis.
+	checked   *plan.Checked
+	checkedAt uint64
 }
 
 // paramSlot says how one placeholder argument binds into the plan.
@@ -81,47 +91,59 @@ type paramSlot struct {
 }
 
 // build runs the one-time preparation pipeline: sentinel instantiation
-// (for templates), analysis and planning. The access schema is passed in
-// by prepare, which read it together with the source version — the pair
-// that tags a cached failure for later invalidation. The planning tier
-// follows the engine's mode: optimized engines pay the full search on
-// the cold path, greedy and tiered engines return the greedy order (and
-// tiered engines enqueue the background upgrade from lookupOrBuild).
-func (e *Engine) build(pt parsedText, acc *schema.AccessSchema) (*Prepared, error) {
-	st, err := e.buildState(pt.q, acc, e.mode == PlanOptimized)
+// (for templates), analysis and planning. The access schema and the
+// source version read before it are passed in by prepare — the pair that
+// tags a cached failure, and a kept analysis, for later invalidation. The
+// planning tier follows the engine's mode: optimized engines pay the full
+// search on the cold path, greedy and tiered engines return the greedy
+// order (and tiered engines enqueue the background upgrade from
+// lookupOrBuild).
+func (e *Engine) build(pt parsedText, acc *schema.AccessSchema, ver uint64) (*Prepared, error) {
+	chk, slots, err := e.analyze(pt.q, acc)
 	if err != nil {
 		return nil, err
+	}
+	st, err := e.planState(chk, slots, e.mode == PlanOptimized)
+	if err != nil {
+		return nil, err
+	}
+	if e.mode == PlanTiered {
+		st.checked, st.checkedAt = chk, ver
 	}
 	p := &Prepared{eng: e, query: pt.q, fp: pt.fp}
 	p.state.Store(st)
 	return p, nil
 }
 
-// buildState runs analysis and planning for one query template and
-// returns the resulting plan bundle; exhaustive selects the full
-// branch-and-bound search over the greedy tier. It is called on the cold
-// prepare path and again by the upgrade worker, both outside the engine
-// mutex.
-func (e *Engine) buildState(q *spc.Query, acc *schema.AccessSchema, exhaustive bool) (*planState, error) {
+// analyze runs the statistics-independent half of a preparation: sentinel
+// instantiation of a template's placeholders, the Σ_Q closure, constraint
+// actualization and EBCheck. It returns the checked analysis and the
+// placeholder slots, keyed to the analysis's class numbering.
+func (e *Engine) analyze(q *spc.Query, acc *schema.AccessSchema) (*plan.Checked, []paramSlot, error) {
 	inst := q
 	var slots []paramSlot
 	if len(q.Placeholders) > 0 {
 		tcl, err := spc.NewClosure(q, e.cat)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		bindings := make(map[spc.AttrRef]value.Value, len(q.Placeholders))
-		classVal := make(map[int]paramSlot)
+		slots = make([]paramSlot, 0, len(q.Placeholders))
+		classes := 0 // distinct Σ_Q classes among the slots so far
 		for _, ref := range q.Placeholders {
 			c := tcl.MustClass(ref)
-			slot, ok := classVal[c]
-			if !ok {
-				if cv, has := tcl.ConstOf(c); has {
+			// One value per class: a later slot of a class takes the first
+			// one's.
+			var slot paramSlot
+			if k := slices.IndexFunc(slots, func(s paramSlot) bool { return s.class == c }); k >= 0 {
+				slot = slots[k]
+			} else {
+				if cv, pinned := tcl.ConstOf(c); pinned {
 					slot = paramSlot{class: c, val: cv, fixed: true}
 				} else {
-					slot = paramSlot{class: c, val: sentinel(q, len(classVal))}
+					slot = paramSlot{class: c, val: sentinel(q, classes)}
 				}
-				classVal[c] = slot
+				classes++
 			}
 			slot.ref = ref
 			slots = append(slots, slot)
@@ -132,24 +154,38 @@ func (e *Engine) buildState(q *spc.Query, acc *schema.AccessSchema, exhaustive b
 
 	an, err := core.NewAnalysis(e.cat, inst, acc)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	// Epoch before statistics, like every reader of the pair.
-	epoch := e.src.Epoch()
-	cs := e.src.CardStats()
-	var pl *plan.Plan
-	if exhaustive {
-		pl, err = plan.Optimize(an, &cs)
-	} else {
-		pl, err = plan.OptimizeGreedy(an, &cs)
-	}
+	chk, err := plan.Check(an)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Re-key the slots to the instantiated closure: the plan's seeds carry
 	// its class numbering, which instantiation may have changed.
 	for i := range slots {
-		slots[i].class = pl.Closure.MustClass(slots[i].ref)
+		slots[i].class = an.Closure.MustClass(slots[i].ref)
+	}
+	return chk, slots, nil
+}
+
+// planState runs the statistics-dependent half — the cost-based ordering
+// search at the requested tier, emission, and the fingerprint of the
+// statistics the plan was costed against — and returns the resulting plan
+// bundle. It is called on the cold prepare path and again by the upgrade
+// worker, both outside the engine mutex.
+func (e *Engine) planState(chk *plan.Checked, slots []paramSlot, exhaustive bool) (*planState, error) {
+	// Epoch before statistics, like every reader of the pair.
+	epoch := e.src.Epoch()
+	cs := e.src.CardStats()
+	var pl *plan.Plan
+	var err error
+	if exhaustive {
+		pl, err = chk.Optimize(&cs)
+	} else {
+		pl, err = chk.OptimizeGreedy(&cs)
+	}
+	if err != nil {
+		return nil, err
 	}
 	acKeys := planACKeys(pl)
 	st := &planState{
@@ -161,13 +197,12 @@ func (e *Engine) buildState(q *spc.Query, acc *schema.AccessSchema, exhaustive b
 }
 
 // planACKeys collects the constraints a plan probes — the slice of the
-// cardinality statistics its cost depends on.
+// cardinality statistics its cost depends on — sorted, as
+// stats.Snapshot.Fingerprint renders them.
 func planACKeys(pl *plan.Plan) []string {
-	seen := map[string]bool{}
-	var out []string
+	out := make([]string, 0, len(pl.Steps)+len(pl.Verifies))
 	add := func(key string) {
-		if key != "" && !seen[key] {
-			seen[key] = true
+		if !slices.Contains(out, key) {
 			out = append(out, key)
 		}
 	}
@@ -179,6 +214,7 @@ func planACKeys(pl *plan.Plan) []string {
 			add(vs.Witness.Key())
 		}
 	}
+	sort.Strings(out)
 	return out
 }
 
@@ -188,12 +224,8 @@ func planACKeys(pl *plan.Plan) []string {
 // from every constant of the query, which the \x00 prefix plus a
 // collision check guarantees.
 func sentinel(q *spc.Query, k int) value.Value {
-	taken := make(map[value.Value]bool, len(q.EqConsts))
-	for _, e := range q.EqConsts {
-		taken[e.C] = true
-	}
 	v := value.Str("\x00bcq:param:" + strconv.Itoa(k))
-	for taken[v] {
+	for slices.ContainsFunc(q.EqConsts, func(e spc.EqConst) bool { return e.C == v }) {
 		v = value.Str(v.AsString() + "'")
 	}
 	return v

@@ -288,3 +288,119 @@ func TestTieredExecRaceDuringUpgradeAndReplan(t *testing.T) {
 		t.Fatalf("final answers = %v, want exactly (10) and (11)", res.Tuples)
 	}
 }
+
+// hammerExec runs a prepared template from several goroutines until stop
+// closes, failing the test on any answer other than a=1's fixed group.
+func hammerExec(t *testing.T, prep *Prepared, stop <-chan struct{}) *sync.WaitGroup {
+	t.Helper()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				res, err := prep.Exec(value.Int(1))
+				if err != nil {
+					t.Errorf("exec: %v", err)
+					return
+				}
+				if len(res.Tuples) != 2 || res.Tuples[0][0] != value.Int(10) || res.Tuples[1][0] != value.Int(11) {
+					t.Errorf("answers = %v, want (10) and (11)", res.Tuples)
+					return
+				}
+			}
+		}()
+	}
+	return &wg
+}
+
+// TestUpgradePlansFromTheGreedyAnalysis pins the shared analysis (run
+// under -race in CI). The greedy bundle carries the checked analysis it
+// was planned from; the upgrade worker plans the optimized tier from that
+// same analysis — the installed plan shares the greedy plan's closure —
+// while executions read the closure concurrently, and the installed
+// bundle carries no analysis. When an ExtendAccess lands inside the
+// upgrade's build, the carried analysis is stale: the first attempt is
+// discarded, the retry re-analyses against the fresh schema (a closure of
+// its own) and a schema-current optimized plan is still installed.
+func TestUpgradePlansFromTheGreedyAnalysis(t *testing.T) {
+	const template = `select b from r where a = ?`
+	for _, extend := range []bool{false, true} {
+		name := "version stands"
+		if extend {
+			name = "extension mid-build"
+		}
+		t.Run(name, func(t *testing.T) {
+			ls, e := tieredScene(t, PlanTiered)
+			entered, release := make(chan struct{}), make(chan struct{})
+			var calls int32
+			e.upgradeHook = func(string) {
+				if atomic.AddInt32(&calls, 1) == 1 {
+					close(entered)
+					<-release
+				}
+			}
+			prep, err := e.Prepare(template)
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-entered
+			greedy := prep.state.Load()
+			if greedy.pl.Tier != plan.TierGreedy || greedy.checked == nil || greedy.checkedAt != ls.SchemaVersion() {
+				t.Fatalf("greedy bundle: tier %q, analysis %v tagged %d at schema version %d; want the analysis carried and tagged current",
+					greedy.pl.Tier, greedy.checked != nil, greedy.checkedAt, ls.SchemaVersion())
+			}
+
+			stop := make(chan struct{})
+			execs := hammerExec(t, prep, stop)
+			if extend {
+				if err := ls.ExtendAccess(schema.MustAccessConstraint("r", []string{"b"}, []string{"a"}, 100)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			close(release)
+			e.DrainUpgrades()
+			close(stop)
+			execs.Wait()
+
+			installed := prep.state.Load()
+			if installed.pl.Tier != plan.TierOptimized {
+				t.Fatalf("installed tier = %q, want optimized", installed.pl.Tier)
+			}
+			if installed.checked != nil {
+				t.Error("the upgraded bundle still carries an analysis")
+			}
+			st := e.Stats()
+			if extend {
+				if st.Upgrades != 1 || st.UpgradesDiscarded != 1 {
+					t.Errorf("upgrades: %d installed, %d discarded; want 1 and 1 (the build on the stale analysis)", st.Upgrades, st.UpgradesDiscarded)
+				}
+				if installed.pl.Closure == greedy.pl.Closure {
+					t.Error("the retry planned from the analysis that predates the extension")
+				}
+			} else {
+				if st.Upgrades != 1 || st.UpgradesDiscarded != 0 {
+					t.Errorf("upgrades: %d installed, %d discarded; want 1 and 0", st.Upgrades, st.UpgradesDiscarded)
+				}
+				if installed.pl.Closure != greedy.pl.Closure {
+					t.Error("the upgrade re-analysed a query whose schema version had not moved")
+				}
+			}
+			if len(installed.slots) != 1 || installed.slots[0].class != installed.pl.Closure.MustClass(installed.slots[0].ref) {
+				t.Errorf("installed slots %+v do not address the installed plan's classes", installed.slots)
+			}
+			res, err := prep.Exec(value.Int(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Tuples) != 2 || res.Tuples[0][0] != value.Int(10) || res.Tuples[1][0] != value.Int(11) {
+				t.Fatalf("answers after the upgrade = %v, want (10) and (11)", res.Tuples)
+			}
+		})
+	}
+}

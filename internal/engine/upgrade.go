@@ -5,11 +5,13 @@ package engine
 // A tiered engine answers cold prepares with the greedy plan tier
 // (plan.OptimizeGreedy — no branch-and-bound search, so prepare latency
 // stays flat as query shapes get bigger) and enqueues the fingerprint
-// here. A single background worker then runs the full Optimize pipeline
-// and installs the result into the live Prepared *in place*, through the
-// same atomic planState publication the drift re-plan path uses — every
-// caller holding the Prepared sees the optimized plan on its next
-// execution, with no cache round-trip.
+// here. A single background worker then runs the full Optimize search —
+// over the analysis the greedy build already checked, which rides in the
+// greedy bundle until the upgrade lands — and installs the result into
+// the live Prepared *in place*, through the same atomic planState
+// publication the drift re-plan path uses — every caller holding the
+// Prepared sees the optimized plan on its next execution, with no cache
+// round-trip.
 //
 // Installation is guarded, not unconditional. An upgrade built against
 // state that moved while it was running must be discarded — installing
@@ -26,6 +28,8 @@ package engine
 //     plan's constraints already differs from the one it was costed
 //     against, installing it would immediately re-trigger the hit-path
 //     drift check — discard and let that machinery re-plan on demand.
+//     The fingerprint is recomputed only when the store's epoch moved
+//     since the build read it: statistics cannot move without the epoch.
 
 const (
 	// maxUpgradeQueue bounds the pending-upgrade queue; prepares past the
@@ -123,6 +127,13 @@ func (e *Engine) runUpgrades() {
 // version advance retries once against the fresh schema, so a prepare →
 // ExtendAccess → upgrade-completes interleaving still ends with a
 // schema-current optimized plan installed.
+//
+// The greedy build left its checked analysis in the bundle it published,
+// tagged with the schema version it was analysed under. While the version
+// stands, the upgrade plans from that analysis — sentinel instantiation,
+// the closure, actualization and EBCheck are not repeated, only the
+// branch-and-bound search and emission run here — and otherwise it
+// re-analyses against the schema it just read.
 func (e *Engine) upgradeOne(t upgradeTask) {
 	for attempt := 0; attempt < upgradeAttempts; attempt++ {
 		// Version before schema, same ordering discipline as prepare: if an
@@ -133,11 +144,20 @@ func (e *Engine) upgradeOne(t upgradeTask) {
 		if h := e.upgradeHook; h != nil {
 			h(t.fp)
 		}
-		st, err := e.buildState(t.prep.query, acc, true)
+		greedy := t.prep.state.Load()
+		chk, slots := greedy.checked, greedy.slots
+		if chk == nil || greedy.checkedAt != ver {
+			var err error
+			if chk, slots, err = e.analyze(t.prep.query, acc); err != nil {
+				// The shape no longer plans (a schema change mid-flight can do
+				// that); the greedy plan in place stays valid for the schema it
+				// was built under, and the error cache owns future verdicts.
+				e.upgradesDiscarded.Add(1)
+				return
+			}
+		}
+		st, err := e.planState(chk, slots, true)
 		if err != nil {
-			// The shape no longer plans (a schema change mid-flight can do
-			// that); the greedy plan in place stays valid for the schema it
-			// was built under, and the error cache owns future verdicts.
 			e.upgradesDiscarded.Add(1)
 			return
 		}
@@ -159,13 +179,19 @@ func (e *Engine) upgradeOne(t upgradeTask) {
 			e.upgradesDiscarded.Add(1)
 			continue
 		}
-		if fp := e.src.CardStats().Fingerprint(st.acKeys); fp != st.statsFP {
-			// Statistics drifted during the build; the hit-path drift check
-			// owns re-planning, and it compares against the *installed*
-			// fingerprint — installing a known-drifted one would thrash.
-			e.mu.Unlock()
-			e.upgradesDiscarded.Add(1)
-			return
+		// Statistics cannot have moved unless the epoch did, and planState
+		// read the epoch before the statistics it costed against (the
+		// argument Engine.current rests on): an unmoved epoch installs
+		// without a statistics snapshot under the engine mutex.
+		if e.src.Epoch() != st.verifiedAt.Load() {
+			if fp := e.src.CardStats().Fingerprint(st.acKeys); fp != st.statsFP {
+				// Statistics drifted during the build; the hit-path drift check
+				// owns re-planning, and it compares against the *installed*
+				// fingerprint — installing a known-drifted one would thrash.
+				e.mu.Unlock()
+				e.upgradesDiscarded.Add(1)
+				return
+			}
 		}
 		t.prep.state.Store(st)
 		e.upgrades.Add(1)

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"math"
+	"slices"
 
 	"bcq/internal/core"
 	"bcq/internal/deduce"
@@ -34,7 +35,11 @@ import (
 // naive derivation order is always evaluated too and wins ties, so
 // Optimize never returns a plan its own model scores worse than QPlan's.
 func Optimize(an *core.Analysis, cs *stats.Snapshot) (*Plan, error) {
-	return optimize(an, cs, true)
+	c, err := Check(an)
+	if err != nil {
+		return nil, err
+	}
+	return c.Optimize(cs)
 }
 
 // OptimizeGreedy is the cold-path planning tier: the same pipeline as
@@ -47,26 +52,35 @@ func Optimize(an *core.Analysis, cs *stats.Snapshot) (*Plan, error) {
 // cost can differ, and the engine's tiered mode upgrades the plan to the
 // Optimize result in the background.
 func OptimizeGreedy(an *core.Analysis, cs *stats.Snapshot) (*Plan, error) {
-	return optimize(an, cs, false)
+	c, err := Check(an)
+	if err != nil {
+		return nil, err
+	}
+	return c.OptimizeGreedy(cs)
 }
+
+// Optimize is the package-level Optimize over an analysis already checked.
+func (c *Checked) Optimize(cs *stats.Snapshot) (*Plan, error) { return c.optimize(cs, true) }
+
+// OptimizeGreedy is the package-level OptimizeGreedy over an analysis
+// already checked.
+func (c *Checked) OptimizeGreedy(cs *stats.Snapshot) (*Plan, error) { return c.optimize(cs, false) }
 
 // optimize is the shared cost-based pipeline; exhaustive selects the
 // branch-and-bound tier over the greedy tier.
-func optimize(an *core.Analysis, cs *stats.Snapshot, exhaustive bool) (*Plan, error) {
+func (c *Checked) optimize(cs *stats.Snapshot, exhaustive bool) (*Plan, error) {
 	tier := TierGreedy
 	if exhaustive {
 		tier = TierOptimized
 	}
-	eb, trivial, err := analyze(an)
-	if trivial != nil || err != nil {
-		if trivial != nil {
-			trivial.Tier = tier
-		}
-		return trivial, err
+	if c.trivial() {
+		return trivialPlan(c.an.Closure, tier), nil
 	}
-	m := &costModel{an: an, cs: cs}
+	an, eb := c.an, c.eb
+	m := newCostModel(an, cs)
 	seq := m.searchOrder(eb, exhaustive)
-	p, err := emit(an, eb, seq, m.costWitness(m.estAfter(seq)))
+	_, est, _ := m.replay(seq)
+	p, err := emit(an, eb, seq, m.costWitness(est))
 	if err != nil {
 		// Every searched sequence is feasible by construction; this is a
 		// belt-and-braces fallback to the derivation order.
@@ -91,19 +105,13 @@ func AnnotateEstimates(p *Plan, cs *stats.Snapshot) {
 		p.EstFetch = 0
 		return
 	}
-	m := &costModel{cs: cs}
 	cl := p.Closure
 	est := make([]float64, cl.NumClasses())
-	for i := range est {
-		est[i] = math.Inf(1)
-	}
-	for _, c := range cl.XC().Members() {
-		est[c] = 1
-	}
+	seedEst(est, cl.XC())
 	total := 0.0
 	for i := range p.Steps {
 		st := &p.Steps[i]
-		lookups, fetch := m.stepEst(est, st.XClasses, st.AC)
+		lookups, fetch := stepEst(est, st.XClasses, shapeOf(cs, st.AC))
 		st.EstLookups, st.EstFetch = lookups, fetch
 		for _, yi := range st.BindPos {
 			est[st.YClasses[yi]] = fetch
@@ -121,7 +129,7 @@ func AnnotateEstimates(p *Plan, cs *stats.Snapshot) {
 		case vs.FromStep >= 0:
 			vs.EstLookups, vs.EstFetch = 0, 0
 		default:
-			lookups, fetch := m.stepEst(est, vs.XClasses, vs.Witness)
+			lookups, fetch := stepEst(est, vs.XClasses, shapeOf(cs, vs.Witness))
 			vs.EstLookups, vs.EstFetch = lookups, fetch
 			total += fetch
 		}
@@ -142,105 +150,212 @@ const exhaustiveAtomLimit = 8
 // act counts (the act list grows with |Q|·|A|, not just atoms).
 const searchNodeBudget = 20000
 
-// costModel scores firing sequences against a cardinality snapshot.
-type costModel struct {
-	an *core.Analysis
-	cs *stats.Snapshot
-}
+// acShape is a constraint's estimated group size and total distinct
+// entries.
+type acShape struct{ avg, entries float64 }
 
-// shape returns a constraint's estimated group size and total distinct
-// entries: observed values when statistics cover it, the declared bound
-// N with no entry cap otherwise. An index observed empty estimates 0 —
-// probing it returns nothing.
-func (m *costModel) shape(ac schema.AccessConstraint) (avg, entries float64) {
-	if m.cs != nil {
-		if c, ok := m.cs.AC(ac.Key()); ok {
+// shapeOf reads a constraint's shape: observed values when statistics
+// cover it, the declared bound N with no entry cap otherwise. An index
+// observed empty estimates 0 — probing it returns nothing.
+func shapeOf(cs *stats.Snapshot, ac schema.AccessConstraint) acShape {
+	if cs != nil {
+		if c, ok := cs.AC(ac.Key()); ok {
 			if c.Groups == 0 {
-				return 0, 0
+				return acShape{}
 			}
-			return c.AvgGroup(), float64(c.Entries)
+			return acShape{avg: c.AvgGroup(), entries: float64(c.Entries)}
 		}
 	}
-	return float64(ac.N), math.Inf(1)
+	return acShape{avg: float64(ac.N), entries: math.Inf(1)}
 }
 
 // stepEst estimates one probe batch: lookups = ∏ candidate estimates
-// over the distinct X classes, fetch = lookups · N̂ capped at the
-// constraint's total distinct entries.
-func (m *costModel) stepEst(est []float64, xClasses []int, ac schema.AccessConstraint) (lookups, fetch float64) {
+// over the distinct X classes — multiplied in the order given, which the
+// estimates' bits depend on — and fetch = lookups · N̂ capped at the
+// constraint's total distinct entries. X sets are a few classes long, so
+// a repeat is found by looking back.
+func stepEst(est []float64, xClasses []int, sh acShape) (lookups, fetch float64) {
 	lookups = 1
-	seen := map[int]bool{}
-	for _, c := range xClasses {
-		if !seen[c] {
-			seen[c] = true
+	for i, c := range xClasses {
+		if !slices.Contains(xClasses[:i], c) {
 			lookups *= est[c]
 		}
 	}
-	avg, entries := m.shape(ac)
-	fetch = lookups * avg
-	if fetch > entries {
-		fetch = entries
+	fetch = lookups * sh.avg
+	if fetch > sh.entries {
+		fetch = sh.entries
 	}
 	return lookups, fetch
 }
 
-// goalSets returns the classes a plan must populate (every atom's
-// parameter classes) and the classes worth binding at all (the goal plus
-// every actualized constraint's X classes — binding anything else cannot
-// enable a firing or satisfy verification).
-func (m *costModel) goalSets() (goal, interesting spc.ClassSet) {
-	cl := m.an.Closure
-	goal = spc.NewClassSet(cl.NumClasses())
-	for i := range cl.Query().Atoms {
-		goal.AddAll(cl.AtomParams(i))
-	}
-	interesting = goal.Clone()
-	for _, act := range m.an.Acts {
-		for _, c := range act.XClasses {
-			interesting.Add(c)
-		}
-	}
-	return goal, interesting
-}
-
-// seedEst returns the initial per-class candidate estimates: 1 for the
-// constant classes, +Inf (never read before binding) elsewhere.
-func (m *costModel) seedEst() ([]float64, spc.ClassSet) {
-	cl := m.an.Closure
-	est := make([]float64, cl.NumClasses())
+// seedEst resets est to the initial per-class candidate estimates: 1 for
+// the constant classes, +Inf (never read before binding) elsewhere.
+func seedEst(est []float64, xc spc.ClassSet) {
 	for i := range est {
 		est[i] = math.Inf(1)
 	}
-	populated := spc.NewClassSet(cl.NumClasses())
-	for _, c := range cl.XC().Members() {
+	for c := xc.Next(0); c >= 0; c = xc.Next(c + 1) {
 		est[c] = 1
-		populated.Add(c)
 	}
-	return est, populated
 }
 
-// bindable lists the classes an act would newly populate, restricted to
-// the interesting set. Empty means firing the act is pointless.
-func (m *costModel) bindable(act deduce.Actualized, populated, interesting spc.ClassSet) []int {
-	var out []int
-	seen := map[int]bool{}
-	for _, c := range act.YClasses {
-		if !seen[c] && !populated.Has(c) && interesting.Has(c) {
-			seen[c] = true
-			out = append(out, c)
+// costModel scores firing sequences against a cardinality snapshot. It is
+// built once per optimization: everything the search asks about an act or
+// an atom — the constraint's shape, the classes a firing reads and may
+// bind, whether it spares the atom's verification, which witnesses could
+// verify the atom instead — is tabulated up front, and the search itself
+// runs over those tables, one estimate vector and one populated set that
+// every sequence replays into, allocating nothing per node.
+type costModel struct {
+	an   *core.Analysis
+	acts []actCost  // aligned with an.Acts
+	atom []atomCost // aligned with the query's atoms
+	// goal is the classes a plan must populate: every atom's parameter
+	// classes (the closure's own set, read only).
+	goal spc.ClassSet
+
+	// Scratch of the sequence being costed: the per-class candidate
+	// estimates, the classes populated so far, the firings taken.
+	est       []float64
+	populated spc.ClassSet
+	chosen    []int
+}
+
+// actCost is what the search needs of one actualized constraint.
+type actCost struct {
+	shape acShape
+	atom  int
+	// x is the distinct X classes (ascending, as actualization left them).
+	x []int
+	// y is the distinct Y classes worth binding — the goal plus every
+	// act's X classes; binding anything else cannot enable a firing or
+	// satisfy verification — in order of first occurrence.
+	y []int
+	// covers reports that X ∪ Y spans all the atom's parameter attributes:
+	// once the act has fired, the atom's rows are collected from its
+	// entries for free (the free-collection condition of emit).
+	covers bool
+}
+
+// atomCost is what verification costing needs of one atom.
+type atomCost struct {
+	// exists marks a parameterless atom: one existence probe.
+	exists bool
+	// witnesses are the acts whose constraint is an indexedness witness of
+	// the atom's parameter attributes (X ⊆ X^i_Q ⊆ X ∪ Y): the candidate
+	// retrievals of its rows, in declaration order.
+	witnesses []int
+}
+
+// newCostModel tabulates an analysis against a statistics snapshot.
+func newCostModel(an *core.Analysis, cs *stats.Snapshot) *costModel {
+	cl := an.Closure
+	q := cl.Query()
+	n := cl.NumClasses()
+	m := &costModel{
+		an:     an,
+		acts:   make([]actCost, len(an.Acts)),
+		atom:   make([]atomCost, len(q.Atoms)),
+		goal:   cl.Params(),
+		est:    make([]float64, n),
+		chosen: make([]int, 0, len(an.Acts)),
+	}
+	sets := spc.NewClassSets(2, n)
+	m.populated = sets[0]
+	interesting := sets[1]
+	interesting.AddAll(m.goal)
+	yClasses := 0
+	for ai := range an.Acts {
+		for _, c := range an.Acts[ai].XClasses {
+			interesting.Add(c)
+		}
+		yClasses += len(an.Acts[ai].YClasses)
+	}
+
+	ys := make([]int, 0, yClasses)
+	for ai := range an.Acts {
+		act := &an.Acts[ai]
+		from := len(ys)
+		for _, c := range act.YClasses {
+			if interesting.Has(c) && !slices.Contains(ys[from:], c) {
+				ys = append(ys, c)
+			}
+		}
+		m.acts[ai] = actCost{
+			shape:  shapeOf(cs, act.AC),
+			atom:   act.Atom,
+			x:      act.XClasses,
+			y:      ys[from:len(ys):len(ys)],
+			covers: act.AC.CoversAll(cl.AtomParamAttrs(act.Atom)),
 		}
 	}
-	return out
+
+	// An atom's witnesses are among the acts on it: every constraint of its
+	// relation was actualized there. Acts come sorted by N; a witness list
+	// is kept in declaration order, which breaks cost ties.
+	wit := make([]int, 0, len(an.Acts))
+	for i := range q.Atoms {
+		attrs := cl.AtomParamAttrs(i)
+		if len(attrs) == 0 {
+			m.atom[i].exists = true
+			continue
+		}
+		from := len(wit)
+		for ai := range an.Acts {
+			act := &an.Acts[ai]
+			if act.Atom != i || !act.AC.Witnesses(attrs) {
+				continue
+			}
+			k := len(wit)
+			wit = append(wit, ai)
+			for ; k > from && an.Acts[wit[k-1]].Ord > act.Ord; k-- {
+				wit[k], wit[k-1] = wit[k-1], wit[k]
+			}
+		}
+		m.atom[i].witnesses = wit[from:len(wit):len(wit)]
+	}
+	return m
+}
+
+// reset returns the scratch state to the start of a sequence: constants
+// populated with estimate 1, nothing fired.
+func (m *costModel) reset() {
+	xc := m.an.Closure.XC()
+	seedEst(m.est, xc)
+	m.populated.CopyFrom(xc)
+	m.chosen = m.chosen[:0]
 }
 
 // ready reports whether every X class of an act is populated.
-func ready(act deduce.Actualized, populated spc.ClassSet) bool {
-	for _, c := range act.XClasses {
-		if !populated.Has(c) {
+func (m *costModel) ready(a *actCost) bool {
+	for _, c := range a.x {
+		if !m.populated.Has(c) {
 			return false
 		}
 	}
 	return true
+}
+
+// useful reports whether firing the act would populate a class worth
+// binding; firing it otherwise is pointless.
+func (m *costModel) useful(a *actCost) bool {
+	for _, c := range a.y {
+		if !m.populated.Has(c) {
+			return true
+		}
+	}
+	return false
+}
+
+// bind populates the classes the act newly binds with its estimated fetch
+// count — bound-tightening: later steps probe once per candidate.
+func (m *costModel) bind(a *actCost, fetch float64) {
+	for _, c := range a.y {
+		if !m.populated.Has(c) {
+			m.populated.Add(c)
+			m.est[c] = fetch
+		}
+	}
 }
 
 // searchOrder picks the firing sequence optimize emits: the best of the
@@ -249,19 +364,23 @@ func ready(act deduce.Actualized, populated spc.ClassSet) bool {
 // scored by seqCost, deterministically. With exhaustive false (the
 // greedy tier) the incumbents are the whole search.
 func (m *costModel) searchOrder(eb core.EBResult, exhaustive bool) []int {
-	goal, interesting := m.goalSets()
 	bestSeq := derivationSeq(eb)
 	best := m.seqCost(bestSeq)
 
-	if g := m.greedy(goal, interesting); g != nil {
+	if g := m.greedy(); g != nil {
 		if c := m.seqCost(g); c < best {
 			bestSeq, best = g, c
 		}
 	}
-	if exhaustive && len(m.an.Closure.Query().Atoms) <= exhaustiveAtomLimit {
-		s := &search{m: m, goal: goal, interesting: interesting, best: best, budget: searchNodeBudget}
-		est, populated := m.seedEst()
-		s.dfs(make([]int, 0, len(m.an.Acts)), make([]bool, len(m.an.Acts)), populated, est, 0)
+	if exhaustive && len(m.atom) <= exhaustiveAtomLimit {
+		s := &search{
+			m: m, best: best, budget: searchNodeBudget,
+			seq:  make([]int, 0, len(m.acts)),
+			used: make([]bool, len(m.acts)),
+			undo: make([]int, 0, len(m.est)),
+		}
+		m.reset()
+		s.dfs(0)
 		if s.bestSeq != nil {
 			bestSeq = s.bestSeq
 		}
@@ -272,30 +391,23 @@ func (m *costModel) searchOrder(eb core.EBResult, exhaustive bool) []int {
 // replay runs a firing sequence through the cost model (skipping
 // unready or pointless firings), returning the firings actually taken,
 // the final per-class estimates, and the accumulated step cost. It is
-// the single source of truth for estimate propagation: seqCost and
-// estAfter are views of it, and the emitted plan's annotations follow
-// the same stepEst/bind rule.
+// the single source of truth for estimate propagation: seqCost and the
+// estimates witnesses are priced in are views of it, and the emitted
+// plan's annotations follow the same stepEst/bind rule. The results are
+// the model's scratch, valid until the next sequence is costed.
 func (m *costModel) replay(seq []int) (chosen []int, est []float64, cost float64) {
-	_, interesting := m.goalSets()
-	est, populated := m.seedEst()
+	m.reset()
 	for _, ai := range seq {
-		act := m.an.Acts[ai]
-		if !ready(act, populated) {
+		a := &m.acts[ai]
+		if !m.ready(a) || !m.useful(a) {
 			continue
 		}
-		binds := m.bindable(act, populated, interesting)
-		if len(binds) == 0 {
-			continue
-		}
-		lookups, fetch := m.stepEst(est, act.XClasses, act.AC)
+		lookups, fetch := stepEst(m.est, a.x, a.shape)
 		cost += fetch + lookupWeight*lookups
-		for _, c := range binds {
-			populated.Add(c)
-			est[c] = fetch
-		}
-		chosen = append(chosen, ai)
+		m.bind(a, fetch)
+		m.chosen = append(m.chosen, ai)
 	}
-	return chosen, est, cost
+	return m.chosen, m.est, cost
 }
 
 // seqCost is a sequence's full estimated cost, verification included.
@@ -304,37 +416,26 @@ func (m *costModel) seqCost(seq []int) float64 {
 	return cost + m.verifyCost(chosen, est)
 }
 
-// estAfter returns the per-class candidate estimates at the end of a
-// sequence — the state costWitness prices retrievals in.
-func (m *costModel) estAfter(seq []int) []float64 {
-	_, est, _ := m.replay(seq)
-	return est
-}
-
 // greedy builds a sequence by repeatedly firing the cheapest useful act
 // until the goal is covered (nil if it gets stuck, which EBCheck rules
 // out for the sequences that matter). Ties break toward the lower act
 // index, so the order is deterministic.
-func (m *costModel) greedy(goal, interesting spc.ClassSet) []int {
-	est, populated := m.seedEst()
-	used := make([]bool, len(m.an.Acts))
-	var seq []int
-	for !populated.ContainsAll(goal) {
+func (m *costModel) greedy() []int {
+	m.reset()
+	used := make([]bool, len(m.acts))
+	seq := make([]int, 0, len(m.acts))
+	for !m.populated.ContainsAll(m.goal) {
 		bestAi := -1
 		bestCost := math.Inf(1)
 		var bestFetch float64
-		var bestBinds []int
-		for ai, act := range m.an.Acts {
-			if used[ai] || !ready(act, populated) {
+		for ai := range m.acts {
+			a := &m.acts[ai]
+			if used[ai] || !m.ready(a) || !m.useful(a) {
 				continue
 			}
-			binds := m.bindable(act, populated, interesting)
-			if len(binds) == 0 {
-				continue
-			}
-			lookups, fetch := m.stepEst(est, act.XClasses, act.AC)
+			lookups, fetch := stepEst(m.est, a.x, a.shape)
 			if c := fetch + lookupWeight*lookups; c < bestCost {
-				bestAi, bestCost, bestFetch, bestBinds = ai, c, fetch, binds
+				bestAi, bestCost, bestFetch = ai, c, fetch
 			}
 		}
 		if bestAi < 0 {
@@ -342,10 +443,7 @@ func (m *costModel) greedy(goal, interesting spc.ClassSet) []int {
 		}
 		used[bestAi] = true
 		seq = append(seq, bestAi)
-		for _, c := range bestBinds {
-			populated.Add(c)
-			est[c] = bestFetch
-		}
+		m.bind(&m.acts[bestAi], bestFetch)
 	}
 	return seq
 }
@@ -354,18 +452,16 @@ func (m *costModel) greedy(goal, interesting spc.ClassSet) []int {
 // atoms some chosen step covers, one probe for parameterless atoms, the
 // cheapest witness retrieval otherwise.
 func (m *costModel) verifyCost(chosen []int, est []float64) float64 {
-	cl := m.an.Closure
 	total := 0.0
-	for i, atom := range cl.Query().Atoms {
-		attrs := cl.AtomParamAttrs(i)
-		if len(attrs) == 0 {
+	for i := range m.atom {
+		if m.atom[i].exists {
 			total++
 			continue
 		}
-		if m.covered(i, attrs, chosen) {
+		if m.covered(i, chosen) {
 			continue
 		}
-		if _, lookups, fetch, ok := m.bestWitness(i, atom.Rel, attrs, est); ok {
+		if _, lookups, fetch, ok := m.bestWitness(i, est); ok {
 			total += fetch + lookupWeight*lookups
 		}
 	}
@@ -373,50 +469,28 @@ func (m *costModel) verifyCost(chosen []int, est []float64) float64 {
 }
 
 // covered reports whether some chosen act on the atom spans all the
-// atom's parameter attributes (the free-collection condition of emit).
-func (m *costModel) covered(atom int, attrs []string, chosen []int) bool {
+// atom's parameter attributes.
+func (m *costModel) covered(atom int, chosen []int) bool {
 	for _, ai := range chosen {
-		act := m.an.Acts[ai]
-		if act.Atom != atom {
-			continue
-		}
-		have := map[string]bool{}
-		for _, a := range act.AC.X {
-			have[a] = true
-		}
-		for _, a := range act.AC.Y {
-			have[a] = true
-		}
-		all := true
-		for _, a := range attrs {
-			if !have[a] {
-				all = false
-				break
-			}
-		}
-		if all {
+		if a := &m.acts[ai]; a.atom == atom && a.covers {
 			return true
 		}
 	}
 	return false
 }
 
-// bestWitness picks the estimated-cheapest indexedness witness of
-// (atom, attrs); declaration order breaks ties.
-func (m *costModel) bestWitness(atom int, rel string, attrs []string, est []float64) (w schema.AccessConstraint, lookups, fetch float64, ok bool) {
-	cl := m.an.Closure
+// bestWitness picks the estimated-cheapest indexedness witness of an
+// atom's parameter attributes, as an act index; declaration order breaks
+// ties. A witness's lookups multiply in its X attributes' order.
+func (m *costModel) bestWitness(atom int, est []float64) (act int, lookups, fetch float64, ok bool) {
 	cost := math.Inf(1)
-	for _, cand := range m.an.Access.IndexedAll(rel, attrs) {
-		var classes []int
-		for _, a := range cand.X {
-			classes = append(classes, cl.MustClass(spc.AttrRef{Atom: atom, Attr: a}))
-		}
-		lo, fe := m.stepEst(est, classes, cand)
+	for _, ai := range m.atom[atom].witnesses {
+		lo, fe := stepEst(est, m.an.Acts[ai].XAttrClasses, m.acts[ai].shape)
 		if c := fe + lookupWeight*lo; c < cost {
-			cost, w, lookups, fetch, ok = c, cand, lo, fe, true
+			cost, act, lookups, fetch, ok = c, ai, lo, fe, true
 		}
 	}
-	return w, lookups, fetch, ok
+	return act, lookups, fetch, ok
 }
 
 // costWitness is the cost-based witness rule emit uses for Optimize:
@@ -425,34 +499,41 @@ func (m *costModel) bestWitness(atom int, rel string, attrs []string, est []floa
 // Indexed does, so the fallback only guards the empty-attrs edge).
 func (m *costModel) costWitness(est []float64) witnessPicker {
 	return func(atom int, rel string, attrs []string, _ []deduce.Bound) (schema.AccessConstraint, bool) {
-		if w, _, _, ok := m.bestWitness(atom, rel, attrs, est); ok {
-			return w, true
+		if ai, _, _, ok := m.bestWitness(atom, est); ok {
+			return m.an.Acts[ai].AC, true
 		}
 		return m.an.Access.Indexed(rel, attrs)
 	}
 }
 
-// search is the branch-and-bound DFS state.
+// search is the branch-and-bound DFS state. The sequence under
+// construction lives in the model's scratch (estimates, populated set)
+// and in seq/used; undo lists the classes each firing on the current path
+// bound, so leaving a node takes them back instead of the node working on
+// copies.
 type search struct {
-	m                 *costModel
-	goal, interesting spc.ClassSet
-	best              float64
-	bestSeq           []int
-	nodes, budget     int
+	m             *costModel
+	best          float64
+	bestSeq       []int
+	nodes, budget int
+	seq           []int
+	used          []bool
+	undo          []int
 }
 
 // dfs extends the sequence with every useful ready act, pruning branches
 // whose partial cost already matches the incumbent. Acts are tried in
 // index order, so equal-cost optima resolve deterministically (strict
 // improvement required to replace the incumbent).
-func (s *search) dfs(seq []int, used []bool, populated spc.ClassSet, est []float64, cost float64) {
+func (s *search) dfs(cost float64) {
+	m := s.m
 	if cost >= s.best {
 		return
 	}
-	if populated.ContainsAll(s.goal) {
-		if total := cost + s.m.verifyCost(seq, est); total < s.best {
+	if m.populated.ContainsAll(m.goal) {
+		if total := cost + m.verifyCost(s.seq, m.est); total < s.best {
 			s.best = total
-			s.bestSeq = append([]int(nil), seq...)
+			s.bestSeq = append(s.bestSeq[:0], s.seq...)
 		}
 		return
 	}
@@ -460,23 +541,28 @@ func (s *search) dfs(seq []int, used []bool, populated spc.ClassSet, est []float
 		return
 	}
 	s.nodes++
-	for ai, act := range s.m.an.Acts {
-		if used[ai] || !ready(act, populated) {
+	for ai := range m.acts {
+		a := &m.acts[ai]
+		if s.used[ai] || !m.ready(a) || !m.useful(a) {
 			continue
 		}
-		binds := s.m.bindable(act, populated, s.interesting)
-		if len(binds) == 0 {
-			continue
+		lookups, fetch := stepEst(m.est, a.x, a.shape)
+		mark := len(s.undo)
+		for _, c := range a.y {
+			if !m.populated.Has(c) {
+				s.undo = append(s.undo, c)
+			}
 		}
-		lookups, fetch := s.m.stepEst(est, act.XClasses, act.AC)
-		nextEst := append([]float64(nil), est...)
-		nextPop := populated.Clone()
-		for _, c := range binds {
-			nextPop.Add(c)
-			nextEst[c] = fetch
+		m.bind(a, fetch)
+		s.used[ai] = true
+		s.seq = append(s.seq, ai)
+		s.dfs(cost + fetch + lookupWeight*lookups)
+		s.seq = s.seq[:len(s.seq)-1]
+		s.used[ai] = false
+		for _, c := range s.undo[mark:] {
+			m.populated.Remove(c)
+			m.est[c] = math.Inf(1)
 		}
-		used[ai] = true
-		s.dfs(append(seq, ai), used, nextPop, nextEst, cost+fetch+lookupWeight*lookups)
-		used[ai] = false
+		s.undo = s.undo[:mark]
 	}
 }

@@ -218,3 +218,69 @@ func TestQPlanBooleanNoOutput(t *testing.T) {
 		t.Error("Boolean plan explain")
 	}
 }
+
+// ordersQ6 is a six-atom query over a schema with two constraints per
+// relation: enough acts for the branch-and-bound search to expand
+// hundreds of nodes.
+func ordersQ6(t *testing.T) *core.Analysis {
+	t.Helper()
+	cat := schema.MustCatalog(
+		schema.MustRelation("users", "uid", "region", "tier", "name"),
+		schema.MustRelation("orders", "oid", "uid", "day", "item"),
+		schema.MustRelation("items", "item", "cat", "flag"),
+	)
+	acc := schema.MustAccessSchema(
+		schema.MustAccessConstraint("users", []string{"region"}, []string{"uid", "tier"}, 50),
+		schema.MustAccessConstraint("users", []string{"tier"}, []string{"uid", "region"}, 10000),
+		schema.MustAccessConstraint("orders", []string{"uid"}, []string{"oid", "day", "item"}, 100),
+		schema.MustAccessConstraint("orders", []string{"day"}, []string{"oid", "uid", "item"}, 500),
+		schema.MustAccessConstraint("items", []string{"item"}, []string{"cat", "flag"}, 5),
+	)
+	q := spc.MustParse(`
+		select t2.oid, t3.cat, t5.oid, t6.cat
+		from users as t1, orders as t2, items as t3, users as t4, orders as t5, items as t6
+		where t1.region = 'r1' and t1.tier = 55 and t1.uid = t2.uid and t2.item = t3.item
+		  and t4.tier = 55 and t4.uid = t5.uid and t5.item = t6.item`, cat)
+	an, err := core.NewAnalysis(cat, q, acc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return an
+}
+
+// TestCostSearchAllocatesNothingPerNode pins the cost model's contract:
+// one estimate allocates nothing, and a whole ordering search — however
+// many nodes the branch-and-bound expands — allocates only its fixed
+// handful of result and scratch slices.
+func TestCostSearchAllocatesNothingPerNode(t *testing.T) {
+	est := []float64{3, 5, 7}
+	x := []int{2, 0, 2} // a repeated class counts once
+	var lookups, fetch float64
+	if n := testing.AllocsPerRun(100, func() {
+		lookups, fetch = stepEst(est, x, acShape{avg: 2, entries: 30})
+	}); n != 0 {
+		t.Errorf("stepEst allocates %v times per call, want 0", n)
+	}
+	if lookups != 21 || fetch != 30 {
+		t.Errorf("stepEst = %v lookups, %v fetched; want 21 (7·3, the repeat skipped) and 30 (42 capped at the entries)", lookups, fetch)
+	}
+
+	an := ordersQ6(t)
+	c, err := Check(an)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := newCostModel(an, nil)
+	s := &search{m: m, best: 1e300, budget: searchNodeBudget,
+		seq: make([]int, 0, len(m.acts)), used: make([]bool, len(m.acts)), undo: make([]int, 0, len(m.est))}
+	m.reset()
+	s.dfs(0)
+	if s.nodes < 50 {
+		t.Fatalf("the search expanded %d nodes: too few to tell per-node allocation from set-up", s.nodes)
+	}
+	n := testing.AllocsPerRun(20, func() { m.searchOrder(c.eb, true) })
+	t.Logf("ordering search: %d nodes, %v allocations", s.nodes, n)
+	if n > 8 {
+		t.Errorf("an ordering search over %d nodes allocates %v times, want a fixed handful (≤ 8)", s.nodes, n)
+	}
+}

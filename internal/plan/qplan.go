@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"slices"
+
 	"bcq/internal/core"
 	"bcq/internal/deduce"
 	"bcq/internal/schema"
@@ -35,14 +37,14 @@ import (
 // Complexity: O(|Q||A|) beyond the EBCheck closure, well within the
 // paper's O(|Q|²|A|³).
 func QPlan(an *core.Analysis) (*Plan, error) {
-	eb, trivial, err := analyze(an)
-	if trivial != nil || err != nil {
-		if trivial != nil {
-			trivial.Tier = TierNaive
-		}
-		return trivial, err
+	c, err := Check(an)
+	if err != nil {
+		return nil, err
 	}
-	p, err := emit(an, eb, derivationSeq(eb), naiveWitness(an))
+	if c.trivial() {
+		return trivialPlan(an.Closure, TierNaive), nil
+	}
+	p, err := emit(an, c.eb, derivationSeq(c.eb), naiveWitness(an))
 	if err != nil {
 		return nil, err
 	}
@@ -50,22 +52,41 @@ func QPlan(an *core.Analysis) (*Plan, error) {
 	return p, nil
 }
 
-// analyze runs the shared front half of both planners: the trivial
-// (unsatisfiable) short-circuit and EBCheck. Exactly one of the three
-// results is meaningful.
-func analyze(an *core.Analysis) (eb core.EBResult, trivial *Plan, err error) {
-	cl := an.Closure
-	if !cl.Satisfiable() {
-		p := &Plan{Query: cl.Query(), Closure: cl, Trivial: true}
-		p.CombBound = deduce.NewBound(0)
-		p.FetchBound = deduce.NewBound(0)
-		return core.EBResult{}, p, nil
+// Checked is an analysis whose effective-boundedness verdict is in — the
+// front half every planner shares. Keeping it lets several plans be
+// generated from one check: the engine's tiered mode plans the greedy
+// tier from it on the request path and, later, the optimized tier from
+// the same value in the background. A Checked is immutable and safe for
+// concurrent use.
+type Checked struct {
+	an *core.Analysis
+	// eb is the EBCheck verdict (always effectively bounded); zero for an
+	// unsatisfiable query, which is planned without one.
+	eb core.EBResult
+}
+
+// Check runs the trivial (unsatisfiable) short-circuit and EBCheck. It
+// returns a *NotEffectivelyBoundedError when EBCheck rejects the query.
+func Check(an *core.Analysis) (*Checked, error) {
+	if !an.Closure.Satisfiable() {
+		return &Checked{an: an}, nil
 	}
-	eb = an.EBCheck()
+	eb := an.EBCheck()
 	if !eb.EffectivelyBounded {
-		return eb, nil, &NotEffectivelyBoundedError{Result: eb}
+		return nil, &NotEffectivelyBoundedError{Result: eb}
 	}
-	return eb, nil, nil
+	return &Checked{an: an, eb: eb}, nil
+}
+
+// trivial reports an unsatisfiable query: its plan touches no data.
+func (c *Checked) trivial() bool { return !c.an.Closure.Satisfiable() }
+
+// trivialPlan is the plan of an unsatisfiable query.
+func trivialPlan(cl *spc.Closure, tier Tier) *Plan {
+	return &Plan{
+		Query: cl.Query(), Closure: cl, Trivial: true, Tier: tier,
+		CombBound: deduce.NewBound(0), FetchBound: deduce.NewBound(0),
+	}
 }
 
 // derivationSeq flattens the EBCheck derivation into its firing sequence
@@ -101,24 +122,30 @@ func naiveWitness(an *core.Analysis) witnessPicker {
 func emit(an *core.Analysis, eb core.EBResult, seq []int, pick witnessPicker) (*Plan, error) {
 	cl := an.Closure
 	q := cl.Query()
+	n := cl.NumClasses()
 	p := &Plan{Query: q, Closure: cl}
+	xc := cl.XC()
 
 	// Parameter classes that need candidate values.
-	needed := spc.NewClassSet(cl.NumClasses())
-	for i := range q.Atoms {
-		needed.AddAll(cl.AtomParams(i))
-	}
+	sets := spc.NewClassSets(3, n)
+	needed, covered, populated := sets[0], sets[1], sets[2]
+	allParams := cl.Params() // ∪_i X^i_Q
+	needed.AddAll(allParams)
 
-	// Simulate first-covers: firstBind[k] lists the classes firing k is
-	// the first in the sequence to cover (the derivation's NewClasses,
-	// generalized to arbitrary sequences).
-	covered := cl.XC().Clone()
-	firstBind := make([][]int, len(seq))
+	// Simulate first-covers: firstBy[c] is the position in the sequence of
+	// the firing that is first to cover class c (the derivation's
+	// NewClasses, generalized to arbitrary sequences); -1 for the constant
+	// classes and the ones never covered.
+	covered.AddAll(xc)
+	firstBy := make([]int, n)
+	for c := range firstBy {
+		firstBy[c] = -1
+	}
 	for k, ai := range seq {
 		for _, c := range an.Acts[ai].YClasses {
 			if !covered.Has(c) {
 				covered.Add(c)
-				firstBind[k] = append(firstBind[k], c)
+				firstBy[c] = k
 			}
 		}
 	}
@@ -126,10 +153,12 @@ func emit(an *core.Analysis, eb core.EBResult, seq []int, pick witnessPicker) (*
 	// Step 2: backward pruning. keep[k] marks firings that first-cover a
 	// needed class; the X classes of kept firings become needed in turn.
 	keep := make([]bool, len(seq))
+	kept, stepClasses := 0, 0
 	for k := len(seq) - 1; k >= 0; k-- {
+		act := &an.Acts[seq[k]]
 		useful := false
-		for _, c := range firstBind[k] {
-			if needed.Has(c) {
+		for _, c := range act.YClasses {
+			if firstBy[c] == k && needed.Has(c) {
 				useful = true
 				break
 			}
@@ -138,55 +167,61 @@ func emit(an *core.Analysis, eb core.EBResult, seq []int, pick witnessPicker) (*
 			continue
 		}
 		keep[k] = true
-		for _, c := range an.Acts[seq[k]].XClasses {
+		kept++
+		stepClasses += len(act.AC.X) + 2*len(act.AC.Y)
+		for _, c := range act.XClasses {
 			needed.Add(c)
 		}
 	}
 
 	// Seeds: the constant classes, in class order.
-	for _, c := range cl.XC().Members() {
+	p.Seeds = make([]Seed, 0, xc.Len())
+	for c := xc.Next(0); c >= 0; c = xc.Next(c + 1) {
 		if v, ok := cl.ConstOf(c); ok {
 			p.Seeds = append(p.Seeds, Seed{Class: c, Val: v})
 		}
 	}
 
-	// Step 3: forward emission with per-class candidate bounds.
-	cand := make([]deduce.Bound, cl.NumClasses())
+	// Step 3: forward emission with per-class candidate bounds. The steps'
+	// class lists are windows of one array.
+	cand := make([]deduce.Bound, n)
 	for i := range cand {
 		cand[i] = deduce.Unbounded
 	}
-	populated := spc.NewClassSet(cl.NumClasses())
-	for _, c := range cl.XC().Members() {
+	for c := xc.Next(0); c >= 0; c = xc.Next(c + 1) {
 		cand[c] = deduce.NewBound(1)
 		populated.Add(c)
 	}
 	fetch := deduce.NewBound(0)
+	p.Steps = make([]FetchStep, 0, kept)
+	ints := make([]int, 0, stepClasses)
 	for k, ai := range seq {
 		if !keep[k] {
 			continue
 		}
-		act := an.Acts[ai]
+		act := &an.Acts[ai]
 		fs := FetchStep{Atom: act.Atom, AC: act.AC}
 		xb := deduce.NewBound(1)
-		seenX := map[int]bool{}
-		for _, attr := range act.AC.X {
-			c := cl.MustClass(spc.AttrRef{Atom: act.Atom, Attr: attr})
-			fs.XClasses = append(fs.XClasses, c)
-			if !seenX[c] {
-				seenX[c] = true
+		from := len(ints)
+		for _, c := range act.XAttrClasses { // aligned with AC.X
+			if !slices.Contains(ints[from:], c) {
 				xb = xb.Mul(cand[c])
 			}
+			ints = append(ints, c)
 		}
-		n := deduce.NewBound(act.AC.N)
-		fs.StepBound = xb.Mul(n)
-		yb := xb.Mul(n)
-		for yi, attr := range act.AC.Y {
-			c := cl.MustClass(spc.AttrRef{Atom: act.Atom, Attr: attr})
-			fs.YClasses = append(fs.YClasses, c)
+		fs.XClasses = ints[from:len(ints):len(ints)]
+		fs.StepBound = xb.Mul(deduce.NewBound(act.AC.N))
+		yb := fs.StepBound
+		from = len(ints)
+		ints = append(ints, act.YClasses...) // aligned with AC.Y
+		fs.YClasses = ints[from:len(ints):len(ints)]
+		from = len(ints)
+		for yi, c := range fs.YClasses {
 			if !populated.Has(c) && needed.Has(c) {
-				fs.BindPos = append(fs.BindPos, yi)
+				ints = append(ints, yi)
 			}
 		}
+		fs.BindPos = ints[from:len(ints):len(ints)]
 		for _, yi := range fs.BindPos {
 			c := fs.YClasses[yi]
 			populated.Add(c)
@@ -196,7 +231,11 @@ func emit(an *core.Analysis, eb core.EBResult, seq []int, pick witnessPicker) (*
 		p.Steps = append(p.Steps, fs)
 	}
 
-	// Step 4: verification per atom.
+	// Step 4: verification per atom. The row sources of all atoms are
+	// windows of one array: an atom has at most one per parameter
+	// occurrence.
+	p.Verifies = make([]VerifyStep, 0, len(q.Atoms))
+	rows := make([]RowSource, 0, len(cl.ParamRefs()))
 	for i, atom := range q.Atoms {
 		attrs := cl.AtomParamAttrs(i)
 		if len(attrs) == 0 {
@@ -210,27 +249,11 @@ func emit(an *core.Analysis, eb core.EBResult, seq []int, pick witnessPicker) (*
 		// attributes cover X^i_Q (attribute-level, so within-atom
 		// equalities stay checkable).
 		vs := VerifyStep{Atom: i, FromStep: -1}
-		for j, fs := range p.Steps {
-			if fs.Atom != i {
-				continue
-			}
-			have := map[string]bool{}
-			for _, a := range fs.AC.X {
-				have[a] = true
-			}
-			for _, a := range fs.AC.Y {
-				have[a] = true
-			}
-			coversAll := true
-			for _, a := range attrs {
-				if !have[a] {
-					coversAll = false
-					break
-				}
-			}
-			if coversAll {
+		for j := range p.Steps {
+			fs := &p.Steps[j]
+			if fs.Atom == i && fs.AC.CoversAll(attrs) {
 				vs.FromStep = j
-				buildRowSources(&vs, cl, i, attrs, fs.AC.X, fs.AC.Y)
+				rows = buildRowSources(&vs, rows, cl, i, attrs, fs.AC.X, fs.AC.Y)
 				vs.StepBound = deduce.NewBound(0)
 				break
 			}
@@ -243,16 +266,15 @@ func emit(an *core.Analysis, eb core.EBResult, seq []int, pick witnessPicker) (*
 			}
 			vs.Witness = w
 			xb := deduce.NewBound(1)
-			seen := map[int]bool{}
+			vs.XClasses = make([]int, 0, len(w.X))
 			for _, attr := range w.X {
 				c := cl.MustClass(spc.AttrRef{Atom: i, Attr: attr})
-				vs.XClasses = append(vs.XClasses, c)
-				if !seen[c] {
-					seen[c] = true
+				if !slices.Contains(vs.XClasses, c) {
 					xb = xb.Mul(cand[c])
 				}
+				vs.XClasses = append(vs.XClasses, c)
 			}
-			buildRowSources(&vs, cl, i, attrs, w.X, w.Y)
+			rows = buildRowSources(&vs, rows, cl, i, attrs, w.X, w.Y)
 			vs.StepBound = xb.Mul(deduce.NewBound(w.N))
 			fetch = fetch.Add(vs.StepBound)
 		}
@@ -260,23 +282,20 @@ func emit(an *core.Analysis, eb core.EBResult, seq []int, pick witnessPicker) (*
 	}
 
 	// Step 5: output projection and bounds.
+	p.OutputClasses = make([]int, 0, len(q.Output))
 	for _, col := range q.Output {
 		p.OutputClasses = append(p.OutputClasses, cl.MustClass(col.Ref))
 	}
 	p.CandBound = cand
 	comb := deduce.NewBound(1)
-	allParams := spc.NewClassSet(cl.NumClasses())
-	for i := range q.Atoms {
-		allParams.AddAll(cl.AtomParams(i))
-	}
-	for _, c := range allParams.Members() {
+	for c := allParams.Next(0); c >= 0; c = allParams.Next(c + 1) {
 		comb = comb.Mul(cand[c])
 	}
 	p.CombBound = comb
 	p.FetchBound = fetch
 
 	// Sanity: every parameter class must have a populated candidate set.
-	if missing := diff(allParams, populated); len(missing) > 0 {
+	if !populated.ContainsAll(allParams) {
 		return nil, &NotEffectivelyBoundedError{Result: eb}
 	}
 	return p, nil
@@ -284,49 +303,35 @@ func emit(an *core.Analysis, eb core.EBResult, seq []int, pick witnessPicker) (*
 
 // buildRowSources fills vs.Row and vs.Consistency for the atom's parameter
 // attributes, drawn from the lookup attributes xAttrs (combo positions) and
-// entry attributes yAttrs (entry Y positions).
-func buildRowSources(vs *VerifyStep, cl *spc.Closure, atom int, paramAttrs, xAttrs, yAttrs []string) {
-	xPos := map[string]int{}
-	for k, a := range xAttrs {
-		xPos[a] = k
-	}
-	yPos := map[string]int{}
-	for k, a := range yAttrs {
-		yPos[a] = k
-	}
-	first := map[int]RowSource{} // class -> first source
+// entry attributes yAttrs (entry Y positions). vs.Row is cut from the end
+// of rows, which is returned extended.
+func buildRowSources(vs *VerifyStep, rows []RowSource, cl *spc.Closure, atom int, paramAttrs, xAttrs, yAttrs []string) []RowSource {
+	from := len(rows)
 	for _, a := range paramAttrs {
 		c := cl.MustClass(spc.AttrRef{Atom: atom, Attr: a})
-		src := RowSource{Class: c, FromX: -1, FromY: -1}
-		if k, ok := xPos[a]; ok {
-			src.FromX = k
-		} else if k, ok := yPos[a]; ok {
-			src.FromY = k
-		} else {
-			// The caller checked coverage; unreachable.
-			continue
+		src := RowSource{Class: c, FromX: slices.Index(xAttrs, a), FromY: -1}
+		if src.FromX < 0 {
+			src.FromY = slices.Index(yAttrs, a)
+			if src.FromY < 0 {
+				// The caller checked coverage; unreachable.
+				continue
+			}
 		}
-		if prev, seen := first[c]; seen {
+		first := from // the class's first source, if an earlier attribute had one
+		for first < len(rows) && rows[first].Class != c {
+			first++
+		}
+		if first < len(rows) {
 			// Within-atom equality: both occurrences must agree in the
 			// entry. Two X positions agree by construction (combos are
 			// built per class); record the pair otherwise.
-			if !(prev.FromX >= 0 && src.FromX >= 0) {
+			if prev := rows[first]; !(prev.FromX >= 0 && src.FromX >= 0) {
 				vs.Consistency = append(vs.Consistency, prev, src)
 			}
 			continue
 		}
-		first[c] = src
-		vs.Row = append(vs.Row, src)
+		rows = append(rows, src)
 	}
-}
-
-// diff returns the members of a not in b.
-func diff(a, b spc.ClassSet) []int {
-	var out []int
-	for _, c := range a.Members() {
-		if !b.Has(c) {
-			out = append(out, c)
-		}
-	}
-	return out
+	vs.Row = rows[from:len(rows):len(rows)]
+	return rows
 }

@@ -3,6 +3,7 @@ package schema
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -23,6 +24,11 @@ type AccessConstraint struct {
 	Y []string
 	// N is the cardinality bound, ≥ 1.
 	N int64
+
+	// key is the canonical identity Key returns, rendered once by
+	// NewAccessConstraint. Empty on a hand-built literal, which Key
+	// renders on demand.
+	key string
 }
 
 // NewAccessConstraint normalizes and validates a constraint: attribute sets
@@ -50,7 +56,9 @@ func NewAccessConstraint(rel string, x, y []string, n int64) (AccessConstraint, 
 	if len(ys) == 0 {
 		return ac, fmt.Errorf("schema: access constraint on %s has no Y attributes outside X", rel)
 	}
-	return AccessConstraint{Rel: rel, X: xs, Y: ys, N: n}, nil
+	ac = AccessConstraint{Rel: rel, X: xs, Y: ys, N: n}
+	ac.key = ac.renderKey()
+	return ac, nil
 }
 
 // MustAccessConstraint is NewAccessConstraint that panics on error.
@@ -88,8 +96,39 @@ func (ac AccessConstraint) XY() []string {
 // Key returns a canonical identity string for the constraint, used to
 // deduplicate and to key index maps. Constraints that differ only in N are
 // distinct (a tighter bound subsumes a looser one but both may be declared).
+// A constraint built by NewAccessConstraint carries the string, so the
+// stores, the statistics and the planner — which all look constraints up
+// by it, per probe and per cost estimate — read a field.
 func (ac AccessConstraint) Key() string {
-	return fmt.Sprintf("%s|%s|%s|%d", ac.Rel, strings.Join(ac.X, ","), strings.Join(ac.Y, ","), ac.N)
+	if ac.key != "" {
+		return ac.key
+	}
+	return ac.renderKey()
+}
+
+// renderKey formats "rel|x1,x2|y1,y2|N".
+func (ac AccessConstraint) renderKey() string {
+	n := len(ac.Rel) + 3 + 20
+	for _, a := range ac.X {
+		n += len(a) + 1
+	}
+	for _, a := range ac.Y {
+		n += len(a) + 1
+	}
+	b := make([]byte, 0, n)
+	b = append(b, ac.Rel...)
+	for _, attrs := range [2][]string{ac.X, ac.Y} {
+		b = append(b, '|')
+		for i, a := range attrs {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, a...)
+		}
+	}
+	b = append(b, '|')
+	b = strconv.AppendInt(b, ac.N, 10)
+	return string(b)
 }
 
 func contains(sorted []string, a string) bool {
@@ -146,7 +185,7 @@ type AccessSchema struct {
 // NewAccessSchema builds an access schema from constraints; duplicates
 // (same relation, X and Y) are rejected.
 func NewAccessSchema(constraints ...AccessConstraint) (*AccessSchema, error) {
-	a := &AccessSchema{byRel: make(map[string][]int), seen: make(map[string]bool)}
+	a := &AccessSchema{byRel: make(map[string][]int), seen: make(map[string]bool, len(constraints))}
 	for _, ac := range constraints {
 		if err := a.Add(ac); err != nil {
 			return nil, err
@@ -171,13 +210,17 @@ func (a *AccessSchema) Add(ac AccessConstraint) error {
 		return fmt.Errorf("schema: duplicate access constraint %s", ac)
 	}
 	a.seen[k] = true
+	ac.key = k
 	a.byRel[ac.Rel] = append(a.byRel[ac.Rel], len(a.constraints))
 	a.constraints = append(a.constraints, ac)
 	return nil
 }
 
 // Constraints returns all constraints in insertion order. Callers must not
-// mutate the returned slice.
+// mutate the returned slice. A constraint's index in it is its dense
+// ordinal in this schema — stable for the schema's lifetime, because
+// constraints are only ever appended — and declaration order is what
+// breaks the planner's ties between equally priced constraints.
 func (a *AccessSchema) Constraints() []AccessConstraint { return a.constraints }
 
 // Size returns ‖A‖, the number of access constraints.
@@ -229,17 +272,14 @@ func (a *AccessSchema) Restrict(n int) *AccessSchema {
 // == ""): an atom with no parameters only needs a non-emptiness probe; see
 // DESIGN.md, substitution 4.
 func (a *AccessSchema) Indexed(rel string, y []string) (witness AccessConstraint, ok bool) {
-	ys := dedupSorted(y)
+	ys := sortedSet(y)
 	if len(ys) == 0 {
 		return AccessConstraint{}, true
 	}
 	found := false
 	for _, i := range a.byRel[rel] {
 		ac := a.constraints[i]
-		if !subset(ac.X, ys) {
-			continue
-		}
-		if !subset(ys, ac.XY()) {
+		if !ac.Witnesses(ys) {
 			continue
 		}
 		if !found || ac.N < witness.N {
@@ -250,24 +290,32 @@ func (a *AccessSchema) Indexed(rel string, y []string) (witness AccessConstraint
 	return witness, found
 }
 
-// IndexedAll returns every indexedness witness of (rel, y) — each
-// constraint with X ⊆ y ⊆ X ∪ Y — in declaration order. The cost-based
-// planner chooses among them by estimated retrieval cost, where Indexed
-// commits to the smallest declared N. An empty y has no witnesses (it is
-// trivially indexed; see Indexed).
-func (a *AccessSchema) IndexedAll(rel string, y []string) []AccessConstraint {
-	ys := dedupSorted(y)
-	if len(ys) == 0 {
-		return nil
-	}
-	var out []AccessConstraint
-	for _, i := range a.byRel[rel] {
-		ac := a.constraints[i]
-		if subset(ac.X, ys) && subset(ys, ac.XY()) {
-			out = append(out, ac)
+// sortedSet returns y sorted and deduplicated, y itself when it already
+// is — every caller on the planning path passes Closure.AtomParamAttrs,
+// which is.
+func sortedSet(y []string) []string {
+	for i := 1; i < len(y); i++ {
+		if y[i-1] >= y[i] {
+			return dedupSorted(y)
 		}
 	}
-	return out
+	return y
+}
+
+// CoversAll reports whether X ∪ Y spans every attribute of attrs.
+func (ac AccessConstraint) CoversAll(attrs []string) bool {
+	for _, a := range attrs {
+		if !ac.Covers(a) {
+			return false
+		}
+	}
+	return true
+}
+
+// Witnesses reports whether the constraint is an indexedness witness of
+// the sorted, duplicate-free attribute set ys: X ⊆ ys ⊆ X ∪ Y.
+func (ac AccessConstraint) Witnesses(ys []string) bool {
+	return subset(ac.X, ys) && ac.CoversAll(ys)
 }
 
 // String renders the constraints one per line, in insertion order.

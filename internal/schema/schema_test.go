@@ -262,3 +262,37 @@ func TestParseDDLRoundTrip(t *testing.T) {
 		t.Error("round trip changed the schema")
 	}
 }
+
+// TestKeyIsInterned: a constraint built by the constructor answers Key
+// from a field — the stores and the planner call it per probe and per
+// estimate — a hand-built literal renders the same string on demand, and
+// a schema interns the key of a literal it takes in.
+func TestKeyIsInterned(t *testing.T) {
+	ac := MustAccessConstraint("tagging", []string{"taggee_id", "photo_id"}, []string{"tagger_id"}, 1)
+	const want = "tagging|photo_id,taggee_id|tagger_id|1"
+	var got string
+	if n := testing.AllocsPerRun(100, func() { got = ac.Key() }); n != 0 {
+		t.Errorf("Key() on a constructed constraint allocates %v times, want 0", n)
+	}
+	if got != want {
+		t.Errorf("Key() = %q, want %q", got, want)
+	}
+	literal := AccessConstraint{Rel: "tagging", X: []string{"photo_id", "taggee_id"}, Y: []string{"tagger_id"}, N: 1}
+	if literal.Key() != want {
+		t.Errorf("hand-built literal: Key() = %q, want %q", literal.Key(), want)
+	}
+	if k := MustAccessConstraint("calendar", nil, []string{"month"}, 12).Key(); k != "calendar||month|12" {
+		t.Errorf("empty X: Key() = %q", k)
+	}
+
+	a := MustAccessSchema(MustAccessConstraint("friends", []string{"user_id"}, []string{"friend_id"}, 5000))
+	if err := a.Add(literal); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Add(ac); err == nil {
+		t.Error("a constructed constraint equal to a literal already held was not a duplicate")
+	}
+	if n := testing.AllocsPerRun(100, func() { got = a.Constraints()[1].Key() }); n != 0 || got != want {
+		t.Errorf("Key() of a literal a schema took in: %q, %v allocations; want %q and 0", got, n, want)
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -265,15 +266,36 @@ func TestFastLaneNeverStaleUnderChurn(t *testing.T) {
 	}
 	const evolving = 5
 
-	// The one writer: every commit pinned; halfway, the extension.
+	clients, perClient := 6, 400
+	if testing.Short() {
+		clients, perClient = 4, 150
+	}
+
+	// The one writer: every commit pinned; halfway, the extension. It keeps
+	// step with the clients — batch i waits until they have sent their
+	// share of the requests — so that the statistics drift under cached
+	// plans however fast the requests are served.
 	batches := 240
 	if testing.Short() {
 		batches = 80
 	}
-	var extended atomic.Bool
+	var (
+		extended atomic.Bool
+		sent     atomic.Int64
+	)
+	clientsGone := make(chan struct{})
 	writerDone := make(chan error, 1)
 	go func() {
 		for i := 0; i < batches; i++ {
+			for sent.Load() < int64(i*clients*perClient/batches) {
+				select {
+				case <-clientsGone:
+					writerDone <- nil
+					return
+				default:
+					runtime.Gosched()
+				}
+			}
 			// Friends fan out fast (statistics drift, re-plans); albums
 			// cycle through a bounded set of photos.
 			ops := []live.Op{
@@ -305,10 +327,6 @@ func TestFastLaneNeverStaleUnderChurn(t *testing.T) {
 		epoch    string
 		payload  string
 	}
-	clients, perClient := 6, 400
-	if testing.Short() {
-		clients, perClient = 4, 150
-	}
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
@@ -328,6 +346,7 @@ func TestFastLaneNeverStaleUnderChurn(t *testing.T) {
 				args := templates[ti].args(r)
 				body, _ := json.Marshal(map[string]any{"query": templates[ti].query, "args": args})
 				answerable := ti != evolving || extended.Load()
+				sent.Add(1)
 				code, raw := serveInProcess(h, string(body))
 				if code == http.StatusBadRequest && ti == evolving && !answerable {
 					refused++
@@ -347,6 +366,7 @@ func TestFastLaneNeverStaleUnderChurn(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
+	close(clientsGone)
 	if err := <-writerDone; err != nil {
 		t.Fatal(err)
 	}

@@ -15,6 +15,19 @@ func NewClassSet(n int) ClassSet {
 	return ClassSet{words: make([]uint64, (n+63)/64)}
 }
 
+// NewClassSets returns k empty sets sized for n classes, cut from one
+// array: the allocation of one set buys them all. A set that later grows
+// past n moves to an array of its own, never into its neighbour.
+func NewClassSets(k, n int) []ClassSet {
+	words := (n + 63) / 64
+	slab := make([]uint64, k*words)
+	sets := make([]ClassSet, k)
+	for i := range sets {
+		sets[i].words = slab[i*words : (i+1)*words : (i+1)*words]
+	}
+	return sets
+}
+
 // Add inserts class id c, growing the set if needed.
 func (s *ClassSet) Add(c int) {
 	w := c / 64
@@ -81,6 +94,11 @@ func (s ClassSet) IsEmpty() bool {
 	return true
 }
 
+// CopyFrom makes s equal to t, reusing s's array when it is large enough.
+func (s *ClassSet) CopyFrom(t ClassSet) {
+	s.words = append(s.words[:0], t.words...)
+}
+
 // Clone returns an independent copy.
 func (s ClassSet) Clone() ClassSet {
 	return ClassSet{words: append([]uint64(nil), s.words...)}
@@ -97,6 +115,25 @@ func (s ClassSet) Members() []int {
 		}
 	}
 	return out
+}
+
+// Next returns the smallest member that is at least c, or -1 when there is
+// none: `for c := s.Next(0); c >= 0; c = s.Next(c + 1)` walks the set in
+// ascending order without building the Members slice.
+func (s ClassSet) Next(c int) int {
+	if c < 0 {
+		c = 0
+	}
+	for w := c / 64; w < len(s.words); w++ {
+		word := s.words[w]
+		if w == c/64 {
+			word &^= 1<<uint(c%64) - 1
+		}
+		if word != 0 {
+			return w*64 + bits.TrailingZeros64(word)
+		}
+	}
+	return -1
 }
 
 // Equal reports set equality.

@@ -23,10 +23,15 @@ type Closure struct {
 	q   *Query
 	cat *schema.Catalog
 
-	refs    []AttrRef       // all attribute occurrences, in (atom, attr-position) order
-	refID   map[AttrRef]int // ref -> index into refs
-	classOf []int           // ref index -> class id (dense, 0-based)
-	members [][]AttrRef     // class id -> occurrences (in ref order)
+	// Attribute occurrences are numbered by position: occurrence
+	// (atom i, attribute at position p of its relation) is base[i] + p, so
+	// resolving a reference is one lookup in the relation's own attribute
+	// map and no table is built per closure.
+	rels    []*schema.Relation // atom -> its relation schema
+	base    []int              // atom -> index of its first occurrence; base[len] = total
+	refs    []AttrRef          // all attribute occurrences, in (atom, attr-position) order
+	classOf []int              // ref index -> class id (dense, 0-based)
+	members [][]AttrRef        // class id -> occurrences (in ref order)
 
 	consts      []value.Value // class id -> pinned constant (Null if none)
 	hasConst    []bool        // class id -> whether consts is meaningful
@@ -43,66 +48,86 @@ type Closure struct {
 // NewClosure validates q against the catalog and computes Σ_Q and every
 // derived set. The computation is O(|Q| α(|Q|)) — a union–find pass over the
 // condition followed by linear scans — matching the paper's
-// "precomputed in O(|Q|²)" budget with room to spare.
+// "precomputed in O(|Q|²)" budget with room to spare. Every table is a
+// slice indexed by occurrence or class number and sized before it is
+// filled, so a closure costs a fixed handful of allocations whatever the
+// query's size.
 func NewClosure(q *Query, cat *schema.Catalog) (*Closure, error) {
 	if err := q.Validate(cat); err != nil {
 		return nil, err
 	}
-	c := &Closure{q: q, cat: cat, refID: make(map[AttrRef]int), satisfiable: true}
+	c := &Closure{q: q, cat: cat, satisfiable: true}
 
 	// Enumerate every attribute occurrence of every atom.
+	c.rels = make([]*schema.Relation, len(q.Atoms))
+	c.base = make([]int, len(q.Atoms)+1)
 	for i, at := range q.Atoms {
-		rel, _ := cat.Relation(at.Rel)
+		c.rels[i], _ = cat.Relation(at.Rel)
+		c.base[i+1] = c.base[i] + c.rels[i].Arity()
+	}
+	n := c.base[len(q.Atoms)]
+	c.refs = make([]AttrRef, 0, n)
+	for i, rel := range c.rels {
 		for _, a := range rel.Attrs() {
-			ref := AttrRef{Atom: i, Attr: a}
-			c.refID[ref] = len(c.refs)
-			c.refs = append(c.refs, ref)
+			c.refs = append(c.refs, AttrRef{Atom: i, Attr: a})
 		}
 	}
 
-	// Union–find over occurrences.
-	parent := make([]int, len(c.refs))
+	// Union–find over occurrences; ints carries its three tables.
+	ints := make([]int, 3*n)
+	parent, classID := ints[:n], ints[n:2*n] // classID: root -> class id + 1
+	c.classOf = ints[2*n:]
 	for i := range parent {
 		parent[i] = i
 	}
-	var find func(int) int
-	find = func(x int) int {
+	find := func(x int) int {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
 		}
 		return x
 	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
+	for _, e := range q.EqAttrs {
+		if ra, rb := find(c.refIndex(e.L)), find(c.refIndex(e.R)); ra != rb {
 			parent[ra] = rb
 		}
 	}
-	for _, e := range q.EqAttrs {
-		union(c.refID[e.L], c.refID[e.R])
-	}
 
 	// Assign dense class ids in first-occurrence order (deterministic).
-	classID := make(map[int]int)
-	c.classOf = make([]int, len(c.refs))
+	numClasses := 0
 	for i := range c.refs {
 		root := find(i)
-		id, ok := classID[root]
-		if !ok {
-			id = len(c.members)
-			classID[root] = id
-			c.members = append(c.members, nil)
+		if classID[root] == 0 {
+			numClasses++
+			classID[root] = numClasses
 		}
-		c.classOf[i] = id
+		c.classOf[i] = classID[root] - 1
+	}
+	// Members per class, in ref order, as windows of one array: count,
+	// cut, fill.
+	size := parent // the forest is no longer needed; reuse it for the counts
+	for i := range size {
+		size[i] = 0
+	}
+	for _, id := range c.classOf {
+		size[id]++
+	}
+	c.members = make([][]AttrRef, numClasses)
+	backing := make([]AttrRef, n)
+	off := 0
+	for id := range c.members {
+		c.members[id] = backing[off : off : off+size[id]]
+		off += size[id]
+	}
+	for i, id := range c.classOf {
 		c.members[id] = append(c.members[id], c.refs[i])
 	}
 
 	// Pin constants; detect unsatisfiability (S[A] = c and S[A] = d, c ≠ d).
-	c.consts = make([]value.Value, len(c.members))
-	c.hasConst = make([]bool, len(c.members))
+	c.consts = make([]value.Value, numClasses)
+	c.hasConst = make([]bool, numClasses)
 	for _, e := range q.EqConsts {
-		id := c.classOf[c.refID[e.A]]
+		id := c.classOf[c.refIndex(e.A)]
 		if c.hasConst[id] && c.consts[id] != e.C {
 			c.satisfiable = false
 			continue
@@ -115,59 +140,60 @@ func NewClosure(q *Query, cat *schema.Catalog) (*Closure, error) {
 	return c, nil
 }
 
+// refIndex is the occurrence number of a reference the query's validation
+// has already resolved; -1 for one it would have rejected.
+func (c *Closure) refIndex(ref AttrRef) int {
+	if ref.Atom < 0 || ref.Atom >= len(c.rels) {
+		return -1
+	}
+	p := c.rels[ref.Atom].Pos(ref.Attr)
+	if p < 0 {
+		return -1
+	}
+	return c.base[ref.Atom] + p
+}
+
 // computeDerivedSets fills params, X_B, X_C, Z-classes and X^i_Q.
 func (c *Closure) computeDerivedSets() {
 	n := len(c.members)
-	c.params = NewClassSet(n)
-	c.xB = NewClassSet(n)
-	c.xC = NewClassSet(n)
-	c.out = NewClassSet(n)
-	c.atomParams = make([]ClassSet, len(c.q.Atoms))
-	c.atomAttrs = make([][]string, len(c.q.Atoms))
-	for i := range c.atomParams {
-		c.atomParams[i] = NewClassSet(n)
-	}
+	q := c.q
+	// One array backs every class set of the closure.
+	sets := NewClassSets(5+len(q.Atoms), n)
+	c.params, c.xB, c.xC, c.out = sets[0], sets[1], sets[2], sets[3]
+	inCond := sets[4]
+	c.atomParams = sets[5:]
 
-	seenRef := make(map[AttrRef]bool)
-	addParam := func(ref AttrRef) {
-		id := c.MustClass(ref)
+	// noted marks the occurrences that are parameters; paramRefs lists them
+	// in first-mention order.
+	noted := make([]bool, len(c.refs))
+	c.paramRefs = make([]AttrRef, 0, 2*len(q.EqAttrs)+len(q.EqConsts)+len(q.Placeholders)+len(q.Output))
+	note := func(ref AttrRef) int {
+		ri := c.refIndex(ref)
+		id := c.classOf[ri]
 		c.params.Add(id)
 		c.atomParams[ref.Atom].Add(id)
-		if !seenRef[ref] {
-			seenRef[ref] = true
+		if !noted[ri] {
+			noted[ri] = true
 			c.paramRefs = append(c.paramRefs, ref)
 		}
-	}
-	// Attribute-name sets per atom are accumulated separately because the
-	// indexedness test works on relation attribute names, not classes.
-	attrSets := make([]map[string]bool, len(c.q.Atoms))
-	for i := range attrSets {
-		attrSets[i] = make(map[string]bool)
-	}
-	note := func(ref AttrRef) {
-		addParam(ref)
-		attrSets[ref.Atom][ref.Attr] = true
+		return id
 	}
 
-	inCond := NewClassSet(n)
-	for _, e := range c.q.EqAttrs {
-		note(e.L)
+	for _, e := range q.EqAttrs {
+		inCond.Add(note(e.L))
 		note(e.R)
-		inCond.Add(c.MustClass(e.L))
 	}
-	for _, e := range c.q.EqConsts {
-		note(e.A)
-		inCond.Add(c.MustClass(e.A))
+	for _, e := range q.EqConsts {
+		inCond.Add(note(e.A))
 	}
 	// Placeholders are parameters (they join X^i_Q and the
 	// dominating-parameter pool) but impose no condition yet: they enter
 	// neither X_B nor X_C until instantiated.
-	for _, ref := range c.q.Placeholders {
+	for _, ref := range q.Placeholders {
 		note(ref)
 	}
-	for _, col := range c.q.Output {
-		note(col.Ref)
-		c.out.Add(c.MustClass(col.Ref))
+	for _, col := range q.Output {
+		c.out.Add(note(col.Ref))
 	}
 
 	// X_C: classes pinned to a constant (paper: Σ_Q ⊢ S[A] = c).
@@ -178,17 +204,24 @@ func (c *Closure) computeDerivedSets() {
 	}
 	// X_B: classes that appear in the condition but are not output classes
 	// (paper: attributes in σ_C with Σ_Q ⊬ S[A] = z for every z ∈ Z).
-	for _, id := range inCond.Members() {
-		if !c.out.Has(id) {
+	for id := 0; id < n; id++ {
+		if inCond.Has(id) && !c.out.Has(id) {
 			c.xB.Add(id)
 		}
 	}
 
-	for i, set := range attrSets {
-		attrs := make([]string, 0, len(set))
-		for a := range set {
-			attrs = append(attrs, a)
+	// X^i_Q as sorted attribute names (the indexedness test works on
+	// relation attribute names, not classes): windows of one array.
+	c.atomAttrs = make([][]string, len(q.Atoms))
+	names := make([]string, 0, len(c.paramRefs))
+	for i := range q.Atoms {
+		from := len(names)
+		for ri := c.base[i]; ri < c.base[i+1]; ri++ {
+			if noted[ri] {
+				names = append(names, c.refs[ri].Attr)
+			}
 		}
+		attrs := names[from:len(names):len(names)]
 		sort.Strings(attrs)
 		c.atomAttrs[i] = attrs
 	}
@@ -215,8 +248,8 @@ func (c *Closure) NumRefs() int { return len(c.refs) }
 // Class returns the class id of an attribute occurrence, or -1 when the
 // occurrence does not exist (unknown atom or attribute).
 func (c *Closure) Class(ref AttrRef) int {
-	i, ok := c.refID[ref]
-	if !ok {
+	i := c.refIndex(ref)
+	if i < 0 {
 		return -1
 	}
 	return c.classOf[i]
@@ -234,15 +267,8 @@ func (c *Closure) MustClass(ref AttrRef) int {
 
 // Equal reports Σ_Q ⊢ a = b.
 func (c *Closure) Equal(a, b AttrRef) bool {
-	ia, ok := c.refID[a]
-	if !ok {
-		return false
-	}
-	ib, ok := c.refID[b]
-	if !ok {
-		return false
-	}
-	return c.classOf[ia] == c.classOf[ib]
+	ia, ib := c.refIndex(a), c.refIndex(b)
+	return ia >= 0 && ib >= 0 && c.classOf[ia] == c.classOf[ib]
 }
 
 // ConstOf returns the constant pinned to the class, if any

@@ -214,6 +214,16 @@ type rawRef struct {
 	pos   int
 }
 
+// rawCond is one equality of the where-clause before alias resolution:
+// l = r, l = ? or l = c.
+type rawCond struct {
+	l      rawRef
+	isRef  bool
+	isSlot bool
+	r      rawRef
+	c      value.Value
+}
+
 func (p *parser) parseQuery() (*Query, error) {
 	q := &Query{}
 
@@ -244,11 +254,21 @@ func (p *parser) parseQuery() (*Query, error) {
 		return nil, err
 	}
 
-	// Projection list, or "exists" for Boolean queries.
-	var rawOut []struct {
+	// What the clauses hold is gathered in arrays on the stack (a longer
+	// query spills to the heap) and the query's own slices are made once,
+	// at their final sizes, when every clause has been read.
+	type rawCol struct {
 		ref rawRef
 		as  string
 	}
+	var (
+		outBuf  [8]rawCol
+		atomBuf [8]Atom
+		condBuf [16]rawCond
+	)
+
+	// Projection list, or "exists" for Boolean queries.
+	rawOut := outBuf[:0]
 	if isExists, err := p.atKeyword("exists"); err != nil {
 		return nil, err
 	} else if isExists {
@@ -277,10 +297,7 @@ func (p *parser) parseQuery() (*Query, error) {
 				}
 				as = t.text
 			}
-			rawOut = append(rawOut, struct {
-				ref rawRef
-				as  string
-			}{ref, as})
+			rawOut = append(rawOut, rawCol{ref, as})
 			t, err := p.peek()
 			if err != nil {
 				return nil, err
@@ -297,6 +314,7 @@ func (p *parser) parseQuery() (*Query, error) {
 	if err := p.expectKeyword("from"); err != nil {
 		return nil, err
 	}
+	atoms := atomBuf[:0]
 	for {
 		t, err := p.next()
 		if err != nil {
@@ -321,7 +339,7 @@ func (p *parser) parseQuery() (*Query, error) {
 			}
 			atom.Alias = t.text
 		}
-		q.Atoms = append(q.Atoms, atom)
+		atoms = append(atoms, atom)
 		t2, err := p.peek()
 		if err != nil {
 			return nil, err
@@ -334,15 +352,11 @@ func (p *parser) parseQuery() (*Query, error) {
 		}
 	}
 
+	q.Atoms = append(make([]Atom, 0, len(atoms)), atoms...)
+
 	// Optional where-clause: equalities joined by "and".
-	type rawCond struct {
-		l      rawRef
-		isRef  bool
-		isSlot bool
-		r      rawRef
-		c      value.Value
-	}
-	var rawConds []rawCond
+	rawConds := condBuf[:0]
+	nRef, nSlot := 0, 0
 	if isWhere, err := p.atKeyword("where"); err != nil {
 		return nil, err
 	} else if isWhere {
@@ -371,6 +385,7 @@ func (p *parser) parseQuery() (*Query, error) {
 					return nil, err
 				}
 				rawConds = append(rawConds, rawCond{l: l, isSlot: true})
+				nSlot++
 			case tokNumber:
 				if _, err := p.next(); err != nil {
 					return nil, err
@@ -394,6 +409,7 @@ func (p *parser) parseQuery() (*Query, error) {
 					return nil, err
 				}
 				rawConds = append(rawConds, rawCond{l: l, isRef: true, r: r})
+				nRef++
 			default:
 				return nil, fmt.Errorf("spc: expected reference or literal after '=', got %s", t)
 			}
@@ -419,6 +435,18 @@ func (p *parser) parseQuery() (*Query, error) {
 
 	// Resolve references now that the from-list is known.
 	resolve := func(r rawRef) (AttrRef, error) { return p.resolveRef(q, r) }
+	if len(rawOut) > 0 {
+		q.Output = make([]OutputCol, 0, len(rawOut))
+	}
+	if nRef > 0 {
+		q.EqAttrs = make([]EqAttr, 0, nRef)
+	}
+	if nSlot > 0 {
+		q.Placeholders = make([]AttrRef, 0, nSlot)
+	}
+	if n := len(rawConds) - nRef - nSlot; n > 0 {
+		q.EqConsts = make([]EqConst, 0, n)
+	}
 	for _, o := range rawOut {
 		ref, err := resolve(o.ref)
 		if err != nil {

@@ -13,6 +13,7 @@ package spc
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"bcq/internal/schema"
@@ -117,7 +118,6 @@ func (q *Query) Validate(cat *schema.Catalog) error {
 	if len(q.Atoms) == 0 {
 		return fmt.Errorf("spc: query %s has no atoms", q.Name)
 	}
-	seen := make(map[string]bool, len(q.Atoms))
 	for i := range q.Atoms {
 		at := &q.Atoms[i]
 		if _, ok := cat.Relation(at.Rel); !ok {
@@ -126,10 +126,13 @@ func (q *Query) Validate(cat *schema.Catalog) error {
 		if at.Alias == "" {
 			at.Alias = at.Rel
 		}
-		if seen[at.Alias] {
-			return fmt.Errorf("spc: query %s: duplicate alias %s", q.Name, at.Alias)
+		// Atoms are few: comparing each alias with the earlier ones beats
+		// building a set.
+		for _, prev := range q.Atoms[:i] {
+			if prev.Alias == at.Alias {
+				return fmt.Errorf("spc: query %s: duplicate alias %s", q.Name, at.Alias)
+			}
 		}
-		seen[at.Alias] = true
 	}
 	check := func(ref AttrRef) error {
 		if ref.Atom < 0 || ref.Atom >= len(q.Atoms) {
@@ -195,6 +198,17 @@ func (q *Query) RefString(ref AttrRef) string {
 // String renders the query in the parseable SQL-ish surface syntax.
 func (q *Query) String() string {
 	var b strings.Builder
+	// One reference renders in about 16 bytes, a condition in two of them.
+	b.Grow(32 + 16*(len(q.Output)+len(q.Atoms)) + 40*q.NumSel())
+	writeRef := func(ref AttrRef) {
+		if ref.Atom >= 0 && ref.Atom < len(q.Atoms) {
+			b.WriteString(q.Atoms[ref.Atom].Alias)
+			b.WriteByte('.')
+			b.WriteString(ref.Attr)
+			return
+		}
+		b.WriteString(q.RefString(ref))
+	}
 	b.WriteString("select ")
 	if q.IsBoolean() {
 		b.WriteString("exists")
@@ -203,7 +217,7 @@ func (q *Query) String() string {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		b.WriteString(q.RefString(col.Ref))
+		writeRef(col.Ref)
 		if col.As != "" && col.As != col.Ref.Attr {
 			b.WriteString(" as ")
 			b.WriteString(col.As)
@@ -221,23 +235,32 @@ func (q *Query) String() string {
 		}
 	}
 	wrote := false
-	writeCond := func(s string) {
+	startCond := func(ref AttrRef) {
 		if !wrote {
 			b.WriteString(" where ")
 			wrote = true
 		} else {
 			b.WriteString(" and ")
 		}
-		b.WriteString(s)
+		writeRef(ref)
+		b.WriteString(" = ")
 	}
 	for _, e := range q.EqAttrs {
-		writeCond(q.RefString(e.L) + " = " + q.RefString(e.R))
+		startCond(e.L)
+		writeRef(e.R)
 	}
+	var num [20]byte
 	for _, e := range q.EqConsts {
-		writeCond(q.RefString(e.A) + " = " + e.C.String())
+		startCond(e.A)
+		if e.C.Kind() == value.KindInt {
+			b.Write(strconv.AppendInt(num[:0], e.C.AsInt(), 10))
+		} else {
+			b.WriteString(e.C.String())
+		}
 	}
 	for _, ref := range q.Placeholders {
-		writeCond(q.RefString(ref) + " = ?")
+		startCond(ref)
+		b.WriteByte('?')
 	}
 	return b.String()
 }

@@ -16,9 +16,9 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -109,20 +109,32 @@ func bucket(x float64) int {
 // which still flips the fingerprint when the constraint later gains
 // data.
 func (s Snapshot) Fingerprint(acKeys []string) string {
-	keys := append([]string(nil), acKeys...)
-	sort.Strings(keys)
+	keys := acKeys
+	if !sort.StringsAreSorted(keys) {
+		keys = append([]string(nil), acKeys...)
+		sort.Strings(keys)
+	}
+	n := 0
+	for _, k := range keys {
+		n += len(k) + len("=-2147483648,-2147483648;")
+	}
 	var b strings.Builder
+	b.Grow(n)
+	var num [20]byte
 	for i, k := range keys {
 		if i > 0 {
 			b.WriteByte(';')
 		}
+		b.WriteString(k)
 		ac, ok := s.ACs[k]
 		if !ok {
-			b.WriteString(k)
 			b.WriteString("=-")
 			continue
 		}
-		fmt.Fprintf(&b, "%s=%d,%d", k, bucket(ac.AvgGroup()), bucket(float64(ac.Groups)))
+		b.WriteByte('=')
+		b.Write(strconv.AppendInt(num[:0], int64(bucket(ac.AvgGroup())), 10))
+		b.WriteByte(',')
+		b.Write(strconv.AppendInt(num[:0], int64(bucket(float64(ac.Groups))), 10))
 	}
 	return b.String()
 }

@@ -53,4 +53,36 @@ func TestFingerprintQuantization(t *testing.T) {
 	if s.Fingerprint([]string{"missing"}) == s.Fingerprint([]string{"j"}) {
 		t.Error("missing key indistinguishable from a present one")
 	}
+
+	// The rendering itself, byte for byte (recorded before Fingerprint
+	// stopped going through fmt): sorted keys, ';' between constraints,
+	// negative and empty buckets, "-" for a key the snapshot lacks, and
+	// the caller's slice left in the order it came in.
+	lit := New()
+	lit.ACs["friends|user_id|friend_id|5000"] = ACCard{Groups: 20000, Entries: 130000} // avg 6.5
+	lit.ACs["album_owner|album_id|user_id|1"] = ACCard{Groups: 8000, Entries: 8000}    // avg 1
+	lit.ACs["sparse||y|9"] = ACCard{Groups: 3, Entries: 1}                             // avg 1/3
+	lit.ACs["empty|x|y|7"] = ACCard{}
+	for _, tc := range []struct {
+		keys []string
+		want string
+	}{
+		{nil, ""},
+		{[]string{"friends|user_id|friend_id|5000"}, "friends|user_id|friend_id|5000=2,14"},
+		{[]string{"album_owner|album_id|user_id|1", "friends|user_id|friend_id|5000"},
+			"album_owner|album_id|user_id|1=0,12;friends|user_id|friend_id|5000=2,14"},
+		{[]string{"sparse||y|9", "missing|a|b|2", "empty|x|y|7"},
+			"empty|x|y|7=-2147483648,-2147483648;missing|a|b|2=-;sparse||y|9=-2,1"},
+	} {
+		in := append([]string(nil), tc.keys...)
+		if got := lit.Fingerprint(in); got != tc.want {
+			t.Errorf("Fingerprint(%q) = %q, want %q", tc.keys, got, tc.want)
+		}
+		for i := range in {
+			if in[i] != tc.keys[i] {
+				t.Errorf("Fingerprint reordered its argument: %q, was %q", in, tc.keys)
+				break
+			}
+		}
+	}
 }

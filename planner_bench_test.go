@@ -17,6 +17,9 @@
 //	plan.naive_ns      — QPlan: derivation order, no cost model
 //	plan.greedy_ns     — OptimizeGreedy: what a tiered cold prepare pays
 //	plan.optimize_ns   — Optimize: greedy + branch-and-bound search
+//	plan.cold_prepare_ns, plan.cold_prepare_bytes — one engine-level cold
+//	    Prepare (parse → analysis → greedy plan → fingerprint) of the 6-atom
+//	    ad hoc shape BenchmarkColdPrepare runs, and what it allocates
 //
 // The fetched counts (no checked suffix, informational) record that the
 // greedy tier's fetch volume sits between naive and optimized on Q3.
@@ -26,6 +29,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -137,6 +141,26 @@ func TestPlannerBenchEmit(t *testing.T) {
 	greedyNS := measure(func() error { _, err := a.GreedyPlan(&cs); return err })
 	optNS := measure(func() error { _, err := a.OptimizedPlan(&cs); return err })
 
+	// The whole cold path at engine level, as BenchmarkColdPrepare runs it:
+	// the 6-atom ad hoc shape at the greedy tier, every Prepare a miss.
+	eng, texts := coldPrepareEngine(t, "s11", PlanModeGreedy)
+	k := 0
+	coldPrepare := func() error {
+		k++
+		_, err := eng.Prepare(texts[k&1])
+		return err
+	}
+	coldNS := measure(coldPrepare)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < iters; i++ {
+		if err := coldPrepare(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	coldBytes := int64(after.TotalAlloc-before.TotalAlloc) / iters
+
 	// The tiered mode's premise: a cold prepare on the greedy tier pays
 	// measurably less planning latency than the full optimizer — greedy
 	// is a strict subset of Optimize's work (no branch-and-bound search).
@@ -174,8 +198,8 @@ func TestPlannerBenchEmit(t *testing.T) {
 		t.Errorf("optimized plan fetched %d > greedy tier %d on q3", optF, greedyF)
 	}
 
-	t.Logf("plan: naive %s, greedy %s, optimize %s; fetched: naive %d, greedy %d, optimized %d",
-		time.Duration(naiveNS), time.Duration(greedyNS), time.Duration(optNS), naiveF, greedyF, optF)
+	t.Logf("plan: naive %s, greedy %s, optimize %s; cold prepare %s, %d bytes; fetched: naive %d, greedy %d, optimized %d",
+		time.Duration(naiveNS), time.Duration(greedyNS), time.Duration(optNS), time.Duration(coldNS), coldBytes, naiveF, greedyF, optF)
 
 	if path := os.Getenv("PLANNER_BENCH_JSON"); path != "" {
 		f, err := os.Create(path)
@@ -185,9 +209,11 @@ func TestPlannerBenchEmit(t *testing.T) {
 		defer f.Close()
 		doc := map[string]map[string]int64{
 			"plan": {
-				"naive_ns":    naiveNS,
-				"greedy_ns":   greedyNS,
-				"optimize_ns": optNS,
+				"naive_ns":           naiveNS,
+				"greedy_ns":          greedyNS,
+				"optimize_ns":        optNS,
+				"cold_prepare_ns":    coldNS,
+				"cold_prepare_bytes": coldBytes,
 			},
 			"exec": {
 				"naive_fetched":     naiveF,
