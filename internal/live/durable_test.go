@@ -15,9 +15,19 @@ import (
 
 // assertSameState asserts two stores expose identical data: per-relation
 // tuples in live order, cardinality statistics, epoch key and tuple
-// count. It is the byte-identity bar of the crash-recovery property.
+// count. It is the byte-identity bar of the crash-recovery property. The
+// writer's bookkeeping is held to the same bar: each store's ledger
+// equals a recount of its own snapshot, and the recovered store's equals
+// the never-crashed one's, position for position.
 func assertSameState(t *testing.T, got, want *Store) {
 	t.Helper()
+	checkLedger(t, got, "recovered store")
+	checkLedger(t, want, "reference store")
+	for key, led := range want.ledger {
+		if !sameLedger(got.ledger[key], led) {
+			t.Fatalf("ledger of %s differs:\n got %v\nwant %v", key, got.ledger[key], led)
+		}
+	}
 	if gk, wk := got.EpochKey(), want.EpochKey(); gk != wk {
 		t.Fatalf("EpochKey = %s, want %s", gk, wk)
 	}
@@ -407,5 +417,135 @@ func TestOpenFreshDirectory(t *testing.T) {
 	defer re.Close()
 	if re.NumTuples() == 0 {
 		t.Fatal("fresh durable store lost its data")
+	}
+}
+
+// dupBatches is a batch history thick with duplicates: pairs that gain
+// second and third occurrences, lose their witness, fall back to one and
+// to none, within and across batches.
+func dupBatches() [][]Op {
+	return [][]Op{
+		{Insert("friends", strs("u0", "f1")), Insert("friends", strs("u0", "f1")), Insert("in_album", strs("p3", "a1"))},
+		{Delete("friends", strs("u0", "f1")), Insert("tagging", strs("p1", "f1", "u0"))},
+		{Delete("in_album", strs("p3", "a1")), Insert("friends", strs("u9", "f9")), Insert("friends", strs("u9", "f9")), Delete("friends", strs("u9", "f9"))},
+		{Delete("friends", strs("u0", "f1")), Delete("friends", strs("u0", "f1")), Delete("tagging", strs("p1", "f1", "u0"))},
+		{Insert("friends", strs("u0", "f1")), Insert("in_album", strs("p3", "a1")), Insert("in_album", strs("p3", "a1"))},
+	}
+}
+
+// TestDurableKillPointSweepKeepsLedger crashes the store at every append
+// of the duplicate-heavy history, with the frame torn at several lengths,
+// and holds the recovered store — data, cards and ledger — to the
+// in-memory store that applied the same committed prefix and never
+// crashed. One sweep checkpoints mid-history so recovery also runs
+// segment-then-tail.
+func TestDurableKillPointSweepKeepsLedger(t *testing.T) {
+	batches := dupBatches()
+	for _, compactAfter := range []int{-1, 2} {
+		for kill := 1; kill <= len(batches); kill++ {
+			for _, torn := range []int{0, 5, 13} {
+				dir := t.TempDir()
+				st, err := New(loadSocial(t), accessA0(), Options{Dir: dir})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, err := New(loadSocial(t), accessA0(), Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				st.WAL().SetFailPoint(kill, torn)
+				for i, b := range batches {
+					if _, err := st.Apply(b); err != nil {
+						if i != kill-1 || !errors.Is(err, wal.ErrInjectedCrash) {
+							t.Fatalf("kill %d: batch %d: %v", kill, i, err)
+						}
+						break
+					}
+					if _, err := ref.Apply(b); err != nil {
+						t.Fatal(err)
+					}
+					if i+1 == compactAfter {
+						if _, err := st.Compact(); err != nil {
+							t.Fatal(err)
+						}
+						if _, err := ref.Compact(); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				st.WAL().Close()
+				re, _, err := Open(dir, socialCatalog(), accessA0(), Options{})
+				if err != nil {
+					t.Fatalf("kill %d torn %d: Open: %v", kill, torn, err)
+				}
+				assertSameState(t, re, ref)
+				re.WAL().Close()
+			}
+		}
+	}
+}
+
+// flakyFile makes the WAL's Write return an error after putting down a
+// partial frame — a disk that fails and a process that lives on.
+type flakyFile struct {
+	wal.File
+	writeErr error
+}
+
+func (f *flakyFile) Write(p []byte) (int, error) {
+	if f.writeErr == nil {
+		return f.File.Write(p)
+	}
+	n, _ := f.File.Write(p[:9])
+	return n, f.writeErr
+}
+
+// TestReturnedWALErrorPoisonsTheStore injects an I/O error the WAL
+// returns (SetFailPoint models a crash; here the process survives). The
+// failed batch must publish nothing and leave no trace; the next Apply
+// must be refused with the same error even though the disk has
+// recovered — it would otherwise be acknowledged from behind a partial
+// frame and lost at the next recovery; and reopening must bring back
+// every acknowledged batch and nothing else.
+func TestReturnedWALErrorPoisonsTheStore(t *testing.T) {
+	dir := t.TempDir()
+	st, err := New(loadSocial(t), accessA0(), Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := socialBatches()
+	if _, err := st.Apply(batches[0]); err != nil {
+		t.Fatal(err)
+	}
+	var ff *flakyFile
+	st.WAL().WrapFile(func(f wal.File) wal.File { ff = &flakyFile{File: f}; return ff })
+	diskFull := errors.New("no space left on device")
+	ff.writeErr = diskFull
+
+	before := st.Snapshot()
+	if _, err := st.Apply(batches[1]); !errors.Is(err, diskFull) {
+		t.Fatalf("Apply over a failing disk = %v, want the injected error", err)
+	}
+	ff.writeErr = nil
+	if _, err := st.Apply(batches[2]); !errors.Is(err, diskFull) {
+		t.Fatalf("Apply after a failed append = %v, want it refused with the same error", err)
+	}
+	if st.Snapshot() != before {
+		t.Fatal("a batch whose append failed published an epoch")
+	}
+	checkLedger(t, st, "after failed appends")
+	st.WAL().Close()
+
+	re, rec, err := Open(dir, socialCatalog(), accessA0(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if len(rec.ReplayedBatches) != 1 || rec.TruncatedRecords != 1 {
+		t.Fatalf("recovery replayed %d batches and cut %d frames, want 1 and 1", len(rec.ReplayedBatches), rec.TruncatedRecords)
+	}
+	assertSameState(t, re, applyRef(t, 1))
+	if _, err := re.Apply(batches[1]); err != nil {
+		t.Fatalf("Apply on the reopened store: %v", err)
 	}
 }

@@ -109,14 +109,7 @@ func (st *Store) publishExtension(ac schema.AccessConstraint, ext *extension) er
 		acc:       newAcc,
 	}
 	gdiff := map[string]map[string][]storage.IndexEntry{ext.bind.key: ext.groups}
-	if cur.depth+1 > maxChainDepth {
-		next.groups, next.delDiff = flattenDiffs(cur, gdiff, nil)
-		st.flattens.Add(1)
-	} else {
-		next.groups = gdiff
-		next.parent = cur
-		next.depth = cur.depth + 1
-	}
+	next.chainOnto(cur, gdiff, nil)
 
 	// Same commit pipeline as Apply: the extension is durable before its
 	// epoch publishes, so a recovered store re-extends itself by replay.
@@ -129,14 +122,19 @@ func (st *Store) publishExtension(ac schema.AccessConstraint, ext *extension) er
 	}
 
 	st.byKey = newByKey
+	if len(st.byRel[ac.Rel]) == 0 {
+		// First constraint on the relation: deletes now find tuples through
+		// its groups, so the relation's tuple map goes.
+		delete(st.tupPos, ac.Rel)
+	}
 	st.byRel[ac.Rel] = append(st.byRel[ac.Rel], ext.bind)
-	st.pairs[ext.bind.key] = ext.pairs
+	st.ledger[ext.bind.key] = ext.ledger
 	// Publish the new constraint's cardinality card, built from the
 	// scanned group map, alongside the existing cards (copy-on-write so
 	// lock-free CardStats readers never see a partial map).
 	card := newACCard()
-	for xk, g := range ext.groups {
-		card.bump(xk, int64(len(g)))
+	for _, g := range ext.groups {
+		card.resize(0, int64(len(g)))
 	}
 	oldCards := *st.cards.Load()
 	newCards := make(map[string]*acCard, len(oldCards)+1)
@@ -159,12 +157,12 @@ func (st *Store) publishExtension(ac schema.AccessConstraint, ext *extension) er
 }
 
 // extension is the workspace of one validated ExtendAccess: the
-// constraint's binding, its complete live group map and the writer-side
-// pair bookkeeping, ready to publish.
+// constraint's binding, its complete live group map and its sparse
+// ledger (see Store.ledger), ready to publish.
 type extension struct {
 	bind   acBinding
 	groups map[string][]storage.IndexEntry
-	pairs  map[string]*pairEntry
+	ledger map[string][]int
 }
 
 // buildExtension validates the constraint and scans the live data into
@@ -192,25 +190,19 @@ func (st *Store) buildExtension(ac schema.AccessConstraint) (*extension, error) 
 	ext := &extension{
 		bind:   acBinding{ac: ac, key: ac.Key(), xPos: xPos, yPos: yPos},
 		groups: make(map[string][]storage.IndexEntry),
-		pairs:  make(map[string]*pairEntry),
 	}
+	lb := newLedgerBuilder()
 	var verr error
 	err = st.cur.Load().each(ac.Rel, func(pos int, t value.Tuple) bool {
-		pk := pairKey(t, xPos, yPos)
-		pe := ext.pairs[pk]
-		if pe == nil {
-			xk := value.KeyOf(t, xPos)
+		xk := value.KeyOf(t, xPos)
+		if lb.add(pairKey(xk, t, yPos), pos) {
 			g := ext.groups[xk]
 			if int64(len(g)+1) > ac.N {
 				verr = &storage.ViolationError{AC: ac, XValue: t.Project(xPos), Distinct: int64(len(g) + 1)}
 				return false
 			}
 			ext.groups[xk] = append(g, storage.IndexEntry{Y: t.Project(yPos), Witness: t, Pos: pos})
-			pe = &pairEntry{}
-			ext.pairs[pk] = pe
 		}
-		pe.count++
-		pe.positions = append(pe.positions, pos)
 		return true
 	})
 	if err != nil {
@@ -219,5 +211,6 @@ func (st *Store) buildExtension(ac schema.AccessConstraint) (*extension, error) 
 	if verr != nil {
 		return nil, verr
 	}
+	ext.ledger = lb.led
 	return ext, nil
 }

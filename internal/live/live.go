@@ -21,9 +21,10 @@
 //     readers, and a pinned snapshot is immutable forever.
 //
 // Snapshots form a chain of small epoch diffs over the base; lookups walk
-// the chain youngest-first and fall through to the base index. Every
-// maxChainDepth commits the chain is flattened into a single diff so read
-// cost stays bounded regardless of write history.
+// the chain youngest-first and fall through to the base index. A commit
+// folds the diffs below it that are no larger than its own (a binary
+// counter, see chainOnto), so the chain stays at most maxChainDepth long
+// and neither read nor commit cost grows with the write history.
 //
 // Writers are serialized by a mutex (single-writer, many-reader — the
 // HTAP split Polynesia frames as "updates must not break analytical
@@ -186,7 +187,8 @@ type IngestStats struct {
 	OpsQuarantined int64
 	// Epochs is the current epoch number (0 = the pristine base).
 	Epochs uint64
-	// Flattens counts snapshot-chain flattenings.
+	// Flattens counts the commits that folded older epoch diffs into
+	// their own.
 	Flattens int64
 	// Compactions counts Compact calls that published a fresh base.
 	Compactions int64
@@ -206,12 +208,10 @@ type acBinding struct {
 // many X-groups are live, how many distinct (X, Y) entries, and the
 // exact current maximum group size. The counters are atomic so readers
 // (the engine's plan-drift check runs per prepared-query cache hit)
-// never take the writer mutex; the maps are writer-owned, mutated only
+// never take the writer mutex; the map is writer-owned, mutated only
 // under the store mutex.
 type acCard struct {
 	groups, entries, maxGroup atomic.Int64
-	// xLive is the live entry count per X-key (groups = #keys with > 0).
-	xLive map[string]int64
 	// sizeCount is the multiset of group sizes (size → #groups of that
 	// size), which is what keeps maxGroup exact under deletes: when the
 	// last group of the maximal size shrinks, the max walks down to the
@@ -219,22 +219,28 @@ type acCard struct {
 	sizeCount map[int64]int64
 }
 
-func newACCard() *acCard {
-	return &acCard{xLive: make(map[string]int64), sizeCount: make(map[int64]int64)}
-}
+func newACCard() *acCard { return &acCard{sizeCount: make(map[int64]int64)} }
 
-// resize moves one group between size classes, keeping maxGroup exact.
+// resize moves one X-group from one entry count to another (0 = the
+// group does not exist), maintaining all three counters. A commit calls
+// it once per rewritten group with the group's length before and after,
+// so the card never needs a per-group count of its own.
 func (c *acCard) resize(from, to int64) {
 	if from == to {
 		return
 	}
+	c.entries.Add(to - from)
 	if from > 0 {
 		if c.sizeCount[from]--; c.sizeCount[from] == 0 {
 			delete(c.sizeCount, from)
 		}
+	} else {
+		c.groups.Add(1)
 	}
 	if to > 0 {
 		c.sizeCount[to]++
+	} else {
+		c.groups.Add(-1)
 	}
 	max := c.maxGroup.Load()
 	if to > max {
@@ -249,41 +255,50 @@ func (c *acCard) resize(from, to int64) {
 	}
 }
 
-// bump applies a live-entry delta to one X-group, maintaining all three
-// counters. Called under the store mutex.
-func (c *acCard) bump(xk string, delta int64) {
-	if delta == 0 {
-		return
-	}
-	from := c.xLive[xk]
-	to := from + delta
-	switch {
-	case to <= 0:
-		delete(c.xLive, xk)
-		to = 0
-	default:
-		c.xLive[xk] = to
-	}
-	if from == 0 && to > 0 {
-		c.groups.Add(1)
-	}
-	if from > 0 && to == 0 {
-		c.groups.Add(-1)
-	}
-	c.entries.Add(delta)
-	c.resize(from, to)
+// ledgerBuilder collects one constraint's sparse ledger (see
+// Store.ledger) over one pass of a relation's live tuples in live order.
+// first is transient — it dies with the builder; only led is kept.
+type ledgerBuilder struct {
+	first map[string]int   // pair → position of its first occurrence
+	led   map[string][]int // pairs seen twice or more → all positions
 }
 
-// pairEntry is the writer-side bookkeeping of one live (X, Y) pair of one
-// constraint: its multiplicity and the positions of all tuples that ever
-// carried it (dead ones are skipped through the snapshot's deleted sets).
-// The positions exist so a delete of the current witness can re-witness
-// the pair to the first remaining live occurrence — which keeps live
-// index groups structurally identical to what a from-scratch rebuild
-// (Snapshot.Freeze) would produce.
-type pairEntry struct {
-	count     int
-	positions []int
+func newLedgerBuilder() *ledgerBuilder {
+	return &ledgerBuilder{first: make(map[string]int), led: make(map[string][]int)}
+}
+
+// add records one occurrence of a pair and reports whether it is the
+// pair's first.
+func (lb *ledgerBuilder) add(pk string, pos int) bool {
+	first, seen := lb.first[pk]
+	if !seen {
+		lb.first[pk] = pos
+		return true
+	}
+	if ps := lb.led[pk]; ps != nil {
+		lb.led[pk] = append(ps, pos)
+	} else {
+		lb.led[pk] = []int{first, pos}
+	}
+	return false
+}
+
+// entryOf returns the index of the group entry carrying t's Y-value
+// under a constraint whose Y sits at yPos, or -1. The access index holds
+// one entry per distinct Y of an X-group, so this scan is how the writer
+// learns whether a pair is live; it compares values in place and
+// allocates nothing.
+func entryOf(g []storage.IndexEntry, t value.Tuple, yPos []int) int {
+next:
+	for i := range g {
+		for j, p := range yPos {
+			if g[i].Y[j] != t[p] {
+				continue next
+			}
+		}
+		return i
+	}
+	return -1
 }
 
 // Store is the mutable live layer over one sealed base database. Readers
@@ -312,15 +327,26 @@ type Store struct {
 	// never races schema evolution.
 	byRel map[string][]acBinding
 	byKey map[string]acBinding
-	// pairs is per constraint key the live (X, Y) pair bookkeeping.
-	pairs map[string]map[string]*pairEntry
+	// ledger holds, per constraint key, the one thing the access index
+	// cannot say about a live (X, Y) pair: when the pair occurs twice or
+	// more, the positions of all its live occurrences, in live order —
+	// so the first is the group entry's witness and a delete of the
+	// witness can re-point the entry at the next, the choice a
+	// from-scratch rebuild (Snapshot.Freeze) would make. A pair with no
+	// record occurs once, at the Pos of its group entry, or not at all.
+	// Slices are never mutated within their length: a batch appends past
+	// it or replaces the slice, so an aborted batch leaves no trace.
+	ledger map[string]map[string][]int
 	// cards is per constraint key the incrementally maintained index
 	// shape (see acCard). The map value is replaced wholesale by
 	// ExtendAccess and Compact; counters inside are atomic, so CardStats
 	// reads without the writer mutex.
 	cards atomic.Pointer[map[string]*acCard]
-	// tupPos maps rel → tuple key → positions of all occurrences ever
-	// (base and added; dead ones skipped via the deleted sets).
+	// tupPos maps rel → tuple key → positions of the tuple's occurrences,
+	// only for relations no constraint covers (len(byRel[rel]) == 0):
+	// with no index group to find a tuple through, a delete needs a map
+	// of its own. ExtendAccess drops a relation's map when it first
+	// covers the relation.
 	tupPos map[string]map[string][]int
 	// baseLen is the immutable base tuple count per relation; added
 	// positions start there.
@@ -363,9 +389,8 @@ type Store struct {
 
 // New builds a live store over a loaded database. The database's access
 // indices for the schema are built if missing (verifying D |= A and
-// sealing the base); the one-time bootstrap pass also records per-pair
-// multiplicities and tuple positions — the same cost class as index
-// construction, paid once so that every subsequent write is incremental.
+// sealing the base); the writer's bookkeeping is then read off those
+// indices (see bootstrap), not built beside them.
 //
 // With Options.Dir set the store is durable: the base is written out as
 // the epoch-0 checkpoint segment and a write-ahead log is opened, so
@@ -434,40 +459,44 @@ func newStore(base *storage.Database, acc *schema.AccessSchema, opts Options, ba
 	return st, nil
 }
 
-// bootstrap (re)builds the writer-side bookkeeping — per-pair
-// multiplicities and positions, tuple positions, base lengths — with one
-// pass per relation per constraint over a sealed base, returning the
-// per-relation sizes. Called under mu (or before the store is shared).
+// bootstrap (re)builds the writer-side bookkeeping over a sealed base and
+// returns the per-relation sizes. Cards are read off the base index, one
+// step per X-group. The ledger costs a pass over a relation's tuples
+// only for a constraint whose index has fewer entries than the relation
+// has tuples — some pair then occurs twice; otherwise every pair is a
+// singleton and the index already says everything. Called under mu (or
+// before the store is shared).
 func (st *Store) bootstrap(base *storage.Database) (size map[string]int64, total int64) {
-	st.baseLen = make(map[string]int, st.cat.NumRelations())
-	st.tupPos = make(map[string]map[string][]int, st.cat.NumRelations())
-	st.pairs = make(map[string]map[string]*pairEntry, len(st.byKey))
+	st.ledger = make(map[string]map[string][]int, len(st.byKey))
 	cards := make(map[string]*acCard, len(st.byKey))
 	for key, b := range st.byKey {
-		rel := base.MustRelation(b.ac.Rel)
-		pairs := make(map[string]*pairEntry)
+		idx, _ := base.AccessIndexByKey(key)
 		card := newACCard()
-		for pos, t := range rel.Tuples {
-			pk := pairKey(t, b.xPos, b.yPos)
-			pe := pairs[pk]
-			if pe == nil {
-				pe = &pairEntry{}
-				pairs[pk] = pe
-				card.bump(value.KeyOf(t, b.xPos), 1)
-			}
-			pe.count++
-			pe.positions = append(pe.positions, pos)
-		}
-		st.pairs[key] = pairs
+		idx.Range(func(_ string, g []storage.IndexEntry) bool {
+			card.resize(0, int64(len(g)))
+			return true
+		})
 		cards[key] = card
+		lb := newLedgerBuilder()
+		if tuples := base.MustRelation(b.ac.Rel).Tuples; idx.NumEntries() < int64(len(tuples)) {
+			for pos, t := range tuples {
+				lb.add(pairKey(value.KeyOf(t, b.xPos), t, b.yPos), pos)
+			}
+		}
+		st.ledger[key] = lb.led
 	}
 	st.cards.Store(&cards)
+	st.baseLen = make(map[string]int, st.cat.NumRelations())
+	st.tupPos = make(map[string]map[string][]int)
 	size = make(map[string]int64, st.cat.NumRelations())
 	for _, rs := range st.cat.Relations() {
 		rel := base.MustRelation(rs.Name())
 		st.baseLen[rs.Name()] = len(rel.Tuples)
 		size[rs.Name()] = int64(len(rel.Tuples))
 		total += int64(len(rel.Tuples))
+		if len(st.byRel[rs.Name()]) > 0 {
+			continue
+		}
 		pos := make(map[string][]int, len(rel.Tuples))
 		for i, t := range rel.Tuples {
 			k := t.Key()
@@ -530,9 +559,10 @@ func (st *Store) Compact() (uint64, error) {
 	return next.epoch, nil
 }
 
-// pairKey encodes one (X-value, Y-value) combination of a constraint.
-func pairKey(t value.Tuple, xPos, yPos []int) string {
-	return value.KeyOf(t, xPos) + "\x00" + value.KeyOf(t, yPos)
+// pairKey encodes one (X-value, Y-value) combination of a constraint,
+// from the X-key the caller already rendered to address the group.
+func pairKey(xk string, t value.Tuple, yPos []int) string {
+	return xk + "\x00" + value.KeyOf(t, yPos)
 }
 
 // Base returns the sealed database the store was built over. It stays
@@ -564,17 +594,21 @@ func (st *Store) NumTuples() int64 { return st.Snapshot().NumTuples() }
 
 // LiveCount returns the number of live occurrences of an exactly-equal
 // tuple (0 for unknown relations). It consults the writer bookkeeping
-// under the writer lock, so the answer is exact at the instant of the
-// call; a concurrent commit may change it immediately after. The sharded
-// layer uses it to route deletes of constraint-less relations to a shard
-// actually holding the tuple.
+// under the writer lock — the same candidates a delete searches — so the
+// answer is exact at the instant of the call; a concurrent commit may
+// change it immediately after. The sharded layer uses it to route
+// deletes of constraint-less relations to a shard actually holding the
+// tuple.
 func (st *Store) LiveCount(rel string, t value.Tuple) int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	snap := st.cur.Load()
+	if rs, ok := st.cat.Relation(rel); !ok || len(t) != rs.Arity() {
+		return 0
+	}
+	tx := &txn{st: st, snap: st.cur.Load()} // an empty batch: reads only
 	n := 0
-	for _, pos := range st.tupPos[rel][t.Key()] {
-		if !snap.isDeleted(rel, pos) {
+	for _, pos := range tx.candidates(rel, t) {
+		if tx.alive(rel, pos) && tx.tupleAt(rel, pos).Equal(t) {
 			n++
 		}
 	}

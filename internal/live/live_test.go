@@ -3,6 +3,7 @@ package live
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"testing"
 
 	"bcq/internal/core"
@@ -197,23 +198,34 @@ func TestPermissiveQuarantine(t *testing.T) {
 }
 
 // TestChurnDoesNotGrowBookkeeping cycles insert/delete of the same tuple
-// and checks the writer-side position lists are pruned rather than
-// accumulating dead entries (which would degrade deletes and leak).
+// — alone, and doubled so the pair enters and leaves the ledger — and
+// checks after every commit that the writer-side bookkeeping holds
+// nothing for dead occurrences (which would degrade deletes and leak).
 func TestChurnDoesNotGrowBookkeeping(t *testing.T) {
 	st := liveSocial(t, Options{})
+	u7 := strs("u7", "f7")
 	for i := 0; i < 200; i++ {
-		if err := st.Insert("friends", strs("u7", "f7")); err != nil {
-			t.Fatal(err)
+		n := 1 + i%2 // odd rounds insert the tuple twice
+		for k := 0; k < n; k++ {
+			if err := st.Insert("friends", u7); err != nil {
+				t.Fatal(err)
+			}
+			checkLedger(t, st, "churn insert")
 		}
-		if err := st.Delete("friends", strs("u7", "f7")); err != nil {
-			t.Fatal(err)
+		for k := 0; k < n; k++ {
+			if err := st.Delete("friends", u7); err != nil {
+				t.Fatal(err)
+			}
+			checkLedger(t, st, "churn delete")
 		}
 	}
-	st.mu.Lock()
-	positions := st.tupPos["friends"][strs("u7", "f7").Key()]
-	st.mu.Unlock()
-	if len(positions) != 0 {
-		t.Errorf("tuple position list holds %d dead entries after churn, want 0", len(positions))
+	for key, led := range st.ledger {
+		if len(led) != 0 {
+			t.Errorf("ledger of %s holds %d entries after balanced churn, want 0", key, len(led))
+		}
+	}
+	if n := st.LiveCount("friends", u7); n != 0 {
+		t.Errorf("LiveCount = %d after balanced churn, want 0", n)
 	}
 	if n, _ := st.Snapshot().Size("friends"); n != 3 {
 		t.Errorf("friends size %d after balanced churn, want 3", n)
@@ -357,6 +369,55 @@ func TestChainFlattening(t *testing.T) {
 	e0, _ := s.Fetch(fr, strs("u0"))
 	if len(e0) != 2 {
 		t.Errorf("u0 base group size %d, want 2", len(e0))
+	}
+}
+
+// TestChainFoldsLikeABinaryCounter: after n commits the chain holds one
+// diff per set bit of n, spans at least double down the chain and add up
+// to n — so a commit folds O(log n) diffs amortized, never the history —
+// and the folded diffs still serve every group.
+func TestChainFoldsLikeABinaryCounter(t *testing.T) {
+	st := liveSocial(t, Options{})
+	fr := schema.MustAccessConstraint("friends", []string{"user_id"}, []string{"friend_id"}, 5000)
+	const commits = 300
+	for n := 1; n <= commits; n++ {
+		if err := st.Insert("friends", strs(fmt.Sprintf("w%03d", n), "f")); err != nil {
+			t.Fatal(err)
+		}
+		nodes, total := 0, 0
+		for cur := st.Snapshot(); cur != nil; cur = cur.parent {
+			if cur.parent != nil && cur.parent.span < 2*cur.span {
+				t.Fatalf("after %d commits: span %d chained on span %d", n, cur.span, cur.parent.span)
+			}
+			if cur.depth != 0 && cur.depth != cur.parent.depth+1 {
+				t.Fatalf("after %d commits: depth %d over depth %d", n, cur.depth, cur.parent.depth)
+			}
+			nodes, total = nodes+1, total+cur.span
+		}
+		if total != n || nodes != bits.OnesCount(uint(n)) {
+			t.Fatalf("after %d commits: %d diffs spanning %d commits, want %d spanning %d", n, nodes, total, bits.OnesCount(uint(n)), n)
+		}
+	}
+	s := st.Snapshot()
+	for n := 1; n <= commits; n++ {
+		if g, err := s.Fetch(fr, strs(fmt.Sprintf("w%03d", n))); err != nil || len(g) != 1 {
+			t.Fatalf("group of commit %d: %d entries, %v", n, len(g), err)
+		}
+	}
+}
+
+// TestChainDepthIsCapped: where the doubling rule alone would chain a
+// seventeenth diff, the commit folds the youngest ones into its own.
+func TestChainDepthIsCapped(t *testing.T) {
+	st := liveSocial(t, Options{})
+	var top *Snapshot
+	for d := 0; d <= maxChainDepth; d++ {
+		top = &Snapshot{st: st, parent: top, depth: d, span: 2 << (maxChainDepth - d)}
+	}
+	next := &Snapshot{st: st}
+	next.chainOnto(top, nil, nil)
+	if next.depth != maxChainDepth || next.parent != top.parent || next.span != 1+top.span {
+		t.Errorf("depth %d span %d, want depth %d span %d over the second-youngest diff", next.depth, next.span, maxChainDepth, 1+top.span)
 	}
 }
 

@@ -16,9 +16,10 @@ import (
 // evaluation and are unaffected by concurrent commits.
 //
 // Access-index reads resolve through a short chain of epoch diffs
-// (youngest first) and fall through to the base index; the chain is
-// flattened periodically, so the walk is O(1) amortized. Row reads merge
-// the base tuples with the epoch's additions minus its tombstones.
+// (youngest first) and fall through to the base index; commits fold the
+// chain as they go (chainOnto), so the walk is at most maxChainDepth
+// diffs. Row reads merge the base tuples with the epoch's additions minus
+// its tombstones.
 type Snapshot struct {
 	st *Store
 	// base is the sealed database this epoch's diffs overlay. Usually the
@@ -36,18 +37,21 @@ type Snapshot struct {
 	binds map[string]acBinding
 	acc   *schema.AccessSchema
 
-	// parent chains towards older epochs; nil at the root or right after
-	// a flatten. depth is the chain length below this snapshot.
+	// parent chains towards older epochs; nil at the root or when this
+	// epoch folded the whole chain into its diff. depth is the chain
+	// length below this snapshot, span the number of commits whose diffs
+	// this one holds: its own and those it folded in (0 at a root).
 	parent *Snapshot
 	depth  int
+	span   int
 	// groups is this epoch's access-index diff: acKey → xKey → the full
 	// entry group as of this epoch. Only groups rewritten by this epoch's
-	// batch (or, after a flatten, by any batch) appear.
+	// batch, or by one it folded in, appear.
 	groups map[string]map[string][]storage.IndexEntry
-	// delDiff is this epoch's tombstone diff: the positions its batch
-	// deleted (all positions ever, after a flatten). Like groups it is
-	// resolved by walking the chain, so committing a small delete batch
-	// costs the batch, not the accumulated delete history.
+	// delDiff is this epoch's tombstone diff: the positions deleted by its
+	// batch and by those it folded in. Like groups it is resolved by
+	// walking the chain, so committing a small delete batch costs the
+	// batch, not the accumulated delete history.
 	delDiff map[string]map[int]bool
 
 	// added and size are cumulative views (not diffs): all live
@@ -264,6 +268,7 @@ func (s *Snapshot) Tuples(rel string) ([]value.Tuple, error) {
 func (s *Snapshot) Freeze() (*storage.Database, error) {
 	db := storage.NewDatabase(s.st.cat)
 	for _, rs := range s.st.cat.Relations() {
+		db.MustRelation(rs.Name()).Tuples = make([]value.Tuple, 0, s.size[rs.Name()])
 		var insErr error
 		err := s.each(rs.Name(), func(_ int, t value.Tuple) bool {
 			insErr = db.Insert(rs.Name(), t)

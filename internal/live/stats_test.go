@@ -95,9 +95,9 @@ func TestCardStatsConsistentWithRecount(t *testing.T) {
 // TestCardStatsConsistentUnderRandomChurn hammers a permissive store
 // with a seeded random op stream — inserts of random tuples, deletes of
 // random pool tuples, periodic compactions — cross-checking the
-// statistics against a recount at intervals. Permissive mode quarantines
-// bound violations and missing deletes, so every committed state is
-// valid and every stage comparable.
+// statistics and the ledger against a recount after every commit.
+// Permissive mode quarantines bound violations and missing deletes, so
+// every committed state is valid and every stage comparable.
 func TestCardStatsConsistentUnderRandomChurn(t *testing.T) {
 	st := liveSocial(t, Options{Mode: Permissive})
 	rng := rand.New(rand.NewSource(7))
@@ -125,14 +125,12 @@ func TestCardStatsConsistentUnderRandomChurn(t *testing.T) {
 		if _, err := st.Apply(ops); err != nil {
 			t.Fatal(err)
 		}
+		checkLedger(t, st, "churn round")
 		if round%10 == 9 {
 			if _, err := st.Compact(); err != nil {
 				t.Fatal(err)
 			}
-		}
-		if round%5 == 4 {
-			checkCards(t, st, "churn round")
+			checkLedger(t, st, "churn compact")
 		}
 	}
-	checkCards(t, st, "final")
 }

@@ -2,6 +2,7 @@ package live
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"bcq/internal/storage"
@@ -9,10 +10,11 @@ import (
 )
 
 // txn is the workspace of one Apply batch. It buffers every effect —
-// copy-on-write index groups, new tuples, tombstones, pair-count deltas —
-// against the basis snapshot, so an aborted batch leaves no trace and a
-// committed one becomes exactly the next epoch's diff. It runs under the
-// store's writer mutex.
+// copy-on-write index groups, new tuples, tombstones, touched ledger
+// entries — against the basis snapshot, so an aborted batch leaves no
+// trace and a committed one becomes exactly the next epoch's diff. It
+// runs under the store's writer mutex. The zero maps read as empty, so a
+// txn that only reads (LiveCount) needs none of them made.
 type txn struct {
 	st   *Store
 	snap *Snapshot
@@ -26,16 +28,10 @@ type txn struct {
 	addedNew map[string][]value.Tuple
 	// delNew are the positions this batch tombstones, per relation.
 	delNew map[string]map[int]bool
-	// pairDelta adjusts pair multiplicities: acKey → pairKey → delta.
-	pairDelta map[string]map[string]int
-	// pairAdd records positions this batch appends to pair position
-	// lists: acKey → pairKey → positions.
-	pairAdd map[string]map[string][]int
-	// cardDelta is the batch's net change in live distinct entries per
-	// X-group: acKey → xKey → delta. +1 when a pair is born (first live
-	// occurrence), −1 when it dies (last occurrence deleted); folded into
-	// the store's cardinality cards on commit.
-	cardDelta map[string]map[string]int64
+	// ledger overlays the store's ledger with the entries this batch
+	// touched: acKey → pairKey → the pair's positions as of the batch's
+	// progress, nil once the pair is back to fewer than two occurrences.
+	ledger map[string]map[string][]int
 	// quarantined collects Permissive-mode refusals, merged on commit.
 	quarantined []Quarantined
 	// applied records the ops that took effect, in order — the WAL logs
@@ -48,25 +44,13 @@ type txn struct {
 
 func newTxn(st *Store, snap *Snapshot) *txn {
 	return &txn{
-		st:        st,
-		snap:      snap,
-		groups:    make(map[string]map[string][]storage.IndexEntry),
-		addedNew:  make(map[string][]value.Tuple),
-		delNew:    make(map[string]map[int]bool),
-		pairDelta: make(map[string]map[string]int),
-		pairAdd:   make(map[string]map[string][]int),
-		cardDelta: make(map[string]map[string]int64),
+		st:       st,
+		snap:     snap,
+		groups:   make(map[string]map[string][]storage.IndexEntry),
+		addedNew: make(map[string][]value.Tuple),
+		delNew:   make(map[string]map[int]bool),
+		ledger:   make(map[string]map[string][]int),
 	}
-}
-
-// bumpCard records a live-entry birth (+1) or death (−1) in one X-group.
-func (tx *txn) bumpCard(acKey, xk string, delta int64) {
-	m := tx.cardDelta[acKey]
-	if m == nil {
-		m = make(map[string]int64)
-		tx.cardDelta[acKey] = m
-	}
-	m[xk] += delta
 }
 
 // group returns the batch's working copy of one X-group, materializing it
@@ -97,32 +81,27 @@ func (tx *txn) setGroup(acKey, xk string, g []storage.IndexEntry) {
 	m[xk] = g
 }
 
-// pairCount is the pair's live multiplicity as of the batch's progress.
-func (tx *txn) pairCount(acKey, pk string) int {
-	n := 0
-	if pe := tx.st.pairs[acKey][pk]; pe != nil {
-		n = pe.count
+// dups returns the ledger's positions of a pair as of the batch's
+// progress: nil for a pair with fewer than two live occurrences.
+func (tx *txn) dups(acKey, pk string) []int {
+	if ps, ok := tx.ledger[acKey][pk]; ok {
+		return ps
 	}
-	return n + tx.pairDelta[acKey][pk]
+	return tx.st.ledger[acKey][pk]
 }
 
-// bumpPair adjusts a pair's batch-local multiplicity delta, recording the
-// position for inserts (delta > 0).
-func (tx *txn) bumpPair(acKey, pk string, delta, pos int) {
-	dm := tx.pairDelta[acKey]
-	if dm == nil {
-		dm = make(map[string]int)
-		tx.pairDelta[acKey] = dm
+// setDups installs a pair's positions in the batch's overlay; fewer than
+// two is recorded as nil, which commit turns into "no record".
+func (tx *txn) setDups(acKey, pk string, ps []int) {
+	m := tx.ledger[acKey]
+	if m == nil {
+		m = make(map[string][]int)
+		tx.ledger[acKey] = m
 	}
-	dm[pk] += delta
-	if delta > 0 {
-		am := tx.pairAdd[acKey]
-		if am == nil {
-			am = make(map[string][]int)
-			tx.pairAdd[acKey] = am
-		}
-		am[pk] = append(am[pk], pos)
+	if len(ps) < 2 {
+		ps = nil
 	}
+	m[pk] = ps
 }
 
 // alive reports whether a position is live as of the batch's progress.
@@ -177,30 +156,34 @@ func (tx *txn) insert(op Op) error {
 	// is new to its group — duplicates of a live pair never add a distinct
 	// Y-value.
 	for _, b := range binds {
-		pk := pairKey(t, b.xPos, b.yPos)
-		if tx.pairCount(b.key, pk) > 0 {
-			continue
-		}
-		xk := value.KeyOf(t, b.xPos)
-		if int64(len(tx.group(b.key, xk))+1) > b.ac.N {
+		g := tx.group(b.key, value.KeyOf(t, b.xPos))
+		if entryOf(g, t, b.yPos) < 0 && int64(len(g)+1) > b.ac.N {
 			return &BoundError{AC: b.ac, XValue: t.Project(b.xPos), Tuple: t}
 		}
 	}
 
-	// Apply.
+	// Apply: a new pair gets a group entry and no ledger record; a
+	// duplicate gets a record — [witness, pos] on its second occurrence.
 	pos := tx.st.baseLen[op.Rel] + len(tx.snap.added[op.Rel]) + len(tx.addedNew[op.Rel])
 	for _, b := range binds {
-		pk := pairKey(t, b.xPos, b.yPos)
-		if tx.pairCount(b.key, pk) == 0 {
-			xk := value.KeyOf(t, b.xPos)
-			g := tx.group(b.key, xk)
+		xk := value.KeyOf(t, b.xPos)
+		g := tx.group(b.key, xk)
+		i := entryOf(g, t, b.yPos)
+		if i < 0 {
 			ng := make([]storage.IndexEntry, len(g), len(g)+1)
 			copy(ng, g)
 			ng = append(ng, storage.IndexEntry{Y: t.Project(b.yPos), Witness: t, Pos: pos})
 			tx.setGroup(b.key, xk, ng)
-			tx.bumpCard(b.key, xk, 1)
+			continue
 		}
-		tx.bumpPair(b.key, pk, +1, pos)
+		pk := pairKey(xk, t, b.yPos)
+		ps := tx.dups(b.key, pk)
+		if ps == nil {
+			ps = []int{g[i].Pos}
+		}
+		// Appending past a committed slice's length leaves the committed
+		// slice as it was, so this needs no copy.
+		tx.setDups(b.key, pk, append(ps, pos))
 	}
 	tx.addedNew[op.Rel] = append(tx.addedNew[op.Rel], t)
 	tx.applied = append(tx.applied, op)
@@ -225,35 +208,25 @@ func (tx *txn) delete(op Op) error {
 	}
 
 	for _, b := range tx.st.byRel[op.Rel] {
-		pk := pairKey(t, b.xPos, b.yPos)
 		xk := value.KeyOf(t, b.xPos)
-		yv := t.Project(b.yPos)
-		yk := yv.Key()
 		g := tx.group(b.key, xk)
-		if tx.pairCount(b.key, pk) == 1 {
+		i := entryOf(g, t, b.yPos) // ≥ 0: the tuple is live, so its pair has an entry
+		pk := pairKey(xk, t, b.yPos)
+		ps := tx.dups(b.key, pk)
+		if ps == nil {
 			// Last occurrence: drop the pair's entry from the group.
-			ng := make([]storage.IndexEntry, 0, len(g)-1)
-			for _, e := range g {
-				if e.Y.Key() != yk {
-					ng = append(ng, e)
-				}
-			}
-			tx.setGroup(b.key, xk, ng)
-			tx.bumpCard(b.key, xk, -1)
-		} else if w, found := tx.firstLivePair(op.Rel, b.key, pk, pos); found {
-			// The pair survives; if the deleted tuple was its witness,
-			// re-witness to the first remaining live occurrence.
-			for i, e := range g {
-				if e.Y.Key() == yk && e.Pos == pos {
-					ng := make([]storage.IndexEntry, len(g))
-					copy(ng, g)
-					ng[i] = storage.IndexEntry{Y: e.Y, Witness: tx.tupleAt(op.Rel, w), Pos: w}
-					tx.setGroup(b.key, xk, ng)
-					break
-				}
-			}
+			tx.setGroup(b.key, xk, slices.Delete(slices.Clone(g), i, i+1))
+			continue
 		}
-		tx.bumpPair(b.key, pk, -1, 0)
+		// The pair survives. The ledger holds exactly its live positions,
+		// so what is left after this one starts with the next witness.
+		rest := removePos(slices.Clone(ps), pos)
+		if g[i].Pos == pos {
+			ng := slices.Clone(g)
+			ng[i] = storage.IndexEntry{Y: g[i].Y, Witness: tx.tupleAt(op.Rel, rest[0]), Pos: rest[0]}
+			tx.setGroup(b.key, xk, ng)
+		}
+		tx.setDups(b.key, pk, rest)
 	}
 
 	m := tx.delNew[op.Rel]
@@ -267,38 +240,41 @@ func (tx *txn) delete(op Op) error {
 	return nil
 }
 
+// candidates returns, in live order, the positions that can hold a live
+// tuple equal to t. Where a constraint covers the relation they are the
+// occurrences of t's pair under the relation's first constraint — the
+// ledger's positions, else the one position the pair's group entry
+// names. A relation no constraint covers has no group to look in and
+// answers from the store's tuple map plus this batch's own inserts.
+func (tx *txn) candidates(rel string, t value.Tuple) []int {
+	if binds := tx.st.byRel[rel]; len(binds) > 0 {
+		b := binds[0]
+		xk := value.KeyOf(t, b.xPos)
+		g := tx.group(b.key, xk)
+		i := entryOf(g, t, b.yPos)
+		if i < 0 {
+			return nil
+		}
+		if ps := tx.dups(b.key, pairKey(xk, t, b.yPos)); ps != nil {
+			return ps
+		}
+		return []int{g[i].Pos}
+	}
+	ps := tx.st.tupPos[rel][t.Key()]
+	base := tx.st.baseLen[rel] + len(tx.snap.added[rel])
+	for i, nt := range tx.addedNew[rel] {
+		if nt.Equal(t) {
+			ps = append(ps[:len(ps):len(ps)], base+i) // never into the store's array
+		}
+	}
+	return ps
+}
+
 // findLive locates the first live position holding an exactly-equal
 // tuple, in live order (base positions, then insertion order).
 func (tx *txn) findLive(rel string, t value.Tuple) (int, bool) {
-	tk := t.Key()
-	for _, pos := range tx.st.tupPos[rel][tk] {
-		if tx.alive(rel, pos) {
-			return pos, true
-		}
-	}
-	// Positions inserted by this very batch are not in tupPos yet.
-	base := tx.st.baseLen[rel] + len(tx.snap.added[rel])
-	for i, nt := range tx.addedNew[rel] {
-		if nt.Key() == tk && tx.alive(rel, base+i) {
-			return base + i, true
-		}
-	}
-	return 0, false
-}
-
-// firstLivePair finds the first live position of a pair other than the
-// one being deleted, scanning the committed position list then this
-// batch's appends — both in live order.
-func (tx *txn) firstLivePair(rel, acKey, pk string, deleting int) (int, bool) {
-	if pe := tx.st.pairs[acKey][pk]; pe != nil {
-		for _, pos := range pe.positions {
-			if pos != deleting && tx.alive(rel, pos) {
-				return pos, true
-			}
-		}
-	}
-	for _, pos := range tx.pairAdd[acKey][pk] {
-		if pos != deleting && tx.alive(rel, pos) {
+	for _, pos := range tx.candidates(rel, t) {
+		if tx.alive(rel, pos) && tx.tupleAt(rel, pos).Equal(t) {
 			return pos, true
 		}
 	}
@@ -306,8 +282,8 @@ func (tx *txn) firstLivePair(rel, acKey, pk string, deleting int) (int, bool) {
 }
 
 // maxChainDepth bounds how many epoch diffs a snapshot lookup may walk
-// before hitting the base; commits past it flatten the chain into one
-// diff, keeping read cost independent of write history.
+// before hitting the base, whatever the write history: a commit that
+// would chain deeper folds the youngest diffs into its own until it fits.
 const maxChainDepth = 16
 
 // commit folds the workspace into the writer state and publishes the next
@@ -317,57 +293,52 @@ const maxChainDepth = 16
 func (st *Store) commit(tx *txn) uint64 {
 	published := tx.snap.epoch
 	if tx.nApplied > 0 {
-		// Fold the cardinality deltas into the shape cards. Each X-group's
-		// net delta is applied once, so the maintained groups/entries/max
-		// counters stay equal to a from-scratch recount of the live data.
+		// Move each rewritten group's card from the size the basis served
+		// to the size the new epoch serves, so the maintained counters stay
+		// equal to a from-scratch recount of the live data.
 		cards := *st.cards.Load()
-		for acKey, dm := range tx.cardDelta {
+		for acKey, m := range tx.groups {
 			card := cards[acKey]
-			for xk, delta := range dm {
-				card.bump(xk, delta)
+			for xk, g := range m {
+				card.resize(int64(len(tx.snap.lookupGroup(acKey, xk))), int64(len(g)))
 			}
 		}
-		// Fold pair deltas and position appends into the writer state.
-		for acKey, dm := range tx.pairDelta {
-			pairs := st.pairs[acKey]
-			for pk, delta := range dm {
-				pe := pairs[pk]
-				if pe == nil {
-					pe = &pairEntry{}
-					pairs[pk] = pe
-				}
-				pe.count += delta
-				pe.positions = append(pe.positions, tx.pairAdd[acKey][pk]...)
-				if pe.count <= 0 {
-					delete(pairs, pk)
+		for acKey, m := range tx.ledger {
+			led := st.ledger[acKey]
+			for pk, ps := range m {
+				if ps == nil {
+					delete(led, pk)
+				} else {
+					led[pk] = ps
 				}
 			}
 		}
+		// Constraint-less relations: extend the tuple map with the batch's
+		// inserts and prune its deletes, so insert/delete churn cannot grow
+		// it (or the delete-path scans over it) without bound. The prune
+		// preserves list order: positions stay in live order.
 		for rel, ts := range tx.addedNew {
-			base := st.baseLen[rel] + len(tx.snap.added[rel])
 			pos := st.tupPos[rel]
+			if pos == nil {
+				continue
+			}
+			base := st.baseLen[rel] + len(tx.snap.added[rel])
 			for i, t := range ts {
 				k := t.Key()
 				pos[k] = append(pos[k], base+i)
 			}
 		}
-		// Prune the deleted positions out of the position bookkeeping, so
-		// insert/delete churn cannot grow it (or the delete-path scans
-		// over it) without bound. The prune preserves list order: the
-		// surviving positions must stay in live order for witness picks.
 		for rel, dm := range tx.delNew {
-			for pos := range dm {
-				t := tx.tupleAt(rel, pos)
-				tk := t.Key()
-				if rest := removePos(st.tupPos[rel][tk], pos); len(rest) == 0 {
-					delete(st.tupPos[rel], tk)
+			pos := st.tupPos[rel]
+			if pos == nil {
+				continue
+			}
+			for p := range dm {
+				tk := tx.tupleAt(rel, p).Key()
+				if rest := removePos(pos[tk], p); len(rest) == 0 {
+					delete(pos, tk)
 				} else {
-					st.tupPos[rel][tk] = rest
-				}
-				for _, b := range st.byRel[rel] {
-					if pe := st.pairs[b.key][pairKey(t, b.xPos, b.yPos)]; pe != nil {
-						pe.positions = removePos(pe.positions, pos)
-					}
+					pos[tk] = rest
 				}
 			}
 		}
@@ -439,25 +410,43 @@ func (tx *txn) snapshot() *Snapshot {
 		next.numTuples -= int64(len(dm))
 	}
 
-	if snap.depth+1 > maxChainDepth {
-		next.groups, next.delDiff = flattenDiffs(snap, tx.groups, tx.delNew)
-		st.flattens.Add(1)
-	} else {
-		next.groups = tx.groups
-		next.delDiff = tx.delNew
-		next.parent = snap
-		next.depth = snap.depth + 1
-	}
+	next.chainOnto(snap, tx.groups, tx.delNew)
 	return next
 }
 
-// flattenDiffs merges the whole ancestor chain's group and tombstone
-// diffs with the committing batch's into single diffs (for groups, the
-// youngest writer of each group wins), so the new snapshot reads in one
-// hop.
-func flattenDiffs(snap *Snapshot, topGroups map[string]map[string][]storage.IndexEntry, topDels map[string]map[int]bool) (map[string]map[string][]storage.IndexEntry, map[string]map[int]bool) {
+// chainOnto makes next the epoch after snap, carrying the given diff. The
+// chain is kept like the digits of a binary counter: a node spans the
+// commits folded into it, and a new commit (span 1) folds in every node
+// below it whose span is no larger than what it holds so far. Spans
+// therefore at least double down the chain, n commits make a chain of at
+// most log2(n)+1 nodes, and a commit's entries are copied O(log n) times
+// over the chain's life — what a commit costs does not grow with the
+// write history since the last Compact. (Past 2^maxChainDepth commits the
+// depth bound takes over and the doubling is given up.)
+func (next *Snapshot) chainOnto(snap *Snapshot, groups map[string]map[string][]storage.IndexEntry, dels map[string]map[int]bool) {
+	next.span = 1
+	keep := snap
+	for keep != nil && (keep.span <= next.span || keep.depth >= maxChainDepth) {
+		next.span += keep.span
+		keep = keep.parent
+	}
+	if keep != snap {
+		groups, dels = foldDiffs(snap, keep, groups, dels)
+		next.st.flattens.Add(1)
+	}
+	next.groups, next.delDiff, next.parent = groups, dels, keep
+	if keep != nil {
+		next.depth = keep.depth + 1
+	}
+}
+
+// foldDiffs merges the group and tombstone diffs of the chain from snap
+// down to, and not including, stop with the committing batch's into single
+// diffs (for groups, the youngest writer of each group wins), so the new
+// snapshot reads them in one hop.
+func foldDiffs(snap, stop *Snapshot, topGroups map[string]map[string][]storage.IndexEntry, topDels map[string]map[int]bool) (map[string]map[string][]storage.IndexEntry, map[string]map[int]bool) {
 	var chain []*Snapshot
-	for s := snap; s != nil; s = s.parent {
+	for s := snap; s != stop; s = s.parent {
 		chain = append(chain, s)
 	}
 	flatG := make(map[string]map[string][]storage.IndexEntry)

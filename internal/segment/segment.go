@@ -27,6 +27,7 @@
 package segment
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -97,48 +98,98 @@ func List(dir string) []Info {
 // built) as the segment for a checkpoint epoch and atomically installs it
 // in dir. It returns the installed file's Info.
 func Write(dir string, db *storage.Database, acc *schema.AccessSchema, epoch uint64) (Info, error) {
-	buf := make([]byte, 0, 1<<16)
+	final := Path(dir, epoch)
+	tmp := final + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return Info{}, err
+	}
+	size, err := encode(f, db, acc, epoch)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, final)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return Info{}, err
+	}
+	if err := syncDir(dir); err != nil {
+		return Info{}, err
+	}
+	return Info{Path: final, Epoch: epoch, Bytes: size}, nil
+}
+
+// stageBytes is how much of the encoding encode holds before it hands it
+// to the file: a checkpoint's memory does not grow with the data.
+const stageBytes = 1 << 16
+
+// encode writes the segment's bytes to f and returns how many there were.
+// The checksum runs over the body as it leaves the staging buffer.
+func encode(f *os.File, db *storage.Database, acc *schema.AccessSchema, epoch uint64) (int64, error) {
+	buf := make([]byte, 0, 2*stageBytes)
+	var sum uint32
+	var size int64
+	flush := func() error {
+		if _, err := f.Write(buf); err != nil {
+			return fmt.Errorf("segment: write %s: %w", f.Name(), err)
+		}
+		sum = crc32.Update(sum, castagnoli, buf)
+		size += int64(len(buf))
+		buf = buf[:0]
+		return nil
+	}
+
 	buf = append(buf, headMagic...)
-	buf = appendU32(buf, formatVersion)
-	buf = appendU64(buf, epoch)
+	buf = binary.BigEndian.AppendUint32(buf, formatVersion)
+	buf = binary.BigEndian.AppendUint64(buf, epoch)
 
 	acs := acc.Constraints()
-	buf = appendU32(buf, uint32(len(acs)))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(acs)))
 	for _, ac := range acs {
-		buf = appendStr(buf, ac.Rel)
-		buf = appendU32(buf, uint32(len(ac.X)))
+		buf = value.AppendStr(buf, ac.Rel)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(ac.X)))
 		for _, a := range ac.X {
-			buf = appendStr(buf, a)
+			buf = value.AppendStr(buf, a)
 		}
-		buf = appendU32(buf, uint32(len(ac.Y)))
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(ac.Y)))
 		for _, a := range ac.Y {
-			buf = appendStr(buf, a)
+			buf = value.AppendStr(buf, a)
 		}
-		buf = appendU64(buf, uint64(ac.N))
+		buf = binary.BigEndian.AppendUint64(buf, uint64(ac.N))
 	}
 
 	rels := db.Catalog().Relations()
-	buf = appendU32(buf, uint32(len(rels)))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(rels)))
 	for _, rs := range rels {
 		rel, err := db.Relation(rs.Name())
 		if err != nil {
-			return Info{}, err
+			return 0, err
 		}
-		buf = appendStr(buf, rs.Name())
-		buf = appendU32(buf, uint32(rs.Arity()))
-		buf = appendU64(buf, uint64(len(rel.Tuples)))
+		buf = value.AppendStr(buf, rs.Name())
+		buf = binary.BigEndian.AppendUint32(buf, uint32(rs.Arity()))
+		buf = binary.BigEndian.AppendUint64(buf, uint64(len(rel.Tuples)))
 		for _, t := range rel.Tuples {
 			for _, v := range t {
 				buf = v.AppendKey(buf)
 			}
+			if len(buf) >= stageBytes {
+				if err := flush(); err != nil {
+					return 0, err
+				}
+			}
 		}
 	}
 
-	buf = appendU32(buf, uint32(len(acs)))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(acs)))
 	for _, ac := range acs {
 		idx, ok := db.AccessIndexFor(ac)
 		if !ok {
-			return Info{}, fmt.Errorf("segment: no index built for constraint %s", ac)
+			return 0, fmt.Errorf("segment: no index built for constraint %s", ac)
 		}
 		type group struct {
 			key     string
@@ -150,46 +201,27 @@ func Write(dir string, db *storage.Database, acc *schema.AccessSchema, epoch uin
 			return true
 		})
 		sort.Slice(groups, func(i, j int) bool { return groups[i].key < groups[j].key })
-		buf = appendU64(buf, uint64(len(groups)))
+		buf = binary.BigEndian.AppendUint64(buf, uint64(len(groups)))
 		for _, g := range groups {
-			buf = appendU32(buf, uint32(len(g.entries)))
+			buf = binary.BigEndian.AppendUint32(buf, uint32(len(g.entries)))
 			for _, e := range g.entries {
-				buf = appendU32(buf, uint32(e.Pos))
+				buf = binary.BigEndian.AppendUint32(buf, uint32(e.Pos))
+			}
+			if len(buf) >= stageBytes {
+				if err := flush(); err != nil {
+					return 0, err
+				}
 			}
 		}
 	}
 
-	buf = appendU32(buf, crc32.Checksum(buf, castagnoli))
+	if err := flush(); err != nil {
+		return 0, err
+	}
+	buf = binary.BigEndian.AppendUint32(buf, sum)
 	buf = append(buf, footMagic...)
-
-	final := Path(dir, epoch)
-	tmp := final + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return Info{}, err
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return Info{}, fmt.Errorf("segment: write %s: %w", tmp, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return Info{}, err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return Info{}, err
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return Info{}, err
-	}
-	if err := syncDir(dir); err != nil {
-		return Info{}, err
-	}
-	return Info{Path: final, Epoch: epoch, Bytes: int64(len(buf))}, nil
+	err := flush()
+	return size, err
 }
 
 // Load reads and validates a segment file and reconstructs the sealed
@@ -215,45 +247,45 @@ func Load(path string, cat *schema.Catalog) (*storage.Database, *schema.AccessSc
 	}
 	body := data[: len(data)-len(footMagic)-4 : len(data)-len(footMagic)-4]
 	crcBytes := data[len(data)-len(footMagic)-4 : len(data)-len(footMagic)]
-	if crc32.Checksum(body, castagnoli) != be32(crcBytes) {
+	if crc32.Checksum(body, castagnoli) != binary.BigEndian.Uint32(crcBytes) {
 		return nil, nil, 0, fmt.Errorf("segment: %s: checksum mismatch", path)
 	}
 
 	b := body[len(headMagic):]
-	version, b, err := takeU32(b)
+	version, b, err := value.TakeU32(b)
 	if err != nil {
 		return nil, nil, 0, loadErr(path, err)
 	}
 	if version != formatVersion {
 		return nil, nil, 0, fmt.Errorf("segment: %s: unsupported format version %d", path, version)
 	}
-	epoch, b, err := takeU64(b)
+	epoch, b, err := value.TakeU64(b)
 	if err != nil {
 		return nil, nil, 0, loadErr(path, err)
 	}
 
-	nacs, b, err := takeU32(b)
+	nacs, b, err := value.TakeU32(b)
 	if err != nil {
 		return nil, nil, 0, loadErr(path, err)
 	}
 	acs := make([]schema.AccessConstraint, 0, nacs)
 	for i := uint32(0); i < nacs; i++ {
 		var rel string
-		rel, b, err = takeStr(b)
+		rel, b, err = value.TakeStr(b)
 		if err != nil {
 			return nil, nil, 0, loadErr(path, err)
 		}
 		var x, y []string
-		x, b, err = takeStrs(b)
+		x, b, err = value.TakeStrs(b)
 		if err != nil {
 			return nil, nil, 0, loadErr(path, err)
 		}
-		y, b, err = takeStrs(b)
+		y, b, err = value.TakeStrs(b)
 		if err != nil {
 			return nil, nil, 0, loadErr(path, err)
 		}
 		var n uint64
-		n, b, err = takeU64(b)
+		n, b, err = value.TakeU64(b)
 		if err != nil {
 			return nil, nil, 0, loadErr(path, err)
 		}
@@ -272,13 +304,13 @@ func Load(path string, cat *schema.Catalog) (*storage.Database, *schema.AccessSc
 	}
 
 	db := storage.NewDatabase(cat)
-	nrels, b, err := takeU32(b)
+	nrels, b, err := value.TakeU32(b)
 	if err != nil {
 		return nil, nil, 0, loadErr(path, err)
 	}
 	for i := uint32(0); i < nrels; i++ {
 		var name string
-		name, b, err = takeStr(b)
+		name, b, err = value.TakeStr(b)
 		if err != nil {
 			return nil, nil, 0, loadErr(path, err)
 		}
@@ -287,7 +319,7 @@ func Load(path string, cat *schema.Catalog) (*storage.Database, *schema.AccessSc
 			return nil, nil, 0, fmt.Errorf("segment: %s: relation %s not in catalog", path, name)
 		}
 		var arity uint32
-		arity, b, err = takeU32(b)
+		arity, b, err = value.TakeU32(b)
 		if err != nil {
 			return nil, nil, 0, loadErr(path, err)
 		}
@@ -295,7 +327,7 @@ func Load(path string, cat *schema.Catalog) (*storage.Database, *schema.AccessSc
 			return nil, nil, 0, fmt.Errorf("segment: %s: relation %s arity %d, catalog says %d", path, name, arity, rs.Arity())
 		}
 		var ntuples uint64
-		ntuples, b, err = takeU64(b)
+		ntuples, b, err = value.TakeU64(b)
 		if err != nil {
 			return nil, nil, 0, loadErr(path, err)
 		}
@@ -313,7 +345,7 @@ func Load(path string, cat *schema.Catalog) (*storage.Database, *schema.AccessSc
 		}
 	}
 
-	nblocks, b, err := takeU32(b)
+	nblocks, b, err := value.TakeU32(b)
 	if err != nil {
 		return nil, nil, 0, loadErr(path, err)
 	}
@@ -323,21 +355,21 @@ func Load(path string, cat *schema.Catalog) (*storage.Database, *schema.AccessSc
 	groups := make(map[string][][]int, nblocks)
 	for i := uint32(0); i < nblocks; i++ {
 		var ngroups uint64
-		ngroups, b, err = takeU64(b)
+		ngroups, b, err = value.TakeU64(b)
 		if err != nil {
 			return nil, nil, 0, loadErr(path, err)
 		}
 		gs := make([][]int, 0, ngroups)
 		for j := uint64(0); j < ngroups; j++ {
 			var nentries uint32
-			nentries, b, err = takeU32(b)
+			nentries, b, err = value.TakeU32(b)
 			if err != nil {
 				return nil, nil, 0, loadErr(path, err)
 			}
 			g := make([]int, nentries)
 			for k := range g {
 				var pos uint32
-				pos, b, err = takeU32(b)
+				pos, b, err = value.TakeU32(b)
 				if err != nil {
 					return nil, nil, 0, loadErr(path, err)
 				}
@@ -378,67 +410,4 @@ func syncDir(dir string) error {
 
 func loadErr(path string, err error) error {
 	return fmt.Errorf("segment: %s: %w", path, err)
-}
-
-func appendU32(dst []byte, v uint32) []byte {
-	return append(dst, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-
-func appendU64(dst []byte, v uint64) []byte {
-	return append(dst,
-		byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
-		byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-
-func appendStr(dst []byte, s string) []byte {
-	dst = appendU32(dst, uint32(len(s)))
-	return append(dst, s...)
-}
-
-func be32(b []byte) uint32 {
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
-}
-
-func takeU32(b []byte) (uint32, []byte, error) {
-	if len(b) < 4 {
-		return 0, nil, fmt.Errorf("truncated u32")
-	}
-	return be32(b[:4]), b[4:], nil
-}
-
-func takeU64(b []byte) (uint64, []byte, error) {
-	if len(b) < 8 {
-		return 0, nil, fmt.Errorf("truncated u64")
-	}
-	v := uint64(b[0])<<56 | uint64(b[1])<<48 | uint64(b[2])<<40 | uint64(b[3])<<32 |
-		uint64(b[4])<<24 | uint64(b[5])<<16 | uint64(b[6])<<8 | uint64(b[7])
-	return v, b[8:], nil
-}
-
-func takeStr(b []byte) (string, []byte, error) {
-	n, rest, err := takeU32(b)
-	if err != nil {
-		return "", nil, err
-	}
-	if uint64(len(rest)) < uint64(n) {
-		return "", nil, fmt.Errorf("truncated string (want %d, have %d)", n, len(rest))
-	}
-	return string(rest[:n]), rest[n:], nil
-}
-
-func takeStrs(b []byte) ([]string, []byte, error) {
-	n, rest, err := takeU32(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make([]string, 0, n)
-	for i := uint32(0); i < n; i++ {
-		var s string
-		s, rest, err = takeStr(rest)
-		if err != nil {
-			return nil, nil, err
-		}
-		out = append(out, s)
-	}
-	return out, rest, nil
 }

@@ -57,17 +57,22 @@ func BuildAccessIndex(rel *Relation, ac schema.AccessConstraint) (*AccessIndex, 
 		return nil, err
 	}
 	idx := &AccessIndex{AC: ac, xPos: xPos, yPos: yPos, m: make(map[string][]IndexEntry)}
-	seen := make(map[string]bool) // encoded (X, Y) pairs already indexed
+	// seen holds the encoded (X, Y) pairs already indexed. The pair at hand
+	// is encoded into one reused buffer, so a tuple that repeats a pair
+	// allocates nothing and a new pair allocates its key once.
+	seen := make(map[string]bool, len(rel.Tuples))
+	var pair []byte
 	for pos, t := range rel.Tuples {
-		xk := value.KeyOf(t, xPos)
-		yv := t.Project(yPos)
-		pairKey := xk + "\x00" + yv.Key()
-		if seen[pairKey] {
+		pair = value.AppendKeyOf(pair[:0], t, xPos)
+		nx := len(pair)
+		pair = value.AppendKeyOf(append(pair, 0), t, yPos)
+		if seen[string(pair)] {
 			continue
 		}
-		seen[pairKey] = true
+		seen[string(pair)] = true
 		idx.entries++
-		entries := append(idx.m[xk], IndexEntry{Y: yv, Witness: t, Pos: pos})
+		xk := string(pair[:nx])
+		entries := append(idx.m[xk], IndexEntry{Y: t.Project(yPos), Witness: t, Pos: pos})
 		idx.m[xk] = entries
 		if len(entries) > idx.maxGroup {
 			idx.maxGroup = len(entries)

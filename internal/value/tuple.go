@@ -85,9 +85,14 @@ func (t Tuple) String() string {
 // KeyOf is a convenience for encoding a subset of a tuple's positions as a
 // map key without materializing the projection.
 func KeyOf(t Tuple, positions []int) string {
-	buf := make([]byte, 0, 16*len(positions))
+	return string(AppendKeyOf(make([]byte, 0, 16*len(positions)), t, positions))
+}
+
+// AppendKeyOf appends the bytes of KeyOf(t, positions) to dst, for callers
+// that look keys up from a buffer they reuse.
+func AppendKeyOf(dst []byte, t Tuple, positions []int) []byte {
 	for _, p := range positions {
-		buf = t[p].AppendKey(buf)
+		dst = t[p].AppendKey(dst)
 	}
-	return string(buf)
+	return dst
 }

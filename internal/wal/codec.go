@@ -8,6 +8,7 @@
 package wal
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"bcq/internal/value"
@@ -16,29 +17,29 @@ import (
 func (rec Record) encode() []byte {
 	buf := make([]byte, 0, 64)
 	buf = append(buf, byte(rec.Kind))
-	buf = appendBE64(buf, rec.Epoch)
+	buf = binary.BigEndian.AppendUint64(buf, rec.Epoch)
 	switch rec.Kind {
 	case RecBatch:
-		buf = appendBE32(buf, uint32(len(rec.Ops)))
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(rec.Ops)))
 		for _, op := range rec.Ops {
 			buf = append(buf, byte(op.Kind))
-			buf = appendStr(buf, op.Rel)
-			buf = appendBE32(buf, uint32(len(op.Tuple)))
+			buf = value.AppendStr(buf, op.Rel)
+			buf = binary.BigEndian.AppendUint32(buf, uint32(len(op.Tuple)))
 			for _, v := range op.Tuple {
 				buf = v.AppendKey(buf)
 			}
 		}
 	case RecExtension:
-		buf = appendStr(buf, rec.Rel)
-		buf = appendBE32(buf, uint32(len(rec.X)))
+		buf = value.AppendStr(buf, rec.Rel)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(rec.X)))
 		for _, a := range rec.X {
-			buf = appendStr(buf, a)
+			buf = value.AppendStr(buf, a)
 		}
-		buf = appendBE32(buf, uint32(len(rec.Y)))
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(rec.Y)))
 		for _, a := range rec.Y {
-			buf = appendStr(buf, a)
+			buf = value.AppendStr(buf, a)
 		}
-		buf = appendBE64(buf, uint64(rec.N))
+		buf = binary.BigEndian.AppendUint64(buf, uint64(rec.N))
 	}
 	return buf
 }
@@ -49,13 +50,15 @@ func decodeRecord(b []byte) (Record, error) {
 		return rec, fmt.Errorf("wal: record too short (%d bytes)", len(b))
 	}
 	rec.Kind = RecordKind(b[0])
-	rec.Epoch = be64(b[1:9])
-	b = b[9:]
 	var err error
+	rec.Epoch, b, err = value.TakeU64(b[1:])
+	if err != nil {
+		return rec, err
+	}
 	switch rec.Kind {
 	case RecBatch:
 		var nops uint32
-		nops, b, err = takeU32(b)
+		nops, b, err = value.TakeU32(b)
 		if err != nil {
 			return rec, err
 		}
@@ -70,12 +73,12 @@ func decodeRecord(b []byte) (Record, error) {
 				return rec, fmt.Errorf("wal: unknown op kind %d", op.Kind)
 			}
 			b = b[1:]
-			op.Rel, b, err = takeStr(b)
+			op.Rel, b, err = value.TakeStr(b)
 			if err != nil {
 				return rec, err
 			}
 			var nvals uint32
-			nvals, b, err = takeU32(b)
+			nvals, b, err = value.TakeU32(b)
 			if err != nil {
 				return rec, err
 			}
@@ -91,23 +94,24 @@ func decodeRecord(b []byte) (Record, error) {
 			rec.Ops = append(rec.Ops, op)
 		}
 	case RecExtension:
-		rec.Rel, b, err = takeStr(b)
+		rec.Rel, b, err = value.TakeStr(b)
 		if err != nil {
 			return rec, err
 		}
-		rec.X, b, err = takeStrs(b)
+		rec.X, b, err = value.TakeStrs(b)
 		if err != nil {
 			return rec, err
 		}
-		rec.Y, b, err = takeStrs(b)
+		rec.Y, b, err = value.TakeStrs(b)
 		if err != nil {
 			return rec, err
 		}
-		if len(b) < 8 {
-			return rec, fmt.Errorf("wal: truncated extension bound")
+		var n uint64
+		n, b, err = value.TakeU64(b)
+		if err != nil {
+			return rec, err
 		}
-		rec.N = int64(be64(b[:8]))
-		b = b[8:]
+		rec.N = int64(n)
 	default:
 		return rec, fmt.Errorf("wal: unknown record kind %d", rec.Kind)
 	}
@@ -115,55 +119,4 @@ func decodeRecord(b []byte) (Record, error) {
 		return rec, fmt.Errorf("wal: %d trailing bytes after record", len(b))
 	}
 	return rec, nil
-}
-
-func appendBE64(dst []byte, v uint64) []byte {
-	return append(dst,
-		byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
-		byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-
-func be64(b []byte) uint64 {
-	return uint64(b[0])<<56 | uint64(b[1])<<48 | uint64(b[2])<<40 | uint64(b[3])<<32 |
-		uint64(b[4])<<24 | uint64(b[5])<<16 | uint64(b[6])<<8 | uint64(b[7])
-}
-
-func appendStr(dst []byte, s string) []byte {
-	dst = appendBE32(dst, uint32(len(s)))
-	return append(dst, s...)
-}
-
-func takeU32(b []byte) (uint32, []byte, error) {
-	if len(b) < 4 {
-		return 0, nil, fmt.Errorf("wal: truncated u32")
-	}
-	return be32(b[:4]), b[4:], nil
-}
-
-func takeStr(b []byte) (string, []byte, error) {
-	n, rest, err := takeU32(b)
-	if err != nil {
-		return "", nil, err
-	}
-	if uint32(len(rest)) < n {
-		return "", nil, fmt.Errorf("wal: truncated string (want %d, have %d)", n, len(rest))
-	}
-	return string(rest[:n]), rest[n:], nil
-}
-
-func takeStrs(b []byte) ([]string, []byte, error) {
-	n, rest, err := takeU32(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make([]string, 0, n)
-	for i := uint32(0); i < n; i++ {
-		var s string
-		s, rest, err = takeStr(rest)
-		if err != nil {
-			return nil, nil, err
-		}
-		out = append(out, s)
-	}
-	return out, rest, nil
 }

@@ -22,6 +22,7 @@
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -106,6 +107,17 @@ type Stats struct {
 	TruncatedRecords int64
 }
 
+// File is what the log asks of its *os.File. It exists so a test can
+// stand between the log and the disk (WrapFile) and make a Write or a
+// Sync return an error — something a real file cannot be told to do.
+type File interface {
+	io.Writer
+	io.Seeker
+	Sync() error
+	Truncate(size int64) error
+	Close() error
+}
+
 // WAL is an append-only log over a single file. Appends are serialized by
 // the owning store's writer mutex; the internal mutex only guards against
 // misuse.
@@ -113,21 +125,21 @@ type WAL struct {
 	path string
 
 	mu     sync.Mutex
-	f      *os.File
-	size   int64
+	f      File
 	closed bool
+	// err is the first I/O error an Append or Reset ran into. After one
+	// the file may end in a partial frame and its offset is unknown, so a
+	// retried append could land behind bytes recovery truncates at —
+	// taking the retry, once acknowledged, with them. The log therefore
+	// refuses all further writes with this error; reopening it re-scans
+	// the file and cuts the partial frame.
+	err error
 
 	appends       atomic.Int64
 	appendedBytes atomic.Int64
-	sizeBytes     atomic.Int64
+	sizeBytes     atomic.Int64 // header + acknowledged frames
 	replayed      atomic.Int64
 	truncated     atomic.Int64
-
-	// Fail-point state: when failAfter > 0, the failAfter-th subsequent
-	// Append writes only failTorn bytes of its frame and returns
-	// ErrInjectedCrash.
-	failAfter int
-	failTorn  int
 }
 
 // Open opens (creating if absent) the log at path, replays every valid
@@ -152,7 +164,6 @@ func Open(path string) (*WAL, []Record, error) {
 			f.Close()
 			return nil, nil, err
 		}
-		w.sizeBytes.Store(w.size)
 		return w, nil, nil
 	}
 	if string(data[:headerSize]) != fileMagic {
@@ -168,8 +179,8 @@ func Open(path string) (*WAL, []Record, error) {
 			w.truncated.Add(1)
 			break
 		}
-		length := int(be32(rest[0:4]))
-		crc := be32(rest[4:8])
+		length := int(binary.BigEndian.Uint32(rest[0:4]))
+		crc := binary.BigEndian.Uint32(rest[4:8])
 		if length > maxRecordBytes || len(rest) < frameHeader+length {
 			w.truncated.Add(1)
 			break
@@ -204,8 +215,7 @@ func Open(path string) (*WAL, []Record, error) {
 		f.Close()
 		return nil, nil, err
 	}
-	w.size = int64(valid)
-	w.sizeBytes.Store(w.size)
+	w.sizeBytes.Store(int64(valid))
 	w.replayed.Store(int64(len(records)))
 	return w, records, nil
 }
@@ -219,57 +229,48 @@ func (w *WAL) reinit() error {
 	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
 		return err
 	}
-	if _, err := w.f.WriteString(fileMagic); err != nil {
+	if _, err := w.f.Write([]byte(fileMagic)); err != nil {
 		return err
 	}
 	if err := w.f.Sync(); err != nil {
 		return err
 	}
-	w.size = int64(headerSize)
+	w.sizeBytes.Store(int64(headerSize))
 	return nil
+}
+
+// fail makes err the log's sticky failure (see WAL.err) and returns it.
+func (w *WAL) fail(err error) error {
+	w.err = err
+	return err
 }
 
 // Append frames, writes, and fsyncs one record. It returns only after the
 // record is durable — the caller publishes the epoch afterwards, which is
-// what makes the log a write-AHEAD log.
+// what makes the log a write-AHEAD log. A failed write or fsync poisons
+// the log (see WAL.err).
 func (w *WAL) Append(rec Record) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
 		return fmt.Errorf("wal: append on closed log %s", w.path)
 	}
+	if w.err != nil {
+		return w.err
+	}
 	payload := rec.encode()
 	frame := make([]byte, 0, frameHeader+len(payload))
-	frame = appendBE32(frame, uint32(len(payload)))
-	frame = appendBE32(frame, crc32.Checksum(payload, castagnoli))
+	frame = binary.BigEndian.AppendUint32(frame, uint32(len(payload)))
+	frame = binary.BigEndian.AppendUint32(frame, crc32.Checksum(payload, castagnoli))
 	frame = append(frame, payload...)
 
-	if w.failAfter > 0 {
-		w.failAfter--
-		if w.failAfter == 0 {
-			torn := w.failTorn
-			if torn > len(frame) {
-				torn = len(frame)
-			}
-			// Write the torn prefix without fsync: exactly what a crash
-			// mid-write leaves behind.
-			if _, err := w.f.Write(frame[:torn]); err != nil {
-				return err
-			}
-			w.size += int64(torn)
-			w.sizeBytes.Store(w.size)
-			return ErrInjectedCrash
-		}
-	}
-
 	if _, err := w.f.Write(frame); err != nil {
-		return fmt.Errorf("wal: append to %s: %w", w.path, err)
+		return w.fail(fmt.Errorf("wal: append to %s: %w", w.path, err))
 	}
 	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("wal: fsync %s: %w", w.path, err)
+		return w.fail(fmt.Errorf("wal: fsync %s: %w", w.path, err))
 	}
-	w.size += int64(len(frame))
-	w.sizeBytes.Store(w.size)
+	w.sizeBytes.Add(int64(len(frame)))
 	w.appends.Add(1)
 	w.appendedBytes.Add(int64(len(frame)))
 	return nil
@@ -284,17 +285,19 @@ func (w *WAL) Reset() error {
 	if w.closed {
 		return fmt.Errorf("wal: reset on closed log %s", w.path)
 	}
+	if w.err != nil {
+		return w.err
+	}
 	if err := w.f.Truncate(int64(headerSize)); err != nil {
-		return err
+		return w.fail(fmt.Errorf("wal: reset %s: %w", w.path, err))
 	}
 	if _, err := w.f.Seek(int64(headerSize), io.SeekStart); err != nil {
-		return err
+		return w.fail(fmt.Errorf("wal: reset %s: %w", w.path, err))
 	}
 	if err := w.f.Sync(); err != nil {
-		return err
+		return w.fail(fmt.Errorf("wal: reset %s: %w", w.path, err))
 	}
-	w.size = int64(headerSize)
-	w.sizeBytes.Store(w.size)
+	w.sizeBytes.Store(int64(headerSize))
 	return nil
 }
 
@@ -333,22 +336,38 @@ func (w *WAL) Stats() Stats {
 // Path returns the log's file path.
 func (w *WAL) Path() string { return w.path }
 
+// WrapFile puts wrap(f) in place of the file f the log writes through.
+// It is the seam failure tests inject I/O errors at.
+func (w *WAL) WrapFile(wrap func(File) File) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.f = wrap(w.f)
+}
+
 // SetFailPoint arms a crash-injection point: the n-th subsequent Append
 // (1 = the next one) writes only the first torn bytes of its frame,
 // skips the fsync, and returns ErrInjectedCrash. Crash-recovery property
 // tests use it to produce every possible torn-tail state
 // deterministically.
 func (w *WAL) SetFailPoint(n, torn int) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.failAfter = n
-	w.failTorn = torn
+	w.WrapFile(func(f File) File { return &tornFile{File: f, after: n, torn: torn} })
 }
 
-func be32(b []byte) uint32 {
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
+// tornFile is the fail point: its after-th Write (an Append writes
+// exactly once) puts down a torn prefix and fails, which is what a crash
+// mid-write leaves behind.
+type tornFile struct {
+	File
+	after, torn int
 }
 
-func appendBE32(dst []byte, v uint32) []byte {
-	return append(dst, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
+func (f *tornFile) Write(p []byte) (int, error) {
+	if f.after--; f.after != 0 {
+		return f.File.Write(p)
+	}
+	n, err := f.File.Write(p[:min(f.torn, len(p))])
+	if err != nil {
+		return n, err
+	}
+	return n, ErrInjectedCrash
 }

@@ -1,6 +1,7 @@
 // Benchmarks for the live layer: ingest throughput, read latency under
-// concurrent write load, and the bounded-access flatness of reads as |D|
-// grows through live inserts. Run with:
+// concurrent write load, the bounded-access flatness of reads as |D|
+// grows through live inserts, and what live.New and Compact cost and
+// retain beside the indexed base. Run with:
 //
 //	go test -bench 'Live' -benchmem
 //
@@ -10,10 +11,13 @@
 //	epochs           — epochs committed during the benchmark
 //	fetched_tuples   — tuples one evaluation fetches (flat in |D|)
 //	D_growth_x       — how much the benchmark grew |D| before reading
+//	retained-B/tuple — live heap the measured call added, per tuple of |D|
 package bcq
 
 import (
+	"fmt"
 	"os"
+	"runtime"
 	"testing"
 	"time"
 
@@ -178,4 +182,93 @@ func BenchmarkLiveReadAfterGrowth(b *testing.B) {
 	}
 	b.ReportMetric(float64(res.Stats.TuplesFetched), "fetched_tuples")
 	b.ReportMetric(float64(ls.Snapshot().NumTuples())/float64(d0), "D_growth_x")
+}
+
+// retainedBytes is the live heap f leaves behind: the difference of two
+// collected readings around it.
+func retainedBytes(f func()) float64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	return float64(after.HeapAlloc) - float64(before.HeapAlloc)
+}
+
+// indexedSocial builds the social dataset with copies physical copies of
+// every logical row and its access indices already in place, so what a
+// benchmark measures afterwards is the live layer's own work.
+func indexedSocial(tb testing.TB, copies int) (*storage.Database, *datagen.Dataset) {
+	tb.Helper()
+	ds := datagen.Social()
+	db, err := ds.Build(float64(copies) / 32)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := db.EnsureIndexes(ds.Access); err != nil {
+		tb.Fatal(err)
+	}
+	return db, ds
+}
+
+// BenchmarkLiveNew measures live.New over an indexed base — the writer's
+// bootstrap — on data where every (X, Y) pair occurs once (copies=1:
+// nothing to record, retained-B/tuple ≈ 0) and where every pair occurs
+// twice (copies=2: one ledger record per pair).
+func BenchmarkLiveNew(b *testing.B) {
+	for _, copies := range []int{1, 2} {
+		b.Run(fmt.Sprintf("copies=%d", copies), func(b *testing.B) {
+			db, ds := indexedSocial(b, copies)
+			var ls *live.Store
+			build := func() {
+				var err error
+				if ls, err = live.New(db, ds.Access, live.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			retained := retainedBytes(build)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				build()
+			}
+			b.StopTimer()
+			b.ReportMetric(retained/float64(ls.NumTuples()), "retained-B/tuple")
+		})
+	}
+}
+
+// BenchmarkLiveCompact measures Compact — freeze, index build and the
+// bootstrap over the fresh base, all under the writer mutex — on a store
+// that has taken one duplicate of every base tuple. retained-B/tuple is
+// what the first compaction adds: the new base, since the store keeps
+// its original one reachable through Base.
+func BenchmarkLiveCompact(b *testing.B) {
+	db, ds := indexedSocial(b, 1)
+	ls, err := live.New(db, ds.Access, live.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ops := dupOps(b, ls, int(ls.NumTuples()))
+	for lo := 0; lo < len(ops); lo += 64 {
+		if _, err := ls.Apply(ops[lo:min(lo+64, len(ops))]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	compact := func() {
+		if _, err := ls.Compact(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	retained := retainedBytes(compact)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		compact()
+	}
+	b.StopTimer()
+	b.ReportMetric(retained/float64(ls.NumTuples()), "retained-B/tuple")
 }

@@ -16,6 +16,10 @@
 //	recovery.per_record_ns     — open cost divided over the replayed records
 //	checkpoint.compact_ns      — Compact: freeze + segment write + WAL reset
 //	checkpoint.segment_bytes   — size of the sealed segment
+//	bootstrap.new_ns           — live.New over an indexed, duplicate-free base
+//
+// and, informational, bootstrap.retained_bytes_per_tuple — the live heap
+// that call adds beside the base.
 package bcq
 
 import (
@@ -25,6 +29,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"bcq/internal/live"
 )
 
 // durableBenchStore seeds a durable live store in a fresh directory.
@@ -147,9 +153,29 @@ func TestStorageBenchEmit(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	t.Logf("wal append %s/op (%d B frame); recovery of %d records %s (%s/record); checkpoint %s (%d B segment)",
+	// Bootstrap: live.New over a base whose indexes are built and whose
+	// pairs all occur once — what the writer retains beside it.
+	const news = 16
+	baseDB, ds := indexedSocial(t, 1)
+	var ls *live.Store
+	retained := retainedBytes(func() {
+		if ls, err = live.New(baseDB, ds.Access, live.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	retainedPerTuple := int64(retained) / ls.NumTuples()
+	start = time.Now()
+	for i := 0; i < news; i++ {
+		if _, err := live.New(baseDB, ds.Access, live.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	newNS := time.Since(start).Nanoseconds() / news
+
+	t.Logf("wal append %s/op (%d B frame); recovery of %d records %s (%s/record); checkpoint %s (%d B segment); live.New %s over %d tuples (%d B/tuple retained)",
 		time.Duration(appendNS), frameBytes, appends, time.Duration(openNS),
-		time.Duration(openNS/appends), time.Duration(compactNS), segBytes)
+		time.Duration(openNS/appends), time.Duration(compactNS), segBytes,
+		time.Duration(newNS), ls.NumTuples(), retainedPerTuple)
 
 	if path := os.Getenv("STORAGE_BENCH_JSON"); path != "" {
 		f, err := os.Create(path)
@@ -170,6 +196,11 @@ func TestStorageBenchEmit(t *testing.T) {
 			"checkpoint": {
 				"compact_ns":    compactNS,
 				"segment_bytes": segBytes,
+			},
+			"bootstrap": {
+				"tuples":                   ls.NumTuples(),
+				"new_ns":                   newNS,
+				"retained_bytes_per_tuple": retainedPerTuple,
 			},
 		}
 		enc := json.NewEncoder(f)
