@@ -169,69 +169,11 @@ type run struct {
 	// fan-out latencies as they happen (nil-safe instruments inside).
 	metrics *obs.ExecMetrics
 
-	res     *Result
-	lookups int64
-	fetched int64
-	dq      *dqTracker
-	// V is the candidate value set of each Σ_Q class.
-	V []*candSet
-	// recorded keeps the probes of fetch steps some verification collects
-	// from.
-	recorded [][]fetched
+	cols        []string
+	stepStats   []StepAccess
+	verifyStats []StepAccess
+	lookups     int64
+	fetched     int64
+	// dqSize is |D_Q| as of the last settle (Stream.settle).
+	dqSize int64
 }
-
-// candSet is one class's candidate values: insertion-ordered (for
-// deterministic combo enumeration) with O(1) membership.
-type candSet struct {
-	vals []value.Value
-	has  map[value.Value]bool
-}
-
-func newCandSet() *candSet { return &candSet{has: make(map[value.Value]bool)} }
-
-func (s *candSet) add(v value.Value) {
-	if !s.has[v] {
-		s.has[v] = true
-		s.vals = append(s.vals, v)
-	}
-}
-
-// fetched is one recorded index probe: the X-combo used and the entries it
-// returned; kept only for steps some verification collects from. shard is
-// the probe's owning shard (0 on unsharded stores), carried because entry
-// positions are shard-local.
-type fetched struct {
-	combo   value.Tuple
-	entries []storage.IndexEntry
-	shard   int
-}
-
-// dqTracker deduplicates fetched witness tuples per relation position,
-// measuring |D_Q|. Positions are shard-local on partitioned stores, so a
-// tuple is identified by (relation, shard, position); unsharded stores
-// use shard 0 throughout, making the key equivalent to the plain
-// (relation, position) pair.
-type dqTracker struct {
-	seen map[string]map[shardPos]bool
-	n    int64
-}
-
-// shardPos identifies one tuple occurrence within a relation.
-type shardPos struct{ shard, pos int }
-
-func newDQTracker() *dqTracker { return &dqTracker{seen: make(map[string]map[shardPos]bool)} }
-
-func (d *dqTracker) add(rel string, shard, pos int) {
-	m := d.seen[rel]
-	if m == nil {
-		m = make(map[shardPos]bool)
-		d.seen[rel] = m
-	}
-	k := shardPos{shard: shard, pos: pos}
-	if !m[k] {
-		m[k] = true
-		d.n++
-	}
-}
-
-func (d *dqTracker) size() int64 { return d.n }

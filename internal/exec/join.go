@@ -3,40 +3,29 @@ package exec
 import (
 	"fmt"
 	"slices"
-
-	"bcq/internal/value"
 )
 
-// This file is the stream's in-memory join: persistent per-table hash
-// indexes and a depth-first walk that binds class values in place, so a
-// wave's join costs its delta's share of the result and allocates nothing
-// until a new distinct answer is projected.
+// This file is the stream's in-memory join: persistent per-table indexes
+// over the tables' id rows and a depth-first walk that binds class ids in
+// place, so a wave's join costs its delta's share of the result, hashes at
+// most a few id words per step, and builds no value.Tuple at all — answers
+// are recorded as id rows and turned into tuples when Next hands them out.
 
-// keySet is a set of value lists keyed by their AppendKey encoding. The
-// caller encodes into a buffer it reuses; only a first sight allocates
-// (the stored key string).
-type keySet map[string]struct{}
-
-// insert adds the encoded key and reports whether it was new.
-func (ks keySet) insert(key []byte) bool {
-	if _, dup := ks[string(key)]; dup {
-		return false
-	}
-	ks[string(key)] = struct{}{}
-	return true
-}
-
-// joinIndex is a persistent hash index of one streamTable on a fixed list
-// of key columns. Rows sharing a key form a chain in ascending row order
+// joinIndex is a persistent index of one streamTable on a fixed list of
+// key columns. Rows sharing a key form a chain in ascending row order
 // (head → next → … → -1), so a lookup walks its matches oldest first and
 // can stop at a row-number bound with a break. The index is extended
 // lazily with the rows appended since its last use and never rebuilt.
 type joinIndex struct {
+	rs   *rowSet
 	cols []int
-	// one keys single-column indexes by the value itself; many keys the
-	// rest by the columns' AppendKey encoding. Both map to a chain id.
-	one  map[value.Value]int32
-	many map[string]int32
+	// chainOf serves a single key column without hashing: indexed by value
+	// id, it holds 1 + the chain of the rows carrying that id (0: none),
+	// and reaches as far as the largest id indexed. slots serves several
+	// key columns: open-addressed over the chains' key ids (read off each
+	// chain's head row), holding 1 + the chain.
+	chainOf []uint32
+	slots   []uint32
 	// head and tail are each chain's first and last row; next links a row
 	// to the following row of its chain. len(next) is the number of rows
 	// indexed so far.
@@ -44,71 +33,110 @@ type joinIndex struct {
 	next       []int32
 }
 
-// chain returns the id of the chain keyed by vals[at[0]], vals[at[1]], …
-// (at aligned with cols), encoding multi-column keys into buf.
-func (ix *joinIndex) chain(vals []value.Value, at []int, buf *[]byte) (int32, bool) {
-	if ix.one != nil {
-		id, ok := ix.one[vals[at[0]]]
-		return id, ok
+// chain returns the chain keyed by vals[at[0]], vals[at[1]], … (at aligned
+// with cols), or -1.
+func (ix *joinIndex) chain(vals []uint32, at []int) int32 {
+	if len(ix.cols) == 1 {
+		if id := vals[at[0]]; int(id) < len(ix.chainOf) {
+			return int32(ix.chainOf[id]) - 1
+		}
+		return -1
 	}
-	b := (*buf)[:0]
-	for _, k := range at {
-		b = vals[k].AppendKey(b)
+	if len(ix.slots) == 0 {
+		return -1
 	}
-	*buf = b
-	id, ok := ix.many[string(b)]
-	return id, ok
+	mask := uint64(len(ix.slots) - 1)
+	for i := hashIDs(vals, at) & mask; ; i = (i + 1) & mask {
+		s := ix.slots[i]
+		if s == 0 {
+			return -1
+		}
+		row := ix.rs.row(int(ix.head[s-1]))
+		same := true
+		for k, col := range ix.cols {
+			if row[col] != vals[at[k]] {
+				same = false
+				break
+			}
+		}
+		if same {
+			return int32(s - 1)
+		}
+	}
 }
 
 // extend indexes the rows appended since the last call.
-func (ix *joinIndex) extend(rows []value.Tuple, buf *[]byte) {
-	ix.next = slices.Grow(ix.next, len(rows)-len(ix.next))
-	for rn := len(ix.next); rn < len(rows); rn++ {
-		row := rows[rn]
-		id, ok := ix.chain(row, ix.cols, buf)
+func (ix *joinIndex) extend() {
+	ix.next = slices.Grow(ix.next, ix.rs.n-len(ix.next))
+	for rn := len(ix.next); rn < ix.rs.n; rn++ {
+		row := ix.rs.row(rn)
 		ix.next = append(ix.next, -1)
-		if ok {
-			ix.next[ix.tail[id]] = int32(rn)
-			ix.tail[id] = int32(rn)
+		if c := ix.chain(row, ix.cols); c >= 0 {
+			ix.next[ix.tail[c]] = int32(rn)
+			ix.tail[c] = int32(rn)
 			continue
 		}
-		id = int32(len(ix.head))
 		ix.head = append(ix.head, int32(rn))
 		ix.tail = append(ix.tail, int32(rn))
-		if ix.one != nil {
-			ix.one[row[ix.cols[0]]] = id
-		} else {
-			ix.many[string(*buf)] = id
-		}
+		ix.addChain(row)
 	}
 }
 
-// first returns the oldest row whose key columns equal the bound values
-// of the given classes (aligned with cols), or -1.
-func (ix *joinIndex) first(bind []value.Value, classes []int, buf *[]byte) int32 {
-	id, ok := ix.chain(bind, classes, buf)
-	if !ok {
+// addChain makes the newest chain, whose head row is given, findable.
+func (ix *joinIndex) addChain(row []uint32) {
+	c := uint32(len(ix.head)) // 1 + the chain
+	if len(ix.cols) == 1 {
+		id := int(row[ix.cols[0]])
+		if id >= len(ix.chainOf) {
+			ix.chainOf = append(ix.chainOf, make([]uint32, id+1-len(ix.chainOf))...)
+		}
+		ix.chainOf[id] = c
+		return
+	}
+	first := c
+	if full(len(ix.head)-1, len(ix.slots)) {
+		ix.slots = grownSlots(ix.slots)
+		first = 1
+	}
+	mask := uint64(len(ix.slots) - 1)
+	for ; first <= c; first++ {
+		i := hashIDs(ix.rs.row(int(ix.head[first-1])), ix.cols) & mask
+		for ix.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		ix.slots[i] = first
+	}
+}
+
+// first returns the oldest row whose key columns equal the bound ids of
+// the given classes (aligned with cols), or -1.
+func (ix *joinIndex) first(bind []uint32, classes []int) int32 {
+	c := ix.chain(bind, classes)
+	if c < 0 {
 		return -1
 	}
-	return ix.head[id]
+	return ix.head[c]
 }
 
 // index returns the table's index on the given key columns, creating it
 // on first request. Join orders of different delta tables that probe a
-// table by the same columns share one index.
+// table by the same columns share one index. An index a previous stream
+// left behind the slice's length (streamTable.reset) is taken over, arrays
+// and all.
 func (tbl *streamTable) index(cols []int) *joinIndex {
 	for _, ix := range tbl.indexes {
 		if slices.Equal(ix.cols, cols) {
 			return ix
 		}
 	}
-	ix := &joinIndex{cols: append([]int(nil), cols...)}
-	if len(cols) == 1 {
-		ix.one = make(map[value.Value]int32)
+	n := len(tbl.indexes)
+	if n < cap(tbl.indexes) && tbl.indexes[:n+1][n] != nil {
+		tbl.indexes = tbl.indexes[:n+1]
 	} else {
-		ix.many = make(map[string]int32)
+		tbl.indexes = append(tbl.indexes, &joinIndex{})
 	}
-	tbl.indexes = append(tbl.indexes, ix)
+	ix := tbl.indexes[n]
+	ix.rs, ix.cols = &tbl.rowSet, append(ix.cols[:0], cols...)
 	return ix
 }
 
@@ -142,9 +170,6 @@ type joinStep struct {
 // share nothing with the bound classes (a cross product) come last, in
 // table order.
 func (s *Stream) joinOrder(t int) ([]joinStep, error) {
-	if s.orders == nil {
-		s.orders = make([][]joinStep, len(s.tables))
-	}
 	if s.orders[t] != nil {
 		return s.orders[t], nil
 	}
@@ -158,8 +183,8 @@ func (s *Stream) joinOrder(t int) ([]joinStep, error) {
 		state[sd.Class] = seeded
 	}
 	ncols := 0
-	for _, tbl := range s.tables {
-		ncols += len(tbl.classes)
+	for u := range s.tables {
+		ncols += len(s.tables[u].classes)
 	}
 	// One backing array serves the column and class lists of all steps.
 	pool := make([]int, 4*ncols)
@@ -172,7 +197,7 @@ func (s *Stream) joinOrder(t int) ([]joinStep, error) {
 	placed := make([]bool, len(s.tables))
 	next := t
 	for len(order) < len(s.tables) {
-		tbl := s.tables[next]
+		tbl := &s.tables[next]
 		placed[next] = true
 		n := len(tbl.classes)
 		st := joinStep{tbl: tbl, old: next > t}
@@ -200,12 +225,12 @@ func (s *Stream) joinOrder(t int) ([]joinStep, error) {
 		// connected, the first unplaced table (a cross product).
 		best := 0
 		next = -1
-		for u, cand := range s.tables {
+		for u := range s.tables {
 			if placed[u] {
 				continue
 			}
 			shared := 0
-			for _, c := range cand.classes {
+			for _, c := range s.tables[u].classes {
 				if state[c] == joined {
 					shared++
 				}
@@ -232,8 +257,9 @@ func (s *Stream) joinOrder(t int) ([]joinStep, error) {
 // after it only those below their waveBase — so across the wave's
 // per-table joins every new result is reached exactly once.
 func (s *Stream) joinDelta(t int) error {
-	for u, tbl := range s.tables {
-		if (u < t && len(tbl.rows) == 0) || (u > t && tbl.waveBase == 0) {
+	for u := range s.tables {
+		tbl := &s.tables[u]
+		if (u < t && tbl.n == 0) || (u > t && tbl.waveBase == 0) {
 			return nil // some table contributes nothing yet
 		}
 	}
@@ -243,12 +269,12 @@ func (s *Stream) joinDelta(t int) error {
 	}
 	for i := range order {
 		st := &order[i]
-		st.lo, st.hi = 0, len(st.tbl.rows)
+		st.lo, st.hi = 0, st.tbl.n
 		if st.old {
 			st.hi = st.tbl.waveBase
 		}
 		if st.idx != nil {
-			st.idx.extend(st.tbl.rows, &s.keybuf)
+			st.idx.extend()
 		}
 	}
 	order[0].lo = order[0].tbl.waveBase
@@ -266,11 +292,11 @@ func (s *Stream) joinWalk(order []joinStep, d int) {
 		return
 	}
 	st := &order[d]
-	rows := st.tbl.rows
 	visit := func(rn int) {
 		s.joinVisits++
+		row := st.tbl.row(rn)
 		for k, col := range st.newCols {
-			s.bind[st.newClasses[k]] = rows[rn][col]
+			s.bind[st.newClasses[k]] = row[col]
 		}
 		s.joinWalk(order, d+1)
 	}
@@ -280,29 +306,26 @@ func (s *Stream) joinWalk(order []joinStep, d int) {
 		}
 		return
 	}
-	for rn := st.idx.first(s.bind, st.keyClasses, &s.keybuf); rn >= 0 && int(rn) < st.hi && !s.done; rn = st.idx.next[rn] {
+	for rn := st.idx.first(s.bind, st.keyClasses); rn >= 0 && int(rn) < st.hi && !s.done; rn = st.idx.next[rn] {
 		visit(int(rn))
 	}
 }
 
-// project emits the current binding's output tuple if it is a new
-// distinct answer, and stops the stream at its limit.
+// project records the current binding's output as an answer if it is a
+// new distinct one, and stops the stream at its limit. Answers are kept —
+// and deduplicated — as id rows; Next turns one back into values when the
+// caller pulls it.
 func (s *Stream) project() {
 	out := s.r.p.OutputClasses
-	buf := s.keybuf[:0]
+	ids := s.rowbuf[:0]
 	for _, c := range out {
-		buf = s.bind[c].AppendKey(buf)
+		ids = append(ids, s.bind[c])
 	}
-	s.keybuf = buf
-	if !s.seenOut.insert(buf) {
+	s.rowbuf = ids
+	if !s.seenOut.insert(ids) {
 		return
 	}
-	tu := make(value.Tuple, len(out))
-	for k, c := range out {
-		tu[k] = s.bind[c]
-	}
-	s.outbuf = append(s.outbuf, tu)
-	if s.opts.Limit > 0 && len(s.seenOut) >= s.opts.Limit {
+	if s.opts.Limit > 0 && s.seenOut.n >= s.opts.Limit {
 		s.limited = true
 		s.done = true
 	}

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -72,7 +73,12 @@ const chainQuery = `
 // meshChain is a friends-of-friends scene whose friend lists overlap, so
 // the four-atom chain from user 0 has several join results per answer.
 func meshChain(t testing.TB) (*plan.Plan, *storage.Database) {
-	const users, friends, albums, photos = 60, 10, 2, 3
+	return meshChainOf(t, 60, 10, 2, 3)
+}
+
+// meshChainOf builds the mesh with the given number of users, friends per
+// user, albums per user and photos per album.
+func meshChainOf(t testing.TB, users, friends, albums, photos int64) (*plan.Plan, *storage.Database) {
 	data := map[string][][]int64{}
 	for u := int64(0); u < users; u++ {
 		for k := int64(0); k < friends; k++ {
@@ -91,20 +97,21 @@ func meshChain(t testing.TB) (*plan.Plan, *storage.Database) {
 }
 
 // naiveJoinCount is the cardinality of the full join of a stream's row
-// tables under the seeds, by nested loops.
+// tables under the seeds, by nested loops over the tables' id rows.
 func naiveJoinCount(s *Stream) int64 {
-	bind := map[int]value.Value{}
+	bind := map[int]uint32{}
 	for _, sd := range s.r.p.Seeds {
-		bind[sd.Class] = sd.Val
+		bind[sd.Class] = s.dict.intern(sd.Val)
 	}
 	var rec func(i int) int64
 	rec = func(i int) int64 {
 		if i == len(s.tables) {
 			return 1
 		}
-		tbl := s.tables[i]
+		tbl := &s.tables[i]
 		var n int64
-		for _, row := range tbl.rows {
+		for rn := 0; rn < tbl.n; rn++ {
+			row := tbl.row(rn)
 			var set []int
 			ok := true
 			for k, c := range tbl.classes {
@@ -130,15 +137,49 @@ func naiveJoinCount(s *Stream) int64 {
 	return rec(0)
 }
 
-// drained opens a stream at the batch size and consumes it.
-func drained(t testing.TB, p *plan.Plan, db Store, bs int) (*Stream, *Result) {
+// tableFacts is what the join tests read off a stream's row tables. A
+// stream hands its state back with its last answer, so the facts are taken
+// when the last wave has run and no answer has been pulled yet.
+type tableFacts struct {
+	tables         int
+	rows, fullJoin int64
+	complete       bool
+}
+
+// runWaves runs a stream's evaluation to its end without pulling an answer
+// and reads the tables.
+func runWaves(t testing.TB, s *Stream) tableFacts {
+	t.Helper()
+	for !s.done && s.err == nil {
+		s.advance()
+	}
+	if s.err != nil {
+		t.Fatal(s.err)
+	}
+	if s.streamState == nil {
+		return tableFacts{} // a trivial plan evaluates nothing
+	}
+	f := tableFacts{tables: len(s.tables), fullJoin: naiveJoinCount(s), complete: s.allComplete()}
+	for i := range s.tables {
+		f.rows += int64(s.tables[i].n)
+	}
+	return f
+}
+
+// drained opens a stream at the batch size, runs it, notes its tables and
+// consumes it.
+func drained(t testing.TB, p *plan.Plan, db Store, bs int) (*Stream, *Result, tableFacts) {
 	t.Helper()
 	s := OpenStream(p, db, StreamOptions{BatchSize: bs})
+	facts := runWaves(t, s)
 	res, err := s.Drain()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s, res
+	if s.streamState != nil {
+		t.Fatal("a drained stream still holds its evaluation state")
+	}
+	return s, res, facts
 }
 
 // TestJoinLeavesEqualFullJoin pins the semi-naive partition: however the
@@ -154,11 +195,11 @@ func TestJoinLeavesEqualFullJoin(t *testing.T) {
 		t.Fatalf("fixture answer = %d tuples, want ≥ 100", len(want.Tuples))
 	}
 	for _, bs := range streamBatchSizes {
-		s, res := drained(t, p, db, bs)
+		s, res, facts := drained(t, p, db, bs)
 		if !sameTuples(res.Tuples, want.Tuples) {
 			t.Fatalf("batch %d: %d answers, baseline %d", bs, len(res.Tuples), len(want.Tuples))
 		}
-		full := naiveJoinCount(s)
+		full := facts.fullJoin
 		if full <= int64(len(want.Tuples)) {
 			t.Fatalf("fixture join has %d results for %d answers: no duplicates to tell apart", full, len(want.Tuples))
 		}
@@ -190,11 +231,11 @@ func TestJoinLeavesEqualFullJoin(t *testing.T) {
 		}
 		db := propDB(t, rng)
 		for _, bs := range streamBatchSizes {
-			s, _ := drained(t, p, db, bs)
-			if len(s.tables) == 0 || !s.allComplete() {
+			s, _, facts := drained(t, p, db, bs)
+			if facts.tables == 0 || !facts.complete {
 				continue // existence gates only, or cut short by an empty table
 			}
-			if full := naiveJoinCount(s); s.joinLeaves != full {
+			if full := facts.fullJoin; s.joinLeaves != full {
 				t.Fatalf("trial %d batch %d: %d join leaves, full join has %d results\n  %s", trial, bs, s.joinLeaves, full, q)
 			}
 			checked++
@@ -225,7 +266,7 @@ func TestJoinOrderStaysConnected(t *testing.T) {
 	cat, acc := chainCatalog()
 	p, db := joinScene(t, cat, acc, chainQuery, data)
 	for _, bs := range []int{7, DefaultBatchSize, Unbatched} {
-		s, res := drained(t, p, db, bs)
+		s, res, _ := drained(t, p, db, bs)
 		if len(res.Tuples) != fanout*photos || s.joinLeaves != fanout*photos {
 			t.Fatalf("batch %d: %d answers from %d join leaves, want %d of each", bs, len(res.Tuples), s.joinLeaves, fanout*photos)
 		}
@@ -284,14 +325,14 @@ func TestJoinShapesMatchBaseline(t *testing.T) {
 				t.Fatalf("Run %v != baseline %v", full.Tuples, want.Tuples)
 			}
 			for _, bs := range streamBatchSizes {
-				s, res := drained(t, p, db, bs)
+				s, res, facts := drained(t, p, db, bs)
 				if !sameTuples(res.Tuples, full.Tuples) {
 					t.Fatalf("batch %d: stream %v != run %v", bs, res.Tuples, full.Tuples)
 				}
 				if res.Stats != full.Stats || res.DQSize != full.DQSize {
 					t.Fatalf("batch %d: stats %+v dq=%d, run %+v dq=%d", bs, res.Stats, res.DQSize, full.Stats, full.DQSize)
 				}
-				if n := naiveJoinCount(s); s.joinLeaves != n {
+				if n := facts.fullJoin; s.joinLeaves != n {
 					t.Fatalf("batch %d: %d join leaves, full join has %d results", bs, s.joinLeaves, n)
 				}
 			}
@@ -312,7 +353,7 @@ func TestJoinLimitStopsMidWalk(t *testing.T) {
 	for _, tu := range full.Tuples {
 		inFull[fmt.Sprint(tu)] = true
 	}
-	unlimited, _ := drained(t, p, db, Unbatched)
+	unlimited, _, _ := drained(t, p, db, Unbatched)
 	for _, bs := range streamBatchSizes {
 		for _, limit := range []int{1, 5, 50} {
 			s := OpenStream(p, db, StreamOptions{Limit: limit, BatchSize: bs})
@@ -350,6 +391,7 @@ func TestJoinSpanCarriesJoinWork(t *testing.T) {
 	p, db := meshChain(t)
 	tr := obs.NewTrace("", "test")
 	s := OpenStream(p, db, StreamOptions{BatchSize: 7, Trace: tr})
+	tableRows := runWaves(t, s).rows
 	if _, err := s.Drain(); err != nil {
 		t.Fatal(err)
 	}
@@ -367,32 +409,49 @@ func TestJoinSpanCarriesJoinWork(t *testing.T) {
 		rows += r
 		results += n
 	}
-	var tableRows int64
-	for _, tbl := range s.tables {
-		tableRows += int64(len(tbl.rows))
-	}
 	if rows != tableRows || results != s.joinLeaves {
 		t.Fatalf("spans sum to %d delta rows and %d results; tables hold %d rows, the join reached %d", rows, results, tableRows, s.joinLeaves)
 	}
 }
 
 // TestDeltaEnumRefreshAllocatesOnlyOnGrowth: refresh runs several times
-// per step per wave; when no candidate set grew it must not allocate.
+// per step per wave; when no candidate set grew it must not allocate, and
+// once its block storage and the caller's buffer have their size a growth
+// step does not either.
 func TestDeltaEnumRefreshAllocatesOnlyOnGrowth(t *testing.T) {
-	V := []*candSet{newCandSet(), newCandSet()}
-	V[0].add(value.Int(1))
-	V[1].add(value.Int(2))
+	V := make([]candSet, 2)
+	V[0].add(1)
+	V[1].add(2)
 	e := newDeltaEnum([]int{0, 1, 0})
 	e.refresh(V)
-	if got := len(e.next(V, 0)); got != 1 {
-		t.Fatalf("first refresh produced %d combinations, want 1", got)
+	buf, got := e.next(V, 0, nil)
+	if got != 1 || !slices.Equal(buf, []uint32{1, 2, 1}) {
+		t.Fatalf("first refresh produced %d combinations %v, want 1: [1 2 1]", got, buf)
 	}
 	if n := testing.AllocsPerRun(100, func() { e.refresh(V) }); n != 0 {
 		t.Fatalf("idle refresh allocates %v times", n)
 	}
-	V[0].add(value.Int(3))
+	V[0].add(3)
 	e.refresh(V)
-	if got := len(e.next(V, 0)); got != 1 {
-		t.Fatalf("growth produced %d combinations, want 1", got)
+	if buf, got = e.next(V, 0, buf); got != 1 || !slices.Equal(buf, []uint32{3, 2, 3}) {
+		t.Fatalf("growth produced %d combinations %v, want 1: [3 2 3]", got, buf)
+	}
+	V[1].add(500) // the set's own arrays reach their size here
+	V[1].ids = slices.Grow(V[1].ids, 200)
+	buf = slices.Grow(buf, 64)
+	e.refresh(V)
+	buf, _ = e.next(V, 0, buf)
+	next, produced := uint32(4), 0
+	if n := testing.AllocsPerRun(100, func() {
+		V[1].add(next)
+		next++
+		e.refresh(V)
+		buf, got = e.next(V, 0, buf)
+		produced += got
+	}); n != 0 {
+		t.Fatalf("refresh and next over a grown set allocate %v times after warm-up", n)
+	}
+	if produced != 2*101 {
+		t.Fatalf("101 new candidates of class 1 against 2 of class 0 produced %d combinations, want 202", produced)
 	}
 }

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -64,79 +65,91 @@ func (r *run) probeAC(ac schema.AccessConstraint, xs []value.Tuple, sp *obs.Span
 // probe order within each shard, and groups land back at their probe's
 // position, so the result is byte-identical to probing a single store
 // holding the union of the shards.
+//
+// A batch with one owner — every point read — is that shard's sub-batch as
+// it stands: it is handed over whole, nothing bucketed or copied. Spans are
+// built only for a traced step.
 func (r *run) scatterGather(ps PartitionedStore, ac schema.AccessConstraint, xs []value.Tuple, sp *obs.Span) ([][]storage.IndexEntry, []int, error) {
 	owners, err := ps.Partition(ac, xs)
 	if err != nil {
 		return nil, nil, err
 	}
-	out := make([][]storage.IndexEntry, len(xs))
 	if len(xs) == 0 {
-		return out, owners, nil
+		return [][]storage.IndexEntry{}, owners, nil
+	}
+	if !slices.ContainsFunc(owners, func(s int) bool { return s != owners[0] }) {
+		groups, err := r.fetchShard(ps, owners[0], ac, xs, shardSpan(sp, owners[0], len(xs)))
+		return groups, owners, err
 	}
 
-	// Bucket probe indices by owning shard.
-	buckets := make([][]int, ps.NumShards())
-	for i, s := range owners {
-		buckets[s] = append(buckets[s], i)
+	// Counting sort of the probes by owning shard: shard s owns probes
+	// idx[lo[s]:lo[s+1]], in probe order, and sub holds their X-tuples.
+	P := ps.NumShards()
+	offs := make([]int, 2*P+1)
+	lo, fill := offs[:P+1], offs[P+1:]
+	for _, s := range owners {
+		lo[s+1]++
 	}
-	var active []int
-	for s, idx := range buckets {
-		if len(idx) > 0 {
-			active = append(active, s)
-		}
+	for s := 0; s < P; s++ {
+		lo[s+1] += lo[s]
+	}
+	copy(fill, lo)
+	idx := make([]int, len(xs))
+	sub := make([]value.Tuple, len(xs))
+	for i, s := range owners {
+		idx[fill[s]], sub[fill[s]] = i, xs[i]
+		fill[s]++
 	}
 
 	// Per-shard child spans are created here on the coordinator (Child
 	// serializes under the trace mutex) and ended inside the fetch
 	// goroutines, where End/Tag are single-owner safe.
-	shardSpans := make(map[int]*obs.Span, len(active))
+	var spans []*obs.Span
 	if sp != nil {
-		for _, s := range active {
-			shardSpans[s] = sp.Child(fmt.Sprintf("shard %d", s)).
-				TagInt("shard", int64(s)).
-				TagInt("probes", int64(len(buckets[s])))
+		spans = make([]*obs.Span, P)
+		for s := range spans {
+			if n := lo[s+1] - lo[s]; n > 0 {
+				spans[s] = shardSpan(sp, s, n)
+			}
 		}
 	}
 
-	fetchShard := func(s int) error {
-		start := time.Now()
-		idx := buckets[s]
-		sub := make([]value.Tuple, len(idx))
-		for j, i := range idx {
-			sub[j] = xs[i]
+	out := make([][]storage.IndexEntry, len(xs))
+	gather := func(s int) error {
+		var span *obs.Span
+		if spans != nil {
+			span = spans[s]
 		}
-		groups, err := ps.FetchShard(s, ac, sub)
-		if err != nil {
-			shardSpans[s].End()
-			return err
+		groups, err := r.fetchShard(ps, s, ac, sub[lo[s]:lo[s+1]], span)
+		for j, g := range groups {
+			out[idx[lo[s]+j]] = g
 		}
-		var fetched int64
-		for j, i := range idx {
-			out[i] = groups[j]
-			fetched += int64(len(groups[j]))
-		}
-		shardSpans[s].TagInt("fetched", fetched).End()
-		r.metrics.ShardProbe(s).Observe(time.Since(start).Seconds())
-		return nil
+		return err
 	}
 
-	if len(active) == 1 || r.ex.Parallelism <= 1 {
-		for _, s := range active {
-			if err := fetchShard(s); err != nil {
+	if r.ex.Parallelism <= 1 {
+		for s := 0; s < P; s++ {
+			if lo[s] == lo[s+1] {
+				continue
+			}
+			if err := gather(s); err != nil {
 				return nil, nil, err
 			}
 		}
 		return out, owners, nil
 	}
 
-	errs := make([]error, len(active))
+	errs := make([]error, P)
 	var wg sync.WaitGroup
-	for k, s := range active {
+	for s := 0; s < P; s++ {
+		if lo[s] == lo[s+1] {
+			continue
+		}
 		wg.Add(1)
-		go func(k, s int) {
+		go func(s int) {
 			defer wg.Done()
-			errs[k] = fetchShard(s)
-		}(k, s)
+			errs[s] = gather(s)
+		}(s)
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -145,6 +158,37 @@ func (r *run) scatterGather(ps PartitionedStore, ac schema.AccessConstraint, xs 
 		}
 	}
 	return out, owners, nil
+}
+
+// shardSpan opens the child span of one shard's sub-batch under a traced
+// step's span (nil when the step is not traced).
+func shardSpan(sp *obs.Span, shard, probes int) *obs.Span {
+	if sp == nil {
+		return nil
+	}
+	return sp.Child(fmt.Sprintf("shard %d", shard)).
+		TagInt("shard", int64(shard)).
+		TagInt("probes", int64(probes))
+}
+
+// fetchShard probes one shard with its sub-batch, timing it into the
+// shard's probe histogram and ending the sub-batch's span.
+func (r *run) fetchShard(ps PartitionedStore, shard int, ac schema.AccessConstraint, sub []value.Tuple, span *obs.Span) ([][]storage.IndexEntry, error) {
+	start := time.Now()
+	groups, err := ps.FetchShard(shard, ac, sub)
+	if err != nil {
+		span.End()
+		return nil, err
+	}
+	if span != nil {
+		var fetched int64
+		for _, g := range groups {
+			fetched += int64(len(g))
+		}
+		span.TagInt("fetched", fetched).End()
+	}
+	r.metrics.ShardProbe(shard).Observe(time.Since(start).Seconds())
+	return groups, nil
 }
 
 // fanout performs the raw batched probes, splitting large batches over

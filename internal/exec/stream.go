@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -32,51 +33,50 @@ import (
 //     combination is probed exactly once — the total probe and fetch
 //     counts of a drained stream equal the one-shot run's.
 //   - verification: witness retrievals use the same delta enumeration;
-//     FromStep collection consumes the source step's recorded probes as
-//     they appear. A row whose value is not yet a candidate is parked and
+//     FromStep collection reads the entries the source step recorded
+//     earlier in the same wave. A row whose value is not yet a candidate is parked and
 //     rechecked when the candidate sets grow (membership failures are
 //     transient; within-atom consistency failures are permanent).
 //   - join: semi-naive and indexed. When table t gains ΔR_t in a wave, the
 //     wave joins new_{<t} ⋈ ΔR_t ⋈ old_{>t}, which partitions the new join
 //     results exactly — no combination is produced twice. Each table keeps
-//     persistent hash indexes (join.go) extended with just the wave's new
+//     persistent indexes (join.go) extended with just the wave's new
 //     rows; a delta row is joined depth-first through a static, connected
-//     table order over one reused class → value binding, the partition
+//     table order over one reused class → id binding, the partition
 //     enforced by row-number bounds on the index chains. Nothing is
 //     materialized between tables, and projected answers dedupe through
 //     one output set shared across waves.
+//
+// All of this state is id-encoded (ids.go): a value is interned once, when
+// the stream first reads it, and everything after that — membership,
+// deduplication, joining — is integer work over flat arrays, which a
+// finished stream leaves in a pool for the next one (state.go).
 //
 // Early termination: with Limit > 0 the stream stops — mid-join if need
 // be — once that many distinct answers exist, leaving the enumerators'
 // remaining combinations unprobed. The per-step count of those known
 // saved probes is reported as StepAccess.Skipped.
 type Stream struct {
-	r    *run
+	r    run
 	opts StreamOptions
 	// batch is the per-operation probe budget of one wave (< 0: no cap).
 	batch int
 
-	retain   []bool
-	stepEnum []*deltaEnum
-	vst      []*vstate
-	// tables are the row tables of non-Exists verifications, in plan
-	// order (vstate.tbl points into this slice's elements).
-	tables []*streamTable
+	// The id-encoded evaluation state (state.go): taken from a pool when
+	// the stream opens, handed back — and nil from then on — once the
+	// stream has concluded and its last answer is out (release). A stream
+	// that never evaluates (a trivial plan, EmptyStream) has none.
+	*streamState
 
-	// Join state (join.go): bind is the class → value binding the
-	// depth-first walk fills in place, pre-set with the seed constants;
-	// orders[t] is table t's delta join order, computed on first use;
-	// keybuf is the one buffer every key of the stream is encoded into.
-	bind   []value.Value
-	orders [][]joinStep
-	keybuf []byte
 	// joinLeaves counts complete join results reached, joinVisits the rows
 	// the walk stepped onto — the join's work, for span tags and tests.
 	joinLeaves, joinVisits int64
 
-	seenOut keySet
-	outbuf  []value.Tuple
+	// outHead counts the answers (rows of seenOut, in discovery order)
+	// already handed out by Next; slab is what is left of the current
+	// answer-tuple slab (Next).
 	outHead int
+	slab    []value.Value
 
 	growthDone      bool
 	seedOnlyEmitted bool
@@ -125,37 +125,71 @@ const DefaultBatchSize = 64
 // combinations in one wave, so growth completes in a single pass.
 const Unbatched = -1
 
+// stepState is the per-stream state of one fetch step.
+type stepState struct {
+	// rel is the step's relation in D_Q keys (dqKey).
+	rel int
+	// yUse marks the Y positions interned for each fetched entry: those the
+	// step binds and those a collecting verification reads (yUsed).
+	yUse uint64
+	// retain is set when some verification collects its rows from this
+	// step's entries. Stream.recs[recLo:recHi] then records the entries the
+	// current wave fetched as ids — the probe's X-combo followed by the
+	// entry's Y columns, len(X)+len(Y) words each. Collectors run later in
+	// the same wave and read all of it, so the next wave starts recs over.
+	retain       bool
+	recLo, recHi int
+}
+
 // vstate is the incremental state of one verification.
 type vstate struct {
-	// enum enumerates witness lookups (nil for Exists and FromStep).
+	// enum enumerates witness lookups (nil for Exists and FromStep); rel
+	// and yUse are the witness's D_Q relation and the Y positions the
+	// verification reads.
 	enum *deltaEnum
-	// consumed indexes into the source step's recorded probes (FromStep).
-	consumed int
+	rel  int
+	yUse uint64
 	// tbl is the verification's row table (nil for Exists).
 	tbl *streamTable
-	// pending holds rows that failed candidate membership; they are
-	// rechecked when the row classes' candidate sets grow.
-	pending  []pendRow
+	// pending holds rows (ids, one per table column) that failed candidate
+	// membership; they are rechecked when the row classes' candidate sets
+	// grow.
+	pending  []uint32
 	pendMark int64
 	complete bool
 }
 
-type pendRow struct {
-	combo value.Tuple
-	entry storage.IndexEntry
-}
-
-// streamTable is one atom's verified row table R_i, grown incrementally.
+// streamTable is one atom's verified row table R_i, grown incrementally:
+// a set of id rows, one column per class.
 type streamTable struct {
+	rowSet
 	classes []int
-	rows    []value.Tuple
-	seen    keySet
-	// waveBase is len(rows) at the start of the current wave; rows beyond
-	// it are the wave's delta.
+	// waveBase is the number of rows at the start of the current wave;
+	// rows beyond it are the wave's delta.
 	waveBase int
 	// indexes are the table's join indexes, one per key-column list some
 	// delta join order probes it by.
 	indexes []*joinIndex
+}
+
+// yUsed reports whether Y position yi is in the mask; positions past the
+// mask's width always are.
+func yUsed(mask uint64, yi int) bool { return yi >= 64 || mask>>yi&1 != 0 }
+
+// useY adds Y position yi to the mask.
+func useY(mask *uint64, yi int) {
+	if yi < 64 {
+		*mask |= 1 << yi
+	}
+}
+
+// useSources adds the Y positions the row sources read to the mask.
+func useSources(mask *uint64, srcs []plan.RowSource) {
+	for _, src := range srcs {
+		if src.FromX < 0 {
+			useY(mask, src.FromY)
+		}
+	}
 }
 
 // Stream opens a pull-based evaluation of a bounded plan against a store.
@@ -164,56 +198,31 @@ type streamTable struct {
 // answers satisfy the caller (or opts.Limit). The stream is not safe for
 // concurrent use; the store must satisfy the same requirements as Run's.
 func (e *Executor) Stream(p *plan.Plan, db Store, opts StreamOptions) *Stream {
-	r := &run{ex: e, p: p, db: db, res: &Result{}, metrics: opts.Metrics}
-	s := &Stream{r: r, opts: opts, batch: opts.BatchSize}
+	s := &Stream{r: run{ex: e, p: p, db: db, metrics: opts.Metrics}, opts: opts, batch: opts.BatchSize}
+	r := &s.r
 	if s.batch == 0 {
 		s.batch = DefaultBatchSize
 	}
-	for _, col := range p.Query.Output {
-		r.res.Cols = append(r.res.Cols, col.As)
+	if len(p.Query.Output) > 0 {
+		r.cols = make([]string, len(p.Query.Output))
+		for i, col := range p.Query.Output {
+			r.cols[i] = col.As
+		}
 	}
 	if p.Trivial {
 		s.done = true
 		return s
 	}
-	r.dq = newDQTracker()
-	r.res.StepStats = make([]StepAccess, len(p.Steps))
-	r.res.VerifyStats = make([]StepAccess, len(p.Verifies))
-	r.V = make([]*candSet, p.Closure.NumClasses())
-	for i := range r.V {
-		r.V[i] = newCandSet()
+	if ps, ok := db.(PartitionedStore); ok && ps.NumShards() > 1<<dqShardBits {
+		s.err = fmt.Errorf("exec: %d shards, D_Q accounting addresses at most %d", ps.NumShards(), 1<<dqShardBits)
+		return s
 	}
-	for _, sd := range p.Seeds {
-		r.V[sd.Class].add(sd.Val)
+	stats := make([]StepAccess, len(p.Steps)+len(p.Verifies))
+	r.stepStats, r.verifyStats = stats[:len(p.Steps):len(p.Steps)], stats[len(p.Steps):]
+	s.streamState = statePool.Get().(*streamState)
+	if rels := s.shape(p); rels >= 1<<dqRelBits {
+		s.err = fmt.Errorf("exec: plan fetches from %d relations, D_Q accounting addresses fewer than %d", rels, 1<<dqRelBits)
 	}
-	s.retain = make([]bool, len(p.Steps))
-	for _, vs := range p.Verifies {
-		if vs.FromStep >= 0 {
-			s.retain[vs.FromStep] = true
-		}
-	}
-	r.recorded = make([][]fetched, len(p.Steps))
-	s.stepEnum = make([]*deltaEnum, len(p.Steps))
-	for si, st := range p.Steps {
-		s.stepEnum[si] = newDeltaEnum(st.XClasses)
-	}
-	s.vst = make([]*vstate, len(p.Verifies))
-	for vi, vs := range p.Verifies {
-		st := &vstate{}
-		if !vs.Exists {
-			classes := make([]int, len(vs.Row))
-			for k, src := range vs.Row {
-				classes[k] = src.Class
-			}
-			st.tbl = &streamTable{classes: classes, seen: keySet{}}
-			s.tables = append(s.tables, st.tbl)
-			if vs.FromStep < 0 {
-				st.enum = newDeltaEnum(vs.XClasses)
-			}
-		}
-		s.vst[vi] = st
-	}
-	s.seenOut = keySet{}
 	return s
 }
 
@@ -226,38 +235,61 @@ func OpenStream(p *plan.Plan, db Store, opts StreamOptions) *Stream {
 // names — the streaming form of an unsatisfiable binding's empty answer.
 // It performs no data access.
 func EmptyStream(cols []string) *Stream {
-	return &Stream{r: &run{res: &Result{Cols: cols}}, done: true}
+	return &Stream{r: run{cols: cols}, done: true}
 }
 
 // Cols returns the output column names (empty for Boolean queries).
-func (s *Stream) Cols() []string { return s.r.res.Cols }
+func (s *Stream) Cols() []string { return s.r.cols }
 
 // Next returns the next answer tuple. ok = false without an error means
 // the stream is exhausted (or its limit was reached); every returned
 // tuple is a distinct, final answer of the query.
 func (s *Stream) Next() (value.Tuple, bool, error) {
-	for s.outHead >= len(s.outbuf) && !s.done && s.err == nil {
+	for !s.done && s.err == nil && s.waiting() == 0 {
 		s.advance()
 	}
 	if s.done || s.err != nil {
 		s.finalize()
 	}
-	if s.err != nil {
+	waiting := s.waiting()
+	if s.err != nil || waiting == 0 {
+		s.release()
 		return nil, false, s.err
 	}
-	if s.outHead < len(s.outbuf) {
-		t := s.outbuf[s.outHead]
-		s.outHead++
-		if s.outHead == len(s.outbuf) {
-			s.outbuf, s.outHead = s.outbuf[:0], 0
-		}
-		return t, true, nil
+	// The tuple is cut from a slab sized for the answers waiting (a page's
+	// worth at most), so a page costs a few allocations rather than one per
+	// tuple. A slab is never reused: the tuple stays valid for as long as
+	// the caller keeps it. (A Boolean answer is the empty tuple, not nil:
+	// hence the slab of no values.)
+	ids := s.seenOut.row(s.outHead)
+	if len(s.slab) < len(ids) || s.slab == nil {
+		s.slab = make([]value.Value, len(ids)*min(waiting, maxSlabTuples))
 	}
-	return nil, false, nil
+	s.outHead++
+	tu := s.slab[:len(ids):len(ids)]
+	s.slab = s.slab[len(ids):]
+	for k, id := range ids {
+		tu[k] = s.dict.value(id)
+	}
+	if s.Done() {
+		s.release()
+	}
+	return tu, true, nil
+}
+
+// maxSlabTuples caps the answer tuples cut from one allocation.
+const maxSlabTuples = 256
+
+// waiting is the number of answers found and not yet handed out.
+func (s *Stream) waiting() int {
+	if s.streamState == nil {
+		return 0
+	}
+	return s.seenOut.n - s.outHead
 }
 
 // Done reports whether the stream has no more answers to produce.
-func (s *Stream) Done() bool { return s.done && s.outHead >= len(s.outbuf) }
+func (s *Stream) Done() bool { return s.done && s.waiting() == 0 }
 
 // Limited reports whether the stream stopped at its answer limit rather
 // than by exhausting the evaluation.
@@ -268,6 +300,9 @@ func (s *Stream) Limited() bool { return s.limited }
 func (s *Stream) Close() {
 	s.done = true
 	s.finalize()
+	if s.Done() {
+		s.release()
+	}
 }
 
 // finalize runs the once-per-stream completion bookkeeping: the known
@@ -279,14 +314,13 @@ func (s *Stream) finalize() {
 		return
 	}
 	s.finalized = true
+	s.settle()
 	skipped := int64(0)
-	for si := range s.stepEnum {
-		skipped += s.stepEnum[si].pendingCount()
+	for _, st := range s.r.stepStats {
+		skipped += st.Skipped
 	}
-	for _, st := range s.vst {
-		if st.enum != nil {
-			skipped += st.enum.pendingCount()
-		}
+	for _, st := range s.r.verifyStats {
+		skipped += st.Skipped
 	}
 	if m := s.r.metrics; m != nil {
 		m.Skipped.Add(skipped)
@@ -303,36 +337,53 @@ func (s *Stream) finalize() {
 	}
 }
 
+// settle copies what Result reports off the evaluation state — |D_Q| and
+// each operation's known saved probes — into the run's own counters.
+func (s *Stream) settle() {
+	if s.streamState == nil {
+		return
+	}
+	s.r.dqSize = s.dq.n
+	for si := range s.r.stepStats {
+		s.r.stepStats[si].Skipped = s.enums[si].pendingCount()
+	}
+	for vi := range s.vst {
+		if en := s.vst[vi].enum; en != nil {
+			s.r.verifyStats[vi].Skipped = en.pendingCount()
+		}
+	}
+}
+
+// release hands the evaluation state back to the pool. It runs once the
+// stream has concluded and nothing of the state can be asked for again:
+// the last answer is out and the counters are settled.
+func (s *Stream) release() {
+	if s.streamState == nil {
+		return
+	}
+	s.settle()
+	st := s.streamState
+	s.streamState = nil
+	st.reset()
+	statePool.Put(st)
+}
+
 // Result snapshots the access statistics accumulated so far: counters,
 // |D_Q|, per-step breakdowns (with known saved probes in Skipped when the
 // stream stopped early), and the limit disposition. Tuples is left nil —
 // the answers flow through Next.
 func (s *Stream) Result() *Result {
-	res := &Result{
-		Cols:    s.r.res.Cols,
-		Stats:   storage.Stats{IndexLookups: s.r.lookups, TuplesFetched: s.r.fetched},
-		Limit:   s.opts.Limit,
-		Limited: s.limited,
-		Trace:   s.opts.Trace,
+	s.settle()
+	return &Result{
+		Cols:        s.r.cols,
+		Stats:       storage.Stats{IndexLookups: s.r.lookups, TuplesFetched: s.r.fetched},
+		DQSize:      s.r.dqSize,
+		StepStats:   slices.Clone(s.r.stepStats),
+		VerifyStats: slices.Clone(s.r.verifyStats),
+		Limit:       s.opts.Limit,
+		Limited:     s.limited,
+		Trace:       s.opts.Trace,
 	}
-	if s.r.dq != nil {
-		res.DQSize = s.r.dq.size()
-	}
-	if s.r.res.StepStats != nil {
-		res.StepStats = append([]StepAccess(nil), s.r.res.StepStats...)
-		for si := range res.StepStats {
-			res.StepStats[si].Skipped = s.stepEnum[si].pendingCount()
-		}
-	}
-	if s.r.res.VerifyStats != nil {
-		res.VerifyStats = append([]StepAccess(nil), s.r.res.VerifyStats...)
-		for vi, st := range s.vst {
-			if st.enum != nil {
-				res.VerifyStats[vi].Skipped = st.enum.pendingCount()
-			}
-		}
-	}
-	return res
 }
 
 // Drain consumes the stream to exhaustion (or its limit) and returns the
@@ -347,6 +398,10 @@ func (s *Stream) Drain() (*Result, error) {
 		}
 		if !ok {
 			break
+		}
+		if len(tuples) == cap(tuples) {
+			// Room for the answers already waiting, not a doubling at a time.
+			tuples = slices.Grow(tuples, 1+s.waiting())
 		}
 		tuples = append(tuples, t)
 	}
@@ -385,21 +440,26 @@ func (s *Stream) advance() {
 		}
 	}()
 
-	for _, tbl := range s.tables {
-		tbl.waveBase = len(tbl.rows)
+	for t := range s.tables {
+		s.tables[t].waveBase = s.tables[t].n
+	}
+	s.recs = s.recs[:0]
+	for si := range s.steps {
+		s.steps[si].recLo, s.steps[si].recHi = 0, 0
 	}
 
 	progress := false
 	if !s.growthDone {
 		for si := range s.r.p.Steps {
-			en := s.stepEnum[si]
-			en.refresh(s.r.V)
-			xs := en.next(s.r.V, s.batch)
-			if len(xs) == 0 {
+			en := &s.enums[si]
+			en.refresh(s.V)
+			var n int
+			s.xids, n = en.next(s.V, s.batch, s.xids)
+			if n == 0 {
 				continue
 			}
 			progress = true
-			if err := s.growStep(si, xs, waveSpan); err != nil {
+			if err := s.growStep(si, n, waveSpan); err != nil {
 				s.err = err
 				return
 			}
@@ -410,8 +470,8 @@ func (s *Stream) advance() {
 		// empty no later wave can revive one.
 		allDone := true
 		for si := range s.r.p.Steps {
-			s.stepEnum[si].refresh(s.r.V)
-			if !s.stepEnum[si].empty() {
+			s.enums[si].refresh(s.V)
+			if !s.enums[si].empty() {
 				allDone = false
 			}
 		}
@@ -437,8 +497,8 @@ func (s *Stream) advance() {
 	emitted, err := s.emitWave()
 	if joinSpan != nil {
 		deltaRows := 0
-		for _, tbl := range s.tables {
-			deltaRows += len(tbl.rows) - tbl.waveBase
+		for t := range s.tables {
+			deltaRows += s.tables[t].n - s.tables[t].waveBase
 		}
 		joinSpan.TagInt("delta_rows", int64(deltaRows)).TagInt("results", s.joinLeaves-leaves)
 		joinSpan.End()
@@ -458,11 +518,48 @@ func (s *Stream) advance() {
 	}
 }
 
-// growStep integrates one batch of a fetch step's probes, mirroring the
-// classic growth phase: count, track D_Q, bind Y values into candidate
-// sets, record for FromStep collectors.
-func (s *Stream) growStep(si int, xs []value.Tuple, waveSpan *obs.Span) error {
-	st := s.r.p.Steps[si]
+// combos turns the n id combinations of width k that an enumerator left in
+// xids into the value tuples a store probe takes, cut from the arena.
+func (s *Stream) combos(n, k int) []value.Tuple {
+	s.xvals = slices.Grow(s.xvals[:0], n*k)[:n*k]
+	s.xs = slices.Grow(s.xs[:0], n)[:n]
+	for i, id := range s.xids {
+		s.xvals[i] = s.dict.value(id)
+	}
+	for i := range s.xs {
+		s.xs[i] = s.xvals[i*k : (i+1)*k : (i+1)*k]
+	}
+	return s.xs
+}
+
+// trackDQ books one fetched entry into D_Q.
+func (s *Stream) trackDQ(rel, shard, pos int) error {
+	if uint64(pos)>>dqPosBits != 0 {
+		return fmt.Errorf("exec: index entry position %d outside D_Q accounting's %d bits", pos, dqPosBits)
+	}
+	s.dq.add(dqKey(rel, shard, pos))
+	return nil
+}
+
+// internY interns the masked Y columns of one entry into ybuf.
+func (s *Stream) internY(e storage.IndexEntry, mask uint64) []uint32 {
+	y := s.ybuf[:len(e.Y)]
+	for yi, v := range e.Y {
+		if yUsed(mask, yi) {
+			y[yi] = s.dict.intern(v)
+		}
+	}
+	return y
+}
+
+// growStep integrates one batch of a fetch step's probes — the n combos in
+// xids — mirroring the classic growth phase: count, track D_Q, bind Y
+// values into candidate sets, record for FromStep collectors.
+func (s *Stream) growStep(si, n int, waveSpan *obs.Span) error {
+	st := &s.r.p.Steps[si]
+	ss := &s.steps[si]
+	nx := len(st.XClasses)
+	xs := s.combos(n, nx)
 	var sp *obs.Span
 	if waveSpan != nil {
 		sp = waveSpan.Child(fmt.Sprintf("fetch T%d: %s via %s", si+1, s.r.p.Query.Atoms[st.Atom].Alias, st.AC))
@@ -470,29 +567,34 @@ func (s *Stream) growStep(si int, xs []value.Tuple, waveSpan *obs.Span) error {
 	before := s.r.fetched
 	groups, owners, err := s.r.probeAC(st.AC, xs, sp)
 	if sp != nil {
-		sp.TagInt("probes", int64(len(xs))).TagInt("fetched", s.r.fetched-before)
+		sp.TagInt("probes", int64(n)).TagInt("fetched", s.r.fetched-before)
 		sp.End()
 	}
 	if err != nil {
 		return err
 	}
-	s.r.res.StepStats[si].Lookups += int64(len(xs))
+	s.r.stepStats[si].Lookups += int64(n)
+	ss.recLo = len(s.recs)
 	for i, entries := range groups {
-		s.r.res.StepStats[si].Fetched += int64(len(entries))
+		s.r.stepStats[si].Fetched += int64(len(entries))
 		shard := 0
 		if owners != nil {
 			shard = owners[i]
 		}
 		for _, e := range entries {
-			s.r.dq.add(st.AC.Rel, shard, e.Pos)
+			if err := s.trackDQ(ss.rel, shard, e.Pos); err != nil {
+				return err
+			}
+			y := s.internY(e, ss.yUse)
 			for _, yi := range st.BindPos {
-				s.r.V[st.YClasses[yi]].add(e.Y[yi])
+				s.V[st.YClasses[yi]].add(y[yi])
+			}
+			if ss.retain {
+				s.recs = append(append(s.recs, s.xids[i*nx:(i+1)*nx]...), y...)
 			}
 		}
-		if s.retain[si] && len(entries) > 0 {
-			s.r.recorded[si] = append(s.r.recorded[si], fetched{combo: xs[i], entries: entries, shard: shard})
-		}
 	}
+	ss.recHi = len(s.recs)
 	return nil
 }
 
@@ -501,11 +603,11 @@ func (s *Stream) growStep(si int, xs []value.Tuple, waveSpan *obs.Span) error {
 // verified table at exhaustion means the whole answer is empty, matching
 // the classic short-circuit.
 func (s *Stream) advanceVerify(vi int, waveSpan *obs.Span) (bool, error) {
-	st := s.vst[vi]
+	st := &s.vst[vi]
 	if st.complete {
 		return false, nil
 	}
-	vs := s.r.p.Verifies[vi]
+	vs := &s.r.p.Verifies[vi]
 	var sp *obs.Span
 	if waveSpan != nil {
 		sp = waveSpan.Child(fmt.Sprintf("verify %s", s.r.p.Query.Atoms[vs.Atom].Alias))
@@ -521,42 +623,44 @@ func (s *Stream) advanceVerify(vi int, waveSpan *obs.Span) (bool, error) {
 			return true, nil
 		}
 		s.r.fetched++ // the O(1) existence check read one tuple
-		s.r.res.VerifyStats[vi].Fetched = 1
+		s.r.verifyStats[vi].Fetched = 1
 		st.complete = true
 		return true, nil
 	}
 
 	progress := false
 	if vs.FromStep >= 0 {
-		recs := s.r.recorded[vs.FromStep]
-		for st.consumed < len(recs) {
-			f := recs[st.consumed]
-			st.consumed++
+		recs := s.recs[s.steps[vs.FromStep].recLo:s.steps[vs.FromStep].recHi]
+		nx := len(s.r.p.Steps[vs.FromStep].XClasses)
+		width := nx + len(s.r.p.Steps[vs.FromStep].AC.Y)
+		for at := 0; at < len(recs); at += width {
 			progress = true
-			for _, e := range f.entries {
-				s.offerRow(vi, st, f.combo, e)
-			}
+			s.offerRow(st, vs, recs[at:at+nx], recs[at+nx:at+width])
 		}
 	} else {
-		st.enum.refresh(s.r.V)
-		xs := st.enum.next(s.r.V, s.batch)
-		if len(xs) > 0 {
+		st.enum.refresh(s.V)
+		var n int
+		s.xids, n = st.enum.next(s.V, s.batch, s.xids)
+		if n > 0 {
 			progress = true
-			groups, owners, err := s.r.probeAC(vs.Witness, xs, sp)
+			nx := len(vs.XClasses)
+			groups, owners, err := s.r.probeAC(vs.Witness, s.combos(n, nx), sp)
 			if err != nil {
 				return false, err
 			}
-			sp.TagInt("probes", int64(len(xs)))
-			s.r.res.VerifyStats[vi].Lookups += int64(len(xs))
+			sp.TagInt("probes", int64(n))
+			s.r.verifyStats[vi].Lookups += int64(n)
 			for i, entries := range groups {
-				s.r.res.VerifyStats[vi].Fetched += int64(len(entries))
+				s.r.verifyStats[vi].Fetched += int64(len(entries))
 				shard := 0
 				if owners != nil {
 					shard = owners[i]
 				}
 				for _, e := range entries {
-					s.r.dq.add(vs.Witness.Rel, shard, e.Pos)
-					s.offerRow(vi, st, xs[i], e)
+					if err := s.trackDQ(st.rel, shard, e.Pos); err != nil {
+						return false, err
+					}
+					s.offerRow(st, vs, s.xids[i*nx:(i+1)*nx], s.internY(e, st.yUse))
 				}
 			}
 		}
@@ -566,24 +670,26 @@ func (s *Stream) advanceVerify(vi int, waveSpan *obs.Span) (bool, error) {
 	if len(st.pending) > 0 {
 		if mark := s.candMark(vs); mark != st.pendMark {
 			st.pendMark = mark
+			width := len(vs.Row)
 			keep := st.pending[:0]
-			for _, pr := range st.pending {
-				if s.memberRow(vs, pr.combo, pr.entry) {
-					s.addRow(st, vs, pr.combo, pr.entry)
+			for at := 0; at < len(st.pending); at += width {
+				row := st.pending[at : at+width]
+				if s.memberRow(vs, row) {
+					st.tbl.insert(row)
 					progress = true
 				} else {
-					keep = append(keep, pr)
+					keep = append(keep, row...)
 				}
 			}
 			st.pending = keep
 		}
 	}
 
-	if s.growthDone && s.verifyDrained(vi, st) {
+	if s.growthDone && s.verifyDrained(vs, st) {
 		// Candidate sets are final: parked rows can never pass now.
 		st.pending = nil
 		st.complete = true
-		if len(st.tbl.rows) == 0 {
+		if st.tbl.n == 0 {
 			s.finishEmpty()
 		}
 	}
@@ -591,93 +697,73 @@ func (s *Stream) advanceVerify(vi int, waveSpan *obs.Span) (bool, error) {
 }
 
 // verifyDrained reports whether a row-table verification has consumed
-// every available input.
-func (s *Stream) verifyDrained(vi int, st *vstate) bool {
-	vs := s.r.p.Verifies[vi]
+// every available input. A collector has, whenever it has just run: the
+// wave's records are all there is.
+func (s *Stream) verifyDrained(vs *plan.VerifyStep, st *vstate) bool {
 	if vs.FromStep >= 0 {
-		return st.consumed == len(s.r.recorded[vs.FromStep])
+		return true
 	}
-	st.enum.refresh(s.r.V)
+	st.enum.refresh(s.V)
 	return st.enum.empty()
 }
 
 // candMark fingerprints the sizes of the candidate sets a verification's
 // row values are checked against; parked rows are rechecked only when it
 // moves.
-func (s *Stream) candMark(vs plan.VerifyStep) int64 {
+func (s *Stream) candMark(vs *plan.VerifyStep) int64 {
 	var n int64
 	for _, src := range vs.Row {
-		n += int64(len(s.r.V[src.Class].vals))
+		n += int64(len(s.V[src.Class].ids))
 	}
 	return n
 }
 
-// offerRow considers one fetched entry as a row of its table. Consistency
-// failures are permanent (the values are fixed in the entry); membership
-// failures park the entry for recheck after the candidate sets grow.
-func (s *Stream) offerRow(vi int, st *vstate, combo value.Tuple, e storage.IndexEntry) {
-	vs := s.r.p.Verifies[vi]
+// offerRow considers one fetched entry — its probe's X-combo and its Y
+// columns, as ids — as a row of its table. Consistency failures are
+// permanent (the values are fixed in the entry); membership failures park
+// the row for recheck after the candidate sets grow. Only a row the table
+// does not have yet is stored.
+func (s *Stream) offerRow(st *vstate, vs *plan.VerifyStep, x, y []uint32) {
 	for k := 0; k+1 < len(vs.Consistency); k += 2 {
-		if rowValue(vs.Consistency[k], combo, e) != rowValue(vs.Consistency[k+1], combo, e) {
+		if rowID(vs.Consistency[k], x, y) != rowID(vs.Consistency[k+1], x, y) {
 			return
 		}
 	}
-	if s.memberRow(vs, combo, e) {
-		s.addRow(st, vs, combo, e)
+	row := s.rowbuf[:len(vs.Row)]
+	for k, src := range vs.Row {
+		row[k] = rowID(src, x, y)
+	}
+	if s.memberRow(vs, row) {
+		st.tbl.insert(row)
 		return
 	}
-	st.pending = append(st.pending, pendRow{combo: combo, entry: e})
+	st.pending = append(st.pending, row...)
 }
 
-// rowValue reads one row column from its source: the lookup combo or the
+// rowID reads one row column from its source: the lookup combo or the
 // fetched entry.
-func rowValue(src plan.RowSource, combo value.Tuple, e storage.IndexEntry) value.Value {
+func rowID(src plan.RowSource, x, y []uint32) uint32 {
 	if src.FromX >= 0 {
-		return combo[src.FromX]
+		return x[src.FromX]
 	}
-	return e.Y[src.FromY]
+	return y[src.FromY]
 }
 
-// memberRow reports whether every value of the entry's row is a candidate
-// of its class (consistency is the caller's, checked once — it never
-// changes).
-func (s *Stream) memberRow(vs plan.VerifyStep, combo value.Tuple, e storage.IndexEntry) bool {
-	for _, src := range vs.Row {
-		if !s.r.V[src.Class].has[rowValue(src, combo, e)] {
+// memberRow reports whether every id of the row is a candidate of its
+// class (consistency is the caller's, checked once — it never changes).
+func (s *Stream) memberRow(vs *plan.VerifyStep, row []uint32) bool {
+	for k, src := range vs.Row {
+		if !s.V[src.Class].contains(row[k]) {
 			return false
 		}
 	}
 	return true
 }
 
-// addRow appends the entry's verified row to its table unless the table
-// already has it; only a new row is materialized.
-func (s *Stream) addRow(st *vstate, vs plan.VerifyStep, combo value.Tuple, e storage.IndexEntry) {
-	buf := s.keybuf[:0]
-	for _, src := range vs.Row {
-		buf = rowValue(src, combo, e).AppendKey(buf)
-	}
-	s.keybuf = buf
-	if !st.tbl.seen.insert(buf) {
-		return
-	}
-	row := make(value.Tuple, len(vs.Row))
-	for k, src := range vs.Row {
-		row[k] = rowValue(src, combo, e)
-	}
-	st.tbl.rows = append(st.tbl.rows, row)
-}
-
 // emitWave joins the wave's table deltas semi-naively, in table order,
 // and reports whether a new distinct answer was emitted.
 func (s *Stream) emitWave() (bool, error) {
-	before := len(s.seenOut)
-	if s.bind == nil {
-		s.bind = make([]value.Value, s.r.p.Closure.NumClasses())
-		for _, sd := range s.r.p.Seeds {
-			s.bind[sd.Class] = sd.Val
-		}
-	}
+	before := s.seenOut.n
 	if len(s.tables) == 0 {
 		// Every verification is an existence gate; once all have passed,
 		// the join is the seed tuple alone.
@@ -694,8 +780,8 @@ func (s *Stream) emitWave() (bool, error) {
 		s.project()
 		return true, nil
 	}
-	for t, tbl := range s.tables {
-		if len(tbl.rows) == tbl.waveBase {
+	for t := range s.tables {
+		if s.tables[t].n == s.tables[t].waveBase {
 			continue
 		}
 		if err := s.joinDelta(t); err != nil {
@@ -705,7 +791,7 @@ func (s *Stream) emitWave() (bool, error) {
 			break
 		}
 	}
-	return len(s.seenOut) > before, nil
+	return s.seenOut.n > before, nil
 }
 
 // seeded reports whether a seed constant pins the class.
@@ -719,8 +805,8 @@ func (s *Stream) seeded(class int) bool {
 }
 
 func (s *Stream) allComplete() bool {
-	for _, st := range s.vst {
-		if !st.complete {
+	for vi := range s.vst {
+		if !s.vst[vi].complete {
 			return false
 		}
 	}

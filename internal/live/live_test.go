@@ -608,3 +608,56 @@ func TestSnapshotMatchesFreeze(t *testing.T) {
 		}
 	}
 }
+
+// TestProbesFormatNoKeys: a probe encodes its X-key into a buffer on the
+// stack and looks the overlay and the base up by those bytes, so a
+// 64-probe FetchBatch allocates its result slice and nothing per probe,
+// and a single Fetch nothing at all — whether the group is served by the
+// base, by a commit's overlay, or by nobody.
+func TestProbesFormatNoKeys(t *testing.T) {
+	st := liveSocial(t, Options{})
+	if _, err := st.Apply([]Op{Insert("in_album", strs("p9", "a2")), Delete("in_album", strs("p4", "a0"))}); err != nil {
+		t.Fatal(err)
+	}
+	snap := st.Snapshot()
+	albums := make([]value.Tuple, 64)
+	for i := range albums {
+		albums[i] = strs(fmt.Sprintf("a%d", i%4)) // a0 overlaid, a1 base, a2 new, a3 absent
+	}
+	taggings := make([]value.Tuple, 64)
+	for i := range taggings {
+		taggings[i] = strs(fmt.Sprintf("p%d", i%6), "u0")
+	}
+	tagAC := schema.MustAccessConstraint("tagging", []string{"photo_id", "taggee_id"}, []string{"tagger_id"}, 1)
+	for _, c := range []struct {
+		ac schema.AccessConstraint
+		xs []value.Tuple
+	}{{inAlbumAC(), albums}, {tagAC, taggings}} {
+		var groups [][]storage.IndexEntry
+		var err error
+		if n := testing.AllocsPerRun(50, func() { groups, err = snap.FetchBatch(c.ac, c.xs) }); n != 1 || err != nil {
+			t.Errorf("%s: a 64-probe FetchBatch allocates %.0f times (err %v), want 1: the result slice", c.ac, n, err)
+		}
+		for i, x := range c.xs {
+			var one []storage.IndexEntry
+			if n := testing.AllocsPerRun(10, func() { one, err = snap.Fetch(c.ac, x) }); n != 0 || err != nil {
+				t.Errorf("%s: Fetch(%s) allocates %.0f times (err %v), want 0", c.ac, x, n, err)
+			}
+			if fmt.Sprint(ys(one)) != fmt.Sprint(ys(groups[i])) {
+				t.Errorf("%s: Fetch(%s) = %v, FetchBatch's group %v", c.ac, x, ys(one), ys(groups[i]))
+			}
+		}
+	}
+	if got := ys(mustFetch(t, snap, inAlbumAC(), "a0")); fmt.Sprint(got) != "[('p1') ('p2')]" {
+		t.Errorf("album a0 after the delete = %v", got)
+	}
+}
+
+func mustFetch(t *testing.T, snap *Snapshot, ac schema.AccessConstraint, x ...string) []storage.IndexEntry {
+	t.Helper()
+	g, err := snap.Fetch(ac, strs(x...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}

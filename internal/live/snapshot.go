@@ -120,11 +120,14 @@ func (s *Snapshot) Size(rel string) (int64, error) {
 }
 
 // lookupGroup resolves one X-group at this epoch: the youngest diff that
-// rewrote the group wins, otherwise the sealed base index serves it.
-func (s *Snapshot) lookupGroup(acKey, xk string) []storage.IndexEntry {
+// rewrote the group wins, otherwise the sealed base index serves it. Both
+// keys are the caller's — the constraint's and the X-value's encoding,
+// still in the buffer a probe encoded it into — so a lookup formats and
+// copies nothing.
+func (s *Snapshot) lookupGroup(acKey string, xk []byte) []storage.IndexEntry {
 	for cur := s; cur != nil; cur = cur.parent {
 		if m := cur.groups[acKey]; m != nil {
-			if g, ok := m[xk]; ok {
+			if g, ok := m[string(xk)]; ok {
 				return g
 			}
 		}
@@ -132,9 +135,8 @@ func (s *Snapshot) lookupGroup(acKey, xk string) []storage.IndexEntry {
 	if _, ok := s.binds[acKey]; !ok {
 		return nil
 	}
-	// By the key the caller already holds: a probe formats nothing.
 	if idx, ok := s.base.AccessIndexByKey(acKey); ok {
-		return idx.Entries(xk)
+		return idx.EntriesOf(xk)
 	}
 	return nil
 }
@@ -151,7 +153,8 @@ func (s *Snapshot) Fetch(ac schema.AccessConstraint, xVals value.Tuple) ([]stora
 	if len(xVals) != len(ac.X) {
 		return nil, fmt.Errorf("live: constraint %s expects %d lookup values, got %d", ac, len(ac.X), len(xVals))
 	}
-	entries := s.lookupGroup(key, xVals.Key())
+	var kb [value.KeyBufSize]byte
+	entries := s.lookupGroup(key, xVals.AppendKey(kb[:0]))
 	s.st.lookups.Add(1)
 	s.st.fetched.Add(int64(len(entries)))
 	rc := s.st.relCounters(ac.Rel)
@@ -171,11 +174,14 @@ func (s *Snapshot) FetchBatch(ac schema.AccessConstraint, xs []value.Tuple) ([][
 	}
 	out := make([][]storage.IndexEntry, len(xs))
 	var fetched int64
+	var kb [value.KeyBufSize]byte
+	xk := kb[:0]
 	for i, x := range xs {
 		if len(x) != len(ac.X) {
 			return nil, fmt.Errorf("live: constraint %s expects %d lookup values, got %d", ac, len(ac.X), len(x))
 		}
-		g := s.lookupGroup(key, x.Key())
+		xk = x.AppendKey(xk[:0])
+		g := s.lookupGroup(key, xk)
 		out[i] = g
 		fetched += int64(len(g))
 	}

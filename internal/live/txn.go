@@ -63,7 +63,7 @@ func (tx *txn) group(acKey, xk string) []storage.IndexEntry {
 			return g
 		}
 	}
-	return tx.snap.lookupGroup(acKey, xk)
+	return tx.snap.lookupGroup(acKey, []byte(xk))
 }
 
 // setGroup installs the batch's rewritten group. An emptied group is kept
@@ -300,7 +300,7 @@ func (st *Store) commit(tx *txn) uint64 {
 		for acKey, m := range tx.groups {
 			card := cards[acKey]
 			for xk, g := range m {
-				card.resize(int64(len(tx.snap.lookupGroup(acKey, xk))), int64(len(g)))
+				card.resize(int64(len(tx.snap.lookupGroup(acKey, []byte(xk)))), int64(len(g)))
 			}
 		}
 		for acKey, m := range tx.ledger {

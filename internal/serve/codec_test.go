@@ -2,9 +2,12 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"testing"
 
+	"bcq/internal/exec"
+	"bcq/internal/storage"
 	"bcq/internal/value"
 )
 
@@ -36,6 +39,60 @@ func TestAppendRowMatchesJSONMarshal(t *testing.T) {
 		buf = appendRow(buf[:0], tu)
 		if string(buf) != string(want) {
 			t.Errorf("appendRow(%v) = %s, json.Marshal gives %s", tu, buf, want)
+		}
+	}
+}
+
+// TestPageFramingMatchesEncodingJSON holds a page's header and trailer —
+// plain, traced, failed and timed out — to the json.Marshal and fmt
+// rendering the appenders replaced, byte for byte.
+func TestPageFramingMatchesEncodingJSON(t *testing.T) {
+	// fmtFraming is writePage's former framing, kept here as the reference.
+	fmtFraming := func(cols []string, res *exec.Result, epoch, next string, complete bool, traceID, errMsg string) string {
+		if cols == nil {
+			cols = []string{}
+		}
+		colsJSON, _ := json.Marshal(cols)
+		out := fmt.Sprintf(`{"result":{"cols":%s,"tuples":[`, colsJSON)
+		trailer, _ := json.Marshal(statsPayload{
+			IndexLookups:  res.Stats.IndexLookups,
+			TuplesFetched: res.Stats.TuplesFetched,
+			TuplesScanned: res.Stats.TuplesScanned,
+		})
+		out += fmt.Sprintf(`],"stats":%s,"dq_size":%d},"cached":false,"epoch":%s,"next_cursor":%s,"complete":%v`,
+			trailer, res.DQSize, jsonString(epoch), jsonString(next), complete)
+		if traceID != "" {
+			out += fmt.Sprintf(`,"trace_id":%s`, jsonString(traceID))
+		}
+		if errMsg != "" {
+			out += fmt.Sprintf(`,"error":%s`, jsonString(errMsg))
+		}
+		return out + "}\n"
+	}
+	big := &exec.Result{Stats: storage.Stats{IndexLookups: math.MaxInt64, TuplesFetched: 1009, TuplesScanned: 3}, DQSize: 984}
+	cases := []struct {
+		name                         string
+		cols                         []string
+		res                          *exec.Result
+		epoch, next, traceID, errMsg string
+		complete                     bool
+	}{
+		{name: "boolean query, last page", res: &exec.Result{}, epoch: "live:0", complete: true},
+		{name: "first page of a scan", cols: []string{"photo_id"}, res: big, epoch: "live:41", next: "9f86d081884c7d659a2feaa0c55ad015"},
+		{name: "several columns, sharded epoch", cols: []string{"a", "b_2", "c"}, res: big, epoch: "shards:3,17,4", complete: true},
+		{name: "column names json escapes", cols: []string{`say "hi"`, "<tag>&", "naïve", "tab\there"}, res: big, epoch: "live:1", complete: true},
+		{name: "traced", cols: []string{"x"}, res: big, epoch: "live:2", next: "00ff", traceID: "4bf92f3577b34da6"},
+		{name: "stream error", cols: []string{"x"}, res: big, epoch: "live:2", errMsg: `live: no index maintained for constraint r(k -> "v", 4)`},
+		{name: "deadline mid-page", cols: []string{"x"}, res: big, epoch: "live:2", next: "ab", traceID: "t-1", errMsg: "deadline exceeded mid-page; resume with next_cursor"},
+	}
+	for _, c := range cases {
+		got := appendPageTrailer(appendPageHeader([]byte("kept"), c.cols), c.res, c.epoch, c.next, c.complete, c.traceID, c.errMsg)
+		if want := "kept" + fmtFraming(c.cols, c.res, c.epoch, c.next, c.complete, c.traceID, c.errMsg); string(got) != want {
+			t.Errorf("%s:\n got  %s\n want %s", c.name, got, want)
+		}
+		var doc map[string]any
+		if err := json.Unmarshal(got[len("kept"):], &doc); err != nil {
+			t.Errorf("%s: the framing around an empty page is not a JSON document: %v", c.name, err)
 		}
 	}
 }

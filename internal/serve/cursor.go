@@ -46,7 +46,8 @@ type cursorRegistry struct {
 	mu      sync.Mutex
 	entries map[string]*cursorState
 	// order tracks insertion order for capacity eviction; stale tokens
-	// (already claimed) are skipped when popped.
+	// (already claimed) are skipped when popped, and swept out by put once
+	// they outnumber the open cursors.
 	order   []string
 	cap     int
 	ttl     time.Duration
@@ -103,6 +104,17 @@ func (c *cursorRegistry) put(st *cursorState) (string, error) {
 	}
 	c.entries[token] = st
 	c.order = append(c.order, token)
+	// A scan claims its token on the next page, long before capacity makes
+	// anything pop: without the sweep order keeps every token ever issued.
+	if len(c.order) > 2*len(c.entries)+16 {
+		open := make([]string, 0, 2*len(c.entries)+16)
+		for _, tok := range c.order {
+			if _, ok := c.entries[tok]; ok {
+				open = append(open, tok)
+			}
+		}
+		c.order = open
+	}
 	return token, nil
 }
 

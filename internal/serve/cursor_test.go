@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"bcq/internal/engine"
+	"bcq/internal/exec"
 )
 
 // pageEnvelope mirrors the paged /query response.
@@ -233,5 +234,40 @@ func TestPagedRequestValidation(t *testing.T) {
 	}
 	if code, _ := post(t, hs.URL+"/query", `{"query": "select photo_id from in_album where album_id = ?", "args": ["a0"], "cursor": "abc"}`); code != http.StatusBadRequest {
 		t.Errorf("cursor with query text: status %d, want 400", code)
+	}
+}
+
+// TestCursorOrderStaysBounded: a scan claims its token on every page, so
+// the registry's eviction order must shed claimed tokens as it goes — it
+// may not keep one per page ever served.
+func TestCursorOrderStaysBounded(t *testing.T) {
+	reg := newCursorRegistry(8, time.Minute)
+	open := &cursorState{stream: exec.EmptyStream(nil)}
+	if _, err := reg.put(open); err != nil { // one scan stays open throughout
+		t.Fatal(err)
+	}
+	for i := 0; i < 5000; i++ {
+		tok, err := reg.put(&cursorState{stream: exec.EmptyStream(nil)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reg.claim(tok) == nil {
+			t.Fatalf("page %d: fresh token not claimable", i)
+		}
+	}
+	if n := len(reg.order); n > 64 {
+		t.Fatalf("eviction order holds %d tokens for %d open cursors", n, reg.open())
+	}
+	if reg.open() != 1 || reg.evicted.Load() != 0 {
+		t.Fatalf("%d cursors open, %d evicted; want the one open scan untouched", reg.open(), reg.evicted.Load())
+	}
+	// Capacity eviction still takes the oldest open cursor first.
+	for i := 0; i < 8; i++ {
+		if _, err := reg.put(&cursorState{stream: exec.EmptyStream(nil)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if reg.open() != 8 || reg.evicted.Load() != 1 {
+		t.Fatalf("%d cursors open, %d evicted; want 8 and 1", reg.open(), reg.evicted.Load())
 	}
 }

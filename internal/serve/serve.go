@@ -678,19 +678,13 @@ func (s *Server) writePage(ctx context.Context, w http.ResponseWriter, st *curso
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 
-	cols := st.stream.Cols()
-	if cols == nil {
-		cols = []string{}
-	}
-	colsJSON, _ := json.Marshal(cols)
-	fmt.Fprintf(w, `{"result":{"cols":%s,"tuples":[`, colsJSON)
-
 	var (
 		n         int
 		streamErr error
 		timedOut  bool
-		// buf holds the encoded rows since the last flush.
-		buf []byte
+		// buf holds what has been encoded since the last flush: the
+		// header, rows, and at the end the trailer.
+		buf = appendPageHeader(nil, st.stream.Cols())
 	)
 	for n < st.pageSize {
 		if ctx.Err() != nil {
@@ -721,8 +715,6 @@ func (s *Server) writePage(ctx context.Context, w http.ResponseWriter, st *curso
 			}
 		}
 	}
-	_, _ = w.Write(buf)
-
 	res := st.stream.Result()
 	complete := streamErr == nil && !timedOut && st.stream.Done()
 	next := ""
@@ -733,37 +725,66 @@ func (s *Server) writePage(ctx context.Context, w http.ResponseWriter, st *curso
 			streamErr = err
 		}
 	}
-	trailer, _ := json.Marshal(statsPayload{
-		IndexLookups:  res.Stats.IndexLookups,
-		TuplesFetched: res.Stats.TuplesFetched,
-		TuplesScanned: res.Stats.TuplesScanned,
-	})
-	fmt.Fprintf(w, `],"stats":%s,"dq_size":%d},"cached":false,"epoch":%s,"next_cursor":%s,"complete":%v`,
-		trailer, res.DQSize, jsonString(st.epoch), jsonString(next), complete)
-	if id := st.trace.ID(); id != "" {
-		fmt.Fprintf(w, `,"trace_id":%s`, jsonString(id))
+	outcome, errMsg := "", ""
+	switch {
+	case streamErr != nil:
+		outcome, errMsg = "error", streamErr.Error()
+	case timedOut:
+		outcome, errMsg = "timeout", "deadline exceeded mid-page; resume with next_cursor"
 	}
+	buf = appendPageTrailer(buf, res, st.epoch, next, complete, st.trace.ID(), errMsg)
 	if st.prep != nil {
 		// Page durations qualify for the slow log like buffered answers;
 		// the entry's stats are cumulative over the cursor's whole scan.
-		outcome := ""
-		switch {
-		case streamErr != nil:
-			outcome = "error"
-		case timedOut:
-			outcome = "timeout"
-		}
 		s.maybeSlowLog("query", st.prep, res, st.trace, time.Since(start), n, outcome)
 	}
-	if streamErr != nil {
-		fmt.Fprintf(w, `,"error":%s`, jsonString(streamErr.Error()))
-	} else if timedOut {
-		fmt.Fprintf(w, `,"error":%s`, jsonString("deadline exceeded mid-page; resume with next_cursor"))
-	}
-	_, _ = w.Write([]byte("}\n"))
+	_, _ = w.Write(buf)
 	if flusher != nil {
 		flusher.Flush()
 	}
+}
+
+// appendPageHeader opens a page document up to its first tuple, byte for
+// byte what fmt and json.Marshal(cols) rendered before it.
+func appendPageHeader(dst []byte, cols []string) []byte {
+	dst = append(dst, `{"result":{"cols":[`...)
+	for i, c := range cols {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendJSONString(dst, c)
+	}
+	return append(dst, `],"tuples":[`...)
+}
+
+// appendPageTrailer closes a page document after its last tuple: the
+// cumulative statistics, the page's disposition and, for a page cut short,
+// the error — byte for byte the json.Marshal(statsPayload{…}) and fmt
+// rendering it replaces (TestPageFramingMatchesEncodingJSON).
+func appendPageTrailer(dst []byte, res *exec.Result, epoch, next string, complete bool, traceID, errMsg string) []byte {
+	dst = append(dst, `],"stats":{"index_lookups":`...)
+	dst = strconv.AppendInt(dst, res.Stats.IndexLookups, 10)
+	dst = append(dst, `,"tuples_fetched":`...)
+	dst = strconv.AppendInt(dst, res.Stats.TuplesFetched, 10)
+	dst = append(dst, `,"tuples_scanned":`...)
+	dst = strconv.AppendInt(dst, res.Stats.TuplesScanned, 10)
+	dst = append(dst, `},"dq_size":`...)
+	dst = strconv.AppendInt(dst, res.DQSize, 10)
+	dst = append(dst, `},"cached":false,"epoch":`...)
+	dst = appendJSONString(dst, epoch)
+	dst = append(dst, `,"next_cursor":`...)
+	dst = appendJSONString(dst, next)
+	dst = append(dst, `,"complete":`...)
+	dst = strconv.AppendBool(dst, complete)
+	if traceID != "" {
+		dst = append(dst, `,"trace_id":`...)
+		dst = appendJSONString(dst, traceID)
+	}
+	if errMsg != "" {
+		dst = append(dst, `,"error":`...)
+		dst = appendJSONString(dst, errMsg)
+	}
+	return append(dst, "}\n"...)
 }
 
 // jsonString renders a string as its JSON literal.

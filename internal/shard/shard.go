@@ -52,7 +52,6 @@ package shard
 
 import (
 	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
 	"sort"
@@ -298,7 +297,7 @@ func derivePlacement(rs *schema.Relation, acs []schema.AccessConstraint, P int) 
 		}
 	}
 	if !found || len(anchor) == 0 {
-		return &placement{kind: pinned, home: int(hashKey(rel, "") % uint64(P))}, nil
+		return &placement{kind: pinned, home: int(hashKey(rel, nil) % uint64(P))}, nil
 	}
 	pos, err := rs.Positions(anchor)
 	if err != nil {
@@ -341,12 +340,21 @@ func subsetSorted(a, b []string) bool {
 // hashKey is the stable shard hash: FNV-1a over the relation name and the
 // encoded key, so placement is deterministic across runs and the relation
 // prefix decorrelates different relations' hot keys.
-func hashKey(rel, key string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(rel))
-	h.Write([]byte{0})
-	h.Write([]byte(key))
-	return h.Sum64()
+//
+// The loop is hash/fnv's New64a over rel, a zero byte and key, written out
+// so that routing a probe allocates nothing (TestHashKeyIsFNV1a pins the
+// equality: durable stores were placed by it).
+func hashKey(rel string, key []byte) uint64 {
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	for i := 0; i < len(rel); i++ {
+		h = (h ^ uint64(rel[i])) * prime64
+	}
+	h *= prime64 // the separator: h ^ 0 is h
+	for _, c := range key {
+		h = (h ^ uint64(c)) * prime64
+	}
+	return h
 }
 
 // routeTuple returns the owning shard of a tuple under a placement,
@@ -354,7 +362,8 @@ func hashKey(rel, key string) uint64 {
 func (st *Store) routeTuple(pl *placement, rel string, t value.Tuple) int {
 	switch pl.kind {
 	case partitioned:
-		return int(hashKey(rel, value.KeyOf(t, pl.keyPos)) % uint64(st.p))
+		var kb [value.KeyBufSize]byte
+		return int(hashKey(rel, value.AppendKeyOf(kb[:0], t, pl.keyPos)) % uint64(st.p))
 	case pinned:
 		return pl.home
 	default:
@@ -542,7 +551,8 @@ func (st *Store) routeOp(pl *placement, op live.Op, rr *rrBatch) (int, error) {
 					return 0, fmt.Errorf("shard: relation %s op tuple %s too short for shard key", op.Rel, op.Tuple)
 				}
 			}
-			return int(hashKey(op.Rel, value.KeyOf(op.Tuple, pl.keyPos)) % uint64(len(st.shards))), nil
+			var kb [value.KeyBufSize]byte
+			return int(hashKey(op.Rel, value.AppendKeyOf(kb[:0], op.Tuple, pl.keyPos)) % uint64(len(st.shards))), nil
 		default:
 			return pl.home, nil
 		}

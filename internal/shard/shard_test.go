@@ -422,3 +422,32 @@ func mustRel(t *testing.T, name string, attrs ...string) *schema.Relation {
 	}
 	return r
 }
+
+// TestPartitionAllocatesOnlyItsResult: routing a probe batch hashes each
+// shard key from a buffer on the stack — the owners slice is the only
+// allocation, whatever the number of probes.
+func TestPartitionAllocatesOnlyItsResult(t *testing.T) {
+	_, acc, db := scene(t, 8, 6)
+	ss, err := shard.New(db, acc, shard.Options{Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := ss.View()
+	for _, ac := range acc.Constraints() {
+		xs := make([]value.Tuple, 64)
+		for i := range xs {
+			xs[i] = make(value.Tuple, len(ac.X))
+			for k := range xs[i] {
+				xs[i][k] = str(fmt.Sprintf("a%dp%d", i%8, k))
+			}
+		}
+		var owners []int
+		if n := testing.AllocsPerRun(50, func() { owners, err = view.Partition(ac, xs) }); n != 1 || err != nil {
+			t.Errorf("%s: Partition of 64 probes allocates %.0f times (err %v), want 1", ac, n, err)
+		}
+		one, err := view.Partition(ac, xs[5:6])
+		if err != nil || one[0] != owners[5] {
+			t.Errorf("%s: probe 5 routes to shard %d in the batch, %v alone (err %v)", ac, owners[5], one, err)
+		}
+	}
+}

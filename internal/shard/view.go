@@ -80,11 +80,12 @@ func (v *View) Partition(ac schema.AccessConstraint, xs []value.Tuple) ([]int, e
 		}
 		return out, nil
 	}
+	var kb [value.KeyBufSize]byte
 	for i, x := range xs {
 		if len(x) != len(ac.X) {
 			return nil, fmt.Errorf("shard: constraint %s expects %d lookup values, got %d", ac, len(ac.X), len(x))
 		}
-		out[i] = int(hashKey(rt.rel, value.KeyOf(x, rt.keyInX)) % uint64(len(v.snaps)))
+		out[i] = int(hashKey(rt.rel, value.AppendKeyOf(kb[:0], x, rt.keyInX)) % uint64(len(v.snaps)))
 	}
 	return out, nil
 }

@@ -119,6 +119,10 @@ func (idx *AccessIndex) NumEntries() int64 { return idx.entries }
 // Callers must not mutate the returned slice.
 func (idx *AccessIndex) Entries(xKey string) []IndexEntry { return idx.m[xKey] }
 
+// EntriesOf is Entries for a key still in the buffer it was encoded into:
+// the lookup copies nothing.
+func (idx *AccessIndex) EntriesOf(xKey []byte) []IndexEntry { return idx.m[string(xKey)] }
+
 // AccessIndexFor returns the built index of a constraint, if any. Like
 // AccessIndex.Entries it is an uncounted, layering-oriented accessor.
 func (db *Database) AccessIndexFor(ac schema.AccessConstraint) (*AccessIndex, bool) {
@@ -209,7 +213,8 @@ func (db *Database) Fetch(ac schema.AccessConstraint, xVals value.Tuple) ([]Inde
 	if len(xVals) != len(ac.X) {
 		return nil, fmt.Errorf("storage: constraint %s expects %d lookup values, got %d", ac, len(ac.X), len(xVals))
 	}
-	entries := idx.m[xVals.Key()]
+	var kb [value.KeyBufSize]byte
+	entries := idx.EntriesOf(xVals.AppendKey(kb[:0]))
 	db.stats.indexLookups.Add(1)
 	db.stats.tuplesFetched.Add(int64(len(entries)))
 	rc := db.relCounters(ac.Rel)
@@ -231,11 +236,14 @@ func (db *Database) FetchBatch(ac schema.AccessConstraint, xs []value.Tuple) ([]
 	}
 	out := make([][]IndexEntry, len(xs))
 	var fetched int64
+	var kb [value.KeyBufSize]byte
+	key := kb[:0]
 	for i, x := range xs {
 		if len(x) != len(ac.X) {
 			return nil, fmt.Errorf("storage: constraint %s expects %d lookup values, got %d", ac, len(ac.X), len(x))
 		}
-		entries := idx.m[x.Key()]
+		key = x.AppendKey(key[:0])
+		entries := idx.EntriesOf(key)
 		out[i] = entries
 		fetched += int64(len(entries))
 	}

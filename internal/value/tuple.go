@@ -52,11 +52,22 @@ func (t Tuple) Compare(u Tuple) int {
 // Key returns a collision-free string encoding of the tuple, suitable for
 // use as a Go map key.
 func (t Tuple) Key() string {
-	buf := make([]byte, 0, 16*len(t))
+	return string(t.AppendKey(make([]byte, 0, 16*len(t))))
+}
+
+// KeyBufSize is the size of the stack buffer a probe encodes a lookup key
+// into (var kb [value.KeyBufSize]byte; key := x.AppendKey(kb[:0])): room
+// for a few integer columns or a short string. A longer key spills to the
+// heap, as append does.
+const KeyBufSize = 64
+
+// AppendKey appends the bytes of Key() to dst, for callers that look keys
+// up from a buffer they reuse.
+func (t Tuple) AppendKey(dst []byte) []byte {
 	for _, v := range t {
-		buf = v.AppendKey(buf)
+		dst = v.AppendKey(dst)
 	}
-	return string(buf)
+	return dst
 }
 
 // Project returns the tuple restricted to the given positions, in order.

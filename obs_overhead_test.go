@@ -16,6 +16,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/debug"
 	"sort"
 	"testing"
 	"time"
@@ -56,31 +58,53 @@ func obsScene(tb testing.TB, reg *obs.Registry) *Prepared {
 	return prep
 }
 
-// medianExecNS times reps executions and returns the median wall time of
-// one execution in nanoseconds.
-func medianExecNS(tb testing.TB, prep *Prepared, reps int) float64 {
+// execNS times one execution in nanoseconds.
+func execNS(tb testing.TB, prep *Prepared) float64 {
 	tb.Helper()
-	times := make([]float64, reps)
-	for i := range times {
-		start := time.Now()
-		res, err := prep.Exec()
-		if err != nil {
-			tb.Fatal(err)
-		}
-		if len(res.Tuples) != 200*20 {
-			tb.Fatalf("answer size %d, want %d", len(res.Tuples), 200*20)
-		}
-		times[i] = float64(time.Since(start).Nanoseconds())
+	start := time.Now()
+	res, err := prep.Exec()
+	if err != nil {
+		tb.Fatal(err)
 	}
-	sort.Float64s(times)
-	return times[len(times)/2]
+	if len(res.Tuples) != 200*20 {
+		tb.Fatalf("answer size %d, want %d", len(res.Tuples), 200*20)
+	}
+	return float64(time.Since(start).Nanoseconds())
+}
+
+// pairedMedians times reps executions on each engine, alternating the two
+// execution by execution — and which of them goes first — so that drift
+// and a busy machine hit both alike, and returns each engine's median wall
+// time of one execution. The collector runs between executions, not during
+// them: an execution is short enough that whether a collection lands in it
+// would otherwise decide the sample.
+func pairedMedians(tb testing.TB, bare, instr *Prepared, reps int) (bareNS, instrNS float64) {
+	tb.Helper()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	bs := make([]float64, 0, reps)
+	is := make([]float64, 0, reps)
+	for r := 0; r < reps; r++ {
+		if r%16 == 0 {
+			runtime.GC()
+		}
+		if r%2 == 0 {
+			bs = append(bs, execNS(tb, bare))
+			is = append(is, execNS(tb, instr))
+		} else {
+			is = append(is, execNS(tb, instr))
+			bs = append(bs, execNS(tb, bare))
+		}
+	}
+	sort.Float64s(bs)
+	sort.Float64s(is)
+	return bs[reps/2], is[reps/2]
 }
 
 // TestObsOverhead is the guardrail: with a registry registered on the
 // engine (every executor counter, histogram and shard-probe handle
 // live), the median execution must stay within 5% of the uninstrumented
-// engine. Medians over interleaved sample rounds absorb scheduler noise;
-// a second, larger round confirms before failing.
+// engine. Medians over executions interleaved one by one absorb scheduler
+// noise; a second, larger round confirms before failing.
 func TestObsOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing guardrail; skipped in -short")
@@ -96,25 +120,12 @@ func TestObsOverhead(t *testing.T) {
 	ts.Start()
 	defer ts.Stop()
 
-	measure := func(reps int) (bareNS, instrNS float64) {
-		const rounds = 5
-		bs := make([]float64, 0, rounds)
-		is := make([]float64, 0, rounds)
-		for r := 0; r < rounds; r++ { // interleave so drift hits both alike
-			bs = append(bs, medianExecNS(t, bare, reps))
-			is = append(is, medianExecNS(t, instr, reps))
-		}
-		sort.Float64s(bs)
-		sort.Float64s(is)
-		return bs[rounds/2], is[rounds/2]
-	}
-
-	bareNS, instrNS := measure(20)
+	bareNS, instrNS := pairedMedians(t, bare, instr, 100)
 	overhead := instrNS/bareNS - 1
 	if overhead > 0.05 {
 		// One confirmation round with more samples before declaring a
 		// regression — CI machines are noisy at microsecond scales.
-		bareNS, instrNS = measure(60)
+		bareNS, instrNS = pairedMedians(t, bare, instr, 300)
 		overhead = instrNS/bareNS - 1
 	}
 	t.Logf("bare %.0fns, instrumented %.0fns: overhead %+.2f%%", bareNS, instrNS, overhead*100)
