@@ -60,6 +60,11 @@ import (
 // cache.
 type Source interface {
 	View() exec.Store
+	// Base is the sealed database behind the store, for callers that want
+	// the data itself (baseline comparisons, per-relation statistics) and
+	// never for serving. A live store answers with the base its current
+	// epoch overlays, so nothing here pins a base a Compact has replaced.
+	Base() *storage.Database
 	// Access is the current access schema (live stores can extend it).
 	Access() *schema.AccessSchema
 	// Version is a monotone counter that advances on every schema
@@ -99,6 +104,7 @@ type dbSource struct {
 }
 
 func (s dbSource) View() exec.Store             { return s.db }
+func (s dbSource) Base() *storage.Database      { return s.db }
 func (s dbSource) Access() *schema.AccessSchema { return s.acc }
 func (s dbSource) Version() uint64              { return 0 }
 func (s dbSource) EpochKey() string             { return s.db.EpochKey() }
@@ -110,6 +116,7 @@ func (s dbSource) NumShards() int               { return 1 }
 type liveSource struct{ ls *live.Store }
 
 func (s liveSource) View() exec.Store             { return s.ls.Snapshot() }
+func (s liveSource) Base() *storage.Database      { return s.ls.Base() }
 func (s liveSource) Access() *schema.AccessSchema { return s.ls.Access() }
 func (s liveSource) Version() uint64              { return s.ls.SchemaVersion() }
 func (s liveSource) EpochKey() string             { return s.ls.EpochKey() }
@@ -122,6 +129,7 @@ func (s liveSource) NumShards() int               { return 1 }
 type shardSource struct{ ss *shard.Store }
 
 func (s shardSource) View() exec.Store             { return s.ss.View() }
+func (s shardSource) Base() *storage.Database      { return s.ss.Base() }
 func (s shardSource) Access() *schema.AccessSchema { return s.ss.Access() }
 func (s shardSource) Version() uint64              { return s.ss.SchemaVersion() }
 func (s shardSource) EpochKey() string             { return s.ss.EpochKey() }
@@ -210,10 +218,8 @@ type Stats struct {
 // contract.
 type Engine struct {
 	cat *schema.Catalog
-	// db is the sealed base database (for a live engine, the base the
-	// live store grew from); src is what executions actually read — and
-	// where the current access schema and version come from.
-	db  *storage.Database
+	// src is what executions read, and where the current access schema,
+	// version and base database come from.
 	src Source
 	exe *exec.Executor
 
@@ -301,7 +307,7 @@ func New(cat *schema.Catalog, acc *schema.AccessSchema, db *storage.Database, op
 	if err := db.EnsureIndexes(acc); err != nil {
 		return nil, fmt.Errorf("engine: indexing database: %w", err)
 	}
-	return assemble(cat, db, dbSource{db: db, acc: acc, cs: db.CardStats()}, opts), nil
+	return assemble(cat, dbSource{db: db, acc: acc, cs: db.CardStats()}, opts), nil
 }
 
 // NewLive builds an engine over a live store: executions pin the store's
@@ -313,7 +319,7 @@ func NewLive(ls *live.Store, opts Options) (*Engine, error) {
 	if ls == nil {
 		return nil, fmt.Errorf("engine: live store is required")
 	}
-	return assemble(ls.Catalog(), ls.Base(), liveSource{ls}, opts), nil
+	return assemble(ls.Catalog(), liveSource{ls}, opts), nil
 }
 
 // NewSharded builds an engine over a sharded store: every execution pins
@@ -330,18 +336,17 @@ func NewSharded(ss *shard.Store, opts Options) (*Engine, error) {
 	if ss == nil {
 		return nil, fmt.Errorf("engine: sharded store is required")
 	}
-	return assemble(ss.Catalog(), ss.Base(), shardSource{ss}, opts), nil
+	return assemble(ss.Catalog(), shardSource{ss}, opts), nil
 }
 
 // assemble wires the shared engine internals.
-func assemble(cat *schema.Catalog, db *storage.Database, src Source, opts Options) *Engine {
+func assemble(cat *schema.Catalog, src Source, opts Options) *Engine {
 	size := opts.PlanCacheSize
 	if size <= 0 {
 		size = DefaultPlanCacheSize
 	}
 	e := &Engine{
 		cat:       cat,
-		db:        db,
 		src:       src,
 		exe:       exec.New(opts.Parallelism),
 		cache:     lru.New[*cacheEntry](size),
@@ -398,10 +403,12 @@ func (e *Engine) Catalog() *schema.Catalog { return e.cat }
 // sharded engine, reflecting any runtime ExtendAccess).
 func (e *Engine) Access() *schema.AccessSchema { return e.src.Access() }
 
-// Database returns the engine's sealed base database. For a live engine
-// this is the base the live store grew from, not the current epoch; use
-// View (or the live store's Snapshot) for current data.
-func (e *Engine) Database() *storage.Database { return e.db }
+// Database returns the sealed database behind the engine's store, asked
+// of the store at call time: the database itself for a sealed engine, the
+// one a sharded store was partitioned from, and for a live engine the
+// base its current epoch overlays — not the current data; use View (or
+// the live store's Snapshot) for that.
+func (e *Engine) Database() *storage.Database { return e.src.Base() }
 
 // View pins the store one evaluation would run against: the sealed
 // database, or the live store's current snapshot. Callers that need

@@ -541,12 +541,14 @@ func (s *Stream) trackDQ(rel, shard, pos int) error {
 	return nil
 }
 
-// internY interns the masked Y columns of one entry into ybuf.
-func (s *Stream) internY(e storage.IndexEntry, mask uint64) []uint32 {
-	y := s.ybuf[:len(e.Y)]
-	for yi, v := range e.Y {
+// internY interns the masked Y columns of one entry into ybuf. An entry is
+// its witness tuple; yPos — the plan's, aligned with the constraint's Y —
+// says where in it each Y column sits.
+func (s *Stream) internY(e storage.IndexEntry, yPos []int, mask uint64) []uint32 {
+	y := s.ybuf[:len(yPos)]
+	for yi, p := range yPos {
 		if yUsed(mask, yi) {
-			y[yi] = s.dict.intern(v)
+			y[yi] = s.dict.intern(e.Witness[p])
 		}
 	}
 	return y
@@ -585,7 +587,7 @@ func (s *Stream) growStep(si, n int, waveSpan *obs.Span) error {
 			if err := s.trackDQ(ss.rel, shard, e.Pos); err != nil {
 				return err
 			}
-			y := s.internY(e, ss.yUse)
+			y := s.internY(e, st.YPos, ss.yUse)
 			for _, yi := range st.BindPos {
 				s.V[st.YClasses[yi]].add(y[yi])
 			}
@@ -660,7 +662,7 @@ func (s *Stream) advanceVerify(vi int, waveSpan *obs.Span) (bool, error) {
 					if err := s.trackDQ(st.rel, shard, e.Pos); err != nil {
 						return false, err
 					}
-					s.offerRow(st, vs, s.xids[i*nx:(i+1)*nx], s.internY(e, st.yUse))
+					s.offerRow(st, vs, s.xids[i*nx:(i+1)*nx], s.internY(e, vs.YPos, st.yUse))
 				}
 			}
 		}

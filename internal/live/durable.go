@@ -28,7 +28,7 @@ type Recovery struct {
 	// were skipped (newest-first order of discovery).
 	CorruptSegments []string
 	// ReplayedBatches are the committed batches the WAL tail replayed,
-	// in commit order, converted back to live ops.
+	// in commit order.
 	ReplayedBatches [][]Op
 	// ReplayedOps and ReplayedExtensions count the replayed work.
 	ReplayedOps        int64
@@ -126,8 +126,7 @@ func Open(dir string, cat *schema.Catalog, acc *schema.AccessSchema, opts Option
 		}
 		switch r.Kind {
 		case wal.RecBatch:
-			ops := fromWALOps(r.Ops)
-			epoch, err := st.Apply(ops)
+			epoch, err := st.Apply(r.Ops)
 			if err != nil {
 				w.Close()
 				return nil, nil, fmt.Errorf("live: replaying wal record %d (epoch %d): %w", i, r.Epoch, err)
@@ -136,8 +135,8 @@ func Open(dir string, cat *schema.Catalog, acc *schema.AccessSchema, opts Option
 				w.Close()
 				return nil, nil, fmt.Errorf("live: replay drift: wal record %d published epoch %d, logged %d", i, epoch, r.Epoch)
 			}
-			rec.ReplayedBatches = append(rec.ReplayedBatches, ops)
-			rec.ReplayedOps += int64(len(ops))
+			rec.ReplayedBatches = append(rec.ReplayedBatches, r.Ops)
+			rec.ReplayedOps += int64(len(r.Ops))
 		case wal.RecExtension:
 			ac, err := schema.NewAccessConstraint(r.Rel, r.X, r.Y, r.N)
 			if err != nil {
@@ -191,7 +190,7 @@ func (st *Store) initDurable(dir string, acc *schema.AccessSchema) error {
 	if _, err := os.Stat(filepath.Join(dir, walFileName)); err == nil {
 		return fmt.Errorf("live: %s already holds a write-ahead log; recover it with Open", dir)
 	}
-	info, err := segment.Write(dir, st.base, acc, 0)
+	info, err := segment.Write(dir, st.Base(), acc, 0)
 	if err != nil {
 		return fmt.Errorf("live: writing initial checkpoint: %w", err)
 	}
@@ -234,21 +233,3 @@ func (st *Store) WAL() *wal.WAL { return st.w }
 // SegmentEpoch returns the epoch of the newest checkpoint segment (0
 // before any checkpoint).
 func (st *Store) SegmentEpoch() uint64 { return st.segEpoch.Load() }
-
-// toWALOps converts applied live ops into their logged form.
-func toWALOps(ops []Op) []wal.Op {
-	out := make([]wal.Op, len(ops))
-	for i, op := range ops {
-		out[i] = wal.Op{Kind: wal.OpKind(op.Kind), Rel: op.Rel, Tuple: op.Tuple}
-	}
-	return out
-}
-
-// fromWALOps converts logged ops back into live ops for replay.
-func fromWALOps(ops []wal.Op) []Op {
-	out := make([]Op, len(ops))
-	for i, op := range ops {
-		out[i] = Op{Kind: OpKind(op.Kind), Rel: op.Rel, Tuple: op.Tuple}
-	}
-	return out
-}

@@ -5,7 +5,6 @@ import (
 
 	"bcq/internal/schema"
 	"bcq/internal/storage"
-	"bcq/internal/value"
 	"bcq/internal/wal"
 )
 
@@ -166,8 +165,10 @@ type extension struct {
 }
 
 // buildExtension validates the constraint and scans the live data into
-// an extension. It returns (nil, nil) when the constraint is already
-// maintained. Called under mu.
+// an extension: the same index build a sealed relation gets
+// (storage.ScanAccessIndex), read over the snapshot's live tuples. It
+// returns (nil, nil) when the constraint is already maintained. Called
+// under mu.
 func (st *Store) buildExtension(ac schema.AccessConstraint) (*extension, error) {
 	if err := ac.Validate(st.cat); err != nil {
 		return nil, fmt.Errorf("live: extending access schema: %w", err)
@@ -179,38 +180,15 @@ func (st *Store) buildExtension(ac schema.AccessConstraint) (*extension, error) 
 	if !ok {
 		return nil, fmt.Errorf("live: unknown relation %s", ac.Rel)
 	}
-	xPos, err := rs.Positions(ac.X)
+	bind, err := newBinding(rs, ac)
 	if err != nil {
 		return nil, err
 	}
-	yPos, err := rs.Positions(ac.Y)
+	snap := st.cur.Load()
+	n := snap.size[ac.Rel]
+	idx, err := storage.ScanAccessIndex(rs, ac, snap.all(ac.Rel), int(n))
 	if err != nil {
 		return nil, err
 	}
-	ext := &extension{
-		bind:   acBinding{ac: ac, key: ac.Key(), xPos: xPos, yPos: yPos},
-		groups: make(map[string][]storage.IndexEntry),
-	}
-	lb := newLedgerBuilder()
-	var verr error
-	err = st.cur.Load().each(ac.Rel, func(pos int, t value.Tuple) bool {
-		xk := value.KeyOf(t, xPos)
-		if lb.add(pairKey(xk, t, yPos), pos) {
-			g := ext.groups[xk]
-			if int64(len(g)+1) > ac.N {
-				verr = &storage.ViolationError{AC: ac, XValue: t.Project(xPos), Distinct: int64(len(g) + 1)}
-				return false
-			}
-			ext.groups[xk] = append(g, storage.IndexEntry{Y: t.Project(yPos), Witness: t, Pos: pos})
-		}
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	if verr != nil {
-		return nil, verr
-	}
-	ext.ledger = lb.led
-	return ext, nil
+	return &extension{bind: bind, groups: idx.Groups(), ledger: sparseLedger(idx, bind, n, snap.all(ac.Rel))}, nil
 }

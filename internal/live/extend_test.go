@@ -42,7 +42,7 @@ func TestExtendAccessServesLiveData(t *testing.T) {
 	}
 	var photos []string
 	for _, e := range got {
-		photos = append(photos, e.Y[0].AsString())
+		photos = append(photos, e.Witness[0].AsString()) // photo_id, the constraint's Y
 	}
 	sort.Strings(photos)
 	if want := []string{"p1", "p3", "p9"}; !reflect.DeepEqual(photos, want) {
@@ -54,7 +54,7 @@ func TestExtendAccessServesLiveData(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(gone) != 0 {
-		t.Errorf("s9 group = %v, want empty (its only tuple was deleted pre-extension)", ys(gone))
+		t.Errorf("s9 group = %v, want empty (its only tuple was deleted pre-extension)", ys(ac, gone))
 	}
 
 	// The extension epoch must agree with a from-scratch rebuild.
@@ -71,9 +71,8 @@ func TestExtendAccessServesLiveData(t *testing.T) {
 		t.Fatalf("frozen group has %d entries, live %d", len(fg), len(got))
 	}
 	for i := range fg {
-		if !fg[i].Y.Equal(got[i].Y) || !fg[i].Witness.Equal(got[i].Witness) {
-			t.Errorf("entry %d: frozen %v/%v vs live %v/%v (witness drift)",
-				i, fg[i].Y, fg[i].Witness, got[i].Y, got[i].Witness)
+		if !fg[i].Witness.Equal(got[i].Witness) {
+			t.Errorf("entry %d: frozen %v vs live %v (witness drift)", i, fg[i].Witness, got[i].Witness)
 		}
 	}
 }
@@ -105,7 +104,7 @@ func TestExtendAccessSnapshotIsolation(t *testing.T) {
 	}
 	var photos []string
 	for _, e := range g {
-		photos = append(photos, e.Y[0].AsString())
+		photos = append(photos, e.Witness[0].AsString()) // photo_id, the constraint's Y
 	}
 	sort.Strings(photos)
 	if want := []string{"p1", "p3", "p7"}; !reflect.DeepEqual(photos, want) {

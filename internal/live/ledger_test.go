@@ -32,7 +32,7 @@ func checkLedger(t *testing.T, st *Store, stage string) {
 	snap := st.Snapshot()
 	for key, b := range st.byKey {
 		want := make(map[string][]int)
-		err := snap.each(b.ac.Rel, func(pos int, tu value.Tuple) bool {
+		for pos, tu := range snap.all(b.ac.Rel) {
 			xk := value.KeyOf(tu, b.xPos)
 			pk := pairKey(xk, tu, b.yPos)
 			if want[pk] == nil {
@@ -43,10 +43,6 @@ func checkLedger(t *testing.T, st *Store, stage string) {
 				}
 			}
 			want[pk] = append(want[pk], pos)
-			return true
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
 		for pk, ps := range want {
 			if len(ps) < 2 {
@@ -67,11 +63,8 @@ func checkLedger(t *testing.T, st *Store, stage string) {
 			continue
 		}
 		want := make(map[string][]int)
-		if err := snap.each(rel, func(pos int, tu value.Tuple) bool {
+		for pos, tu := range snap.all(rel) {
 			want[tu.Key()] = append(want[tu.Key()], pos)
-			return true
-		}); err != nil {
-			t.Fatal(err)
 		}
 		if !sameLedger(got, want) {
 			t.Fatalf("%s: tuple map of %s diverged from recount\n got:  %v\n want: %v", stage, rel, got, want)
@@ -308,7 +301,7 @@ func TestEntryOfAllocatesNothing(t *testing.T) {
 	g := make([]storage.IndexEntry, 1000)
 	for i := range g {
 		tu := strs("x", fmt.Sprintf("y%04d", i))
-		g[i] = storage.IndexEntry{Y: tu.Project(yPos), Witness: tu, Pos: i}
+		g[i] = storage.IndexEntry{Witness: tu, Pos: i}
 	}
 	last, missing := strs("x", "y0999"), strs("x", "nope")
 	var at, none int

@@ -36,6 +36,8 @@ package live
 import (
 	"errors"
 	"fmt"
+	"iter"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -132,30 +134,20 @@ func (e *NotFoundError) Error() string {
 // Unwrap makes errors.Is(err, ErrNoSuchTuple) match.
 func (e *NotFoundError) Unwrap() error { return ErrNoSuchTuple }
 
-// OpKind enumerates write operations.
-type OpKind uint8
+// Op is one write operation of a batch and OpKind its kind. They are the
+// write-ahead log's own types: a committed batch is logged, and a logged
+// record replayed, as the slice it already is.
+type (
+	Op     = wal.Op
+	OpKind = wal.OpKind
+)
 
 const (
 	// OpInsert adds one occurrence of a tuple (bag semantics).
-	OpInsert OpKind = iota
+	OpInsert = wal.OpInsert
 	// OpDelete removes one live occurrence of an exactly-equal tuple.
-	OpDelete
+	OpDelete = wal.OpDelete
 )
-
-// String names the kind for diagnostics.
-func (k OpKind) String() string {
-	if k == OpInsert {
-		return "insert"
-	}
-	return "delete"
-}
-
-// Op is one write operation of a batch.
-type Op struct {
-	Kind  OpKind
-	Rel   string
-	Tuple value.Tuple
-}
 
 // Insert builds an insert op.
 func Insert(rel string, t value.Tuple) Op { return Op{Kind: OpInsert, Rel: rel, Tuple: t} }
@@ -202,6 +194,18 @@ type acBinding struct {
 	key  string
 	xPos []int
 	yPos []int
+}
+
+func newBinding(rs *schema.Relation, ac schema.AccessConstraint) (acBinding, error) {
+	xPos, err := rs.Positions(ac.X)
+	if err != nil {
+		return acBinding{}, err
+	}
+	yPos, err := rs.Positions(ac.Y)
+	if err != nil {
+		return acBinding{}, err
+	}
+	return acBinding{ac: ac, key: ac.Key(), xPos: xPos, yPos: yPos}, nil
 }
 
 // acCard is one constraint's incrementally maintained index shape: how
@@ -255,44 +259,41 @@ func (c *acCard) resize(from, to int64) {
 	}
 }
 
-// ledgerBuilder collects one constraint's sparse ledger (see
-// Store.ledger) over one pass of a relation's live tuples in live order.
-// first is transient — it dies with the builder; only led is kept.
-type ledgerBuilder struct {
-	first map[string]int   // pair → position of its first occurrence
-	led   map[string][]int // pairs seen twice or more → all positions
-}
-
-func newLedgerBuilder() *ledgerBuilder {
-	return &ledgerBuilder{first: make(map[string]int), led: make(map[string][]int)}
-}
-
-// add records one occurrence of a pair and reports whether it is the
-// pair's first.
-func (lb *ledgerBuilder) add(pk string, pos int) bool {
-	first, seen := lb.first[pk]
-	if !seen {
-		lb.first[pk] = pos
-		return true
+// sparseLedger derives one constraint's ledger (see Store.ledger) from the
+// index built over the n live tuples of a relation, given in live order.
+// It costs a pass over the tuples only when the index has fewer entries
+// than there are tuples — some pair then occurs twice; otherwise every
+// pair is a singleton and the index already says everything. The pass's
+// map of first occurrences is transient; only the records are kept.
+func sparseLedger(idx *storage.AccessIndex, b acBinding, n int64, tuples iter.Seq2[int, value.Tuple]) map[string][]int {
+	led := make(map[string][]int)
+	if idx.NumEntries() == n {
+		return led
 	}
-	if ps := lb.led[pk]; ps != nil {
-		lb.led[pk] = append(ps, pos)
-	} else {
-		lb.led[pk] = []int{first, pos}
+	first := make(map[string]int)
+	for pos, t := range tuples {
+		pk := pairKey(value.KeyOf(t, b.xPos), t, b.yPos)
+		if at, seen := first[pk]; !seen {
+			first[pk] = pos
+		} else if ps := led[pk]; ps != nil {
+			led[pk] = append(ps, pos)
+		} else {
+			led[pk] = []int{at, pos}
+		}
 	}
-	return false
+	return led
 }
 
 // entryOf returns the index of the group entry carrying t's Y-value
 // under a constraint whose Y sits at yPos, or -1. The access index holds
 // one entry per distinct Y of an X-group, so this scan is how the writer
-// learns whether a pair is live; it compares values in place and
-// allocates nothing.
+// learns whether a pair is live; it compares t with each witness at the Y
+// positions, in place, and allocates nothing.
 func entryOf(g []storage.IndexEntry, t value.Tuple, yPos []int) int {
 next:
 	for i := range g {
-		for j, p := range yPos {
-			if g[i].Y[j] != t[p] {
+		for _, p := range yPos {
+			if g[i].Witness[p] != t[p] {
 				continue next
 			}
 		}
@@ -305,7 +306,6 @@ next:
 // pin snapshots (Snapshot) and never block; writers (Apply, Insert,
 // Delete) are serialized and publish new epochs atomically.
 type Store struct {
-	base *storage.Database
 	cat  *schema.Catalog
 	mode Mode
 
@@ -424,7 +424,6 @@ func newStore(base *storage.Database, acc *schema.AccessSchema, opts Options, ba
 		return nil, fmt.Errorf("live: indexing base database: %w", err)
 	}
 	st := &Store{
-		base:     base,
 		cat:      cat,
 		mode:     opts.Mode,
 		byRel:    make(map[string][]acBinding),
@@ -436,19 +435,11 @@ func newStore(base *storage.Database, acc *schema.AccessSchema, opts Options, ba
 		st.relStats[rs.Name()] = &relCounters{}
 	}
 	for _, ac := range acc.Constraints() {
-		rel, err := base.Relation(ac.Rel)
+		rs, _ := cat.Relation(ac.Rel) // acc.Validate checked it exists
+		b, err := newBinding(rs, ac)
 		if err != nil {
 			return nil, err
 		}
-		xPos, err := rel.Schema.Positions(ac.X)
-		if err != nil {
-			return nil, err
-		}
-		yPos, err := rel.Schema.Positions(ac.Y)
-		if err != nil {
-			return nil, err
-		}
-		b := acBinding{ac: ac, key: ac.Key(), xPos: xPos, yPos: yPos}
 		st.byRel[ac.Rel] = append(st.byRel[ac.Rel], b)
 		st.byKey[b.key] = b
 	}
@@ -461,29 +452,20 @@ func newStore(base *storage.Database, acc *schema.AccessSchema, opts Options, ba
 
 // bootstrap (re)builds the writer-side bookkeeping over a sealed base and
 // returns the per-relation sizes. Cards are read off the base index, one
-// step per X-group. The ledger costs a pass over a relation's tuples
-// only for a constraint whose index has fewer entries than the relation
-// has tuples — some pair then occurs twice; otherwise every pair is a
-// singleton and the index already says everything. Called under mu (or
-// before the store is shared).
+// step per X-group, and the ledger is derived from it (sparseLedger).
+// Called under mu (or before the store is shared).
 func (st *Store) bootstrap(base *storage.Database) (size map[string]int64, total int64) {
 	st.ledger = make(map[string]map[string][]int, len(st.byKey))
 	cards := make(map[string]*acCard, len(st.byKey))
 	for key, b := range st.byKey {
 		idx, _ := base.AccessIndexByKey(key)
 		card := newACCard()
-		idx.Range(func(_ string, g []storage.IndexEntry) bool {
+		for _, g := range idx.Groups() {
 			card.resize(0, int64(len(g)))
-			return true
-		})
-		cards[key] = card
-		lb := newLedgerBuilder()
-		if tuples := base.MustRelation(b.ac.Rel).Tuples; idx.NumEntries() < int64(len(tuples)) {
-			for pos, t := range tuples {
-				lb.add(pairKey(value.KeyOf(t, b.xPos), t, b.yPos), pos)
-			}
 		}
-		st.ledger[key] = lb.led
+		cards[key] = card
+		tuples := base.MustRelation(b.ac.Rel).Tuples
+		st.ledger[key] = sparseLedger(idx, b, int64(len(tuples)), slices.All(tuples))
 	}
 	st.cards.Store(&cards)
 	st.baseLen = make(map[string]int, st.cat.NumRelations())
@@ -565,10 +547,12 @@ func pairKey(xk string, t value.Tuple, yPos []int) string {
 	return xk + "\x00" + value.KeyOf(t, yPos)
 }
 
-// Base returns the sealed database the store was built over. It stays
-// valid (and unchanged) across Compact calls, which overlay newer epochs
-// on a freshly frozen base instead.
-func (st *Store) Base() *storage.Database { return st.base }
+// Base returns the sealed database the current epoch overlays: the one
+// the store was built over until the first Compact, the latest compacted
+// one after. The store itself keeps no other handle on a base — an older
+// one lives exactly as long as a pinned snapshot (or a caller) still
+// reads it.
+func (st *Store) Base() *storage.Database { return st.cur.Load().base }
 
 // Catalog returns the catalog the store conforms to.
 func (st *Store) Catalog() *schema.Catalog { return st.cat }
@@ -805,7 +789,7 @@ func (st *Store) Apply(ops []Op) (uint64, error) {
 	// mid-append leaves a torn frame that recovery truncates — the batch
 	// never published, so it must not.
 	if st.w != nil && tx.nApplied > 0 {
-		rec := wal.Record{Kind: wal.RecBatch, Epoch: snap.epoch + 1, Ops: toWALOps(tx.applied)}
+		rec := wal.Record{Kind: wal.RecBatch, Epoch: snap.epoch + 1, Ops: tx.applied}
 		if err := st.w.Append(rec); err != nil {
 			return snap.epoch, fmt.Errorf("live: wal append: %w", err)
 		}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"runtime"
 	"testing"
 
 	"bcq/internal/core"
@@ -78,10 +79,17 @@ func inAlbumAC() schema.AccessConstraint {
 	return schema.MustAccessConstraint("in_album", []string{"album_id"}, []string{"photo_id"}, 3)
 }
 
-func ys(entries []storage.IndexEntry) []string {
+// ys renders the Y-values of a group: each witness's columns at the
+// constraint's Y positions.
+func ys(ac schema.AccessConstraint, entries []storage.IndexEntry) []string {
+	rs, _ := socialCatalog().Relation(ac.Rel)
+	yPos, err := rs.Positions(ac.Y)
+	if err != nil {
+		panic(err)
+	}
 	var out []string
 	for _, e := range entries {
-		out = append(out, e.Y.String())
+		out = append(out, e.Witness.Project(yPos).String())
 	}
 	return out
 }
@@ -266,7 +274,7 @@ func TestDeleteSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := fmt.Sprint(ys(entries)); got != "[('p1') ('p4')]" {
+	if got := fmt.Sprint(ys(inAlbumAC(), entries)); got != "[('p1') ('p4')]" {
 		t.Errorf("a0 group after delete = %v", got)
 	}
 	// Deleting again must fail: only one occurrence existed.
@@ -281,7 +289,7 @@ func TestDeleteSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := fmt.Sprint(ys(entries)); got != "[('p1') ('p4') ('p2')]" {
+	if got := fmt.Sprint(ys(inAlbumAC(), entries)); got != "[('p1') ('p4') ('p2')]" {
 		t.Errorf("a0 group after re-insert = %v", got)
 	}
 }
@@ -494,15 +502,15 @@ func TestCompactCollapsesHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fmt.Sprint(ys(curEntries)) != fmt.Sprint(ys(pinnedEntries)) {
-		t.Errorf("u5 group changed across compact: %v → %v", ys(pinnedEntries), ys(curEntries))
+	if fmt.Sprint(ys(fr, curEntries)) != fmt.Sprint(ys(fr, pinnedEntries)) {
+		t.Errorf("u5 group changed across compact: %v → %v", ys(fr, pinnedEntries), ys(fr, curEntries))
 	}
 	// The pinned snapshot still reads through its own (old) base.
 	again, err := pinned.Fetch(fr, strs("u5"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fmt.Sprint(ys(again)) != fmt.Sprint(ys(pinnedEntries)) {
+	if fmt.Sprint(ys(fr, again)) != fmt.Sprint(ys(fr, pinnedEntries)) {
 		t.Error("pinned pre-compaction snapshot changed")
 	}
 
@@ -518,8 +526,8 @@ func TestCompactCollapsesHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{"('f40')", "('f41')", "('f42')", "('f43')", "('f44')", "('f45')", "('f46')", "('f47')", "('f48')", "('f99')"}
-	if fmt.Sprint(ys(after)) != fmt.Sprint(want) {
-		t.Errorf("u5 group after post-compact writes = %v, want %v", ys(after), want)
+	if fmt.Sprint(ys(fr, after)) != fmt.Sprint(want) {
+		t.Errorf("u5 group after post-compact writes = %v, want %v", ys(fr, after), want)
 	}
 	if st.IngestStats().Compactions != 1 {
 		t.Errorf("compactions counter = %d, want 1", st.IngestStats().Compactions)
@@ -643,12 +651,12 @@ func TestProbesFormatNoKeys(t *testing.T) {
 			if n := testing.AllocsPerRun(10, func() { one, err = snap.Fetch(c.ac, x) }); n != 0 || err != nil {
 				t.Errorf("%s: Fetch(%s) allocates %.0f times (err %v), want 0", c.ac, x, n, err)
 			}
-			if fmt.Sprint(ys(one)) != fmt.Sprint(ys(groups[i])) {
-				t.Errorf("%s: Fetch(%s) = %v, FetchBatch's group %v", c.ac, x, ys(one), ys(groups[i]))
+			if fmt.Sprint(ys(c.ac, one)) != fmt.Sprint(ys(c.ac, groups[i])) {
+				t.Errorf("%s: Fetch(%s) = %v, FetchBatch's group %v", c.ac, x, ys(c.ac, one), ys(c.ac, groups[i]))
 			}
 		}
 	}
-	if got := ys(mustFetch(t, snap, inAlbumAC(), "a0")); fmt.Sprint(got) != "[('p1') ('p2')]" {
+	if got := ys(inAlbumAC(), mustFetch(t, snap, inAlbumAC(), "a0")); fmt.Sprint(got) != "[('p1') ('p2')]" {
 		t.Errorf("album a0 after the delete = %v", got)
 	}
 }
@@ -660,4 +668,70 @@ func mustFetch(t *testing.T, snap *Snapshot, ac schema.AccessConstraint, x ...st
 		t.Fatal(err)
 	}
 	return g
+}
+
+// collectedHeap is the live heap after two collections.
+func collectedHeap() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestCompactReleasesTheOldBase: once a Compact has published a fresh base
+// and no snapshot pins the old one, nothing does — the heap is back to
+// what the store held when it was built over the same data, not that plus
+// a stale copy of every index. And Base() is the base the current
+// snapshot reads.
+func TestCompactReleasesTheOldBase(t *testing.T) {
+	const users, friendsEach = 20_000, 5
+	// Built in a function of its own so that the store is the only thing
+	// left holding the database.
+	build := func() *Store {
+		db := storage.NewDatabase(socialCatalog())
+		for u := 0; u < users; u++ {
+			for f := 0; f < friendsEach; f++ {
+				if err := db.Insert("friends", strs(fmt.Sprintf("u%d", u), fmt.Sprintf("u%d", (u+f+1)%users))); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		st, err := New(db, accessA0(), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	st := build()
+	built := collectedHeap()
+	if st.Base() != st.Snapshot().base {
+		t.Fatal("Base() is not the base the root snapshot reads")
+	}
+
+	for b := 0; b < 4; b++ {
+		ops := make([]Op, 0, 20)
+		for i := 0; i < 10; i++ {
+			u := fmt.Sprintf("u%d", b*10+i)
+			ops = append(ops, Insert("friends", strs(u, "newcomer")), Delete("friends", strs(u, fmt.Sprintf("u%d", b*10+i+1))))
+		}
+		if _, err := st.Apply(ops); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old := st.Base()
+	if _, err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if st.Base() != st.Snapshot().base || st.Base() == old {
+		t.Error("Base() after Compact is not the compacted base the current snapshot reads")
+	}
+
+	compacted := collectedHeap()
+	t.Logf("heap: %d B built, %d B after Compact", built, compacted)
+	if limit := built + built/10; compacted > limit {
+		t.Errorf("heap after Compact with every old snapshot dropped: %d B, more than 10%% over the %d B the store held when built — a replaced base is still reachable",
+			compacted, built)
+	}
+	runtime.KeepAlive(st)
 }

@@ -2,6 +2,7 @@ package live
 
 import (
 	"fmt"
+	"iter"
 	"strconv"
 
 	"bcq/internal/schema"
@@ -208,33 +209,24 @@ func (s *Snapshot) NonEmpty(rel string) (bool, error) {
 	return true, nil
 }
 
-// each iterates the live tuples of a relation in live order — base
-// positions ascending, then insertions in commit order — without access
-// accounting. The callback returning false stops the iteration.
-func (s *Snapshot) each(rel string, f func(pos int, t value.Tuple) bool) error {
-	r, err := s.base.Relation(rel)
-	if err != nil {
-		return err
-	}
-	dead := s.deadSet(rel)
-	for pos, t := range r.Tuples {
-		if dead[pos] {
-			continue
+// all is the live tuples of a relation, keyed by live position, in live
+// order — base positions ascending, then insertions in commit order —
+// without access accounting. The relation must be one of the catalog's.
+func (s *Snapshot) all(rel string) iter.Seq2[int, value.Tuple] {
+	return func(yield func(int, value.Tuple) bool) {
+		tuples := s.base.MustRelation(rel).Tuples
+		dead := s.deadSet(rel)
+		for pos, t := range tuples {
+			if !dead[pos] && !yield(pos, t) {
+				return
+			}
 		}
-		if !f(pos, t) {
-			return nil
-		}
-	}
-	base := len(r.Tuples)
-	for i, t := range s.added[rel] {
-		if dead[base+i] {
-			continue
-		}
-		if !f(base+i, t) {
-			return nil
+		for i, t := range s.added[rel] {
+			if pos := len(tuples) + i; !dead[pos] && !yield(pos, t) {
+				return
+			}
 		}
 	}
-	return nil
 }
 
 // Scan iterates every live tuple of a relation, counting each against
@@ -242,12 +234,18 @@ func (s *Snapshot) each(rel string, f func(pos int, t value.Tuple) bool) error {
 // across epochs, unique per occurrence, not contiguous once tuples have
 // been deleted.
 func (s *Snapshot) Scan(rel string, f func(pos int, t value.Tuple) bool) error {
+	if _, err := s.base.Relation(rel); err != nil {
+		return err
+	}
 	rc := s.st.relCounters(rel)
-	return s.each(rel, func(pos int, t value.Tuple) bool {
+	for pos, t := range s.all(rel) {
 		s.st.scanned.Add(1)
 		rc.scanned.Add(1)
-		return f(pos, t)
-	})
+		if !f(pos, t) {
+			break
+		}
+	}
+	return nil
 }
 
 // Tuples materializes the live tuples of a relation, in live order,
@@ -258,11 +256,10 @@ func (s *Snapshot) Tuples(rel string) ([]value.Tuple, error) {
 		return nil, err
 	}
 	out := make([]value.Tuple, 0, n)
-	err = s.each(rel, func(_ int, t value.Tuple) bool {
+	for _, t := range s.all(rel) {
 		out = append(out, t)
-		return true
-	})
-	return out, err
+	}
+	return out, nil
 }
 
 // Freeze materializes the snapshot as a fresh sealed database: every
@@ -275,16 +272,10 @@ func (s *Snapshot) Freeze() (*storage.Database, error) {
 	db := storage.NewDatabase(s.st.cat)
 	for _, rs := range s.st.cat.Relations() {
 		db.MustRelation(rs.Name()).Tuples = make([]value.Tuple, 0, s.size[rs.Name()])
-		var insErr error
-		err := s.each(rs.Name(), func(_ int, t value.Tuple) bool {
-			insErr = db.Insert(rs.Name(), t)
-			return insErr == nil
-		})
-		if err == nil {
-			err = insErr
-		}
-		if err != nil {
-			return nil, err
+		for _, t := range s.all(rs.Name()) {
+			if err := db.Insert(rs.Name(), t); err != nil {
+				return nil, err
+			}
 		}
 	}
 	if err := db.BuildIndexes(s.acc); err != nil {

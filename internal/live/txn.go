@@ -172,7 +172,7 @@ func (tx *txn) insert(op Op) error {
 		if i < 0 {
 			ng := make([]storage.IndexEntry, len(g), len(g)+1)
 			copy(ng, g)
-			ng = append(ng, storage.IndexEntry{Y: t.Project(b.yPos), Witness: t, Pos: pos})
+			ng = append(ng, storage.IndexEntry{Witness: t, Pos: pos})
 			tx.setGroup(b.key, xk, ng)
 			continue
 		}
@@ -223,7 +223,7 @@ func (tx *txn) delete(op Op) error {
 		rest := removePos(slices.Clone(ps), pos)
 		if g[i].Pos == pos {
 			ng := slices.Clone(g)
-			ng[i] = storage.IndexEntry{Y: g[i].Y, Witness: tx.tupleAt(op.Rel, rest[0]), Pos: rest[0]}
+			ng[i] = storage.IndexEntry{Witness: tx.tupleAt(op.Rel, rest[0]), Pos: rest[0]}
 			tx.setGroup(b.key, xk, ng)
 		}
 		tx.setDups(b.key, pk, rest)

@@ -48,6 +48,11 @@ type FetchStep struct {
 	XClasses []int
 	// YClasses aligns with AC.Y: the class of each returned attribute.
 	YClasses []int
+	// YPos aligns with AC.Y: the position of each returned attribute in
+	// the relation's schema. An index entry is its witness tuple, so this
+	// is where the executor reads the entry's Y-value; resolved once here,
+	// where the catalog is, and not rendered by Explain.
+	YPos []int
 	// BindPos indexes into AC.Y: positions whose class gains candidate
 	// values from this step. Other positions are ignored (their classes
 	// are either already populated or not needed).
@@ -92,6 +97,9 @@ type VerifyStep struct {
 	Witness schema.AccessConstraint
 	// XClasses aligns with Witness.X (FromStep < 0 only).
 	XClasses []int
+	// YPos aligns with Witness.Y like FetchStep.YPos with AC.Y (FromStep
+	// < 0 only).
+	YPos []int
 	// Row maps each distinct parameter class of the atom to its source in
 	// the probed (or collected) entries. Duplicate attribute occurrences
 	// of one class are checked for within-tuple equality via Consistency.

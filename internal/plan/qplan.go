@@ -121,6 +121,7 @@ func naiveWitness(an *core.Analysis) witnessPicker {
 // by construction.
 func emit(an *core.Analysis, eb core.EBResult, seq []int, pick witnessPicker) (*Plan, error) {
 	cl := an.Closure
+	cat := an.Catalog()
 	q := cl.Query()
 	n := cl.NumClasses()
 	p := &Plan{Query: q, Closure: cl}
@@ -168,7 +169,7 @@ func emit(an *core.Analysis, eb core.EBResult, seq []int, pick witnessPicker) (*
 		}
 		keep[k] = true
 		kept++
-		stepClasses += len(act.AC.X) + 2*len(act.AC.Y)
+		stepClasses += len(act.AC.X) + 3*len(act.AC.Y)
 		for _, c := range act.XClasses {
 			needed.Add(c)
 		}
@@ -215,6 +216,8 @@ func emit(an *core.Analysis, eb core.EBResult, seq []int, pick witnessPicker) (*
 		from = len(ints)
 		ints = append(ints, act.YClasses...) // aligned with AC.Y
 		fs.YClasses = ints[from:len(ints):len(ints)]
+		ints = appendPositions(ints, cat, act.AC.Rel, act.AC.Y)
+		fs.YPos = ints[len(ints)-len(act.AC.Y) : len(ints) : len(ints)]
 		from = len(ints)
 		for yi, c := range fs.YClasses {
 			if !populated.Has(c) && needed.Has(c) {
@@ -266,14 +269,16 @@ func emit(an *core.Analysis, eb core.EBResult, seq []int, pick witnessPicker) (*
 			}
 			vs.Witness = w
 			xb := deduce.NewBound(1)
-			vs.XClasses = make([]int, 0, len(w.X))
+			ws := make([]int, 0, len(w.X)+len(w.Y))
 			for _, attr := range w.X {
 				c := cl.MustClass(spc.AttrRef{Atom: i, Attr: attr})
-				if !slices.Contains(vs.XClasses, c) {
+				if !slices.Contains(ws, c) {
 					xb = xb.Mul(cand[c])
 				}
-				vs.XClasses = append(vs.XClasses, c)
+				ws = append(ws, c)
 			}
+			vs.XClasses = ws[:len(w.X):len(w.X)]
+			vs.YPos = appendPositions(ws, cat, w.Rel, w.Y)[len(w.X):]
 			rows = buildRowSources(&vs, rows, cl, i, attrs, w.X, w.Y)
 			vs.StepBound = xb.Mul(deduce.NewBound(w.N))
 			fetch = fetch.Add(vs.StepBound)
@@ -299,6 +304,17 @@ func emit(an *core.Analysis, eb core.EBResult, seq []int, pick witnessPicker) (*
 		return nil, &NotEffectivelyBoundedError{Result: eb}
 	}
 	return p, nil
+}
+
+// appendPositions appends the schema positions of a constraint's
+// attributes on its relation. The analysis validated the access schema
+// against the catalog, so both lookups succeed.
+func appendPositions(dst []int, cat *schema.Catalog, rel string, attrs []string) []int {
+	rs, _ := cat.Relation(rel)
+	for _, a := range attrs {
+		dst = append(dst, rs.Pos(a))
+	}
+	return dst
 }
 
 // buildRowSources fills vs.Row and vs.Consistency for the atom's parameter

@@ -196,10 +196,9 @@ func encode(f *os.File, db *storage.Database, acc *schema.AccessSchema, epoch ui
 			entries []storage.IndexEntry
 		}
 		groups := make([]group, 0, idx.NumGroups())
-		idx.Range(func(xKey string, entries []storage.IndexEntry) bool {
+		for xKey, entries := range idx.Groups() {
 			groups = append(groups, group{xKey, entries})
-			return true
-		})
+		}
 		sort.Slice(groups, func(i, j int) bool { return groups[i].key < groups[j].key })
 		buf = binary.BigEndian.AppendUint64(buf, uint64(len(groups)))
 		for _, g := range groups {

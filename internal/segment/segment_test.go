@@ -64,12 +64,11 @@ func sameIndex(t *testing.T, a, b *storage.Database, ac schema.AccessConstraint)
 			ia.NumGroups(), ia.NumEntries(), ia.MaxGroup(),
 			ib.NumGroups(), ib.NumEntries(), ib.MaxGroup())
 	}
-	ia.Range(func(xKey string, entries []storage.IndexEntry) bool {
+	for xKey, entries := range ia.Groups() {
 		if !reflect.DeepEqual(ib.Entries(xKey), entries) {
 			t.Fatalf("%s: group %q differs", ac, xKey)
 		}
-		return true
-	})
+	}
 }
 
 func TestRoundTrip(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strconv"
 
 	"bcq/internal/exec"
@@ -120,21 +121,9 @@ func decodeValueJSON(raw json.RawMessage) (value.Value, error) {
 	}
 }
 
-// encodeValue renders a database value as its JSON scalar.
-func encodeValue(v value.Value) any {
-	switch v.Kind() {
-	case value.KindInt:
-		return v.AsInt()
-	case value.KindString:
-		return v.AsString()
-	default:
-		return nil
-	}
-}
-
 // appendRow appends one answer tuple as a JSON array, byte for byte what
-// json.Marshal gives for the tuple's encodeValue'd columns, without
-// boxing the values or allocating per row.
+// json.Marshal gives for the tuple's columns boxed as int64, string or
+// nil, without boxing the values or allocating per row.
 func appendRow(dst []byte, tu value.Tuple) []byte {
 	dst = append(dst, '[')
 	for j, v := range tu {
@@ -209,43 +198,50 @@ func decodeOps(reqs []opRequest) ([]live.Op, error) {
 	return out, nil
 }
 
-// resultPayload is the canonical JSON rendering of one answer — structs
-// only, so marshaling is deterministic and equal results produce equal
-// bytes (the property the epoch-keyed cache and its tests rely on).
-type resultPayload struct {
-	Cols   []string     `json:"cols"`
-	Tuples [][]any      `json:"tuples"`
-	Stats  statsPayload `json:"stats"`
-	DQSize int64        `json:"dq_size"`
-}
-
-type statsPayload struct {
-	IndexLookups  int64 `json:"index_lookups"`
-	TuplesFetched int64 `json:"tuples_fetched"`
-	TuplesScanned int64 `json:"tuples_scanned"`
-}
-
-// marshalResult renders an execution result canonically.
-func marshalResult(res *exec.Result) ([]byte, error) {
-	p := resultPayload{
-		Cols:   res.Cols,
-		Tuples: make([][]any, len(res.Tuples)),
-		Stats: statsPayload{
-			IndexLookups:  res.Stats.IndexLookups,
-			TuplesFetched: res.Stats.TuplesFetched,
-			TuplesScanned: res.Stats.TuplesScanned,
-		},
-		DQSize: res.DQSize,
-	}
-	if p.Cols == nil {
-		p.Cols = []string{}
-	}
+// appendResult renders an execution result as the canonical "result"
+// object of a /query response — cols, tuples in the executor's sorted
+// order, stats, dq_size — with the appenders a page is written with, so
+// equal results produce equal bytes (the property the epoch-keyed cache
+// and its tests rely on) and a buffered answer and a drained scan agree
+// byte for byte. The buffer is sized once, from the tuple count and the
+// first row's width.
+func appendResult(res *exec.Result) []byte {
+	buf := appendResultHead(make([]byte, 0, 256), res.Cols)
 	for i, tu := range res.Tuples {
-		row := make([]any, len(tu))
-		for j, v := range tu {
-			row[j] = encodeValue(v)
+		if i > 0 {
+			buf = append(buf, ',')
 		}
-		p.Tuples[i] = row
+		at := len(buf)
+		buf = appendRow(buf, tu)
+		if i == 0 {
+			buf = slices.Grow(buf, (len(buf)-at+1)*(len(res.Tuples)-1)+128)
+		}
 	}
-	return json.Marshal(p)
+	return appendResultTail(buf, res)
+}
+
+// appendResultHead opens a result object up to its first tuple.
+func appendResultHead(dst []byte, cols []string) []byte {
+	dst = append(dst, `{"cols":[`...)
+	for i, c := range cols {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendJSONString(dst, c)
+	}
+	return append(dst, `],"tuples":[`...)
+}
+
+// appendResultTail closes a result object after its last tuple with the
+// access statistics and |D_Q|.
+func appendResultTail(dst []byte, res *exec.Result) []byte {
+	dst = append(dst, `],"stats":{"index_lookups":`...)
+	dst = strconv.AppendInt(dst, res.Stats.IndexLookups, 10)
+	dst = append(dst, `,"tuples_fetched":`...)
+	dst = strconv.AppendInt(dst, res.Stats.TuplesFetched, 10)
+	dst = append(dst, `,"tuples_scanned":`...)
+	dst = strconv.AppendInt(dst, res.Stats.TuplesScanned, 10)
+	dst = append(dst, `},"dq_size":`...)
+	dst = strconv.AppendInt(dst, res.DQSize, 10)
+	return append(dst, '}')
 }

@@ -96,3 +96,84 @@ func TestPageFramingMatchesEncodingJSON(t *testing.T) {
 		}
 	}
 }
+
+// The reflecting encoder /query bodies were built with before appendResult,
+// kept as the reference the appenders are held to.
+
+// encodeValue renders a database value as its JSON scalar.
+func encodeValue(v value.Value) any {
+	switch v.Kind() {
+	case value.KindInt:
+		return v.AsInt()
+	case value.KindString:
+		return v.AsString()
+	default:
+		return nil
+	}
+}
+
+// resultPayload is the canonical JSON rendering of one answer.
+type resultPayload struct {
+	Cols   []string     `json:"cols"`
+	Tuples [][]any      `json:"tuples"`
+	Stats  statsPayload `json:"stats"`
+	DQSize int64        `json:"dq_size"`
+}
+
+type statsPayload struct {
+	IndexLookups  int64 `json:"index_lookups"`
+	TuplesFetched int64 `json:"tuples_fetched"`
+	TuplesScanned int64 `json:"tuples_scanned"`
+}
+
+// marshalResult renders an execution result canonically.
+func marshalResult(res *exec.Result) ([]byte, error) {
+	p := resultPayload{
+		Cols:   res.Cols,
+		Tuples: make([][]any, len(res.Tuples)),
+		Stats: statsPayload{
+			IndexLookups:  res.Stats.IndexLookups,
+			TuplesFetched: res.Stats.TuplesFetched,
+			TuplesScanned: res.Stats.TuplesScanned,
+		},
+		DQSize: res.DQSize,
+	}
+	if p.Cols == nil {
+		p.Cols = []string{}
+	}
+	for i, tu := range res.Tuples {
+		row := make([]any, len(tu))
+		for j, v := range tu {
+			row[j] = encodeValue(v)
+		}
+		p.Tuples[i] = row
+	}
+	return json.Marshal(p)
+}
+
+// TestAppendResultMatchesMarshalResult: a buffered /query body is the
+// reflecting encoder's document, byte for byte — no tuples, no columns, a
+// row wider than the first (the size estimate is only a hint), escapes.
+func TestAppendResultMatchesMarshalResult(t *testing.T) {
+	stats := storage.Stats{IndexLookups: 12, TuplesFetched: math.MaxInt64, TuplesScanned: 1}
+	many := make([]value.Tuple, 300)
+	for i := range many {
+		many[i] = value.Tuple{value.Int(int64(i)), value.Str(fmt.Sprintf("user-%d", i*i*i))}
+	}
+	for _, res := range []*exec.Result{
+		{},
+		{Cols: []string{"x"}, Stats: stats, DQSize: 7},
+		{Cols: []string{"a", `q"uote`}, Tuples: []value.Tuple{{value.Int(1), value.Null}}, Stats: stats, DQSize: 1},
+		{Cols: []string{"id", "name"}, Tuples: many, Stats: stats, DQSize: 300},
+		{Cols: []string{"s"}, Tuples: []value.Tuple{{value.Str("a")}, {value.Str("<long> & \"escaped\" naïve string that outgrows the first row")}}, DQSize: 2},
+		{Tuples: []value.Tuple{{}}, DQSize: 1},
+	} {
+		want, err := marshalResult(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendResult(res); string(got) != string(want) {
+			t.Errorf("appendResult = %s\n marshalResult = %s", got, want)
+		}
+	}
+}

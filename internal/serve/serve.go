@@ -589,11 +589,7 @@ func (s *Server) execQuery(req queryRequest, args []value.Value, tr *obs.Trace, 
 		s.considerError("query", p.Fingerprint(), tr, time.Since(start))
 		return errResult(http.StatusBadRequest, "%v", err)
 	}
-	body, err := marshalResult(res)
-	if err != nil {
-		s.considerError("query", p.Fingerprint(), tr, time.Since(start))
-		return errResult(http.StatusInternalServerError, "%v", err)
-	}
+	body := appendResult(res)
 	if lk.key != "" {
 		s.cache.put(lk.key, body)
 	}
@@ -607,8 +603,13 @@ func (s *Server) execQuery(req queryRequest, args []value.Value, tr *obs.Trace, 
 }
 
 // pageFlushEvery is how many streamed tuples are written between
-// explicit flushes on the paged path.
-const pageFlushEvery = 64
+// explicit flushes on the paged path; pageBufBytes is the page buffer's
+// initial capacity — that many rows of a few short columns, and the
+// framing.
+const (
+	pageFlushEvery = 64
+	pageBufBytes   = 1024
+)
 
 // servePage is the streamed, paged form of /query: it opens a
 // cursor-backed stream (or claims the cursor of a continuation) and
@@ -683,8 +684,12 @@ func (s *Server) writePage(ctx context.Context, w http.ResponseWriter, st *curso
 		streamErr error
 		timedOut  bool
 		// buf holds what has been encoded since the last flush: the
-		// header, rows, and at the end the trailer.
-		buf = appendPageHeader(nil, st.stream.Cols())
+		// header, rows, and at the end the trailer. It starts at
+		// pageBufBytes: grown from nothing it is reallocated half a dozen
+		// times on the way to one flush's worth, and how many bytes that
+		// chain adds up to depends on the size class its first append
+		// happens to land in.
+		buf = appendPageHeader(make([]byte, 0, pageBufBytes), st.stream.Cols())
 	)
 	for n < st.pageSize {
 		if ctx.Err() != nil {
@@ -747,30 +752,16 @@ func (s *Server) writePage(ctx context.Context, w http.ResponseWriter, st *curso
 // appendPageHeader opens a page document up to its first tuple, byte for
 // byte what fmt and json.Marshal(cols) rendered before it.
 func appendPageHeader(dst []byte, cols []string) []byte {
-	dst = append(dst, `{"result":{"cols":[`...)
-	for i, c := range cols {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = appendJSONString(dst, c)
-	}
-	return append(dst, `],"tuples":[`...)
+	return appendResultHead(append(dst, `{"result":`...), cols)
 }
 
 // appendPageTrailer closes a page document after its last tuple: the
 // cumulative statistics, the page's disposition and, for a page cut short,
-// the error — byte for byte the json.Marshal(statsPayload{…}) and fmt
-// rendering it replaces (TestPageFramingMatchesEncodingJSON).
+// the error — byte for byte the json.Marshal and fmt rendering it replaces
+// (TestPageFramingMatchesEncodingJSON).
 func appendPageTrailer(dst []byte, res *exec.Result, epoch, next string, complete bool, traceID, errMsg string) []byte {
-	dst = append(dst, `],"stats":{"index_lookups":`...)
-	dst = strconv.AppendInt(dst, res.Stats.IndexLookups, 10)
-	dst = append(dst, `,"tuples_fetched":`...)
-	dst = strconv.AppendInt(dst, res.Stats.TuplesFetched, 10)
-	dst = append(dst, `,"tuples_scanned":`...)
-	dst = strconv.AppendInt(dst, res.Stats.TuplesScanned, 10)
-	dst = append(dst, `},"dq_size":`...)
-	dst = strconv.AppendInt(dst, res.DQSize, 10)
-	dst = append(dst, `},"cached":false,"epoch":`...)
+	dst = appendResultTail(dst, res)
+	dst = append(dst, `,"cached":false,"epoch":`...)
 	dst = appendJSONString(dst, epoch)
 	dst = append(dst, `,"next_cursor":`...)
 	dst = appendJSONString(dst, next)

@@ -3,8 +3,10 @@ package shard_test
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
+	"bcq/internal/baseline"
 	"bcq/internal/core"
 	"bcq/internal/exec"
 	"bcq/internal/live"
@@ -449,5 +451,139 @@ func TestPartitionAllocatesOnlyItsResult(t *testing.T) {
 		if err != nil || one[0] != owners[5] {
 			t.Errorf("%s: probe 5 routes to shard %d in the batch, %v alone (err %v)", ac, owners[5], one, err)
 		}
+	}
+}
+
+// TestCompactReleasesTheOldBases is live's TestCompactReleasesTheOldBase
+// through a two-shard store: after Compact neither shard keeps the base
+// it was built over, so the heap is what it was when the store was built.
+// (The unindexed database shard.New partitioned is still held by the
+// store, before and after alike.)
+func TestCompactReleasesTheOldBases(t *testing.T) {
+	collectedHeap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	build := func() *shard.Store {
+		_, acc, db := scene(t, 8_000, 8_000)
+		ss, err := shard.New(db, acc, shard.Options{Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ss
+	}
+	ss := build()
+	built := collectedHeap()
+	for b := 0; b < 4; b++ {
+		ops := make([]live.Op, 0, 20)
+		for i := 0; i < 10; i++ {
+			u := fmt.Sprintf("u%d", b*10+i)
+			ops = append(ops, live.Insert("friends", value.Tuple{str(u), str("newcomer")}),
+				live.Delete("friends", value.Tuple{str(u), str(fmt.Sprintf("u%d", b*10+i+1))}))
+		}
+		if err := ss.Apply(ops); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ss.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	compacted := collectedHeap()
+	t.Logf("heap: %d B built, %d B after Compact", built, compacted)
+	if limit := built + built/10; compacted > limit {
+		t.Errorf("heap after Compact with every old view dropped: %d B, more than 10%% over the %d B the store held when built — a replaced base is still reachable",
+			compacted, built)
+	}
+	runtime.KeepAlive(ss)
+}
+
+// TestYColumnsReadThroughWitnessPositions: an index entry carries no Y
+// tuple, so the executor reads Y off the witness at the plan's YPos. Under
+// r(c, a, b) with (a) → (b, c) the sorted Y is [b, c] and its positions
+// are [2, 0] — neither contiguous nor in schema order — and the self-join
+// below reads them both ways: r1 through a fetch step that binds b and c,
+// r2 through a witness verification that takes c from the entry. Answers
+// are held to baseline.IndexLoop and, with statistics and |D_Q|, to the
+// sealed database at every shard count.
+func TestYColumnsReadThroughWitnessPositions(t *testing.T) {
+	cat := schema.MustCatalog(mustRel(t, "r", "c", "a", "b"))
+	ac := schema.MustAccessConstraint("r", []string{"a"}, []string{"c", "b"}, 4)
+	acc := schema.MustAccessSchema(ac)
+	db := storage.NewDatabase(cat)
+	const keys = 6
+	for i := 0; i < keys; i++ {
+		for j := 1; j <= 3; j++ {
+			tu := value.Tuple{str(fmt.Sprintf("c%d", (i+2*j)%5)), str(fmt.Sprintf("k%d", i)), str(fmt.Sprintf("k%d", (i*j+1)%keys))}
+			if err := db.Insert("r", tu); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	stores := map[int]*shard.Store{}
+	for _, p := range []int{1, 2, 3} {
+		ss, err := shard.New(db, acc, shard.Options{Shards: p})
+		if err != nil {
+			t.Fatalf("P=%d: %v", p, err)
+		}
+		stores[p] = ss
+	}
+	if err := db.EnsureIndexes(acc); err != nil {
+		t.Fatal(err)
+	}
+
+	answers := 0
+	for i := 0; i < keys; i++ {
+		q, err := spc.Parse(fmt.Sprintf(`
+query Qy:
+select r1.b, r1.c
+from r as r1, r as r2
+where r1.a = 'k%d' and r2.a = r1.b and r2.c = r1.c`, i), cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		an, err := core.NewAnalysis(cat, q, acc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl, err := plan.QPlan(an)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pl.Steps) != 1 || fmt.Sprint(ac.Y, pl.Steps[0].YPos) != "[b c] [2 0]" {
+			t.Fatalf("plan fetches through %d steps, the first reading %v at %v; want one step reading [b c] at [2 0]\n%s",
+				len(pl.Steps), ac.Y, pl.Steps[0].YPos, pl.Explain())
+		}
+		if vs := pl.Verifies[1]; vs.FromStep >= 0 || vs.Exists || fmt.Sprint(vs.YPos) != "[2 0]" {
+			t.Fatalf("r2 is not verified through a witness probe reading Y at [2 0] (FromStep %d, YPos %v)\n%s", vs.FromStep, vs.YPos, pl.Explain())
+		}
+		want, err := exec.Run(pl, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		il, err := baseline.IndexLoop(an.Closure, db, baseline.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(want.Tuples) != fmt.Sprint(il.Tuples) {
+			t.Errorf("k%d: executor %v, IndexLoop %v", i, want.Tuples, il.Tuples)
+		}
+		answers += len(want.Tuples)
+		for p, ss := range stores {
+			got, err := exec.Run(pl, ss.View())
+			if err != nil {
+				t.Fatalf("k%d P=%d: %v", i, p, err)
+			}
+			if render(got) != render(want) {
+				t.Errorf("k%d P=%d diverged\n got:  %s\n want: %s", i, p, render(got), render(want))
+			}
+		}
+	}
+	// The scene must exercise both outcomes: r1 rows that r2 confirms and
+	// r1 rows it rejects.
+	if answers == 0 || answers >= 3*keys {
+		t.Errorf("%d answers from %d r1 rows: the scene does not discriminate", answers, 3*keys)
 	}
 }

@@ -4,9 +4,10 @@
 //
 //   - relations as tuple bags positionally aligned with their schemas;
 //   - access-constraint indices: for a constraint X → (Y, N), a hash index
-//     from X-values to the ≤ N distinct Y-values, each with one witness
-//     tuple — exactly the paper's "create a table by projecting on X ∪ Y
-//     and index it on X";
+//     from X-values to the ≤ N distinct Y-values, each held as one witness
+//     tuple of the relation and its position (IndexEntry) — the paper's
+//     index returns a subset D' ⊆ D, so an entry names a tuple of D and
+//     restates none of its columns; Y is read off the witness;
 //   - row indices (single-attribute hash indices returning all matching
 //     full tuples) for the baseline evaluators;
 //   - access-statistics counters, so experiments can report tuples

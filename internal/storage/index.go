@@ -2,21 +2,25 @@ package storage
 
 import (
 	"fmt"
+	"iter"
+	"slices"
 
 	"bcq/internal/schema"
 	"bcq/internal/value"
 )
 
 // IndexEntry is one distinct Y-value under some X-value of an access
-// constraint, together with a witness tuple. The paper's definition asks the
-// index to return a subset D' ⊆ D with one tuple per distinct Y-value; the
-// witness is that tuple.
+// constraint: it names the witness tuple and restates nothing. The paper's
+// index for X → (Y, N) returns, per X-value, a subset D' ⊆ D with one tuple
+// per distinct Y-value — a selection of tuples of D, not a copy of their
+// columns — so an entry is that tuple and where it lives. Its Y-value (and
+// its X-value) are the witness's columns at the constraint's positions;
+// whoever needs them holds those positions already (the live writer's
+// bindings, the plan's FetchStep.YPos) and reads them off the witness.
+// A segment file stores a group the same way: its witness positions.
 type IndexEntry struct {
-	// Y is the distinct Y-value (positionally aligned with the constraint's
-	// sorted Y attribute list).
-	Y value.Tuple
 	// Witness is the first tuple of the relation exhibiting this (X, Y)
-	// combination.
+	// combination. It is the relation's own tuple, not a copy.
 	Witness value.Tuple
 	// Pos is the witness's position in the relation, identifying it for
 	// D_Q accounting.
@@ -24,16 +28,14 @@ type IndexEntry struct {
 }
 
 // AccessIndex materializes the index of one access constraint X → (Y, N):
-// a hash map from encoded X-values to the distinct Y-values (with
-// witnesses). Building it is a single pass over the relation; lookups are
+// a hash map from encoded X-values to the witnesses of the distinct
+// Y-values. Building it is a single pass over the relation; lookups are
 // O(1) plus the O(N) result.
 type AccessIndex struct {
-	AC   schema.AccessConstraint
-	xPos []int // positions of AC.X in the relation schema
-	yPos []int // positions of AC.Y in the relation schema
-	m    map[string][]IndexEntry
+	AC schema.AccessConstraint
+	m  map[string][]IndexEntry
 	// maxGroup is the largest number of distinct Y-values observed under
-	// one X-value; BuildAccessIndex rejects relations where this exceeds
+	// one X-value; ScanAccessIndex rejects relations where this exceeds
 	// AC.N, which is how D |= A is enforced.
 	maxGroup int
 	// entries is the total number of distinct (X, Y) pairs indexed, the
@@ -43,26 +45,35 @@ type AccessIndex struct {
 }
 
 // BuildAccessIndex scans the relation and builds the index, verifying the
-// constraint's cardinality bound along the way. A violation (some X-value
-// with more than N distinct Y-values) is reported as an error carrying the
-// offending X-value, which makes D |= A checking a by-product of index
-// construction.
+// constraint's cardinality bound along the way (see ScanAccessIndex).
 func BuildAccessIndex(rel *Relation, ac schema.AccessConstraint) (*AccessIndex, error) {
-	xPos, err := rel.Schema.Positions(ac.X)
+	return ScanAccessIndex(rel.Schema, ac, slices.All(rel.Tuples), len(rel.Tuples))
+}
+
+// ScanAccessIndex builds the index of a constraint over a sequence of
+// (position, tuple) pairs of one relation — a sealed relation's tuples, or
+// the live tuples of a snapshot in live order — verifying the constraint's
+// cardinality bound along the way. The first tuple of the sequence to
+// exhibit an (X, Y) pair becomes the pair's witness. A violation (some
+// X-value with more than N distinct Y-values) is reported as an error
+// carrying the offending X-value, which makes D |= A checking a by-product
+// of index construction. sizeHint is the expected number of tuples.
+func ScanAccessIndex(rs *schema.Relation, ac schema.AccessConstraint, tuples iter.Seq2[int, value.Tuple], sizeHint int) (*AccessIndex, error) {
+	xPos, err := rs.Positions(ac.X)
 	if err != nil {
 		return nil, err
 	}
-	yPos, err := rel.Schema.Positions(ac.Y)
+	yPos, err := rs.Positions(ac.Y)
 	if err != nil {
 		return nil, err
 	}
-	idx := &AccessIndex{AC: ac, xPos: xPos, yPos: yPos, m: make(map[string][]IndexEntry)}
+	idx := &AccessIndex{AC: ac, m: make(map[string][]IndexEntry)}
 	// seen holds the encoded (X, Y) pairs already indexed. The pair at hand
 	// is encoded into one reused buffer, so a tuple that repeats a pair
 	// allocates nothing and a new pair allocates its key once.
-	seen := make(map[string]bool, len(rel.Tuples))
+	seen := make(map[string]bool, sizeHint)
 	var pair []byte
-	for pos, t := range rel.Tuples {
+	for pos, t := range tuples {
 		pair = value.AppendKeyOf(pair[:0], t, xPos)
 		nx := len(pair)
 		pair = value.AppendKeyOf(append(pair, 0), t, yPos)
@@ -72,7 +83,7 @@ func BuildAccessIndex(rel *Relation, ac schema.AccessConstraint) (*AccessIndex, 
 		seen[string(pair)] = true
 		idx.entries++
 		xk := string(pair[:nx])
-		entries := append(idx.m[xk], IndexEntry{Y: t.Project(yPos), Witness: t, Pos: pos})
+		entries := append(idx.m[xk], IndexEntry{Witness: t, Pos: pos})
 		idx.m[xk] = entries
 		if len(entries) > idx.maxGroup {
 			idx.maxGroup = len(entries)
@@ -118,6 +129,13 @@ func (idx *AccessIndex) NumEntries() int64 { return idx.entries }
 // copy-on-write overlays — can read base groups and do their own counting.
 // Callers must not mutate the returned slice.
 func (idx *AccessIndex) Entries(xKey string) []IndexEntry { return idx.m[xKey] }
+
+// Groups returns the index's whole group map, encoded X-key → entry group,
+// for the layers that read an index wholesale: the segment writer (which
+// sorts the keys itself for determinism), the live store's bootstrap, and
+// its runtime extensions, which publish a scanned index as an overlay diff
+// — exactly this map. Callers must not mutate the map or its slices.
+func (idx *AccessIndex) Groups() map[string][]IndexEntry { return idx.m }
 
 // EntriesOf is Entries for a key still in the buffer it was encoded into:
 // the lookup copies nothing.

@@ -7,30 +7,18 @@ import (
 	"bcq/internal/value"
 )
 
-// This file is the database's serialization boundary: the two hooks the
-// segment file format (internal/segment) needs to write a sealed database
-// to disk and to reconstruct one without re-scanning the data. Tuples are
+// This file is the database's serialization boundary: what the segment
+// file format (internal/segment) needs, beside AccessIndex.Groups, to
+// reconstruct a sealed database without re-scanning the data. Tuples are
 // stored once per relation; an access index serializes as, per X-group,
-// the witness positions of its entries — Y and the X-key are projections
-// of the witness, so positions are the whole index.
-
-// Range calls f for every X-group of the index, in unspecified order
-// (Go map order; serializers sort the keys themselves for determinism).
-// Iteration stops early when f returns false. Callers must not mutate
-// the entry slices.
-func (idx *AccessIndex) Range(f func(xKey string, entries []IndexEntry) bool) {
-	for k, es := range idx.m {
-		if !f(k, es) {
-			return
-		}
-	}
-}
+// the witness positions of its entries — which is all an in-memory entry
+// holds too (IndexEntry), so positions are the whole index.
 
 // RestoreIndexes installs access indexes from their serialized group
 // layout — for each constraint key, the witness-position groups a segment
 // file recorded — and seals the database, exactly as BuildIndexes would
-// have. Each entry is rebuilt from its witness tuple, so a restored index
-// is structurally identical to the one BuildAccessIndex produced before
+// have. Each entry names the tuple at its recorded position, so a restored
+// index is structurally identical to the one BuildAccessIndex produced before
 // the checkpoint (same witnesses, same in-group order, same counts).
 // Positions are validated against the relation and each group is checked
 // for X-key coherence and the constraint's bound, so a corrupted-but-
@@ -46,11 +34,7 @@ func (db *Database) RestoreIndexes(a *schema.AccessSchema, groups map[string][][
 		if err != nil {
 			return err
 		}
-		yPos, err := rel.Schema.Positions(ac.Y)
-		if err != nil {
-			return err
-		}
-		idx := &AccessIndex{AC: ac, xPos: xPos, yPos: yPos, m: make(map[string][]IndexEntry)}
+		idx := &AccessIndex{AC: ac, m: make(map[string][]IndexEntry)}
 		for _, g := range groups[ac.Key()] {
 			if len(g) == 0 {
 				return fmt.Errorf("storage: restore %s: empty index group", ac)
@@ -71,7 +55,7 @@ func (db *Database) RestoreIndexes(a *schema.AccessSchema, groups map[string][][
 				} else if k != xk {
 					return fmt.Errorf("storage: restore %s: index group mixes X-keys", ac)
 				}
-				entries = append(entries, IndexEntry{Y: w.Project(yPos), Witness: w, Pos: pos})
+				entries = append(entries, IndexEntry{Witness: w, Pos: pos})
 			}
 			if _, dup := idx.m[xk]; dup {
 				return fmt.Errorf("storage: restore %s: duplicate index group", ac)

@@ -122,11 +122,10 @@ func TestBuildIndexesAndFetch(t *testing.T) {
 		t.Fatalf("album a0 has %d photos in index, want 2", len(entries))
 	}
 	for _, e := range entries {
-		if len(e.Y) != 1 {
-			t.Errorf("Y tuple = %v", e.Y)
-		}
-		if len(e.Witness) != 2 {
-			t.Errorf("witness = %v", e.Witness)
+		// The entry is the relation's own tuple: Y (photo_id) is its
+		// column 0, X (album_id) its column 1.
+		if len(e.Witness) != 2 || e.Witness[1] != value.Str("a0") || !e.Witness.Equal(db.MustRelation("in_album").Tuples[e.Pos]) {
+			t.Errorf("witness = %v at %d", e.Witness, e.Pos)
 		}
 	}
 	st := db.Stats()

@@ -34,20 +34,30 @@ import (
 	"bcq/internal/value"
 )
 
-// OpKind mirrors live.OpKind without importing it (live depends on wal,
-// not the other way round).
+// OpKind enumerates write operations. It and Op are also the live store's
+// op types (live.Op, live.OpKind are aliases), so a batch is logged and
+// replayed without conversion.
 type OpKind uint8
 
 const (
-	// OpInsert adds a tuple.
+	// OpInsert adds one occurrence of a tuple (bag semantics).
 	OpInsert OpKind = iota
-	// OpDelete removes a tuple.
+	// OpDelete removes one live occurrence of an exactly-equal tuple.
 	OpDelete
 )
 
-// Op is one logged mutation. Only ops that were actually applied are
-// logged (Permissive-mode quarantined ops are not), so replay through the
-// admission path is deterministic and never re-rejects.
+// String names the kind for diagnostics.
+func (k OpKind) String() string {
+	if k == OpInsert {
+		return "insert"
+	}
+	return "delete"
+}
+
+// Op is one write operation of a batch. In a log record only ops that
+// were actually applied appear (Permissive-mode quarantined ops do not),
+// so replay through the admission path is deterministic and never
+// re-rejects.
 type Op struct {
 	Kind  OpKind
 	Rel   string

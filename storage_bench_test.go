@@ -19,7 +19,10 @@
 //	bootstrap.new_ns           — live.New over an indexed, duplicate-free base
 //
 // and, informational, bootstrap.retained_bytes_per_tuple — the live heap
-// that call adds beside the base.
+// that call adds beside the base — and checkpoint.retained_bytes_per_tuple
+// — the live heap a Compact leaves behind once nothing pins the base it
+// replaced, asserted ≤ a tenth of the base's own bytes per tuple: a stale
+// base still reachable from the store is a whole one.
 package bcq
 
 import (
@@ -172,10 +175,29 @@ func TestStorageBenchEmit(t *testing.T) {
 	}
 	newNS := time.Since(start).Nanoseconds() / news
 
-	t.Logf("wal append %s/op (%d B frame); recovery of %d records %s (%s/record); checkpoint %s (%d B segment); live.New %s over %d tuples (%d B/tuple retained)",
+	// Checkpoint retention: a store that alone holds its base compacts,
+	// and with no snapshot of the old epoch pinned the old base must go.
+	var cs *live.Store
+	basePerTuple := int64(retainedBytes(func() {
+		db, ds := indexedSocial(t, 1)
+		if cs, err = live.New(db, ds.Access, live.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})) / cs.NumTuples()
+	compactRetainedPerTuple := int64(retainedBytes(func() {
+		if _, err := cs.Compact(); err != nil {
+			t.Fatal(err)
+		}
+	})) / cs.NumTuples()
+	if compactRetainedPerTuple > basePerTuple/10 {
+		t.Errorf("a Compact leaves %d B/tuple behind with nothing pinning the old base, more than a tenth of the base's own %d B/tuple",
+			compactRetainedPerTuple, basePerTuple)
+	}
+
+	t.Logf("wal append %s/op (%d B frame); recovery of %d records %s (%s/record); checkpoint %s (%d B segment); live.New %s over %d tuples (%d B/tuple retained); a Compact retains %d B/tuple beside a base of %d B/tuple",
 		time.Duration(appendNS), frameBytes, appends, time.Duration(openNS),
 		time.Duration(openNS/appends), time.Duration(compactNS), segBytes,
-		time.Duration(newNS), ls.NumTuples(), retainedPerTuple)
+		time.Duration(newNS), ls.NumTuples(), retainedPerTuple, compactRetainedPerTuple, basePerTuple)
 
 	if path := os.Getenv("STORAGE_BENCH_JSON"); path != "" {
 		f, err := os.Create(path)
@@ -194,8 +216,9 @@ func TestStorageBenchEmit(t *testing.T) {
 				"per_record_ns": openNS / appends,
 			},
 			"checkpoint": {
-				"compact_ns":    compactNS,
-				"segment_bytes": segBytes,
+				"compact_ns":               compactNS,
+				"segment_bytes":            segBytes,
+				"retained_bytes_per_tuple": compactRetainedPerTuple,
 			},
 			"bootstrap": {
 				"tuples":                   ls.NumTuples(),
