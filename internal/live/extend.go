@@ -5,6 +5,7 @@ import (
 
 	"bcq/internal/schema"
 	"bcq/internal/storage"
+	"bcq/internal/value"
 	"bcq/internal/wal"
 )
 
@@ -190,5 +191,9 @@ func (st *Store) buildExtension(ac schema.AccessConstraint) (*extension, error) 
 	if err != nil {
 		return nil, err
 	}
-	return &extension{bind: bind, groups: idx.Groups(), ledger: sparseLedger(idx, bind, n, snap.all(ac.Rel))}, nil
+	groups := make(map[string][]storage.IndexEntry, idx.NumGroups())
+	for g := range idx.Groups() {
+		groups[value.KeyOf(g[0].Witness, bind.xPos)] = g
+	}
+	return &extension{bind: bind, groups: groups, ledger: sparseLedger(idx, bind, n, snap.all(ac.Rel))}, nil
 }

@@ -66,7 +66,7 @@ func TestExtendAccessServesLiveData(t *testing.T) {
 	if !ok {
 		t.Fatal("frozen snapshot lacks the extended index")
 	}
-	fg := idx.Entries(strs("f1").Key())
+	fg := idx.Lookup(strs("f1"))
 	if len(fg) != len(got) {
 		t.Fatalf("frozen group has %d entries, live %d", len(fg), len(got))
 	}

@@ -460,7 +460,7 @@ func (st *Store) bootstrap(base *storage.Database) (size map[string]int64, total
 	for key, b := range st.byKey {
 		idx, _ := base.AccessIndexByKey(key)
 		card := newACCard()
-		for _, g := range idx.Groups() {
+		for g := range idx.Groups() {
 			card.resize(0, int64(len(g)))
 		}
 		cards[key] = card

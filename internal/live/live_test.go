@@ -618,16 +618,27 @@ func TestSnapshotMatchesFreeze(t *testing.T) {
 }
 
 // TestProbesFormatNoKeys: a probe encodes its X-key into a buffer on the
-// stack and looks the overlay and the base up by those bytes, so a
-// 64-probe FetchBatch allocates its result slice and nothing per probe,
-// and a single Fetch nothing at all — whether the group is served by the
-// base, by a commit's overlay, or by nobody.
+// stack, and only when some diff of the chain holds groups of the
+// constraint; the base is probed with the X-value itself. So a 64-probe
+// FetchBatch allocates its result slice and nothing per probe, and a
+// single Fetch nothing at all — whether the group is served by the base,
+// by a commit's overlay, or by nobody, on a chain with diffs or none.
 func TestProbesFormatNoKeys(t *testing.T) {
 	st := liveSocial(t, Options{})
+	pristine := st.Snapshot()
 	if _, err := st.Apply([]Op{Insert("in_album", strs("p9", "a2")), Delete("in_album", strs("p4", "a0"))}); err != nil {
 		t.Fatal(err)
 	}
-	snap := st.Snapshot()
+	for _, snap := range []*Snapshot{pristine, st.Snapshot()} {
+		probesFormatNoKeys(t, snap)
+	}
+	if got := ys(inAlbumAC(), mustFetch(t, st.Snapshot(), inAlbumAC(), "a0")); fmt.Sprint(got) != "[('p1') ('p2')]" {
+		t.Errorf("album a0 after the delete = %v", got)
+	}
+}
+
+func probesFormatNoKeys(t *testing.T, snap *Snapshot) {
+	t.Helper()
 	albums := make([]value.Tuple, 64)
 	for i := range albums {
 		albums[i] = strs(fmt.Sprintf("a%d", i%4)) // a0 overlaid, a1 base, a2 new, a3 absent
@@ -644,7 +655,7 @@ func TestProbesFormatNoKeys(t *testing.T) {
 		var groups [][]storage.IndexEntry
 		var err error
 		if n := testing.AllocsPerRun(50, func() { groups, err = snap.FetchBatch(c.ac, c.xs) }); n != 1 || err != nil {
-			t.Errorf("%s: a 64-probe FetchBatch allocates %.0f times (err %v), want 1: the result slice", c.ac, n, err)
+			t.Errorf("epoch %d: %s: a 64-probe FetchBatch allocates %.0f times (err %v), want 1: the result slice", snap.Epoch(), c.ac, n, err)
 		}
 		for i, x := range c.xs {
 			var one []storage.IndexEntry
@@ -655,9 +666,6 @@ func TestProbesFormatNoKeys(t *testing.T) {
 				t.Errorf("%s: Fetch(%s) = %v, FetchBatch's group %v", c.ac, x, ys(c.ac, one), ys(c.ac, groups[i]))
 			}
 		}
-	}
-	if got := ys(inAlbumAC(), mustFetch(t, snap, inAlbumAC(), "a0")); fmt.Sprint(got) != "[('p1') ('p2')]" {
-		t.Errorf("album a0 after the delete = %v", got)
 	}
 }
 

@@ -121,25 +121,42 @@ func (s *Snapshot) Size(rel string) (int64, error) {
 }
 
 // lookupGroup resolves one X-group at this epoch: the youngest diff that
-// rewrote the group wins, otherwise the sealed base index serves it. Both
-// keys are the caller's — the constraint's and the X-value's encoding,
-// still in the buffer a probe encoded it into — so a lookup formats and
-// copies nothing.
-func (s *Snapshot) lookupGroup(acKey string, xk []byte) []storage.IndexEntry {
+// rewrote the group wins, otherwise the sealed base index serves it. The
+// X-value is t's at pos, or t itself when pos is nil. It is encoded only
+// once some diff of the chain holds groups of the constraint, so a probe
+// of a constraint no write has touched since the last Compact formats
+// nothing: the base is probed with the values themselves.
+func (s *Snapshot) lookupGroup(acKey string, t value.Tuple, pos []int) []storage.IndexEntry {
+	var kb [value.KeyBufSize]byte
+	var xk []byte
 	for cur := s; cur != nil; cur = cur.parent {
-		if m := cur.groups[acKey]; m != nil {
-			if g, ok := m[string(xk)]; ok {
-				return g
+		m := cur.groups[acKey]
+		if m == nil {
+			continue
+		}
+		if xk == nil {
+			if pos == nil {
+				xk = t.AppendKey(kb[:0])
+			} else {
+				xk = value.AppendKeyOf(kb[:0], t, pos)
 			}
+		}
+		if g, ok := m[string(xk)]; ok {
+			return g
 		}
 	}
 	if _, ok := s.binds[acKey]; !ok {
 		return nil
 	}
-	if idx, ok := s.base.AccessIndexByKey(acKey); ok {
-		return idx.EntriesOf(xk)
+	idx, ok := s.base.AccessIndexByKey(acKey)
+	switch {
+	case !ok:
+		return nil
+	case pos == nil:
+		return idx.Lookup(t)
+	default:
+		return idx.LookupAt(t, pos)
 	}
-	return nil
 }
 
 // Fetch probes the access index of a constraint with an X-value at this
@@ -154,8 +171,7 @@ func (s *Snapshot) Fetch(ac schema.AccessConstraint, xVals value.Tuple) ([]stora
 	if len(xVals) != len(ac.X) {
 		return nil, fmt.Errorf("live: constraint %s expects %d lookup values, got %d", ac, len(ac.X), len(xVals))
 	}
-	var kb [value.KeyBufSize]byte
-	entries := s.lookupGroup(key, xVals.AppendKey(kb[:0]))
+	entries := s.lookupGroup(key, xVals, nil)
 	s.st.lookups.Add(1)
 	s.st.fetched.Add(int64(len(entries)))
 	rc := s.st.relCounters(ac.Rel)
@@ -175,14 +191,11 @@ func (s *Snapshot) FetchBatch(ac schema.AccessConstraint, xs []value.Tuple) ([][
 	}
 	out := make([][]storage.IndexEntry, len(xs))
 	var fetched int64
-	var kb [value.KeyBufSize]byte
-	xk := kb[:0]
 	for i, x := range xs {
 		if len(x) != len(ac.X) {
 			return nil, fmt.Errorf("live: constraint %s expects %d lookup values, got %d", ac, len(ac.X), len(x))
 		}
-		xk = x.AppendKey(xk[:0])
-		g := s.lookupGroup(key, xk)
+		g := s.lookupGroup(key, x, nil)
 		out[i] = g
 		fetched += int64(len(g))
 	}

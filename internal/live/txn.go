@@ -21,8 +21,10 @@ type txn struct {
 
 	// groups are the X-groups this batch rewrote: acKey → xKey → the full
 	// merged entry group as the new epoch will serve it. A group is copied
-	// from the basis (or base index) on first touch.
+	// from the basis (or base index) on first touch. from holds, for each,
+	// the size the basis served it at: commit moves its card from there.
 	groups map[string]map[string][]storage.IndexEntry
+	from   map[string]map[string]int
 	// addedNew are the tuples this batch inserts, per relation, in order;
 	// their positions follow the basis snapshot's added tuples.
 	addedNew map[string][]value.Tuple
@@ -47,33 +49,36 @@ func newTxn(st *Store, snap *Snapshot) *txn {
 		st:       st,
 		snap:     snap,
 		groups:   make(map[string]map[string][]storage.IndexEntry),
+		from:     make(map[string]map[string]int),
 		addedNew: make(map[string][]value.Tuple),
 		delNew:   make(map[string]map[int]bool),
 		ledger:   make(map[string]map[string][]int),
 	}
 }
 
-// group returns the batch's working copy of one X-group, materializing it
-// from the basis snapshot (which falls through to the base index) on
-// first touch.
-func (tx *txn) group(acKey, xk string) []storage.IndexEntry {
-	m := tx.groups[acKey]
-	if m != nil {
-		if g, ok := m[xk]; ok {
-			return g
-		}
+// group returns the batch's working copy of t's X-group under a
+// constraint, whose X-key xk the caller has encoded, reading it from the
+// basis snapshot (which falls through to the base index) until the batch
+// rewrites it.
+func (tx *txn) group(b acBinding, t value.Tuple, xk string) []storage.IndexEntry {
+	if g, ok := tx.groups[b.key][xk]; ok {
+		return g
 	}
-	return tx.snap.lookupGroup(acKey, []byte(xk))
+	return tx.snap.lookupGroup(b.key, t, b.xPos)
 }
 
-// setGroup installs the batch's rewritten group. An emptied group is kept
-// as a non-nil empty slice so snapshot lookups see the emptiness instead
-// of falling through to the base.
-func (tx *txn) setGroup(acKey, xk string, g []storage.IndexEntry) {
+// setGroup installs the batch's rewrite of group old. An emptied group is
+// kept as a non-nil empty slice so snapshot lookups see the emptiness
+// instead of falling through to the base.
+func (tx *txn) setGroup(acKey, xk string, old, g []storage.IndexEntry) {
 	m := tx.groups[acKey]
 	if m == nil {
 		m = make(map[string][]storage.IndexEntry)
 		tx.groups[acKey] = m
+		tx.from[acKey] = make(map[string]int)
+	}
+	if _, ok := m[xk]; !ok {
+		tx.from[acKey][xk] = len(old)
 	}
 	if g == nil {
 		g = []storage.IndexEntry{}
@@ -156,7 +161,7 @@ func (tx *txn) insert(op Op) error {
 	// is new to its group — duplicates of a live pair never add a distinct
 	// Y-value.
 	for _, b := range binds {
-		g := tx.group(b.key, value.KeyOf(t, b.xPos))
+		g := tx.group(b, t, value.KeyOf(t, b.xPos))
 		if entryOf(g, t, b.yPos) < 0 && int64(len(g)+1) > b.ac.N {
 			return &BoundError{AC: b.ac, XValue: t.Project(b.xPos), Tuple: t}
 		}
@@ -167,13 +172,13 @@ func (tx *txn) insert(op Op) error {
 	pos := tx.st.baseLen[op.Rel] + len(tx.snap.added[op.Rel]) + len(tx.addedNew[op.Rel])
 	for _, b := range binds {
 		xk := value.KeyOf(t, b.xPos)
-		g := tx.group(b.key, xk)
+		g := tx.group(b, t, xk)
 		i := entryOf(g, t, b.yPos)
 		if i < 0 {
 			ng := make([]storage.IndexEntry, len(g), len(g)+1)
 			copy(ng, g)
 			ng = append(ng, storage.IndexEntry{Witness: t, Pos: pos})
-			tx.setGroup(b.key, xk, ng)
+			tx.setGroup(b.key, xk, g, ng)
 			continue
 		}
 		pk := pairKey(xk, t, b.yPos)
@@ -209,13 +214,13 @@ func (tx *txn) delete(op Op) error {
 
 	for _, b := range tx.st.byRel[op.Rel] {
 		xk := value.KeyOf(t, b.xPos)
-		g := tx.group(b.key, xk)
+		g := tx.group(b, t, xk)
 		i := entryOf(g, t, b.yPos) // ≥ 0: the tuple is live, so its pair has an entry
 		pk := pairKey(xk, t, b.yPos)
 		ps := tx.dups(b.key, pk)
 		if ps == nil {
 			// Last occurrence: drop the pair's entry from the group.
-			tx.setGroup(b.key, xk, slices.Delete(slices.Clone(g), i, i+1))
+			tx.setGroup(b.key, xk, g, slices.Delete(slices.Clone(g), i, i+1))
 			continue
 		}
 		// The pair survives. The ledger holds exactly its live positions,
@@ -224,7 +229,7 @@ func (tx *txn) delete(op Op) error {
 		if g[i].Pos == pos {
 			ng := slices.Clone(g)
 			ng[i] = storage.IndexEntry{Witness: tx.tupleAt(op.Rel, rest[0]), Pos: rest[0]}
-			tx.setGroup(b.key, xk, ng)
+			tx.setGroup(b.key, xk, g, ng)
 		}
 		tx.setDups(b.key, pk, rest)
 	}
@@ -250,7 +255,7 @@ func (tx *txn) candidates(rel string, t value.Tuple) []int {
 	if binds := tx.st.byRel[rel]; len(binds) > 0 {
 		b := binds[0]
 		xk := value.KeyOf(t, b.xPos)
-		g := tx.group(b.key, xk)
+		g := tx.group(b, t, xk)
 		i := entryOf(g, t, b.yPos)
 		if i < 0 {
 			return nil
@@ -300,7 +305,7 @@ func (st *Store) commit(tx *txn) uint64 {
 		for acKey, m := range tx.groups {
 			card := cards[acKey]
 			for xk, g := range m {
-				card.resize(int64(len(tx.snap.lookupGroup(acKey, []byte(xk)))), int64(len(g)))
+				card.resize(int64(tx.from[acKey][xk]), int64(len(g)))
 			}
 		}
 		for acKey, m := range tx.ledger {

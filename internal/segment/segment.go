@@ -2,9 +2,9 @@
 // mmap-able form of a frozen live-store base. The paper's access-schema
 // index tables ("project on X ∪ Y, index on X") serialize naturally —
 // tuples are stored once per relation and each index group is just the
-// witness positions of its entries, so loading a segment reconstructs
-// the exact index structure BuildAccessIndex produced, without
-// re-scanning the data.
+// witness positions of its entries, so loading a segment feeds those
+// positions to the index builder (storage.IndexRestore) and gets back the
+// index BuildAccessIndex produced, group order aside.
 //
 // File layout (all integers big-endian; strings u32-length-prefixed;
 // values in value.AppendKey encoding):
@@ -15,7 +15,7 @@
 //	u32 #constraints | per constraint: rel, #x×attr, #y×attr, u64 N
 //	u32 #relations   | per relation: name, u32 arity, u64 #tuples, values
 //	u32 #index blocks (one per constraint, same order):
-//	    u64 #groups | per group: u32 #entries, u32×witness positions
+//	    u64 #groups | per group (arena order): u32 #entries, u32×positions
 //	u32 CRC-32C of everything above
 //	"BCQSEGF\n"                                   8-byte footer magic
 //
@@ -151,15 +151,7 @@ func encode(f *os.File, db *storage.Database, acc *schema.AccessSchema, epoch ui
 	acs := acc.Constraints()
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(acs)))
 	for _, ac := range acs {
-		buf = value.AppendStr(buf, ac.Rel)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(ac.X)))
-		for _, a := range ac.X {
-			buf = value.AppendStr(buf, a)
-		}
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(ac.Y)))
-		for _, a := range ac.Y {
-			buf = value.AppendStr(buf, a)
-		}
+		buf = value.AppendStrs(value.AppendStrs(value.AppendStr(buf, ac.Rel), ac.X), ac.Y)
 		buf = binary.BigEndian.AppendUint64(buf, uint64(ac.N))
 	}
 
@@ -174,10 +166,7 @@ func encode(f *os.File, db *storage.Database, acc *schema.AccessSchema, epoch ui
 		buf = binary.BigEndian.AppendUint32(buf, uint32(rs.Arity()))
 		buf = binary.BigEndian.AppendUint64(buf, uint64(len(rel.Tuples)))
 		for _, t := range rel.Tuples {
-			for _, v := range t {
-				buf = v.AppendKey(buf)
-			}
-			if len(buf) >= stageBytes {
+			if buf = t.AppendKey(buf); len(buf) >= stageBytes {
 				if err := flush(); err != nil {
 					return 0, err
 				}
@@ -191,19 +180,10 @@ func encode(f *os.File, db *storage.Database, acc *schema.AccessSchema, epoch ui
 		if !ok {
 			return 0, fmt.Errorf("segment: no index built for constraint %s", ac)
 		}
-		type group struct {
-			key     string
-			entries []storage.IndexEntry
-		}
-		groups := make([]group, 0, idx.NumGroups())
-		for xKey, entries := range idx.Groups() {
-			groups = append(groups, group{xKey, entries})
-		}
-		sort.Slice(groups, func(i, j int) bool { return groups[i].key < groups[j].key })
-		buf = binary.BigEndian.AppendUint64(buf, uint64(len(groups)))
-		for _, g := range groups {
-			buf = binary.BigEndian.AppendUint32(buf, uint32(len(g.entries)))
-			for _, e := range g.entries {
+		buf = binary.BigEndian.AppendUint64(buf, uint64(idx.NumGroups()))
+		for g := range idx.Groups() {
+			buf = binary.BigEndian.AppendUint32(buf, uint32(len(g)))
+			for _, e := range g {
 				buf = binary.BigEndian.AppendUint32(buf, uint32(e.Pos))
 			}
 			if len(buf) >= stageBytes {
@@ -250,141 +230,106 @@ func Load(path string, cat *schema.Catalog) (*storage.Database, *schema.AccessSc
 		return nil, nil, 0, fmt.Errorf("segment: %s: checksum mismatch", path)
 	}
 
-	b := body[len(headMagic):]
-	version, b, err := value.TakeU32(b)
+	db, acc, epoch, err := decode(body[len(headMagic):], cat)
 	if err != nil {
-		return nil, nil, 0, loadErr(path, err)
+		return nil, nil, 0, fmt.Errorf("segment: %s: %w", path, err)
 	}
-	if version != formatVersion {
-		return nil, nil, 0, fmt.Errorf("segment: %s: unsupported format version %d", path, version)
-	}
-	epoch, b, err := value.TakeU64(b)
-	if err != nil {
-		return nil, nil, 0, loadErr(path, err)
-	}
+	return db, acc, epoch, nil
+}
 
-	nacs, b, err := value.TakeU32(b)
-	if err != nil {
-		return nil, nil, 0, loadErr(path, err)
+// reader walks a segment body. Its first error sticks and every later
+// read returns zero, so a decoding loop ends by itself.
+type reader struct {
+	b   []byte
+	err error
+}
+
+// take decodes the next item with one of value's Take functions.
+func take[T any](r *reader, f func([]byte) (T, []byte, error)) T {
+	var v T
+	if r.err == nil {
+		v, r.b, r.err = f(r.b)
 	}
-	acs := make([]schema.AccessConstraint, 0, nacs)
-	for i := uint32(0); i < nacs; i++ {
-		var rel string
-		rel, b, err = value.TakeStr(b)
-		if err != nil {
-			return nil, nil, 0, loadErr(path, err)
+	return v
+}
+
+// decode rebuilds the database a segment body (what follows the header
+// magic) describes. Every count the body claims is bounded by the bytes
+// left before anything is sized by it.
+func decode(body []byte, cat *schema.Catalog) (*storage.Database, *schema.AccessSchema, uint64, error) {
+	r := &reader{b: body}
+	if v := take(r, value.TakeU32); r.err == nil && v != formatVersion {
+		return nil, nil, 0, fmt.Errorf("unsupported format version %d", v)
+	}
+	epoch := take(r, value.TakeU64)
+	var acs []schema.AccessConstraint
+	for i := take(r, value.TakeU32); i > 0 && r.err == nil; i-- {
+		rel, x, y, n := take(r, value.TakeStr), take(r, value.TakeStrs), take(r, value.TakeStrs), take(r, value.TakeU64)
+		if r.err == nil {
+			var ac schema.AccessConstraint
+			ac, r.err = schema.NewAccessConstraint(rel, x, y, int64(n))
+			acs = append(acs, ac)
 		}
-		var x, y []string
-		x, b, err = value.TakeStrs(b)
-		if err != nil {
-			return nil, nil, 0, loadErr(path, err)
-		}
-		y, b, err = value.TakeStrs(b)
-		if err != nil {
-			return nil, nil, 0, loadErr(path, err)
-		}
-		var n uint64
-		n, b, err = value.TakeU64(b)
-		if err != nil {
-			return nil, nil, 0, loadErr(path, err)
-		}
-		ac, err := schema.NewAccessConstraint(rel, x, y, int64(n))
-		if err != nil {
-			return nil, nil, 0, loadErr(path, err)
-		}
-		acs = append(acs, ac)
+	}
+	if r.err != nil {
+		return nil, nil, 0, r.err
 	}
 	acc, err := schema.NewAccessSchema(acs...)
 	if err != nil {
-		return nil, nil, 0, loadErr(path, err)
+		return nil, nil, 0, err
 	}
 	if err := acc.Validate(cat); err != nil {
-		return nil, nil, 0, fmt.Errorf("segment: %s: recorded schema no longer matches catalog: %w", path, err)
+		return nil, nil, 0, fmt.Errorf("recorded schema no longer matches catalog: %w", err)
 	}
 
 	db := storage.NewDatabase(cat)
-	nrels, b, err := value.TakeU32(b)
-	if err != nil {
-		return nil, nil, 0, loadErr(path, err)
-	}
-	for i := uint32(0); i < nrels; i++ {
-		var name string
-		name, b, err = value.TakeStr(b)
-		if err != nil {
-			return nil, nil, 0, loadErr(path, err)
+	for i := take(r, value.TakeU32); i > 0 && r.err == nil; i-- {
+		name, arity, ntuples := take(r, value.TakeStr), take(r, value.TakeU32), take(r, value.TakeU64)
+		if rs, ok := cat.Relation(name); r.err == nil && (!ok || int(arity) != rs.Arity()) {
+			return nil, nil, 0, fmt.Errorf("relation %s of arity %d is not in the catalog", name, arity)
 		}
-		rs, ok := cat.Relation(name)
-		if !ok {
-			return nil, nil, 0, fmt.Errorf("segment: %s: relation %s not in catalog", path, name)
-		}
-		var arity uint32
-		arity, b, err = value.TakeU32(b)
-		if err != nil {
-			return nil, nil, 0, loadErr(path, err)
-		}
-		if int(arity) != rs.Arity() {
-			return nil, nil, 0, fmt.Errorf("segment: %s: relation %s arity %d, catalog says %d", path, name, arity, rs.Arity())
-		}
-		var ntuples uint64
-		ntuples, b, err = value.TakeU64(b)
-		if err != nil {
-			return nil, nil, 0, loadErr(path, err)
-		}
-		for j := uint64(0); j < ntuples; j++ {
+		for ; ntuples > 0 && r.err == nil; ntuples-- {
 			t := make(value.Tuple, arity)
 			for k := range t {
-				t[k], b, err = value.DecodeValue(b)
-				if err != nil {
-					return nil, nil, 0, loadErr(path, err)
-				}
+				t[k] = take(r, value.DecodeValue)
 			}
-			if err := db.Insert(name, t); err != nil {
-				return nil, nil, 0, loadErr(path, err)
+			if r.err == nil {
+				r.err = db.Insert(name, t)
 			}
 		}
 	}
-
-	nblocks, b, err := value.TakeU32(b)
-	if err != nil {
-		return nil, nil, 0, loadErr(path, err)
+	if n := take(r, value.TakeU32); r.err == nil && int(n) != len(acs) {
+		return nil, nil, 0, fmt.Errorf("%d index blocks for %d constraints", n, len(acs))
 	}
-	if int(nblocks) != len(acs) {
-		return nil, nil, 0, fmt.Errorf("segment: %s: %d index blocks for %d constraints", path, nblocks, len(acs))
-	}
-	groups := make(map[string][][]int, nblocks)
-	for i := uint32(0); i < nblocks; i++ {
-		var ngroups uint64
-		ngroups, b, err = value.TakeU64(b)
+	for i := 0; i < len(acs) && r.err == nil; i++ {
+		ir, err := db.RestoreIndex(acs[i])
 		if err != nil {
-			return nil, nil, 0, loadErr(path, err)
+			return nil, nil, 0, err
 		}
-		gs := make([][]int, 0, ngroups)
-		for j := uint64(0); j < ngroups; j++ {
-			var nentries uint32
-			nentries, b, err = value.TakeU32(b)
-			if err != nil {
-				return nil, nil, 0, loadErr(path, err)
+		// A group takes its u32 count at least, an entry its u32 position.
+		ngroups := take(r, value.TakeU64)
+		if ngroups > uint64(len(r.b)/4) {
+			return nil, nil, 0, fmt.Errorf("%d index groups in %d bytes", ngroups, len(r.b))
+		}
+		for ; ngroups > 0 && r.err == nil; ngroups-- {
+			n := take(r, value.TakeU32)
+			if uint64(n) > uint64(len(r.b)/4) {
+				return nil, nil, 0, fmt.Errorf("%d index entries in %d bytes", n, len(r.b))
 			}
-			g := make([]int, nentries)
-			for k := range g {
-				var pos uint32
-				pos, b, err = value.TakeU32(b)
-				if err != nil {
-					return nil, nil, 0, loadErr(path, err)
+			for ; n > 0; n-- {
+				if err := ir.Add(int(take(r, value.TakeU32))); err != nil {
+					return nil, nil, 0, err
 				}
-				g[k] = int(pos)
 			}
-			gs = append(gs, g)
 		}
-		groups[acs[i].Key()] = gs
+		if r.err == nil {
+			r.err = ir.Install()
+		}
 	}
-	if len(b) != 0 {
-		return nil, nil, 0, fmt.Errorf("segment: %s: %d trailing bytes", path, len(b))
+	if r.err == nil && len(r.b) != 0 {
+		return nil, nil, 0, fmt.Errorf("%d trailing bytes", len(r.b))
 	}
-	if err := db.RestoreIndexes(acc, groups); err != nil {
-		return nil, nil, 0, loadErr(path, err)
-	}
-	return db, acc, epoch, nil
+	return db, acc, epoch, r.err
 }
 
 // Prune removes segments older than the keep newest ones. Pruning is
@@ -405,8 +350,4 @@ func syncDir(dir string) error {
 	}
 	defer d.Close()
 	return d.Sync()
-}
-
-func loadErr(path string, err error) error {
-	return fmt.Errorf("segment: %s: %w", path, err)
 }

@@ -1,8 +1,13 @@
 package segment
 
 import (
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"bcq/internal/schema"
@@ -10,7 +15,7 @@ import (
 	"bcq/internal/value"
 )
 
-func testDB(t *testing.T) (*storage.Database, *schema.AccessSchema) {
+func testDB(t testing.TB) (*storage.Database, *schema.AccessSchema) {
 	t.Helper()
 	cat := schema.MustCatalog(
 		schema.MustRelation("person", "id", "name", "city"),
@@ -49,7 +54,7 @@ func testDB(t *testing.T) (*storage.Database, *schema.AccessSchema) {
 
 // sameIndex compares the restored index of a constraint entry-by-entry
 // against the original.
-func sameIndex(t *testing.T, a, b *storage.Database, ac schema.AccessConstraint) {
+func sameIndex(t testing.TB, a, b *storage.Database, ac schema.AccessConstraint) {
 	t.Helper()
 	ia, ok := a.AccessIndexFor(ac)
 	if !ok {
@@ -64,9 +69,10 @@ func sameIndex(t *testing.T, a, b *storage.Database, ac schema.AccessConstraint)
 			ia.NumGroups(), ia.NumEntries(), ia.MaxGroup(),
 			ib.NumGroups(), ib.NumEntries(), ib.MaxGroup())
 	}
-	for xKey, entries := range ia.Groups() {
-		if !reflect.DeepEqual(ib.Entries(xKey), entries) {
-			t.Fatalf("%s: group %q differs", ac, xKey)
+	for g := range ia.Groups() {
+		x := g[0].Witness.Project(xPos(t, a, ac))
+		if !reflect.DeepEqual(ib.Lookup(x), g) {
+			t.Fatalf("%s: group %s differs", ac, x)
 		}
 	}
 }
@@ -183,4 +189,140 @@ func TestWriteIsAtomicAndPrunes(t *testing.T) {
 func reflectNameIsSegment(name string) bool {
 	return len(name) == len(namePrefix)+16+len(nameSuffix) &&
 		name[:len(namePrefix)] == namePrefix
+}
+
+// xPos returns the relation positions of a constraint's X attributes.
+func xPos(t testing.TB, db *storage.Database, ac schema.AccessConstraint) []int {
+	t.Helper()
+	p, err := db.MustRelation(ac.Rel).Schema.Positions(ac.X)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// seal frames a segment body — everything between the header magic and
+// the checksum — as a file Load accepts up to the body's own contents.
+func seal(body []byte) []byte {
+	data := append([]byte(headMagic), body...)
+	data = binary.BigEndian.AppendUint32(data, crc32.Checksum(data, castagnoli))
+	return append(data, footMagic...)
+}
+
+// friendBody is the body of a segment over testDB's catalog recording the
+// constraint friend: a → (b, n) — its attribute lists from byte
+// 20+len("friend") on — the friend tuples (1, 2) and (1, 3), and an index
+// block of the given bytes.
+func friendBody(n uint64, block []byte) []byte {
+	b := binary.BigEndian.AppendUint32(nil, formatVersion)
+	b = binary.BigEndian.AppendUint64(b, 1)
+	b = binary.BigEndian.AppendUint32(b, 1)
+	b = value.AppendStr(b, "friend")
+	b = value.AppendStr(binary.BigEndian.AppendUint32(b, 1), "a")
+	b = value.AppendStr(binary.BigEndian.AppendUint32(b, 1), "b")
+	b = binary.BigEndian.AppendUint64(b, n)
+	b = binary.BigEndian.AppendUint32(b, 1)
+	b = value.AppendStr(b, "friend")
+	b = binary.BigEndian.AppendUint32(b, 2)
+	b = binary.BigEndian.AppendUint64(b, 2)
+	b = value.Tuple{value.Int(1), value.Int(2), value.Int(1), value.Int(3)}.AppendKey(b)
+	b = binary.BigEndian.AppendUint32(b, 1)
+	return append(b, block...)
+}
+
+// u32s encodes big-endian words.
+func u32s(ws ...uint32) []byte {
+	var b []byte
+	for _, w := range ws {
+		b = binary.BigEndian.AppendUint32(b, w)
+	}
+	return b
+}
+
+// regressionBodies are crafted checksum-valid bodies that once made Load
+// panic, ask for gigabytes, or report an unnamed group; each must now be
+// refused with a plain error. testdata/fuzz/FuzzLoad holds each as a seed,
+// beside a valid small segment and the inputs the fuzzer found.
+var regressionBodies = map[string][]byte{
+	// 2^40 groups claimed by a block of 12 bytes.
+	"huge group count": friendBody(4, append(binary.BigEndian.AppendUint64(nil, 1<<40), u32s(1, 0)...)),
+	// One group claiming 2^31 entries.
+	"huge entry count": friendBody(4, append(binary.BigEndian.AppendUint64(nil, 1), u32s(1<<31, 0, 1)...)),
+	// A constraint claiming 2^32-1 X attributes.
+	"huge attribute count": append(friendBody(4, nil)[:20+len("friend")], u32s(1<<32-1, 0)...),
+	// Both friends of 1 under a bound of one.
+	"over-N group": friendBody(1, append(binary.BigEndian.AppendUint64(nil, 1), u32s(2, 0, 1)...)),
+}
+
+// TestLoadRefusesCraftedCounts: counts a crafted file claims are bounded
+// by the bytes it has before anything is allocated for them, and a group
+// past its bound is refused by name.
+func TestLoadRefusesCraftedCounts(t *testing.T) {
+	db, _ := testDB(t)
+	path := filepath.Join(t.TempDir(), "seg.bcq")
+	for name, body := range regressionBodies {
+		if err := os.WriteFile(path, seal(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, _, err := Load(path, db.Catalog())
+		if err == nil {
+			t.Fatalf("%s: Load accepted the segment", name)
+		}
+		var v *storage.ViolationError
+		if name == "over-N group" && (!errors.As(err, &v) || !v.XValue.Equal(value.Tuple{value.Int(1)}) || !strings.Contains(err.Error(), "X-value (1)")) {
+			t.Errorf("%s: error %v does not name the X-value (1)", name, err)
+		}
+	}
+	// The same body under a bound of two is a good segment.
+	if err := os.WriteFile(path, seal(friendBody(2, append(binary.BigEndian.AppendUint64(nil, 1), u32s(2, 0, 1)...))), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := Load(path, db.Catalog()); err != nil {
+		t.Fatalf("well-formed crafted segment: %v", err)
+	}
+}
+
+// FuzzLoad: whatever the body of a checksum-valid segment, Load returns an
+// error or a database equal to a rebuild from its own tuples, group order
+// aside — which includes D |= A — and never panics. The checksum is
+// recomputed over each mutated body, so mutations reach the decoder.
+func FuzzLoad(f *testing.F) {
+	db, acc := testDB(f)
+	info, err := Write(f.TempDir(), db, acc, 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	data, err := os.ReadFile(info.Path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data[len(headMagic) : len(data)-4-len(footMagic)])
+	cat := db.Catalog()
+	path := filepath.Join(f.TempDir(), "seg.bcq")
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if err := os.WriteFile(path, seal(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, gotAcc, _, err := Load(path, cat)
+		if err != nil {
+			return
+		}
+		want := storage.NewDatabase(cat)
+		for _, rs := range cat.Relations() {
+			for _, tu := range got.MustRelation(rs.Name()).Tuples {
+				if err := want.Insert(rs.Name(), tu); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := want.BuildIndexes(gotAcc); err != nil {
+			t.Fatalf("Load accepted a database outside its access schema: %v", err)
+		}
+		for _, ac := range gotAcc.Constraints() {
+			sameIndex(t, want, got, ac)
+		}
+		if !reflect.DeepEqual(want.CardStats(), got.CardStats()) {
+			t.Fatal("CardStats differ from a rebuild")
+		}
+	})
 }

@@ -3,11 +3,12 @@
 // (see DESIGN.md, substitution 1) and provides:
 //
 //   - relations as tuple bags positionally aligned with their schemas;
-//   - access-constraint indices: for a constraint X → (Y, N), a hash index
-//     from X-values to the ≤ N distinct Y-values, each held as one witness
-//     tuple of the relation and its position (IndexEntry) — the paper's
-//     index returns a subset D' ⊆ D, so an entry names a tuple of D and
-//     restates none of its columns; Y is read off the witness;
+//   - access-constraint indices: for a constraint X → (Y, N), a flat arena
+//     of the ≤ N distinct Y-values of each X-value behind a table hashed
+//     over the X-values, each held as one witness tuple of the relation
+//     and its position (IndexEntry) — the paper's index returns a subset
+//     D' ⊆ D, so an entry names a tuple of D and restates none of its
+//     columns; Y is read off the witness;
 //   - row indices (single-attribute hash indices returning all matching
 //     full tuples) for the baseline evaluators;
 //   - access-statistics counters, so experiments can report tuples
@@ -29,7 +30,6 @@ package storage
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"bcq/internal/schema"
@@ -293,19 +293,4 @@ func (db *Database) NonEmpty(rel string) (bool, error) {
 	db.stats.tuplesFetched.Add(1)
 	db.relCounters(rel).tuplesFetched.Add(1)
 	return true, nil
-}
-
-// SortRelations orders every relation's tuples lexicographically. Loads are
-// deterministic already; sorting exists so tests can compare whole
-// databases structurally. Like Insert, it is a load-phase operation:
-// reordering a sealed database would silently invalidate every index's
-// witness positions, so that is rejected with a panic (it is a programming
-// bug, and the method predates error returns here).
-func (db *Database) SortRelations() {
-	if db.sealed {
-		panic("storage: SortRelations on a sealed database would invalidate index positions")
-	}
-	for _, r := range db.rels {
-		sort.Slice(r.Tuples, func(i, j int) bool { return r.Tuples[i].Compare(r.Tuples[j]) < 0 })
-	}
 }

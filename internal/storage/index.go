@@ -2,7 +2,9 @@ package storage
 
 import (
 	"fmt"
+	"hash/maphash"
 	"iter"
+	"maps"
 	"slices"
 
 	"bcq/internal/schema"
@@ -27,21 +29,24 @@ type IndexEntry struct {
 	Pos int
 }
 
-// AccessIndex materializes the index of one access constraint X → (Y, N):
-// a hash map from encoded X-values to the witnesses of the distinct
-// Y-values. Building it is a single pass over the relation; lookups are
-// O(1) plus the O(N) result.
+// AccessIndex is the index of one access constraint X → (Y, N), the
+// witnesses of the distinct Y-values of each X-value, in three flat arrays:
+// entries, one arena holding each group contiguously, groups and the
+// entries of a group in first-seen order; start, each group's offset in
+// it, plus its end; and slots, an open-addressed table over the X-values
+// (a power of two at load ≤ 3/4, linear probing), a slot holding 1 + a
+// group (0: empty) under the top half of the X-value's hash. The table
+// stores no keys: a slot is confirmed by comparing the probe's X-value with
+// the group's first witness, so Int(1) and Str("1") stay apart, and the
+// hash half spares the comparison — three cache misses — with every other
+// group a probe passes.
 type AccessIndex struct {
-	AC schema.AccessConstraint
-	m  map[string][]IndexEntry
-	// maxGroup is the largest number of distinct Y-values observed under
-	// one X-value; ScanAccessIndex rejects relations where this exceeds
-	// AC.N, which is how D |= A is enforced.
-	maxGroup int
-	// entries is the total number of distinct (X, Y) pairs indexed, the
-	// numerator of the observed average group size the cost-based planner
-	// estimates with.
-	entries int64
+	AC         schema.AccessConstraint
+	xPos, xSeq []int // X's positions in the relation, and in an X-value
+	entries    []IndexEntry
+	start      []uint32
+	slots      []uint64
+	maxGroup   int
 }
 
 // BuildAccessIndex scans the relation and builds the index, verifying the
@@ -50,53 +55,25 @@ func BuildAccessIndex(rel *Relation, ac schema.AccessConstraint) (*AccessIndex, 
 	return ScanAccessIndex(rel.Schema, ac, slices.All(rel.Tuples), len(rel.Tuples))
 }
 
-// ScanAccessIndex builds the index of a constraint over a sequence of
-// (position, tuple) pairs of one relation — a sealed relation's tuples, or
-// the live tuples of a snapshot in live order — verifying the constraint's
-// cardinality bound along the way. The first tuple of the sequence to
-// exhibit an (X, Y) pair becomes the pair's witness. A violation (some
-// X-value with more than N distinct Y-values) is reported as an error
-// carrying the offending X-value, which makes D |= A checking a by-product
-// of index construction. sizeHint is the expected number of tuples.
-func ScanAccessIndex(rs *schema.Relation, ac schema.AccessConstraint, tuples iter.Seq2[int, value.Tuple], sizeHint int) (*AccessIndex, error) {
-	xPos, err := rs.Positions(ac.X)
+// ScanAccessIndex builds the index of a constraint over a sequence of at
+// most n (position, tuple) pairs of one relation — a sealed relation's
+// tuples, or the live tuples of a snapshot in live order — verifying the
+// constraint's cardinality bound along the way. The first tuple of the
+// sequence to exhibit an (X, Y) pair becomes the pair's witness. A
+// violation (some X-value with more than N distinct Y-values) is reported
+// as an error carrying the offending X-value, which makes D |= A checking
+// a by-product of index construction.
+func ScanAccessIndex(rs *schema.Relation, ac schema.AccessConstraint, tuples iter.Seq2[int, value.Tuple], n int) (*AccessIndex, error) {
+	b, err := newBuilder(rs, ac, n)
 	if err != nil {
 		return nil, err
 	}
-	yPos, err := rs.Positions(ac.Y)
-	if err != nil {
-		return nil, err
-	}
-	idx := &AccessIndex{AC: ac, m: make(map[string][]IndexEntry)}
-	// seen holds the encoded (X, Y) pairs already indexed. The pair at hand
-	// is encoded into one reused buffer, so a tuple that repeats a pair
-	// allocates nothing and a new pair allocates its key once.
-	seen := make(map[string]bool, sizeHint)
-	var pair []byte
 	for pos, t := range tuples {
-		pair = value.AppendKeyOf(pair[:0], t, xPos)
-		nx := len(pair)
-		pair = value.AppendKeyOf(append(pair, 0), t, yPos)
-		if seen[string(pair)] {
-			continue
-		}
-		seen[string(pair)] = true
-		idx.entries++
-		xk := string(pair[:nx])
-		entries := append(idx.m[xk], IndexEntry{Witness: t, Pos: pos})
-		idx.m[xk] = entries
-		if len(entries) > idx.maxGroup {
-			idx.maxGroup = len(entries)
-		}
-		if int64(len(entries)) > ac.N {
-			return nil, &ViolationError{
-				AC:       ac,
-				XValue:   t.Project(xPos),
-				Distinct: int64(len(entries)),
-			}
+		if err := b.add(pos, t); err != nil {
+			return nil, err
 		}
 	}
-	return idx, nil
+	return b.finish(), nil
 }
 
 // ViolationError reports a cardinality violation found while building an
@@ -116,33 +93,240 @@ func (e *ViolationError) Error() string {
 // statistic for access-schema discovery.
 func (idx *AccessIndex) MaxGroup() int { return idx.maxGroup }
 
-// NumGroups returns the number of distinct X-keys the index holds.
-func (idx *AccessIndex) NumGroups() int64 { return int64(len(idx.m)) }
+// NumGroups returns the number of distinct X-values the index holds.
+func (idx *AccessIndex) NumGroups() int64 { return int64(len(idx.start) - 1) }
 
 // NumEntries returns the number of distinct (X, Y) pairs indexed.
-func (idx *AccessIndex) NumEntries() int64 { return idx.entries }
+func (idx *AccessIndex) NumEntries() int64 { return int64(len(idx.entries)) }
 
-// Entries returns the distinct-Y entry group under one encoded X-key
-// (value.KeyOf over the constraint's sorted X positions), or nil when the
-// key is absent. Unlike Database.Fetch it performs no access accounting:
-// it exists so layers built on top of a sealed database — the live store's
-// copy-on-write overlays — can read base groups and do their own counting.
+// Lookup returns the group under an X-value aligned with the constraint's
+// sorted X attributes, or nil. Unlike Database.Fetch it counts nothing, so
+// the live store's overlays can read base groups and count themselves.
 // Callers must not mutate the returned slice.
-func (idx *AccessIndex) Entries(xKey string) []IndexEntry { return idx.m[xKey] }
+func (idx *AccessIndex) Lookup(x value.Tuple) []IndexEntry {
+	if len(x) != len(idx.xSeq) {
+		return nil
+	}
+	return idx.LookupAt(x, idx.xSeq)
+}
 
-// Groups returns the index's whole group map, encoded X-key → entry group,
-// for the layers that read an index wholesale: the segment writer (which
-// sorts the keys itself for determinism), the live store's bootstrap, and
-// its runtime extensions, which publish a scanned index as an overlay diff
-// — exactly this map. Callers must not mutate the map or its slices.
-func (idx *AccessIndex) Groups() map[string][]IndexEntry { return idx.m }
+// LookupAt is Lookup for the X-value t holds at pos (t[pos[0]], …), such
+// as a tuple of the relation at X's positions: the probe copies nothing.
+func (idx *AccessIndex) LookupAt(t value.Tuple, pos []int) []IndexEntry {
+	g, _ := idx.find(t, pos, hashAt(0, t, pos))
+	if g < 0 {
+		return nil
+	}
+	lo, hi := idx.start[g], idx.start[g+1]
+	return idx.entries[lo:hi:hi]
+}
 
-// EntriesOf is Entries for a key still in the buffer it was encoded into:
-// the lookup copies nothing.
-func (idx *AccessIndex) EntriesOf(xKey []byte) []IndexEntry { return idx.m[string(xKey)] }
+// Groups yields every group in arena order, for the segment writer and the
+// live store's bootstrap and extensions. Callers must not mutate them.
+func (idx *AccessIndex) Groups() iter.Seq[[]IndexEntry] {
+	return func(yield func([]IndexEntry) bool) {
+		for g := range len(idx.start) - 1 {
+			if lo, hi := idx.start[g], idx.start[g+1]; !yield(idx.entries[lo:hi:hi]) {
+				return
+			}
+		}
+	}
+}
+
+// find probes the X-table for t's X-value at pos, whose hash is h,
+// returning the group (-1: absent) and the slot the probe ended on.
+func (idx *AccessIndex) find(t value.Tuple, pos []int, h uint64) (int, uint64) {
+	mask := uint64(len(idx.slots) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		s := idx.slots[i]
+		if s == 0 {
+			return -1, i
+		}
+		if g := uint32(s) - 1; s>>32 == h>>32 && sameAt(idx.entries[idx.start[g]].Witness, idx.xPos, t, pos) {
+			return int(g), i
+		}
+	}
+}
+
+// sameAt reports whether w at wPos and t at tPos hold equal values.
+func sameAt(w value.Tuple, wPos []int, t value.Tuple, tPos []int) bool {
+	for i, p := range wPos {
+		if w[p] != t[tPos[i]] {
+			return false
+		}
+	}
+	return true
+}
+
+var seed = maphash.MakeSeed()
+
+// hashAt continues h over the values t[pos[0]], t[pos[1]], …: one
+// multiplication for an integer, maphash for a string.
+func hashAt(h uint64, t value.Tuple, pos []int) uint64 {
+	for _, p := range pos {
+		h = (h ^ t[p].Hash(seed)) * 0x9E3779B97F4A7C15
+		h ^= h >> 32
+	}
+	return h
+}
+
+// tableFor returns an empty slot array for n elements at load ≤ 3/4.
+func tableFor(n int) []uint64 {
+	size := 8
+	for 4*n > 3*size {
+		size *= 2
+	}
+	return make([]uint64, size)
+}
+
+// slot is what a table keeps of element e under hash h.
+func slot(h uint64, e int) uint64 { return h>>32<<32 | uint64(e+1) }
+
+// builder is the one way an AccessIndex is made, fed the tuples of a scan
+// or the witnesses a segment recorded (IndexRestore). Sized for n tuples,
+// which bound the entries and so the groups, it allocates nothing more.
+// Until finish, entries are in arrival order and start[g] is the index of
+// group g's first entry, so find works unchanged.
+type builder struct {
+	idx   *AccessIndex
+	yPos  []int
+	gid   []uint32 // group of each accepted entry
+	sizes []uint32 // entries per group
+	pairs []uint64 // table of the accepted (X, Y) pairs, over entries
+}
+
+func newBuilder(rs *schema.Relation, ac schema.AccessConstraint, n int) (*builder, error) {
+	xPos, err := rs.Positions(ac.X)
+	if err != nil {
+		return nil, err
+	}
+	yPos, err := rs.Positions(ac.Y)
+	if err != nil {
+		return nil, err
+	}
+	idx := &AccessIndex{AC: ac, xPos: xPos, xSeq: make([]int, len(xPos)),
+		entries: make([]IndexEntry, 0, n), start: make([]uint32, 0, n+1), slots: tableFor(n)}
+	for i := range idx.xSeq {
+		idx.xSeq[i] = i
+	}
+	return &builder{idx: idx, yPos: yPos, gid: make([]uint32, 0, n), sizes: make([]uint32, 0, n), pairs: tableFor(n)}, nil
+}
+
+// add indexes the tuple at pos unless its (X, Y) pair is already in,
+// opening its group when its X-value is new and checking N.
+func (b *builder) add(pos int, t value.Tuple) error {
+	idx := b.idx
+	hx := hashAt(0, t, idx.xPos)
+	g, at := idx.find(t, idx.xPos, hx)
+	if g < 0 {
+		g = len(b.sizes)
+		idx.slots[at] = slot(hx, g)
+		idx.start = append(idx.start, uint32(len(idx.entries)))
+		b.sizes = append(b.sizes, 0)
+	}
+	mask := uint64(len(b.pairs) - 1)
+	h := hashAt(hx, t, b.yPos)
+	i := h & mask
+	for ; b.pairs[i] != 0; i = (i + 1) & mask {
+		s := b.pairs[i]
+		if e := uint32(s) - 1; s>>32 == h>>32 && int(b.gid[e]) == g && sameAt(idx.entries[e].Witness, b.yPos, t, b.yPos) {
+			return nil
+		}
+	}
+	if len(idx.entries) == cap(idx.entries) {
+		return fmt.Errorf("storage: index of %s: more than the %d tuples announced", idx.AC, cap(idx.entries))
+	}
+	b.sizes[g]++
+	if n := int64(b.sizes[g]); n > idx.AC.N {
+		return &ViolationError{AC: idx.AC, XValue: t.Project(idx.xPos), Distinct: n}
+	}
+	idx.maxGroup = max(idx.maxGroup, int(b.sizes[g]))
+	b.pairs[i] = slot(h, len(idx.entries))
+	idx.entries = append(idx.entries, IndexEntry{Witness: t, Pos: pos})
+	b.gid = append(b.gid, uint32(g))
+	return nil
+}
+
+// finish scatters the entries into the arena and sizes the X-table to the
+// groups.
+func (b *builder) finish() *AccessIndex {
+	idx := b.idx
+	start := make([]uint32, len(b.sizes)+1)
+	for g, n := range b.sizes {
+		start[g+1] = start[g] + n
+	}
+	copy(b.sizes, start) // each group's next free slot in the arena
+	arena := make([]IndexEntry, len(idx.entries))
+	for e, g := range b.gid {
+		arena[b.sizes[g]] = idx.entries[e]
+		b.sizes[g]++
+	}
+	idx.entries, idx.start, idx.slots = arena, start, tableFor(len(b.sizes))
+	for g := range len(b.sizes) {
+		w := arena[start[g]].Witness
+		h := hashAt(0, w, idx.xPos)
+		_, at := idx.find(w, idx.xPos, h)
+		idx.slots[at] = slot(h, g)
+	}
+	return idx
+}
+
+// IndexRestore rebuilds the index of one constraint from the witness
+// positions a segment file recorded: each goes straight to the builder a
+// scan uses (Add), and Install proves the result is what a scan builds.
+type IndexRestore struct {
+	db  *Database
+	rel *Relation
+	b   *builder
+}
+
+// RestoreIndex begins restoring the index of ac over the database's tuples,
+// which must all be loaded.
+func (db *Database) RestoreIndex(ac schema.AccessConstraint) (*IndexRestore, error) {
+	rel, err := db.Relation(ac.Rel)
+	if err != nil {
+		return nil, err
+	}
+	b, err := newBuilder(rel.Schema, ac, len(rel.Tuples))
+	if err != nil {
+		return nil, err
+	}
+	return &IndexRestore{db: db, rel: rel, b: b}, nil
+}
+
+// Add indexes the witness at a recorded position, checking its range and,
+// as a scan does, N.
+func (r *IndexRestore) Add(pos int) error {
+	if pos < 0 || pos >= len(r.rel.Tuples) {
+		return fmt.Errorf("storage: restore %s: witness position %d out of range (relation has %d tuples)", r.b.idx.AC, pos, len(r.rel.Tuples))
+	}
+	return r.b.add(pos, r.rel.Tuples[pos])
+}
+
+// Install finishes the index, checks that a scan builds the same one,
+// group order aside, and installs it, sealing the database: every tuple's
+// pair must have its entry witnessed at or before the tuple, and every
+// witness must follow the one before it in its group. A checksum-valid but
+// wrong layout is thus an error, not wrong answers.
+func (r *IndexRestore) Install() error {
+	idx, yPos := r.b.finish(), r.b.yPos
+	for pos, t := range r.rel.Tuples {
+		g := idx.LookupAt(t, idx.xPos)
+		i := 0
+		for i < len(g) && !sameAt(g[i].Witness, yPos, t, yPos) {
+			i++
+		}
+		if i == len(g) || g[i].Pos > pos || g[i].Pos == pos && i > 0 && g[i-1].Pos > pos {
+			return fmt.Errorf("storage: restore %s: tuple %d is not indexed as a scan indexes it", idx.AC, pos)
+		}
+	}
+	r.db.access[idx.AC.Key()] = idx
+	r.db.sealed = true
+	return nil
+}
 
 // AccessIndexFor returns the built index of a constraint, if any. Like
-// AccessIndex.Entries it is an uncounted, layering-oriented accessor.
+// AccessIndex.Lookup it is an uncounted, layering-oriented accessor.
 func (db *Database) AccessIndexFor(ac schema.AccessConstraint) (*AccessIndex, bool) {
 	return db.AccessIndexByKey(ac.Key())
 }
@@ -162,20 +346,11 @@ func (db *Database) AccessIndexByKey(key string) (*AccessIndex, bool) {
 // index set, so indexing a restricted schema drops indexes the restriction
 // no longer grants.
 func (db *Database) BuildIndexes(a *schema.AccessSchema) error {
-	fresh := make(map[string]*AccessIndex, a.Size())
-	for _, ac := range a.Constraints() {
-		rel, err := db.Relation(ac.Rel)
-		if err != nil {
-			return err
-		}
-		idx, err := BuildAccessIndex(rel, ac)
-		if err != nil {
-			return err
-		}
-		fresh[ac.Key()] = idx
+	fresh, err := db.buildMissing(a, nil)
+	if err != nil {
+		return err
 	}
-	db.access = fresh
-	db.sealed = true
+	db.access, db.sealed = fresh, true
 	return nil
 }
 
@@ -185,20 +360,11 @@ func (db *Database) BuildIndexes(a *schema.AccessSchema) error {
 // database loaded through datagen (which indexes its full schema) is not
 // re-indexed on engine construction.
 func (db *Database) EnsureIndexes(a *schema.AccessSchema) error {
-	for _, ac := range a.Constraints() {
-		if _, ok := db.access[ac.Key()]; ok {
-			continue
-		}
-		rel, err := db.Relation(ac.Rel)
-		if err != nil {
-			return err
-		}
-		idx, err := BuildAccessIndex(rel, ac)
-		if err != nil {
-			return err
-		}
-		db.access[ac.Key()] = idx
+	fresh, err := db.buildMissing(a, db.access)
+	if err != nil {
+		return err
 	}
+	maps.Copy(db.access, fresh)
 	db.sealed = true
 	return nil
 }
@@ -206,16 +372,28 @@ func (db *Database) EnsureIndexes(a *schema.AccessSchema) error {
 // Satisfies reports whether D |= A, returning the first violation found.
 // It is BuildIndexes without retaining the indexes.
 func (db *Database) Satisfies(a *schema.AccessSchema) error {
+	_, err := db.buildMissing(a, nil)
+	return err
+}
+
+// buildMissing builds the index of every constraint of a not in have.
+func (db *Database) buildMissing(a *schema.AccessSchema, have map[string]*AccessIndex) (map[string]*AccessIndex, error) {
+	out := make(map[string]*AccessIndex, a.Size())
 	for _, ac := range a.Constraints() {
+		if _, ok := have[ac.Key()]; ok {
+			continue
+		}
 		rel, err := db.Relation(ac.Rel)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if _, err := BuildAccessIndex(rel, ac); err != nil {
-			return err
+		idx, err := BuildAccessIndex(rel, ac)
+		if err != nil {
+			return nil, err
 		}
+		out[ac.Key()] = idx
 	}
-	return nil
+	return out, nil
 }
 
 // Fetch probes the access index of a constraint with an X-value and returns
@@ -224,21 +402,9 @@ func (db *Database) Satisfies(a *schema.AccessSchema) error {
 // constraint's sorted X attribute list. Callers must not mutate the
 // returned slice.
 func (db *Database) Fetch(ac schema.AccessConstraint, xVals value.Tuple) ([]IndexEntry, error) {
-	idx, ok := db.access[ac.Key()]
-	if !ok {
-		return nil, fmt.Errorf("storage: no index built for constraint %s", ac)
-	}
-	if len(xVals) != len(ac.X) {
-		return nil, fmt.Errorf("storage: constraint %s expects %d lookup values, got %d", ac, len(ac.X), len(xVals))
-	}
-	var kb [value.KeyBufSize]byte
-	entries := idx.EntriesOf(xVals.AppendKey(kb[:0]))
-	db.stats.indexLookups.Add(1)
-	db.stats.tuplesFetched.Add(int64(len(entries)))
-	rc := db.relCounters(ac.Rel)
-	rc.indexLookups.Add(1)
-	rc.tuplesFetched.Add(int64(len(entries)))
-	return entries, nil
+	var out [1][]IndexEntry
+	err := db.fetchInto(ac, []value.Tuple{xVals}, out[:])
+	return out[0], err
 }
 
 // FetchBatch probes the access index of a constraint once per X-tuple and
@@ -248,36 +414,33 @@ func (db *Database) Fetch(ac schema.AccessConstraint, xVals value.Tuple) ([]Inde
 // worker. Counts one index lookup per probe and one fetched tuple per
 // returned entry. Callers must not mutate the returned entry slices.
 func (db *Database) FetchBatch(ac schema.AccessConstraint, xs []value.Tuple) ([][]IndexEntry, error) {
+	out := make([][]IndexEntry, len(xs))
+	if err := db.fetchInto(ac, xs, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// fetchInto is Fetch for each X-tuple of xs, into out.
+func (db *Database) fetchInto(ac schema.AccessConstraint, xs []value.Tuple, out [][]IndexEntry) error {
 	idx, ok := db.access[ac.Key()]
 	if !ok {
-		return nil, fmt.Errorf("storage: no index built for constraint %s", ac)
+		return fmt.Errorf("storage: no index built for constraint %s", ac)
 	}
-	out := make([][]IndexEntry, len(xs))
 	var fetched int64
-	var kb [value.KeyBufSize]byte
-	key := kb[:0]
 	for i, x := range xs {
 		if len(x) != len(ac.X) {
-			return nil, fmt.Errorf("storage: constraint %s expects %d lookup values, got %d", ac, len(ac.X), len(x))
+			return fmt.Errorf("storage: constraint %s expects %d lookup values, got %d", ac, len(ac.X), len(x))
 		}
-		key = x.AppendKey(key[:0])
-		entries := idx.EntriesOf(key)
-		out[i] = entries
-		fetched += int64(len(entries))
+		out[i] = idx.Lookup(x)
+		fetched += int64(len(out[i]))
 	}
 	db.stats.indexLookups.Add(int64(len(xs)))
 	db.stats.tuplesFetched.Add(fetched)
 	rc := db.relCounters(ac.Rel)
 	rc.indexLookups.Add(int64(len(xs)))
 	rc.tuplesFetched.Add(fetched)
-	return out, nil
-}
-
-// HasAccessIndex reports whether an index for the constraint has been
-// built.
-func (db *Database) HasAccessIndex(ac schema.AccessConstraint) bool {
-	_, ok := db.access[ac.Key()]
-	return ok
+	return nil
 }
 
 // RowIndex is a conventional single-attribute secondary index: attribute

@@ -2,6 +2,10 @@ package storage
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"bcq/internal/schema"
@@ -336,5 +340,278 @@ func TestUnifiedSatisfiesRewrittenSchema(t *testing.T) {
 	}
 	if err := uq.Validate(ucat); err != nil {
 		t.Errorf("rewritten query invalid: %v", err)
+	}
+}
+
+// mapIndex is the access index as it was built before the flat layout —
+// a map from the rendered X-key to its group — kept as the reference the
+// flat builder is checked against. order lists the X-keys as first seen.
+type mapIndex struct {
+	m        map[string][]IndexEntry
+	order    []string
+	maxGroup int
+	entries  int64
+}
+
+func buildMapIndex(rs *schema.Relation, ac schema.AccessConstraint, tuples []value.Tuple) (*mapIndex, error) {
+	xPos, err := rs.Positions(ac.X)
+	if err != nil {
+		return nil, err
+	}
+	yPos, err := rs.Positions(ac.Y)
+	if err != nil {
+		return nil, err
+	}
+	idx := &mapIndex{m: make(map[string][]IndexEntry)}
+	seen := make(map[string]bool)
+	for pos, t := range tuples {
+		xk := value.KeyOf(t, xPos)
+		pair := xk + "\x00" + value.KeyOf(t, yPos)
+		if seen[pair] {
+			continue
+		}
+		seen[pair] = true
+		idx.entries++
+		if _, ok := idx.m[xk]; !ok {
+			idx.order = append(idx.order, xk)
+		}
+		entries := append(idx.m[xk], IndexEntry{Witness: t, Pos: pos})
+		idx.m[xk] = entries
+		idx.maxGroup = max(idx.maxGroup, len(entries))
+		if int64(len(entries)) > ac.N {
+			return nil, &ViolationError{AC: ac, XValue: t.Project(xPos), Distinct: int64(len(entries))}
+		}
+	}
+	return idx, nil
+}
+
+// oraclePool mixes values that must stay apart (Int(1), Str("1"), null
+// and Int(0), whose hashes may collide) with a few that make groups.
+var oraclePool = []value.Value{
+	value.Int(0), value.Int(1), value.Int(2), value.Int(-7),
+	value.Str("1"), value.Str("0"), value.Str(""), value.Str("bob"), value.Null,
+}
+
+// randomRelation draws n tuples over the relation's four columns from a
+// pool of k values, re-inserting earlier tuples now and then so that
+// pairs repeat.
+func randomRelation(rng *rand.Rand, n, k int) []value.Tuple {
+	out := make([]value.Tuple, 0, n)
+	for len(out) < n {
+		if len(out) > 0 && rng.Intn(4) == 0 {
+			out = append(out, out[rng.Intn(len(out))])
+			continue
+		}
+		t := make(value.Tuple, 4)
+		for i := range t {
+			t[i] = oraclePool[rng.Intn(k)]
+		}
+		out = append(out, t)
+	}
+	return out
+}
+
+// TestFlatIndexMatchesMapIndex: over random relations the flat builder
+// agrees with the map builder it replaced — the same groups in the same
+// first-seen order, the same witnesses in the same order within each, the
+// same counts, nothing under absent X-values, and the same violation.
+func TestFlatIndexMatchesMapIndex(t *testing.T) {
+	// Attribute names sort differently from their positions, so X's
+	// positions in the relation are not ascending.
+	rs := schema.MustRelation("r", "c", "a", "d", "b")
+	attrs := []string{"a", "b", "c", "d"}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 400; trial++ {
+		perm := rng.Perm(4)
+		nx := 1 + rng.Intn(3)
+		x := []string{}
+		for _, i := range perm[:nx] {
+			x = append(x, attrs[i])
+		}
+		y := []string{attrs[perm[nx]]}
+		if nx < 3 && rng.Intn(2) == 0 {
+			y = append(y, attrs[perm[nx+1]])
+		}
+		ac := schema.MustAccessConstraint("r", x, y, int64(1+rng.Intn(6)))
+		tuples := randomRelation(rng, rng.Intn(200), 2+rng.Intn(len(oraclePool)-1))
+		name := fmt.Sprintf("trial %d %s over %d tuples", trial, ac, len(tuples))
+
+		want, werr := buildMapIndex(rs, ac, tuples)
+		got, gerr := BuildAccessIndex(&Relation{Schema: rs, Tuples: tuples}, ac)
+		if werr != nil || gerr != nil {
+			if !reflect.DeepEqual(werr, gerr) {
+				t.Fatalf("%s: violation %v, want %v", name, gerr, werr)
+			}
+			continue
+		}
+		if got.NumGroups() != int64(len(want.m)) || got.NumEntries() != want.entries || got.MaxGroup() != want.maxGroup {
+			t.Fatalf("%s: shape (%d, %d, %d), want (%d, %d, %d)", name,
+				got.NumGroups(), got.NumEntries(), got.MaxGroup(), len(want.m), want.entries, want.maxGroup)
+		}
+		xPos, _ := rs.Positions(ac.X)
+		i := 0
+		for g := range got.Groups() {
+			if xk := value.KeyOf(g[0].Witness, xPos); xk != want.order[i] || !reflect.DeepEqual(g, want.m[xk]) {
+				t.Fatalf("%s: group %d = %v, want %v", name, i, g, want.m[want.order[i]])
+			}
+			i++
+		}
+		for _, tu := range tuples {
+			wg := want.m[value.KeyOf(tu, xPos)]
+			if !reflect.DeepEqual(got.LookupAt(tu, xPos), wg) || !reflect.DeepEqual(got.Lookup(tu.Project(xPos)), wg) {
+				t.Fatalf("%s: lookup of %s differs from %v", name, tu.Project(xPos), wg)
+			}
+		}
+		for probe := 0; probe < 20; probe++ {
+			xv := randomRelation(rng, 1, len(oraclePool))[0][:len(xPos)]
+			if _, ok := want.m[xv.Key()]; !ok && got.Lookup(xv) != nil {
+				t.Fatalf("%s: absent X-value %s found %v", name, xv, got.Lookup(xv))
+			}
+		}
+		if got.Lookup(make(value.Tuple, len(xPos)+1)) != nil {
+			t.Fatalf("%s: a lookup of the wrong arity found a group", name)
+		}
+		checkRestore(t, name, rs, ac, tuples, got, rng)
+	}
+}
+
+// checkRestore restores the built index from its groups, fed in a random
+// order, and requires the same groups back. Then it corrupts the layout a
+// segment could record: a group dropped, a witness replaced by a later
+// tuple of its X-value, two witnesses of a group swapped — each must be
+// refused — and a later tuple of a group added to it, which must be
+// refused or restore the same index: what a restore installs is always
+// what a scan builds.
+func checkRestore(t *testing.T, name string, rs *schema.Relation, ac schema.AccessConstraint, tuples []value.Tuple, built *AccessIndex, rng *rand.Rand) {
+	t.Helper()
+	var groups [][]int
+	for g := range built.Groups() {
+		ps := make([]int, len(g))
+		for i, e := range g {
+			ps[i] = e.Pos
+		}
+		groups = append(groups, ps)
+	}
+	restore := func(groups [][]int) (*AccessIndex, error) {
+		db := NewDatabase(schema.MustCatalog(rs))
+		db.MustRelation("r").Tuples = tuples
+		r, err := db.RestoreIndex(ac)
+		if err != nil {
+			return nil, err
+		}
+		for _, ps := range groups {
+			for _, p := range ps {
+				if err := r.Add(p); err != nil {
+					return nil, err
+				}
+			}
+		}
+		if err := r.Install(); err != nil {
+			return nil, err
+		}
+		idx, _ := db.AccessIndexFor(ac)
+		return idx, nil
+	}
+	same := func(got *AccessIndex) bool {
+		if got.NumGroups() != built.NumGroups() || got.NumEntries() != built.NumEntries() || got.MaxGroup() != built.MaxGroup() {
+			return false
+		}
+		for g := range built.Groups() {
+			if !reflect.DeepEqual(got.LookupAt(g[0].Witness, built.xPos), g) {
+				return false
+			}
+		}
+		return true
+	}
+	rng.Shuffle(len(groups), func(i, j int) { groups[i], groups[j] = groups[j], groups[i] })
+	if got, err := restore(groups); err != nil || !same(got) {
+		t.Fatalf("%s: restore of the built groups: %v", name, err)
+	}
+	if len(groups) == 0 {
+		return
+	}
+	if _, err := restore(groups[1:]); err == nil {
+		t.Fatalf("%s: restore accepted a layout missing a group", name)
+	}
+	refused := func(gi int, ps []int, what string) {
+		t.Helper()
+		bad := slices.Clone(groups)
+		bad[gi] = ps
+		if _, err := restore(bad); err == nil {
+			t.Fatalf("%s: restore accepted group %v, %s", name, ps, what)
+		}
+	}
+	for gi, ps := range groups {
+		if len(ps) > 1 {
+			swapped := slices.Clone(ps)
+			swapped[0], swapped[1] = swapped[1], swapped[0]
+			refused(gi, swapped, "out of order")
+		}
+		for i, p := range ps {
+			q := p + 1
+			for q < len(tuples) && (!sameAt(tuples[q], built.xPos, tuples[p], built.xPos) || slices.Contains(ps, q)) {
+				q++
+			}
+			if q == len(tuples) {
+				continue
+			}
+			replaced := slices.Clone(ps)
+			replaced[i] = q
+			slices.Sort(replaced)
+			refused(gi, replaced, fmt.Sprintf("%d in place of %d", q, p))
+			bad := slices.Clone(groups)
+			bad[gi] = append(slices.Clone(ps), q)
+			slices.Sort(bad[gi])
+			if got, err := restore(bad); err == nil && !same(got) {
+				t.Fatalf("%s: restore of group %v installed another index", name, bad[gi])
+			}
+		}
+	}
+}
+
+// TestBuildAllocationsAreFlat: building an index allocates the same
+// number of objects whatever the relation's size — no per-group or
+// per-entry allocation, no table growth — and probing a sealed database
+// allocates the result slice alone, or nothing for a single Fetch.
+func TestBuildAllocationsAreFlat(t *testing.T) {
+	rs := schema.MustRelation("r", "x", "y", "z")
+	ac := schema.MustAccessConstraint("r", []string{"x", "z"}, []string{"y"}, 8)
+	rel := func(n int) *Relation {
+		r := &Relation{Schema: rs}
+		for i := 0; i < n; i++ {
+			r.Tuples = append(r.Tuples, value.Tuple{value.Int(int64(i / 3)), value.Int(int64(i % 3)), value.Str(fmt.Sprint(i / 6))})
+		}
+		return r
+	}
+	allocs := func(r *Relation) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := BuildAccessIndex(r, ac); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(rel(1000)), allocs(rel(4000)); small != large {
+		t.Errorf("BuildAccessIndex allocates %v objects over 1000 tuples and %v over 4000", small, large)
+	}
+
+	db := NewDatabase(schema.MustCatalog(rs))
+	db.MustRelation("r").Tuples = rel(1000).Tuples
+	if err := db.BuildIndexes(schema.MustAccessSchema(ac)); err != nil {
+		t.Fatal(err)
+	}
+	xs := []value.Tuple{{value.Int(1), value.Str("0")}, {value.Int(7), value.Str("3")}, {value.Int(-1), value.Str("x")}}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := db.FetchBatch(ac, xs); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Errorf("FetchBatch allocates %v objects, want the result slice alone", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := db.Fetch(ac, xs[0]); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Fetch allocates %v objects, want none", n)
 	}
 }

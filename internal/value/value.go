@@ -8,6 +8,7 @@ package value
 
 import (
 	"fmt"
+	"hash/maphash"
 	"strconv"
 	"strings"
 )
@@ -157,6 +158,21 @@ func Parse(tok string) (Value, error) {
 		return Null, fmt.Errorf("value: cannot parse literal %q", tok)
 	}
 	return Int(i), nil
+}
+
+// Hash returns a word for hashing v into an open-addressed table: an
+// integer is its own bits (the table mixes them, one multiplication), a
+// string goes through maphash under seed, and null is zero. Equal values
+// hash equally; unequal ones may collide — Int(0) and null, Int(1) and
+// Str("1") — so a table confirms a slot by comparing values.
+func (v Value) Hash(seed maphash.Seed) uint64 {
+	switch v.kind {
+	case KindInt:
+		return uint64(v.i)
+	case KindString:
+		return maphash.String(seed, v.s)
+	}
+	return 0
 }
 
 // AppendKey appends a self-delimiting binary encoding of v to dst. Encodings

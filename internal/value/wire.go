@@ -18,6 +18,16 @@ func AppendStr(dst []byte, s string) []byte {
 	return append(binary.BigEndian.AppendUint32(dst, uint32(len(s))), s...)
 }
 
+// AppendStrs appends a u32 count and that many strings, as TakeStrs reads
+// them.
+func AppendStrs(dst []byte, ss []string) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(ss)))
+	for _, s := range ss {
+		dst = AppendStr(dst, s)
+	}
+	return dst
+}
+
 // TakeU32 decodes a big-endian u32.
 func TakeU32(b []byte) (uint32, []byte, error) {
 	if len(b) < 4 {
@@ -51,6 +61,9 @@ func TakeStrs(b []byte) ([]string, []byte, error) {
 	n, rest, err := TakeU32(b)
 	if err != nil {
 		return nil, nil, err
+	}
+	if uint64(n) > uint64(len(rest)/4) { // each string takes its u32 length at least
+		return nil, nil, fmt.Errorf("%d strings in %d bytes", n, len(rest))
 	}
 	out := make([]string, 0, n)
 	for i := uint32(0); i < n; i++ {

@@ -30,15 +30,7 @@ func (rec Record) encode() []byte {
 			}
 		}
 	case RecExtension:
-		buf = value.AppendStr(buf, rec.Rel)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(rec.X)))
-		for _, a := range rec.X {
-			buf = value.AppendStr(buf, a)
-		}
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(rec.Y)))
-		for _, a := range rec.Y {
-			buf = value.AppendStr(buf, a)
-		}
+		buf = value.AppendStrs(value.AppendStrs(value.AppendStr(buf, rec.Rel), rec.X), rec.Y)
 		buf = binary.BigEndian.AppendUint64(buf, uint64(rec.N))
 	}
 	return buf

@@ -9,8 +9,8 @@
 // greedy tier, full optimization — asserts the tiered mode's premise
 // (the greedy tier plans strictly faster than the full optimizer), and,
 // when PLANNER_BENCH_JSON names a path, writes the perf trajectory
-// there; CI compares it against bench/BENCH_planner.json and fails past
-// +25% (tools/benchcmp).
+// there; CI compares it against bench/BENCH_planner.json (tools/benchcmp:
+// bytes and counts past +25% fail, times are reported).
 //
 // Emitted lower-is-better fields:
 //

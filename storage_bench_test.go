@@ -5,8 +5,8 @@
 // crashed store back (segment load + WAL-tail replay through normal
 // admission). TestStorageBenchEmit measures the same paths once and,
 // when STORAGE_BENCH_JSON names a path, writes the perf trajectory
-// there; CI compares it against bench/BENCH_storage.json and fails past
-// +25% (tools/benchcmp).
+// there; CI compares it against bench/BENCH_storage.json (tools/benchcmp:
+// bytes and counts past +25% fail, times are reported).
 //
 // Emitted lower-is-better fields:
 //

@@ -1,8 +1,9 @@
 // Command benchcmp compares a benchmark-emit JSON file (BENCH_obs.json,
-// BENCH_streaming.json, BENCH_timeseries.json) against a committed
-// baseline and fails when a lower-is-better measurement regressed past
-// the threshold. CI runs it after the bench-emit tests so a performance
-// regression fails the build like a broken test.
+// BENCH_streaming.json, BENCH_timeseries.json, …) against a committed
+// baseline: it fails when a byte, count or overhead measurement regressed
+// past the threshold and reports times that did. CI runs it after the
+// bench-emit tests so such a regression fails the build like a broken
+// test.
 //
 // Usage:
 //
@@ -11,12 +12,15 @@
 //
 // Both files are flattened to dotted numeric paths (arrays index as
 // rows[0], rows[1], …). A path counts as lower-is-better by suffix —
-// _ns/_us/_ms (time), _bytes (allocation), _pct (overhead) — everything
-// else is informational. A regression must clear BOTH the relative
-// threshold (default +25%) and the suffix's absolute floor, so noise on
-// near-zero measurements (a 30ns alloc path, a 0.1% overhead) never
-// fails the build. Paths present only in one file are reported but not
-// fatal: emit formats may grow fields.
+// _bytes (allocation), _fetched (tuples fetched), _pct (overhead),
+// _ns/_us/_ms (time) — everything else is informational. A change must
+// clear BOTH the relative threshold (default +25%) and the suffix's
+// absolute floor, so noise on near-zero measurements (a 30ns path, a 0.1%
+// overhead) never counts. Bytes, counts and overheads that regress fail
+// the build; times that do are reported as slower and do not, because a
+// loaded machine moves them past any threshold on an unchanged commit.
+// Paths present only in one file are reported but not fatal: emit formats
+// may grow fields.
 package main
 
 import (
@@ -54,33 +58,36 @@ func main() {
 	}
 }
 
-// floors maps a lower-is-better suffix to the absolute increase a
-// regression must also exceed. Units differ per suffix, so each gets
-// its own noise floor.
-var floors = []struct {
-	suffix string
-	floor  float64
+// suffixes maps a lower-is-better suffix to the absolute increase a
+// change must also exceed — units differ per suffix, so each gets its own
+// noise floor — and to whether a regression fails the build (asserted) or
+// is only reported.
+var suffixes = []struct {
+	suffix   string
+	floor    float64
+	asserted bool
 }{
-	{"_ns", 50_000},  // 50µs of wall time
-	{"_us", 50},      // same floor, microsecond-denominated
-	{"_ms", 1},       // 1ms
-	{"_bytes", 4096}, // one page of allocation
-	{"_pct", 5},      // five points — overhead percentages swing with scheduler noise
+	{"_bytes", 4096, true}, // one page of allocation
+	{"_fetched", 0, true},  // tuples fetched: a count, exact run to run
+	{"_pct", 5, true},      // five points — overhead percentages swing with scheduler noise
+	{"_ns", 50_000, false}, // 50µs of wall time
+	{"_us", 50, false},     // same floor, microsecond-denominated
+	{"_ms", 1, false},      // 1ms
 }
 
 // lowerIsBetter reports whether the path's last segment carries a
-// regression-checked suffix, and its absolute floor.
-func lowerIsBetter(path string) (float64, bool) {
+// lower-is-better suffix, its absolute floor, and whether it is asserted.
+func lowerIsBetter(path string) (floor float64, asserted, ok bool) {
 	last := path
 	if i := strings.LastIndex(path, "."); i >= 0 {
 		last = path[i+1:]
 	}
-	for _, f := range floors {
-		if strings.HasSuffix(last, f.suffix) {
-			return f.floor, true
+	for _, s := range suffixes {
+		if strings.HasSuffix(last, s.suffix) {
+			return s.floor, s.asserted, true
 		}
 	}
-	return 0, false
+	return 0, false, false
 }
 
 // regression is one measurement that got worse past threshold + floor.
@@ -94,7 +101,8 @@ type regression struct {
 // reportData is everything compare found, renderable and testable.
 type reportData struct {
 	Checked     int
-	Regressions []regression
+	Regressions []regression // asserted measurements: fatal
+	Slower      []regression // times: reported
 	Improved    []string
 	Missing     []string // in baseline, absent in current
 	Added       []string // in current, absent in baseline
@@ -105,6 +113,10 @@ func (r reportData) String() string {
 	fmt.Fprintf(&b, "benchcmp: %d lower-is-better measurements checked\n", r.Checked)
 	for _, reg := range r.Regressions {
 		fmt.Fprintf(&b, "  REGRESSION %s: %.0f -> %.0f (%+.1f%%)\n",
+			reg.Path, reg.Base, reg.Current, reg.Relative*100)
+	}
+	for _, reg := range r.Slower {
+		fmt.Fprintf(&b, "  slower     %s: %.0f -> %.0f (%+.1f%%; a time, reported, not asserted)\n",
 			reg.Path, reg.Base, reg.Current, reg.Relative*100)
 	}
 	for _, p := range r.Improved {
@@ -124,11 +136,11 @@ func (r reportData) String() string {
 
 // compare walks the baseline's lower-is-better paths and flags those
 // whose current value exceeds the relative threshold AND the absolute
-// floor.
+// floor: a regression when the path is asserted, slower when it is a time.
 func compare(base, cur map[string]float64, threshold float64) reportData {
 	var r reportData
 	for _, path := range sortedKeys(base) {
-		floor, checked := lowerIsBetter(path)
+		floor, asserted, checked := lowerIsBetter(path)
 		if !checked {
 			continue
 		}
@@ -141,15 +153,18 @@ func compare(base, cur map[string]float64, threshold float64) reportData {
 		bv := base[path]
 		diff := cv - bv
 		if bv > 0 && diff > floor && diff/bv > threshold {
-			r.Regressions = append(r.Regressions, regression{
-				Path: path, Base: bv, Current: cv, Relative: diff / bv,
-			})
+			reg := regression{Path: path, Base: bv, Current: cv, Relative: diff / bv}
+			if asserted {
+				r.Regressions = append(r.Regressions, reg)
+			} else {
+				r.Slower = append(r.Slower, reg)
+			}
 		} else if bv > 0 && -diff > floor && -diff/bv > threshold {
 			r.Improved = append(r.Improved, path)
 		}
 	}
 	for _, path := range sortedKeys(cur) {
-		if _, checked := lowerIsBetter(path); !checked {
+		if _, _, checked := lowerIsBetter(path); !checked {
 			continue
 		}
 		if _, ok := base[path]; !ok {

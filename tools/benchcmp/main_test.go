@@ -9,39 +9,50 @@ import (
 
 func flat(pairs map[string]float64) map[string]float64 { return pairs }
 
-// TestCompareRegression: a time path 30% and 5ms worse regresses; the
-// same relative slip under the absolute floor does not.
+// TestCompareRegression: bytes and counts 30% worse fail the build; a
+// time 35% worse is reported as slower and does not; the same relative
+// slip under the absolute floor is neither.
 func TestCompareRegression(t *testing.T) {
 	base := flat(map[string]float64{
-		"rows[0].total_ns": 10_000_000, // 10ms
-		"rows[0].ttft_ns":  60_000,     // 60µs — above floor, small value
-		"answers":          90_000,     // no suffix: informational
+		"rows[0].alloc_bytes": 100_000,
+		"exec.greedy_fetched": 17,
+		"rows[0].total_ns":    10_000_000, // 10ms
+		"rows[0].ttft_ns":     60_000,     // 60µs — above floor, small value
+		"answers":             90_000,     // no suffix: informational
 	})
 	cur := flat(map[string]float64{
-		"rows[0].total_ns": 13_500_000, // +35%, +3.5ms > 50µs floor
-		"rows[0].ttft_ns":  75_000,     // +25% exactly — not > threshold
-		"answers":          1,          // ignored even though it collapsed
+		"rows[0].alloc_bytes": 130_000,    // +30%, +30 kB > one page
+		"exec.greedy_fetched": 23,         // +35%, a count: no floor
+		"rows[0].total_ns":    13_500_000, // +35%, +3.5ms > 50µs floor
+		"rows[0].ttft_ns":     75_000,     // +25% exactly — not > threshold
+		"answers":             1,          // ignored even though it collapsed
 	})
 	r := compare(base, cur, 0.25)
-	if len(r.Regressions) != 1 || r.Regressions[0].Path != "rows[0].total_ns" {
-		t.Fatalf("regressions = %+v, want exactly rows[0].total_ns", r.Regressions)
+	if len(r.Regressions) != 2 || r.Regressions[0].Path != "exec.greedy_fetched" || r.Regressions[1].Path != "rows[0].alloc_bytes" {
+		t.Fatalf("regressions = %+v, want exec.greedy_fetched and rows[0].alloc_bytes", r.Regressions)
 	}
-	if r.Checked != 2 {
-		t.Errorf("checked %d paths, want 2 (answers carries no suffix)", r.Checked)
+	if len(r.Slower) != 1 || r.Slower[0].Path != "rows[0].total_ns" {
+		t.Fatalf("slower = %+v, want exactly rows[0].total_ns", r.Slower)
+	}
+	if !strings.Contains(r.String(), "slower     rows[0].total_ns") {
+		t.Errorf("report does not name the slower time:\n%s", r.String())
+	}
+	if r.Checked != 4 {
+		t.Errorf("checked %d paths, want 4 (answers carries no suffix)", r.Checked)
 	}
 }
 
 // TestCompareNoiseFloor: a huge relative slip on a tiny measurement
 // stays under the absolute floor and passes.
 func TestCompareNoiseFloor(t *testing.T) {
-	base := flat(map[string]float64{"sample_ns": 1_000, "overhead_pct": 0.1})
-	cur := flat(map[string]float64{"sample_ns": 30_000, "overhead_pct": 4.9})
-	// +2900% but only +29µs (< 50µs floor); +4.8 points (< 5 point floor).
+	base := flat(map[string]float64{"sample_bytes": 100, "overhead_pct": 0.1})
+	cur := flat(map[string]float64{"sample_bytes": 3_000, "overhead_pct": 4.9})
+	// +2900% but only +2900 B (< one page); +4.8 points (< 5 point floor).
 	if r := compare(base, cur, 0.25); len(r.Regressions) != 0 {
 		t.Fatalf("noise flagged as regression: %+v", r.Regressions)
 	}
 	// Past both floor and threshold it fails.
-	cur["sample_ns"] = 1_000_000
+	cur["sample_bytes"] = 100_000
 	if r := compare(base, cur, 0.25); len(r.Regressions) != 1 {
 		t.Fatalf("real regression not flagged")
 	}
