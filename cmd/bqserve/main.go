@@ -32,6 +32,14 @@
 //	}'
 //	curl -s localhost:8080/query -d '{"cursor": "<next_cursor from the page above>"}'
 //
+// A malformed body is answered 400 with {"error": "..."}: invalid JSON,
+// an unknown member, a member of the wrong type (limit and timeout_ms
+// must be int64 integers, debug a boolean), anything but whitespace
+// after the request object, or a body over 8 MiB. Member names match
+// case-insensitively, and the last of repeated members wins. An argument
+// or tuple element that is not null, an integer or a string is a 400
+// naming its position ("argument 1: ...", "op 0, attribute 2: ...").
+//
 // Hot queries are answered from an epoch-keyed result cache: live writes
 // publish a new snapshot epoch, which changes the cache key, so cached
 // answers are never stale (paged responses bypass the cache). The worker

@@ -64,45 +64,6 @@ func TestAppendEnvelopeMatchesJSONEncoder(t *testing.T) {
 	}
 }
 
-// TestDecodeValueMatchesJSONDecoder: reading a literal off the raw bytes
-// must give the value — and for everything it declines, the error text —
-// of the decoder it stands in front of.
-func TestDecodeValueMatchesJSONDecoder(t *testing.T) {
-	raws := []string{
-		// the plain forms
-		`0`, `7`, `-7`, `-0`, `42`, `999999999999999999`, `-999999999999999999`,
-		`""`, `"a0"`, `"plain_id-42"`, `"with space~"`, `"<tag>&"`,
-		// integers the plain reader must leave alone
-		`1000000000000000000`, `9223372036854775807`, `-9223372036854775808`,
-		`9223372036854775808`, `-9223372036854775809`, `123456789012345678901234567890`,
-		// fractional and exponent forms
-		`1.5`, `-0.0`, `1e3`, `1E-2`, `2.0`,
-		// strings with escapes, control bytes, DEL and non-ASCII
-		`"say \"hi\""`, `"back\\slash"`, `"tab\tnl\n"`, `"\u00e9\u4e16"`, `"\ud83d\ude42"`, `"del` + "\x7f" + `"`,
-		`"héllo"`, `"日本語"`, `"bad` + "\xff" + `utf8"`,
-		// null, nested and other types
-		`null`, `true`, `false`, `[1,2]`, `[]`, `{"a":1}`, `{}`,
-		// padded and malformed
-		` 7`, `7 `, ` "x" `, `007`, `-`, `--1`, `+1`, `1-`, `0x10`, `"open`, `open"`, `"`, ``, `"a"b"`, `nul`, `7 8`,
-	}
-	for _, raw := range raws {
-		got, gotErr := decodeValue(json.RawMessage(raw))
-		want, wantErr := decodeValueJSON(json.RawMessage(raw))
-		if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
-			t.Errorf("decodeValue(%q): error %v, the decoder's is %v", raw, gotErr, wantErr)
-			continue
-		}
-		if got != want {
-			t.Errorf("decodeValue(%q) = %v (%v), the decoder gives %v (%v)", raw, got, got.Kind(), want, want.Kind())
-		}
-	}
-	// The argument vector adds the position and nothing else.
-	_, err := decodeArgs([]json.RawMessage{json.RawMessage(`1`), json.RawMessage(`1.5`)})
-	if want := "argument 1: value 1.5 is not an integer (fractional values are unsupported)"; err == nil || err.Error() != want {
-		t.Errorf("decodeArgs error = %v, want %q", err, want)
-	}
-}
-
 // serveInProcess sends one /query body to the handler without a socket.
 func serveInProcess(h http.Handler, body string) (int, []byte) {
 	req := httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(body))

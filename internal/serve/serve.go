@@ -415,8 +415,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	s.queries.Add(1)
-	var req queryRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	req, err := decodeRequest(w, r, (*bodyDecoder).query)
+	if err != nil {
 		apiError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -440,11 +440,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		apiError(w, http.StatusBadRequest, "missing query text")
 		return
 	}
-	args, err := decodeArgs(req.Args)
-	if err != nil {
-		apiError(w, http.StatusBadRequest, "%v", err)
+	if req.argErr != nil {
+		apiError(w, http.StatusBadRequest, "%v", req.argErr)
 		return
 	}
+	args := req.Args
 	if req.Limit > 0 {
 		s.servePage(w, r, req, args, tr, start)
 		return
@@ -802,15 +802,13 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 		apiError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	var req struct {
-		Query string `json:"query"`
-	}
-	if err := decodeBody(w, r, &req); err != nil {
+	query, err := decodeRequest(w, r, (*bodyDecoder).prepare)
+	if err != nil {
 		apiError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	s.runOnWorker(w, r, 0, func() handlerResult {
-		p, err := s.eng.Prepare(req.Query)
+		p, err := s.eng.Prepare(query)
 		if err != nil {
 			return errResult(http.StatusUnprocessableEntity, "%v", err)
 		}
@@ -863,12 +861,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.ingests.Add(1)
-	var req ingestRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		apiError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	ops, err := decodeOps(req.Ops)
+	ops, err := decodeRequest(w, r, (*bodyDecoder).ingest)
 	if err != nil {
 		apiError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -1076,20 +1069,4 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, payload)
-}
-
-// maxBodyBytes bounds a request body: large enough for bulk ingest
-// batches, small enough that a hostile POST cannot balloon memory.
-const maxBodyBytes = 8 << 20
-
-// decodeBody decodes a JSON request body strictly (unknown fields are
-// caller bugs worth surfacing), bounded by maxBodyBytes.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	dec.UseNumber()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("invalid request body: %w", err)
-	}
-	return nil
 }
