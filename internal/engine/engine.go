@@ -77,10 +77,14 @@ type Source interface {
 	// the pinned view's own EpochKey for that.
 	EpochKey() string
 	// CardStats is the store's current cardinality statistics — the
-	// input of the cost-based planner and of the plan cache's drift
-	// check. Implementations must keep it lock-free: it runs on the first
-	// cache-hit Prepare of every plan after each Epoch advance.
+	// input of the cost-based planner, read once per plan built.
 	CardStats() stats.Snapshot
+	// ACCard is one constraint's entry of CardStats (ok false when
+	// CardStats would lack it), read without building the snapshot. It is
+	// the plan cache's drift check, which runs on the first cache-hit
+	// Prepare of every plan after each Epoch advance: implementations
+	// must keep it lock-free and allocation-free.
+	ACCard(key string) (stats.ACCard, bool)
 	// Epoch is a cheap, monotone token of the store's data version — a
 	// few atomic loads, no formatting: it advances with every commit,
 	// compaction and schema extension (on a sharded store it is the sum
@@ -112,6 +116,8 @@ func (s dbSource) CardStats() stats.Snapshot    { return s.cs }
 func (s dbSource) Epoch() uint64                { return 0 }
 func (s dbSource) NumShards() int               { return 1 }
 
+func (s dbSource) ACCard(key string) (stats.ACCard, bool) { return s.cs.AC(key) }
+
 // liveSource pins the live store's current epoch per evaluation.
 type liveSource struct{ ls *live.Store }
 
@@ -123,6 +129,8 @@ func (s liveSource) EpochKey() string             { return s.ls.EpochKey() }
 func (s liveSource) CardStats() stats.Snapshot    { return s.ls.CardStats() }
 func (s liveSource) Epoch() uint64                { return s.ls.Epoch() }
 func (s liveSource) NumShards() int               { return 1 }
+
+func (s liveSource) ACCard(key string) (stats.ACCard, bool) { return s.ls.ACCard(key) }
 
 // shardSource pins a consistent epoch vector across every shard per
 // evaluation.
@@ -142,6 +150,8 @@ func (s shardSource) Epoch() uint64 {
 	}
 	return sum
 }
+
+func (s shardSource) ACCard(key string) (stats.ACCard, bool) { return s.ss.ACCard(key) }
 
 // Options tunes an engine.
 type Options struct {
@@ -729,24 +739,34 @@ func (e *Engine) lookupOrBuild(pt parsedText, build bool) (prep *Prepared, cache
 
 // current reports whether a plan bundle was costed against statistics the
 // store still shows, within the re-planning threshold. Statistics cannot
-// move unless the store's epoch does, so the fingerprint is compared once
-// per epoch and plan: a hit at the epoch the bundle was last verified at
-// loads two atomics and materializes no statistics snapshot. The epoch is
-// read before the statistics (see Source.Epoch), so a commit landing
-// between the two reads leaves the older token behind and the next hit
-// verifies again.
+// move unless the store's epoch does, so the shapes are compared once per
+// epoch and plan: a hit at the epoch the bundle was last verified at
+// loads two atomics. The epoch is read before the statistics (see
+// Source.Epoch), so a commit landing between the two reads leaves the
+// older token behind and the next hit verifies again.
 func (e *Engine) current(st *planState) bool {
-	if st.statsFP == "" {
-		return true
-	}
 	epoch := e.src.Epoch()
 	if st.verifiedAt.Load() == epoch {
 		return true
 	}
-	if e.src.CardStats().Fingerprint(st.acKeys) != st.statsFP {
+	if !e.shapesHold(st) {
 		return false
 	}
 	st.verifiedAt.Store(epoch)
+	return true
+}
+
+// shapesHold reports whether every constraint a plan bundle probes still
+// has the quantized shape it was costed against — what comparing the
+// bundle's statistics fingerprint with a fresh one would say, read card
+// by card from the store's counters: no statistics snapshot, no
+// rendering, no allocation.
+func (e *Engine) shapesHold(st *planState) bool {
+	for i, key := range st.acKeys {
+		if stats.ShapeOf(e.src.ACCard(key)) != st.shapes[i] {
+			return false
+		}
+	}
 	return true
 }
 

@@ -3,7 +3,10 @@ package engine
 import (
 	"testing"
 
+	"bcq/internal/schema"
+	"bcq/internal/shard"
 	"bcq/internal/spc"
+	"bcq/internal/storage"
 	"bcq/internal/value"
 )
 
@@ -154,8 +157,8 @@ func TestMemoisedPrepareHitAllocatesNothing(t *testing.T) {
 		t.Errorf("%d prepares and %d hits for %d calls", got, after.CacheHits-before.CacheHits, 2*(runs+1))
 	}
 
-	// An epoch advance costs the next hit one statistics snapshot; the hit
-	// after it is free again.
+	// An epoch advance costs the next hit one read of the plan's cards; the
+	// hit after it does not even do that.
 	if err := ls.Insert("r", value.Tuple{value.Int(2), value.Int(20)}); err != nil {
 		t.Fatal(err)
 	}
@@ -165,4 +168,82 @@ func TestMemoisedPrepareHitAllocatesNothing(t *testing.T) {
 	if n := testing.AllocsPerRun(runs, func() { _, _ = e.Prepare(memoA1) }); n != 0 {
 		t.Errorf("after the epoch's one verification a hit allocates %v times, want 0", n)
 	}
+}
+
+// TestPrepareAfterCommitAllocatesNothing holds the drift check to its
+// ceiling: the first cache hit after a commit re-reads the cards of the
+// plan's own constraints from the store's counters — on a live store and,
+// summed over the shards, on a two-shard store — and allocates nothing
+// for it: no statistics snapshot, no map, no rendered fingerprint. Each
+// run forgets the epoch the bundle was verified at, so every one of them
+// is such a first hit.
+func TestPrepareAfterCommitAllocatesNothing(t *testing.T) {
+	ls, onLive := tieredScene(t, PlanOptimized)
+	ss, onShards := shardedRScene(t)
+	for _, tc := range []struct {
+		name   string
+		e      *Engine
+		commit func() error
+	}{
+		// Both commits keep every shape: a group grows within its bucket.
+		{"live", onLive, func() error { return ls.Insert("r", value.Tuple{value.Int(1), value.Int(12)}) }},
+		{"two shards", onShards, func() error { return ss.Insert("r", value.Tuple{value.Int(0), value.Int(100)}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := tc.e.Prepare(memoA1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.commit(); err != nil {
+				t.Fatal(err)
+			}
+			st := p.state.Load()
+			if st.verifiedAt.Load() == tc.e.Epoch() {
+				t.Fatal("the commit did not move the epoch")
+			}
+			if n := testing.AllocsPerRun(100, func() {
+				st.verifiedAt.Store(0)
+				if tc.e.PrepareCached(memoA1, nil) != p {
+					t.Fatal("the hit after a shape-keeping commit did not serve the cached plan")
+				}
+			}); n != 0 {
+				t.Errorf("a cache hit that re-checks drift allocates %v times, want 0", n)
+			}
+			if st.verifiedAt.Load() != tc.e.Epoch() {
+				t.Error("the hit did not re-check drift at the new epoch")
+			}
+		})
+	}
+}
+
+// shardedRScene is tieredScene's r(a, b) over two shards: eight groups of
+// two entries.
+func shardedRScene(t testing.TB) (*shard.Store, *Engine) {
+	t.Helper()
+	r, err := schema.NewRelation("r", "a", "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat, err := schema.NewCatalog(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc := schema.MustAccessSchema(schema.MustAccessConstraint("r", []string{"a"}, []string{"b"}, 100))
+	db := storage.NewDatabase(cat)
+	for a := int64(0); a < 8; a++ {
+		for _, b := range []int64{10, 11} {
+			if err := db.Insert("r", value.Tuple{value.Int(a), value.Int(b)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ss, err := shard.New(db, acc, shard.Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewSharded(ss, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ss, e
 }

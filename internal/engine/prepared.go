@@ -15,6 +15,7 @@ import (
 	"bcq/internal/plan"
 	"bcq/internal/schema"
 	"bcq/internal/spc"
+	"bcq/internal/stats"
 	"bcq/internal/value"
 )
 
@@ -52,13 +53,13 @@ type planState struct {
 	// reaches this plan (classes are in pl's closure numbering).
 	slots []paramSlot
 	// acKeys are the access constraints the plan probes (fetch steps and
-	// retrieval witnesses), and statsFP the quantized fingerprint of
-	// their observed cardinalities at planning time. A cache hit whose
-	// source fingerprint no longer matches triggers a re-plan (see
-	// Engine.prepare).
-	acKeys  []string
-	statsFP string
-	// verifiedAt is the source epoch at which statsFP was last seen to
+	// retrieval witnesses), sorted, and shapes their quantized observed
+	// cardinalities at planning time, key by key — what the statistics
+	// fingerprint renders. A cache hit whose source no longer shows those
+	// shapes triggers a re-plan (see Engine.current).
+	acKeys []string
+	shapes []stats.Shape
+	// verifiedAt is the source epoch at which shapes were last seen to
 	// match the store's statistics (Engine.current) — the one mutable
 	// field of the bundle, a memo of a check and no part of the plan.
 	verifiedAt atomic.Uint64
@@ -188,10 +189,11 @@ func (e *Engine) planState(chk *plan.Checked, slots []paramSlot, exhaustive bool
 		return nil, err
 	}
 	acKeys := planACKeys(pl)
-	st := &planState{
-		pl: pl, slots: slots,
-		acKeys: acKeys, statsFP: cs.Fingerprint(acKeys),
+	shapes := make([]stats.Shape, len(acKeys))
+	for i, key := range acKeys {
+		shapes[i] = cs.Shape(key)
 	}
+	st := &planState{pl: pl, slots: slots, acKeys: acKeys, shapes: shapes}
 	st.verifiedAt.Store(epoch)
 	return st, nil
 }
@@ -261,7 +263,11 @@ func (p *Prepared) EstFetch() float64 { return p.state.Load().pl.EstFetch }
 // StatsFingerprint is the quantized cardinality fingerprint the plan was
 // costed against; the plan cache re-plans when the store's current
 // fingerprint for the same constraints differs.
-func (p *Prepared) StatsFingerprint() string { return p.state.Load().statsFP }
+func (p *Prepared) StatsFingerprint() string { return p.state.Load().statsFingerprint() }
+
+// statsFingerprint renders the bundle's shapes as the fingerprint
+// stats.Snapshot.Fingerprint gives for its constraints.
+func (st *planState) statsFingerprint() string { return stats.Render(st.acKeys, st.shapes) }
 
 // PlanSnapshot is one coherent read of a Prepared's live plan bundle:
 // the plan, its tier and the statistics fingerprint it was costed
@@ -277,7 +283,7 @@ type PlanSnapshot struct {
 // Snapshot returns one coherent view of the currently installed plan.
 func (p *Prepared) Snapshot() PlanSnapshot {
 	st := p.state.Load()
-	return PlanSnapshot{Plan: st.pl, Tier: st.pl.Tier, StatsFP: st.statsFP}
+	return PlanSnapshot{Plan: st.pl, Tier: st.pl.Tier, StatsFP: st.statsFingerprint()}
 }
 
 // Explain renders the currently installed plan with its cost estimates;

@@ -24,12 +24,13 @@ package engine
 //   - cache identity: if the cache no longer maps the fingerprint to the
 //     same Prepared (drift re-plan replaced it, LRU evicted it), the
 //     upgrade's target is unreachable by future prepares — discard;
-//   - statistics: if the store's cardinality fingerprint over the new
-//     plan's constraints already differs from the one it was costed
-//     against, installing it would immediately re-trigger the hit-path
-//     drift check — discard and let that machinery re-plan on demand.
-//     The fingerprint is recomputed only when the store's epoch moved
-//     since the build read it: statistics cannot move without the epoch.
+//   - statistics: if the quantized shape of some constraint the new plan
+//     probes already differs from the one it was costed against,
+//     installing it would immediately re-trigger the hit-path drift
+//     check — discard and let that machinery re-plan on demand. The
+//     shapes are re-read (card by card, as the hit path does) only when
+//     the store's epoch moved since the build read it: statistics cannot
+//     move without the epoch.
 
 const (
 	// maxUpgradeQueue bounds the pending-upgrade queue; prepares past the
@@ -182,16 +183,14 @@ func (e *Engine) upgradeOne(t upgradeTask) {
 		// Statistics cannot have moved unless the epoch did, and planState
 		// read the epoch before the statistics it costed against (the
 		// argument Engine.current rests on): an unmoved epoch installs
-		// without a statistics snapshot under the engine mutex.
-		if e.src.Epoch() != st.verifiedAt.Load() {
-			if fp := e.src.CardStats().Fingerprint(st.acKeys); fp != st.statsFP {
-				// Statistics drifted during the build; the hit-path drift check
-				// owns re-planning, and it compares against the *installed*
-				// fingerprint — installing a known-drifted one would thrash.
-				e.mu.Unlock()
-				e.upgradesDiscarded.Add(1)
-				return
-			}
+		// without reading a card under the engine mutex.
+		if e.src.Epoch() != st.verifiedAt.Load() && !e.shapesHold(st) {
+			// Statistics drifted during the build; the hit-path drift check
+			// owns re-planning, and it compares against the *installed*
+			// shapes — installing known-drifted ones would thrash.
+			e.mu.Unlock()
+			e.upgradesDiscarded.Add(1)
+			return
 		}
 		t.prep.state.Store(st)
 		e.upgrades.Add(1)

@@ -225,6 +225,11 @@ type acCard struct {
 
 func newACCard() *acCard { return &acCard{sizeCount: make(map[int64]int64)} }
 
+// load reads the three counters for a reader.
+func (c *acCard) load() stats.ACCard {
+	return stats.ACCard{Groups: c.groups.Load(), Entries: c.entries.Load(), MaxGroup: c.maxGroup.Load()}
+}
+
 // resize moves one X-group from one entry count to another (0 = the
 // group does not exist), maintaining all three counters. A commit calls
 // it once per rewritten group with the group's length before and after,
@@ -699,13 +704,21 @@ func (st *Store) CardStats() stats.Snapshot {
 		out.Rels[rel] = stats.RelCard{Rows: n}
 	}
 	for key, card := range *st.cards.Load() {
-		out.ACs[key] = stats.ACCard{
-			Groups:   card.groups.Load(),
-			Entries:  card.entries.Load(),
-			MaxGroup: card.maxGroup.Load(),
-		}
+		out.ACs[key] = card.load()
 	}
 	return out
+}
+
+// ACCard returns one constraint's current card, as CardStats would report
+// it, and whether the store maintains that constraint: a map lookup and
+// three atomic loads, no snapshot — what the engine's drift check reads
+// per constraint of a plan.
+func (st *Store) ACCard(key string) (stats.ACCard, bool) {
+	card, ok := (*st.cards.Load())[key]
+	if !ok {
+		return stats.ACCard{}, false
+	}
+	return card.load(), true
 }
 
 // IngestStats returns a snapshot of the write-side counters.

@@ -429,6 +429,62 @@ func TestChainDepthIsCapped(t *testing.T) {
 	}
 }
 
+// TestFoldDropsGoneGroups: churn that creates groups the base never had
+// and later empties them leaves no entry behind once a fold reaches the
+// base, so the diff holds the groups that exist, not every group the
+// churn passed through. An emptied group the base has keeps its empty
+// entry, which is what hides the base's; every lookup answers as before,
+// at the new epoch and at a snapshot pinned before the fold.
+func TestFoldDropsGoneGroups(t *testing.T) {
+	st := liveSocial(t, Options{})
+	fr := schema.MustAccessConstraint("friends", []string{"user_id"}, []string{"friend_id"}, 5000)
+	user := func(i int) value.Tuple { return strs(fmt.Sprintf("n%03d", i), "f") }
+	const commits, lag = 64, 4 // a power of two: the last commit folds to the base
+	var pinned *Snapshot
+	for i := 0; i < commits; i++ {
+		ops := []Op{Insert("friends", user(i))}
+		if i >= lag {
+			ops = append(ops, Delete("friends", user(i-lag)))
+		}
+		if i == 10 {
+			ops = append(ops, Delete("friends", strs("u1", "f9"))) // the base's u1 group
+		}
+		if _, err := st.Apply(ops); err != nil {
+			t.Fatal(err)
+		}
+		if i == commits-2 {
+			pinned = st.Snapshot()
+		}
+	}
+	s := st.Snapshot()
+	if s.parent != nil {
+		t.Fatalf("after %d commits the chain has more than one diff", commits)
+	}
+	if got, want := len(s.groups[fr.Key()]), lag+1; got != want {
+		t.Errorf("the folded diff holds %d friends groups, want %d: the %d live new users and the emptied base group", got, want, lag)
+	}
+	for _, snap := range []*Snapshot{s, pinned} {
+		last := int(snap.Epoch()) - 1 // the user the snapshot's last commit inserted
+		for i := 0; i < commits; i++ {
+			want := 0
+			if last-lag < i && i <= last {
+				want = 1
+			}
+			if g := mustFetch(t, snap, fr, user(i)[0].AsString()); len(g) != want {
+				t.Fatalf("epoch %d: group of %s has %d entries, want %d", snap.Epoch(), user(i)[0], len(g), want)
+			}
+		}
+		if g := mustFetch(t, snap, fr, "u1"); len(g) != 0 {
+			t.Fatalf("epoch %d: the emptied base group serves %d entries", snap.Epoch(), len(g))
+		}
+		if g := mustFetch(t, snap, fr, "u0"); len(g) != 2 {
+			t.Fatalf("epoch %d: the untouched base group serves %d entries, want 2", snap.Epoch(), len(g))
+		}
+	}
+	checkCards(t, st, "after the fold")
+	checkLedger(t, st, "after the fold")
+}
+
 func TestNonEmptyTransitions(t *testing.T) {
 	cat := schema.MustCatalog(schema.MustRelation("r", "a", "b"))
 	acc := schema.MustAccessSchema(

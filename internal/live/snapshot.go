@@ -46,7 +46,8 @@ type Snapshot struct {
 	depth  int
 	span   int
 	// groups is this epoch's access-index diff: acKey → xKey → the full
-	// entry group as of this epoch. Only groups rewritten by this epoch's
+	// entry group as of this epoch (nil: emptied, and absent from the
+	// base — see txn.setGroup). Only groups rewritten by this epoch's
 	// batch, or by one it folded in, appear.
 	groups map[string]map[string][]storage.IndexEntry
 	// delDiff is this epoch's tombstone diff: the positions deleted by its

@@ -23,13 +23,22 @@ func recountCards(t *testing.T, st *Store) stats.Snapshot {
 }
 
 // checkCards requires the incrementally maintained statistics to equal
-// the recount exactly — groups, entries, max group size and row counts.
+// the recount exactly — groups, entries, max group size and row counts —
+// whether read as a snapshot or one constraint at a time (ACCard).
 func checkCards(t *testing.T, st *Store, stage string) {
 	t.Helper()
 	got := st.CardStats()
 	want := recountCards(t, st)
 	if !reflect.DeepEqual(got.ACs, want.ACs) {
 		t.Fatalf("%s: constraint cards diverged from recount\n got:  %v\n want: %v", stage, got.ACs, want.ACs)
+	}
+	for key, card := range want.ACs {
+		if c, ok := st.ACCard(key); !ok || c != card {
+			t.Fatalf("%s: ACCard(%s) = %+v, %v; the recount says %+v", stage, key, c, ok, card)
+		}
+	}
+	if _, ok := st.ACCard("no|such|constraint|1"); ok {
+		t.Fatalf("%s: ACCard found a constraint the store does not have", stage)
 	}
 	if !reflect.DeepEqual(got.Rels, want.Rels) {
 		t.Fatalf("%s: relation cards diverged from recount\n got:  %v\n want: %v", stage, got.Rels, want.Rels)

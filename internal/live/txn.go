@@ -67,9 +67,13 @@ func (tx *txn) group(b acBinding, t value.Tuple, xk string) []storage.IndexEntry
 	return tx.snap.lookupGroup(b.key, t, b.xPos)
 }
 
-// setGroup installs the batch's rewrite of group old. An emptied group is
-// kept as a non-nil empty slice so snapshot lookups see the emptiness
-// instead of falling through to the base.
+// setGroup installs the batch's rewrite of group old. An emptied group
+// stays in the diff, so snapshot lookups see the emptiness instead of
+// falling through to an older diff or the base: as a non-nil empty slice
+// when the base has the group, as nil when it does not — a fold that
+// reaches the base drops those (foldDiffs), since the base answers the
+// same. Under churn that creates groups and later empties them, they
+// are most of the diff.
 func (tx *txn) setGroup(acKey, xk string, old, g []storage.IndexEntry) {
 	m := tx.groups[acKey]
 	if m == nil {
@@ -80,10 +84,14 @@ func (tx *txn) setGroup(acKey, xk string, old, g []storage.IndexEntry) {
 	if _, ok := m[xk]; !ok {
 		tx.from[acKey][xk] = len(old)
 	}
-	if g == nil {
-		g = []storage.IndexEntry{}
-	}
 	m[xk] = g
+}
+
+// inBase reports whether the base the basis snapshot overlays has t's
+// X-group under a constraint.
+func (tx *txn) inBase(b acBinding, t value.Tuple) bool {
+	idx, ok := tx.snap.base.AccessIndexByKey(b.key)
+	return ok && len(idx.LookupAt(t, b.xPos)) > 0
 }
 
 // dups returns the ledger's positions of a pair as of the batch's
@@ -220,7 +228,11 @@ func (tx *txn) delete(op Op) error {
 		ps := tx.dups(b.key, pk)
 		if ps == nil {
 			// Last occurrence: drop the pair's entry from the group.
-			tx.setGroup(b.key, xk, g, slices.Delete(slices.Clone(g), i, i+1))
+			ng := slices.Delete(slices.Clone(g), i, i+1)
+			if len(ng) == 0 && !tx.inBase(b, t) {
+				ng = nil
+			}
+			tx.setGroup(b.key, xk, g, ng)
 			continue
 		}
 		// The pair survives. The ledger holds exactly its live positions,
@@ -486,5 +498,33 @@ func foldDiffs(snap, stop *Snapshot, topGroups map[string]map[string][]storage.I
 	}
 	mergeG(topGroups)
 	mergeD(topDels)
+	if stop == nil {
+		for acKey, fm := range flatG {
+			flatG[acKey] = withoutGone(fm)
+		}
+	}
 	return flatG, flatD
+}
+
+// withoutGone drops the nil groups (see setGroup) from a group diff with
+// nothing older left to shadow: gone, and absent from the base too, they
+// read the same without an entry. What is left is copied into a map of
+// its own size — deleting in place would keep the buckets.
+func withoutGone(m map[string][]storage.IndexEntry) map[string][]storage.IndexEntry {
+	n := 0
+	for _, g := range m {
+		if g != nil {
+			n++
+		}
+	}
+	if n == len(m) {
+		return m
+	}
+	out := make(map[string][]storage.IndexEntry, n)
+	for xk, g := range m {
+		if g != nil {
+			out[xk] = g
+		}
+	}
+	return out
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -232,23 +233,30 @@ func TestFastLaneNeverStaleUnderChurn(t *testing.T) {
 		clients, perClient = 4, 150
 	}
 
-	// The one writer: every commit pinned; halfway, the extension. It keeps
-	// step with the clients — batch i waits until they have sent their
-	// share of the requests — so that the statistics drift under cached
-	// plans however fast the requests are served.
+	// The one writer: every commit pinned; halfway, the extension. Writer
+	// and clients keep step both ways — batch i waits until the clients
+	// have sent their share of the requests, and a request waits for the
+	// batch its share belongs to — so that the statistics drift under
+	// cached plans however the goroutines are scheduled: requests run on
+	// the client's goroutine, and on a loaded box clients that never block
+	// would otherwise finish before the writer is a third of the way.
 	batches := 240
 	if testing.Short() {
 		batches = 80
 	}
+	total := int64(clients * perClient)
 	var (
 		extended atomic.Bool
 		sent     atomic.Int64
+		written  atomic.Int64 // batches committed
+		quit     atomic.Bool  // a client failed: nobody waits for the writer
 	)
 	clientsGone := make(chan struct{})
 	writerDone := make(chan error, 1)
 	go func() {
+		defer written.Store(math.MaxInt64) // a failed writer holds no client back
 		for i := 0; i < batches; i++ {
-			for sent.Load() < int64(i*clients*perClient/batches) {
+			for sent.Load() < int64(i)*total/int64(batches) {
 				select {
 				case <-clientsGone:
 					writerDone <- nil
@@ -257,12 +265,14 @@ func TestFastLaneNeverStaleUnderChurn(t *testing.T) {
 					runtime.Gosched()
 				}
 			}
-			// Friends fan out fast (statistics drift, re-plans); albums
-			// cycle through a bounded set of photos.
+			// Friends fan out fast and every batch tags a new photo
+			// (statistics drift under four of the five texts, re-plans);
+			// albums cycle through a bounded set of photos.
 			ops := []live.Op{
 				live.Insert("in_album", strT(fmt.Sprintf("px%d", i%300), fmt.Sprintf("a%d", i%3))),
 				live.Insert("friends", strT(fmt.Sprintf("u%d", i%3), fmt.Sprintf("g%d", i))),
 				live.Insert("friends", strT(fmt.Sprintf("v%d", i), "f1")),
+				live.Insert("tagging", strT(fmt.Sprintf("pt%d", i), fmt.Sprintf("t%d", i), "u0")),
 			}
 			if _, err := ls.Apply(ops); err != nil {
 				writerDone <- err
@@ -278,6 +288,7 @@ func TestFastLaneNeverStaleUnderChurn(t *testing.T) {
 				pin()
 				extended.Store(true)
 			}
+			written.Add(1)
 		}
 		writerDone <- nil
 	}()
@@ -306,8 +317,11 @@ func TestFastLaneNeverStaleUnderChurn(t *testing.T) {
 				ti := r.Intn(len(templates))
 				args := templates[ti].args(r)
 				body, _ := json.Marshal(map[string]any{"query": templates[ti].query, "args": args})
+				seq := sent.Add(1) - 1
+				for written.Load() <= seq*int64(batches)/total && !quit.Load() {
+					runtime.Gosched()
+				}
 				answerable := ti != evolving || extended.Load()
-				sent.Add(1)
 				code, raw := serveInProcess(h, string(body))
 				if code == http.StatusBadRequest && ti == evolving && !answerable {
 					refused++
@@ -316,6 +330,7 @@ func TestFastLaneNeverStaleUnderChurn(t *testing.T) {
 				var env envelope
 				if err := json.Unmarshal(raw, &env); err != nil || code != http.StatusOK {
 					t.Errorf("client %d, template %d: status %d: %s", c, ti, code, raw)
+					quit.Store(true)
 					return
 				}
 				answered.Add(1)

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"bcq/internal/engine"
@@ -79,19 +82,30 @@ func TestServedResponsesMatchDirectExecution(t *testing.T) {
 	}
 
 	// Churn: duplicate-or-delete existing tuples (never violates the
-	// schema) plus fresh friends fan-out, every batch pinned.
+	// schema) plus fresh friends fan-out, every batch pinned. Writer and
+	// clients keep step both ways, a batch per perBatch requests: batch i
+	// waits until the clients have sent i·perBatch requests, and request s
+	// waits for batch s/perBatch. Unpaced, how many requests met at one
+	// epoch — and so whether any was answered from the cache at all — was
+	// up to the scheduler.
+	const perBatch = 8
+	var sent, written atomic.Int64
 	stopChurn := make(chan struct{})
 	churnDone := make(chan error, 1)
 	go func() {
+		defer written.Store(math.MaxInt64) // a failed writer holds no client back
 		r := rand.New(rand.NewSource(7))
 		dup := value.Tuple{value.Str("u0"), value.Str("f1")}
 		alive := 0
 		for i := 0; ; i++ {
-			select {
-			case <-stopChurn:
-				churnDone <- nil
-				return
-			default:
+			for sent.Load() < int64(i*perBatch) {
+				select {
+				case <-stopChurn:
+					churnDone <- nil
+					return
+				default:
+					runtime.Gosched()
+				}
 			}
 			var ops []live.Op
 			if alive > 0 && r.Intn(3) == 0 {
@@ -114,6 +128,7 @@ func TestServedResponsesMatchDirectExecution(t *testing.T) {
 			}
 			s := ls.Snapshot()
 			pinned.Store(s.EpochKey(), s)
+			written.Add(1)
 		}
 	}()
 
@@ -141,6 +156,9 @@ func TestServedResponsesMatchDirectExecution(t *testing.T) {
 					"query": templates[ti].query,
 					"args":  args,
 				})
+				for seq := sent.Add(1) - 1; written.Load() <= seq/perBatch; {
+					runtime.Gosched()
+				}
 				resp, err := http.Post(hs.URL+"/query", "application/json", bytes.NewReader(body))
 				if err != nil {
 					errCh <- err

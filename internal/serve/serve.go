@@ -8,12 +8,15 @@
 // many queries cheap at once. The server adds the three service-side
 // mechanisms the engine itself does not provide:
 //
-//   - admission control: a worker pool of fixed width executes requests;
+//   - admission control: a worker pool of fixed width bounds how many
+//     requests execute at once, each on its own handler goroutine;
 //     excess requests queue up to a bounded depth and are rejected with
 //     503 beyond it, so an overload degrades crisply instead of
 //     collapsing the process. Every request carries a deadline (the
-//     server default, or the request's timeout_ms), enforced while
-//     queued and while executing. Admission covers everything that
+//     server default, or the request's timeout_ms), enforced until its
+//     work starts and between the tuples of a page; a started
+//     execution, prepare or write is bounded and runs to its real
+//     outcome. Admission covers everything that
 //     analyses, plans, executes or writes. A /query whose plan and
 //     answer are both cached is not work: it is answered on the handler
 //     goroutine before admission (the fast lane) and never queues — a
@@ -71,8 +74,9 @@ type Options struct {
 	// MaxQueue caps requests waiting for a worker slot; beyond it requests
 	// are rejected immediately with 503 (≤ 0 means 8 × Workers).
 	MaxQueue int
-	// DefaultTimeout is the per-request deadline, covering queue wait and
-	// execution (≤ 0 means 5s). A request's timeout_ms overrides it.
+	// DefaultTimeout is the per-request deadline, covering the wait for a
+	// worker slot and a page's streaming (≤ 0 means 5s). A request's
+	// timeout_ms overrides it.
 	DefaultTimeout time.Duration
 	// ResultCacheSize caps the result cache in entries (0 means the
 	// default 4096; negative disables the cache).
@@ -123,8 +127,11 @@ type Server struct {
 	// bound is workers + maxQueue.
 	waiting atomic.Int64
 	// closed flips once in Shutdown: new work is rejected 503 while
-	// in-flight executions drain. closeStore then checkpoints the store.
+	// in-flight executions drain, and draining closes with it, turning
+	// away requests already queued for a slot. closeStore then
+	// checkpoints the store.
 	closed     atomic.Bool
+	draining   chan struct{}
 	closeStore func() error
 
 	queries   atomic.Int64
@@ -139,9 +146,10 @@ type Server struct {
 	httpSec  map[string]*obs.Histogram
 	queueSec *obs.Histogram
 
-	// testHold, when non-nil (tests only), blocks every query execution
-	// until the channel is closed — the probe for backpressure and
-	// deadline behavior.
+	// testHold, when non-nil (tests only), holds every admitted request
+	// on its slot, before its work starts, until the channel is closed or
+	// its deadline fires — the probe for backpressure and deadline
+	// behavior.
 	testHold chan struct{}
 
 	mux *http.ServeMux
@@ -174,6 +182,7 @@ func New(eng *engine.Engine, opts Options) (*Server, error) {
 		maxQueue:   maxQueue,
 		timeout:    timeout,
 		sem:        make(chan struct{}, workers),
+		draining:   make(chan struct{}),
 		cursors:    newCursorRegistry(opts.CursorCap, opts.CursorTTL),
 	}
 	switch {
@@ -239,9 +248,10 @@ func (s *Server) rejectAdmission(w http.ResponseWriter, err error) {
 	}
 }
 
-// Shutdown drains the server and closes the store: new executions are
-// rejected 503 immediately, in-flight requests run to completion (their
-// worker slots are reacquired one by one, bounded by ctx), open
+// Shutdown drains the server and closes the store: new executions — and
+// requests still queued for a slot — are rejected 503 immediately,
+// in-flight requests run to completion (their worker slots are
+// reacquired one by one, bounded by ctx), open
 // pagination cursors are closed so the snapshots they pin release, and
 // finally the CloseStore hook checkpoints and closes the store — after
 // which a reopen replays zero WAL records. Safe to call more than once;
@@ -253,6 +263,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if !s.closed.CompareAndSwap(false, true) {
 		return nil
 	}
+	close(s.draining)
 	var drainErr error
 	for i := 0; i < s.workers; i++ {
 		select {
@@ -273,10 +284,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // acquire admits a request into the worker pool: immediately rejected
 // when queued-plus-executing requests already fill workers + maxQueue,
-// waiting up to the context deadline otherwise. On nil return the
-// caller owns one semaphore slot and one admission count; release both
-// through release.
-func (s *Server) acquire(ctx context.Context) error {
+// waiting up to the deadline — or until ctx ends or Shutdown begins —
+// otherwise. On nil return the caller owns one semaphore slot and one
+// admission count; release both through release.
+func (s *Server) acquire(ctx context.Context, deadline time.Time) error {
 	if s.closed.Load() {
 		s.overloads.Add(1)
 		return errShutdown
@@ -286,10 +297,21 @@ func (s *Server) acquire(ctx context.Context) error {
 		s.overloads.Add(1)
 		return errOverloaded
 	}
+	select {
+	case s.sem <- struct{}{}:
+		// A free slot: nothing to wait for, so no deadline timer either.
+		if s.queueSec != nil {
+			s.queueSec.Observe(0)
+		}
+		return nil
+	default:
+	}
 	var start time.Time
 	if s.queueSec != nil {
 		start = time.Now()
 	}
+	ctx, cancel := context.WithDeadline(ctx, deadline)
+	defer cancel()
 	select {
 	case s.sem <- struct{}{}:
 		if s.queueSec != nil {
@@ -300,6 +322,11 @@ func (s *Server) acquire(ctx context.Context) error {
 		s.waiting.Add(-1)
 		s.timeouts.Add(1)
 		return errDeadline
+	case <-s.draining:
+		// Shutdown may hold every slot by now, and then none comes back.
+		s.waiting.Add(-1)
+		s.overloads.Add(1)
+		return errShutdown
 	}
 }
 
@@ -311,12 +338,13 @@ func (s *Server) release() {
 
 // deadline resolves a request's deadline from its timeout_ms, capped to
 // nothing — the client owns its patience — and defaulting to the server
-// timeout.
-func (s *Server) deadline(ms int64) time.Duration {
+// timeout, counted from now.
+func (s *Server) deadline(ms int64) time.Time {
+	d := s.timeout
 	if ms > 0 {
-		return time.Duration(ms) * time.Millisecond
+		d = time.Duration(ms) * time.Millisecond
 	}
-	return s.timeout
+	return time.Now().Add(d)
 }
 
 // apiError writes a JSON error with the given status.
@@ -353,45 +381,60 @@ func errResult(status int, format string, args ...any) handlerResult {
 	return handlerResult{status: status, v: map[string]string{"error": fmt.Sprintf(format, args...)}}
 }
 
-// runOnWorker applies the admission policy to one request: admit (503
-// when the queue is full, 504 when the deadline fires while queued),
-// run fn on a worker slot, enforce the deadline while executing. The
-// handler goroutine only waits, so a deadline answers 504 even
-// mid-execution; the slot is released when fn actually finishes, which
-// keeps the admission bound honest. Every endpoint that executes or
-// writes goes through here — /prepare's boundedness analysis and
-// /ingest's admission checks are as CPU-real as query execution. The one
-// thing that does not is a /query answered from the caches (handleQuery).
+// start admits a request and readies it to run by its deadline: acquire
+// a slot, then pass the test hold and check the deadline (and ctx) once
+// more — the last point either is enforced before work starts. On nil
+// return the caller holds a slot and gives it back through release.
+func (s *Server) start(ctx context.Context, deadline time.Time) error {
+	if err := s.acquire(ctx, deadline); err != nil {
+		return err
+	}
+	if s.testHold != nil {
+		held, cancel := context.WithDeadline(ctx, deadline)
+		select {
+		case <-s.testHold:
+		case <-held.Done():
+		}
+		cancel()
+	}
+	if ctx.Err() != nil || !time.Now().Before(deadline) {
+		s.release()
+		s.timeouts.Add(1)
+		return errDeadline
+	}
+	return nil
+}
+
+// runOnWorker applies the admission policy to one request and runs fn on
+// the handler goroutine, holding a worker slot: admit (503 when the queue
+// is full or the server drains, 504 when the deadline fires first), then
+// run fn to completion and write what it returns. A started fn is never
+// abandoned: a bounded plan, a prepare and a write batch each cost what
+// their bounds allow, so the request answers its real outcome — and a 504
+// from /ingest means the batch was not applied. Every endpoint that
+// executes or writes goes through here or servePage — /prepare's
+// boundedness analysis and /ingest's admission checks are as CPU-real as
+// query execution. The one thing that does not is a /query answered from
+// the caches (handleQuery).
 func (s *Server) runOnWorker(w http.ResponseWriter, r *http.Request, timeoutMS int64, fn func() handlerResult) {
-	ctx, cancel := context.WithTimeout(r.Context(), s.deadline(timeoutMS))
-	defer cancel()
-	if err := s.acquire(ctx); err != nil {
+	if err := s.start(r.Context(), s.deadline(timeoutMS)); err != nil {
 		s.rejectAdmission(w, err)
 		return
 	}
-	outCh := make(chan handlerResult, 1)
-	go func() {
-		defer s.release()
-		// This goroutine is ours, not net/http's, so its panics are not
-		// absorbed by the server's per-connection recovery — a latent
-		// panic in one execution must cost one 500, not the process.
-		defer func() {
-			if p := recover(); p != nil {
-				outCh <- errResult(http.StatusInternalServerError, "internal error: %v", p)
-			}
-		}()
-		if s.testHold != nil {
-			<-s.testHold
+	s.onSlot(fn).write(w)
+}
+
+// onSlot runs fn on the slot start acquired and gives the slot back
+// before the answer is written, so a slow client holds no worker. A
+// latent panic in fn costs one 500 and frees the slot all the same.
+func (s *Server) onSlot(fn func() handlerResult) (out handlerResult) {
+	defer s.release()
+	defer func() {
+		if p := recover(); p != nil {
+			out = errResult(http.StatusInternalServerError, "internal error: %v", p)
 		}
-		outCh <- fn()
 	}()
-	select {
-	case out := <-outCh:
-		out.write(w)
-	case <-ctx.Done():
-		s.timeouts.Add(1)
-		apiError(w, http.StatusGatewayTimeout, "deadline exceeded")
-	}
+	return fn()
 }
 
 // handleQuery answers POST /query. The buffered path prepares
@@ -406,8 +449,8 @@ func (s *Server) runOnWorker(w http.ResponseWriter, r *http.Request, timeoutMS i
 // goroutine and before admission: a few map reads that find the cached
 // plan and the cached answer, or do not. A hit is written at once — no
 // deadline context, no worker, no queue; it is not work, and a saturated
-// server answers it all the same. Anything else goes through runOnWorker
-// exactly as before, taking along what lookup resolved.
+// server answers it all the same. Anything else goes through runOnWorker,
+// taking along what lookup resolved.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		apiError(w, http.StatusMethodNotAllowed, "POST required")
@@ -614,20 +657,19 @@ const (
 // servePage is the streamed, paged form of /query: it opens a
 // cursor-backed stream (or claims the cursor of a continuation) and
 // writes the page as the stream produces it. The request occupies a
-// worker slot like any execution, but runs on the handler goroutine —
-// the bytes go straight to the client, chunked, so the deadline is
-// enforced between tuples rather than by abandoning the worker.
+// worker slot on the handler goroutine like any execution; the bytes go
+// straight to the client, chunked, and since a page's length is the
+// client's choice, not a plan's bound, the deadline is also enforced
+// between tuples.
 func (s *Server) servePage(w http.ResponseWriter, r *http.Request, req queryRequest, args []value.Value, tr *obs.Trace, start time.Time) {
-	ctx, cancel := context.WithTimeout(r.Context(), s.deadline(req.TimeoutMS))
+	deadline := s.deadline(req.TimeoutMS)
+	ctx, cancel := context.WithDeadline(r.Context(), deadline)
 	defer cancel()
-	if err := s.acquire(ctx); err != nil {
+	if err := s.start(ctx, deadline); err != nil {
 		s.rejectAdmission(w, err)
 		return
 	}
 	defer s.release()
-	if s.testHold != nil {
-		<-s.testHold
-	}
 
 	var st *cursorState
 	if req.Cursor != "" {
@@ -850,7 +892,8 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 // handleIngest answers POST /ingest, applying a write batch through the
 // wired store (501 when the engine serves a sealed database). The write
 // runs on a worker slot: admission checking and copy-on-write index
-// maintenance are real work.
+// maintenance are real work. A 504 means the batch was never applied; a
+// batch that started answers how it ended.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		apiError(w, http.StatusMethodNotAllowed, "POST required")

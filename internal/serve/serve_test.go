@@ -489,6 +489,76 @@ func TestCachedAnswersBypassAdmission(t *testing.T) {
 	}
 }
 
+// waitFor polls cond until it holds, failing the test if it never does.
+// It orders nothing: the callers' channels do that; it only waits for a
+// request to reach a state another goroutine is driving it into.
+func waitFor(t testing.TB, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestIngest504MeansNotApplied is the write half of the deadline
+// contract. An /ingest whose deadline fires before its work starts
+// answers 504, and its batch is never applied — not when the 504 is
+// written and not after the request lets go of its slot — so a client may
+// retry it without writing the batch twice. A write that has started runs
+// to its end and answers how it ended, however long that took.
+func TestIngest504MeansNotApplied(t *testing.T) {
+	ls, srv, hs := newTestServer(t, engine.Options{}, Options{Workers: 1, DefaultTimeout: 50 * time.Millisecond})
+	const batch = `{"ops": [{"op": "insert", "rel": "in_album", "tuple": ["p9", "a1"]}]}`
+	epoch, tuples := ls.Epoch(), ls.NumTuples()
+
+	hold := make(chan struct{})
+	srv.testHold = hold
+	if code, raw := post(t, hs.URL+"/ingest", batch); code != http.StatusGatewayTimeout {
+		t.Fatalf("held ingest: status %d (%s), want 504", code, raw)
+	}
+	close(hold)
+	waitFor(t, "the timed-out ingest to give its slot back", func() bool { return srv.waiting.Load() == 0 })
+	if ls.Epoch() != epoch || ls.NumTuples() != tuples {
+		t.Fatalf("a 504 ingest was applied: epoch %d → %d, tuples %d → %d", epoch, ls.Epoch(), tuples, ls.NumTuples())
+	}
+
+	// Started, then outlived its deadline: applied, and answered 200.
+	apply := srv.ingest
+	srv.ingest = func(ops []live.Op) error {
+		time.Sleep(4 * srv.timeout)
+		return apply(ops)
+	}
+	if code, raw := post(t, hs.URL+"/ingest", batch); code != http.StatusOK {
+		t.Fatalf("a started ingest: status %d (%s), want 200", code, raw)
+	}
+	if ls.NumTuples() != tuples+1 {
+		t.Fatalf("a 200 ingest left %d tuples, want %d", ls.NumTuples(), tuples+1)
+	}
+}
+
+// TestPanicAnswers500AndFreesItsSlot: a panic inside execution costs one
+// 500, not the process and not the slot — the one worker is free again
+// and the next request is admitted and answered.
+func TestPanicAnswers500AndFreesItsSlot(t *testing.T) {
+	_, srv, hs := newTestServer(t, engine.Options{}, Options{Workers: 1, MaxQueue: 1})
+	apply := srv.ingest
+	srv.ingest = func([]live.Op) error { panic("injected") }
+	code, raw := post(t, hs.URL+"/ingest", `{"ops": [{"op": "insert", "rel": "in_album", "tuple": ["p9", "a1"]}]}`)
+	if code != http.StatusInternalServerError || !strings.Contains(string(raw), "injected") {
+		t.Fatalf("panicking ingest: status %d (%s), want a 500 naming the panic", code, raw)
+	}
+	if n := srv.waiting.Load(); n != 0 {
+		t.Fatalf("%d requests still admitted after the panic, want 0", n)
+	}
+	srv.ingest = apply
+	if code, env := queryOnce(t, hs.URL, `{"query": "select photo_id from in_album where album_id = ?", "args": ["a0"]}`); code != http.StatusOK {
+		t.Fatalf("the request after the panic: status %d (%s), want 200", code, env.Error)
+	}
+}
+
 func TestStatsAndHealth(t *testing.T) {
 	_, _, hs := newTestServer(t, engine.Options{}, Options{})
 	if _, env := queryOnce(t, hs.URL, `{"query": "select photo_id from in_album where album_id = ?", "args": ["a0"]}`); env.Error != "" {

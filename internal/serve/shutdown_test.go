@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -140,5 +141,65 @@ func TestShutdownWaitsForInflight(t *testing.T) {
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("Shutdown: %v", err)
+	}
+}
+
+// TestShutdownRacesAQueuedRequest: with the only worker held and a second
+// request queued behind it, Shutdown turns the queued request away with
+// 503 — it neither hangs until its deadline for a slot Shutdown keeps nor
+// writes after the store closed — and returns only once the held request
+// has drained.
+func TestShutdownRacesAQueuedRequest(t *testing.T) {
+	_, srv, hs := newTestServer(t, engine.Options{}, Options{Workers: 1, MaxQueue: 1, DefaultTimeout: 20 * time.Second})
+	var storeClosed, wroteAfterClose atomic.Bool
+	srv.closeStore = func() error { storeClosed.Store(true); return nil }
+	apply := srv.ingest
+	srv.ingest = func(ops []live.Op) error {
+		if storeClosed.Load() {
+			wroteAfterClose.Store(true)
+		}
+		return apply(ops)
+	}
+	hold := make(chan struct{})
+	srv.testHold = hold
+
+	send := func(path, body string) chan int {
+		out := make(chan int, 1)
+		go func() {
+			code, _ := post(t, hs.URL+path, body)
+			out <- code
+		}()
+		return out
+	}
+	held := send("/query", `{"query": "select photo_id from in_album where album_id = ?", "args": ["a0"]}`)
+	waitFor(t, "the first request to take the worker", func() bool { return len(srv.sem) == 1 })
+	queued := send("/ingest", `{"ops": [{"op": "insert", "rel": "in_album", "tuple": ["p9", "a1"]}]}`)
+	waitFor(t, "the second request to queue", func() bool { return srv.waiting.Load() == 2 })
+
+	done := make(chan error, 1)
+	go func() { done <- srv.Shutdown(context.Background()) }()
+	select {
+	case code := <-queued:
+		if code != http.StatusServiceUnavailable {
+			t.Fatalf("queued request during shutdown: status %d, want 503", code)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the queued request hung behind Shutdown")
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("Shutdown returned %v while a request still held the worker", err)
+	default:
+	}
+
+	close(hold)
+	if code := <-held; code != http.StatusOK {
+		t.Fatalf("held request: status %d, want 200", code)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if !storeClosed.Load() || wroteAfterClose.Load() {
+		t.Fatalf("store closed %v, a write after the close %v", storeClosed.Load(), wroteAfterClose.Load())
 	}
 }

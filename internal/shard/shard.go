@@ -785,6 +785,25 @@ func (st *Store) CardStats() stats.Snapshot {
 	return out
 }
 
+// ACCard is one constraint's entry of CardStats, merged the same way
+// from the shards' atomic counters, without building a snapshot: the
+// engine's drift check reads it per constraint of a plan.
+func (st *Store) ACCard(key string) (stats.ACCard, bool) {
+	var out stats.ACCard
+	found := false
+	for _, ls := range st.shards {
+		c, ok := ls.ACCard(key)
+		if !ok {
+			continue
+		}
+		found = true
+		out.Groups += c.Groups
+		out.Entries += c.Entries
+		out.MaxGroup = max(out.MaxGroup, c.MaxGroup)
+	}
+	return out, found
+}
+
 // ResetStats zeroes every shard's read-side counters.
 func (st *Store) ResetStats() {
 	for _, ls := range st.shards {

@@ -14,7 +14,8 @@ import (
 // checkShardCards requires the sharded store's merged cardinality
 // statistics to equal a from-scratch recount: freeze the current view
 // into one sealed database and read its index shapes. Exactness of the
-// merge rides on the placement invariant (groups whole on one shard).
+// merge rides on the placement invariant (groups whole on one shard). The
+// per-constraint read (ACCard) must merge to the same cards.
 func checkShardCards(t *testing.T, ss *shard.Store, stage string) {
 	t.Helper()
 	got := ss.CardStats()
@@ -25,6 +26,11 @@ func checkShardCards(t *testing.T, ss *shard.Store, stage string) {
 	want := frozen.CardStats()
 	if !reflect.DeepEqual(got.ACs, want.ACs) {
 		t.Fatalf("%s: constraint cards diverged from recount\n got:  %v\n want: %v", stage, got.ACs, want.ACs)
+	}
+	for key, card := range want.ACs {
+		if c, ok := ss.ACCard(key); !ok || c != card {
+			t.Fatalf("%s: ACCard(%s) = %+v, %v; the recount says %+v", stage, key, c, ok, card)
+		}
 	}
 	if !reflect.DeepEqual(got.Rels, want.Rels) {
 		t.Fatalf("%s: relation cards diverged from recount\n got:  %v\n want: %v", stage, got.Rels, want.Rels)

@@ -100,10 +100,31 @@ func bucket(x float64) int {
 	return int(math.Floor(math.Log2(x)))
 }
 
+// Shape is one constraint's quantized index shape: the power-of-two
+// buckets of its observed average group size and of its group count. It
+// is what a fingerprint renders per constraint, so two shapes of one
+// constraint differ exactly when its fingerprint would. The zero Shape
+// is a constraint the store does not have.
+type Shape struct {
+	present     bool
+	avg, groups int
+}
+
+// ShapeOf quantizes one constraint's card; ok false (the store has no
+// such constraint) gives the zero Shape.
+func ShapeOf(c ACCard, ok bool) Shape {
+	if !ok {
+		return Shape{}
+	}
+	return Shape{present: true, avg: bucket(c.AvgGroup()), groups: bucket(float64(c.Groups))}
+}
+
+// Shape returns one constraint's quantized shape in this snapshot.
+func (s Snapshot) Shape(key string) Shape { return ShapeOf(s.AC(key)) }
+
 // Fingerprint renders the snapshot's shape restricted to the given
 // constraint keys, quantized so ingest noise does not perturb it: per
-// constraint, the power-of-two buckets of the observed average group
-// size and the group count. Two fingerprints differ only when some
+// constraint, its Shape. Two fingerprints differ only when some
 // constraint's observed shape drifted by roughly 2× — the signal the
 // engine re-plans on. Keys absent from the snapshot render as "-",
 // which still flips the fingerprint when the constraint later gains
@@ -114,6 +135,16 @@ func (s Snapshot) Fingerprint(acKeys []string) string {
 		keys = append([]string(nil), acKeys...)
 		sort.Strings(keys)
 	}
+	shapes := make([]Shape, len(keys))
+	for i, k := range keys {
+		shapes[i] = s.Shape(k)
+	}
+	return Render(keys, shapes)
+}
+
+// Render is the fingerprint of shapes already read: keys sorted, and
+// shapes[i] the shape of keys[i].
+func Render(keys []string, shapes []Shape) string {
 	n := 0
 	for _, k := range keys {
 		n += len(k) + len("=-2147483648,-2147483648;")
@@ -126,15 +157,15 @@ func (s Snapshot) Fingerprint(acKeys []string) string {
 			b.WriteByte(';')
 		}
 		b.WriteString(k)
-		ac, ok := s.ACs[k]
-		if !ok {
+		sh := shapes[i]
+		if !sh.present {
 			b.WriteString("=-")
 			continue
 		}
 		b.WriteByte('=')
-		b.Write(strconv.AppendInt(num[:0], int64(bucket(ac.AvgGroup())), 10))
+		b.Write(strconv.AppendInt(num[:0], int64(sh.avg), 10))
 		b.WriteByte(',')
-		b.Write(strconv.AppendInt(num[:0], int64(bucket(float64(ac.Groups))), 10))
+		b.Write(strconv.AppendInt(num[:0], int64(sh.groups), 10))
 	}
 	return b.String()
 }

@@ -86,3 +86,39 @@ func TestFingerprintQuantization(t *testing.T) {
 		}
 	}
 }
+
+// TestShapeIsWhatFingerprintRenders: two cards of one constraint — either
+// possibly absent — have equal shapes exactly when their one-key
+// fingerprints agree, so comparing shapes (the engine's drift check) and
+// comparing fingerprints are one test.
+func TestShapeIsWhatFingerprintRenders(t *testing.T) {
+	type card struct {
+		c  ACCard
+		ok bool
+	}
+	cards := []card{{ACCard{}, false}}
+	for _, c := range []ACCard{
+		{}, {Groups: 1, Entries: 1}, {Groups: 3, Entries: 1}, {Groups: 100, Entries: 200},
+		{Groups: 100, Entries: 390}, {Groups: 100, Entries: 800}, {Groups: 200, Entries: 400},
+	} {
+		cards = append(cards, card{c, true})
+	}
+	fp := func(c card) string {
+		s := New()
+		if c.ok {
+			s.ACs["k"] = c.c
+		}
+		if s.Shape("k") != ShapeOf(c.c, c.ok) {
+			t.Errorf("Snapshot.Shape and ShapeOf disagree on %+v", c)
+		}
+		return s.Fingerprint([]string{"k"})
+	}
+	for _, a := range cards {
+		for _, b := range cards {
+			if (ShapeOf(a.c, a.ok) == ShapeOf(b.c, b.ok)) != (fp(a) == fp(b)) {
+				t.Errorf("%+v vs %+v: shapes equal %v, fingerprints %q and %q",
+					a, b, ShapeOf(a.c, a.ok) == ShapeOf(b.c, b.ok), fp(a), fp(b))
+			}
+		}
+	}
+}

@@ -8,7 +8,8 @@
 //
 //	q/s       — served queries per second (throughput benchmark)
 //	hit_pct   — result-cache hit rate under the given churn interval
-//	ns/op, allocs/op — one cached answer in process (BenchmarkServe_CachedHit)
+//	ns/op, allocs/op — one cached answer in process (BenchmarkServe_CachedHit),
+//	                   one read after a write in process (BenchmarkServe_Uncached)
 package bcq
 
 import (
@@ -164,6 +165,52 @@ func BenchmarkServe_CachedHit(b *testing.B) {
 	b.StopTimer()
 	if cs := srv.CacheStats(); cs.Hits-base.Hits != int64(b.N) || cs.Misses != base.Misses {
 		b.Fatalf("%d requests: %d hits, %d misses; every one must be a cached answer", b.N, cs.Hits-base.Hits, cs.Misses-base.Misses)
+	}
+}
+
+// BenchmarkServe_Uncached is the miss path's guardrail: the same /query
+// in process, but with one /ingest sent (untimed) before every read, so
+// each read finds a new epoch — it misses the result cache, re-checks its
+// plan's statistics and executes. ns/op and allocs/op are the read's own:
+// admission, the drift check, the bounded execution and the response. A
+// per-request goroutine or a statistics snapshot creeping back in shows
+// here.
+func BenchmarkServe_Uncached(b *testing.B) {
+	ls, srv, _ := benchServer(b)
+	h := srv.Handler()
+	const query = `{"query": "select photo_id from in_album where album_id = ?", "args": [3]}`
+	// The write alternates an insert and a delete of one tuple the query
+	// does not read: the data stays the same size and every write moves
+	// the epoch.
+	writes := [2]string{
+		`{"ops": [{"op": "insert", "rel": "friends", "tuple": [0, 999999]}]}`,
+		`{"ops": [{"op": "delete", "rel": "friends", "tuple": [0, 999999]}]}`,
+	}
+	var rd strings.Reader
+	read := httptest.NewRequest(http.MethodPost, "/query", nil)
+	write := httptest.NewRequest(http.MethodPost, "/ingest", nil)
+	w := &nullWriter{h: http.Header{}}
+	send := func(req *http.Request, body string) {
+		rd.Reset(body)
+		req.Body = io.NopCloser(&rd)
+		h.ServeHTTP(w, req)
+	}
+	send(read, query) // plans
+	base, epoch := srv.CacheStats(), ls.Epoch()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		send(write, writes[i%2])
+		b.StartTimer()
+		send(read, query)
+	}
+	b.StopTimer()
+	if got := ls.Epoch() - epoch; got != uint64(b.N) {
+		b.Fatalf("%d writes moved the epoch %d times; every one must commit", b.N, got)
+	}
+	if cs := srv.CacheStats(); cs.Misses-base.Misses != int64(b.N) || cs.Hits != base.Hits {
+		b.Fatalf("%d requests: %d hits, %d misses; every one must execute", b.N, cs.Hits-base.Hits, cs.Misses-base.Misses)
 	}
 }
 
