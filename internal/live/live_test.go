@@ -485,6 +485,65 @@ func TestFoldDropsGoneGroups(t *testing.T) {
 	checkLedger(t, st, "after the fold")
 }
 
+// TestEveryFoldDropsGoneGroups: a fold that stops above the base drops
+// the gone groups too, keeping only those that hide a non-empty group of
+// an older diff. What the chain holds then follows the live groups, not
+// the commits since the last power of two.
+func TestEveryFoldDropsGoneGroups(t *testing.T) {
+	st := liveSocial(t, Options{})
+	fr := schema.MustAccessConstraint("friends", []string{"user_id"}, []string{"friend_id"}, 5000)
+	key := fr.Key()
+	user := func(i int) value.Tuple { return strs(fmt.Sprintf("n%03d", i), "f") }
+	const commits, lag = 100, 4 // 64+32+4: two folds stop above the base
+	for i := 0; i < commits; i++ {
+		ops := []Op{Insert("friends", user(i))}
+		if i >= lag {
+			ops = append(ops, Delete("friends", user(i-lag)))
+		}
+		if _, err := st.Apply(ops); err != nil {
+			t.Fatal(err)
+		}
+		held := 0
+		for cur := st.Snapshot(); cur != nil; cur = cur.parent {
+			held += len(cur.groups[key])
+			if cur.span == 1 {
+				continue // not a fold
+			}
+			for xk, g := range cur.groups[key] {
+				if g != nil {
+					continue
+				}
+				shadows := false
+				for o := cur.parent; o != nil; o = o.parent {
+					if og, ok := o.groups[key][xk]; ok {
+						shadows = len(og) > 0
+						break
+					}
+				}
+				if !shadows {
+					t.Fatalf("after %d commits: a fold of span %d keeps gone group %q, which hides nothing", i+1, cur.span, xk)
+				}
+			}
+		}
+		// Per diff: the lag live groups, and as many gone ones hiding
+		// them in an older diff.
+		if limit := 2 * lag * bits.Len(uint(i+1)); held > limit {
+			t.Fatalf("after %d commits the chain holds %d friends groups, want at most %d", i+1, held, limit)
+		}
+	}
+	s := st.Snapshot()
+	for i := 0; i < commits; i++ {
+		want := 0
+		if i >= commits-lag {
+			want = 1
+		}
+		if g := mustFetch(t, s, fr, user(i)[0].AsString()); len(g) != want {
+			t.Fatalf("group of %s has %d entries, want %d", user(i)[0], len(g), want)
+		}
+	}
+	checkCards(t, st, "after the churn")
+}
+
 func TestNonEmptyTransitions(t *testing.T) {
 	cat := schema.MustCatalog(schema.MustRelation("r", "a", "b"))
 	acc := schema.MustAccessSchema(

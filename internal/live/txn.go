@@ -70,9 +70,9 @@ func (tx *txn) group(b acBinding, t value.Tuple, xk string) []storage.IndexEntry
 // setGroup installs the batch's rewrite of group old. An emptied group
 // stays in the diff, so snapshot lookups see the emptiness instead of
 // falling through to an older diff or the base: as a non-nil empty slice
-// when the base has the group, as nil when it does not — a fold that
-// reaches the base drops those (foldDiffs), since the base answers the
-// same. Under churn that creates groups and later empties them, they
+// when the base has the group, as nil when it does not — a fold drops
+// those that no older diff shadows (foldDiffs), since the base answers
+// the same. Under churn that creates groups and later empties them, they
 // are most of the diff.
 func (tx *txn) setGroup(acKey, xk string, old, g []storage.IndexEntry) {
 	m := tx.groups[acKey]
@@ -498,22 +498,35 @@ func foldDiffs(snap, stop *Snapshot, topGroups map[string]map[string][]storage.I
 	}
 	mergeG(topGroups)
 	mergeD(topDels)
-	if stop == nil {
-		for acKey, fm := range flatG {
-			flatG[acKey] = withoutGone(fm)
-		}
+	for acKey, fm := range flatG {
+		flatG[acKey] = withoutGone(fm, acKey, stop)
 	}
 	return flatG, flatD
 }
 
-// withoutGone drops the nil groups (see setGroup) from a group diff with
-// nothing older left to shadow: gone, and absent from the base too, they
-// read the same without an entry. What is left is copied into a map of
-// its own size — deleting in place would keep the buckets.
-func withoutGone(m map[string][]storage.IndexEntry) map[string][]storage.IndexEntry {
-	n := 0
-	for _, g := range m {
+// withoutGone drops from a folded group diff the nil groups (see
+// setGroup) that shadow nothing: no diff from older down to the base
+// holds a non-empty group under the same key, so they read the same
+// without an entry. Every fold does this, not only one that reaches the
+// base, so that what the diffs hold follows the groups that exist and
+// not how many commits have passed since the last power of two. What is
+// left is copied into a map of its own size — deleting in place would
+// keep the buckets.
+func withoutGone(m map[string][]storage.IndexEntry, acKey string, older *Snapshot) map[string][]storage.IndexEntry {
+	gone := func(xk string, g []storage.IndexEntry) bool {
 		if g != nil {
+			return false
+		}
+		for cur := older; cur != nil; cur = cur.parent {
+			if og, ok := cur.groups[acKey][xk]; ok {
+				return len(og) == 0
+			}
+		}
+		return true
+	}
+	n := 0
+	for xk, g := range m {
+		if !gone(xk, g) {
 			n++
 		}
 	}
@@ -522,7 +535,7 @@ func withoutGone(m map[string][]storage.IndexEntry) map[string][]storage.IndexEn
 	}
 	out := make(map[string][]storage.IndexEntry, n)
 	for xk, g := range m {
-		if g != nil {
+		if !gone(xk, g) {
 			out[xk] = g
 		}
 	}
