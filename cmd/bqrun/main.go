@@ -82,7 +82,7 @@ func main() {
 	shards := flag.Int("shards", 1, "partition the store into P shards (1 = single store)")
 	dataDir := flag.String("data-dir", "", "durable store directory: seed it fresh or recover it, checkpoint on exit")
 	limit := flag.Int("limit", 0, "early termination: stop each query after N answers (0 = all), reporting the probes saved")
-	planTier := flag.String("plan-tier", "optimized", "cold-prepare planning tier: optimized | greedy | tiered (tiered serves the greedy plan first, upgrades in the background and re-runs after the upgrade lands)")
+	planTier := flag.String("plan-tier", "optimized", "cold-prepare planning tier: optimized | greedy | tiered (tiered serves the greedy plan first and upgrades plans that are reused in the background; bqrun reuses each query's plan once and re-runs after the upgrade lands)")
 	explain := flag.Bool("explain", false, "print each query's cost-based plan with estimated and actual per-step fetches")
 	trace := flag.Bool("trace", false, "run each query traced and print its span tree (prepare → waves → fetch/verify → shards)")
 	traceOut := flag.String("trace-out", "", "write each query's span tree as one JSON line to this file (implies tracing)")
@@ -848,8 +848,13 @@ func runOne(ds *datagen.Dataset, eng *engine.Engine, q *bcq.Query, c config) err
 		}
 	}
 	if eng.PlanMode() == engine.PlanTiered {
-		// Wait for the background upgrade and show what the same Prepared
-		// executes like after the optimized tier is installed in place.
+		// A tiered engine upgrades plans that are reused: prepare the query
+		// again (a plan-cache hit, which queues the upgrade), wait for it,
+		// and show what the same Prepared executes like after the optimized
+		// tier is installed in place.
+		if _, err := eng.PrepareQuery(q); err != nil {
+			return err
+		}
 		eng.DrainUpgrades()
 		start := time.Now()
 		ures, err := prep.Exec()

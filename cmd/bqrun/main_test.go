@@ -3,8 +3,10 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -150,6 +152,56 @@ func TestRunDurableCycle(t *testing.T) {
 	// A recovered store has no seeding base to duplicate from.
 	if err := run(cfg(func(c *config) { c.dataDir = dir; c.ingest = 100 })); err == nil {
 		t.Fatal("-ingest into a recovered store was accepted")
+	}
+}
+
+// stdoutOf runs f with os.Stdout redirected and returns what it printed.
+func stdoutOf(t *testing.T, f func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = w
+	printed := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		printed <- string(b)
+	}()
+	err = f()
+	os.Stdout = saved
+	w.Close()
+	out := <-printed
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestRunTieredShowsTheUpgradedTier: with -plan-tier tiered, a query runs
+// on the greedy tier, and the "upgraded:" line that follows reports the
+// optimized tier — bqrun reuses the plan, which queues its upgrade, before
+// it waits for one.
+func TestRunTieredShowsTheUpgradedTier(t *testing.T) {
+	out := stdoutOf(t, func() error { return run(cfg(func(c *config) { c.planTier = "tiered" })) })
+	var cold, upgraded string
+	for _, line := range strings.Split(out, "\n") {
+		switch {
+		case strings.Contains(line, "plan tier:"):
+			cold = line
+		case strings.Contains(line, "upgraded:"):
+			upgraded = line
+		}
+	}
+	if !strings.HasSuffix(cold, "plan tier: greedy") {
+		t.Errorf("cold tier line %q, want greedy", cold)
+	}
+	if !strings.HasSuffix(upgraded, "(tier optimized)") {
+		t.Errorf("upgraded line %q, want the optimized tier\n%s", upgraded, out)
+	}
+	if !strings.Contains(out, "1 background upgrades installed, 0 discarded") {
+		t.Errorf("planner summary missing one installed upgrade:\n%s", out)
 	}
 }
 

@@ -118,7 +118,7 @@ func main() {
 	cursorCap := flag.Int("cursor-cap", serve.DefaultCursorCap, "max concurrently open pagination cursors (each pins one snapshot)")
 	cursorTTL := flag.Duration("cursor-ttl", serve.DefaultCursorTTL, "idle pagination cursors expire after this long (then answer 410)")
 	metrics := flag.Bool("metrics", false, "expose Prometheus-format metrics at GET /metrics")
-	planUpgrade := flag.Bool("plan-upgrade", true, "tiered planning: answer cold prepares with the greedy plan and upgrade cached plans to the full optimizer in the background (false = full optimization on every cold prepare)")
+	planUpgrade := flag.Bool("plan-upgrade", true, "tiered planning: answer cold prepares with the greedy plan and upgrade plans that are reused to the full optimizer in the background (false = full optimization on every cold prepare)")
 	slowLog := flag.String("slow-query-log", "", "append sampled slow queries as JSON lines to this file (- for stderr)")
 	slowThreshold := flag.Duration("slow-threshold", 100*time.Millisecond, "queries at least this slow are slow-log candidates")
 	slowSample := flag.Int("slow-sample", 1, "log every Nth slow-log candidate")

@@ -76,14 +76,14 @@ type Source interface {
 	// (/stats, /healthz) without pinning a view. Not a cache key — use
 	// the pinned view's own EpochKey for that.
 	EpochKey() string
-	// CardStats is the store's current cardinality statistics — the
-	// input of the cost-based planner, read once per plan built.
+	// CardStats is the store's current cardinality statistics, whole: what
+	// /stats and Engine.CardStats report. Planning never builds it.
 	CardStats() stats.Snapshot
 	// ACCard is one constraint's entry of CardStats (ok false when
-	// CardStats would lack it), read without building the snapshot. It is
-	// the plan cache's drift check, which runs on the first cache-hit
-	// Prepare of every plan after each Epoch advance: implementations
-	// must keep it lock-free and allocation-free.
+	// CardStats would lack it), read without building the snapshot: what
+	// the planner costs a plan against (a Source is a plan.Cards) and the
+	// plan cache's drift check, on the first cache-hit Prepare of every
+	// plan after each Epoch advance. Keep it lock-free and allocation-free.
 	ACCard(key string) (stats.ACCard, bool)
 	// Epoch is a cheap, monotone token of the store's data version — a
 	// few atomic loads, no formatting: it advances with every commit,
@@ -116,7 +116,7 @@ func (s dbSource) CardStats() stats.Snapshot    { return s.cs }
 func (s dbSource) Epoch() uint64                { return 0 }
 func (s dbSource) NumShards() int               { return 1 }
 
-func (s dbSource) ACCard(key string) (stats.ACCard, bool) { return s.cs.AC(key) }
+func (s dbSource) ACCard(key string) (stats.ACCard, bool) { return s.cs.ACCard(key) }
 
 // liveSource pins the live store's current epoch per evaluation.
 type liveSource struct{ ls *live.Store }
@@ -163,9 +163,9 @@ type Options struct {
 	// PlanMode selects the cold-prepare planning tier: PlanOptimized (the
 	// zero value) runs the full branch-and-bound search per cold shape,
 	// PlanGreedy serves the greedy order only, PlanTiered serves the
-	// greedy order immediately and upgrades cached plans to the optimized
-	// tier in the background (see upgrade.go for the install-time
-	// staleness checks).
+	// greedy order immediately and upgrades reused plans to the optimized
+	// tier in the background (see upgrade.go for the trigger and the
+	// install-time staleness checks).
 	PlanMode PlanMode
 	// Metrics, when non-nil, instruments the engine on that registry:
 	// prepare latency by outcome, plan-cache counters, executor probe and
@@ -249,11 +249,10 @@ type Engine struct {
 	// mode is the cold-prepare planning tier (Options.PlanMode).
 	mode PlanMode
 	// Background-upgrade state (tiered mode), all guarded by mu: the
-	// FIFO of pending tasks, the per-fingerprint singleflight set, the
-	// queued-or-in-flight count DrainUpgrades waits on (via upgradeCond)
-	// and whether the lazily started worker goroutine is alive.
-	upgradeQueue      []upgradeTask
-	upgrading         map[string]bool
+	// FIFO of pending upgrades, the queued-or-in-flight count
+	// DrainUpgrades waits on (via upgradeCond) and whether the lazily
+	// started worker goroutine is alive.
+	upgradeQueue      []*Prepared
 	upgradePending    int
 	upgradeWorkerLive bool
 	upgradeCond       *sync.Cond
@@ -356,15 +355,14 @@ func assemble(cat *schema.Catalog, src Source, opts Options) *Engine {
 		size = DefaultPlanCacheSize
 	}
 	e := &Engine{
-		cat:       cat,
-		src:       src,
-		exe:       exec.New(opts.Parallelism),
-		cache:     lru.New[*cacheEntry](size),
-		errs:      lru.New[*cacheEntry](size),
-		texts:     lru.New[parsedText](size),
-		flight:    make(map[string]*inflight),
-		mode:      opts.PlanMode,
-		upgrading: make(map[string]bool),
+		cat:    cat,
+		src:    src,
+		exe:    exec.New(opts.Parallelism),
+		cache:  lru.New[*cacheEntry](size),
+		errs:   lru.New[*cacheEntry](size),
+		texts:  lru.New[parsedText](size),
+		flight: make(map[string]*inflight),
+		mode:   opts.PlanMode,
 	}
 	e.upgradeCond = sync.NewCond(&e.mu)
 	e.recorder = opts.Recorder
@@ -650,6 +648,8 @@ func (e *Engine) lookupOrBuild(pt parsedText, build bool) (prep *Prepared, cache
 
 		e.mu.Lock()
 		if ent, ok := e.cache.Get(fp); ok {
+			// A tiered engine's first hit on a plan queues its upgrade.
+			upgrade := e.mode == PlanTiered && !ent.prep.upgradeQueued
 			e.mu.Unlock()
 			// Drift check outside the mutex — the hit path must never
 			// serialize behind it under serving load. The plan state is
@@ -660,6 +660,11 @@ func (e *Engine) lookupOrBuild(pt parsedText, build bool) (prep *Prepared, cache
 					e.prepares.Add(1)
 				}
 				e.hits.Add(1)
+				if upgrade {
+					e.mu.Lock()
+					e.enqueueUpgradeLocked(ent.prep)
+					e.mu.Unlock()
+				}
 				return ent.prep, true, nil
 			}
 			if !build {
@@ -718,12 +723,6 @@ func (e *Engine) lookupOrBuild(pt parsedText, build bool) (prep *Prepared, cache
 		if err == nil {
 			if e.cache.Put(fp, &cacheEntry{prep: prep}) {
 				e.evictions.Add(1)
-			}
-			if e.mode == PlanTiered {
-				// The greedy plan serves immediately; the optimized tier is
-				// built in the background and installed into this Prepared
-				// in place (or discarded if the world moves — upgrade.go).
-				e.enqueueUpgradeLocked(fp, prep)
 			}
 		} else {
 			e.errs.Put(fp, &cacheEntry{err: err, version: ver})

@@ -38,6 +38,9 @@ type Prepared struct {
 	// so every execution runs one coherent plan even while an upgrade
 	// installs the next one. The pointer is never nil after build.
 	state atomic.Pointer[planState]
+	// upgradeQueued is set, under eng.mu, once a tiered engine's cache hit
+	// queued this Prepared's upgrade (a hit the full queue sheds does not).
+	upgradeQueued bool
 }
 
 // planState bundles everything that must swap together when a plan is
@@ -97,8 +100,8 @@ type paramSlot struct {
 // tags a cached failure, and a kept analysis, for later invalidation. The
 // planning tier follows the engine's mode: optimized engines pay the full
 // search on the cold path, greedy and tiered engines return the greedy
-// order (and tiered engines enqueue the background upgrade from
-// lookupOrBuild).
+// order (and a tiered engine's first cache hit on the plan queues its
+// background upgrade, in lookupOrBuild).
 func (e *Engine) build(pt parsedText, acc *schema.AccessSchema, ver uint64) (*Prepared, error) {
 	chk, slots, err := e.analyze(pt.q, acc)
 	if err != nil {
@@ -170,20 +173,21 @@ func (e *Engine) analyze(q *spc.Query, acc *schema.AccessSchema) (*plan.Checked,
 }
 
 // planState runs the statistics-dependent half — the cost-based ordering
-// search at the requested tier, emission, and the fingerprint of the
+// search at the requested tier, emission, and the shapes of the
 // statistics the plan was costed against — and returns the resulting plan
-// bundle. It is called on the cold prepare path and again by the upgrade
-// worker, both outside the engine mutex.
+// bundle, costed against the source's own cards (one constraint at a
+// time, no statistics snapshot). It is called on the cold prepare path
+// and again by the upgrade worker, both outside the engine mutex.
 func (e *Engine) planState(chk *plan.Checked, slots []paramSlot, exhaustive bool) (*planState, error) {
-	// Epoch before statistics, like every reader of the pair.
+	// Epoch before statistics, like every reader of the pair: a commit
+	// landing mid-build leaves the older epoch, so the next hit re-checks.
 	epoch := e.src.Epoch()
-	cs := e.src.CardStats()
 	var pl *plan.Plan
 	var err error
 	if exhaustive {
-		pl, err = chk.Optimize(&cs)
+		pl, err = chk.Optimize(e.src)
 	} else {
-		pl, err = chk.OptimizeGreedy(&cs)
+		pl, err = chk.OptimizeGreedy(e.src)
 	}
 	if err != nil {
 		return nil, err
@@ -191,7 +195,7 @@ func (e *Engine) planState(chk *plan.Checked, slots []paramSlot, exhaustive bool
 	acKeys := planACKeys(pl)
 	shapes := make([]stats.Shape, len(acKeys))
 	for i, key := range acKeys {
-		shapes[i] = cs.Shape(key)
+		shapes[i] = stats.ShapeOf(e.src.ACCard(key))
 	}
 	st := &planState{pl: pl, slots: slots, acKeys: acKeys, shapes: shapes}
 	st.verifiedAt.Store(epoch)

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"bcq/internal/live"
 	"bcq/internal/plan"
 	"bcq/internal/schema"
+	"bcq/internal/stats"
 	"bcq/internal/storage"
 	"bcq/internal/value"
 )
@@ -48,11 +50,25 @@ func tieredScene(t testing.TB, mode PlanMode) (*live.Store, *Engine) {
 
 const tieredQuery = `select b from r where a = 1`
 
+// reuse prepares text again and checks that the plan cache answered with
+// want: the hit that queues a tiered engine's upgrade.
+func reuse(t *testing.T, e *Engine, text string, want *Prepared) {
+	t.Helper()
+	p, err := e.Prepare(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p != want {
+		t.Fatal("the repeated prepare did not hit the cached plan")
+	}
+}
+
 // TestTieredPrepareServesGreedyThenUpgrades is the tiered mode's basic
-// contract: a cold prepare returns the greedy tier immediately, the
-// background worker installs the optimized tier into the same Prepared,
-// answers are identical across the swap, and the later cache hit serves
-// the upgraded plan without re-enqueueing.
+// contract: a cold prepare returns the greedy tier immediately and queues
+// nothing, the first cache hit queues the upgrade, the background worker
+// installs the optimized tier into the same Prepared, answers are
+// identical across the swap, and the later cache hit serves the upgraded
+// plan without re-enqueueing.
 func TestTieredPrepareServesGreedyThenUpgrades(t *testing.T) {
 	_, _, e := socialEngine(t, Options{PlanMode: PlanTiered})
 
@@ -75,16 +91,24 @@ func TestTieredPrepareServesGreedyThenUpgrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-entered
 	if got := prep.PlanTier(); got != plan.TierGreedy {
 		t.Fatalf("cold prepare tier = %q, want greedy", got)
 	}
-	if n := e.PendingUpgrades(); n != 1 {
-		t.Fatalf("PendingUpgrades = %d, want 1", n)
+	if n := e.PendingUpgrades(); n != 0 {
+		t.Fatalf("a cold prepare queued %d upgrades, want none", n)
 	}
 	greedy, err := prep.Exec()
 	if err != nil {
 		t.Fatal(err)
+	}
+
+	reuse(t, e, socialQ0, prep)
+	<-entered
+	if got := prep.PlanTier(); got != plan.TierGreedy {
+		t.Fatalf("tier while the upgrade builds = %q, want greedy", got)
+	}
+	if n := e.PendingUpgrades(); n != 1 {
+		t.Fatalf("PendingUpgrades = %d, want 1", n)
 	}
 
 	close(release)
@@ -111,15 +135,140 @@ func TestTieredPrepareServesGreedyThenUpgrades(t *testing.T) {
 	}
 
 	// The warm path serves the upgraded plan and does not re-queue.
-	again, err := e.Prepare(socialQ0)
+	reuse(t, e, socialQ0, prep)
+	if got := prep.PlanTier(); got != plan.TierOptimized {
+		t.Fatalf("warm prepare tier = %q, want optimized", got)
+	}
+	if st := e.Stats(); st.CacheHits != 2 || st.Upgrades != 1 || st.UpgradesPending != 0 {
+		t.Fatalf("warm prepare: stats = %+v, want 2 cache hits, still 1 upgrade and none pending", st)
+	}
+}
+
+// TestOneShotShapesNeverUpgrade: a shape prepared once — every ad hoc
+// query with its literals inlined — is served from the greedy tier and
+// never optimized in the background, even when the plan cache evicts it
+// at the next prepare.
+func TestOneShotShapesNeverUpgrade(t *testing.T) {
+	ls, _ := tieredScene(t, PlanTiered)
+	e, err := NewLive(ls, Options{PlanMode: PlanTiered, PlanCacheSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := again.PlanTier(); got != plan.TierOptimized {
-		t.Fatalf("warm prepare tier = %q, want optimized", got)
+	const shapes = 20
+	for a := 0; a < shapes; a++ {
+		p, err := e.Prepare(fmt.Sprintf("select b from r where a = %d", a))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := p.PlanTier(); got != plan.TierGreedy {
+			t.Fatalf("shape %d: tier %q, want greedy", a, got)
+		}
 	}
-	if st := e.Stats(); st.CacheHits == 0 || st.Upgrades != 1 {
-		t.Fatalf("warm prepare: stats = %+v, want a cache hit and still 1 upgrade", st)
+	e.DrainUpgrades()
+	st := e.Stats()
+	if st.CacheMisses != shapes || st.Evictions != shapes-1 {
+		t.Fatalf("%d shapes: %d misses, %d evictions; want every prepare cold", shapes, st.CacheMisses, st.Evictions)
+	}
+	if st.Upgrades != 0 || st.UpgradesDiscarded != 0 || e.PendingUpgrades() != 0 {
+		t.Errorf("one-shot shapes: %d upgrades installed, %d discarded, %d pending; want none", st.Upgrades, st.UpgradesDiscarded, e.PendingUpgrades())
+	}
+}
+
+// TestShedUpgradeIsAskedAgain is the regression test for shedding: with
+// the worker held and the queue full, the hit of one more reused shape is
+// shed, and that shape's plan is not marked queued — its next hit asks
+// again, and the upgrade lands.
+func TestShedUpgradeIsAskedAgain(t *testing.T) {
+	ls, _ := tieredScene(t, PlanTiered)
+	e, err := NewLive(ls, Options{PlanMode: PlanTiered, PlanCacheSize: 2 * maxUpgradeQueue})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	var calls int32
+	e.upgradeHook = func(string) {
+		if atomic.AddInt32(&calls, 1) == 1 {
+			close(entered)
+			<-release
+		}
+	}
+	// One shape in flight, maxUpgradeQueue queued behind it, one shed.
+	texts := make([]string, maxUpgradeQueue+2)
+	preps := make([]*Prepared, len(texts))
+	for i := range texts {
+		texts[i] = fmt.Sprintf("select b from r where a = %d", i)
+		if preps[i], err = e.Prepare(texts[i]); err != nil {
+			t.Fatal(err)
+		}
+		reuse(t, e, texts[i], preps[i])
+		if i == 0 {
+			<-entered
+		}
+	}
+	shed := preps[len(preps)-1]
+	if n := e.PendingUpgrades(); n != maxUpgradeQueue+1 {
+		t.Fatalf("PendingUpgrades = %d, want %d (one in flight, a full queue)", n, maxUpgradeQueue+1)
+	}
+	e.mu.Lock()
+	queued := shed.upgradeQueued
+	e.mu.Unlock()
+	if queued {
+		t.Fatal("the shed hit marked its plan queued")
+	}
+
+	close(release)
+	e.DrainUpgrades()
+	if got := shed.PlanTier(); got != plan.TierGreedy {
+		t.Fatalf("shed shape tier before its next hit = %q, want greedy", got)
+	}
+	reuse(t, e, texts[len(texts)-1], shed)
+	e.DrainUpgrades()
+	if got := shed.PlanTier(); got != plan.TierOptimized {
+		t.Fatalf("shed shape tier after its next hit = %q, want optimized", got)
+	}
+	if st := e.Stats(); st.Upgrades != int64(len(texts)) || st.UpgradesDiscarded != 0 {
+		t.Errorf("upgrades: %d installed, %d discarded; want %d and 0", st.Upgrades, st.UpgradesDiscarded, len(texts))
+	}
+}
+
+// countingSource counts the statistics snapshots an engine asks its
+// source for.
+type countingSource struct {
+	Source
+	snapshots atomic.Int64
+}
+
+func (s *countingSource) CardStats() stats.Snapshot {
+	s.snapshots.Add(1)
+	return s.Source.CardStats()
+}
+
+// TestPlanningBuildsNoStatisticsSnapshot: at every tier, a cold prepare,
+// the hit after it and a background upgrade cost their plans against the
+// source's cards one constraint at a time and never ask for the whole
+// CardStats snapshot, which only Engine.CardStats (/stats) builds.
+func TestPlanningBuildsNoStatisticsSnapshot(t *testing.T) {
+	for _, mode := range []PlanMode{PlanOptimized, PlanGreedy, PlanTiered} {
+		t.Run(mode.String(), func(t *testing.T) {
+			ls, _ := tieredScene(t, mode)
+			src := &countingSource{Source: liveSource{ls}}
+			e := assemble(ls.Catalog(), src, Options{PlanMode: mode})
+			p, err := e.Prepare(tieredQuery)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reuse(t, e, tieredQuery, p)
+			e.DrainUpgrades()
+			if n := src.snapshots.Load(); n != 0 {
+				t.Errorf("planning built %d statistics snapshots, want none", n)
+			}
+			if mode == PlanTiered && e.Stats().Upgrades != 1 {
+				t.Errorf("tiered: %d upgrades installed, want 1", e.Stats().Upgrades)
+			}
+			if cs := e.CardStats(); len(cs.ACs) != 1 || src.snapshots.Load() != 1 {
+				t.Errorf("Engine.CardStats: %d constraints, %d snapshots; want 1 and 1", len(cs.ACs), src.snapshots.Load())
+			}
+		})
 	}
 }
 
@@ -170,6 +319,7 @@ func TestUpgradeDiscardedAfterSchemaExtension(t *testing.T) {
 	if got := prep.PlanTier(); got != plan.TierGreedy {
 		t.Fatalf("cold prepare tier = %q, want greedy", got)
 	}
+	reuse(t, e, tieredQuery, prep)
 
 	// Land a schema extension inside the upgrade's build window.
 	<-entered
@@ -349,6 +499,7 @@ func TestUpgradePlansFromTheGreedyAnalysis(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			reuse(t, e, template, prep)
 			<-entered
 			greedy := prep.state.Load()
 			if greedy.pl.Tier != plan.TierGreedy || greedy.checked == nil || greedy.checkedAt != ls.SchemaVersion() {

@@ -4,14 +4,16 @@ package engine
 //
 // A tiered engine answers cold prepares with the greedy plan tier
 // (plan.OptimizeGreedy — no branch-and-bound search, so prepare latency
-// stays flat as query shapes get bigger) and enqueues the fingerprint
-// here. A single background worker then runs the full Optimize search —
-// over the analysis the greedy build already checked, which rides in the
-// greedy bundle until the upgrade lands — and installs the result into
-// the live Prepared *in place*, through the same atomic planState
-// publication the drift re-plan path uses — every caller holding the
-// Prepared sees the optimized plan on its next execution, with no cache
-// round-trip.
+// stays flat as query shapes get bigger). Only reused plans pay for the
+// optimized tier: the first plan-cache hit of a greedy Prepared enqueues
+// it here, so a shape served once (an ad hoc query the cache evicts
+// before any reuse) is never optimized. A single background worker then
+// runs the full Optimize search — over the analysis the greedy build
+// already checked, which rides in the greedy bundle until the upgrade
+// lands — and installs the result into the live Prepared *in place*,
+// through the same atomic planState publication the drift re-plan path
+// uses — every caller holding the Prepared sees the optimized plan on its
+// next execution, with no cache round-trip.
 //
 // Installation is guarded, not unconditional. An upgrade built against
 // state that moved while it was running must be discarded — installing
@@ -33,8 +35,8 @@ package engine
 //     move without the epoch.
 
 const (
-	// maxUpgradeQueue bounds the pending-upgrade queue; prepares past the
-	// bound simply keep their greedy plan until a later prepare re-enqueues
+	// maxUpgradeQueue bounds the pending-upgrade queue; a hit past the
+	// bound leaves its plan unqueued and the plan's next hit asks again
 	// (the upgrade path is an optimization, never a correctness need).
 	maxUpgradeQueue = 256
 	// upgradeAttempts bounds the retry-on-version-advance loop so a
@@ -53,7 +55,7 @@ const (
 	// minimal planning latency, estimates only as good as greedy ordering.
 	PlanGreedy
 	// PlanTiered serves cold prepares from the greedy tier and upgrades
-	// cached plans to the optimized tier in the background.
+	// reused plans to the optimized tier in the background.
 	PlanTiered
 )
 
@@ -69,25 +71,17 @@ func (m PlanMode) String() string {
 	}
 }
 
-// upgradeTask is one pending background upgrade: the cache fingerprint
-// and the exact Prepared the greedy plan was installed into. Holding the
-// Prepared (not just the fingerprint) lets installation verify it is
-// still the cached one.
-type upgradeTask struct {
-	fp   string
-	prep *Prepared
-}
-
-// enqueueUpgradeLocked queues a fingerprint for background optimization.
-// Caller holds e.mu. Enqueueing is singleflight per fingerprint (a
-// re-prepared shape does not double-queue) and drops past the queue
-// bound — the greedy plan stays correct, so shedding is safe.
-func (e *Engine) enqueueUpgradeLocked(fp string, prep *Prepared) {
-	if e.upgrading[fp] || len(e.upgradeQueue) >= maxUpgradeQueue {
+// enqueueUpgradeLocked queues a cached greedy Prepared — the exact one, so
+// installation can verify it is still cached — for background
+// optimization. Caller holds e.mu. A Prepared is queued at most once, and
+// one shed past the queue bound stays unmarked so its next hit asks
+// again: the greedy plan stays correct, so shedding is safe.
+func (e *Engine) enqueueUpgradeLocked(p *Prepared) {
+	if p.upgradeQueued || len(e.upgradeQueue) >= maxUpgradeQueue {
 		return
 	}
-	e.upgrading[fp] = true
-	e.upgradeQueue = append(e.upgradeQueue, upgradeTask{fp: fp, prep: prep})
+	p.upgradeQueued = true
+	e.upgradeQueue = append(e.upgradeQueue, p)
 	e.upgradePending++
 	if !e.upgradeWorkerLive {
 		e.upgradeWorkerLive = true
@@ -106,14 +100,13 @@ func (e *Engine) runUpgrades() {
 			e.mu.Unlock()
 			return
 		}
-		t := e.upgradeQueue[0]
+		p := e.upgradeQueue[0]
 		e.upgradeQueue = e.upgradeQueue[1:]
 		e.mu.Unlock()
 
-		e.upgradeOne(t)
+		e.upgradeOne(p)
 
 		e.mu.Lock()
-		delete(e.upgrading, t.fp)
 		e.upgradePending--
 		if e.upgradePending == 0 {
 			e.upgradeCond.Broadcast()
@@ -135,7 +128,7 @@ func (e *Engine) runUpgrades() {
 // the closure, actualization and EBCheck are not repeated, only the
 // branch-and-bound search and emission run here — and otherwise it
 // re-analyses against the schema it just read.
-func (e *Engine) upgradeOne(t upgradeTask) {
+func (e *Engine) upgradeOne(p *Prepared) {
 	for attempt := 0; attempt < upgradeAttempts; attempt++ {
 		// Version before schema, same ordering discipline as prepare: if an
 		// extension lands between the reads, the version check below fails
@@ -143,13 +136,13 @@ func (e *Engine) upgradeOne(t upgradeTask) {
 		ver := e.src.Version()
 		acc := e.src.Access()
 		if h := e.upgradeHook; h != nil {
-			h(t.fp)
+			h(p.fp)
 		}
-		greedy := t.prep.state.Load()
+		greedy := p.state.Load()
 		chk, slots := greedy.checked, greedy.slots
 		if chk == nil || greedy.checkedAt != ver {
 			var err error
-			if chk, slots, err = e.analyze(t.prep.query, acc); err != nil {
+			if chk, slots, err = e.analyze(p.query, acc); err != nil {
 				// The shape no longer plans (a schema change mid-flight can do
 				// that); the greedy plan in place stays valid for the schema it
 				// was built under, and the error cache owns future verdicts.
@@ -164,7 +157,7 @@ func (e *Engine) upgradeOne(t upgradeTask) {
 		}
 
 		e.mu.Lock()
-		if cur, ok := e.cache.Get(t.fp); !ok || cur.prep != t.prep {
+		if cur, ok := e.cache.Get(p.fp); !ok || cur.prep != p {
 			// Drift re-plan or eviction replaced the entry while we built:
 			// our target is no longer what prepares resolve, so installing
 			// into it would be at best invisible, at worst a resurrection.
@@ -192,7 +185,7 @@ func (e *Engine) upgradeOne(t upgradeTask) {
 			e.upgradesDiscarded.Add(1)
 			return
 		}
-		t.prep.state.Store(st)
+		p.state.Store(st)
 		e.upgrades.Add(1)
 		e.mu.Unlock()
 		return

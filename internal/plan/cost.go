@@ -34,7 +34,7 @@ import (
 // blown budget — fall back to a greedy minimum-marginal-cost order. The
 // naive derivation order is always evaluated too and wins ties, so
 // Optimize never returns a plan its own model scores worse than QPlan's.
-func Optimize(an *core.Analysis, cs *stats.Snapshot) (*Plan, error) {
+func Optimize(an *core.Analysis, cs Cards) (*Plan, error) {
 	c, err := Check(an)
 	if err != nil {
 		return nil, err
@@ -51,7 +51,7 @@ func Optimize(an *core.Analysis, cs *stats.Snapshot) (*Plan, error) {
 // (both tiers emit through the same I_E machinery); only expected fetch
 // cost can differ, and the engine's tiered mode upgrades the plan to the
 // Optimize result in the background.
-func OptimizeGreedy(an *core.Analysis, cs *stats.Snapshot) (*Plan, error) {
+func OptimizeGreedy(an *core.Analysis, cs Cards) (*Plan, error) {
 	c, err := Check(an)
 	if err != nil {
 		return nil, err
@@ -60,15 +60,15 @@ func OptimizeGreedy(an *core.Analysis, cs *stats.Snapshot) (*Plan, error) {
 }
 
 // Optimize is the package-level Optimize over an analysis already checked.
-func (c *Checked) Optimize(cs *stats.Snapshot) (*Plan, error) { return c.optimize(cs, true) }
+func (c *Checked) Optimize(cs Cards) (*Plan, error) { return c.optimize(cs, true) }
 
 // OptimizeGreedy is the package-level OptimizeGreedy over an analysis
 // already checked.
-func (c *Checked) OptimizeGreedy(cs *stats.Snapshot) (*Plan, error) { return c.optimize(cs, false) }
+func (c *Checked) OptimizeGreedy(cs Cards) (*Plan, error) { return c.optimize(cs, false) }
 
 // optimize is the shared cost-based pipeline; exhaustive selects the
 // branch-and-bound tier over the greedy tier.
-func (c *Checked) optimize(cs *stats.Snapshot, exhaustive bool) (*Plan, error) {
+func (c *Checked) optimize(cs Cards, exhaustive bool) (*Plan, error) {
 	tier := TierGreedy
 	if exhaustive {
 		tier = TierOptimized
@@ -100,7 +100,7 @@ func (c *Checked) optimize(cs *stats.Snapshot, exhaustive bool) (*Plan, error) {
 // back to declared bounds), without changing the plan's structure. It is
 // how `bqrun -explain` and the conformance goldens put naive and
 // cost-based plans on one scale.
-func AnnotateEstimates(p *Plan, cs *stats.Snapshot) {
+func AnnotateEstimates(p *Plan, cs Cards) {
 	if p.Trivial {
 		p.EstFetch = 0
 		return
@@ -137,6 +137,14 @@ func AnnotateEstimates(p *Plan, cs *stats.Snapshot) {
 	p.EstFetch = total
 }
 
+// Cards is what the cost model reads of cardinality statistics: one
+// constraint's card at a time, ok false when there is none. A
+// *stats.Snapshot is one (a nil one has no cards); so is a store, which
+// answers from its live counters without building a snapshot.
+type Cards interface {
+	ACCard(key string) (stats.ACCard, bool)
+}
+
 // lookupWeight prices one index probe relative to one fetched tuple: far
 // cheaper, but not free, so zero-fetch orders still prefer fewer probes
 // and cost ties break deterministically toward lighter lookup plans.
@@ -157,9 +165,9 @@ type acShape struct{ avg, entries float64 }
 // shapeOf reads a constraint's shape: observed values when statistics
 // cover it, the declared bound N with no entry cap otherwise. An index
 // observed empty estimates 0 — probing it returns nothing.
-func shapeOf(cs *stats.Snapshot, ac schema.AccessConstraint) acShape {
+func shapeOf(cs Cards, ac schema.AccessConstraint) acShape {
 	if cs != nil {
-		if c, ok := cs.AC(ac.Key()); ok {
+		if c, ok := cs.ACCard(ac.Key()); ok {
 			if c.Groups == 0 {
 				return acShape{}
 			}
@@ -199,7 +207,7 @@ func seedEst(est []float64, xc spc.ClassSet) {
 	}
 }
 
-// costModel scores firing sequences against a cardinality snapshot. It is
+// costModel scores firing sequences against cardinality statistics. It is
 // built once per optimization: everything the search asks about an act or
 // an atom — the constraint's shape, the classes a firing reads and may
 // bind, whether it spares the atom's verification, which witnesses could
@@ -247,8 +255,8 @@ type atomCost struct {
 	witnesses []int
 }
 
-// newCostModel tabulates an analysis against a statistics snapshot.
-func newCostModel(an *core.Analysis, cs *stats.Snapshot) *costModel {
+// newCostModel tabulates an analysis against the statistics' cards.
+func newCostModel(an *core.Analysis, cs Cards) *costModel {
 	cl := an.Closure
 	q := cl.Query()
 	n := cl.NumClasses()

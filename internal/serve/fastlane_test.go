@@ -192,7 +192,9 @@ func TestCachedErrorRetriedBehindTheMemo(t *testing.T) {
 // 200 is replayed against the snapshot of the epoch it names, as in
 // TestServedResponsesMatchDirectExecution: a memo or fast lane that
 // outlived an eviction, a re-plan or an epoch would serve bytes that
-// differ. Run with -race.
+// differ. How many re-plans the hammer sees depends on the scheduling, so
+// a last step forces one: a cached plan hit after a batch that doubles
+// its constraint's groups. Run with -race.
 func TestFastLaneNeverStaleUnderChurn(t *testing.T) {
 	ls := serveScene(t)
 	eng, err := engine.NewLive(ls, engine.Options{PlanCacheSize: 2, PlanMode: engine.PlanTiered})
@@ -349,6 +351,41 @@ func TestFastLaneNeverStaleUnderChurn(t *testing.T) {
 	eng.DrainUpgrades()
 	if t.Failed() {
 		return
+	}
+
+	// The forced re-plan. Two asks leave the friends plan cached, verified
+	// at this epoch and, its upgrade drained, with no build in flight that
+	// could record newer shapes; doubling the constraint's groups then moves
+	// its group-count bucket, so the next ask's hit must re-plan.
+	const friendsT = 2
+	ask := func() {
+		t.Helper()
+		args := []any{"u0"}
+		body, _ := json.Marshal(map[string]any{"query": templates[friendsT].query, "args": args})
+		code, raw := serveInProcess(h, string(body))
+		var env envelope
+		if err := json.Unmarshal(raw, &env); err != nil || code != http.StatusOK {
+			t.Fatalf("forced re-plan step: status %d: %s", code, raw)
+		}
+		answered.Add(1)
+		all = append(all, sample{template: friendsT, args: args, epoch: env.Epoch, payload: string(env.Result)})
+	}
+	ask()
+	ask()
+	eng.DrainUpgrades()
+	replans := eng.Stats().Replans
+	card, _ := ls.ACCard(schema.MustAccessConstraint("friends", []string{"user_id"}, []string{"friend_id"}, 5000).Key())
+	ops := make([]live.Op, card.Groups)
+	for i := range ops {
+		ops[i] = live.Insert("friends", strT(fmt.Sprintf("w%d", i), "f1"))
+	}
+	if _, err := ls.Apply(ops); err != nil {
+		t.Fatal(err)
+	}
+	pin()
+	ask()
+	if got := eng.Stats().Replans - replans; got != 1 {
+		t.Errorf("a hit after the friends groups doubled (%d -> %d) re-planned %d times, want 1", card.Groups, 2*card.Groups, got)
 	}
 
 	// Counters first, before the replay prepares anything: one prepare per

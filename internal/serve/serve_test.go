@@ -269,10 +269,12 @@ func TestPrepareEndpoint(t *testing.T) {
 }
 
 // TestPrepareTieredReportsLivePlan covers the tiered serving path:
-// /prepare labels the response with the plan tier it actually holds, and
-// because each request re-reads the live plan, the same fingerprint
-// reports the optimized tier (with its own est_fetch and explain) once
-// the background upgrade lands. /stats exposes the planner block.
+// /prepare labels the response with the plan tier it actually holds — the
+// greedy tier for a cold shape, whose upgrade waits for the plan to be
+// reused — and because each request re-reads the live plan, the same
+// fingerprint reports the optimized tier (with its own est_fetch and
+// explain) once the upgrade its first reuse queued lands. /stats exposes
+// the planner block.
 func TestPrepareTieredReportsLivePlan(t *testing.T) {
 	_, srv, hs := newTestServer(t, engine.Options{PlanMode: engine.PlanTiered}, Options{})
 	const body = `{"query": "select photo_id from in_album where album_id = ?"}`
@@ -287,10 +289,14 @@ func TestPrepareTieredReportsLivePlan(t *testing.T) {
 	if err := json.Unmarshal(raw, &cold); err != nil {
 		t.Fatal(err)
 	}
-	if cold.PlanTier != "greedy" && cold.PlanTier != "optimized" {
-		t.Fatalf("cold plan_tier = %q, want greedy or optimized", cold.PlanTier)
+	if cold.PlanTier != "greedy" {
+		t.Fatalf("cold plan_tier = %q, want greedy", cold.PlanTier)
 	}
 
+	// The second /prepare is the plan's first reuse: it queues the upgrade.
+	if code, raw := post(t, hs.URL+"/prepare", body); code != http.StatusOK {
+		t.Fatalf("status %d: %s", code, raw)
+	}
 	srv.Engine().DrainUpgrades()
 
 	code, raw = post(t, hs.URL+"/prepare", body)

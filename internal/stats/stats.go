@@ -61,8 +61,12 @@ func New() Snapshot {
 	return Snapshot{Rels: make(map[string]RelCard), ACs: make(map[string]ACCard)}
 }
 
-// AC returns one constraint's card and whether it is present.
-func (s Snapshot) AC(key string) (ACCard, bool) {
+// ACCard returns one constraint's card and whether it is present. A nil
+// snapshot has no cards: the planner reads one as no statistics at all.
+func (s *Snapshot) ACCard(key string) (ACCard, bool) {
+	if s == nil {
+		return ACCard{}, false
+	}
 	c, ok := s.ACs[key]
 	return c, ok
 }
@@ -120,7 +124,7 @@ func ShapeOf(c ACCard, ok bool) Shape {
 }
 
 // Shape returns one constraint's quantized shape in this snapshot.
-func (s Snapshot) Shape(key string) Shape { return ShapeOf(s.AC(key)) }
+func (s Snapshot) Shape(key string) Shape { return ShapeOf(s.ACCard(key)) }
 
 // Fingerprint renders the snapshot's shape restricted to the given
 // constraint keys, quantized so ingest noise does not perturb it: per

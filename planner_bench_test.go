@@ -6,9 +6,10 @@
 // losing its margin over naive (or planning time exploding).
 //
 // TestPlannerBenchEmit measures the same planning paths once — naive,
-// greedy tier, full optimization — asserts the tiered mode's premise
-// (the greedy tier plans strictly faster than the full optimizer), and,
-// when PLANNER_BENCH_JSON names a path, writes the perf trajectory
+// greedy tier, full optimization — asserts the tiered mode's premise by
+// a count, not a clock (the greedy tier allocates strictly less per plan
+// than the full optimizer: it never builds the branch-and-bound search),
+// and, when PLANNER_BENCH_JSON names a path, writes the perf trajectory
 // there; CI compares it against bench/BENCH_planner.json (tools/benchcmp:
 // bytes and counts past +25% fail, times are reported).
 //
@@ -18,8 +19,11 @@
 //	plan.greedy_ns     — OptimizeGreedy: what a tiered cold prepare pays
 //	plan.optimize_ns   — Optimize: greedy + branch-and-bound search
 //	plan.cold_prepare_ns, plan.cold_prepare_bytes — one engine-level cold
-//	    Prepare (parse → analysis → greedy plan → fingerprint) of the 6-atom
-//	    ad hoc shape BenchmarkColdPrepare runs, and what it allocates
+//	    Prepare (parse → analysis → greedy plan → statistics shapes) of the
+//	    6-atom ad hoc shape BenchmarkColdPrepare runs, and what it allocates
+//
+// plan.greedy_allocs and plan.optimize_allocs (informational) are the
+// allocations per plan the assertion compares.
 //
 // The fetched counts (no checked suffix, informational) record that the
 // greedy tier's fetch volume sits between naive and optimized on Q3.
@@ -137,9 +141,20 @@ func TestPlannerBenchEmit(t *testing.T) {
 		}
 		return best
 	}
+	greedyPlan := func() error { _, err := a.GreedyPlan(&cs); return err }
+	optPlan := func() error { _, err := a.OptimizedPlan(&cs); return err }
 	naiveNS := measure(func() error { _, err := a.Plan(); return err })
-	greedyNS := measure(func() error { _, err := a.GreedyPlan(&cs); return err })
-	optNS := measure(func() error { _, err := a.OptimizedPlan(&cs); return err })
+	greedyNS := measure(greedyPlan)
+	optNS := measure(optPlan)
+	allocs := func(f func() error) int64 {
+		t.Helper()
+		return int64(testing.AllocsPerRun(iters, func() {
+			if err := f(); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	greedyAllocs, optAllocs := allocs(greedyPlan), allocs(optPlan)
 
 	// The whole cold path at engine level, as BenchmarkColdPrepare runs it:
 	// the 6-atom ad hoc shape at the greedy tier, every Prepare a miss.
@@ -161,11 +176,11 @@ func TestPlannerBenchEmit(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	coldBytes := int64(after.TotalAlloc-before.TotalAlloc) / iters
 
-	// The tiered mode's premise: a cold prepare on the greedy tier pays
-	// measurably less planning latency than the full optimizer — greedy
-	// is a strict subset of Optimize's work (no branch-and-bound search).
-	if greedyNS >= optNS {
-		t.Errorf("greedy tier planned in %s, full optimizer in %s — greedy must be measurably faster", time.Duration(greedyNS), time.Duration(optNS))
+	// The tiered mode's premise: greedy is a strict subset of Optimize's
+	// work — no branch-and-bound search, so none of the search's state. A
+	// count says so on any machine; the times beside it are reported.
+	if greedyAllocs >= optAllocs {
+		t.Errorf("greedy tier allocates %d times per plan, full optimizer %d — greedy must skip the search", greedyAllocs, optAllocs)
 	}
 
 	// Fetch volumes across tiers on Q3, for the emitted record.
@@ -198,8 +213,8 @@ func TestPlannerBenchEmit(t *testing.T) {
 		t.Errorf("optimized plan fetched %d > greedy tier %d on q3", optF, greedyF)
 	}
 
-	t.Logf("plan: naive %s, greedy %s, optimize %s; cold prepare %s, %d bytes; fetched: naive %d, greedy %d, optimized %d",
-		time.Duration(naiveNS), time.Duration(greedyNS), time.Duration(optNS), time.Duration(coldNS), coldBytes, naiveF, greedyF, optF)
+	t.Logf("plan: naive %s, greedy %s (%d allocs), optimize %s (%d allocs); cold prepare %s, %d bytes; fetched: naive %d, greedy %d, optimized %d",
+		time.Duration(naiveNS), time.Duration(greedyNS), greedyAllocs, time.Duration(optNS), optAllocs, time.Duration(coldNS), coldBytes, naiveF, greedyF, optF)
 
 	if path := os.Getenv("PLANNER_BENCH_JSON"); path != "" {
 		f, err := os.Create(path)
@@ -212,6 +227,8 @@ func TestPlannerBenchEmit(t *testing.T) {
 				"naive_ns":           naiveNS,
 				"greedy_ns":          greedyNS,
 				"optimize_ns":        optNS,
+				"greedy_allocs":      greedyAllocs,
+				"optimize_allocs":    optAllocs,
 				"cold_prepare_ns":    coldNS,
 				"cold_prepare_bytes": coldBytes,
 			},

@@ -1,8 +1,9 @@
 // End-to-end acceptance for tiered planning: an engine in PlanModeTiered
-// answers the cold prepare from the greedy tier, and after the
-// background upgrade installs the optimized tier, executions fetch
-// exactly what a directly-built optimized plan fetches — the tiered
-// engine gives up nothing versus eager optimization once warm.
+// answers the cold prepare from the greedy tier, the first reuse of the
+// plan queues its background upgrade, and after the upgrade installs the
+// optimized tier, executions fetch exactly what a directly-built
+// optimized plan fetches — the tiered engine gives up nothing versus
+// eager optimization on the plans it reuses.
 package bcq
 
 import (
@@ -58,14 +59,24 @@ func TestTieredEngineReachesOptimizedFetchCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The cold execution may run on either tier depending on how fast the
-	// background worker finishes; whatever it lands on, the answers are
-	// the answers.
+	// Nothing is upgraded before the plan is reused: the cold execution
+	// runs the greedy tier.
 	cold, err := p.Exec()
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng.DrainUpgrades()
+	if got := p.PlanTier(); got != TierGreedy {
+		t.Fatalf("tier before any reuse = %q, want greedy", got)
+	}
 
+	again, err := eng.Prepare(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != p {
+		t.Fatal("the repeated prepare did not hit the cached plan")
+	}
 	eng.DrainUpgrades()
 	if got := p.PlanTier(); got != TierOptimized {
 		t.Fatalf("post-upgrade tier = %q, want optimized", got)
