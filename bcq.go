@@ -495,10 +495,11 @@ func OpenShardedDatabase(dir string, cat *Catalog, acc *AccessSchema, opts Shard
 type (
 	// QueryServer is the HTTP/JSON serving layer over an engine: a worker
 	// pool with backpressure and per-request deadlines multiplexes
-	// concurrent clients onto the bounded executor, and an epoch-keyed
-	// result cache serves hot queries without re-execution — never stale,
-	// because live writes change the cache key (the snapshot epoch) rather
-	// than racing an invalidation. Endpoints: /query, /prepare, /ingest,
+	// concurrent clients onto the bounded executor, and a result cache
+	// serves hot queries without re-execution — never stale, because every
+	// live write stamps the version words of the index groups it rewrote
+	// before it publishes, and an answer is served only while the words of
+	// the groups it read have not moved. Endpoints: /query, /prepare, /ingest,
 	// /stats, /healthz. See cmd/bqserve and examples/serving.
 	QueryServer = serve.Server
 	// ServeOptions tunes the worker pool, queue bound, default deadline,

@@ -40,9 +40,11 @@
 // or tuple element that is not null, an integer or a string is a 400
 // naming its position ("argument 1: ...", "op 0, attribute 2: ...").
 //
-// Hot queries are answered from an epoch-keyed result cache: live writes
-// publish a new snapshot epoch, which changes the cache key, so cached
-// answers are never stale (paged responses bypass the cache). The worker
+// Hot queries are answered from a result cache that keeps an answer until
+// a write touches an index group it read: every commit stamps the version
+// words of the groups it rewrote before it publishes its epoch, so a hit
+// is checked against them and is never stale (paged responses bypass the
+// cache). The worker
 // pool bounds concurrent executions (-workers), queues up to -queue
 // requests beyond that, rejects the rest with 503, and enforces a
 // per-request deadline (-timeout, or the request's timeout_ms).

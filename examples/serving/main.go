@@ -5,10 +5,11 @@
 // pool, while a writer keeps ingesting tags and friendships. Two
 // properties carry the load:
 //
-//   - hot queries are answered from an epoch-keyed result cache. The
-//     cache key includes the snapshot epoch, so a write batch does not
-//     "invalidate" anything — it publishes a new epoch, post-write
-//     requests form new keys, and a stale answer is simply unreachable;
+//   - hot queries are answered from a result cache that keeps an answer
+//     until a write touches an index group it read: a write batch stamps
+//     the version words of the groups it rewrote before it publishes its
+//     epoch, so an answer it touched misses and every other one stays
+//     cached — a stale answer is never served;
 //   - every executed answer is bounded: the data touched per request
 //     depends on the query and the access schema, not on how large the
 //     store has grown while serving.
@@ -167,8 +168,8 @@ func main() {
 	ig := ld.IngestStats()
 	fmt.Printf("served %d queries from %d clients in %v (%.0f q/s)\n",
 		total, clients, elapsed.Round(time.Millisecond), float64(total)/elapsed.Seconds())
-	fmt.Printf("result cache: %d hits / %d misses (%.0f%% hit rate) — every hit pinned the same epoch its entry was computed at\n",
-		cs.Hits, cs.Misses, 100*float64(cs.Hits)/float64(cs.Hits+cs.Misses))
+	fmt.Printf("result cache: %d hits / %d misses (%.0f%% hit rate), %d of the misses invalidated by a write to a group the answer read\n",
+		cs.Hits, cs.Misses, 100*float64(cs.Hits)/float64(cs.Hits+cs.Misses), cs.Invalidated)
 	fmt.Printf("plan cache:   %d prepares, %d analyses — two shapes, planned once each\n",
 		es.Prepares, es.CacheMisses)
 	fmt.Printf("ingest:       %d writes committed concurrently, store now at epoch %d (|D| = %d)\n",

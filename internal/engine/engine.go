@@ -73,8 +73,8 @@ type Source interface {
 	// new version with the old schema.
 	Version() uint64
 	// EpochKey renders the store's current data version for display
-	// (/stats, /healthz) without pinning a view. Not a cache key — use
-	// the pinned view's own EpochKey for that.
+	// (/stats, /healthz) without pinning a view. A response names the
+	// epoch of the view it pinned instead (AppendEpochKey on the view).
 	EpochKey() string
 	// CardStats is the store's current cardinality statistics, whole: what
 	// /stats and Engine.CardStats report. Planning never builds it.
@@ -152,6 +152,14 @@ func (s shardSource) Epoch() uint64 {
 }
 
 func (s shardSource) ACCard(key string) (stats.ACCard, bool) { return s.ss.ACCard(key) }
+
+// The views a live and a sharded source pin carry version words, which is
+// what lets a result cache keep an answer across writes that touch
+// nothing it read.
+var (
+	_ exec.Versioned = (*live.Snapshot)(nil)
+	_ exec.Versioned = (*shard.View)(nil)
+)
 
 // Options tunes an engine.
 type Options struct {
@@ -426,13 +434,13 @@ func (e *Engine) View() exec.Store { return e.src.View() }
 
 // EpochKey renders the store's current data version for display,
 // without pinning a view (on a sharded store, without excluding
-// writers). Cache keys must come from a pinned view instead.
+// writers). A response names the epoch of the view it pinned instead.
 func (e *Engine) EpochKey() string { return e.src.EpochKey() }
 
 // Epoch is a cheap token of the store's data version, without pinning a
 // view: it advances with every commit, compaction and schema extension,
 // so two equal reads bracket a stretch in which a pinned view stayed
-// current. Not a cache key (see EpochKey and Source.Epoch).
+// current. It names no consistent cut (see Source.Epoch).
 func (e *Engine) Epoch() uint64 { return e.src.Epoch() }
 
 // Shards returns the source's partition count (1 for unsharded stores),

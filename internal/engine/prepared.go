@@ -323,7 +323,7 @@ func (p *Prepared) Exec(args ...value.Value) (*exec.Result, error) {
 // a live snapshot the caller holds. Use it to answer several queries from
 // one consistent epoch, or to re-evaluate on a historical snapshot.
 func (p *Prepared) ExecOn(st exec.Store, args ...value.Value) (*exec.Result, error) {
-	return p.execOn(st, nil, args)
+	return p.execOn(st, nil, nil, args)
 }
 
 // ExecTrace is Exec with per-query tracing: the evaluation's waves, fetch
@@ -331,12 +331,16 @@ func (p *Prepared) ExecOn(st exec.Store, args ...value.Value) (*exec.Result, err
 // under tr's root, and the result carries the trace (rendered by Explain).
 // A nil tr behaves like Exec.
 func (p *Prepared) ExecTrace(tr *obs.Trace, args ...value.Value) (*exec.Result, error) {
-	return p.ExecTraceOn(p.eng.src.View(), tr, args...)
+	return p.execOn(p.eng.src.View(), tr, nil, args)
 }
 
-// ExecTraceOn is ExecTrace against an explicitly pinned store.
-func (p *Prepared) ExecTraceOn(st exec.Store, tr *obs.Trace, args ...value.Value) (*exec.Result, error) {
-	return p.execOn(st, tr, args)
+// ExecReadOn is ExecTrace against an explicitly pinned store that also
+// records into reads, when non-nil, the version words of everything the
+// execution reads (exec.StreamOptions.Reads): the lineage a result cache
+// keeps the answer by. An unsatisfiable binding reads nothing and records
+// nothing.
+func (p *Prepared) ExecReadOn(st exec.Store, tr *obs.Trace, reads *exec.ReadSet, args ...value.Value) (*exec.Result, error) {
+	return p.execOn(st, tr, reads, args)
 }
 
 // execOn is the shared buffered execution path: bind, then drain an
@@ -344,7 +348,7 @@ func (p *Prepared) ExecTraceOn(st exec.Store, tr *obs.Trace, args ...value.Value
 // caller's trace, if any) — byte-identical to the classic evalDQ run.
 // Each drain's wall time feeds the tail-sampling recorder's rolling-p99
 // window when one is wired (Options.Recorder).
-func (p *Prepared) execOn(st exec.Store, tr *obs.Trace, args []value.Value) (*exec.Result, error) {
+func (p *Prepared) execOn(st exec.Store, tr *obs.Trace, reads *exec.ReadSet, args []value.Value) (*exec.Result, error) {
 	p.eng.execs.Add(1)
 	pl, ok, err := p.bind(args)
 	if err != nil {
@@ -355,7 +359,7 @@ func (p *Prepared) execOn(st exec.Store, tr *obs.Trace, args []value.Value) (*ex
 		res.Trace = tr
 		return res, nil
 	}
-	opts := exec.StreamOptions{BatchSize: exec.Unbatched, Trace: tr, Metrics: p.eng.execMetrics}
+	opts := exec.StreamOptions{BatchSize: exec.Unbatched, Trace: tr, Metrics: p.eng.execMetrics, Reads: reads}
 	rec := p.eng.recorder
 	var start time.Time
 	if rec != nil {

@@ -168,6 +168,10 @@ type run struct {
 	// metrics, when non-nil, receives probe/fetch counters and per-shard
 	// fan-out latencies as they happen (nil-safe instruments inside).
 	metrics *obs.ExecMetrics
+	// reads, when non-nil, records the version words of everything the run
+	// reads from versioned, which is db (StreamOptions.Reads).
+	reads     *ReadSet
+	versioned Versioned
 
 	cols        []string
 	stepStats   []StepAccess

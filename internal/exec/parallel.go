@@ -45,6 +45,9 @@ func (r *run) probeAC(ac schema.AccessConstraint, xs []value.Tuple, sp *obs.Span
 	if err != nil {
 		return nil, nil, err
 	}
+	if r.reads != nil {
+		r.recordGroups(ac.Key(), xs, owners)
+	}
 	r.lookups += int64(len(xs))
 	var fetched int64
 	for _, g := range groups {

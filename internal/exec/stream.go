@@ -114,6 +114,11 @@ type StreamOptions struct {
 	// latency histograms (wave duration, probes, tuples fetched/skipped,
 	// per-shard probe latency). Nil disables recording.
 	Metrics *obs.ExecMetrics
+	// Reads, when non-nil and the store is Versioned, collects the version
+	// words of every group the stream probes and every relation whose
+	// emptiness it checks — the lineage a result cache keeps an answer by.
+	// Nil records nothing.
+	Reads *ReadSet
 }
 
 // DefaultBatchSize is the wave probe budget when StreamOptions leaves it
@@ -200,6 +205,9 @@ func useSources(mask *uint64, srcs []plan.RowSource) {
 func (e *Executor) Stream(p *plan.Plan, db Store, opts StreamOptions) *Stream {
 	s := &Stream{r: run{ex: e, p: p, db: db, metrics: opts.Metrics}, opts: opts, batch: opts.BatchSize}
 	r := &s.r
+	if vs, ok := db.(Versioned); ok && opts.Reads != nil {
+		r.reads, r.versioned = opts.Reads, vs
+	}
 	if s.batch == 0 {
 		s.batch = DefaultBatchSize
 	}
@@ -619,6 +627,9 @@ func (s *Stream) advanceVerify(vi int, waveSpan *obs.Span) (bool, error) {
 		ok, err := s.r.db.NonEmpty(s.r.p.Query.Atoms[vs.Atom].Rel)
 		if err != nil {
 			return false, err
+		}
+		if s.r.reads != nil {
+			s.r.recordRel(s.r.p.Query.Atoms[vs.Atom].Rel)
 		}
 		if !ok {
 			s.finishEmpty()

@@ -143,6 +143,8 @@ func (st *Store) publishExtension(ac schema.AccessConstraint, ext *extension) er
 	}
 	newCards[ext.bind.key] = card
 	st.cards.Store(&newCards)
+	// The version words go before the snapshot, as a commit's do.
+	st.raiseWords(next.epoch)
 	// Publication order matters twice over. The snapshot goes first: a
 	// reader that saw the new schema and planned with the new constraint
 	// must find the constraint's binds in whatever snapshot it pins next

@@ -359,6 +359,15 @@ type Store struct {
 	// quarantine accumulates Permissive-mode refusals.
 	quarantine []Quarantined
 
+	// words are the store's version words (version.go): the epoch of the
+	// last commit that rewrote an index group hashing to each of the first
+	// groupWords, then one per relation, indexed through relWords, for the
+	// last commit that flipped the relation between empty and non-empty.
+	// Both are fixed at construction; the words are written under mu and
+	// read by anyone.
+	words    []atomic.Uint64
+	relWords map[string]uint32
+
 	// read-side counters (atomic; see Stats). relStats breaks them down
 	// per relation (the map is immutable after New).
 	lookups  atomic.Int64
@@ -436,6 +445,7 @@ func newStore(base *storage.Database, acc *schema.AccessSchema, opts Options, ba
 		relStats: make(map[string]*relCounters, cat.NumRelations()),
 	}
 	st.acc.Store(acc)
+	st.newWords()
 	for _, rs := range cat.Relations() {
 		st.relStats[rs.Name()] = &relCounters{}
 	}
@@ -606,8 +616,8 @@ func (st *Store) LiveCount(rel string, t value.Tuple) int {
 
 // Epoch returns the current epoch number (0 until the first commit).
 // Epochs identify data versions: every committed batch, compaction and
-// schema extension publishes a new one, which is what the serving
-// layer's result-cache keys ride on (Snapshot.EpochKey).
+// schema extension publishes a new one, and the version words
+// (version.go) hold the epochs of the commits that touched each group.
 func (st *Store) Epoch() uint64 { return st.cur.Load().epoch }
 
 // SchemaVersion is the monotone schema change counter: the number of

@@ -3,7 +3,6 @@ package live
 import (
 	"fmt"
 	"iter"
-	"strconv"
 
 	"bcq/internal/schema"
 	"bcq/internal/storage"
@@ -95,11 +94,10 @@ func (s *Snapshot) deadSet(rel string) map[int]bool {
 // Epoch returns the snapshot's epoch number (0 = the pristine base).
 func (s *Snapshot) Epoch() uint64 { return s.epoch }
 
-// EpochKey identifies the exact data version this snapshot serves, for
-// result-cache keying: two snapshots of one store with equal keys serve
-// byte-identical answers (epochs are unique per store, monotonic across
-// commits, compactions and schema extensions).
-func (s *Snapshot) EpochKey() string { return "live:" + strconv.FormatUint(s.epoch, 10) }
+// EpochKey names the exact data version this snapshot serves, for display
+// and for the "epoch" of a response (epochs are unique per store,
+// monotonic across commits, compactions and schema extensions).
+func (s *Snapshot) EpochKey() string { return string(s.AppendEpochKey(nil)) }
 
 // Store returns the live store the snapshot was pinned from.
 func (s *Snapshot) Store() *Store { return s.st }

@@ -362,6 +362,8 @@ func (st *Store) commit(tx *txn) uint64 {
 
 		next := tx.snapshot()
 		st.applied.Add(tx.nApplied)
+		// Words before the snapshot: whoever pins this epoch sees them.
+		st.stampCommit(tx, next)
 		st.cur.Store(next)
 		st.lastCommit.Store(time.Now().UnixNano())
 		published = next.epoch

@@ -4,7 +4,7 @@
 // policy on top: the engine serializes access under its mutex and keeps
 // plans and preparation errors in two instances (errors must never
 // displace plans), the serving layer wraps one in a mutex plus hit/miss
-// counters for the epoch-keyed result cache.
+// counters for the result cache.
 package lru
 
 import "container/list"

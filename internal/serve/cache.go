@@ -5,19 +5,87 @@ import (
 	"sync/atomic"
 
 	"bcq/internal/engine"
+	"bcq/internal/exec"
 	"bcq/internal/lru"
 	"bcq/internal/value"
 )
 
 // cacheKey is the result-cache key of one answered query: the plan's
-// normalized fingerprint (two texts of one shape share it), the bound
-// argument vector in its collision-free binary encoding, and the pinned
-// view's epoch key. Including the epoch makes invalidation structural —
-// a write advances the epoch, so post-write requests form keys no stale
-// entry can ever match. Old-epoch entries become unreachable garbage
-// and age out of the LRU.
-func cacheKey(p *engine.Prepared, args []value.Value, epoch string) string {
-	return p.Fingerprint() + "\x00" + value.Tuple(args).Key() + "\x00" + epoch
+// normalized fingerprint (two texts of one shape share it) and the bound
+// argument vector in its collision-free binary encoding. It names no
+// epoch. An entry stays reachable across writes, a refreshed answer
+// replaces it in place, and whether it is still the answer is the
+// entry's own question (cacheEntry.current).
+func cacheKey(p *engine.Prepared, args []value.Value) string {
+	return p.Fingerprint() + "\x00" + value.Tuple(args).Key()
+}
+
+// cacheEntry is one cached answer with the lineage it is kept by: the
+// view's epoch vector at execution (E0) and the version words the
+// execution read (exec.ReadSet).
+//
+// The entry is the answer on a later view V when no word it read is past
+// E0 on its shard. A commit stores its epoch into the words of the groups
+// it rewrote before it publishes, so every commit up to V shows in the
+// words; none past E0 means no commit in (E0, V] touched a group the plan
+// probed, and by Q(D) = Q(D_Q) the plan probes the same groups on V and
+// computes the same payload — tuples, statistics and |D_Q| alike. A word
+// shared by two groups, or moved by a commit newer than V, costs a miss,
+// never a stale answer. The entry belongs to the query shape, not to one
+// plan of it: a plan installed since (an upgrade, a drift re-plan) finds
+// the same tuples, and a hit reports the statistics of the plan that
+// computed it, as a hit always has.
+type cacheEntry struct {
+	body []byte
+	// epochs is E0, one epoch per shard, and reads the words read, as
+	// exec.ReadSet.Words gives them. Both are empty on a sealed database,
+	// which has no words and never changes: its entries never expire.
+	epochs, reads []uint64
+}
+
+// newEntry builds the entry of a payload computed on view, which read the
+// given words. The epochs and the words share one allocation.
+func newEntry(body []byte, view exec.Store, reads []uint64) cacheEntry {
+	vs, _ := view.(exec.Versioned)
+	n := 0
+	if vs != nil {
+		n = vs.NumShards()
+	}
+	vers := make([]uint64, n+len(reads))
+	for s := 0; s < n; s++ {
+		vers[s] = vs.ShardEpoch(s)
+	}
+	copy(vers[n:], reads)
+	return cacheEntry{body: body, epochs: vers[:n:n], reads: vers[n:]}
+}
+
+// current reports whether the entry is the answer on view v: every word
+// it read is at most its shard's epoch in both E0 and v. A view older
+// than the entry is answered too, when nothing the entry read moved in
+// between.
+func (e cacheEntry) current(v exec.Store) bool {
+	if len(e.reads) == 0 {
+		return true
+	}
+	vs, ok := v.(exec.Versioned)
+	if !ok {
+		return false
+	}
+	var (
+		shard = -1
+		limit uint64
+		words []atomic.Uint64
+	)
+	for _, r := range e.reads { // sorted by shard
+		s, w := exec.ReadWord(r)
+		if s != shard {
+			shard, limit, words = s, min(e.epochs[s], vs.ShardEpoch(s)), vs.Words(s)
+		}
+		if words[w].Load() > limit {
+			return false
+		}
+	}
+	return true
 }
 
 // CacheStats is the result cache's counter snapshot.
@@ -26,47 +94,71 @@ type CacheStats struct {
 	Hits int64 `json:"hits"`
 	// Misses counts cacheable queries that had to execute.
 	Misses int64 `json:"misses"`
+	// Invalidated counts the misses that found an entry under their key
+	// whose read set had moved since it was computed: answers a write
+	// may have changed. It is part of Misses.
+	Invalidated int64 `json:"invalidated"`
 	// Entries is the current entry count; Capacity the LRU bound.
 	Entries  int `json:"entries"`
 	Capacity int `json:"capacity"`
 }
 
-// resultCache wraps the shared LRU with a mutex and hit/miss counters,
-// mapping cache keys to canonical response payloads. Payloads are
-// immutable byte slices, shared between the cache and in-flight
-// responses.
+// resultCache wraps the shared LRU with a mutex and counters, mapping
+// cache keys to entries. Entries are immutable once stored; their
+// payloads are shared between the cache and in-flight responses.
 type resultCache struct {
-	mu     sync.Mutex
-	cap    int
-	lru    *lru.Cache[[]byte]
-	hits   atomic.Int64
-	misses atomic.Int64
+	mu          sync.Mutex
+	cap         int
+	lru         *lru.Cache[cacheEntry]
+	hits        atomic.Int64
+	misses      atomic.Int64
+	invalidated atomic.Int64
 }
 
 func newResultCache(capacity int) *resultCache {
-	return &resultCache{cap: capacity, lru: lru.New[[]byte](capacity)}
+	return &resultCache{cap: capacity, lru: lru.New[cacheEntry](capacity)}
 }
 
-// get returns the payload under key and counts the hit. A probe that
-// finds nothing counts nothing: the request may ask again (execQuery),
-// and its miss is counted once, when it executes.
-func (c *resultCache) get(key string) ([]byte, bool) {
+// get returns the payload under key when its entry is current on view v,
+// and counts the hit. stale reports an entry that a write has since made
+// doubtful. A probe that finds no answer counts nothing: the request may
+// ask again (execQuery), and its miss — and whether that miss was an
+// invalidation — is counted once, when it executes.
+func (c *resultCache) get(key string, v exec.Store) (body []byte, stale bool) {
 	c.mu.Lock()
-	body, ok := c.lru.Get(key)
+	e, ok := c.lru.Get(key)
 	c.mu.Unlock()
-	if ok {
-		c.hits.Add(1)
+	switch {
+	case !ok:
+		return nil, false
+	case !e.current(v):
+		return nil, true
 	}
-	return body, ok
+	c.hits.Add(1)
+	return e.body, false
 }
 
-// put stores a payload; when a concurrent execution of the same key
-// raced us there, either body wins — both are renderings of the same
-// epoch's answer.
-func (c *resultCache) put(key string, body []byte) {
+// put stores an entry, replacing the one under its key in place. When a
+// concurrent execution of the same key raced this one, the entry computed
+// on the newer view is kept.
+func (c *resultCache) put(key string, e cacheEntry) {
 	c.mu.Lock()
-	c.lru.Put(key, body)
+	if old, ok := c.lru.Get(key); !ok || !newer(old.epochs, e.epochs) {
+		c.lru.Put(key, e)
+	}
 	c.mu.Unlock()
+}
+
+// newer reports whether epoch vector a is past b on some shard. Views of
+// one store are ordered shard by shard (each pin sees every commit the
+// previous one saw), so that makes a the newer view.
+func newer(a, b []uint64) bool {
+	for s := range min(len(a), len(b)) {
+		if a[s] > b[s] {
+			return true
+		}
+	}
+	return false
 }
 
 func (c *resultCache) stats() CacheStats {
@@ -74,9 +166,14 @@ func (c *resultCache) stats() CacheStats {
 	entries := c.lru.Len()
 	c.mu.Unlock()
 	return CacheStats{
-		Hits:     c.hits.Load(),
-		Misses:   c.misses.Load(),
-		Entries:  entries,
-		Capacity: c.cap,
+		Hits:        c.hits.Load(),
+		Misses:      c.misses.Load(),
+		Invalidated: c.invalidated.Load(),
+		Entries:     entries,
+		Capacity:    c.cap,
 	}
 }
+
+// readSets recycles the read sets cacheable executions record into: an
+// entry keeps an exact copy, so the recording buffer outlives no request.
+var readSets = sync.Pool{New: func() any { return new(exec.ReadSet) }}

@@ -34,22 +34,32 @@ func appendRow(dst []byte, tu value.Tuple) []byte {
 // string holding anything it would escape (quotes, backslashes, control
 // bytes, the HTML characters, any non-ASCII byte) goes through it.
 func appendJSONString(dst []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case c < 0x20, c >= 0x7f, c == '"', c == '\\', c == '<', c == '>', c == '&':
-			return append(dst, jsonString(s)...)
-		}
+	if !jsonPlain(s) {
+		return append(dst, jsonString(s)...)
 	}
 	dst = append(dst, '"')
 	dst = append(dst, s...)
 	return append(dst, '"')
 }
 
+// jsonPlain reports whether encoding/json quotes s without escaping any
+// of it: printable ASCII other than quotes, backslashes and the HTML
+// characters.
+func jsonPlain[S string | []byte](s S) bool {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20, c >= 0x7f, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			return false
+		}
+	}
+	return true
+}
+
 // appendResult renders an execution result as the canonical "result"
 // object of a /query response — cols, tuples in the executor's sorted
 // order, stats, dq_size — with the appenders a page is written with, so
-// equal results produce equal bytes (the property the epoch-keyed cache
-// and its tests rely on) and a buffered answer and a drained scan agree
+// equal results produce equal bytes (the property the result cache and
+// its tests rely on) and a buffered answer and a drained scan agree
 // byte for byte. The buffer is sized once, from the tuple count and the
 // first row's width.
 func appendResult(res *exec.Result) []byte {

@@ -21,7 +21,6 @@ import (
 type cursorState struct {
 	stream *exec.Stream
 	view   exec.Store
-	epoch  string
 	// fingerprint is the normalized query shape (diagnostics only).
 	fingerprint string
 	// pageSize is the default tuple count per page: the limit of the

@@ -55,7 +55,7 @@ func TestAppendEnvelopeMatchesJSONEncoder(t *testing.T) {
 					if err := json.NewEncoder(&want).Encode(env); err != nil {
 						t.Fatal(err)
 					}
-					buf = appendEnvelope(buf[:0], result, cached, epoch, id, debug)
+					buf = appendEnvelope(buf[:0], result, cached, epochText(epoch), id, debug)
 					if !bytes.Equal(buf, want.Bytes()) {
 						t.Fatalf("epoch %q trace %q cached %v debug %+v:\n got %s\nwant %s", epoch, id, cached, debug, buf, want.Bytes())
 					}
@@ -78,7 +78,8 @@ func serveInProcess(h http.Handler, body string) (int, []byte) {
 // it moves Prepares by one, exactly one of the plan cache's hits and
 // misses, and, when it reaches the result cache, exactly one of that
 // cache's hits and misses. A fast-lane probe that misses and the
-// execution that follows are one miss, not two.
+// execution that follows are one miss, not two, and an invalidation is
+// one of the misses.
 func TestCountersStayExact(t *testing.T) {
 	ls, srv, _ := newTestServer(t, engine.Options{}, Options{})
 	h := srv.Handler()
@@ -114,24 +115,30 @@ func TestCountersStayExact(t *testing.T) {
 		}
 		askOnce(friends, "friends", "u0")
 	}
-	// A write moves the epoch: answers miss once each; plans still hit,
-	// unless the write drifted their statistics (in a scene this small it
-	// does), and a re-plan is a miss.
-	if err := ls.Insert("in_album", strT("p7", "a0")); err != nil {
+	// A write that swaps a photo of album a0 for another moves the epoch
+	// and what the a0 answer read, and keeps every group's size, so no plan
+	// drifts: a0 misses once, as an invalidation, and nothing else does —
+	// the a1 and friends answers read nothing the write touched.
+	if _, err := ls.Apply([]live.Op{
+		live.Delete("in_album", strT("p2", "a0")),
+		live.Insert("in_album", strT("p7", "a0")),
+	}); err != nil {
 		t.Fatal(err)
 	}
 	ask(albums, "a0", false)
 	ask(albums2, "a0", true)
-	ask(friends, "u0", false)
-	n += 3
+	ask(albums, "a1", true)
+	ask(friends, "u0", true)
+	n += 4
 
 	eng, cache := srv.Engine().Stats(), srv.CacheStats()
-	if eng.Prepares != int64(n) || eng.CacheHits+eng.CacheMisses != int64(n) || eng.CacheMisses != 2+eng.Replans {
-		t.Errorf("%d requests: engine %d prepares, %d hits, %d misses, %d re-plans; want %d prepares and a miss per shape and re-plan",
+	if eng.Prepares != int64(n) || eng.CacheHits+eng.CacheMisses != int64(n) || eng.CacheMisses != 2 || eng.Replans != 0 {
+		t.Errorf("%d requests: engine %d prepares, %d hits, %d misses, %d re-plans; want %d prepares, a miss per shape and no re-plan",
 			n, eng.Prepares, eng.CacheHits, eng.CacheMisses, eng.Replans, n)
 	}
-	if cache.Hits+cache.Misses != int64(n) || cache.Misses != 5 {
-		t.Errorf("%d requests: result cache %d hits, %d misses; want them to sum to %d with 5 misses", n, cache.Hits, cache.Misses, n)
+	if cache.Hits+cache.Misses != int64(n) || cache.Misses != 4 || cache.Invalidated != 1 {
+		t.Errorf("%d requests: result cache %d hits, %d misses, %d invalidated; want them to sum to %d with 4 misses, 1 of them an invalidation",
+			n, cache.Hits, cache.Misses, cache.Invalidated, n)
 	}
 
 	// A rejected shape is a prepare like any other and never reaches the
@@ -396,8 +403,8 @@ func TestFastLaneNeverStaleUnderChurn(t *testing.T) {
 	if st.Prepares != requests || st.CacheHits+st.CacheMisses != requests {
 		t.Errorf("%d requests: %d prepares, %d hits + %d misses", requests, st.Prepares, st.CacheHits, st.CacheMisses)
 	}
-	if cs.Hits+cs.Misses != answered.Load() {
-		t.Errorf("%d answers: result cache %d hits + %d misses", answered.Load(), cs.Hits, cs.Misses)
+	if cs.Hits+cs.Misses != answered.Load() || cs.Invalidated > cs.Misses {
+		t.Errorf("%d answers: result cache %d hits + %d misses, %d of them invalidations", answered.Load(), cs.Hits, cs.Misses, cs.Invalidated)
 	}
 	if st.Evictions == 0 || st.Replans == 0 || cs.Hits == 0 || rejected == 0 {
 		t.Errorf("the hammer missed a mechanism: %d evictions, %d re-plans, %d cache hits, %d rejections", st.Evictions, st.Replans, cs.Hits, rejected)

@@ -53,8 +53,9 @@ func (s *Server) instrument() {
 	cf("bcq_http_overloads_total", "Requests rejected 503 (queue full).", s.overloads.Load)
 	cf("bcq_http_timeouts_total", "Requests that hit their deadline (queued or executing).", s.timeouts.Load)
 	if s.cache != nil {
-		cf("bcq_result_cache_hits_total", "Queries answered from the epoch-keyed result cache.", s.cache.hits.Load)
+		cf("bcq_result_cache_hits_total", "Queries answered from the result cache.", s.cache.hits.Load)
 		cf("bcq_result_cache_misses_total", "Cacheable queries that had to execute.", s.cache.misses.Load)
+		cf("bcq_result_cache_invalidated_total", "Misses that found a cached answer a write had since touched (part of the misses).", s.cache.invalidated.Load)
 		reg.GaugeFunc("bcq_result_cache_entries", "Result-cache entries resident.",
 			func() float64 { return float64(s.cache.stats().Entries) })
 	}

@@ -104,6 +104,7 @@ func TestMetricsUnderMixedLoad(t *testing.T) {
 		"bcq_store_tuples",
 		"bcq_result_cache_hits_total",
 		"bcq_result_cache_misses_total",
+		"bcq_result_cache_invalidated_total",
 		"bcq_cursors_open",
 		"bcq_inflight_requests",
 		"bcq_worker_saturation",

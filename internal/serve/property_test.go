@@ -16,6 +16,9 @@ import (
 
 	"bcq/internal/engine"
 	"bcq/internal/live"
+	"bcq/internal/schema"
+	"bcq/internal/shard"
+	"bcq/internal/storage"
 	"bcq/internal/value"
 )
 
@@ -238,4 +241,234 @@ func TestServedResponsesMatchDirectExecution(t *testing.T) {
 		t.Error("all responses saw one epoch; churn did not overlap the clients")
 	}
 	t.Logf("verified %d responses, %d cache hits, %d distinct epochs", len(all), hits, len(epochs))
+}
+
+// lineageDDL is the scene of TestCacheHitsMatchExecutionUnderChurn: small
+// domains, so random churn keeps rewriting the groups cached answers read,
+// and a constraint-less relation whose emptiness an existence check reads.
+const lineageDDL = `
+relation in_album(photo_id, album_id)
+relation friends(user_id, friend_id)
+relation tagging(photo_id, tagger_id, taggee_id)
+relation flags(flag)
+
+constraint in_album: (album_id) -> (photo_id, 1000)
+constraint friends: (user_id) -> (friend_id, 1000)
+constraint tagging: (photo_id) -> (tagger_id, taggee_id, 1000)
+`
+
+// TestCacheHitsMatchExecutionUnderChurn is the result cache's lineage
+// property: after every batch of a random churn of inserts, deletes,
+// Compacts and one ExtendAccess, on one store and on two shards, every
+// answer the server would serve from the cache is byte for byte what
+// executing the query on the current snapshot gives. An answer is kept
+// across writes by the version words of the groups it read, so a write
+// that rewrites one of them without moving its word — a delete that
+// forgets to stamp, an existence check that misses its relation — serves
+// a stale answer here. Run with -race: each round's requests are sent
+// concurrently, racing their executions' puts.
+func TestCacheHitsMatchExecutionUnderChurn(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("P=%d", shards), func(t *testing.T) { checkCacheLineage(t, shards) })
+	}
+}
+
+func checkCacheLineage(t *testing.T, shards int) {
+	cat, acc, err := schema.ParseDDL(lineageDDL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(int64(40 + shards)))
+	pick := func(prefix string, n int) value.Value { return value.Str(fmt.Sprintf("%s%d", prefix, r.Intn(n))) }
+	draw := map[string]func() value.Tuple{
+		"in_album": func() value.Tuple { return value.Tuple{pick("p", 10), pick("a", 4)} },
+		"friends":  func() value.Tuple { return value.Tuple{pick("u", 4), pick("f", 6)} },
+		"tagging":  func() value.Tuple { return value.Tuple{pick("p", 10), pick("f", 6), pick("u", 4)} },
+		"flags":    func() value.Tuple { return value.Tuple{pick("g", 2)} },
+	}
+	rels := []string{"in_album", "friends", "tagging", "flags"}
+	// model is the test's own copy of the data: what a delete may name.
+	model := map[string][]value.Tuple{}
+	db := storage.NewDatabase(cat)
+	for _, rel := range rels {
+		// One flag: the churn empties and refills the relation often.
+		n := 6
+		if rel == "flags" {
+			n = 1
+		}
+		for i := 0; i < n; i++ {
+			tu := draw[rel]()
+			if err := db.Insert(rel, tu); err != nil {
+				t.Fatal(err)
+			}
+			model[rel] = append(model[rel], tu)
+		}
+	}
+
+	var (
+		eng     *engine.Engine
+		apply   func([]live.Op) error
+		compact func() error
+		extend  func(schema.AccessConstraint) error
+	)
+	if shards == 1 {
+		ls, err := live.New(db, acc, live.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err = engine.NewLive(ls, engine.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		apply = func(ops []live.Op) error { _, err := ls.Apply(ops); return err }
+		compact = func() error { _, err := ls.Compact(); return err }
+		extend = ls.ExtendAccess
+	} else {
+		ss, err := shard.New(db, acc, shard.Options{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err = engine.NewSharded(ss, engine.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		apply, compact, extend = ss.Apply, ss.Compact, ss.ExtendAccess
+	}
+	srv, err := New(eng, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+
+	// Every (query, args) the rounds draw from: few enough that the checks
+	// below look at all of them after every batch.
+	type request struct {
+		query string
+		args  []value.Value
+	}
+	var universe []request
+	strs := func(prefix string, n int) []value.Value {
+		out := make([]value.Value, n)
+		for i := range out {
+			out[i] = value.Str(fmt.Sprintf("%s%d", prefix, i))
+		}
+		return out
+	}
+	albums, users, photos := strs("a", 4), strs("u", 4), strs("p", 10)
+	for _, a := range albums {
+		universe = append(universe,
+			request{`select photo_id from in_album where album_id = ?`, []value.Value{a}},
+			// flags is an atom with no parameters: an existence check.
+			request{`select t1.photo_id from in_album as t1, flags as t2 where t1.album_id = ?`, []value.Value{a}})
+		for _, u := range users {
+			universe = append(universe, request{`select t1.photo_id from in_album as t1, tagging as t2
+				where t1.album_id = ? and t1.photo_id = t2.photo_id and t2.taggee_id = ?`, []value.Value{a, u}})
+		}
+	}
+	for _, u := range users {
+		universe = append(universe, request{`select friend_id from friends where user_id = ?`, []value.Value{u}})
+		for _, p := range photos[:5] {
+			universe = append(universe, request{`select tagger_id from tagging where photo_id = ? and taggee_id = ?`, []value.Value{p, u}})
+		}
+	}
+	body := func(rq request) string {
+		args := make([]string, len(rq.args))
+		for i, a := range rq.args {
+			args[i] = fmt.Sprintf("%q", a.AsString())
+		}
+		b, _ := json.Marshal(rq.query)
+		return fmt.Sprintf(`{"query": %s, "args": [%s]}`, b, strings.Join(args, ","))
+	}
+
+	rounds := 120
+	if testing.Short() {
+		rounds = 40
+	}
+	hits := 0
+	for round := 0; round < rounds; round++ {
+		// Ask a third of the universe, from four clients at once.
+		var wg sync.WaitGroup
+		asks := make(chan request, len(universe))
+		for _, rq := range universe {
+			if r.Intn(3) == 0 {
+				asks <- rq
+			}
+		}
+		close(asks)
+		for c := 0; c < 4; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for rq := range asks {
+					if code, raw := serveInProcess(h, body(rq)); code != http.StatusOK {
+						t.Errorf("%s: status %d: %s", body(rq), code, raw)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+
+		// The batch: inserts and deletes of whatever is live, then now and
+		// then a Compact, and halfway the schema extension.
+		var ops []live.Op
+		for n := 1 + r.Intn(5); n > 0; n-- {
+			rel := rels[r.Intn(len(rels))]
+			if ts := model[rel]; len(ts) > 0 && r.Intn(2) == 0 {
+				i := r.Intn(len(ts))
+				ops = append(ops, live.Delete(rel, ts[i]))
+				model[rel] = append(ts[:i:i], ts[i+1:]...)
+				continue
+			}
+			tu := draw[rel]()
+			ops = append(ops, live.Insert(rel, tu))
+			model[rel] = append(model[rel], tu)
+		}
+		if err := apply(ops); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if r.Intn(8) == 0 {
+			if err := compact(); err != nil {
+				t.Fatalf("round %d: compact: %v", round, err)
+			}
+		}
+		// The extension is a tighter bound on the friends groups, which a
+		// re-plan may pick for the friends template: its groups are the
+		// same, so the statistics of every plan of a template agree, and a
+		// hit computed by an older plan must still equal execution now.
+		if round == rounds/2 {
+			if err := extend(schema.MustAccessConstraint("friends", []string{"user_id"}, []string{"friend_id"}, 500)); err != nil {
+				t.Fatalf("round %d: extend: %v", round, err)
+			}
+		}
+
+		// Every answer the cache would serve now is the answer now.
+		for _, rq := range universe {
+			p, err := eng.Prepare(rq.query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lk := srv.lookup(p, rq.args)
+			if lk.body == nil {
+				continue
+			}
+			hits++
+			res, err := p.ExecOn(lk.view, rq.args...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := marshalResult(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(lk.body) != string(want) {
+				t.Fatalf("round %d, %s %v at %s: the cache serves\n %s\nexecution gives\n %s",
+					round, rq.query, rq.args, epochOf(lk.view).AppendEpochKey(nil), lk.body, want)
+			}
+		}
+	}
+	cs := srv.CacheStats()
+	if hits == 0 || cs.Invalidated == 0 {
+		t.Errorf("the churn missed a mechanism: %d hits checked, %d invalidations", hits, cs.Invalidated)
+	}
+	t.Logf("%d rounds: %d hits checked against execution; cache %+v", rounds, hits, cs)
 }

@@ -22,15 +22,15 @@
 //     goroutine before admission (the fast lane) and never queues — a
 //     saturated server keeps serving what it already knows and sheds
 //     only what it would have to compute.
-//   - an epoch-keyed result cache: answers are cached under the key
-//     (plan fingerprint, bound arguments, snapshot epoch). The epoch
-//     component rides on the live/shard layers' snapshot machinery —
-//     every committed batch, compaction or schema extension publishes a
-//     new epoch, so a cached answer is reachable only by requests whose
-//     pinned view is byte-identical to the one that produced it. Stale
-//     hits are structurally impossible: invalidation is the key changing,
-//     not an event that could be missed. (See DESIGN.md §8 for the
-//     one-paragraph proof.)
+//   - a result cache that keeps an answer until a write touches what it
+//     read: answers are cached under (plan fingerprint, bound arguments)
+//     with the version words of every index group the execution probed.
+//     A commit stamps the words of the groups it rewrote before it
+//     publishes its epoch, so a hit — checked against the words on the
+//     view the request pinned — is byte-identical to executing on that
+//     view, however many unrelated writes have landed since the answer
+//     was computed. (See cache.go, and DESIGN.md §8 for the ordering
+//     argument.)
 //   - observability: /stats exposes the engine counters, per-relation
 //     access statistics, result-cache hit rates and server-side queue
 //     counters.
@@ -439,11 +439,12 @@ func (s *Server) onSlot(fn func() handlerResult) (out handlerResult) {
 
 // handleQuery answers POST /query. The buffered path prepares
 // (plan-cached), pins a view, and serves from the result cache when the
-// (fingerprint, args, epoch) key hits. Requests with limit > 0 or a
-// cursor take the streamed, paged path instead: the response is written
-// as the stream produces answers and never touches the result cache —
-// a page is a prefix of the answer, and caching a prefix under the
-// full-query key would serve truncated answers to unlimited requests.
+// (fingerprint, args) entry is current on that view. Requests with
+// limit > 0 or a cursor take the streamed, paged path instead: the
+// response is written as the stream produces answers and never touches
+// the result cache — a page is a prefix of the answer, and caching a
+// prefix under the full-query key would serve truncated answers to
+// unlimited requests.
 //
 // The buffered path is split in two. lookup runs here, on the handler
 // goroutine and before admission: a few map reads that find the cached
@@ -518,19 +519,20 @@ type debugPayload struct {
 }
 
 // appendEnvelope appends the /query response document: the canonical
-// payload wrapped with per-request metadata — trace_id for a traced
-// request, debug when the request asked for it. It writes byte for byte
-// what json.Encoder writes for the struct of these fields (trailing
-// newline included), without reflecting over it or re-compacting the
-// payload, which is cached and replayed verbatim: two requests answered
-// at one epoch are byte-identical in the result field.
-func appendEnvelope(dst, result []byte, cached bool, epoch, traceID string, debug *debugPayload) []byte {
+// payload wrapped with per-request metadata — the epoch of the view the
+// request pinned, trace_id for a traced request, debug when the request
+// asked for it. It writes byte for byte what json.Encoder writes for the
+// struct of these fields (trailing newline included), without reflecting
+// over it or re-compacting the payload, which is cached and replayed
+// verbatim: two requests answered from one entry are byte-identical in
+// the result field.
+func appendEnvelope(dst, result []byte, cached bool, epoch epochKeyed, traceID string, debug *debugPayload) []byte {
 	dst = append(dst, `{"result":`...)
 	dst = append(dst, result...)
 	dst = append(dst, `,"cached":`...)
 	dst = strconv.AppendBool(dst, cached)
 	dst = append(dst, `,"epoch":`...)
-	dst = appendJSONString(dst, epoch)
+	dst = appendEpoch(dst, epoch)
 	if traceID != "" {
 		dst = append(dst, `,"trace_id":`...)
 		dst = appendJSONString(dst, traceID)
@@ -543,39 +545,67 @@ func appendEnvelope(dst, result []byte, cached bool, epoch, traceID string, debu
 	return append(dst, "}\n"...)
 }
 
-// okResult wraps a payload as the 200 outcome of a /query.
-func okResult(result []byte, cached bool, epoch string, tr *obs.Trace, debug *debugPayload) handlerResult {
-	raw := make([]byte, 0, len(result)+len(epoch)+96)
-	return handlerResult{status: http.StatusOK, raw: appendEnvelope(raw, result, cached, epoch, tr.ID(), debug)}
+// epochKeyed is a view that renders its epoch into a buffer: a live
+// snapshot, a sharded view or a sealed database.
+type epochKeyed interface{ AppendEpochKey(dst []byte) []byte }
+
+// appendEpoch appends a view's epoch key as a JSON string ("" for a view
+// with none). Keys are letters, digits, ':' and ',', which JSON leaves as
+// they are, so the key is rendered straight into dst; anything else is
+// re-quoted the way appendJSONString would.
+func appendEpoch(dst []byte, epoch epochKeyed) []byte {
+	if epoch == nil {
+		return append(dst, `""`...)
+	}
+	at := len(dst)
+	dst = epoch.AppendEpochKey(append(dst, '"'))
+	if !jsonPlain(dst[at+1:]) {
+		return appendJSONString(dst[:at], string(dst[at+1:]))
+	}
+	return append(dst, '"')
+}
+
+// epochOf is the view's epoch renderer, nil for a view with none.
+func epochOf(view exec.Store) epochKeyed {
+	ek, _ := view.(epochKeyed)
+	return ek
+}
+
+// okResult wraps a payload as the 200 outcome of a /query answered on
+// view.
+func okResult(result []byte, cached bool, view exec.Store, tr *obs.Trace, debug *debugPayload) handlerResult {
+	raw := make([]byte, 0, len(result)+112)
+	return handlerResult{status: http.StatusOK, raw: appendEnvelope(raw, result, cached, epochOf(view), tr.ID(), debug)}
 }
 
 // lookup is what a /query resolved short of executing: the prepared
-// plan, the view pinned for it, the view's epoch, the result-cache key
-// ("" when the answer is not cacheable) and, on a hit, the cached
-// payload. The zero value means nothing is resolved yet.
+// plan, the view pinned for it, the result-cache key ("" when the answer
+// is not cacheable) and, on a hit, the cached payload — or, when the
+// entry under the key was no longer current, stale. The zero value means
+// nothing is resolved yet.
 type lookup struct {
 	p *engine.Prepared
 	// at is the engine's epoch token read before the view was pinned: as
 	// long as the engine still reports it, the view is the current one.
 	at    uint64
 	view  exec.Store
-	epoch string
 	key   string
 	body  []byte
+	stale bool
 }
 
 // lookup pins a view for a prepared query and asks the result cache for
-// its answer. The view is pinned first and the key comes off the pinned
-// view's own epoch: the key can never name data the execution would not
-// see, whichever goroutine runs this and however long the request then
-// waits for a worker.
+// its answer on that view. The view is pinned first and the entry is
+// checked against it: a hit is the answer on exactly the view the
+// response names, whichever goroutine runs this and however long the
+// request then waits for a worker. A view with no epoch to name is not
+// cached.
 func (s *Server) lookup(p *engine.Prepared, args []value.Value) lookup {
 	lk := lookup{p: p, at: s.eng.Epoch()}
 	lk.view = s.eng.View()
-	lk.epoch = epochKeyOf(lk.view)
-	if s.cache != nil && lk.epoch != "" {
-		lk.key = cacheKey(p, args, lk.epoch)
-		lk.body, _ = s.cache.get(lk.key)
+	if s.cache != nil && epochOf(lk.view) != nil {
+		lk.key = cacheKey(p, args)
+		lk.body, lk.stale = s.cache.get(lk.key, lk.view)
 	}
 	return lk
 }
@@ -594,7 +624,7 @@ func (s *Server) hitResult(req queryRequest, lk lookup, tr *obs.Trace, start tim
 	if req.Debug {
 		debug = &debugPayload{Explain: lk.p.Explain(nil), Spans: tr.JSON()}
 	}
-	return okResult(lk.body, true, lk.epoch, tr, debug)
+	return okResult(lk.body, true, lk.view, tr, debug)
 }
 
 // execQuery is the execute half of /query, on a worker slot: whatever
@@ -603,9 +633,9 @@ func (s *Server) hitResult(req queryRequest, lk lookup, tr *obs.Trace, start tim
 // What lookup did resolve is used as it stands, unless the store has
 // moved while the request waited for its slot: then the view and the
 // cache are asked again, so that a queued request executes at the epoch
-// current when it runs, as it always has, and shares its answer with the
-// requests arriving now instead of caching it under an epoch nobody will
-// ask about again.
+// current when it runs, as it always has, and caches the answer on the
+// newest view. A cacheable execution records its read set, which the
+// entry keeps.
 func (s *Server) execQuery(req queryRequest, args []value.Value, tr *obs.Trace, start time.Time, lk lookup) handlerResult {
 	switch {
 	case lk.p == nil:
@@ -621,20 +651,29 @@ func (s *Server) execQuery(req queryRequest, args []value.Value, tr *obs.Trace, 
 	if lk.body != nil {
 		return s.hitResult(req, lk, tr, start)
 	}
+	p := lk.p
+	var reads *exec.ReadSet
 	if lk.key != "" {
 		// Counted here and not by the probe: a miss is a cacheable query
 		// that had to execute, however many times the cache was asked.
 		s.cache.misses.Add(1)
+		if lk.stale {
+			s.cache.invalidated.Add(1)
+		}
+		reads = readSets.Get().(*exec.ReadSet)
+		defer func() {
+			reads.Reset()
+			readSets.Put(reads)
+		}()
 	}
-	p := lk.p
-	res, err := p.ExecTraceOn(lk.view, tr, args...)
+	res, err := p.ExecReadOn(lk.view, tr, reads, args...)
 	if err != nil {
 		s.considerError("query", p.Fingerprint(), tr, time.Since(start))
 		return errResult(http.StatusBadRequest, "%v", err)
 	}
 	body := appendResult(res)
 	if lk.key != "" {
-		s.cache.put(lk.key, body)
+		s.cache.put(lk.key, newEntry(body, lk.view, reads.Words()))
 	}
 	tr.Finish()
 	s.maybeSlowLog("query", p, res, tr, time.Since(start), len(res.Tuples), "")
@@ -642,7 +681,7 @@ func (s *Server) execQuery(req queryRequest, args []value.Value, tr *obs.Trace, 
 	if req.Debug {
 		debug = &debugPayload{Explain: p.Explain(res), Spans: tr.JSON()}
 	}
-	return okResult(body, false, lk.epoch, tr, debug)
+	return okResult(body, false, lk.view, tr, debug)
 }
 
 // pageFlushEvery is how many streamed tuples are written between
@@ -702,7 +741,6 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request, req queryRequ
 		st = &cursorState{
 			stream:      stream,
 			view:        view,
-			epoch:       epochKeyOf(view),
 			fingerprint: p.Fingerprint(),
 			pageSize:    int(req.Limit),
 			prep:        p,
@@ -779,7 +817,7 @@ func (s *Server) writePage(ctx context.Context, w http.ResponseWriter, st *curso
 	case timedOut:
 		outcome, errMsg = "timeout", "deadline exceeded mid-page; resume with next_cursor"
 	}
-	buf = appendPageTrailer(buf, res, st.epoch, next, complete, st.trace.ID(), errMsg)
+	buf = appendPageTrailer(buf, res, epochOf(st.view), next, complete, st.trace.ID(), errMsg)
 	if st.prep != nil {
 		// Page durations qualify for the slow log like buffered answers;
 		// the entry's stats are cumulative over the cursor's whole scan.
@@ -801,10 +839,10 @@ func appendPageHeader(dst []byte, cols []string) []byte {
 // cumulative statistics, the page's disposition and, for a page cut short,
 // the error — byte for byte the json.Marshal and fmt rendering it replaces
 // (TestPageFramingMatchesEncodingJSON).
-func appendPageTrailer(dst []byte, res *exec.Result, epoch, next string, complete bool, traceID, errMsg string) []byte {
+func appendPageTrailer(dst []byte, res *exec.Result, epoch epochKeyed, next string, complete bool, traceID, errMsg string) []byte {
 	dst = appendResultTail(dst, res)
 	dst = append(dst, `,"cached":false,"epoch":`...)
-	dst = appendJSONString(dst, epoch)
+	dst = appendEpoch(dst, epoch)
 	dst = append(dst, `,"next_cursor":`...)
 	dst = appendJSONString(dst, next)
 	dst = append(dst, `,"complete":`...)
@@ -824,16 +862,6 @@ func appendPageTrailer(dst []byte, res *exec.Result, epoch, next string, complet
 func jsonString(s string) []byte {
 	b, _ := json.Marshal(s)
 	return b
-}
-
-// epochKeyOf extracts a store view's data-version key. An empty string
-// (a store with no epoch identity) disables result caching for the
-// request — correctness first.
-func epochKeyOf(st exec.Store) string {
-	if e, ok := st.(interface{ EpochKey() string }); ok {
-		return e.EpochKey()
-	}
-	return ""
 }
 
 // handlePrepare answers POST /prepare: plan (or reuse the cached plan

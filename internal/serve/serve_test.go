@@ -41,6 +41,18 @@ func strT(vals ...string) value.Tuple {
 // serveScene builds a live store with hand-checkable social data.
 func serveScene(t testing.TB) *live.Store {
 	t.Helper()
+	db, acc := serveData(t)
+	ls, err := live.New(db, acc, live.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ls
+}
+
+// serveData is serveScene's data and access schema, for a store of
+// another kind.
+func serveData(t testing.TB) (*storage.Database, *schema.AccessSchema) {
+	t.Helper()
 	cat, acc, err := schema.ParseDDL(serveDDL)
 	if err != nil {
 		t.Fatal(err)
@@ -61,11 +73,7 @@ func serveScene(t testing.TB) *live.Store {
 	ins("tagging", "p1", "f1", "u0")
 	ins("tagging", "p2", "s9", "u0")
 	ins("tagging", "p3", "f1", "u0")
-	ls, err := live.New(db, acc, live.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ls
+	return db, acc
 }
 
 // newTestServer wires a live engine into a serve.Server and an
@@ -187,6 +195,55 @@ func TestIngestInvalidatesNaturally(t *testing.T) {
 	}
 	if string(after.Result) == string(before.Result) {
 		t.Error("post-ingest answer identical to pre-ingest answer despite new tuple")
+	}
+}
+
+// TestUnrelatedWriteKeepsAnswerCached: a write moves the epoch, but one
+// that touches no group an answer read leaves the answer cached — served
+// as a hit, labelled with the new epoch, byte for byte what executing on
+// the new epoch gives.
+func TestUnrelatedWriteKeepsAnswerCached(t *testing.T) {
+	ls, srv, hs := newTestServer(t, engine.Options{}, Options{})
+	body := `{"query": "select photo_id from in_album where album_id = ?", "args": ["a1"]}`
+
+	_, before := queryOnce(t, hs.URL, body)
+	// Another album's group and another relation: nothing album a1 read.
+	// (The album swaps a photo, so that no group changes size and the plan
+	// does not drift: a re-plan would miss for a reason of its own.)
+	code, raw := post(t, hs.URL+"/ingest", `{"ops": [
+		{"op": "delete", "rel": "in_album", "tuple": ["p2", "a0"]},
+		{"op": "insert", "rel": "in_album", "tuple": ["p9", "a0"]},
+		{"op": "insert", "rel": "friends", "tuple": ["u7", "f1"]}]}`)
+	if code != http.StatusOK {
+		t.Fatalf("ingest status %d: %s", code, raw)
+	}
+
+	code, after := queryOnce(t, hs.URL, body)
+	if code != http.StatusOK {
+		t.Fatalf("status %d: %s", code, after.Error)
+	}
+	if !after.Cached {
+		t.Error("an answer the write did not touch was executed again")
+	}
+	if after.Epoch == before.Epoch || after.Epoch != ls.Snapshot().EpochKey() {
+		t.Errorf("hit labelled epoch %s; want the new epoch %s (was %s)", after.Epoch, ls.Snapshot().EpochKey(), before.Epoch)
+	}
+	if string(after.Result) != string(before.Result) {
+		t.Errorf("cached answer changed across an unrelated write:\n %s\n %s", before.Result, after.Result)
+	}
+	p, err := srv.Engine().Prepare("select photo_id from in_album where album_id = ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.ExecOn(ls.Snapshot(), value.Str("a1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := marshalResult(res); string(after.Result) != string(want) {
+		t.Errorf("hit %s; executing on the new epoch gives %s", after.Result, want)
+	}
+	if cs := srv.CacheStats(); cs.Hits != 1 || cs.Misses != 1 || cs.Invalidated != 0 || cs.Entries != 1 {
+		t.Errorf("cache stats = %+v, want 1 hit, 1 miss, no invalidation, 1 entry", cs)
 	}
 }
 

@@ -714,7 +714,13 @@ func (st *Store) ExtendAccess(ac schema.AccessConstraint) error {
 // /healthz). Unlike View().EpochKey() it does not exclude writers or
 // pin snapshots — the vector is read shard by shard, so it is not a
 // consistent cut and must not key caches.
-func (st *Store) EpochKey() string { return renderEpochKey(st.Epochs()) }
+func (st *Store) EpochKey() string {
+	snaps := make([]*live.Snapshot, len(st.shards))
+	for s, ls := range st.shards {
+		snaps[s] = ls.Snapshot()
+	}
+	return (&View{snaps: snaps}).EpochKey()
+}
 
 // NumTuples returns |D|: live tuples across all shards and relations.
 func (st *Store) NumTuples() int64 {

@@ -3,7 +3,7 @@ package shard
 import (
 	"fmt"
 	"strconv"
-	"strings"
+	"sync/atomic"
 
 	"bcq/internal/live"
 	"bcq/internal/schema"
@@ -42,24 +42,43 @@ func (v *View) Epochs() []uint64 {
 	return out
 }
 
-// EpochKey identifies the exact data version this view serves, for
-// result-cache keying: the full epoch vector, rendered. Two views of one
-// store with equal keys pin identical snapshots on every shard, so they
-// serve byte-identical answers.
-func (v *View) EpochKey() string { return renderEpochKey(v.Epochs()) }
+// EpochKey names the exact data version this view serves, for display
+// and for the "epoch" of a response: the full epoch vector, rendered.
+func (v *View) EpochKey() string { return string(v.AppendEpochKey(nil)) }
 
-// renderEpochKey formats an epoch vector as a cache/display key.
-func renderEpochKey(epochs []uint64) string {
-	var b strings.Builder
-	b.WriteString("shard:")
-	for s, e := range epochs {
+// AppendEpochKey appends EpochKey's rendering to dst without building the
+// string.
+func (v *View) AppendEpochKey(dst []byte) []byte {
+	dst = append(dst, "shard:"...)
+	for s, sn := range v.snaps {
 		if s > 0 {
-			b.WriteByte(',')
+			dst = append(dst, ',')
 		}
-		b.WriteString(strconv.FormatUint(e, 10))
+		dst = strconv.AppendUint(dst, sn.Epoch(), 10)
 	}
-	return b.String()
+	return dst
 }
+
+// The methods below make a view an exec.Versioned store: every shard is a
+// live store with version words of its own, hashed alike (live.AppendGroupWords),
+// so a word index names a word on whichever shard owns the group.
+
+// ShardEpoch returns one shard's pinned epoch.
+func (v *View) ShardEpoch(shard int) uint64 { return v.snaps[shard].Epoch() }
+
+// GroupWords appends the version word of each X-group xs[i] of
+// constraint acKey, on the shard that owns it.
+func (v *View) GroupWords(dst []uint32, acKey string, xs []value.Tuple) []uint32 {
+	return live.AppendGroupWords(dst, acKey, xs)
+}
+
+// RelWord returns the version word of a relation's emptiness, on every
+// shard.
+func (v *View) RelWord(rel string) uint32 { return v.snaps[0].RelWord(rel) }
+
+// Words returns the version words of one shard's store, to be read with
+// Load and never written: they stand at the store's latest commit.
+func (v *View) Words(shard int) []atomic.Uint64 { return v.snaps[shard].Words(0) }
 
 // Snapshot returns one shard's pinned snapshot.
 func (v *View) Snapshot(shard int) *live.Snapshot { return v.snaps[shard] }

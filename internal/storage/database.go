@@ -150,10 +150,14 @@ func (db *Database) Catalog() *schema.Catalog { return db.cat }
 // construction (and therefore rejects further Inserts).
 func (db *Database) Sealed() bool { return db.sealed }
 
-// EpochKey identifies the data version a sealed database serves, for
-// result-cache keying. A sealed database never changes, so the key is a
-// constant: every cached result stays valid forever.
+// EpochKey names the data version a sealed database serves, for display
+// and for the "epoch" of a response. A sealed database never changes, so
+// the key is a constant — and it has no version words: every cached
+// result stays valid forever.
 func (db *Database) EpochKey() string { return "sealed" }
+
+// AppendEpochKey appends EpochKey to dst.
+func (db *Database) AppendEpochKey(dst []byte) []byte { return append(dst, "sealed"...) }
 
 // Relation returns the named relation, or an error for unknown names.
 func (db *Database) Relation(name string) (*Relation, error) {

@@ -54,6 +54,11 @@ func decodeRecord(b []byte) (Record, error) {
 		if err != nil {
 			return rec, err
 		}
+		// Each op takes its kind, its relation's length and its value count
+		// at least: a count the bytes cannot hold sizes no slice.
+		if uint64(nops) > uint64(len(b)/9) {
+			return rec, fmt.Errorf("wal: %d ops in %d bytes", nops, len(b))
+		}
 		rec.Ops = make([]Op, 0, nops)
 		for i := uint32(0); i < nops; i++ {
 			var op Op
@@ -73,6 +78,9 @@ func decodeRecord(b []byte) (Record, error) {
 			nvals, b, err = value.TakeU32(b)
 			if err != nil {
 				return rec, err
+			}
+			if uint64(nvals) > uint64(len(b)) { // a value takes a byte at least
+				return rec, fmt.Errorf("wal: %d values in %d bytes", nvals, len(b))
 			}
 			op.Tuple = make(value.Tuple, 0, nvals)
 			for j := uint32(0); j < nvals; j++ {

@@ -28,6 +28,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -184,31 +185,15 @@ func Open(path string) (*WAL, []Record, error) {
 	off := headerSize
 	valid := off
 	for off < len(data) {
-		rest := data[off:]
-		if len(rest) < frameHeader {
-			w.truncated.Add(1)
-			break
-		}
-		length := int(binary.BigEndian.Uint32(rest[0:4]))
-		crc := binary.BigEndian.Uint32(rest[4:8])
-		if length > maxRecordBytes || len(rest) < frameHeader+length {
-			w.truncated.Add(1)
-			break
-		}
-		payload := rest[frameHeader : frameHeader+length]
-		if crc32.Checksum(payload, castagnoli) != crc {
-			w.truncated.Add(1)
-			break
-		}
-		rec, err := decodeRecord(payload)
+		rec, n, err := decodeFrame(data[off:])
 		if err != nil {
-			// CRC-valid but undecodable: treat like corruption — stop
-			// at the last good record rather than guessing.
+			// Torn or corrupt: stop at the last good record rather than
+			// guessing.
 			w.truncated.Add(1)
 			break
 		}
 		records = append(records, rec)
-		off += frameHeader + length
+		off += n
 		valid = off
 	}
 	if valid < len(data) {
@@ -228,6 +213,39 @@ func Open(path string) (*WAL, []Record, error) {
 	w.sizeBytes.Store(int64(valid))
 	w.replayed.Store(int64(len(records)))
 	return w, records, nil
+}
+
+// appendFrame appends one record's frame: its payload's length and CRC,
+// then the payload.
+func appendFrame(dst []byte, rec Record) []byte {
+	payload := rec.encode()
+	dst = slices.Grow(dst, frameHeader+len(payload))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.BigEndian.AppendUint32(dst, crc32.Checksum(payload, castagnoli))
+	return append(dst, payload...)
+}
+
+// decodeFrame reads the frame at the start of b, returning its record and
+// its length. A frame that is torn, declares more than maxRecordBytes,
+// fails its CRC or holds a payload that does not decode is an error: what
+// a crash or a flipped bit leaves behind is never taken for a record.
+func decodeFrame(b []byte) (Record, int, error) {
+	if len(b) < frameHeader {
+		return Record{}, 0, fmt.Errorf("wal: torn frame header (%d bytes)", len(b))
+	}
+	length := int(binary.BigEndian.Uint32(b[0:4]))
+	if length > maxRecordBytes || len(b) < frameHeader+length {
+		return Record{}, 0, fmt.Errorf("wal: frame of %d bytes with %d left", length, len(b)-frameHeader)
+	}
+	payload := b[frameHeader : frameHeader+length]
+	if crc32.Checksum(payload, castagnoli) != binary.BigEndian.Uint32(b[4:8]) {
+		return Record{}, 0, fmt.Errorf("wal: frame CRC mismatch")
+	}
+	rec, err := decodeRecord(payload)
+	if err != nil {
+		return Record{}, 0, err
+	}
+	return rec, frameHeader + length, nil
 }
 
 // reinit rewrites the file header from scratch (empty file or torn
@@ -268,11 +286,7 @@ func (w *WAL) Append(rec Record) error {
 	if w.err != nil {
 		return w.err
 	}
-	payload := rec.encode()
-	frame := make([]byte, 0, frameHeader+len(payload))
-	frame = binary.BigEndian.AppendUint32(frame, uint32(len(payload)))
-	frame = binary.BigEndian.AppendUint32(frame, crc32.Checksum(payload, castagnoli))
-	frame = append(frame, payload...)
+	frame := appendFrame(nil, rec)
 
 	if _, err := w.f.Write(frame); err != nil {
 		return w.fail(fmt.Errorf("wal: append to %s: %w", w.path, err))

@@ -1,6 +1,7 @@
 // Serving-layer benchmarks: end-to-end HTTP throughput of bqserve's
-// /query path as the client count grows, and the epoch-keyed result
-// cache's hit rate when ingest churn keeps advancing the epoch.
+// /query path as the client count grows, and the result cache's hit rate
+// when ingest churn keeps advancing the epoch without touching what the
+// cached answers read.
 //
 //	go test -bench BenchmarkServe -benchtime 1x
 //
@@ -9,7 +10,9 @@
 //	q/s       — served queries per second (throughput benchmark)
 //	hit_pct   — result-cache hit rate under the given churn interval
 //	ns/op, allocs/op — one cached answer in process (BenchmarkServe_CachedHit),
-//	                   one read after a write in process (BenchmarkServe_Uncached)
+//	                   one cached answer after an unrelated write
+//	                   (BenchmarkServe_HitAfterWrite), one read after a
+//	                   write to what it reads (BenchmarkServe_Uncached)
 package bcq
 
 import (
@@ -96,8 +99,10 @@ func BenchmarkServe_Throughput(b *testing.B) {
 
 // BenchmarkServe_HitRateUnderChurn interleaves ingest with the query
 // stream: every `interval` queries one write batch commits, advancing
-// the epoch and shifting the cache onto fresh keys. The reported hit
-// rate shows how much locality survives a given churn intensity.
+// the epoch. The writes insert friends, which the in_album reads never
+// probe, so the answers stay cached: the reported hit rate stays the
+// static one, short of a write whose group shares a version word with
+// one a cached answer read.
 func BenchmarkServe_HitRateUnderChurn(b *testing.B) {
 	for _, interval := range []int{0, 16, 64} {
 		name := "static"
@@ -169,23 +174,44 @@ func BenchmarkServe_CachedHit(b *testing.B) {
 }
 
 // BenchmarkServe_Uncached is the miss path's guardrail: the same /query
-// in process, but with one /ingest sent (untimed) before every read, so
-// each read finds a new epoch — it misses the result cache, re-checks its
-// plan's statistics and executes. ns/op and allocs/op are the read's own:
-// admission, the drift check, the bounded execution and the response. A
-// per-request goroutine or a statistics snapshot creeping back in shows
-// here.
+// in process, but with one /ingest sent (untimed) before every read that
+// rewrites the album group the read probes, so each read finds its
+// cached answer's read set moved — it misses the result cache, re-checks
+// its plan's statistics and executes, recording a new read set. ns/op and
+// allocs/op are the read's own: admission, the drift check, the bounded
+// execution and the response. A per-request goroutine or a statistics
+// snapshot creeping back in shows here.
 func BenchmarkServe_Uncached(b *testing.B) {
+	// The write alternates an insert and a delete of one photo of album 3:
+	// the data stays the same size, every write moves the epoch, and every
+	// write touches what the query reads.
+	benchAfterWrite(b, [2]string{
+		`{"ops": [{"op": "insert", "rel": "in_album", "tuple": [999999, 3]}]}`,
+		`{"ops": [{"op": "delete", "rel": "in_album", "tuple": [999999, 3]}]}`,
+	}, false)
+}
+
+// BenchmarkServe_HitAfterWrite is the invalidation guardrail: the same
+// /query in process after an untimed /ingest that the query does not
+// read, so each read finds a new epoch and its answer still cached — a
+// hit that checks the answer's version words. ns/op and allocs/op are
+// BenchmarkServe_CachedHit's plus that check; a write that orphans
+// answers it did not touch fails the run.
+func BenchmarkServe_HitAfterWrite(b *testing.B) {
+	// The write alternates an insert and a delete of one friends tuple.
+	benchAfterWrite(b, [2]string{
+		`{"ops": [{"op": "insert", "rel": "friends", "tuple": [0, 999999]}]}`,
+		`{"ops": [{"op": "delete", "rel": "friends", "tuple": [0, 999999]}]}`,
+	}, true)
+}
+
+// benchAfterWrite times one /query of album 3 after each of b.N untimed
+// writes, alternating the two given, and fails unless every write
+// committed and every read was a hit (hits) or an execution (!hits).
+func benchAfterWrite(b *testing.B, writes [2]string, hits bool) {
 	ls, srv, _ := benchServer(b)
 	h := srv.Handler()
 	const query = `{"query": "select photo_id from in_album where album_id = ?", "args": [3]}`
-	// The write alternates an insert and a delete of one tuple the query
-	// does not read: the data stays the same size and every write moves
-	// the epoch.
-	writes := [2]string{
-		`{"ops": [{"op": "insert", "rel": "friends", "tuple": [0, 999999]}]}`,
-		`{"ops": [{"op": "delete", "rel": "friends", "tuple": [0, 999999]}]}`,
-	}
 	var rd strings.Reader
 	read := httptest.NewRequest(http.MethodPost, "/query", nil)
 	write := httptest.NewRequest(http.MethodPost, "/ingest", nil)
@@ -195,7 +221,7 @@ func BenchmarkServe_Uncached(b *testing.B) {
 		req.Body = io.NopCloser(&rd)
 		h.ServeHTTP(w, req)
 	}
-	send(read, query) // plans
+	send(read, query) // plans and caches
 	base, epoch := srv.CacheStats(), ls.Epoch()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -209,8 +235,13 @@ func BenchmarkServe_Uncached(b *testing.B) {
 	if got := ls.Epoch() - epoch; got != uint64(b.N) {
 		b.Fatalf("%d writes moved the epoch %d times; every one must commit", b.N, got)
 	}
-	if cs := srv.CacheStats(); cs.Misses-base.Misses != int64(b.N) || cs.Hits != base.Hits {
-		b.Fatalf("%d requests: %d hits, %d misses; every one must execute", b.N, cs.Hits-base.Hits, cs.Misses-base.Misses)
+	cs := srv.CacheStats()
+	hit, miss := cs.Hits-base.Hits, cs.Misses-base.Misses
+	if hits && (hit != int64(b.N) || miss != 0) {
+		b.Fatalf("%d requests: %d hits, %d misses; every one must be a cached answer", b.N, hit, miss)
+	}
+	if !hits && (miss != int64(b.N) || hit != 0) {
+		b.Fatalf("%d requests: %d hits, %d misses; every one must execute", b.N, hit, miss)
 	}
 }
 
