@@ -22,9 +22,9 @@
 //	res, _ := bcq.Execute(p, db) // evalDQ: bounded evaluation
 //
 // For serving workloads, the prepared-query engine folds the whole
-// pipeline behind a plan cache and a parallel bounded executor:
+// pipeline behind a plan cache and the bounded executor:
 //
-//	eng, _ := bcq.NewEngine(cat, acc, db, bcq.EngineOptions{Parallelism: 4})
+//	eng, _ := bcq.NewEngine(cat, acc, db, bcq.EngineOptions{})
 //	p, _ := eng.Prepare("select ... where album_id = ? and user_id = ?")
 //	res, _ := p.Exec(bcq.Int(3), bcq.Int(74))  // no re-planning, bounded fetches
 //
@@ -41,7 +41,7 @@
 // block writers:
 //
 //	ld, _ := bcq.NewLiveDatabase(db, acc, bcq.LiveOptions{})
-//	eng, _ := bcq.NewLiveEngine(ld, bcq.EngineOptions{Parallelism: 4})
+//	eng, _ := bcq.NewLiveEngine(ld, bcq.EngineOptions{})
 //	p, _ := eng.Prepare("select ... where user_id = ?")
 //	ld.Apply([]bcq.LiveOp{bcq.InsertOp("friends", t)})  // atomic batch
 //	res, _ := p.Exec(bcq.Int(74))  // pins the snapshot current now
@@ -53,7 +53,7 @@
 // byte-identical to a single store), and writes commit shard-parallel:
 //
 //	ss, _ := bcq.NewShardedDatabase(db, acc, bcq.ShardOptions{Shards: 8})
-//	eng, _ := bcq.NewShardedEngine(ss, bcq.EngineOptions{Parallelism: 8})
+//	eng, _ := bcq.NewShardedEngine(ss, bcq.EngineOptions{})
 //	ss.Apply(batch)               // routed by content, committed shard-parallel
 //	res, _ := p.Exec(bcq.Int(74)) // pins one epoch vector across all shards
 //
@@ -300,13 +300,6 @@ func Execute(p *Plan, db *Database) (*Result, error) { return exec.Run(p, db) }
 // snapshot, which evaluates in full isolation from concurrent writes.
 func ExecuteOn(p *Plan, st Store) (*Result, error) { return exec.Run(p, st) }
 
-// ExecuteParallel is Execute with the plan's index probes fanned out over
-// a bounded pool of parallelism workers. Results are byte-identical to
-// Execute; the database must be sealed (BuildIndexes does that).
-func ExecuteParallel(p *Plan, db *Database, parallelism int) (*Result, error) {
-	return exec.New(parallelism).Run(p, db)
-}
-
 // Re-exported streaming-execution types.
 type (
 	// Stream is a pull-based bounded answer stream: Next yields answers
@@ -314,7 +307,7 @@ type (
 	// per-request state instead of materializing Q(D). Every emitted
 	// tuple is a true answer (candidate growth is monotone), and a
 	// drained stream has produced exactly Q(D). Streams are
-	// single-goroutine; Execute and ExecuteParallel are thin consumers
+	// single-goroutine; Execute and ExecuteOn are thin consumers
 	// of this same core.
 	Stream = exec.Stream
 	// StreamOptions tunes a stream: Limit > 0 stops fetching as soon as
@@ -337,7 +330,8 @@ type (
 	Engine = engine.Engine
 	// Prepared is a cached query plan ready for repeated execution.
 	Prepared = engine.Prepared
-	// EngineOptions tunes the plan cache and executor parallelism.
+	// EngineOptions tunes the plan cache, the planning tier and the
+	// instruments.
 	EngineOptions = engine.Options
 	// EngineStats exposes the engine counters (prepares, cache hits,
 	// misses, evictions, executions, background plan upgrades).

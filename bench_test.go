@@ -16,7 +16,6 @@ package bcq
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	"bcq/internal/core"
@@ -208,78 +207,6 @@ func BenchmarkEngine_PreparedVsCold(b *testing.B) {
 	})
 	st := eng.Stats()
 	b.Logf("engine stats after benchmark: %+v (plans for the hot query: 1)", st)
-}
-
-// --- Parallel vs sequential bounded execution ---
-
-// chainBench builds a three-way self-join whose candidate sets multiply
-// through the fetch steps (1 → F → F² probes), so phase-1 index probing
-// dominates and the executor's probe fan-out is visible. The answer and
-// every statistic are identical at every parallelism level; only wall
-// time changes.
-func chainBench(b *testing.B) (*Plan, *Database) {
-	b.Helper()
-	const (
-		fanout = 48    // distinct y per x (the constraint's N)
-		domain = 40000 // x-value space
-	)
-	cat, acc, err := ParseDDL(`
-		relation chain(x, y)
-		constraint chain: (x) -> (y, 48)
-	`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	db := NewDatabase(cat)
-	for x := int64(0); x < domain; x++ {
-		for j := int64(0); j < fanout; j++ {
-			y := (x*2654435761 + j*40503) % domain
-			if err := db.Insert("chain", Tuple{Int(x), Int(y)}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	if err := db.BuildIndexes(acc); err != nil {
-		b.Fatal(err)
-	}
-	q, err := ParseQuery(`
-		select t3.y
-		from chain as t1, chain as t2, chain as t3
-		where t1.x = 7 and t1.y = t2.x and t2.y = t3.x
-	`, cat)
-	if err != nil {
-		b.Fatal(err)
-	}
-	an, err := Analyze(cat, q, acc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, err := an.Plan()
-	if err != nil {
-		b.Fatal(err)
-	}
-	return p, db
-}
-
-// BenchmarkExec_ParallelVsSequential runs one multi-atom bounded plan at
-// increasing probe parallelism. Compare the ns/op across sub-benchmarks;
-// tuples_fetched is reported to show the work is identical.
-func BenchmarkExec_ParallelVsSequential(b *testing.B) {
-	p, db := chainBench(b)
-	for _, par := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("parallel=%d", par), func(b *testing.B) {
-			var res *Result
-			for i := 0; i < b.N; i++ {
-				var err error
-				res, err = ExecuteParallel(p, db, par)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(res.Stats.TuplesFetched), "tuples_fetched")
-			b.ReportMetric(float64(len(res.Tuples)), "answers")
-		})
-	}
 }
 
 // --- Exp-1: effectively bounded census ---

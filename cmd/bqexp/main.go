@@ -9,7 +9,6 @@
 //	bqexp -only fig5d     # one experiment: fig5a..fig5l, table1, table2, census
 //	bqexp -csv out/       # additionally dump panel CSVs for plotting
 //	bqexp -json out.json  # additionally dump all results as JSON ("-" = stdout)
-//	bqexp -parallel 8     # fan evalDQ's index probes over 8 workers
 //
 // The -json report carries every panel point and table row in one
 // machine-readable document, so CI can produce benchmark trajectory
@@ -33,14 +32,12 @@ func main() {
 	only := flag.String("only", "", "run a single experiment: fig5a..fig5l, table1, table2, census")
 	csvDir := flag.String("csv", "", "directory to write panel CSVs into")
 	jsonPath := flag.String("json", "", "file to write all results into as JSON (\"-\" = stdout)")
-	parallel := flag.Int("parallel", 1, "evalDQ probe workers (1 = sequential; answers are identical either way)")
 	flag.Parse()
 
 	cfg := experiments.DefaultConfig()
 	if *quick {
 		cfg = experiments.QuickConfig()
 	}
-	cfg.Parallelism = *parallel
 	if err := run(cfg, strings.ToLower(*only), *csvDir, *jsonPath); err != nil {
 		fmt.Fprintln(os.Stderr, "bqexp:", err)
 		os.Exit(1)

@@ -7,7 +7,6 @@
 //
 //	bqrun -dataset social -scale 0.5 -query q0.sql
 //	bqrun -dataset tfacc -scale 1 -workload       # run the 15-query workload
-//	bqrun -dataset mot -scale 1 -workload -parallel 8
 //	bqrun -dataset social -scale 0.5 -query q0.sql -ingest 100000
 //	bqrun -dataset social -scale 0.5 -query q0.sql -shards 4 -ingest 100000
 //	bqrun -dataset tfacc -scale 1 -workload -limit 5      # stop after 5 answers
@@ -22,9 +21,7 @@
 // the same rendering the serving layer retains at /debug/traces/{id} —
 // so offline runs feed the same tooling as production traces.
 //
-// Datasets: social (Example 1), tfacc, mot, tpch. The -parallel flag fans
-// each plan step's index probes over that many workers; answers are
-// byte-identical to a sequential run.
+// Datasets: social (Example 1), tfacc, mot, tpch.
 //
 // The -ingest N flag switches to live mode: the dataset is wrapped in a
 // live store, N tuples are streamed in (duplicates of existing tuples, so
@@ -77,7 +74,6 @@ func main() {
 	queryPath := flag.String("query", "", "path to an SPC query file")
 	workload := flag.Bool("workload", false, "run the generated 15-query workload instead of -query")
 	budget := flag.Int64("budget", 2_000_000, "baseline tuple budget (0 = unlimited)")
-	parallel := flag.Int("parallel", 1, "bounded-executor probe workers (1 = sequential)")
 	ingest := flag.Int("ingest", 0, "live mode: stream N inserts while queries run against pinned snapshots")
 	shards := flag.Int("shards", 1, "partition the store into P shards (1 = single store)")
 	dataDir := flag.String("data-dir", "", "durable store directory: seed it fresh or recover it, checkpoint on exit")
@@ -101,7 +97,6 @@ func main() {
 		query:     *queryPath,
 		workload:  *workload,
 		budget:    *budget,
-		parallel:  *parallel,
 		ingest:    *ingest,
 		shards:    *shards,
 		shardsSet: shardsSet,
@@ -125,7 +120,6 @@ type config struct {
 	query     string
 	workload  bool
 	budget    int64
-	parallel  int
 	ingest    int
 	shards    int
 	shardsSet bool
@@ -142,12 +136,8 @@ type config struct {
 }
 
 // validate rejects flag values whose behavior would otherwise be
-// undefined (a zero-width worker pool, negative ingest, a zero-shard
-// partition).
+// undefined (negative ingest, a zero-shard partition).
 func (c config) validate() error {
-	if c.parallel < 1 {
-		return fmt.Errorf("-parallel %d: probe worker count must be ≥ 1 (1 = sequential)", c.parallel)
-	}
 	if c.ingest < 0 {
 		return fmt.Errorf("-ingest %d: insert count must be ≥ 0 (0 = static mode)", c.ingest)
 	}
@@ -188,7 +178,7 @@ func (c config) planMode() engine.PlanMode {
 
 // engineOptions is the engine configuration every bqrun mode shares.
 func (c config) engineOptions() engine.Options {
-	return engine.Options{Parallelism: c.parallel, PlanMode: c.planMode()}
+	return engine.Options{PlanMode: c.planMode()}
 }
 
 func pickDataset(name string) (*datagen.Dataset, error) {
@@ -272,7 +262,7 @@ func run(c config) error {
 		}
 	} else {
 		for _, q := range queries {
-			if err := runOne(ds, eng, q, c); err != nil {
+			if err := runOne(ds, eng, db, q, c); err != nil {
 				return err
 			}
 		}
@@ -281,7 +271,7 @@ func run(c config) error {
 		if ld != nil {
 			printRelStats(ld.RelStats())
 		} else {
-			printRelStats(eng.Database().RelStats())
+			printRelStats(db.RelStats())
 		}
 	}
 	eng.DrainUpgrades()
@@ -337,8 +327,8 @@ func runDurable(ds *datagen.Dataset, queries []*bcq.Query, c config) error {
 	)
 	if _, merr := shard.ReadManifest(c.dataDir); merr == nil {
 		if c.ingest > 0 {
-			// The duplicate stream sources tuples from the seeding run's
-			// base data, which a recovered store no longer carries.
+			// -ingest belongs to the seeding run: it duplicates the dataset
+			// just built. A recovered store takes writes through bqserve.
 			return fmt.Errorf("-ingest needs a freshly seeded -data-dir; this one already holds a store (recovery-safe writes go through bqserve /ingest)")
 		}
 		want := 0 // accept the manifest's count unless -shards was given
@@ -465,7 +455,7 @@ func runSharded(ds *datagen.Dataset, db *bcq.Database, queries []*bcq.Query, c c
 		}
 	} else {
 		// Static mode: cross-check every answer against a single store.
-		ref, err := engine.New(ds.Catalog, ds.Access, db, engine.Options{Parallelism: c.parallel})
+		ref, err := engine.New(ds.Catalog, ds.Access, db, engine.Options{})
 		if err != nil {
 			return err
 		}
@@ -542,8 +532,12 @@ func renderResult(r *bcq.Result) string {
 // driver streams duplicates through Apply (committing shard-parallel)
 // while readers pin epoch vectors.
 func runShardedIngest(eng *engine.Engine, ss *bcq.ShardedDatabase, queries []*bcq.Query, n int) error {
+	base, err := ss.Base()
+	if err != nil {
+		return err
+	}
 	return driveIngest(eng, ingestTarget{
-		base:  ss.Base(),
+		base:  base,
 		apply: ss.Apply,
 		describe: func() string {
 			return fmt.Sprintf("|D| = %d across %d shards", ss.NumTuples(), ss.NumShards())
@@ -659,7 +653,7 @@ func runIngest(eng *engine.Engine, ld *bcq.LiveDatabase, queries []*bcq.Query, n
 // ingestTarget abstracts the store live mode streams into — the single
 // live store or the sharded store — so one driver covers both.
 type ingestTarget struct {
-	// base is the original loaded database (source of duplicate tuples).
+	// base is the data before ingest, sealed (source of duplicate tuples).
 	base *bcq.Database
 	// apply commits one write batch.
 	apply func([]bcq.LiveOp) error
@@ -797,7 +791,9 @@ func driveIngest(eng *engine.Engine, tgt ingestTarget, queries []*bcq.Query, n i
 	return nil
 }
 
-func runOne(ds *datagen.Dataset, eng *engine.Engine, q *bcq.Query, c config) error {
+// runOne answers q through the engine and through the full-data baseline
+// over db, the sealed database the engine serves.
+func runOne(ds *datagen.Dataset, eng *engine.Engine, db *bcq.Database, q *bcq.Query, c config) error {
 	fmt.Printf("== %s\n   %s\n", q.Name, q)
 	// -trace (and -trace-out) threads one trace through prepare and
 	// execution; the span tree (prepare → waves → fetch/verify → shards)
@@ -874,7 +870,7 @@ func runOne(ds *datagen.Dataset, eng *engine.Engine, q *bcq.Query, c config) err
 		return err
 	}
 	start = time.Now()
-	bres, err := bcq.ExecuteBaseline(an, eng.Database(), bcq.BaselineOptions{Budget: c.budget})
+	bres, err := bcq.ExecuteBaseline(an, db, bcq.BaselineOptions{Budget: c.budget})
 	baseTime := time.Since(start)
 	switch {
 	case err != nil:

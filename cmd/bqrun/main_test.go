@@ -12,12 +12,11 @@ import (
 
 func cfg(mut func(*config)) config {
 	c := config{
-		dataset:  "social",
-		scale:    1.0 / 32,
-		query:    "../../testdata/q0.sql",
-		budget:   100_000,
-		parallel: 1,
-		shards:   1,
+		dataset: "social",
+		scale:   1.0 / 32,
+		query:   "../../testdata/q0.sql",
+		budget:  100_000,
+		shards:  1,
 	}
 	if mut != nil {
 		mut(&c)
@@ -31,26 +30,20 @@ func TestRunSingleQuery(t *testing.T) {
 	}
 }
 
-func TestRunSingleQueryParallel(t *testing.T) {
-	if err := run(cfg(func(c *config) { c.parallel = 4 })); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRunIngest(t *testing.T) {
-	if err := run(cfg(func(c *config) { c.parallel = 2; c.ingest = 5_000 })); err != nil {
+	if err := run(cfg(func(c *config) { c.ingest = 5_000 })); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunSharded(t *testing.T) {
-	if err := run(cfg(func(c *config) { c.shards = 3; c.parallel = 2; c.verbose = true })); err != nil {
+	if err := run(cfg(func(c *config) { c.shards = 3; c.verbose = true })); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunShardedIngest(t *testing.T) {
-	if err := run(cfg(func(c *config) { c.shards = 4; c.parallel = 2; c.ingest = 5_000 })); err != nil {
+	if err := run(cfg(func(c *config) { c.shards = 4; c.ingest = 5_000 })); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -59,7 +52,7 @@ func TestRunWorkload(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a dataset and runs 15 queries")
 	}
-	if err := run(config{dataset: "mot", scale: 1.0 / 32, workload: true, budget: 200_000, parallel: 2, shards: 1}); err != nil {
+	if err := run(config{dataset: "mot", scale: 1.0 / 32, workload: true, budget: 200_000, shards: 1}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -68,7 +61,7 @@ func TestRunWorkloadSharded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a dataset and runs 15 queries at two shard counts")
 	}
-	if err := run(config{dataset: "tfacc", scale: 1.0 / 32, workload: true, budget: 200_000, parallel: 2, shards: 3, verbose: true}); err != nil {
+	if err := run(config{dataset: "tfacc", scale: 1.0 / 32, workload: true, budget: 200_000, shards: 3, verbose: true}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -121,7 +114,6 @@ func TestRunDurableCycle(t *testing.T) {
 		c.shards, c.shardsSet = 3, true
 		c.dataDir = dir
 		c.ingest = 2_000
-		c.parallel = 2
 	})
 	if err := run(seed); err != nil {
 		t.Fatalf("seeding run: %v", err)
@@ -206,7 +198,7 @@ func TestRunTieredShowsTheUpgradedTier(t *testing.T) {
 }
 
 func TestRunBadInputs(t *testing.T) {
-	if err := run(config{dataset: "nope", scale: 1, workload: true, parallel: 1, shards: 1}); err == nil {
+	if err := run(config{dataset: "nope", scale: 1, workload: true, shards: 1}); err == nil {
 		t.Error("unknown dataset accepted")
 	}
 	if err := run(cfg(func(c *config) { c.query = "" })); err == nil {
@@ -222,8 +214,6 @@ func TestFlagValidation(t *testing.T) {
 		name string
 		mut  func(*config)
 	}{
-		{"parallel=0", func(c *config) { c.parallel = 0 }},
-		{"parallel=-2", func(c *config) { c.parallel = -2 }},
 		{"ingest=-1", func(c *config) { c.ingest = -1 }},
 		{"shards=0", func(c *config) { c.shards = 0 }},
 		{"shards=-3", func(c *config) { c.shards = -3 }},

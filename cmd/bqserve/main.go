@@ -6,7 +6,7 @@
 // Usage:
 //
 //	bqserve -dataset social -scale 0.25 -addr :8080
-//	bqserve -dataset tfacc -scale 0.5 -shards 4 -parallel 4 -workers 32
+//	bqserve -dataset tfacc -scale 0.5 -shards 4 -workers 32
 //
 // Quickstart against a running server:
 //
@@ -112,7 +112,6 @@ func main() {
 	scale := flag.Float64("scale", 0.25, "scale factor")
 	shards := flag.Int("shards", 1, "partition the store into P shards (1 = single live store)")
 	dataDir := flag.String("data-dir", "", "durable store directory: WAL + checkpoint segments per shard; an existing store is recovered (dataset/scale only seed a fresh directory)")
-	parallel := flag.Int("parallel", 1, "bounded-executor probe workers per query")
 	workers := flag.Int("workers", 0, "concurrently executing requests (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "max queued requests beyond the workers (0 = 8 x workers)")
 	timeout := flag.Duration("timeout", 5*time.Second, "default per-request deadline")
@@ -149,7 +148,6 @@ func main() {
 		shards:           *shards,
 		shardsSet:        shardsSet,
 		dataDir:          *dataDir,
-		parallel:         *parallel,
 		workers:          *workers,
 		queue:            *queue,
 		timeout:          *timeout,
@@ -220,7 +218,6 @@ type config struct {
 	shards           int
 	shardsSet        bool
 	dataDir          string
-	parallel         int
 	workers          int
 	queue            int
 	timeout          time.Duration
@@ -250,9 +247,6 @@ func (c config) validate() error {
 	}
 	if c.shards < 1 {
 		return fmt.Errorf("-shards %d: shard count must be ≥ 1", c.shards)
-	}
-	if c.parallel < 1 {
-		return fmt.Errorf("-parallel %d: probe worker count must be ≥ 1", c.parallel)
 	}
 	if c.workers < 0 || c.queue < 0 {
 		return fmt.Errorf("-workers/-queue must be ≥ 0")
@@ -368,7 +362,7 @@ func buildServer(c config) (*serve.Server, string, error) {
 		CursorTTL:       c.cursorTTL,
 		Obs:             ob,
 	}
-	engOpts := engine.Options{Parallelism: c.parallel, Metrics: ob.Metrics, Recorder: ob.Traces}
+	engOpts := engine.Options{Metrics: ob.Metrics, Recorder: ob.Traces}
 	if c.planUpgrade {
 		// Serving default: greedy-first cold prepares keep planning off the
 		// request tail; the background worker installs the optimized tier.

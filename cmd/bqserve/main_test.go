@@ -17,7 +17,7 @@ import (
 func TestBuildAndServeSmoke(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		srv, info, err := buildServer(config{
-			dataset: "social", scale: 1.0 / 32, shards: shards, parallel: 2,
+			dataset: "social", scale: 1.0 / 32, shards: shards,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -68,7 +68,7 @@ func TestBuildAndServeSmoke(t *testing.T) {
 func TestSlowLogTracesResolveEndToEnd(t *testing.T) {
 	logPath := filepath.Join(t.TempDir(), "slow.jsonl")
 	srv, _, err := buildServer(config{
-		dataset: "social", scale: 1.0 / 32, shards: 1, parallel: 2,
+		dataset: "social", scale: 1.0 / 32, shards: 1,
 		metrics:        true,
 		slowLog:        logPath,
 		slowThreshold:  0, // every query is a slow-log candidate
@@ -157,7 +157,7 @@ func TestDurableRestartCycle(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "store")
 	// shards stays at its flag default (1) with shardsSet false: on
 	// restart the manifest's count must win.
-	base := config{dataset: "social", scale: 1.0 / 32, shards: 1, parallel: 2, dataDir: dir}
+	base := config{dataset: "social", scale: 1.0 / 32, shards: 1, dataDir: dir}
 
 	first := base
 	first.shards, first.shardsSet = 2, true
@@ -211,12 +211,11 @@ func TestConfigValidation(t *testing.T) {
 	bad := []config{
 		{dataset: "social", scale: 0},
 		{dataset: "social", scale: 1, shards: 0},
-		{dataset: "social", scale: 1, shards: 1, parallel: 0},
-		{dataset: "nope", scale: 1, shards: 1, parallel: 1},
-		{dataset: "social", scale: 1, shards: 1, parallel: 1, slowLogMaxBytes: -1},
-		{dataset: "social", scale: 1, shards: 1, parallel: 1, traceRetention: -1},
-		{dataset: "social", scale: 1, shards: 1, parallel: 1, sloLatency: -1},
-		{dataset: "social", scale: 1, shards: 1, parallel: 1, sloLatency: 1, sloLatencyBudget: 2},
+		{dataset: "nope", scale: 1, shards: 1},
+		{dataset: "social", scale: 1, shards: 1, slowLogMaxBytes: -1},
+		{dataset: "social", scale: 1, shards: 1, traceRetention: -1},
+		{dataset: "social", scale: 1, shards: 1, sloLatency: -1},
+		{dataset: "social", scale: 1, shards: 1, sloLatency: 1, sloLatencyBudget: 2},
 	}
 	for _, c := range bad {
 		if _, _, err := buildServer(c); err == nil {

@@ -34,7 +34,7 @@ func main() {
 	db := ds.MustBuild(0.5)
 	fmt.Printf("social network: |D| = %d tuples\n\n", db.NumTuples())
 
-	eng, err := bcq.NewEngine(ds.Catalog, ds.Access, db, bcq.EngineOptions{Parallelism: 4})
+	eng, err := bcq.NewEngine(ds.Catalog, ds.Access, db, bcq.EngineOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

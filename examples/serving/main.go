@@ -74,7 +74,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	eng, err := bcq.NewLiveEngine(ld, bcq.EngineOptions{Parallelism: 4})
+	eng, err := bcq.NewLiveEngine(ld, bcq.EngineOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

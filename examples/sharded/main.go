@@ -93,7 +93,7 @@ func main() {
 		fmt.Printf("  %-10s %s\n", rs.Name(), pl)
 	}
 
-	eng, err := bcq.NewShardedEngine(sharded, bcq.EngineOptions{Parallelism: 4})
+	eng, err := bcq.NewShardedEngine(sharded, bcq.EngineOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -18,8 +18,8 @@
 //     in two map lookups.
 //   - Prepared.Exec binds the placeholder arguments into the cached
 //     plan's seeds and runs bounded evaluation — the only per-request
-//     work is the (bounded) data access itself, optionally fanned out
-//     over the executor's worker pool.
+//     work is the (bounded) data access itself, run on the caller's
+//     goroutine.
 //
 // Engine statistics (prepares, cache hits/misses, evictions, executions)
 // make the plans-exactly-once behaviour observable.
@@ -63,7 +63,8 @@ type Source interface {
 	// Base is the sealed database behind the store, for callers that want
 	// the data itself (baseline comparisons, per-relation statistics) and
 	// never for serving. A live store answers with the base its current
-	// epoch overlays, so nothing here pins a base a Compact has replaced.
+	// epoch overlays, so nothing here pins a base a Compact has replaced;
+	// a sharded store freezes its current view.
 	Base() *storage.Database
 	// Access is the current access schema (live stores can extend it).
 	Access() *schema.AccessSchema
@@ -137,7 +138,6 @@ func (s liveSource) ACCard(key string) (stats.ACCard, bool) { return s.ls.ACCard
 type shardSource struct{ ss *shard.Store }
 
 func (s shardSource) View() exec.Store             { return s.ss.View() }
-func (s shardSource) Base() *storage.Database      { return s.ss.Base() }
 func (s shardSource) Access() *schema.AccessSchema { return s.ss.Access() }
 func (s shardSource) Version() uint64              { return s.ss.SchemaVersion() }
 func (s shardSource) EpochKey() string             { return s.ss.EpochKey() }
@@ -153,6 +153,16 @@ func (s shardSource) Epoch() uint64 {
 
 func (s shardSource) ACCard(key string) (stats.ACCard, bool) { return s.ss.ACCard(key) }
 
+// Base freezes the current view (O(|D|)); a freeze fails only on a
+// shard-store bug, which panics, since Engine.Database has no error.
+func (s shardSource) Base() *storage.Database {
+	db, err := s.ss.Base()
+	if err != nil {
+		panic(err)
+	}
+	return db
+}
+
 // The views a live and a sharded source pin carry version words, which is
 // what lets a result cache keep an answer across writes that touch
 // nothing it read.
@@ -165,8 +175,11 @@ var (
 type Options struct {
 	// PlanCacheSize caps the LRU plan cache (≤ 0 means the default 128).
 	PlanCacheSize int
-	// Parallelism is the executor's probe worker-pool width (≤ 1 means
-	// sequential execution).
+	// Parallelism is read by nothing: every probe runs on the request's
+	// goroutine.
+	//
+	// Deprecated: leave it unset; the field is deleted once no caller
+	// sets it.
 	Parallelism int
 	// PlanMode selects the cold-prepare planning tier: PlanOptimized (the
 	// zero value) runs the full branch-and-bound search per cold shape,
@@ -239,7 +252,6 @@ type Engine struct {
 	// src is what executions read, and where the current access schema,
 	// version and base database come from.
 	src Source
-	exe *exec.Executor
 
 	mu sync.Mutex
 	// cache holds successful plans; errs holds preparation errors, each
@@ -347,8 +359,8 @@ func NewLive(ls *live.Store, opts Options) (*Engine, error) {
 // shard-parallel. The shards' construction verified D |= A per shard,
 // which (groups being whole on one shard) is the global invariant.
 //
-// The engine's Database() is the base the store was partitioned from —
-// useful for baseline comparisons, not consulted for serving.
+// The engine's Database() is the store's current view, frozen — useful
+// for baseline comparisons, not consulted for serving.
 func NewSharded(ss *shard.Store, opts Options) (*Engine, error) {
 	if ss == nil {
 		return nil, fmt.Errorf("engine: sharded store is required")
@@ -365,7 +377,6 @@ func assemble(cat *schema.Catalog, src Source, opts Options) *Engine {
 	e := &Engine{
 		cat:    cat,
 		src:    src,
-		exe:    exec.New(opts.Parallelism),
 		cache:  lru.New[*cacheEntry](size),
 		errs:   lru.New[*cacheEntry](size),
 		texts:  lru.New[parsedText](size),
@@ -420,10 +431,10 @@ func (e *Engine) Catalog() *schema.Catalog { return e.cat }
 func (e *Engine) Access() *schema.AccessSchema { return e.src.Access() }
 
 // Database returns the sealed database behind the engine's store, asked
-// of the store at call time: the database itself for a sealed engine, the
-// one a sharded store was partitioned from, and for a live engine the
-// base its current epoch overlays — not the current data; use View (or
-// the live store's Snapshot) for that.
+// of the store at call time: the database itself for a sealed engine; for
+// a live engine the base its current epoch overlays, not the current data
+// (use View, or the live store's Snapshot, for that); and for a sharded
+// engine its current view frozen into one database, O(|D|) per call.
 func (e *Engine) Database() *storage.Database { return e.src.Base() }
 
 // View pins the store one evaluation would run against: the sealed

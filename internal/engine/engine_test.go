@@ -269,7 +269,7 @@ func TestConcurrentPrepareAndExec(t *testing.T) {
 	// Many goroutines prepare the same shape and execute it; the shape
 	// must be planned exactly once, results must agree, and -race must
 	// stay silent.
-	ds, db, e := socialEngine(t, Options{Parallelism: 4})
+	ds, db, e := socialEngine(t, Options{})
 	q, err := spc.Parse(socialQ1, ds.Catalog)
 	if err != nil {
 		t.Fatal(err)
@@ -309,36 +309,6 @@ func TestConcurrentPrepareAndExec(t *testing.T) {
 	}
 	if st.CacheHits != goroutines-1 {
 		t.Errorf("hits = %d, want %d", st.CacheHits, goroutines-1)
-	}
-}
-
-func TestParallelEngineMatchesSequential(t *testing.T) {
-	ds, db, seq := socialEngine(t, Options{})
-	par, err := New(ds.Catalog, ds.Access, db, Options{Parallelism: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, text := range []string{socialQ0,
-		`select t1.photo_id from in_album as t1 where t1.album_id = 0`,
-		`select t2.friend_id from friends as t2 where t2.user_id = 2`,
-	} {
-		ps, err := seq.Prepare(text)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pp, err := par.Prepare(text)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs, err := ps.Exec()
-		if err != nil {
-			t.Fatal(err)
-		}
-		rp, err := pp.Exec()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameResults(t, rp, rs)
 	}
 }
 

@@ -365,7 +365,7 @@ func (p *Prepared) execOn(st exec.Store, tr *obs.Trace, reads *exec.ReadSet, arg
 	if rec != nil {
 		start = time.Now()
 	}
-	res, err := p.eng.exe.Stream(pl, st, opts).Drain()
+	res, err := exec.OpenStream(pl, st, opts).Drain()
 	if rec != nil && err == nil {
 		rec.ObserveLatency(time.Since(start))
 	}
@@ -395,7 +395,7 @@ func (p *Prepared) ExecStreamOn(st exec.Store, opts exec.StreamOptions, args ...
 	if !ok {
 		return exec.EmptyStream(p.colNames()), nil
 	}
-	return p.eng.exe.Stream(pl, st, opts), nil
+	return exec.OpenStream(pl, st, opts), nil
 }
 
 // ExecLimit is Exec with early termination: it drains a limit-bounded

@@ -15,16 +15,11 @@
 //  3. join & project: the R_i are hash-joined in memory on shared Σ_Q
 //     classes — no data access — and projected onto Z.
 //
-// An Executor carries the evaluation policy. Its Parallelism setting fans
-// the index probes of each step out over a bounded worker pool: the steps
-// themselves stay ordered (each fetch step feeds the candidate sets of the
-// next), but within one step every probe is independent, so a step's
-// lookup batch is split into contiguous chunks evaluated concurrently and
-// merged back in probe order. The merge is deterministic, so a parallel
-// run returns byte-identical Tuples, Stats and DQSize to a sequential one.
-// Concurrent probes require the database to be sealed
-// (storage.BuildIndexes) and rely on the storage layer's atomic access
-// counters.
+// Every step's index probes run as one batch on the caller's goroutine.
+// The steps are ordered (each fetch step feeds the candidate sets of the
+// next), and a bounded plan's batches are small, so an evaluation is
+// sequential; concurrency is across evaluations, which share a sealed
+// database or a pinned snapshot.
 //
 // When the store is partitioned (PartitionedStore — the sharded store of
 // internal/shard), each step's probe batch is instead scattered across
@@ -63,7 +58,7 @@ type Store interface {
 // this by hash-partitioning each relation on an X-set contained in every
 // constraint's X of that relation.
 //
-// The executor detects the interface and fans each step's probe batch out
+// The executor detects the interface and splits each step's probe batch
 // shard by shard (see probeAC): probes are bucketed by owning shard, each
 // shard's sub-batch is fetched with one FetchShard call, and the groups
 // are written back into probe order, so the merge is deterministic and a
@@ -121,27 +116,6 @@ type Result struct {
 // Bool interprets a Boolean query's result.
 func (r *Result) Bool() bool { return len(r.Tuples) > 0 }
 
-// Executor evaluates bounded plans. The zero value (and package-level Run)
-// evaluates sequentially; Parallelism > 1 fans each step's index probes
-// out over that many workers. Executors are stateless and safe for
-// concurrent use; one executor may evaluate many plans at once.
-type Executor struct {
-	// Parallelism is the worker-pool width for index probes within a step.
-	// Values ≤ 1 mean sequential execution.
-	Parallelism int
-}
-
-// New returns an executor with the given probe parallelism.
-func New(parallelism int) *Executor { return &Executor{Parallelism: parallelism} }
-
-var sequential = &Executor{}
-
-// Run executes a bounded plan sequentially — the original evalDQ entry
-// point, kept for callers that need no concurrency.
-func Run(p *plan.Plan, db Store) (*Result, error) {
-	return sequential.Run(p, db)
-}
-
 // Run executes a bounded plan against a store: a sealed database or a
 // pinned live snapshot. The store must have indexes built for every
 // constraint the plan uses (storage.BuildIndexes with the access schema
@@ -152,21 +126,20 @@ func Run(p *plan.Plan, db Store) (*Result, error) {
 // empty-table short-circuit, and one-shot join execute exactly the
 // classic three-phase evalDQ — answers, statistics and |D_Q| are
 // byte-identical to the historical materializing path.
-func (e *Executor) Run(p *plan.Plan, db Store) (*Result, error) {
-	return e.Stream(p, db, StreamOptions{BatchSize: Unbatched}).Drain()
+func Run(p *plan.Plan, db Store) (*Result, error) {
+	return OpenStream(p, db, StreamOptions{BatchSize: Unbatched}).Drain()
 }
 
-// run is the per-evaluation state of one Executor.Run. It counts its own
+// run is the per-evaluation state of one stream. It counts its own
 // accesses (lookups, fetched) instead of diffing the database's shared
 // counters, so Result.Stats stays exact even when many evaluations run
 // concurrently against one database.
 type run struct {
-	ex *Executor
 	p  *plan.Plan
 	db Store
 
 	// metrics, when non-nil, receives probe/fetch counters and per-shard
-	// fan-out latencies as they happen (nil-safe instruments inside).
+	// probe latencies as they happen (nil-safe instruments inside).
 	metrics *obs.ExecMetrics
 	// reads, when non-nil, records the version words of everything the run
 	// reads from versioned, which is db (StreamOptions.Reads).

@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 
 	"bcq/internal/obs"
@@ -12,23 +11,17 @@ import (
 	"bcq/internal/value"
 )
 
-// minParallelBatch is the smallest lookup batch worth fanning out: below
-// it the goroutine handoff costs more than the probes.
-const minParallelBatch = 8
-
 // probeAC evaluates one step's lookup batch — the constraint's index
 // probed once per tuple of xs — returning the entry groups aligned with
 // xs (group i answers xs[i]) and, on partitioned stores, the owning shard
 // of each probe (owners is nil on unsharded stores, meaning shard 0).
 //
-// Against a plain Store this is a single storage.FetchBatch, optionally
-// split into contiguous chunks over the worker pool. Against a
-// PartitionedStore it is scatter-gather: probes are bucketed by owning
-// shard, each shard's sub-batch is one FetchShard call (concurrent when
-// Parallelism > 1), and groups are written back into probe order. Either
-// way the merge order is independent of goroutine scheduling, so parallel
-// and sharded execution are deterministic. The storage layer's counters
-// are atomic, so the accounting is exact too.
+// Against a plain Store this is a single storage.FetchBatch. Against a
+// PartitionedStore with more than one shard it is scatter-gather: probes
+// are bucketed by owning shard, each shard's sub-batch is one FetchShard
+// call, and groups are written back into probe order. Both run on the
+// caller's goroutine: a bounded plan's batches are small, and a hand-off
+// costs more than the probes it would spread.
 // sp, when non-nil, is the step's trace span: on partitioned stores each
 // shard's sub-batch becomes a child span tagged with the shard index.
 func (r *run) probeAC(ac schema.AccessConstraint, xs []value.Tuple, sp *obs.Span) ([][]storage.IndexEntry, []int, error) {
@@ -40,7 +33,7 @@ func (r *run) probeAC(ac schema.AccessConstraint, xs []value.Tuple, sp *obs.Span
 	if ps, ok := r.db.(PartitionedStore); ok && ps.NumShards() > 1 {
 		groups, owners, err = r.scatterGather(ps, ac, xs, sp)
 	} else {
-		groups, err = r.fanout(ac, xs)
+		groups, err = r.db.FetchBatch(ac, xs)
 	}
 	if err != nil {
 		return nil, nil, err
@@ -104,60 +97,18 @@ func (r *run) scatterGather(ps PartitionedStore, ac schema.AccessConstraint, xs 
 		fill[s]++
 	}
 
-	// Per-shard child spans are created here on the coordinator (Child
-	// serializes under the trace mutex) and ended inside the fetch
-	// goroutines, where End/Tag are single-owner safe.
-	var spans []*obs.Span
-	if sp != nil {
-		spans = make([]*obs.Span, P)
-		for s := range spans {
-			if n := lo[s+1] - lo[s]; n > 0 {
-				spans[s] = shardSpan(sp, s, n)
-			}
-		}
-	}
-
 	out := make([][]storage.IndexEntry, len(xs))
-	gather := func(s int) error {
-		var span *obs.Span
-		if spans != nil {
-			span = spans[s]
-		}
-		groups, err := r.fetchShard(ps, s, ac, sub[lo[s]:lo[s+1]], span)
-		for j, g := range groups {
-			out[idx[lo[s]+j]] = g
-		}
-		return err
-	}
-
-	if r.ex.Parallelism <= 1 {
-		for s := 0; s < P; s++ {
-			if lo[s] == lo[s+1] {
-				continue
-			}
-			if err := gather(s); err != nil {
-				return nil, nil, err
-			}
-		}
-		return out, owners, nil
-	}
-
-	errs := make([]error, P)
-	var wg sync.WaitGroup
 	for s := 0; s < P; s++ {
-		if lo[s] == lo[s+1] {
+		n := lo[s+1] - lo[s]
+		if n == 0 {
 			continue
 		}
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			errs[s] = gather(s)
-		}(s)
-	}
-	wg.Wait()
-	for _, err := range errs {
+		groups, err := r.fetchShard(ps, s, ac, sub[lo[s]:lo[s+1]], shardSpan(sp, s, n))
 		if err != nil {
 			return nil, nil, err
+		}
+		for j, g := range groups {
+			out[idx[lo[s]+j]] = g
 		}
 	}
 	return out, owners, nil
@@ -192,48 +143,4 @@ func (r *run) fetchShard(ps PartitionedStore, shard int, ac schema.AccessConstra
 	}
 	r.metrics.ShardProbe(shard).Observe(time.Since(start).Seconds())
 	return groups, nil
-}
-
-// fanout performs the raw batched probes, splitting large batches over
-// the worker pool.
-func (r *run) fanout(ac schema.AccessConstraint, xs []value.Tuple) ([][]storage.IndexEntry, error) {
-	workers := r.ex.Parallelism
-	if workers > len(xs) {
-		workers = len(xs)
-	}
-	if workers <= 1 || len(xs) < minParallelBatch {
-		return r.db.FetchBatch(ac, xs)
-	}
-
-	out := make([][]storage.IndexEntry, len(xs))
-	errs := make([]error, workers)
-	chunk := (len(xs) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(xs) {
-			hi = len(xs)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			groups, err := r.db.FetchBatch(ac, xs[lo:hi])
-			if err != nil {
-				errs[w] = err
-				return
-			}
-			copy(out[lo:hi], groups)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }

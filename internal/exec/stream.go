@@ -197,13 +197,13 @@ func useSources(mask *uint64, srcs []plan.RowSource) {
 	}
 }
 
-// Stream opens a pull-based evaluation of a bounded plan against a store.
+// OpenStream opens a pull-based evaluation of a bounded plan against a store.
 // Answers arrive through Next in discovery order; no data is fetched
 // until the first Next call, and fetching stops as soon as the buffered
 // answers satisfy the caller (or opts.Limit). The stream is not safe for
 // concurrent use; the store must satisfy the same requirements as Run's.
-func (e *Executor) Stream(p *plan.Plan, db Store, opts StreamOptions) *Stream {
-	s := &Stream{r: run{ex: e, p: p, db: db, metrics: opts.Metrics}, opts: opts, batch: opts.BatchSize}
+func OpenStream(p *plan.Plan, db Store, opts StreamOptions) *Stream {
+	s := &Stream{r: run{p: p, db: db, metrics: opts.Metrics}, opts: opts, batch: opts.BatchSize}
 	r := &s.r
 	if vs, ok := db.(Versioned); ok && opts.Reads != nil {
 		r.reads, r.versioned = opts.Reads, vs
@@ -232,11 +232,6 @@ func (e *Executor) Stream(p *plan.Plan, db Store, opts StreamOptions) *Stream {
 		s.err = fmt.Errorf("exec: plan fetches from %d relations, D_Q accounting addresses fewer than %d", rels, 1<<dqRelBits)
 	}
 	return s
-}
-
-// Stream opens a sequential stream (see Executor.Stream).
-func OpenStream(p *plan.Plan, db Store, opts StreamOptions) *Stream {
-	return sequential.Stream(p, db, opts)
 }
 
 // EmptyStream returns an exhausted stream carrying only output column

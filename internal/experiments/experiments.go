@@ -45,10 +45,6 @@ type Config struct {
 	// Workload overrides the generated 15-query workload (used by tests
 	// and the examples; empty means generate from Seed).
 	Workload []querygen.WorkloadQuery
-	// Parallelism is the evalDQ executor's probe worker-pool width
-	// (≤ 1 means sequential). Parallel and sequential runs return
-	// byte-identical answers; only wall time changes.
-	Parallelism int
 }
 
 // DefaultConfig mirrors the paper's parameters at a laptop-friendly size.
@@ -152,7 +148,6 @@ func prepare(ds *datagen.Dataset, acc *schema.AccessSchema, ws []querygen.Worklo
 // (ConstIndexOnly index-nested-loop) under the budget.
 func runPoint(label string, ps []prepared, db *storage.Database, cfg Config) (Point, error) {
 	budget := cfg.Budget
-	exe := exec.New(cfg.Parallelism)
 	pt := Point{X: label, Queries: len(ps)}
 	var evalMS, evalTuples, dqSum, boundSum float64
 	var baseMS, baseTuples float64
@@ -162,7 +157,7 @@ func runPoint(label string, ps []prepared, db *storage.Database, cfg Config) (Po
 			boundSum += float64(p.pl.FetchBound.Int64())
 		}
 		start := time.Now()
-		res, err := exe.Run(p.pl, db)
+		res, err := exec.Run(p.pl, db)
 		if err != nil {
 			return pt, fmt.Errorf("evalDQ on %s: %w", p.wq.Query.Name, err)
 		}

@@ -37,7 +37,7 @@ import (
 // epoch's key — a byte mismatch.
 func TestServedResponsesMatchDirectExecution(t *testing.T) {
 	ls := serveScene(t)
-	eng, err := engine.NewLive(ls, engine.Options{Parallelism: 2})
+	eng, err := engine.NewLive(ls, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

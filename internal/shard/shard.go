@@ -122,7 +122,6 @@ type route struct {
 // committed shard-parallel.
 type Store struct {
 	cat  *schema.Catalog
-	base *storage.Database
 	mode live.Mode
 	p    int    // partition count, fixed before the shards exist
 	dir  string // durable root directory ("" for in-memory stores)
@@ -152,7 +151,7 @@ type Store struct {
 
 // New partitions a loaded database into opts.Shards shards. The base
 // database is only read (tuple by tuple, in load order) and is not
-// retained for serving: each shard gets its own fresh base, indexed and
+// retained: each shard gets its own fresh base, indexed and
 // sealed by its live store (which re-verifies D |= A shard by shard — a
 // partition of a satisfying database satisfies the schema, so this cannot
 // fail on correctly loaded data).
@@ -169,7 +168,6 @@ func New(base *storage.Database, acc *schema.AccessSchema, opts Options) (*Store
 	}
 	st := &Store{
 		cat:    cat,
-		base:   base,
 		mode:   opts.Mode,
 		p:      opts.Shards,
 		place:  make(map[string]*placement, cat.NumRelations()),
@@ -390,10 +388,12 @@ func (st *Store) Catalog() *schema.Catalog { return st.cat }
 // post-extension version (the sticky-error hazard).
 func (st *Store) Access() *schema.AccessSchema { return st.shards[0].Access() }
 
-// Base returns the database the store was partitioned from. It is not
-// consulted for serving; it exists so callers (the engine facade, the
-// CLI's baseline comparisons) keep a handle on the original data.
-func (st *Store) Base() *storage.Database { return st.base }
+// Base returns the store's current data as one sealed database: the
+// current view, frozen (View.Freeze). It costs O(|D|) and is never
+// consulted for serving; it exists for callers that want the data itself
+// (baseline comparisons, duplicate streams). A store recovered by Open
+// answers it like a store built by New.
+func (st *Store) Base() (*storage.Database, error) { return st.View().Freeze() }
 
 // Mode returns the shards' violation policy.
 func (st *Store) Mode() live.Mode { return st.mode }

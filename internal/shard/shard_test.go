@@ -115,14 +115,12 @@ func TestShardedExecutionMatchesSealedDatabase(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{1, 4} {
-			got, err := exec.New(workers).Run(pl, ss.View())
-			if err != nil {
-				t.Fatalf("P=%d workers=%d: %v", p, workers, err)
-			}
-			if render(got) != render(want) {
-				t.Errorf("P=%d workers=%d diverged\n got:  %s\n want: %s", p, workers, render(got), render(want))
-			}
+		got, err := exec.Run(pl, ss.View())
+		if err != nil {
+			t.Fatalf("P=%d: %v", p, err)
+		}
+		if render(got) != render(want) {
+			t.Errorf("P=%d diverged\n got:  %s\n want: %s", p, render(got), render(want))
 		}
 	}
 }
@@ -165,7 +163,7 @@ func TestShardedIngestMatchesSingleLiveStore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, err := exec.New(2).Run(pl, ss.View())
+	got, err := exec.Run(pl, ss.View())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -207,6 +207,18 @@ func (p *parser) atKeyword(kw string) (bool, error) {
 	return t.kind == tokIdent && strings.EqualFold(t.text, kw), nil
 }
 
+// atExists reports whether the projection list is the Boolean marker
+// "exists": the keyword not followed by '.', which makes it an alias, as
+// in "select exists.user_id from friends as exists".
+func (p *parser) atExists() (bool, error) {
+	if ok, err := p.atKeyword("exists"); !ok || err != nil {
+		return ok, err
+	}
+	after := *p.lex
+	t, err := after.next()
+	return err != nil || t.kind != tokDot, nil
+}
+
 // rawRef is an attribute reference before alias resolution.
 type rawRef struct {
 	alias string // empty for bare references
@@ -269,7 +281,7 @@ func (p *parser) parseQuery() (*Query, error) {
 
 	// Projection list, or "exists" for Boolean queries.
 	rawOut := outBuf[:0]
-	if isExists, err := p.atKeyword("exists"); err != nil {
+	if isExists, err := p.atExists(); err != nil {
 		return nil, err
 	} else if isExists {
 		if _, err := p.next(); err != nil {

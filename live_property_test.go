@@ -75,7 +75,7 @@ func seedLiveScene(t testing.TB, nAlbums, nUsers int) (*LiveDatabase, *Engine, *
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewLiveEngine(ld, EngineOptions{Parallelism: 2})
+	eng, err := NewLiveEngine(ld, EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

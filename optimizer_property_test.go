@@ -67,12 +67,11 @@ func TestCostOrderedNeverFetchesMoreThanNaive(t *testing.T) {
 						t.Fatalf("seed %d %s: naive plans, optimizer errors: %v", seed, w.Query.Name, err)
 					}
 
-					// Parallel execution keeps the -race run meaningful.
-					resN, err := ExecuteParallel(naive, db, 2)
+					resN, err := Execute(naive, db)
 					if err != nil {
 						t.Fatal(err)
 					}
-					resO, err := ExecuteParallel(opt, db, 2)
+					resO, err := Execute(opt, db)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -160,15 +159,15 @@ func TestGreedyTierMatchesOptimized(t *testing.T) {
 						t.Fatalf("seed %d %s: optimized plan tagged %q", seed, w.Query.Name, opt.Tier)
 					}
 
-					resN, err := ExecuteParallel(naive, db, 2)
+					resN, err := Execute(naive, db)
 					if err != nil {
 						t.Fatal(err)
 					}
-					resG, err := ExecuteParallel(greedy, db, 2)
+					resG, err := Execute(greedy, db)
 					if err != nil {
 						t.Fatal(err)
 					}
-					resO, err := ExecuteParallel(opt, db, 2)
+					resO, err := Execute(opt, db)
 					if err != nil {
 						t.Fatal(err)
 					}

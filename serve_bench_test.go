@@ -39,7 +39,7 @@ func benchServer(b *testing.B) (*live.Store, *serve.Server, *httptest.Server) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng, err := engine.NewLive(ls, engine.Options{Parallelism: 2})
+	eng, err := engine.NewLive(ls, engine.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

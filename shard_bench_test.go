@@ -88,7 +88,7 @@ func BenchmarkShard_ScatterGather(b *testing.B) {
 	for _, p := range shardBenchP {
 		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
 			ss, _ := shardSocialStore(b, p)
-			eng, err := engine.NewSharded(ss, engine.Options{Parallelism: 4})
+			eng, err := engine.NewSharded(ss, engine.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -56,13 +56,13 @@ func TestShardedWorkloadMatchesSingleStore(t *testing.T) {
 				if err != nil {
 					t.Fatalf("P=%d: %v", p, err)
 				}
-				eng, err := NewShardedEngine(ss, EngineOptions{Parallelism: 2})
+				eng, err := NewShardedEngine(ss, EngineOptions{})
 				if err != nil {
 					t.Fatalf("P=%d: %v", p, err)
 				}
 				sharded[p] = eng
 			}
-			single, err := NewEngine(c.ds.Catalog, c.ds.Access, db, EngineOptions{Parallelism: 2})
+			single, err := NewEngine(c.ds.Catalog, c.ds.Access, db, EngineOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -141,7 +141,7 @@ func seedShardScene(t testing.TB, nAlbums, nUsers, p int) (*ShardedDatabase, *Pr
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewShardedEngine(ss, EngineOptions{Parallelism: 2})
+	eng, err := NewShardedEngine(ss, EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,9 @@
 // Property test for the streaming executor's id-encoded state (run it
 // with -race): what a stream reports — answers, access statistics, |D_Q|,
 // the per-operation breakdowns with the probes a limit saved — does not
-// depend on the probe pool's width or on how many shards the store is cut
-// into. Value ids are private to a stream and shard-local positions are
-// told apart in D_Q, so neither may show.
+// depend on how many shards the store is cut into. Value ids are private
+// to a stream and shard-local positions are told apart in D_Q, so neither
+// may show.
 package bcq
 
 import (
@@ -18,9 +18,9 @@ func renderStreamResult(r *Result) string {
 
 // TestShardedStreamsIdenticalAtEveryWidth drains the four-step chain of
 // the streaming benchmarks from several users — whole and cut short by a
-// limit, at the default wave budget and at a small one — on a single store
-// at Parallelism 1, and requires byte-identical reports at Parallelism 4
-// and on sharded stores at P ∈ {1, 2, 3}.
+// limit, at the default wave budget and at a small one — on a single
+// store, and requires byte-identical reports on sharded stores at
+// P ∈ {1, 2, 3}.
 func TestShardedStreamsIdenticalAtEveryWidth(t *testing.T) {
 	cat, acc, err := ParseDDL(deepJoinDDL)
 	if err != nil {
@@ -68,19 +68,17 @@ func TestShardedStreamsIdenticalAtEveryWidth(t *testing.T) {
 		}
 		variants = append(variants, variant{name, prep})
 	}
-	for _, width := range []int{1, 4} {
-		for _, p := range []int{1, 2, 3} {
-			ss, err := NewShardedDatabase(db, acc, ShardOptions{Shards: p})
-			if err != nil {
-				t.Fatalf("P=%d: %v", p, err)
-			}
-			eng, err := NewShardedEngine(ss, EngineOptions{Parallelism: width})
-			add(fmt.Sprintf("P=%d parallelism=%d", p, width), eng, err)
+	for _, p := range []int{1, 2, 3} {
+		ss, err := NewShardedDatabase(db, acc, ShardOptions{Shards: p})
+		if err != nil {
+			t.Fatalf("P=%d: %v", p, err)
 		}
-		eng, err := NewEngine(cat, acc, db, EngineOptions{Parallelism: width})
-		add(fmt.Sprintf("single parallelism=%d", width), eng, err)
+		eng, err := NewShardedEngine(ss, EngineOptions{})
+		add(fmt.Sprintf("P=%d", p), eng, err)
 	}
-	ref := variants[3] // the single store at Parallelism 1
+	eng, err := NewEngine(cat, acc, db, EngineOptions{})
+	add("single", eng, err)
+	ref := variants[3] // the single store
 
 	drain := func(v variant, opts StreamOptions, user int) *Result {
 		s, err := v.prep.ExecStream(opts, Int(int64(user)))
