@@ -306,7 +306,10 @@ type (
 	// as the fetch/verify fixpoint produces them, holding O(batch)
 	// per-request state instead of materializing Q(D). Every emitted
 	// tuple is a true answer (candidate growth is monotone), and a
-	// drained stream has produced exactly Q(D). Streams are
+	// drained stream has produced exactly Q(D). Next(buf...) writes an
+	// answer into buf when it has room, so a consumer that is done with
+	// each answer before pulling the next reuses one tuple throughout;
+	// Next() gives each answer a tuple of its own. Streams are
 	// single-goroutine; Execute and ExecuteOn are thin consumers
 	// of this same core.
 	Stream = exec.Stream

@@ -251,6 +251,13 @@ func TestRunBooleanQuery(t *testing.T) {
 	if !res.Bool() {
 		t.Error("u0 has friends; exists must be true")
 	}
+	// Pulled, the true answer is the empty tuple, not nil, whether Next
+	// is given a buffer or not.
+	for _, buf := range []value.Tuple{nil, make(value.Tuple, 0, 2)} {
+		if tu, ok, err := OpenStream(p, db, StreamOptions{}).Next(buf...); err != nil || !ok || tu == nil || len(tu) != 0 {
+			t.Errorf("Next(%d-value buffer) = %#v, %v, %v; want the empty tuple", cap(buf), tu, ok, err)
+		}
+	}
 	q2 := spc.MustParse(`select exists from friends where friends.user_id = 'nobody'`, cat)
 	an2, err := core.NewAnalysis(cat, q2, a)
 	if err != nil {

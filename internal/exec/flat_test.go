@@ -115,8 +115,10 @@ func report(r *Result) string {
 // TestPagedNextEqualsDrain: pulling a stream Next by Next in pages of
 // arbitrary sizes — reading Result between pages, as the serving layer
 // does — yields the answers of a drain in the same discovery order and
-// ends with the same report, limited or not. Tuples handed out earlier
-// stay intact while later pages are produced.
+// ends with the same report, limited or not. It does so whether each
+// answer gets a tuple of its own (Next()), which stays intact while later
+// pages are produced, or every answer is written into one buffer reused
+// across the whole stream (Next(buf...)), which is then never reallocated.
 func TestPagedNextEqualsDrain(t *testing.T) {
 	p, db := meshChain(t)
 	rng := rand.New(rand.NewSource(77))
@@ -136,34 +138,47 @@ func TestPagedNextEqualsDrain(t *testing.T) {
 				want = append(want, tu)
 			}
 
-			s := OpenStream(p, db, opts)
-			var got, copies []value.Tuple
-			for !s.Done() {
-				for n := 1 + rng.Intn(40); n > 0; n-- {
-					tu, ok, err := s.Next()
-					if err != nil {
-						t.Fatal(err)
+			for _, reuse := range []bool{false, true} {
+				s := OpenStream(p, db, opts)
+				var got, copies []value.Tuple
+				buf := make(value.Tuple, 0, 1)
+				for !s.Done() {
+					for n := 1 + rng.Intn(40); n > 0; n-- {
+						var tu value.Tuple
+						var ok bool
+						var err error
+						if reuse {
+							tu, ok, err = s.Next(buf...)
+						} else {
+							tu, ok, err = s.Next()
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !ok {
+							break
+						}
+						if reuse && &tu[:1][0] != &buf[:1][0] {
+							t.Fatalf("batch %d limit %d: Next(buf...) wrote answer %d outside the buffer it had room in", bs, limit, len(got))
+						}
+						got = append(got, tu)
+						copies = append(copies, tu.Clone())
 					}
-					if !ok {
-						break
+					if mid := s.Result(); mid.Stats.TuplesFetched > ref.Result().Stats.TuplesFetched {
+						t.Fatalf("batch %d limit %d: a page reports %d tuples fetched, the whole scan %d", bs, limit, mid.Stats.TuplesFetched, ref.Result().Stats.TuplesFetched)
 					}
-					got = append(got, tu)
-					copies = append(copies, tu.Clone())
 				}
-				if mid := s.Result(); mid.Stats.TuplesFetched > ref.Result().Stats.TuplesFetched {
-					t.Fatalf("batch %d limit %d: a page reports %d tuples fetched, the whole scan %d", bs, limit, mid.Stats.TuplesFetched, ref.Result().Stats.TuplesFetched)
+				if len(got) != len(want) {
+					t.Fatalf("batch %d limit %d reuse %v: %d answers paged, %d drained", bs, limit, reuse, len(got), len(want))
 				}
-			}
-			if len(got) != len(want) {
-				t.Fatalf("batch %d limit %d: %d answers paged, %d drained", bs, limit, len(got), len(want))
-			}
-			for i := range want {
-				if !got[i].Equal(want[i]) || !got[i].Equal(copies[i]) {
-					t.Fatalf("batch %d limit %d: answer %d is %v (copied as %v), the drain's %v", bs, limit, i, got[i], copies[i], want[i])
+				for i := range want {
+					if !copies[i].Equal(want[i]) || !reuse && !got[i].Equal(copies[i]) {
+						t.Fatalf("batch %d limit %d reuse %v: answer %d is %v (copied as %v), the drain's %v", bs, limit, reuse, i, got[i], copies[i], want[i])
+					}
 				}
-			}
-			if a, b := report(s.Result()), report(ref.Result()); a != b {
-				t.Fatalf("batch %d limit %d: paged stream reports\n  %s\ndrained stream\n  %s", bs, limit, a, b)
+				if a, b := report(s.Result()), report(ref.Result()); a != b {
+					t.Fatalf("batch %d limit %d reuse %v: paged stream reports\n  %s\ndrained stream\n  %s", bs, limit, reuse, a, b)
+				}
 			}
 		}
 	}
@@ -199,9 +214,10 @@ func (c *countingStore) FetchBatch(ac schema.AccessConstraint, xs []value.Tuple)
 // candidate sets, row tables, join indexes, D_Q, answer dedup — without
 // allocating. What a whole drain still allocates is a fixed handful per
 // stream (the Stream, its column names and counters, the join orders), the
-// store's result slice per probe batch, and the slabs its answers are cut
-// from — nothing per fetched tuple or row. At the parent of this
-// change the same drain allocated about five times per fetched tuple.
+// store's result slice per probe batch — nothing per fetched tuple, row
+// or answer: the answers are pulled into one reused tuple, the way the
+// serving layer writes a page. Before the executor was id-encoded the
+// same drain allocated about five times per fetched tuple.
 func TestStreamWaveAllocatesNothingAfterWarmup(t *testing.T) {
 	p, db := meshChainOf(t, 300, 40, 2, 4)
 	const batch = 4
@@ -223,8 +239,11 @@ func TestStreamWaveAllocatesNothingAfterWarmup(t *testing.T) {
 		store := &countingStore{Store: db}
 		s := OpenStream(p, store, StreamOptions{BatchSize: batch})
 		d := drained{grown: cap(s.dict.kinds) > 64 && cap(s.seenOut.rows) > 64}
+		var tu value.Tuple
 		for {
-			_, ok, err := s.Next()
+			var ok bool
+			var err error
+			tu, ok, err = s.Next(tu...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -252,19 +271,18 @@ func TestStreamWaveAllocatesNothingAfterWarmup(t *testing.T) {
 			continue
 		}
 		warm++
-		// Pulled one by one, the answers of a wave share a slab.
-		if d.mallocs > d.batches+d.waves+32 {
-			t.Fatalf("a warm drain of %d tuples allocates %d times; want at most a result slice for each of %d probe batches, an answer slab for each of %d waves, and a fixed 32", d.fetched, d.mallocs, d.batches, d.waves)
+		if d.mallocs > d.batches+32 {
+			t.Fatalf("a warm drain of %d tuples allocates %d times; want at most a result slice for each of %d probe batches and a fixed 32", d.fetched, d.mallocs, d.batches)
 		}
-		// One value per answer, a tuple header per probe, and small change.
-		if d.bytes > d.answers*32+d.batches*batch*24+8192 {
+		// A tuple header per probe, and small change.
+		if d.bytes > d.batches*batch*24+8192 {
 			t.Fatalf("a warm drain of %d tuples allocates %d bytes for %d one-column answers", d.fetched, d.bytes, d.answers)
 		}
 	}
 	if warm == 0 {
 		t.Skip("the pool kept no state across 20 streams; nothing to measure")
 	}
-	t.Logf("cold drain: %d allocations, %d bytes; %d warm drains within budget (%d tuples, %d batches, %d waves)", first.mallocs, first.bytes, warm, first.fetched, first.batches, first.waves)
+	t.Logf("cold drain: %d allocations, %d bytes; %d warm drains within budget (%d tuples, %d answers, %d batches, %d waves)", first.mallocs, first.bytes, warm, first.fetched, first.answers, first.batches, first.waves)
 }
 
 // checkClean requires the pool invariant of a state: every slice empty,

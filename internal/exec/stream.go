@@ -73,10 +73,8 @@ type Stream struct {
 	joinLeaves, joinVisits int64
 
 	// outHead counts the answers (rows of seenOut, in discovery order)
-	// already handed out by Next; slab is what is left of the current
-	// answer-tuple slab (Next).
+	// already handed out by Next.
 	outHead int
-	slab    []value.Value
 
 	growthDone      bool
 	seedOnlyEmitted bool
@@ -244,10 +242,37 @@ func EmptyStream(cols []string) *Stream {
 // Cols returns the output column names (empty for Boolean queries).
 func (s *Stream) Cols() []string { return s.r.cols }
 
-// Next returns the next answer tuple. ok = false without an error means
-// the stream is exhausted (or its limit was reached); every returned
-// tuple is a distinct, final answer of the query.
-func (s *Stream) Next() (value.Tuple, bool, error) {
+// Next returns the next answer tuple. It writes the answer's values into
+// buf's array when that has room for them, into a fresh tuple otherwise:
+// a caller that is done with each answer before it pulls the next passes
+// one buffer for the whole stream (Next(buf...)), and a tuple from Next()
+// stays valid for as long as its caller keeps it. (A Boolean answer is
+// the empty tuple, not nil.) ok = false without an error means the stream
+// is exhausted (or its limit was reached); every returned tuple is a
+// distinct, final answer of the query.
+func (s *Stream) Next(buf ...value.Value) (value.Tuple, bool, error) {
+	if s.ready() == 0 {
+		return nil, false, s.err
+	}
+	ids := s.seenOut.row(s.outHead)
+	if cap(buf) < len(ids) || buf == nil {
+		buf = make([]value.Value, len(ids))
+	}
+	tu := buf[:len(ids)]
+	for k, id := range ids {
+		tu[k] = s.dict.value(id)
+	}
+	s.outHead++
+	if s.Done() {
+		s.release()
+	}
+	return tu, true, nil
+}
+
+// ready advances the stream until an answer waits or it concludes, and
+// returns the number of answers waiting (0 once it has concluded, or
+// failed: then s.err says why).
+func (s *Stream) ready() int {
 	for !s.done && s.err == nil && s.waiting() == 0 {
 		s.advance()
 	}
@@ -257,31 +282,10 @@ func (s *Stream) Next() (value.Tuple, bool, error) {
 	waiting := s.waiting()
 	if s.err != nil || waiting == 0 {
 		s.release()
-		return nil, false, s.err
+		return 0
 	}
-	// The tuple is cut from a slab sized for the answers waiting (a page's
-	// worth at most), so a page costs a few allocations rather than one per
-	// tuple. A slab is never reused: the tuple stays valid for as long as
-	// the caller keeps it. (A Boolean answer is the empty tuple, not nil:
-	// hence the slab of no values.)
-	ids := s.seenOut.row(s.outHead)
-	if len(s.slab) < len(ids) || s.slab == nil {
-		s.slab = make([]value.Value, len(ids)*min(waiting, maxSlabTuples))
-	}
-	s.outHead++
-	tu := s.slab[:len(ids):len(ids)]
-	s.slab = s.slab[len(ids):]
-	for k, id := range ids {
-		tu[k] = s.dict.value(id)
-	}
-	if s.Done() {
-		s.release()
-	}
-	return tu, true, nil
+	return waiting
 }
-
-// maxSlabTuples caps the answer tuples cut from one allocation.
-const maxSlabTuples = 256
 
 // waiting is the number of answers found and not yet handed out.
 func (s *Stream) waiting() int {
@@ -391,21 +395,32 @@ func (s *Stream) Result() *Result {
 
 // Drain consumes the stream to exhaustion (or its limit) and returns the
 // materialized result with sorted, deduplicated tuples — the classic
-// evalDQ contract.
+// evalDQ contract. The answers are cut from slabs sized for the answers
+// waiting at each wave, so a drain costs a few allocations per wave
+// rather than one per answer.
 func (s *Stream) Drain() (*Result, error) {
-	var tuples []value.Tuple
+	var (
+		tuples []value.Tuple
+		slab   []value.Value
+	)
 	for {
-		t, ok, err := s.Next()
-		if err != nil {
-			return nil, err
+		waiting := s.ready()
+		if s.err != nil {
+			return nil, s.err
 		}
-		if !ok {
+		if waiting == 0 {
 			break
 		}
 		if len(tuples) == cap(tuples) {
 			// Room for the answers already waiting, not a doubling at a time.
-			tuples = slices.Grow(tuples, 1+s.waiting())
+			tuples = slices.Grow(tuples, waiting)
 		}
+		w := len(s.seenOut.row(s.outHead))
+		if len(slab) < w || slab == nil {
+			slab = make([]value.Value, w*min(waiting, maxSlabTuples))
+		}
+		t, _, _ := s.Next(slab[:0:w]...) // an answer waits: no error, no end
+		slab = slab[w:]
 		tuples = append(tuples, t)
 	}
 	res := s.Result()
@@ -413,6 +428,9 @@ func (s *Stream) Drain() (*Result, error) {
 	sort.Slice(res.Tuples, func(i, j int) bool { return res.Tuples[i].Compare(res.Tuples[j]) < 0 })
 	return res, nil
 }
+
+// maxSlabTuples caps the answer tuples Drain cuts from one allocation.
+const maxSlabTuples = 256
 
 // advance runs one wave: a bounded slice of growth, verification in plan
 // order, then the semi-naive join of the wave's table deltas. It either

@@ -36,7 +36,8 @@ func checkLedger(t *testing.T, st *Store, stage string) {
 			xk := value.KeyOf(tu, b.xPos)
 			pk := pairKey(xk, tu, b.yPos)
 			if want[pk] == nil {
-				g := snap.lookupGroup(key, tu, b.xPos)
+				r, _ := snap.resolve(key)
+				g := r.at(tu, b.xPos)
 				if i := entryOf(g, tu, b.yPos); i < 0 || g[i].Pos != pos {
 					t.Fatalf("%s: %s: pair of %s first occurs at %d but its group entry says otherwise (entry %d of %v)",
 						stage, key, tu, pos, i, g)

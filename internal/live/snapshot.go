@@ -119,42 +119,60 @@ func (s *Snapshot) Size(rel string) (int64, error) {
 	return n, nil
 }
 
-// lookupGroup resolves one X-group at this epoch: the youngest diff that
-// rewrote the group wins, otherwise the sealed base index serves it. The
-// X-value is t's at pos, or t itself when pos is nil. It is encoded only
-// once some diff of the chain holds groups of the constraint, so a probe
-// of a constraint no write has touched since the last Compact formats
-// nothing: the base is probed with the values themselves.
-func (s *Snapshot) lookupGroup(acKey string, t value.Tuple, pos []int) []storage.IndexEntry {
-	var kb [value.KeyBufSize]byte
-	var xk []byte
+// resolver is one constraint resolved at a snapshot, for a batch of probes:
+// the base index, and the diffs of the chain that hold groups of the
+// constraint, youngest first. Resolving walks the chain and does the
+// string-keyed map reads once; each probe then reads only what the
+// constraint's history put in its way.
+type resolver struct {
+	idx    *storage.AccessIndex // nil: the base has no index of it (ExtendAccess)
+	levels [maxChainDepth + 1]map[string][]storage.IndexEntry
+	n      int
+}
+
+// resolve resolves a constraint at this epoch; false when the epoch's
+// schema does not maintain it.
+func (s *Snapshot) resolve(acKey string) (r resolver, ok bool) {
+	if _, ok := s.binds[acKey]; !ok {
+		return r, false
+	}
+	r.idx, _ = s.base.AccessIndexByKey(acKey)
 	for cur := s; cur != nil; cur = cur.parent {
-		m := cur.groups[acKey]
-		if m == nil {
-			continue
+		if m := cur.groups[acKey]; m != nil {
+			r.levels[r.n] = m
+			r.n++
 		}
-		if xk == nil {
-			if pos == nil {
-				xk = t.AppendKey(kb[:0])
-			} else {
-				xk = value.AppendKeyOf(kb[:0], t, pos)
+	}
+	return r, true
+}
+
+// at returns the X-group of the value t holds at pos (t itself when pos is
+// nil): the youngest diff that rewrote the group wins, otherwise the base
+// index serves it. The X-key is encoded, into a buffer on the stack, only
+// when some diff holds groups of the constraint; the base is probed with
+// the values themselves.
+func (r *resolver) at(t value.Tuple, pos []int) []storage.IndexEntry {
+	if r.n > 0 {
+		var kb [value.KeyBufSize]byte
+		var xk []byte
+		if pos == nil {
+			xk = t.AppendKey(kb[:0])
+		} else {
+			xk = value.AppendKeyOf(kb[:0], t, pos)
+		}
+		for _, m := range r.levels[:r.n] {
+			if g, ok := m[string(xk)]; ok {
+				return g
 			}
 		}
-		if g, ok := m[string(xk)]; ok {
-			return g
-		}
 	}
-	if _, ok := s.binds[acKey]; !ok {
-		return nil
-	}
-	idx, ok := s.base.AccessIndexByKey(acKey)
 	switch {
-	case !ok:
+	case r.idx == nil:
 		return nil
 	case pos == nil:
-		return idx.Lookup(t)
+		return r.idx.Lookup(t)
 	default:
-		return idx.LookupAt(t, pos)
+		return r.idx.LookupAt(t, pos)
 	}
 }
 
@@ -163,14 +181,14 @@ func (s *Snapshot) lookupGroup(acKey string, t value.Tuple, pos []int) []storage
 // lookup and one fetched tuple per entry into the store's read counters.
 // Callers must not mutate the returned slice.
 func (s *Snapshot) Fetch(ac schema.AccessConstraint, xVals value.Tuple) ([]storage.IndexEntry, error) {
-	key := ac.Key()
-	if _, ok := s.binds[key]; !ok {
+	r, ok := s.resolve(ac.Key())
+	if !ok {
 		return nil, fmt.Errorf("live: no index maintained for constraint %s", ac)
 	}
 	if len(xVals) != len(ac.X) {
 		return nil, fmt.Errorf("live: constraint %s expects %d lookup values, got %d", ac, len(ac.X), len(xVals))
 	}
-	entries := s.lookupGroup(key, xVals, nil)
+	entries := r.at(xVals, nil)
 	s.st.lookups.Add(1)
 	s.st.fetched.Add(int64(len(entries)))
 	rc := s.st.relCounters(ac.Rel)
@@ -180,23 +198,34 @@ func (s *Snapshot) Fetch(ac schema.AccessConstraint, xVals value.Tuple) ([]stora
 }
 
 // FetchBatch probes the access index once per X-tuple, returning entry
-// groups aligned with xs — the executor's unit of work (exec.Store).
-// Counts one index lookup per probe and one fetched tuple per entry.
-// Callers must not mutate the returned entry slices.
+// groups aligned with xs (exec.Store). The constraint is resolved once for
+// the batch; when no diff holds groups of it — nothing has written to it
+// since the last Compact — the batch is a plain run of base index lookups.
+// A probe of the wrong arity fails the whole batch. Counts one index
+// lookup per probe and one fetched tuple per entry. Callers must not
+// mutate the returned entry slices.
 func (s *Snapshot) FetchBatch(ac schema.AccessConstraint, xs []value.Tuple) ([][]storage.IndexEntry, error) {
-	key := ac.Key()
-	if _, ok := s.binds[key]; !ok {
+	r, ok := s.resolve(ac.Key())
+	if !ok {
 		return nil, fmt.Errorf("live: no index maintained for constraint %s", ac)
 	}
-	out := make([][]storage.IndexEntry, len(xs))
-	var fetched int64
-	for i, x := range xs {
+	for _, x := range xs {
 		if len(x) != len(ac.X) {
 			return nil, fmt.Errorf("live: constraint %s expects %d lookup values, got %d", ac, len(ac.X), len(x))
 		}
-		g := s.lookupGroup(key, x, nil)
-		out[i] = g
-		fetched += int64(len(g))
+	}
+	out := make([][]storage.IndexEntry, len(xs))
+	var fetched int64
+	if r.n == 0 && r.idx != nil {
+		for i, x := range xs {
+			out[i] = r.idx.Lookup(x)
+			fetched += int64(len(out[i]))
+		}
+	} else {
+		for i, x := range xs {
+			out[i] = r.at(x, nil)
+			fetched += int64(len(out[i]))
+		}
 	}
 	s.st.lookups.Add(int64(len(xs)))
 	s.st.fetched.Add(fetched)

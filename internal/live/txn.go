@@ -64,7 +64,8 @@ func (tx *txn) group(b acBinding, t value.Tuple, xk string) []storage.IndexEntry
 	if g, ok := tx.groups[b.key][xk]; ok {
 		return g
 	}
-	return tx.snap.lookupGroup(b.key, t, b.xPos)
+	r, _ := tx.snap.resolve(b.key)
+	return r.at(t, b.xPos)
 }
 
 // setGroup installs the batch's rewrite of group old. An emptied group

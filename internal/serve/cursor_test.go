@@ -1,14 +1,20 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"bcq/internal/engine"
 	"bcq/internal/exec"
+	"bcq/internal/live"
+	"bcq/internal/value"
 )
 
 // pageEnvelope mirrors the paged /query response.
@@ -269,5 +275,107 @@ func TestCursorOrderStaysBounded(t *testing.T) {
 	}
 	if reg.open() != 8 || reg.evicted.Load() != 1 {
 		t.Fatalf("%d cursors open, %d evicted; want 8 and 1", reg.open(), reg.evicted.Load())
+	}
+}
+
+// cancelOnFlush is a response writer whose first Flush — the one a page
+// makes after its first pageFlushEvery rows — cancels the request's
+// context, the way a deadline firing between two rows would.
+type cancelOnFlush struct {
+	*httptest.ResponseRecorder
+	cancel  context.CancelFunc
+	flushes int
+}
+
+func (w *cancelOnFlush) Flush() {
+	if w.flushes++; w.flushes == 1 {
+		w.cancel()
+	}
+	w.ResponseRecorder.Flush()
+}
+
+// TestMidPageDeadlineResumesFromCursor takes the deadline in the middle of
+// a page, with no clock: the page closes after the rows it flushed, with
+// complete:false, the timeout message and a cursor; the cursor's page
+// holds exactly the remaining answers; and the two pages together are the
+// drained answer.
+func TestMidPageDeadlineResumesFromCursor(t *testing.T) {
+	db, acc := serveData(t)
+	const photos = 3 * pageFlushEvery
+	for i := range photos {
+		if err := db.Insert("in_album", strT(fmt.Sprintf("q%03d", i), "big")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ls, err := live.New(db, acc, live.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := engine.NewLive(ls, engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(eng, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const query = "select photo_id from in_album where album_id = ?"
+	page := func(ctx context.Context, cancel context.CancelFunc, body string) pageEnvelope {
+		t.Helper()
+		w := &cancelOnFlush{ResponseRecorder: httptest.NewRecorder(), cancel: cancel}
+		r := httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(body)).WithContext(ctx)
+		srv.Handler().ServeHTTP(w, r)
+		var env pageEnvelope
+		if err := json.Unmarshal(w.Body.Bytes(), &env); w.Code != http.StatusOK || err != nil {
+			t.Fatalf("status %d, undecodable page %s: %v", w.Code, w.Body.Bytes(), err)
+		}
+		return env
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	first := page(ctx, cancel, fmt.Sprintf(`{"query": %q, "args": ["big"], "limit": %d}`, query, 2*photos))
+	if first.Complete || first.NextCursor == "" || first.Error != "deadline exceeded mid-page; resume with next_cursor" {
+		t.Fatalf("page cut by its deadline: complete %v, cursor %q, error %q", first.Complete, first.NextCursor, first.Error)
+	}
+	if len(first.Result.Tuples) != pageFlushEvery {
+		t.Fatalf("page cut after its first flush holds %d rows, want %d", len(first.Result.Tuples), pageFlushEvery)
+	}
+	if n := srv.timeouts.Load(); n != 1 {
+		t.Errorf("%d timeouts counted, want 1", n)
+	}
+
+	rest := page(context.Background(), func() {}, fmt.Sprintf(`{"cursor": %q}`, first.NextCursor))
+	if !rest.Complete || rest.NextCursor != "" || rest.Error != "" {
+		t.Fatalf("resumed page: complete %v, cursor %q, error %q", rest.Complete, rest.NextCursor, rest.Error)
+	}
+	if len(rest.Result.Tuples) != photos-pageFlushEvery {
+		t.Fatalf("resumed page holds %d rows, want the %d remaining", len(rest.Result.Tuples), photos-pageFlushEvery)
+	}
+
+	p, err := eng.Prepare(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := p.ExecStreamOn(eng.View(), exec.StreamOptions{}, value.Str("big"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := st.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want, got []string
+	for _, tu := range res.Tuples {
+		want = append(want, tu[0].AsString())
+	}
+	for _, env := range []pageEnvelope{first, rest} {
+		for _, tu := range env.Result.Tuples {
+			got = append(got, tu[0])
+		}
+	}
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Fatalf("the two pages hold %d answers, the drain %d:\n pages %v\n drain %v", len(got), len(want), got, want)
 	}
 }

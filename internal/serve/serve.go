@@ -763,6 +763,9 @@ func (s *Server) writePage(ctx context.Context, w http.ResponseWriter, st *curso
 		n         int
 		streamErr error
 		timedOut  bool
+		// tu is the one tuple every answer of the page is written into:
+		// a row is encoded before the next answer is pulled.
+		tu value.Tuple
 		// buf holds what has been encoded since the last flush: the
 		// header, rows, and at the end the trailer. It starts at
 		// pageBufBytes: grown from nothing it is reallocated half a dozen
@@ -771,15 +774,23 @@ func (s *Server) writePage(ctx context.Context, w http.ResponseWriter, st *curso
 		// happens to land in.
 		buf = appendPageHeader(make([]byte, 0, pageBufBytes), st.stream.Cols())
 	)
+	// A receive on Done, not ctx.Err(), which locks the context's mutex
+	// on every row.
+	done := ctx.Done()
+page:
 	for n < st.pageSize {
-		if ctx.Err() != nil {
+		select {
+		case <-done:
 			// Mid-page deadline: close the page honestly and hand back a
 			// cursor so the client resumes where the budget ran out.
 			timedOut = true
 			s.timeouts.Add(1)
-			break
+			break page
+		default:
 		}
-		tu, ok, err := st.stream.Next()
+		var ok bool
+		var err error
+		tu, ok, err = st.stream.Next(tu...)
 		if err != nil {
 			streamErr = err
 			break

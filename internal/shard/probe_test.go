@@ -1,0 +1,172 @@
+package shard_test
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"bcq/internal/live"
+	"bcq/internal/schema"
+	"bcq/internal/shard"
+	"bcq/internal/storage"
+	"bcq/internal/value"
+)
+
+// probeDomain puts each integer beside the string that renders like it,
+// so a probe that confused Int(1) with Str("1") would find the other's
+// group.
+var probeDomain = []value.Value{value.Int(0), value.Str("0"), value.Int(1), value.Str("1"), value.Int(2), value.Str("2")}
+
+// probeOps draws a batch of ops on rel: inserts over the domain (an
+// over-bound one is quarantined) and deletes of live tuples, sometimes
+// of most of a group.
+func probeOps(t *testing.T, rng *rand.Rand, v *shard.View, rel string, arity int) []live.Op {
+	t.Helper()
+	tuples, err := v.Tuples(rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ops []live.Op
+	for range 2 + rng.Intn(12) {
+		if len(tuples) > 0 && rng.Intn(5) < 2 {
+			victim := tuples[rng.Intn(len(tuples))]
+			for _, tu := range tuples {
+				if tu.Equal(victim) || rng.Intn(4) == 0 && tu[0] == victim[0] {
+					ops = append(ops, live.Delete(rel, tu))
+				}
+			}
+			continue
+		}
+		tu := make(value.Tuple, arity)
+		for i := range tu {
+			tu[i] = probeDomain[rng.Intn(len(probeDomain))]
+		}
+		ops = append(ops, live.Insert(rel, tu))
+	}
+	return ops
+}
+
+// allXs is every X-value of width n over the domain, twice, shuffled,
+// and one value no tuple holds.
+func allXs(rng *rand.Rand, n int) []value.Tuple {
+	xs := []value.Tuple{{}}
+	for range n {
+		var wider []value.Tuple
+		for _, x := range xs {
+			for _, v := range probeDomain {
+				wider = append(wider, append(slices.Clone(x), v))
+			}
+		}
+		xs = wider
+	}
+	absent := make(value.Tuple, n)
+	for i := range absent {
+		absent[i] = value.Str("absent")
+	}
+	xs = append(append(xs, xs...), absent)
+	rng.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
+	return xs
+}
+
+// sortedWitnesses renders a group's witnesses in sorted order: a rebuilt
+// group lists them in scan order, a rewritten one in write order.
+func sortedWitnesses(g []storage.IndexEntry) string {
+	ws := make([]string, len(g))
+	for i, e := range g {
+		ws[i] = e.Witness.String()
+	}
+	slices.Sort(ws)
+	return fmt.Sprint(ws)
+}
+
+// TestViewFetchBatchMatchesOneAtATime: at P ∈ {1,2}, over random
+// insert/delete/Compact histories that leave every shard at least seven
+// commits past its last Compact, a view's FetchBatch returns, probe for
+// probe, the entries a one-probe FetchShard at the owning shard returns,
+// and the witnesses a sealed database frozen from the view returns to one
+// Fetch at a time. One constraint is written only before the Compact, so
+// its batches never meet a diff. A probe of the wrong arity fails the
+// whole batch.
+func TestViewFetchBatchMatchesOneAtATime(t *testing.T) {
+	cat := schema.MustCatalog(schema.MustRelation("r", "a", "b", "c"), schema.MustRelation("s", "x", "y"))
+	acc := schema.MustAccessSchema(
+		schema.MustAccessConstraint("r", []string{"a"}, []string{"b"}, 3),
+		schema.MustAccessConstraint("r", []string{"a", "b"}, []string{"c"}, 3),
+		schema.MustAccessConstraint("s", []string{"x"}, []string{"y"}, 3),
+	)
+	for _, p := range []int{1, 2} {
+		for seed := range int64(12) {
+			rng := rand.New(rand.NewSource(seed))
+			st, err := shard.New(storage.NewDatabase(cat), acc, shard.Options{Shards: p, Mode: live.Permissive})
+			if err != nil {
+				t.Fatal(err)
+			}
+			apply := func(rel string, arity int) {
+				t.Helper()
+				if err := st.Apply(probeOps(t, rng, st.View(), rel, arity)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for range 6 {
+				apply("r", 3)
+				apply("s", 2)
+			}
+			if err := st.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			compacted := st.Epochs()
+			behind := func() bool {
+				for s, e := range st.Epochs() {
+					if e < compacted[s]+7 {
+						return true
+					}
+				}
+				return false
+			}
+			for i := 0; behind(); i++ {
+				if i == 200 {
+					t.Fatalf("P=%d seed %d: 200 batches left a shard under seven commits past its Compact (epochs %v from %v)", p, seed, st.Epochs(), compacted)
+				}
+				apply("r", 3)
+			}
+			v := st.View()
+			db, err := v.Freeze()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ac := range acc.Constraints() {
+				xs := allXs(rng, len(ac.X))
+				got, err := v.FetchBatch(ac, xs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				owners, err := v.Partition(ac, xs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, x := range xs {
+					one, err := v.FetchShard(owners[i], ac, []value.Tuple{x})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.EqualFunc(got[i], one[0], func(a, b storage.IndexEntry) bool { return a.Pos == b.Pos && a.Witness.Equal(b.Witness) }) {
+						t.Fatalf("P=%d seed %d: %s: FetchBatch's group of %s is %v, shard %d's one probe %v", p, seed, ac, x, got[i], owners[i], one[0])
+					}
+					frozen, err := db.Fetch(ac, x)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if a, b := sortedWitnesses(got[i]), sortedWitnesses(frozen); a != b {
+						t.Fatalf("P=%d seed %d: %s: group of %s has witnesses %s, the frozen database's %s", p, seed, ac, x, a, b)
+					}
+				}
+				bad := slices.Clone(xs)
+				bad[len(bad)/2] = bad[len(bad)/2][1:]
+				if g, err := v.FetchBatch(ac, bad); err == nil || g != nil {
+					t.Fatalf("P=%d seed %d: %s: a batch with one probe of the wrong arity returned %d groups, error %v", p, seed, ac, len(g), err)
+				}
+			}
+		}
+	}
+}

@@ -409,10 +409,11 @@ func (db *Database) Fetch(ac schema.AccessConstraint, xVals value.Tuple) ([]Inde
 
 // FetchBatch probes the access index of a constraint once per X-tuple and
 // returns the entry groups aligned with xs (group i answers xs[i]). It is
-// the batched form of Fetch — one index resolution and one arity check for
-// the whole batch — and the unit of work the parallel executor hands to a
-// worker. Counts one index lookup per probe and one fetched tuple per
-// returned entry. Callers must not mutate the returned entry slices.
+// the batched form of Fetch — one index resolution for the whole batch —
+// and what the executor issues for each plan operation of a wave. A probe
+// of the wrong arity fails the whole batch. Counts one index lookup per
+// probe and one fetched tuple per returned entry. Callers must not mutate
+// the returned entry slices.
 func (db *Database) FetchBatch(ac schema.AccessConstraint, xs []value.Tuple) ([][]IndexEntry, error) {
 	out := make([][]IndexEntry, len(xs))
 	if err := db.fetchInto(ac, xs, out); err != nil {

@@ -159,8 +159,12 @@ func drainDeepJoin(tb testing.TB, prep *Prepared) (int, time.Duration) {
 	}
 	n := 0
 	var ttft time.Duration
+	// Each answer is read before the next is pulled, as a page is
+	// written: one tuple holds them all.
+	var tu Tuple
 	for {
-		_, ok, err := s.Next()
+		var ok bool
+		tu, ok, err = s.Next(tu...)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -237,8 +241,10 @@ func BenchmarkStreamingConsume(b *testing.B) {
 					b.Fatal(err)
 				}
 				n := 0
+				var tu Tuple
 				for {
-					_, ok, err := s.Next()
+					var ok bool
+					tu, ok, err = s.Next(tu...)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -324,8 +330,10 @@ func BenchmarkStreamingWorkload(b *testing.B) {
 						if err != nil {
 							b.Fatal(err)
 						}
+						var tu Tuple
 						for {
-							_, ok, err := s.Next()
+							var ok bool
+							tu, ok, err = s.Next(tu...)
 							if err != nil {
 								b.Fatal(err)
 							}
@@ -400,8 +408,10 @@ func TestStreamingBenchEmit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var tu Tuple
 		for {
-			_, ok, err := s.Next()
+			var ok bool
+			tu, ok, err = s.Next(tu...)
 			if err != nil {
 				t.Fatal(err)
 			}
