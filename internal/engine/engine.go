@@ -505,27 +505,23 @@ const maxMemoText = 4 << 10
 // only when the memo has never seen it. Failed parses are not remembered:
 // the catalog is fixed, so they fail the same way every time, cheaply.
 func (e *Engine) parse(text string) (parsedText, error) {
-	if pt, ok := e.memoised(text); ok {
+	e.mu.Lock()
+	pt, ok := e.texts.Get(text)
+	e.mu.Unlock()
+	if ok {
 		return pt, nil
 	}
 	q, err := spc.Parse(text, e.cat)
 	if err != nil {
 		return parsedText{}, err
 	}
-	pt := parsedText{q: q, fp: fingerprint(q)}
+	pt = parsedText{q: q, fp: fingerprint(q)}
 	if len(text) <= maxMemoText {
 		e.mu.Lock()
 		e.texts.Put(text, pt)
 		e.mu.Unlock()
 	}
 	return pt, nil
-}
-
-func (e *Engine) memoised(text string) (parsedText, bool) {
-	e.mu.Lock()
-	pt, ok := e.texts.Get(text)
-	e.mu.Unlock()
-	return pt, ok
 }
 
 // Prepare parses a query text and returns its prepared form, planning it
@@ -543,23 +539,7 @@ func (e *Engine) PrepareTraced(text string, tr *obs.Trace) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.prepare(pt, tr, true)
-}
-
-// PrepareCached is PrepareTraced restricted to what costs no parse, no
-// analysis and no planning: it answers only a text the memo knows whose
-// plan is cached and current, and returns nil — counting nothing and
-// recording no span — for anything else, cached errors included. A
-// non-nil answer is a plan-cache hit exactly like Prepare's. It is the
-// serving layer's lookup before admission: what it declines, a worker
-// prepares.
-func (e *Engine) PrepareCached(text string, tr *obs.Trace) *Prepared {
-	pt, ok := e.memoised(text)
-	if !ok {
-		return nil
-	}
-	prep, _ := e.prepare(pt, tr, false)
-	return prep
+	return e.prepare(pt, tr)
 }
 
 // PrepareQuery prepares an already-built SPC query. The query is cloned
@@ -576,7 +556,7 @@ func (e *Engine) PrepareQueryTraced(q *spc.Query, tr *obs.Trace) (*Prepared, err
 	if err := cq.Validate(e.cat); err != nil {
 		return nil, err
 	}
-	return e.prepare(parsedText{q: cq, fp: fingerprint(cq)}, tr, true)
+	return e.prepare(parsedText{q: cq, fp: fingerprint(cq)}, tr)
 }
 
 // Exec is the one-shot convenience: Prepare followed by Exec. Repeated
@@ -592,19 +572,14 @@ func (e *Engine) Exec(text string, args ...value.Value) (*exec.Result, error) {
 // prepare wraps lookupOrBuild with the engine's prepare instrumentation:
 // latency observed on the outcome-labeled histogram, and — when tr is
 // non-nil — a "prepare" span tagged with the cache verdict. With metrics
-// disabled and no trace it costs exactly one extra branch. A lookup that
-// may not build and found nothing (nil, nil) observes and records
-// nothing: the prepare that follows it is the one that counts.
-func (e *Engine) prepare(pt parsedText, tr *obs.Trace, build bool) (*Prepared, error) {
+// disabled and no trace it costs exactly one extra branch.
+func (e *Engine) prepare(pt parsedText, tr *obs.Trace) (*Prepared, error) {
 	if e.metrics == nil && tr == nil {
-		prep, _, err := e.lookupOrBuild(pt, build)
+		prep, _, err := e.lookupOrBuild(pt)
 		return prep, err
 	}
 	start := time.Now()
-	prep, cached, err := e.lookupOrBuild(pt, build)
-	if prep == nil && err == nil {
-		return nil, nil
-	}
+	prep, cached, err := e.lookupOrBuild(pt)
 	d := time.Since(start).Seconds()
 	sp := tr.Root().ChildAt("prepare", start)
 	switch {
@@ -644,18 +619,10 @@ func (e *Engine) prepare(pt parsedText, tr *obs.Trace, build bool) (*Prepared, e
 // a schema extension may have made the shape answerable. The engine
 // mutex is never held across the boundedness analysis: concurrent
 // prepares of distinct fingerprints overlap, and same-fingerprint
-// prepares coalesce on one in-flight analysis.
-//
-// With build false the call answers a current cached plan or nothing at
-// all (nil, false, nil): it waits for no build, serves no cached error,
-// discards no drifted plan and moves no counter, so the full call that
-// follows sees the cache exactly as this one found it. Every Prepare
-// therefore moves Prepares by one and exactly one of CacheHits and
-// CacheMisses, however many lookups preceded it.
-func (e *Engine) lookupOrBuild(pt parsedText, build bool) (prep *Prepared, cached bool, err error) {
-	if build {
-		e.prepares.Add(1)
-	}
+// prepares coalesce on one in-flight analysis. Every call moves Prepares
+// by one and exactly one of CacheHits and CacheMisses.
+func (e *Engine) lookupOrBuild(pt parsedText) (prep *Prepared, cached bool, err error) {
+	e.prepares.Add(1)
 	fp := pt.fp
 
 	for {
@@ -675,9 +642,6 @@ func (e *Engine) lookupOrBuild(pt parsedText, build bool) (prep *Prepared, cache
 			// loaded once so the fingerprint is compared against the keys
 			// of the same (possibly just-upgraded) plan.
 			if e.current(ent.prep.state.Load()) {
-				if !build {
-					e.prepares.Add(1)
-				}
 				e.hits.Add(1)
 				if upgrade {
 					e.mu.Lock()
@@ -685,9 +649,6 @@ func (e *Engine) lookupOrBuild(pt parsedText, build bool) (prep *Prepared, cache
 					e.mu.Unlock()
 				}
 				return ent.prep, true, nil
-			}
-			if !build {
-				return nil, false, nil
 			}
 			// Observed cardinalities drifted: re-plan without restart.
 			// Remove only the entry we judged stale — a concurrent
@@ -700,10 +661,6 @@ func (e *Engine) lookupOrBuild(pt parsedText, build bool) (prep *Prepared, cache
 			}
 			e.mu.Unlock()
 			continue
-		}
-		if !build {
-			e.mu.Unlock()
-			return nil, false, nil
 		}
 		if ent, ok := e.errs.Get(fp); ok {
 			if ent.version >= ver {

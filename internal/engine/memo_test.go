@@ -28,6 +28,13 @@ func wantStats(t *testing.T, e *Engine, prepares, hits, misses int64) {
 	}
 }
 
+// memo reads the text memo's entry for text.
+func memo(e *Engine, text string) (parsedText, bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.texts.Get(text)
+}
+
 // TestTextMemoOnlySkipsTheParser holds the memo to its one job: a text it
 // knows reaches lookupOrBuild without a parse, and every rule of the plan
 // cache still applies behind it. The memo holds no Prepared, so an
@@ -35,48 +42,42 @@ func wantStats(t *testing.T, e *Engine, prepares, hits, misses int64) {
 func TestTextMemoOnlySkipsTheParser(t *testing.T) {
 	ls, e := tieredScene(t, PlanOptimized)
 
-	// A text nobody prepared: the lookup declines and counts nothing.
-	if p := e.PrepareCached(memoA1, nil); p != nil {
-		t.Fatal("PrepareCached answered a text the engine has never seen")
-	}
-	wantStats(t, e, 0, 0, 0)
-
 	p1, err := e.Prepare(memoA1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantStats(t, e, 1, 0, 1)
-	if p := e.PrepareCached(memoA1, nil); p != p1 {
-		t.Fatal("PrepareCached did not return the cached Prepared")
+	if pt, ok := memo(e, memoA1); !ok || pt.fp != p1.Fingerprint() {
+		t.Fatalf("the memo kept %q: %v, fingerprint %q", memoA1, ok, pt.fp)
+	}
+	if p, err := e.Prepare(memoA1); err != nil || p != p1 {
+		t.Fatalf("memoised text: %v, same Prepared %v", err, p == p1)
 	}
 	wantStats(t, e, 2, 1, 1)
 
 	// Another spelling shares the fingerprint, hence the plan; its text is
-	// new to the memo, so only a full Prepare resolves it the first time.
-	if p := e.PrepareCached(memoA2, nil); p != nil {
-		t.Fatal("PrepareCached parsed a text")
+	// new to the memo, so it is parsed once and then remembered too.
+	if _, ok := memo(e, memoA2); ok {
+		t.Fatal("the memo knows a text nobody prepared")
 	}
 	if p, err := e.Prepare(memoA2); err != nil || p != p1 {
 		t.Fatalf("second spelling: %v, same Prepared %v", err, p == p1)
+	}
+	if pt, ok := memo(e, memoA2); !ok || pt.fp != p1.Fingerprint() {
+		t.Fatalf("the memo kept %q: %v, fingerprint %q", memoA2, ok, pt.fp)
 	}
 	if p1.Fingerprint() != p1.Query().String() {
 		t.Errorf("Fingerprint() = %q, want the template's rendering %q", p1.Fingerprint(), p1.Query().String())
 	}
 	wantStats(t, e, 3, 2, 1)
 
-	// Statistics drift: the lookup declines without discarding anything,
-	// the full Prepare re-plans, and the memo then leads to the new
+	// Statistics drift: the memoised text still reaches the drift check,
+	// which re-plans, and the memo then leads both spellings to the new
 	// Prepared.
 	for i := int64(0); i < 400; i++ {
 		if err := ls.Insert("r", value.Tuple{value.Int(100 + i%8), value.Int(i)}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if p := e.PrepareCached(memoA1, nil); p != nil {
-		t.Fatal("PrepareCached served a plan whose statistics drifted")
-	}
-	if st := e.Stats(); st.Replans != 0 || st.Prepares != 3 {
-		t.Fatalf("a declined lookup moved counters: %+v", st)
 	}
 	p2, err := e.Prepare(memoA1)
 	if err != nil {
@@ -85,14 +86,16 @@ func TestTextMemoOnlySkipsTheParser(t *testing.T) {
 	if p2 == p1 || e.Stats().Replans != 1 {
 		t.Fatalf("drift did not re-plan: same Prepared %v, stats %+v", p2 == p1, e.Stats())
 	}
-	if p := e.PrepareCached(memoA2, nil); p != p2 {
-		t.Fatal("after the re-plan the memo leads to something other than the new Prepared")
+	wantStats(t, e, 4, 2, 2)
+	if p, err := e.Prepare(memoA2); err != nil || p != p2 {
+		t.Fatalf("after the re-plan the memo leads to something other than the new Prepared (%v)", err)
 	}
+	wantStats(t, e, 5, 3, 2)
 }
 
 // TestTextMemoAfterEviction: the memo may remember a text longer than the
-// plan cache remembers its plan. Then the lookup declines, and the full
-// Prepare builds a new Prepared rather than finding the old one.
+// plan cache remembers its plan. Then Prepare builds a new Prepared
+// rather than finding the old one.
 func TestTextMemoAfterEviction(t *testing.T) {
 	ls, _ := tieredScene(t, PlanOptimized)
 	e, err := NewLive(ls, Options{PlanCacheSize: 2})
@@ -114,11 +117,8 @@ func TestTextMemoAfterEviction(t *testing.T) {
 	if before.Evictions != 1 {
 		t.Fatalf("evictions = %d, want 1", before.Evictions)
 	}
-	if p := e.PrepareCached(memoA1, nil); p != nil {
-		t.Fatal("the memo resurrected an evicted Prepared")
-	}
-	if e.Stats() != before {
-		t.Fatalf("a declined lookup moved counters: %+v -> %+v", before, e.Stats())
+	if _, ok := memo(e, memoA1); !ok {
+		t.Fatal("the memo forgot a text the plan cache evicted")
 	}
 	p2, err := e.Prepare(memoA1)
 	if err != nil {
@@ -130,10 +130,10 @@ func TestTextMemoAfterEviction(t *testing.T) {
 	wantStats(t, e, before.Prepares+1, before.CacheHits, before.CacheMisses+1)
 }
 
-// TestMemoisedPrepareHitAllocatesNothing is the fast lane's engine-side
-// ceiling: while the epoch stands still a repeated text costs no parse,
-// no statistics snapshot and no allocation at all, and every hit still
-// moves the counters.
+// TestMemoisedPrepareHitAllocatesNothing is the ceiling of a prepare that
+// finds its plan cached: while the epoch stands still a repeated text
+// costs no parse, no statistics snapshot and no allocation at all, and
+// every hit still moves the counters.
 func TestMemoisedPrepareHitAllocatesNothing(t *testing.T) {
 	ls, e := tieredScene(t, PlanOptimized)
 	if _, err := e.Prepare(memoA1); err != nil {
@@ -145,16 +145,13 @@ func TestMemoisedPrepareHitAllocatesNothing(t *testing.T) {
 		if p, err := e.Prepare(memoA1); err != nil || p == nil {
 			t.Fatal("memoised prepare failed")
 		}
-		if p := e.PrepareCached(memoA1, nil); p == nil {
-			t.Fatal("memoised lookup failed")
-		}
 	}); n != 0 {
-		t.Errorf("memoised Prepare + PrepareCached allocate %v times per hit, want 0", n)
+		t.Errorf("memoised Prepare allocates %v times per hit, want 0", n)
 	}
 	// AllocsPerRun makes one warm-up call.
 	after := e.Stats()
-	if got := after.Prepares - before.Prepares; got != 2*(runs+1) || after.CacheHits-before.CacheHits != got {
-		t.Errorf("%d prepares and %d hits for %d calls", got, after.CacheHits-before.CacheHits, 2*(runs+1))
+	if got := after.Prepares - before.Prepares; got != runs+1 || after.CacheHits-before.CacheHits != got {
+		t.Errorf("%d prepares and %d hits for %d calls", got, after.CacheHits-before.CacheHits, runs+1)
 	}
 
 	// An epoch advance costs the next hit one read of the plan's cards; the
@@ -203,7 +200,7 @@ func TestPrepareAfterCommitAllocatesNothing(t *testing.T) {
 			}
 			if n := testing.AllocsPerRun(100, func() {
 				st.verifiedAt.Store(0)
-				if tc.e.PrepareCached(memoA1, nil) != p {
+				if q, err := tc.e.Prepare(memoA1); err != nil || q != p {
 					t.Fatal("the hit after a shape-keeping commit did not serve the cached plan")
 				}
 			}); n != 0 {

@@ -4,7 +4,9 @@
 // policy on top: the engine serializes access under its mutex and keeps
 // plans and preparation errors in two instances (errors must never
 // displace plans), the serving layer wraps one in a mutex plus hit/miss
-// counters for the result cache.
+// counters for the result cache. A caller that builds its keys in a
+// reused buffer looks them up with GetBytes, which does not allocate; only
+// Put turns a key into a string.
 package lru
 
 import "container/list"
@@ -30,8 +32,19 @@ func New[V any](capacity int) *Cache[V] {
 
 // Get returns the value under key, marking it most recently used.
 func (c *Cache[V]) Get(key string) (V, bool) {
-	el, ok := c.byKey[key]
-	if !ok {
+	return c.use(c.byKey[key])
+}
+
+// GetBytes is Get for a key held in a byte slice. The map index converts
+// the slice in place (the compiler's string(k) lookup idiom), so the call
+// allocates nothing and k is not retained.
+func (c *Cache[V]) GetBytes(k []byte) (V, bool) {
+	return c.use(c.byKey[string(k)])
+}
+
+// use returns the value of a found slot, marking it most recently used.
+func (c *Cache[V]) use(el *list.Element) (V, bool) {
+	if el == nil {
 		var zero V
 		return zero, false
 	}

@@ -47,3 +47,29 @@ func TestRemove(t *testing.T) {
 		t.Error("removed entry still present")
 	}
 }
+
+// TestGetBytesRefreshesRecency: a lookup by bytes finds what Get finds
+// and refreshes recency exactly like it, without allocating.
+func TestGetBytesRefreshesRecency(t *testing.T) {
+	c := New[string](2)
+	c.Put("a", "x")
+	c.Put("b", "y")
+	key := []byte("a")
+	if v, ok := c.GetBytes(key); !ok || v != "x" {
+		t.Fatalf("GetBytes(a) = %q, %v", v, ok)
+	}
+	// a is now most recent; b is the eviction candidate.
+	c.Put("c", "z")
+	if _, ok := c.GetBytes([]byte("b")); ok {
+		t.Error("least recently used entry survived")
+	}
+	if _, ok := c.Get("a"); !ok {
+		t.Error("entry refreshed by GetBytes evicted")
+	}
+	if _, ok := c.GetBytes([]byte("missing")); ok {
+		t.Error("GetBytes found a key never put")
+	}
+	if n := testing.AllocsPerRun(100, func() { c.GetBytes(key) }); n != 0 {
+		t.Errorf("GetBytes allocates %v times per lookup, want 0", n)
+	}
+}

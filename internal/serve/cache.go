@@ -1,23 +1,50 @@
 package serve
 
 import (
+	"encoding/binary"
 	"sync"
 	"sync/atomic"
 
-	"bcq/internal/engine"
 	"bcq/internal/exec"
 	"bcq/internal/lru"
 	"bcq/internal/value"
 )
 
-// cacheKey is the result-cache key of one answered query: the plan's
-// normalized fingerprint (two texts of one shape share it) and the bound
-// argument vector in its collision-free binary encoding. It names no
-// epoch. An entry stays reachable across writes, a refreshed answer
-// replaces it in place, and whether it is still the answer is the
-// entry's own question (cacheEntry.current).
-func cacheKey(p *engine.Prepared, args []value.Value) string {
-	return p.Fingerprint() + "\x00" + value.Tuple(args).Key()
+// appendKey appends the result-cache key of one /query to dst: the
+// length of the request text as a uvarint, the text, and the bound
+// arguments in their collision-free binary encoding (value.AppendKey).
+// The key is what the request holds, so a lookup needs no plan, and it
+// names no epoch: an entry stays reachable across writes, a refreshed
+// answer replaces it in place, and whether it is still the answer is the
+// entry's own question (cacheEntry.current). The length prefix keeps the
+// text from running into the arguments: a NUL at the end of a text cannot
+// pass for the encoding of a Null argument. Two spellings of one shape
+// share the plan cache's entry, not an answer.
+func appendKey(dst []byte, text string, args []value.Value) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(text)))
+	dst = append(dst, text...)
+	return value.Tuple(args).AppendKey(dst)
+}
+
+// maxCachedText bounds the texts whose answers are cached, as
+// maxMemoText bounds the engine's text memo: an entry's key holds its
+// text, and 4096 entries of one hostile 8 MiB body must not pin 32 GiB.
+// A longer text is answered, never cached.
+const maxCachedText = 4 << 10
+
+// keyBuf is the pooled scratch of one /query: its result-cache key, and
+// then, on an untraced hit, its response.
+type keyBuf struct{ b []byte }
+
+var keyBufs = sync.Pool{New: func() any { return &keyBuf{b: make([]byte, 0, 512)} }}
+
+// release returns the buffer to the pool; one grown past a pooled body's
+// size is left to the collector.
+func (k *keyBuf) release() {
+	if cap(k.b) <= maxPooledBody {
+		k.b = k.b[:0]
+		keyBufs.Put(k)
+	}
 }
 
 // cacheEntry is one cached answer with the lineage it is kept by: the
@@ -31,10 +58,11 @@ func cacheKey(p *engine.Prepared, args []value.Value) string {
 // probed, and by Q(D) = Q(D_Q) the plan probes the same groups on V and
 // computes the same payload — tuples, statistics and |D_Q| alike. A word
 // shared by two groups, or moved by a commit newer than V, costs a miss,
-// never a stale answer. The entry belongs to the query shape, not to one
-// plan of it: a plan installed since (an upgrade, a drift re-plan) finds
-// the same tuples, and a hit reports the statistics of the plan that
-// computed it, as a hit always has.
+// never a stale answer. The argument names only the words and the
+// epochs, never the key: the key just says which question the entry
+// answers. An entry holds no plan: a plan installed since (an upgrade, a
+// drift re-plan) finds the same tuples, and a hit reports the statistics
+// of the plan that computed it, as a hit always has.
 type cacheEntry struct {
 	body []byte
 	// epochs is E0, one epoch per shard, and reads the words read, as
@@ -123,10 +151,11 @@ func newResultCache(capacity int) *resultCache {
 // and counts the hit. stale reports an entry that a write has since made
 // doubtful. A probe that finds no answer counts nothing: the request may
 // ask again (execQuery), and its miss — and whether that miss was an
-// invalidation — is counted once, when it executes.
-func (c *resultCache) get(key string, v exec.Store) (body []byte, stale bool) {
+// invalidation — is counted once, when it executes. The lookup allocates
+// nothing.
+func (c *resultCache) get(key []byte, v exec.Store) (body []byte, stale bool) {
 	c.mu.Lock()
-	e, ok := c.lru.Get(key)
+	e, ok := c.lru.GetBytes(key)
 	c.mu.Unlock()
 	switch {
 	case !ok:
@@ -140,11 +169,11 @@ func (c *resultCache) get(key string, v exec.Store) (body []byte, stale bool) {
 
 // put stores an entry, replacing the one under its key in place. When a
 // concurrent execution of the same key raced this one, the entry computed
-// on the newer view is kept.
-func (c *resultCache) put(key string, e cacheEntry) {
+// on the newer view is kept. It is the one place a key becomes a string.
+func (c *resultCache) put(key []byte, e cacheEntry) {
 	c.mu.Lock()
-	if old, ok := c.lru.Get(key); !ok || !newer(old.epochs, e.epochs) {
-		c.lru.Put(key, e)
+	if old, ok := c.lru.GetBytes(key); !ok || !newer(old.epochs, e.epochs) {
+		c.lru.Put(string(key), e)
 	}
 	c.mu.Unlock()
 }

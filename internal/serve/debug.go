@@ -26,8 +26,7 @@ func (s *Server) handleDebugTimeseries(w http.ResponseWriter, r *http.Request) {
 		}
 		last = n
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
+	writeHeader(w, http.StatusOK)
 	_, _ = w.Write(s.obs.Series().JSON(r.URL.Query().Get("series"), last))
 	_, _ = w.Write([]byte("\n"))
 }

@@ -73,13 +73,15 @@ func serveInProcess(h http.Handler, body string) (int, []byte) {
 	return rec.Code, rec.Body.Bytes()
 }
 
-// TestCountersStayExact: however a /query is answered — fast lane, worker
-// with the lookup handed over, worker from scratch, cached rejection —
-// it moves Prepares by one, exactly one of the plan cache's hits and
-// misses, and, when it reaches the result cache, exactly one of that
-// cache's hits and misses. A fast-lane probe that misses and the
+// TestCountersStayExact: however a /query is answered — fast lane,
+// worker with the lookup handed over, cached rejection — it moves exactly
+// one of the result cache's hits and misses when it reaches the result
+// cache, and every request that reaches the engine moves Prepares by one
+// and exactly one of the plan cache's hits and misses. An untraced hit
+// never reaches the engine. A fast-lane probe that misses and the
 // execution that follows are one miss, not two, and an invalidation is
-// one of the misses.
+// one of the misses. Answers are keyed by request text: two spellings of
+// one shape share a plan, not an answer.
 func TestCountersStayExact(t *testing.T) {
 	ls, srv, _ := newTestServer(t, engine.Options{}, Options{})
 	h := srv.Handler()
@@ -99,26 +101,38 @@ func TestCountersStayExact(t *testing.T) {
 			t.Fatalf("%s [%s]: cached %v, want %v", text, arg, env.Cached, wantCached)
 		}
 	}
-	// Both spellings are one shape, so an answer either of them fetched
-	// is cached for the other.
+	// Each (text, argument) pair is answered once and cached after that;
+	// the second spelling finds the plan the first one built.
 	n, seen := 0, map[string]bool{}
-	askOnce := func(text, shape, arg string) {
+	askOnce := func(text, arg string) {
 		t.Helper()
-		ask(text, arg, seen[shape+arg])
-		seen[shape+arg] = true
+		ask(text, arg, seen[text+arg])
+		seen[text+arg] = true
 		n++
 	}
 	for round := 0; round < 3; round++ {
 		for _, arg := range []string{"a0", "a1", "a0"} {
-			askOnce(albums, "albums", arg)
-			askOnce(albums2, "albums", arg)
+			askOnce(albums, arg)
+			askOnce(albums2, arg)
 		}
-		askOnce(friends, "friends", "u0")
+		askOnce(friends, "u0")
 	}
+	// Five pairs, five executions: two plans built, three plan-cache hits;
+	// the other sixteen requests never reached the engine.
+	eng, cache := srv.Engine().Stats(), srv.CacheStats()
+	if n != 21 || eng.Prepares != 5 || eng.CacheHits != 3 || eng.CacheMisses != 2 {
+		t.Errorf("%d requests: engine %d prepares, %d hits, %d misses; want 21 requests, 5 prepares, 3 hits and 2 misses",
+			n, eng.Prepares, eng.CacheHits, eng.CacheMisses)
+	}
+	if cache.Hits != 16 || cache.Misses != 5 || cache.Invalidated != 0 {
+		t.Errorf("result cache %d hits, %d misses, %d invalidated; want 16, 5 and 0", cache.Hits, cache.Misses, cache.Invalidated)
+	}
+
 	// A write that swaps a photo of album a0 for another moves the epoch
-	// and what the a0 answer read, and keeps every group's size, so no plan
-	// drifts: a0 misses once, as an invalidation, and nothing else does —
-	// the a1 and friends answers read nothing the write touched.
+	// and what both a0 answers read, and keeps every group's size, so no
+	// plan drifts: each a0 answer misses once, as an invalidation, and
+	// nothing else does — the a1 and friends answers read nothing the
+	// write touched.
 	if _, err := ls.Apply([]live.Op{
 		live.Delete("in_album", strT("p2", "a0")),
 		live.Insert("in_album", strT("p7", "a0")),
@@ -126,18 +140,19 @@ func TestCountersStayExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	ask(albums, "a0", false)
+	ask(albums2, "a0", false)
 	ask(albums2, "a0", true)
 	ask(albums, "a1", true)
 	ask(friends, "u0", true)
-	n += 4
+	n += 5
 
-	eng, cache := srv.Engine().Stats(), srv.CacheStats()
-	if eng.Prepares != int64(n) || eng.CacheHits+eng.CacheMisses != int64(n) || eng.CacheMisses != 2 || eng.Replans != 0 {
-		t.Errorf("%d requests: engine %d prepares, %d hits, %d misses, %d re-plans; want %d prepares, a miss per shape and no re-plan",
-			n, eng.Prepares, eng.CacheHits, eng.CacheMisses, eng.Replans, n)
+	eng, cache = srv.Engine().Stats(), srv.CacheStats()
+	if eng.Prepares != cache.Misses || eng.Prepares != 7 || eng.CacheHits != 5 || eng.CacheMisses != 2 || eng.Replans != 0 {
+		t.Errorf("engine %d prepares, %d hits, %d misses, %d re-plans; want one prepare per result-cache miss (%d): 7, 5, 2 and no re-plan",
+			eng.Prepares, eng.CacheHits, eng.CacheMisses, eng.Replans, cache.Misses)
 	}
-	if cache.Hits+cache.Misses != int64(n) || cache.Misses != 4 || cache.Invalidated != 1 {
-		t.Errorf("%d requests: result cache %d hits, %d misses, %d invalidated; want them to sum to %d with 4 misses, 1 of them an invalidation",
+	if cache.Hits+cache.Misses != int64(n) || cache.Misses != 7 || cache.Invalidated != 2 {
+		t.Errorf("%d requests: result cache %d hits, %d misses, %d invalidated; want them to sum to %d with 7 misses, 2 of them invalidations",
 			n, cache.Hits, cache.Misses, cache.Invalidated, n)
 	}
 
@@ -162,7 +177,9 @@ func TestCountersStayExact(t *testing.T) {
 
 // TestCachedErrorRetriedBehindTheMemo: a rejected text sits in the memo
 // like any other, and its cached rejection is still retried once the
-// schema version advances — after which the fast lane serves it.
+// schema version advances — after which the fast lane serves its answer
+// without asking the engine: two prepares before the extension (a miss,
+// then the cached rejection), one after it (the stale retry's build).
 func TestCachedErrorRetriedBehindTheMemo(t *testing.T) {
 	ls, srv, _ := newTestServer(t, engine.Options{}, Options{})
 	h := srv.Handler()
@@ -185,8 +202,8 @@ func TestCachedErrorRetriedBehindTheMemo(t *testing.T) {
 			t.Errorf("request %d after the extension: cached %v, result %s", i, env.Cached, env.Result)
 		}
 	}
-	if st := srv.Engine().Stats(); st.StaleRetries != 1 || st.Prepares != 4 {
-		t.Errorf("stats %+v, want 4 prepares and 1 stale retry", st)
+	if st := srv.Engine().Stats(); st.StaleRetries != 1 || st.Prepares != 3 || st.CacheHits != 1 || st.CacheMisses != 2 {
+		t.Errorf("stats %+v, want 3 prepares (1 hit, 2 misses) and 1 stale retry", st)
 	}
 }
 
@@ -201,7 +218,8 @@ func TestCachedErrorRetriedBehindTheMemo(t *testing.T) {
 // outlived an eviction, a re-plan or an epoch would serve bytes that
 // differ. How many re-plans the hammer sees depends on the scheduling, so
 // a last step forces one: a cached plan hit after a batch that doubles
-// its constraint's groups. Run with -race.
+// its constraint's groups, asked with arguments whose answers are not
+// cached, so that each ask reaches the plan cache. Run with -race.
 func TestFastLaneNeverStaleUnderChurn(t *testing.T) {
 	ls := serveScene(t)
 	eng, err := engine.NewLive(ls, engine.Options{PlanCacheSize: 2, PlanMode: engine.PlanTiered})
@@ -363,11 +381,15 @@ func TestFastLaneNeverStaleUnderChurn(t *testing.T) {
 	// The forced re-plan. Two asks leave the friends plan cached, verified
 	// at this epoch and, its upgrade drained, with no build in flight that
 	// could record newer shapes; doubling the constraint's groups then moves
-	// its group-count bucket, so the next ask's hit must re-plan.
+	// its group-count bucket, so the next ask's hit must re-plan. Each ask
+	// names a user the hammer never asked about (the writer gave each v
+	// user one friend), so no answer is cached and every ask prepares.
 	const friendsT = 2
+	asked := 0
 	ask := func() {
 		t.Helper()
-		args := []any{"u0"}
+		asked++
+		args := []any{fmt.Sprintf("v%d", asked)}
 		body, _ := json.Marshal(map[string]any{"query": templates[friendsT].query, "args": args})
 		code, raw := serveInProcess(h, string(body))
 		var env envelope
@@ -395,16 +417,19 @@ func TestFastLaneNeverStaleUnderChurn(t *testing.T) {
 		t.Errorf("a hit after the friends groups doubled (%d -> %d) re-planned %d times, want 1", card.Groups, 2*card.Groups, got)
 	}
 
-	// Counters first, before the replay prepares anything: one prepare per
-	// request, each exactly one hit or miss; one result-cache verdict per
-	// request that got as far as a plan.
+	// Counters first, before the replay prepares anything: one result-cache
+	// verdict per answer; each prepare exactly one plan-cache hit or miss.
+	// Every execution and every rejection prepared once. A hit prepared
+	// only when its fast-lane probe missed and the worker's second look,
+	// after a write, found the answer another request had cached meanwhile.
 	st, cs := eng.Stats(), srv.CacheStats()
-	requests := int64(len(all) + rejected)
-	if st.Prepares != requests || st.CacheHits+st.CacheMisses != requests {
-		t.Errorf("%d requests: %d prepares, %d hits + %d misses", requests, st.Prepares, st.CacheHits, st.CacheMisses)
-	}
 	if cs.Hits+cs.Misses != answered.Load() || cs.Invalidated > cs.Misses {
 		t.Errorf("%d answers: result cache %d hits + %d misses, %d of them invalidations", answered.Load(), cs.Hits, cs.Misses, cs.Invalidated)
+	}
+	executed := cs.Misses + int64(rejected)
+	if st.CacheHits+st.CacheMisses != st.Prepares || st.Prepares < executed || st.Prepares > executed+cs.Hits {
+		t.Errorf("%d executions and rejections, %d result-cache hits: %d prepares, %d hits + %d misses",
+			executed, cs.Hits, st.Prepares, st.CacheHits, st.CacheMisses)
 	}
 	if st.Evictions == 0 || st.Replans == 0 || cs.Hits == 0 || rejected == 0 {
 		t.Errorf("the hammer missed a mechanism: %d evictions, %d re-plans, %d cache hits, %d rejections", st.Evictions, st.Replans, cs.Hits, rejected)

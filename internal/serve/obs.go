@@ -148,6 +148,12 @@ func (s *Server) instrumented(endpoint string, h http.HandlerFunc) http.HandlerF
 	}
 }
 
+// traceHeader is the request header X-BQ-Trace-Id in the canonical form
+// net/http files received headers under. Indexing the header map with it
+// skips the canonicalisation Header.Get would redo, and allocate for, on
+// every request.
+const traceHeader = "X-Bq-Trace-Id"
+
 // traceFor decides whether a query request runs traced: the client sent
 // X-BQ-Trace-Id (adopted as the trace ID), asked for debug output, the
 // slow-query log is armed, or a tail-sampling trace recorder is — spans
@@ -156,7 +162,10 @@ func (s *Server) instrumented(endpoint string, h http.HandlerFunc) http.HandlerF
 // Returns nil otherwise (untraced execution costs one nil check per
 // site).
 func (s *Server) traceFor(r *http.Request, req queryRequest) *obs.Trace {
-	id := r.Header.Get("X-BQ-Trace-Id")
+	var id string
+	if v := r.Header[traceHeader]; len(v) > 0 {
+		id = v[0]
+	}
 	if id == "" && !req.Debug && s.obs.Slow() == nil && s.obs.TraceRec() == nil {
 		return nil
 	}

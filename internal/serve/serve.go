@@ -17,13 +17,13 @@
 //     work starts and between the tuples of a page; a started
 //     execution, prepare or write is bounded and runs to its real
 //     outcome. Admission covers everything that
-//     analyses, plans, executes or writes. A /query whose plan and
-//     answer are both cached is not work: it is answered on the handler
-//     goroutine before admission (the fast lane) and never queues — a
-//     saturated server keeps serving what it already knows and sheds
-//     only what it would have to compute.
+//     analyses, plans, executes or writes. A /query whose answer is
+//     cached is not work: it is answered on the handler goroutine before
+//     admission (the fast lane), without asking the engine, and never
+//     queues — a saturated server keeps serving what it already knows
+//     and sheds only what it would have to compute.
 //   - a result cache that keeps an answer until a write touches what it
-//     read: answers are cached under (plan fingerprint, bound arguments)
+//     read: answers are cached under (request text, bound arguments)
 //     with the version words of every index group the execution probed.
 //     A commit stamps the words of the groups it rewrote before it
 //     publishes its epoch, so a hit — checked against the words on the
@@ -349,9 +349,19 @@ func (s *Server) deadline(ms int64) time.Time {
 
 // apiError writes a JSON error with the given status.
 func apiError(w http.ResponseWriter, status int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
+	writeHeader(w, status)
 	_ = json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
+}
+
+// jsonType is the Content-Type of every JSON response. They all share the
+// one slice, so that naming it allocates nothing: net/http copies a
+// response's header when it writes it, and nothing writes through it.
+var jsonType = []string{"application/json"}
+
+// writeHeader sends a JSON response's status and header.
+func writeHeader(w http.ResponseWriter, status int) {
+	w.Header()["Content-Type"] = jsonType
+	w.WriteHeader(status)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -367,8 +377,7 @@ type handlerResult struct {
 }
 
 func (out handlerResult) write(w http.ResponseWriter) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(out.status)
+	writeHeader(w, out.status)
 	if out.raw != nil {
 		_, _ = w.Write(out.raw)
 		return
@@ -437,21 +446,23 @@ func (s *Server) onSlot(fn func() handlerResult) (out handlerResult) {
 	return fn()
 }
 
-// handleQuery answers POST /query. The buffered path prepares
-// (plan-cached), pins a view, and serves from the result cache when the
-// (fingerprint, args) entry is current on that view. Requests with
-// limit > 0 or a cursor take the streamed, paged path instead: the
+// handleQuery answers POST /query. The buffered path pins a view and
+// serves from the result cache when the (text, args) entry is current on
+// that view; otherwise it prepares (plan-cached) and executes. Requests
+// with limit > 0 or a cursor take the streamed, paged path instead: the
 // response is written as the stream produces answers and never touches
 // the result cache — a page is a prefix of the answer, and caching a
 // prefix under the full-query key would serve truncated answers to
 // unlimited requests.
 //
 // The buffered path is split in two. lookup runs here, on the handler
-// goroutine and before admission: a few map reads that find the cached
-// plan and the cached answer, or do not. A hit is written at once — no
-// deadline context, no worker, no queue; it is not work, and a saturated
-// server answers it all the same. Anything else goes through runOnWorker,
-// taking along what lookup resolved.
+// goroutine and before admission: one map read under the cache's mutex,
+// keyed by what the request holds, that finds the cached answer or does
+// not. A hit is written at once — no engine, no deadline context, no
+// worker, no queue; it is not work, and a saturated server answers it all
+// the same. An untraced hit is encoded into the buffer its key was built
+// in. Anything else goes through runOnWorker, taking along what lookup
+// resolved.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		apiError(w, http.StatusMethodNotAllowed, "POST required")
@@ -493,19 +504,25 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.servePage(w, r, req, args, tr, start)
 		return
 	}
+	kb := keyBufs.Get().(*keyBuf)
+	defer kb.release()
 	var lk lookup
 	// A draining server answers nothing new, cached or not.
 	if !s.closed.Load() {
-		if p := s.eng.PrepareCached(req.Query, tr); p != nil {
-			lk = s.lookup(p, args)
-		}
+		lk = s.lookup(req.Query, args, kb)
 		if lk.body != nil {
-			s.hitResult(req, lk, tr, start).write(w)
+			if tr != nil {
+				s.tracedHit(req, lk, tr, start).write(w)
+				return
+			}
+			kb.b = appendEnvelope(kb.b[:0], lk.body, true, epochOf(lk.view), "", nil)
+			writeHeader(w, http.StatusOK)
+			_, _ = w.Write(kb.b)
 			return
 		}
 	}
 	s.runOnWorker(w, r, req.TimeoutMS, func() handlerResult {
-		return s.execQuery(req, args, tr, start, lk)
+		return s.execQuery(req, args, tr, start, lk, kb)
 	})
 }
 
@@ -578,82 +595,92 @@ func okResult(result []byte, cached bool, view exec.Store, tr *obs.Trace, debug 
 	return handlerResult{status: http.StatusOK, raw: appendEnvelope(raw, result, cached, epochOf(view), tr.ID(), debug)}
 }
 
-// lookup is what a /query resolved short of executing: the prepared
-// plan, the view pinned for it, the result-cache key ("" when the answer
-// is not cacheable) and, on a hit, the cached payload — or, when the
-// entry under the key was no longer current, stale. The zero value means
-// nothing is resolved yet.
+// lookup is what a /query resolved short of executing: the view pinned
+// for it, the result-cache key (nil when the answer is not cacheable)
+// and, on a hit, the cached payload — or, when the entry under the key
+// was no longer current, stale. The zero value means nothing is resolved
+// yet.
 type lookup struct {
-	p *engine.Prepared
 	// at is the engine's epoch token read before the view was pinned: as
 	// long as the engine still reports it, the view is the current one.
 	at    uint64
 	view  exec.Store
-	key   string
+	key   []byte
 	body  []byte
 	stale bool
 }
 
-// lookup pins a view for a prepared query and asks the result cache for
-// its answer on that view. The view is pinned first and the entry is
-// checked against it: a hit is the answer on exactly the view the
-// response names, whichever goroutine runs this and however long the
+// lookup pins a view and asks the result cache for the answer to (text,
+// args) on it, building the key in kb. The view is pinned first and the
+// entry is checked against it: a hit is the answer on exactly the view
+// the response names, whichever goroutine runs this and however long the
 // request then waits for a worker. A view with no epoch to name is not
-// cached.
-func (s *Server) lookup(p *engine.Prepared, args []value.Value) lookup {
-	lk := lookup{p: p, at: s.eng.Epoch()}
+// cached, nor is a text longer than maxCachedText. Nothing here asks the
+// engine for a plan, and building the key and finding the entry allocate
+// nothing.
+func (s *Server) lookup(text string, args []value.Value, kb *keyBuf) lookup {
+	lk := lookup{at: s.eng.Epoch()}
 	lk.view = s.eng.View()
-	if s.cache != nil && epochOf(lk.view) != nil {
-		lk.key = cacheKey(p, args)
+	if s.cache != nil && len(text) <= maxCachedText && epochOf(lk.view) != nil {
+		kb.b = appendKey(kb.b[:0], text, args)
+		lk.key = kb.b
 		lk.body, lk.stale = s.cache.get(lk.key, lk.view)
 	}
 	return lk
 }
 
-// hitResult finishes a request the result cache answered.
-func (s *Server) hitResult(req queryRequest, lk lookup, tr *obs.Trace, start time.Time) handlerResult {
+// tracedHit finishes a traced or debug request the result cache answered:
+// the trace and the Explain want the plan, so the request prepares — a
+// plan-cache hit, unless the plan has been evicted since the answer was
+// cached.
+func (s *Server) tracedHit(req queryRequest, lk lookup, tr *obs.Trace, start time.Time) handlerResult {
+	p, err := s.eng.PrepareTraced(req.Query, tr)
+	if err != nil {
+		s.considerError("query", "", tr, time.Since(start))
+		return errResult(http.StatusBadRequest, "%v", err)
+	}
+	return s.hitResult(req, p, lk, tr, start)
+}
+
+// hitResult finishes a request the result cache answered, with the plan p
+// it prepared.
+func (s *Server) hitResult(req queryRequest, p *engine.Prepared, lk lookup, tr *obs.Trace, start time.Time) handlerResult {
 	var debug *debugPayload
 	if tr != nil {
 		tr.Root().Tag("result_cache", "hit")
 		tr.Finish()
 		s.obs.TraceRec().Consider(tr, obs.TraceMeta{
-			Endpoint: "query", Fingerprint: lk.p.Fingerprint(),
+			Endpoint: "query", Fingerprint: p.Fingerprint(),
 			Duration: time.Since(start), Outcome: "ok",
 		})
 	}
 	if req.Debug {
-		debug = &debugPayload{Explain: lk.p.Explain(nil), Spans: tr.JSON()}
+		debug = &debugPayload{Explain: p.Explain(nil), Spans: tr.JSON()}
 	}
 	return okResult(lk.body, true, lk.view, tr, debug)
 }
 
-// execQuery is the execute half of /query, on a worker slot: whatever
-// lookup left unresolved — the plan may need building, and then the view
-// and the cache have not been asked either — and the execution itself.
-// What lookup did resolve is used as it stands, unless the store has
-// moved while the request waited for its slot: then the view and the
-// cache are asked again, so that a queued request executes at the epoch
-// current when it runs, as it always has, and caches the answer on the
-// newest view. A cacheable execution records its read set, which the
-// entry keeps.
-func (s *Server) execQuery(req queryRequest, args []value.Value, tr *obs.Trace, start time.Time, lk lookup) handlerResult {
-	switch {
-	case lk.p == nil:
-		p, err := s.eng.PrepareTraced(req.Query, tr)
-		if err != nil {
-			s.considerError("query", "", tr, time.Since(start))
-			return errResult(http.StatusBadRequest, "%v", err)
-		}
-		lk = s.lookup(p, args)
-	case s.eng.Epoch() != lk.at:
-		lk = s.lookup(lk.p, args)
+// execQuery is the execute half of /query, on a worker slot: the prepare
+// lookup left undone, and the execution itself. What lookup resolved is
+// used as it stands, unless the store has moved while the request waited
+// for its slot or prepared: then the view and the cache are asked again,
+// so that a queued request executes at the epoch current when it runs, as
+// it always has, and caches the answer on the newest view. A cacheable
+// execution records its read set, which the entry keeps.
+func (s *Server) execQuery(req queryRequest, args []value.Value, tr *obs.Trace, start time.Time, lk lookup, kb *keyBuf) handlerResult {
+	p, err := s.eng.PrepareTraced(req.Query, tr)
+	if err != nil {
+		s.considerError("query", "", tr, time.Since(start))
+		return errResult(http.StatusBadRequest, "%v", err)
+	}
+	if lk.view == nil || s.eng.Epoch() != lk.at {
+		lk = s.lookup(req.Query, args, kb)
 	}
 	if lk.body != nil {
-		return s.hitResult(req, lk, tr, start)
+		return s.hitResult(req, p, lk, tr, start)
 	}
-	p := lk.p
 	var reads *exec.ReadSet
-	if lk.key != "" {
+	if lk.key != nil {
 		// Counted here and not by the probe: a miss is a cacheable query
 		// that had to execute, however many times the cache was asked.
 		s.cache.misses.Add(1)
@@ -672,7 +699,7 @@ func (s *Server) execQuery(req queryRequest, args []value.Value, tr *obs.Trace, 
 		return errResult(http.StatusBadRequest, "%v", err)
 	}
 	body := appendResult(res)
-	if lk.key != "" {
+	if lk.key != nil {
 		s.cache.put(lk.key, newEntry(body, lk.view, reads.Words()))
 	}
 	tr.Finish()
@@ -756,8 +783,7 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request, req queryRequ
 // cursor's whole scan so the final page reports the full bounded fetch.
 func (s *Server) writePage(ctx context.Context, w http.ResponseWriter, st *cursorState, start time.Time) {
 	flusher, _ := w.(http.Flusher)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
+	writeHeader(w, http.StatusOK)
 
 	var (
 		n         int

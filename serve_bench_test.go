@@ -144,10 +144,11 @@ func (w *nullWriter) WriteHeader(int)             {}
 func (w *nullWriter) Write(b []byte) (int, error) { return len(b), nil }
 
 // BenchmarkServe_CachedHit is the fast lane's guardrail: one /query whose
-// plan and answer are cached, sent in process to Handler().ServeHTTP with
-// no socket and no client, so ns/op and allocs/op are the handler's own.
-// What is left is decoding the request; a parse, a statistics snapshot
-// or a worker hand-off creeping back in shows as a multiple.
+// answer is cached, sent in process to Handler().ServeHTTP with no socket
+// and no client, so ns/op and allocs/op are the handler's own. What is
+// left is decoding the request and one result-cache lookup; a parse, a
+// plan lookup, a statistics snapshot or a worker hand-off creeping back
+// in shows as a multiple.
 func BenchmarkServe_CachedHit(b *testing.B) {
 	_, srv, _ := benchServer(b)
 	h := srv.Handler()
