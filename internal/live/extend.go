@@ -169,9 +169,9 @@ type extension struct {
 
 // buildExtension validates the constraint and scans the live data into
 // an extension: the same index build a sealed relation gets
-// (storage.ScanAccessIndex), read over the snapshot's live tuples. It
-// returns (nil, nil) when the constraint is already maintained. Called
-// under mu.
+// (storage.ScanAccessIndex), read over the snapshot's live tuples, with
+// the ledger read off it. It returns (nil, nil) when the constraint is
+// already maintained. Called under mu.
 func (st *Store) buildExtension(ac schema.AccessConstraint) (*extension, error) {
 	if err := ac.Validate(st.cat); err != nil {
 		return nil, fmt.Errorf("live: extending access schema: %w", err)
@@ -188,8 +188,7 @@ func (st *Store) buildExtension(ac schema.AccessConstraint) (*extension, error) 
 		return nil, err
 	}
 	snap := st.cur.Load()
-	n := snap.size[ac.Rel]
-	idx, err := storage.ScanAccessIndex(rs, ac, snap.all(ac.Rel), int(n))
+	idx, err := storage.ScanAccessIndex(rs, ac, snap.all(ac.Rel), int(snap.size[ac.Rel]))
 	if err != nil {
 		return nil, err
 	}
@@ -197,5 +196,5 @@ func (st *Store) buildExtension(ac schema.AccessConstraint) (*extension, error) 
 	for g := range idx.Groups() {
 		groups[value.KeyOf(g[0].Witness, bind.xPos)] = g
 	}
-	return &extension{bind: bind, groups: groups, ledger: sparseLedger(idx, bind, n, snap.all(ac.Rel))}, nil
+	return &extension{bind: bind, groups: groups, ledger: ledgerOf(idx, bind)}, nil
 }

@@ -31,26 +31,19 @@ func checkLedger(t *testing.T, st *Store, stage string) {
 	t.Helper()
 	snap := st.Snapshot()
 	for key, b := range st.byKey {
-		want := make(map[string][]int)
+		r, _ := snap.resolve(key)
+		seen := make(map[string]bool)
 		for pos, tu := range snap.all(b.ac.Rel) {
-			xk := value.KeyOf(tu, b.xPos)
-			pk := pairKey(xk, tu, b.yPos)
-			if want[pk] == nil {
-				r, _ := snap.resolve(key)
+			if pk := pairKey(value.KeyOf(tu, b.xPos), tu, b.yPos); !seen[pk] {
+				seen[pk] = true
 				g := r.at(tu, b.xPos)
 				if i := entryOf(g, tu, b.yPos); i < 0 || g[i].Pos != pos {
 					t.Fatalf("%s: %s: pair of %s first occurs at %d but its group entry says otherwise (entry %d of %v)",
 						stage, key, tu, pos, i, g)
 				}
 			}
-			want[pk] = append(want[pk], pos)
 		}
-		for pk, ps := range want {
-			if len(ps) < 2 {
-				delete(want, pk)
-			}
-		}
-		if got := st.ledger[key]; !sameLedger(got, want) {
+		if got, want := st.ledger[key], recountLedger(snap, b); !sameLedger(got, want) {
 			t.Fatalf("%s: ledger of %s diverged from recount\n got:  %v\n want: %v", stage, key, got, want)
 		}
 	}
@@ -72,6 +65,26 @@ func checkLedger(t *testing.T, st *Store, stage string) {
 		}
 	}
 	checkCards(t, st, stage)
+}
+
+// recountLedger is the per-tuple derivation live.New once ran, kept as
+// the oracle of the ledger it now reads off the index: one pass over the
+// relation's live tuples in live order, keying every tuple's pair, and a
+// record for each pair met twice or more.
+func recountLedger(snap *Snapshot, b acBinding) map[string][]int {
+	led := make(map[string][]int)
+	first := make(map[string]int)
+	for pos, tu := range snap.all(b.ac.Rel) {
+		pk := pairKey(value.KeyOf(tu, b.xPos), tu, b.yPos)
+		if at, seen := first[pk]; !seen {
+			first[pk] = pos
+		} else if ps := led[pk]; ps != nil {
+			led[pk] = append(ps, pos)
+		} else {
+			led[pk] = []int{at, pos}
+		}
+	}
+	return led
 }
 
 // ledgerSize is the number of ledger records plus tuple-map keys the
@@ -292,6 +305,58 @@ func TestBootstrapKeepsNoPerTupleState(t *testing.T) {
 		t.Errorf("MOT: live.New retained %d records, more than the schema's %d domain values (|D| = %d)", n, domainValues, st.NumTuples())
 	}
 	checkLedger(t, st, "MOT bootstrap")
+}
+
+// TestBootstrapAllocationsAreFlat: over an indexed base, live.New
+// allocates the same whatever the relation's size when the repeated
+// pairs are the same: the ledger is read off the index, one record per
+// repeated pair, and no tuple is keyed.
+func TestBootstrapAllocationsAreFlat(t *testing.T) {
+	cat := schema.MustCatalog(schema.MustRelation("r", "a", "b", "c"))
+	acc := schema.MustAccessSchema(
+		schema.MustAccessConstraint("r", []string{"a"}, []string{"b"}, 2),
+		schema.MustAccessConstraint("r", []string{"a", "b"}, []string{"c"}, 4),
+	)
+	base := func(n int) *storage.Database {
+		db := storage.NewDatabase(cat)
+		add := func(a, b, c int) {
+			if err := db.Insert("r", value.Tuple{value.Int(int64(a)), value.Int(int64(b)), value.Int(int64(c))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := range n {
+			add(i/2, i%2, i)
+		}
+		for k := range 6 { // repeats (a, b) with a new c, and then the whole tuple
+			add(k, k%2, -1-k)
+			add(k, k%2, 2*k+k%2)
+		}
+		if err := db.EnsureIndexes(acc); err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	allocs := func(db *storage.Database) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := New(db, acc, Options{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := base(1000), base(4000)
+	if a, b := allocs(small), allocs(large); a != b {
+		t.Errorf("live.New allocates %v objects over %d tuples and %v over %d with the same repeats", a, small.NumTuples(), b, large.NumTuples())
+	}
+	st, err := New(large, acc, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ac := range acc.Constraints() {
+		if n := len(st.ledger[ac.Key()]); n != 6 {
+			t.Errorf("%s: %d ledger records, want one per repeated pair (6)", ac, n)
+		}
+	}
+	checkLedger(t, st, "bootstrap")
 }
 
 // TestEntryOfAllocatesNothing pins the scan insert and delete share:

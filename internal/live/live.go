@@ -36,8 +36,6 @@ package live
 import (
 	"errors"
 	"fmt"
-	"iter"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -264,27 +262,16 @@ func (c *acCard) resize(from, to int64) {
 	}
 }
 
-// sparseLedger derives one constraint's ledger (see Store.ledger) from the
-// index built over the n live tuples of a relation, given in live order.
-// It costs a pass over the tuples only when the index has fewer entries
-// than there are tuples — some pair then occurs twice; otherwise every
-// pair is a singleton and the index already says everything. The pass's
-// map of first occurrences is transient; only the records are kept.
-func sparseLedger(idx *storage.AccessIndex, b acBinding, n int64, tuples iter.Seq2[int, value.Tuple]) map[string][]int {
+// ledgerOf reads one constraint's ledger (see Store.ledger) off its index,
+// one pairKey per repeated pair: the build recorded every pair it met more
+// than once with the positions of its occurrences in scan order, which is
+// live order. A record is the index's own run of positions, so a
+// position is held once; the writer never writes within a record's
+// length, and appending past it copies.
+func ledgerOf(idx *storage.AccessIndex, b acBinding) map[string][]int {
 	led := make(map[string][]int)
-	if idx.NumEntries() == n {
-		return led
-	}
-	first := make(map[string]int)
-	for pos, t := range tuples {
-		pk := pairKey(value.KeyOf(t, b.xPos), t, b.yPos)
-		if at, seen := first[pk]; !seen {
-			first[pk] = pos
-		} else if ps := led[pk]; ps != nil {
-			led[pk] = append(ps, pos)
-		} else {
-			led[pk] = []int{at, pos}
-		}
+	for e, ps := range idx.Repeats() {
+		led[pairKey(value.KeyOf(e.Witness, b.xPos), e.Witness, b.yPos)] = ps
 	}
 	return led
 }
@@ -340,7 +327,8 @@ type Store struct {
 	// from-scratch rebuild (Snapshot.Freeze) would make. A pair with no
 	// record occurs once, at the Pos of its group entry, or not at all.
 	// Slices are never mutated within their length: a batch appends past
-	// it or replaces the slice, so an aborted batch leaves no trace.
+	// it or replaces the slice, so an aborted batch leaves no trace, and
+	// a record read off an index (ledgerOf) can be the index's own run.
 	ledger map[string]map[string][]int
 	// cards is per constraint key the incrementally maintained index
 	// shape (see acCard). The map value is replaced wholesale by
@@ -404,7 +392,8 @@ type Store struct {
 // New builds a live store over a loaded database. The database's access
 // indices for the schema are built if missing (verifying D |= A and
 // sealing the base); the writer's bookkeeping is then read off those
-// indices (see bootstrap), not built beside them.
+// indices, repeated pairs included (see bootstrap), not built beside
+// them.
 //
 // With Options.Dir set the store is durable: the base is written out as
 // the epoch-0 checkpoint segment and a write-ahead log is opened, so
@@ -467,8 +456,9 @@ func newStore(base *storage.Database, acc *schema.AccessSchema, opts Options, ba
 
 // bootstrap (re)builds the writer-side bookkeeping over a sealed base and
 // returns the per-relation sizes. Cards are read off the base index, one
-// step per X-group, and the ledger is derived from it (sparseLedger).
-// Called under mu (or before the store is shared).
+// step per X-group, and so is the ledger, one step per repeated pair
+// (ledgerOf): a covered relation's tuples are not read again. Called
+// under mu (or before the store is shared).
 func (st *Store) bootstrap(base *storage.Database) (size map[string]int64, total int64) {
 	st.ledger = make(map[string]map[string][]int, len(st.byKey))
 	cards := make(map[string]*acCard, len(st.byKey))
@@ -479,8 +469,7 @@ func (st *Store) bootstrap(base *storage.Database) (size map[string]int64, total
 			card.resize(0, int64(len(g)))
 		}
 		cards[key] = card
-		tuples := base.MustRelation(b.ac.Rel).Tuples
-		st.ledger[key] = sparseLedger(idx, b, int64(len(tuples)), slices.All(tuples))
+		st.ledger[key] = ledgerOf(idx, b)
 	}
 	st.cards.Store(&cards)
 	st.baseLen = make(map[string]int, st.cat.NumRelations())

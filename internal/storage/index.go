@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"cmp"
 	"fmt"
 	"hash/maphash"
 	"iter"
@@ -40,6 +41,12 @@ type IndexEntry struct {
 // the group's first witness, so Int(1) and Str("1") stay apart, and the
 // hash half spares the comparison — three cache misses — with every other
 // group a probe passes.
+//
+// The build also keeps what it learns in passing about the tuples that are
+// not witnesses: each (X, Y) pair it met more than once gets a run of the
+// positions of all its occurrences, in scan order, the witness's first
+// (Repeats). That is how the live store's ledger is read off the index
+// instead of re-keying every tuple.
 type AccessIndex struct {
 	AC         schema.AccessConstraint
 	xPos, xSeq []int // X's positions in the relation, and in an X-value
@@ -47,7 +54,13 @@ type AccessIndex struct {
 	start      []uint32
 	slots      []uint64
 	maxGroup   int
+	runs       []run // one per repeated pair, in arena order
+	runPos     []int // the runs' positions, back to back
 }
+
+// run is one repeated pair's entry in the arena and the end of its
+// positions in runPos (it starts where the run before it ends).
+type run struct{ entry, end uint32 }
 
 // BuildAccessIndex scans the relation and builds the index, verifying the
 // constraint's cardinality bound along the way (see ScanAccessIndex).
@@ -133,6 +146,23 @@ func (idx *AccessIndex) Groups() iter.Seq[[]IndexEntry] {
 	}
 }
 
+// Repeats yields, for each (X, Y) pair the build met more than once, the
+// pair's entry and the positions of all its occurrences in scan order —
+// the witness's first. The positions are the index's own, capped at their
+// length: a caller may keep them and append past them (which copies), but
+// must not write within them.
+func (idx *AccessIndex) Repeats() iter.Seq2[IndexEntry, []int] {
+	return func(yield func(IndexEntry, []int) bool) {
+		lo := uint32(0)
+		for _, r := range idx.runs {
+			if !yield(idx.entries[r.entry], idx.runPos[lo:r.end:r.end]) {
+				return
+			}
+			lo = r.end
+		}
+	}
+}
+
 // find probes the X-table for t's X-value at pos, whose hash is h,
 // returning the group (-1: absent) and the slot the probe ended on.
 func (idx *AccessIndex) find(t value.Tuple, pos []int, h uint64) (int, uint64) {
@@ -184,15 +214,24 @@ func slot(h uint64, e int) uint64 { return h>>32<<32 | uint64(e+1) }
 
 // builder is the one way an AccessIndex is made, fed the tuples of a scan
 // or the witnesses a segment recorded (IndexRestore). Sized for n tuples,
-// which bound the entries and so the groups, it allocates nothing more.
-// Until finish, entries are in arrival order and start[g] is the index of
-// group g's first entry, so find works unchanged.
+// which bound the entries and so the groups, it allocates nothing more
+// but the list of repeats, which grows with them alone. Until finish,
+// entries are in arrival order and start[g] is the index of group g's
+// first entry, so find works unchanged.
 type builder struct {
 	idx   *AccessIndex
 	yPos  []int
 	gid   []uint32 // group of each accepted entry
 	sizes []uint32 // entries per group
+	hx    []uint64 // X-value hash of each group
 	pairs []uint64 // table of the accepted (X, Y) pairs, over entries
+	reps  []repeat // tuples whose pair was already in, in scan order
+}
+
+// repeat is a tuple at pos whose (X, Y) pair entry already holds.
+type repeat struct {
+	entry uint32
+	pos   int
 }
 
 func newBuilder(rs *schema.Relation, ac schema.AccessConstraint, n int) (*builder, error) {
@@ -209,11 +248,13 @@ func newBuilder(rs *schema.Relation, ac schema.AccessConstraint, n int) (*builde
 	for i := range idx.xSeq {
 		idx.xSeq[i] = i
 	}
-	return &builder{idx: idx, yPos: yPos, gid: make([]uint32, 0, n), sizes: make([]uint32, 0, n), pairs: tableFor(n)}, nil
+	return &builder{idx: idx, yPos: yPos, gid: make([]uint32, 0, n), sizes: make([]uint32, 0, n),
+		hx: make([]uint64, 0, n), pairs: tableFor(n)}, nil
 }
 
-// add indexes the tuple at pos unless its (X, Y) pair is already in,
-// opening its group when its X-value is new and checking N.
+// add indexes the tuple at pos unless its (X, Y) pair is already in —
+// then it records the repeat — opening its group when its X-value is new
+// and checking N.
 func (b *builder) add(pos int, t value.Tuple) error {
 	idx := b.idx
 	hx := hashAt(0, t, idx.xPos)
@@ -223,6 +264,7 @@ func (b *builder) add(pos int, t value.Tuple) error {
 		idx.slots[at] = slot(hx, g)
 		idx.start = append(idx.start, uint32(len(idx.entries)))
 		b.sizes = append(b.sizes, 0)
+		b.hx = append(b.hx, hx)
 	}
 	mask := uint64(len(b.pairs) - 1)
 	h := hashAt(hx, t, b.yPos)
@@ -230,6 +272,7 @@ func (b *builder) add(pos int, t value.Tuple) error {
 	for ; b.pairs[i] != 0; i = (i + 1) & mask {
 		s := b.pairs[i]
 		if e := uint32(s) - 1; s>>32 == h>>32 && int(b.gid[e]) == g && sameAt(idx.entries[e].Witness, b.yPos, t, b.yPos) {
+			b.reps = append(b.reps, repeat{entry: e, pos: pos})
 			return nil
 		}
 	}
@@ -247,8 +290,10 @@ func (b *builder) add(pos int, t value.Tuple) error {
 	return nil
 }
 
-// finish scatters the entries into the arena and sizes the X-table to the
-// groups.
+// finish scatters the entries into the arena, places each group into an
+// X-table sized to the groups under the hash it was opened with — the
+// groups are distinct, so a free slot is all a group needs — and lays the
+// repeats out as runs.
 func (b *builder) finish() *AccessIndex {
 	idx := b.idx
 	start := make([]uint32, len(b.sizes)+1)
@@ -259,21 +304,56 @@ func (b *builder) finish() *AccessIndex {
 	arena := make([]IndexEntry, len(idx.entries))
 	for e, g := range b.gid {
 		arena[b.sizes[g]] = idx.entries[e]
+		b.gid[e] = b.sizes[g] // from here on, the entry's place in the arena
 		b.sizes[g]++
 	}
 	idx.entries, idx.start, idx.slots = arena, start, tableFor(len(b.sizes))
-	for g := range len(b.sizes) {
-		w := arena[start[g]].Witness
-		h := hashAt(0, w, idx.xPos)
-		_, at := idx.find(w, idx.xPos, h)
-		idx.slots[at] = slot(h, g)
+	mask := uint64(len(idx.slots) - 1)
+	for g, h := range b.hx {
+		i := h & mask
+		for idx.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		idx.slots[i] = slot(h, g)
 	}
+	for i := range b.reps {
+		b.reps[i].entry = b.gid[b.reps[i].entry]
+	}
+	idx.setRuns(b.reps)
 	return idx
+}
+
+// setRuns lays out the repeats of a scan as the index's runs: per
+// repeated pair, in arena order, the witness's position and then the
+// repeats' in scan order.
+func (idx *AccessIndex) setRuns(reps []repeat) {
+	idx.runs, idx.runPos = nil, nil
+	if len(reps) == 0 {
+		return
+	}
+	slices.SortStableFunc(reps, func(a, b repeat) int { return cmp.Compare(a.entry, b.entry) })
+	n := 1
+	for i := 1; i < len(reps); i++ {
+		if reps[i].entry != reps[i-1].entry {
+			n++
+		}
+	}
+	idx.runs, idx.runPos = make([]run, 0, n), make([]int, 0, n+len(reps))
+	for i := 0; i < len(reps); {
+		e := reps[i].entry
+		idx.runPos = append(idx.runPos, idx.entries[e].Pos)
+		for ; i < len(reps) && reps[i].entry == e; i++ {
+			idx.runPos = append(idx.runPos, reps[i].pos)
+		}
+		idx.runs = append(idx.runs, run{entry: e, end: uint32(len(idx.runPos))})
+	}
 }
 
 // IndexRestore rebuilds the index of one constraint from the witness
 // positions a segment file recorded: each goes straight to the builder a
-// scan uses (Add), and Install proves the result is what a scan builds.
+// scan uses (Add), and Install proves the result is what a scan builds —
+// and, in the same pass, records the repeats a scan would have, so a
+// restored index answers Repeats without a segment that stores them.
 type IndexRestore struct {
 	db  *Database
 	rel *Relation
@@ -307,19 +387,29 @@ func (r *IndexRestore) Add(pos int) error {
 // group order aside, and installs it, sealing the database: every tuple's
 // pair must have its entry witnessed at or before the tuple, and every
 // witness must follow the one before it in its group. A checksum-valid but
-// wrong layout is thus an error, not wrong answers.
+// wrong layout is thus an error, not wrong answers. A tuple witnessed
+// before it is a repeat, recorded as a scan records it.
 func (r *IndexRestore) Install() error {
 	idx, yPos := r.b.finish(), r.b.yPos
+	var reps []repeat
 	for pos, t := range r.rel.Tuples {
-		g := idx.LookupAt(t, idx.xPos)
-		i := 0
-		for i < len(g) && !sameAt(g[i].Witness, yPos, t, yPos) {
-			i++
+		g, _ := idx.find(t, idx.xPos, hashAt(0, t, idx.xPos))
+		lo, hi := 0, 0
+		if g >= 0 {
+			lo, hi = int(idx.start[g]), int(idx.start[g+1])
 		}
-		if i == len(g) || g[i].Pos > pos || g[i].Pos == pos && i > 0 && g[i-1].Pos > pos {
+		e := lo
+		for e < hi && !sameAt(idx.entries[e].Witness, yPos, t, yPos) {
+			e++
+		}
+		if e == hi || idx.entries[e].Pos > pos || idx.entries[e].Pos == pos && e > lo && idx.entries[e-1].Pos > pos {
 			return fmt.Errorf("storage: restore %s: tuple %d is not indexed as a scan indexes it", idx.AC, pos)
 		}
+		if idx.entries[e].Pos < pos {
+			reps = append(reps, repeat{entry: uint32(e), pos: pos})
+		}
 	}
+	idx.setRuns(reps)
 	r.db.access[idx.AC.Key()] = idx
 	r.db.sealed = true
 	return nil

@@ -471,12 +471,46 @@ func TestFlatIndexMatchesMapIndex(t *testing.T) {
 		if got.Lookup(make(value.Tuple, len(xPos)+1)) != nil {
 			t.Fatalf("%s: a lookup of the wrong arity found a group", name)
 		}
+		yPos, _ := rs.Positions(ac.Y)
+		if reps, want := repeatsOf(got, xPos, yPos), recountRepeats(tuples, xPos, yPos); !reflect.DeepEqual(reps, want) {
+			t.Fatalf("%s: repeats %v, want %v", name, reps, want)
+		}
 		checkRestore(t, name, rs, ac, tuples, got, rng)
 	}
 }
 
+// repeatsOf is what an index's Repeats say, keyed by pair: the
+// positions of each repeated pair's occurrences, its witness's first.
+func repeatsOf(idx *AccessIndex, xPos, yPos []int) map[string][]int {
+	out := make(map[string][]int)
+	for e, ps := range idx.Repeats() {
+		if ps[0] != e.Pos || len(ps) < 2 || cap(ps) != len(ps) {
+			return map[string][]int{"malformed run": ps}
+		}
+		out[value.KeyOf(e.Witness, xPos)+"|"+value.KeyOf(e.Witness, yPos)] = ps
+	}
+	return out
+}
+
+// recountRepeats keys every tuple's pair and keeps, for each pair met
+// twice or more, the positions of its occurrences in scan order.
+func recountRepeats(tuples []value.Tuple, xPos, yPos []int) map[string][]int {
+	all := make(map[string][]int)
+	for pos, tu := range tuples {
+		k := value.KeyOf(tu, xPos) + "|" + value.KeyOf(tu, yPos)
+		all[k] = append(all[k], pos)
+	}
+	out := make(map[string][]int)
+	for k, ps := range all {
+		if len(ps) > 1 {
+			out[k] = ps
+		}
+	}
+	return out
+}
+
 // checkRestore restores the built index from its groups, fed in a random
-// order, and requires the same groups back. Then it corrupts the layout a
+// order, and requires the same groups and repeats back. Then it corrupts the layout a
 // segment could record: a group dropped, a witness replaced by a later
 // tuple of its X-value, two witnesses of a group swapped — each must be
 // refused — and a later tuple of a group added to it, which must be
@@ -521,7 +555,8 @@ func checkRestore(t *testing.T, name string, rs *schema.Relation, ac schema.Acce
 				return false
 			}
 		}
-		return true
+		yPos, _ := rs.Positions(ac.Y)
+		return reflect.DeepEqual(repeatsOf(got, built.xPos, yPos), repeatsOf(built, built.xPos, yPos))
 	}
 	rng.Shuffle(len(groups), func(i, j int) { groups[i], groups[j] = groups[j], groups[i] })
 	if got, err := restore(groups); err != nil || !same(got) {

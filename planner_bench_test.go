@@ -22,8 +22,9 @@
 //	    Prepare (parse → analysis → greedy plan → statistics shapes) of the
 //	    6-atom ad hoc shape BenchmarkColdPrepare runs, and what it allocates
 //
-// plan.greedy_allocs and plan.optimize_allocs (informational) are the
-// allocations per plan the assertion compares.
+// plan.greedy_allocs and plan.optimize_allocs are the allocations per
+// plan the assertion compares; tools/benchcmp holds them, as counts, to
+// the committed baseline.
 //
 // The fetched counts (no checked suffix, informational) record that the
 // greedy tier's fetch volume sits between naive and optimized on Q3.

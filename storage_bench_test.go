@@ -16,7 +16,10 @@
 //	recovery.per_record_ns     — open cost divided over the replayed records
 //	checkpoint.compact_ns      — Compact: freeze + segment write + WAL reset
 //	checkpoint.segment_bytes   — size of the sealed segment
-//	bootstrap.new_ns           — live.New over an indexed, duplicate-free base
+//	bootstrap.new_ns           — live.New over an indexed base whose first
+//	                             few tuples of each relation occur twice
+//	bootstrap.allocs           — the objects that call allocates (a count,
+//	                             the same on every machine and every run)
 //
 // and, informational, bootstrap.retained_bytes_per_tuple — the live heap
 // that call adds beside the base — and checkpoint.retained_bytes_per_tuple
@@ -30,10 +33,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
+	"bcq/internal/datagen"
 	"bcq/internal/live"
+	"bcq/internal/storage"
 )
 
 // durableBenchStore seeds a durable live store in a fresh directory.
@@ -93,6 +99,22 @@ func BenchmarkRecovery(b *testing.B) {
 		}
 		re.Close()
 	}
+}
+
+// socialWithRepeats is indexedSocial's one-copy scene, indexed, with the
+// first k tuples of every relation occurring a second time at its end.
+func socialWithRepeats(tb testing.TB, k int) (*storage.Database, *datagen.Dataset) {
+	tb.Helper()
+	src, ds := indexedSocial(tb, 1)
+	db := storage.NewDatabase(src.Catalog())
+	for _, rs := range src.Catalog().Relations() {
+		tuples := src.MustRelation(rs.Name()).Tuples
+		db.MustRelation(rs.Name()).Tuples = append(slices.Clip(tuples), tuples[:min(k, len(tuples))]...)
+	}
+	if err := db.EnsureIndexes(ds.Access); err != nil {
+		tb.Fatal(err)
+	}
+	return db, ds
 }
 
 // TestStorageBenchEmit measures the durable tier's guardrail paths once
@@ -156,10 +178,12 @@ func TestStorageBenchEmit(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Bootstrap: live.New over a base whose indexes are built and whose
-	// pairs all occur once — what the writer retains beside it.
+	// Bootstrap: live.New over a base whose indexes are built and where a
+	// few pairs repeat — what the writer allocates and retains beside it.
+	// A bootstrap that keyed every tuple to find the repeats would show
+	// here as allocations per tuple.
 	const news = 16
-	baseDB, ds := indexedSocial(t, 1)
+	baseDB, ds := socialWithRepeats(t, 4)
 	var ls *live.Store
 	retained := retainedBytes(func() {
 		if ls, err = live.New(baseDB, ds.Access, live.Options{}); err != nil {
@@ -174,6 +198,11 @@ func TestStorageBenchEmit(t *testing.T) {
 		}
 	}
 	newNS := time.Since(start).Nanoseconds() / news
+	newAllocs := int64(testing.AllocsPerRun(news, func() {
+		if _, err := live.New(baseDB, ds.Access, live.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}))
 
 	// Checkpoint retention: a store that alone holds its base compacts,
 	// and with no snapshot of the old epoch pinned the old base must go.
@@ -194,10 +223,10 @@ func TestStorageBenchEmit(t *testing.T) {
 			compactRetainedPerTuple, basePerTuple)
 	}
 
-	t.Logf("wal append %s/op (%d B frame); recovery of %d records %s (%s/record); checkpoint %s (%d B segment); live.New %s over %d tuples (%d B/tuple retained); a Compact retains %d B/tuple beside a base of %d B/tuple",
+	t.Logf("wal append %s/op (%d B frame); recovery of %d records %s (%s/record); checkpoint %s (%d B segment); live.New %s and %d allocations over %d tuples (%d B/tuple retained); a Compact retains %d B/tuple beside a base of %d B/tuple",
 		time.Duration(appendNS), frameBytes, appends, time.Duration(openNS),
 		time.Duration(openNS/appends), time.Duration(compactNS), segBytes,
-		time.Duration(newNS), ls.NumTuples(), retainedPerTuple, compactRetainedPerTuple, basePerTuple)
+		time.Duration(newNS), newAllocs, ls.NumTuples(), retainedPerTuple, compactRetainedPerTuple, basePerTuple)
 
 	if path := os.Getenv("STORAGE_BENCH_JSON"); path != "" {
 		f, err := os.Create(path)
@@ -223,6 +252,7 @@ func TestStorageBenchEmit(t *testing.T) {
 			"bootstrap": {
 				"tuples":                   ls.NumTuples(),
 				"new_ns":                   newNS,
+				"allocs":                   newAllocs,
 				"retained_bytes_per_tuple": retainedPerTuple,
 			},
 		}
