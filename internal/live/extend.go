@@ -196,5 +196,5 @@ func (st *Store) buildExtension(ac schema.AccessConstraint) (*extension, error) 
 	for g := range idx.Groups() {
 		groups[value.KeyOf(g[0].Witness, bind.xPos)] = g
 	}
-	return &extension{bind: bind, groups: groups, ledger: ledgerOf(idx, bind)}, nil
+	return &extension{bind: bind, groups: groups, ledger: ledgerOf(idx, bind, snap.all(ac.Rel))}, nil
 }

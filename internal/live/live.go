@@ -36,6 +36,8 @@ package live
 import (
 	"errors"
 	"fmt"
+	"iter"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -262,15 +264,15 @@ func (c *acCard) resize(from, to int64) {
 	}
 }
 
-// ledgerOf reads one constraint's ledger (see Store.ledger) off its index,
-// one pairKey per repeated pair: the build recorded every pair it met more
-// than once with the positions of its occurrences in scan order, which is
-// live order. A record is the index's own run of positions, so a
-// position is held once; the writer never writes within a record's
-// length, and appending past it copies.
-func ledgerOf(idx *storage.AccessIndex, b acBinding) map[string][]int {
+// ledgerOf reads one constraint's ledger (see Store.ledger) off the index
+// built over tuples, given in live order: the index finds each pair that
+// occurs more than once, with its occurrences in that order, probing only
+// the tuples that are no witness, and the ledger keys it once. No tuple is
+// keyed, and a relation whose pairs all occur once costs nothing. The
+// records are the ledger's own: the index keeps no copy.
+func ledgerOf(idx *storage.AccessIndex, b acBinding, tuples iter.Seq2[int, value.Tuple]) map[string][]int {
 	led := make(map[string][]int)
-	for e, ps := range idx.Repeats() {
+	for e, ps := range idx.Repeats(tuples) {
 		led[pairKey(value.KeyOf(e.Witness, b.xPos), e.Witness, b.yPos)] = ps
 	}
 	return led
@@ -327,8 +329,7 @@ type Store struct {
 	// from-scratch rebuild (Snapshot.Freeze) would make. A pair with no
 	// record occurs once, at the Pos of its group entry, or not at all.
 	// Slices are never mutated within their length: a batch appends past
-	// it or replaces the slice, so an aborted batch leaves no trace, and
-	// a record read off an index (ledgerOf) can be the index's own run.
+	// it or replaces the slice, so an aborted batch leaves no trace.
 	ledger map[string]map[string][]int
 	// cards is per constraint key the incrementally maintained index
 	// shape (see acCard). The map value is replaced wholesale by
@@ -456,9 +457,9 @@ func newStore(base *storage.Database, acc *schema.AccessSchema, opts Options, ba
 
 // bootstrap (re)builds the writer-side bookkeeping over a sealed base and
 // returns the per-relation sizes. Cards are read off the base index, one
-// step per X-group, and so is the ledger, one step per repeated pair
-// (ledgerOf): a covered relation's tuples are not read again. Called
-// under mu (or before the store is shared).
+// step per X-group, and the ledger is read off it too, one probe per
+// repeat (ledgerOf): no tuple is keyed. Called under mu (or before the
+// store is shared).
 func (st *Store) bootstrap(base *storage.Database) (size map[string]int64, total int64) {
 	st.ledger = make(map[string]map[string][]int, len(st.byKey))
 	cards := make(map[string]*acCard, len(st.byKey))
@@ -469,7 +470,7 @@ func (st *Store) bootstrap(base *storage.Database) (size map[string]int64, total
 			card.resize(0, int64(len(g)))
 		}
 		cards[key] = card
-		st.ledger[key] = ledgerOf(idx, b)
+		st.ledger[key] = ledgerOf(idx, b, slices.All(base.MustRelation(b.ac.Rel).Tuples))
 	}
 	st.cards.Store(&cards)
 	st.baseLen = make(map[string]int, st.cat.NumRelations())

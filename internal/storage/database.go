@@ -8,11 +8,11 @@
 //     over the X-values, each held as one witness tuple of the relation
 //     and its position (IndexEntry) — the paper's index returns a subset
 //     D' ⊆ D, so an entry names a tuple of D and restates none of its
-//     columns; Y is read off the witness. Building one is the only pass
-//     over the tuples it needs: the build checks N, and it records the
-//     tuples that repeat a pair already in (AccessIndex.Repeats), so
-//     whoever keeps more than one occurrence per pair — the live store's
-//     ledger — reads them off the index instead of re-keying the relation;
+//     columns; Y is read off the witness. The index keeps nothing else of
+//     the tuples but their number; whoever keeps every occurrence of a
+//     pair — the live store's ledger — asks it for the repeats
+//     (AccessIndex.Repeats), which it finds by probing only the tuples
+//     that are no witness, instead of keying the relation;
 //   - row indices (single-attribute hash indices returning all matching
 //     full tuples) for the baseline evaluators;
 //   - access-statistics counters, so experiments can report tuples

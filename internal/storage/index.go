@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"cmp"
 	"fmt"
 	"hash/maphash"
 	"iter"
@@ -42,25 +41,19 @@ type IndexEntry struct {
 // hash half spares the comparison — three cache misses — with every other
 // group a probe passes.
 //
-// The build also keeps what it learns in passing about the tuples that are
-// not witnesses: each (X, Y) pair it met more than once gets a run of the
-// positions of all its occurrences, in scan order, the witness's first
-// (Repeats). That is how the live store's ledger is read off the index
-// instead of re-keying every tuple.
+// The index keeps nothing of the tuples that are not witnesses but their
+// number: Repeats finds them again, probing them alone, for the one
+// reader that needs every occurrence of a pair — the live store's ledger.
 type AccessIndex struct {
 	AC         schema.AccessConstraint
 	xPos, xSeq []int // X's positions in the relation, and in an X-value
+	yPos       []int // Y's positions in the relation
 	entries    []IndexEntry
 	start      []uint32
 	slots      []uint64
 	maxGroup   int
-	runs       []run // one per repeated pair, in arena order
-	runPos     []int // the runs' positions, back to back
+	scanned    int // the tuples the index was built over
 }
-
-// run is one repeated pair's entry in the arena and the end of its
-// positions in runPos (it starts where the run before it ends).
-type run struct{ entry, end uint32 }
 
 // BuildAccessIndex scans the relation and builds the index, verifying the
 // constraint's cardinality bound along the way (see ScanAccessIndex).
@@ -81,12 +74,16 @@ func ScanAccessIndex(rs *schema.Relation, ac schema.AccessConstraint, tuples ite
 	if err != nil {
 		return nil, err
 	}
+	scanned := 0
 	for pos, t := range tuples {
 		if err := b.add(pos, t); err != nil {
 			return nil, err
 		}
+		scanned++
 	}
-	return b.finish(), nil
+	idx := b.finish()
+	idx.scanned = scanned
+	return idx, nil
 }
 
 // ViolationError reports a cardinality violation found while building an
@@ -146,21 +143,73 @@ func (idx *AccessIndex) Groups() iter.Seq[[]IndexEntry] {
 	}
 }
 
-// Repeats yields, for each (X, Y) pair the build met more than once, the
-// pair's entry and the positions of all its occurrences in scan order —
-// the witness's first. The positions are the index's own, capped at their
-// length: a caller may keep them and append past them (which copies), but
-// must not write within them.
-func (idx *AccessIndex) Repeats() iter.Seq2[IndexEntry, []int] {
+// Repeats yields each (X, Y) pair that occurs more than once among the
+// tuples the index was built over — tuples must be that sequence again —
+// with the positions of all its occurrences in scan order, the witness's
+// first. Only the tuples that are no witness are looked up, so the cost is
+// a bit test per tuple and a probe per repeat, and an index whose pairs
+// all occur once reads nothing. Each slice is allocated to its length and
+// belongs to the caller; the index keeps none of them.
+func (idx *AccessIndex) Repeats(tuples iter.Seq2[int, value.Tuple]) iter.Seq2[IndexEntry, []int] {
 	return func(yield func(IndexEntry, []int) bool) {
-		lo := uint32(0)
-		for _, r := range idx.runs {
-			if !yield(idx.entries[r.entry], idx.runPos[lo:r.end:r.end]) {
+		if idx.scanned == len(idx.entries) {
+			return
+		}
+		last := 0
+		for _, e := range idx.entries {
+			last = max(last, e.Pos)
+		}
+		witness := make([]uint64, last/64+1)
+		for _, e := range idx.entries {
+			witness[e.Pos/64] |= 1 << (e.Pos % 64)
+		}
+		// One probe per repeat, in scan order, counted per entry; then a
+		// slice per repeated pair, sized by its count, filled in that order.
+		reps := make([]repeat, 0, idx.scanned-len(idx.entries))
+		count := make([]uint32, len(idx.entries))
+		for pos, t := range tuples {
+			if pos <= last && witness[pos/64]&(1<<(pos%64)) != 0 {
+				continue
+			}
+			e := idx.entryOf(t)
+			if e < 0 {
+				panic(fmt.Sprintf("storage: repeats of %s: tuple %d is not indexed; the tuples are not the ones the index was built over", idx.AC, pos))
+			}
+			count[e]++
+			reps = append(reps, repeat{entry: uint32(e), pos: pos})
+		}
+		var runs [][]int
+		for e, c := range count {
+			if c > 0 {
+				runs = append(runs, append(make([]int, 0, c+1), idx.entries[e].Pos))
+				count[e] = uint32(len(runs)) // from here on, 1 + the entry's run
+			}
+		}
+		for _, r := range reps {
+			i := count[r.entry] - 1
+			runs[i] = append(runs[i], r.pos)
+		}
+		for e, c := range count {
+			if c > 0 && !yield(idx.entries[e], runs[c-1]) {
 				return
 			}
-			lo = r.end
 		}
 	}
+}
+
+// entryOf returns the arena index of the entry holding t's (X, Y) pair,
+// or -1.
+func (idx *AccessIndex) entryOf(t value.Tuple) int {
+	g, _ := idx.find(t, idx.xPos, hashAt(0, t, idx.xPos))
+	if g < 0 {
+		return -1
+	}
+	for e := idx.start[g]; e < idx.start[g+1]; e++ {
+		if sameAt(idx.entries[e].Witness, idx.yPos, t, idx.yPos) {
+			return int(e)
+		}
+	}
+	return -1
 }
 
 // find probes the X-table for t's X-value at pos, whose hash is h,
@@ -212,26 +261,23 @@ func tableFor(n int) []uint64 {
 // slot is what a table keeps of element e under hash h.
 func slot(h uint64, e int) uint64 { return h>>32<<32 | uint64(e+1) }
 
+// repeat is a tuple at pos whose (X, Y) pair entry holds.
+type repeat struct {
+	entry uint32
+	pos   int
+}
+
 // builder is the one way an AccessIndex is made, fed the tuples of a scan
 // or the witnesses a segment recorded (IndexRestore). Sized for n tuples,
-// which bound the entries and so the groups, it allocates nothing more
-// but the list of repeats, which grows with them alone. Until finish,
-// entries are in arrival order and start[g] is the index of group g's
-// first entry, so find works unchanged.
+// which bound the entries and so the groups, it allocates nothing more.
+// Until finish, entries are in arrival order and start[g] is the index of
+// group g's first entry, so find works unchanged.
 type builder struct {
 	idx   *AccessIndex
-	yPos  []int
 	gid   []uint32 // group of each accepted entry
 	sizes []uint32 // entries per group
 	hx    []uint64 // X-value hash of each group
 	pairs []uint64 // table of the accepted (X, Y) pairs, over entries
-	reps  []repeat // tuples whose pair was already in, in scan order
-}
-
-// repeat is a tuple at pos whose (X, Y) pair entry already holds.
-type repeat struct {
-	entry uint32
-	pos   int
 }
 
 func newBuilder(rs *schema.Relation, ac schema.AccessConstraint, n int) (*builder, error) {
@@ -243,18 +289,17 @@ func newBuilder(rs *schema.Relation, ac schema.AccessConstraint, n int) (*builde
 	if err != nil {
 		return nil, err
 	}
-	idx := &AccessIndex{AC: ac, xPos: xPos, xSeq: make([]int, len(xPos)),
+	idx := &AccessIndex{AC: ac, xPos: xPos, xSeq: make([]int, len(xPos)), yPos: yPos,
 		entries: make([]IndexEntry, 0, n), start: make([]uint32, 0, n+1), slots: tableFor(n)}
 	for i := range idx.xSeq {
 		idx.xSeq[i] = i
 	}
-	return &builder{idx: idx, yPos: yPos, gid: make([]uint32, 0, n), sizes: make([]uint32, 0, n),
+	return &builder{idx: idx, gid: make([]uint32, 0, n), sizes: make([]uint32, 0, n),
 		hx: make([]uint64, 0, n), pairs: tableFor(n)}, nil
 }
 
-// add indexes the tuple at pos unless its (X, Y) pair is already in —
-// then it records the repeat — opening its group when its X-value is new
-// and checking N.
+// add indexes the tuple at pos unless its (X, Y) pair is already in,
+// opening its group when its X-value is new and checking N.
 func (b *builder) add(pos int, t value.Tuple) error {
 	idx := b.idx
 	hx := hashAt(0, t, idx.xPos)
@@ -267,12 +312,11 @@ func (b *builder) add(pos int, t value.Tuple) error {
 		b.hx = append(b.hx, hx)
 	}
 	mask := uint64(len(b.pairs) - 1)
-	h := hashAt(hx, t, b.yPos)
+	h := hashAt(hx, t, idx.yPos)
 	i := h & mask
 	for ; b.pairs[i] != 0; i = (i + 1) & mask {
 		s := b.pairs[i]
-		if e := uint32(s) - 1; s>>32 == h>>32 && int(b.gid[e]) == g && sameAt(idx.entries[e].Witness, b.yPos, t, b.yPos) {
-			b.reps = append(b.reps, repeat{entry: e, pos: pos})
+		if e := uint32(s) - 1; s>>32 == h>>32 && int(b.gid[e]) == g && sameAt(idx.entries[e].Witness, idx.yPos, t, idx.yPos) {
 			return nil
 		}
 	}
@@ -290,10 +334,9 @@ func (b *builder) add(pos int, t value.Tuple) error {
 	return nil
 }
 
-// finish scatters the entries into the arena, places each group into an
-// X-table sized to the groups under the hash it was opened with — the
-// groups are distinct, so a free slot is all a group needs — and lays the
-// repeats out as runs.
+// finish scatters the entries into the arena and places each group into
+// an X-table sized to the groups under the hash it was opened with — the
+// groups are distinct, so a free slot is all a group needs.
 func (b *builder) finish() *AccessIndex {
 	idx := b.idx
 	start := make([]uint32, len(b.sizes)+1)
@@ -304,7 +347,6 @@ func (b *builder) finish() *AccessIndex {
 	arena := make([]IndexEntry, len(idx.entries))
 	for e, g := range b.gid {
 		arena[b.sizes[g]] = idx.entries[e]
-		b.gid[e] = b.sizes[g] // from here on, the entry's place in the arena
 		b.sizes[g]++
 	}
 	idx.entries, idx.start, idx.slots = arena, start, tableFor(len(b.sizes))
@@ -316,44 +358,12 @@ func (b *builder) finish() *AccessIndex {
 		}
 		idx.slots[i] = slot(h, g)
 	}
-	for i := range b.reps {
-		b.reps[i].entry = b.gid[b.reps[i].entry]
-	}
-	idx.setRuns(b.reps)
 	return idx
-}
-
-// setRuns lays out the repeats of a scan as the index's runs: per
-// repeated pair, in arena order, the witness's position and then the
-// repeats' in scan order.
-func (idx *AccessIndex) setRuns(reps []repeat) {
-	idx.runs, idx.runPos = nil, nil
-	if len(reps) == 0 {
-		return
-	}
-	slices.SortStableFunc(reps, func(a, b repeat) int { return cmp.Compare(a.entry, b.entry) })
-	n := 1
-	for i := 1; i < len(reps); i++ {
-		if reps[i].entry != reps[i-1].entry {
-			n++
-		}
-	}
-	idx.runs, idx.runPos = make([]run, 0, n), make([]int, 0, n+len(reps))
-	for i := 0; i < len(reps); {
-		e := reps[i].entry
-		idx.runPos = append(idx.runPos, idx.entries[e].Pos)
-		for ; i < len(reps) && reps[i].entry == e; i++ {
-			idx.runPos = append(idx.runPos, reps[i].pos)
-		}
-		idx.runs = append(idx.runs, run{entry: e, end: uint32(len(idx.runPos))})
-	}
 }
 
 // IndexRestore rebuilds the index of one constraint from the witness
 // positions a segment file recorded: each goes straight to the builder a
-// scan uses (Add), and Install proves the result is what a scan builds —
-// and, in the same pass, records the repeats a scan would have, so a
-// restored index answers Repeats without a segment that stores them.
+// scan uses (Add), and Install proves the result is what a scan builds.
 type IndexRestore struct {
 	db  *Database
 	rel *Relation
@@ -387,29 +397,20 @@ func (r *IndexRestore) Add(pos int) error {
 // group order aside, and installs it, sealing the database: every tuple's
 // pair must have its entry witnessed at or before the tuple, and every
 // witness must follow the one before it in its group. A checksum-valid but
-// wrong layout is thus an error, not wrong answers. A tuple witnessed
-// before it is a repeat, recorded as a scan records it.
+// wrong layout is thus an error, not wrong answers.
 func (r *IndexRestore) Install() error {
-	idx, yPos := r.b.finish(), r.b.yPos
-	var reps []repeat
+	idx := r.b.finish()
 	for pos, t := range r.rel.Tuples {
-		g, _ := idx.find(t, idx.xPos, hashAt(0, t, idx.xPos))
-		lo, hi := 0, 0
-		if g >= 0 {
-			lo, hi = int(idx.start[g]), int(idx.start[g+1])
+		g := idx.LookupAt(t, idx.xPos)
+		i := 0
+		for i < len(g) && !sameAt(g[i].Witness, idx.yPos, t, idx.yPos) {
+			i++
 		}
-		e := lo
-		for e < hi && !sameAt(idx.entries[e].Witness, yPos, t, yPos) {
-			e++
-		}
-		if e == hi || idx.entries[e].Pos > pos || idx.entries[e].Pos == pos && e > lo && idx.entries[e-1].Pos > pos {
+		if i == len(g) || g[i].Pos > pos || g[i].Pos == pos && i > 0 && g[i-1].Pos > pos {
 			return fmt.Errorf("storage: restore %s: tuple %d is not indexed as a scan indexes it", idx.AC, pos)
 		}
-		if idx.entries[e].Pos < pos {
-			reps = append(reps, repeat{entry: uint32(e), pos: pos})
-		}
 	}
-	idx.setRuns(reps)
+	idx.scanned = len(r.rel.Tuples)
 	r.db.access[idx.AC.Key()] = idx
 	r.db.sealed = true
 	return nil

@@ -472,18 +472,19 @@ func TestFlatIndexMatchesMapIndex(t *testing.T) {
 			t.Fatalf("%s: a lookup of the wrong arity found a group", name)
 		}
 		yPos, _ := rs.Positions(ac.Y)
-		if reps, want := repeatsOf(got, xPos, yPos), recountRepeats(tuples, xPos, yPos); !reflect.DeepEqual(reps, want) {
+		if reps, want := repeatsOf(got, tuples, xPos, yPos), recountRepeats(tuples, xPos, yPos); !reflect.DeepEqual(reps, want) {
 			t.Fatalf("%s: repeats %v, want %v", name, reps, want)
 		}
 		checkRestore(t, name, rs, ac, tuples, got, rng)
 	}
 }
 
-// repeatsOf is what an index's Repeats say, keyed by pair: the
-// positions of each repeated pair's occurrences, its witness's first.
-func repeatsOf(idx *AccessIndex, xPos, yPos []int) map[string][]int {
+// repeatsOf is what an index's Repeats over its tuples say, keyed by
+// pair: the positions of each repeated pair's occurrences, its witness's
+// first.
+func repeatsOf(idx *AccessIndex, tuples []value.Tuple, xPos, yPos []int) map[string][]int {
 	out := make(map[string][]int)
-	for e, ps := range idx.Repeats() {
+	for e, ps := range idx.Repeats(slices.All(tuples)) {
 		if ps[0] != e.Pos || len(ps) < 2 || cap(ps) != len(ps) {
 			return map[string][]int{"malformed run": ps}
 		}
@@ -510,10 +511,10 @@ func recountRepeats(tuples []value.Tuple, xPos, yPos []int) map[string][]int {
 }
 
 // checkRestore restores the built index from its groups, fed in a random
-// order, and requires the same groups and repeats back. Then it corrupts the layout a
-// segment could record: a group dropped, a witness replaced by a later
-// tuple of its X-value, two witnesses of a group swapped — each must be
-// refused — and a later tuple of a group added to it, which must be
+// order, and requires the same groups and repeats back. Then it corrupts
+// the layout a segment could record: a group dropped, a witness replaced
+// by a later tuple of its X-value, two witnesses of a group swapped — each
+// must be refused — and a later tuple of a group added to it, which must be
 // refused or restore the same index: what a restore installs is always
 // what a scan builds.
 func checkRestore(t *testing.T, name string, rs *schema.Relation, ac schema.AccessConstraint, tuples []value.Tuple, built *AccessIndex, rng *rand.Rand) {
@@ -556,7 +557,7 @@ func checkRestore(t *testing.T, name string, rs *schema.Relation, ac schema.Acce
 			}
 		}
 		yPos, _ := rs.Positions(ac.Y)
-		return reflect.DeepEqual(repeatsOf(got, built.xPos, yPos), repeatsOf(built, built.xPos, yPos))
+		return reflect.DeepEqual(repeatsOf(got, tuples, built.xPos, yPos), repeatsOf(built, tuples, built.xPos, yPos))
 	}
 	rng.Shuffle(len(groups), func(i, j int) { groups[i], groups[j] = groups[j], groups[i] })
 	if got, err := restore(groups); err != nil || !same(got) {

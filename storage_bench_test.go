@@ -18,7 +18,7 @@
 //	checkpoint.segment_bytes   — size of the sealed segment
 //	bootstrap.new_ns           — live.New over an indexed base whose first
 //	                             few tuples of each relation occur twice
-//	bootstrap.allocs           — the objects that call allocates (a count,
+//	bootstrap.new_allocs       — the objects that call allocates (a count,
 //	                             the same on every machine and every run)
 //
 // and, informational, bootstrap.retained_bytes_per_tuple — the live heap
@@ -252,7 +252,7 @@ func TestStorageBenchEmit(t *testing.T) {
 			"bootstrap": {
 				"tuples":                   ls.NumTuples(),
 				"new_ns":                   newNS,
-				"allocs":                   newAllocs,
+				"new_allocs":               newAllocs,
 				"retained_bytes_per_tuple": retainedPerTuple,
 			},
 		}

@@ -12,7 +12,7 @@
 //
 // Both files are flattened to dotted numeric paths (arrays index as
 // rows[0], rows[1], …). A path counts as lower-is-better by suffix —
-// _bytes (allocation), allocs (objects allocated), _fetched (tuples
+// _bytes (allocation), _allocs (objects allocated), _fetched (tuples
 // fetched), _pct (overhead), _ns/_us/_ms (time) — everything else is
 // informational. A change must
 // clear BOTH the relative threshold (default +25%) and the suffix's
@@ -70,7 +70,7 @@ var suffixes = []struct {
 }{
 	{"_bytes", 4096, true}, // one page of allocation
 	{"_fetched", 0, true},  // tuples fetched: a count, exact run to run
-	{"allocs", 0, true},    // objects allocated: a count, exact run to run
+	{"_allocs", 0, true},   // objects allocated: a count, exact run to run
 	{"_pct", 5, true},      // five points — overhead percentages swing with scheduler noise
 	{"_ns", 50_000, false}, // 50µs of wall time
 	{"_us", 50, false},     // same floor, microsecond-denominated

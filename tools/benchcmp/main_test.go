@@ -14,24 +14,24 @@ func flat(pairs map[string]float64) map[string]float64 { return pairs }
 // slip under the absolute floor is neither.
 func TestCompareRegression(t *testing.T) {
 	base := flat(map[string]float64{
-		"rows[0].alloc_bytes": 100_000,
-		"exec.greedy_fetched": 17,
-		"bootstrap.allocs":    100,
-		"rows[0].total_ns":    10_000_000, // 10ms
-		"rows[0].ttft_ns":     60_000,     // 60µs — above floor, small value
-		"answers":             90_000,     // no suffix: informational
+		"rows[0].alloc_bytes":  100_000,
+		"exec.greedy_fetched":  17,
+		"bootstrap.new_allocs": 100,
+		"rows[0].total_ns":     10_000_000, // 10ms
+		"rows[0].ttft_ns":      60_000,     // 60µs — above floor, small value
+		"answers":              90_000,     // no suffix: informational
 	})
 	cur := flat(map[string]float64{
-		"rows[0].alloc_bytes": 130_000,    // +30%, +30 kB > one page
-		"exec.greedy_fetched": 23,         // +35%, a count: no floor
-		"bootstrap.allocs":    126,        // +26%, a count: no floor
-		"rows[0].total_ns":    13_500_000, // +35%, +3.5ms > 50µs floor
-		"rows[0].ttft_ns":     75_000,     // +25% exactly — not > threshold
-		"answers":             1,          // ignored even though it collapsed
+		"rows[0].alloc_bytes":  130_000,    // +30%, +30 kB > one page
+		"exec.greedy_fetched":  23,         // +35%, a count: no floor
+		"bootstrap.new_allocs": 126,        // +26%, a count: no floor
+		"rows[0].total_ns":     13_500_000, // +35%, +3.5ms > 50µs floor
+		"rows[0].ttft_ns":      75_000,     // +25% exactly — not > threshold
+		"answers":              1,          // ignored even though it collapsed
 	})
 	r := compare(base, cur, 0.25)
-	if len(r.Regressions) != 3 || r.Regressions[0].Path != "bootstrap.allocs" || r.Regressions[1].Path != "exec.greedy_fetched" || r.Regressions[2].Path != "rows[0].alloc_bytes" {
-		t.Fatalf("regressions = %+v, want bootstrap.allocs, exec.greedy_fetched and rows[0].alloc_bytes", r.Regressions)
+	if len(r.Regressions) != 3 || r.Regressions[0].Path != "bootstrap.new_allocs" || r.Regressions[1].Path != "exec.greedy_fetched" || r.Regressions[2].Path != "rows[0].alloc_bytes" {
+		t.Fatalf("regressions = %+v, want bootstrap.new_allocs, exec.greedy_fetched and rows[0].alloc_bytes", r.Regressions)
 	}
 	if len(r.Slower) != 1 || r.Slower[0].Path != "rows[0].total_ns" {
 		t.Fatalf("slower = %+v, want exactly rows[0].total_ns", r.Slower)
