@@ -236,8 +236,8 @@ func (a *Analysis) OptimizedPlan(cs *CardStats) (*Plan, error) { return plan.Opt
 // GreedyPlan generates a cost-based bounded query plan using only the
 // greedy ordering heuristic — no branch-and-bound search — so planning
 // latency stays flat as query shapes grow. Same soundness guarantees as
-// OptimizedPlan; the chosen order may fetch more tuples. This is the
-// plan tier a tiered engine serves on a cold prepare.
+// OptimizedPlan; the chosen order may fetch more tuples. It is the order
+// OptimizedPlan falls back to past its atom limit or search budget.
 func (a *Analysis) GreedyPlan(cs *CardStats) (*Plan, error) { return plan.OptimizeGreedy(a.an, cs) }
 
 // PlanTier identifies how a plan's fetch order was chosen: naive
@@ -333,24 +333,11 @@ type (
 	Engine = engine.Engine
 	// Prepared is a cached query plan ready for repeated execution.
 	Prepared = engine.Prepared
-	// EngineOptions tunes the plan cache, the planning tier and the
-	// instruments.
+	// EngineOptions tunes the plan cache and the instruments.
 	EngineOptions = engine.Options
 	// EngineStats exposes the engine counters (prepares, cache hits,
-	// misses, evictions, executions, background plan upgrades).
+	// misses, evictions, re-plans, executions).
 	EngineStats = engine.Stats
-	// PlanMode selects the engine's cold-prepare planning tier
-	// (EngineOptions.PlanMode).
-	PlanMode = engine.PlanMode
-)
-
-// Engine planning modes: full optimization on every cold prepare (the
-// default), greedy-only, or greedy-first with background upgrade to the
-// optimized tier.
-const (
-	PlanModeOptimized = engine.PlanOptimized
-	PlanModeGreedy    = engine.PlanGreedy
-	PlanModeTiered    = engine.PlanTiered
 )
 
 // NewEngine builds a prepared-query engine over a loaded database. It

@@ -78,7 +78,6 @@ func main() {
 	shards := flag.Int("shards", 1, "partition the store into P shards (1 = single store)")
 	dataDir := flag.String("data-dir", "", "durable store directory: seed it fresh or recover it, checkpoint on exit")
 	limit := flag.Int("limit", 0, "early termination: stop each query after N answers (0 = all), reporting the probes saved")
-	planTier := flag.String("plan-tier", "optimized", "cold-prepare planning tier: optimized | greedy | tiered (tiered serves the greedy plan first and upgrades plans that are reused in the background; bqrun reuses each query's plan once and re-runs after the upgrade lands)")
 	explain := flag.Bool("explain", false, "print each query's cost-based plan with estimated and actual per-step fetches")
 	trace := flag.Bool("trace", false, "run each query traced and print its span tree (prepare → waves → fetch/verify → shards)")
 	traceOut := flag.String("trace-out", "", "write each query's span tree as one JSON line to this file (implies tracing)")
@@ -102,7 +101,6 @@ func main() {
 		shardsSet: shardsSet,
 		dataDir:   *dataDir,
 		limit:     *limit,
-		planTier:  *planTier,
 		explain:   *explain,
 		trace:     *trace,
 		traceOut:  *traceOut,
@@ -125,7 +123,6 @@ type config struct {
 	shardsSet bool
 	dataDir   string
 	limit     int
-	planTier  string
 	explain   bool
 	trace     bool
 	traceOut  string
@@ -156,29 +153,7 @@ func (c config) validate() error {
 	if c.scale <= 0 {
 		return fmt.Errorf("-scale %g: scale factor must be > 0", c.scale)
 	}
-	switch c.planTier {
-	case "", "optimized", "greedy", "tiered":
-	default:
-		return fmt.Errorf("-plan-tier %q: must be optimized, greedy or tiered", c.planTier)
-	}
 	return nil
-}
-
-// planMode maps -plan-tier onto the engine's planning mode.
-func (c config) planMode() engine.PlanMode {
-	switch c.planTier {
-	case "greedy":
-		return engine.PlanGreedy
-	case "tiered":
-		return engine.PlanTiered
-	default:
-		return engine.PlanOptimized
-	}
-}
-
-// engineOptions is the engine configuration every bqrun mode shares.
-func (c config) engineOptions() engine.Options {
-	return engine.Options{PlanMode: c.planMode()}
 }
 
 func pickDataset(name string) (*datagen.Dataset, error) {
@@ -248,9 +223,9 @@ func run(c config) error {
 		if err != nil {
 			return err
 		}
-		eng, err = engine.NewLive(ld, c.engineOptions())
+		eng, err = engine.NewLive(ld, engine.Options{})
 	} else {
-		eng, err = engine.New(ds.Catalog, ds.Access, db, c.engineOptions())
+		eng, err = engine.New(ds.Catalog, ds.Access, db, engine.Options{})
 	}
 	if err != nil {
 		return err
@@ -274,14 +249,9 @@ func run(c config) error {
 			printRelStats(db.RelStats())
 		}
 	}
-	eng.DrainUpgrades()
 	st := eng.Stats()
 	fmt.Printf("engine: %d prepares (%d planned, %d cache hits), %d executions\n",
 		st.Prepares, st.CacheMisses, st.CacheHits, st.Execs)
-	if eng.PlanMode() == engine.PlanTiered {
-		fmt.Printf("planner: tiered — %d background upgrades installed, %d discarded\n",
-			st.Upgrades, st.UpgradesDiscarded)
-	}
 	return nil
 }
 
@@ -367,7 +337,7 @@ func runDurable(ds *datagen.Dataset, queries []*bcq.Query, c config) error {
 	}()
 	fmt.Println()
 
-	eng, err := bcq.NewShardedEngine(ss, c.engineOptions())
+	eng, err := bcq.NewShardedEngine(ss, engine.Options{})
 	if err != nil {
 		return err
 	}
@@ -407,14 +377,9 @@ func runDurable(ds *datagen.Dataset, queries []*bcq.Query, c config) error {
 		printRelStats(ss.RelStats())
 		printShardStats(ss.ShardStats())
 	}
-	eng.DrainUpgrades()
 	st := eng.Stats()
 	fmt.Printf("engine: %d prepares (%d planned, %d cache hits), %d executions\n",
 		st.Prepares, st.CacheMisses, st.CacheHits, st.Execs)
-	if eng.PlanMode() == engine.PlanTiered {
-		fmt.Printf("planner: tiered — %d background upgrades installed, %d discarded\n",
-			st.Upgrades, st.UpgradesDiscarded)
-	}
 
 	closed = true
 	if err := ss.Close(); err != nil {
@@ -434,7 +399,7 @@ func runSharded(ds *datagen.Dataset, db *bcq.Database, queries []*bcq.Query, c c
 	if err != nil {
 		return err
 	}
-	eng, err := bcq.NewShardedEngine(ss, c.engineOptions())
+	eng, err := bcq.NewShardedEngine(ss, engine.Options{})
 	if err != nil {
 		return err
 	}
@@ -502,14 +467,9 @@ func runSharded(ds *datagen.Dataset, db *bcq.Database, queries []*bcq.Query, c c
 		printRelStats(ss.RelStats())
 		printShardStats(ss.ShardStats())
 	}
-	eng.DrainUpgrades()
 	st := eng.Stats()
 	fmt.Printf("engine: %d prepares (%d planned, %d cache hits), %d executions\n",
 		st.Prepares, st.CacheMisses, st.CacheHits, st.Execs)
-	if eng.PlanMode() == engine.PlanTiered {
-		fmt.Printf("planner: tiered — %d background upgrades installed, %d discarded\n",
-			st.Upgrades, st.UpgradesDiscarded)
-	}
 	return nil
 }
 
@@ -814,7 +774,6 @@ func runOne(ds *datagen.Dataset, eng *engine.Engine, db *bcq.Database, q *bcq.Qu
 	if prep.NumParams() > 0 {
 		return fmt.Errorf("query %s has %d unbound placeholders; bqrun runs fully instantiated queries", q.Name, prep.NumParams())
 	}
-	coldTier := prep.PlanTier()
 	start := time.Now()
 	res, err := prep.ExecTrace(tr)
 	if err != nil {
@@ -829,9 +788,6 @@ func runOne(ds *datagen.Dataset, eng *engine.Engine, db *bcq.Database, q *bcq.Qu
 	}
 	fmt.Printf("   evalDQ:   %5d answers in %8v — fetched %d tuples (|D_Q| = %d, bound %s)\n",
 		len(res.Tuples), evalTime.Round(time.Microsecond), res.Stats.TuplesFetched, res.DQSize, prep.FetchBound())
-	if eng.PlanMode() != engine.PlanOptimized {
-		fmt.Printf("   plan tier: %s\n", coldTier)
-	}
 	if c.explain {
 		// Explain renders the span tree itself when the result is traced.
 		fmt.Print(indentBlock(prep.Explain(res)))
@@ -843,28 +799,6 @@ func runOne(ds *datagen.Dataset, eng *engine.Engine, db *bcq.Database, q *bcq.Qu
 			return err
 		}
 	}
-	if eng.PlanMode() == engine.PlanTiered {
-		// A tiered engine upgrades plans that are reused: prepare the query
-		// again (a plan-cache hit, which queues the upgrade), wait for it,
-		// and show what the same Prepared executes like after the optimized
-		// tier is installed in place.
-		if _, err := eng.PrepareQuery(q); err != nil {
-			return err
-		}
-		eng.DrainUpgrades()
-		start := time.Now()
-		ures, err := prep.Exec()
-		if err != nil {
-			return err
-		}
-		fmt.Printf("   upgraded: %5d answers in %8v — fetched %d tuples (tier %s)\n",
-			len(ures.Tuples), time.Since(start).Round(time.Microsecond), ures.Stats.TuplesFetched, prep.PlanTier())
-		// Access counts may shrink across the upgrade; the answers must not.
-		if fmt.Sprintf("%v|%v", res.Cols, res.Tuples) != fmt.Sprintf("%v|%v", ures.Cols, ures.Tuples) {
-			return fmt.Errorf("TIER MISMATCH on %s: greedy answers diverge from upgraded answers", q.Name)
-		}
-	}
-
 	an, err := bcq.Analyze(ds.Catalog, q, ds.Access)
 	if err != nil {
 		return err

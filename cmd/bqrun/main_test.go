@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -169,32 +168,6 @@ func stdoutOf(t *testing.T, f func() error) string {
 		t.Fatal(err)
 	}
 	return out
-}
-
-// TestRunTieredShowsTheUpgradedTier: with -plan-tier tiered, a query runs
-// on the greedy tier, and the "upgraded:" line that follows reports the
-// optimized tier — bqrun reuses the plan, which queues its upgrade, before
-// it waits for one.
-func TestRunTieredShowsTheUpgradedTier(t *testing.T) {
-	out := stdoutOf(t, func() error { return run(cfg(func(c *config) { c.planTier = "tiered" })) })
-	var cold, upgraded string
-	for _, line := range strings.Split(out, "\n") {
-		switch {
-		case strings.Contains(line, "plan tier:"):
-			cold = line
-		case strings.Contains(line, "upgraded:"):
-			upgraded = line
-		}
-	}
-	if !strings.HasSuffix(cold, "plan tier: greedy") {
-		t.Errorf("cold tier line %q, want greedy", cold)
-	}
-	if !strings.HasSuffix(upgraded, "(tier optimized)") {
-		t.Errorf("upgraded line %q, want the optimized tier\n%s", upgraded, out)
-	}
-	if !strings.Contains(out, "1 background upgrades installed, 0 discarded") {
-		t.Errorf("planner summary missing one installed upgrade:\n%s", out)
-	}
 }
 
 func TestRunBadInputs(t *testing.T) {

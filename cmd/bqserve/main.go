@@ -119,7 +119,6 @@ func main() {
 	cursorCap := flag.Int("cursor-cap", serve.DefaultCursorCap, "max concurrently open pagination cursors (each pins one snapshot)")
 	cursorTTL := flag.Duration("cursor-ttl", serve.DefaultCursorTTL, "idle pagination cursors expire after this long (then answer 410)")
 	metrics := flag.Bool("metrics", false, "expose Prometheus-format metrics at GET /metrics")
-	planUpgrade := flag.Bool("plan-upgrade", true, "tiered planning: answer cold prepares with the greedy plan and upgrade plans that are reused to the full optimizer in the background (false = full optimization on every cold prepare)")
 	slowLog := flag.String("slow-query-log", "", "append sampled slow queries as JSON lines to this file (- for stderr)")
 	slowThreshold := flag.Duration("slow-threshold", 100*time.Millisecond, "queries at least this slow are slow-log candidates")
 	slowSample := flag.Int("slow-sample", 1, "log every Nth slow-log candidate")
@@ -155,7 +154,6 @@ func main() {
 		cursorCap:        *cursorCap,
 		cursorTTL:        *cursorTTL,
 		metrics:          *metrics,
-		planUpgrade:      *planUpgrade,
 		slowLog:          *slowLog,
 		slowThreshold:    *slowThreshold,
 		slowSample:       *slowSample,
@@ -225,7 +223,6 @@ type config struct {
 	cursorCap        int
 	cursorTTL        time.Duration
 	metrics          bool
-	planUpgrade      bool
 	slowLog          string
 	slowThreshold    time.Duration
 	slowSample       int
@@ -363,11 +360,6 @@ func buildServer(c config) (*serve.Server, string, error) {
 		Obs:             ob,
 	}
 	engOpts := engine.Options{Metrics: ob.Metrics, Recorder: ob.Traces}
-	if c.planUpgrade {
-		// Serving default: greedy-first cold prepares keep planning off the
-		// request tail; the background worker installs the optimized tier.
-		engOpts.PlanMode = engine.PlanTiered
-	}
 
 	var (
 		eng    *engine.Engine

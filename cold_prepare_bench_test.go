@@ -3,11 +3,9 @@
 // iteration pays parse → closure → actualize → EBCheck → cost search →
 // emit → statistics fingerprint, on the live engine bqserve runs. The
 // shapes are the 3-, 4- and 6-atom ad hoc families of testdata/adhoc with
-// their literals inlined; each is prepared at the greedy tier (what a
-// tiered cold prepare pays on the request path) and at the optimized
-// tier (what its background upgrade pays). CI runs it once per change
-// with -benchmem; TestPlannerBenchEmit records the 6-atom greedy case in
-// BENCH_planner.json (plan.cold_prepare_ns, plan.cold_prepare_bytes).
+// their literals inlined. CI runs it once per change with -benchmem;
+// TestPlannerBenchEmit records the 6-atom case in BENCH_planner.json
+// (plan.cold_prepare_ns, plan.cold_prepare_bytes).
 package bcq
 
 import (
@@ -20,14 +18,14 @@ import (
 // cache (and text memo) hold one entry, and two texts of the named shape
 // that differ in one literal: prepared alternately, each evicts the
 // other, so every Prepare is cold.
-func coldPrepareEngine(t testing.TB, shape string, mode PlanMode) (*Engine, [2]string) {
+func coldPrepareEngine(t testing.TB, shape string) (*Engine, [2]string) {
 	t.Helper()
 	_, acc, db := adhocScene(t)
 	ld, err := NewLiveDatabase(db, acc, LiveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewLiveEngine(ld, EngineOptions{PlanCacheSize: 1, PlanMode: mode})
+	eng, err := NewLiveEngine(ld, EngineOptions{PlanCacheSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,24 +44,19 @@ func BenchmarkColdPrepare(b *testing.B) {
 	for _, shape := range []struct{ name, file string }{
 		{"3atoms", "s01"}, {"4atoms", "s06"}, {"6atoms", "s11"},
 	} {
-		for _, tier := range []struct {
-			name string
-			mode PlanMode
-		}{{"greedy", PlanModeGreedy}, {"optimized", PlanModeOptimized}} {
-			b.Run(shape.name+"/"+tier.name, func(b *testing.B) {
-				eng, texts := coldPrepareEngine(b, shape.file, tier.mode)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := eng.Prepare(texts[i&1]); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(shape.name, func(b *testing.B) {
+			eng, texts := coldPrepareEngine(b, shape.file)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.Prepare(texts[i&1]); err != nil {
+					b.Fatal(err)
 				}
-				b.StopTimer()
-				if st := eng.Stats(); st.CacheMisses != int64(b.N) {
-					b.Fatalf("%d of %d prepares were cold", st.CacheMisses, b.N)
-				}
-			})
-		}
+			}
+			b.StopTimer()
+			if st := eng.Stats(); st.CacheMisses != int64(b.N) {
+				b.Fatalf("%d of %d prepares were cold", st.CacheMisses, b.N)
+			}
+		})
 	}
 }

@@ -35,7 +35,6 @@ import (
 	"bcq/internal/live"
 	"bcq/internal/lru"
 	"bcq/internal/obs"
-	"bcq/internal/plan"
 	"bcq/internal/schema"
 	"bcq/internal/shard"
 	"bcq/internal/spc"
@@ -181,12 +180,11 @@ type Options struct {
 	// Deprecated: leave it unset; the field is deleted once no caller
 	// sets it.
 	Parallelism int
-	// PlanMode selects the cold-prepare planning tier: PlanOptimized (the
-	// zero value) runs the full branch-and-bound search per cold shape,
-	// PlanGreedy serves the greedy order only, PlanTiered serves the
-	// greedy order immediately and upgrades reused plans to the optimized
-	// tier in the background (see upgrade.go for the trigger and the
-	// install-time staleness checks).
+	// PlanMode is read by nothing: every cold prepare runs the cost-based
+	// optimizer.
+	//
+	// Deprecated: leave it unset; the field is deleted once no caller
+	// sets it.
 	PlanMode PlanMode
 	// Metrics, when non-nil, instruments the engine on that registry:
 	// prepare latency by outcome, plan-cache counters, executor probe and
@@ -201,6 +199,17 @@ type Options struct {
 	// layer happened to retain. Nil costs one nil check per execution.
 	Recorder *obs.TraceRecorder
 }
+
+// PlanMode is read by nothing.
+//
+// Deprecated: every cold prepare runs the cost-based optimizer; the type
+// is deleted once no caller names it.
+type PlanMode int
+
+// PlanTiered is read by nothing.
+//
+// Deprecated: see PlanMode.
+const PlanTiered PlanMode = 2
 
 // DefaultPlanCacheSize is the plan-cache capacity when Options leaves it
 // unset.
@@ -230,16 +239,15 @@ type Stats struct {
 	Replans int64
 	// Execs counts Prepared.Exec calls.
 	Execs int64
-	// Upgrades counts background plan upgrades installed (tiered mode:
-	// greedy plan replaced in place by the optimized tier).
-	Upgrades int64
-	// UpgradesDiscarded counts background upgrades dropped at install
-	// time because the schema version, the cache entry or the cardinality
-	// fingerprint moved while the upgrade was building.
-	UpgradesDiscarded int64
-	// UpgradesPending is the current depth of the upgrade queue
-	// (including the task in flight).
-	UpgradesPending int64
+	// Upgrades is always 0.
+	//
+	// Deprecated: plans are never upgraded; the field is deleted once no
+	// caller reads it.
+	Upgrades int64 `json:"-"`
+	// UpgradesDiscarded is always 0.
+	//
+	// Deprecated: see Upgrades.
+	UpgradesDiscarded int64 `json:"-"`
 }
 
 // Engine is a prepared-query service over one database. It is safe for
@@ -266,25 +274,10 @@ type Engine struct {
 	// decides nothing: every text still goes through lookupOrBuild.
 	texts *lru.Cache[parsedText]
 
-	// mode is the cold-prepare planning tier (Options.PlanMode).
-	mode PlanMode
-	// Background-upgrade state (tiered mode), all guarded by mu: the
-	// FIFO of pending upgrades, the queued-or-in-flight count
-	// DrainUpgrades waits on (via upgradeCond) and whether the lazily
-	// started worker goroutine is alive.
-	upgradeQueue      []*Prepared
-	upgradePending    int
-	upgradeWorkerLive bool
-	upgradeCond       *sync.Cond
-
 	// buildHook, when set (tests only), runs at the start of every
 	// analyze→plan pipeline, outside the engine mutex — the observation
 	// point proving that preparations of distinct fingerprints overlap.
 	buildHook func(fp string)
-	// upgradeHook, when set (tests only), runs once per upgrade attempt,
-	// after the worker read the schema version but before it builds — the
-	// window a test blocks to land an ExtendAccess mid-upgrade.
-	upgradeHook func(fp string)
 
 	// metrics instruments (all nil when Options.Metrics was nil): prepare
 	// latency split by outcome, and the executor's pre-resolved bundle,
@@ -293,21 +286,16 @@ type Engine struct {
 	execMetrics *obs.ExecMetrics
 	recorder    *obs.TraceRecorder
 	prepHit     *obs.Histogram
-	// prepMiss and prepMissGreedy split cold-prepare latency by the tier
-	// that answered — the tiered mode's headline measurement.
-	prepMiss       *obs.Histogram
-	prepMissGreedy *obs.Histogram
-	prepErr        *obs.Histogram
+	prepMiss    *obs.Histogram
+	prepErr     *obs.Histogram
 
-	prepares          atomic.Int64
-	hits              atomic.Int64
-	misses            atomic.Int64
-	evictions         atomic.Int64
-	staleRetries      atomic.Int64
-	replans           atomic.Int64
-	execs             atomic.Int64
-	upgrades          atomic.Int64
-	upgradesDiscarded atomic.Int64
+	prepares     atomic.Int64
+	hits         atomic.Int64
+	misses       atomic.Int64
+	evictions    atomic.Int64
+	staleRetries atomic.Int64
+	replans      atomic.Int64
+	execs        atomic.Int64
 }
 
 // inflight is a preparation in progress; concurrent prepares of the same
@@ -381,9 +369,7 @@ func assemble(cat *schema.Catalog, src Source, opts Options) *Engine {
 		errs:   lru.New[*cacheEntry](size),
 		texts:  lru.New[parsedText](size),
 		flight: make(map[string]*inflight),
-		mode:   opts.PlanMode,
 	}
-	e.upgradeCond = sync.NewCond(&e.mu)
 	e.recorder = opts.Recorder
 	e.instrument(opts.Metrics)
 	return e
@@ -400,10 +386,9 @@ func (e *Engine) instrument(reg *obs.Registry) {
 	e.metrics = reg
 	e.execMetrics = obs.NewExecMetrics(reg)
 	const prepName = "bcq_prepare_seconds"
-	const prepHelp = "Latency of Prepare by outcome and planning tier (hit: plan cache; miss: analyze->plan at the labeled tier; error: rejected shape)."
+	const prepHelp = "Latency of Prepare by outcome (hit: plan cache; miss: analyze->plan; error: rejected shape)."
 	e.prepHit = reg.Histogram(prepName, prepHelp, obs.LatencyBuckets, obs.L("outcome", "hit"))
-	e.prepMiss = reg.Histogram(prepName, prepHelp, obs.LatencyBuckets, obs.L("outcome", "miss"), obs.L("tier", "optimized"))
-	e.prepMissGreedy = reg.Histogram(prepName, prepHelp, obs.LatencyBuckets, obs.L("outcome", "miss"), obs.L("tier", "greedy"))
+	e.prepMiss = reg.Histogram(prepName, prepHelp, obs.LatencyBuckets, obs.L("outcome", "miss"))
 	e.prepErr = reg.Histogram(prepName, prepHelp, obs.LatencyBuckets, obs.L("outcome", "error"))
 	cf := func(name, help string, load func() int64) {
 		reg.CounterFunc(name, help, func() float64 { return float64(load()) })
@@ -415,12 +400,8 @@ func (e *Engine) instrument(reg *obs.Registry) {
 	cf("bcq_plan_stale_retries_total", "Cached errors retried after a schema-version advance.", e.staleRetries.Load)
 	cf("bcq_plan_replans_total", "Cached plans rebuilt after cardinality drift.", e.replans.Load)
 	cf("bcq_exec_runs_total", "Prepared executions started.", e.execs.Load)
-	cf("bcq_plan_upgrades_total", "Background plan upgrades installed (greedy tier replaced by optimized).", e.upgrades.Load)
-	cf("bcq_plan_upgrades_discarded_total", "Background upgrades dropped at install time (schema, cache entry or statistics moved mid-build).", e.upgradesDiscarded.Load)
 	reg.GaugeFunc("bcq_plan_cache_entries", "Plans currently cached.",
 		func() float64 { return float64(e.CacheLen()) })
-	reg.GaugeFunc("bcq_plan_upgrades_pending", "Background upgrades queued or in flight.",
-		func() float64 { return float64(e.PendingUpgrades()) })
 }
 
 // Catalog returns the engine's catalog.
@@ -465,18 +446,21 @@ func (e *Engine) Metrics() *obs.Registry { return e.metrics }
 // Stats returns a snapshot of the engine counters.
 func (e *Engine) Stats() Stats {
 	return Stats{
-		Prepares:          e.prepares.Load(),
-		CacheHits:         e.hits.Load(),
-		CacheMisses:       e.misses.Load(),
-		Evictions:         e.evictions.Load(),
-		StaleRetries:      e.staleRetries.Load(),
-		Replans:           e.replans.Load(),
-		Execs:             e.execs.Load(),
-		Upgrades:          e.upgrades.Load(),
-		UpgradesDiscarded: e.upgradesDiscarded.Load(),
-		UpgradesPending:   int64(e.PendingUpgrades()),
+		Prepares:     e.prepares.Load(),
+		CacheHits:    e.hits.Load(),
+		CacheMisses:  e.misses.Load(),
+		Evictions:    e.evictions.Load(),
+		StaleRetries: e.staleRetries.Load(),
+		Replans:      e.replans.Load(),
+		Execs:        e.execs.Load(),
 	}
 }
+
+// DrainUpgrades returns at once.
+//
+// Deprecated: plans are never upgraded in the background; the method is
+// deleted once no caller names it.
+func (e *Engine) DrainUpgrades() {}
 
 // CardStats returns the source store's current cardinality statistics —
 // what the planner would run on right now.
@@ -590,16 +574,8 @@ func (e *Engine) prepare(pt parsedText, tr *obs.Trace) (*Prepared, error) {
 		e.prepHit.Observe(d)
 		sp.Tag("cache", "hit")
 	default:
-		// Attribute the miss to the tier that answered it — the cold-path
-		// latency split the tiered mode exists to improve.
-		tier := prep.PlanTier()
-		if tier == plan.TierGreedy {
-			e.prepMissGreedy.Observe(d)
-		} else {
-			e.prepMiss.Observe(d)
-		}
+		e.prepMiss.Observe(d)
 		sp.Tag("cache", "miss")
-		sp.Tag("tier", string(tier))
 	}
 	sp.End()
 	return prep, err
@@ -634,20 +610,11 @@ func (e *Engine) lookupOrBuild(pt parsedText) (prep *Prepared, cached bool, err 
 
 		e.mu.Lock()
 		if ent, ok := e.cache.Get(fp); ok {
-			// A tiered engine's first hit on a plan queues its upgrade.
-			upgrade := e.mode == PlanTiered && !ent.prep.upgradeQueued
 			e.mu.Unlock()
 			// Drift check outside the mutex — the hit path must never
-			// serialize behind it under serving load. The plan state is
-			// loaded once so the fingerprint is compared against the keys
-			// of the same (possibly just-upgraded) plan.
-			if e.current(ent.prep.state.Load()) {
+			// serialize behind it under serving load.
+			if e.current(ent.prep) {
 				e.hits.Add(1)
-				if upgrade {
-					e.mu.Lock()
-					e.enqueueUpgradeLocked(ent.prep)
-					e.mu.Unlock()
-				}
 				return ent.prep, true, nil
 			}
 			// Observed cardinalities drifted: re-plan without restart.
@@ -693,7 +660,7 @@ func (e *Engine) lookupOrBuild(pt parsedText) (prep *Prepared, cached bool, err 
 		if h := e.buildHook; h != nil {
 			h(fp)
 		}
-		prep, err = e.build(pt, acc, ver)
+		prep, err = e.build(pt, acc)
 
 		e.mu.Lock()
 		if err == nil {
@@ -712,33 +679,33 @@ func (e *Engine) lookupOrBuild(pt parsedText) (prep *Prepared, cached bool, err 
 	}
 }
 
-// current reports whether a plan bundle was costed against statistics the
-// store still shows, within the re-planning threshold. Statistics cannot
+// current reports whether a plan was costed against statistics the store
+// still shows, within the re-planning threshold. Statistics cannot
 // move unless the store's epoch does, so the shapes are compared once per
-// epoch and plan: a hit at the epoch the bundle was last verified at
+// epoch and plan: a hit at the epoch the plan was last verified at
 // loads two atomics. The epoch is read before the statistics (see
 // Source.Epoch), so a commit landing between the two reads leaves the
 // older token behind and the next hit verifies again.
-func (e *Engine) current(st *planState) bool {
+func (e *Engine) current(p *Prepared) bool {
 	epoch := e.src.Epoch()
-	if st.verifiedAt.Load() == epoch {
+	if p.verifiedAt.Load() == epoch {
 		return true
 	}
-	if !e.shapesHold(st) {
+	if !e.shapesHold(p) {
 		return false
 	}
-	st.verifiedAt.Store(epoch)
+	p.verifiedAt.Store(epoch)
 	return true
 }
 
-// shapesHold reports whether every constraint a plan bundle probes still
-// has the quantized shape it was costed against — what comparing the
-// bundle's statistics fingerprint with a fresh one would say, read card
-// by card from the store's counters: no statistics snapshot, no
-// rendering, no allocation.
-func (e *Engine) shapesHold(st *planState) bool {
-	for i, key := range st.acKeys {
-		if stats.ShapeOf(e.src.ACCard(key)) != st.shapes[i] {
+// shapesHold reports whether every constraint a plan probes still has
+// the quantized shape it was costed against — what comparing the plan's
+// statistics fingerprint with a fresh one would say, read card by card
+// from the store's counters: no statistics snapshot, no rendering, no
+// allocation.
+func (e *Engine) shapesHold(p *Prepared) bool {
+	for i, key := range p.acKeys {
+		if stats.ShapeOf(e.src.ACCard(key)) != p.shapes[i] {
 			return false
 		}
 	}

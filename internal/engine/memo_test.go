@@ -10,7 +10,7 @@ import (
 	"bcq/internal/value"
 )
 
-// Two spellings of one shape, and two other shapes, over tieredScene's
+// Two spellings of one shape, and two other shapes, over fixedGroupScene's
 // r(a, b).
 const (
 	memoA1 = `select b from r where a = ?`
@@ -40,7 +40,7 @@ func memo(e *Engine, text string) (parsedText, bool) {
 // cache still applies behind it. The memo holds no Prepared, so an
 // evicted or re-planned one cannot come back through it.
 func TestTextMemoOnlySkipsTheParser(t *testing.T) {
-	ls, e := tieredScene(t, PlanOptimized)
+	ls, e := fixedGroupScene(t)
 
 	p1, err := e.Prepare(memoA1)
 	if err != nil {
@@ -97,7 +97,7 @@ func TestTextMemoOnlySkipsTheParser(t *testing.T) {
 // plan cache remembers its plan. Then Prepare builds a new Prepared
 // rather than finding the old one.
 func TestTextMemoAfterEviction(t *testing.T) {
-	ls, _ := tieredScene(t, PlanOptimized)
+	ls, _ := fixedGroupScene(t)
 	e, err := NewLive(ls, Options{PlanCacheSize: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +135,7 @@ func TestTextMemoAfterEviction(t *testing.T) {
 // costs no parse, no statistics snapshot and no allocation at all, and
 // every hit still moves the counters.
 func TestMemoisedPrepareHitAllocatesNothing(t *testing.T) {
-	ls, e := tieredScene(t, PlanOptimized)
+	ls, e := fixedGroupScene(t)
 	if _, err := e.Prepare(memoA1); err != nil {
 		t.Fatal(err)
 	}
@@ -172,10 +172,10 @@ func TestMemoisedPrepareHitAllocatesNothing(t *testing.T) {
 // plan's own constraints from the store's counters — on a live store and,
 // summed over the shards, on a two-shard store — and allocates nothing
 // for it: no statistics snapshot, no map, no rendered fingerprint. Each
-// run forgets the epoch the bundle was verified at, so every one of them
+// run forgets the epoch the plan was verified at, so every one of them
 // is such a first hit.
 func TestPrepareAfterCommitAllocatesNothing(t *testing.T) {
-	ls, onLive := tieredScene(t, PlanOptimized)
+	ls, onLive := fixedGroupScene(t)
 	ss, onShards := shardedRScene(t)
 	for _, tc := range []struct {
 		name   string
@@ -194,26 +194,25 @@ func TestPrepareAfterCommitAllocatesNothing(t *testing.T) {
 			if err := tc.commit(); err != nil {
 				t.Fatal(err)
 			}
-			st := p.state.Load()
-			if st.verifiedAt.Load() == tc.e.Epoch() {
+			if p.verifiedAt.Load() == tc.e.Epoch() {
 				t.Fatal("the commit did not move the epoch")
 			}
 			if n := testing.AllocsPerRun(100, func() {
-				st.verifiedAt.Store(0)
+				p.verifiedAt.Store(0)
 				if q, err := tc.e.Prepare(memoA1); err != nil || q != p {
 					t.Fatal("the hit after a shape-keeping commit did not serve the cached plan")
 				}
 			}); n != 0 {
 				t.Errorf("a cache hit that re-checks drift allocates %v times, want 0", n)
 			}
-			if st.verifiedAt.Load() != tc.e.Epoch() {
+			if p.verifiedAt.Load() != tc.e.Epoch() {
 				t.Error("the hit did not re-check drift at the new epoch")
 			}
 		})
 	}
 }
 
-// shardedRScene is tieredScene's r(a, b) over two shards: eight groups of
+// shardedRScene is fixedGroupScene's r(a, b) over two shards: eight groups of
 // two entries.
 func shardedRScene(t testing.TB) (*shard.Store, *Engine) {
 	t.Helper()

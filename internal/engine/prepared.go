@@ -23,32 +23,15 @@ import (
 // parameterized template the plan was generated against opaque sentinel
 // constants — one per Σ_Q class of placeholder slots — and Exec rebinds
 // the plan's seeds to the argument vector, so no per-request analysis or
-// planning happens. Prepared values are safe for concurrent Exec from
-// many goroutines: everything a caller can observe lives behind one
-// atomically published planState, so a background upgrade (or drift
-// re-plan) swapping the plan never exposes a half-replaced bundle.
+// planning happens. A Prepared's plan never changes after build (a drift
+// re-plan builds a new Prepared), so it is safe for concurrent Exec from
+// many goroutines.
 type Prepared struct {
 	eng *Engine
 	// query is the validated template (placeholders unbound) and fp its
 	// fingerprint, the key this Prepared was cached under.
 	query *spc.Query
 	fp    string
-	// state is the atomically published plan bundle. Readers load it
-	// exactly once per operation (bind, Explain, the accessor methods),
-	// so every execution runs one coherent plan even while an upgrade
-	// installs the next one. The pointer is never nil after build.
-	state atomic.Pointer[planState]
-	// upgradeQueued is set, under eng.mu, once a tiered engine's cache hit
-	// queued this Prepared's upgrade (a hit the full queue sheds does not).
-	upgradeQueued bool
-}
-
-// planState bundles everything that must swap together when a plan is
-// replaced: the slots carry the plan's own Σ_Q class numbering, and the
-// statistics fingerprint is over the constraints this plan probes — a
-// plan paired with another plan's slots or fingerprint would be wrong in
-// ways the type system cannot see.
-type planState struct {
 	// pl is the cached plan: the template's own plan when it has no
 	// placeholders, otherwise the sentinel-instantiated plan.
 	pl *plan.Plan
@@ -64,16 +47,8 @@ type planState struct {
 	shapes []stats.Shape
 	// verifiedAt is the source epoch at which shapes were last seen to
 	// match the store's statistics (Engine.current) — the one mutable
-	// field of the bundle, a memo of a check and no part of the plan.
+	// field, a memo of a check and no part of the plan.
 	verifiedAt atomic.Uint64
-	// checked is the analysis the plan was generated from, with its
-	// EBCheck verdict, and checkedAt the source version read before the
-	// access schema it was analysed under. Only a tiered engine's greedy
-	// bundle carries them: the background upgrade plans the optimized tier
-	// from the same analysis when the version has not moved, and the bundle
-	// it installs carries none, so an upgraded plan holds no analysis.
-	checked   *plan.Checked
-	checkedAt uint64
 }
 
 // paramSlot says how one placeholder argument binds into the plan.
@@ -95,35 +70,38 @@ type paramSlot struct {
 }
 
 // build runs the one-time preparation pipeline: sentinel instantiation
-// (for templates), analysis and planning. The access schema and the
-// source version read before it are passed in by prepare — the pair that
-// tags a cached failure, and a kept analysis, for later invalidation. The
-// planning tier follows the engine's mode: optimized engines pay the full
-// search on the cold path, greedy and tiered engines return the greedy
-// order (and a tiered engine's first cache hit on the plan queues its
-// background upgrade, in lookupOrBuild).
-func (e *Engine) build(pt parsedText, acc *schema.AccessSchema, ver uint64) (*Prepared, error) {
-	chk, slots, err := e.analyze(pt.q, acc)
+// (for templates), analysis, the cost-based optimizer, and the shapes of
+// the statistics the plan was costed against, read from the source's own
+// cards one constraint at a time (no statistics snapshot). The access
+// schema is read by lookupOrBuild, after the version that tags a cached
+// failure.
+func (e *Engine) build(pt parsedText, acc *schema.AccessSchema) (*Prepared, error) {
+	an, slots, err := e.analyze(pt.q, acc)
 	if err != nil {
 		return nil, err
 	}
-	st, err := e.planState(chk, slots, e.mode == PlanOptimized)
+	// Epoch before statistics, like every reader of the pair: a commit
+	// landing mid-build leaves the older epoch, so the next hit re-checks.
+	epoch := e.src.Epoch()
+	pl, err := plan.Optimize(an, e.src)
 	if err != nil {
 		return nil, err
 	}
-	if e.mode == PlanTiered {
-		st.checked, st.checkedAt = chk, ver
+	acKeys := planACKeys(pl)
+	shapes := make([]stats.Shape, len(acKeys))
+	for i, key := range acKeys {
+		shapes[i] = stats.ShapeOf(e.src.ACCard(key))
 	}
-	p := &Prepared{eng: e, query: pt.q, fp: pt.fp}
-	p.state.Store(st)
+	p := &Prepared{eng: e, query: pt.q, fp: pt.fp, pl: pl, slots: slots, acKeys: acKeys, shapes: shapes}
+	p.verifiedAt.Store(epoch)
 	return p, nil
 }
 
-// analyze runs the statistics-independent half of a preparation: sentinel
-// instantiation of a template's placeholders, the Σ_Q closure, constraint
-// actualization and EBCheck. It returns the checked analysis and the
-// placeholder slots, keyed to the analysis's class numbering.
-func (e *Engine) analyze(q *spc.Query, acc *schema.AccessSchema) (*plan.Checked, []paramSlot, error) {
+// analyze instantiates a template's placeholders with sentinels and
+// analyzes the result: the Σ_Q closure and constraint actualization. It
+// returns the analysis and the placeholder slots, keyed to the analysis's
+// class numbering.
+func (e *Engine) analyze(q *spc.Query, acc *schema.AccessSchema) (*core.Analysis, []paramSlot, error) {
 	inst := q
 	var slots []paramSlot
 	if len(q.Placeholders) > 0 {
@@ -160,46 +138,12 @@ func (e *Engine) analyze(q *spc.Query, acc *schema.AccessSchema) (*plan.Checked,
 	if err != nil {
 		return nil, nil, err
 	}
-	chk, err := plan.Check(an)
-	if err != nil {
-		return nil, nil, err
-	}
 	// Re-key the slots to the instantiated closure: the plan's seeds carry
 	// its class numbering, which instantiation may have changed.
 	for i := range slots {
 		slots[i].class = an.Closure.MustClass(slots[i].ref)
 	}
-	return chk, slots, nil
-}
-
-// planState runs the statistics-dependent half — the cost-based ordering
-// search at the requested tier, emission, and the shapes of the
-// statistics the plan was costed against — and returns the resulting plan
-// bundle, costed against the source's own cards (one constraint at a
-// time, no statistics snapshot). It is called on the cold prepare path
-// and again by the upgrade worker, both outside the engine mutex.
-func (e *Engine) planState(chk *plan.Checked, slots []paramSlot, exhaustive bool) (*planState, error) {
-	// Epoch before statistics, like every reader of the pair: a commit
-	// landing mid-build leaves the older epoch, so the next hit re-checks.
-	epoch := e.src.Epoch()
-	var pl *plan.Plan
-	var err error
-	if exhaustive {
-		pl, err = chk.Optimize(e.src)
-	} else {
-		pl, err = chk.OptimizeGreedy(e.src)
-	}
-	if err != nil {
-		return nil, err
-	}
-	acKeys := planACKeys(pl)
-	shapes := make([]stats.Shape, len(acKeys))
-	for i, key := range acKeys {
-		shapes[i] = stats.ShapeOf(e.src.ACCard(key))
-	}
-	st := &planState{pl: pl, slots: slots, acKeys: acKeys, shapes: shapes}
-	st.verifiedAt.Store(epoch)
-	return st, nil
+	return an, slots, nil
 }
 
 // planACKeys collects the constraints a plan probes — the slice of the
@@ -245,57 +189,29 @@ func (p *Prepared) Query() *spc.Query { return p.query }
 // one shape share it.
 func (p *Prepared) Fingerprint() string { return p.fp }
 
-// Plan returns the currently installed plan — re-read it per use, since
-// a background upgrade or drift re-plan may have replaced it since the
-// last call. For a parameterized template the seed values of placeholder
-// classes are opaque sentinels; everything else — steps, verifications,
-// bounds — is exactly what every execution runs.
-func (p *Prepared) Plan() *plan.Plan { return p.state.Load().pl }
-
-// PlanTier reports which planning tier produced the currently installed
-// plan: greedy until a tiered engine's background upgrade lands,
-// optimized after.
-func (p *Prepared) PlanTier() plan.Tier { return p.state.Load().pl.Tier }
+// Plan returns the prepared plan. For a parameterized template the seed
+// values of placeholder classes are opaque sentinels; everything else —
+// steps, verifications, bounds — is exactly what every execution runs.
+func (p *Prepared) Plan() *plan.Plan { return p.pl }
 
 // FetchBound is the plan's worst-case data access, the paper's M.
-func (p *Prepared) FetchBound() deduce.Bound { return p.state.Load().pl.FetchBound }
+func (p *Prepared) FetchBound() deduce.Bound { return p.pl.FetchBound }
 
 // EstFetch is the cost model's expected tuples fetched, from the
 // cardinality statistics current when the plan was generated.
-func (p *Prepared) EstFetch() float64 { return p.state.Load().pl.EstFetch }
+func (p *Prepared) EstFetch() float64 { return p.pl.EstFetch }
 
 // StatsFingerprint is the quantized cardinality fingerprint the plan was
 // costed against; the plan cache re-plans when the store's current
 // fingerprint for the same constraints differs.
-func (p *Prepared) StatsFingerprint() string { return p.state.Load().statsFingerprint() }
+func (p *Prepared) StatsFingerprint() string { return stats.Render(p.acKeys, p.shapes) }
 
-// statsFingerprint renders the bundle's shapes as the fingerprint
-// stats.Snapshot.Fingerprint gives for its constraints.
-func (st *planState) statsFingerprint() string { return stats.Render(st.acKeys, st.shapes) }
-
-// PlanSnapshot is one coherent read of a Prepared's live plan bundle:
-// the plan, its tier and the statistics fingerprint it was costed
-// against all come from the same atomic load, so a report built from one
-// snapshot can never mix a pre-upgrade plan with a post-upgrade
-// fingerprint (or vice versa).
-type PlanSnapshot struct {
-	Plan    *plan.Plan
-	Tier    plan.Tier
-	StatsFP string
-}
-
-// Snapshot returns one coherent view of the currently installed plan.
-func (p *Prepared) Snapshot() PlanSnapshot {
-	st := p.state.Load()
-	return PlanSnapshot{Plan: st.pl, Tier: st.pl.Tier, StatsFP: st.statsFingerprint()}
-}
-
-// Explain renders the currently installed plan with its cost estimates;
-// pass a Result from Exec to print each step's actual probe and fetch
-// counts alongside — and, when the result carries a trace (ExecTrace),
+// Explain renders the prepared plan with its cost estimates; pass a
+// Result from Exec to print each step's actual probe and fetch counts
+// alongside — and, when the result carries a trace (ExecTrace),
 // the span tree under it.
 func (p *Prepared) Explain(res *exec.Result) string {
-	pl := p.state.Load().pl
+	pl := p.pl
 	opts := plan.ExplainOptions{Estimates: pl.CostBased}
 	if res != nil {
 		opts.Actuals = &plan.Actuals{Steps: res.StepStats, Verifies: res.VerifyStats}
@@ -307,7 +223,7 @@ func (p *Prepared) Explain(res *exec.Result) string {
 }
 
 // NumParams returns the number of placeholder slots Exec expects.
-func (p *Prepared) NumParams() int { return len(p.state.Load().slots) }
+func (p *Prepared) NumParams() int { return len(p.slots) }
 
 // Exec runs the prepared plan with the given placeholder arguments (in
 // placeholder order), returning the bounded-evaluation result. The only
@@ -438,33 +354,30 @@ func (p *Prepared) ExecLimitOn(st exec.Store, limit int, args ...value.Value) (*
 // one Σ_Q class, or a fixed slot given a different constant) — the
 // answer is empty without touching the data.
 //
-// The plan state is loaded exactly once: the plan and the slots that
-// bind into it come from the same bundle, so an upgrade installing a new
-// plan concurrently can never pair this execution's plan with the other
-// plan's class numbering. The returned plan is the caller's own (a copy
-// for templates), so streams opened on it keep executing it unchanged —
-// open cursors are pinned to the plan they started on.
+// The returned plan is the
+// caller's own (a copy for templates), so streams opened on it keep
+// executing it unchanged — open cursors are pinned to the plan they
+// started on.
 func (p *Prepared) bind(args []value.Value) (*plan.Plan, bool, error) {
-	st := p.state.Load()
-	if len(args) != len(st.slots) {
+	if len(args) != len(p.slots) {
 		return nil, false, fmt.Errorf("engine: query %s expects %d arguments, got %d",
-			p.query.Name, len(st.slots), len(args))
+			p.query.Name, len(p.slots), len(args))
 	}
 	for i, a := range args {
 		if a.IsNull() {
 			return nil, false, fmt.Errorf("engine: argument %d is null; an equality with null is never satisfied", i)
 		}
 	}
-	if len(st.slots) == 0 {
-		return st.pl, true, nil
+	if len(p.slots) == 0 {
+		return p.pl, true, nil
 	}
 
 	// Bind: one value per placeholder class. Conflicting bindings — two
 	// Σ_Q-equal slots given different values, or a fixed slot given a
 	// value other than its pinned constant — make the instantiated query
 	// unsatisfiable.
-	desired := make(map[int]value.Value, len(st.slots))
-	for i, slot := range st.slots {
+	desired := make(map[int]value.Value, len(p.slots))
+	for i, slot := range p.slots {
 		if slot.fixed {
 			if args[i] != slot.val {
 				return nil, false, nil
@@ -480,9 +393,9 @@ func (p *Prepared) bind(args []value.Value) (*plan.Plan, bool, error) {
 		desired[slot.class] = args[i]
 	}
 
-	bound := *st.pl
-	seeds := make([]plan.Seed, len(st.pl.Seeds))
-	copy(seeds, st.pl.Seeds)
+	bound := *p.pl
+	seeds := make([]plan.Seed, len(p.pl.Seeds))
+	copy(seeds, p.pl.Seeds)
 	for i := range seeds {
 		if v, ok := desired[seeds[i].Class]; ok {
 			seeds[i].Val = v

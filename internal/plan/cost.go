@@ -35,40 +35,33 @@ import (
 // naive derivation order is always evaluated too and wins ties, so
 // Optimize never returns a plan its own model scores worse than QPlan's.
 func Optimize(an *core.Analysis, cs Cards) (*Plan, error) {
-	c, err := Check(an)
+	c, err := check(an)
 	if err != nil {
 		return nil, err
 	}
-	return c.Optimize(cs)
+	return c.optimize(cs, true)
 }
 
-// OptimizeGreedy is the cold-path planning tier: the same pipeline as
-// Optimize — cost model, estimate annotation, cost-based witnesses — but
+// OptimizeGreedy is Optimize's fallback order on its own: the same
+// pipeline — cost model, estimate annotation, cost-based witnesses — but
 // the ordering search stops at the incumbents (derivation order vs the
 // greedy minimum-marginal-cost order) and never enters the
 // branch-and-bound DFS, so planning cost stays roughly linear in the act
 // count instead of exponential in the atom count. Soundness is identical
 // (both tiers emit through the same I_E machinery); only expected fetch
-// cost can differ, and the engine's tiered mode upgrades the plan to the
-// Optimize result in the background.
+// cost can differ. The engine never calls it: tests and the benchmark's
+// tracer compare it with Optimize.
 func OptimizeGreedy(an *core.Analysis, cs Cards) (*Plan, error) {
-	c, err := Check(an)
+	c, err := check(an)
 	if err != nil {
 		return nil, err
 	}
-	return c.OptimizeGreedy(cs)
+	return c.optimize(cs, false)
 }
-
-// Optimize is the package-level Optimize over an analysis already checked.
-func (c *Checked) Optimize(cs Cards) (*Plan, error) { return c.optimize(cs, true) }
-
-// OptimizeGreedy is the package-level OptimizeGreedy over an analysis
-// already checked.
-func (c *Checked) OptimizeGreedy(cs Cards) (*Plan, error) { return c.optimize(cs, false) }
 
 // optimize is the shared cost-based pipeline; exhaustive selects the
 // branch-and-bound tier over the greedy tier.
-func (c *Checked) optimize(cs Cards, exhaustive bool) (*Plan, error) {
+func (c *checked) optimize(cs Cards, exhaustive bool) (*Plan, error) {
 	tier := TierGreedy
 	if exhaustive {
 		tier = TierOptimized

@@ -63,9 +63,8 @@ func (p *Plan) ExplainOpts(opts ExplainOptions) string {
 	fmt.Fprintf(&b, "plan for %s", p.Query.Name)
 	switch {
 	case p.CostBased && p.Tier == TierGreedy:
-		// The greedy tier is called out so an explain taken before the
-		// background upgrade lands is distinguishable from the optimized
-		// plan that replaces it. The optimized rendering is unchanged.
+		// The greedy order (OptimizeGreedy) is called out so its explain
+		// is distinguishable from Optimize's.
 		b.WriteString(" (cost-based, greedy tier)")
 	case p.CostBased:
 		b.WriteString(" (cost-based)")

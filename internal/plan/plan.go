@@ -155,19 +155,20 @@ type Plan struct {
 	Tier Tier
 }
 
-// Tier identifies the planning tier that produced a plan. The engine's
-// tiered mode serves cold prepares from the greedy tier and upgrades
-// them to the optimized tier in the background.
+// Tier identifies the planner that produced a plan: QPlan, OptimizeGreedy
+// or Optimize. The engine plans with Optimize.
 type Tier string
 
 const (
 	// TierNaive is QPlan's derivation order: no cost model consulted.
 	TierNaive Tier = "naive"
-	// TierGreedy is the cold fast path: the better of the derivation
-	// order and the greedy minimum-marginal-cost order, no exhaustive
-	// search. Planning cost is linear-ish in the act count.
+	// TierGreedy is OptimizeGreedy's: the better of the derivation order
+	// and the greedy minimum-marginal-cost order, no exhaustive search.
+	// Planning cost is linear-ish in the act count.
 	TierGreedy Tier = "greedy"
-	// TierOptimized is the full branch-and-bound search of Optimize.
+	// TierOptimized is Optimize's: the full branch-and-bound search, or
+	// the greedy order where the search's atom limit or node budget
+	// stopped it.
 	TierOptimized Tier = "optimized"
 )
 

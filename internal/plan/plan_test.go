@@ -266,7 +266,7 @@ func TestCostSearchAllocatesNothingPerNode(t *testing.T) {
 	}
 
 	an := ordersQ6(t)
-	c, err := Check(an)
+	c, err := check(an)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ import (
 // Complexity: O(|Q||A|) beyond the EBCheck closure, well within the
 // paper's O(|Q|²|A|³).
 func QPlan(an *core.Analysis) (*Plan, error) {
-	c, err := Check(an)
+	c, err := check(an)
 	if err != nil {
 		return nil, err
 	}
@@ -52,34 +52,30 @@ func QPlan(an *core.Analysis) (*Plan, error) {
 	return p, nil
 }
 
-// Checked is an analysis whose effective-boundedness verdict is in — the
-// front half every planner shares. Keeping it lets several plans be
-// generated from one check: the engine's tiered mode plans the greedy
-// tier from it on the request path and, later, the optimized tier from
-// the same value in the background. A Checked is immutable and safe for
-// concurrent use.
-type Checked struct {
+// checked is an analysis whose effective-boundedness verdict is in — the
+// front half every planner shares.
+type checked struct {
 	an *core.Analysis
 	// eb is the EBCheck verdict (always effectively bounded); zero for an
 	// unsatisfiable query, which is planned without one.
 	eb core.EBResult
 }
 
-// Check runs the trivial (unsatisfiable) short-circuit and EBCheck. It
+// check runs the trivial (unsatisfiable) short-circuit and EBCheck. It
 // returns a *NotEffectivelyBoundedError when EBCheck rejects the query.
-func Check(an *core.Analysis) (*Checked, error) {
+func check(an *core.Analysis) (*checked, error) {
 	if !an.Closure.Satisfiable() {
-		return &Checked{an: an}, nil
+		return &checked{an: an}, nil
 	}
 	eb := an.EBCheck()
 	if !eb.EffectivelyBounded {
 		return nil, &NotEffectivelyBoundedError{Result: eb}
 	}
-	return &Checked{an: an, eb: eb}, nil
+	return &checked{an: an, eb: eb}, nil
 }
 
 // trivial reports an unsatisfiable query: its plan touches no data.
-func (c *Checked) trivial() bool { return !c.an.Closure.Satisfiable() }
+func (c *checked) trivial() bool { return !c.an.Closure.Satisfiable() }
 
 // trivialPlan is the plan of an unsatisfiable query.
 func trivialPlan(cl *spc.Closure, tier Tier) *Plan {

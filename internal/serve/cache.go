@@ -60,8 +60,8 @@ func (k *keyBuf) release() {
 // shared by two groups, or moved by a commit newer than V, costs a miss,
 // never a stale answer. The argument names only the words and the
 // epochs, never the key: the key just says which question the entry
-// answers. An entry holds no plan: a plan installed since (an upgrade, a
-// drift re-plan) finds the same tuples, and a hit reports the statistics
+// answers. An entry holds no plan: a plan built since (a drift re-plan)
+// finds the same tuples, and a hit reports the statistics
 // of the plan that computed it, as a hit always has.
 type cacheEntry struct {
 	body []byte

@@ -210,7 +210,7 @@ func TestCachedErrorRetriedBehindTheMemo(t *testing.T) {
 // TestFastLaneNeverStaleUnderChurn hammers the fast lane with everything
 // that can move under it at once: a two-entry plan cache (and memo)
 // shared by five hot texts, so plans and texts are evicted constantly;
-// tiered planning, so plans are upgraded in place; ingest that advances
+// ingest that advances
 // the epoch and drifts the statistics, so plans are re-planned; and one
 // ExtendAccess that turns a rejected text into an answerable one. Every
 // 200 is replayed against the snapshot of the epoch it names, as in
@@ -222,7 +222,7 @@ func TestCachedErrorRetriedBehindTheMemo(t *testing.T) {
 // cached, so that each ask reaches the plan cache. Run with -race.
 func TestFastLaneNeverStaleUnderChurn(t *testing.T) {
 	ls := serveScene(t)
-	eng, err := engine.NewLive(ls, engine.Options{PlanCacheSize: 2, PlanMode: engine.PlanTiered})
+	eng, err := engine.NewLive(ls, engine.Options{PlanCacheSize: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,14 +373,12 @@ func TestFastLaneNeverStaleUnderChurn(t *testing.T) {
 	if err := <-writerDone; err != nil {
 		t.Fatal(err)
 	}
-	eng.DrainUpgrades()
 	if t.Failed() {
 		return
 	}
 
-	// The forced re-plan. Two asks leave the friends plan cached, verified
-	// at this epoch and, its upgrade drained, with no build in flight that
-	// could record newer shapes; doubling the constraint's groups then moves
+	// The forced re-plan. Two asks leave the friends plan cached and
+	// verified at this epoch; doubling the constraint's groups then moves
 	// its group-count bucket, so the next ask's hit must re-plan. Each ask
 	// names a user the hammer never asked about (the writer gave each v
 	// user one friend), so no answer is cached and every ask prepares.
@@ -401,7 +399,6 @@ func TestFastLaneNeverStaleUnderChurn(t *testing.T) {
 	}
 	ask()
 	ask()
-	eng.DrainUpgrades()
 	replans := eng.Stats().Replans
 	card, _ := ls.ACCard(schema.MustAccessConstraint("friends", []string{"user_id"}, []string{"friend_id"}, 5000).Key())
 	ops := make([]live.Op, card.Groups)
@@ -466,6 +463,6 @@ func TestFastLaneNeverStaleUnderChurn(t *testing.T) {
 	if len(epochs) < 2 {
 		t.Error("all responses saw one epoch; the writer did not overlap the clients")
 	}
-	t.Logf("verified %d responses over %d epochs: %d result-cache hits, %d plan evictions, %d re-plans, %d upgrades, %d rejections before the extension",
-		len(all), len(epochs), cs.Hits, st.Evictions, st.Replans, st.Upgrades, rejected)
+	t.Logf("verified %d responses over %d epochs: %d result-cache hits, %d plan evictions, %d re-plans, %d rejections before the extension",
+		len(all), len(epochs), cs.Hits, st.Evictions, st.Replans, rejected)
 }

@@ -919,13 +919,10 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return errResult(http.StatusUnprocessableEntity, "%v", err)
 		}
-		// One coherent snapshot of the live plan: est_fetch, fetch_order,
-		// explain and the stats fingerprint all describe the plan that
-		// executes *now* — re-read per request, so a background upgrade
-		// (or drift re-plan) since the first /prepare of this shape is
-		// reflected instead of serving the planning-time snapshot forever.
-		snap := p.Snapshot()
-		pl := snap.Plan
+		// est_fetch, fetch_order, explain and the stats fingerprint all
+		// describe the plan that executes now: after a drift re-plan,
+		// Prepare returns the rebuilt one.
+		pl := p.Plan()
 		order := make([]string, len(pl.Steps))
 		for i, st := range pl.Steps {
 			order[i] = fmt.Sprintf("%s via %s", pl.Query.Atoms[st.Atom].Alias, st.AC)
@@ -943,12 +940,12 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 		}{
 			Fingerprint: p.Fingerprint(),
 			NumParams:   p.NumParams(),
-			PlanTier:    string(snap.Tier),
+			PlanTier:    string(pl.Tier),
 			FetchBound:  pl.FetchBound.String(),
 			PlanSteps:   len(pl.Steps),
 			EstFetch:    pl.EstFetch,
 			FetchOrder:  order,
-			StatsFP:     snap.StatsFP,
+			StatsFP:     p.StatsFingerprint(),
 			Explain:     pl.Explain(),
 		}}
 	})
@@ -999,16 +996,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		apiError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
-	eng := s.eng.Stats()
 	st := statsResponse{
-		Engine: eng,
-		Planner: plannerStats{
-			Mode:              s.eng.PlanMode().String(),
-			Upgrades:          eng.Upgrades,
-			UpgradesDiscarded: eng.UpgradesDiscarded,
-			UpgradesPending:   eng.UpgradesPending,
-		},
-		Cache: s.CacheStats(),
+		Engine: s.eng.Stats(),
+		Cache:  s.CacheStats(),
 		Server: serverStats{
 			Queries:   s.queries.Load(),
 			Ingests:   s.ingests.Load(),
@@ -1110,21 +1100,9 @@ type serverStats struct {
 	CursorsEvicted int64 `json:"cursors_evicted"`
 }
 
-// plannerStats is the /stats planner block: the engine's planning mode
-// and the tiered mode's background-upgrade counters, taken from the same
-// engine.Stats snapshot as the engine block so the two never disagree
-// within one response.
-type plannerStats struct {
-	Mode              string `json:"mode"`
-	Upgrades          int64  `json:"upgrades"`
-	UpgradesDiscarded int64  `json:"upgrades_discarded"`
-	UpgradesPending   int64  `json:"upgrades_pending"`
-}
-
 // statsResponse is the /stats document.
 type statsResponse struct {
 	Engine      engine.Stats             `json:"engine"`
-	Planner     plannerStats             `json:"planner"`
 	Cache       CacheStats               `json:"result_cache"`
 	Server      serverStats              `json:"server"`
 	Epoch       string                   `json:"epoch"`

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -316,85 +317,12 @@ func TestPrepareEndpoint(t *testing.T) {
 		t.Errorf("prepare response lacks cost-based plan fields: %+v", resp)
 	}
 	if resp.PlanTier != "optimized" {
-		t.Errorf("plan_tier = %q, want optimized (default engine mode)", resp.PlanTier)
+		t.Errorf("plan_tier = %q, want optimized", resp.PlanTier)
 	}
 
 	code, _ = post(t, hs.URL+"/prepare", `{"query": "select photo_id from in_album"}`)
 	if code != http.StatusUnprocessableEntity {
 		t.Errorf("unbounded prepare: status %d, want 422", code)
-	}
-}
-
-// TestPrepareTieredReportsLivePlan covers the tiered serving path:
-// /prepare labels the response with the plan tier it actually holds — the
-// greedy tier for a cold shape, whose upgrade waits for the plan to be
-// reused — and because each request re-reads the live plan, the same
-// fingerprint reports the optimized tier (with its own est_fetch and
-// explain) once the upgrade its first reuse queued lands. /stats exposes
-// the planner block.
-func TestPrepareTieredReportsLivePlan(t *testing.T) {
-	_, srv, hs := newTestServer(t, engine.Options{PlanMode: engine.PlanTiered}, Options{})
-	const body = `{"query": "select photo_id from in_album where album_id = ?"}`
-	code, raw := post(t, hs.URL+"/prepare", body)
-	if code != http.StatusOK {
-		t.Fatalf("status %d: %s", code, raw)
-	}
-	var cold struct {
-		Fingerprint string `json:"fingerprint"`
-		PlanTier    string `json:"plan_tier"`
-	}
-	if err := json.Unmarshal(raw, &cold); err != nil {
-		t.Fatal(err)
-	}
-	if cold.PlanTier != "greedy" {
-		t.Fatalf("cold plan_tier = %q, want greedy", cold.PlanTier)
-	}
-
-	// The second /prepare is the plan's first reuse: it queues the upgrade.
-	if code, raw := post(t, hs.URL+"/prepare", body); code != http.StatusOK {
-		t.Fatalf("status %d: %s", code, raw)
-	}
-	srv.Engine().DrainUpgrades()
-
-	code, raw = post(t, hs.URL+"/prepare", body)
-	if code != http.StatusOK {
-		t.Fatalf("status %d: %s", code, raw)
-	}
-	var warm struct {
-		Fingerprint string `json:"fingerprint"`
-		PlanTier    string `json:"plan_tier"`
-		Explain     string `json:"explain"`
-	}
-	if err := json.Unmarshal(raw, &warm); err != nil {
-		t.Fatal(err)
-	}
-	if warm.Fingerprint != cold.Fingerprint {
-		t.Fatalf("fingerprint changed across upgrade: %q vs %q", cold.Fingerprint, warm.Fingerprint)
-	}
-	if warm.PlanTier != "optimized" {
-		t.Errorf("post-upgrade plan_tier = %q, want optimized", warm.PlanTier)
-	}
-	if strings.Contains(warm.Explain, "greedy tier") {
-		t.Errorf("post-upgrade explain still renders the greedy tier:\n%s", warm.Explain)
-	}
-
-	resp, err := http.Get(hs.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var st struct {
-		Planner struct {
-			Mode     string `json:"mode"`
-			Upgrades int64  `json:"upgrades"`
-			Pending  int64  `json:"upgrades_pending"`
-		} `json:"planner"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Planner.Mode != "tiered" || st.Planner.Upgrades != 1 || st.Planner.Pending != 0 {
-		t.Errorf("planner stats = %+v, want mode tiered with 1 installed upgrade", st.Planner)
 	}
 }
 
@@ -549,6 +477,62 @@ func TestCachedAnswersBypassAdmission(t *testing.T) {
 	// answers and the shed request never waited for a slot.
 	if got := srv.queueSec.Count(); got != waited+2 {
 		t.Errorf("queue-wait histogram saw %d requests, want %d: cached answers do not queue", got, waited+2)
+	}
+}
+
+// TestExpiredRequestsHitAnswersMissTimesOut pins what /query does with a
+// request whose context is already cancelled (its client has gone) or
+// past its deadline when the handler starts. A result-cache hit answers
+// 200 with the cached body, byte for byte what a live request gets: the
+// answer is ready, writing it is no work, and the hit path asks no
+// deadline context. A miss answers 504 before the engine is asked: it is
+// counted as a timeout, prepares nothing and caches nothing.
+func TestExpiredRequestsHitAnswersMissTimesOut(t *testing.T) {
+	_, srv, _ := newTestServer(t, engine.Options{}, Options{})
+	h := srv.Handler()
+	const q = `"query": "select photo_id from in_album where album_id = ?"`
+	hot := `{` + q + `, "args": ["a0"]}`
+	if code, raw := serveInProcess(h, hot); code != http.StatusOK {
+		t.Fatalf("warm-up: status %d: %s", code, raw)
+	}
+	code, want := serveInProcess(h, hot)
+	if code != http.StatusOK || !bytes.Contains(want, []byte(`"cached":true`)) {
+		t.Fatalf("second ask: status %d, want a cached 200: %s", code, want)
+	}
+
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	expired, cancelExpired := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancelExpired()
+	for _, c := range []struct {
+		name string
+		ctx  context.Context
+	}{{"cancelled", cancelled}, {"past its deadline", expired}} {
+		ask := func(body string) (int, []byte) {
+			req := httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(body)).WithContext(c.ctx)
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			return rec.Code, rec.Body.Bytes()
+		}
+		eng, cache, timeouts := srv.Engine().Stats(), srv.CacheStats(), srv.timeouts.Load()
+
+		if code, got := ask(hot); code != http.StatusOK || !bytes.Equal(got, want) {
+			t.Errorf("%s hit: status %d body %s, want 200 and the cached answer %s", c.name, code, got, want)
+		}
+		if code, got := ask(`{` + q + `, "args": ["a1"]}`); code != http.StatusGatewayTimeout || !bytes.Contains(got, []byte("deadline exceeded")) {
+			t.Errorf("%s miss: status %d body %s, want 504 deadline exceeded", c.name, code, got)
+		}
+
+		after, afterCache := srv.Engine().Stats(), srv.CacheStats()
+		if after.Prepares != eng.Prepares {
+			t.Errorf("%s: the engine was asked %d times, want never", c.name, after.Prepares-eng.Prepares)
+		}
+		if afterCache.Hits != cache.Hits+1 || afterCache.Entries != cache.Entries {
+			t.Errorf("%s: result cache %+v after %+v, want one more hit and no new entry", c.name, afterCache, cache)
+		}
+		if n := srv.timeouts.Load() - timeouts; n != 1 {
+			t.Errorf("%s: %d timeouts counted, want 1 (the miss)", c.name, n)
+		}
 	}
 }
 

@@ -95,14 +95,13 @@ func TestCostOrderedNeverFetchesMoreThanNaive(t *testing.T) {
 	}
 }
 
-// TestGreedyTierMatchesOptimized is the tier-equivalence sweep for the
-// tiered planner: over the same querygen corpus, the greedy tier (what a
-// tiered engine serves on a cold prepare, and what executions see in the
-// mid-upgrade window) must return byte-identical answers to both the
-// naive and the fully optimized plan, stay within the declared
-// worst-case fetch bound when it is finite, and carry the right tier
-// tags — so a background plan swap can never change an answer, only the
-// fetch count.
+// TestGreedyTierMatchesOptimized is the tier-equivalence sweep: over the
+// same querygen corpus, the greedy order (what Optimize falls back to
+// past its atom limit or node budget) must return byte-identical answers
+// to both the naive and the fully optimized plan, stay within the
+// declared worst-case fetch bound when it is finite, and carry the right
+// tier tags — so the fallback can never change an answer, only the fetch
+// count.
 func TestGreedyTierMatchesOptimized(t *testing.T) {
 	type cse struct {
 		ds    *datagen.Dataset

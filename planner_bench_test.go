@@ -6,20 +6,21 @@
 // losing its margin over naive (or planning time exploding).
 //
 // TestPlannerBenchEmit measures the same planning paths once — naive,
-// greedy tier, full optimization — asserts the tiered mode's premise by
-// a count, not a clock (the greedy tier allocates strictly less per plan
-// than the full optimizer: it never builds the branch-and-bound search),
-// and, when PLANNER_BENCH_JSON names a path, writes the perf trajectory
-// there; CI compares it against bench/BENCH_planner.json (tools/benchcmp:
-// bytes and counts past +25% fail, times are reported).
+// greedy order, full optimization — asserts by a count, not a clock, that
+// the greedy order Optimize falls back to skips the search (it allocates
+// strictly less per plan than the full optimizer: it never builds the
+// branch-and-bound search), and, when PLANNER_BENCH_JSON names a path,
+// writes the perf trajectory there; CI compares it against
+// bench/BENCH_planner.json (tools/benchcmp: bytes and counts past +25%
+// fail, times are reported).
 //
 // Emitted lower-is-better fields:
 //
 //	plan.naive_ns      — QPlan: derivation order, no cost model
-//	plan.greedy_ns     — OptimizeGreedy: what a tiered cold prepare pays
+//	plan.greedy_ns     — OptimizeGreedy: Optimize's fallback order alone
 //	plan.optimize_ns   — Optimize: greedy + branch-and-bound search
 //	plan.cold_prepare_ns, plan.cold_prepare_bytes — one engine-level cold
-//	    Prepare (parse → analysis → greedy plan → statistics shapes) of the
+//	    Prepare (parse → analysis → Optimize → statistics shapes) of the
 //	    6-atom ad hoc shape BenchmarkColdPrepare runs, and what it allocates
 //
 // plan.greedy_allocs and plan.optimize_allocs are the allocations per
@@ -27,7 +28,7 @@
 // the committed baseline.
 //
 // The fetched counts (no checked suffix, informational) record that the
-// greedy tier's fetch volume sits between naive and optimized on Q3.
+// greedy order's fetch volume sits between naive and optimized on Q3.
 package bcq
 
 import (
@@ -158,8 +159,8 @@ func TestPlannerBenchEmit(t *testing.T) {
 	greedyAllocs, optAllocs := allocs(greedyPlan), allocs(optPlan)
 
 	// The whole cold path at engine level, as BenchmarkColdPrepare runs it:
-	// the 6-atom ad hoc shape at the greedy tier, every Prepare a miss.
-	eng, texts := coldPrepareEngine(t, "s11", PlanModeGreedy)
+	// the 6-atom ad hoc shape, every Prepare a miss.
+	eng, texts := coldPrepareEngine(t, "s11")
 	k := 0
 	coldPrepare := func() error {
 		k++
@@ -177,14 +178,14 @@ func TestPlannerBenchEmit(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	coldBytes := int64(after.TotalAlloc-before.TotalAlloc) / iters
 
-	// The tiered mode's premise: greedy is a strict subset of Optimize's
-	// work — no branch-and-bound search, so none of the search's state. A
-	// count says so on any machine; the times beside it are reported.
+	// The fallback order is a strict subset of Optimize's work — no
+	// branch-and-bound search, so none of the search's state. A count says
+	// so on any machine; the times beside it are reported.
 	if greedyAllocs >= optAllocs {
-		t.Errorf("greedy tier allocates %d times per plan, full optimizer %d — greedy must skip the search", greedyAllocs, optAllocs)
+		t.Errorf("greedy order allocates %d times per plan, full optimizer %d — greedy must skip the search", greedyAllocs, optAllocs)
 	}
 
-	// Fetch volumes across tiers on Q3, for the emitted record.
+	// Fetch volumes across planners on Q3, for the emitted record.
 	a, err = Analyze(cat, readQuery(t, "testdata/q3.sql", cat), acc)
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +212,7 @@ func TestPlannerBenchEmit(t *testing.T) {
 	}
 	naiveF, greedyF, optF := fetched(naive), fetched(greedy), fetched(opt)
 	if optF > greedyF {
-		t.Errorf("optimized plan fetched %d > greedy tier %d on q3", optF, greedyF)
+		t.Errorf("optimized plan fetched %d > greedy order %d on q3", optF, greedyF)
 	}
 
 	t.Logf("plan: naive %s, greedy %s (%d allocs), optimize %s (%d allocs); cold prepare %s, %d bytes; fetched: naive %d, greedy %d, optimized %d",
