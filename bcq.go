@@ -441,8 +441,9 @@ type (
 // anchor access constraint (one whose X every other constraint on the
 // relation contains), which keeps every index group whole on one shard —
 // the property that makes sharded execution exact and per-shard admission
-// checking globally sound. Relations without such an anchor are pinned to
-// one shard; relations without constraints are round-robined.
+// checking globally sound. Relations without such an anchor (or with an
+// empty one) hash on the empty key and so sit whole on one shard;
+// relations without constraints hash on all their attributes.
 func NewShardedDatabase(db *Database, acc *AccessSchema, opts ShardOptions) (*ShardedDatabase, error) {
 	return shard.New(db, acc, opts)
 }

@@ -31,11 +31,13 @@
 // before/after tuple-access counts, which stay flat as |D| grows.
 //
 // The -shards P flag partitions the store: each relation is
-// hash-partitioned on the X-attributes of an anchor access constraint (or
-// pinned/round-robined when no anchor exists), queries scatter-gather
-// their probes across the shards — answers are cross-checked against a
-// single-store run — and -ingest streams through the shard-parallel write
-// path. -v adds the per-relation access breakdown and per-shard balance.
+// hash-partitioned on the X-attributes of an anchor access constraint
+// (on the empty key, so pinned to one shard, when no non-empty anchor
+// exists; on all its attributes when it has no constraints), queries
+// scatter-gather their probes across the shards — answers are
+// cross-checked against a single-store run — and -ingest streams through
+// the shard-parallel write path. -v adds the per-relation access
+// breakdown and per-shard balance.
 //
 // The -data-dir DIR flag makes the store durable: a fresh directory is
 // seeded from -dataset/-scale and written as per-shard epoch-0

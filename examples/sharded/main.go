@@ -10,6 +10,11 @@
 //     by (photo_id, taggee_id): every index group lives whole on one
 //     shard, so scatter-gather answers are byte-identical to a single
 //     store — same tuples, same access counts, same |D_Q|;
+//   - that is the only placement rule: a relation with no such key (or
+//     an empty one, as a domain constraint ∅ → (Y, N) gives) hashes on
+//     the empty key and lands whole on one shard, and a relation with no
+//     constraints hashes on all its attributes — a tuple's shard depends
+//     on its content alone;
 //   - each shard is its own live store: admission checks, copy-on-write
 //     index maintenance and snapshot publication run under independent
 //     per-shard writer locks, so ingest scales with the shard count;

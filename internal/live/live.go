@@ -581,29 +581,6 @@ func (st *Store) EpochKey() string { return st.Snapshot().EpochKey() }
 // NumTuples returns |D| at the current epoch.
 func (st *Store) NumTuples() int64 { return st.Snapshot().NumTuples() }
 
-// LiveCount returns the number of live occurrences of an exactly-equal
-// tuple (0 for unknown relations). It consults the writer bookkeeping
-// under the writer lock — the same candidates a delete searches — so the
-// answer is exact at the instant of the call; a concurrent commit may
-// change it immediately after. The sharded layer uses it to route
-// deletes of constraint-less relations to a shard actually holding the
-// tuple.
-func (st *Store) LiveCount(rel string, t value.Tuple) int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if rs, ok := st.cat.Relation(rel); !ok || len(t) != rs.Arity() {
-		return 0
-	}
-	tx := &txn{st: st, snap: st.cur.Load()} // an empty batch: reads only
-	n := 0
-	for _, pos := range tx.candidates(rel, t) {
-		if tx.alive(rel, pos) && tx.tupleAt(rel, pos).Equal(t) {
-			n++
-		}
-	}
-	return n
-}
-
 // Epoch returns the current epoch number (0 until the first commit).
 // Epochs identify data versions: every committed batch, compaction and
 // schema extension publishes a new one, and the version words

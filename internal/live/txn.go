@@ -13,8 +13,7 @@ import (
 // copy-on-write index groups, new tuples, tombstones, touched ledger
 // entries — against the basis snapshot, so an aborted batch leaves no
 // trace and a committed one becomes exactly the next epoch's diff. It
-// runs under the store's writer mutex. The zero maps read as empty, so a
-// txn that only reads (LiveCount) needs none of them made.
+// runs under the store's writer mutex.
 type txn struct {
 	st   *Store
 	snap *Snapshot

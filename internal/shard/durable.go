@@ -31,14 +31,16 @@ var ErrShardMismatch = errors.New("shard count does not match the directory's ma
 // Placements are persisted rather than re-derived at Open because the
 // recovered schema can be wider than the one the store was created with
 // (extensions replay from the WALs): re-deriving from the wider schema
-// could pick a different anchor — or flip a pinned relation to
-// partitioned — and silently orphan every tuple already placed.
+// could pick a different anchor — or widen an empty key — and silently
+// orphan every tuple already placed.
 type ManifestPlacement struct {
-	// Kind is "partitioned", "pinned" or "round-robin".
+	// Kind is "partitioned" for a non-empty shard key and "pinned" for
+	// the empty one. Older builds also wrote "round-robin", which Open
+	// refuses.
 	Kind string `json:"kind"`
 	// Key lists the shard-key attributes, sorted (partitioned only).
 	Key []string `json:"key,omitempty"`
-	// Home is the owning shard (pinned only).
+	// Home is the shard the empty key hashes to (pinned only).
 	Home int `json:"home,omitempty"`
 }
 
@@ -94,41 +96,38 @@ func (st *Store) manifest() *Manifest {
 }
 
 func placementToManifest(pl *placement) ManifestPlacement {
-	switch pl.kind {
-	case partitioned:
-		return ManifestPlacement{Kind: "partitioned", Key: pl.key}
-	case pinned:
-		return ManifestPlacement{Kind: "pinned", Home: pl.home}
-	default:
-		return ManifestPlacement{Kind: "round-robin"}
+	if len(pl.key) == 0 {
+		return ManifestPlacement{Kind: "pinned", Home: pl.tuples.home}
 	}
+	return ManifestPlacement{Kind: "partitioned", Key: pl.key}
 }
 
 // placementFromManifest rebuilds a relation's in-memory placement,
 // re-resolving attribute positions against the (possibly reordered)
-// catalog and validating the rule against the shard count.
+// catalog. A pinned entry must name the shard the empty key hashes to.
 func placementFromManifest(rs *schema.Relation, mp ManifestPlacement, P int) (*placement, error) {
+	var key []string
 	switch mp.Kind {
 	case "partitioned":
 		if len(mp.Key) == 0 {
 			return nil, fmt.Errorf("shard: manifest: relation %s partitioned with empty key", rs.Name())
 		}
-		pos, err := rs.Positions(mp.Key)
-		if err != nil {
-			return nil, fmt.Errorf("shard: manifest: relation %s shard key: %w", rs.Name(), err)
-		}
-		key := append([]string(nil), mp.Key...)
-		return &placement{kind: partitioned, key: key, keyPos: pos}, nil
+		key = mp.Key
 	case "pinned":
-		if mp.Home < 0 || mp.Home >= P {
-			return nil, fmt.Errorf("shard: manifest: relation %s pinned to shard %d of %d", rs.Name(), mp.Home, P)
-		}
-		return &placement{kind: pinned, home: mp.Home}, nil
 	case "round-robin":
-		return &placement{kind: roundRobin}, nil
+		return nil, fmt.Errorf("shard: manifest: relation %s is placed round-robin, which this build no longer reads; rebuild the store", rs.Name())
 	default:
 		return nil, fmt.Errorf("shard: manifest: relation %s has unknown placement kind %q", rs.Name(), mp.Kind)
 	}
+	pl, err := newPlacement(rs, key, P)
+	if err != nil {
+		return nil, fmt.Errorf("shard: manifest: %w", err)
+	}
+	if mp.Kind == "pinned" && mp.Home != pl.tuples.home {
+		return nil, fmt.Errorf("shard: manifest: relation %s pinned to shard %d, but its empty shard key hashes to shard %d of %d",
+			rs.Name(), mp.Home, pl.tuples.home, P)
+	}
+	return pl, nil
 }
 
 // ReadManifest reads and validates a sharded store's manifest. A missing
@@ -235,8 +234,7 @@ func Open(dir string, cat *schema.Catalog, acc *schema.AccessSchema, opts Option
 		p:      P,
 		dir:    dir,
 		place:  make(map[string]*placement, cat.NumRelations()),
-		routes: make(map[string]*route),
-		rrNext: make(map[string]int),
+		routes: make(map[string]*locator),
 	}
 
 	// Placements come from the manifest; relations the catalog gained

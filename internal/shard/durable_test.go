@@ -226,9 +226,9 @@ func TestShardOpenFreshDirectory(t *testing.T) {
 }
 
 // TestShardManifestRecordsPlacements pins the on-disk placement rules:
-// partitioned relations persist their shard key, constraint-less ones
-// their round-robin rule, and a reopened store routes with them rather
-// than re-deriving (which a widened schema could skew).
+// partitioned relations persist their shard key — a constraint-less
+// relation all its attributes — and a reopened store routes with them
+// rather than re-deriving (which a widened schema could skew).
 func TestShardManifestRecordsPlacements(t *testing.T) {
 	const ddl = `
 relation r(a, b, c)
@@ -268,8 +268,8 @@ constraint r: (a) -> (b, 100)
 	if mp := m.Placements["r"]; mp.Kind != "partitioned" || len(mp.Key) != 1 || mp.Key[0] != "a" {
 		t.Fatalf("r placement = %+v, want partitioned by (a)", mp)
 	}
-	if mp := m.Placements["events"]; mp.Kind != "round-robin" {
-		t.Fatalf("events placement = %+v, want round-robin", mp)
+	if mp := m.Placements["events"]; mp.Kind != "partitioned" || len(mp.Key) != 1 || mp.Key[0] != "msg" {
+		t.Fatalf("events placement = %+v, want partitioned by (msg)", mp)
 	}
 
 	re, _, err := shard.Open(dir, cat, acc, shard.Options{})
@@ -279,6 +279,9 @@ constraint r: (a) -> (b, 100)
 	defer re.Close()
 	if got, _ := re.PlacementOf("r"); got != "partitioned by (a)" {
 		t.Fatalf("recovered placement of r = %q", got)
+	}
+	if got, _ := re.PlacementOf("events"); got != "partitioned by (msg)" {
+		t.Fatalf("recovered placement of events = %q", got)
 	}
 	if re.NumTuples() != int64(len(ops)) {
 		t.Fatalf("NumTuples = %d, want %d", re.NumTuples(), len(ops))

@@ -3,6 +3,7 @@ package shard_test
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"bcq/internal/core"
@@ -127,9 +128,14 @@ func TestExtendAccessPlacementGuards(t *testing.T) {
 	if err := ss.ExtendAccess(schema.MustAccessConstraint("part", []string{"v"}, []string{"w"}, 10)); err == nil {
 		t.Error("constraint without the shard key accepted on a partitioned relation")
 	}
-	// Round-robin relations hold no shard key at all.
-	if err := ss.ExtendAccess(schema.MustAccessConstraint("free", []string{"f"}, []string{"g"}, 10)); err == nil {
-		t.Error("constraint on a round-robin relation accepted")
+	// A relation created without constraints is partitioned by all its
+	// attributes, which (f) lacks; the refusal says to rebuild.
+	if got, _ := ss.PlacementOf("free"); got != "partitioned by (f, g)" {
+		t.Errorf("placement of free = %q", got)
+	}
+	err = ss.ExtendAccess(schema.MustAccessConstraint("free", []string{"f"}, []string{"g"}, 10))
+	if err == nil || !strings.Contains(err.Error(), "rebuild the store") {
+		t.Errorf("constraint without the all-attributes key on a constraint-less relation: got %v, want a refusal saying to rebuild", err)
 	}
 	// Wider X containing the key is fine; re-extension is a no-op.
 	wide := schema.MustAccessConstraint("part", []string{"k", "v"}, []string{"w"}, 10)

@@ -170,3 +170,33 @@ func TestViewFetchBatchMatchesOneAtATime(t *testing.T) {
 		}
 	}
 }
+
+// TestPartitionRefusesWrongLengthProbes: a probe whose length is not the
+// constraint's |X| is an error for every shard key, the empty one of a
+// pinned relation included.
+func TestPartitionRefusesWrongLengthProbes(t *testing.T) {
+	cat, acc := placementScene(t)
+	part, dom := acc.ForRelation("part")[0], acc.ForRelation("dom")[0]
+	for _, shards := range []int{1, 2, 3} {
+		ss, err := shard.New(storage.NewDatabase(cat), acc, shard.Options{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := ss.View()
+		for _, c := range []struct {
+			ac schema.AccessConstraint
+			x  value.Tuple
+		}{
+			{dom, value.Tuple{str("e0")}},
+			{part, value.Tuple{}},
+			{part, value.Tuple{str("k0"), str("v0")}},
+		} {
+			if _, err := v.Partition(c.ac, []value.Tuple{{}, c.x}); err == nil {
+				t.Errorf("P=%d: probe %s of %s accepted", shards, c.x, c.ac)
+			}
+		}
+		if owners, err := v.Partition(dom, []value.Tuple{{}, {}}); err != nil || owners[0] != owners[1] {
+			t.Errorf("P=%d: empty-key probes routed to %v, %v", shards, owners, err)
+		}
+	}
+}

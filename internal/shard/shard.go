@@ -25,14 +25,17 @@
 //     (relation, shard, position), a bijective renaming of the
 //     single-store position space).
 //
-// Relations whose constraints force an empty or non-existent anchor — a
+// Every relation follows that one rule; only the key differs. Relations
+// whose constraints force an empty or non-existent anchor — a
 // bounded-domain constraint ∅ → (Y, N), whose single group spans the
 // whole relation, or several constraints with incomparable X-sets (a wide
-// fact table with independent lookup keys) — are pinned whole to one
-// shard: correctness first, scale-out where the schema licenses it.
-// Relations with no constraints are round-robined across shards for write
-// bandwidth; they are never probed through an index, and non-emptiness
-// checks fan out.
+// fact table with independent lookup keys) — take the empty key, so the
+// whole relation hashes to one shard: correctness first, scale-out where
+// the schema licenses it. Relations with no constraints take all their
+// attributes as the key: no probe ever reads them through an index, and
+// equal tuples still meet on one shard. Routing depends only on a tuple's
+// content, so an insert and a later delete of the same tuple always
+// reach the same shard.
 //
 // # Writes and the epoch vector
 //
@@ -44,10 +47,12 @@
 // hold disjoint data, so the only cross-shard anomaly is a torn batch, not
 // a torn tuple).
 //
-// View pins one epoch vector atomically: it briefly excludes writers (a
-// single RWMutex writers share in read mode) and loads every shard's
-// current snapshot, so the vector is a consistent cut — every committed
-// batch is either entirely visible or entirely invisible in the view.
+// View pins one epoch vector atomically: it excludes writers (a single
+// RWMutex writers share in read mode) and loads every shard's current
+// snapshot, so the vector is a consistent cut — every committed batch is
+// either entirely visible or entirely invisible in the view. Writers hold
+// the mutex for their whole commit, a durable shard's WAL fsync
+// included, so a pin waits for every in-flight batch.
 package shard
 
 import (
@@ -82,37 +87,47 @@ type Options struct {
 	Dir string
 }
 
-// placementKind says how a relation's tuples are distributed.
-type placementKind uint8
-
-const (
-	// partitioned hashes the shard-key attributes of each tuple.
-	partitioned placementKind = iota
-	// pinned keeps the whole relation on one shard.
-	pinned
-	// roundRobin spreads constraint-less relations for write bandwidth.
-	roundRobin
-)
-
-// placement is one relation's distribution rule.
+// placement is one relation's distribution rule: its tuples hash on the
+// shard-key attributes. An empty key sends the whole relation to one
+// shard.
 type placement struct {
-	kind placementKind
-	// key/keyPos: the shard-key attributes (sorted) and their positions
-	// in the relation schema (partitioned only).
-	key    []string
-	keyPos []int
-	// home is the owning shard (pinned only).
-	home int
+	key    []string // the shard-key attributes, sorted
+	tuples locator  // finds the key in the relation's tuples
 }
 
-// route precomputes how a constraint's probes find their shard.
-type route struct {
-	rel string
-	// pinnedTo is ≥ 0 when every probe goes to one shard.
-	pinnedTo int
-	// keyInX are the positions of the relation's shard-key attributes
-	// within the constraint's sorted X list (partitioned relations only).
-	keyInX []int
+// locator finds a relation's shard key inside one tuple layout — a
+// relation tuple, or a constraint's X-binding — and hashes it to the
+// owning shard. Tuples in New, write ops in Apply and probes in
+// View.Partition are all routed by owner.
+type locator struct {
+	rel   string
+	width int   // the layout's length
+	pos   []int // where the sorted key's attributes sit in the layout
+	// home is the shard every tuple hashes to when the key is empty
+	// (hashKey(rel, nil) % P, precomputed), and -1 otherwise.
+	home int
+	p    uint64
+}
+
+func newLocator(rel string, width int, pos []int, p int) locator {
+	l := locator{rel: rel, width: width, pos: pos, home: -1, p: uint64(p)}
+	if len(pos) == 0 {
+		l.home = int(hashKey(rel, nil) % l.p)
+	}
+	return l
+}
+
+// owner returns the shard owning t, or false when t does not have the
+// layout's length.
+func (l *locator) owner(t value.Tuple) (int, bool) {
+	if len(t) != l.width {
+		return 0, false
+	}
+	if l.home >= 0 {
+		return l.home, true
+	}
+	var kb [value.KeyBufSize]byte
+	return int(hashKey(l.rel, value.AppendKeyOf(kb[:0], t, l.pos)) % l.p), true
 }
 
 // Store is a sharded live store: P partitions, each a live.Store over its
@@ -128,11 +143,12 @@ type Store struct {
 
 	shards []*live.Store
 	place  map[string]*placement
-	// routes is keyed by AccessConstraint.Key(). The map is immutable
-	// once published: ExtendAccess installs a fresh copy under viewMu,
-	// and each View captures the map current at pin time, so probe
-	// routing never races schema evolution.
-	routes map[string]*route
+	// routes locates the shard key in each constraint's X-bindings,
+	// keyed by AccessConstraint.Key(). The map is immutable once
+	// published: ExtendAccess installs a fresh copy under viewMu, and
+	// each View captures the map current at pin time, so probe routing
+	// never races schema evolution.
+	routes map[string]*locator
 
 	// viewMu: writers hold it in read mode for the duration of a commit
 	// (so writes to different shards proceed in parallel); View holds it
@@ -140,13 +156,6 @@ type Store struct {
 	// vector a consistent cut. ExtendAccess holds it in write mode for
 	// the whole extension, excluding writers and pins.
 	viewMu sync.RWMutex
-
-	// rrMu guards the round-robin insert cursor of constraint-less
-	// relations. Deletes of such relations are routed by probing the
-	// shards' live occurrence counts instead of mirrored bookkeeping
-	// (see routeOp), so the cursor is the only shared state.
-	rrMu   sync.Mutex
-	rrNext map[string]int
 }
 
 // New partitions a loaded database into opts.Shards shards. The base
@@ -171,8 +180,7 @@ func New(base *storage.Database, acc *schema.AccessSchema, opts Options) (*Store
 		mode:   opts.Mode,
 		p:      opts.Shards,
 		place:  make(map[string]*placement, cat.NumRelations()),
-		routes: make(map[string]*route, acc.Size()),
-		rrNext: make(map[string]int),
+		routes: make(map[string]*locator, acc.Size()),
 	}
 	P := opts.Shards
 	if opts.Dir != "" {
@@ -211,7 +219,10 @@ func New(base *storage.Database, acc *schema.AccessSchema, opts Options) (*Store
 		rel := rs.Name()
 		pl := st.place[rel]
 		for _, t := range base.MustRelation(rel).Tuples {
-			s := st.routeTuple(pl, rel, t)
+			s, ok := pl.tuples.owner(t)
+			if !ok {
+				return nil, fmt.Errorf("shard: relation %s tuple %s does not have arity %d", rel, t, rs.Arity())
+			}
 			if err := dbs[s].Insert(rel, t); err != nil {
 				return nil, err
 			}
@@ -243,43 +254,33 @@ func New(base *storage.Database, acc *schema.AccessSchema, opts Options) (*Store
 	return st, nil
 }
 
-// buildRoute precomputes how a constraint's probes find their shard under
-// the store's placements.
-func (st *Store) buildRoute(ac schema.AccessConstraint) (*route, error) {
+// buildRoute locates a relation's shard key in a constraint's X-bindings.
+// It refuses a constraint whose X lacks the key: its groups could span
+// shards.
+func (st *Store) buildRoute(ac schema.AccessConstraint) (*locator, error) {
 	pl, ok := st.place[ac.Rel]
 	if !ok {
 		return nil, fmt.Errorf("shard: unknown relation %s", ac.Rel)
 	}
-	rt := &route{rel: ac.Rel, pinnedTo: -1}
-	switch pl.kind {
-	case pinned:
-		rt.pinnedTo = pl.home
-	case partitioned:
-		pos, err := positionsIn(pl.key, ac.X)
-		if err != nil {
-			return nil, fmt.Errorf("shard: constraint %s does not contain relation %s's shard key (%s): %w",
-				ac, ac.Rel, strings.Join(pl.key, ", "), err)
-		}
-		rt.keyInX = pos
-	default:
-		return nil, fmt.Errorf("shard: cannot route constraint %s: relation %s's tuples are spread round-robin with no shard key; rebuild the store with the wider schema", ac, ac.Rel)
+	pos, err := positionsIn(pl.key, ac.X)
+	if err != nil {
+		return nil, fmt.Errorf("shard: constraint %s does not contain relation %s's shard key (%s): %w; rebuild the store with the wider schema",
+			ac, ac.Rel, strings.Join(pl.key, ", "), err)
 	}
-	return rt, nil
+	l := newLocator(ac.Rel, len(ac.X), pos, st.p)
+	return &l, nil
 }
 
-// derivePlacement picks a relation's distribution rule: partition by the
-// X-set of an anchor constraint (one whose X every other constraint's X
-// contains), pin to one shard when no anchor exists, round-robin when the
-// relation has no constraints. An anchor with empty X (a bounded-domain
-// constraint ∅ → (Y, N)) degenerates to pinning: all its probes and all
-// the relation's tuples hash the same key anyway.
+// derivePlacement picks a relation's shard key: the X-set of an anchor
+// constraint (one whose X every other constraint's X contains), the empty
+// key when no anchor exists, and all the attributes when the relation has
+// no constraints. An anchor with empty X (a bounded-domain constraint
+// ∅ → (Y, N)) gives the empty key too: all its probes hash the same key
+// anyway.
 func derivePlacement(rs *schema.Relation, acs []schema.AccessConstraint, P int) (*placement, error) {
-	rel := rs.Name()
 	if len(acs) == 0 {
-		return &placement{kind: roundRobin}, nil
+		return newPlacement(rs, rs.Attrs(), P)
 	}
-	var anchor []string
-	found := false
 	for _, c := range acs {
 		ok := true
 		for _, o := range acs {
@@ -289,21 +290,21 @@ func derivePlacement(rs *schema.Relation, acs []schema.AccessConstraint, P int) 
 			}
 		}
 		if ok {
-			anchor = c.X
-			found = true
-			break
+			return newPlacement(rs, c.X, P)
 		}
 	}
-	if !found || len(anchor) == 0 {
-		return &placement{kind: pinned, home: int(hashKey(rel, nil) % uint64(P))}, nil
-	}
-	pos, err := rs.Positions(anchor)
-	if err != nil {
-		return nil, fmt.Errorf("shard: relation %s: %w", rel, err)
-	}
-	key := append([]string(nil), anchor...)
+	return newPlacement(rs, nil, P)
+}
+
+// newPlacement places a relation by the given shard-key attributes.
+func newPlacement(rs *schema.Relation, key []string, P int) (*placement, error) {
+	key = append([]string(nil), key...)
 	sort.Strings(key)
-	return &placement{kind: partitioned, key: key, keyPos: pos}, nil
+	pos, err := rs.Positions(key)
+	if err != nil {
+		return nil, fmt.Errorf("shard: relation %s shard key: %w", rs.Name(), err)
+	}
+	return &placement{key: key, tuples: newLocator(rs.Name(), rs.Arity(), pos, P)}, nil
 }
 
 // positionsIn returns the positions of the (sorted) needles within the
@@ -355,24 +356,6 @@ func hashKey(rel string, key []byte) uint64 {
 	return h
 }
 
-// routeTuple returns the owning shard of a tuple under a placement,
-// advancing the round-robin cursor for constraint-less relations.
-func (st *Store) routeTuple(pl *placement, rel string, t value.Tuple) int {
-	switch pl.kind {
-	case partitioned:
-		var kb [value.KeyBufSize]byte
-		return int(hashKey(rel, value.AppendKeyOf(kb[:0], t, pl.keyPos)) % uint64(st.p))
-	case pinned:
-		return pl.home
-	default:
-		st.rrMu.Lock()
-		s := st.rrNext[rel]
-		st.rrNext[rel] = (s + 1) % st.p
-		st.rrMu.Unlock()
-		return s
-	}
-}
-
 // NumShards returns the partition count P.
 func (st *Store) NumShards() int { return st.p }
 
@@ -403,45 +386,44 @@ func (st *Store) Mode() live.Mode { return st.mode }
 func (st *Store) Shard(i int) *live.Store { return st.shards[i] }
 
 // PlacementOf describes a relation's distribution rule, for diagnostics:
-// "partitioned by (a, b)", "pinned to shard 3" or "round-robin".
+// "partitioned by (a, b)", or "pinned to shard 3" for the empty key.
 func (st *Store) PlacementOf(rel string) (string, error) {
 	pl, ok := st.place[rel]
 	if !ok {
 		return "", fmt.Errorf("shard: unknown relation %s", rel)
 	}
-	switch pl.kind {
-	case partitioned:
-		return fmt.Sprintf("partitioned by (%s)", strings.Join(pl.key, ", ")), nil
-	case pinned:
-		return fmt.Sprintf("pinned to shard %d", pl.home), nil
-	default:
-		return "round-robin", nil
+	if len(pl.key) == 0 {
+		return fmt.Sprintf("pinned to shard %d", pl.tuples.home), nil
 	}
+	return fmt.Sprintf("partitioned by (%s)", strings.Join(pl.key, ", ")), nil
 }
 
-// Apply validates and commits one batch of writes. Ops are routed to
-// their owning shards and the per-shard sub-batches commit in parallel,
-// each with the atomicity and violation semantics of live.Store.Apply
-// (Strict: first violation aborts that shard's sub-batch; Permissive:
-// violators are quarantined on their shard). The cross-shard batch is not
-// atomic: a failing sub-batch does not roll back sub-batches that
-// committed on other shards — shards hold disjoint tuples, so the
-// exposure is a torn batch, never torn data. The first sub-batch error
-// (in shard order) is returned.
+// Apply validates and commits one batch of writes. Each op goes to the
+// shard its tuple hashes to, and the per-shard sub-batches commit in
+// parallel, each with the atomicity and violation semantics of
+// live.Store.Apply (Strict: first violation aborts that shard's
+// sub-batch; Permissive: violators are quarantined on their shard). An op
+// can only fail on its own shard: a delete of an absent tuple fails there
+// with live.ErrNoSuchTuple (Strict) or is quarantined there (Permissive).
+// The cross-shard batch is not atomic: a failing sub-batch does not roll
+// back sub-batches that committed on other shards — shards hold disjoint
+// tuples, so the exposure is a torn batch, never torn data. An unknown
+// relation or a tuple of the wrong arity fails the batch before anything
+// is dispatched; otherwise the first sub-batch error (in shard order) is
+// returned.
 func (st *Store) Apply(ops []live.Op) error {
 	st.viewMu.RLock()
 	defer st.viewMu.RUnlock()
 
 	buckets := make([][]live.Op, len(st.shards))
-	rr := rrBatch{}
 	for _, op := range ops {
 		pl, ok := st.place[op.Rel]
 		if !ok {
 			return fmt.Errorf("shard: unknown relation %s", op.Rel)
 		}
-		s, err := st.routeOp(pl, op, &rr)
-		if err != nil {
-			return err
+		s, ok := pl.tuples.owner(op.Tuple)
+		if !ok {
+			return fmt.Errorf("shard: relation %s expects arity %d, got %d", op.Rel, pl.tuples.width, len(op.Tuple))
 		}
 		buckets[s] = append(buckets[s], op)
 	}
@@ -474,119 +456,6 @@ func (st *Store) Apply(ops []live.Op) error {
 		}
 	}
 	return nil
-}
-
-// rrBatch is one Apply's batch-local routing state for round-robin
-// (constraint-less) relations: which shards this batch's own inserts
-// went to (FIFO, consumed by later deletes of the same tuple, mirroring
-// live's in-batch insert-then-delete semantics) and how many committed
-// occurrences per shard earlier deletes of this batch already claimed.
-type rrBatch struct {
-	// pendingIns: rel → tuple key → shards of not-yet-consumed inserts.
-	pendingIns map[string]map[string][]int
-	// claimed: rel → tuple key → per-shard count of committed
-	// occurrences already routed to by this batch's deletes.
-	claimed map[string]map[string][]int
-}
-
-func (rr *rrBatch) push(rel, key string, s int) {
-	if rr.pendingIns == nil {
-		rr.pendingIns = make(map[string]map[string][]int)
-	}
-	m := rr.pendingIns[rel]
-	if m == nil {
-		m = make(map[string][]int)
-		rr.pendingIns[rel] = m
-	}
-	m[key] = append(m[key], s)
-}
-
-func (rr *rrBatch) pop(rel, key string) (int, bool) {
-	q := rr.pendingIns[rel][key]
-	if len(q) == 0 {
-		return 0, false
-	}
-	rr.pendingIns[rel][key] = q[1:]
-	return q[0], true
-}
-
-func (rr *rrBatch) claim(rel, key string, s, p int) int {
-	if rr.claimed == nil {
-		rr.claimed = make(map[string]map[string][]int)
-	}
-	m := rr.claimed[rel]
-	if m == nil {
-		m = make(map[string][]int)
-		rr.claimed[rel] = m
-	}
-	if m[key] == nil {
-		m[key] = make([]int, p)
-	}
-	m[key][s]++
-	return m[key][s]
-}
-
-func (rr *rrBatch) claimedOn(rel, key string, s int) int {
-	if c := rr.claimed[rel][key]; c != nil {
-		return c[s]
-	}
-	return 0
-}
-
-// routeOp returns the owning shard of one write op. Inserts follow the
-// placement; deletes of partitioned/pinned relations route by the
-// tuple's own values (content-addressed, like the probes); deletes of
-// round-robin relations probe the shards' live occurrence counts —
-// committed occurrences first (in shard order), then this batch's own
-// pending inserts — so an in-batch insert-then-delete lands on one shard
-// in order, exactly as a single live store would process it.
-func (st *Store) routeOp(pl *placement, op live.Op, rr *rrBatch) (int, error) {
-	if pl.kind != roundRobin {
-		switch pl.kind {
-		case partitioned:
-			// Validate arity here only as far as routing needs; the shard's
-			// live store re-checks the op structurally.
-			for _, p := range pl.keyPos {
-				if p >= len(op.Tuple) {
-					return 0, fmt.Errorf("shard: relation %s op tuple %s too short for shard key", op.Rel, op.Tuple)
-				}
-			}
-			var kb [value.KeyBufSize]byte
-			return int(hashKey(op.Rel, value.AppendKeyOf(kb[:0], op.Tuple, pl.keyPos)) % uint64(len(st.shards))), nil
-		default:
-			return pl.home, nil
-		}
-	}
-	key := op.Tuple.Key()
-	if op.Kind == live.OpInsert {
-		st.rrMu.Lock()
-		s := st.rrNext[op.Rel]
-		st.rrNext[op.Rel] = (s + 1) % len(st.shards)
-		st.rrMu.Unlock()
-		rr.push(op.Rel, key, s)
-		return s, nil
-	}
-	// Delete: first shard with a committed live occurrence this batch
-	// has not already claimed (a concurrent Apply may still race it to
-	// the occurrence, in which case that shard reports the miss — the
-	// same outcome two racing deletes have on a single store).
-	for s := range st.shards {
-		if st.shards[s].LiveCount(op.Rel, op.Tuple) > rr.claimedOn(op.Rel, key, s) {
-			rr.claim(op.Rel, key, s, len(st.shards))
-			return s, nil
-		}
-	}
-	if s, ok := rr.pop(op.Rel, key); ok {
-		return s, nil
-	}
-	// No live occurrence anywhere. Strict stores fail the batch before
-	// any sub-batch commits (live's no-state-changed contract); a
-	// permissive store hands the op to shard 0 to be quarantined there,
-	// preserving live.Store's violation bookkeeping.
-	if st.mode == live.Strict {
-		return 0, &live.NotFoundError{Rel: op.Rel, Tuple: op.Tuple}
-	}
-	return 0, nil
 }
 
 // Insert applies a single-op insert batch. See Apply.
@@ -656,12 +525,13 @@ func (st *Store) SchemaVersion() uint64 {
 // offending shard) leaves the whole store unchanged.
 //
 // The new constraint must not break the placement invariant that makes
-// scatter-gather exact: on a partitioned relation its X must contain
-// the relation's shard key (every group then still lives whole on one
-// shard); pinned relations accept any constraint; constraint-less
-// (round-robin) relations accept none — their tuples are spread without
-// a key, so extending them requires rebuilding the store with the wider
-// schema. Extending with a constraint already in the schema is a no-op.
+// scatter-gather exact: its X must contain the relation's shard key
+// (every group then still lives whole on one shard). The empty key of a
+// pinned relation is contained in any X; the all-attributes key of a
+// relation created without constraints is contained only in an X of
+// every attribute, so widening such a relation otherwise means
+// rebuilding the store with the wider schema. Extending with a
+// constraint already in the schema is a no-op.
 func (st *Store) ExtendAccess(ac schema.AccessConstraint) error {
 	st.viewMu.Lock()
 	defer st.viewMu.Unlock()
@@ -701,7 +571,7 @@ func (st *Store) ExtendAccess(ac schema.AccessConstraint) error {
 		}
 	}
 
-	newRoutes := make(map[string]*route, len(st.routes)+1)
+	newRoutes := make(map[string]*locator, len(st.routes)+1)
 	for k, r := range st.routes {
 		newRoutes[k] = r
 	}
@@ -849,6 +719,8 @@ func (st *Store) Quarantine() []live.Quarantined {
 // View pins one epoch vector atomically: writers are excluded for the
 // duration of the P snapshot loads, so the vector is a consistent cut —
 // a committed batch is either entirely visible or entirely invisible.
+// It first waits for every Apply in flight to finish its commit, which
+// on a durable store includes the WAL fsync.
 // The returned view is immutable, safe for any number of concurrent
 // readers, and implements exec.Store and exec.PartitionedStore.
 func (st *Store) View() *View {

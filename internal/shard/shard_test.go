@@ -1,7 +1,6 @@
 package shard_test
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"testing"
@@ -274,7 +273,7 @@ func TestPlacementDerivation(t *testing.T) {
 		"part":   "partitioned by (k)",
 		"wide":   "pinned",
 		"dom":    "pinned",
-		"free":   "round-robin",
+		"free":   "partitioned by (f, g)", // no constraints: every attribute
 		"nested": "partitioned by (x)",
 	}
 	for rel, prefix := range want {
@@ -285,95 +284,6 @@ func TestPlacementDerivation(t *testing.T) {
 		if len(got) < len(prefix) || got[:len(prefix)] != prefix {
 			t.Errorf("placement of %s: got %q, want prefix %q", rel, got, prefix)
 		}
-	}
-}
-
-func TestRoundRobinRelationLifecycle(t *testing.T) {
-	cat, err := schema.NewCatalog(mustRel(t, "part", "k", "v"), mustRel(t, "free", "f", "g"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	acc := schema.MustAccessSchema(schema.MustAccessConstraint("part", []string{"k"}, []string{"v"}, 10))
-	db := storage.NewDatabase(cat)
-	ss, err := shard.New(db, acc, shard.Options{Shards: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	v := ss.View()
-	if ok, _ := v.NonEmpty("free"); ok {
-		t.Fatal("empty relation reported non-empty")
-	}
-	// Inserts spread round-robin; deletes must find their shard.
-	for i := 0; i < 6; i++ {
-		if err := ss.Insert("free", value.Tuple{str(fmt.Sprintf("f%d", i)), str("g")}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sizes := ss.ShardSizes()
-	for s, n := range sizes {
-		if n != 2 {
-			t.Errorf("shard %d holds %d tuples, want 2 (round-robin)", s, n)
-		}
-	}
-	for i := 0; i < 6; i++ {
-		if err := ss.Delete("free", value.Tuple{str(fmt.Sprintf("f%d", i)), str("g")}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if ok, _ := ss.View().NonEmpty("free"); ok {
-		t.Fatal("relation non-empty after deleting every tuple")
-	}
-	// Deleting a tuple with no live occurrence surfaces live's error —
-	// before any sub-batch commits, so the store is unchanged.
-	err = ss.Delete("free", value.Tuple{str("f0"), str("g")})
-	if err == nil {
-		t.Fatal("delete of absent tuple succeeded")
-	}
-	if !errors.Is(err, live.ErrNoSuchTuple) {
-		t.Fatalf("absent delete: got %v, want ErrNoSuchTuple", err)
-	}
-}
-
-func TestRoundRobinInBatchInsertDelete(t *testing.T) {
-	cat, err := schema.NewCatalog(mustRel(t, "part", "k", "v"), mustRel(t, "free", "f", "g"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	acc := schema.MustAccessSchema(schema.MustAccessConstraint("part", []string{"k"}, []string{"v"}, 10))
-	db := storage.NewDatabase(cat)
-	ss, err := shard.New(db, acc, shard.Options{Shards: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Advance the round-robin cursor off shard 0, so a misrouted delete
-	// would land on an empty shard.
-	if err := ss.Insert("free", value.Tuple{str("warm"), str("g")}); err != nil {
-		t.Fatal(err)
-	}
-
-	// An insert-then-delete of the same tuple inside one batch must land
-	// on one shard, in order — net zero, exactly as a single live store
-	// processes it.
-	tup := value.Tuple{str("t"), str("g")}
-	before := ss.NumTuples()
-	if err := ss.Apply([]live.Op{live.Insert("free", tup), live.Delete("free", tup)}); err != nil {
-		t.Fatalf("in-batch insert+delete: %v", err)
-	}
-	if got := ss.NumTuples(); got != before {
-		t.Errorf("in-batch insert+delete left |D| = %d, want %d", got, before)
-	}
-
-	// Two occurrences on (round-robin) different shards, deleted in one
-	// batch: both deletes must route to shards actually holding a copy.
-	if err := ss.Apply([]live.Op{live.Insert("free", tup), live.Insert("free", tup)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ss.Apply([]live.Op{live.Delete("free", tup), live.Delete("free", tup)}); err != nil {
-		t.Fatalf("double delete across shards: %v", err)
-	}
-	if got := ss.NumTuples(); got != before {
-		t.Errorf("double delete left |D| = %d, want %d", got, before)
 	}
 }
 

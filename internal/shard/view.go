@@ -27,7 +27,7 @@ type View struct {
 	// routes is the probe-routing table current at pin time — captured so
 	// a concurrent ExtendAccess (which installs a fresh map) never races
 	// or retroactively changes a pinned view's routing.
-	routes map[string]*route
+	routes map[string]*locator
 }
 
 // NumShards returns the partition count P (exec.PartitionedStore).
@@ -84,27 +84,21 @@ func (v *View) Words(shard int) []atomic.Uint64 { return v.snaps[shard].Words(0)
 func (v *View) Snapshot(shard int) *live.Snapshot { return v.snaps[shard] }
 
 // Partition returns the owning shard of each probe in xs
-// (exec.PartitionedStore). Probes of a partitioned relation hash the
-// shard-key attributes embedded in the constraint's X-binding; probes of
-// a pinned relation all route to its home shard.
+// (exec.PartitionedStore): each probe hashes the shard-key attributes
+// embedded in the constraint's X-binding, which for the empty key of a
+// pinned relation is always the same shard.
 func (v *View) Partition(ac schema.AccessConstraint, xs []value.Tuple) ([]int, error) {
 	rt, ok := v.routes[ac.Key()]
 	if !ok {
 		return nil, fmt.Errorf("shard: no route for constraint %s (not in the access schema)", ac)
 	}
 	out := make([]int, len(xs))
-	if rt.pinnedTo >= 0 {
-		for i := range out {
-			out[i] = rt.pinnedTo
-		}
-		return out, nil
-	}
-	var kb [value.KeyBufSize]byte
 	for i, x := range xs {
-		if len(x) != len(ac.X) {
+		s, ok := rt.owner(x)
+		if !ok {
 			return nil, fmt.Errorf("shard: constraint %s expects %d lookup values, got %d", ac, len(ac.X), len(x))
 		}
-		out[i] = int(hashKey(rt.rel, value.AppendKeyOf(kb[:0], x, rt.keyInX)) % uint64(len(v.snaps)))
+		out[i] = s
 	}
 	return out, nil
 }
