@@ -96,7 +96,7 @@ func (an *Analysis) EBCheck() EBResult {
 		out.MissingClasses = an.describeClasses(res.Missing(allParams))
 	}
 	for i, atom := range cl.Query().Atoms {
-		if _, ok := an.Access.Indexed(atom.Rel, cl.AtomParamAttrs(i)); !ok {
+		if !an.Indexed(i) {
 			out.UnindexedAtoms = append(out.UnindexedAtoms, atom.Alias)
 		}
 	}

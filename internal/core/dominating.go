@@ -57,21 +57,23 @@ func (an *Analysis) FindDPh(alpha float64) DPResult {
 	// Step 2a: indexedness is a hard requirement no instantiation fixes
 	// (Example 8 of the paper).
 	for i, atom := range q.Atoms {
-		if _, ok := an.Access.Indexed(atom.Rel, cl.AtomParamAttrs(i)); !ok {
+		if !an.Indexed(i) {
 			return DPResult{Exists: false, Reason: fmt.Sprintf(
 				"parameters of atom %s are not indexed in A; no instantiation makes Q effectively bounded", atom.Alias)}
 		}
 	}
 
-	// Step 1: initial candidate classes.
+	// Step 1: initial candidate classes: every constraint of an atom's
+	// relation was actualized on the atom.
 	candidates := spc.NewClassSet(cl.NumClasses())
-	for _, ref := range cl.ParamRefs() {
-		id := cl.MustClass(ref)
+	for k := 0; k < cl.NumParamRefs(); k++ {
+		id := cl.ParamClass(k)
 		if cl.XC().Has(id) {
 			continue
 		}
-		for _, ac := range an.Access.ForRelation(q.Atoms[ref.Atom].Rel) {
-			if ac.Covers(ref.Attr) {
+		atom, pos := cl.ParamAt(k)
+		for ai := range an.Acts {
+			if act := &an.Acts[ai]; act.Atom == atom && an.Compiled.Constraint(act.Ord).XY.Has(pos) {
 				candidates.Add(id)
 				break
 			}
@@ -121,17 +123,12 @@ func (an *Analysis) FindDPh(alpha float64) DPResult {
 
 	// Render the result: parameter occurrences of the surviving classes.
 	var params []spc.AttrRef
-	for _, ref := range cl.ParamRefs() {
-		if xp.Has(cl.MustClass(ref)) {
+	for k, ref := range cl.ParamRefs() {
+		if xp.Has(cl.ParamClass(k)) {
 			params = append(params, ref)
 		}
 	}
-	denominator := 0
-	for _, ref := range cl.ParamRefs() {
-		if !cl.XC().Has(cl.MustClass(ref)) {
-			denominator++
-		}
-	}
+	denominator := an.uninstantiatedParams()
 	ratio := 0.0
 	if denominator > 0 {
 		ratio = float64(len(params)) / float64(denominator)
@@ -161,8 +158,20 @@ func (an *Analysis) coveredWithSeed(seed, target spc.ClassSet) bool {
 // minimization so that heavy classes are dropped first.
 func (an *Analysis) classWeight(class int) int {
 	n := 0
-	for _, ref := range an.Closure.ParamRefs() {
-		if an.Closure.MustClass(ref) == class {
+	for k := 0; k < an.Closure.NumParamRefs(); k++ {
+		if an.Closure.ParamClass(k) == class {
+			n++
+		}
+	}
+	return n
+}
+
+// uninstantiatedParams counts the parameter occurrences whose class no
+// constant pins: the denominator of a dominating set's ratio.
+func (an *Analysis) uninstantiatedParams() int {
+	n := 0
+	for k := 0; k < an.Closure.NumParamRefs(); k++ {
+		if !an.Closure.XC().Has(an.Closure.ParamClass(k)) {
 			n++
 		}
 	}

@@ -35,7 +35,7 @@ func (an *Analysis) ExactMinDP(alpha float64, maxCandidates int) (DPResult, erro
 		return DPResult{Exists: true, Ratio: 0}, nil
 	}
 	for i, atom := range cl.Query().Atoms {
-		if _, ok := an.Access.Indexed(atom.Rel, cl.AtomParamAttrs(i)); !ok {
+		if !an.Indexed(i) {
 			return DPResult{Exists: false, Reason: "atom " + atom.Alias + " is not indexed"}, nil
 		}
 	}
@@ -55,12 +55,7 @@ func (an *Analysis) ExactMinDP(alpha float64, maxCandidates int) (DPResult, erro
 	for i := range cl.Query().Atoms {
 		allParams.AddAll(cl.AtomParams(i))
 	}
-	denominator := 0
-	for _, ref := range cl.ParamRefs() {
-		if !cl.XC().Has(cl.MustClass(ref)) {
-			denominator++
-		}
-	}
+	denominator := an.uninstantiatedParams()
 
 	best := DPResult{Exists: false, Reason: "no subset of parameters makes the query effectively bounded"}
 	bestWeight := denominator + 1
@@ -92,8 +87,8 @@ func (an *Analysis) ExactMinDP(alpha float64, maxCandidates int) (DPResult, erro
 			continue
 		}
 		var params []spc.AttrRef
-		for _, ref := range cl.ParamRefs() {
-			if subset.Has(cl.MustClass(ref)) {
+		for k, ref := range cl.ParamRefs() {
+			if subset.Has(cl.ParamClass(k)) {
 				params = append(params, ref)
 			}
 		}
@@ -152,84 +147,16 @@ func (an *Analysis) ExactMBounded(m int64, maxActs int) (MBoundedResult, error) 
 		allParams.AddAll(cl.AtomParams(i))
 	}
 
-	// coversAtom[ai] = atoms whose X^i_Q attributes are all within the
-	// actualized constraint's X ∪ Y (so firing it yields the verified rows
-	// for free).
-	coversAtom := make([][]int, len(an.Acts))
-	for ai, act := range an.Acts {
-		have := map[string]bool{}
-		for _, a := range act.AC.X {
-			have[a] = true
-		}
-		for _, a := range act.AC.Y {
-			have[a] = true
-		}
-		all := true
-		for _, a := range cl.AtomParamAttrs(act.Atom) {
-			if !have[a] {
-				all = false
-				break
-			}
-		}
-		if all {
-			coversAtom[ai] = append(coversAtom[ai], act.Atom)
-		}
-	}
-
-	// Witness options per atom: (X classes, N) of every indexedness
+	// Witness options per atom: the X classes and N of every indexedness
 	// witness, used when no fired constraint covers the atom.
 	type witnessOpt struct {
 		xClasses []int
 		n        int64
 	}
 	witnesses := make([][]witnessOpt, len(q.Atoms))
-	for i, atom := range q.Atoms {
-		attrs := cl.AtomParamAttrs(i)
-		if len(attrs) == 0 {
-			continue // existence probe, cost 1
-		}
-		attrSet := map[string]bool{}
-		for _, a := range attrs {
-			attrSet[a] = true
-		}
-		for _, ac := range an.Access.ForRelation(atom.Rel) {
-			xIn := true
-			for _, a := range ac.X {
-				if !attrSet[a] {
-					xIn = false
-					break
-				}
-			}
-			if !xIn {
-				continue
-			}
-			have := map[string]bool{}
-			for _, a := range ac.X {
-				have[a] = true
-			}
-			for _, a := range ac.Y {
-				have[a] = true
-			}
-			all := true
-			for _, a := range attrs {
-				if !have[a] {
-					all = false
-					break
-				}
-			}
-			if !all {
-				continue
-			}
-			var xs []int
-			seen := map[int]bool{}
-			for _, a := range ac.X {
-				c := cl.MustClass(spc.AttrRef{Atom: i, Attr: a})
-				if !seen[c] {
-					seen[c] = true
-					xs = append(xs, c)
-				}
-			}
-			witnesses[i] = append(witnesses[i], witnessOpt{xClasses: xs, n: ac.N})
+	for i := range q.Atoms {
+		for _, ai := range an.Witnesses(i) {
+			witnesses[i] = append(witnesses[i], witnessOpt{xClasses: an.Acts[ai].XClasses, n: an.Acts[ai].N})
 		}
 	}
 
@@ -257,19 +184,16 @@ func (an *Analysis) ExactMBounded(m int64, maxActs int) (MBoundedResult, error) 
 		// Add verification costs for the current derivation.
 		total := cost
 		for i := range q.Atoms {
-			if len(cl.AtomParamAttrs(i)) == 0 {
+			if cl.AtomParamSet(i).IsEmpty() {
 				total = total.Add(deduce.NewBound(1))
 				continue
 			}
+			// Free when a fired constraint on the atom covers X^i_Q: its
+			// entries yield the verified rows.
 			free := false
 			for ai := range an.Acts {
-				if fired&(1<<uint(ai)) == 0 {
-					continue
-				}
-				for _, atom := range coversAtom[ai] {
-					if atom == i {
-						free = true
-					}
+				if fired&(1<<uint(ai)) != 0 && an.Acts[ai].Atom == i && an.Covers(ai) {
+					free = true
 				}
 			}
 			if free {
@@ -327,11 +251,11 @@ func (an *Analysis) ExactMBounded(m int64, maxActs int) (MBoundedResult, error) 
 			}
 			// A firing is worth exploring when it covers a new class or
 			// verifies an atom for free.
-			if !newCovers && len(coversAtom[ai]) == 0 {
+			if !newCovers && !an.Covers(ai) {
 				continue
 			}
 			xb := prodOf(act.XClasses)
-			stepCost := xb.Mul(deduce.NewBound(act.AC.N))
+			stepCost := xb.Mul(deduce.NewBound(act.N))
 
 			var newClasses []int
 			saved := make(map[int]deduce.Bound)
@@ -340,7 +264,7 @@ func (an *Analysis) ExactMBounded(m int64, maxActs int) (MBoundedResult, error) 
 					newClasses = append(newClasses, c)
 					saved[c] = cand[c]
 					covered.Add(c)
-					cand[c] = xb.Mul(deduce.NewBound(act.AC.N))
+					cand[c] = xb.Mul(deduce.NewBound(act.N))
 				}
 			}
 			fired |= bit

@@ -1,7 +1,6 @@
 package deduce
 
 import (
-	"cmp"
 	"slices"
 
 	"bcq/internal/schema"
@@ -9,59 +8,63 @@ import (
 )
 
 // Actualized is one application of the Actualization rule: access
-// constraint AC of A instantiated on atom Atom of the query, with its X and
+// constraint Ord of A instantiated on atom Atom of the query, with its X and
 // Y attribute sets translated to Σ_Q equivalence classes. It plays the role
 // of the constraints φ in the set Γ of algorithm BCheck (Figure 3, line 1).
 type Actualized struct {
 	// Atom is the index of the renaming S_i the constraint was applied to.
 	Atom int
-	// AC is the underlying access constraint.
-	AC schema.AccessConstraint
-	// Ord is AC's ordinal in the access schema it was actualized from (its
-	// index in Constraints()): acts sort by N, and declaration order is
-	// what breaks the planner's ties between equally priced constraints.
+	// Ord is the constraint's ordinal in the access schema it was
+	// actualized from (its index in Constraints()): acts sort by N, and
+	// declaration order is what breaks the planner's ties between equally
+	// priced constraints.
 	Ord int
+	// N is the constraint's cardinality bound.
+	N int64
 	// XClasses are the class ids of S_i[X], deduplicated and sorted
 	// (several X attributes may share a class).
 	XClasses []int
-	// XAttrClasses are the same class ids aligned with AC.X (one entry per
-	// X attribute, duplicates possible) — the order a probe's lookup key is
-	// assembled in.
+	// XAttrClasses are the same class ids aligned with the constraint's X
+	// (one entry per X attribute, duplicates possible) — the order a
+	// probe's lookup key is assembled in.
 	XAttrClasses []int
-	// YClasses are the class ids of S_i[Y], aligned with AC.Y (one entry
-	// per Y attribute, duplicates possible).
+	// YClasses are the class ids of S_i[Y], aligned with the constraint's
+	// Y (one entry per Y attribute, duplicates possible).
 	YClasses []int
 }
 
-// Actualize instantiates every constraint of A on every atom of the query
-// that renames the constraint's relation (the Actualization rule of I_B and
-// I_E). The result is ordered by ascending bound N, then by atom and
-// declaration order; the closure engine fires ready constraints in this
-// order, which biases derivations — and therefore the plans QPlan extracts
-// from them — toward cheap constraints first.
-func Actualize(cl *spc.Closure, a *schema.AccessSchema) []Actualized {
-	q := cl.Query()
+// Actualize instantiates every constraint of A — compiled against the
+// query's catalog — on every atom that renames the constraint's relation
+// (the Actualization rule of I_B and I_E). The result is ordered by
+// ascending bound N, then by declaration order and atom; the closure
+// engine fires ready constraints in this order, which biases derivations —
+// and therefore the plans QPlan extracts from them — toward cheap
+// constraints first.
+func Actualize(cl *spc.Closure, comp *schema.Compiled) []Actualized {
+	atoms := len(cl.Query().Atoms)
 	// Size the act list and the one array all its class lists are cut from.
 	acts, classes := 0, 0
-	for _, ac := range a.Constraints() {
-		for _, atom := range q.Atoms {
-			if atom.Rel == ac.Rel {
+	for _, ord := range comp.Order() {
+		rc := comp.Constraint(ord)
+		for i := 0; i < atoms; i++ {
+			if cl.Relation(i) == rc.Rel {
 				acts++
-				classes += 2*len(ac.X) + len(ac.Y)
+				classes += 2*len(rc.XPos) + len(rc.YPos)
 			}
 		}
 	}
 	out := make([]Actualized, 0, acts)
 	slab := make([]int, 0, classes)
-	for ord, ac := range a.Constraints() {
-		for i, atom := range q.Atoms {
-			if atom.Rel != ac.Rel {
+	for _, ord := range comp.Order() {
+		rc := comp.Constraint(ord)
+		for i := 0; i < atoms; i++ {
+			if cl.Relation(i) != rc.Rel {
 				continue
 			}
-			act := Actualized{Atom: i, AC: ac, Ord: ord}
+			act := Actualized{Atom: i, Ord: ord, N: rc.N}
 			from := len(slab)
-			for _, x := range ac.X {
-				slab = append(slab, cl.MustClass(spc.AttrRef{Atom: i, Attr: x}))
+			for _, p := range rc.XPos {
+				slab = append(slab, cl.ClassAt(i, p))
 			}
 			act.XAttrClasses = slab[from:len(slab):len(slab)]
 			from = len(slab)
@@ -73,14 +76,13 @@ func Actualize(cl *spc.Closure, a *schema.AccessSchema) []Actualized {
 			act.XClasses = slab[from:len(slab):len(slab)]
 			slices.Sort(act.XClasses)
 			from = len(slab)
-			for _, y := range ac.Y {
-				slab = append(slab, cl.MustClass(spc.AttrRef{Atom: i, Attr: y}))
+			for _, p := range rc.YPos {
+				slab = append(slab, cl.ClassAt(i, p))
 			}
 			act.YClasses = slab[from:len(slab):len(slab)]
 			out = append(out, act)
 		}
 	}
-	slices.SortStableFunc(out, func(a, b Actualized) int { return cmp.Compare(a.AC.N, b.AC.N) })
 	return out
 }
 
@@ -177,7 +179,7 @@ func Close(cl *spc.Closure, acts []Actualized, seed spc.ClassSet) *Result {
 		for _, c := range act.XClasses {
 			xb = xb.Mul(res.BoundOf[c])
 		}
-		yb := xb.Mul(NewBound(act.AC.N))
+		yb := xb.Mul(NewBound(act.N))
 		from := len(newSlab)
 		for _, c := range act.YClasses {
 			if !res.Reached.Has(c) {

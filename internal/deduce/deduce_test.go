@@ -113,16 +113,27 @@ func q0Closure(t *testing.T) (*spc.Closure, *schema.AccessSchema) {
 	return cl, acc
 }
 
+// actualize compiles the access schema against the closure's catalog and
+// actualizes it on the closure's query.
+func actualize(t *testing.T, cl *spc.Closure, acc *schema.AccessSchema) []Actualized {
+	t.Helper()
+	comp, err := acc.Compile(cl.Catalog())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Actualize(cl, comp)
+}
+
 func TestActualizeQ0(t *testing.T) {
 	cl, acc := q0Closure(t)
-	acts := Actualize(cl, acc)
+	acts := actualize(t, cl, acc)
 	// One constraint per relation, one atom per relation: 3 actualized.
 	if len(acts) != 3 {
 		t.Fatalf("actualized = %d, want 3", len(acts))
 	}
 	// Sorted by ascending N: tagging (1), in_album (1000), friends (5000).
-	if acts[0].AC.N != 1 || acts[1].AC.N != 1000 || acts[2].AC.N != 5000 {
-		t.Errorf("order = %v, %v, %v", acts[0].AC, acts[1].AC, acts[2].AC)
+	if acts[0].N != 1 || acts[1].N != 1000 || acts[2].N != 5000 {
+		t.Errorf("order = %v, %v, %v", acts[0].N, acts[1].N, acts[2].N)
 	}
 	// The tagging constraint's X = {photo_id, taggee_id}: two classes.
 	if len(acts[0].XClasses) != 2 {
@@ -138,11 +149,11 @@ func TestActualizeSelfJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acts := Actualize(cl, acc)
+	acts := actualize(t, cl, acc)
 	// The friends constraint actualizes on both atoms.
 	n := 0
 	for _, a := range acts {
-		if a.AC.Rel == "friends" {
+		if acc.Constraints()[a.Ord].Rel == "friends" {
 			n++
 		}
 	}
@@ -153,7 +164,7 @@ func TestActualizeSelfJoin(t *testing.T) {
 
 func TestCloseQ0FromXC(t *testing.T) {
 	cl, acc := q0Closure(t)
-	acts := Actualize(cl, acc)
+	acts := actualize(t, cl, acc)
 	res := Close(cl, acts, cl.XC())
 	// Example 5/7 of the paper: the closure from X_C covers every
 	// parameter of Q0.
@@ -190,7 +201,7 @@ func TestCloseQ1FromXCFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Close(cl, Actualize(cl, acc), cl.XC())
+	res := Close(cl, actualize(t, cl, acc), cl.XC())
 	// Q1 has no constants: X_C = ∅, nothing fires.
 	if res.Covers(cl.Params()) {
 		t.Error("parameterized Q1 must not be covered from an empty X_C")
@@ -213,7 +224,7 @@ func TestCloseDerivationOrderPrefersCheapConstraints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Close(cl, Actualize(cl, acc), cl.XC())
+	res := Close(cl, actualize(t, cl, acc), cl.XC())
 	y := cl.MustClass(spc.AttrRef{Atom: 0, Attr: "y"})
 	if res.BoundOf[y].Int64() != 5 {
 		t.Errorf("bound(y) = %v, want 5 (cheap constraint first)", res.BoundOf[y])
@@ -235,7 +246,7 @@ func TestCloseChainsTransitively(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Close(cl, Actualize(cl, acc), cl.XC())
+	res := Close(cl, actualize(t, cl, acc), cl.XC())
 	z := cl.MustClass(spc.AttrRef{Atom: 0, Attr: "z"})
 	if !res.Reached.Has(z) {
 		t.Fatal("z not reached")
@@ -263,7 +274,7 @@ func TestCloseCrossAtomViaSharedClass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Close(cl, Actualize(cl, acc), cl.XC())
+	res := Close(cl, actualize(t, cl, acc), cl.XC())
 	c := cl.MustClass(spc.AttrRef{Atom: 1, Attr: "c"})
 	if !res.Reached.Has(c) {
 		t.Fatal("cross-atom propagation failed")
@@ -284,7 +295,7 @@ func TestCloseEmptyXConstraintFiresFromEmptySeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Close(cl, Actualize(cl, acc), cl.XC()) // X_C is empty
+	res := Close(cl, actualize(t, cl, acc), cl.XC()) // X_C is empty
 	v := cl.MustClass(spc.AttrRef{Atom: 0, Attr: "v"})
 	if !res.Reached.Has(v) {
 		t.Fatal("empty-X constraint did not bootstrap the closure")
@@ -296,7 +307,7 @@ func TestCloseEmptyXConstraintFiresFromEmptySeed(t *testing.T) {
 
 func TestBoundOfSetProducts(t *testing.T) {
 	cl, acc := q0Closure(t)
-	res := Close(cl, Actualize(cl, acc), cl.XC())
+	res := Close(cl, actualize(t, cl, acc), cl.XC())
 	if got := res.BoundOfSet(cl.XC()); got.Int64() != 1 {
 		t.Errorf("bound(X_C) = %v, want 1", got)
 	}

@@ -8,9 +8,9 @@
 // at service scale the constant factors are dominated by the analysis
 // path, not the data path. The engine separates the two:
 //
-//   - Prepare runs parse → analyze → QPlan once per query *shape* and
-//     memoizes the result in an LRU plan cache keyed by a normalized
-//     query fingerprint. Parameterized templates ("attr = ?") are planned
+//   - Prepare runs parse → analyze → plan.Optimize (the cost-based
+//     planner) once per query *shape* and memoizes the result in an LRU
+//     plan cache keyed by a normalized query fingerprint. Parameterized templates ("attr = ?") are planned
 //     once against opaque sentinel constants; the plan's structure is
 //     value-independent, so it is reusable for every argument vector.
 //     In front of the plan cache a text memo remembers the parse itself
@@ -704,8 +704,8 @@ func (e *Engine) current(p *Prepared) bool {
 // from the store's counters: no statistics snapshot, no rendering, no
 // allocation.
 func (e *Engine) shapesHold(p *Prepared) bool {
-	for i, key := range p.acKeys {
-		if stats.ShapeOf(e.src.ACCard(key)) != p.shapes[i] {
+	for i := range p.pl.Probed {
+		if stats.ShapeOf(e.src.ACCard(p.pl.Probed[i].Key)) != p.shapes[i] {
 			return false
 		}
 	}

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -38,12 +37,11 @@ type Prepared struct {
 	// slots aligns with query.Placeholders: how each positional argument
 	// reaches this plan (classes are in pl's closure numbering).
 	slots []paramSlot
-	// acKeys are the access constraints the plan probes (fetch steps and
-	// retrieval witnesses), sorted, and shapes their quantized observed
-	// cardinalities at planning time, key by key — what the statistics
-	// fingerprint renders. A cache hit whose source no longer shows those
-	// shapes triggers a re-plan (see Engine.current).
-	acKeys []string
+	// shapes aligns with pl.Probed, the access constraints the plan probes
+	// (fetch steps and retrieval witnesses): the quantized cards the plan
+	// was costed against, key by key — what the statistics fingerprint
+	// renders. A cache hit whose source no longer shows those shapes
+	// triggers a re-plan (see Engine.current).
 	shapes []stats.Shape
 	// verifiedAt is the source epoch at which shapes were last seen to
 	// match the store's statistics (Engine.current) — the one mutable
@@ -71,10 +69,9 @@ type paramSlot struct {
 
 // build runs the one-time preparation pipeline: sentinel instantiation
 // (for templates), analysis, the cost-based optimizer, and the shapes of
-// the statistics the plan was costed against, read from the source's own
-// cards one constraint at a time (no statistics snapshot). The access
-// schema is read by lookupOrBuild, after the version that tags a cached
-// failure.
+// the cards the optimizer costed the plan against (no statistics
+// snapshot). The access schema is read by lookupOrBuild, after the
+// version that tags a cached failure.
 func (e *Engine) build(pt parsedText, acc *schema.AccessSchema) (*Prepared, error) {
 	an, slots, err := e.analyze(pt.q, acc)
 	if err != nil {
@@ -87,40 +84,39 @@ func (e *Engine) build(pt parsedText, acc *schema.AccessSchema) (*Prepared, erro
 	if err != nil {
 		return nil, err
 	}
-	acKeys := planACKeys(pl)
-	shapes := make([]stats.Shape, len(acKeys))
-	for i, key := range acKeys {
-		shapes[i] = stats.ShapeOf(e.src.ACCard(key))
+	shapes := make([]stats.Shape, len(pl.Probed))
+	for i, pc := range pl.Probed {
+		shapes[i] = stats.ShapeOf(pc.Card, pc.OK)
 	}
-	p := &Prepared{eng: e, query: pt.q, fp: pt.fp, pl: pl, slots: slots, acKeys: acKeys, shapes: shapes}
+	p := &Prepared{eng: e, query: pt.q, fp: pt.fp, pl: pl, slots: slots, shapes: shapes}
 	p.verifiedAt.Store(epoch)
 	return p, nil
 }
 
-// analyze instantiates a template's placeholders with sentinels and
-// analyzes the result: the Σ_Q closure and constraint actualization. It
-// returns the analysis and the placeholder slots, keyed to the analysis's
-// class numbering.
+// analyze builds the query's closure — for a template, instantiated with
+// a sentinel per placeholder class — and analyzes it: constraint
+// actualization and the per-atom tables. It returns the analysis and the
+// placeholder slots, keyed to its class numbering, which instantiation
+// leaves as it was.
 func (e *Engine) analyze(q *spc.Query, acc *schema.AccessSchema) (*core.Analysis, []paramSlot, error) {
-	inst := q
+	cl, err := spc.NewClosure(q, e.cat)
+	if err != nil {
+		return nil, nil, err
+	}
 	var slots []paramSlot
 	if len(q.Placeholders) > 0 {
-		tcl, err := spc.NewClosure(q, e.cat)
-		if err != nil {
-			return nil, nil, err
-		}
 		bindings := make(map[spc.AttrRef]value.Value, len(q.Placeholders))
 		slots = make([]paramSlot, 0, len(q.Placeholders))
 		classes := 0 // distinct Σ_Q classes among the slots so far
-		for _, ref := range q.Placeholders {
-			c := tcl.MustClass(ref)
+		for k, ref := range q.Placeholders {
+			c := cl.SlotClass(k)
 			// One value per class: a later slot of a class takes the first
 			// one's.
 			var slot paramSlot
-			if k := slices.IndexFunc(slots, func(s paramSlot) bool { return s.class == c }); k >= 0 {
-				slot = slots[k]
+			if j := slices.IndexFunc(slots, func(s paramSlot) bool { return s.class == c }); j >= 0 {
+				slot = slots[j]
 			} else {
-				if cv, pinned := tcl.ConstOf(c); pinned {
+				if cv, pinned := cl.ConstOf(c); pinned {
 					slot = paramSlot{class: c, val: cv, fixed: true}
 				} else {
 					slot = paramSlot{class: c, val: sentinel(q, classes)}
@@ -131,41 +127,15 @@ func (e *Engine) analyze(q *spc.Query, acc *schema.AccessSchema) (*core.Analysis
 			slots = append(slots, slot)
 			bindings[ref] = slot.val
 		}
-		inst = q.Instantiate(bindings)
+		if cl, err = cl.Instantiate(bindings); err != nil {
+			return nil, nil, err
+		}
 	}
-
-	an, err := core.NewAnalysis(e.cat, inst, acc)
+	an, err := core.Analyze(cl, acc)
 	if err != nil {
 		return nil, nil, err
 	}
-	// Re-key the slots to the instantiated closure: the plan's seeds carry
-	// its class numbering, which instantiation may have changed.
-	for i := range slots {
-		slots[i].class = an.Closure.MustClass(slots[i].ref)
-	}
 	return an, slots, nil
-}
-
-// planACKeys collects the constraints a plan probes — the slice of the
-// cardinality statistics its cost depends on — sorted, as
-// stats.Snapshot.Fingerprint renders them.
-func planACKeys(pl *plan.Plan) []string {
-	out := make([]string, 0, len(pl.Steps)+len(pl.Verifies))
-	add := func(key string) {
-		if !slices.Contains(out, key) {
-			out = append(out, key)
-		}
-	}
-	for _, st := range pl.Steps {
-		add(st.AC.Key())
-	}
-	for _, vs := range pl.Verifies {
-		if !vs.Exists && vs.FromStep < 0 {
-			add(vs.Witness.Key())
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // sentinel produces the opaque constant a placeholder class is planned
@@ -204,7 +174,13 @@ func (p *Prepared) EstFetch() float64 { return p.pl.EstFetch }
 // StatsFingerprint is the quantized cardinality fingerprint the plan was
 // costed against; the plan cache re-plans when the store's current
 // fingerprint for the same constraints differs.
-func (p *Prepared) StatsFingerprint() string { return stats.Render(p.acKeys, p.shapes) }
+func (p *Prepared) StatsFingerprint() string {
+	keys := make([]string, len(p.pl.Probed))
+	for i, pc := range p.pl.Probed {
+		keys[i] = pc.Key
+	}
+	return stats.Render(keys, p.shapes)
+}
 
 // Explain renders the prepared plan with its cost estimates; pass a
 // Result from Exec to print each step's actual probe and fetch counts

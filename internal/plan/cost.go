@@ -3,9 +3,9 @@ package plan
 import (
 	"math"
 	"slices"
+	"strings"
 
 	"bcq/internal/core"
-	"bcq/internal/deduce"
 	"bcq/internal/schema"
 	"bcq/internal/spc"
 	"bcq/internal/stats"
@@ -82,7 +82,10 @@ func (c *checked) optimize(cs Cards, exhaustive bool) (*Plan, error) {
 			return nil, err
 		}
 	}
-	AnnotateEstimates(p, cs)
+	// The cards the model read price the plan's steps and are the ones
+	// the plan records as probed.
+	annotate(p, func(_ schema.AccessConstraint, act int) acShape { return m.acts[act].shape })
+	p.Probed = m.probed(p)
 	p.CostBased = true
 	p.Tier = tier
 	return p, nil
@@ -94,6 +97,12 @@ func (c *checked) optimize(cs Cards, exhaustive bool) (*Plan, error) {
 // how `bqrun -explain` and the conformance goldens put naive and
 // cost-based plans on one scale.
 func AnnotateEstimates(p *Plan, cs Cards) {
+	annotate(p, func(ac schema.AccessConstraint, _ int) acShape { return shapeOf(cs, ac) })
+}
+
+// annotate fills a plan's estimates, pricing each probed constraint —
+// given with its act — at shape's answer.
+func annotate(p *Plan, shape func(ac schema.AccessConstraint, act int) acShape) {
 	if p.Trivial {
 		p.EstFetch = 0
 		return
@@ -104,7 +113,7 @@ func AnnotateEstimates(p *Plan, cs Cards) {
 	total := 0.0
 	for i := range p.Steps {
 		st := &p.Steps[i]
-		lookups, fetch := stepEst(est, st.XClasses, shapeOf(cs, st.AC))
+		lookups, fetch := stepEst(est, st.XClasses, shape(st.AC, st.act))
 		st.EstLookups, st.EstFetch = lookups, fetch
 		for _, yi := range st.BindPos {
 			est[st.YClasses[yi]] = fetch
@@ -122,7 +131,7 @@ func AnnotateEstimates(p *Plan, cs Cards) {
 		case vs.FromStep >= 0:
 			vs.EstLookups, vs.EstFetch = 0, 0
 		default:
-			lookups, fetch := stepEst(est, vs.XClasses, shapeOf(cs, vs.Witness))
+			lookups, fetch := stepEst(est, vs.XClasses, shape(vs.Witness, vs.act))
 			vs.EstLookups, vs.EstFetch = lookups, fetch
 			total += fetch
 		}
@@ -155,19 +164,32 @@ const searchNodeBudget = 20000
 // entries.
 type acShape struct{ avg, entries float64 }
 
-// shapeOf reads a constraint's shape: observed values when statistics
-// cover it, the declared bound N with no entry cap otherwise. An index
-// observed empty estimates 0 — probing it returns nothing.
+// shapeOf reads a constraint's shape from the statistics.
 func shapeOf(cs Cards, ac schema.AccessConstraint) acShape {
-	if cs != nil {
-		if c, ok := cs.ACCard(ac.Key()); ok {
-			if c.Groups == 0 {
-				return acShape{}
-			}
-			return acShape{avg: c.AvgGroup(), entries: float64(c.Entries)}
-		}
+	c, ok := readCard(cs, ac.Key())
+	return cardShape(c, ok, ac.N)
+}
+
+// readCard reads one constraint's card; nil statistics have none.
+func readCard(cs Cards, key string) (stats.ACCard, bool) {
+	if cs == nil {
+		return stats.ACCard{}, false
 	}
-	return acShape{avg: float64(ac.N), entries: math.Inf(1)}
+	return cs.ACCard(key)
+}
+
+// cardShape is a constraint's shape: the observed values when the
+// statistics hold a card (ok), the declared bound n with no entry cap
+// otherwise. An index observed empty estimates 0 — probing it returns
+// nothing.
+func cardShape(c stats.ACCard, ok bool, n int64) acShape {
+	if !ok {
+		return acShape{avg: float64(n), entries: math.Inf(1)}
+	}
+	if c.Groups == 0 {
+		return acShape{}
+	}
+	return acShape{avg: c.AvgGroup(), entries: float64(c.Entries)}
 }
 
 // stepEst estimates one probe batch: lookups = ∏ candidate estimates
@@ -225,7 +247,10 @@ type costModel struct {
 // actCost is what the search needs of one actualized constraint.
 type actCost struct {
 	shape acShape
-	atom  int
+	// card and hasCard are the statistics' card the shape was read from.
+	card    stats.ACCard
+	hasCard bool
+	atom    int
 	// x is the distinct X classes (ascending, as actualization left them).
 	x []int
 	// y is the distinct Y classes worth binding — the goal plus every
@@ -244,26 +269,25 @@ type atomCost struct {
 	exists bool
 	// witnesses are the acts whose constraint is an indexedness witness of
 	// the atom's parameter attributes (X ⊆ X^i_Q ⊆ X ∪ Y): the candidate
-	// retrievals of its rows, in declaration order.
+	// retrievals of its rows, in declaration order (the analysis's table).
 	witnesses []int
 }
 
-// newCostModel tabulates an analysis against the statistics' cards.
+// newCostModel tabulates an analysis against the statistics' cards: one
+// card per constraint, read once however many atoms it was actualized on.
 func newCostModel(an *core.Analysis, cs Cards) *costModel {
 	cl := an.Closure
 	q := cl.Query()
 	n := cl.NumClasses()
 	m := &costModel{
-		an:     an,
-		acts:   make([]actCost, len(an.Acts)),
-		atom:   make([]atomCost, len(q.Atoms)),
-		goal:   cl.Params(),
-		est:    make([]float64, n),
-		chosen: make([]int, 0, len(an.Acts)),
+		an:   an,
+		acts: make([]actCost, len(an.Acts)),
+		atom: make([]atomCost, len(q.Atoms)),
+		goal: cl.Params(),
+		est:  make([]float64, n),
 	}
-	sets := spc.NewClassSets(2, n)
-	m.populated = sets[0]
-	interesting := sets[1]
+	var interesting spc.ClassSet
+	spc.CutClassSets(n, &m.populated, &interesting)
 	interesting.AddAll(m.goal)
 	yClasses := 0
 	for ai := range an.Acts {
@@ -273,7 +297,11 @@ func newCostModel(an *core.Analysis, cs Cards) *costModel {
 		yClasses += len(an.Acts[ai].YClasses)
 	}
 
-	ys := make([]int, 0, yClasses)
+	// One array holds the chosen firings and every act's Y classes.
+	acs := an.Access.Constraints()
+	ints := make([]int, len(an.Acts)+yClasses)
+	m.chosen = ints[:0:len(an.Acts)]
+	ys := ints[len(an.Acts):len(an.Acts)]
 	for ai := range an.Acts {
 		act := &an.Acts[ai]
 		from := len(ys)
@@ -282,38 +310,22 @@ func newCostModel(an *core.Analysis, cs Cards) *costModel {
 				ys = append(ys, c)
 			}
 		}
-		m.acts[ai] = actCost{
-			shape:  shapeOf(cs, act.AC),
-			atom:   act.Atom,
-			x:      act.XClasses,
-			y:      ys[from:len(ys):len(ys)],
-			covers: act.AC.CoversAll(cl.AtomParamAttrs(act.Atom)),
+		a := &m.acts[ai]
+		// The acts of one constraint are adjacent (sorted by N, then
+		// declaration): the card is read at the first.
+		if ai > 0 && an.Acts[ai-1].Ord == act.Ord {
+			*a = m.acts[ai-1]
+		} else {
+			a.card, a.hasCard = readCard(cs, acs[act.Ord].Key())
+			a.shape = cardShape(a.card, a.hasCard, act.N)
 		}
+		a.atom = act.Atom
+		a.x = act.XClasses
+		a.y = ys[from:len(ys):len(ys)]
+		a.covers = an.Covers(ai)
 	}
-
-	// An atom's witnesses are among the acts on it: every constraint of its
-	// relation was actualized there. Acts come sorted by N; a witness list
-	// is kept in declaration order, which breaks cost ties.
-	wit := make([]int, 0, len(an.Acts))
 	for i := range q.Atoms {
-		attrs := cl.AtomParamAttrs(i)
-		if len(attrs) == 0 {
-			m.atom[i].exists = true
-			continue
-		}
-		from := len(wit)
-		for ai := range an.Acts {
-			act := &an.Acts[ai]
-			if act.Atom != i || !act.AC.Witnesses(attrs) {
-				continue
-			}
-			k := len(wit)
-			wit = append(wit, ai)
-			for ; k > from && an.Acts[wit[k-1]].Ord > act.Ord; k-- {
-				wit[k], wit[k-1] = wit[k-1], wit[k]
-			}
-		}
-		m.atom[i].witnesses = wit[from:len(wit):len(wit)]
+		m.atom[i] = atomCost{exists: cl.AtomParamSet(i).IsEmpty(), witnesses: an.Witnesses(i)}
 	}
 	return m
 }
@@ -374,11 +386,12 @@ func (m *costModel) searchOrder(eb core.EBResult, exhaustive bool) []int {
 		}
 	}
 	if exhaustive && len(m.atom) <= exhaustiveAtomLimit {
+		ints := make([]int, len(m.acts)+len(m.est))
 		s := &search{
 			m: m, best: best, budget: searchNodeBudget,
-			seq:  make([]int, 0, len(m.acts)),
+			seq:  ints[:0:len(m.acts)],
 			used: make([]bool, len(m.acts)),
-			undo: make([]int, 0, len(m.est)),
+			undo: ints[len(m.acts):len(m.acts)],
 		}
 		m.reset()
 		s.dfs(0)
@@ -496,15 +509,40 @@ func (m *costModel) bestWitness(atom int, est []float64) (act int, lookups, fetc
 
 // costWitness is the cost-based witness rule emit uses for Optimize:
 // cheapest estimated retrieval, falling back to the declared-N rule when
-// statistics offer nothing (bestWitness always finds a witness whenever
-// Indexed does, so the fallback only guards the empty-attrs edge).
+// the estimates price no witness (bestWitness always finds one whenever
+// the atom is indexed, unless every estimate is infinite).
 func (m *costModel) costWitness(est []float64) witnessPicker {
-	return func(atom int, rel string, attrs []string, _ []deduce.Bound) (schema.AccessConstraint, bool) {
+	return func(atom int) (int, bool) {
 		if ai, _, _, ok := m.bestWitness(atom, est); ok {
-			return m.an.Acts[ai].AC, true
+			return ai, true
 		}
-		return m.an.Access.Indexed(rel, attrs)
+		return m.an.IndexedWitness(atom)
 	}
+}
+
+// probed lists the constraints a plan emitted from this model probes,
+// once each and sorted by key, with the cards the model priced them by.
+func (m *costModel) probed(p *Plan) []ProbedCard {
+	out := make([]ProbedCard, 0, len(p.Steps)+len(p.Verifies))
+	add := func(ac schema.AccessConstraint, ai int) {
+		key := ac.Key()
+		for i := range out {
+			if out[i].Key == key {
+				return
+			}
+		}
+		out = append(out, ProbedCard{Key: key, Card: m.acts[ai].card, OK: m.acts[ai].hasCard})
+	}
+	for i := range p.Steps {
+		add(p.Steps[i].AC, p.Steps[i].act)
+	}
+	for i := range p.Verifies {
+		if vs := &p.Verifies[i]; !vs.Exists && vs.FromStep < 0 {
+			add(vs.Witness, vs.act)
+		}
+	}
+	slices.SortFunc(out, func(a, b ProbedCard) int { return strings.Compare(a.Key, b.Key) })
+	return out
 }
 
 // search is the branch-and-bound DFS state. The sequence under

@@ -33,6 +33,7 @@ import (
 	"bcq/internal/deduce"
 	"bcq/internal/schema"
 	"bcq/internal/spc"
+	"bcq/internal/stats"
 	"bcq/internal/value"
 )
 
@@ -50,8 +51,9 @@ type FetchStep struct {
 	YClasses []int
 	// YPos aligns with AC.Y: the position of each returned attribute in
 	// the relation's schema. An index entry is its witness tuple, so this
-	// is where the executor reads the entry's Y-value; resolved once here,
-	// where the catalog is, and not rendered by Explain.
+	// is where the executor reads the entry's Y-value; it is the compiled
+	// access schema's own list (shared, read-only), not rendered by
+	// Explain.
 	YPos []int
 	// BindPos indexes into AC.Y: positions whose class gains candidate
 	// values from this step. Other positions are ignored (their classes
@@ -66,6 +68,9 @@ type FetchStep struct {
 	// statistics were supplied). Zero on plans QPlan emits without a cost
 	// model.
 	EstLookups, EstFetch float64
+
+	// act is the analysis act the step fires.
+	act int
 }
 
 // RowSource says where a verified row's class value comes from when
@@ -115,6 +120,9 @@ type VerifyStep struct {
 	// retrieval (both zero when collecting from a previous step, or when
 	// the plan carries no cost model).
 	EstLookups, EstFetch float64
+
+	// act is the analysis act of Witness (FromStep < 0 only).
+	act int
 }
 
 // Plan is a bounded query plan.
@@ -149,6 +157,11 @@ type Plan struct {
 	// to the worst-case FetchBound.
 	CostBased bool
 	EstFetch  float64
+	// Probed lists, on a cost-based plan, each access constraint the plan
+	// probes — fetch steps and retrieval witnesses — once, sorted by key,
+	// with the card the cost model priced it by: what a plan cache
+	// compares with the store's current cards to tell when to re-plan.
+	Probed []ProbedCard
 	// Tier records which planning tier produced the plan. All tiers share
 	// emit's soundness contract, so a tier only describes how hard the
 	// ordering search worked — never what the plan may answer.
@@ -171,6 +184,17 @@ const (
 	// stopped it.
 	TierOptimized Tier = "optimized"
 )
+
+// ProbedCard is one constraint a plan probes and the cardinality card it
+// was costed against.
+type ProbedCard struct {
+	// Key is the constraint's AccessConstraint.Key.
+	Key string
+	// Card is what the statistics held for it; OK is false when they held
+	// nothing, and the declared bound was used.
+	Card stats.ACCard
+	OK   bool
+}
 
 // Seed pins a class to a constant value (one instantiated parameter of
 // X_C).

@@ -5,7 +5,6 @@ import (
 
 	"bcq/internal/core"
 	"bcq/internal/deduce"
-	"bcq/internal/schema"
 	"bcq/internal/spc"
 )
 
@@ -96,17 +95,11 @@ func derivationSeq(eb core.EBResult) []int {
 }
 
 // witnessPicker chooses the indexedness witness a verification step
-// retrieves through, given the atom's parameter attributes and the
-// per-class candidate bounds at emission time.
-type witnessPicker func(atom int, rel string, attrs []string, cand []deduce.Bound) (schema.AccessConstraint, bool)
+// retrieves through: one of the atom's witness acts.
+type witnessPicker func(atom int) (act int, ok bool)
 
-// naiveWitness is QPlan's witness rule: the declared-N-minimal witness
-// (AccessSchema.Indexed).
-func naiveWitness(an *core.Analysis) witnessPicker {
-	return func(_ int, rel string, attrs []string, _ []deduce.Bound) (schema.AccessConstraint, bool) {
-		return an.Access.Indexed(rel, attrs)
-	}
-}
+// naiveWitness is QPlan's witness rule: the declared-N-minimal witness.
+func naiveWitness(an *core.Analysis) witnessPicker { return an.IndexedWitness }
 
 // emit turns a firing sequence into a bounded plan: backward-prune the
 // sequence to the firings that contribute to covering parameter classes,
@@ -114,27 +107,36 @@ func naiveWitness(an *core.Analysis) witnessPicker {
 // order. The sequence may be any order in which every firing's X classes
 // are covered (by X_C or earlier firings) before it fires — the
 // derivation order and every order the optimizer searches satisfy this
-// by construction.
+// by construction. Everything is read by position from the analysis's
+// tables; a constraint is copied only into the step that probes it.
 func emit(an *core.Analysis, eb core.EBResult, seq []int, pick witnessPicker) (*Plan, error) {
 	cl := an.Closure
-	cat := an.Catalog()
 	q := cl.Query()
 	n := cl.NumClasses()
+	acs := an.Access.Constraints()
 	p := &Plan{Query: q, Closure: cl}
 	xc := cl.XC()
 
 	// Parameter classes that need candidate values.
-	sets := spc.NewClassSets(3, n)
-	needed, covered, populated := sets[0], sets[1], sets[2]
+	var needed, covered, populated spc.ClassSet
+	spc.CutClassSets(n, &needed, &covered, &populated)
 	allParams := cl.Params() // ∪_i X^i_Q
 	needed.AddAll(allParams)
 
 	// Simulate first-covers: firstBy[c] is the position in the sequence of
 	// the firing that is first to cover class c (the derivation's
 	// NewClasses, generalized to arbitrary sequences); -1 for the constant
-	// classes and the ones never covered.
+	// classes and the ones never covered. keep[k] marks the kept firings.
+	// One array holds both, the steps' bound positions (at most every Y
+	// position of the sequence) and the output classes.
 	covered.AddAll(xc)
-	firstBy := make([]int, n)
+	ys := 0
+	for _, ai := range seq {
+		ys += len(an.Acts[ai].YClasses)
+	}
+	ints := make([]int, n+len(seq)+ys+len(q.Output))
+	firstBy, keep, ints := ints[:n], ints[n:n+len(seq)], ints[n+len(seq):]
+	bindPos, outClasses := ints[:0:ys], ints[ys:]
 	for c := range firstBy {
 		firstBy[c] = -1
 	}
@@ -147,10 +149,9 @@ func emit(an *core.Analysis, eb core.EBResult, seq []int, pick witnessPicker) (*
 		}
 	}
 
-	// Step 2: backward pruning. keep[k] marks firings that first-cover a
+	// Step 2: backward pruning. A firing is kept when it first-covers a
 	// needed class; the X classes of kept firings become needed in turn.
-	keep := make([]bool, len(seq))
-	kept, stepClasses := 0, 0
+	kept := 0
 	for k := len(seq) - 1; k >= 0; k-- {
 		act := &an.Acts[seq[k]]
 		useful := false
@@ -163,9 +164,8 @@ func emit(an *core.Analysis, eb core.EBResult, seq []int, pick witnessPicker) (*
 		if !useful {
 			continue
 		}
-		keep[k] = true
+		keep[k] = 1
 		kept++
-		stepClasses += len(act.AC.X) + 3*len(act.AC.Y)
 		for _, c := range act.XClasses {
 			needed.Add(c)
 		}
@@ -179,8 +179,9 @@ func emit(an *core.Analysis, eb core.EBResult, seq []int, pick witnessPicker) (*
 		}
 	}
 
-	// Step 3: forward emission with per-class candidate bounds. The steps'
-	// class lists are windows of one array.
+	// Step 3: forward emission with per-class candidate bounds. A step's
+	// class and position lists are the act's and the compiled
+	// constraint's own; the bound positions are windows of bindPos.
 	cand := make([]deduce.Bound, n)
 	for i := range cand {
 		cand[i] = deduce.Unbounded
@@ -191,36 +192,22 @@ func emit(an *core.Analysis, eb core.EBResult, seq []int, pick witnessPicker) (*
 	}
 	fetch := deduce.NewBound(0)
 	p.Steps = make([]FetchStep, 0, kept)
-	ints := make([]int, 0, stepClasses)
 	for k, ai := range seq {
-		if !keep[k] {
+		if keep[k] == 0 {
 			continue
 		}
 		act := &an.Acts[ai]
-		fs := FetchStep{Atom: act.Atom, AC: act.AC}
-		xb := deduce.NewBound(1)
-		from := len(ints)
-		for _, c := range act.XAttrClasses { // aligned with AC.X
-			if !slices.Contains(ints[from:], c) {
-				xb = xb.Mul(cand[c])
-			}
-			ints = append(ints, c)
-		}
-		fs.XClasses = ints[from:len(ints):len(ints)]
-		fs.StepBound = xb.Mul(deduce.NewBound(act.AC.N))
+		fs := FetchStep{Atom: act.Atom, AC: acs[act.Ord], XClasses: act.XAttrClasses, YClasses: act.YClasses,
+			YPos: an.Compiled.Constraint(act.Ord).YPos, act: ai}
+		fs.StepBound = candProduct(cand, act.XAttrClasses).Mul(deduce.NewBound(act.N))
 		yb := fs.StepBound
-		from = len(ints)
-		ints = append(ints, act.YClasses...) // aligned with AC.Y
-		fs.YClasses = ints[from:len(ints):len(ints)]
-		ints = appendPositions(ints, cat, act.AC.Rel, act.AC.Y)
-		fs.YPos = ints[len(ints)-len(act.AC.Y) : len(ints) : len(ints)]
-		from = len(ints)
+		from := len(bindPos)
 		for yi, c := range fs.YClasses {
 			if !populated.Has(c) && needed.Has(c) {
-				ints = append(ints, yi)
+				bindPos = append(bindPos, yi)
 			}
 		}
-		fs.BindPos = ints[from:len(ints):len(ints)]
+		fs.BindPos = bindPos[from:len(bindPos):len(bindPos)]
 		for _, yi := range fs.BindPos {
 			c := fs.YClasses[yi]
 			populated.Add(c)
@@ -234,10 +221,9 @@ func emit(an *core.Analysis, eb core.EBResult, seq []int, pick witnessPicker) (*
 	// windows of one array: an atom has at most one per parameter
 	// occurrence.
 	p.Verifies = make([]VerifyStep, 0, len(q.Atoms))
-	rows := make([]RowSource, 0, len(cl.ParamRefs()))
-	for i, atom := range q.Atoms {
-		attrs := cl.AtomParamAttrs(i)
-		if len(attrs) == 0 {
+	rows := make([]RowSource, 0, cl.NumParamRefs())
+	for i := range q.Atoms {
+		if cl.AtomParamSet(i).IsEmpty() {
 			vs := VerifyStep{Atom: i, Exists: true, FromStep: -1, StepBound: deduce.NewBound(1)}
 			fetch = fetch.Add(vs.StepBound)
 			p.Verifies = append(p.Verifies, vs)
@@ -250,43 +236,36 @@ func emit(an *core.Analysis, eb core.EBResult, seq []int, pick witnessPicker) (*
 		vs := VerifyStep{Atom: i, FromStep: -1}
 		for j := range p.Steps {
 			fs := &p.Steps[j]
-			if fs.Atom == i && fs.AC.CoversAll(attrs) {
+			if fs.Atom == i && an.Covers(fs.act) {
 				vs.FromStep = j
-				rows = buildRowSources(&vs, rows, cl, i, attrs, fs.AC.X, fs.AC.Y)
+				rc := an.Compiled.Constraint(an.Acts[fs.act].Ord)
+				rows = buildRowSources(&vs, rows, cl, i, rc.XPos, rc.YPos)
 				vs.StepBound = deduce.NewBound(0)
 				break
 			}
 		}
 		if vs.FromStep < 0 {
-			w, ok := pick(i, atom.Rel, attrs, cand)
+			ai, ok := pick(i)
 			if !ok {
 				// EBCheck guarantees indexedness; reaching here is a bug.
 				return nil, &NotEffectivelyBoundedError{Result: eb}
 			}
-			vs.Witness = w
-			xb := deduce.NewBound(1)
-			ws := make([]int, 0, len(w.X)+len(w.Y))
-			for _, attr := range w.X {
-				c := cl.MustClass(spc.AttrRef{Atom: i, Attr: attr})
-				if !slices.Contains(ws, c) {
-					xb = xb.Mul(cand[c])
-				}
-				ws = append(ws, c)
-			}
-			vs.XClasses = ws[:len(w.X):len(w.X)]
-			vs.YPos = appendPositions(ws, cat, w.Rel, w.Y)[len(w.X):]
-			rows = buildRowSources(&vs, rows, cl, i, attrs, w.X, w.Y)
-			vs.StepBound = xb.Mul(deduce.NewBound(w.N))
+			act := &an.Acts[ai]
+			rc := an.Compiled.Constraint(act.Ord)
+			vs.Witness, vs.act = acs[act.Ord], ai
+			vs.XClasses, vs.YPos = act.XAttrClasses, rc.YPos
+			rows = buildRowSources(&vs, rows, cl, i, rc.XPos, rc.YPos)
+			vs.StepBound = candProduct(cand, act.XAttrClasses).Mul(deduce.NewBound(act.N))
 			fetch = fetch.Add(vs.StepBound)
 		}
 		p.Verifies = append(p.Verifies, vs)
 	}
 
 	// Step 5: output projection and bounds.
-	p.OutputClasses = make([]int, 0, len(q.Output))
-	for _, col := range q.Output {
-		p.OutputClasses = append(p.OutputClasses, cl.MustClass(col.Ref))
+	for k := range outClasses {
+		outClasses[k] = cl.OutputClass(k)
 	}
+	p.OutputClasses = outClasses
 	p.CandBound = cand
 	comb := deduce.NewBound(1)
 	for c := allParams.Next(0); c >= 0; c = allParams.Next(c + 1) {
@@ -302,28 +281,35 @@ func emit(an *core.Analysis, eb core.EBResult, seq []int, pick witnessPicker) (*
 	return p, nil
 }
 
-// appendPositions appends the schema positions of a constraint's
-// attributes on its relation. The analysis validated the access schema
-// against the catalog, so both lookups succeed.
-func appendPositions(dst []int, cat *schema.Catalog, rel string, attrs []string) []int {
-	rs, _ := cat.Relation(rel)
-	for _, a := range attrs {
-		dst = append(dst, rs.Pos(a))
+// candProduct is the product of the candidate bounds of the distinct
+// classes of a lookup (aligned with the constraint's X, so a class may
+// repeat): the number of probes it makes at worst.
+func candProduct(cand []deduce.Bound, xClasses []int) deduce.Bound {
+	b := deduce.NewBound(1)
+	for i, c := range xClasses {
+		if !slices.Contains(xClasses[:i], c) {
+			b = b.Mul(cand[c])
+		}
 	}
-	return dst
+	return b
 }
 
 // buildRowSources fills vs.Row and vs.Consistency for the atom's parameter
-// attributes, drawn from the lookup attributes xAttrs (combo positions) and
-// entry attributes yAttrs (entry Y positions). vs.Row is cut from the end
-// of rows, which is returned extended.
-func buildRowSources(vs *VerifyStep, rows []RowSource, cl *spc.Closure, atom int, paramAttrs, xAttrs, yAttrs []string) []RowSource {
+// attributes, taken in attribute-name order, drawn from the lookup
+// attributes at positions xPos (combo positions) and the entry attributes
+// at yPos (entry Y positions). vs.Row is cut from the end of rows, which
+// is returned extended.
+func buildRowSources(vs *VerifyStep, rows []RowSource, cl *spc.Closure, atom int, xPos, yPos []int) []RowSource {
 	from := len(rows)
-	for _, a := range paramAttrs {
-		c := cl.MustClass(spc.AttrRef{Atom: atom, Attr: a})
-		src := RowSource{Class: c, FromX: slices.Index(xAttrs, a), FromY: -1}
+	params := cl.AtomParamSet(atom)
+	for _, a := range cl.Relation(atom).NameOrder() {
+		if !params.Has(a) {
+			continue
+		}
+		c := cl.ClassAt(atom, a)
+		src := RowSource{Class: c, FromX: slices.Index(xPos, a), FromY: -1}
 		if src.FromX < 0 {
-			src.FromY = slices.Index(yAttrs, a)
+			src.FromY = slices.Index(yPos, a)
 			if src.FromY < 0 {
 				// The caller checked coverage; unreachable.
 				continue

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 )
 
 // AccessConstraint is one access constraint X → (Y, N) on a named relation
@@ -83,11 +84,6 @@ func dedupSorted(in []string) []string {
 	return out[:w]
 }
 
-// Covers reports whether attr is mentioned by the constraint (in X or Y).
-func (ac AccessConstraint) Covers(attr string) bool {
-	return contains(ac.X, attr) || contains(ac.Y, attr)
-}
-
 // XY returns the union X ∪ Y (sorted).
 func (ac AccessConstraint) XY() []string {
 	return dedupSorted(append(append([]string(nil), ac.X...), ac.Y...))
@@ -131,25 +127,6 @@ func (ac AccessConstraint) renderKey() string {
 	return string(b)
 }
 
-func contains(sorted []string, a string) bool {
-	i := sort.SearchStrings(sorted, a)
-	return i < len(sorted) && sorted[i] == a
-}
-
-// subset reports whether every element of a (sorted) is in b (sorted).
-func subset(a, b []string) bool {
-	i := 0
-	for _, x := range a {
-		for i < len(b) && b[i] < x {
-			i++
-		}
-		if i >= len(b) || b[i] != x {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders "rel: (x1, x2) -> (y1, y2, N)", matching the paper's
 // notation.
 func (ac AccessConstraint) String() string {
@@ -180,6 +157,9 @@ type AccessSchema struct {
 	constraints []AccessConstraint
 	byRel       map[string][]int // relation name -> indices into constraints
 	seen        map[string]bool  // canonical keys, for deduplication
+	// compiled is the schema resolved against the catalog it was last
+	// compiled for (Compile); nil until then, and again after Add.
+	compiled atomic.Pointer[Compiled]
 }
 
 // NewAccessSchema builds an access schema from constraints; duplicates
@@ -213,6 +193,7 @@ func (a *AccessSchema) Add(ac AccessConstraint) error {
 	ac.key = k
 	a.byRel[ac.Rel] = append(a.byRel[ac.Rel], len(a.constraints))
 	a.constraints = append(a.constraints, ac)
+	a.compiled.Store(nil)
 	return nil
 }
 
@@ -236,14 +217,12 @@ func (a *AccessSchema) ForRelation(rel string) []AccessConstraint {
 	return out
 }
 
-// Validate checks every constraint against the catalog.
+// Validate checks every constraint against the catalog, in declaration
+// order, reporting the first mismatch. The verdict is Compile's, so it is
+// reached once per schema and catalog.
 func (a *AccessSchema) Validate(c *Catalog) error {
-	for _, ac := range a.constraints {
-		if err := ac.Validate(c); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := a.Compile(c)
+	return err
 }
 
 // Restrict returns a new access schema containing only the first n
@@ -259,63 +238,6 @@ func (a *AccessSchema) Restrict(n int) *AccessSchema {
 		panic(err)
 	}
 	return out
-}
-
-// Indexed reports whether the attribute set Y (of relation rel) is "indexed
-// in A" (paper, Section 3.2): there exists X ⊆ Y with a constraint
-// X → (W, N) in A such that Y ⊆ X ∪ W. On success it returns a witness
-// constraint; when several witness constraints apply, the one with the
-// smallest bound N is returned (this makes generated verification steps
-// cheapest).
-//
-// The empty set is treated as indexed with no witness (ok, but witness.Rel
-// == ""): an atom with no parameters only needs a non-emptiness probe; see
-// DESIGN.md, substitution 4.
-func (a *AccessSchema) Indexed(rel string, y []string) (witness AccessConstraint, ok bool) {
-	ys := sortedSet(y)
-	if len(ys) == 0 {
-		return AccessConstraint{}, true
-	}
-	found := false
-	for _, i := range a.byRel[rel] {
-		ac := a.constraints[i]
-		if !ac.Witnesses(ys) {
-			continue
-		}
-		if !found || ac.N < witness.N {
-			witness = ac
-			found = true
-		}
-	}
-	return witness, found
-}
-
-// sortedSet returns y sorted and deduplicated, y itself when it already
-// is — every caller on the planning path passes Closure.AtomParamAttrs,
-// which is.
-func sortedSet(y []string) []string {
-	for i := 1; i < len(y); i++ {
-		if y[i-1] >= y[i] {
-			return dedupSorted(y)
-		}
-	}
-	return y
-}
-
-// CoversAll reports whether X ∪ Y spans every attribute of attrs.
-func (ac AccessConstraint) CoversAll(attrs []string) bool {
-	for _, a := range attrs {
-		if !ac.Covers(a) {
-			return false
-		}
-	}
-	return true
-}
-
-// Witnesses reports whether the constraint is an indexedness witness of
-// the sorted, duplicate-free attribute set ys: X ⊆ ys ⊆ X ∪ Y.
-func (ac AccessConstraint) Witnesses(ys []string) bool {
-	return subset(ac.X, ys) && ac.CoversAll(ys)
 }
 
 // String renders the constraints one per line, in insertion order.

@@ -20,6 +20,8 @@ type Relation struct {
 	name  string
 	attrs []string
 	pos   map[string]int
+	// byName lists the attribute positions in attribute-name order.
+	byName []int
 }
 
 // NewRelation builds a relation schema. It returns an error if the name or
@@ -41,6 +43,11 @@ func NewRelation(name string, attrs ...string) (*Relation, error) {
 		}
 		r.pos[a] = i
 	}
+	r.byName = make([]int, len(attrs))
+	for i := range r.byName {
+		r.byName[i] = i
+	}
+	sort.Slice(r.byName, func(i, j int) bool { return attrs[r.byName[i]] < attrs[r.byName[j]] })
 	return r, nil
 }
 
@@ -79,6 +86,12 @@ func (r *Relation) Pos(attr string) int {
 	return p
 }
 
+// NameOrder returns the attribute positions sorted by attribute name: the
+// order a set of positions lists its attributes in wherever that order
+// shows, such as a plan's row sources. Callers must not mutate the
+// returned slice.
+func (r *Relation) NameOrder() []int { return r.byName }
+
 // Positions maps a list of attribute names to their positions. It returns an
 // error naming the first unknown attribute.
 func (r *Relation) Positions(attrs []string) ([]int, error) {
@@ -103,6 +116,9 @@ func (r *Relation) String() string {
 type Catalog struct {
 	rels   []*Relation
 	byName map[string]*Relation
+	// gen counts the relations ever added: an access schema compiled
+	// against the catalog (AccessSchema.Compile) is rebuilt once it moves.
+	gen uint64
 }
 
 // NewCatalog builds a catalog from relation schemas, rejecting duplicates.
@@ -132,6 +148,7 @@ func (c *Catalog) Add(r *Relation) error {
 	}
 	c.rels = append(c.rels, r)
 	c.byName[r.name] = r
+	c.gen++
 	return nil
 }
 

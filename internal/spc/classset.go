@@ -15,17 +15,16 @@ func NewClassSet(n int) ClassSet {
 	return ClassSet{words: make([]uint64, (n+63)/64)}
 }
 
-// NewClassSets returns k empty sets sized for n classes, cut from one
-// array: the allocation of one set buys them all. A set that later grows
-// past n moves to an array of its own, never into its neighbour.
-func NewClassSets(k, n int) []ClassSet {
+// CutClassSets makes each of sets an empty set sized for n classes, all
+// cut from one array: the allocation of one set buys them all. A set that
+// later grows past n moves to an array of its own, never into its
+// neighbour.
+func CutClassSets(n int, sets ...*ClassSet) {
 	words := (n + 63) / 64
-	slab := make([]uint64, k*words)
-	sets := make([]ClassSet, k)
-	for i := range sets {
-		sets[i].words = slab[i*words : (i+1)*words : (i+1)*words]
+	slab := make([]uint64, len(sets)*words)
+	for i, s := range sets {
+		s.words = slab[i*words : (i+1)*words : (i+1)*words]
 	}
-	return sets
 }
 
 // Add inserts class id c, growing the set if needed.

@@ -83,23 +83,38 @@ func TestClosureAtomParams(t *testing.T) {
 		t.Fatal(err)
 	}
 	// X^1_Q (atom 0, in_album): photo_id and album_id are both parameters.
-	if got := c.AtomParamAttrs(0); !reflect.DeepEqual(got, []string{"album_id", "photo_id"}) {
+	if got := atomParamNames(c, 0); !reflect.DeepEqual(got, []string{"album_id", "photo_id"}) {
 		t.Errorf("X^1_Q = %v", got)
 	}
-	if got := c.AtomParamAttrs(1); !reflect.DeepEqual(got, []string{"friend_id", "user_id"}) {
+	if got := atomParamNames(c, 1); !reflect.DeepEqual(got, []string{"friend_id", "user_id"}) {
 		t.Errorf("X^2_Q = %v", got)
 	}
-	if got := c.AtomParamAttrs(2); !reflect.DeepEqual(got, []string{"photo_id", "tagger_id", "taggee_id"}) &&
-		!reflect.DeepEqual(got, []string{"photo_id", "taggee_id", "tagger_id"}) {
-		// sorted order
-		if !reflect.DeepEqual(got, []string{"photo_id", "taggee_id", "tagger_id"}) {
-			t.Errorf("X^3_Q = %v", got)
-		}
+	if got := atomParamNames(c, 2); !reflect.DeepEqual(got, []string{"photo_id", "taggee_id", "tagger_id"}) {
+		t.Errorf("X^3_Q = %v", got)
 	}
 	// X^1_C: album_id is instantiated; photo_id is not.
-	if got := c.AtomInstantiated(0); !reflect.DeepEqual(got, []string{"album_id"}) {
-		t.Errorf("X^1_C = %v", got)
+	var inst []string
+	for _, a := range atomParamNames(c, 0) {
+		if c.XC().Has(c.MustClass(AttrRef{Atom: 0, Attr: a})) {
+			inst = append(inst, a)
+		}
 	}
+	if !reflect.DeepEqual(inst, []string{"album_id"}) {
+		t.Errorf("X^1_C = %v", inst)
+	}
+}
+
+// atomParamNames renders X^i_Q as the sorted names of atom i's parameter
+// attributes.
+func atomParamNames(c *Closure, i int) []string {
+	var out []string
+	for p, a := range c.Relation(i).Attrs() {
+		if c.AtomParamSet(i).Has(p) {
+			out = append(out, a)
+		}
+	}
+	sort.Strings(out)
+	return out
 }
 
 func TestClosureUnsatisfiable(t *testing.T) {
@@ -219,5 +234,39 @@ func TestClassSetOps(t *testing.T) {
 	}
 	if !empty.Equal(NewClassSet(10)) {
 		t.Error("empty sets of different capacity must be Equal")
+	}
+}
+
+// TestNewClosureResolvesOnce: a parsed query keeps its resolution and
+// NewClosure reads it; a hand-built one is validated by NewClosure, which
+// records nothing on it — analyses of one shared query write nothing to
+// it — and is answered the same either way.
+func TestNewClosureResolvesOnce(t *testing.T) {
+	cat := socialCatalog()
+	parsed := MustParse(q0Source, cat)
+	if !parsed.resolvedFor(cat) {
+		t.Fatal("Parse left the query unresolved")
+	}
+	hand := parsed.Clone()
+	hand.res = resolution{}
+	want, err := NewClosure(parsed, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := NewClosure(hand, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hand.resolvedFor(cat) {
+		t.Error("NewClosure recorded a resolution on the query it was given")
+	}
+	if got.NumClasses() != want.NumClasses() || !reflect.DeepEqual(got.classOf, want.classOf) ||
+		!got.XB().Equal(want.XB()) || !got.XC().Equal(want.XC()) || !got.OutClasses().Equal(want.OutClasses()) {
+		t.Error("a hand-built query's closure differs from the parsed query's")
+	}
+	// A list grown since the validation is validated again.
+	parsed.EqConsts = append(parsed.EqConsts, EqConst{A: AttrRef{Atom: 0, Attr: "nope"}, C: value.Int(1)})
+	if _, err := NewClosure(parsed, cat); err == nil {
+		t.Error("a condition added after parsing was not validated")
 	}
 }

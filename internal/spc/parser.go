@@ -22,7 +22,7 @@ import (
 // single-quoted strings, or null (rejected: x = null never holds).
 // Keywords are case-insensitive; identifiers are case-sensitive.
 func Parse(src string, cat *schema.Catalog) (*Query, error) {
-	p := &parser{lex: newLexer(src), cat: cat}
+	p := &parser{lex: lexer{src: src}, cat: cat}
 	q, err := p.parseQuery()
 	if err != nil {
 		return nil, err
@@ -75,8 +75,6 @@ type lexer struct {
 	src string
 	pos int
 }
-
-func newLexer(src string) *lexer { return &lexer{src: src} }
 
 func (l *lexer) next() (token, error) {
 	for l.pos < len(l.src) {
@@ -162,7 +160,7 @@ func isIdentStart(c byte) bool {
 func isIdentPart(c byte) bool { return isIdentStart(c) || (c >= '0' && c <= '9') }
 
 type parser struct {
-	lex    *lexer
+	lex    lexer
 	cat    *schema.Catalog
 	tok    token
 	peeked bool
@@ -214,7 +212,7 @@ func (p *parser) atExists() (bool, error) {
 	if ok, err := p.atKeyword("exists"); !ok || err != nil {
 		return ok, err
 	}
-	after := *p.lex
+	after := p.lex
 	t, err := after.next()
 	return err != nil || t.kind != tokDot, nil
 }

@@ -47,7 +47,7 @@ func TestPlaceholderNotInXBNorXC(t *testing.T) {
 	}
 	// It is a parameter of its atom.
 	found := false
-	for _, a := range c.AtomParamAttrs(0) {
+	for _, a := range atomParamNames(c, 0) {
 		if a == "album_id" {
 			found = true
 		}

@@ -84,6 +84,33 @@ type Query struct {
 	// Boolean: its answer is the zero-column relation, nonempty iff
 	// σ_C(S1 × ... × Sn) is nonempty.
 	Output []OutputCol
+
+	// res is what the last validation resolved (see resolution).
+	res resolution
+}
+
+// resolution is what validating a query against a catalog finds, kept so
+// that nothing after the validation looks a name up again: each atom's
+// relation schema, and each reference's attribute position in reference
+// order — EqAttrs (L, then R), EqConsts, Placeholders, Output. It
+// describes the query as validated: NewClosure validates a query whose
+// lists have grown or shrunk since again; one whose references were
+// rewritten in place must be validated again by its author.
+type resolution struct {
+	cat  *schema.Catalog
+	rels []*schema.Relation
+	pos  []int
+	// The list lengths the positions were taken for.
+	nEqAttrs, nEqConsts, nSlots, nOut int
+}
+
+// resolvedFor reports whether the query's resolution describes it against
+// cat.
+func (q *Query) resolvedFor(cat *schema.Catalog) bool {
+	r := &q.res
+	return r.cat == cat && cat != nil && len(r.rels) == len(q.Atoms) &&
+		r.nEqAttrs == len(q.EqAttrs) && r.nEqConsts == len(q.EqConsts) &&
+		r.nSlots == len(q.Placeholders) && r.nOut == len(q.Output)
 }
 
 // NumSel returns #-sel, the number of equality atoms in the selection
@@ -113,16 +140,41 @@ func (q *Query) Size(cat *schema.Catalog) int {
 // Validate checks the query against a catalog: every atom names a known
 // relation, aliases are unique (empty aliases are filled in with the
 // relation name), every attribute reference resolves, and the query has at
-// least one atom. It mutates only empty aliases.
+// least one atom. It mutates only empty aliases and output names, and
+// records what it resolved — each atom's relation and each reference's
+// attribute position — for the analysis to read.
 func (q *Query) Validate(cat *schema.Catalog) error {
-	if len(q.Atoms) == 0 {
-		return fmt.Errorf("spc: query %s has no atoms", q.Name)
+	r, err := q.resolve(cat)
+	if err != nil {
+		return err
 	}
+	q.res = r
+	return nil
+}
+
+// resolutionFor returns the query's resolution against cat: the one it
+// records, or — for a query that records none — a fresh validation, not
+// recorded, so that analyzing a shared query writes nothing to it.
+func (q *Query) resolutionFor(cat *schema.Catalog) (resolution, error) {
+	if q.resolvedFor(cat) {
+		return q.res, nil
+	}
+	return q.resolve(cat)
+}
+
+// resolve is Validate without recording the resolution.
+func (q *Query) resolve(cat *schema.Catalog) (resolution, error) {
+	if len(q.Atoms) == 0 {
+		return resolution{}, fmt.Errorf("spc: query %s has no atoms", q.Name)
+	}
+	rels := make([]*schema.Relation, len(q.Atoms))
 	for i := range q.Atoms {
 		at := &q.Atoms[i]
-		if _, ok := cat.Relation(at.Rel); !ok {
-			return fmt.Errorf("spc: query %s: unknown relation %s", q.Name, at.Rel)
+		rel, ok := cat.Relation(at.Rel)
+		if !ok {
+			return resolution{}, fmt.Errorf("spc: query %s: unknown relation %s", q.Name, at.Rel)
 		}
+		rels[i] = rel
 		if at.Alias == "" {
 			at.Alias = at.Rel
 		}
@@ -130,51 +182,55 @@ func (q *Query) Validate(cat *schema.Catalog) error {
 		// building a set.
 		for _, prev := range q.Atoms[:i] {
 			if prev.Alias == at.Alias {
-				return fmt.Errorf("spc: query %s: duplicate alias %s", q.Name, at.Alias)
+				return resolution{}, fmt.Errorf("spc: query %s: duplicate alias %s", q.Name, at.Alias)
 			}
 		}
 	}
-	check := func(ref AttrRef) error {
+	pos := make([]int, 0, 2*len(q.EqAttrs)+len(q.EqConsts)+len(q.Placeholders)+len(q.Output))
+	resolve := func(ref AttrRef) error {
 		if ref.Atom < 0 || ref.Atom >= len(q.Atoms) {
 			return fmt.Errorf("spc: query %s: attribute reference to atom %d out of range", q.Name, ref.Atom)
 		}
-		rel, _ := cat.Relation(q.Atoms[ref.Atom].Rel)
-		if !rel.Has(ref.Attr) {
+		rel := rels[ref.Atom]
+		p := rel.Pos(ref.Attr)
+		if p < 0 {
 			return fmt.Errorf("spc: query %s: relation %s (alias %s) has no attribute %s",
 				q.Name, rel.Name(), q.Atoms[ref.Atom].Alias, ref.Attr)
 		}
+		pos = append(pos, p)
 		return nil
 	}
 	for _, e := range q.EqAttrs {
-		if err := check(e.L); err != nil {
-			return err
+		if err := resolve(e.L); err != nil {
+			return resolution{}, err
 		}
-		if err := check(e.R); err != nil {
-			return err
+		if err := resolve(e.R); err != nil {
+			return resolution{}, err
 		}
 	}
 	for _, e := range q.EqConsts {
-		if err := check(e.A); err != nil {
-			return err
+		if err := resolve(e.A); err != nil {
+			return resolution{}, err
 		}
 		if e.C.IsNull() {
-			return fmt.Errorf("spc: query %s: equality with null constant is never satisfied", q.Name)
+			return resolution{}, fmt.Errorf("spc: query %s: equality with null constant is never satisfied", q.Name)
 		}
 	}
 	for _, ref := range q.Placeholders {
-		if err := check(ref); err != nil {
-			return err
+		if err := resolve(ref); err != nil {
+			return resolution{}, err
 		}
 	}
 	for i := range q.Output {
-		if err := check(q.Output[i].Ref); err != nil {
-			return err
+		if err := resolve(q.Output[i].Ref); err != nil {
+			return resolution{}, err
 		}
 		if q.Output[i].As == "" {
 			q.Output[i].As = q.Output[i].Ref.Attr
 		}
 	}
-	return nil
+	return resolution{cat: cat, rels: rels, pos: pos,
+		nEqAttrs: len(q.EqAttrs), nEqConsts: len(q.EqConsts), nSlots: len(q.Placeholders), nOut: len(q.Output)}, nil
 }
 
 // AtomIndexByAlias resolves an alias to an atom index, or -1.
@@ -266,6 +322,7 @@ func (q *Query) String() string {
 }
 
 // Clone returns a deep copy of the query that can be mutated independently.
+// The copy shares the original's resolution, which describes it equally.
 func (q *Query) Clone() *Query {
 	out := &Query{
 		Name:     q.Name,
@@ -275,13 +332,16 @@ func (q *Query) Clone() *Query {
 		Output:   append([]OutputCol(nil), q.Output...),
 
 		Placeholders: append([]AttrRef(nil), q.Placeholders...),
+		res:          q.res,
 	}
 	return out
 }
 
 // Instantiate returns a copy of the query with each given attribute
 // occurrence pinned to a constant (adding x = c conditions). It implements
-// the paper's Q(X_P = ā) notation for parameterized queries.
+// the paper's Q(X_P = ā) notation for parameterized queries. The copy of a
+// validated query is resolved too when every binding names an attribute of
+// its atom; otherwise it is validated where it is analyzed.
 func (q *Query) Instantiate(bindings map[AttrRef]value.Value) *Query {
 	out := q.Clone()
 	if len(bindings) > 0 {
@@ -308,5 +368,38 @@ func (q *Query) Instantiate(bindings map[AttrRef]value.Value) *Query {
 		}
 	}
 	out.Placeholders = remaining
+	out.res = q.res.instantiated(q, out, refs, bindings)
 	return out
+}
+
+// instantiated is the resolution of out, which is q with the references
+// refs bound (Instantiate): q's positions, with those of the new
+// conditions added and those of the bound slots dropped. It is empty —
+// leaving out to be validated — when q is unresolved, or when a binding
+// names no attribute of its atom or binds null.
+func (r resolution) instantiated(q, out *Query, refs []AttrRef, bindings map[AttrRef]value.Value) resolution {
+	if !q.resolvedFor(r.cat) {
+		return resolution{}
+	}
+	conds := 2*r.nEqAttrs + r.nEqConsts
+	pos := make([]int, 0, len(r.pos)+len(refs))
+	pos = append(pos, r.pos[:conds]...)
+	for _, ref := range refs {
+		if ref.Atom < 0 || ref.Atom >= len(r.rels) || bindings[ref].IsNull() {
+			return resolution{}
+		}
+		p := r.rels[ref.Atom].Pos(ref.Attr)
+		if p < 0 {
+			return resolution{}
+		}
+		pos = append(pos, p)
+	}
+	for k, ref := range q.Placeholders {
+		if _, bound := bindings[ref]; !bound {
+			pos = append(pos, r.pos[conds+k])
+		}
+	}
+	pos = append(pos, r.pos[conds+r.nSlots:]...)
+	return resolution{cat: r.cat, rels: r.rels, pos: pos,
+		nEqAttrs: r.nEqAttrs, nEqConsts: len(out.EqConsts), nSlots: len(out.Placeholders), nOut: r.nOut}
 }

@@ -19,13 +19,16 @@
 //	plan.naive_ns      — QPlan: derivation order, no cost model
 //	plan.greedy_ns     — OptimizeGreedy: Optimize's fallback order alone
 //	plan.optimize_ns   — Optimize: greedy + branch-and-bound search
-//	plan.cold_prepare_ns, plan.cold_prepare_bytes — one engine-level cold
-//	    Prepare (parse → analysis → Optimize → statistics shapes) of the
-//	    6-atom ad hoc shape BenchmarkColdPrepare runs, and what it allocates
+//	plan.cold_prepare_ns — one engine-level cold Prepare (parse →
+//	    analysis → Optimize → statistics shapes) of the 6-atom ad hoc
+//	    shape BenchmarkColdPrepare runs
+//	plan.cold_prepare_<shape>_allocs, plan.cold_prepare_<shape>_bytes —
+//	    what one cold Prepare of each of its 3-, 4- and 6-atom shapes
+//	    allocates, in objects and in bytes
 //
 // plan.greedy_allocs and plan.optimize_allocs are the allocations per
-// plan the assertion compares; tools/benchcmp holds them, as counts, to
-// the committed baseline.
+// plan the assertion compares; tools/benchcmp holds them and the cold
+// prepare's counts and bytes to the committed baseline.
 //
 // The fetched counts (no checked suffix, informational) record that the
 // greedy order's fetch volume sits between naive and optimized on Q3.
@@ -158,25 +161,26 @@ func TestPlannerBenchEmit(t *testing.T) {
 	}
 	greedyAllocs, optAllocs := allocs(greedyPlan), allocs(optPlan)
 
-	// The whole cold path at engine level, as BenchmarkColdPrepare runs it:
-	// the 6-atom ad hoc shape, every Prepare a miss.
-	eng, texts := coldPrepareEngine(t, "s11")
-	k := 0
-	coldPrepare := func() error {
-		k++
-		_, err := eng.Prepare(texts[k&1])
-		return err
-	}
-	coldNS := measure(coldPrepare)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < iters; i++ {
-		if err := coldPrepare(); err != nil {
-			t.Fatal(err)
+	// The whole cold path at engine level, as BenchmarkColdPrepare runs it,
+	// every Prepare a miss: timed on the 6-atom shape, counted on each.
+	var coldNS int64
+	cold := map[string]int64{}
+	for _, shape := range coldPrepareShapes {
+		prepare := coldPrepares(t, shape.file)
+		if shape.name == "6atoms" {
+			coldNS = measure(prepare)
 		}
+		cold[shape.name+"_allocs"] = allocs(prepare)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < iters; i++ {
+			if err := prepare(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		cold[shape.name+"_bytes"] = int64(after.TotalAlloc-before.TotalAlloc) / iters
 	}
-	runtime.ReadMemStats(&after)
-	coldBytes := int64(after.TotalAlloc-before.TotalAlloc) / iters
 
 	// The fallback order is a strict subset of Optimize's work — no
 	// branch-and-bound search, so none of the search's state. A count says
@@ -215,8 +219,8 @@ func TestPlannerBenchEmit(t *testing.T) {
 		t.Errorf("optimized plan fetched %d > greedy order %d on q3", optF, greedyF)
 	}
 
-	t.Logf("plan: naive %s, greedy %s (%d allocs), optimize %s (%d allocs); cold prepare %s, %d bytes; fetched: naive %d, greedy %d, optimized %d",
-		time.Duration(naiveNS), time.Duration(greedyNS), greedyAllocs, time.Duration(optNS), optAllocs, time.Duration(coldNS), coldBytes, naiveF, greedyF, optF)
+	t.Logf("plan: naive %s, greedy %s (%d allocs), optimize %s (%d allocs); cold prepare %s, %v; fetched: naive %d, greedy %d, optimized %d",
+		time.Duration(naiveNS), time.Duration(greedyNS), greedyAllocs, time.Duration(optNS), optAllocs, time.Duration(coldNS), cold, naiveF, greedyF, optF)
 
 	if path := os.Getenv("PLANNER_BENCH_JSON"); path != "" {
 		f, err := os.Create(path)
@@ -226,19 +230,21 @@ func TestPlannerBenchEmit(t *testing.T) {
 		defer f.Close()
 		doc := map[string]map[string]int64{
 			"plan": {
-				"naive_ns":           naiveNS,
-				"greedy_ns":          greedyNS,
-				"optimize_ns":        optNS,
-				"greedy_allocs":      greedyAllocs,
-				"optimize_allocs":    optAllocs,
-				"cold_prepare_ns":    coldNS,
-				"cold_prepare_bytes": coldBytes,
+				"naive_ns":        naiveNS,
+				"greedy_ns":       greedyNS,
+				"optimize_ns":     optNS,
+				"greedy_allocs":   greedyAllocs,
+				"optimize_allocs": optAllocs,
+				"cold_prepare_ns": coldNS,
 			},
 			"exec": {
 				"naive_fetched":     naiveF,
 				"greedy_fetched":    greedyF,
 				"optimized_fetched": optF,
 			},
+		}
+		for k, v := range cold {
+			doc["plan"]["cold_prepare_"+k] = v
 		}
 		enc := json.NewEncoder(f)
 		enc.SetIndent("", "  ")
