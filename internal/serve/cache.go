@@ -1,55 +1,28 @@
 package serve
 
 import (
-	"encoding/binary"
 	"sync"
 	"sync/atomic"
 
 	"bcq/internal/exec"
 	"bcq/internal/lru"
-	"bcq/internal/value"
 )
 
-// appendKey appends the result-cache key of one /query to dst: the
-// length of the request text as a uvarint, the text, and the bound
-// arguments in their collision-free binary encoding (value.AppendKey).
-// The key is what the request holds, so a lookup needs no plan, and it
-// names no epoch: an entry stays reachable across writes, a refreshed
-// answer replaces it in place, and whether it is still the answer is the
-// entry's own question (cacheEntry.current). The length prefix keeps the
-// text from running into the arguments: a NUL at the end of a text cannot
-// pass for the encoding of a Null argument. Two spellings of one shape
-// share the plan cache's entry, not an answer.
-func appendKey(dst []byte, text string, args []value.Value) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(text)))
-	dst = append(dst, text...)
-	return value.Tuple(args).AppendKey(dst)
-}
-
-// maxCachedText bounds the texts whose answers are cached, as
-// maxMemoText bounds the engine's text memo: an entry's key holds its
-// text, and 4096 entries of one hostile 8 MiB body must not pin 32 GiB.
-// A longer text is answered, never cached.
-const maxCachedText = 4 << 10
-
-// keyBuf is the pooled scratch of one /query: its result-cache key, and
-// then, on an untraced hit, its response.
-type keyBuf struct{ b []byte }
-
-var keyBufs = sync.Pool{New: func() any { return &keyBuf{b: make([]byte, 0, 512)} }}
-
-// release returns the buffer to the pool; one grown past a pooled body's
-// size is left to the collector.
-func (k *keyBuf) release() {
-	if cap(k.b) <= maxPooledBody {
-		k.b = k.b[:0]
-		keyBufs.Put(k)
-	}
-}
+// maxCachedBody bounds the /query bodies whose answers are cached, as
+// maxMemoText bounds the engine's text memo: an entry's key is its body,
+// and 4096 entries of one hostile 8 MiB body must not pin 32 GiB. The
+// answer to a longer body is computed every time, never cached.
+const maxCachedBody = 4 << 10
 
 // cacheEntry is one cached answer with the lineage it is kept by: the
 // view's epoch vector at execution (E0) and the version words the
-// execution read (exec.ReadSet).
+// execution read (exec.ReadSet). Its key is the /query body it answers,
+// byte for byte: identical bytes decode to the identical request, so a
+// probe needs no decoding, and an entry is stored only under a body that
+// decoded as a cacheable query (no limit, no cursor, valid arguments).
+// Two spellings of one request — other whitespace, member order or
+// escapes — are two keys: they share the plan cache's entry, not an
+// answer.
 //
 // The entry is the answer on a later view V when no word it read is past
 // E0 on its shard. A commit stores its epoch into the words of the groups
@@ -60,11 +33,14 @@ func (k *keyBuf) release() {
 // shared by two groups, or moved by a commit newer than V, costs a miss,
 // never a stale answer. The argument names only the words and the
 // epochs, never the key: the key just says which question the entry
-// answers. An entry holds no plan: a plan built since (a drift re-plan)
-// finds the same tuples, and a hit reports the statistics
-// of the plan that computed it, as a hit always has.
+// answers. debug records that the request its key decodes to asks for
+// the diagnostics block, so a hit knows it needs the plan without
+// decoding the body. An entry holds no plan: a plan built since (a drift
+// re-plan) finds the same tuples, and a hit reports the statistics of the
+// plan that computed it, as a hit always has.
 type cacheEntry struct {
-	body []byte
+	body  []byte
+	debug bool
 	// epochs is E0, one epoch per shard, and reads the words read, as
 	// exec.ReadSet.Words gives them. Both are empty on a sealed database,
 	// which has no words and never changes: its entries never expire.
@@ -72,8 +48,9 @@ type cacheEntry struct {
 }
 
 // newEntry builds the entry of a payload computed on view, which read the
-// given words. The epochs and the words share one allocation.
-func newEntry(body []byte, view exec.Store, reads []uint64) cacheEntry {
+// given words, for a request that asked for debug output or did not. The
+// epochs and the words share one allocation.
+func newEntry(body []byte, debug bool, view exec.Store, reads []uint64) cacheEntry {
 	vs, _ := view.(exec.Versioned)
 	n := 0
 	if vs != nil {
@@ -84,7 +61,7 @@ func newEntry(body []byte, view exec.Store, reads []uint64) cacheEntry {
 		vers[s] = vs.ShardEpoch(s)
 	}
 	copy(vers[n:], reads)
-	return cacheEntry{body: body, epochs: vers[:n:n], reads: vers[n:]}
+	return cacheEntry{body: body, debug: debug, epochs: vers[:n:n], reads: vers[n:]}
 }
 
 // current reports whether the entry is the answer on view v: every word
@@ -147,29 +124,24 @@ func newResultCache(capacity int) *resultCache {
 	return &resultCache{cap: capacity, lru: lru.New[cacheEntry](capacity)}
 }
 
-// get returns the payload under key when its entry is current on view v,
-// and counts the hit. stale reports an entry that a write has since made
-// doubtful. A probe that finds no answer counts nothing: the request may
-// ask again (execQuery), and its miss — and whether that miss was an
-// invalidation — is counted once, when it executes. The lookup allocates
-// nothing.
-func (c *resultCache) get(key []byte, v exec.Store) (body []byte, stale bool) {
+// get returns the entry stored under key, a /query body, with the key
+// used in place: one hash of the body and one map probe under the mutex,
+// no allocation. Whether the entry is still the answer is the caller's
+// question (cacheEntry.current on the view it pins), and so is the
+// counting: a hit is counted when it is found current, and a miss — and
+// whether that miss was an invalidation — once, when the request
+// executes, however many times it asked (execQuery).
+func (c *resultCache) get(key []byte) (cacheEntry, bool) {
 	c.mu.Lock()
 	e, ok := c.lru.GetBytes(key)
 	c.mu.Unlock()
-	switch {
-	case !ok:
-		return nil, false
-	case !e.current(v):
-		return nil, true
-	}
-	c.hits.Add(1)
-	return e.body, false
+	return e, ok
 }
 
 // put stores an entry, replacing the one under its key in place. When a
 // concurrent execution of the same key raced this one, the entry computed
-// on the newer view is kept. It is the one place a key becomes a string.
+// on the newer view is kept. It is the one place a key becomes a string:
+// the copy of a body that missed.
 func (c *resultCache) put(key []byte, e cacheEntry) {
 	c.mu.Lock()
 	if old, ok := c.lru.GetBytes(key); !ok || !newer(old.epochs, e.epochs) {

@@ -96,7 +96,10 @@ type opSlot struct {
 var decoders = sync.Pool{New: func() any { return &bodyDecoder{buf: make([]byte, 0, 1024)} }}
 
 // readBody reads r's body, at most maxBodyBytes of it, into a pooled
-// decoder. The caller releases it.
+// decoder. The caller releases it. The body stays in d.buf, as it
+// arrived, until then: /query probes the result cache with those bytes
+// before decoding them, and an untraced hit writes its response over
+// them.
 func readBody(w http.ResponseWriter, r *http.Request) (*bodyDecoder, error) {
 	d := decoders.Get().(*bodyDecoder)
 	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)

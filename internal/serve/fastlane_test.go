@@ -80,8 +80,8 @@ func serveInProcess(h http.Handler, body string) (int, []byte) {
 // and exactly one of the plan cache's hits and misses. An untraced hit
 // never reaches the engine. A fast-lane probe that misses and the
 // execution that follows are one miss, not two, and an invalidation is
-// one of the misses. Answers are keyed by request text: two spellings of
-// one shape share a plan, not an answer.
+// one of the misses. Answers are keyed by the request body: two spellings
+// of one shape share a plan, not an answer.
 func TestCountersStayExact(t *testing.T) {
 	ls, srv, _ := newTestServer(t, engine.Options{}, Options{})
 	h := srv.Handler()

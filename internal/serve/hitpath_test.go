@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -10,54 +11,90 @@ import (
 	"testing"
 
 	"bcq/internal/engine"
-	"bcq/internal/value"
+	"bcq/internal/obs"
 )
 
 const hitText = `select photo_id from in_album where album_id = ?`
 
-// warmHit answers hitText for a0 once, so that the result cache holds the
-// answer.
-func warmHit(t *testing.T, h http.Handler) []value.Value {
+// hitBody is the /query body of hitText for album a0: the result-cache key
+// warmHit leaves an answer under.
+var hitBody = fmt.Sprintf(`{"query": %q, "args": ["a0"]}`, hitText)
+
+// warmHit answers hitBody once, so that the result cache holds the answer.
+func warmHit(t *testing.T, h http.Handler) {
 	t.Helper()
-	if code, raw := serveInProcess(h, fmt.Sprintf(`{"query": %q, "args": ["a0"]}`, hitText)); code != http.StatusOK {
+	if code, raw := serveInProcess(h, hitBody); code != http.StatusOK {
 		t.Fatalf("warm-up: status %d: %s", code, raw)
 	}
-	return []value.Value{value.Str("a0")}
 }
 
-// TestResultCacheHitAllocatesNothing: finding a cached answer on a live
-// store — the view pin, the key built in the request's buffer and the map
-// read — allocates nothing.
+// rereadBody is a request body re-armed in place, so that a request can be
+// sent again without allocating a new one.
+type rereadBody struct{ strings.Reader }
+
+func (*rereadBody) Close() error { return nil }
+
+// countingWriter is a ResponseWriter that keeps the status and the number
+// of bytes written, and nothing else.
+type countingWriter struct {
+	h      http.Header
+	status int
+	n      int
+}
+
+func (w *countingWriter) Header() http.Header         { return w.h }
+func (w *countingWriter) WriteHeader(status int)      { w.status = status }
+func (w *countingWriter) Write(b []byte) (int, error) { w.n += len(b); return len(b), nil }
+
+// TestResultCacheHitAllocatesNothing: an untraced hit through the
+// handler — the body read into the pooled decoder, the probe with its
+// bytes, the view pin and the envelope written into the body's buffer —
+// allocates nothing. Clock-free: it counts allocations and hits.
 func TestResultCacheHitAllocatesNothing(t *testing.T) {
 	_, srv, _ := newTestServer(t, engine.Options{}, Options{})
-	args := warmHit(t, srv.Handler())
-	var kb keyBuf
-	if n := testing.AllocsPerRun(200, func() {
-		if lk := srv.lookup(hitText, args, &kb); lk.body == nil {
-			t.Fatal("the warmed answer is not cached")
-		}
-	}); n != 0 {
-		t.Errorf("a result-cache hit allocates %v times to find its entry, want 0", n)
+	h := srv.Handler()
+	warmHit(t, h)
+	var body rereadBody
+	req := httptest.NewRequest(http.MethodPost, "/query", nil)
+	w := &countingWriter{h: http.Header{}}
+	base := srv.CacheStats()
+	const runs = 200
+	n := testing.AllocsPerRun(runs, func() {
+		body.Reset(hitBody)
+		req.Body = &body
+		w.status, w.n = 0, 0
+		h.ServeHTTP(w, req)
+	})
+	if w.status != http.StatusOK || w.n == 0 {
+		t.Fatalf("the hit answered status %d with %d bytes", w.status, w.n)
+	}
+	// AllocsPerRun runs the function once more than it counts.
+	if cs := srv.CacheStats(); cs.Hits-base.Hits != runs+1 || cs.Misses != base.Misses {
+		t.Fatalf("%d requests: %d hits, %d misses; every one must be a cached answer", runs+1, cs.Hits-base.Hits, cs.Misses-base.Misses)
+	}
+	// The race detector's pool drops a quarter of what is put back, and
+	// a dropped decoder is allocated again.
+	if n != 0 && !raceEnabled {
+		t.Errorf("an untraced hit allocates %v times through the handler, want 0", n)
 	}
 }
 
 // TestUntracedHitIsTheEnvelope: an untraced hit writes exactly
-// appendEnvelope of the cached payload, asks the engine nothing, and its
-// result field is byte for byte that of the same request sent traced —
-// whose trace ID, set through Header.Set, is adopted and echoed.
+// appendEnvelope of the payload cached under its body, asks the engine
+// nothing, and its result field is byte for byte that of the same body
+// sent traced — whose trace ID, set through Header.Set, is adopted and
+// echoed.
 func TestUntracedHitIsTheEnvelope(t *testing.T) {
 	_, srv, _ := newTestServer(t, engine.Options{}, Options{})
 	h := srv.Handler()
-	args := warmHit(t, h)
-	var kb keyBuf
-	lk := srv.lookup(hitText, args, &kb)
+	warmHit(t, h)
+	lk := srv.lookup([]byte(hitBody))
 	if lk.body == nil {
 		t.Fatal("the warmed answer is not cached")
 	}
-	body := fmt.Sprintf(`{"query": %q, "args": ["a0"]}`, hitText)
 
 	before := srv.Engine().Stats()
-	code, got := serveInProcess(h, body)
+	code, got := serveInProcess(h, hitBody)
 	if code != http.StatusOK {
 		t.Fatalf("untraced hit: status %d: %s", code, got)
 	}
@@ -68,7 +105,7 @@ func TestUntracedHitIsTheEnvelope(t *testing.T) {
 		t.Errorf("an untraced hit moved the engine: %+v -> %+v", before, st)
 	}
 
-	req := httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(body))
+	req := httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(hitBody))
 	req.Header.Set("X-BQ-Trace-Id", "hit-trace-1")
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
@@ -96,6 +133,128 @@ func TestUntracedHitIsTheEnvelope(t *testing.T) {
 	}
 }
 
+// TestTracedHitsPrepareFromThePlanCache: a cached body is answered through
+// tracedHit whenever the request runs traced without a trace header (that
+// case is TestUntracedHitIsTheEnvelope's): on a server whose slow-query
+// log or trace recorder is armed, or when the body itself asks for the
+// diagnostics block. Each such hit is cached:true with a result field
+// byte-identical to the untraced hit's, and costs one prepare, which the
+// plan cache answers.
+func TestTracedHitsPrepareFromThePlanCache(t *testing.T) {
+	// The untraced reference: a server with nothing armed.
+	_, plain, _ := newTestServer(t, engine.Options{}, Options{})
+	warmHit(t, plain.Handler())
+	_, want := serveInProcess(plain.Handler(), hitBody)
+	var ref queryEnvelope
+	if err := json.Unmarshal(want, &ref); err != nil || !ref.Cached {
+		t.Fatalf("untraced reference hit: %s", want)
+	}
+	debugBody := fmt.Sprintf(`{"query": %q, "args": ["a0"], "debug": true}`, hitText)
+	cases := []struct {
+		name string
+		obs  *obs.Observer
+		body string
+	}{
+		{"slow-query log", &obs.Observer{SlowLog: obs.NewSlowLog(&syncBuffer{}, 0, 1)}, hitBody},
+		{"trace recorder", &obs.Observer{Traces: obs.NewTraceRecorder(obs.TraceRecorderOptions{})}, hitBody},
+		{"debug body", nil, debugBody},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, srv, _ := newTestServer(t, engine.Options{}, Options{Obs: tc.obs})
+			send := func() queryEnvelope {
+				t.Helper()
+				code, raw := serveInProcess(srv.Handler(), tc.body)
+				var env queryEnvelope
+				if err := json.Unmarshal(raw, &env); err != nil || code != http.StatusOK {
+					t.Fatalf("status %d: %s", code, raw)
+				}
+				return env
+			}
+			if env := send(); env.Cached {
+				t.Fatal("the first request was answered from the cache")
+			}
+			before := srv.Engine().Stats()
+			env := send()
+			if !env.Cached || !bytes.Equal(env.Result, ref.Result) {
+				t.Errorf("traced hit: cached %v, result\n %s\nwant the untraced hit's\n %s", env.Cached, env.Result, ref.Result)
+			}
+			if env.TraceID == "" {
+				t.Error("the hit did not run traced")
+			}
+			if tc.body == debugBody && (env.Debug == nil || env.Debug.Explain == "") {
+				t.Errorf("a debug hit carries no diagnostics block: %+v", env.Debug)
+			}
+			if st := srv.Engine().Stats(); st.Prepares != before.Prepares+1 || st.CacheHits != before.CacheHits+1 {
+				t.Errorf("a traced hit moved the engine %+v -> %+v; want one prepare, a plan-cache hit", before, st)
+			}
+		})
+	}
+}
+
+// TestSpellingsShareAPlanNotAnAnswer: two spellings of one request — other
+// whitespace and member order — are each answered correctly and each
+// cached under its own bytes, and they share one plan-cache entry.
+func TestSpellingsShareAPlanNotAnAnswer(t *testing.T) {
+	_, srv, _ := newTestServer(t, engine.Options{}, Options{})
+	h := srv.Handler()
+	spellings := []string{
+		fmt.Sprintf(`{"query":%q,"args":["a0"]}`, hitText),
+		fmt.Sprintf(`{ "args" : [ "a0" ] , "query" : %q }`, hitText),
+	}
+	var results []json.RawMessage
+	for _, body := range spellings {
+		for i, wantCached := range []bool{false, true} {
+			code, raw := serveInProcess(h, body)
+			var env queryEnvelope
+			if err := json.Unmarshal(raw, &env); err != nil || code != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", body, code, raw)
+			}
+			if env.Cached != wantCached {
+				t.Errorf("%s, request %d: cached %v, want %v", body, i, env.Cached, wantCached)
+			}
+			results = append(results, env.Result)
+		}
+		if _, ok := srv.cache.get([]byte(body)); !ok {
+			t.Errorf("no answer is cached under %s", body)
+		}
+	}
+	for _, r := range results[1:] {
+		if !bytes.Equal(r, results[0]) {
+			t.Errorf("spellings answered\n %s\nand\n %s", results[0], r)
+		}
+	}
+	if !strings.Contains(string(results[0]), `[["p1"],["p2"]]`) {
+		t.Errorf("the answer is not album a0's photos: %s", results[0])
+	}
+	cs, st := srv.CacheStats(), srv.Engine().Stats()
+	if cs.Entries != 2 || cs.Hits != 2 || cs.Misses != 2 {
+		t.Errorf("result cache %+v; want one entry per spelling, 2 hits and 2 misses", cs)
+	}
+	if st.Prepares != 2 || st.CacheMisses != 1 || st.CacheHits != 1 {
+		t.Errorf("engine %+v; want two prepares, one plan built and found once", st)
+	}
+}
+
+// TestDrainingServerRefusesCachedBody: once Shutdown has begun, a body
+// whose answer is cached is answered 503 like any other: a draining
+// server answers nothing new.
+func TestDrainingServerRefusesCachedBody(t *testing.T) {
+	_, srv, _ := newTestServer(t, engine.Options{}, Options{})
+	h := srv.Handler()
+	warmHit(t, h)
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	base := srv.CacheStats()
+	if code, raw := serveInProcess(h, hitBody); code != http.StatusServiceUnavailable {
+		t.Fatalf("a cached body on a draining server: status %d: %s", code, raw)
+	}
+	if cs := srv.CacheStats(); cs.Hits != base.Hits {
+		t.Errorf("a draining server counted a hit: %+v -> %+v", base, cs)
+	}
+}
+
 // TestTraceForReadsTheCanonicalHeader: the trace header is found without
 // canonicalising its name per request, so a request without it costs no
 // allocation to be told it is untraced.
@@ -103,20 +262,21 @@ func TestTraceForReadsTheCanonicalHeader(t *testing.T) {
 	_, srv, _ := newTestServer(t, engine.Options{}, Options{})
 	req := httptest.NewRequest(http.MethodPost, "/query", nil)
 	if n := testing.AllocsPerRun(100, func() {
-		if srv.traceFor(req, queryRequest{}) != nil {
+		if srv.traceFor(req, false) != nil {
 			t.Fatal("a request without the header was traced")
 		}
 	}); n != 0 {
 		t.Errorf("traceFor without the header allocates %v times, want 0", n)
 	}
 	req.Header.Set("X-BQ-Trace-Id", "set-by-client")
-	if tr := srv.traceFor(req, queryRequest{}); tr == nil || tr.ID() != "set-by-client" {
+	if tr := srv.traceFor(req, false); tr == nil || tr.ID() != "set-by-client" {
 		t.Errorf("traceFor did not adopt the header set by Header.Set: %v", tr)
 	}
 }
 
-// TestLongTextAnsweredNotCached: a text past maxCachedText is answered
-// every time, and never takes an entry of the result cache.
+// TestLongTextAnsweredNotCached: a body past maxCachedBody — here because
+// its text is — is answered every time, and never takes an entry of the
+// result cache.
 func TestLongTextAnsweredNotCached(t *testing.T) {
 	_, srv, _ := newTestServer(t, engine.Options{}, Options{})
 	h := srv.Handler()
@@ -130,45 +290,88 @@ func TestLongTextAnsweredNotCached(t *testing.T) {
 			t.Fatalf("request %d: status %d: %s", i, code, raw)
 		}
 		if env.Cached {
-			t.Errorf("request %d of a %d-byte text was answered from the cache", i, len(long))
+			t.Errorf("request %d of a %d-byte body was answered from the cache", i, len(body))
 		}
 	}
 	if after := srv.CacheStats(); after.Entries != before.Entries || after.Hits != before.Hits {
-		t.Errorf("a %d-byte text moved the result cache: %+v -> %+v", len(long), before, after)
+		t.Errorf("a %d-byte body moved the result cache: %+v -> %+v", len(body), before, after)
 	}
 }
 
-// fuzzArgs draws an argument vector from fuzz input: kinds&3 arguments,
-// each an integer, the string or null by two further bits of kinds.
-func fuzzArgs(kinds uint8, s string, n int64) []value.Value {
-	args := make([]value.Value, kinds&3)
-	for j := range args {
-		switch kinds >> (2 + 2*j) & 3 {
-		case 0:
-			args[j] = value.Int(n + int64(j))
-		case 1:
-			args[j] = value.Str(s)
-		default:
-			args[j] = value.Null
-		}
+// cacheableBody is the oracle of what the result cache may keep an answer
+// to: a body within maxCachedBody that encoding/json decodes as a query
+// with a text, valid arguments, no limit and no cursor.
+func cacheableBody(body []byte) bool {
+	if len(body) > maxCachedBody {
+		return false
 	}
-	return args
+	req, err := oracleQuery(body)
+	return err == nil && req.Query != "" && req.argErr == nil && req.Limit == 0 && req.Cursor == ""
 }
 
-// FuzzResultKey: two requests share a result-cache key exactly when they
-// carry the same text and the same arguments — whatever NUL bytes the
-// texts hold and whatever the arguments encode to. A failing pair lands in
-// testdata/fuzz/FuzzResultKey/:
+// FuzzBodyKeyedAnswers: any body, sent twice to a server over a small live
+// store, is answered the second time with the result an uncached server
+// computes for it, byte for byte; it says "cached":true only for a body
+// that decodes as a cacheable query (and does, for such a body answered
+// 200 the first time); and no other body — paged, a cursor, bad
+// arguments, past the bound, malformed — ever takes an entry. A deadline
+// is the client's: where either server answers 504, the results are not
+// compared. A failing body lands in testdata/fuzz/FuzzBodyKeyedAnswers/:
 //
-//	go test -run '^$' -fuzz '^FuzzResultKey$' -fuzztime 20s ./internal/serve/
-func FuzzResultKey(f *testing.F) {
-	f.Fuzz(func(t *testing.T, text1 string, kinds1 uint8, s1 string, n1 int64, text2 string, kinds2 uint8, s2 string, n2 int64) {
-		args1, args2 := fuzzArgs(kinds1, s1, n1), fuzzArgs(kinds2, s2, n2)
-		k1 := appendKey([]byte("kept"), text1, args1)[4:]
-		k2 := appendKey(nil, text2, args2)
-		same := text1 == text2 && value.Tuple(args1).Equal(args2)
-		if bytes.Equal(k1, k2) != same {
-			t.Fatalf("(%q, %v) and (%q, %v): keys equal %v, requests equal %v", text1, args1, text2, args2, !same, same)
+//	go test -run '^$' -fuzz '^FuzzBodyKeyedAnswers$' -fuzztime 20s ./internal/serve/
+func FuzzBodyKeyedAnswers(f *testing.F) {
+	ls := serveScene(f)
+	eng, err := engine.NewLive(ls, engine.Options{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	srv, err := New(eng, Options{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	plain, err := New(eng, Options{ResultCacheSize: -1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		cacheable := cacheableBody(body)
+		entries := srv.CacheStats().Entries
+		code1, _ := serveInProcess(srv.Handler(), string(body))
+		code, raw := serveInProcess(srv.Handler(), string(body))
+		wantCode, want := serveInProcess(plain.Handler(), string(body))
+		if _, stored := srv.cache.get(body); stored && !cacheable {
+			t.Fatalf("%q: not a cacheable query, yet an entry is stored under it", body)
+		}
+		if !cacheable && srv.CacheStats().Entries > entries {
+			t.Fatalf("%q: not a cacheable query, yet the cache grew from %d entries", body, entries)
+		}
+		if code == http.StatusGatewayTimeout || wantCode == http.StatusGatewayTimeout {
+			return
+		}
+		if code != wantCode {
+			t.Fatalf("%q: status %d, an uncached server answers %d:\n %s\n %s", body, code, wantCode, raw, want)
+		}
+		if code != http.StatusOK {
+			if !bytes.Equal(raw, want) {
+				t.Fatalf("%q: answered\n %s\nan uncached server answers\n %s", body, raw, want)
+			}
+			return
+		}
+		var got, ref queryEnvelope
+		if err := json.Unmarshal(raw, &got); err != nil {
+			t.Fatalf("%q: %v: %s", body, err, raw)
+		}
+		if err := json.Unmarshal(want, &ref); err != nil {
+			t.Fatalf("%q: %v: %s", body, err, want)
+		}
+		if !bytes.Equal(got.Result, ref.Result) {
+			t.Fatalf("%q: result\n %s\nan uncached server's\n %s", body, got.Result, ref.Result)
+		}
+		if got.Cached && !cacheable {
+			t.Fatalf("%q: answered from the cache, but it is not a cacheable query", body)
+		}
+		if cacheable && code1 == http.StatusOK && !got.Cached {
+			t.Fatalf("%q: a cacheable query answered 200 was not cached", body)
 		}
 	})
 }

@@ -161,12 +161,12 @@ const traceHeader = "X-Bq-Trace-Id"
 // an outlier (head-trace everything, decide retention at the end).
 // Returns nil otherwise (untraced execution costs one nil check per
 // site).
-func (s *Server) traceFor(r *http.Request, req queryRequest) *obs.Trace {
+func (s *Server) traceFor(r *http.Request, debug bool) *obs.Trace {
 	var id string
 	if v := r.Header[traceHeader]; len(v) > 0 {
 		id = v[0]
 	}
-	if id == "" && !req.Debug && s.obs.Slow() == nil && s.obs.TraceRec() == nil {
+	if id == "" && !debug && s.obs.Slow() == nil && s.obs.TraceRec() == nil {
 		return nil
 	}
 	return obs.NewTrace(id, "query")

@@ -442,13 +442,12 @@ func checkCacheLineage(t *testing.T, shards int) {
 		}
 
 		// Every answer the cache would serve now is the answer now.
-		var kb keyBuf
 		for _, rq := range universe {
 			p, err := eng.Prepare(rq.query)
 			if err != nil {
 				t.Fatal(err)
 			}
-			lk := srv.lookup(rq.query, rq.args, &kb)
+			lk := srv.lookup([]byte(body(rq)))
 			if lk.body == nil {
 				continue
 			}

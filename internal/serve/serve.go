@@ -23,7 +23,7 @@
 //     queues — a saturated server keeps serving what it already knows
 //     and sheds only what it would have to compute.
 //   - a result cache that keeps an answer until a write touches what it
-//     read: answers are cached under (request text, bound arguments)
+//     read: answers are cached under the request body, byte for byte,
 //     with the version words of every index group the execution probed.
 //     A commit stamps the words of the groups it rewrote before it
 //     publishes its epoch, so a hit — checked against the words on the
@@ -446,23 +446,25 @@ func (s *Server) onSlot(fn func() handlerResult) (out handlerResult) {
 	return fn()
 }
 
-// handleQuery answers POST /query. The buffered path pins a view and
-// serves from the result cache when the (text, args) entry is current on
-// that view; otherwise it prepares (plan-cached) and executes. Requests
+// handleQuery answers POST /query. The buffered path serves from the
+// result cache when the entry under the request's body is current on the
+// view it pins; otherwise it prepares (plan-cached) and executes. Requests
 // with limit > 0 or a cursor take the streamed, paged path instead: the
 // response is written as the stream produces answers and never touches
 // the result cache — a page is a prefix of the answer, and caching a
-// prefix under the full-query key would serve truncated answers to
-// unlimited requests.
+// prefix would serve truncated answers to unlimited requests.
 //
-// The buffered path is split in two. lookup runs here, on the handler
-// goroutine and before admission: one map read under the cache's mutex,
-// keyed by what the request holds, that finds the cached answer or does
-// not. A hit is written at once — no engine, no deadline context, no
-// worker, no queue; it is not work, and a saturated server answers it all
-// the same. An untraced hit is encoded into the buffer its key was built
-// in. Anything else goes through runOnWorker, taking along what lookup
-// resolved.
+// The cache is probed with the body's bytes as they arrived, before the
+// body is decoded: one hash and one map read under the cache's mutex, on
+// the handler goroutine and before admission. A probe that finds no entry
+// pins no view and costs the request nothing else. A hit is written at
+// once — no engine, no deadline context, no worker, no queue; it is not
+// work, and a saturated server answers it all the same. An untraced hit
+// decodes nothing: its envelope is written into the buffer the body was
+// read into, which the key no longer needs. A traced or debug hit decodes
+// the body for the plan its trace and Explain want (tracedHit). Anything
+// else is decoded and validated and goes through runOnWorker, taking
+// along what the probe resolved.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		apiError(w, http.StatusMethodNotAllowed, "POST required")
@@ -470,7 +472,36 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	s.queries.Add(1)
-	req, err := decodeRequest(w, r, (*bodyDecoder).query)
+	d, err := readBody(w, r)
+	if err != nil {
+		apiError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	defer d.release()
+	var lk lookup
+	if s.cache != nil && len(d.buf) <= maxCachedBody {
+		lk.key = d.buf
+		// A draining server answers nothing new, cached or not.
+		if !s.closed.Load() {
+			lk = s.lookup(lk.key)
+		}
+	}
+	if lk.body != nil {
+		tr := s.traceFor(r, lk.debug)
+		if tr == nil {
+			d.buf = appendEnvelope(d.buf[:0], lk.body, true, epochOf(lk.view), "", nil)
+			writeHeader(w, http.StatusOK)
+			_, _ = w.Write(d.buf)
+			return
+		}
+		// The body decoded as this cacheable request when its answer was
+		// stored, and identical bytes decode identically.
+		req, _ := d.query()
+		w.Header().Set("X-BQ-Trace-Id", tr.ID())
+		s.tracedHit(req, lk, tr, start).write(w)
+		return
+	}
+	req, err := d.query()
 	if err != nil {
 		apiError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -479,7 +510,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		apiError(w, http.StatusBadRequest, "limit %d: must be ≥ 0 (0 = unlimited)", req.Limit)
 		return
 	}
-	tr := s.traceFor(r, req)
+	tr := s.traceFor(r, req.Debug)
 	if tr != nil {
 		w.Header().Set("X-BQ-Trace-Id", tr.ID())
 	}
@@ -488,7 +519,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			apiError(w, http.StatusBadRequest, "a cursor continuation carries the whole scan; query and args must be absent")
 			return
 		}
-		s.servePage(w, r, req, nil, tr, start)
+		s.servePage(w, r, req, tr, start)
 		return
 	}
 	if req.Query == "" {
@@ -499,30 +530,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		apiError(w, http.StatusBadRequest, "%v", req.argErr)
 		return
 	}
-	args := req.Args
 	if req.Limit > 0 {
-		s.servePage(w, r, req, args, tr, start)
+		s.servePage(w, r, req, tr, start)
 		return
 	}
-	kb := keyBufs.Get().(*keyBuf)
-	defer kb.release()
-	var lk lookup
-	// A draining server answers nothing new, cached or not.
-	if !s.closed.Load() {
-		lk = s.lookup(req.Query, args, kb)
-		if lk.body != nil {
-			if tr != nil {
-				s.tracedHit(req, lk, tr, start).write(w)
-				return
-			}
-			kb.b = appendEnvelope(kb.b[:0], lk.body, true, epochOf(lk.view), "", nil)
-			writeHeader(w, http.StatusOK)
-			_, _ = w.Write(kb.b)
-			return
-		}
-	}
 	s.runOnWorker(w, r, req.TimeoutMS, func() handlerResult {
-		return s.execQuery(req, args, tr, start, lk, kb)
+		return s.execQuery(req, tr, start, lk)
 	})
 }
 
@@ -595,37 +608,45 @@ func okResult(result []byte, cached bool, view exec.Store, tr *obs.Trace, debug 
 	return handlerResult{status: http.StatusOK, raw: appendEnvelope(raw, result, cached, epochOf(view), tr.ID(), debug)}
 }
 
-// lookup is what a /query resolved short of executing: the view pinned
-// for it, the result-cache key (nil when the answer is not cacheable)
-// and, on a hit, the cached payload — or, when the entry under the key
-// was no longer current, stale. The zero value means nothing is resolved
-// yet.
+// lookup is what a /query resolved short of executing: its result-cache
+// key (nil when its answer is not cached) and, when an entry was found
+// under the key, the view pinned for it and the cached payload — or, when
+// the entry was no longer current, stale. A zero view means no entry was
+// found and nothing was pinned.
 type lookup struct {
 	// at is the engine's epoch token read before the view was pinned: as
 	// long as the engine still reports it, the view is the current one.
-	at    uint64
-	view  exec.Store
-	key   []byte
-	body  []byte
+	at   uint64
+	view exec.Store
+	key  []byte
+	body []byte
+	// debug is the entry's: the request under the key asks for the
+	// diagnostics block.
+	debug bool
 	stale bool
 }
 
-// lookup pins a view and asks the result cache for the answer to (text,
-// args) on it, building the key in kb. The view is pinned first and the
-// entry is checked against it: a hit is the answer on exactly the view
-// the response names, whichever goroutine runs this and however long the
-// request then waits for a worker. A view with no epoch to name is not
-// cached, nor is a text longer than maxCachedText. Nothing here asks the
-// engine for a plan, and building the key and finding the entry allocate
-// nothing.
-func (s *Server) lookup(text string, args []value.Value, kb *keyBuf) lookup {
-	lk := lookup{at: s.eng.Epoch()}
-	lk.view = s.eng.View()
-	if s.cache != nil && len(text) <= maxCachedText && epochOf(lk.view) != nil {
-		kb.b = appendKey(kb.b[:0], text, args)
-		lk.key = kb.b
-		lk.body, lk.stale = s.cache.get(lk.key, lk.view)
+// lookup asks the result cache for the entry under key, a /query body.
+// Only an entry found pins a view, and the entry is checked against that
+// view: a hit is the answer on exactly the view the response names,
+// whichever goroutine runs this and however long the request then waits
+// for a worker. Nothing here decodes the body or asks the engine for a
+// plan, and nothing allocates.
+func (s *Server) lookup(key []byte) lookup {
+	lk := lookup{key: key}
+	e, ok := s.cache.get(key)
+	if !ok {
+		return lk
 	}
+	lk.at = s.eng.Epoch()
+	lk.view = s.eng.View()
+	lk.debug = e.debug
+	if !e.current(lk.view) {
+		lk.stale = true
+		return lk
+	}
+	s.cache.hits.Add(1)
+	lk.body = e.body
 	return lk
 }
 
@@ -665,22 +686,26 @@ func (s *Server) hitResult(req queryRequest, p *engine.Prepared, lk lookup, tr *
 // used as it stands, unless the store has moved while the request waited
 // for its slot or prepared: then the view and the cache are asked again,
 // so that a queued request executes at the epoch current when it runs, as
-// it always has, and caches the answer on the newest view. A cacheable
-// execution records its read set, which the entry keeps.
-func (s *Server) execQuery(req queryRequest, args []value.Value, tr *obs.Trace, start time.Time, lk lookup, kb *keyBuf) handlerResult {
+// it always has, and caches the answer on the newest view. A request whose
+// probe found no entry pins its view here. A cacheable execution records
+// its read set, which the entry keeps under the request's body.
+func (s *Server) execQuery(req queryRequest, tr *obs.Trace, start time.Time, lk lookup) handlerResult {
 	p, err := s.eng.PrepareTraced(req.Query, tr)
 	if err != nil {
 		s.considerError("query", "", tr, time.Since(start))
 		return errResult(http.StatusBadRequest, "%v", err)
 	}
-	if lk.view == nil || s.eng.Epoch() != lk.at {
-		lk = s.lookup(req.Query, args, kb)
+	if lk.view != nil && s.eng.Epoch() != lk.at {
+		lk = s.lookup(lk.key)
 	}
 	if lk.body != nil {
 		return s.hitResult(req, p, lk, tr, start)
 	}
+	if lk.view == nil {
+		lk.view = s.eng.View()
+	}
 	var reads *exec.ReadSet
-	if lk.key != nil {
+	if lk.key != nil && epochOf(lk.view) != nil {
 		// Counted here and not by the probe: a miss is a cacheable query
 		// that had to execute, however many times the cache was asked.
 		s.cache.misses.Add(1)
@@ -693,14 +718,14 @@ func (s *Server) execQuery(req queryRequest, args []value.Value, tr *obs.Trace, 
 			readSets.Put(reads)
 		}()
 	}
-	res, err := p.ExecReadOn(lk.view, tr, reads, args...)
+	res, err := p.ExecReadOn(lk.view, tr, reads, req.Args...)
 	if err != nil {
 		s.considerError("query", p.Fingerprint(), tr, time.Since(start))
 		return errResult(http.StatusBadRequest, "%v", err)
 	}
 	body := appendResult(res)
-	if lk.key != nil {
-		s.cache.put(lk.key, newEntry(body, lk.view, reads.Words()))
+	if reads != nil {
+		s.cache.put(lk.key, newEntry(body, req.Debug, lk.view, reads.Words()))
 	}
 	tr.Finish()
 	s.maybeSlowLog("query", p, res, tr, time.Since(start), len(res.Tuples), "")
@@ -727,7 +752,7 @@ const (
 // straight to the client, chunked, and since a page's length is the
 // client's choice, not a plan's bound, the deadline is also enforced
 // between tuples.
-func (s *Server) servePage(w http.ResponseWriter, r *http.Request, req queryRequest, args []value.Value, tr *obs.Trace, start time.Time) {
+func (s *Server) servePage(w http.ResponseWriter, r *http.Request, req queryRequest, tr *obs.Trace, start time.Time) {
 	deadline := s.deadline(req.TimeoutMS)
 	ctx, cancel := context.WithDeadline(r.Context(), deadline)
 	defer cancel()
@@ -759,7 +784,7 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request, req queryRequ
 		// the request is traced) rides on the stream: later pages' waves
 		// append to the same span tree, bounded by the trace's span cap.
 		view := s.eng.View()
-		stream, err := p.ExecStreamOn(view, exec.StreamOptions{Trace: tr}, args...)
+		stream, err := p.ExecStreamOn(view, exec.StreamOptions{Trace: tr}, req.Args...)
 		if err != nil {
 			s.considerError("query", p.Fingerprint(), tr, time.Since(start))
 			apiError(w, http.StatusBadRequest, "%v", err)

@@ -13,13 +13,20 @@
 //	                   one cached answer after an unrelated write
 //	                   (BenchmarkServe_HitAfterWrite), one read after a
 //	                   write to what it reads (BenchmarkServe_Uncached)
+//
+// TestServeBenchEmit counts the last three's allocations per request
+// and, when SERVE_BENCH_JSON names a path, writes them there; CI compares
+// the file against bench/BENCH_serve.json (tools/benchcmp).
 package bcq
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -31,7 +38,7 @@ import (
 )
 
 // benchServer stands up the serving stack over the social dataset.
-func benchServer(b *testing.B) (*live.Store, *serve.Server, *httptest.Server) {
+func benchServer(b testing.TB) (*live.Store, *serve.Server, *httptest.Server) {
 	b.Helper()
 	ds := datagen.Social()
 	db := ds.MustBuild(1.0 / 16)
@@ -143,36 +150,119 @@ func (w *nullWriter) Header() http.Header         { return w.h }
 func (w *nullWriter) WriteHeader(int)             {}
 func (w *nullWriter) Write(b []byte) (int, error) { return len(b), nil }
 
-// BenchmarkServe_CachedHit is the fast lane's guardrail: one /query whose
-// answer is cached, sent in process to Handler().ServeHTTP with no socket
-// and no client, so ns/op and allocs/op are the handler's own. What is
-// left is decoding the request and one result-cache lookup; a parse, a
-// plan lookup, a statistics snapshot or a worker hand-off creeping back
-// in shows as a multiple.
-func BenchmarkServe_CachedHit(b *testing.B) {
-	_, srv, _ := benchServer(b)
-	h := srv.Handler()
-	const body = `{"query": "select photo_id from in_album where album_id = ?", "args": [3]}`
-	var rd strings.Reader
-	req := httptest.NewRequest(http.MethodPost, "/query", nil)
-	w := &nullWriter{h: http.Header{}}
-	send := func() {
-		rd.Reset(body)
-		req.Body = io.NopCloser(&rd)
-		h.ServeHTTP(w, req)
+// reusedBody is a request body re-armed in place, so that sending a
+// request again allocates nothing of its own and allocs/op is the
+// handler's.
+type reusedBody struct{ strings.Reader }
+
+func (*reusedBody) Close() error { return nil }
+
+// inProcess sends requests to a handler without a socket or a client,
+// through one reused request per endpoint.
+type inProcess struct {
+	h           http.Handler
+	query, post *http.Request
+	body        reusedBody
+	w           nullWriter
+}
+
+func newInProcess(h http.Handler) *inProcess {
+	return &inProcess{
+		h:     h,
+		query: httptest.NewRequest(http.MethodPost, "/query", nil),
+		post:  httptest.NewRequest(http.MethodPost, "/ingest", nil),
+		w:     nullWriter{h: http.Header{}},
 	}
-	send() // executes and caches
-	base := srv.CacheStats()
+}
+
+func (p *inProcess) send(req *http.Request, body string) {
+	p.body.Reset(body)
+	req.Body = &p.body
+	p.h.ServeHTTP(&p.w, req)
+}
+
+// albumQuery is the /query of every in-process guardrail: album 3's
+// photos, one fetch step.
+const albumQuery = `{"query": "select photo_id from in_album where album_id = ?", "args": [3]}`
+
+// The write pairs of the after-write guardrails. unrelatedWrites
+// alternate an insert and a delete of one friends tuple, which albumQuery
+// never reads; readWrites alternate an insert and a delete of one photo
+// of album 3: the data stays the same size, every write moves the epoch,
+// and every write touches what the query reads.
+var (
+	unrelatedWrites = []string{
+		`{"ops": [{"op": "insert", "rel": "friends", "tuple": [0, 999999]}]}`,
+		`{"ops": [{"op": "delete", "rel": "friends", "tuple": [0, 999999]}]}`,
+	}
+	readWrites = []string{
+		`{"ops": [{"op": "insert", "rel": "in_album", "tuple": [999999, 3]}]}`,
+		`{"ops": [{"op": "delete", "rel": "in_album", "tuple": [999999, 3]}]}`,
+	}
+)
+
+// guardrail is one in-process request path: before (nil for none) runs
+// untimed ahead of each op, and check fails unless n ops took the path
+// they are meant to.
+type guardrail struct {
+	before, op func(i int)
+	check      func(tb testing.TB, n int)
+}
+
+// newGuardrail is albumQuery, answered once before, sent after each of
+// the given writes in turn (after none when there are none): every read
+// a hit (hits) or an execution (!hits), and every write committed.
+func newGuardrail(tb testing.TB, writes []string, hits bool) guardrail {
+	ls, srv, _ := benchServer(tb)
+	p := newInProcess(srv.Handler())
+	p.send(p.query, albumQuery) // plans and caches
+	p.send(p.query, albumQuery) // a hit: sizes the pooled buffer for the envelope
+	base, epoch := srv.CacheStats(), ls.Epoch()
+	g := guardrail{
+		op: func(int) { p.send(p.query, albumQuery) },
+		check: func(tb testing.TB, n int) {
+			if got, want := ls.Epoch()-epoch, uint64(min(len(writes), 1)*n); got != want {
+				tb.Fatalf("%d writes moved the epoch %d times; every one must commit", want, got)
+			}
+			cs := srv.CacheStats()
+			hit, miss := cs.Hits-base.Hits, cs.Misses-base.Misses
+			if hits && (hit != int64(n) || miss != 0) {
+				tb.Fatalf("%d requests: %d hits, %d misses; every one must be a cached answer", n, hit, miss)
+			}
+			if !hits && (miss != int64(n) || hit != 0) {
+				tb.Fatalf("%d requests: %d hits, %d misses; every one must execute", n, hit, miss)
+			}
+		},
+	}
+	if len(writes) > 0 {
+		g.before = func(i int) { p.send(p.post, writes[i%len(writes)]) }
+	}
+	return g
+}
+
+// bench times g's op b.N times, its before untimed.
+func (g guardrail) bench(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		send()
+		if g.before != nil {
+			b.StopTimer()
+			g.before(i)
+			b.StartTimer()
+		}
+		g.op(i)
 	}
 	b.StopTimer()
-	if cs := srv.CacheStats(); cs.Hits-base.Hits != int64(b.N) || cs.Misses != base.Misses {
-		b.Fatalf("%d requests: %d hits, %d misses; every one must be a cached answer", b.N, cs.Hits-base.Hits, cs.Misses-base.Misses)
-	}
+	g.check(b, b.N)
 }
+
+// BenchmarkServe_CachedHit is the fast lane's guardrail: one /query whose
+// answer is cached, sent in process to Handler().ServeHTTP with no socket
+// and no client, so ns/op and allocs/op are the handler's own. What is
+// left is reading the body and one result-cache probe with its bytes: no
+// decoding, no engine. Decoding, a parse, a plan lookup, a statistics
+// snapshot or a worker hand-off creeping back in shows as a multiple.
+func BenchmarkServe_CachedHit(b *testing.B) { newGuardrail(b, nil, true).bench(b) }
 
 // BenchmarkServe_Uncached is the miss path's guardrail: the same /query
 // in process, but with one /ingest sent (untimed) before every read that
@@ -182,15 +272,7 @@ func BenchmarkServe_CachedHit(b *testing.B) {
 // allocs/op are the read's own: admission, the drift check, the bounded
 // execution and the response. A per-request goroutine or a statistics
 // snapshot creeping back in shows here.
-func BenchmarkServe_Uncached(b *testing.B) {
-	// The write alternates an insert and a delete of one photo of album 3:
-	// the data stays the same size, every write moves the epoch, and every
-	// write touches what the query reads.
-	benchAfterWrite(b, [2]string{
-		`{"ops": [{"op": "insert", "rel": "in_album", "tuple": [999999, 3]}]}`,
-		`{"ops": [{"op": "delete", "rel": "in_album", "tuple": [999999, 3]}]}`,
-	}, false)
-}
+func BenchmarkServe_Uncached(b *testing.B) { newGuardrail(b, readWrites, false).bench(b) }
 
 // BenchmarkServe_HitAfterWrite is the invalidation guardrail: the same
 // /query in process after an untimed /ingest that the query does not
@@ -199,50 +281,67 @@ func BenchmarkServe_Uncached(b *testing.B) {
 // BenchmarkServe_CachedHit's plus that check; a write that orphans
 // answers it did not touch fails the run.
 func BenchmarkServe_HitAfterWrite(b *testing.B) {
-	// The write alternates an insert and a delete of one friends tuple.
-	benchAfterWrite(b, [2]string{
-		`{"ops": [{"op": "insert", "rel": "friends", "tuple": [0, 999999]}]}`,
-		`{"ops": [{"op": "delete", "rel": "friends", "tuple": [0, 999999]}]}`,
-	}, true)
+	newGuardrail(b, unrelatedWrites, true).bench(b)
 }
 
-// benchAfterWrite times one /query of album 3 after each of b.N untimed
-// writes, alternating the two given, and fails unless every write
-// committed and every read was a hit (hits) or an execution (!hits).
-func benchAfterWrite(b *testing.B, writes [2]string, hits bool) {
-	ls, srv, _ := benchServer(b)
-	h := srv.Handler()
-	const query = `{"query": "select photo_id from in_album where album_id = ?", "args": [3]}`
-	var rd strings.Reader
-	read := httptest.NewRequest(http.MethodPost, "/query", nil)
-	write := httptest.NewRequest(http.MethodPost, "/ingest", nil)
-	w := &nullWriter{h: http.Header{}}
-	send := func(req *http.Request, body string) {
-		rd.Reset(body)
-		req.Body = io.NopCloser(&rd)
-		h.ServeHTTP(w, req)
+// perOp runs g's op n times, its before outside the count, and returns
+// the objects and bytes one op allocates: counts, not times, measured as
+// testing.AllocsPerRun measures, on one processor after one op uncounted
+// (which fills that processor's pools).
+func (g guardrail) perOp(tb testing.TB, n int) (allocs, bytes int64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var m0, m1 runtime.MemStats
+	var mallocs, total uint64
+	for i := 0; i <= n; i++ {
+		if g.before != nil {
+			g.before(i)
+		}
+		runtime.ReadMemStats(&m0)
+		g.op(i)
+		runtime.ReadMemStats(&m1)
+		if i > 0 {
+			mallocs += m1.Mallocs - m0.Mallocs
+			total += m1.TotalAlloc - m0.TotalAlloc
+		}
 	}
-	send(read, query) // plans and caches
-	base, epoch := srv.CacheStats(), ls.Epoch()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		send(write, writes[i%2])
-		b.StartTimer()
-		send(read, query)
+	g.check(tb, n+1)
+	return int64(mallocs / uint64(n)), int64(total / uint64(n))
+}
+
+// TestServeBenchEmit measures the three in-process guardrails' allocations
+// per request — a cached answer, a cached answer after an unrelated write,
+// a read after a write to what it reads — and fails when a cached answer
+// allocates at all; with SERVE_BENCH_JSON set the counts are written there
+// (BENCH_serve.json in CI, compared against bench/BENCH_serve.json by
+// tools/benchcmp). Clock-free: nothing here is a time.
+func TestServeBenchEmit(t *testing.T) {
+	const runs = 500
+	doc := map[string]map[string]int64{}
+	for _, c := range []struct {
+		name string
+		g    guardrail
+	}{
+		{"cached_hit", newGuardrail(t, nil, true)},
+		{"hit_after_write", newGuardrail(t, unrelatedWrites, true)},
+		{"uncached", newGuardrail(t, readWrites, false)},
+	} {
+		allocs, bytes := c.g.perOp(t, runs)
+		doc[c.name] = map[string]int64{"op_allocs": allocs, "op_bytes": bytes}
+		t.Logf("%s: %d allocs/op, %d B/op", c.name, allocs, bytes)
 	}
-	b.StopTimer()
-	if got := ls.Epoch() - epoch; got != uint64(b.N) {
-		b.Fatalf("%d writes moved the epoch %d times; every one must commit", b.N, got)
+	for _, name := range []string{"cached_hit", "hit_after_write"} {
+		if n := doc[name]["op_allocs"]; n != 0 {
+			t.Errorf("%s allocates %d objects per request, want 0", name, n)
+		}
 	}
-	cs := srv.CacheStats()
-	hit, miss := cs.Hits-base.Hits, cs.Misses-base.Misses
-	if hits && (hit != int64(b.N) || miss != 0) {
-		b.Fatalf("%d requests: %d hits, %d misses; every one must be a cached answer", b.N, hit, miss)
-	}
-	if !hits && (miss != int64(b.N) || hit != 0) {
-		b.Fatalf("%d requests: %d hits, %d misses; every one must execute", b.N, hit, miss)
+	if path := os.Getenv("SERVE_BENCH_JSON"); path != "" {
+		out, err := json.MarshalIndent(doc, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

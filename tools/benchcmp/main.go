@@ -28,6 +28,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"strings"
@@ -138,7 +139,8 @@ func (r reportData) String() string {
 
 // compare walks the baseline's lower-is-better paths and flags those
 // whose current value exceeds the relative threshold AND the absolute
-// floor: a regression when the path is asserted, slower when it is a time.
+// floor — past a baseline of zero, the floor alone: a regression when the
+// path is asserted, slower when it is a time.
 func compare(base, cur map[string]float64, threshold float64) reportData {
 	var r reportData
 	for _, path := range sortedKeys(base) {
@@ -154,8 +156,14 @@ func compare(base, cur map[string]float64, threshold float64) reportData {
 		r.Checked++
 		bv := base[path]
 		diff := cv - bv
-		if bv > 0 && diff > floor && diff/bv > threshold {
-			reg := regression{Path: path, Base: bv, Current: cv, Relative: diff / bv}
+		// A baseline of zero or less has no relative scale: any rise past
+		// the floor regresses it (a path that allocated nothing and now
+		// allocates once).
+		if diff > floor && (bv <= 0 || diff/bv > threshold) {
+			reg := regression{Path: path, Base: bv, Current: cv, Relative: math.Inf(1)}
+			if bv > 0 {
+				reg.Relative = diff / bv
+			}
 			if asserted {
 				r.Regressions = append(r.Regressions, reg)
 			} else {

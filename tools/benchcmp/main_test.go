@@ -60,6 +60,25 @@ func TestCompareNoiseFloor(t *testing.T) {
 	}
 }
 
+// TestCompareZeroBaseline: a count whose baseline is zero regresses at
+// its first increase, which no relative threshold can express; bytes
+// still get their floor.
+func TestCompareZeroBaseline(t *testing.T) {
+	base := flat(map[string]float64{"hit.op_allocs": 0, "hit.op_bytes": 0})
+	cur := flat(map[string]float64{"hit.op_allocs": 0, "hit.op_bytes": 16})
+	if r := compare(base, cur, 0.25); len(r.Regressions) != 0 {
+		t.Fatalf("an unchanged zero count or bytes under the floor flagged: %+v", r.Regressions)
+	}
+	cur["hit.op_allocs"] = 1
+	r := compare(base, cur, 0.25)
+	if len(r.Regressions) != 1 || r.Regressions[0].Path != "hit.op_allocs" {
+		t.Fatalf("regressions = %+v, want hit.op_allocs", r.Regressions)
+	}
+	if !strings.Contains(r.String(), "REGRESSION hit.op_allocs: 0 -> 1") {
+		t.Errorf("report does not name the regression:\n%s", r.String())
+	}
+}
+
 // TestCompareImprovementAndDrift: improvements and path drift are
 // reported, not fatal.
 func TestCompareImprovementAndDrift(t *testing.T) {
