@@ -50,11 +50,12 @@
 // the store: access constraints double as shard keys, so each relation
 // is hash-partitioned on a constraint's X-attributes, probes
 // scatter-gather to the shards owning their index groups (answers stay
-// byte-identical to a single store), and writes commit shard-parallel:
+// byte-identical to a single store), and writes stage shard-parallel and
+// commit on every shard or none:
 //
 //	ss, _ := bcq.NewShardedDatabase(db, acc, bcq.ShardOptions{Shards: 8})
 //	eng, _ := bcq.NewShardedEngine(ss, bcq.EngineOptions{})
-//	ss.Apply(batch)               // routed by content, committed shard-parallel
+//	ss.Apply(batch)               // routed by content, staged shard-parallel, atomic
 //	res, _ := p.Exec(bcq.Int(74)) // pins one epoch vector across all shards
 //
 // See the examples/ directory (examples/streaming for the live layer,
@@ -424,8 +425,8 @@ func OpenLiveDatabase(dir string, cat *Catalog, acc *AccessSchema, opts LiveOpti
 type (
 	// ShardedDatabase partitions one database into P shards, each its own
 	// live store: probes route to the shard owning their index group,
-	// writes commit shard-parallel, and scatter-gather execution is
-	// byte-identical to a single store.
+	// writes stage shard-parallel and commit atomically, and
+	// scatter-gather execution is byte-identical to a single store.
 	ShardedDatabase = shard.Store
 	// ShardedView is one atomically pinned epoch vector — an immutable,
 	// consistent cut across every shard that bounded evaluation runs
@@ -456,8 +457,8 @@ func NewShardedEngine(ss *ShardedDatabase, opts EngineOptions) (*Engine, error) 
 	return engine.NewSharded(ss, opts)
 }
 
-// ShardRecovery reports what OpenShardedDatabase did per shard to bring
-// a durable sharded store back.
+// ShardRecovery reports what OpenShardedDatabase did to bring a durable
+// sharded store back: what its one log replayed, skipped and cut.
 type ShardRecovery = shard.Recovery
 
 // ErrShardMismatch matches (errors.Is) an OpenShardedDatabase whose
@@ -466,12 +467,14 @@ type ShardRecovery = shard.Recovery
 var ErrShardMismatch = shard.ErrShardMismatch
 
 // OpenShardedDatabase recovers a durable sharded database: each shard
-// recovers its newest valid checkpoint and replays its WAL tail in
-// parallel, the manifest restores the partition placements, and a schema
-// extension torn mid-commit is healed to the union of what any shard
-// durably holds. Pair it with ShardOptions.Dir on NewShardedDatabase,
-// which seeds a durable store from loaded data; Close checkpoints every
-// shard so a clean restart replays zero records.
+// loads its newest valid checkpoint, in parallel, the manifest restores
+// the partition placements, and the store's one WAL replays its tail,
+// each sub-batch on its shard, so a batch or an extension comes back on
+// every shard it committed on or on none. A directory an older build
+// wrote, with a WAL per shard, is migrated to the one log. Pair it with
+// ShardOptions.Dir on NewShardedDatabase, which seeds a durable store
+// from loaded data; Close checkpoints every shard so a clean restart
+// replays zero records.
 func OpenShardedDatabase(dir string, cat *Catalog, acc *AccessSchema, opts ShardOptions) (*ShardedDatabase, *ShardRecovery, error) {
 	return shard.Open(dir, cat, acc, opts)
 }

@@ -285,8 +285,8 @@ func loadQueries(ds *datagen.Dataset, c config) ([]*bcq.Query, error) {
 	}
 }
 
-// runDurable drives -data-dir mode: the store lives on disk as per-shard
-// WALs plus checkpoint segments. A directory that already holds a store
+// runDurable drives -data-dir mode: the store lives on disk as one WAL
+// plus per-shard checkpoint segments. A directory that already holds a store
 // is recovered (the dataset flags then only supply the catalog; -shards
 // must agree with the manifest or stay unset); a fresh one is seeded
 // from -dataset/-scale. Queries execute through the scatter-gather
@@ -315,7 +315,7 @@ func runDurable(ds *datagen.Dataset, queries []*bcq.Query, c config) error {
 		}
 		fmt.Printf("recovered %s in %v: P = %d, |D| = %d tuples (%d WAL ops replayed, %d torn records dropped)\n",
 			c.dataDir, time.Since(start).Round(time.Millisecond), ss.NumShards(), ss.NumTuples(),
-			rec.ReplayedOps(), rec.TruncatedRecords())
+			rec.ReplayedOps, rec.TruncatedRecords)
 	} else if !errors.Is(merr, fs.ErrNotExist) {
 		return merr
 	} else {

@@ -49,8 +49,9 @@
 // requests beyond that, rejects the rest with 503, and enforces a
 // per-request deadline (-timeout, or the request's timeout_ms).
 //
-// Durability is opt-in: -data-dir names a directory where every shard
-// keeps a write-ahead log (fsynced per committed batch) and checkpoint
+// Durability is opt-in: -data-dir names a directory where the store
+// keeps one write-ahead log (one record and one fsync per committed
+// batch, whichever shards it touches) and every shard its checkpoint
 // segments. A fresh directory is seeded from -dataset/-scale; an
 // existing one is recovered — newest valid checkpoint plus WAL tail —
 // and the dataset flags are ignored for data. -shards must then match
@@ -111,7 +112,7 @@ func main() {
 	dataset := flag.String("dataset", "social", "dataset: social | tfacc | mot | tpch")
 	scale := flag.Float64("scale", 0.25, "scale factor")
 	shards := flag.Int("shards", 1, "partition the store into P shards (1 = single live store)")
-	dataDir := flag.String("data-dir", "", "durable store directory: WAL + checkpoint segments per shard; an existing store is recovered (dataset/scale only seed a fresh directory)")
+	dataDir := flag.String("data-dir", "", "durable store directory: one WAL for the store + checkpoint segments per shard; an existing store is recovered (dataset/scale only seed a fresh directory)")
 	workers := flag.Int("workers", 0, "concurrently executing requests (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "max queued requests beyond the workers (0 = 8 x workers)")
 	timeout := flag.Duration("timeout", 5*time.Second, "default per-request deadline")
@@ -187,7 +188,7 @@ func main() {
 	fmt.Printf("listening on %s\n", *addr)
 
 	// Graceful shutdown: SIGINT/SIGTERM drains the worker pool, closes
-	// open cursors, checkpoints and fsyncs the store's WALs
+	// open cursors, checkpoints and fsyncs the store's WAL
 	// (serve.Server.Shutdown), then stops the listener — so a restart
 	// replays zero WAL records.
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
@@ -409,7 +410,7 @@ func buildServer(c config) (*serve.Server, string, error) {
 		tuples = ss.NumTuples()
 		kind = fmt.Sprintf("durable store (P=%d, dir %s)", ss.NumShards(), c.dataDir)
 		if rec != nil && !rec.Fresh {
-			kind += fmt.Sprintf(", recovered: %d WAL ops replayed", rec.ReplayedOps())
+			kind += fmt.Sprintf(", recovered: %d WAL ops replayed", rec.ReplayedOps)
 		}
 	case c.shards > 1:
 		db, err := ds.Build(c.scale)

@@ -9,7 +9,9 @@
 //     crashed. Checked on the single live store against an independent
 //     in-memory reference, and on sharded stores (P ∈ {2, 3, 5}) against
 //     the crashed store's own pre-crash state, which IS the committed
-//     state because every snapshot publishes only after its WAL fsync.
+//     state because every snapshot publishes only after its WAL fsync —
+//     and which holds no part of the batch that died: a sharded store
+//     logs a batch as one record, so it commits on every shard or none.
 //  2. Torn tails are counted, never applied: recovery surfaces each
 //     dropped frame through Recovery.TruncatedRecords and the
 //     bcq_wal_truncated_records_total metric.
@@ -190,11 +192,12 @@ func TestDurableCrashRecoveryPropertyLive(t *testing.T) {
 	}
 }
 
-// TestDurableCrashRecoveryPropertySharded arms the fail point on one
-// shard's WAL at P ∈ {2, 3, 5}. The crashed store's in-memory state is
-// the committed-prefix reference: snapshots publish only after the WAL
-// fsync, so everything visible pre-crash is durable — including the
-// sub-batches sibling shards committed from the batch that died.
+// TestDurableCrashRecoveryPropertySharded arms the fail point of the
+// store's one log at P ∈ {2, 3, 5}. The batch whose append dies commits
+// on no shard: the crashed store's in-memory state equals an in-memory
+// sharded reference that applied only the batches before it, and that
+// state is the committed one — snapshots publish only after the log's
+// fsync — so recovery must reproduce it shard by shard.
 func TestDurableCrashRecoveryPropertySharded(t *testing.T) {
 	const nBatches = 16
 	for _, p := range []int{2, 3, 5} {
@@ -203,48 +206,61 @@ func TestDurableCrashRecoveryPropertySharded(t *testing.T) {
 			t.Run(fmt.Sprintf("P=%d/trial=%d", p, trial), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(100*p + trial)))
 				cat, acc, db := buildDurableScene(t)
+				_, _, refDB := buildDurableScene(t)
 				dir := filepath.Join(t.TempDir(), "store")
 
 				ss, err := NewShardedDatabase(db, acc, ShardOptions{Shards: p, Dir: dir})
 				if err != nil {
 					t.Fatal(err)
 				}
-				victim := rng.Intn(p)
-				kill := 1 + rng.Intn(3)
+				ref, err := NewShardedDatabase(refDB, acc, ShardOptions{Shards: p})
+				if err != nil {
+					t.Fatal(err)
+				}
+				kill := 1 + rng.Intn(nBatches)
 				torn := tornBytes(rng)
-				ss.Shard(victim).WAL().SetFailPoint(kill, torn)
+				ss.WAL().SetFailPoint(kill, torn)
 
-				crashed := false
-				for b, ops := range durableBatches(int64(10*p+trial), nBatches) {
+				committed := 0
+				for _, ops := range durableBatches(int64(10*p+trial), nBatches) {
 					if err := ss.Apply(ops); err != nil {
 						if !errors.Is(err, wal.ErrInjectedCrash) {
-							t.Fatalf("batch %d: unexpected apply error: %v", b, err)
+							t.Fatalf("batch %d: unexpected apply error: %v", committed, err)
 						}
-						crashed = true
 						break
 					}
+					if err := ref.Apply(ops); err != nil {
+						t.Fatalf("reference apply: %v", err)
+					}
+					committed++
 				}
-				if !crashed {
-					t.Fatalf("fail point (shard %d, append %d) never fired", victim, kill)
+				if committed != kill-1 {
+					t.Fatalf("fail point at append %d let %d batches commit", kill, committed)
 				}
 
-				// Pre-crash in-memory state = committed state.
+				// Pre-crash in-memory state = committed state = the reference.
 				want := make([]string, p)
 				for s := 0; s < p; s++ {
 					want[s] = renderStoreState(t, cat, ss.Shard(s))
+					if got := renderStoreState(t, cat, ref.Shard(s)); got != want[s] {
+						t.Fatalf("shard %d holds part of the batch that died\n got:  %s\n want: %s", s, want[s], got)
+					}
 				}
 				wantEpoch, wantTuples := ss.EpochKey(), ss.NumTuples()
 
 				re, rec, err := OpenShardedDatabase(dir, cat, acc, ShardOptions{})
 				if err != nil {
-					t.Fatalf("recovery (shard %d, kill %d, torn %d): %v", victim, kill, torn, err)
+					t.Fatalf("recovery (kill %d, torn %d): %v", kill, torn, err)
 				}
 				defer re.Close()
 				if re.NumShards() != p {
 					t.Fatalf("recovered %d shards, want %d", re.NumShards(), p)
 				}
-				if torn > 0 && rec.TruncatedRecords() == 0 {
-					t.Errorf("a torn frame was left on shard %d but recovery truncated nothing", victim)
+				if torn > 0 && rec.TruncatedRecords == 0 {
+					t.Errorf("a torn frame was left on the log but recovery truncated nothing")
+				}
+				if rec.ReplayedBatches != int64(committed) {
+					t.Errorf("replayed %d batches, %d committed", rec.ReplayedBatches, committed)
 				}
 				if re.EpochKey() != wantEpoch || re.NumTuples() != wantTuples {
 					t.Errorf("recovered store at %s/%d tuples, want %s/%d",
@@ -252,8 +268,8 @@ func TestDurableCrashRecoveryPropertySharded(t *testing.T) {
 				}
 				for s := 0; s < p; s++ {
 					if got := renderStoreState(t, cat, re.Shard(s)); got != want[s] {
-						t.Errorf("shard %d diverges after recovery (victim %d, kill %d, torn %d)\n got:  %s\n want: %s",
-							s, victim, kill, torn, got, want[s])
+						t.Errorf("shard %d diverges after recovery (kill %d, torn %d)\n got:  %s\n want: %s",
+							s, kill, torn, got, want[s])
 					}
 				}
 			})

@@ -4,14 +4,16 @@
 // and the data is gone. This walkthrough makes the same social store
 // durable and then kills it mid-write:
 //
-//   - every shard keeps a write-ahead log: a batch is fsynced to the WAL
-//     of each shard it touches *before* its snapshot publishes, so "the
-//     client saw it commit" implies "it is on disk";
-//   - a checkpoint (Close, or live compaction) seals the store into
-//     segment files and truncates the WALs; recovery loads the newest
-//     valid checkpoint and replays only the WAL tail;
+//   - the store keeps one write-ahead log: a batch — every shard's part of
+//     it in one record — is fsynced to it *before* any shard publishes,
+//     so "the client saw it commit" implies "it is on disk", on every
+//     shard it touched;
+//   - a checkpoint (Close, or live compaction) seals every shard into
+//     segment files and truncates the log; recovery loads each shard's
+//     newest valid checkpoint and replays only the log's tail;
 //   - a torn final record — the half-written frame a crash mid-append
-//     leaves behind — fails its CRC and is dropped, never half-applied.
+//     leaves behind — fails its CRC and is dropped: the batch it held is
+//     lost on every shard, never half-applied.
 //
 // The crash here is injected deterministically with the WAL's fail-point
 // hook (the same one the crash-recovery property tests use): the next
@@ -66,8 +68,8 @@ func main() {
 	defer os.RemoveAll(dir)
 
 	// Seed a durable store: ShardOptions.Dir writes each shard's base as
-	// an epoch-0 checkpoint segment and opens its WAL; the manifest
-	// records the shard count and partition placements.
+	// an epoch-0 checkpoint segment and opens the store's WAL; the
+	// manifest records the shard count and partition placements.
 	db := bcq.NewDatabase(cat)
 	if err := db.Insert("in_album", tup("p1", "a0")); err != nil {
 		log.Fatal(err)
@@ -78,8 +80,8 @@ func main() {
 	}
 	fmt.Printf("seeded durable store in %s (P = %d)\n", dir, ss.NumShards())
 
-	// Two batches commit normally: WAL append + fsync on every touched
-	// shard, then the snapshot publishes.
+	// Two batches commit normally: one WAL append + fsync for the batch,
+	// then every shard it touched publishes.
 	for _, batch := range [][]bcq.LiveOp{
 		{bcq.InsertOp("friends", tup("u0", "u1")), bcq.InsertOp("in_album", tup("p2", "a0"))},
 		{bcq.InsertOp("friends", tup("u0", "u2"))},
@@ -90,27 +92,26 @@ func main() {
 	}
 	fmt.Printf("committed 2 batches (3 ops), |D| = %d\n", ss.NumTuples())
 
-	// Crash mid-write: arm every shard's fail point so the next append
+	// Crash mid-write: arm the store log's fail point so the next append
 	// leaves a 7-byte torn frame and no fsync, then abandon the store
-	// without Close — the process is "dead".
-	for s := 0; s < ss.NumShards(); s++ {
-		ss.Shard(s).WAL().SetFailPoint(1, 7)
-	}
-	err = ss.Apply([]bcq.LiveOp{bcq.InsertOp("friends", tup("u9", "u8"))})
+	// without Close — the process is "dead". Whichever shards the batch
+	// touches, none of it survives.
+	ss.WAL().SetFailPoint(1, 7)
+	err = ss.Apply([]bcq.LiveOp{bcq.InsertOp("friends", tup("u9", "u8")), bcq.InsertOp("in_album", tup("p3", "a1"))})
 	if !errors.Is(err, wal.ErrInjectedCrash) {
 		log.Fatalf("expected the injected crash, got %v", err)
 	}
 	fmt.Printf("crashed mid-append: %v\n\n", err)
 
-	// Recovery: each shard loads its checkpoint, drops the torn tail
-	// record (it fails its CRC), and replays the committed WAL tail
-	// through the normal admission path.
+	// Recovery: each shard loads its checkpoint; the log drops the torn
+	// tail record (it fails its CRC) and replays the committed tail,
+	// each sub-batch on its shard through the normal admission path.
 	re, rec, err := bcq.OpenShardedDatabase(dir, cat, acc, bcq.ShardOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("recovered: %d WAL ops replayed, %d torn records dropped, |D| = %d\n",
-		rec.ReplayedOps(), rec.TruncatedRecords(), re.NumTuples())
+		rec.ReplayedOps, rec.TruncatedRecords, re.NumTuples())
 
 	eng, err := bcq.NewShardedEngine(re, bcq.EngineOptions{})
 	if err != nil {
@@ -127,7 +128,7 @@ func main() {
 	fmt.Printf("Q0(u0) = %v — every committed write survived; the torn one never half-applied\n\n", res.Tuples)
 
 	// A clean shutdown checkpoints: Close seals each shard's state into a
-	// segment and truncates its WAL, so the next open replays nothing.
+	// segment and truncates the WAL, so the next open replays nothing.
 	if err := re.Close(); err != nil {
 		log.Fatal(err)
 	}
@@ -137,5 +138,5 @@ func main() {
 	}
 	defer re2.Close()
 	fmt.Printf("clean restart: %d WAL ops replayed (checkpoint carries everything), |D| = %d\n",
-		rec2.ReplayedOps(), re2.NumTuples())
+		rec2.ReplayedOps, re2.NumTuples())
 }

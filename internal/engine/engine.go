@@ -343,8 +343,8 @@ func NewLive(ls *live.Store, opts Options) (*Engine, error) {
 // one consistent epoch vector across all shards (shard.Store.View) and
 // the executor scatter-gathers each step's probe batch to the owning
 // shards, so answers, per-result access statistics and |D_Q| are
-// byte-identical to single-store execution while ingest commits
-// shard-parallel. The shards' construction verified D |= A per shard,
+// byte-identical to single-store execution while ingest stages each
+// batch shard-parallel. The shards' construction verified D |= A per shard,
 // which (groups being whole on one shard) is the global invariant.
 //
 // The engine's Database() is the store's current view, frozen — useful

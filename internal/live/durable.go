@@ -48,10 +48,9 @@ type Recovery struct {
 }
 
 // Open recovers a durable store from dir: it loads the newest valid
-// checkpoint segment (falling back to an older retained one when the
-// newest fails validation) and replays the WAL tail through the normal
-// admission path, so the recovered store is byte-identical to one that
-// committed the same prefix and never crashed.
+// checkpoint segment (Recover) and replays the WAL tail through the
+// normal admission path, so the recovered store is byte-identical to one
+// that committed the same prefix and never crashed.
 //
 // The access schema recovered from the segment (plus any extensions the
 // WAL replays) becomes the store's schema. Constraints in acc that the
@@ -61,33 +60,13 @@ type Recovery struct {
 // Open creates a fresh durable store over an empty base (acc required).
 //
 // opts.Mode must match the mode the directory was written under for
-// replay to be deterministic; opts.Dir is ignored (dir wins).
+// replay to be deterministic; opts.Dir and opts.Log are ignored (dir
+// wins, and the store owns its log).
 func Open(dir string, cat *schema.Catalog, acc *schema.AccessSchema, opts Options) (*Store, *Recovery, error) {
 	if cat == nil {
 		return nil, nil, fmt.Errorf("live: Open requires a catalog")
 	}
-	rec := &Recovery{}
-	var (
-		base      *storage.Database
-		segAcc    *schema.AccessSchema
-		baseEpoch uint64
-	)
-	for _, s := range segment.List(dir) {
-		db, a, epoch, err := segment.Load(s.Path, cat)
-		if err != nil {
-			rec.CorruptSegments = append(rec.CorruptSegments, s.Path)
-			continue
-		}
-		base, segAcc, baseEpoch = db, a, epoch
-		rec.SegmentPath = s.Path
-		break
-	}
-	if base == nil {
-		if len(rec.CorruptSegments) > 0 {
-			// State exists but none of it validates: refuse to guess.
-			return nil, nil, fmt.Errorf("live: %s holds no loadable segment (%d corrupt: %v)",
-				dir, len(rec.CorruptSegments), rec.CorruptSegments)
-		}
+	if len(segment.List(dir)) == 0 {
 		if acc == nil {
 			return nil, nil, fmt.Errorf("live: %s holds no store state and no access schema was provided", dir)
 		}
@@ -96,16 +75,12 @@ func Open(dir string, cat *schema.Catalog, acc *schema.AccessSchema, opts Option
 		if err != nil {
 			return nil, nil, err
 		}
-		return st, rec, nil
+		return st, &Recovery{}, nil
 	}
-	rec.SegmentEpoch = baseEpoch
-
-	st, err := newStore(base, segAcc, Options{Mode: opts.Mode}, baseEpoch)
+	st, rec, err := Recover(dir, cat, Options{Mode: opts.Mode})
 	if err != nil {
 		return nil, nil, err
 	}
-	st.dir = dir
-	st.segEpoch.Store(baseEpoch)
 
 	// Replay the WAL tail with the log detached (st.w nil), so replayed
 	// batches go through Apply without being re-logged.
@@ -114,7 +89,7 @@ func Open(dir string, cat *schema.Catalog, acc *schema.AccessSchema, opts Option
 		return nil, nil, err
 	}
 	rec.TruncatedRecords = w.Stats().TruncatedRecords
-	expect := baseEpoch
+	expect := rec.SegmentEpoch
 	for i, r := range records {
 		if r.Epoch <= expect {
 			rec.SkippedRecords++
@@ -177,10 +152,51 @@ func Open(dir string, cat *schema.Catalog, acc *schema.AccessSchema, opts Option
 	return st, rec, nil
 }
 
+// Recover loads the newest valid checkpoint segment of dir (falling back
+// to an older retained one when the newest fails validation) and returns
+// the store it holds, at the segment's epoch, with opts.Log as its log
+// (see Options.Log) or none. It reads no log: Open replays the store's
+// own, and a sharded store's Open replays its one log over the stores
+// Recover gave each shard. A directory without a loadable segment is an
+// error.
+func Recover(dir string, cat *schema.Catalog, opts Options) (*Store, *Recovery, error) {
+	rec := &Recovery{}
+	var (
+		base      *storage.Database
+		segAcc    *schema.AccessSchema
+		baseEpoch uint64
+	)
+	for _, s := range segment.List(dir) {
+		db, a, epoch, err := segment.Load(s.Path, cat)
+		if err != nil {
+			rec.CorruptSegments = append(rec.CorruptSegments, s.Path)
+			continue
+		}
+		base, segAcc, baseEpoch = db, a, epoch
+		rec.SegmentPath = s.Path
+		break
+	}
+	if base == nil {
+		// State may exist, but none of it validates: refuse to guess.
+		return nil, nil, fmt.Errorf("live: %s holds no loadable segment (%d corrupt: %v)",
+			dir, len(rec.CorruptSegments), rec.CorruptSegments)
+	}
+	rec.SegmentEpoch = baseEpoch
+	st, err := newStore(base, segAcc, Options{Mode: opts.Mode}, baseEpoch)
+	if err != nil {
+		return nil, nil, err
+	}
+	st.dir = dir
+	st.w, st.sharedLog = opts.Log, opts.Log != nil
+	st.segEpoch.Store(baseEpoch)
+	return st, rec, nil
+}
+
 // initDurable turns a freshly built in-memory store durable: it refuses
 // directories that already hold store state, writes the base as the
-// epoch-0 checkpoint segment, and opens the WAL.
-func (st *Store) initDurable(dir string, acc *schema.AccessSchema) error {
+// epoch-0 checkpoint segment, and opens the WAL — or takes the sharded
+// store's log, when one is given (Options.Log).
+func (st *Store) initDurable(dir string, acc *schema.AccessSchema, log *wal.WAL) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -194,24 +210,27 @@ func (st *Store) initDurable(dir string, acc *schema.AccessSchema) error {
 	if err != nil {
 		return fmt.Errorf("live: writing initial checkpoint: %w", err)
 	}
-	w, _, err := wal.Open(filepath.Join(dir, walFileName))
-	if err != nil {
-		return err
+	w, sharedLog := log, log != nil
+	if !sharedLog {
+		if w, _, err = wal.Open(filepath.Join(dir, walFileName)); err != nil {
+			return err
+		}
 	}
 	st.dir = dir
-	st.w = w
+	st.w, st.sharedLog = w, sharedLog
 	st.segEpoch.Store(0)
 	st.segBytes.Store(info.Bytes)
 	st.segWrites.Add(1)
 	return nil
 }
 
-// Close checkpoints and closes a durable store; on an in-memory store it
-// is a no-op. The checkpoint runs only when the WAL holds records, so a
-// clean shutdown followed by Open replays zero records. Safe to call
-// more than once.
+// Close checkpoints and closes a durable store; on an in-memory store,
+// and on a shard of a sharded store (whose owner checkpoints and closes
+// the log), it is a no-op. The checkpoint runs only when the WAL holds
+// records, so a clean shutdown followed by Open replays zero records.
+// Safe to call more than once.
 func (st *Store) Close() error {
-	if st.w == nil {
+	if st.w == nil || st.sharedLog {
 		return nil
 	}
 	if st.w.HasRecords() {
@@ -226,8 +245,9 @@ func (st *Store) Close() error {
 // Dir returns the store's durable directory ("" for in-memory stores).
 func (st *Store) Dir() string { return st.dir }
 
-// WAL exposes the store's write-ahead log (nil for in-memory stores):
-// metric bridges read its counters and crash tests arm its fail points.
+// WAL exposes the store's write-ahead log (nil for in-memory stores; a
+// shard's is its sharded store's one log): metric bridges read its
+// counters and crash tests arm its fail points.
 func (st *Store) WAL() *wal.WAL { return st.w }
 
 // SegmentEpoch returns the epoch of the newest checkpoint segment (0

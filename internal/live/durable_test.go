@@ -504,9 +504,9 @@ func (f *flakyFile) Write(p []byte) (int, error) {
 // returns (SetFailPoint models a crash; here the process survives). The
 // failed batch must publish nothing and leave no trace; the next Apply
 // must be refused with the same error even though the disk has
-// recovered — it would otherwise be acknowledged from behind a partial
-// frame and lost at the next recovery; and reopening must bring back
-// every acknowledged batch and nothing else.
+// recovered; the failed append must have rewound its partial frame, so
+// recovery has nothing to cut; and reopening must bring back every
+// acknowledged batch and nothing else.
 func TestReturnedWALErrorPoisonsTheStore(t *testing.T) {
 	dir := t.TempDir()
 	st, err := New(loadSocial(t), accessA0(), Options{Dir: dir})
@@ -541,8 +541,8 @@ func TestReturnedWALErrorPoisonsTheStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if len(rec.ReplayedBatches) != 1 || rec.TruncatedRecords != 1 {
-		t.Fatalf("recovery replayed %d batches and cut %d frames, want 1 and 1", len(rec.ReplayedBatches), rec.TruncatedRecords)
+	if len(rec.ReplayedBatches) != 1 || rec.TruncatedRecords != 0 {
+		t.Fatalf("recovery replayed %d batches and cut %d frames, want 1 and 0", len(rec.ReplayedBatches), rec.TruncatedRecords)
 	}
 	assertSameState(t, re, applyRef(t, 1))
 	if _, err := re.Apply(batches[1]); err != nil {

@@ -30,8 +30,12 @@ import (
 // published epoch advances the store's Version, which is what lets the
 // engine retry cached preparation errors.
 //
-// Extending with a constraint already in the schema is a no-op.
+// Extending with a constraint already in the schema is a no-op. A shard
+// of a durable sharded store refuses it (see Options.Log).
 func (st *Store) ExtendAccess(ac schema.AccessConstraint) error {
+	if st.sharedLog {
+		return errSharedLog
+	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	ext, err := st.buildExtension(ac)
@@ -64,6 +68,9 @@ type StagedExtension struct {
 	ext   *extension
 	epoch uint64
 }
+
+// Epoch returns the epoch Commit publishes.
+func (se *StagedExtension) Epoch() uint64 { return se.epoch + 1 }
 
 // Commit publishes the staged extension. It fails — without changing
 // state — when the store has advanced past the epoch the extension was
@@ -113,7 +120,8 @@ func (st *Store) publishExtension(ac schema.AccessConstraint, ext *extension) er
 
 	// Same commit pipeline as Apply: the extension is durable before its
 	// epoch publishes, so a recovered store re-extends itself by replay.
-	if st.w != nil {
+	// A shard's extension is logged by its sharded store, before Commit.
+	if st.w != nil && !st.sharedLog {
 		rec := wal.Record{Kind: wal.RecExtension, Epoch: next.epoch,
 			Rel: ac.Rel, X: ac.X, Y: ac.Y, N: ac.N}
 		if err := st.w.Append(rec); err != nil {

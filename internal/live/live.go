@@ -89,6 +89,14 @@ type Options struct {
 	// directory with Open. Empty Dir is the purely in-memory store,
 	// bit-for-bit the pre-durability behavior.
 	Dir string
+	// Log, with Dir, makes the store a shard of a durable sharded store,
+	// which owns the log: the store keeps its checkpoint segments in Dir
+	// and reports Log from WAL, but never appends to it, resets it or
+	// closes it. The sharded store logs every commit of its shards itself
+	// (Stage, StageExtension) and checkpoints them all before it resets
+	// the log, so Apply and ExtendAccess, which would publish unlogged,
+	// are refused on such a store.
+	Log *wal.WAL
 }
 
 // ErrBound is the sentinel matched by errors.Is when a write is rejected
@@ -383,7 +391,9 @@ type Store struct {
 
 	// Durability state (nil w = in-memory store). w is written under mu;
 	// the segment gauges are atomic for lock-free metric bridges.
+	// sharedLog marks w as a sharded store's log (Options.Log).
 	w         *wal.WAL
+	sharedLog bool
 	dir       string
 	segEpoch  atomic.Uint64
 	segBytes  atomic.Int64
@@ -406,7 +416,7 @@ func New(base *storage.Database, acc *schema.AccessSchema, opts Options) (*Store
 		return nil, err
 	}
 	if opts.Dir != "" {
-		if err := st.initDurable(opts.Dir, acc); err != nil {
+		if err := st.initDurable(opts.Dir, acc, opts.Log); err != nil {
 			return nil, err
 		}
 	}
@@ -510,7 +520,9 @@ func (st *Store) bootstrap(base *storage.Database) (size map[string]int64, total
 // and the WAL is truncated once the epoch is out, every logged record
 // now being folded into the segment. The previous segment is retained
 // (two newest kept) so a checkpoint that later proves corrupt can fall
-// back one epoch and replay forward.
+// back one epoch and replay forward. A shard of a sharded store leaves
+// the log to its owner, which resets it once every shard has
+// checkpointed.
 func (st *Store) Compact() (uint64, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -534,7 +546,9 @@ func (st *Store) Compact() (uint64, error) {
 	st.compactions.Add(1)
 	st.cur.Store(next)
 	st.lastCommit.Store(time.Now().UnixNano())
-	if st.w != nil {
+	if st.sharedLog {
+		segment.Prune(st.dir, 2)
+	} else if st.w != nil {
 		if err := st.w.Reset(); err != nil {
 			// The checkpoint is published and correct; a failed truncate
 			// only leaves pre-checkpoint records behind, which replay
@@ -737,52 +751,120 @@ func (st *Store) Quarantine() []Quarantined {
 //
 // A committed batch is atomic: readers either see the whole batch (by
 // pinning a snapshot at or after the returned epoch) or none of it.
+//
+// Apply is Stage, then — on a durable store — the batch's applied ops
+// appended to the write-ahead log and fsynced, then Commit. A crash
+// between append and publish replays the record on reopen: the batch was
+// durable, so it must take effect. A crash mid-append leaves a torn frame
+// that recovery truncates: the batch never published, so it must not.
+// A shard of a durable sharded store refuses Apply (see Options.Log).
 func (st *Store) Apply(ops []Op) (uint64, error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.batches.Add(1)
-	if st.applySec != nil {
-		defer func(start time.Time) {
-			st.applySec.Observe(time.Since(start).Seconds())
-		}(time.Now())
+	if st.sharedLog {
+		return st.Epoch(), errSharedLog
 	}
+	sb, err := st.Stage(ops)
+	if err != nil {
+		return st.Epoch(), err
+	}
+	if st.w != nil && sb.nApplied > 0 {
+		rec := wal.Record{Kind: wal.RecBatch, Epoch: sb.Epoch(), Ops: sb.applied}
+		if err := st.w.Append(rec); err != nil {
+			sb.Abort()
+			return sb.snap.epoch, fmt.Errorf("live: wal append: %w", err)
+		}
+	}
+	return sb.Commit(), nil
+}
 
-	snap := st.cur.Load()
-	tx := newTxn(st, snap)
+// errSharedLog refuses a write that would publish on a shard of a durable
+// sharded store without its store logging it.
+var errSharedLog = errors.New("live: this store is a shard of a durable sharded store; write through the sharded store")
+
+// Staged is a batch Stage validated and has not yet published: its
+// effects are computed against the epoch it was staged at, and its store's
+// writer lock is held until Commit or Abort.
+type Staged struct {
+	txn
+	start time.Time
+}
+
+// Stage validates a batch as Apply does and returns it staged: every
+// effect is computed and nothing is published. The store's writer lock
+// is held from Stage until the batch's Commit or Abort, so no other
+// write comes between; the caller must call exactly one of them, and
+// soon. A batch Strict mode rejects, or one with a structural error,
+// returns the error and holds nothing.
+//
+// Stage, a log append, Commit is the store's one commit path: Apply runs
+// it with the store's own log, and a sharded store runs it on every shard
+// a batch touches, with one append to its own log for all of them, so a
+// batch publishes on every shard or on none.
+func (st *Store) Stage(ops []Op) (*Staged, error) {
+	st.mu.Lock()
+	st.batches.Add(1)
+	sb := &Staged{txn: newTxn(st, st.cur.Load())}
+	if st.applySec != nil {
+		sb.start = time.Now()
+	}
 	for _, op := range ops {
 		var err error
 		switch op.Kind {
 		case OpInsert:
-			err = tx.insert(op)
+			err = sb.insert(op)
 		case OpDelete:
-			err = tx.delete(op)
+			err = sb.delete(op)
 		default:
-			return snap.epoch, fmt.Errorf("live: unknown op kind %d", op.Kind)
+			err = fmt.Errorf("live: unknown op kind %d", op.Kind)
 		}
 		if err == nil {
 			continue
 		}
 		violation := errors.Is(err, ErrBound) || errors.Is(err, ErrNoSuchTuple)
-		if !violation {
-			return snap.epoch, err
+		if violation && st.mode == Permissive {
+			sb.quarantined = append(sb.quarantined, Quarantined{Op: op, Err: err})
+			continue
 		}
-		if st.mode == Strict {
+		if violation {
 			st.rejected.Add(1)
-			return snap.epoch, err
 		}
-		tx.quarantined = append(tx.quarantined, Quarantined{Op: op, Err: err})
+		sb.done()
+		return nil, err
 	}
-	// Commit pipeline, in order: the batch validated above, its applied
-	// ops go to the WAL and are fsynced, and only then does the epoch
-	// publish. A crash between append and publish replays the record on
-	// reopen — the batch was durable, so it must take effect; a crash
-	// mid-append leaves a torn frame that recovery truncates — the batch
-	// never published, so it must not.
-	if st.w != nil && tx.nApplied > 0 {
-		rec := wal.Record{Kind: wal.RecBatch, Epoch: snap.epoch + 1, Ops: tx.applied}
-		if err := st.w.Append(rec); err != nil {
-			return snap.epoch, fmt.Errorf("live: wal append: %w", err)
-		}
+	return sb, nil
+}
+
+// Ops returns the ops of the batch that take effect when it commits, in
+// batch order — what a write-ahead log records (never quarantined ops, so
+// replaying them through Apply is deterministic and never re-rejects).
+func (sb *Staged) Ops() []Op { return sb.applied }
+
+// Epoch returns the epoch Commit publishes: the next one, or the current
+// one when no op of the batch takes effect.
+func (sb *Staged) Epoch() uint64 {
+	if sb.nApplied > 0 {
+		return sb.snap.epoch + 1
 	}
-	return st.commit(tx), nil
+	return sb.snap.epoch
+}
+
+// Commit publishes the staged batch as the next epoch, merges its
+// quarantined ops, releases the writer lock and returns the epoch
+// published (see Epoch).
+func (sb *Staged) Commit() uint64 {
+	epoch := sb.st.commit(&sb.txn)
+	sb.done()
+	return epoch
+}
+
+// Abort drops the staged batch and releases the writer lock: the store is
+// as if the batch had never been staged.
+func (sb *Staged) Abort() { sb.done() }
+
+// done times the batch, when the store is instrumented, and releases the
+// writer lock.
+func (sb *Staged) done() {
+	if sb.st.applySec != nil {
+		sb.st.applySec.Observe(time.Since(sb.start).Seconds())
+	}
+	sb.st.mu.Unlock()
 }

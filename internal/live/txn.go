@@ -9,10 +9,10 @@ import (
 	"bcq/internal/value"
 )
 
-// txn is the workspace of one Apply batch. It buffers every effect —
-// copy-on-write index groups, new tuples, tombstones, touched ledger
-// entries — against the basis snapshot, so an aborted batch leaves no
-// trace and a committed one becomes exactly the next epoch's diff. It
+// txn is the workspace of one batch (see Staged). It buffers every
+// effect — copy-on-write index groups, new tuples, tombstones, touched
+// ledger entries — against the basis snapshot, so an aborted batch leaves
+// no trace and a committed one becomes exactly the next epoch's diff. It
 // runs under the store's writer mutex.
 type txn struct {
 	st   *Store
@@ -43,8 +43,8 @@ type txn struct {
 	nApplied int64
 }
 
-func newTxn(st *Store, snap *Snapshot) *txn {
-	return &txn{
+func newTxn(st *Store, snap *Snapshot) txn {
+	return txn{
 		st:       st,
 		snap:     snap,
 		groups:   make(map[string]map[string][]storage.IndexEntry),

@@ -7,11 +7,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
 	"bcq/internal/engine"
+	"bcq/internal/live"
 	"bcq/internal/obs"
+	"bcq/internal/value"
 )
 
 const hitText = `select photo_id from in_album where album_id = ?`
@@ -374,4 +377,55 @@ func FuzzBodyKeyedAnswers(f *testing.F) {
 			t.Fatalf("%q: a cacheable query answered 200 was not cached", body)
 		}
 	})
+}
+
+// TestQueuedQueryReadsTheWriteItWaitedBehind: a cacheable query whose
+// probe finds its entry stale pins a view and queues for the worker; a
+// write to what it reads commits while it waits. When it runs, the
+// engine's epoch has moved, so it asks the cache again and executes on
+// the view current then: the answer carries the post-write epoch and
+// tuples, not those of the view its probe pinned.
+func TestQueuedQueryReadsTheWriteItWaitedBehind(t *testing.T) {
+	ls, srv, _ := newTestServer(t, engine.Options{}, Options{Workers: 1, MaxQueue: 1})
+	h := srv.Handler()
+	warmHit(t, h)
+	// A write to the group the answer read: the entry stays, stale.
+	if _, err := ls.Apply([]live.Op{live.Insert("in_album", value.Tuple{value.Str("q1"), value.Str("a0")})}); err != nil {
+		t.Fatal(err)
+	}
+
+	// Hold the worker slot: the request probes, pins its view, is admitted
+	// and waits there.
+	srv.testHold = make(chan struct{})
+	type answer struct {
+		code int
+		raw  []byte
+	}
+	done := make(chan answer)
+	go func() {
+		code, raw := serveInProcess(h, hitBody)
+		done <- answer{code, raw}
+	}()
+	for srv.waiting.Load() < 1 {
+		runtime.Gosched()
+	}
+	if _, err := ls.Apply([]live.Op{live.Insert("in_album", value.Tuple{value.Str("q2"), value.Str("a0")})}); err != nil {
+		t.Fatal(err)
+	}
+	close(srv.testHold)
+
+	got := <-done
+	if got.code != http.StatusOK {
+		t.Fatalf("status %d: %s", got.code, got.raw)
+	}
+	var env envelope
+	if err := json.Unmarshal(got.raw, &env); err != nil {
+		t.Fatal(err)
+	}
+	if env.Cached || env.Epoch != ls.EpochKey() {
+		t.Errorf("answer cached=%v at epoch %s, want executed at the post-write epoch %s", env.Cached, env.Epoch, ls.EpochKey())
+	}
+	if !bytes.Contains(env.Result, []byte(`"q2"`)) {
+		t.Errorf("answer %s lacks the tuple written while the request queued", env.Result)
+	}
 }

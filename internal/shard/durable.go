@@ -7,19 +7,27 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"bcq/internal/live"
 	"bcq/internal/schema"
 	"bcq/internal/storage"
+	"bcq/internal/wal"
 )
 
 // manifestFileName is the sharded store's manifest, written at the root
 // of the durable directory AFTER every shard directory is initialized.
 const manifestFileName = "MANIFEST.json"
 
+// walFileName is the store's one write-ahead log, at the root of the
+// durable directory.
+const walFileName = "wal.log"
+
 // manifestVersion is the manifest format version this build writes.
-const manifestVersion = 1
+// Version 1 directories, where each shard kept a log of its own, are
+// migrated by Open (migrateV1).
+const manifestVersion = 2
 
 // ErrShardMismatch reports that the shard count a caller requested
 // disagrees with the one recorded in a directory's manifest. CLIs match
@@ -30,7 +38,7 @@ var ErrShardMismatch = errors.New("shard count does not match the directory's ma
 // ManifestPlacement is one relation's persisted distribution rule.
 // Placements are persisted rather than re-derived at Open because the
 // recovered schema can be wider than the one the store was created with
-// (extensions replay from the WALs): re-deriving from the wider schema
+// (extensions replay from the log): re-deriving from the wider schema
 // could pick a different anchor — or widen an empty key — and silently
 // orphan every tuple already placed.
 type ManifestPlacement struct {
@@ -53,33 +61,34 @@ type Manifest struct {
 	Placements map[string]ManifestPlacement `json:"placements"`
 }
 
-// Recovery aggregates what Open did to bring each shard back.
+// Recovery reports what Open did to bring a durable sharded store back.
 type Recovery struct {
-	// PerShard holds each shard's live-store recovery report, in shard
-	// order (nil for a freshly created directory).
-	PerShard []*live.Recovery
 	// Fresh reports that the directory held no store and Open created
 	// one.
 	Fresh bool
-}
-
-// ReplayedOps sums the WAL ops replayed across shards.
-func (r *Recovery) ReplayedOps() int64 {
-	var n int64
-	for _, pr := range r.PerShard {
-		n += pr.ReplayedOps
-	}
-	return n
-}
-
-// TruncatedRecords sums the torn or corrupt WAL frames dropped across
-// shards.
-func (r *Recovery) TruncatedRecords() int64 {
-	var n int64
-	for _, pr := range r.PerShard {
-		n += pr.TruncatedRecords
-	}
-	return n
+	// Migrated reports that the directory was written in manifest version
+	// 1, with a log per shard, and Open migrated it (see migrateV1).
+	Migrated bool
+	// CorruptSegments lists the checkpoint segments, over all shards,
+	// that failed validation and were skipped.
+	CorruptSegments []string
+	// ReplayedBatches, ReplayedOps and ReplayedExtensions count the work
+	// the log replayed (ReplayedOps also the ops a migration replayed from
+	// the shards' logs).
+	ReplayedBatches    int64
+	ReplayedOps        int64
+	ReplayedExtensions int64
+	// TruncatedRecords counts torn or corrupt frames cut from the log's
+	// tail (also surfaced as bcq_wal_truncated_records_total).
+	TruncatedRecords int64
+	// SkippedRecords counts records every shard they name had already
+	// folded into its checkpoint — leftovers of a crash between the
+	// shards' checkpoints and the log's reset.
+	SkippedRecords int64
+	// GapRecords counts records dropped, from the first whose epoch on
+	// some shard left a continuity gap with that shard's checkpoint: the
+	// conservative stop when a newest checkpoint was lost.
+	GapRecords int64
 }
 
 // shardDirName is shard s's subdirectory under the store root.
@@ -141,8 +150,8 @@ func ReadManifest(dir string) (*Manifest, error) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("shard: manifest %s: %w", dir, err)
 	}
-	if m.Version != manifestVersion {
-		return nil, fmt.Errorf("shard: manifest %s: format version %d, this build reads %d", dir, m.Version, manifestVersion)
+	if m.Version < 1 || m.Version > manifestVersion {
+		return nil, fmt.Errorf("shard: manifest %s: format version %d, this build reads 1 to %d", dir, m.Version, manifestVersion)
 	}
 	if m.Shards < 1 {
 		return nil, fmt.Errorf("shard: manifest %s: shard count %d < 1", dir, m.Shards)
@@ -181,19 +190,26 @@ func writeManifest(dir string, m *Manifest) error {
 		os.Remove(tmp)
 		return err
 	}
+	syncDir(dir)
+	return nil
+}
+
+// syncDir fsyncs a directory, so a rename or removal in it is durable.
+func syncDir(dir string) {
 	if d, err := os.Open(dir); err == nil {
 		d.Sync()
 		d.Close()
 	}
-	return nil
 }
 
 // Open recovers a durable sharded store from dir: it reads the manifest,
-// rebuilds placements from it, recovers every shard's live store in
-// parallel (each loading its newest valid checkpoint segment and
-// replaying its WAL tail), heals schema divergence a crash mid-extension
-// can leave between shards, and finally applies constraints from acc the
-// recovered schema lacks as fresh (logged) extensions.
+// rebuilds placements from it, loads every shard's newest valid
+// checkpoint segment in parallel (live.Recover), replays the store's log
+// — each sub-batch on its shard, skipping those at or below that shard's
+// checkpoint epoch — and finally applies constraints from acc the
+// recovered schema lacks as fresh (logged) extensions. A directory an
+// older build wrote, with a log per shard (manifest version 1), is
+// migrated first (migrateV1).
 //
 // opts.Shards must be 0 (accept the manifest's count) or equal to it; a
 // disagreement fails with an error matching ErrShardMismatch. On a
@@ -207,8 +223,10 @@ func Open(dir string, cat *schema.Catalog, acc *schema.AccessSchema, opts Option
 	}
 	m, err := ReadManifest(dir)
 	if errors.Is(err, fs.ErrNotExist) {
-		if _, serr := os.Stat(filepath.Join(dir, shardDirName(0))); serr == nil {
-			return nil, nil, fmt.Errorf("shard: %s holds shard directories but no manifest (creation crashed?); remove the directory and rebuild", dir)
+		for _, name := range []string{shardDirName(0), walFileName} {
+			if _, serr := os.Stat(filepath.Join(dir, name)); serr == nil {
+				return nil, nil, fmt.Errorf("shard: %s holds store state but no manifest (creation crashed?); remove the directory and rebuild", dir)
+			}
 		}
 		if acc == nil {
 			return nil, nil, fmt.Errorf("shard: %s holds no store state and no access schema was provided", dir)
@@ -227,6 +245,13 @@ func Open(dir string, cat *schema.Catalog, acc *schema.AccessSchema, opts Option
 			dir, opts.Shards, m.Shards, ErrShardMismatch)
 	}
 	P := m.Shards
+	rec := &Recovery{}
+	if m.Version == 1 {
+		if rec.ReplayedOps, err = migrateV1(dir, cat, m, opts.Mode); err != nil {
+			return nil, nil, err
+		}
+		rec.Migrated = true
+	}
 
 	st := &Store{
 		cat:    cat,
@@ -264,10 +289,16 @@ func Open(dir string, cat *schema.Catalog, acc *schema.AccessSchema, opts Option
 		manifestDirty = true
 	}
 
-	// Recover the shards in parallel, each with a nil access schema: the
-	// schema each shard persisted (checkpoint + replayed extensions) is
-	// authoritative; caller widening happens once, below, through the
-	// sharded extension path.
+	w, records, err := wal.Open(filepath.Join(dir, walFileName))
+	if err != nil {
+		return nil, nil, err
+	}
+	st.w = w
+	rec.TruncatedRecords = w.Stats().TruncatedRecords
+
+	// Load the shards' checkpoints in parallel, each with the schema it
+	// persisted: caller widening happens once, below, through the sharded
+	// extension path.
 	st.shards = make([]*live.Store, P)
 	recs := make([]*live.Recovery, P)
 	errs := make([]error, P)
@@ -276,56 +307,36 @@ func Open(dir string, cat *schema.Catalog, acc *schema.AccessSchema, opts Option
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			st.shards[s], recs[s], errs[s] = live.Open(
-				filepath.Join(dir, shardDirName(s)), cat, nil, live.Options{Mode: opts.Mode})
+			st.shards[s], recs[s], errs[s] = live.Recover(
+				filepath.Join(dir, shardDirName(s)), cat, live.Options{Mode: opts.Mode, Log: w})
 		}(s)
 	}
 	wg.Wait()
 	for s, err := range errs {
 		if err != nil {
-			closeAll(st.shards)
+			w.Close()
 			return nil, nil, fmt.Errorf("shard: recovering shard %d: %w", s, err)
 		}
+		rec.CorruptSegments = append(rec.CorruptSegments, recs[s].CorruptSegments...)
+	}
+	if err := st.replay(records, rec); err != nil {
+		w.Close()
+		return nil, nil, err
 	}
 
-	// Heal schema divergence. A crash between an extension's per-shard
-	// commits leaves a prefix of the shards (shard 0 first) holding a
-	// constraint the rest lack; every durably committed constraint was
-	// fsynced on its shard before publication, so the union across shards
-	// is exactly the set of constraints that ever committed anywhere.
-	// Re-extending the shards that missed one is idempotent and restores
-	// the all-shards-agree invariant ExtendAccess maintains.
-	union := make([]schema.AccessConstraint, 0)
-	seen := make(map[string]bool)
-	for _, ls := range st.shards {
-		for _, ac := range ls.Access().Constraints() {
-			if !seen[ac.Key()] {
-				seen[ac.Key()] = true
-				union = append(union, ac)
-			}
-		}
-	}
+	// Probe routes for the recovered schema, which every shard shares: an
+	// extension is one record, replayed on every shard it names.
+	want := constraintKeys(st.shards[0].Access())
 	for s, ls := range st.shards {
-		have := make(map[string]bool)
-		for _, ac := range ls.Access().Constraints() {
-			have[ac.Key()] = true
-		}
-		for _, ac := range union {
-			if have[ac.Key()] {
-				continue
-			}
-			if err := ls.ExtendAccess(ac); err != nil {
-				closeAll(st.shards)
-				return nil, nil, fmt.Errorf("shard: healing shard %d with %s: %w", s, ac, err)
-			}
+		if got := constraintKeys(ls.Access()); !slices.Equal(got, want) {
+			w.Close()
+			return nil, nil, fmt.Errorf("shard: %s: shard %d recovered constraints %v, shard 0 %v", dir, s, got, want)
 		}
 	}
-
-	// Probe routes for the recovered schema.
-	for _, ac := range union {
+	for _, ac := range st.shards[0].Access().Constraints() {
 		rt, err := st.buildRoute(ac)
 		if err != nil {
-			closeAll(st.shards)
+			w.Close()
 			return nil, nil, err
 		}
 		st.routes[ac.Key()] = rt
@@ -340,7 +351,7 @@ func Open(dir string, cat *schema.Catalog, acc *schema.AccessSchema, opts Option
 				continue
 			}
 			if err := st.ExtendAccess(ac); err != nil {
-				closeAll(st.shards)
+				w.Close()
 				return nil, nil, fmt.Errorf("shard: extending recovered store with %s: %w", ac, err)
 			}
 		}
@@ -348,48 +359,162 @@ func Open(dir string, cat *schema.Catalog, acc *schema.AccessSchema, opts Option
 
 	if manifestDirty {
 		if err := writeManifest(dir, m); err != nil {
-			closeAll(st.shards)
+			w.Close()
 			return nil, nil, fmt.Errorf("shard: updating manifest: %w", err)
 		}
 	}
-	return st, &Recovery{PerShard: recs}, nil
+	return st, rec, nil
 }
 
-// Close checkpoints and closes every shard's live store, shard-parallel,
-// excluding writers for the duration. In-memory stores are a no-op; safe
-// to call more than once. The first per-shard error (in shard order) is
-// returned, after every shard has been given the chance to close.
-func (st *Store) Close() error {
-	st.viewMu.Lock()
-	defer st.viewMu.Unlock()
-	errs := make([]error, len(st.shards))
-	var wg sync.WaitGroup
-	for s, ls := range st.shards {
-		wg.Add(1)
-		go func(s int, ls *live.Store) {
-			defer wg.Done()
-			errs[s] = ls.Close()
-		}(s, ls)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+// replay applies the log's records to the shards Open recovered: each
+// sub-batch (or extension) goes to the shard it names, through the normal
+// admission path, unless that shard's checkpoint already holds it (its
+// epoch is at or below the shard's). A record whose epoch on some shard
+// leaves a gap stops the replay before any of it applies.
+func (st *Store) replay(records []wal.Record, rec *Recovery) error {
+	for i, r := range records {
+		var todo []wal.Sub
+		for _, sub := range r.Subs {
+			if sub.Shard < 0 || sub.Shard >= st.p {
+				return fmt.Errorf("shard: wal record %d names shard %d of %d", i, sub.Shard, st.p)
+			}
+			cur := st.shards[sub.Shard].Epoch()
+			if sub.Epoch <= cur {
+				continue
+			}
+			if sub.Epoch != cur+1 {
+				rec.GapRecords = int64(len(records) - i)
+				return nil
+			}
+			todo = append(todo, sub)
+		}
+		if len(todo) == 0 {
+			rec.SkippedRecords++
+			continue
+		}
+		switch r.Kind {
+		case wal.RecShardBatch:
+			for _, sub := range todo {
+				sb, err := st.shards[sub.Shard].Stage(sub.Ops)
+				if err != nil {
+					return fmt.Errorf("shard: replaying wal record %d on shard %d: %w", i, sub.Shard, err)
+				}
+				if sb.Epoch() != sub.Epoch {
+					sb.Abort()
+					return fmt.Errorf("shard: replay drift: wal record %d on shard %d publishes epoch %d, logged %d", i, sub.Shard, sb.Epoch(), sub.Epoch)
+				}
+				sb.Commit()
+				rec.ReplayedOps += int64(len(sub.Ops))
+			}
+			rec.ReplayedBatches++
+		case wal.RecShardExtension:
+			ac, err := schema.NewAccessConstraint(r.Rel, r.X, r.Y, r.N)
+			if err != nil {
+				return fmt.Errorf("shard: replaying wal extension record %d: %w", i, err)
+			}
+			for _, sub := range todo {
+				se, err := st.shards[sub.Shard].StageExtension(ac)
+				if err == nil && (se == nil || se.Epoch() != sub.Epoch) {
+					err = fmt.Errorf("replay drift: the extension does not publish epoch %d", sub.Epoch)
+				}
+				if err == nil {
+					err = se.Commit()
+				}
+				if err != nil {
+					return fmt.Errorf("shard: replaying wal extension record %d on shard %d: %w", i, sub.Shard, err)
+				}
+			}
+			rec.ReplayedExtensions++
+		default:
+			return fmt.Errorf("shard: wal record %d has kind %d, not a sharded store's", i, r.Kind)
 		}
 	}
 	return nil
+}
+
+// constraintKeys lists a schema's constraint keys, sorted.
+func constraintKeys(acc *schema.AccessSchema) []string {
+	var keys []string
+	for _, ac := range acc.Constraints() {
+		keys = append(keys, ac.Key())
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// migrateV1 brings a manifest-version-1 directory, whose shards each kept
+// a write-ahead log of their own, to this build's layout, and returns the
+// ops the shards' logs replayed: every shard is recovered from its own
+// checkpoint and log and checkpointed again, which empties its log; the
+// shard logs are removed; and the version-2 manifest is written last. A
+// crash before that reopens as version 1 and migrates again, which only
+// checkpoints anew. Shards that disagree on their schema (an older
+// build's extension torn by a crash) are refused: that build heals them
+// when it opens the directory.
+func migrateV1(dir string, cat *schema.Catalog, m *Manifest, mode live.Mode) (int64, error) {
+	var ops int64
+	var keys []string
+	for s := 0; s < m.Shards; s++ {
+		sdir := filepath.Join(dir, shardDirName(s))
+		ls, rec, err := live.Open(sdir, cat, nil, live.Options{Mode: mode})
+		if err != nil {
+			return 0, fmt.Errorf("shard: migrating shard %d: %w", s, err)
+		}
+		ops += rec.ReplayedOps
+		got := constraintKeys(ls.Access())
+		if s == 0 {
+			keys = got
+		} else if !slices.Equal(got, keys) {
+			ls.Close()
+			return 0, fmt.Errorf("shard: migrating %s: shard %d holds constraints %v, shard 0 %v; open the directory once with the build that wrote it", dir, s, got, keys)
+		}
+		if _, err := ls.Compact(); err != nil {
+			ls.Close()
+			return 0, fmt.Errorf("shard: migrating shard %d: %w", s, err)
+		}
+		if err := ls.Close(); err != nil {
+			return 0, fmt.Errorf("shard: migrating shard %d: %w", s, err)
+		}
+	}
+	for s := 0; s < m.Shards; s++ {
+		sdir := filepath.Join(dir, shardDirName(s))
+		if err := os.Remove(filepath.Join(sdir, walFileName)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return 0, fmt.Errorf("shard: migrating shard %d: %w", s, err)
+		}
+		syncDir(sdir)
+	}
+	m.Version = manifestVersion
+	if err := writeManifest(dir, m); err != nil {
+		return 0, fmt.Errorf("shard: migrating %s: %w", dir, err)
+	}
+	return ops, nil
+}
+
+// Close checkpoints the store, when its log holds records, and closes
+// the log, excluding writers for the duration. In-memory stores are a
+// no-op; safe to call more than once.
+func (st *Store) Close() error {
+	st.viewMu.Lock()
+	defer st.viewMu.Unlock()
+	if st.w == nil {
+		return nil
+	}
+	if st.w.HasRecords() {
+		if err := st.checkpoint(); err != nil {
+			st.w.Close()
+			return err
+		}
+	}
+	return st.w.Close()
 }
 
 // Dir returns the store's durable root directory ("" for in-memory
 // stores).
 func (st *Store) Dir() string { return st.dir }
 
-// closeAll best-effort closes the non-nil stores of a partially built
-// shard slice.
-func closeAll(shards []*live.Store) {
-	for _, ls := range shards {
-		if ls != nil {
-			ls.Close()
-		}
+// closeLog closes the log of a store whose construction failed.
+func (st *Store) closeLog() {
+	if st.w != nil {
+		st.w.Close()
 	}
 }

@@ -113,8 +113,8 @@ func TestShardDurableCrashReplaysTail(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Abandon without Close: the crash case. Every shard must replay its
-	// committed sub-batches from its own WAL.
+	// Abandon without Close: the crash case. The store's log must replay
+	// every committed sub-batch on its shard.
 	re, rec, err := shard.Open(dir, cat, acc, shard.Options{Shards: 3})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
@@ -124,8 +124,8 @@ func TestShardDurableCrashReplaysTail(t *testing.T) {
 	for _, b := range batches {
 		wantOps += int64(len(b))
 	}
-	if rec.ReplayedOps() != wantOps {
-		t.Fatalf("replayed %d ops across shards, want %d", rec.ReplayedOps(), wantOps)
+	if rec.ReplayedOps != wantOps || rec.ReplayedBatches != int64(len(batches)) {
+		t.Fatalf("replayed %d ops in %d batches, want %d in %d", rec.ReplayedOps, rec.ReplayedBatches, wantOps, len(batches))
 	}
 	// No checkpoint ran on either side, so even the epoch vectors match:
 	// each shard's recovered epoch is exactly its committed sub-batch
@@ -160,13 +160,8 @@ func TestShardDurableCleanShutdownReplaysNothing(t *testing.T) {
 	if re.NumShards() != 2 {
 		t.Fatalf("NumShards = %d, want 2 from the manifest", re.NumShards())
 	}
-	if rec.ReplayedOps() != 0 {
-		t.Fatalf("clean shutdown replayed %d ops", rec.ReplayedOps())
-	}
-	for s, pr := range rec.PerShard {
-		if len(pr.ReplayedBatches) != 0 || pr.ReplayedExtensions != 0 {
-			t.Fatalf("shard %d replayed work after clean shutdown: %+v", s, pr)
-		}
+	if rec.ReplayedOps != 0 || rec.ReplayedBatches != 0 || rec.ReplayedExtensions != 0 {
+		t.Fatalf("clean shutdown replayed work: %+v", rec)
 	}
 	// Close checkpointed some shards (epoch bumps the in-memory reference
 	// does not have), so compare content, not epochs.
@@ -285,56 +280,5 @@ constraint r: (a) -> (b, 100)
 	}
 	if re.NumTuples() != int64(len(ops)) {
 		t.Fatalf("NumTuples = %d, want %d", re.NumTuples(), len(ops))
-	}
-}
-
-// TestShardOpenHealsExtensionTear simulates a crash between an
-// extension's per-shard commits (shard 0 committed, the rest did not):
-// Open must converge every shard back to the union schema.
-func TestShardOpenHealsExtensionTear(t *testing.T) {
-	const ddl = `
-relation r(a, b, c)
-
-constraint r: (a) -> (b, 100)
-`
-	cat, acc, err := schema.ParseDDL(ddl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	ss, err := shard.New(storage.NewDatabase(cat), acc, shard.Options{Shards: 2, Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ss.Apply([]live.Op{
-		live.Insert("r", tup("a1", "b1", "c1")),
-		live.Insert("r", tup("a2", "b2", "c2")),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// The extension's X contains r's shard key (a), so it is placement
-	// compatible. Committing it on shard 0 only reproduces the torn state
-	// a crash mid-ExtendAccess leaves behind.
-	ext := schema.MustAccessConstraint("r", []string{"a", "b"}, []string{"c"}, 50)
-	if err := ss.Shard(0).ExtendAccess(ext); err != nil {
-		t.Fatal(err)
-	}
-
-	re, _, err := shard.Open(dir, cat, acc, shard.Options{})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	defer re.Close()
-	if re.Access().Size() != 2 {
-		t.Fatalf("recovered schema has %d constraints, want 2 (healed)", re.Access().Size())
-	}
-	for s := 0; s < re.NumShards(); s++ {
-		if re.Shard(s).Access().Size() != 2 {
-			t.Fatalf("shard %d schema has %d constraints, want 2", s, re.Shard(s).Access().Size())
-		}
-	}
-	// The healed constraint routes: probing it is now legal store-wide.
-	if err := re.Apply([]live.Op{live.Insert("r", tup("a3", "b3", "c3"))}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -3,6 +3,9 @@ package shard_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -121,23 +124,32 @@ func checkRoutesInPlace(t *testing.T, ss *shard.Store) {
 	}
 }
 
-// TestManifestFromOlderBuildOpens: a store whose manifest holds
-// partitioned and pinned entries, written before the round-robin rule
-// was removed, opens with the placements it was written with, routes
-// every tuple and probe to the shard that holds it, and a fresh store of
-// the same schema writes the same manifest bytes.
+// TestManifestFromOlderBuildOpens: a store an older build wrote —
+// manifest version 1, partitioned and pinned entries, a write-ahead log
+// per shard — is migrated at Open: the shard logs' tails replay, every
+// shard checkpoints, the shard logs go and manifest version 2 is written.
+// The migrated store has the placements and tuples it was written with,
+// routes every tuple and probe to the shard that holds it, writes the
+// manifest bytes a fresh store of the same schema writes, and a second
+// Open reads version 2 and the same tuples.
 func TestManifestFromOlderBuildOpens(t *testing.T) {
 	cat, acc, err := schema.ParseDDL(v1StoreDDL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, rec, err := shard.Open(copyStore(t, filepath.Join("testdata", "v1-store")), cat, acc, shard.Options{})
+	dir := copyStore(t, filepath.Join("testdata", "v1-store"))
+	if m, err := shard.ReadManifest(dir); err != nil || m.Version != 1 {
+		t.Fatalf("testdata manifest = %+v (%v), want version 1", m, err)
+	}
+	ss, rec, err := shard.Open(dir, cat, acc, shard.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ss.Close()
-	if rec.ReplayedOps() == 0 {
-		t.Error("nothing replayed: the store's write-ahead log tail was not read")
+	if !rec.Migrated {
+		t.Error("a version-1 directory was not reported migrated")
+	}
+	if rec.ReplayedOps == 0 {
+		t.Error("nothing replayed: the shards' write-ahead log tails were not read")
 	}
 	for rel, want := range v1StorePlacements {
 		if got, _ := ss.PlacementOf(rel); got != want {
@@ -147,15 +159,33 @@ func TestManifestFromOlderBuildOpens(t *testing.T) {
 	if got := ss.ShardSizes(); !reflect.DeepEqual(got, []int64{8, 24, 19}) {
 		t.Errorf("shard sizes %v, want [8 24 19]", got)
 	}
+	checkNoShardLogs(t, dir, ss.NumShards())
 	checkRoutesInPlace(t, ss)
+	contents := shardContents(t, ss)
+	if err := ss.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	dir := t.TempDir()
-	fresh, err := shard.New(storage.NewDatabase(cat), acc, shard.Options{Shards: 3, Dir: dir})
+	re, rec, err := shard.Open(dir, cat, acc, shard.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fresh.Close()
-	want, err := os.ReadFile(filepath.Join("testdata", "v1-store", "MANIFEST.json"))
+	defer re.Close()
+	if rec.Migrated {
+		t.Error("a migrated directory was migrated again")
+	}
+	if got := shardContents(t, re); !reflect.DeepEqual(got, contents) {
+		t.Errorf("reopened shards differ\n got:  %v\n want: %v", got, contents)
+	}
+
+	fresh := t.TempDir()
+	ns, err := shard.New(storage.NewDatabase(cat), acc, shard.Options{Shards: 3, Dir: fresh})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ns.Close()
+	checkNoShardLogs(t, fresh, ns.NumShards())
+	want, err := os.ReadFile(filepath.Join(fresh, "MANIFEST.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +194,24 @@ func TestManifestFromOlderBuildOpens(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Errorf("fresh manifest differs\n got:  %s\n want: %s", got, want)
+		t.Errorf("migrated manifest differs from a fresh store's\n got:  %s\n want: %s", got, want)
+	}
+	if m, err := shard.ReadManifest(dir); err != nil || m.Version != 2 {
+		t.Errorf("migrated manifest = %+v (%v), want version 2", m, err)
+	}
+}
+
+// checkNoShardLogs fails when a shard directory holds a write-ahead log:
+// a sharded store keeps one, at its root.
+func checkNoShardLogs(t *testing.T, dir string, shards int) {
+	t.Helper()
+	for s := 0; s < shards; s++ {
+		if _, err := os.Stat(filepath.Join(dir, fmt.Sprintf("shard-%03d", s), "wal.log")); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("shard %d directory holds a wal.log (%v)", s, err)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "wal.log")); err != nil {
+		t.Errorf("no store log at the root: %v", err)
 	}
 }
 

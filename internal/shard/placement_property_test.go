@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -69,10 +70,8 @@ func placementPool() map[string][]value.Tuple {
 // and Permissive mode at P ∈ {1, 2, 3}; no tuple may sit on two shards.
 //
 // A batch fails on the sharded store exactly when it fails on the single
-// store, with live.ErrNoSuchTuple or live.ErrBound. Such a Strict
-// batch may still commit on the other shards (the torn batch Apply
-// documents), so after one the single store is rebuilt from the sharded
-// store's data and the property resumes from there.
+// store, with live.ErrNoSuchTuple or live.ErrBound, and then leaves both
+// as they were: a sharded batch commits on every shard or on none.
 func TestContentAddressedPlacementProperty(t *testing.T) {
 	cat, acc := placementScene(t)
 	pool := placementPool()
@@ -116,16 +115,9 @@ func TestContentAddressedPlacementProperty(t *testing.T) {
 					checkOneShardPerTuple(t, ss)
 					if errS != nil {
 						failed++
-						frozen, err := ss.View().Freeze()
-						if err != nil {
-							t.Fatal(err)
-						}
-						if ls, err = live.New(frozen, acc, live.Options{Mode: mode}); err != nil {
-							t.Fatal(err)
-						}
-						continue
+					} else {
+						accepted++
 					}
-					accepted++
 					for _, rel := range placementRels {
 						got := sortedTuples(t, relTuples(t, ss, rel))
 						want := sortedTuples(t, snapTuples(t, ls, rel))
@@ -179,9 +171,11 @@ func checkOneShardPerTuple(t *testing.T, ss *shard.Store) {
 
 // TestAbsentDeleteFailsOnItsOwnShard: a delete of a tuple no shard holds
 // goes to the shard the tuple hashes to and fails there like any other
-// op: Strict returns live.ErrNoSuchTuple while the batch's ops on other
-// shards commit, Permissive quarantines the delete on that shard. The
-// view's NonEmpty follows the constraint-less relation through it.
+// op. Strict returns live.ErrNoSuchTuple and the failing sub-batch
+// leaves every shard unchanged — the batch's insert on another shard
+// does not commit either; Permissive quarantines the delete on its own
+// shard and commits the insert. The view's NonEmpty follows the
+// constraint-less relation through it.
 func TestAbsentDeleteFailsOnItsOwnShard(t *testing.T) {
 	cat, acc := placementScene(t)
 	for _, mode := range []live.Mode{live.Strict, live.Permissive} {
@@ -226,20 +220,22 @@ func TestAbsentDeleteFailsOnItsOwnShard(t *testing.T) {
 				t.Fatal("relation non-empty after deleting every tuple")
 			}
 
+			epochs := ss.Epochs()
 			err = ss.Apply([]live.Op{live.Insert("free", kept), live.Delete("free", gone)})
 			if mode == live.Strict {
 				if !errors.Is(err, live.ErrNoSuchTuple) {
 					t.Fatalf("absent delete: got %v, want ErrNoSuchTuple", err)
 				}
-			} else if err != nil {
+				if got := ss.Epochs(); !reflect.DeepEqual(got, epochs) || nonEmpty() || ss.NumTuples() != 0 {
+					t.Fatalf("a failed Strict batch published: epochs %v → %v, %d tuples", epochs, got, ss.NumTuples())
+				}
+				return
+			}
+			if err != nil {
 				t.Fatalf("absent delete in Permissive mode: %v", err)
 			}
-			// The insert on the other shard committed either way.
 			if s := holder(t, ss, "free", kept); s != keptOn || !nonEmpty() {
 				t.Fatalf("%s on shard %d, want %d", kept, s, keptOn)
-			}
-			if mode == live.Strict {
-				return
 			}
 			q := ss.Shard(goneOn).Quarantine()
 			if len(q) != 1 || q[0].Op.Kind != live.OpDelete || !q[0].Op.Tuple.Equal(gone) {

@@ -39,20 +39,23 @@
 //
 // # Writes and the epoch vector
 //
-// Apply splits a batch by owning shard and commits the sub-batches
-// shard-parallel: admission checking, copy-on-write group maintenance and
-// snapshot publication all run under per-shard writer locks, so ingest
-// throughput scales with P. A sub-batch is atomic on its shard; the
-// cross-shard batch is not (there is no distributed transaction — shards
-// hold disjoint data, so the only cross-shard anomaly is a torn batch, not
-// a torn tuple).
+// Apply splits a batch by owning shard and stages the sub-batches
+// shard-parallel: admission checking and copy-on-write group maintenance
+// run under each shard's writer lock (live.Store.Stage). Only when every
+// sub-batch has staged does anything publish, so a batch commits on every
+// shard it touches or on none: a Strict batch with one failing sub-batch
+// commits nothing. A durable store logs the staged batch as one record of
+// its one write-ahead log — every sub-batch with its shard and that
+// shard's next epoch — and fsyncs it once before any shard publishes.
+// Shards in one process on one disk are one failure domain, so recovery
+// holds a logged batch whole or not at all.
 //
-// View pins one epoch vector atomically: it excludes writers (a single
-// RWMutex writers share in read mode) and loads every shard's current
-// snapshot, so the vector is a consistent cut — every committed batch is
-// either entirely visible or entirely invisible in the view. Writers hold
-// the mutex for their whole commit, a durable shard's WAL fsync
-// included, so a pin waits for every in-flight batch.
+// View pins one epoch vector atomically: it excludes writers (one mutex
+// serializes batches, extensions, checkpoints and pins) and loads every
+// shard's current snapshot, so the vector is a consistent cut — every
+// committed batch is either entirely visible or entirely invisible in the
+// view. Writers hold the mutex for their whole commit, the log's fsync
+// included, so a pin waits for the batch in flight.
 package shard
 
 import (
@@ -68,6 +71,7 @@ import (
 	"bcq/internal/stats"
 	"bcq/internal/storage"
 	"bcq/internal/value"
+	"bcq/internal/wal"
 )
 
 // Options tunes a sharded store.
@@ -78,12 +82,13 @@ type Options struct {
 	// Mode is the per-shard live stores' violation policy (default
 	// live.Strict).
 	Mode live.Mode
-	// Dir, when non-empty, makes the store durable: each shard keeps a
-	// write-ahead log and checkpoint segments in its own subdirectory
-	// (shard-000, shard-001, …) and a manifest at the root records the
-	// shard count and the placement of every relation. New requires the
-	// directory to hold no prior sharded store; use Open to recover one.
-	// Empty Dir keeps the store fully in-memory.
+	// Dir, when non-empty, makes the store durable: one write-ahead log
+	// at the root (wal.log) records every batch and extension of every
+	// shard, each shard keeps its checkpoint segments in its own
+	// subdirectory (shard-000, shard-001, …), and a manifest at the root
+	// records the shard count and the placement of every relation. New
+	// requires the directory to hold no prior sharded store; use Open to
+	// recover one. Empty Dir keeps the store fully in-memory.
 	Dir string
 }
 
@@ -133,13 +138,14 @@ func (l *locator) owner(t value.Tuple) (int, bool) {
 // Store is a sharded live store: P partitions, each a live.Store over its
 // own sealed base, presenting one logical database. Reads go through View
 // (an atomically pinned epoch vector implementing exec.Store and
-// exec.PartitionedStore); writes go through Apply/Insert/Delete and are
-// committed shard-parallel.
+// exec.PartitionedStore); writes go through Apply/Insert/Delete, staged
+// shard-parallel and committed on every shard or none.
 type Store struct {
 	cat  *schema.Catalog
 	mode live.Mode
-	p    int    // partition count, fixed before the shards exist
-	dir  string // durable root directory ("" for in-memory stores)
+	p    int      // partition count, fixed before the shards exist
+	dir  string   // durable root directory ("" for in-memory stores)
+	w    *wal.WAL // the store's one log (nil for in-memory stores)
 
 	shards []*live.Store
 	place  map[string]*placement
@@ -150,12 +156,13 @@ type Store struct {
 	// never races schema evolution.
 	routes map[string]*locator
 
-	// viewMu: writers hold it in read mode for the duration of a commit
-	// (so writes to different shards proceed in parallel); View holds it
-	// in write mode for the instants it pins the epoch vector, making the
-	// vector a consistent cut. ExtendAccess holds it in write mode for
-	// the whole extension, excluding writers and pins.
-	viewMu sync.RWMutex
+	// viewMu serializes everything that publishes and every pin: Apply
+	// holds it from staging to the last shard's commit, so the log's
+	// records follow commit order; ExtendAccess and Compact hold it
+	// throughout, so no batch commits between a shard's checkpoint and
+	// the log's reset; View holds it for the instants it pins the epoch
+	// vector, making the vector a consistent cut.
+	viewMu sync.Mutex
 }
 
 // New partitions a loaded database into opts.Shards shards. The base
@@ -187,8 +194,10 @@ func New(base *storage.Database, acc *schema.AccessSchema, opts Options) (*Store
 		if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 			return nil, err
 		}
-		if _, err := os.Stat(filepath.Join(opts.Dir, manifestFileName)); err == nil {
-			return nil, fmt.Errorf("shard: %s already holds a sharded store; recover it with Open", opts.Dir)
+		for _, name := range []string{manifestFileName, walFileName} {
+			if _, err := os.Stat(filepath.Join(opts.Dir, name)); err == nil {
+				return nil, fmt.Errorf("shard: %s already holds a sharded store; recover it with Open", opts.Dir)
+			}
 		}
 	}
 
@@ -228,15 +237,21 @@ func New(base *storage.Database, acc *schema.AccessSchema, opts Options) (*Store
 			}
 		}
 	}
+	if opts.Dir != "" {
+		var err error
+		if st.w, _, err = wal.Open(filepath.Join(opts.Dir, walFileName)); err != nil {
+			return nil, err
+		}
+	}
 	st.shards = make([]*live.Store, P)
 	for s := range dbs {
-		lopts := live.Options{Mode: opts.Mode}
+		lopts := live.Options{Mode: opts.Mode, Log: st.w}
 		if opts.Dir != "" {
 			lopts.Dir = filepath.Join(opts.Dir, shardDirName(s))
 		}
 		ls, err := live.New(dbs[s], acc, lopts)
 		if err != nil {
-			closeAll(st.shards[:s])
+			st.closeLog()
 			return nil, fmt.Errorf("shard: building shard %d: %w", s, err)
 		}
 		st.shards[s] = ls
@@ -246,7 +261,7 @@ func New(base *storage.Database, acc *schema.AccessSchema, opts Options) (*Store
 	// manifest-less directory holding shard state as a creation crash.
 	if opts.Dir != "" {
 		if err := writeManifest(opts.Dir, st.manifest()); err != nil {
-			closeAll(st.shards)
+			st.closeLog()
 			return nil, fmt.Errorf("shard: writing manifest: %w", err)
 		}
 		st.dir = opts.Dir
@@ -382,8 +397,14 @@ func (st *Store) Base() (*storage.Database, error) { return st.View().Freeze() }
 func (st *Store) Mode() live.Mode { return st.mode }
 
 // Shard returns one partition's live store (read-mostly introspection;
-// writing to it directly bypasses routing and will corrupt placement).
+// writing to it directly bypasses routing and will corrupt placement,
+// and a durable store's shards refuse it).
 func (st *Store) Shard(i int) *live.Store { return st.shards[i] }
+
+// WAL returns the store's one write-ahead log (nil for in-memory stores):
+// metric bridges read its counters and crash tests arm its fail points.
+// Every shard's live.Store.WAL returns it too.
+func (st *Store) WAL() *wal.WAL { return st.w }
 
 // PlacementOf describes a relation's distribution rule, for diagnostics:
 // "partitioned by (a, b)", or "pinned to shard 3" for the empty key.
@@ -399,21 +420,19 @@ func (st *Store) PlacementOf(rel string) (string, error) {
 }
 
 // Apply validates and commits one batch of writes. Each op goes to the
-// shard its tuple hashes to, and the per-shard sub-batches commit in
-// parallel, each with the atomicity and violation semantics of
-// live.Store.Apply (Strict: first violation aborts that shard's
-// sub-batch; Permissive: violators are quarantined on their shard). An op
-// can only fail on its own shard: a delete of an absent tuple fails there
-// with live.ErrNoSuchTuple (Strict) or is quarantined there (Permissive).
-// The cross-shard batch is not atomic: a failing sub-batch does not roll
-// back sub-batches that committed on other shards — shards hold disjoint
-// tuples, so the exposure is a torn batch, never torn data. An unknown
+// shard its tuple hashes to, and the per-shard sub-batches are staged in
+// parallel (live.Store.Stage), each with the violation semantics of
+// live.Store.Apply: Strict, an op's first violation fails its sub-batch;
+// Permissive, violators are quarantined on their shard. The batch is
+// atomic across shards: when any sub-batch fails, none commits. A
+// durable store then appends the staged batch to its log as one record
+// and fsyncs it, and only then does every shard publish. An unknown
 // relation or a tuple of the wrong arity fails the batch before anything
-// is dispatched; otherwise the first sub-batch error (in shard order) is
+// is staged; otherwise the first sub-batch error (in shard order) is
 // returned.
 func (st *Store) Apply(ops []live.Op) error {
-	st.viewMu.RLock()
-	defer st.viewMu.RUnlock()
+	st.viewMu.Lock()
+	defer st.viewMu.Unlock()
 
 	buckets := make([][]live.Op, len(st.shards))
 	for _, op := range ops {
@@ -434,26 +453,52 @@ func (st *Store) Apply(ops []live.Op) error {
 		}
 	}
 
-	// Scatter: the last active bucket runs on the calling goroutine, so a
+	// Stage: the last active bucket runs on the calling goroutine, so a
 	// single-shard batch pays no handoff at all.
+	staged := make([]*live.Staged, len(st.shards))
 	errs := make([]error, len(st.shards))
 	var wg sync.WaitGroup
 	for k, s := range active {
 		if k == len(active)-1 {
-			_, errs[s] = st.shards[s].Apply(buckets[s])
+			staged[s], errs[s] = st.shards[s].Stage(buckets[s])
 			break
 		}
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			_, errs[s] = st.shards[s].Apply(buckets[s])
+			staged[s], errs[s] = st.shards[s].Stage(buckets[s])
 		}(s)
 	}
 	wg.Wait()
+	abort := func() {
+		for _, sb := range staged {
+			if sb != nil {
+				sb.Abort()
+			}
+		}
+	}
 	for _, s := range active {
 		if errs[s] != nil {
+			abort()
 			return errs[s]
 		}
+	}
+	if st.w != nil {
+		subs := make([]wal.Sub, 0, len(active))
+		for _, s := range active {
+			if ops := staged[s].Ops(); len(ops) > 0 {
+				subs = append(subs, wal.Sub{Shard: s, Epoch: staged[s].Epoch(), Ops: ops})
+			}
+		}
+		if len(subs) > 0 {
+			if err := st.w.Append(wal.Record{Kind: wal.RecShardBatch, Subs: subs}); err != nil {
+				abort()
+				return fmt.Errorf("shard: wal append: %w", err)
+			}
+		}
+	}
+	for _, s := range active {
+		staged[s].Commit()
 	}
 	return nil
 }
@@ -469,10 +514,20 @@ func (st *Store) Delete(rel string, t value.Tuple) error {
 }
 
 // Compact collapses each shard's write history into a fresh frozen base
-// (live.Store.Compact), shard-parallel. Pinned views stay valid.
+// (live.Store.Compact), shard-parallel. Pinned views stay valid. On a
+// durable store it is the checkpoint: every shard writes its segment, and
+// then the store's log is reset. Writers are excluded throughout, so no
+// batch commits between a shard's checkpoint and the reset.
 func (st *Store) Compact() error {
-	st.viewMu.RLock()
-	defer st.viewMu.RUnlock()
+	st.viewMu.Lock()
+	defer st.viewMu.Unlock()
+	return st.checkpoint()
+}
+
+// checkpoint compacts every shard, shard-parallel, and then resets the
+// log. A shard that fails leaves the log as it is: the shards that did
+// checkpoint skip its records at replay by epoch. Called under viewMu.
+func (st *Store) checkpoint() error {
 	errs := make([]error, len(st.shards))
 	var wg sync.WaitGroup
 	for s := range st.shards {
@@ -486,6 +541,11 @@ func (st *Store) Compact() error {
 	for _, err := range errs {
 		if err != nil {
 			return err
+		}
+	}
+	if st.w != nil {
+		if err := st.w.Reset(); err != nil {
+			return fmt.Errorf("shard: truncating wal after checkpoint: %w", err)
 		}
 	}
 	return nil
@@ -522,7 +582,9 @@ func (st *Store) SchemaVersion() uint64 {
 // excluded for the duration, every shard's live data is validated
 // against the new bound first, and only then does each shard publish
 // the extension — so a failure (a *storage.ViolationError from the
-// offending shard) leaves the whole store unchanged.
+// offending shard) leaves the whole store unchanged. A durable store
+// logs the extension as one record, naming every shard's next epoch,
+// before any shard publishes it.
 //
 // The new constraint must not break the placement invariant that makes
 // scatter-gather exact: its X must contain the relation's shard key
@@ -561,6 +623,19 @@ func (st *Store) ExtendAccess(ac schema.AccessConstraint) error {
 			return fmt.Errorf("shard %d: %w", s, err)
 		}
 		staged[s] = se
+	}
+	if st.w != nil {
+		rec := wal.Record{Kind: wal.RecShardExtension, Rel: ac.Rel, X: ac.X, Y: ac.Y, N: ac.N}
+		for s, se := range staged {
+			if se != nil {
+				rec.Subs = append(rec.Subs, wal.Sub{Shard: s, Epoch: se.Epoch()})
+			}
+		}
+		if len(rec.Subs) > 0 {
+			if err := st.w.Append(rec); err != nil {
+				return fmt.Errorf("shard: wal append (extension): %w", err)
+			}
+		}
 	}
 	for s, se := range staged {
 		if se == nil {
@@ -719,8 +794,8 @@ func (st *Store) Quarantine() []live.Quarantined {
 // View pins one epoch vector atomically: writers are excluded for the
 // duration of the P snapshot loads, so the vector is a consistent cut —
 // a committed batch is either entirely visible or entirely invisible.
-// It first waits for every Apply in flight to finish its commit, which
-// on a durable store includes the WAL fsync.
+// It first waits for the Apply in flight to finish its commit, which on
+// a durable store includes the log's fsync.
 // The returned view is immutable, safe for any number of concurrent
 // readers, and implements exec.Store and exec.PartitionedStore.
 func (st *Store) View() *View {

@@ -3,6 +3,7 @@ package wal
 import (
 	"encoding/binary"
 	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -37,22 +38,19 @@ func (f *flakyFile) Sync() error {
 
 // TestReturnedIOErrorIsSticky injects a Write error (leaving a partial
 // frame) and, separately, a Sync error (leaving a whole, unacknowledged
-// frame), then lets the disk recover. The log must not: a retried append
-// would land behind bytes whose fate recovery decides, so every later
-// Append and Reset is refused with the first error until the log is
-// reopened — and the reopened log holds every acknowledged record and
-// accepts appends again.
+// frame), then lets the disk recover. The failed Append rewinds the file
+// to the acknowledged frames at once, and the log stays refused: every
+// later Append and Reset returns the first error until the log is
+// reopened — and the reopened log holds exactly the acknowledged records
+// (never the frame whose Append failed) and accepts appends again.
 func TestReturnedIOErrorIsSticky(t *testing.T) {
 	recs := testRecords()
 	for _, tc := range []struct {
 		name string
 		arm  func(f *flakyFile, err error)
-		// A failed fsync leaves a complete frame whose durability is
-		// unknown; recovery may keep it. A failed write leaves a torn one.
-		mayKeepFailed bool
 	}{
 		{name: "write", arm: func(f *flakyFile, err error) { f.writeErr, f.short = err, 11 }},
-		{name: "sync", arm: func(f *flakyFile, err error) { f.syncErr = err }, mayKeepFailed: true},
+		{name: "sync", arm: func(f *flakyFile, err error) { f.syncErr = err }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "wal.log")
@@ -67,9 +65,15 @@ func TestReturnedIOErrorIsSticky(t *testing.T) {
 			}
 			diskFull := errors.New("no space left on device")
 			tc.arm(ff, diskFull)
+			acked := w.Stats().SizeBytes
 			first := w.Append(recs[1])
 			if !errors.Is(first, diskFull) {
 				t.Fatalf("Append = %v, want the injected error", first)
+			}
+			if fi, err := os.Stat(path); err != nil {
+				t.Fatal(err)
+			} else if fi.Size() != acked {
+				t.Fatalf("after the failed Append the file holds %d bytes, want the %d acknowledged", fi.Size(), acked)
 			}
 			ff.writeErr, ff.syncErr = nil, nil // the disk is fine again; the log is not
 			if err := w.Append(recs[2]); err != first {
@@ -88,11 +92,7 @@ func TestReturnedIOErrorIsSticky(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer w2.Close()
-			want := recs[:1]
-			if tc.mayKeepFailed && len(got) == 2 {
-				want = recs[:2]
-			}
-			if !reflect.DeepEqual(got, want) {
+			if want := recs[:1]; !reflect.DeepEqual(got, want) {
 				t.Fatalf("reopen recovered %+v, want the acknowledged prefix %+v", got, want)
 			}
 			if err := w2.Append(recs[2]); err != nil {

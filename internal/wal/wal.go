@@ -1,10 +1,14 @@
-// Package wal implements the per-store write-ahead log that makes live
-// ingestion durable. Every admitted batch (and every runtime access-schema
+// Package wal implements the write-ahead log that makes live ingestion
+// durable. Every admitted batch (and every runtime access-schema
 // extension) is appended as one length-prefixed, CRC-framed record and
 // fsynced before the store publishes the epoch that contains it — so a
 // record's presence in the log is exactly the commit point, and replaying
 // the log through the normal admission path reconstructs the committed
-// prefix byte-for-byte.
+// prefix byte-for-byte. A single live store owns a log of its own; a
+// sharded store owns one log for all its shards, and each of its records
+// carries every shard's part of one batch (or one extension), so a
+// cross-shard batch is one frame and one fsync, and recovery holds all of
+// it or none of it.
 //
 // File layout:
 //
@@ -15,10 +19,10 @@
 // Open replays the log and stops at the first frame that is torn (short)
 // or fails its checksum; everything after the last valid record is
 // truncated away, which is the only correct reading of a tail written by
-// a crashed process. Records carry the epoch their commit published, so
-// replay can skip records already folded into a checkpoint segment and
-// detect continuity gaps (a lost checkpoint) instead of replaying stale
-// records onto the wrong base.
+// a crashed process. Records carry the epoch their commit published (per
+// shard, on a sharded store's log), so replay can skip records already
+// folded into a checkpoint segment and detect continuity gaps (a lost
+// checkpoint) instead of replaying stale records onto the wrong base.
 package wal
 
 import (
@@ -65,18 +69,27 @@ type Op struct {
 	Tuple value.Tuple
 }
 
-// RecordKind tags the two record payloads.
+// RecordKind tags the record payloads.
 type RecordKind uint8
 
 const (
-	// RecBatch is an admitted Apply batch.
+	// RecBatch is an admitted Apply batch of a single live store.
 	RecBatch RecordKind = 1
-	// RecExtension is a runtime access-schema extension.
+	// RecExtension is a runtime access-schema extension of a single live
+	// store.
 	RecExtension RecordKind = 2
+	// RecShardBatch is one batch of a sharded store: the sub-batch each
+	// shard applied (Subs, with their ops).
+	RecShardBatch RecordKind = 3
+	// RecShardExtension is one extension of a sharded store: the
+	// constraint, and the shards that published it (Subs, without ops).
+	RecShardExtension RecordKind = 4
 )
 
 // Record is one framed log entry. Epoch is the snapshot epoch the commit
-// published — the checkpoint/replay bookkeeping keys off it.
+// published — the checkpoint/replay bookkeeping keys off it. A sharded
+// store's records carry their epochs per shard, in Subs, and leave Epoch
+// zero.
 type Record struct {
 	Kind  RecordKind
 	Epoch uint64
@@ -84,11 +97,24 @@ type Record struct {
 	// RecBatch payload.
 	Ops []Op
 
-	// RecExtension payload: the constraint rel(X -> Y, N) in the
-	// normalized form schema.NewAccessConstraint accepts.
+	// RecExtension and RecShardExtension payload: the constraint
+	// rel(X -> Y, N) in the normalized form schema.NewAccessConstraint
+	// accepts.
 	Rel  string
 	X, Y []string
 	N    int64
+
+	// RecShardBatch and RecShardExtension payload, in shard order.
+	Subs []Sub
+}
+
+// Sub is one shard's part of a sharded store's record: the shard, the
+// epoch the record published on it, and, in a batch, the ops it applied
+// there.
+type Sub struct {
+	Shard int
+	Epoch uint64
+	Ops   []Op
 }
 
 const (
@@ -138,12 +164,11 @@ type WAL struct {
 	mu     sync.Mutex
 	f      File
 	closed bool
-	// err is the first I/O error an Append or Reset ran into. After one
-	// the file may end in a partial frame and its offset is unknown, so a
-	// retried append could land behind bytes recovery truncates at —
-	// taking the retry, once acknowledged, with them. The log therefore
-	// refuses all further writes with this error; reopening it re-scans
-	// the file and cuts the partial frame.
+	// err is the first I/O error an Append or Reset ran into. A failed
+	// Append rewinds the file to the last acknowledged frame (see Append),
+	// but the disk that failed once is not trusted again: the log refuses
+	// all further writes with this error until it is reopened, which
+	// re-scans the file and cuts whatever a failed rewind left behind.
 	err error
 
 	appends       atomic.Int64
@@ -273,10 +298,32 @@ func (w *WAL) fail(err error) error {
 	return err
 }
 
+// rewind makes err the log's sticky failure and truncates the file back to
+// its acknowledged size, fsyncing the cut. If the rewind fails too, the
+// file may still end in the failed frame; the log stays refused and a
+// reopen decides what the tail holds.
+func (w *WAL) rewind(err error) error {
+	w.fail(err)
+	if errors.Is(err, ErrInjectedCrash) {
+		return err
+	}
+	size := w.sizeBytes.Load()
+	if w.f.Truncate(size) == nil {
+		if _, serr := w.f.Seek(size, io.SeekStart); serr == nil {
+			w.f.Sync()
+		}
+	}
+	return err
+}
+
 // Append frames, writes, and fsyncs one record. It returns only after the
 // record is durable — the caller publishes the epoch afterwards, which is
 // what makes the log a write-AHEAD log. A failed write or fsync poisons
-// the log (see WAL.err).
+// the log (see WAL.err) and rewinds the file to its acknowledged size:
+// the log has one writer, so no acknowledged frame lies past the failed
+// one, and a reopen replays exactly the acknowledged records — never the
+// frame of a batch whose commit returned the error. An injected crash
+// (SetFailPoint) is not rewound: it models a process that died mid-write.
 func (w *WAL) Append(rec Record) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -289,10 +336,10 @@ func (w *WAL) Append(rec Record) error {
 	frame := appendFrame(nil, rec)
 
 	if _, err := w.f.Write(frame); err != nil {
-		return w.fail(fmt.Errorf("wal: append to %s: %w", w.path, err))
+		return w.rewind(fmt.Errorf("wal: append to %s: %w", w.path, err))
 	}
 	if err := w.f.Sync(); err != nil {
-		return w.fail(fmt.Errorf("wal: fsync %s: %w", w.path, err))
+		return w.rewind(fmt.Errorf("wal: fsync %s: %w", w.path, err))
 	}
 	w.sizeBytes.Add(int64(len(frame)))
 	w.appends.Add(1)

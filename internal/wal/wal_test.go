@@ -32,6 +32,15 @@ func testRecords() []Record {
 		{Kind: RecBatch, Epoch: 3, Ops: []Op{
 			{Kind: OpInsert, Rel: "edge", Tuple: value.Tuple{value.Int(7), value.Null}},
 		}},
+		{Kind: RecShardBatch, Subs: []Sub{
+			{Shard: 0, Epoch: 4, Ops: []Op{{Kind: OpInsert, Rel: "person", Tuple: value.Tuple{value.Int(3), value.Str("cy")}}}},
+			{Shard: 2, Epoch: 9, Ops: []Op{
+				{Kind: OpDelete, Rel: "edge", Tuple: value.Tuple{value.Int(7), value.Null}},
+				{Kind: OpInsert, Rel: "edge", Tuple: value.Tuple{value.Int(8), value.Int(9)}},
+			}},
+		}},
+		{Kind: RecShardExtension, Rel: "edge", X: []string{"src"}, Y: []string{"dst"}, N: 16,
+			Subs: []Sub{{Shard: 0, Epoch: 5}, {Shard: 1, Epoch: 2}, {Shard: 2, Epoch: 10}}},
 	}
 }
 

@@ -113,11 +113,10 @@ func BenchmarkShard_ScatterGather(b *testing.B) {
 
 // BenchmarkShard_IngestScaling measures fresh-entity insert throughput
 // at each shard count: four writer goroutines apply batches of 256, the
-// store splits each batch by owning shard and commits the sub-batches
-// shard-parallel. On multi-core hardware throughput rises monotonically
-// from P=1 (every writer serialized on one lock) through P=4: admission
-// checks, group copy-on-write and epoch publication all run under
-// independent per-shard locks.
+// store splits each batch by owning shard and stages the sub-batches
+// shard-parallel. Batches commit one at a time; on multi-core hardware
+// throughput rises with P because a batch's admission checks and group
+// copy-on-write run on its shards in parallel, under per-shard locks.
 func BenchmarkShard_IngestScaling(b *testing.B) {
 	const (
 		writers   = 4

@@ -1,9 +1,10 @@
 // Durable-tier benchmarks and the BENCH_storage.json emit.
 //
 // BenchmarkWALAppend prices the commit pipeline's durability step — one
-// fsynced WAL append per batch — and BenchmarkRecovery prices bringing a
-// crashed store back (segment load + WAL-tail replay through normal
-// admission). TestStorageBenchEmit measures the same paths once and,
+// fsynced WAL append per batch — BenchmarkShardedWALAppend the same for
+// a batch that commits on both shards of a durable two-shard store (one
+// record, one fsync), and BenchmarkRecovery prices bringing a crashed
+// store back (segment load + WAL-tail replay through normal admission). TestStorageBenchEmit measures the same paths once and,
 // when STORAGE_BENCH_JSON names a path, writes the perf trajectory
 // there; CI compares it against bench/BENCH_storage.json (tools/benchcmp:
 // bytes and counts past +25% fail, times are reported).
@@ -54,9 +55,10 @@ func durableBenchStore(tb testing.TB, dir string) *LiveDatabase {
 }
 
 // benchOp returns the i-th single-insert batch (distinct tuples, so no
-// batch is a no-op duplicate).
+// batch is a no-op duplicate). The photos fill albums of 500, half of
+// in_album's bound, so any number of batches is admitted.
 func benchOp(i int) []LiveOp {
-	return []LiveOp{InsertOp("in_album", Tuple{Str(fmt.Sprintf("bench-p%d", i)), Str("bench-album")})}
+	return []LiveOp{InsertOp("in_album", Tuple{Str(fmt.Sprintf("bench-p%d", i)), Str(fmt.Sprintf("bench-a%d", i/500))})}
 }
 
 // BenchmarkWALAppend measures one committed batch through the durable
@@ -69,6 +71,54 @@ func BenchmarkWALAppend(b *testing.B) {
 		if _, err := ld.Apply(benchOp(i)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkShardedWALAppend measures one committed batch of a durable
+// two-shard store that touches both shards: stage on each shard, one
+// record and one fsync on the store's log, publish on each shard.
+func BenchmarkShardedWALAppend(b *testing.B) {
+	_, acc, db := buildDurableScene(b)
+	ss, err := NewShardedDatabase(db, acc, ShardOptions{Shards: 2, Dir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ss.Close()
+	// Per 500 batches, a fresh pair of albums whose photos sit on
+	// different shards: both groups stay under in_album's bound.
+	ac := acc.ForRelation("in_album")[0]
+	pairs := make([][2]string, b.N/500+1)
+	for g := range pairs {
+		var names []string
+		var xs []Tuple
+		for k := 0; k < 16; k++ {
+			names = append(names, fmt.Sprintf("bench-a%d-%d", g, k))
+			xs = append(xs, Tuple{Str(names[k])})
+		}
+		owners, err := ss.View().Partition(ac, xs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		k := slices.IndexFunc(owners, func(o int) bool { return o != owners[0] })
+		if k < 0 {
+			b.Fatal("sixteen albums on one shard")
+		}
+		pairs[g] = [2]string{names[0], names[k]}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pair := pairs[i/500]
+		batch := []LiveOp{
+			InsertOp("in_album", Tuple{Str(fmt.Sprintf("bench-p%d", i)), Str(pair[0])}),
+			InsertOp("in_album", Tuple{Str(fmt.Sprintf("bench-q%d", i)), Str(pair[1])}),
+		}
+		if err := ss.Apply(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if got := ss.WAL().Stats().Appends; got != int64(b.N) {
+		b.Fatalf("%d batches cost %d appends", b.N, got)
 	}
 }
 

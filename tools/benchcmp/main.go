@@ -17,7 +17,9 @@
 // informational. A change must
 // clear BOTH the relative threshold (default +25%) and the suffix's
 // absolute floor, so noise on near-zero measurements (a 30ns path, a 0.1%
-// overhead) never counts. Bytes, counts and overheads that regress fail
+// overhead) never counts. The bytes floor is small (64 B): the relative
+// threshold already scales with the baseline, so a 2.4 KB allocation
+// regresses at +25 % and not only past a page. Bytes, counts and overheads that regress fail
 // the build; times that do are reported as slower and do not, because a
 // loaded machine moves them past any threshold on an unchanged commit.
 // Paths present only in one file are reported but not fatal: emit formats
@@ -69,7 +71,7 @@ var suffixes = []struct {
 	floor    float64
 	asserted bool
 }{
-	{"_bytes", 4096, true}, // one page of allocation
+	{"_bytes", 64, true},   // a few words: jitter on a tiny or zero baseline
 	{"_fetched", 0, true},  // tuples fetched: a count, exact run to run
 	{"_allocs", 0, true},   // objects allocated: a count, exact run to run
 	{"_pct", 5, true},      // five points — overhead percentages swing with scheduler noise

@@ -47,16 +47,32 @@ func TestCompareRegression(t *testing.T) {
 // TestCompareNoiseFloor: a huge relative slip on a tiny measurement
 // stays under the absolute floor and passes.
 func TestCompareNoiseFloor(t *testing.T) {
-	base := flat(map[string]float64{"sample_bytes": 100, "overhead_pct": 0.1})
-	cur := flat(map[string]float64{"sample_bytes": 3_000, "overhead_pct": 4.9})
-	// +2900% but only +2900 B (< one page); +4.8 points (< 5 point floor).
+	base := flat(map[string]float64{"sample_bytes": 10, "overhead_pct": 0.1})
+	cur := flat(map[string]float64{"sample_bytes": 60, "overhead_pct": 4.9})
+	// +500% but only +50 B (< the 64 B floor); +4.8 points (< 5
+	// point floor).
 	if r := compare(base, cur, 0.25); len(r.Regressions) != 0 {
 		t.Fatalf("noise flagged as regression: %+v", r.Regressions)
 	}
 	// Past both floor and threshold it fails.
-	cur["sample_bytes"] = 100_000
+	cur["sample_bytes"] = 3_000
 	if r := compare(base, cur, 0.25); len(r.Regressions) != 1 {
 		t.Fatalf("real regression not flagged")
+	}
+}
+
+// TestCompareBytesBelowAPage: a byte count well under a page regresses
+// on the relative threshold: a request path of 2 441 B that grows to
+// 3 200 B (+31 %, +759 B) regresses, one that grows to 2 500 B does not.
+func TestCompareBytesBelowAPage(t *testing.T) {
+	base := flat(map[string]float64{"uncached.op_bytes": 2441})
+	cur := flat(map[string]float64{"uncached.op_bytes": 3200})
+	if r := compare(base, cur, 0.25); len(r.Regressions) != 1 {
+		t.Fatalf("2441 -> 3200 B not flagged: %+v", r)
+	}
+	cur["uncached.op_bytes"] = 2500
+	if r := compare(base, cur, 0.25); len(r.Regressions) != 0 {
+		t.Fatalf("2441 -> 2500 B flagged: %+v", r.Regressions)
 	}
 }
 
