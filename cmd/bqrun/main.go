@@ -506,8 +506,8 @@ func runShardedIngest(eng *engine.Engine, ss *bcq.ShardedDatabase, queries []*bc
 		},
 		report: func(elapsed time.Duration, served int) {
 			ig := ss.IngestStats()
-			fmt.Printf("      ingested in %v (%.0f ops/s, %d shard epochs, %d flattens); served %d evaluations concurrently\n",
-				elapsed.Round(time.Millisecond), float64(n)/elapsed.Seconds(), ig.Epochs, ig.Flattens, served)
+			fmt.Printf("      ingested in %v (%.0f ops/s, %d shard epochs); served %d evaluations concurrently\n",
+				elapsed.Round(time.Millisecond), float64(n)/elapsed.Seconds(), ig.Epochs, served)
 			fmt.Printf("      |D| now %d\n", ss.NumTuples())
 			printShardSizes(ss.ShardSizes())
 		},
@@ -605,8 +605,8 @@ func runIngest(eng *engine.Engine, ld *bcq.LiveDatabase, queries []*bcq.Query, n
 		},
 		report: func(elapsed time.Duration, served int) {
 			ig := ld.IngestStats()
-			fmt.Printf("      ingested in %v (%.0f ops/s, %d epochs, %d flattens); served %d evaluations concurrently\n",
-				elapsed.Round(time.Millisecond), float64(n)/elapsed.Seconds(), ig.Epochs, ig.Flattens, served)
+			fmt.Printf("      ingested in %v (%.0f ops/s, %d epochs); served %d evaluations concurrently\n",
+				elapsed.Round(time.Millisecond), float64(n)/elapsed.Seconds(), ig.Epochs, served)
 			fmt.Printf("      |D| now %d\n", ld.Snapshot().NumTuples())
 		},
 	}, queries, n)

@@ -186,8 +186,8 @@ func main() {
 		}
 	}
 	st := ld.IngestStats()
-	fmt.Printf("\ningest: %d ops over %d epochs (%d chain flattens); reads stayed exact and flat throughout\n",
-		st.OpsApplied, st.Epochs, st.Flattens)
+	fmt.Printf("\ningest: %d ops over %d epochs; reads stayed exact and flat throughout\n",
+		st.OpsApplied, st.Epochs)
 }
 
 // mustFreeze materializes the live store's current snapshot as a fresh

@@ -15,6 +15,10 @@ import (
 // directory.
 const walFileName = "wal.log"
 
+// corruptSuffix is appended to the name of a segment file that failed
+// validation at recovery (see Recovery.CorruptSegments).
+const corruptSuffix = ".corrupt"
+
 // Recovery reports what Open did to bring a durable store back: which
 // checkpoint segment it resumed from and what the WAL tail replayed. The
 // crash-recovery property tests and the sharded store's recovery
@@ -25,7 +29,9 @@ type Recovery struct {
 	SegmentEpoch uint64
 	SegmentPath  string
 	// CorruptSegments lists segment files that failed validation and
-	// were skipped (newest-first order of discovery).
+	// were skipped (newest-first order of discovery). Each is renamed
+	// aside, to its name plus ".corrupt", so that a later checkpoint
+	// neither meets its name nor counts it among those retained.
 	CorruptSegments []string
 	// ReplayedBatches are the committed batches the WAL tail replayed,
 	// in commit order.
@@ -43,7 +49,9 @@ type Recovery struct {
 	// GapRecords counts records dropped because their epoch left a
 	// continuity gap with the recovered base — the conservative stop
 	// when the newest checkpoint was lost and replay would otherwise
-	// apply post-checkpoint records onto an older base.
+	// apply post-checkpoint records onto an older base. Recovery cuts
+	// them from the log before it takes appends again, so they are
+	// counted by the one Open that dropped them.
 	GapRecords int64
 }
 
@@ -97,6 +105,10 @@ func Open(dir string, cat *schema.Catalog, acc *schema.AccessSchema, opts Option
 		}
 		if r.Epoch != expect+1 {
 			rec.GapRecords = int64(len(records) - i)
+			if err := w.Cut(i); err != nil {
+				w.Close()
+				return nil, nil, fmt.Errorf("live: cutting the log at the gap: %w", err)
+			}
 			break
 		}
 		switch r.Kind {
@@ -130,7 +142,8 @@ func Open(dir string, cat *schema.Catalog, acc *schema.AccessSchema, opts Option
 		expect = r.Epoch
 	}
 
-	// Attach the log: from here on, commits append again. Caller-schema
+	// Attach the log: from here on, commits append again — after the
+	// records replayed, never behind ones a gap left unreplayed. Caller-schema
 	// constraints the recovered schema lacks are applied as ordinary
 	// (logged) extensions.
 	st.w = w
@@ -180,6 +193,14 @@ func Recover(dir string, cat *schema.Catalog, opts Options) (*Store, *Recovery, 
 		// State may exist, but none of it validates: refuse to guess.
 		return nil, nil, fmt.Errorf("live: %s holds no loadable segment (%d corrupt: %v)",
 			dir, len(rec.CorruptSegments), rec.CorruptSegments)
+	}
+	// The store resumes below the epochs of the corrupt segments, and its
+	// later checkpoints may reach them: move them out of the way. Had they
+	// stayed, Prune would keep them as the retained fallback.
+	for _, p := range rec.CorruptSegments {
+		if err := os.Rename(p, p+corruptSuffix); err != nil {
+			return nil, nil, fmt.Errorf("live: moving corrupt segment aside: %w", err)
+		}
 	}
 	rec.SegmentEpoch = baseEpoch
 	st, err := newStore(base, segAcc, Options{Mode: opts.Mode}, baseEpoch)

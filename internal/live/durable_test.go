@@ -2,6 +2,7 @@ package live
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -342,6 +343,103 @@ func TestCorruptNewestSegmentFallsBack(t *testing.T) {
 		t.Fatal("post-lost-checkpoint records were not gap-dropped")
 	}
 	assertSameState(t, re, applyRef(t, 0))
+}
+
+// TestLostCheckpointKeepsLaterWrites: the newest checkpoint is lost —
+// its segment removed, or corrupted — so Open resumes from the one before
+// and drops the log's records from the first that leaves a gap. Open
+// cuts them from the log, so every batch acknowledged after it survives
+// the next crash and a second Open drops nothing. The later checkpoints,
+// one below the lost epoch and one at it, are what later Opens resume
+// from: neither meets the corrupt file nor is hidden by it.
+func TestLostCheckpointKeepsLaterWrites(t *testing.T) {
+	for _, loss := range []string{"removed", "corrupt"} {
+		t.Run(loss, func(t *testing.T) {
+			dir := t.TempDir()
+			st, err := New(loadSocial(t), accessA0(), Options{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := 0
+			writeUntil := func(st *Store, e uint64) {
+				t.Helper()
+				for st.Epoch() < e {
+					n++
+					if err := st.Insert("friends", strs(fmt.Sprintf("w%d", n), "f0")); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			writeUntil(st, 5)
+			lost, err := st.Compact()
+			if err != nil {
+				t.Fatal(err)
+			}
+			writeUntil(st, lost+2)
+			st.WAL().Close() // crash
+			segs := segment.List(dir)
+			if len(segs) != 2 || segs[0].Epoch != lost {
+				t.Fatalf("segments %+v, want two, the newest at epoch %d", segs, lost)
+			}
+			if loss == "removed" {
+				if err := os.Remove(segs[0].Path); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				data, err := os.ReadFile(segs[0].Path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				data[len(data)/2] ^= 0xff
+				if err := os.WriteFile(segs[0].Path, data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			re, rec, err := Open(dir, socialCatalog(), accessA0(), Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec.GapRecords != 2 || re.Epoch() != 0 || re.WAL().HasRecords() {
+				t.Fatalf("first Open: epoch %d, %d gap records, records left in the log %v; want epoch 0, 2 and none",
+					re.Epoch(), rec.GapRecords, re.WAL().HasRecords())
+			}
+			writeUntil(re, 2)
+			re.WAL().Close() // crash
+			re2, rec2, err := Open(dir, socialCatalog(), accessA0(), Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec2.GapRecords != 0 || len(rec2.CorruptSegments) != 0 || len(rec2.ReplayedBatches) != 2 {
+				t.Fatalf("second Open: %d gap records, corrupt segments %v, %d batches replayed; want 0, none and 2",
+					rec2.GapRecords, rec2.CorruptSegments, len(rec2.ReplayedBatches))
+			}
+			assertSameState(t, re2, re)
+
+			if _, err := re2.Compact(); err != nil { // epoch 3, below the lost one
+				t.Fatal(err)
+			}
+			if segs := segment.List(dir); len(segs) != 2 || segs[0].Epoch != 3 || segs[1].Epoch != 0 {
+				t.Fatalf("segments %+v retained, want those of epochs 3 and 0", segs)
+			}
+			writeUntil(re2, lost-1)
+			if e, err := re2.Compact(); err != nil || e != lost { // the lost checkpoint's name
+				t.Fatalf("checkpoint at epoch %d (%v), want %d", e, err, lost)
+			}
+			writeUntil(re2, lost+2)
+			re2.WAL().Close() // crash
+			re3, rec3, err := Open(dir, socialCatalog(), accessA0(), Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re3.Close()
+			if rec3.GapRecords != 0 || len(rec3.CorruptSegments) != 0 || rec3.SegmentEpoch != lost {
+				t.Fatalf("third Open: %d gap records, corrupt segments %v, resumed from epoch %d; want 0, none and %d",
+					rec3.GapRecords, rec3.CorruptSegments, rec3.SegmentEpoch, lost)
+			}
+			assertSameState(t, re3, re2)
+		})
+	}
 }
 
 // TestTornWALTailRecoversPrefix injects a torn append and asserts

@@ -2,6 +2,7 @@ package live
 
 import (
 	"fmt"
+	"slices"
 
 	"bcq/internal/schema"
 	"bcq/internal/storage"
@@ -19,10 +20,10 @@ import (
 // same cost class as building the index offline) and a group that
 // already exceeds N fails the call with a *storage.ViolationError,
 // leaving the store untouched. On success the constraint's complete
-// group map is published as the overlay diff of a fresh epoch — the
-// sealed base has no index for the new constraint, so every lookup
-// resolves in the overlay, which by construction reflects exactly the
-// live data (base minus tombstones plus insertions).
+// group map is published as its trie in a fresh epoch — the sealed base
+// has no index for the new constraint, so every lookup resolves in the
+// trie, which by construction reflects exactly the live data (base minus
+// tombstones plus insertions).
 //
 // Snapshots pinned before the extension keep the schema of their epoch:
 // they neither serve the new constraint (Fetch reports it unmaintained)
@@ -105,18 +106,23 @@ func (st *Store) publishExtension(ac schema.AccessConstraint, ext *extension) er
 	newByKey[ext.bind.key] = ext.bind
 
 	cur := st.cur.Load()
+	edits := make([]trieEdit, 0, len(ext.groups))
+	for xk, g := range ext.groups {
+		edits = append(edits, trieEdit{hash: groupHash(ext.bind.seed, xk), key: xk, group: g})
+	}
 	next := &Snapshot{
 		st:        st,
 		base:      cur.base,
 		epoch:     cur.epoch + 1,
 		added:     cur.added,
+		dead:      cur.dead,
 		size:      cur.size,
 		numTuples: cur.numTuples,
 		binds:     newByKey,
 		acc:       newAcc,
+		idx:       append(slices.Clip(cur.idx), nil),
+		roots:     append(slices.Clip(cur.roots), (*trieNode)(nil).with(edits, 0, ext.bind.seed)),
 	}
-	gdiff := map[string]map[string][]storage.IndexEntry{ext.bind.key: ext.groups}
-	next.chainOnto(cur, gdiff, nil)
 
 	// Same commit pipeline as Apply: the extension is durable before its
 	// epoch publishes, so a recovered store re-extends itself by replay.
@@ -136,6 +142,7 @@ func (st *Store) publishExtension(ac schema.AccessConstraint, ext *extension) er
 		delete(st.tupPos, ac.Rel)
 	}
 	st.byRel[ac.Rel] = append(st.byRel[ac.Rel], ext.bind)
+	st.byOrd = append(st.byOrd, ext.bind)
 	st.ledger[ext.bind.key] = ext.ledger
 	// Publish the new constraint's cardinality card, built from the
 	// scanned group map, alongside the existing cards (copy-on-write so
@@ -191,7 +198,7 @@ func (st *Store) buildExtension(ac schema.AccessConstraint) (*extension, error) 
 	if !ok {
 		return nil, fmt.Errorf("live: unknown relation %s", ac.Rel)
 	}
-	bind, err := newBinding(rs, ac)
+	bind, err := newBinding(rs, ac, len(st.byOrd))
 	if err != nil {
 		return nil, err
 	}

@@ -129,16 +129,18 @@ func TestExtendAccessSnapshotIsolation(t *testing.T) {
 	}
 }
 
-// TestExtendAccessSurvivesCompactAndFlatten: the extension diff must
-// survive chain flattening and compaction.
+// TestExtendAccessSurvivesCompactAndFlatten: the extension's trie must
+// survive the commits that path-copy it and a compaction that folds it
+// into the base. (The name is older than the trie: the commits once
+// flattened a chain of diffs.)
 func TestExtendAccessSurvivesCompactAndFlatten(t *testing.T) {
 	st := liveSocial(t, Options{})
 	ac := taggingByTagger(50)
 	if err := st.ExtendAccess(ac); err != nil {
 		t.Fatal(err)
 	}
-	// Push the chain past maxChainDepth so the extension diff is folded.
-	for i := 0; i < maxChainDepth+4; i++ {
+	const commits = 20
+	for i := 0; i < commits; i++ {
 		if err := st.Insert("tagging", strs(fmt.Sprintf("q%d", i), "f1", "u3")); err != nil {
 			t.Fatal(err)
 		}
@@ -147,8 +149,8 @@ func TestExtendAccessSurvivesCompactAndFlatten(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 2 + maxChainDepth + 4; len(g) != want {
-		t.Errorf("f1 group after flatten = %d entries, want %d", len(g), want)
+	if want := 2 + commits; len(g) != want {
+		t.Errorf("f1 group after %d commits = %d entries, want %d", commits, len(g), want)
 	}
 	if _, err := st.Compact(); err != nil {
 		t.Fatal(err)

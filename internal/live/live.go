@@ -20,11 +20,11 @@
 //     against it alone: they never block writers, writers never block
 //     readers, and a pinned snapshot is immutable forever.
 //
-// Snapshots form a chain of small epoch diffs over the base; lookups walk
-// the chain youngest-first and fall through to the base index. A commit
-// folds the diffs below it that are no larger than its own (a binary
-// counter, see chainOnto), so the chain stays at most maxChainDepth long
-// and neither read nor commit cost grows with the write history.
+// A snapshot holds, per constraint, one persistent hash trie of the
+// groups written since the base (trie.go); lookups walk it once and fall
+// through to the base index. A commit path-copies the trie nodes above
+// the groups it rewrote and shares the rest, so neither read nor commit
+// cost grows with the write history.
 //
 // Writers are serialized by a mutex (single-writer, many-reader — the
 // HTAP split Polynesia frames as "updates must not break analytical
@@ -187,8 +187,10 @@ type IngestStats struct {
 	OpsQuarantined int64
 	// Epochs is the current epoch number (0 = the pristine base).
 	Epochs uint64
-	// Flattens counts the commits that folded older epoch diffs into
-	// their own.
+	// Flattens is always 0.
+	//
+	// Deprecated: commits no longer fold a chain of epoch diffs; the
+	// field stays while readers of IngestStats still name it.
 	Flattens int64
 	// Compactions counts Compact calls that published a fresh base.
 	Compactions int64
@@ -196,15 +198,19 @@ type IngestStats struct {
 	Extensions int64
 }
 
-// acBinding caches one constraint's positional bindings on its relation.
+// acBinding caches one constraint's positional bindings on its relation,
+// its ordinal in the store's schema (the index of its trie and base index
+// in a snapshot) and its hash seed (groupSeed).
 type acBinding struct {
 	ac   schema.AccessConstraint
 	key  string
 	xPos []int
 	yPos []int
+	ord  int
+	seed uint64
 }
 
-func newBinding(rs *schema.Relation, ac schema.AccessConstraint) (acBinding, error) {
+func newBinding(rs *schema.Relation, ac schema.AccessConstraint, ord int) (acBinding, error) {
 	xPos, err := rs.Positions(ac.X)
 	if err != nil {
 		return acBinding{}, err
@@ -213,7 +219,7 @@ func newBinding(rs *schema.Relation, ac schema.AccessConstraint) (acBinding, err
 	if err != nil {
 		return acBinding{}, err
 	}
-	return acBinding{ac: ac, key: ac.Key(), xPos: xPos, yPos: yPos}, nil
+	return acBinding{ac: ac, key: ac.Key(), xPos: xPos, yPos: yPos, ord: ord, seed: groupSeed(ac.Key())}, nil
 }
 
 // acCard is one constraint's incrementally maintained index shape: how
@@ -306,7 +312,10 @@ next:
 
 // Store is the mutable live layer over one sealed base database. Readers
 // pin snapshots (Snapshot) and never block; writers (Apply, Insert,
-// Delete) are serialized and publish new epochs atomically.
+// Delete) are serialized and publish new epochs atomically. An epoch
+// overlays the base with one persistent hash trie per constraint, of
+// the groups written since the base; a commit path-copies the trie nodes
+// above the groups it rewrote and shares the rest with the epoch before.
 type Store struct {
 	cat  *schema.Catalog
 	mode Mode
@@ -323,12 +332,13 @@ type Store struct {
 	// mu serializes writers and guards the writer-owned state below.
 	mu sync.Mutex
 	// byRel maps a relation to the constraints on it; byKey maps a
-	// constraint key to its binding. byKey is immutable once published:
+	// constraint key to its binding, byOrd an ordinal. byKey is immutable once published:
 	// ExtendAccess installs a fresh copy and hands the old one's snapshots
 	// keep the map they were born with (Snapshot.binds), so the read path
 	// never races schema evolution.
 	byRel map[string][]acBinding
 	byKey map[string]acBinding
+	byOrd []acBinding
 	// ledger holds, per constraint key, the one thing the access index
 	// cannot say about a live (X, Y) pair: when the pair occurs twice or
 	// more, the positions of all its live occurrences, in live order —
@@ -376,7 +386,6 @@ type Store struct {
 	applied     atomic.Int64
 	rejected    atomic.Int64
 	quarantined atomic.Int64
-	flattens    atomic.Int64
 	compactions atomic.Int64
 	extensions  atomic.Int64
 
@@ -449,20 +458,33 @@ func newStore(base *storage.Database, acc *schema.AccessSchema, opts Options, ba
 	for _, rs := range cat.Relations() {
 		st.relStats[rs.Name()] = &relCounters{}
 	}
-	for _, ac := range acc.Constraints() {
+	for i, ac := range acc.Constraints() {
 		rs, _ := cat.Relation(ac.Rel) // acc.Validate checked it exists
-		b, err := newBinding(rs, ac)
+		b, err := newBinding(rs, ac, i)
 		if err != nil {
 			return nil, err
 		}
 		st.byRel[ac.Rel] = append(st.byRel[ac.Rel], b)
 		st.byKey[b.key] = b
+		st.byOrd = append(st.byOrd, b)
 	}
-	size, total := st.bootstrap(base)
-	root := &Snapshot{st: st, base: base, epoch: baseEpoch, size: size, numTuples: total, binds: st.byKey, acc: acc}
-	st.cur.Store(root)
+	st.cur.Store(st.baseSnapshot(base, baseEpoch))
 	st.lastCommit.Store(time.Now().UnixNano())
 	return st, nil
+}
+
+// baseSnapshot (re)builds the writer-side bookkeeping over a sealed base
+// (bootstrap) and returns the epoch that reads the base alone: no tries,
+// no additions, no tombstones. Called under mu (or before the store is
+// shared).
+func (st *Store) baseSnapshot(base *storage.Database, epoch uint64) *Snapshot {
+	size, total := st.bootstrap(base)
+	idx := make([]*storage.AccessIndex, len(st.byOrd))
+	for i, b := range st.byOrd {
+		idx[i], _ = base.AccessIndexByKey(b.key)
+	}
+	return &Snapshot{st: st, base: base, epoch: epoch, size: size, numTuples: total,
+		binds: st.byKey, acc: st.acc.Load(), idx: idx, roots: make([]*trieNode, len(st.byOrd))}
 }
 
 // bootstrap (re)builds the writer-side bookkeeping over a sealed base and
@@ -506,8 +528,8 @@ func (st *Store) bootstrap(base *storage.Database) (size map[string]int64, total
 
 // Compact collapses the accumulated write history: it freezes the
 // current snapshot into a fresh sealed base and publishes it as the next
-// epoch, with empty overlays, no tombstones and rebuilt bookkeeping.
-// Snapshot-side state (added tuples, tombstone diffs) otherwise grows
+// epoch, with no tries, no tombstones and rebuilt bookkeeping.
+// Snapshot-side state (added tuples, tombstones) otherwise grows
 // with total writes, not live size, so a long-lived store under
 // insert/delete churn should compact periodically — the live analogue of
 // an LSM compaction. Pinned pre-compaction snapshots stay fully valid:
@@ -540,9 +562,7 @@ func (st *Store) Compact() (uint64, error) {
 		st.segBytes.Store(info.Bytes)
 		st.segWrites.Add(1)
 	}
-	size, total := st.bootstrap(frozen)
-	next := &Snapshot{st: st, base: frozen, epoch: cur.epoch + 1, size: size, numTuples: total,
-		binds: st.byKey, acc: st.acc.Load()}
+	next := st.baseSnapshot(frozen, cur.epoch+1)
 	st.compactions.Add(1)
 	st.cur.Store(next)
 	st.lastCommit.Store(time.Now().UnixNano())
@@ -720,7 +740,6 @@ func (st *Store) IngestStats() IngestStats {
 		OpsRejected:    st.rejected.Load(),
 		OpsQuarantined: st.quarantined.Load(),
 		Epochs:         st.Epoch(),
-		Flattens:       st.flattens.Load(),
 		Compactions:    st.compactions.Load(),
 		Extensions:     st.extensions.Load(),
 	}

@@ -3,8 +3,8 @@ package live
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"runtime"
+	"slices"
 	"testing"
 
 	"bcq/internal/core"
@@ -367,95 +367,27 @@ func TestWitnessDeleteRewitnesses(t *testing.T) {
 	}
 }
 
-func TestChainFlattening(t *testing.T) {
-	st := liveSocial(t, Options{})
-	for i := 0; i < 3*maxChainDepth; i++ {
-		if err := st.Insert("friends", strs("u2", fmt.Sprintf("f%03d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s := st.Snapshot()
-	if s.depth > maxChainDepth {
-		t.Errorf("chain depth %d exceeds maxChainDepth %d", s.depth, maxChainDepth)
-	}
-	if st.IngestStats().Flattens == 0 {
-		t.Error("no flatten after 3×maxChainDepth commits")
-	}
-	fr := schema.MustAccessConstraint("friends", []string{"user_id"}, []string{"friend_id"}, 5000)
-	entries, err := s.Fetch(fr, strs("u2"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 3*maxChainDepth {
-		t.Errorf("u2 group size %d after flattened history, want %d", len(entries), 3*maxChainDepth)
-	}
-	// Groups untouched since the base must still resolve through it.
-	e0, _ := s.Fetch(fr, strs("u0"))
-	if len(e0) != 2 {
-		t.Errorf("u0 base group size %d, want 2", len(e0))
-	}
+// trieLeaves lists a constraint's trie at a snapshot: X-key → group.
+func trieLeaves(s *Snapshot, acKey string) map[string][]storage.IndexEntry {
+	out := make(map[string][]storage.IndexEntry)
+	s.roots[s.binds[acKey].ord].all(func(xk string, g []storage.IndexEntry) bool {
+		out[xk] = g
+		return true
+	})
+	return out
 }
 
-// TestChainFoldsLikeABinaryCounter: after n commits the chain holds one
-// diff per set bit of n, spans at least double down the chain and add up
-// to n — so a commit folds O(log n) diffs amortized, never the history —
-// and the folded diffs still serve every group.
-func TestChainFoldsLikeABinaryCounter(t *testing.T) {
-	st := liveSocial(t, Options{})
-	fr := schema.MustAccessConstraint("friends", []string{"user_id"}, []string{"friend_id"}, 5000)
-	const commits = 300
-	for n := 1; n <= commits; n++ {
-		if err := st.Insert("friends", strs(fmt.Sprintf("w%03d", n), "f")); err != nil {
-			t.Fatal(err)
-		}
-		nodes, total := 0, 0
-		for cur := st.Snapshot(); cur != nil; cur = cur.parent {
-			if cur.parent != nil && cur.parent.span < 2*cur.span {
-				t.Fatalf("after %d commits: span %d chained on span %d", n, cur.span, cur.parent.span)
-			}
-			if cur.depth != 0 && cur.depth != cur.parent.depth+1 {
-				t.Fatalf("after %d commits: depth %d over depth %d", n, cur.depth, cur.parent.depth)
-			}
-			nodes, total = nodes+1, total+cur.span
-		}
-		if total != n || nodes != bits.OnesCount(uint(n)) {
-			t.Fatalf("after %d commits: %d diffs spanning %d commits, want %d spanning %d", n, nodes, total, bits.OnesCount(uint(n)), n)
-		}
-	}
-	s := st.Snapshot()
-	for n := 1; n <= commits; n++ {
-		if g, err := s.Fetch(fr, strs(fmt.Sprintf("w%03d", n))); err != nil || len(g) != 1 {
-			t.Fatalf("group of commit %d: %d entries, %v", n, len(g), err)
-		}
-	}
-}
-
-// TestChainDepthIsCapped: where the doubling rule alone would chain a
-// seventeenth diff, the commit folds the youngest ones into its own.
-func TestChainDepthIsCapped(t *testing.T) {
-	st := liveSocial(t, Options{})
-	var top *Snapshot
-	for d := 0; d <= maxChainDepth; d++ {
-		top = &Snapshot{st: st, parent: top, depth: d, span: 2 << (maxChainDepth - d)}
-	}
-	next := &Snapshot{st: st}
-	next.chainOnto(top, nil, nil)
-	if next.depth != maxChainDepth || next.parent != top.parent || next.span != 1+top.span {
-		t.Errorf("depth %d span %d, want depth %d span %d over the second-youngest diff", next.depth, next.span, maxChainDepth, 1+top.span)
-	}
-}
-
-// TestFoldDropsGoneGroups: churn that creates groups the base never had
-// and later empties them leaves no entry behind once a fold reaches the
-// base, so the diff holds the groups that exist, not every group the
-// churn passed through. An emptied group the base has keeps its empty
-// entry, which is what hides the base's; every lookup answers as before,
-// at the new epoch and at a snapshot pinned before the fold.
-func TestFoldDropsGoneGroups(t *testing.T) {
+// TestTrieDropsGoneGroups: churn that creates groups the base never had
+// and later empties them leaves nothing of them in the trie, at every
+// commit, so what the trie holds follows the live groups and not the
+// commits since the last Compact. An emptied group the base has stays as
+// an empty leaf, which is what hides the base's; every lookup answers as
+// before, at the last epoch and at a snapshot pinned before it.
+func TestTrieDropsGoneGroups(t *testing.T) {
 	st := liveSocial(t, Options{})
 	fr := schema.MustAccessConstraint("friends", []string{"user_id"}, []string{"friend_id"}, 5000)
 	user := func(i int) value.Tuple { return strs(fmt.Sprintf("n%03d", i), "f") }
-	const commits, lag = 64, 4 // a power of two: the last commit folds to the base
+	const commits, lag = 100, 4
 	var pinned *Snapshot
 	for i := 0; i < commits; i++ {
 		ops := []Op{Insert("friends", user(i))}
@@ -471,15 +403,21 @@ func TestFoldDropsGoneGroups(t *testing.T) {
 		if i == commits-2 {
 			pinned = st.Snapshot()
 		}
+		leaves := trieLeaves(st.Snapshot(), fr.Key())
+		want := min(i+1, lag)
+		if i >= 10 {
+			want++
+		}
+		if len(leaves) != want {
+			t.Fatalf("after %d commits the friends trie holds %d groups, want %d: the live new users and the emptied base group", i+1, len(leaves), want)
+		}
+		for xk, g := range leaves {
+			if g == nil || len(g) == 0 && xk != value.KeyOf(strs("u1"), []int{0}) {
+				t.Fatalf("after %d commits the trie keeps group %q at %v, which hides nothing", i+1, xk, g)
+			}
+		}
 	}
-	s := st.Snapshot()
-	if s.parent != nil {
-		t.Fatalf("after %d commits the chain has more than one diff", commits)
-	}
-	if got, want := len(s.groups[fr.Key()]), lag+1; got != want {
-		t.Errorf("the folded diff holds %d friends groups, want %d: the %d live new users and the emptied base group", got, want, lag)
-	}
-	for _, snap := range []*Snapshot{s, pinned} {
+	for _, snap := range []*Snapshot{st.Snapshot(), pinned} {
 		last := int(snap.Epoch()) - 1 // the user the snapshot's last commit inserted
 		for i := 0; i < commits; i++ {
 			want := 0
@@ -497,67 +435,8 @@ func TestFoldDropsGoneGroups(t *testing.T) {
 			t.Fatalf("epoch %d: the untouched base group serves %d entries, want 2", snap.Epoch(), len(g))
 		}
 	}
-	checkCards(t, st, "after the fold")
-	checkLedger(t, st, "after the fold")
-}
-
-// TestEveryFoldDropsGoneGroups: a fold that stops above the base drops
-// the gone groups too, keeping only those that hide a non-empty group of
-// an older diff. What the chain holds then follows the live groups, not
-// the commits since the last power of two.
-func TestEveryFoldDropsGoneGroups(t *testing.T) {
-	st := liveSocial(t, Options{})
-	fr := schema.MustAccessConstraint("friends", []string{"user_id"}, []string{"friend_id"}, 5000)
-	key := fr.Key()
-	user := func(i int) value.Tuple { return strs(fmt.Sprintf("n%03d", i), "f") }
-	const commits, lag = 100, 4 // 64+32+4: two folds stop above the base
-	for i := 0; i < commits; i++ {
-		ops := []Op{Insert("friends", user(i))}
-		if i >= lag {
-			ops = append(ops, Delete("friends", user(i-lag)))
-		}
-		if _, err := st.Apply(ops); err != nil {
-			t.Fatal(err)
-		}
-		held := 0
-		for cur := st.Snapshot(); cur != nil; cur = cur.parent {
-			held += len(cur.groups[key])
-			if cur.span == 1 {
-				continue // not a fold
-			}
-			for xk, g := range cur.groups[key] {
-				if g != nil {
-					continue
-				}
-				shadows := false
-				for o := cur.parent; o != nil; o = o.parent {
-					if og, ok := o.groups[key][xk]; ok {
-						shadows = len(og) > 0
-						break
-					}
-				}
-				if !shadows {
-					t.Fatalf("after %d commits: a fold of span %d keeps gone group %q, which hides nothing", i+1, cur.span, xk)
-				}
-			}
-		}
-		// Per diff: the lag live groups, and as many gone ones hiding
-		// them in an older diff.
-		if limit := 2 * lag * bits.Len(uint(i+1)); held > limit {
-			t.Fatalf("after %d commits the chain holds %d friends groups, want at most %d", i+1, held, limit)
-		}
-	}
-	s := st.Snapshot()
-	for i := 0; i < commits; i++ {
-		want := 0
-		if i >= commits-lag {
-			want = 1
-		}
-		if g := mustFetch(t, s, fr, user(i)[0].AsString()); len(g) != want {
-			t.Fatalf("group of %s has %d entries, want %d", user(i)[0], len(g), want)
-		}
-	}
 	checkCards(t, st, "after the churn")
+	checkLedger(t, st, "after the churn")
 }
 
 func TestNonEmptyTransitions(t *testing.T) {
@@ -619,9 +498,9 @@ func TestCompactCollapsesHistory(t *testing.T) {
 		t.Errorf("compact published epoch %d, want %d", epoch, pinned.epoch+1)
 	}
 	cur := st.Snapshot()
-	if len(cur.added) != 0 || len(cur.delDiff) != 0 || cur.parent != nil || cur.depth != 0 {
-		t.Errorf("compacted snapshot retains history: %d added rels, %d tombstone rels, depth %d",
-			len(cur.added), len(cur.delDiff), cur.depth)
+	if len(cur.added) != 0 || len(cur.dead) != 0 || slices.ContainsFunc(cur.roots, func(r *trieNode) bool { return r != nil }) {
+		t.Errorf("compacted snapshot retains history: %d added rels, %d tombstone rels, tries %v",
+			len(cur.added), len(cur.dead), cur.roots)
 	}
 	if cur.base == pinned.base {
 		t.Error("compacted snapshot still overlays the old base")
@@ -749,11 +628,11 @@ func TestSnapshotMatchesFreeze(t *testing.T) {
 }
 
 // TestProbesFormatNoKeys: a probe encodes its X-key into a buffer on the
-// stack, and only when some diff of the chain holds groups of the
-// constraint; the base is probed with the X-value itself. So a 64-probe
-// FetchBatch allocates its result slice and nothing per probe, and a
-// single Fetch nothing at all — whether the group is served by the base,
-// by a commit's overlay, or by nobody, on a chain with diffs or none.
+// stack, and only when the constraint has a trie; the base is probed with
+// the X-value itself. So a 64-probe FetchBatch allocates its result slice
+// and nothing per probe, and a single Fetch nothing at all — whether the
+// group is served by the base, by the trie, or by nobody, with a trie or
+// none.
 func TestProbesFormatNoKeys(t *testing.T) {
 	st := liveSocial(t, Options{})
 	pristine := st.Snapshot()

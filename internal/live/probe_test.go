@@ -86,18 +86,15 @@ func probeXs(rng *rand.Rand, n int) []value.Tuple {
 	return xs
 }
 
-// oneGroup is the group lookup as it was done one probe at a time before
-// a batch resolved its constraint once: walk the chain for the encoded
-// X-key, youngest diff first, then read the base index.
+// oneGroup is the group lookup done the slow way, one probe at a time:
+// find the encoded X-key among all the leaves of the constraint's trie,
+// else read the base index.
 func oneGroup(s *Snapshot, acKey string, x value.Tuple) []storage.IndexEntry {
-	xk := x.Key()
-	for cur := s; cur != nil; cur = cur.parent {
-		if g, ok := cur.groups[acKey][xk]; ok {
-			return g
-		}
-	}
 	if _, ok := s.binds[acKey]; !ok {
 		return nil
+	}
+	if g, ok := trieLeaves(s, acKey)[x.Key()]; ok {
+		return g
 	}
 	idx, ok := s.base.AccessIndexByKey(acKey)
 	if !ok {
@@ -127,13 +124,12 @@ func witnesses(g []storage.IndexEntry) string {
 }
 
 // TestFetchBatchMatchesOneAtATime: over random insert/delete/Compact
-// histories that end on a chain of at least two diffs, every FetchBatch of
-// a snapshot returns, probe for probe, the very group the one-at-a-time
+// histories, every FetchBatch of a snapshot returns, probe for probe, the very group the one-at-a-time
 // lookup returns (entries and positions), and the same witnesses a sealed
 // database frozen from the snapshot returns — batched or one Fetch at a
-// time. The probes cover groups the chain rewrote, groups deletes
-// emptied, groups no diff touched, a constraint no diff holds, one the
-// base has no index of, a value no tuple holds, and Int(1) beside
+// time. The probes cover groups the trie holds, groups deletes emptied,
+// groups no write touched, a constraint with no trie, one the base has
+// no index of, a value no tuple holds, and Int(1) beside
 // Str("1"). A probe of the wrong arity
 // fails the whole batch, on both stores.
 func TestFetchBatchMatchesOneAtATime(t *testing.T) {
@@ -155,12 +151,12 @@ func TestFetchBatchMatchesOneAtATime(t *testing.T) {
 			t.Fatal(err)
 		}
 		if seed%2 == 1 {
-			// A constraint the base has no index of: the chain serves it.
+			// A constraint the base has no index of: its trie serves it.
 			if err := st.ExtendAccess(schema.MustAccessConstraint("r", []string{"c"}, []string{"a", "b"}, 100)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		for commits := 0; st.Snapshot().depth < 2 || commits < 3+rng.Intn(6); commits++ {
+		for range 3 + rng.Intn(6) {
 			apply("r", 3)
 		}
 		snap := st.Snapshot()
@@ -191,11 +187,8 @@ func TestFetchBatchMatchesOneAtATime(t *testing.T) {
 				if w, f, o := witnesses(got[i]), witnesses(frozen[i]), witnesses(one); w != f || w != o {
 					t.Fatalf("seed %d: %s: group of %s has witnesses %s; the frozen database's FetchBatch %s, its Fetch %s", seed, ac, x, w, f, o)
 				}
-				var inDiff, inBase bool
-				for cur := snap; cur != nil; cur = cur.parent {
-					_, ok := cur.groups[key][x.Key()]
-					inDiff = inDiff || ok
-				}
+				var inBase bool
+				_, inDiff := trieLeaves(snap, key)[x.Key()]
 				if idx, ok := snap.base.AccessIndexByKey(key); ok {
 					inBase = len(idx.Lookup(x)) > 0
 				}

@@ -15,14 +15,13 @@ import (
 // runs against a sealed database — readers pin one snapshot per
 // evaluation and are unaffected by concurrent commits.
 //
-// Access-index reads resolve through a short chain of epoch diffs
-// (youngest first) and fall through to the base index; commits fold the
-// chain as they go (chainOnto), so the walk is at most maxChainDepth
-// diffs. Row reads merge the base tuples with the epoch's additions minus
+// Access-index reads look the X-group up in the constraint's trie (one
+// hash, one walk from the root, trie.go) and fall through to the base
+// index. Row reads merge the base tuples with the epoch's additions minus
 // its tombstones.
 type Snapshot struct {
 	st *Store
-	// base is the sealed database this epoch's diffs overlay. Usually the
+	// base is the sealed database this epoch's overlay covers. Usually the
 	// store's original base; after a Compact, newer epochs overlay the
 	// compacted one while pinned older snapshots keep theirs.
 	base  *storage.Database
@@ -37,58 +36,26 @@ type Snapshot struct {
 	binds map[string]acBinding
 	acc   *schema.AccessSchema
 
-	// parent chains towards older epochs; nil at the root or when this
-	// epoch folded the whole chain into its diff. depth is the chain
-	// length below this snapshot, span the number of commits whose diffs
-	// this one holds: its own and those it folded in (0 at a root).
-	parent *Snapshot
-	depth  int
-	span   int
-	// groups is this epoch's access-index diff: acKey → xKey → the full
-	// entry group as of this epoch (nil: emptied, and absent from the
-	// base — see txn.setGroup). Only groups rewritten by this epoch's
-	// batch, or by one it folded in, appear.
-	groups map[string]map[string][]storage.IndexEntry
-	// delDiff is this epoch's tombstone diff: the positions deleted by its
-	// batch and by those it folded in. Like groups it is resolved by
-	// walking the chain, so committing a small delete batch costs the
-	// batch, not the accumulated delete history.
-	delDiff map[string]map[int]bool
+	// idx and roots are indexed by binding ordinal (acBinding.ord). idx is
+	// the base's index of each constraint (nil when the base has none: an
+	// ExtendAccess since the last Compact); it changes only with the base
+	// or the schema, so epochs share the slice. roots is each constraint's
+	// trie of the groups written since the base (nil: none, and every
+	// probe is a base lookup). A group emptied that the base has stays in
+	// the trie, empty, to shadow the base's; one the base lacks leaves it.
+	idx   []*storage.AccessIndex
+	roots []*trieNode
 
-	// added and size are cumulative views (not diffs): all live
-	// insertions per relation (slices share backing across epochs; each
-	// epoch reads only its own prefix) and the live tuple count per
-	// relation.
+	// added, dead and size are cumulative views: all live insertions per
+	// relation and all tombstoned positions per relation since the base —
+	// both slices share backing across epochs, each epoch reading only its
+	// own prefix, so a commit appends past what pinned snapshots read —
+	// and the live tuple count per relation.
 	added map[string][]value.Tuple
+	dead  map[string][]int
 	size  map[string]int64
 
 	numTuples int64
-}
-
-// isDeleted reports whether a position is tombstoned at this epoch.
-func (s *Snapshot) isDeleted(rel string, pos int) bool {
-	for cur := s; cur != nil; cur = cur.parent {
-		if cur.delDiff[rel][pos] {
-			return true
-		}
-	}
-	return false
-}
-
-// deadSet materializes the tombstoned positions of one relation at this
-// epoch (nil when there are none), for scan paths that visit every
-// position and would otherwise walk the chain per tuple.
-func (s *Snapshot) deadSet(rel string) map[int]bool {
-	var out map[int]bool
-	for cur := s; cur != nil; cur = cur.parent {
-		for p := range cur.delDiff[rel] {
-			if out == nil {
-				out = make(map[int]bool)
-			}
-			out[p] = true
-		}
-	}
-	return out
 }
 
 // Epoch returns the snapshot's epoch number (0 = the pristine base).
@@ -119,40 +86,36 @@ func (s *Snapshot) Size(rel string) (int64, error) {
 	return n, nil
 }
 
-// resolver is one constraint resolved at a snapshot, for a batch of probes:
-// the base index, and the diffs of the chain that hold groups of the
-// constraint, youngest first. Resolving walks the chain and does the
-// string-keyed map reads once; each probe then reads only what the
-// constraint's history put in its way.
+// resolver is one constraint resolved at a snapshot, for a batch of
+// probes: the base index, and the constraint's trie with its hash seed.
 type resolver struct {
-	idx    *storage.AccessIndex // nil: the base has no index of it (ExtendAccess)
-	levels [maxChainDepth + 1]map[string][]storage.IndexEntry
-	n      int
+	idx  *storage.AccessIndex // nil: the base has no index of it (ExtendAccess)
+	root *trieNode
+	seed uint64
 }
 
 // resolve resolves a constraint at this epoch; false when the epoch's
 // schema does not maintain it.
-func (s *Snapshot) resolve(acKey string) (r resolver, ok bool) {
-	if _, ok := s.binds[acKey]; !ok {
-		return r, false
+func (s *Snapshot) resolve(acKey string) (resolver, bool) {
+	b, ok := s.binds[acKey]
+	if !ok {
+		return resolver{}, false
 	}
-	r.idx, _ = s.base.AccessIndexByKey(acKey)
-	for cur := s; cur != nil; cur = cur.parent {
-		if m := cur.groups[acKey]; m != nil {
-			r.levels[r.n] = m
-			r.n++
-		}
-	}
-	return r, true
+	return s.resolver(b), true
+}
+
+// resolver resolves a binding of this epoch's schema.
+func (s *Snapshot) resolver(b acBinding) resolver {
+	return resolver{idx: s.idx[b.ord], root: s.roots[b.ord], seed: b.seed}
 }
 
 // at returns the X-group of the value t holds at pos (t itself when pos is
-// nil): the youngest diff that rewrote the group wins, otherwise the base
-// index serves it. The X-key is encoded, into a buffer on the stack, only
-// when some diff holds groups of the constraint; the base is probed with
-// the values themselves.
+// nil): the trie's, when the writes since the base rewrote the group,
+// otherwise the base index's. The X-key is encoded, into a buffer on the
+// stack, only when the constraint has a trie; the base is probed with the
+// values themselves.
 func (r *resolver) at(t value.Tuple, pos []int) []storage.IndexEntry {
-	if r.n > 0 {
+	if r.root != nil {
 		var kb [value.KeyBufSize]byte
 		var xk []byte
 		if pos == nil {
@@ -160,10 +123,8 @@ func (r *resolver) at(t value.Tuple, pos []int) []storage.IndexEntry {
 		} else {
 			xk = value.AppendKeyOf(kb[:0], t, pos)
 		}
-		for _, m := range r.levels[:r.n] {
-			if g, ok := m[string(xk)]; ok {
-				return g
-			}
+		if g, ok := r.root.get(groupHash(r.seed, xk), xk); ok {
+			return g
 		}
 	}
 	switch {
@@ -199,8 +160,8 @@ func (s *Snapshot) Fetch(ac schema.AccessConstraint, xVals value.Tuple) ([]stora
 
 // FetchBatch probes the access index once per X-tuple, returning entry
 // groups aligned with xs (exec.Store). The constraint is resolved once for
-// the batch; when no diff holds groups of it — nothing has written to it
-// since the last Compact — the batch is a plain run of base index lookups.
+// the batch; when it has no trie — nothing has written to it since the
+// last Compact — the batch is a plain run of base index lookups.
 // A probe of the wrong arity fails the whole batch. Counts one index
 // lookup per probe and one fetched tuple per entry. Callers must not
 // mutate the returned entry slices.
@@ -216,7 +177,7 @@ func (s *Snapshot) FetchBatch(ac schema.AccessConstraint, xs []value.Tuple) ([][
 	}
 	out := make([][]storage.IndexEntry, len(xs))
 	var fetched int64
-	if r.n == 0 && r.idx != nil {
+	if r.root == nil && r.idx != nil {
 		for i, x := range xs {
 			out[i] = r.idx.Lookup(x)
 			fetched += int64(len(out[i]))
@@ -256,14 +217,22 @@ func (s *Snapshot) NonEmpty(rel string) (bool, error) {
 func (s *Snapshot) all(rel string) iter.Seq2[int, value.Tuple] {
 	return func(yield func(int, value.Tuple) bool) {
 		tuples := s.base.MustRelation(rel).Tuples
-		dead := s.deadSet(rel)
+		added := s.added[rel]
+		var dead []uint64 // a bitset of the tombstoned positions
+		if ps := s.dead[rel]; len(ps) > 0 {
+			dead = make([]uint64, (len(tuples)+len(added)+63)/64)
+			for _, p := range ps {
+				dead[p/64] |= 1 << (p % 64)
+			}
+		}
+		live := func(pos int) bool { return dead == nil || dead[pos/64]&(1<<(pos%64)) == 0 }
 		for pos, t := range tuples {
-			if !dead[pos] && !yield(pos, t) {
+			if live(pos) && !yield(pos, t) {
 				return
 			}
 		}
-		for i, t := range s.added[rel] {
-			if pos := len(tuples) + i; !dead[pos] && !yield(pos, t) {
+		for i, t := range added {
+			if pos := len(tuples) + i; live(pos) && !yield(pos, t) {
 				return
 			}
 		}

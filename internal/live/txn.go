@@ -2,6 +2,7 @@ package live
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"time"
 
@@ -12,18 +13,16 @@ import (
 // txn is the workspace of one batch (see Staged). It buffers every
 // effect — copy-on-write index groups, new tuples, tombstones, touched
 // ledger entries — against the basis snapshot, so an aborted batch leaves
-// no trace and a committed one becomes exactly the next epoch's diff. It
-// runs under the store's writer mutex.
+// no trace and a committed one becomes exactly what the next epoch adds.
+// It runs under the store's writer mutex.
 type txn struct {
 	st   *Store
 	snap *Snapshot
 
-	// groups are the X-groups this batch rewrote: acKey → xKey → the full
-	// merged entry group as the new epoch will serve it. A group is copied
-	// from the basis (or base index) on first touch. from holds, for each,
-	// the size the basis served it at: commit moves its card from there.
-	groups map[string]map[string][]storage.IndexEntry
-	from   map[string]map[string]int
+	// groups are the X-groups this batch rewrote, per binding ordinal:
+	// xKey → the group as the new epoch will serve it, copied from the
+	// basis (or base index) on first touch.
+	groups []map[string]rewrite
 	// addedNew are the tuples this batch inserts, per relation, in order;
 	// their positions follow the basis snapshot's added tuples.
 	addedNew map[string][]value.Tuple
@@ -43,12 +42,20 @@ type txn struct {
 	nApplied int64
 }
 
+// rewrite is one group a batch rewrote: its entries as the new epoch
+// serves them (nil: emptied, and absent from the base — see
+// txn.setGroup), and the size the basis served it at, which commit moves
+// its card from.
+type rewrite struct {
+	g    []storage.IndexEntry
+	from int
+}
+
 func newTxn(st *Store, snap *Snapshot) txn {
 	return txn{
 		st:       st,
 		snap:     snap,
-		groups:   make(map[string]map[string][]storage.IndexEntry),
-		from:     make(map[string]map[string]int),
+		groups:   make([]map[string]rewrite, len(snap.roots)),
 		addedNew: make(map[string][]value.Tuple),
 		delNew:   make(map[string]map[int]bool),
 		ledger:   make(map[string]map[string][]int),
@@ -60,38 +67,37 @@ func newTxn(st *Store, snap *Snapshot) txn {
 // basis snapshot (which falls through to the base index) until the batch
 // rewrites it.
 func (tx *txn) group(b acBinding, t value.Tuple, xk string) []storage.IndexEntry {
-	if g, ok := tx.groups[b.key][xk]; ok {
-		return g
+	if w, ok := tx.groups[b.ord][xk]; ok {
+		return w.g
 	}
-	r, _ := tx.snap.resolve(b.key)
+	r := tx.snap.resolver(b)
 	return r.at(t, b.xPos)
 }
 
 // setGroup installs the batch's rewrite of group old. An emptied group
-// stays in the diff, so snapshot lookups see the emptiness instead of
-// falling through to an older diff or the base: as a non-nil empty slice
-// when the base has the group, as nil when it does not — a fold drops
-// those that no older diff shadows (foldDiffs), since the base answers
-// the same. Under churn that creates groups and later empties them, they
-// are most of the diff.
-func (tx *txn) setGroup(acKey, xk string, old, g []storage.IndexEntry) {
-	m := tx.groups[acKey]
+// the base has is a non-nil empty slice, which stays in the trie and
+// hides the base's; one the base lacks is nil, which takes the group out
+// of the trie (trieNode.with), where the base answers the same. Churn
+// that creates groups and later empties them so leaves nothing behind.
+func (tx *txn) setGroup(b acBinding, xk string, old, g []storage.IndexEntry) {
+	m := tx.groups[b.ord]
 	if m == nil {
-		m = make(map[string][]storage.IndexEntry)
-		tx.groups[acKey] = m
-		tx.from[acKey] = make(map[string]int)
+		m = make(map[string]rewrite)
+		tx.groups[b.ord] = m
 	}
-	if _, ok := m[xk]; !ok {
-		tx.from[acKey][xk] = len(old)
+	w, ok := m[xk]
+	if !ok {
+		w.from = len(old)
 	}
-	m[xk] = g
+	w.g = g
+	m[xk] = w
 }
 
 // inBase reports whether the base the basis snapshot overlays has t's
 // X-group under a constraint.
 func (tx *txn) inBase(b acBinding, t value.Tuple) bool {
-	idx, ok := tx.snap.base.AccessIndexByKey(b.key)
-	return ok && len(idx.LookupAt(t, b.xPos)) > 0
+	idx := tx.snap.idx[b.ord]
+	return idx != nil && len(idx.LookupAt(t, b.xPos)) > 0
 }
 
 // dups returns the ledger's positions of a pair as of the batch's
@@ -117,12 +123,13 @@ func (tx *txn) setDups(acKey, pk string, ps []int) {
 	m[pk] = ps
 }
 
-// alive reports whether a position is live as of the batch's progress.
+// alive reports whether a candidate position (txn.candidates) is live as
+// of the batch's progress. The candidates never name a position an
+// earlier commit deleted — the ledger and the group entries hold live
+// positions only, and commit prunes the tuple map — so only this batch's
+// own tombstones, a set the writer alone owns, can rule one out.
 func (tx *txn) alive(rel string, pos int) bool {
-	if tx.delNew[rel][pos] {
-		return false
-	}
-	return !tx.snap.isDeleted(rel, pos)
+	return !tx.delNew[rel][pos]
 }
 
 // tupleAt reads a tuple by live position: base positions come from the
@@ -186,7 +193,7 @@ func (tx *txn) insert(op Op) error {
 			ng := make([]storage.IndexEntry, len(g), len(g)+1)
 			copy(ng, g)
 			ng = append(ng, storage.IndexEntry{Witness: t, Pos: pos})
-			tx.setGroup(b.key, xk, g, ng)
+			tx.setGroup(b, xk, g, ng)
 			continue
 		}
 		pk := pairKey(xk, t, b.yPos)
@@ -232,7 +239,7 @@ func (tx *txn) delete(op Op) error {
 			if len(ng) == 0 && !tx.inBase(b, t) {
 				ng = nil
 			}
-			tx.setGroup(b.key, xk, g, ng)
+			tx.setGroup(b, xk, g, ng)
 			continue
 		}
 		// The pair survives. The ledger holds exactly its live positions,
@@ -241,7 +248,7 @@ func (tx *txn) delete(op Op) error {
 		if g[i].Pos == pos {
 			ng := slices.Clone(g)
 			ng[i] = storage.IndexEntry{Witness: tx.tupleAt(op.Rel, rest[0]), Pos: rest[0]}
-			tx.setGroup(b.key, xk, g, ng)
+			tx.setGroup(b, xk, g, ng)
 		}
 		tx.setDups(b.key, pk, rest)
 	}
@@ -298,11 +305,6 @@ func (tx *txn) findLive(rel string, t value.Tuple) (int, bool) {
 	return 0, false
 }
 
-// maxChainDepth bounds how many epoch diffs a snapshot lookup may walk
-// before hitting the base, whatever the write history: a commit that
-// would chain deeper folds the youngest diffs into its own until it fits.
-const maxChainDepth = 16
-
 // commit folds the workspace into the writer state and publishes the next
 // epoch. Called under the store's mutex. A batch with no effective ops
 // (everything quarantined, or empty) publishes nothing — quarantined ops
@@ -310,15 +312,27 @@ const maxChainDepth = 16
 func (st *Store) commit(tx *txn) uint64 {
 	published := tx.snap.epoch
 	if tx.nApplied > 0 {
-		// Move each rewritten group's card from the size the basis served
-		// to the size the new epoch serves, so the maintained counters stay
-		// equal to a from-scratch recount of the live data.
+		next := tx.snapshot()
+		// Per rewritten group: move its card from the size the basis
+		// served to the size the new epoch serves, so the maintained
+		// counters stay equal to a from-scratch recount of the live data;
+		// stamp its version word; and put it in the constraint's trie.
 		cards := *st.cards.Load()
-		for acKey, m := range tx.groups {
-			card := cards[acKey]
-			for xk, g := range m {
-				card.resize(int64(tx.from[acKey][xk]), int64(len(g)))
+		var edits []trieEdit
+		for ord, m := range tx.groups {
+			if m == nil {
+				continue
 			}
+			b := st.byOrd[ord]
+			card := cards[b.key]
+			edits = edits[:0]
+			for xk, w := range m {
+				card.resize(int64(w.from), int64(len(w.g)))
+				h := groupHash(b.seed, xk)
+				st.words[groupWord(h)].Store(next.epoch)
+				edits = append(edits, trieEdit{hash: h, key: xk, group: w.g})
+			}
+			next.roots[ord] = next.roots[ord].with(edits, 0, b.seed)
 		}
 		for acKey, m := range tx.ledger {
 			led := st.ledger[acKey]
@@ -360,10 +374,9 @@ func (st *Store) commit(tx *txn) uint64 {
 			}
 		}
 
-		next := tx.snapshot()
 		st.applied.Add(tx.nApplied)
 		// Words before the snapshot: whoever pins this epoch sees them.
-		st.stampCommit(tx, next)
+		st.stampRelations(tx, next)
 		st.cur.Store(next)
 		st.lastCommit.Store(time.Now().UnixNano())
 		published = next.epoch
@@ -390,9 +403,9 @@ func removePos(list []int, pos int) []int {
 	return list
 }
 
-// snapshot builds the next epoch from the workspace: cumulative added /
-// deleted / size views plus this batch's group diff, chained on the basis
-// or flattened when the chain is deep.
+// snapshot builds the next epoch from the workspace: the cumulative
+// added, dead and size views, and the basis's tries, which commit then
+// rewrites.
 func (tx *txn) snapshot() *Snapshot {
 	snap, st := tx.snap, tx.st
 	next := &Snapshot{
@@ -402,17 +415,28 @@ func (tx *txn) snapshot() *Snapshot {
 		numTuples: snap.numTuples,
 		binds:     snap.binds,
 		acc:       snap.acc,
+		idx:       snap.idx,
+		roots:     slices.Clone(snap.roots),
 	}
 
-	// added: copy the per-relation map, extending touched relations. The
-	// slices share backing across epochs; older snapshots read only their
-	// own shorter prefix, so appends never affect them.
+	// added and dead: copy the per-relation maps, extending touched
+	// relations. The slices share backing across epochs; older snapshots
+	// read only their own shorter prefix, so appends never affect them.
 	next.added = make(map[string][]value.Tuple, len(snap.added)+len(tx.addedNew))
 	for rel, ts := range snap.added {
 		next.added[rel] = ts
 	}
 	for rel, ts := range tx.addedNew {
 		next.added[rel] = append(next.added[rel], ts...)
+	}
+	next.dead = make(map[string][]int, len(snap.dead)+len(tx.delNew))
+	for rel, ps := range snap.dead {
+		next.dead[rel] = ps
+	}
+	for rel, dm := range tx.delNew {
+		start := len(next.dead[rel])
+		next.dead[rel] = slices.AppendSeq(next.dead[rel], maps.Keys(dm))
+		slices.Sort(next.dead[rel][start:])
 	}
 
 	// size: always a small map (one entry per relation).
@@ -428,118 +452,5 @@ func (tx *txn) snapshot() *Snapshot {
 		next.size[rel] -= int64(len(dm))
 		next.numTuples -= int64(len(dm))
 	}
-
-	next.chainOnto(snap, tx.groups, tx.delNew)
 	return next
-}
-
-// chainOnto makes next the epoch after snap, carrying the given diff. The
-// chain is kept like the digits of a binary counter: a node spans the
-// commits folded into it, and a new commit (span 1) folds in every node
-// below it whose span is no larger than what it holds so far. Spans
-// therefore at least double down the chain, n commits make a chain of at
-// most log2(n)+1 nodes, and a commit's entries are copied O(log n) times
-// over the chain's life — what a commit costs does not grow with the
-// write history since the last Compact. (Past 2^maxChainDepth commits the
-// depth bound takes over and the doubling is given up.)
-func (next *Snapshot) chainOnto(snap *Snapshot, groups map[string]map[string][]storage.IndexEntry, dels map[string]map[int]bool) {
-	next.span = 1
-	keep := snap
-	for keep != nil && (keep.span <= next.span || keep.depth >= maxChainDepth) {
-		next.span += keep.span
-		keep = keep.parent
-	}
-	if keep != snap {
-		groups, dels = foldDiffs(snap, keep, groups, dels)
-		next.st.flattens.Add(1)
-	}
-	next.groups, next.delDiff, next.parent = groups, dels, keep
-	if keep != nil {
-		next.depth = keep.depth + 1
-	}
-}
-
-// foldDiffs merges the group and tombstone diffs of the chain from snap
-// down to, and not including, stop with the committing batch's into single
-// diffs (for groups, the youngest writer of each group wins), so the new
-// snapshot reads them in one hop.
-func foldDiffs(snap, stop *Snapshot, topGroups map[string]map[string][]storage.IndexEntry, topDels map[string]map[int]bool) (map[string]map[string][]storage.IndexEntry, map[string]map[int]bool) {
-	var chain []*Snapshot
-	for s := snap; s != stop; s = s.parent {
-		chain = append(chain, s)
-	}
-	flatG := make(map[string]map[string][]storage.IndexEntry)
-	flatD := make(map[string]map[int]bool)
-	mergeG := func(diff map[string]map[string][]storage.IndexEntry) {
-		for acKey, m := range diff {
-			fm := flatG[acKey]
-			if fm == nil {
-				fm = make(map[string][]storage.IndexEntry, len(m))
-				flatG[acKey] = fm
-			}
-			for xk, g := range m {
-				fm[xk] = g
-			}
-		}
-	}
-	mergeD := func(diff map[string]map[int]bool) {
-		for rel, m := range diff {
-			fm := flatD[rel]
-			if fm == nil {
-				fm = make(map[int]bool, len(m))
-				flatD[rel] = fm
-			}
-			for p := range m {
-				fm[p] = true
-			}
-		}
-	}
-	for i := len(chain) - 1; i >= 0; i-- { // oldest first
-		mergeG(chain[i].groups)
-		mergeD(chain[i].delDiff)
-	}
-	mergeG(topGroups)
-	mergeD(topDels)
-	for acKey, fm := range flatG {
-		flatG[acKey] = withoutGone(fm, acKey, stop)
-	}
-	return flatG, flatD
-}
-
-// withoutGone drops from a folded group diff the nil groups (see
-// setGroup) that shadow nothing: no diff from older down to the base
-// holds a non-empty group under the same key, so they read the same
-// without an entry. Every fold does this, not only one that reaches the
-// base, so that what the diffs hold follows the groups that exist and
-// not how many commits have passed since the last power of two. What is
-// left is copied into a map of its own size — deleting in place would
-// keep the buckets.
-func withoutGone(m map[string][]storage.IndexEntry, acKey string, older *Snapshot) map[string][]storage.IndexEntry {
-	gone := func(xk string, g []storage.IndexEntry) bool {
-		if g != nil {
-			return false
-		}
-		for cur := older; cur != nil; cur = cur.parent {
-			if og, ok := cur.groups[acKey][xk]; ok {
-				return len(og) == 0
-			}
-		}
-		return true
-	}
-	n := 0
-	for xk, g := range m {
-		if !gone(xk, g) {
-			n++
-		}
-	}
-	if n == len(m) {
-		return m
-	}
-	out := make(map[string][]storage.IndexEntry, n)
-	for xk, g := range m {
-		if !gone(xk, g) {
-			out[xk] = g
-		}
-	}
-	return out
 }

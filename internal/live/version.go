@@ -42,13 +42,14 @@ func (st *Store) newWords() {
 	}
 }
 
-// groupSeed and groupWord are the one hash of a group's version word, for
-// the writer (which holds X-keys as strings) and the reader (which encodes
-// them into a buffer) alike: FNV-1a over the constraint key — the seed,
-// which a commit and a probe batch compute once per constraint — then
-// over the X-key, finished with a 64-bit mixer so the low bits that pick
-// the word are spread. It is the same in every process, so what collides
-// in one run collides in every run.
+// groupSeed and groupHash are the one hash of an X-group, for the writer
+// (which holds X-keys as strings) and the reader (which encodes them into
+// a buffer) alike: FNV-1a over the constraint key — the seed, which a
+// binding computes once — then over the X-key, finished with a 64-bit
+// mixer so that the low bits are spread. Its low bits pick the group's
+// version word (groupWord), and all of it keys the group in its
+// constraint's trie (trie.go). It is the same in every process, so what
+// collides in one run collides in every run.
 func groupSeed(acKey string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(acKey); i++ {
@@ -59,7 +60,7 @@ func groupSeed(acKey string) uint64 {
 
 const fnvPrime = 1099511628211
 
-func groupWord[K string | []byte](seed uint64, xk K) uint32 {
+func groupHash[K string | []byte](seed uint64, xk K) uint64 {
 	h := seed
 	for i := 0; i < len(xk); i++ {
 		h = (h ^ uint64(xk[i])) * fnvPrime
@@ -69,8 +70,11 @@ func groupWord[K string | []byte](seed uint64, xk K) uint32 {
 	h ^= h >> 33
 	h *= 0xc4ceb9fe1a85ec53
 	h ^= h >> 33
-	return uint32(h & (groupWords - 1))
+	return h
 }
+
+// groupWord is the version word of the group whose hash is h.
+func groupWord(h uint64) uint32 { return uint32(h & (groupWords - 1)) }
 
 // AppendGroupWords appends the index of the version word of each X-group
 // xs[i] of constraint acKey (X-values in the constraint's X order, as
@@ -80,21 +84,16 @@ func AppendGroupWords(dst []uint32, acKey string, xs []value.Tuple) []uint32 {
 	seed := groupSeed(acKey)
 	var kb [value.KeyBufSize]byte
 	for _, x := range xs {
-		dst = append(dst, groupWord(seed, x.AppendKey(kb[:0])))
+		dst = append(dst, groupWord(groupHash(seed, x.AppendKey(kb[:0]))))
 	}
 	return dst
 }
 
-// stampCommit stores a commit's epoch into the words of the groups it
-// rewrote and of the relations whose emptiness it flipped. It runs under
-// the writer mutex, before the commit's snapshot is published.
-func (st *Store) stampCommit(tx *txn, next *Snapshot) {
-	for acKey, m := range tx.groups {
-		seed := groupSeed(acKey)
-		for xk := range m {
-			st.words[groupWord(seed, xk)].Store(next.epoch)
-		}
-	}
+// stampRelations stores a commit's epoch into the words of the relations
+// whose emptiness it flipped; the commit stores it into the words of the
+// groups it rewrote as it hashes them (Store.commit). It runs under the
+// writer mutex, before the commit's snapshot is published.
+func (st *Store) stampRelations(tx *txn, next *Snapshot) {
 	flipped := func(rel string) {
 		if (tx.snap.size[rel] > 0) != (next.size[rel] > 0) {
 			st.words[st.relWords[rel]].Store(next.epoch)

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unsafe"
 )
 
 // TimeSeriesOptions tunes a TimeSeries sampler.
@@ -239,6 +240,27 @@ func (ts *TimeSeries) Sample() {
 		}
 		ts.observe(ser, snap, now)
 	}
+}
+
+// RetainedBytes counts the bytes the sampler keeps between samples: per
+// series its record, its point ring, its labels and the bucket counts it
+// diffs against, and the key list. It is computed from lengths and
+// capacities, not read off the heap, so the same history reads the same
+// on every run; once every ring is full it stops growing. Nil-safe.
+func (ts *TimeSeries) RetainedBytes() int64 {
+	if ts == nil {
+		return 0
+	}
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	n := int64(cap(ts.order)) * int64(unsafe.Sizeof(""))
+	for key, ser := range ts.series {
+		n += int64(len(key)) + int64(unsafe.Sizeof(*ser)) +
+			int64(cap(ser.points))*int64(unsafe.Sizeof(TSPoint{})) +
+			int64(cap(ser.labels))*int64(unsafe.Sizeof(Label{})) +
+			int64(cap(ser.lastCounts))*int64(unsafe.Sizeof(int64(0)))
+	}
+	return n
 }
 
 // observe diffs one series against its previous cumulative state and

@@ -87,7 +87,8 @@ type Recovery struct {
 	SkippedRecords int64
 	// GapRecords counts records dropped, from the first whose epoch on
 	// some shard left a continuity gap with that shard's checkpoint: the
-	// conservative stop when a newest checkpoint was lost.
+	// conservative stop when a newest checkpoint was lost. The log is cut
+	// there, so they are counted by the one Open that dropped them.
 	GapRecords int64
 }
 
@@ -370,7 +371,9 @@ func Open(dir string, cat *schema.Catalog, acc *schema.AccessSchema, opts Option
 // sub-batch (or extension) goes to the shard it names, through the normal
 // admission path, unless that shard's checkpoint already holds it (its
 // epoch is at or below the shard's). A record whose epoch on some shard
-// leaves a gap stops the replay before any of it applies.
+// leaves a gap stops the replay before any of it applies, and the log is
+// cut there, so the store's next commits are not appended behind records
+// no replay will reach.
 func (st *Store) replay(records []wal.Record, rec *Recovery) error {
 	for i, r := range records {
 		var todo []wal.Sub
@@ -384,6 +387,9 @@ func (st *Store) replay(records []wal.Record, rec *Recovery) error {
 			}
 			if sub.Epoch != cur+1 {
 				rec.GapRecords = int64(len(records) - i)
+				if err := st.w.Cut(i); err != nil {
+					return fmt.Errorf("shard: cutting the log at the gap: %w", err)
+				}
 				return nil
 			}
 			todo = append(todo, sub)

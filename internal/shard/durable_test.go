@@ -2,11 +2,15 @@ package shard_test
 
 import (
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
 	"bcq/internal/live"
 	"bcq/internal/schema"
+	"bcq/internal/segment"
 	"bcq/internal/shard"
 	"bcq/internal/storage"
 	"bcq/internal/value"
@@ -280,5 +284,123 @@ constraint r: (a) -> (b, 100)
 	}
 	if re.NumTuples() != int64(len(ops)) {
 		t.Fatalf("NumTuples = %d, want %d", re.NumTuples(), len(ops))
+	}
+}
+
+// loseSegment loses a checkpoint segment the way a disk does: the file is
+// gone, or a byte of it is flipped.
+func loseSegment(t *testing.T, path, loss string) {
+	t.Helper()
+	if loss == "removed" {
+		if err := os.Remove(path); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0xff
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLostCheckpointKeepsLaterWrites: at P = 1, 2, 3, shard 0's newest
+// checkpoint is lost — its segment removed, or corrupted — so the store
+// reopens on the one before and drops the log's records from the first
+// that leaves a gap. Every batch acknowledged after that reopen must
+// survive the next crash: the reopen cut those records from the log, so
+// later commits are not appended behind them, and a second reopen drops
+// nothing. Shard 0's later checkpoints, one below the lost epoch and one
+// at it, are the ones later reopens find: neither meets the corrupt file
+// nor is hidden by it, and it is not retained in place of a good one.
+func TestLostCheckpointKeepsLaterWrites(t *testing.T) {
+	for _, p := range []int{1, 2, 3} {
+		for _, loss := range []string{"removed", "corrupt"} {
+			t.Run(fmt.Sprintf("P%d/%s", p, loss), func(t *testing.T) {
+				dir := t.TempDir()
+				cat, acc, db := scene(t, 4, 4)
+				ss, err := shard.New(db, acc, shard.Options{Shards: p, Dir: dir})
+				if err != nil {
+					t.Fatal(err)
+				}
+				n := 0
+				// writeUntil commits single-insert batches, each on the shard
+				// its tuple hashes to, until shard 0 stands at epoch e.
+				writeUntil := func(st *shard.Store, e uint64) {
+					t.Helper()
+					for st.Shard(0).Epoch() < e {
+						n++
+						if err := st.Apply([]live.Op{live.Insert("friends", tup(fmt.Sprintf("w%d", n), "u0"))}); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				writeUntil(ss, 5)
+				if err := ss.Compact(); err != nil {
+					t.Fatal(err)
+				}
+				lost := ss.Shard(0).Epoch()
+				writeUntil(ss, lost+1) // logged behind the checkpoint
+				// Crash: ss is abandoned without Close.
+				sdir := filepath.Join(dir, "shard-000")
+				if segs := segment.List(sdir); len(segs) != 2 || segs[0].Epoch != lost {
+					t.Fatalf("shard 0 holds segments %+v, want two, the newest at epoch %d", segs, lost)
+				} else {
+					loseSegment(t, segs[0].Path, loss)
+				}
+
+				re, rec, err := shard.Open(dir, cat, acc, shard.Options{Shards: p})
+				if err != nil {
+					t.Fatalf("first reopen: %v", err)
+				}
+				if rec.GapRecords == 0 || re.Shard(0).Epoch() != 0 {
+					t.Fatalf("first reopen: shard 0 at epoch %d, %d gap records; want the epoch-0 checkpoint and a gap", re.Shard(0).Epoch(), rec.GapRecords)
+				}
+				writeUntil(re, 2)
+				// Crash, and reopen: what the first reopen acknowledged is
+				// all there, and no record of it is taken for a gap.
+				re2, rec2, err := shard.Open(dir, cat, acc, shard.Options{Shards: p})
+				if err != nil {
+					t.Fatalf("second reopen: %v", err)
+				}
+				if rec2.GapRecords != 0 || len(rec2.CorruptSegments) != 0 {
+					t.Fatalf("second reopen: %d gap records, corrupt segments %v; want none", rec2.GapRecords, rec2.CorruptSegments)
+				}
+				assertSameShardState(t, re2, re, true)
+
+				if err := re2.Compact(); err != nil { // shard 0's checkpoint at epoch 3, below the lost one
+					t.Fatal(err)
+				}
+				// The two segments retained are good ones: a corrupt file
+				// kept among them would leave no fallback.
+				if segs := segment.List(sdir); len(segs) != 2 || segs[0].Epoch != 3 || segs[1].Epoch != 0 {
+					t.Fatalf("shard 0 retains segments %+v, want those of epochs 3 and 0", segs)
+				}
+				writeUntil(re2, lost-1)
+				if err := re2.Compact(); err != nil { // at the lost epoch: the corrupt file's name
+					t.Fatal(err)
+				}
+				if got := re2.Shard(0).SegmentEpoch(); got != lost {
+					t.Fatalf("shard 0 checkpointed at epoch %d, want %d", got, lost)
+				}
+				writeUntil(re2, lost+2)
+				// Crash again: the checkpoint at the lost epoch is the one found.
+				re3, rec3, err := shard.Open(dir, cat, acc, shard.Options{Shards: p})
+				if err != nil {
+					t.Fatalf("third reopen: %v", err)
+				}
+				defer re3.Close()
+				if rec3.GapRecords != 0 || len(rec3.CorruptSegments) != 0 {
+					t.Fatalf("third reopen: %d gap records, corrupt segments %v; want none", rec3.GapRecords, rec3.CorruptSegments)
+				}
+				if got := re3.Shard(0).SegmentEpoch(); got != lost {
+					t.Fatalf("third reopen resumed shard 0 from epoch %d, want the checkpoint at %d", got, lost)
+				}
+				assertSameShardState(t, re3, re2, true)
+			})
+		}
 	}
 }

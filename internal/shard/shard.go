@@ -1,6 +1,6 @@
 // Package shard scales the live store out horizontally: a Store
 // partitions one database into P shards, each a live.Store with its own
-// sealed base, incremental index maintenance and snapshot chain, and
+// sealed base, incremental index maintenance and epoch snapshots, and
 // serves bounded evaluation over all of them through a scatter-gather
 // view that is byte-identical to a single-store run.
 //
@@ -774,7 +774,6 @@ func (st *Store) IngestStats() live.IngestStats {
 		out.OpsRejected += ig.OpsRejected
 		out.OpsQuarantined += ig.OpsQuarantined
 		out.Epochs += ig.Epochs
-		out.Flattens += ig.Flattens
 		out.Compactions += ig.Compactions
 		out.Extensions += ig.Extensions
 	}

@@ -12,7 +12,7 @@ import (
 )
 
 // View is one atomically pinned epoch vector: an immutable, fully
-// consistent cut across every shard's snapshot chain. It satisfies the
+// consistent cut across every shard's snapshots. It satisfies the
 // executor's Store and PartitionedStore interfaces, so bounded evaluation
 // runs against a view exactly as it runs against a sealed database or a
 // live snapshot — the executor scatters each probe batch to the owning

@@ -171,6 +171,10 @@ type WAL struct {
 	// re-scans the file and cuts whatever a failed rewind left behind.
 	err error
 
+	// starts holds where each record Open replayed begins, for Cut; the
+	// first Append or Reset drops it.
+	starts []int64
+
 	appends       atomic.Int64
 	appendedBytes atomic.Int64
 	sizeBytes     atomic.Int64 // header + acknowledged frames
@@ -218,6 +222,7 @@ func Open(path string) (*WAL, []Record, error) {
 			break
 		}
 		records = append(records, rec)
+		w.starts = append(w.starts, int64(off))
 		off += n
 		valid = off
 	}
@@ -333,6 +338,7 @@ func (w *WAL) Append(rec Record) error {
 	if w.err != nil {
 		return w.err
 	}
+	w.starts = nil
 	frame := appendFrame(nil, rec)
 
 	if _, err := w.f.Write(frame); err != nil {
@@ -344,6 +350,41 @@ func (w *WAL) Append(rec Record) error {
 	w.sizeBytes.Add(int64(len(frame)))
 	w.appends.Add(1)
 	w.appendedBytes.Add(int64(len(frame)))
+	return nil
+}
+
+// Cut drops the records Open replayed from the keep-th on (counting from
+// 0, in the order Open returned them): the file is truncated where that
+// record began, and the cut is fsynced before Cut returns. Recovery calls
+// it when its replay stopped short of the log's end, before the log takes
+// appends again: a record appended behind ones no replay will reach would
+// be dropped by every later Open with them. Cut is valid only before the
+// log's first Append or Reset.
+func (w *WAL) Cut(keep int) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	switch {
+	case w.closed:
+		return fmt.Errorf("wal: cut on closed log %s", w.path)
+	case w.err != nil:
+		return w.err
+	case keep < 0 || keep > len(w.starts):
+		return fmt.Errorf("wal: cut %s at record %d, which Open did not replay", w.path, keep)
+	case keep == len(w.starts):
+		return nil
+	}
+	size := w.starts[keep]
+	if err := w.f.Truncate(size); err != nil {
+		return w.fail(fmt.Errorf("wal: cut %s: %w", w.path, err))
+	}
+	if _, err := w.f.Seek(size, io.SeekStart); err != nil {
+		return w.fail(fmt.Errorf("wal: cut %s: %w", w.path, err))
+	}
+	if err := w.f.Sync(); err != nil {
+		return w.fail(fmt.Errorf("wal: cut %s: %w", w.path, err))
+	}
+	w.starts = w.starts[:keep]
+	w.sizeBytes.Store(size)
 	return nil
 }
 
@@ -359,6 +400,7 @@ func (w *WAL) Reset() error {
 	if w.err != nil {
 		return w.err
 	}
+	w.starts = nil
 	if err := w.f.Truncate(int64(headerSize)); err != nil {
 		return w.fail(fmt.Errorf("wal: reset %s: %w", w.path, err))
 	}

@@ -85,6 +85,40 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCut: cutting a reopened log at every record keeps exactly the
+// records before it, on disk, and the next append lands right behind
+// them; a cut after an append is refused.
+func TestCut(t *testing.T) {
+	recs := testRecords()
+	for keep := 0; keep <= len(recs); keep++ {
+		path := filepath.Join(t.TempDir(), "wal.log")
+		writeLog(t, path, recs)
+		w, _, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Cut(keep); err != nil {
+			t.Fatalf("Cut(%d): %v", keep, err)
+		}
+		if err := w.Append(recs[0]); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Cut(1); err == nil {
+			t.Fatal("a cut after an append was taken")
+		}
+		w.Close()
+		w, got, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Close()
+		want := append(append([]Record{}, recs[:keep]...), recs[0])
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Cut(%d): the log replays %d records, want %d", keep, len(got), len(want))
+		}
+	}
+}
+
 // TestTornTailEveryOffset truncates the log at every possible byte
 // length and asserts recovery always yields a clean prefix of the
 // original records, never an error, never garbage.

@@ -21,6 +21,13 @@
 //	                             few tuples of each relation occur twice
 //	bootstrap.new_allocs       — the objects that call allocates (a count,
 //	                             the same on every machine and every run)
+//	churn_commit.history_1k_bytes, history_1k_allocs,
+//	churn_commit.history_16k_bytes, history_16k_allocs
+//	                           — what one churn commit allocates (churnBatch:
+//	                             eight inserts and the deletes of the batch
+//	                             64 commits back, on an in-memory store),
+//	                             1 Ki and 16 Ki commits after a Compact;
+//	                             asserted flat in that history
 //
 // and, informational, bootstrap.retained_bytes_per_tuple — the live heap
 // that call adds beside the base — and checkpoint.retained_bytes_per_tuple
@@ -34,6 +41,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -41,6 +49,7 @@ import (
 	"bcq/internal/datagen"
 	"bcq/internal/live"
 	"bcq/internal/storage"
+	"bcq/internal/value"
 )
 
 // durableBenchStore seeds a durable live store in a fresh directory.
@@ -167,6 +176,82 @@ func socialWithRepeats(tb testing.TB, k int) (*storage.Database, *datagen.Datase
 	return db, ds
 }
 
+// churnLag is how many commits back churnBatch deletes what it inserted.
+const churnLag = 64
+
+// churnStore is an in-memory live store over the social dataset that
+// commits churnBatch after churnBatch: the commit shape of the
+// benchmark's ingest_churn workload.
+type churnStore struct {
+	st    *live.Store
+	users int64
+	ring  [churnLag][]live.Op
+	c     int64
+}
+
+func newChurnStore(tb testing.TB) *churnStore {
+	tb.Helper()
+	db, ds := indexedSocial(tb, 1)
+	st, err := live.New(db, ds.Access, live.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return &churnStore{st: st, users: int64(len(db.MustRelation("friends").Tuples) / 8)}
+}
+
+// commit applies the next churn batch: a new user with three friends, a
+// new album of two photos, two tags, and the new user befriended by an
+// existing one, which rewrites a group of the base; plus the deletes of
+// the batch churnLag commits back.
+func (cs *churnStore) commit(tb testing.TB) {
+	c := cs.c
+	cs.c++
+	u, a, p := 1_000_000+c, 1_000_000+c, 2_000_000+2*c
+	f := [3]int64{c % cs.users, (c*7 + 1) % cs.users, (c*13 + 2) % cs.users}
+	old := cs.st.Snapshot().Epoch() // a batch is one commit: the epoch moves by one
+	ins := []live.Op{
+		live.Insert("friends", value.Tuple{value.Int(u), value.Int(f[0])}),
+		live.Insert("friends", value.Tuple{value.Int(u), value.Int(f[1])}),
+		live.Insert("friends", value.Tuple{value.Int(u), value.Int(f[2])}),
+		live.Insert("friends", value.Tuple{value.Int((c * 2654435761) % cs.users), value.Int(u)}),
+		live.Insert("in_album", value.Tuple{value.Int(p), value.Int(a)}),
+		live.Insert("in_album", value.Tuple{value.Int(p + 1), value.Int(a)}),
+		live.Insert("tagging", value.Tuple{value.Int(p), value.Int(f[0]), value.Int(u)}),
+		live.Insert("tagging", value.Tuple{value.Int(p), value.Int(f[1]), value.Int(f[0])}),
+	}
+	batch := ins
+	for _, o := range cs.ring[c%churnLag] {
+		batch = append(batch, live.Delete(o.Rel, o.Tuple))
+	}
+	cs.ring[c%churnLag] = ins
+	if e, err := cs.st.Apply(batch); err != nil || e != old+1 {
+		tb.Fatalf("churn commit %d: epoch %d, %v", c, e, err)
+	}
+}
+
+// churnCommitCost runs commits churn commits and returns what one
+// allocated, in bytes and objects: averages over the run.
+func churnCommitCost(tb testing.TB, cs *churnStore, commits int) (bytes, allocs int64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range commits {
+		cs.commit(tb)
+	}
+	runtime.ReadMemStats(&after)
+	return int64(after.TotalAlloc-before.TotalAlloc) / int64(commits), int64(after.Mallocs-before.Mallocs) / int64(commits)
+}
+
+// BenchmarkChurnCommit prices one churn commit on a store that has taken
+// b.N of them since its Compact.
+func BenchmarkChurnCommit(b *testing.B) {
+	cs := newChurnStore(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		cs.commit(b)
+	}
+}
+
 // TestStorageBenchEmit measures the durable tier's guardrail paths once
 // and asserts their sanity (every record replays, the checkpoint resets
 // the WAL); with STORAGE_BENCH_JSON set the measurements are written
@@ -273,6 +358,21 @@ func TestStorageBenchEmit(t *testing.T) {
 			compactRetainedPerTuple, basePerTuple)
 	}
 
+	// A churn commit costs the same 1 Ki and 16 Ki commits after a
+	// Compact: what it allocates follows the groups it rewrote, not the
+	// history.
+	const churnSample = 512
+	churn := newChurnStore(t)
+	churnCommitCost(t, churn, 1024-churnSample/2)
+	bytes1k, allocs1k := churnCommitCost(t, churn, churnSample)
+	churnCommitCost(t, churn, 16*1024-1024-churnSample)
+	bytes16k, allocs16k := churnCommitCost(t, churn, churnSample)
+	if float64(bytes16k) > 1.1*float64(bytes1k) || float64(allocs16k) > 1.1*float64(allocs1k) {
+		t.Errorf("a churn commit allocates %d B in %d objects 16 Ki commits after a Compact, against %d B in %d objects after 1 Ki: it grows with the history",
+			bytes16k, allocs16k, bytes1k, allocs1k)
+	}
+
+	t.Logf("churn commit: %d B, %d allocs at 1 Ki commits since the Compact; %d B, %d allocs at 16 Ki", bytes1k, allocs1k, bytes16k, allocs16k)
 	t.Logf("wal append %s/op (%d B frame); recovery of %d records %s (%s/record); checkpoint %s (%d B segment); live.New %s and %d allocations over %d tuples (%d B/tuple retained); a Compact retains %d B/tuple beside a base of %d B/tuple",
 		time.Duration(appendNS), frameBytes, appends, time.Duration(openNS),
 		time.Duration(openNS/appends), time.Duration(compactNS), segBytes,
@@ -298,6 +398,12 @@ func TestStorageBenchEmit(t *testing.T) {
 				"compact_ns":               compactNS,
 				"segment_bytes":            segBytes,
 				"retained_bytes_per_tuple": compactRetainedPerTuple,
+			},
+			"churn_commit": {
+				"history_1k_bytes":   bytes1k,
+				"history_1k_allocs":  allocs1k,
+				"history_16k_bytes":  bytes16k,
+				"history_16k_allocs": allocs16k,
 			},
 			"bootstrap": {
 				"tuples":                   ls.NumTuples(),
