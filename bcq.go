@@ -58,6 +58,11 @@
 //	ss.Apply(batch)               // routed by content, staged shard-parallel, atomic
 //	res, _ := p.Exec(bcq.Int(74)) // pins one epoch vector across all shards
 //
+// Durability is the sharded store's alone: with ShardOptions.Dir set
+// (Shards: 1 for a single store) every batch is logged and fsynced before
+// it publishes, Compact checkpoints, and OpenShardedDatabase recovers the
+// directory after a crash (examples/durable).
+//
 // See the examples/ directory (examples/streaming for the live layer,
 // examples/sharded for scale-out) and DESIGN.md for the full system map.
 package bcq
@@ -360,7 +365,11 @@ type (
 	LiveSnapshot = live.Snapshot
 	// LiveOp is one write operation of an atomic batch.
 	LiveOp = live.Op
-	// LiveOptions tunes a live database (violation mode).
+	// LiveOptions tunes a live database (violation mode). A live
+	// database is in memory: its Dir and Log fields belong to the shards of
+	// a durable sharded database, and NewLiveDatabase refuses them. For a
+	// durable single store, use NewShardedDatabase (or
+	// OpenShardedDatabase) with ShardOptions{Shards: 1, Dir: dir}.
 	LiveOptions = live.Options
 	// LiveMode selects how schema-violating writes are treated.
 	LiveMode = live.Mode
@@ -405,20 +414,6 @@ func NewLiveDatabase(db *Database, acc *AccessSchema, opts LiveOptions) (*LiveDa
 // bounded while writes stream in.
 func NewLiveEngine(ld *LiveDatabase, opts EngineOptions) (*Engine, error) {
 	return engine.NewLive(ld, opts)
-}
-
-// LiveRecovery reports what OpenLiveDatabase did to bring a durable
-// store back: the checkpoint it resumed from, the WAL tail it replayed,
-// and the torn records it dropped.
-type LiveRecovery = live.Recovery
-
-// OpenLiveDatabase recovers a durable live database from a directory
-// (or creates a fresh one over an empty base when the directory holds no
-// store state). Pair it with LiveOptions.Dir on NewLiveDatabase, which
-// seeds a durable store from loaded data; Close checkpoints and closes
-// the WAL so a clean restart replays zero records.
-func OpenLiveDatabase(dir string, cat *Catalog, acc *AccessSchema, opts LiveOptions) (*LiveDatabase, *LiveRecovery, error) {
-	return live.Open(dir, cat, acc, opts)
 }
 
 // Re-exported sharding types.

@@ -1,17 +1,17 @@
 // Crash-recovery property tests for the durable tier (CI runs them
-// under -race):
+// under -race). A durable store is a sharded one; P = 1 is the single
+// store.
 //
 //  1. Committed-prefix identity: for ANY kill point — a fail point armed
-//     on the n-th WAL append leaves a torn, unfsynced frame exactly the
-//     way power loss mid-write would — reopening the directory yields a
-//     store byte-identical (tuples, epoch key, cardinality statistics,
-//     access schema) to one that applied the committed prefix and never
-//     crashed. Checked on the single live store against an independent
-//     in-memory reference, and on sharded stores (P ∈ {2, 3, 5}) against
-//     the crashed store's own pre-crash state, which IS the committed
-//     state because every snapshot publishes only after its WAL fsync —
-//     and which holds no part of the batch that died: a sharded store
-//     logs a batch as one record, so it commits on every shard or none.
+//     on the n-th append to the store's one log leaves a torn, unfsynced
+//     frame exactly the way power loss mid-write would — reopening the
+//     directory yields a store byte-identical (tuples, epoch key,
+//     cardinality statistics, access schema), shard by shard, to an
+//     independent in-memory store that applied exactly the committed
+//     prefix and never crashed, at P ∈ {1, 2, 3, 5}. The crashed store's
+//     own pre-crash state equals that reference too: every snapshot
+//     publishes only after its log fsync, and a batch is logged as one
+//     record, so the batch that died committed on no shard.
 //  2. Torn tails are counted, never applied: recovery surfaces each
 //     dropped frame through Recovery.TruncatedRecords and the
 //     bcq_wal_truncated_records_total metric.
@@ -122,86 +122,16 @@ func renderStoreState(t testing.TB, cat *Catalog, ld *LiveDatabase) string {
 // accidentally leaves a complete, replayable record behind.
 func tornBytes(rng *rand.Rand) int { return rng.Intn(11) }
 
-// TestDurableCrashRecoveryPropertyLive kills the single live store at a
-// randomized WAL append with a randomized torn-frame length, reopens the
-// directory, and requires the recovered store byte-identical to an
-// in-memory reference that applied exactly the committed prefix.
-func TestDurableCrashRecoveryPropertyLive(t *testing.T) {
-	const nBatches = 14
-	for trial := 0; trial < 6; trial++ {
-		trial := trial
-		t.Run(fmt.Sprintf("trial=%d", trial), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(1000 + trial)))
-			cat, acc, db := buildDurableScene(t)
-			_, _, refDB := buildDurableScene(t)
-			dir := filepath.Join(t.TempDir(), "store")
-
-			dur, err := NewLiveDatabase(db, acc, LiveOptions{Dir: dir})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref, err := NewLiveDatabase(refDB, acc, LiveOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			kill := 1 + rng.Intn(nBatches)
-			torn := tornBytes(rng)
-			dur.WAL().SetFailPoint(kill, torn)
-
-			batches := durableBatches(int64(trial), nBatches)
-			committed := 0
-			for _, ops := range batches {
-				if _, err := dur.Apply(ops); err != nil {
-					if !errors.Is(err, wal.ErrInjectedCrash) {
-						t.Fatalf("batch %d: unexpected apply error: %v", committed, err)
-					}
-					break
-				}
-				if _, err := ref.Apply(ops); err != nil {
-					t.Fatalf("reference apply: %v", err)
-				}
-				committed++
-			}
-			if committed != kill-1 {
-				t.Fatalf("fail point at append %d let %d batches commit", kill, committed)
-			}
-
-			// The process is "dead": no Close, the torn tail stays.
-			re, rec, err := OpenLiveDatabase(dir, cat, acc, LiveOptions{})
-			if err != nil {
-				t.Fatalf("recovery after kill point %d (torn %d): %v", kill, torn, err)
-			}
-			defer re.Close()
-
-			var wantOps int64
-			for _, ops := range batches[:committed] {
-				wantOps += int64(len(ops))
-			}
-			if rec.ReplayedOps != wantOps {
-				t.Errorf("replayed %d ops, committed prefix holds %d", rec.ReplayedOps, wantOps)
-			}
-			if torn > 0 && rec.TruncatedRecords == 0 {
-				t.Errorf("a %d-byte torn frame was left behind but recovery truncated nothing", torn)
-			}
-			if got, want := renderStoreState(t, cat, re), renderStoreState(t, cat, ref); got != want {
-				t.Errorf("kill point %d (torn %d): recovered store diverges from committed prefix\n got:  %s\n want: %s",
-					kill, torn, got, want)
-			}
-		})
-	}
-}
-
 // TestDurableCrashRecoveryPropertySharded arms the fail point of the
-// store's one log at P ∈ {2, 3, 5}. The batch whose append dies commits
-// on no shard: the crashed store's in-memory state equals an in-memory
-// sharded reference that applied only the batches before it, and that
-// state is the committed one — snapshots publish only after the log's
-// fsync — so recovery must reproduce it shard by shard.
+// store's one log at P ∈ {1, 2, 3, 5} at a randomized append, with a
+// randomized torn-frame length, and reopens the directory. The batch
+// whose append dies commits on no shard: the crashed store's in-memory
+// state equals an in-memory reference that applied only the batches
+// before it, and recovery must reproduce that reference shard by shard.
 func TestDurableCrashRecoveryPropertySharded(t *testing.T) {
 	const nBatches = 16
-	for _, p := range []int{2, 3, 5} {
-		for trial := 0; trial < 2; trial++ {
+	for _, p := range []int{1, 2, 3, 5} {
+		for trial := 0; trial < 6; trial++ {
 			p, trial := p, trial
 			t.Run(fmt.Sprintf("P=%d/trial=%d", p, trial), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(100*p + trial)))
@@ -222,6 +152,7 @@ func TestDurableCrashRecoveryPropertySharded(t *testing.T) {
 				ss.WAL().SetFailPoint(kill, torn)
 
 				committed := 0
+				var wantOps int64
 				for _, ops := range durableBatches(int64(10*p+trial), nBatches) {
 					if err := ss.Apply(ops); err != nil {
 						if !errors.Is(err, wal.ErrInjectedCrash) {
@@ -233,21 +164,23 @@ func TestDurableCrashRecoveryPropertySharded(t *testing.T) {
 						t.Fatalf("reference apply: %v", err)
 					}
 					committed++
+					wantOps += int64(len(ops))
 				}
 				if committed != kill-1 {
 					t.Fatalf("fail point at append %d let %d batches commit", kill, committed)
 				}
 
-				// Pre-crash in-memory state = committed state = the reference.
+				// The committed state is the reference's, and the crashed
+				// store holds no part of the batch that died.
 				want := make([]string, p)
 				for s := 0; s < p; s++ {
-					want[s] = renderStoreState(t, cat, ss.Shard(s))
-					if got := renderStoreState(t, cat, ref.Shard(s)); got != want[s] {
-						t.Fatalf("shard %d holds part of the batch that died\n got:  %s\n want: %s", s, want[s], got)
+					want[s] = renderStoreState(t, cat, ref.Shard(s))
+					if got := renderStoreState(t, cat, ss.Shard(s)); got != want[s] {
+						t.Fatalf("shard %d holds part of the batch that died\n got:  %s\n want: %s", s, got, want[s])
 					}
 				}
-				wantEpoch, wantTuples := ss.EpochKey(), ss.NumTuples()
 
+				// The process is "dead": no Close, the torn tail stays.
 				re, rec, err := OpenShardedDatabase(dir, cat, acc, ShardOptions{})
 				if err != nil {
 					t.Fatalf("recovery (kill %d, torn %d): %v", kill, torn, err)
@@ -257,18 +190,19 @@ func TestDurableCrashRecoveryPropertySharded(t *testing.T) {
 					t.Fatalf("recovered %d shards, want %d", re.NumShards(), p)
 				}
 				if torn > 0 && rec.TruncatedRecords == 0 {
-					t.Errorf("a torn frame was left on the log but recovery truncated nothing")
+					t.Errorf("a %d-byte torn frame was left on the log but recovery truncated nothing", torn)
 				}
-				if rec.ReplayedBatches != int64(committed) {
-					t.Errorf("replayed %d batches, %d committed", rec.ReplayedBatches, committed)
+				if rec.ReplayedBatches != int64(committed) || rec.ReplayedOps != wantOps {
+					t.Errorf("replayed %d batches of %d ops, the committed prefix holds %d of %d",
+						rec.ReplayedBatches, rec.ReplayedOps, committed, wantOps)
 				}
-				if re.EpochKey() != wantEpoch || re.NumTuples() != wantTuples {
+				if re.EpochKey() != ref.EpochKey() || re.NumTuples() != ref.NumTuples() {
 					t.Errorf("recovered store at %s/%d tuples, want %s/%d",
-						re.EpochKey(), re.NumTuples(), wantEpoch, wantTuples)
+						re.EpochKey(), re.NumTuples(), ref.EpochKey(), ref.NumTuples())
 				}
 				for s := 0; s < p; s++ {
 					if got := renderStoreState(t, cat, re.Shard(s)); got != want[s] {
-						t.Errorf("shard %d diverges after recovery (kill %d, torn %d)\n got:  %s\n want: %s",
+						t.Errorf("shard %d diverges from the committed prefix after recovery (kill %d, torn %d)\n got:  %s\n want: %s",
 							s, kill, torn, got, want[s])
 					}
 				}
@@ -277,27 +211,27 @@ func TestDurableCrashRecoveryPropertySharded(t *testing.T) {
 	}
 }
 
-// TestDurableTruncationSurfacesInMetrics recovers a store with exactly
-// one torn WAL frame and requires the drop to surface both in the
-// Recovery report and in the Prometheus exposition as
+// TestDurableTruncationSurfacesInMetrics recovers a one-shard store with
+// exactly one torn frame on its log and requires the drop to surface both
+// in the Recovery report and, once, in the Prometheus exposition as
 // bcq_wal_truncated_records_total.
 func TestDurableTruncationSurfacesInMetrics(t *testing.T) {
 	cat, acc, db := buildDurableScene(t)
 	dir := filepath.Join(t.TempDir(), "store")
-	dur, err := NewLiveDatabase(db, acc, LiveOptions{Dir: dir})
+	dur, err := NewShardedDatabase(db, acc, ShardOptions{Shards: 1, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dur.Apply([]LiveOp{InsertOp("friends", Tuple{Str("u0"), Str("u1")})}); err != nil {
+	if err := dur.Apply([]LiveOp{InsertOp("friends", Tuple{Str("u0"), Str("u1")})}); err != nil {
 		t.Fatal(err)
 	}
 	dur.WAL().SetFailPoint(1, 9)
-	_, err = dur.Apply([]LiveOp{InsertOp("friends", Tuple{Str("u0"), Str("u2")})})
+	err = dur.Apply([]LiveOp{InsertOp("friends", Tuple{Str("u0"), Str("u2")})})
 	if !errors.Is(err, wal.ErrInjectedCrash) {
 		t.Fatalf("expected injected crash, got %v", err)
 	}
 
-	re, rec, err := OpenLiveDatabase(dir, cat, acc, LiveOptions{})
+	re, rec, err := OpenShardedDatabase(dir, cat, acc, ShardOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,11 +243,10 @@ func TestDurableTruncationSurfacesInMetrics(t *testing.T) {
 	reg := NewMetricsRegistry()
 	re.Instrument(reg)
 	expo := reg.Expose()
-	if !strings.Contains(expo, "bcq_wal_truncated_records_total 1") {
-		t.Errorf("exposition does not report the truncated frame:\n%s", grepLines(expo, "bcq_wal"))
-	}
-	if !strings.Contains(expo, "bcq_wal_replayed_records_total 1") {
-		t.Errorf("exposition does not report the replayed record:\n%s", grepLines(expo, "bcq_wal"))
+	for _, line := range []string{"bcq_wal_truncated_records_total 1", "bcq_wal_replayed_records_total 1"} {
+		if n := strings.Count("\n"+expo, "\n"+line+"\n"); n != 1 {
+			t.Errorf("exposition reports %q %d times, want once:\n%s", line, n, grepLines(expo, "bcq_wal"))
+		}
 	}
 }
 

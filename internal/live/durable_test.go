@@ -1,86 +1,67 @@
-package live
+package live_test
+
+// The durable single store is a sharded store at P = 1, whose shard is a
+// live store: these tests build it through shard.New and shard.Open and
+// hold its shard — data, cards and ledger — to an in-memory live store
+// that applied the same committed prefix and never crashed.
 
 import (
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
+	"bcq/internal/live"
 	"bcq/internal/schema"
 	"bcq/internal/segment"
-	"bcq/internal/value"
+	"bcq/internal/shard"
 	"bcq/internal/wal"
 )
 
-// assertSameState asserts two stores expose identical data: per-relation
-// tuples in live order, cardinality statistics, epoch key and tuple
-// count. It is the byte-identity bar of the crash-recovery property. The
-// writer's bookkeeping is held to the same bar: each store's ledger
-// equals a recount of its own snapshot, and the recovered store's equals
-// the never-crashed one's, position for position.
-func assertSameState(t *testing.T, got, want *Store) {
-	t.Helper()
-	checkLedger(t, got, "recovered store")
-	checkLedger(t, want, "reference store")
-	for key, led := range want.ledger {
-		if !sameLedger(got.ledger[key], led) {
-			t.Fatalf("ledger of %s differs:\n got %v\nwant %v", key, got.ledger[key], led)
-		}
-	}
-	if gk, wk := got.EpochKey(), want.EpochKey(); gk != wk {
-		t.Fatalf("EpochKey = %s, want %s", gk, wk)
-	}
-	if gn, wn := got.NumTuples(), want.NumTuples(); gn != wn {
-		t.Fatalf("NumTuples = %d, want %d", gn, wn)
-	}
-	if !reflect.DeepEqual(got.CardStats(), want.CardStats()) {
-		t.Fatalf("CardStats differ:\n got %+v\nwant %+v", got.CardStats(), want.CardStats())
-	}
-	if gs, ws := got.Access().String(), want.Access().String(); gs != ws {
-		t.Fatalf("Access = %s, want %s", gs, ws)
-	}
-	gSnap, wSnap := got.Snapshot(), want.Snapshot()
-	for _, rs := range want.Catalog().Relations() {
-		var gt, wt []value.Tuple
-		if err := gSnap.Scan(rs.Name(), func(pos int, tu value.Tuple) bool {
-			gt = append(gt, tu)
-			return true
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if err := wSnap.Scan(rs.Name(), func(pos int, tu value.Tuple) bool {
-			wt = append(wt, tu)
-			return true
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if len(gt) != len(wt) {
-			t.Fatalf("%s: %d live tuples, want %d", rs.Name(), len(gt), len(wt))
-		}
-		for i := range wt {
-			if !gt[i].Equal(wt[i]) {
-				t.Fatalf("%s[%d] = %s, want %s", rs.Name(), i, gt[i], wt[i])
-			}
-		}
+var strs = live.Strs
+
+func socialBatches() [][]live.Op {
+	return [][]live.Op{
+		{live.Insert("in_album", strs("p9", "a2")), live.Insert("friends", strs("u3", "f1"))},
+		{live.Insert("in_album", strs("p8", "a2")), live.Delete("friends", strs("u0", "f2"))},
+		{live.Delete("in_album", strs("p1", "a0")), live.Insert("tagging", strs("p9", "f1", "u3"))},
+		{live.Insert("in_album", strs("p7", "a0"))},
 	}
 }
 
-func socialBatches() [][]Op {
-	return [][]Op{
-		{Insert("in_album", strs("p9", "a2")), Insert("friends", strs("u3", "f1"))},
-		{Insert("in_album", strs("p8", "a2")), Delete("friends", strs("u0", "f2"))},
-		{Delete("in_album", strs("p1", "a0")), Insert("tagging", strs("p9", "f1", "u3"))},
-		{Insert("in_album", strs("p7", "a0"))},
+// wider is a constraint the social schema lacks whose X holds friends'
+// shard key, so a sharded store can take it as an extension.
+var wider = schema.MustAccessConstraint("friends", []string{"user_id"}, []string{"friend_id"}, 100)
+
+// newDurable seeds a durable one-shard store of the social scene in dir.
+func newDurable(t *testing.T, dir string) *shard.Store {
+	t.Helper()
+	ss, err := shard.New(live.LoadSocial(t), live.AccessA0(), shard.Options{Shards: 1, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
 	}
+	return ss
+}
+
+// reopen recovers the store in dir with the given caller schema.
+func reopen(t *testing.T, dir string, acc *schema.AccessSchema) (*shard.Store, *shard.Recovery) {
+	t.Helper()
+	re, rec, err := shard.Open(dir, live.SocialCatalog(), acc, shard.Options{})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	if re.NumShards() != 1 {
+		t.Fatalf("reopened %d shards, want 1", re.NumShards())
+	}
+	return re, rec
 }
 
 // applyRef builds the in-memory reference store that applied the first n
 // batches.
-func applyRef(t *testing.T, n int) *Store {
+func applyRef(t *testing.T, n int) *live.Store {
 	t.Helper()
-	ref, err := New(loadSocial(t), accessA0(), Options{})
+	ref, err := live.New(live.LoadSocial(t), live.AccessA0(), live.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,37 +73,37 @@ func applyRef(t *testing.T, n int) *Store {
 	return ref
 }
 
-func TestDurableCleanShutdownReplaysNothing(t *testing.T) {
-	dir := t.TempDir()
-	st, err := New(loadSocial(t), accessA0(), Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	batches := socialBatches()
+// applyAll applies batches to a durable store.
+func applyAll(t *testing.T, ss *shard.Store, batches [][]live.Op) {
+	t.Helper()
 	for _, b := range batches {
-		if _, err := st.Apply(b); err != nil {
+		if err := ss.Apply(b); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !st.WAL().HasRecords() {
+}
+
+func TestDurableCleanShutdownReplaysNothing(t *testing.T) {
+	dir := t.TempDir()
+	ss := newDurable(t, dir)
+	batches := socialBatches()
+	applyAll(t, ss, batches)
+	if !ss.WAL().HasRecords() {
 		t.Fatal("WAL empty after applies")
 	}
-	if err := st.Close(); err != nil {
+	if err := ss.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if err := st.Close(); err != nil {
+	if err := ss.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
 
-	re, rec, err := Open(dir, socialCatalog(), accessA0(), Options{})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
+	re, rec := reopen(t, dir, live.AccessA0())
 	defer re.Close()
-	if rec.ReplayedOps != 0 || len(rec.ReplayedBatches) != 0 || rec.ReplayedExtensions != 0 {
+	if rec.ReplayedOps != 0 || rec.ReplayedBatches != 0 || rec.ReplayedExtensions != 0 {
 		t.Fatalf("clean shutdown replayed work: %+v", rec)
 	}
-	if rec.SegmentEpoch == 0 {
+	if re.Shard(0).SegmentEpoch() == 0 {
 		t.Fatal("Close did not checkpoint")
 	}
 	// Close checkpointed, which publishes an epoch exactly like an
@@ -131,73 +112,49 @@ func TestDurableCleanShutdownReplaysNothing(t *testing.T) {
 	if _, err := ref.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	assertSameState(t, re, ref)
+	live.AssertSameState(t, re.Shard(0), ref)
 }
 
 func TestDurableCrashReplaysTail(t *testing.T) {
 	dir := t.TempDir()
-	st, err := New(loadSocial(t), accessA0(), Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ss := newDurable(t, dir)
 	batches := socialBatches()
-	for _, b := range batches {
-		if _, err := st.Apply(b); err != nil {
-			t.Fatal(err)
-		}
-	}
+	applyAll(t, ss, batches)
 	// Abandon without Close: the crash case. Reopen must replay every
 	// batch from the WAL.
-	re, rec, err := Open(dir, socialCatalog(), accessA0(), Options{})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
+	re, rec := reopen(t, dir, live.AccessA0())
 	defer re.Close()
-	if len(rec.ReplayedBatches) != len(batches) {
-		t.Fatalf("replayed %d batches, want %d", len(rec.ReplayedBatches), len(batches))
+	if rec.ReplayedBatches != int64(len(batches)) {
+		t.Fatalf("replayed %d batches, want %d", rec.ReplayedBatches, len(batches))
 	}
-	assertSameState(t, re, applyRef(t, len(batches)))
+	live.AssertSameState(t, re.Shard(0), applyRef(t, len(batches)))
 }
 
 func TestDurableCompactCheckpointsAndTruncates(t *testing.T) {
 	dir := t.TempDir()
-	st, err := New(loadSocial(t), accessA0(), Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ss := newDurable(t, dir)
 	batches := socialBatches()
-	for _, b := range batches[:2] {
-		if _, err := st.Apply(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	epoch, err := st.Compact()
-	if err != nil {
+	applyAll(t, ss, batches[:2])
+	if err := ss.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if st.SegmentEpoch() != epoch {
-		t.Fatalf("SegmentEpoch = %d, want %d", st.SegmentEpoch(), epoch)
+	epoch := ss.Shard(0).Epoch()
+	if ss.Shard(0).SegmentEpoch() != epoch {
+		t.Fatalf("SegmentEpoch = %d, want %d", ss.Shard(0).SegmentEpoch(), epoch)
 	}
-	if st.WAL().HasRecords() {
+	if ss.WAL().HasRecords() {
 		t.Fatal("WAL not truncated by checkpoint")
 	}
-	for _, b := range batches[2:] {
-		if _, err := st.Apply(b); err != nil {
-			t.Fatal(err)
-		}
-	}
+	applyAll(t, ss, batches[2:])
 	// Crash: reopen must resume from the checkpoint and replay only the
 	// post-checkpoint tail.
-	re, rec, err := Open(dir, socialCatalog(), accessA0(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	re, rec := reopen(t, dir, live.AccessA0())
 	defer re.Close()
-	if rec.SegmentEpoch != epoch {
-		t.Fatalf("recovered from segment epoch %d, want %d", rec.SegmentEpoch, epoch)
+	if got := re.Shard(0).SegmentEpoch(); got != epoch {
+		t.Fatalf("recovered from segment epoch %d, want %d", got, epoch)
 	}
-	if len(rec.ReplayedBatches) != len(batches)-2 {
-		t.Fatalf("replayed %d batches, want %d", len(rec.ReplayedBatches), len(batches)-2)
+	if rec.ReplayedBatches != int64(len(batches)-2) {
+		t.Fatalf("replayed %d batches, want %d", rec.ReplayedBatches, len(batches)-2)
 	}
 	ref := applyRef(t, 2)
 	if _, err := ref.Compact(); err != nil {
@@ -208,67 +165,47 @@ func TestDurableCompactCheckpointsAndTruncates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	assertSameState(t, re, ref)
+	live.AssertSameState(t, re.Shard(0), ref)
 }
 
 func TestDurableExtensionSurvivesCrash(t *testing.T) {
 	dir := t.TempDir()
-	st, err := New(loadSocial(t), accessA0(), Options{Dir: dir})
-	if err != nil {
+	ss := newDurable(t, dir)
+	if err := ss.ExtendAccess(wider); err != nil {
 		t.Fatal(err)
 	}
-	ext := schema.MustAccessConstraint("friends", []string{"friend_id"}, []string{"user_id"}, 100)
-	if err := st.ExtendAccess(ext); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Apply(socialBatches()[0]); err != nil {
-		t.Fatal(err)
-	}
-	re, rec, err := Open(dir, socialCatalog(), accessA0(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	applyAll(t, ss, socialBatches()[:1])
+	re, rec := reopen(t, dir, live.AccessA0())
 	defer re.Close()
 	if rec.ReplayedExtensions != 1 {
 		t.Fatalf("replayed %d extensions, want 1", rec.ReplayedExtensions)
 	}
 	ref := applyRef(t, 0)
-	if err := ref.ExtendAccess(ext); err != nil {
+	if err := ref.ExtendAccess(wider); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ref.Apply(socialBatches()[0]); err != nil {
 		t.Fatal(err)
 	}
-	assertSameState(t, re, ref)
+	live.AssertSameState(t, re.Shard(0), ref)
 }
 
 func TestDurableOpenWidensWithCallerSchema(t *testing.T) {
 	dir := t.TempDir()
-	st, err := New(loadSocial(t), accessA0(), Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
+	if err := newDurable(t, dir).Close(); err != nil {
 		t.Fatal(err)
 	}
 	// The caller's DDL widened between runs: Open converges the
 	// recovered store to the wider schema, durably.
-	wide := schema.MustAccessSchema(append(accessA0().Constraints(),
-		schema.MustAccessConstraint("friends", []string{"friend_id"}, []string{"user_id"}, 100))...)
-	re, _, err := Open(dir, socialCatalog(), wide, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	wide := schema.MustAccessSchema(append(live.AccessA0().Constraints(), wider)...)
+	re, _ := reopen(t, dir, wide)
 	if re.Access().Size() != wide.Size() {
 		t.Fatalf("recovered schema has %d constraints, want %d", re.Access().Size(), wide.Size())
 	}
 	if err := re.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re2, rec, err := Open(dir, socialCatalog(), wide, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	re2, rec := reopen(t, dir, wide)
 	defer re2.Close()
 	if re2.Access().Size() != wide.Size() {
 		t.Fatal("widening did not survive the second reopen")
@@ -278,15 +215,25 @@ func TestDurableOpenWidensWithCallerSchema(t *testing.T) {
 	}
 }
 
+// TestNewRefusesExistingState: a directory that holds a store is not
+// seeded again, and a live store is durable only as a sharded store's
+// shard — Options.Dir without Options.Log, or the converse, is refused.
 func TestNewRefusesExistingState(t *testing.T) {
 	dir := t.TempDir()
-	st, err := New(loadSocial(t), accessA0(), Options{Dir: dir})
+	newDurable(t, dir).Close()
+	if _, err := shard.New(live.LoadSocial(t), live.AccessA0(), shard.Options{Shards: 1, Dir: dir}); err == nil {
+		t.Fatal("shard.New accepted a directory that already holds store state")
+	}
+	if _, err := live.New(live.LoadSocial(t), live.AccessA0(), live.Options{Dir: t.TempDir()}); err == nil {
+		t.Fatal("live.New accepted a directory without a log")
+	}
+	w, _, err := wal.Open(filepath.Join(t.TempDir(), "wal.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.Close()
-	if _, err := New(loadSocial(t), accessA0(), Options{Dir: dir}); err == nil {
-		t.Fatal("New accepted a directory that already holds store state")
+	defer w.Close()
+	if _, err := live.New(live.LoadSocial(t), live.AccessA0(), live.Options{Log: w}); err == nil {
+		t.Fatal("live.New accepted a log without a directory")
 	}
 }
 
@@ -296,23 +243,17 @@ func TestNewRefusesExistingState(t *testing.T) {
 // loading garbage.
 func TestCorruptNewestSegmentFallsBack(t *testing.T) {
 	dir := t.TempDir()
-	st, err := New(loadSocial(t), accessA0(), Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ss := newDurable(t, dir)
 	batches := socialBatches()
-	if _, err := st.Apply(batches[0]); err != nil {
+	applyAll(t, ss, batches[:1])
+	if err := ss.Compact(); err != nil { // segment epoch 2, keeps epoch 0
 		t.Fatal(err)
 	}
-	if _, err := st.Compact(); err != nil { // segment epoch 2, keeps epoch 0
-		t.Fatal(err)
-	}
-	if _, err := st.Apply(batches[1]); err != nil {
-		t.Fatal(err)
-	}
-	st.WAL().Close() // simulate crash
+	applyAll(t, ss, batches[1:2])
+	ss.WAL().Close() // simulate crash
 
-	segs := segment.List(dir)
+	sdir := filepath.Join(dir, "shard-000")
+	segs := segment.List(sdir)
 	if len(segs) != 2 {
 		t.Fatalf("%d segments on disk, want 2", len(segs))
 	}
@@ -325,16 +266,13 @@ func TestCorruptNewestSegmentFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, rec, err := Open(dir, socialCatalog(), accessA0(), Options{})
-	if err != nil {
-		t.Fatalf("Open with corrupt newest segment: %v", err)
-	}
+	re, rec := reopen(t, dir, live.AccessA0())
 	defer re.Close()
 	if len(rec.CorruptSegments) != 1 {
 		t.Fatalf("CorruptSegments = %v", rec.CorruptSegments)
 	}
-	if rec.SegmentEpoch != 0 {
-		t.Fatalf("fell back to segment epoch %d, want 0", rec.SegmentEpoch)
+	if got := re.Shard(0).SegmentEpoch(); got != 0 {
+		t.Fatalf("fell back to segment epoch %d, want 0", got)
 	}
 	// The WAL was truncated at the lost checkpoint, so its records
 	// (epoch 3+) gap against base epoch 0 and must be dropped, leaving
@@ -342,7 +280,7 @@ func TestCorruptNewestSegmentFallsBack(t *testing.T) {
 	if rec.GapRecords == 0 {
 		t.Fatal("post-lost-checkpoint records were not gap-dropped")
 	}
-	assertSameState(t, re, applyRef(t, 0))
+	live.AssertSameState(t, re.Shard(0), applyRef(t, 0))
 }
 
 // TestLostCheckpointKeepsLaterWrites: the newest checkpoint is lost —
@@ -356,28 +294,26 @@ func TestLostCheckpointKeepsLaterWrites(t *testing.T) {
 	for _, loss := range []string{"removed", "corrupt"} {
 		t.Run(loss, func(t *testing.T) {
 			dir := t.TempDir()
-			st, err := New(loadSocial(t), accessA0(), Options{Dir: dir})
-			if err != nil {
-				t.Fatal(err)
-			}
+			sdir := filepath.Join(dir, "shard-000")
+			ss := newDurable(t, dir)
 			n := 0
-			writeUntil := func(st *Store, e uint64) {
+			writeUntil := func(ss *shard.Store, e uint64) {
 				t.Helper()
-				for st.Epoch() < e {
+				for ss.Shard(0).Epoch() < e {
 					n++
-					if err := st.Insert("friends", strs(fmt.Sprintf("w%d", n), "f0")); err != nil {
+					if err := ss.Insert("friends", strs(fmt.Sprintf("w%d", n), "f0")); err != nil {
 						t.Fatal(err)
 					}
 				}
 			}
-			writeUntil(st, 5)
-			lost, err := st.Compact()
-			if err != nil {
+			writeUntil(ss, 5)
+			if err := ss.Compact(); err != nil {
 				t.Fatal(err)
 			}
-			writeUntil(st, lost+2)
-			st.WAL().Close() // crash
-			segs := segment.List(dir)
+			lost := ss.Shard(0).Epoch()
+			writeUntil(ss, lost+2)
+			ss.WAL().Close() // crash
+			segs := segment.List(sdir)
 			if len(segs) != 2 || segs[0].Epoch != lost {
 				t.Fatalf("segments %+v, want two, the newest at epoch %d", segs, lost)
 			}
@@ -396,48 +332,42 @@ func TestLostCheckpointKeepsLaterWrites(t *testing.T) {
 				}
 			}
 
-			re, rec, err := Open(dir, socialCatalog(), accessA0(), Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rec.GapRecords != 2 || re.Epoch() != 0 || re.WAL().HasRecords() {
+			re, rec := reopen(t, dir, live.AccessA0())
+			if rec.GapRecords != 2 || re.Shard(0).Epoch() != 0 || re.WAL().HasRecords() {
 				t.Fatalf("first Open: epoch %d, %d gap records, records left in the log %v; want epoch 0, 2 and none",
-					re.Epoch(), rec.GapRecords, re.WAL().HasRecords())
+					re.Shard(0).Epoch(), rec.GapRecords, re.WAL().HasRecords())
 			}
 			writeUntil(re, 2)
 			re.WAL().Close() // crash
-			re2, rec2, err := Open(dir, socialCatalog(), accessA0(), Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rec2.GapRecords != 0 || len(rec2.CorruptSegments) != 0 || len(rec2.ReplayedBatches) != 2 {
+			re2, rec2 := reopen(t, dir, live.AccessA0())
+			if rec2.GapRecords != 0 || len(rec2.CorruptSegments) != 0 || rec2.ReplayedBatches != 2 {
 				t.Fatalf("second Open: %d gap records, corrupt segments %v, %d batches replayed; want 0, none and 2",
-					rec2.GapRecords, rec2.CorruptSegments, len(rec2.ReplayedBatches))
+					rec2.GapRecords, rec2.CorruptSegments, rec2.ReplayedBatches)
 			}
-			assertSameState(t, re2, re)
+			live.AssertSameState(t, re2.Shard(0), re.Shard(0))
 
-			if _, err := re2.Compact(); err != nil { // epoch 3, below the lost one
+			if err := re2.Compact(); err != nil { // epoch 3, below the lost one
 				t.Fatal(err)
 			}
-			if segs := segment.List(dir); len(segs) != 2 || segs[0].Epoch != 3 || segs[1].Epoch != 0 {
+			if segs := segment.List(sdir); len(segs) != 2 || segs[0].Epoch != 3 || segs[1].Epoch != 0 {
 				t.Fatalf("segments %+v retained, want those of epochs 3 and 0", segs)
 			}
 			writeUntil(re2, lost-1)
-			if e, err := re2.Compact(); err != nil || e != lost { // the lost checkpoint's name
-				t.Fatalf("checkpoint at epoch %d (%v), want %d", e, err, lost)
+			if err := re2.Compact(); err != nil { // the lost checkpoint's name
+				t.Fatal(err)
+			}
+			if e := re2.Shard(0).SegmentEpoch(); e != lost {
+				t.Fatalf("checkpoint at epoch %d, want %d", e, lost)
 			}
 			writeUntil(re2, lost+2)
 			re2.WAL().Close() // crash
-			re3, rec3, err := Open(dir, socialCatalog(), accessA0(), Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
+			re3, rec3 := reopen(t, dir, live.AccessA0())
 			defer re3.Close()
-			if rec3.GapRecords != 0 || len(rec3.CorruptSegments) != 0 || rec3.SegmentEpoch != lost {
+			if got := re3.Shard(0).SegmentEpoch(); rec3.GapRecords != 0 || len(rec3.CorruptSegments) != 0 || got != lost {
 				t.Fatalf("third Open: %d gap records, corrupt segments %v, resumed from epoch %d; want 0, none and %d",
-					rec3.GapRecords, rec3.CorruptSegments, rec3.SegmentEpoch, lost)
+					rec3.GapRecords, rec3.CorruptSegments, got, lost)
 			}
-			assertSameState(t, re3, re2)
+			live.AssertSameState(t, re3.Shard(0), re2.Shard(0))
 		})
 	}
 }
@@ -447,71 +377,66 @@ func TestLostCheckpointKeepsLaterWrites(t *testing.T) {
 // truncation.
 func TestTornWALTailRecoversPrefix(t *testing.T) {
 	dir := t.TempDir()
-	st, err := New(loadSocial(t), accessA0(), Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ss := newDurable(t, dir)
 	batches := socialBatches()
-	if _, err := st.Apply(batches[0]); err != nil {
-		t.Fatal(err)
-	}
-	st.WAL().SetFailPoint(1, 7)
-	if _, err := st.Apply(batches[1]); !errors.Is(err, wal.ErrInjectedCrash) {
+	applyAll(t, ss, batches[:1])
+	ss.WAL().SetFailPoint(1, 7)
+	if err := ss.Apply(batches[1]); !errors.Is(err, wal.ErrInjectedCrash) {
 		t.Fatalf("Apply = %v, want injected crash", err)
 	}
-	st.WAL().Close()
+	ss.WAL().Close()
 
-	re, rec, err := Open(dir, socialCatalog(), accessA0(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	re, rec := reopen(t, dir, live.AccessA0())
 	defer re.Close()
 	if rec.TruncatedRecords == 0 {
 		t.Fatal("torn frame not counted")
 	}
-	if len(rec.ReplayedBatches) != 1 {
-		t.Fatalf("replayed %d batches, want 1", len(rec.ReplayedBatches))
+	if rec.ReplayedBatches != 1 {
+		t.Fatalf("replayed %d batches, want 1", rec.ReplayedBatches)
 	}
-	assertSameState(t, re, applyRef(t, 1))
+	live.AssertSameState(t, re.Shard(0), applyRef(t, 1))
 }
 
-// TestInMemoryUnchanged pins the refactor: an empty Dir store has no
-// durability state and Close is a no-op.
+// TestInMemoryUnchanged: an empty-Dir store has no durability state and
+// takes writes directly, which a durable store's shard refuses.
 func TestInMemoryUnchanged(t *testing.T) {
-	st, err := New(loadSocial(t), accessA0(), Options{})
+	st, err := live.New(live.LoadSocial(t), live.AccessA0(), live.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.WAL() != nil || st.Dir() != "" {
 		t.Fatal("in-memory store grew durability state")
 	}
-	if err := st.Close(); err != nil {
-		t.Fatalf("in-memory Close: %v", err)
-	}
 	if _, err := st.Apply(socialBatches()[0]); err != nil {
-		t.Fatalf("Apply after no-op Close: %v", err)
+		t.Fatalf("Apply: %v", err)
+	}
+	if err := st.ExtendAccess(wider); err != nil {
+		t.Fatalf("ExtendAccess: %v", err)
+	}
+	ss := newDurable(t, t.TempDir())
+	defer ss.Close()
+	if _, err := ss.Shard(0).Apply(socialBatches()[0]); err == nil {
+		t.Fatal("a durable store's shard took an Apply its store did not log")
+	}
+	if err := ss.Shard(0).ExtendAccess(wider); err == nil {
+		t.Fatal("a durable store's shard took an extension its store did not log")
 	}
 }
 
 func TestOpenFreshDirectory(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "fresh")
-	st, rec, err := Open(dir, socialCatalog(), accessA0(), Options{})
+	ss, rec, err := shard.Open(dir, live.SocialCatalog(), live.AccessA0(), shard.Options{Shards: 1})
 	if err != nil {
 		t.Fatalf("Open on fresh dir: %v", err)
 	}
-	if rec.SegmentPath != "" || rec.ReplayedOps != 0 {
+	if !rec.Fresh || rec.ReplayedOps != 0 {
 		t.Fatalf("fresh open recovery = %+v", rec)
 	}
-	if _, err := st.Apply(socialBatches()[0]); err != nil {
+	applyAll(t, ss, socialBatches()[:1])
+	if err := ss.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re, _, err := Open(dir, socialCatalog(), accessA0(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	re, _ := reopen(t, dir, live.AccessA0())
 	defer re.Close()
 	if re.NumTuples() == 0 {
 		t.Fatal("fresh durable store lost its data")
@@ -521,13 +446,13 @@ func TestOpenFreshDirectory(t *testing.T) {
 // dupBatches is a batch history thick with duplicates: pairs that gain
 // second and third occurrences, lose their witness, fall back to one and
 // to none, within and across batches.
-func dupBatches() [][]Op {
-	return [][]Op{
-		{Insert("friends", strs("u0", "f1")), Insert("friends", strs("u0", "f1")), Insert("in_album", strs("p3", "a1"))},
-		{Delete("friends", strs("u0", "f1")), Insert("tagging", strs("p1", "f1", "u0"))},
-		{Delete("in_album", strs("p3", "a1")), Insert("friends", strs("u9", "f9")), Insert("friends", strs("u9", "f9")), Delete("friends", strs("u9", "f9"))},
-		{Delete("friends", strs("u0", "f1")), Delete("friends", strs("u0", "f1")), Delete("tagging", strs("p1", "f1", "u0"))},
-		{Insert("friends", strs("u0", "f1")), Insert("in_album", strs("p3", "a1")), Insert("in_album", strs("p3", "a1"))},
+func dupBatches() [][]live.Op {
+	return [][]live.Op{
+		{live.Insert("friends", strs("u0", "f1")), live.Insert("friends", strs("u0", "f1")), live.Insert("in_album", strs("p3", "a1"))},
+		{live.Delete("friends", strs("u0", "f1")), live.Insert("tagging", strs("p1", "f1", "u0"))},
+		{live.Delete("in_album", strs("p3", "a1")), live.Insert("friends", strs("u9", "f9")), live.Insert("friends", strs("u9", "f9")), live.Delete("friends", strs("u9", "f9"))},
+		{live.Delete("friends", strs("u0", "f1")), live.Delete("friends", strs("u0", "f1")), live.Delete("tagging", strs("p1", "f1", "u0"))},
+		{live.Insert("friends", strs("u0", "f1")), live.Insert("in_album", strs("p3", "a1")), live.Insert("in_album", strs("p3", "a1"))},
 	}
 }
 
@@ -536,34 +461,40 @@ func dupBatches() [][]Op {
 // and holds the recovered store — data, cards and ledger — to the
 // in-memory store that applied the same committed prefix and never
 // crashed. One sweep checkpoints mid-history so recovery also runs
-// segment-then-tail.
+// segment-then-tail; another checkpoints the shard but never resets the
+// log — a crash between the two — so recovery also skips, by epoch, the
+// records the checkpoint already holds.
 func TestDurableKillPointSweepKeepsLedger(t *testing.T) {
 	batches := dupBatches()
-	for _, compactAfter := range []int{-1, 2} {
+	const compactAfter = 2
+	for _, mode := range []string{"no checkpoint", "checkpoint", "log not reset"} {
 		for kill := 1; kill <= len(batches); kill++ {
 			for _, torn := range []int{0, 5, 13} {
 				dir := t.TempDir()
-				st, err := New(loadSocial(t), accessA0(), Options{Dir: dir})
+				ss := newDurable(t, dir)
+				ref, err := live.New(live.LoadSocial(t), live.AccessA0(), live.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				ref, err := New(loadSocial(t), accessA0(), Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				st.WAL().SetFailPoint(kill, torn)
+				ss.WAL().SetFailPoint(kill, torn)
 				for i, b := range batches {
-					if _, err := st.Apply(b); err != nil {
+					if err := ss.Apply(b); err != nil {
 						if i != kill-1 || !errors.Is(err, wal.ErrInjectedCrash) {
-							t.Fatalf("kill %d: batch %d: %v", kill, i, err)
+							t.Fatalf("%s, kill %d: batch %d: %v", mode, kill, i, err)
 						}
 						break
 					}
 					if _, err := ref.Apply(b); err != nil {
 						t.Fatal(err)
 					}
-					if i+1 == compactAfter {
-						if _, err := st.Compact(); err != nil {
+					if i+1 == compactAfter && mode != "no checkpoint" {
+						var err error
+						if mode == "checkpoint" {
+							err = ss.Compact()
+						} else {
+							_, err = ss.Shard(0).Compact()
+						}
+						if err != nil {
 							t.Fatal(err)
 						}
 						if _, err := ref.Compact(); err != nil {
@@ -571,12 +502,15 @@ func TestDurableKillPointSweepKeepsLedger(t *testing.T) {
 						}
 					}
 				}
-				st.WAL().Close()
-				re, _, err := Open(dir, socialCatalog(), accessA0(), Options{})
+				ss.WAL().Close()
+				re, rec, err := shard.Open(dir, live.SocialCatalog(), live.AccessA0(), shard.Options{})
 				if err != nil {
-					t.Fatalf("kill %d torn %d: Open: %v", kill, torn, err)
+					t.Fatalf("%s, kill %d torn %d: Open: %v", mode, kill, torn, err)
 				}
-				assertSameState(t, re, ref)
+				if rec.GapRecords != 0 {
+					t.Fatalf("%s, kill %d torn %d: %d records dropped at a gap", mode, kill, torn, rec.GapRecords)
+				}
+				live.AssertSameState(t, re.Shard(0), ref)
 				re.WAL().Close()
 			}
 		}
@@ -607,43 +541,35 @@ func (f *flakyFile) Write(p []byte) (int, error) {
 // acknowledged batch and nothing else.
 func TestReturnedWALErrorPoisonsTheStore(t *testing.T) {
 	dir := t.TempDir()
-	st, err := New(loadSocial(t), accessA0(), Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ss := newDurable(t, dir)
 	batches := socialBatches()
-	if _, err := st.Apply(batches[0]); err != nil {
-		t.Fatal(err)
-	}
+	applyAll(t, ss, batches[:1])
 	var ff *flakyFile
-	st.WAL().WrapFile(func(f wal.File) wal.File { ff = &flakyFile{File: f}; return ff })
+	ss.WAL().WrapFile(func(f wal.File) wal.File { ff = &flakyFile{File: f}; return ff })
 	diskFull := errors.New("no space left on device")
 	ff.writeErr = diskFull
 
-	before := st.Snapshot()
-	if _, err := st.Apply(batches[1]); !errors.Is(err, diskFull) {
+	before := ss.Shard(0).Snapshot()
+	if err := ss.Apply(batches[1]); !errors.Is(err, diskFull) {
 		t.Fatalf("Apply over a failing disk = %v, want the injected error", err)
 	}
 	ff.writeErr = nil
-	if _, err := st.Apply(batches[2]); !errors.Is(err, diskFull) {
+	if err := ss.Apply(batches[2]); !errors.Is(err, diskFull) {
 		t.Fatalf("Apply after a failed append = %v, want it refused with the same error", err)
 	}
-	if st.Snapshot() != before {
+	if ss.Shard(0).Snapshot() != before {
 		t.Fatal("a batch whose append failed published an epoch")
 	}
-	checkLedger(t, st, "after failed appends")
-	st.WAL().Close()
+	live.CheckLedger(t, ss.Shard(0), "after failed appends")
+	ss.WAL().Close()
 
-	re, rec, err := Open(dir, socialCatalog(), accessA0(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	re, rec := reopen(t, dir, live.AccessA0())
 	defer re.Close()
-	if len(rec.ReplayedBatches) != 1 || rec.TruncatedRecords != 0 {
-		t.Fatalf("recovery replayed %d batches and cut %d frames, want 1 and 0", len(rec.ReplayedBatches), rec.TruncatedRecords)
+	if rec.ReplayedBatches != 1 || rec.TruncatedRecords != 0 {
+		t.Fatalf("recovery replayed %d batches and cut %d frames, want 1 and 0", rec.ReplayedBatches, rec.TruncatedRecords)
 	}
-	assertSameState(t, re, applyRef(t, 1))
-	if _, err := re.Apply(batches[1]); err != nil {
+	live.AssertSameState(t, re.Shard(0), applyRef(t, 1))
+	if err := re.Apply(batches[1]); err != nil {
 		t.Fatalf("Apply on the reopened store: %v", err)
 	}
 }

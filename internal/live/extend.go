@@ -7,7 +7,6 @@ import (
 	"bcq/internal/schema"
 	"bcq/internal/storage"
 	"bcq/internal/value"
-	"bcq/internal/wal"
 )
 
 // ExtendAccess widens the store's access schema with one more constraint
@@ -34,7 +33,7 @@ import (
 // Extending with a constraint already in the schema is a no-op. A shard
 // of a durable sharded store refuses it (see Options.Log).
 func (st *Store) ExtendAccess(ac schema.AccessConstraint) error {
-	if st.sharedLog {
+	if st.w != nil {
 		return errSharedLog
 	}
 	st.mu.Lock()
@@ -122,17 +121,6 @@ func (st *Store) publishExtension(ac schema.AccessConstraint, ext *extension) er
 		acc:       newAcc,
 		idx:       append(slices.Clip(cur.idx), nil),
 		roots:     append(slices.Clip(cur.roots), (*trieNode)(nil).with(edits, 0, ext.bind.seed)),
-	}
-
-	// Same commit pipeline as Apply: the extension is durable before its
-	// epoch publishes, so a recovered store re-extends itself by replay.
-	// A shard's extension is logged by its sharded store, before Commit.
-	if st.w != nil && !st.sharedLog {
-		rec := wal.Record{Kind: wal.RecExtension, Epoch: next.epoch,
-			Rel: ac.Rel, X: ac.X, Y: ac.Y, N: ac.N}
-		if err := st.w.Append(rec); err != nil {
-			return fmt.Errorf("live: wal append (extension): %w", err)
-		}
 	}
 
 	st.byKey = newByKey

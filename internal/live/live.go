@@ -81,21 +81,18 @@ func (m Mode) String() string {
 type Options struct {
 	// Mode is the violation policy (default Strict).
 	Mode Mode
-	// Dir, when non-empty, makes the store durable: admitted batches
-	// append to a write-ahead log in this directory before their epoch
-	// publishes, and Compact doubles as a checkpoint, writing the frozen
-	// base as a sealed segment file and truncating the log. New requires
-	// the directory to hold no prior store state — recover an existing
-	// directory with Open. Empty Dir is the purely in-memory store,
-	// bit-for-bit the pre-durability behavior.
+	// Dir and Log, set together, make the store a shard of a durable
+	// sharded store (shard.New, shard.Open), the one owner of a log: the
+	// store keeps its checkpoint segments in Dir, writing the base as the
+	// epoch-0 segment (Dir must hold none yet), and Compact doubles as a
+	// checkpoint. It reports Log from WAL, but never appends to it, resets
+	// it or closes it: the sharded store logs every commit of its shards
+	// itself (Stage, StageExtension) and checkpoints them all before it
+	// resets the log, so Apply and ExtendAccess, which would publish
+	// unlogged, are refused on such a store. Empty Dir and nil Log is the
+	// in-memory store; a durable single store is a sharded store at
+	// Shards = 1.
 	Dir string
-	// Log, with Dir, makes the store a shard of a durable sharded store,
-	// which owns the log: the store keeps its checkpoint segments in Dir
-	// and reports Log from WAL, but never appends to it, resets it or
-	// closes it. The sharded store logs every commit of its shards itself
-	// (Stage, StageExtension) and checkpoints them all before it resets
-	// the log, so Apply and ExtendAccess, which would publish unlogged,
-	// are refused on such a store.
 	Log *wal.WAL
 }
 
@@ -398,11 +395,9 @@ type Store struct {
 	// shared), times each Apply batch.
 	applySec *obs.Histogram
 
-	// Durability state (nil w = in-memory store). w is written under mu;
-	// the segment gauges are atomic for lock-free metric bridges.
-	// sharedLog marks w as a sharded store's log (Options.Log).
+	// Durability state (nil w = in-memory store; w is the sharded store's
+	// log). The segment gauges are atomic for lock-free metric bridges.
 	w         *wal.WAL
-	sharedLog bool
 	dir       string
 	segEpoch  atomic.Uint64
 	segBytes  atomic.Int64
@@ -415,11 +410,14 @@ type Store struct {
 // indices, repeated pairs included (see bootstrap), not built beside
 // them.
 //
-// With Options.Dir set the store is durable: the base is written out as
-// the epoch-0 checkpoint segment and a write-ahead log is opened, so
-// every subsequent commit survives a crash. The directory must hold no
-// prior store state (use Open to recover one that does).
+// With Options.Dir and Options.Log set the store is a shard of a durable
+// sharded store: the base is written out as the epoch-0 checkpoint
+// segment, and the directory must hold no prior store state. One without
+// the other is refused.
 func New(base *storage.Database, acc *schema.AccessSchema, opts Options) (*Store, error) {
+	if (opts.Dir == "") != (opts.Log == nil) {
+		return nil, errDirWithoutLog
+	}
 	st, err := newStore(base, acc, opts, 0)
 	if err != nil {
 		return nil, err
@@ -432,9 +430,13 @@ func New(base *storage.Database, acc *schema.AccessSchema, opts Options) (*Store
 	return st, nil
 }
 
+// errDirWithoutLog refuses Options.Dir without Options.Log, or the
+// converse: a durable store's log is its sharded store's.
+var errDirWithoutLog = errors.New("live: Options.Dir and Options.Log go together; a durable store is a sharded store's shard: build it with shard.New (Shards: 1 for one store)")
+
 // newStore is New without the durability hooks: it builds the in-memory
 // store with its root snapshot at baseEpoch (0 for a fresh store, the
-// checkpoint epoch when Open resumes from a segment).
+// checkpoint epoch when Recover resumes from a segment).
 func newStore(base *storage.Database, acc *schema.AccessSchema, opts Options, baseEpoch uint64) (*Store, error) {
 	if base == nil || acc == nil {
 		return nil, fmt.Errorf("live: base database and access schema are both required")
@@ -536,15 +538,13 @@ func (st *Store) bootstrap(base *storage.Database) (size map[string]int64, total
 // each snapshot carries the base it overlays. Readers never block;
 // writers are paused for the duration (one pass over the live data).
 //
-// On a durable store Compact doubles as the checkpoint: the frozen base
-// is written as the sealed segment file of the published epoch — before
-// anything publishes, so a failed write leaves the store unchanged —
-// and the WAL is truncated once the epoch is out, every logged record
-// now being folded into the segment. The previous segment is retained
-// (two newest kept) so a checkpoint that later proves corrupt can fall
-// back one epoch and replay forward. A shard of a sharded store leaves
-// the log to its owner, which resets it once every shard has
-// checkpointed.
+// On a shard of a durable store Compact doubles as the checkpoint: the
+// frozen base is written as the sealed segment file of the published
+// epoch — before anything publishes, so a failed write leaves the store
+// unchanged — and the previous segment is retained (two newest kept) so
+// a checkpoint that later proves corrupt can fall back one epoch and
+// replay forward. The log is the sharded store's, which resets it once
+// every shard has checkpointed.
 func (st *Store) Compact() (uint64, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -566,15 +566,7 @@ func (st *Store) Compact() (uint64, error) {
 	st.compactions.Add(1)
 	st.cur.Store(next)
 	st.lastCommit.Store(time.Now().UnixNano())
-	if st.sharedLog {
-		segment.Prune(st.dir, 2)
-	} else if st.w != nil {
-		if err := st.w.Reset(); err != nil {
-			// The checkpoint is published and correct; a failed truncate
-			// only leaves pre-checkpoint records behind, which replay
-			// skips by epoch. Surface the error anyway.
-			return next.epoch, fmt.Errorf("live: truncating wal after checkpoint: %w", err)
-		}
+	if st.w != nil {
 		segment.Prune(st.dir, 2)
 	}
 	return next.epoch, nil
@@ -771,26 +763,16 @@ func (st *Store) Quarantine() []Quarantined {
 // A committed batch is atomic: readers either see the whole batch (by
 // pinning a snapshot at or after the returned epoch) or none of it.
 //
-// Apply is Stage, then — on a durable store — the batch's applied ops
-// appended to the write-ahead log and fsynced, then Commit. A crash
-// between append and publish replays the record on reopen: the batch was
-// durable, so it must take effect. A crash mid-append leaves a torn frame
-// that recovery truncates: the batch never published, so it must not.
-// A shard of a durable sharded store refuses Apply (see Options.Log).
+// Apply is Stage, then Commit. A shard of a durable sharded store
+// refuses it (see Options.Log): its sharded store logs each batch before
+// it publishes.
 func (st *Store) Apply(ops []Op) (uint64, error) {
-	if st.sharedLog {
+	if st.w != nil {
 		return st.Epoch(), errSharedLog
 	}
 	sb, err := st.Stage(ops)
 	if err != nil {
 		return st.Epoch(), err
-	}
-	if st.w != nil && sb.nApplied > 0 {
-		rec := wal.Record{Kind: wal.RecBatch, Epoch: sb.Epoch(), Ops: sb.applied}
-		if err := st.w.Append(rec); err != nil {
-			sb.Abort()
-			return sb.snap.epoch, fmt.Errorf("live: wal append: %w", err)
-		}
 	}
 	return sb.Commit(), nil
 }
@@ -814,10 +796,10 @@ type Staged struct {
 // soon. A batch Strict mode rejects, or one with a structural error,
 // returns the error and holds nothing.
 //
-// Stage, a log append, Commit is the store's one commit path: Apply runs
-// it with the store's own log, and a sharded store runs it on every shard
-// a batch touches, with one append to its own log for all of them, so a
-// batch publishes on every shard or on none.
+// Stage, Commit is the store's one commit path: Apply runs it in memory,
+// and a sharded store runs it on every shard a batch touches, with one
+// append to its log for all of them between the two, so a batch publishes
+// on every shard or on none.
 func (st *Store) Stage(ops []Op) (*Staged, error) {
 	st.mu.Lock()
 	st.batches.Add(1)

@@ -13,7 +13,6 @@ import (
 
 	"bcq/internal/engine"
 	"bcq/internal/exec"
-	"bcq/internal/live"
 	"bcq/internal/shard"
 )
 
@@ -23,45 +22,23 @@ import (
 // answer either, which is still served as a hit. The store goes on
 // taking writes and serving reads. The failure is made by replacing the
 // store's directory with a file, which fails the same way on every run,
-// for root too. On one durable store and on two durable shards.
+// for root too. On a durable store of one shard and of two.
 func TestFailedCheckpointKeepsAnswersCached(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("P=%d", shards), func(t *testing.T) {
 			db, acc := serveData(t)
 			dir := filepath.Join(t.TempDir(), "store")
-			var (
-				eng     *engine.Engine
-				compact func() error
-				closer  func() error
-				err     error
-			)
-			srvOpts := Options{}
-			if shards == 1 {
-				ls, err := live.New(db, acc, live.Options{Dir: dir})
-				if err != nil {
-					t.Fatal(err)
-				}
-				eng, err = engine.NewLive(ls, engine.Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				compact = func() error { _, err := ls.Compact(); return err }
-				srvOpts.Ingest = func(ops []live.Op) error { _, err := ls.Apply(ops); return err }
-				closer = ls.Close
-			} else {
-				ss, err := shard.New(db, acc, shard.Options{Shards: shards, Dir: dir})
-				if err != nil {
-					t.Fatal(err)
-				}
-				eng, err = engine.NewSharded(ss, engine.Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				compact, srvOpts.Ingest, closer = ss.Compact, ss.Apply, ss.Close
+			ss, err := shard.New(db, acc, shard.Options{Shards: shards, Dir: dir})
+			if err != nil {
+				t.Fatal(err)
 			}
-			// The checkpoint of Close fails too; closing releases the logs.
-			t.Cleanup(func() { _ = closer() })
-			srv, err := New(eng, srvOpts)
+			eng, err := engine.NewSharded(ss, engine.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The checkpoint of Close fails too; closing releases the log.
+			t.Cleanup(func() { _ = ss.Close() })
+			srv, err := New(eng, Options{Ingest: ss.Apply})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -100,7 +77,7 @@ func TestFailedCheckpointKeepsAnswersCached(t *testing.T) {
 			if err := os.WriteFile(dir, nil, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if err := compact(); err == nil {
+			if err := ss.Compact(); err == nil {
 				t.Fatal("a checkpoint into a directory that is a file succeeded")
 			}
 			if got := eng.EpochKey(); got != epoch {

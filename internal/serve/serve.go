@@ -100,8 +100,8 @@ type Options struct {
 	// one scrape covers the whole pipeline. Nil disables all of it.
 	Obs *obs.Observer
 	// CloseStore checkpoints and closes the store during Shutdown: wire
-	// live.Store.Close or shard.Store.Close here. Nil means the store
-	// needs no closing (in-memory or sealed).
+	// shard.Store.Close here. Nil means the store needs no closing
+	// (in-memory or sealed).
 	CloseStore func() error
 }
 

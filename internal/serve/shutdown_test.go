@@ -11,12 +11,13 @@ import (
 	"bcq/internal/engine"
 	"bcq/internal/live"
 	"bcq/internal/schema"
+	"bcq/internal/shard"
 	"bcq/internal/storage"
 )
 
-// durableTestServer wires a durable live store into a server with the
-// CloseStore hook, the way cmd/bqserve does with -data-dir.
-func durableTestServer(t *testing.T, dir string, opts Options) (*live.Store, *Server, *httptest.Server) {
+// durableTestServer wires a durable one-shard store into a server with
+// the CloseStore hook, the way cmd/bqserve does with -data-dir.
+func durableTestServer(t *testing.T, dir string, opts Options) (*shard.Store, *Server, *httptest.Server) {
 	t.Helper()
 	cat, acc, err := schema.ParseDDL(serveDDL)
 	if err != nil {
@@ -26,27 +27,24 @@ func durableTestServer(t *testing.T, dir string, opts Options) (*live.Store, *Se
 	if err := db.Insert("in_album", strT("p1", "a0")); err != nil {
 		t.Fatal(err)
 	}
-	ls, err := live.New(db, acc, live.Options{Dir: dir})
+	ss, err := shard.New(db, acc, shard.Options{Shards: 1, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := engine.NewLive(ls, engine.Options{})
+	eng, err := engine.NewSharded(ss, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Ingest = func(ops []live.Op) error {
-		_, err := ls.Apply(ops)
-		return err
-	}
-	opts.Metrics = ls
-	opts.CloseStore = ls.Close
+	opts.Ingest = ss.Apply
+	opts.Metrics = ss
+	opts.CloseStore = ss.Close
 	srv, err := New(eng, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)
-	return ls, srv, hs
+	return ss, srv, hs
 }
 
 // TestShutdownClosesStoreAndReplaysNothing is the graceful-shutdown
@@ -54,14 +52,14 @@ func durableTestServer(t *testing.T, dir string, opts Options) (*live.Store, *Se
 // reopen of the data directory replays zero records.
 func TestShutdownClosesStoreAndReplaysNothing(t *testing.T) {
 	dir := t.TempDir()
-	ls, srv, hs := durableTestServer(t, dir, Options{})
+	ss, srv, hs := durableTestServer(t, dir, Options{})
 
 	code, _ := post(t, hs.URL+"/ingest",
 		`{"ops": [{"op": "insert", "rel": "in_album", "tuple": ["p9", "a0"]}]}`)
 	if code != http.StatusOK {
 		t.Fatalf("ingest status %d", code)
 	}
-	if !ls.WAL().HasRecords() {
+	if !ss.WAL().HasRecords() {
 		t.Fatal("ingest did not reach the WAL")
 	}
 
@@ -83,12 +81,12 @@ func TestShutdownClosesStoreAndReplaysNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	re, rec, err := live.Open(dir, cat, acc, live.Options{})
+	re, rec, err := shard.Open(dir, cat, acc, shard.Options{})
 	if err != nil {
 		t.Fatalf("reopen after graceful shutdown: %v", err)
 	}
 	defer re.Close()
-	if rec.ReplayedOps != 0 || len(rec.ReplayedBatches) != 0 {
+	if rec.ReplayedOps != 0 || rec.ReplayedBatches != 0 {
 		t.Fatalf("clean shutdown left WAL records to replay: %+v", rec)
 	}
 	if got := re.NumTuples(); got != 2 {

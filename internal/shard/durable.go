@@ -12,6 +12,7 @@ import (
 
 	"bcq/internal/live"
 	"bcq/internal/schema"
+	"bcq/internal/segment"
 	"bcq/internal/storage"
 	"bcq/internal/wal"
 )
@@ -73,8 +74,7 @@ type Recovery struct {
 	// that failed validation and were skipped.
 	CorruptSegments []string
 	// ReplayedBatches, ReplayedOps and ReplayedExtensions count the work
-	// the log replayed (ReplayedOps also the ops a migration replayed from
-	// the shards' logs).
+	// the log replayed, and a migration the shards' logs.
 	ReplayedBatches    int64
 	ReplayedOps        int64
 	ReplayedExtensions int64
@@ -88,7 +88,8 @@ type Recovery struct {
 	// GapRecords counts records dropped, from the first whose epoch on
 	// some shard left a continuity gap with that shard's checkpoint: the
 	// conservative stop when a newest checkpoint was lost. The log is cut
-	// there, so they are counted by the one Open that dropped them.
+	// there (a migrated shard's log is removed), so they are counted by the
+	// one Open that dropped them.
 	GapRecords int64
 }
 
@@ -209,8 +210,9 @@ func syncDir(dir string) {
 // — each sub-batch on its shard, skipping those at or below that shard's
 // checkpoint epoch — and finally applies constraints from acc the
 // recovered schema lacks as fresh (logged) extensions. A directory an
-// older build wrote, with a log per shard (manifest version 1), is
-// migrated first (migrateV1).
+// older build wrote with a log per shard (manifest version 1) is migrated
+// before that (migrateV1). One an older build's single live store wrote,
+// with segments and a log at its root and no manifest, is refused.
 //
 // opts.Shards must be 0 (accept the manifest's count) or equal to it; a
 // disagreement fails with an error matching ErrShardMismatch. On a
@@ -224,6 +226,9 @@ func Open(dir string, cat *schema.Catalog, acc *schema.AccessSchema, opts Option
 	}
 	m, err := ReadManifest(dir)
 	if errors.Is(err, fs.ErrNotExist) {
+		if len(segment.List(dir)) > 0 {
+			return nil, nil, fmt.Errorf("shard: %s holds the checkpoint segments and log of a single live store, which an older build wrote, and no manifest; this build opens only sharded directories: rebuild the store with shard.New (Shards: 1 for one store)", dir)
+		}
 		for _, name := range []string{shardDirName(0), walFileName} {
 			if _, serr := os.Stat(filepath.Join(dir, name)); serr == nil {
 				return nil, nil, fmt.Errorf("shard: %s holds store state but no manifest (creation crashed?); remove the directory and rebuild", dir)
@@ -247,12 +252,6 @@ func Open(dir string, cat *schema.Catalog, acc *schema.AccessSchema, opts Option
 	}
 	P := m.Shards
 	rec := &Recovery{}
-	if m.Version == 1 {
-		if rec.ReplayedOps, err = migrateV1(dir, cat, m, opts.Mode); err != nil {
-			return nil, nil, err
-		}
-		rec.Migrated = true
-	}
 
 	st := &Store{
 		cat:    cat,
@@ -320,7 +319,19 @@ func Open(dir string, cat *schema.Catalog, acc *schema.AccessSchema, opts Option
 		}
 		rec.CorruptSegments = append(rec.CorruptSegments, recs[s].CorruptSegments...)
 	}
-	if err := st.replay(records, rec); err != nil {
+	gap, err := st.replay(records, rec)
+	if err == nil && gap < len(records) {
+		// Cut the log at the gap, so the store's next commits are not
+		// appended behind records no replay will reach.
+		rec.GapRecords = int64(len(records) - gap)
+		if err = w.Cut(gap); err != nil {
+			err = fmt.Errorf("shard: cutting the log at the gap: %w", err)
+		}
+	}
+	if err == nil && m.Version == 1 {
+		err = st.migrateV1(m, rec)
+	}
+	if err != nil {
 		w.Close()
 		return nil, nil, err
 	}
@@ -367,30 +378,26 @@ func Open(dir string, cat *schema.Catalog, acc *schema.AccessSchema, opts Option
 	return st, rec, nil
 }
 
-// replay applies the log's records to the shards Open recovered: each
+// replay applies log records to the shards Open recovered: each
 // sub-batch (or extension) goes to the shard it names, through the normal
 // admission path, unless that shard's checkpoint already holds it (its
-// epoch is at or below the shard's). A record whose epoch on some shard
-// leaves a gap stops the replay before any of it applies, and the log is
-// cut there, so the store's next commits are not appended behind records
-// no replay will reach.
-func (st *Store) replay(records []wal.Record, rec *Recovery) error {
+// epoch is at or below the shard's). It stops at the first record whose
+// epoch on some shard leaves a gap, before any of it applies, and returns
+// that record's index (len(records) when none does): the caller drops
+// the records from there.
+func (st *Store) replay(records []wal.Record, rec *Recovery) (int, error) {
 	for i, r := range records {
 		var todo []wal.Sub
 		for _, sub := range r.Subs {
 			if sub.Shard < 0 || sub.Shard >= st.p {
-				return fmt.Errorf("shard: wal record %d names shard %d of %d", i, sub.Shard, st.p)
+				return i, fmt.Errorf("shard: wal record %d names shard %d of %d", i, sub.Shard, st.p)
 			}
 			cur := st.shards[sub.Shard].Epoch()
 			if sub.Epoch <= cur {
 				continue
 			}
 			if sub.Epoch != cur+1 {
-				rec.GapRecords = int64(len(records) - i)
-				if err := st.w.Cut(i); err != nil {
-					return fmt.Errorf("shard: cutting the log at the gap: %w", err)
-				}
-				return nil
+				return i, nil
 			}
 			todo = append(todo, sub)
 		}
@@ -403,11 +410,11 @@ func (st *Store) replay(records []wal.Record, rec *Recovery) error {
 			for _, sub := range todo {
 				sb, err := st.shards[sub.Shard].Stage(sub.Ops)
 				if err != nil {
-					return fmt.Errorf("shard: replaying wal record %d on shard %d: %w", i, sub.Shard, err)
+					return i, fmt.Errorf("shard: replaying wal record %d on shard %d: %w", i, sub.Shard, err)
 				}
 				if sb.Epoch() != sub.Epoch {
 					sb.Abort()
-					return fmt.Errorf("shard: replay drift: wal record %d on shard %d publishes epoch %d, logged %d", i, sub.Shard, sb.Epoch(), sub.Epoch)
+					return i, fmt.Errorf("shard: replay drift: wal record %d on shard %d publishes epoch %d, logged %d", i, sub.Shard, sb.Epoch(), sub.Epoch)
 				}
 				sb.Commit()
 				rec.ReplayedOps += int64(len(sub.Ops))
@@ -416,7 +423,7 @@ func (st *Store) replay(records []wal.Record, rec *Recovery) error {
 		case wal.RecShardExtension:
 			ac, err := schema.NewAccessConstraint(r.Rel, r.X, r.Y, r.N)
 			if err != nil {
-				return fmt.Errorf("shard: replaying wal extension record %d: %w", i, err)
+				return i, fmt.Errorf("shard: replaying wal extension record %d: %w", i, err)
 			}
 			for _, sub := range todo {
 				se, err := st.shards[sub.Shard].StageExtension(ac)
@@ -427,15 +434,15 @@ func (st *Store) replay(records []wal.Record, rec *Recovery) error {
 					err = se.Commit()
 				}
 				if err != nil {
-					return fmt.Errorf("shard: replaying wal extension record %d on shard %d: %w", i, sub.Shard, err)
+					return i, fmt.Errorf("shard: replaying wal extension record %d on shard %d: %w", i, sub.Shard, err)
 				}
 			}
 			rec.ReplayedExtensions++
 		default:
-			return fmt.Errorf("shard: wal record %d has kind %d, not a sharded store's", i, r.Kind)
+			return i, fmt.Errorf("shard: wal record %d has kind %d, not a sharded store's", i, r.Kind)
 		}
 	}
-	return nil
+	return len(records), nil
 }
 
 // constraintKeys lists a schema's constraint keys, sorted.
@@ -449,51 +456,57 @@ func constraintKeys(acc *schema.AccessSchema) []string {
 }
 
 // migrateV1 brings a manifest-version-1 directory, whose shards each kept
-// a write-ahead log of their own, to this build's layout, and returns the
-// ops the shards' logs replayed: every shard is recovered from its own
-// checkpoint and log and checkpointed again, which empties its log; the
-// shard logs are removed; and the version-2 manifest is written last. A
-// crash before that reopens as version 1 and migrates again, which only
-// checkpoints anew. Shards that disagree on their schema (an older
-// build's extension torn by a crash) are refused: that build heals them
-// when it opens the directory.
-func migrateV1(dir string, cat *schema.Catalog, m *Manifest, mode live.Mode) (int64, error) {
-	var ops int64
-	var keys []string
-	for s := 0; s < m.Shards; s++ {
-		sdir := filepath.Join(dir, shardDirName(s))
-		ls, rec, err := live.Open(sdir, cat, nil, live.Options{Mode: mode})
+// a write-ahead log of their own, to this build's layout. Each shard's
+// log replays through replay: its record at epoch e is the sub-record
+// {shard, e} of a sharded store's, and a gap stops that shard's replay
+// alone. Then every shard checkpoints, the shard logs are removed, and
+// the version-2 manifest is written last. A crash before that reopens as
+// version 1 and migrates again, which only checkpoints anew. Shards that
+// disagree on their schema (an older build's extension torn by a crash)
+// are refused: that build heals them when it opens the directory.
+func (st *Store) migrateV1(m *Manifest, rec *Recovery) error {
+	for s, ls := range st.shards {
+		w, records, err := wal.Open(filepath.Join(st.dir, shardDirName(s), walFileName))
 		if err != nil {
-			return 0, fmt.Errorf("shard: migrating shard %d: %w", s, err)
+			return fmt.Errorf("shard: migrating shard %d: %w", s, err)
 		}
-		ops += rec.ReplayedOps
-		got := constraintKeys(ls.Access())
-		if s == 0 {
-			keys = got
-		} else if !slices.Equal(got, keys) {
-			ls.Close()
-			return 0, fmt.Errorf("shard: migrating %s: shard %d holds constraints %v, shard 0 %v; open the directory once with the build that wrote it", dir, s, got, keys)
+		w.Close()
+		for i, r := range records {
+			sub := []wal.Sub{{Shard: s, Epoch: r.Epoch, Ops: r.Ops}}
+			switch r.Kind {
+			case wal.RecBatch:
+				records[i] = wal.Record{Kind: wal.RecShardBatch, Subs: sub}
+			case wal.RecExtension:
+				records[i] = wal.Record{Kind: wal.RecShardExtension, Rel: r.Rel, X: r.X, Y: r.Y, N: r.N, Subs: sub}
+			default:
+				return fmt.Errorf("shard: migrating shard %d: wal record %d has kind %d, not a version-1 shard's", s, i, r.Kind)
+			}
 		}
-		if _, err := ls.Compact(); err != nil {
-			ls.Close()
-			return 0, fmt.Errorf("shard: migrating shard %d: %w", s, err)
+		gap, err := st.replay(records, rec)
+		if err != nil {
+			return fmt.Errorf("shard: migrating shard %d: %w", s, err)
 		}
-		if err := ls.Close(); err != nil {
-			return 0, fmt.Errorf("shard: migrating shard %d: %w", s, err)
+		rec.GapRecords += int64(len(records) - gap)
+		if got, want := constraintKeys(ls.Access()), constraintKeys(st.shards[0].Access()); !slices.Equal(got, want) {
+			return fmt.Errorf("shard: migrating %s: shard %d holds constraints %v, shard 0 %v; open the directory once with the build that wrote it", st.dir, s, got, want)
 		}
 	}
-	for s := 0; s < m.Shards; s++ {
-		sdir := filepath.Join(dir, shardDirName(s))
+	if err := st.checkpoint(); err != nil {
+		return fmt.Errorf("shard: migrating %s: %w", st.dir, err)
+	}
+	for s := range st.shards {
+		sdir := filepath.Join(st.dir, shardDirName(s))
 		if err := os.Remove(filepath.Join(sdir, walFileName)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-			return 0, fmt.Errorf("shard: migrating shard %d: %w", s, err)
+			return fmt.Errorf("shard: migrating shard %d: %w", s, err)
 		}
 		syncDir(sdir)
 	}
 	m.Version = manifestVersion
-	if err := writeManifest(dir, m); err != nil {
-		return 0, fmt.Errorf("shard: migrating %s: %w", dir, err)
+	if err := writeManifest(st.dir, m); err != nil {
+		return fmt.Errorf("shard: migrating %s: %w", st.dir, err)
 	}
-	return ops, nil
+	rec.Migrated = true
+	return nil
 }
 
 // Close checkpoints the store, when its log holds records, and closes

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"bcq/internal/live"
@@ -14,6 +15,7 @@ import (
 	"bcq/internal/shard"
 	"bcq/internal/storage"
 	"bcq/internal/value"
+	"bcq/internal/wal"
 )
 
 func tup(vals ...string) value.Tuple {
@@ -402,5 +404,46 @@ func TestLostCheckpointKeepsLaterWrites(t *testing.T) {
 				assertSameShardState(t, re3, re2, true)
 			})
 		}
+	}
+}
+
+// TestOpenRefusesASingleLiveStoreDirectory: an older build's durable live
+// store kept its checkpoint segments and its log at the directory's root,
+// with no manifest. Open names that layout and refuses it — this build
+// opens only sharded directories — and leaves the directory as it was.
+func TestOpenRefusesASingleLiveStoreDirectory(t *testing.T) {
+	dir := t.TempDir()
+	cat, acc, db := scene(t, 4, 4)
+	if err := db.EnsureIndexes(acc); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := segment.Write(dir, db, acc, 0); err != nil {
+		t.Fatal(err)
+	}
+	w, _, err := wal.Open(filepath.Join(dir, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(wal.Record{Kind: wal.RecBatch, Epoch: 1, Ops: shardBatches()[0]}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	_, _, err = shard.Open(dir, cat, acc, shard.Options{Shards: 1})
+	if err == nil || !strings.Contains(err.Error(), "single live store") || !strings.Contains(err.Error(), "only sharded directories") {
+		t.Fatalf("Open of a single live store's directory = %v, want it refused by name", err)
+	}
+	after, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(after) != len(before) {
+		t.Fatalf("the refused Open left %d entries in the directory, want the %d it found", len(after), len(before))
 	}
 }

@@ -4,11 +4,11 @@
 // fsynced before the store publishes the epoch that contains it — so a
 // record's presence in the log is exactly the commit point, and replaying
 // the log through the normal admission path reconstructs the committed
-// prefix byte-for-byte. A single live store owns a log of its own; a
-// sharded store owns one log for all its shards, and each of its records
-// carries every shard's part of one batch (or one extension), so a
-// cross-shard batch is one frame and one fsync, and recovery holds all of
-// it or none of it.
+// prefix byte-for-byte. The one owner of a log is a durable sharded
+// store (P = 1 being the single store): one log for all its shards, each
+// record carrying every shard's part of one batch (or one extension), so
+// a cross-shard batch is one frame and one fsync, and recovery holds all
+// of it or none of it.
 //
 // File layout:
 //
@@ -73,10 +73,15 @@ type Op struct {
 type RecordKind uint8
 
 const (
-	// RecBatch is an admitted Apply batch of a single live store.
-	RecBatch RecordKind = 1
-	// RecExtension is a runtime access-schema extension of a single live
-	// store.
+	// RecBatch is an admitted Apply batch of a single live store, and
+	// RecExtension a runtime access-schema extension of one. No store
+	// writes them any more: a durable store is a sharded one, which logs
+	// RecShardBatch and RecShardExtension. They stay, with their codec,
+	// because Open of a version-1 sharded directory migrates the shards'
+	// own logs, which hold them (a record of shard s at epoch e replays as
+	// the sub-record {s, e}), and because a scratch log that prices one
+	// batch's append without a store writes RecBatch.
+	RecBatch     RecordKind = 1
 	RecExtension RecordKind = 2
 	// RecShardBatch is one batch of a sharded store: the sub-batch each
 	// shard applied (Subs, with their ops).

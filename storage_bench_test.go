@@ -1,10 +1,12 @@
 // Durable-tier benchmarks and the BENCH_storage.json emit.
 //
 // BenchmarkWALAppend prices the commit pipeline's durability step — one
-// fsynced WAL append per batch — BenchmarkShardedWALAppend the same for
-// a batch that commits on both shards of a durable two-shard store (one
-// record, one fsync), and BenchmarkRecovery prices bringing a crashed
-// store back (segment load + WAL-tail replay through normal admission). TestStorageBenchEmit measures the same paths once and,
+// fsynced WAL append per batch of a durable one-shard store, the single
+// store — BenchmarkShardedWALAppend the same for a batch that commits on
+// both shards of a durable two-shard store (one record, one fsync), and
+// BenchmarkRecovery prices bringing a crashed one-shard store back
+// (segment load + WAL-tail replay through normal admission).
+// TestStorageBenchEmit measures the same paths once and,
 // when STORAGE_BENCH_JSON names a path, writes the perf trajectory
 // there; CI compares it against bench/BENCH_storage.json (tools/benchcmp:
 // bytes and counts past +25% fail, times are reported).
@@ -52,15 +54,15 @@ import (
 	"bcq/internal/value"
 )
 
-// durableBenchStore seeds a durable live store in a fresh directory.
-func durableBenchStore(tb testing.TB, dir string) *LiveDatabase {
+// durableBenchStore seeds a durable one-shard store in a fresh directory.
+func durableBenchStore(tb testing.TB, dir string) *ShardedDatabase {
 	tb.Helper()
 	_, acc, db := buildDurableScene(tb)
-	ld, err := NewLiveDatabase(db, acc, LiveOptions{Dir: dir})
+	ss, err := NewShardedDatabase(db, acc, ShardOptions{Shards: 1, Dir: dir})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return ld
+	return ss
 }
 
 // benchOp returns the i-th single-insert batch (distinct tuples, so no
@@ -73,11 +75,11 @@ func benchOp(i int) []LiveOp {
 // BenchmarkWALAppend measures one committed batch through the durable
 // commit pipeline: validate, WAL append, fsync, publish.
 func BenchmarkWALAppend(b *testing.B) {
-	ld := durableBenchStore(b, b.TempDir())
-	defer ld.Close()
+	ss := durableBenchStore(b, b.TempDir())
+	defer ss.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ld.Apply(benchOp(i)); err != nil {
+		if err := ss.Apply(benchOp(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -140,15 +142,15 @@ func BenchmarkRecovery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		dir := filepath.Join(b.TempDir(), fmt.Sprintf("store%d", i))
-		ld := durableBenchStore(b, dir)
+		ss := durableBenchStore(b, dir)
 		for j := 0; j < recoveryRecords; j++ {
-			if _, err := ld.Apply(benchOp(j)); err != nil {
+			if err := ss.Apply(benchOp(j)); err != nil {
 				b.Fatal(err)
 			}
 		}
 		// Crash: abandon without Close so the WAL tail stays unreplayed.
 		b.StartTimer()
-		re, rec, err := OpenLiveDatabase(dir, cat, acc, LiveOptions{})
+		re, rec, err := OpenShardedDatabase(dir, cat, acc, ShardOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -260,16 +262,16 @@ func TestStorageBenchEmit(t *testing.T) {
 	const appends = 256
 	cat, acc, _ := buildDurableScene(t)
 	dir := filepath.Join(t.TempDir(), "store")
-	ld := durableBenchStore(t, dir)
+	ss := durableBenchStore(t, dir)
 
 	start := time.Now()
 	for i := 0; i < appends; i++ {
-		if _, err := ld.Apply(benchOp(i)); err != nil {
+		if err := ss.Apply(benchOp(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	appendNS := time.Since(start).Nanoseconds() / appends
-	ws := ld.WAL().Stats()
+	ws := ss.WAL().Stats()
 	if ws.Appends != appends {
 		t.Fatalf("WAL holds %d appends, want %d", ws.Appends, appends)
 	}
@@ -277,7 +279,7 @@ func TestStorageBenchEmit(t *testing.T) {
 
 	// Crash (no Close) and time the recovery.
 	start = time.Now()
-	re, rec, err := OpenLiveDatabase(dir, cat, acc, LiveOptions{})
+	re, rec, err := OpenShardedDatabase(dir, cat, acc, ShardOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,14 +290,14 @@ func TestStorageBenchEmit(t *testing.T) {
 
 	// Checkpoint: freeze + segment write + WAL reset.
 	start = time.Now()
-	if _, err := re.Compact(); err != nil {
+	if err := re.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	compactNS := time.Since(start).Nanoseconds()
 	if re.WAL().HasRecords() {
 		t.Fatal("checkpoint left WAL records behind")
 	}
-	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.bcq"))
+	segs, err := filepath.Glob(filepath.Join(dir, "shard-000", "seg-*.bcq"))
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("checkpoint wrote no segment (err %v)", err)
 	}
