@@ -366,10 +366,9 @@ type (
 	// LiveOp is one write operation of an atomic batch.
 	LiveOp = live.Op
 	// LiveOptions tunes a live database (violation mode). A live
-	// database is in memory: its Dir and Log fields belong to the shards of
-	// a durable sharded database, and NewLiveDatabase refuses them. For a
-	// durable single store, use NewShardedDatabase (or
-	// OpenShardedDatabase) with ShardOptions{Shards: 1, Dir: dir}.
+	// database is in memory; for a durable single store, use
+	// NewShardedDatabase (or OpenShardedDatabase) with
+	// ShardOptions{Shards: 1, Dir: dir}.
 	LiveOptions = live.Options
 	// LiveMode selects how schema-violating writes are treated.
 	LiveMode = live.Mode

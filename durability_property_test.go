@@ -8,7 +8,8 @@
 //     directory yields a store byte-identical (tuples, epoch key,
 //     cardinality statistics, access schema), shard by shard, to an
 //     independent in-memory store that applied exactly the committed
-//     prefix and never crashed, at P ∈ {1, 2, 3, 5}. The crashed store's
+//     prefix and never crashed: at P = 1 against a live store, at
+//     P ∈ {2, 3, 5} against a sharded one. The crashed store's
 //     own pre-crash state equals that reference too: every snapshot
 //     publishes only after its log fsync, and a batch is logged as one
 //     record, so the batch that died committed on no shard.
@@ -122,91 +123,131 @@ func renderStoreState(t testing.TB, cat *Catalog, ld *LiveDatabase) string {
 // accidentally leaves a complete, replayable record behind.
 func tornBytes(rng *rand.Rand) int { return rng.Intn(11) }
 
-// TestDurableCrashRecoveryPropertySharded arms the fail point of the
-// store's one log at P ∈ {1, 2, 3, 5} at a randomized append, with a
-// randomized torn-frame length, and reopens the directory. The batch
-// whose append dies commits on no shard: the crashed store's in-memory
-// state equals an in-memory reference that applied only the batches
-// before it, and recovery must reproduce that reference shard by shard.
+// TestDurableCrashRecoveryPropertyLive runs the crash-recovery sweep on
+// the durable single store — a sharded store at P = 1 — against an
+// independent in-memory live store.
+func TestDurableCrashRecoveryPropertyLive(t *testing.T) {
+	for trial := 0; trial < 6; trial++ {
+		trial := trial
+		t.Run(fmt.Sprintf("trial=%d", trial), func(t *testing.T) {
+			crashRecoveryTrial(t, 1, 14, int64(1000+trial), int64(trial),
+				func(acc *AccessSchema, db *Database) crashReference {
+					ref, err := NewLiveDatabase(db, acc, LiveOptions{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return crashReference{
+						apply: func(ops []LiveOp) error { _, err := ref.Apply(ops); return err },
+						shard: func(int) *LiveDatabase { return ref },
+					}
+				})
+		})
+	}
+}
+
+// TestDurableCrashRecoveryPropertySharded runs the crash-recovery sweep
+// at P ∈ {2, 3, 5} against an in-memory sharded store of as many shards.
 func TestDurableCrashRecoveryPropertySharded(t *testing.T) {
-	const nBatches = 16
-	for _, p := range []int{1, 2, 3, 5} {
+	for _, p := range []int{2, 3, 5} {
 		for trial := 0; trial < 6; trial++ {
 			p, trial := p, trial
 			t.Run(fmt.Sprintf("P=%d/trial=%d", p, trial), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(int64(100*p + trial)))
-				cat, acc, db := buildDurableScene(t)
-				_, _, refDB := buildDurableScene(t)
-				dir := filepath.Join(t.TempDir(), "store")
-
-				ss, err := NewShardedDatabase(db, acc, ShardOptions{Shards: p, Dir: dir})
-				if err != nil {
-					t.Fatal(err)
-				}
-				ref, err := NewShardedDatabase(refDB, acc, ShardOptions{Shards: p})
-				if err != nil {
-					t.Fatal(err)
-				}
-				kill := 1 + rng.Intn(nBatches)
-				torn := tornBytes(rng)
-				ss.WAL().SetFailPoint(kill, torn)
-
-				committed := 0
-				var wantOps int64
-				for _, ops := range durableBatches(int64(10*p+trial), nBatches) {
-					if err := ss.Apply(ops); err != nil {
-						if !errors.Is(err, wal.ErrInjectedCrash) {
-							t.Fatalf("batch %d: unexpected apply error: %v", committed, err)
+				crashRecoveryTrial(t, p, 16, int64(100*p+trial), int64(10*p+trial),
+					func(acc *AccessSchema, db *Database) crashReference {
+						ref, err := NewShardedDatabase(db, acc, ShardOptions{Shards: p})
+						if err != nil {
+							t.Fatal(err)
 						}
-						break
-					}
-					if err := ref.Apply(ops); err != nil {
-						t.Fatalf("reference apply: %v", err)
-					}
-					committed++
-					wantOps += int64(len(ops))
-				}
-				if committed != kill-1 {
-					t.Fatalf("fail point at append %d let %d batches commit", kill, committed)
-				}
-
-				// The committed state is the reference's, and the crashed
-				// store holds no part of the batch that died.
-				want := make([]string, p)
-				for s := 0; s < p; s++ {
-					want[s] = renderStoreState(t, cat, ref.Shard(s))
-					if got := renderStoreState(t, cat, ss.Shard(s)); got != want[s] {
-						t.Fatalf("shard %d holds part of the batch that died\n got:  %s\n want: %s", s, got, want[s])
-					}
-				}
-
-				// The process is "dead": no Close, the torn tail stays.
-				re, rec, err := OpenShardedDatabase(dir, cat, acc, ShardOptions{})
-				if err != nil {
-					t.Fatalf("recovery (kill %d, torn %d): %v", kill, torn, err)
-				}
-				defer re.Close()
-				if re.NumShards() != p {
-					t.Fatalf("recovered %d shards, want %d", re.NumShards(), p)
-				}
-				if torn > 0 && rec.TruncatedRecords == 0 {
-					t.Errorf("a %d-byte torn frame was left on the log but recovery truncated nothing", torn)
-				}
-				if rec.ReplayedBatches != int64(committed) || rec.ReplayedOps != wantOps {
-					t.Errorf("replayed %d batches of %d ops, the committed prefix holds %d of %d",
-						rec.ReplayedBatches, rec.ReplayedOps, committed, wantOps)
-				}
-				if re.EpochKey() != ref.EpochKey() || re.NumTuples() != ref.NumTuples() {
-					t.Errorf("recovered store at %s/%d tuples, want %s/%d",
-						re.EpochKey(), re.NumTuples(), ref.EpochKey(), ref.NumTuples())
-				}
-				for s := 0; s < p; s++ {
-					if got := renderStoreState(t, cat, re.Shard(s)); got != want[s] {
-						t.Errorf("shard %d diverges from the committed prefix after recovery (kill %d, torn %d)\n got:  %s\n want: %s",
-							s, kill, torn, got, want[s])
-					}
-				}
+						return crashReference{apply: ref.Apply, shard: ref.Shard}
+					})
 			})
+		}
+	}
+}
+
+// crashReference is the in-memory store a crash trial holds the durable
+// store to: it applies the batches that committed, and shows its state
+// shard by shard (a live store is its own one shard).
+type crashReference struct {
+	apply func([]LiveOp) error
+	shard func(s int) *LiveDatabase
+}
+
+// crashRecoveryTrial arms the fail point of a P-shard durable store's one
+// log at a randomized append (of nBatches), with a randomized torn-frame
+// length, and reopens the directory. The batch whose append dies commits
+// on no shard: the crashed store's in-memory state equals the reference,
+// which applied only the batches before it, and recovery must reproduce
+// that reference shard by shard.
+func crashRecoveryTrial(t *testing.T, p, nBatches int, seed, batchSeed int64, newRef func(*AccessSchema, *Database) crashReference) {
+	rng := rand.New(rand.NewSource(seed))
+	cat, acc, db := buildDurableScene(t)
+	_, _, refDB := buildDurableScene(t)
+	dir := filepath.Join(t.TempDir(), "store")
+
+	ss, err := NewShardedDatabase(db, acc, ShardOptions{Shards: p, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := newRef(acc, refDB)
+	kill := 1 + rng.Intn(nBatches)
+	torn := tornBytes(rng)
+	ss.WAL().SetFailPoint(kill, torn)
+
+	committed := 0
+	var wantOps int64
+	for _, ops := range durableBatches(batchSeed, nBatches) {
+		if err := ss.Apply(ops); err != nil {
+			if !errors.Is(err, wal.ErrInjectedCrash) {
+				t.Fatalf("batch %d: unexpected apply error: %v", committed, err)
+			}
+			break
+		}
+		if err := ref.apply(ops); err != nil {
+			t.Fatalf("reference apply: %v", err)
+		}
+		committed++
+		wantOps += int64(len(ops))
+	}
+	if committed != kill-1 {
+		t.Fatalf("fail point at append %d let %d batches commit", kill, committed)
+	}
+
+	// The committed state is the reference's, and the crashed store holds
+	// no part of the batch that died.
+	want := make([]string, p)
+	var wantTuples int64
+	for s := 0; s < p; s++ {
+		want[s] = renderStoreState(t, cat, ref.shard(s))
+		wantTuples += ref.shard(s).NumTuples()
+		if got := renderStoreState(t, cat, ss.Shard(s)); got != want[s] {
+			t.Fatalf("shard %d holds part of the batch that died\n got:  %s\n want: %s", s, got, want[s])
+		}
+	}
+
+	// The process is "dead": no Close, the torn tail stays.
+	re, rec, err := OpenShardedDatabase(dir, cat, acc, ShardOptions{})
+	if err != nil {
+		t.Fatalf("recovery (kill %d, torn %d): %v", kill, torn, err)
+	}
+	defer re.Close()
+	if re.NumShards() != p {
+		t.Fatalf("recovered %d shards, want %d", re.NumShards(), p)
+	}
+	if torn > 0 && rec.TruncatedRecords == 0 {
+		t.Errorf("a %d-byte torn frame was left on the log but recovery truncated nothing", torn)
+	}
+	if rec.ReplayedBatches != int64(committed) || rec.ReplayedOps != wantOps {
+		t.Errorf("replayed %d batches of %d ops, the committed prefix holds %d of %d",
+			rec.ReplayedBatches, rec.ReplayedOps, committed, wantOps)
+	}
+	if re.NumTuples() != wantTuples {
+		t.Errorf("recovered store holds %d tuples, want %d", re.NumTuples(), wantTuples)
+	}
+	for s := 0; s < p; s++ {
+		if got := renderStoreState(t, cat, re.Shard(s)); got != want[s] {
+			t.Errorf("shard %d diverges from the committed prefix after recovery (kill %d, torn %d)\n got:  %s\n want: %s",
+				s, kill, torn, got, want[s])
 		}
 	}
 }

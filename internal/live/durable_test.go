@@ -30,9 +30,9 @@ func socialBatches() [][]live.Op {
 	}
 }
 
-// wider is a constraint the social schema lacks whose X holds friends'
-// shard key, so a sharded store can take it as an extension.
-var wider = schema.MustAccessConstraint("friends", []string{"user_id"}, []string{"friend_id"}, 100)
+// wider is a constraint the social schema lacks. Its X lacks friends'
+// shard key (user_id), which a one-shard store takes all the same.
+var wider = schema.MustAccessConstraint("friends", []string{"friend_id"}, []string{"user_id"}, 100)
 
 // newDurable seeds a durable one-shard store of the social scene in dir.
 func newDurable(t *testing.T, dir string) *shard.Store {
@@ -216,24 +216,20 @@ func TestDurableOpenWidensWithCallerSchema(t *testing.T) {
 }
 
 // TestNewRefusesExistingState: a directory that holds a store is not
-// seeded again, and a live store is durable only as a sharded store's
-// shard — Options.Dir without Options.Log, or the converse, is refused.
+// seeded again, neither as a sharded store nor as one of its shards.
 func TestNewRefusesExistingState(t *testing.T) {
 	dir := t.TempDir()
 	newDurable(t, dir).Close()
 	if _, err := shard.New(live.LoadSocial(t), live.AccessA0(), shard.Options{Shards: 1, Dir: dir}); err == nil {
 		t.Fatal("shard.New accepted a directory that already holds store state")
 	}
-	if _, err := live.New(live.LoadSocial(t), live.AccessA0(), live.Options{Dir: t.TempDir()}); err == nil {
-		t.Fatal("live.New accepted a directory without a log")
-	}
 	w, _, err := wal.Open(filepath.Join(t.TempDir(), "wal.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	if _, err := live.New(live.LoadSocial(t), live.AccessA0(), live.Options{Log: w}); err == nil {
-		t.Fatal("live.New accepted a log without a directory")
+	if _, err := live.NewShard(live.LoadSocial(t), live.AccessA0(), live.Strict, filepath.Join(dir, "shard-000"), w); err == nil {
+		t.Fatal("live.NewShard accepted a directory that already holds a segment")
 	}
 }
 

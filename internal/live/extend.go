@@ -31,7 +31,7 @@ import (
 // engine retry cached preparation errors.
 //
 // Extending with a constraint already in the schema is a no-op. A shard
-// of a durable sharded store refuses it (see Options.Log).
+// of a durable sharded store refuses it (see NewShard).
 func (st *Store) ExtendAccess(ac schema.AccessConstraint) error {
 	if st.w != nil {
 		return errSharedLog

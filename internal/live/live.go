@@ -81,19 +81,6 @@ func (m Mode) String() string {
 type Options struct {
 	// Mode is the violation policy (default Strict).
 	Mode Mode
-	// Dir and Log, set together, make the store a shard of a durable
-	// sharded store (shard.New, shard.Open), the one owner of a log: the
-	// store keeps its checkpoint segments in Dir, writing the base as the
-	// epoch-0 segment (Dir must hold none yet), and Compact doubles as a
-	// checkpoint. It reports Log from WAL, but never appends to it, resets
-	// it or closes it: the sharded store logs every commit of its shards
-	// itself (Stage, StageExtension) and checkpoints them all before it
-	// resets the log, so Apply and ExtendAccess, which would publish
-	// unlogged, are refused on such a store. Empty Dir and nil Log is the
-	// in-memory store; a durable single store is a sharded store at
-	// Shards = 1.
-	Dir string
-	Log *wal.WAL
 }
 
 // ErrBound is the sentinel matched by errors.Is when a write is rejected
@@ -410,34 +397,16 @@ type Store struct {
 // indices, repeated pairs included (see bootstrap), not built beside
 // them.
 //
-// With Options.Dir and Options.Log set the store is a shard of a durable
-// sharded store: the base is written out as the epoch-0 checkpoint
-// segment, and the directory must hold no prior store state. One without
-// the other is refused.
+// The store is in memory. A durable store is a sharded store's shard
+// (NewShard); a durable single store is a sharded store at Shards = 1.
 func New(base *storage.Database, acc *schema.AccessSchema, opts Options) (*Store, error) {
-	if (opts.Dir == "") != (opts.Log == nil) {
-		return nil, errDirWithoutLog
-	}
-	st, err := newStore(base, acc, opts, 0)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Dir != "" {
-		if err := st.initDurable(opts.Dir, acc, opts.Log); err != nil {
-			return nil, err
-		}
-	}
-	return st, nil
+	return newStore(base, acc, opts.Mode, 0)
 }
 
-// errDirWithoutLog refuses Options.Dir without Options.Log, or the
-// converse: a durable store's log is its sharded store's.
-var errDirWithoutLog = errors.New("live: Options.Dir and Options.Log go together; a durable store is a sharded store's shard: build it with shard.New (Shards: 1 for one store)")
-
-// newStore is New without the durability hooks: it builds the in-memory
+// newStore is New with the root snapshot's epoch: it builds the in-memory
 // store with its root snapshot at baseEpoch (0 for a fresh store, the
 // checkpoint epoch when Recover resumes from a segment).
-func newStore(base *storage.Database, acc *schema.AccessSchema, opts Options, baseEpoch uint64) (*Store, error) {
+func newStore(base *storage.Database, acc *schema.AccessSchema, mode Mode, baseEpoch uint64) (*Store, error) {
 	if base == nil || acc == nil {
 		return nil, fmt.Errorf("live: base database and access schema are both required")
 	}
@@ -450,7 +419,7 @@ func newStore(base *storage.Database, acc *schema.AccessSchema, opts Options, ba
 	}
 	st := &Store{
 		cat:      cat,
-		mode:     opts.Mode,
+		mode:     mode,
 		byRel:    make(map[string][]acBinding),
 		byKey:    make(map[string]acBinding),
 		relStats: make(map[string]*relCounters, cat.NumRelations()),
@@ -764,7 +733,7 @@ func (st *Store) Quarantine() []Quarantined {
 // pinning a snapshot at or after the returned epoch) or none of it.
 //
 // Apply is Stage, then Commit. A shard of a durable sharded store
-// refuses it (see Options.Log): its sharded store logs each batch before
+// refuses it (see NewShard): its sharded store logs each batch before
 // it publishes.
 func (st *Store) Apply(ops []Op) (uint64, error) {
 	if st.w != nil {

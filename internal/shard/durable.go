@@ -226,8 +226,8 @@ func Open(dir string, cat *schema.Catalog, acc *schema.AccessSchema, opts Option
 	}
 	m, err := ReadManifest(dir)
 	if errors.Is(err, fs.ErrNotExist) {
-		if len(segment.List(dir)) > 0 {
-			return nil, nil, fmt.Errorf("shard: %s holds the checkpoint segments and log of a single live store, which an older build wrote, and no manifest; this build opens only sharded directories: rebuild the store with shard.New (Shards: 1 for one store)", dir)
+		if err := refuseSingleLiveStore(dir); err != nil {
+			return nil, nil, err
 		}
 		for _, name := range []string{shardDirName(0), walFileName} {
 			if _, serr := os.Stat(filepath.Join(dir, name)); serr == nil {
@@ -300,15 +300,15 @@ func Open(dir string, cat *schema.Catalog, acc *schema.AccessSchema, opts Option
 	// persisted: caller widening happens once, below, through the sharded
 	// extension path.
 	st.shards = make([]*live.Store, P)
-	recs := make([]*live.Recovery, P)
+	corrupt := make([][]string, P)
 	errs := make([]error, P)
 	var wg sync.WaitGroup
 	for s := 0; s < P; s++ {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			st.shards[s], recs[s], errs[s] = live.Recover(
-				filepath.Join(dir, shardDirName(s)), cat, live.Options{Mode: opts.Mode, Log: w})
+			st.shards[s], corrupt[s], errs[s] = live.Recover(
+				filepath.Join(dir, shardDirName(s)), cat, opts.Mode, w)
 		}(s)
 	}
 	wg.Wait()
@@ -317,7 +317,7 @@ func Open(dir string, cat *schema.Catalog, acc *schema.AccessSchema, opts Option
 			w.Close()
 			return nil, nil, fmt.Errorf("shard: recovering shard %d: %w", s, err)
 		}
-		rec.CorruptSegments = append(rec.CorruptSegments, recs[s].CorruptSegments...)
+		rec.CorruptSegments = append(rec.CorruptSegments, corrupt[s]...)
 	}
 	gap, err := st.replay(records, rec)
 	if err == nil && gap < len(records) {
@@ -376,6 +376,17 @@ func Open(dir string, cat *schema.Catalog, acc *schema.AccessSchema, opts Option
 		}
 	}
 	return st, rec, nil
+}
+
+// refuseSingleLiveStore fails on a directory with checkpoint segments at
+// its root: an older build's durable single live store, which kept them
+// there beside its own log and wrote no manifest. New and Open refuse it
+// alike; no migration exists.
+func refuseSingleLiveStore(dir string) error {
+	if len(segment.List(dir)) == 0 {
+		return nil
+	}
+	return fmt.Errorf("shard: %s holds the checkpoint segments and log of a single live store, which an older build wrote, and no manifest; this build opens only sharded directories: rebuild the store with shard.New (Shards: 1 for one store) in an empty directory", dir)
 }
 
 // replay applies log records to the shards Open recovered: each

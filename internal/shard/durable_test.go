@@ -409,8 +409,9 @@ func TestLostCheckpointKeepsLaterWrites(t *testing.T) {
 
 // TestOpenRefusesASingleLiveStoreDirectory: an older build's durable live
 // store kept its checkpoint segments and its log at the directory's root,
-// with no manifest. Open names that layout and refuses it — this build
-// opens only sharded directories — and leaves the directory as it was.
+// with no manifest. Open and New name that layout and refuse it — this
+// build opens only sharded directories — and leave the directory as it
+// was.
 func TestOpenRefusesASingleLiveStoreDirectory(t *testing.T) {
 	dir := t.TempDir()
 	cat, acc, db := scene(t, 4, 4)
@@ -435,9 +436,14 @@ func TestOpenRefusesASingleLiveStoreDirectory(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, _, err = shard.Open(dir, cat, acc, shard.Options{Shards: 1})
-	if err == nil || !strings.Contains(err.Error(), "single live store") || !strings.Contains(err.Error(), "only sharded directories") {
+	refusedByName := func(err error) bool {
+		return err != nil && strings.Contains(err.Error(), "single live store") && strings.Contains(err.Error(), "only sharded directories")
+	}
+	if _, _, err := shard.Open(dir, cat, acc, shard.Options{Shards: 1}); !refusedByName(err) {
 		t.Fatalf("Open of a single live store's directory = %v, want it refused by name", err)
+	}
+	if _, err := shard.New(db, acc, shard.Options{Shards: 1, Dir: dir}); !refusedByName(err) {
+		t.Fatalf("New on a single live store's directory = %v, want it refused by name", err)
 	}
 	after, err := os.ReadDir(dir)
 	if err != nil {

@@ -107,6 +107,52 @@ func TestExtendAccessShardConsistent(t *testing.T) {
 	}
 }
 
+// TestExtendAccessAtOneShardTakesAnyX: one shard cannot split a group, so
+// a one-shard store takes a constraint whose X lacks the shard key (which
+// TestExtendAccessPlacementGuards shows a three-shard store refuses), and
+// answers through it as a single store does.
+func TestExtendAccessAtOneShardTakesAnyX(t *testing.T) {
+	cat, acc, build := extendScene(t)
+	ac := schema.MustAccessConstraint("part", []string{"v"}, []string{"w"}, 10)
+	ss, err := shard.New(build(), acc, shard.Options{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := live.New(build(), acc, live.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ss.ExtendAccess(ac); err != nil {
+		t.Fatalf("one-shard store refused %s: %v", ac, err)
+	}
+	if err := single.ExtendAccess(ac); err != nil {
+		t.Fatal(err)
+	}
+	q, err := spc.Parse(`select w from part where v = 'v1'`, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	an, err := core.NewAnalysis(cat, q, ss.Access())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := plan.QPlan(an)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := exec.Run(pl, ss.View())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := exec.Run(pl, single.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if render(got) != render(want) || len(got.Tuples) == 0 {
+		t.Errorf("one-shard answer %s, single-store answer %s", render(got), render(want))
+	}
+}
+
 // TestExtendAccessPlacementGuards: extensions that would break the
 // placement invariant are rejected whole.
 func TestExtendAccessPlacementGuards(t *testing.T) {

@@ -194,6 +194,9 @@ func New(base *storage.Database, acc *schema.AccessSchema, opts Options) (*Store
 		if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 			return nil, err
 		}
+		if err := refuseSingleLiveStore(opts.Dir); err != nil {
+			return nil, err
+		}
 		for _, name := range []string{manifestFileName, walFileName} {
 			if _, err := os.Stat(filepath.Join(opts.Dir, name)); err == nil {
 				return nil, fmt.Errorf("shard: %s already holds a sharded store; recover it with Open", opts.Dir)
@@ -245,11 +248,13 @@ func New(base *storage.Database, acc *schema.AccessSchema, opts Options) (*Store
 	}
 	st.shards = make([]*live.Store, P)
 	for s := range dbs {
-		lopts := live.Options{Mode: opts.Mode, Log: st.w}
+		var ls *live.Store
+		var err error
 		if opts.Dir != "" {
-			lopts.Dir = filepath.Join(opts.Dir, shardDirName(s))
+			ls, err = live.NewShard(dbs[s], acc, opts.Mode, filepath.Join(opts.Dir, shardDirName(s)), st.w)
+		} else {
+			ls, err = live.New(dbs[s], acc, live.Options{Mode: opts.Mode})
 		}
-		ls, err := live.New(dbs[s], acc, lopts)
 		if err != nil {
 			st.closeLog()
 			return nil, fmt.Errorf("shard: building shard %d: %w", s, err)
@@ -270,12 +275,17 @@ func New(base *storage.Database, acc *schema.AccessSchema, opts Options) (*Store
 }
 
 // buildRoute locates a relation's shard key in a constraint's X-bindings.
-// It refuses a constraint whose X lacks the key: its groups could span
-// shards.
+// It refuses a constraint whose X lacks the key, since its groups could
+// span shards — except at P = 1, where every probe routes to the one
+// shard and no group can split.
 func (st *Store) buildRoute(ac schema.AccessConstraint) (*locator, error) {
 	pl, ok := st.place[ac.Rel]
 	if !ok {
 		return nil, fmt.Errorf("shard: unknown relation %s", ac.Rel)
+	}
+	if st.p == 1 {
+		l := newLocator(ac.Rel, len(ac.X), nil, 1)
+		return &l, nil
 	}
 	pos, err := positionsIn(pl.key, ac.X)
 	if err != nil {
@@ -592,8 +602,9 @@ func (st *Store) SchemaVersion() uint64 {
 // pinned relation is contained in any X; the all-attributes key of a
 // relation created without constraints is contained only in an X of
 // every attribute, so widening such a relation otherwise means
-// rebuilding the store with the wider schema. Extending with a
-// constraint already in the schema is a no-op.
+// rebuilding the store with the wider schema. A one-shard store has no
+// groups to split and takes any constraint. Extending with a constraint
+// already in the schema is a no-op.
 func (st *Store) ExtendAccess(ac schema.AccessConstraint) error {
 	st.viewMu.Lock()
 	defer st.viewMu.Unlock()
