@@ -56,7 +56,7 @@
 //	ss, _ := bcq.NewShardedDatabase(db, acc, bcq.ShardOptions{Shards: 8})
 //	eng, _ := bcq.NewShardedEngine(ss, bcq.EngineOptions{})
 //	ss.Apply(batch)               // routed by content, staged shard-parallel, atomic
-//	res, _ := p.Exec(bcq.Int(74)) // pins one epoch vector across all shards
+//	res, _ := p.Exec(bcq.Int(74)) // pins the published cut across all shards
 //
 // Durability is the sharded store's alone: with ShardOptions.Dir set
 // (Shards: 1 for a single store) every batch is logged and fsynced before
@@ -422,9 +422,9 @@ type (
 	// writes stage shard-parallel and commit atomically, and
 	// scatter-gather execution is byte-identical to a single store.
 	ShardedDatabase = shard.Store
-	// ShardedView is one atomically pinned epoch vector — an immutable,
-	// consistent cut across every shard that bounded evaluation runs
-	// against (it is a Store).
+	// ShardedView is one published cut — an immutable, consistent set of
+	// every shard's snapshot that bounded evaluation runs against (it is
+	// a Store). Pinning one is an atomic load.
 	ShardedView = shard.View
 	// ShardOptions tunes a sharded database (partition count, violation
 	// mode).

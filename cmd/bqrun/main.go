@@ -413,7 +413,7 @@ func runSharded(ds *datagen.Dataset, db *bcq.Database, queries []*bcq.Query, c c
 		}
 		fmt.Printf("  %-12s %s\n", rs.Name(), pl)
 	}
-	printShardSizes(ss.ShardSizes())
+	printShardSizes(ss.View().ShardSizes())
 	fmt.Println()
 
 	if c.ingest > 0 {
@@ -509,7 +509,7 @@ func runShardedIngest(eng *engine.Engine, ss *bcq.ShardedDatabase, queries []*bc
 			fmt.Printf("      ingested in %v (%.0f ops/s, %d shard epochs); served %d evaluations concurrently\n",
 				elapsed.Round(time.Millisecond), float64(n)/elapsed.Seconds(), ig.Epochs, served)
 			fmt.Printf("      |D| now %d\n", ss.NumTuples())
-			printShardSizes(ss.ShardSizes())
+			printShardSizes(ss.View().ShardSizes())
 		},
 	}, queries, n)
 }

@@ -128,7 +128,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\napplied a %d-op batch; shard balance now:", len(batch))
-	for s, n := range sharded.ShardSizes() {
+	for s, n := range sharded.View().ShardSizes() {
 		fmt.Printf(" [%d] %d", s, n)
 	}
 	fmt.Println()

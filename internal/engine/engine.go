@@ -72,10 +72,6 @@ type Source interface {
 	// advancing it, so a version-then-schema reader can never pair the
 	// new version with the old schema.
 	Version() uint64
-	// EpochKey renders the store's current data version for display
-	// (/stats, /healthz) without pinning a view. A response names the
-	// epoch of the view it pinned instead (AppendEpochKey on the view).
-	EpochKey() string
 	// CardStats is the store's current cardinality statistics, whole: what
 	// /stats and Engine.CardStats report. Planning never builds it.
 	CardStats() stats.Snapshot
@@ -85,13 +81,14 @@ type Source interface {
 	// plan cache's drift check, on the first cache-hit Prepare of every
 	// plan after each Epoch advance. Keep it lock-free and allocation-free.
 	ACCard(key string) (stats.ACCard, bool)
-	// Epoch is a cheap, monotone token of the store's data version — a
-	// few atomic loads, no formatting: it advances with every commit,
-	// compaction and schema extension (on a sharded store it is the sum
-	// of the shards' epochs). Implementations must publish a change's
-	// statistics before advancing it, so an epoch-then-statistics reader
-	// can never pair moved statistics with a token that will not move
-	// again. Not a cache key: it identifies no consistent cut.
+	// Epoch is a cheap, monotone token of the store's data version — one
+	// or two atomic loads, no formatting: it advances with every commit,
+	// compaction and schema extension (on a sharded store it is the
+	// published cut's token, View.Epoch). Implementations must publish a
+	// change's statistics before advancing it, so an epoch-then-statistics
+	// reader can never pair moved statistics with a token that will not
+	// move again. Not a cache key: the result cache keeps answers by
+	// version words.
 	Epoch() uint64
 	// NumShards is the store's partition count: 1 for unsharded stores.
 	// Readiness reporting (/healthz) reads it without pinning a view.
@@ -111,7 +108,6 @@ func (s dbSource) View() exec.Store             { return s.db }
 func (s dbSource) Base() *storage.Database      { return s.db }
 func (s dbSource) Access() *schema.AccessSchema { return s.acc }
 func (s dbSource) Version() uint64              { return 0 }
-func (s dbSource) EpochKey() string             { return s.db.EpochKey() }
 func (s dbSource) CardStats() stats.Snapshot    { return s.cs }
 func (s dbSource) Epoch() uint64                { return 0 }
 func (s dbSource) NumShards() int               { return 1 }
@@ -125,30 +121,21 @@ func (s liveSource) View() exec.Store             { return s.ls.Snapshot() }
 func (s liveSource) Base() *storage.Database      { return s.ls.Base() }
 func (s liveSource) Access() *schema.AccessSchema { return s.ls.Access() }
 func (s liveSource) Version() uint64              { return s.ls.SchemaVersion() }
-func (s liveSource) EpochKey() string             { return s.ls.EpochKey() }
 func (s liveSource) CardStats() stats.Snapshot    { return s.ls.CardStats() }
 func (s liveSource) Epoch() uint64                { return s.ls.Epoch() }
 func (s liveSource) NumShards() int               { return 1 }
 
 func (s liveSource) ACCard(key string) (stats.ACCard, bool) { return s.ls.ACCard(key) }
 
-// shardSource pins a consistent epoch vector across every shard per
-// evaluation.
+// shardSource pins the sharded store's published cut per evaluation.
 type shardSource struct{ ss *shard.Store }
 
 func (s shardSource) View() exec.Store             { return s.ss.View() }
 func (s shardSource) Access() *schema.AccessSchema { return s.ss.Access() }
 func (s shardSource) Version() uint64              { return s.ss.SchemaVersion() }
-func (s shardSource) EpochKey() string             { return s.ss.EpochKey() }
 func (s shardSource) CardStats() stats.Snapshot    { return s.ss.CardStats() }
 func (s shardSource) NumShards() int               { return s.ss.NumShards() }
-func (s shardSource) Epoch() uint64 {
-	var sum uint64
-	for i := 0; i < s.ss.NumShards(); i++ {
-		sum += s.ss.Shard(i).Epoch()
-	}
-	return sum
-}
+func (s shardSource) Epoch() uint64                { return s.ss.View().Epoch() }
 
 func (s shardSource) ACCard(key string) (stats.ACCard, bool) { return s.ss.ACCard(key) }
 
@@ -164,11 +151,18 @@ func (s shardSource) Base() *storage.Database {
 
 // The views a live and a sharded source pin carry version words, which is
 // what lets a result cache keep an answer across writes that touch
-// nothing it read.
+// nothing it read; and every source's view renders its epoch key.
 var (
 	_ exec.Versioned = (*live.Snapshot)(nil)
 	_ exec.Versioned = (*shard.View)(nil)
+
+	_ epochKeyed = (*storage.Database)(nil)
+	_ epochKeyed = (*live.Snapshot)(nil)
+	_ epochKeyed = (*shard.View)(nil)
 )
+
+// epochKeyed is a view that renders the data version it serves.
+type epochKeyed interface{ AppendEpochKey(dst []byte) []byte }
 
 // Options tunes an engine.
 type Options struct {
@@ -340,7 +334,7 @@ func NewLive(ls *live.Store, opts Options) (*Engine, error) {
 }
 
 // NewSharded builds an engine over a sharded store: every execution pins
-// one consistent epoch vector across all shards (shard.Store.View) and
+// the store's published cut across all shards (shard.Store.View) and
 // the executor scatter-gathers each step's probe batch to the owning
 // shards, so answers, per-result access statistics and |D_Q| are
 // byte-identical to single-store execution while ingest stages each
@@ -424,10 +418,13 @@ func (e *Engine) Database() *storage.Database { return e.src.Base() }
 // pass it to Prepared.ExecOn.
 func (e *Engine) View() exec.Store { return e.src.View() }
 
-// EpochKey renders the store's current data version for display,
-// without pinning a view (on a sharded store, without excluding
-// writers). A response names the epoch of the view it pinned instead.
-func (e *Engine) EpochKey() string { return e.src.EpochKey() }
+// EpochKey renders the data version of the view it pins, for display
+// (/stats, /healthz, an /ingest's answer). A pin is at most one atomic
+// load on every store, so this never waits for a writer; a /query
+// response names the epoch of the view it ran on instead.
+func (e *Engine) EpochKey() string {
+	return string(e.src.View().(epochKeyed).AppendEpochKey(nil))
+}
 
 // Epoch is a cheap token of the store's data version, without pinning a
 // view: it advances with every commit, compaction and schema extension,

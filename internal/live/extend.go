@@ -113,9 +113,7 @@ func (st *Store) publishExtension(ac schema.AccessConstraint, ext *extension) er
 		st:        st,
 		base:      cur.base,
 		epoch:     cur.epoch + 1,
-		added:     cur.added,
-		dead:      cur.dead,
-		size:      cur.size,
+		rels:      cur.rels,
 		numTuples: cur.numTuples,
 		binds:     newByKey,
 		acc:       newAcc,
@@ -127,7 +125,7 @@ func (st *Store) publishExtension(ac schema.AccessConstraint, ext *extension) er
 	if len(st.byRel[ac.Rel]) == 0 {
 		// First constraint on the relation: deletes now find tuples through
 		// its groups, so the relation's tuple map goes.
-		delete(st.tupPos, ac.Rel)
+		st.tupPos[st.relOrd[ac.Rel]] = nil
 	}
 	st.byRel[ac.Rel] = append(st.byRel[ac.Rel], ext.bind)
 	st.byOrd = append(st.byOrd, ext.bind)
@@ -191,7 +189,7 @@ func (st *Store) buildExtension(ac schema.AccessConstraint) (*extension, error) 
 		return nil, err
 	}
 	snap := st.cur.Load()
-	idx, err := storage.ScanAccessIndex(rs, ac, snap.all(ac.Rel), int(snap.size[ac.Rel]))
+	idx, err := storage.ScanAccessIndex(rs, ac, snap.all(ac.Rel), int(snap.rels[st.relOrd[ac.Rel]].size))
 	if err != nil {
 		return nil, err
 	}

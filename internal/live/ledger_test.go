@@ -47,9 +47,10 @@ func checkLedger(t *testing.T, st *Store, stage string) {
 			t.Fatalf("%s: ledger of %s diverged from recount\n got:  %v\n want: %v", stage, key, got, want)
 		}
 	}
-	for _, rs := range st.cat.Relations() {
+	for ord, rs := range st.cat.Relations() {
 		rel := rs.Name()
-		got, has := st.tupPos[rel]
+		got := st.tupPos[ord]
+		has := got != nil
 		if covered := len(st.byRel[rel]) > 0; covered == has {
 			t.Fatalf("%s: relation %s: covered by a constraint = %v, has a tuple map = %v", stage, rel, covered, has)
 		}

@@ -338,26 +338,29 @@ type Store struct {
 	// ExtendAccess and Compact; counters inside are atomic, so CardStats
 	// reads without the writer mutex.
 	cards atomic.Pointer[map[string]*acCard]
-	// tupPos maps rel → tuple key → positions of the tuple's occurrences,
-	// only for relations no constraint covers (len(byRel[rel]) == 0):
-	// with no index group to find a tuple through, a delete needs a map
-	// of its own. ExtendAccess drops a relation's map when it first
-	// covers the relation.
-	tupPos map[string]map[string][]int
-	// baseLen is the immutable base tuple count per relation; added
-	// positions start there.
-	baseLen map[string]int
+	// relOrd maps a relation's name to its catalog ordinal, which indexes
+	// the per-relation state below, a snapshot's (Snapshot.rels) and the
+	// relation's version word. Fixed at construction.
+	relOrd map[string]int
+	// tupPos maps tuple key → positions of the tuple's occurrences, per
+	// relation by ordinal, only for relations no constraint covers
+	// (len(byRel[rel]) == 0; nil otherwise): with no index group to find
+	// a tuple through, a delete needs a map of its own. ExtendAccess drops
+	// a relation's map when it first covers the relation.
+	tupPos []map[string][]int
+	// baseLen is the immutable base tuple count per relation, by ordinal;
+	// added positions start there.
+	baseLen []int
 	// quarantine accumulates Permissive-mode refusals.
 	quarantine []Quarantined
 
 	// words are the store's version words (version.go): the epoch of the
 	// last commit that rewrote an index group hashing to each of the first
-	// groupWords, then one per relation, indexed through relWords, for the
-	// last commit that flipped the relation between empty and non-empty.
-	// Both are fixed at construction; the words are written under mu and
+	// groupWords, then one per relation, by ordinal (relWord), for the last
+	// commit that flipped the relation between empty and non-empty. The
+	// slice is fixed at construction; the words are written under mu and
 	// read by anyone.
-	words    []atomic.Uint64
-	relWords map[string]uint32
+	words []atomic.Uint64
 
 	// read-side counters (atomic; see Stats). relStats breaks them down
 	// per relation (the map is immutable after New).
@@ -422,11 +425,13 @@ func newStore(base *storage.Database, acc *schema.AccessSchema, mode Mode, baseE
 		mode:     mode,
 		byRel:    make(map[string][]acBinding),
 		byKey:    make(map[string]acBinding),
+		relOrd:   make(map[string]int, cat.NumRelations()),
 		relStats: make(map[string]*relCounters, cat.NumRelations()),
 	}
 	st.acc.Store(acc)
 	st.newWords()
-	for _, rs := range cat.Relations() {
+	for ord, rs := range cat.Relations() {
+		st.relOrd[rs.Name()] = ord
 		st.relStats[rs.Name()] = &relCounters{}
 	}
 	for i, ac := range acc.Constraints() {
@@ -449,21 +454,21 @@ func newStore(base *storage.Database, acc *schema.AccessSchema, mode Mode, baseE
 // no additions, no tombstones. Called under mu (or before the store is
 // shared).
 func (st *Store) baseSnapshot(base *storage.Database, epoch uint64) *Snapshot {
-	size, total := st.bootstrap(base)
+	rels, total := st.bootstrap(base)
 	idx := make([]*storage.AccessIndex, len(st.byOrd))
 	for i, b := range st.byOrd {
 		idx[i], _ = base.AccessIndexByKey(b.key)
 	}
-	return &Snapshot{st: st, base: base, epoch: epoch, size: size, numTuples: total,
+	return &Snapshot{st: st, base: base, epoch: epoch, rels: rels, numTuples: total,
 		binds: st.byKey, acc: st.acc.Load(), idx: idx, roots: make([]*trieNode, len(st.byOrd))}
 }
 
 // bootstrap (re)builds the writer-side bookkeeping over a sealed base and
-// returns the per-relation sizes. Cards are read off the base index, one
+// returns each relation's view of it: its size, nothing added or dead. Cards are read off the base index, one
 // step per X-group, and the ledger is read off it too, one probe per
 // repeat (ledgerOf): no tuple is keyed. Called under mu (or before the
 // store is shared).
-func (st *Store) bootstrap(base *storage.Database) (size map[string]int64, total int64) {
+func (st *Store) bootstrap(base *storage.Database) (rels []relState, total int64) {
 	st.ledger = make(map[string]map[string][]int, len(st.byKey))
 	cards := make(map[string]*acCard, len(st.byKey))
 	for key, b := range st.byKey {
@@ -476,13 +481,14 @@ func (st *Store) bootstrap(base *storage.Database) (size map[string]int64, total
 		st.ledger[key] = ledgerOf(idx, b, slices.All(base.MustRelation(b.ac.Rel).Tuples))
 	}
 	st.cards.Store(&cards)
-	st.baseLen = make(map[string]int, st.cat.NumRelations())
-	st.tupPos = make(map[string]map[string][]int)
-	size = make(map[string]int64, st.cat.NumRelations())
-	for _, rs := range st.cat.Relations() {
+	n := st.cat.NumRelations()
+	st.baseLen = make([]int, n)
+	st.tupPos = make([]map[string][]int, n)
+	rels = make([]relState, n)
+	for ord, rs := range st.cat.Relations() {
 		rel := base.MustRelation(rs.Name())
-		st.baseLen[rs.Name()] = len(rel.Tuples)
-		size[rs.Name()] = int64(len(rel.Tuples))
+		st.baseLen[ord] = len(rel.Tuples)
+		rels[ord].size = int64(len(rel.Tuples))
 		total += int64(len(rel.Tuples))
 		if len(st.byRel[rs.Name()]) > 0 {
 			continue
@@ -492,9 +498,9 @@ func (st *Store) bootstrap(base *storage.Database) (size map[string]int64, total
 			k := t.Key()
 			pos[k] = append(pos[k], i)
 		}
-		st.tupPos[rs.Name()] = pos
+		st.tupPos[ord] = pos
 	}
-	return size, total
+	return rels, total
 }
 
 // Compact collapses the accumulated write history: it freezes the
@@ -568,9 +574,7 @@ func (st *Store) Mode() Mode { return st.mode }
 // safe for any number of concurrent readers, unaffected by later writes.
 func (st *Store) Snapshot() *Snapshot { return st.cur.Load() }
 
-// EpochKey renders the current epoch for display; pinning a snapshot is
-// equally cheap here (one atomic load), this only mirrors the sharded
-// store's display accessor.
+// EpochKey renders the current epoch for display: Snapshot().EpochKey().
 func (st *Store) EpochKey() string { return st.Snapshot().EpochKey() }
 
 // NumTuples returns |D| at the current epoch.
@@ -672,8 +676,8 @@ func (st *Store) ResetStats() {
 func (st *Store) CardStats() stats.Snapshot {
 	out := stats.New()
 	snap := st.cur.Load()
-	for rel, n := range snap.size {
-		out.Rels[rel] = stats.RelCard{Rows: n}
+	for ord, rs := range st.cat.Relations() {
+		out.Rels[rs.Name()] = stats.RelCard{Rows: snap.rels[ord].size}
 	}
 	for key, card := range *st.cards.Load() {
 		out.ACs[key] = card.load()

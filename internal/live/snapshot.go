@@ -46,16 +46,23 @@ type Snapshot struct {
 	idx   []*storage.AccessIndex
 	roots []*trieNode
 
-	// added, dead and size are cumulative views: all live insertions per
-	// relation and all tombstoned positions per relation since the base —
-	// both slices share backing across epochs, each epoch reading only its
-	// own prefix, so a commit appends past what pinned snapshots read —
-	// and the live tuple count per relation.
-	added map[string][]value.Tuple
-	dead  map[string][]int
-	size  map[string]int64
+	// rels holds each relation's cumulative view since the base, by
+	// catalog ordinal (Store.relOrd). A commit clones the slice and
+	// rewrites the entries of the relations it touched.
+	rels []relState
 
 	numTuples int64
+}
+
+// relState is one relation's cumulative view at an epoch: every live
+// insertion and every tombstoned position since the base — both slices
+// share backing across epochs, each epoch reading only its own prefix, so
+// a commit appends past what pinned snapshots read — and the live tuple
+// count.
+type relState struct {
+	added []value.Tuple
+	dead  []int
+	size  int64
 }
 
 // Epoch returns the snapshot's epoch number (0 = the pristine base).
@@ -79,11 +86,11 @@ func (s *Snapshot) NumTuples() int64 { return s.numTuples }
 
 // Size returns the live tuple count of one relation.
 func (s *Snapshot) Size(rel string) (int64, error) {
-	n, ok := s.size[rel]
+	ord, ok := s.st.relOrd[rel]
 	if !ok {
 		return 0, fmt.Errorf("live: unknown relation %s", rel)
 	}
-	return n, nil
+	return s.rels[ord].size, nil
 }
 
 // resolver is one constraint resolved at a snapshot, for a batch of
@@ -217,9 +224,10 @@ func (s *Snapshot) NonEmpty(rel string) (bool, error) {
 func (s *Snapshot) all(rel string) iter.Seq2[int, value.Tuple] {
 	return func(yield func(int, value.Tuple) bool) {
 		tuples := s.base.MustRelation(rel).Tuples
-		added := s.added[rel]
+		rs := s.rels[s.st.relOrd[rel]]
+		added := rs.added
 		var dead []uint64 // a bitset of the tombstoned positions
-		if ps := s.dead[rel]; len(ps) > 0 {
+		if ps := rs.dead; len(ps) > 0 {
 			dead = make([]uint64, (len(tuples)+len(added)+63)/64)
 			for _, p := range ps {
 				dead[p/64] |= 1 << (p % 64)
@@ -280,8 +288,8 @@ func (s *Snapshot) Tuples(rel string) ([]value.Tuple, error) {
 // comparison, or as the compacted base of a new live store.
 func (s *Snapshot) Freeze() (*storage.Database, error) {
 	db := storage.NewDatabase(s.st.cat)
-	for _, rs := range s.st.cat.Relations() {
-		db.MustRelation(rs.Name()).Tuples = make([]value.Tuple, 0, s.size[rs.Name()])
+	for ord, rs := range s.st.cat.Relations() {
+		db.MustRelation(rs.Name()).Tuples = make([]value.Tuple, 0, s.rels[ord].size)
 		for _, t := range s.all(rs.Name()) {
 			if err := db.Insert(rs.Name(), t); err != nil {
 				return nil, err

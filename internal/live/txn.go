@@ -23,11 +23,13 @@ type txn struct {
 	// xKey → the group as the new epoch will serve it, copied from the
 	// basis (or base index) on first touch.
 	groups []map[string]rewrite
-	// addedNew are the tuples this batch inserts, per relation, in order;
-	// their positions follow the basis snapshot's added tuples.
-	addedNew map[string][]value.Tuple
-	// delNew are the positions this batch tombstones, per relation.
-	delNew map[string]map[int]bool
+	// addedNew are the tuples this batch inserts, per relation by catalog
+	// ordinal, in order; their positions follow the basis snapshot's added
+	// tuples.
+	addedNew [][]value.Tuple
+	// delNew are the positions this batch tombstones, per relation by
+	// catalog ordinal.
+	delNew []map[int]bool
 	// ledger overlays the store's ledger with the entries this batch
 	// touched: acKey → pairKey → the pair's positions as of the batch's
 	// progress, nil once the pair is back to fewer than two occurrences.
@@ -56,8 +58,8 @@ func newTxn(st *Store, snap *Snapshot) txn {
 		st:       st,
 		snap:     snap,
 		groups:   make([]map[string]rewrite, len(snap.roots)),
-		addedNew: make(map[string][]value.Tuple),
-		delNew:   make(map[string]map[int]bool),
+		addedNew: make([][]value.Tuple, len(snap.rels)),
+		delNew:   make([]map[int]bool, len(snap.rels)),
 		ledger:   make(map[string]map[string][]int),
 	}
 }
@@ -128,37 +130,38 @@ func (tx *txn) setDups(acKey, pk string, ps []int) {
 // earlier commit deleted — the ledger and the group entries hold live
 // positions only, and commit prunes the tuple map — so only this batch's
 // own tombstones, a set the writer alone owns, can rule one out.
-func (tx *txn) alive(rel string, pos int) bool {
-	return !tx.delNew[rel][pos]
+func (tx *txn) alive(ord, pos int) bool {
+	return !tx.delNew[ord][pos]
 }
 
-// tupleAt reads a tuple by live position: base positions come from the
-// basis snapshot's sealed base, added positions from the basis snapshot
-// or from this batch's own inserts.
-func (tx *txn) tupleAt(rel string, pos int) value.Tuple {
-	base := tx.st.baseLen[rel]
+// tupleAt reads a tuple of the relation of ordinal ord by live position:
+// base positions come from the basis snapshot's sealed base, added
+// positions from the basis snapshot or from this batch's own inserts.
+func (tx *txn) tupleAt(ord, pos int) value.Tuple {
+	base := tx.st.baseLen[ord]
 	if pos < base {
-		return tx.snap.base.MustRelation(rel).Tuples[pos]
+		return tx.snap.base.MustRelation(tx.st.cat.Relations()[ord].Name()).Tuples[pos]
 	}
 	i := pos - base
-	prior := tx.snap.added[rel]
+	prior := tx.snap.rels[ord].added
 	if i < len(prior) {
 		return prior[i]
 	}
-	return tx.addedNew[rel][i-len(prior)]
+	return tx.addedNew[ord][i-len(prior)]
 }
 
-// checkStructure validates the caller-bug class of errors: the relation
-// must exist and the tuple must match its arity.
-func (tx *txn) checkStructure(op Op) error {
-	rs, ok := tx.st.cat.Relation(op.Rel)
+// relation resolves an op's relation to its catalog ordinal, once per op,
+// and validates the caller-bug class of errors: the relation must exist
+// and the tuple must match its arity.
+func (tx *txn) relation(op Op) (int, error) {
+	ord, ok := tx.st.relOrd[op.Rel]
 	if !ok {
-		return fmt.Errorf("live: unknown relation %s", op.Rel)
+		return 0, fmt.Errorf("live: unknown relation %s", op.Rel)
 	}
-	if len(op.Tuple) != rs.Arity() {
-		return fmt.Errorf("live: relation %s expects arity %d, got %d", op.Rel, rs.Arity(), len(op.Tuple))
+	if rs := tx.st.cat.Relations()[ord]; len(op.Tuple) != rs.Arity() {
+		return 0, fmt.Errorf("live: relation %s expects arity %d, got %d", op.Rel, rs.Arity(), len(op.Tuple))
 	}
-	return nil
+	return ord, nil
 }
 
 // insert validates one insert against every constraint on its relation,
@@ -166,7 +169,8 @@ func (tx *txn) checkStructure(op Op) error {
 // mutation, so a rejected op leaves the workspace untouched (which is
 // what lets Permissive mode skip it and keep going).
 func (tx *txn) insert(op Op) error {
-	if err := tx.checkStructure(op); err != nil {
+	ord, err := tx.relation(op)
+	if err != nil {
 		return err
 	}
 	t := op.Tuple
@@ -184,7 +188,7 @@ func (tx *txn) insert(op Op) error {
 
 	// Apply: a new pair gets a group entry and no ledger record; a
 	// duplicate gets a record — [witness, pos] on its second occurrence.
-	pos := tx.st.baseLen[op.Rel] + len(tx.snap.added[op.Rel]) + len(tx.addedNew[op.Rel])
+	pos := tx.st.baseLen[ord] + len(tx.snap.rels[ord].added) + len(tx.addedNew[ord])
 	for _, b := range binds {
 		xk := value.KeyOf(t, b.xPos)
 		g := tx.group(b, t, xk)
@@ -205,7 +209,7 @@ func (tx *txn) insert(op Op) error {
 		// slice as it was, so this needs no copy.
 		tx.setDups(b.key, pk, append(ps, pos))
 	}
-	tx.addedNew[op.Rel] = append(tx.addedNew[op.Rel], t)
+	tx.addedNew[ord] = append(tx.addedNew[ord], t)
 	tx.applied = append(tx.applied, op)
 	tx.nApplied++
 	return nil
@@ -218,11 +222,12 @@ func (tx *txn) insert(op Op) error {
 // choice a from-scratch index build over the surviving data would make,
 // which keeps live groups structurally identical to Freeze'd ones.
 func (tx *txn) delete(op Op) error {
-	if err := tx.checkStructure(op); err != nil {
+	ord, err := tx.relation(op)
+	if err != nil {
 		return err
 	}
 	t := op.Tuple
-	pos, ok := tx.findLive(op.Rel, t)
+	pos, ok := tx.findLive(op.Rel, ord, t)
 	if !ok {
 		return &NotFoundError{Rel: op.Rel, Tuple: t}
 	}
@@ -247,16 +252,16 @@ func (tx *txn) delete(op Op) error {
 		rest := removePos(slices.Clone(ps), pos)
 		if g[i].Pos == pos {
 			ng := slices.Clone(g)
-			ng[i] = storage.IndexEntry{Witness: tx.tupleAt(op.Rel, rest[0]), Pos: rest[0]}
+			ng[i] = storage.IndexEntry{Witness: tx.tupleAt(ord, rest[0]), Pos: rest[0]}
 			tx.setGroup(b, xk, g, ng)
 		}
 		tx.setDups(b.key, pk, rest)
 	}
 
-	m := tx.delNew[op.Rel]
+	m := tx.delNew[ord]
 	if m == nil {
 		m = make(map[int]bool)
-		tx.delNew[op.Rel] = m
+		tx.delNew[ord] = m
 	}
 	m[pos] = true
 	tx.applied = append(tx.applied, op)
@@ -269,8 +274,9 @@ func (tx *txn) delete(op Op) error {
 // occurrences of t's pair under the relation's first constraint — the
 // ledger's positions, else the one position the pair's group entry
 // names. A relation no constraint covers has no group to look in and
-// answers from the store's tuple map plus this batch's own inserts.
-func (tx *txn) candidates(rel string, t value.Tuple) []int {
+// answers from the store's tuple map plus this batch's own inserts. The
+// relation is named and given by its ordinal.
+func (tx *txn) candidates(rel string, ord int, t value.Tuple) []int {
 	if binds := tx.st.byRel[rel]; len(binds) > 0 {
 		b := binds[0]
 		xk := value.KeyOf(t, b.xPos)
@@ -284,9 +290,9 @@ func (tx *txn) candidates(rel string, t value.Tuple) []int {
 		}
 		return []int{g[i].Pos}
 	}
-	ps := tx.st.tupPos[rel][t.Key()]
-	base := tx.st.baseLen[rel] + len(tx.snap.added[rel])
-	for i, nt := range tx.addedNew[rel] {
+	ps := tx.st.tupPos[ord][t.Key()]
+	base := tx.st.baseLen[ord] + len(tx.snap.rels[ord].added)
+	for i, nt := range tx.addedNew[ord] {
 		if nt.Equal(t) {
 			ps = append(ps[:len(ps):len(ps)], base+i) // never into the store's array
 		}
@@ -296,9 +302,9 @@ func (tx *txn) candidates(rel string, t value.Tuple) []int {
 
 // findLive locates the first live position holding an exactly-equal
 // tuple, in live order (base positions, then insertion order).
-func (tx *txn) findLive(rel string, t value.Tuple) (int, bool) {
-	for _, pos := range tx.candidates(rel, t) {
-		if tx.alive(rel, pos) && tx.tupleAt(rel, pos).Equal(t) {
+func (tx *txn) findLive(rel string, ord int, t value.Tuple) (int, bool) {
+	for _, pos := range tx.candidates(rel, ord, t) {
+		if tx.alive(ord, pos) && tx.tupleAt(ord, pos).Equal(t) {
 			return pos, true
 		}
 	}
@@ -348,24 +354,24 @@ func (st *Store) commit(tx *txn) uint64 {
 		// inserts and prune its deletes, so insert/delete churn cannot grow
 		// it (or the delete-path scans over it) without bound. The prune
 		// preserves list order: positions stay in live order.
-		for rel, ts := range tx.addedNew {
-			pos := st.tupPos[rel]
+		for ord, ts := range tx.addedNew {
+			pos := st.tupPos[ord]
 			if pos == nil {
 				continue
 			}
-			base := st.baseLen[rel] + len(tx.snap.added[rel])
+			base := st.baseLen[ord] + len(tx.snap.rels[ord].added)
 			for i, t := range ts {
 				k := t.Key()
 				pos[k] = append(pos[k], base+i)
 			}
 		}
-		for rel, dm := range tx.delNew {
-			pos := st.tupPos[rel]
+		for ord, dm := range tx.delNew {
+			pos := st.tupPos[ord]
 			if pos == nil {
 				continue
 			}
 			for p := range dm {
-				tk := tx.tupleAt(rel, p).Key()
+				tk := tx.tupleAt(ord, p).Key()
 				if rest := removePos(pos[tk], p); len(rest) == 0 {
 					delete(pos, tk)
 				} else {
@@ -403,9 +409,9 @@ func removePos(list []int, pos int) []int {
 	return list
 }
 
-// snapshot builds the next epoch from the workspace: the cumulative
-// added, dead and size views, and the basis's tries, which commit then
-// rewrites.
+// snapshot builds the next epoch from the workspace: the relations'
+// cumulative views, one small slice cloned and the touched entries
+// extended, and the basis's tries, which commit then rewrites.
 func (tx *txn) snapshot() *Snapshot {
 	snap, st := tx.snap, tx.st
 	next := &Snapshot{
@@ -417,39 +423,26 @@ func (tx *txn) snapshot() *Snapshot {
 		acc:       snap.acc,
 		idx:       snap.idx,
 		roots:     slices.Clone(snap.roots),
+		rels:      slices.Clone(snap.rels),
 	}
-
-	// added and dead: copy the per-relation maps, extending touched
-	// relations. The slices share backing across epochs; older snapshots
-	// read only their own shorter prefix, so appends never affect them.
-	next.added = make(map[string][]value.Tuple, len(snap.added)+len(tx.addedNew))
-	for rel, ts := range snap.added {
-		next.added[rel] = ts
-	}
-	for rel, ts := range tx.addedNew {
-		next.added[rel] = append(next.added[rel], ts...)
-	}
-	next.dead = make(map[string][]int, len(snap.dead)+len(tx.delNew))
-	for rel, ps := range snap.dead {
-		next.dead[rel] = ps
-	}
-	for rel, dm := range tx.delNew {
-		start := len(next.dead[rel])
-		next.dead[rel] = slices.AppendSeq(next.dead[rel], maps.Keys(dm))
-		slices.Sort(next.dead[rel][start:])
-	}
-
-	// size: always a small map (one entry per relation).
-	next.size = make(map[string]int64, len(snap.size))
-	for rel, n := range snap.size {
-		next.size[rel] = n
-	}
-	for rel, ts := range tx.addedNew {
-		next.size[rel] += int64(len(ts))
+	// The added and dead slices share backing across epochs; older
+	// snapshots read only their own shorter prefix, so appends never
+	// affect them.
+	for ord, ts := range tx.addedNew {
+		r := &next.rels[ord]
+		r.added = append(r.added, ts...)
+		r.size += int64(len(ts))
 		next.numTuples += int64(len(ts))
 	}
-	for rel, dm := range tx.delNew {
-		next.size[rel] -= int64(len(dm))
+	for ord, dm := range tx.delNew {
+		if len(dm) == 0 {
+			continue
+		}
+		r := &next.rels[ord]
+		start := len(r.dead)
+		r.dead = slices.AppendSeq(r.dead, maps.Keys(dm))
+		slices.Sort(r.dead[start:])
+		r.size -= int64(len(dm))
 		next.numTuples -= int64(len(dm))
 	}
 	return next

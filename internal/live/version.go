@@ -33,14 +33,13 @@ import (
 const groupWords = 1 << 14
 
 // newWords allocates a store's version words: the group words, then one
-// per relation of the catalog, in catalog order.
+// per relation of the catalog, in catalog order (relWord).
 func (st *Store) newWords() {
 	st.words = make([]atomic.Uint64, groupWords+st.cat.NumRelations())
-	st.relWords = make(map[string]uint32, st.cat.NumRelations())
-	for i, rs := range st.cat.Relations() {
-		st.relWords[rs.Name()] = uint32(groupWords + i)
-	}
 }
+
+// relWord is the version word of the relation of catalog ordinal ord.
+func relWord(ord int) uint32 { return uint32(groupWords + ord) }
 
 // groupSeed and groupHash are the one hash of an X-group, for the writer
 // (which holds X-keys as strings) and the reader (which encodes them into
@@ -94,16 +93,10 @@ func AppendGroupWords(dst []uint32, acKey string, xs []value.Tuple) []uint32 {
 // groups it rewrote as it hashes them (Store.commit). It runs under the
 // writer mutex, before the commit's snapshot is published.
 func (st *Store) stampRelations(tx *txn, next *Snapshot) {
-	flipped := func(rel string) {
-		if (tx.snap.size[rel] > 0) != (next.size[rel] > 0) {
-			st.words[st.relWords[rel]].Store(next.epoch)
+	for ord := range next.rels {
+		if (tx.snap.rels[ord].size > 0) != (next.rels[ord].size > 0) {
+			st.words[relWord(ord)].Store(next.epoch)
 		}
-	}
-	for rel := range tx.addedNew {
-		flipped(rel)
-	}
-	for rel := range tx.delNew {
-		flipped(rel)
 	}
 }
 
@@ -132,7 +125,7 @@ func (s *Snapshot) GroupWords(dst []uint32, acKey string, xs []value.Tuple) []ui
 }
 
 // RelWord returns the version word of a catalog relation's emptiness.
-func (s *Snapshot) RelWord(rel string) uint32 { return s.st.relWords[rel] }
+func (s *Snapshot) RelWord(rel string) uint32 { return relWord(s.st.relOrd[rel]) }
 
 // Words returns the version words of the snapshot's store, to be read
 // with Load and never written: they stand at the store's latest commit,

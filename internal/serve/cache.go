@@ -150,9 +150,9 @@ func (c *resultCache) put(key []byte, e cacheEntry) {
 	c.mu.Unlock()
 }
 
-// newer reports whether epoch vector a is past b on some shard. Views of
-// one store are ordered shard by shard (each pin sees every commit the
-// previous one saw), so that makes a the newer view.
+// newer reports whether epoch vector a is past b on some shard. The cuts
+// a store publishes are ordered shard by shard (each holds every commit
+// the one before held), so that makes a the newer view.
 func newer(a, b []uint64) bool {
 	for s := range min(len(a), len(b)) {
 		if a[s] > b[s] {

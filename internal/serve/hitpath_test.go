@@ -9,12 +9,15 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"bcq/internal/engine"
 	"bcq/internal/live"
 	"bcq/internal/obs"
+	"bcq/internal/shard"
 	"bcq/internal/value"
+	"bcq/internal/wal"
 )
 
 const hitText = `select photo_id from in_album where album_id = ?`
@@ -49,36 +52,113 @@ func (w *countingWriter) Header() http.Header         { return w.h }
 func (w *countingWriter) WriteHeader(status int)      { w.status = status }
 func (w *countingWriter) Write(b []byte) (int, error) { w.n += len(b); return len(b), nil }
 
+// newShardedServer wires a sharded store of the given shard count over
+// serveScene's data into a server, durable in dir unless dir is "".
+func newShardedServer(t *testing.T, shards int, dir string) (*shard.Store, *Server) {
+	t.Helper()
+	db, acc := serveData(t)
+	ss, err := shard.New(db, acc, shard.Options{Shards: shards, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ss.Close() })
+	eng, err := engine.NewSharded(ss, engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(eng, Options{Ingest: ss.Apply, Metrics: ss})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ss, srv
+}
+
 // TestResultCacheHitAllocatesNothing: an untraced hit through the
 // handler — the body read into the pooled decoder, the probe with its
 // bytes, the view pin and the envelope written into the body's buffer —
-// allocates nothing. Clock-free: it counts allocations and hits.
+// allocates nothing, on a live store and on a two-shard store, whose pin
+// is a load of its published cut. Clock-free: it counts allocations and
+// hits.
 func TestResultCacheHitAllocatesNothing(t *testing.T) {
-	_, srv, _ := newTestServer(t, engine.Options{}, Options{})
+	_, liveSrv, _ := newTestServer(t, engine.Options{}, Options{})
+	_, shardedSrv := newShardedServer(t, 2, "")
+	for _, c := range []struct {
+		name string
+		srv  *Server
+	}{{"live", liveSrv}, {"sharded P=2", shardedSrv}} {
+		t.Run(c.name, func(t *testing.T) {
+			srv := c.srv
+			h := srv.Handler()
+			warmHit(t, h)
+			var body rereadBody
+			req := httptest.NewRequest(http.MethodPost, "/query", nil)
+			w := &countingWriter{h: http.Header{}}
+			base := srv.CacheStats()
+			const runs = 200
+			n := testing.AllocsPerRun(runs, func() {
+				body.Reset(hitBody)
+				req.Body = &body
+				w.status, w.n = 0, 0
+				h.ServeHTTP(w, req)
+			})
+			if w.status != http.StatusOK || w.n == 0 {
+				t.Fatalf("the hit answered status %d with %d bytes", w.status, w.n)
+			}
+			// AllocsPerRun runs the function once more than it counts.
+			if cs := srv.CacheStats(); cs.Hits-base.Hits != runs+1 || cs.Misses != base.Misses {
+				t.Fatalf("%d requests: %d hits, %d misses; every one must be a cached answer", runs+1, cs.Hits-base.Hits, cs.Misses-base.Misses)
+			}
+			// The race detector's pool drops a quarter of what is put back, and
+			// a dropped decoder is allocated again.
+			if n != 0 && !raceEnabled {
+				t.Errorf("an untraced hit allocates %v times through the handler, want 0", n)
+			}
+		})
+	}
+}
+
+// heldSync holds the log's next Sync until release is closed, and closes
+// entered once it holds it.
+type heldSync struct {
+	wal.File
+	hold             atomic.Bool
+	entered, release chan struct{}
+}
+
+func (f *heldSync) Sync() error {
+	if f.hold.CompareAndSwap(true, false) {
+		close(f.entered)
+		<-f.release
+	}
+	return f.File.Sync()
+}
+
+// TestCachedQueryDoesNotWaitForAHeldIngest: on a durable two-shard
+// server, a cached /query is answered, from the cache, while an /ingest
+// holds the writers' lock in its fsync; the ingest then commits. A pin
+// that waited for the writer would hang here until the test binary's
+// timeout.
+func TestCachedQueryDoesNotWaitForAHeldIngest(t *testing.T) {
+	ss, srv := newShardedServer(t, 2, t.TempDir())
 	h := srv.Handler()
 	warmHit(t, h)
-	var body rereadBody
-	req := httptest.NewRequest(http.MethodPost, "/query", nil)
-	w := &countingWriter{h: http.Header{}}
-	base := srv.CacheStats()
-	const runs = 200
-	n := testing.AllocsPerRun(runs, func() {
-		body.Reset(hitBody)
-		req.Body = &body
-		w.status, w.n = 0, 0
-		h.ServeHTTP(w, req)
-	})
-	if w.status != http.StatusOK || w.n == 0 {
-		t.Fatalf("the hit answered status %d with %d bytes", w.status, w.n)
+	hs := &heldSync{entered: make(chan struct{}), release: make(chan struct{})}
+	ss.WAL().WrapFile(func(f wal.File) wal.File { hs.File = f; hs.hold.Store(true); return hs })
+
+	ingested := make(chan int)
+	go func() {
+		code, _ := ingestInProcess(h, `{"ops": [{"op": "insert", "rel": "friends", "tuple": ["u5", "f5"]}, {"op": "insert", "rel": "in_album", "tuple": ["p7", "a3"]}]}`)
+		ingested <- code
+	}()
+	<-hs.entered
+	code, raw := serveInProcess(h, hitBody)
+	var env envelope
+	if err := json.Unmarshal(raw, &env); err != nil || code != http.StatusOK || !env.Cached {
+		t.Errorf("a cached /query during a held ingest: status %d, cached %v: %s", code, env.Cached, raw)
 	}
-	// AllocsPerRun runs the function once more than it counts.
-	if cs := srv.CacheStats(); cs.Hits-base.Hits != runs+1 || cs.Misses != base.Misses {
-		t.Fatalf("%d requests: %d hits, %d misses; every one must be a cached answer", runs+1, cs.Hits-base.Hits, cs.Misses-base.Misses)
-	}
-	// The race detector's pool drops a quarter of what is put back, and
-	// a dropped decoder is allocated again.
-	if n != 0 && !raceEnabled {
-		t.Errorf("an untraced hit allocates %v times through the handler, want 0", n)
+	close(hs.release)
+	if code := <-ingested; code != http.StatusOK {
+		t.Fatalf("the held ingest answered status %d", code)
 	}
 }
 

@@ -1037,8 +1037,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			CursorsExpired: s.cursors.expired.Load(),
 			CursorsEvicted: s.cursors.evicted.Load(),
 		},
-		// Display accessors only: no view pin, so a liveness or metrics
-		// prober never contends with writers or view pins.
+		// The epoch of the view a query would pin now: one atomic load,
+		// so a metrics prober never waits for a writer.
 		Epoch: s.eng.EpochKey(),
 	}
 	// Cardinality statistics: what the cost-based planner sees right now
@@ -1148,8 +1148,9 @@ type statsResponse struct {
 // windows' burn rates) when short AND long windows burn past threshold.
 // OK stays true — it is liveness, not the SLO verdict; orchestrators
 // keying restarts off ok must not flap on a latency regression.
-// Everything comes from display accessors and atomics — no view pin, no
-// lock, so probers never contend with writers or serving traffic.
+// Everything comes from atomics — the epoch from the view a query would
+// pin now, one load — and no lock, so probers never wait for writers or
+// serving traffic.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	inFlight := s.waiting.Load()
 	payload := struct {

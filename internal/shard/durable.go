@@ -254,12 +254,11 @@ func Open(dir string, cat *schema.Catalog, acc *schema.AccessSchema, opts Option
 	rec := &Recovery{}
 
 	st := &Store{
-		cat:    cat,
-		mode:   opts.Mode,
-		p:      P,
-		dir:    dir,
-		place:  make(map[string]*placement, cat.NumRelations()),
-		routes: make(map[string]*locator),
+		cat:   cat,
+		mode:  opts.Mode,
+		p:     P,
+		dir:   dir,
+		place: make(map[string]*placement, cat.NumRelations()),
 	}
 
 	// Placements come from the manifest; relations the catalog gained
@@ -336,8 +335,9 @@ func Open(dir string, cat *schema.Catalog, acc *schema.AccessSchema, opts Option
 		return nil, nil, err
 	}
 
-	// Probe routes for the recovered schema, which every shard shares: an
-	// extension is one record, replayed on every shard it names.
+	// Probe routes for the recovered schema, which every shard shares (an
+	// extension is one record, replayed on every shard it names), and the
+	// first cut.
 	want := constraintKeys(st.shards[0].Access())
 	for s, ls := range st.shards {
 		if got := constraintKeys(ls.Access()); !slices.Equal(got, want) {
@@ -345,21 +345,23 @@ func Open(dir string, cat *schema.Catalog, acc *schema.AccessSchema, opts Option
 			return nil, nil, fmt.Errorf("shard: %s: shard %d recovered constraints %v, shard 0 %v", dir, s, got, want)
 		}
 	}
+	routes := make(map[string]*locator)
 	for _, ac := range st.shards[0].Access().Constraints() {
 		rt, err := st.buildRoute(ac)
 		if err != nil {
 			w.Close()
 			return nil, nil, err
 		}
-		st.routes[ac.Key()] = rt
+		routes[ac.Key()] = rt
 	}
+	st.publish(routes)
 
 	// Caller widening: constraints acc holds that the store does not are
 	// applied through the normal sharded extension path (validated on
-	// every shard, logged, shard 0 committed first).
+	// every shard, logged, committed on every shard, then published).
 	if acc != nil {
 		for _, ac := range acc.Constraints() {
-			if _, ok := st.routes[ac.Key()]; ok {
+			if _, ok := routes[ac.Key()]; ok {
 				continue
 			}
 			if err := st.ExtendAccess(ac); err != nil {
@@ -520,9 +522,9 @@ func (st *Store) migrateV1(m *Manifest, rec *Recovery) error {
 	return nil
 }
 
-// Close checkpoints the store, when its log holds records, and closes
-// the log, excluding writers for the duration. In-memory stores are a
-// no-op; safe to call more than once.
+// Close checkpoints the store, when its log holds records, publishes the
+// cut over the checkpoint and closes the log, excluding writers for the
+// duration. In-memory stores are a no-op; safe to call more than once.
 func (st *Store) Close() error {
 	st.viewMu.Lock()
 	defer st.viewMu.Unlock()
@@ -530,7 +532,9 @@ func (st *Store) Close() error {
 		return nil
 	}
 	if st.w.HasRecords() {
-		if err := st.checkpoint(); err != nil {
+		err := st.checkpoint()
+		st.publish(st.View().routes)
+		if err != nil {
 			st.w.Close()
 			return err
 		}

@@ -47,9 +47,9 @@ func assertSameShardState(t *testing.T, got, want *shard.Store, checkEpochs bool
 	if got.NumShards() != want.NumShards() {
 		t.Fatalf("NumShards = %d, want %d", got.NumShards(), want.NumShards())
 	}
-	if checkEpochs {
-		if gk, wk := got.EpochKey(), want.EpochKey(); gk != wk {
-			t.Fatalf("EpochKey = %s, want %s", gk, wk)
+	for s := 0; checkEpochs && s < want.NumShards(); s++ {
+		if ge, we := got.Shard(s).Epoch(), want.Shard(s).Epoch(); ge != we {
+			t.Fatalf("shard %d at epoch %d, want %d", s, ge, we)
 		}
 	}
 	if gn, wn := got.NumTuples(), want.NumTuples(); gn != wn {

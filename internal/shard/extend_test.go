@@ -220,7 +220,7 @@ func TestExtendAccessViolationIsAtomic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	epochs := ss.Epochs()
+	epochs := ss.View().Epochs()
 	var verr *storage.ViolationError
 	if err := ss.ExtendAccess(schema.MustAccessConstraint("part", []string{"k"}, []string{"w"}, 1)); !errors.As(err, &verr) {
 		t.Fatalf("got %v, want *storage.ViolationError", err)
@@ -228,7 +228,7 @@ func TestExtendAccessViolationIsAtomic(t *testing.T) {
 	if ss.Access().Size() != 1 {
 		t.Errorf("failed extension grew the schema to %d constraints", ss.Access().Size())
 	}
-	for s, e := range ss.Epochs() {
+	for s, e := range ss.View().Epochs() {
 		if e != epochs[s] {
 			t.Errorf("shard %d epoch moved %d -> %d on a failed extension", s, epochs[s], e)
 		}

@@ -156,7 +156,7 @@ func TestManifestFromOlderBuildOpens(t *testing.T) {
 			t.Errorf("placement of %s = %q, want %q", rel, got, want)
 		}
 	}
-	if got := ss.ShardSizes(); !reflect.DeepEqual(got, []int64{8, 24, 19}) {
+	if got := ss.View().ShardSizes(); !reflect.DeepEqual(got, []int64{8, 24, 19}) {
 		t.Errorf("shard sizes %v, want [8 24 19]", got)
 	}
 	checkNoShardLogs(t, dir, ss.NumShards())

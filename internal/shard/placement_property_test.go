@@ -220,13 +220,13 @@ func TestAbsentDeleteFailsOnItsOwnShard(t *testing.T) {
 				t.Fatal("relation non-empty after deleting every tuple")
 			}
 
-			epochs := ss.Epochs()
+			epochs := ss.View().Epochs()
 			err = ss.Apply([]live.Op{live.Insert("free", kept), live.Delete("free", gone)})
 			if mode == live.Strict {
 				if !errors.Is(err, live.ErrNoSuchTuple) {
 					t.Fatalf("absent delete: got %v, want ErrNoSuchTuple", err)
 				}
-				if got := ss.Epochs(); !reflect.DeepEqual(got, epochs) || nonEmpty() || ss.NumTuples() != 0 {
+				if got := ss.View().Epochs(); !reflect.DeepEqual(got, epochs) || nonEmpty() || ss.NumTuples() != 0 {
 					t.Fatalf("a failed Strict batch published: epochs %v → %v, %d tuples", epochs, got, ss.NumTuples())
 				}
 				return

@@ -115,9 +115,9 @@ func TestViewFetchBatchMatchesOneAtATime(t *testing.T) {
 			if err := st.Compact(); err != nil {
 				t.Fatal(err)
 			}
-			compacted := st.Epochs()
+			compacted := st.View().Epochs()
 			behind := func() bool {
-				for s, e := range st.Epochs() {
+				for s, e := range st.View().Epochs() {
 					if e < compacted[s]+7 {
 						return true
 					}
@@ -126,7 +126,7 @@ func TestViewFetchBatchMatchesOneAtATime(t *testing.T) {
 			}
 			for i := 0; behind(); i++ {
 				if i == 200 {
-					t.Fatalf("P=%d seed %d: 200 batches left a shard under seven commits past its Compact (epochs %v from %v)", p, seed, st.Epochs(), compacted)
+					t.Fatalf("P=%d seed %d: 200 batches left a shard under seven commits past its Compact (epochs %v from %v)", p, seed, st.View().Epochs(), compacted)
 				}
 				apply("r", 3)
 			}

@@ -50,12 +50,18 @@
 // Shards in one process on one disk are one failure domain, so recovery
 // holds a logged batch whole or not at all.
 //
-// View pins one epoch vector atomically: it excludes writers (one mutex
-// serializes batches, extensions, checkpoints and pins) and loads every
-// shard's current snapshot, so the vector is a consistent cut — every
-// committed batch is either entirely visible or entirely invisible in the
-// view. Writers hold the mutex for their whole commit, the log's fsync
-// included, so a pin waits for the batch in flight.
+// # Reads and the published cut
+//
+// No read waits for a write. The store publishes one cut at a time — a
+// View: every shard's snapshot, the probe routes, the schema version and
+// an epoch token — through one atomic pointer, and View is one load of
+// it. Each writer (Apply, ExtendAccess, a checkpoint) publishes the next
+// cut after its last shard commit, and so after the log's fsync that
+// covers it. One mutex orders the writers from staging through the log
+// append and the commits to the publication, so log order is commit
+// order and every cut is consistent: each committed batch is in it
+// wholly or not at all. Apply returns once its cut is published, so
+// every later View holds the batch.
 package shard
 
 import (
@@ -65,6 +71,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"bcq/internal/live"
 	"bcq/internal/schema"
@@ -137,9 +144,9 @@ func (l *locator) owner(t value.Tuple) (int, bool) {
 
 // Store is a sharded live store: P partitions, each a live.Store over its
 // own sealed base, presenting one logical database. Reads go through View
-// (an atomically pinned epoch vector implementing exec.Store and
-// exec.PartitionedStore); writes go through Apply/Insert/Delete, staged
-// shard-parallel and committed on every shard or none.
+// (the published cut, implementing exec.Store and exec.PartitionedStore);
+// writes go through Apply/Insert/Delete, staged shard-parallel and
+// committed on every shard or none.
 type Store struct {
 	cat  *schema.Catalog
 	mode live.Mode
@@ -149,19 +156,15 @@ type Store struct {
 
 	shards []*live.Store
 	place  map[string]*placement
-	// routes locates the shard key in each constraint's X-bindings,
-	// keyed by AccessConstraint.Key(). The map is immutable once
-	// published: ExtendAccess installs a fresh copy under viewMu, and
-	// each View captures the map current at pin time, so probe routing
-	// never races schema evolution.
-	routes map[string]*locator
 
-	// viewMu serializes everything that publishes and every pin: Apply
-	// holds it from staging to the last shard's commit, so the log's
-	// records follow commit order; ExtendAccess and Compact hold it
-	// throughout, so no batch commits between a shard's checkpoint and
-	// the log's reset; View holds it for the instants it pins the epoch
-	// vector, making the vector a consistent cut.
+	// cut is the published View. Writers replace it under viewMu, after
+	// their last shard commit; readers load it and never lock.
+	cut atomic.Pointer[View]
+
+	// viewMu orders the writers: Apply holds it from staging to the
+	// publication of its cut, so the log's records follow commit order;
+	// ExtendAccess and Compact hold it throughout, so no batch commits
+	// between a shard's checkpoint and the log's reset.
 	viewMu sync.Mutex
 }
 
@@ -183,11 +186,10 @@ func New(base *storage.Database, acc *schema.AccessSchema, opts Options) (*Store
 		return nil, fmt.Errorf("shard: access schema does not match catalog: %w", err)
 	}
 	st := &Store{
-		cat:    cat,
-		mode:   opts.Mode,
-		p:      opts.Shards,
-		place:  make(map[string]*placement, cat.NumRelations()),
-		routes: make(map[string]*locator, acc.Size()),
+		cat:   cat,
+		mode:  opts.Mode,
+		p:     opts.Shards,
+		place: make(map[string]*placement, cat.NumRelations()),
 	}
 	P := opts.Shards
 	if opts.Dir != "" {
@@ -212,12 +214,13 @@ func New(base *storage.Database, acc *schema.AccessSchema, opts Options) (*Store
 		}
 		st.place[rs.Name()] = pl
 	}
+	routes := make(map[string]*locator, acc.Size())
 	for _, ac := range acc.Constraints() {
 		rt, err := st.buildRoute(ac)
 		if err != nil {
 			return nil, err
 		}
-		st.routes[ac.Key()] = rt
+		routes[ac.Key()] = rt
 	}
 
 	// Distribute the base tuples in load order: within a shard, relative
@@ -271,6 +274,7 @@ func New(base *storage.Database, acc *schema.AccessSchema, opts Options) (*Store
 		}
 		st.dir = opts.Dir
 	}
+	st.publish(routes)
 	return st, nil
 }
 
@@ -387,14 +391,12 @@ func (st *Store) NumShards() int { return st.p }
 // Catalog returns the catalog the store conforms to.
 func (st *Store) Catalog() *schema.Catalog { return st.cat }
 
-// Access returns the access schema every write is checked against — the
-// current one, after any ExtendAccess calls. It reads shard 0's live
-// store, which an extension commits FIRST: by the time the store's
-// Version (the epoch sum) reaches its post-extension value the new
-// schema is already published, so the engine's version-before-schema
-// read ordering can never tag a pre-extension analysis with the
-// post-extension version (the sticky-error hazard).
-func (st *Store) Access() *schema.AccessSchema { return st.shards[0].Access() }
+// Access returns the access schema of the published cut, after the
+// ExtendAccess calls it holds. It reads the cut and not a shard, so the
+// engine never plans against a constraint that a shard has committed but
+// no cut routes yet; the cut a request then pins is this one or a later
+// one, which routes it.
+func (st *Store) Access() *schema.AccessSchema { return st.View().Access() }
 
 // Base returns the store's current data as one sealed database: the
 // current view, frozen (View.Freeze). It costs O(|D|) and is never
@@ -439,7 +441,8 @@ func (st *Store) PlacementOf(rel string) (string, error) {
 // and fsyncs it, and only then does every shard publish. An unknown
 // relation or a tuple of the wrong arity fails the batch before anything
 // is staged; otherwise the first sub-batch error (in shard order) is
-// returned.
+// returned. Apply returns after it has published the cut that holds the
+// batch.
 func (st *Store) Apply(ops []live.Op) error {
 	st.viewMu.Lock()
 	defer st.viewMu.Unlock()
@@ -510,6 +513,7 @@ func (st *Store) Apply(ops []live.Op) error {
 	for _, s := range active {
 		staged[s].Commit()
 	}
+	st.publish(st.View().routes)
 	return nil
 }
 
@@ -524,19 +528,23 @@ func (st *Store) Delete(rel string, t value.Tuple) error {
 }
 
 // Compact collapses each shard's write history into a fresh frozen base
-// (live.Store.Compact), shard-parallel. Pinned views stay valid. On a
-// durable store it is the checkpoint: every shard writes its segment, and
-// then the store's log is reset. Writers are excluded throughout, so no
-// batch commits between a shard's checkpoint and the reset.
+// (live.Store.Compact), shard-parallel, and publishes the cut over the
+// new bases. Pinned views stay valid. On a durable store it is the
+// checkpoint: every shard writes its segment, and then the store's log is
+// reset. Writers are excluded throughout, so no batch commits between a
+// shard's checkpoint and the reset; readers are not.
 func (st *Store) Compact() error {
 	st.viewMu.Lock()
 	defer st.viewMu.Unlock()
-	return st.checkpoint()
+	err := st.checkpoint()
+	st.publish(st.View().routes)
+	return err
 }
 
 // checkpoint compacts every shard, shard-parallel, and then resets the
 // log. A shard that fails leaves the log as it is: the shards that did
-// checkpoint skip its records at replay by epoch. Called under viewMu.
+// checkpoint skip its records at replay by epoch. Called under viewMu;
+// the caller publishes the next cut.
 func (st *Store) checkpoint() error {
 	errs := make([]error, len(st.shards))
 	var wg sync.WaitGroup
@@ -561,40 +569,23 @@ func (st *Store) checkpoint() error {
 	return nil
 }
 
-// Epochs returns the current epoch vector (one live epoch per shard).
-// For a consistent cut, use View.
-func (st *Store) Epochs() []uint64 {
-	out := make([]uint64, len(st.shards))
-	for s, ls := range st.shards {
-		out[s] = ls.Epoch()
-	}
-	return out
-}
-
-// SchemaVersion is the monotone schema change counter: the sum of the
-// shards' extension counts. A shard-consistent ExtendAccess commits
-// shard 0 first (whose schema Access() reads), so a reader that loads
-// this sum first and Access() second can never pair the fully advanced
-// version with the old schema — the ordering the engine's cached-error
-// invalidation relies on. Data epochs deliberately do not advance it: a
-// boundedness verdict depends only on the query and the schema, so
-// ingest churn must not defeat the engine's error cache.
-func (st *Store) SchemaVersion() uint64 {
-	var v uint64
-	for _, ls := range st.shards {
-		v += ls.SchemaVersion()
-	}
-	return v
-}
+// SchemaVersion is the monotone schema change counter of the published
+// cut: the sum of the shards' extension counts when it was published.
+// The engine reads it before Access; both read the cut, and a later cut
+// holds every constraint of an earlier one, so the version read first
+// is never newer than the schema read second. Data epochs deliberately
+// do not advance it: a boundedness verdict depends only on the query and
+// the schema, so ingest churn must not defeat the engine's error cache.
+func (st *Store) SchemaVersion() uint64 { return st.View().version }
 
 // ExtendAccess widens the access schema with one more constraint
-// X → (Y, N) at runtime, shard-consistently: writers and view pins are
-// excluded for the duration, every shard's live data is validated
-// against the new bound first, and only then does each shard publish
-// the extension — so a failure (a *storage.ViolationError from the
-// offending shard) leaves the whole store unchanged. A durable store
-// logs the extension as one record, naming every shard's next epoch,
-// before any shard publishes it.
+// X → (Y, N) at runtime, shard-consistently: writers are excluded for
+// the duration, every shard's live data is validated against the new
+// bound first, and only then does each shard commit the extension — so a
+// failure (a *storage.ViolationError from the offending shard) leaves the
+// whole store unchanged. A durable store logs the extension as one
+// record, naming every shard's next epoch, before any shard commits it.
+// The cut published last holds the new schema and its route together.
 //
 // The new constraint must not break the placement invariant that makes
 // scatter-gather exact: its X must contain the relation's shard key
@@ -612,7 +603,8 @@ func (st *Store) ExtendAccess(ac schema.AccessConstraint) error {
 	if err := ac.Validate(st.cat); err != nil {
 		return fmt.Errorf("shard: extending access schema: %w", err)
 	}
-	if _, ok := st.routes[ac.Key()]; ok {
+	routes := st.View().routes
+	if _, ok := routes[ac.Key()]; ok {
 		return nil
 	}
 	rt, err := st.buildRoute(ac)
@@ -621,12 +613,8 @@ func (st *Store) ExtendAccess(ac schema.AccessConstraint) error {
 	}
 
 	// Two-phase: stage (validate) every shard before committing any.
-	// Writers are excluded (viewMu held exclusively), so the staged
-	// verdicts stay valid and each shard's live-data scan is paid once.
-	// Commit order matters: shard 0 first, because Access() reads shard
-	// 0's schema and Version() reaches its final sum only at the last
-	// commit — so version-then-schema readers never pair the new version
-	// with the old schema.
+	// Writers are excluded (viewMu held), so the staged verdicts stay
+	// valid and each shard's live-data scan is paid once.
 	staged := make([]*live.StagedExtension, len(st.shards))
 	for s, ls := range st.shards {
 		se, err := ls.StageExtension(ac)
@@ -657,45 +645,18 @@ func (st *Store) ExtendAccess(ac schema.AccessConstraint) error {
 		}
 	}
 
-	newRoutes := make(map[string]*locator, len(st.routes)+1)
-	for k, r := range st.routes {
-		newRoutes[k] = r
+	next := make(map[string]*locator, len(routes)+1)
+	for k, r := range routes {
+		next[k] = r
 	}
-	newRoutes[ac.Key()] = rt
-	st.routes = newRoutes
+	next[ac.Key()] = rt
+	st.publish(next)
 	return nil
 }
 
-// EpochKey renders the current epoch vector for display (/stats,
-// /healthz). Unlike View().EpochKey() it does not exclude writers or
-// pin snapshots — the vector is read shard by shard, so it is not a
-// consistent cut and must not key caches.
-func (st *Store) EpochKey() string {
-	snaps := make([]*live.Snapshot, len(st.shards))
-	for s, ls := range st.shards {
-		snaps[s] = ls.Snapshot()
-	}
-	return (&View{snaps: snaps}).EpochKey()
-}
-
-// NumTuples returns |D|: live tuples across all shards and relations.
-func (st *Store) NumTuples() int64 {
-	var n int64
-	for _, ls := range st.shards {
-		n += ls.Snapshot().NumTuples()
-	}
-	return n
-}
-
-// ShardSizes returns the live tuple count of each shard — the balance
-// view.
-func (st *Store) ShardSizes() []int64 {
-	out := make([]int64, len(st.shards))
-	for s, ls := range st.shards {
-		out[s] = ls.Snapshot().NumTuples()
-	}
-	return out
-}
+// NumTuples returns |D| at the published cut: live tuples across all
+// shards and relations.
+func (st *Store) NumTuples() int64 { return st.View().NumTuples() }
 
 // Stats aggregates the read-side access counters across shards.
 func (st *Store) Stats() storage.Stats {
@@ -709,8 +670,8 @@ func (st *Store) Stats() storage.Stats {
 	return out
 }
 
-// ShardStats returns each shard's read-side counters — with ShardSizes,
-// the observability surface for probe and data balance.
+// ShardStats returns each shard's read-side counters — with
+// View.ShardSizes, the observability surface for probe and data balance.
 func (st *Store) ShardStats() []storage.Stats {
 	out := make([]storage.Stats, len(st.shards))
 	for s, ls := range st.shards {
@@ -775,7 +736,7 @@ func (st *Store) ResetStats() {
 
 // IngestStats aggregates the write-side counters across shards. Epochs is
 // the sum of the shards' epoch numbers (total commits), since there is no
-// single logical epoch; use Epochs() for the vector.
+// single logical epoch; use View().Epochs() for the vector.
 func (st *Store) IngestStats() live.IngestStats {
 	var out live.IngestStats
 	for _, ls := range st.shards {
@@ -801,20 +762,23 @@ func (st *Store) Quarantine() []live.Quarantined {
 	return out
 }
 
-// View pins one epoch vector atomically: writers are excluded for the
-// duration of the P snapshot loads, so the vector is a consistent cut —
-// a committed batch is either entirely visible or entirely invisible.
-// It first waits for the Apply in flight to finish its commit, which on
-// a durable store includes the log's fsync.
-// The returned view is immutable, safe for any number of concurrent
-// readers, and implements exec.Store and exec.PartitionedStore.
-func (st *Store) View() *View {
-	st.viewMu.Lock()
-	snaps := make([]*live.Snapshot, len(st.shards))
+// View returns the published cut: one atomic load, no lock and no
+// allocation, so it never waits for a writer, an fsync or a checkpoint.
+// The cut holds every batch whose Apply has returned, each wholly, and
+// no batch in part. The returned view is immutable, safe for any number
+// of concurrent readers, and implements exec.Store and
+// exec.PartitionedStore.
+func (st *Store) View() *View { return st.cut.Load() }
+
+// publish installs the next cut: every shard's current snapshot, with the
+// given probe routes. Called under viewMu after a writer's last shard
+// commit, or before the store is shared.
+func (st *Store) publish(routes map[string]*locator) {
+	v := &View{st: st, snaps: make([]*live.Snapshot, len(st.shards)), routes: routes}
 	for s, ls := range st.shards {
-		snaps[s] = ls.Snapshot()
+		v.snaps[s] = ls.Snapshot()
+		v.epoch += v.snaps[s].Epoch()
+		v.version += ls.SchemaVersion()
 	}
-	routes := st.routes
-	st.viewMu.Unlock()
-	return &View{st: st, snaps: snaps, routes: routes}
+	st.cut.Store(v)
 }

@@ -31,12 +31,12 @@ func crossShardBatches() [][]live.Op {
 // more (on the one shard, at P = 1).
 func crossShard(t *testing.T, ss *shard.Store, ops []live.Op) {
 	t.Helper()
-	before := ss.Epochs()
+	before := ss.View().Epochs()
 	if err := ss.Apply(ops); err != nil {
 		t.Fatal(err)
 	}
 	moved := 0
-	for s, e := range ss.Epochs() {
+	for s, e := range ss.View().Epochs() {
 		if e != before[s] {
 			moved++
 		}
@@ -317,8 +317,8 @@ func TestDurableShardsRefuseDirectWrites(t *testing.T) {
 	if err := ls.ExtendAccess(ext); err == nil {
 		t.Error("a durable shard accepted ExtendAccess")
 	}
-	if ss.Epochs()[0] != 0 {
-		t.Errorf("shard 0 at epoch %d after refused writes", ss.Epochs()[0])
+	if ls.Epoch() != 0 {
+		t.Errorf("shard 0 at epoch %d after refused writes", ls.Epoch())
 	}
 }
 

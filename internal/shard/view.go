@@ -11,12 +11,13 @@ import (
 	"bcq/internal/value"
 )
 
-// View is one atomically pinned epoch vector: an immutable, fully
-// consistent cut across every shard's snapshots. It satisfies the
-// executor's Store and PartitionedStore interfaces, so bounded evaluation
-// runs against a view exactly as it runs against a sealed database or a
-// live snapshot — the executor scatters each probe batch to the owning
-// shards and gathers the groups back in probe order.
+// View is one published cut of a sharded store: an immutable, fully
+// consistent set of the shards' snapshots, with the probe routes and the
+// schema version they were published with. It satisfies the executor's
+// Store and PartitionedStore interfaces, so bounded evaluation runs
+// against a view exactly as it runs against a sealed database or a live
+// snapshot — the executor scatters each probe batch to the owning shards
+// and gathers the groups back in probe order.
 //
 // Entry positions returned by a view are shard-local; they identify a
 // tuple only together with the shard index that Partition reports, which
@@ -24,14 +25,27 @@ import (
 type View struct {
 	st    *Store
 	snaps []*live.Snapshot
-	// routes is the probe-routing table current at pin time — captured so
-	// a concurrent ExtendAccess (which installs a fresh map) never races
-	// or retroactively changes a pinned view's routing.
+	// routes is the probe-routing table of this cut's schema: an
+	// ExtendAccess publishes a fresh map with the cut that holds the
+	// extension, so a pinned view's routing never changes.
 	routes map[string]*locator
+	// epoch is the sum of the snapshots' epochs, and version the sum of
+	// the shards' schema versions, when the cut was published.
+	epoch, version uint64
 }
 
 // NumShards returns the partition count P (exec.PartitionedStore).
 func (v *View) NumShards() int { return len(v.snaps) }
+
+// Epoch is the cut's token: the sum of its shards' epochs. Every cut a
+// store publishes holds each shard at an epoch no older than the cut
+// before, so the token is monotone and advances with every commit,
+// compaction and schema extension.
+func (v *View) Epoch() uint64 { return v.epoch }
+
+// Access returns the access schema of this cut: the one its routes
+// route and a Freeze of it indexes under.
+func (v *View) Access() *schema.AccessSchema { return v.snaps[0].Access() }
 
 // Epochs returns the pinned epoch vector, aligned with shard indices.
 func (v *View) Epochs() []uint64 {
@@ -239,10 +253,11 @@ func (v *View) Freeze() (*storage.Database, error) {
 			}
 		}
 	}
-	// Index under the schema pinned with the snapshots: a view pinned
-	// before an ExtendAccess freezes exactly as its epoch stood (the pin
-	// is schema-consistent across shards — extension excludes pins).
-	if err := db.BuildIndexes(v.snaps[0].Access()); err != nil {
+	// Index under the cut's schema: a view pinned before an ExtendAccess
+	// freezes exactly as its epoch stood (every shard of a cut holds the
+	// same schema — a cut is published after the extension's last shard
+	// commit).
+	if err := db.BuildIndexes(v.Access()); err != nil {
 		return nil, fmt.Errorf("shard: frozen view violates the access schema (shard-store bug): %w", err)
 	}
 	return db, nil

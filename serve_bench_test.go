@@ -14,9 +14,10 @@
 //	                   (BenchmarkServe_HitAfterWrite), one read after a
 //	                   write to what it reads (BenchmarkServe_Uncached)
 //
-// TestServeBenchEmit counts the last three's allocations per request
-// and, when SERVE_BENCH_JSON names a path, writes them there; CI compares
-// the file against bench/BENCH_serve.json (tools/benchcmp).
+// TestServeBenchEmit counts the last three's allocations per request,
+// and a cached answer's on a two-shard store, and, when SERVE_BENCH_JSON
+// names a path, writes them there; CI compares the file against
+// bench/BENCH_serve.json (tools/benchcmp).
 package bcq
 
 import (
@@ -35,6 +36,7 @@ import (
 	"bcq/internal/engine"
 	"bcq/internal/live"
 	"bcq/internal/serve"
+	"bcq/internal/shard"
 )
 
 // benchServer stands up the serving stack over the social dataset.
@@ -63,6 +65,26 @@ func benchServer(b testing.TB) (*live.Store, *serve.Server, *httptest.Server) {
 	hs := httptest.NewServer(srv.Handler())
 	b.Cleanup(hs.Close)
 	return ls, srv, hs
+}
+
+// shardedBenchServer is benchServer's serving stack on an in-memory
+// sharded store of the given shard count, without a socket.
+func shardedBenchServer(tb testing.TB, shards int) (*shard.Store, *serve.Server) {
+	tb.Helper()
+	ds := datagen.Social()
+	ss, err := shard.New(ds.MustBuild(1.0/16), ds.Access, shard.Options{Shards: shards})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	eng, err := engine.NewSharded(ss, engine.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	srv, err := serve.New(eng, serve.Options{Workers: 16, Ingest: ss.Apply})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ss, srv
 }
 
 func postQuery(b *testing.B, client *http.Client, url, body string) {
@@ -214,14 +236,20 @@ type guardrail struct {
 // a hit (hits) or an execution (!hits), and every write committed.
 func newGuardrail(tb testing.TB, writes []string, hits bool) guardrail {
 	ls, srv, _ := benchServer(tb)
+	return guardrailOn(srv, ls.Epoch, writes, hits)
+}
+
+// guardrailOn is newGuardrail on a given server, whose store's data
+// version epoch reads.
+func guardrailOn(srv *serve.Server, epochOf func() uint64, writes []string, hits bool) guardrail {
 	p := newInProcess(srv.Handler())
 	p.send(p.query, albumQuery) // plans and caches
 	p.send(p.query, albumQuery) // a hit: sizes the pooled buffer for the envelope
-	base, epoch := srv.CacheStats(), ls.Epoch()
+	base, epoch := srv.CacheStats(), epochOf()
 	g := guardrail{
 		op: func(int) { p.send(p.query, albumQuery) },
 		check: func(tb testing.TB, n int) {
-			if got, want := ls.Epoch()-epoch, uint64(min(len(writes), 1)*n); got != want {
+			if got, want := epochOf()-epoch, uint64(min(len(writes), 1)*n); got != want {
 				tb.Fatalf("%d writes moved the epoch %d times; every one must commit", want, got)
 			}
 			cs := srv.CacheStats()
@@ -310,12 +338,14 @@ func (g guardrail) perOp(tb testing.TB, n int) (allocs, bytes int64) {
 
 // TestServeBenchEmit measures the three in-process guardrails' allocations
 // per request — a cached answer, a cached answer after an unrelated write,
-// a read after a write to what it reads — and fails when a cached answer
-// allocates at all; with SERVE_BENCH_JSON set the counts are written there
-// (BENCH_serve.json in CI, compared against bench/BENCH_serve.json by
-// tools/benchcmp). Clock-free: nothing here is a time.
+// a read after a write to what it reads — and a cached answer's on a
+// two-shard store, and fails when a cached answer allocates at all; with
+// SERVE_BENCH_JSON set the counts are written there (BENCH_serve.json in
+// CI, compared against bench/BENCH_serve.json by tools/benchcmp).
+// Clock-free: nothing here is a time.
 func TestServeBenchEmit(t *testing.T) {
 	const runs = 500
+	ss, sharded := shardedBenchServer(t, 2)
 	doc := map[string]map[string]int64{}
 	for _, c := range []struct {
 		name string
@@ -324,12 +354,13 @@ func TestServeBenchEmit(t *testing.T) {
 		{"cached_hit", newGuardrail(t, nil, true)},
 		{"hit_after_write", newGuardrail(t, unrelatedWrites, true)},
 		{"uncached", newGuardrail(t, readWrites, false)},
+		{"sharded_cached_hit", guardrailOn(sharded, func() uint64 { return ss.View().Epoch() }, nil, true)},
 	} {
 		allocs, bytes := c.g.perOp(t, runs)
 		doc[c.name] = map[string]int64{"op_allocs": allocs, "op_bytes": bytes}
 		t.Logf("%s: %d allocs/op, %d B/op", c.name, allocs, bytes)
 	}
-	for _, name := range []string{"cached_hit", "hit_after_write"} {
+	for _, name := range []string{"cached_hit", "hit_after_write", "sharded_cached_hit"} {
 		if n := doc[name]["op_allocs"]; n != 0 {
 			t.Errorf("%s allocates %d objects per request, want 0", name, n)
 		}
