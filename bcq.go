@@ -33,38 +33,33 @@
 // boundedness guarantee is observable.
 //
 // Index construction seals the database; to keep serving exact, bounded
-// answers while ingesting writes, wrap it in the live layer. A live
-// database applies Inserts/Deletes incrementally (copy-on-write on the
-// touched index groups, no rebuilds), rejects or quarantines writes that
-// would break D |= A — so every cached plan stays sound — and publishes
-// each batch as a new immutable epoch; readers pin a snapshot and never
-// block writers:
+// answers while ingesting writes, wrap it in a sharded database — one
+// shard for a single store. It applies Inserts/Deletes incrementally
+// (copy-on-write on the touched index groups, no rebuilds), rejects a
+// batch that would break D |= A — so every cached plan stays sound — and
+// publishes each batch as a new immutable cut; readers pin a cut and
+// never block writers:
 //
-//	ld, _ := bcq.NewLiveDatabase(db, acc, bcq.LiveOptions{})
-//	eng, _ := bcq.NewLiveEngine(ld, bcq.EngineOptions{})
+//	ss, _ := bcq.NewShardedDatabase(db, acc, bcq.ShardOptions{Shards: 1})
+//	eng, _ := bcq.NewShardedEngine(ss, bcq.EngineOptions{})
 //	p, _ := eng.Prepare("select ... where user_id = ?")
-//	ld.Apply([]bcq.LiveOp{bcq.InsertOp("friends", t)})  // atomic batch
-//	res, _ := p.Exec(bcq.Int(74))  // pins the snapshot current now
+//	ss.Apply([]bcq.LiveOp{bcq.InsertOp("friends", t)})  // atomic batch
+//	res, _ := p.Exec(bcq.Int(74))  // pins the cut published now
 //
-// To scale past one writer and one machine's worth of contention, shard
-// the store: access constraints double as shard keys, so each relation
-// is hash-partitioned on a constraint's X-attributes, probes
+// To scale past one writer and one machine's worth of contention, raise
+// the shard count: access constraints double as shard keys, so each
+// relation is hash-partitioned on a constraint's X-attributes, probes
 // scatter-gather to the shards owning their index groups (answers stay
 // byte-identical to a single store), and writes stage shard-parallel and
-// commit on every shard or none:
+// commit on every shard or none.
 //
-//	ss, _ := bcq.NewShardedDatabase(db, acc, bcq.ShardOptions{Shards: 8})
-//	eng, _ := bcq.NewShardedEngine(ss, bcq.EngineOptions{})
-//	ss.Apply(batch)               // routed by content, staged shard-parallel, atomic
-//	res, _ := p.Exec(bcq.Int(74)) // pins the published cut across all shards
-//
-// Durability is the sharded store's alone: with ShardOptions.Dir set
-// (Shards: 1 for a single store) every batch is logged and fsynced before
-// it publishes, Compact checkpoints, and OpenShardedDatabase recovers the
+// With ShardOptions.Dir set every batch is logged and fsynced before it
+// publishes, Compact checkpoints, and OpenShardedDatabase recovers the
 // directory after a crash (examples/durable).
 //
-// See the examples/ directory (examples/streaming for the live layer,
-// examples/sharded for scale-out) and DESIGN.md for the full system map.
+// See the examples/ directory (examples/streaming for writes under
+// serving, examples/sharded for scale-out) and DESIGN.md for the full
+// system map.
 package bcq
 
 import (
@@ -235,8 +230,8 @@ func (a *Analysis) Plan() (*Plan, error) { return plan.QPlan(a.an) }
 // guarantees as Plan, but the fetch order and retrieval witnesses are
 // chosen to minimize expected tuples fetched under the given cardinality
 // statistics (nil falls back to the declared bounds N). Obtain a
-// snapshot from Database.CardStats, LiveDatabase.CardStats,
-// ShardedDatabase.CardStats or Engine.CardStats.
+// snapshot from Database.CardStats, ShardedDatabase.CardStats or
+// Engine.CardStats.
 func (a *Analysis) OptimizedPlan(cs *CardStats) (*Plan, error) { return plan.Optimize(a.an, cs) }
 
 // GreedyPlan generates a cost-based bounded query plan using only the
@@ -287,11 +282,11 @@ type (
 func NewDatabase(cat *Catalog) *Database { return storage.NewDatabase(cat) }
 
 // ErrSealed matches (errors.Is) inserts rejected because the database was
-// sealed by index construction; mutate through a live database instead.
+// sealed by index construction; mutate through a sharded database instead.
 var ErrSealed = storage.ErrSealed
 
 // Store is the read surface bounded evaluation runs against: a sealed
-// *Database or a pinned *LiveSnapshot.
+// *Database or a pinned *ShardedView.
 type Store = exec.Store
 
 // Result is a bounded-evaluation answer with access statistics.
@@ -302,8 +297,8 @@ type Result = exec.Result
 // (db.BuildIndexes(acc)).
 func Execute(p *Plan, db *Database) (*Result, error) { return exec.Run(p, db) }
 
-// ExecuteOn is Execute against any store — in particular a pinned live
-// snapshot, which evaluates in full isolation from concurrent writes.
+// ExecuteOn is Execute against any store — in particular a pinned
+// sharded view, which evaluates in full isolation from concurrent writes.
 func ExecuteOn(p *Plan, st Store) (*Result, error) { return exec.Run(p, st) }
 
 // Re-exported streaming-execution types.
@@ -354,35 +349,12 @@ func NewEngine(cat *Catalog, acc *AccessSchema, db *Database, opts EngineOptions
 	return engine.New(cat, acc, db, opts)
 }
 
-// Re-exported live-layer types.
+// Re-exported write types.
 type (
-	// LiveDatabase is the mutable layer over a sealed database:
-	// epoch-versioned snapshots, incremental index maintenance, writes
-	// checked against the access schema so D |= A stays invariant.
-	LiveDatabase = live.Store
-	// LiveSnapshot is one pinned epoch: an immutable consistent view that
-	// bounded evaluation runs against.
-	LiveSnapshot = live.Snapshot
 	// LiveOp is one write operation of an atomic batch.
 	LiveOp = live.Op
-	// LiveOptions tunes a live database (violation mode). A live
-	// database is in memory; for a durable single store, use
-	// NewShardedDatabase (or OpenShardedDatabase) with
-	// ShardOptions{Shards: 1, Dir: dir}.
-	LiveOptions = live.Options
-	// LiveMode selects how schema-violating writes are treated.
-	LiveMode = live.Mode
-	// LiveIngestStats counts a live database's write-side activity.
+	// LiveIngestStats counts a sharded database's write-side activity.
 	LiveIngestStats = live.IngestStats
-	// LiveQuarantined is one op a permissive live database refused.
-	LiveQuarantined = live.Quarantined
-)
-
-// Live violation modes: LiveStrict rejects a whole batch on the first
-// violating op; LivePermissive quarantines violators and commits the rest.
-const (
-	LiveStrict     = live.Strict
-	LivePermissive = live.Permissive
 )
 
 // ErrLiveBound matches (errors.Is) writes rejected because they would
@@ -393,46 +365,34 @@ var ErrLiveBound = live.ErrBound
 // no live occurrence.
 var ErrLiveNoSuchTuple = live.ErrNoSuchTuple
 
-// InsertOp builds an insert op for LiveDatabase.Apply.
+// InsertOp builds an insert op for ShardedDatabase.Apply.
 func InsertOp(rel string, t Tuple) LiveOp { return live.Insert(rel, t) }
 
-// DeleteOp builds a delete op for LiveDatabase.Apply.
+// DeleteOp builds a delete op for ShardedDatabase.Apply.
 func DeleteOp(rel string, t Tuple) LiveOp { return live.Delete(rel, t) }
-
-// NewLiveDatabase wraps a loaded database in the live layer. Missing
-// access indexes are built (verifying D |= A) and the base is sealed; the
-// one-time bootstrap also records the per-pair bookkeeping that makes
-// every subsequent write incremental. Use Apply/Insert/Delete to write,
-// Snapshot to pin a read view, and NewLiveEngine to serve queries.
-func NewLiveDatabase(db *Database, acc *AccessSchema, opts LiveOptions) (*LiveDatabase, error) {
-	return live.New(db, acc, opts)
-}
-
-// NewLiveEngine builds a prepared-query engine over a live database:
-// every execution pins the current snapshot, so answers stay exact and
-// bounded while writes stream in.
-func NewLiveEngine(ld *LiveDatabase, opts EngineOptions) (*Engine, error) {
-	return engine.NewLive(ld, opts)
-}
 
 // Re-exported sharding types.
 type (
-	// ShardedDatabase partitions one database into P shards, each its own
-	// live store: probes route to the shard owning their index group,
-	// writes stage shard-parallel and commit atomically, and
-	// scatter-gather execution is byte-identical to a single store.
+	// ShardedDatabase is the writable store: one database partitioned
+	// into P ≥ 1 shards, each its own live store (epoch-versioned
+	// snapshots, incremental index maintenance, writes checked against
+	// the access schema so D |= A stays invariant). Probes route to the
+	// shard owning their index group, writes stage shard-parallel and
+	// commit atomically, and scatter-gather execution is byte-identical
+	// to a single store.
 	ShardedDatabase = shard.Store
 	// ShardedView is one published cut — an immutable, consistent set of
 	// every shard's snapshot that bounded evaluation runs against (it is
 	// a Store). Pinning one is an atomic load.
 	ShardedView = shard.View
-	// ShardOptions tunes a sharded database (partition count, violation
-	// mode).
+	// ShardOptions tunes a sharded database (partition count, durable
+	// directory).
 	ShardOptions = shard.Options
 )
 
 // NewShardedDatabase partitions a loaded database into opts.Shards
-// shards. Each relation is hash-partitioned on the X-attributes of an
+// shards; at Shards: 1 the one shard takes db as it stands, builds its
+// missing access indexes (verifying D |= A) and seals it. Each relation is hash-partitioned on the X-attributes of an
 // anchor access constraint (one whose X every other constraint on the
 // relation contains), which keeps every index group whole on one shard —
 // the property that makes sharded execution exact and per-shard admission
@@ -489,14 +449,14 @@ type (
 	ServeOptions = serve.Options
 	// ServeCacheStats is the result cache's hit/miss counter snapshot.
 	ServeCacheStats = serve.CacheStats
-	// StoreMetrics is the observability surface /stats reads; Database,
-	// LiveDatabase and ShardedDatabase all satisfy it.
+	// StoreMetrics is the observability surface /stats reads; Database
+	// and ShardedDatabase both satisfy it.
 	StoreMetrics = serve.StoreMetrics
 )
 
 // NewQueryServer builds the serving layer over an engine. Wire
-// ServeOptions.Ingest to the live or sharded store's Apply to enable
-// /ingest, and ServeOptions.Metrics to the store for /stats.
+// ServeOptions.Ingest to the sharded store's Apply to enable /ingest, and
+// ServeOptions.Metrics to the store for /stats.
 func NewQueryServer(eng *Engine, opts ServeOptions) (*QueryServer, error) {
 	return serve.New(eng, opts)
 }

@@ -23,12 +23,13 @@
 //
 // Datasets: social (Example 1), tfacc, mot, tpch.
 //
-// The -ingest N flag switches to live mode: the dataset is wrapped in a
-// live store, N tuples are streamed in (duplicates of existing tuples, so
-// the access schema is never violated — the same duplication mechanism
-// datagen scales |D| with) while the queries keep executing against
-// pinned snapshots, and the run reports ingest throughput plus the
-// before/after tuple-access counts, which stay flat as |D| grows.
+// The -ingest N flag switches to live mode: the dataset is wrapped in the
+// writable store (one shard unless -shards says more), N tuples are
+// streamed in (duplicates of existing tuples, so the access schema is
+// never violated — the same duplication mechanism datagen scales |D|
+// with) while the queries keep executing against pinned cuts, and the
+// run reports ingest throughput plus the before/after tuple-access
+// counts, which stay flat as |D| grows.
 //
 // The -shards P flag partitions the store: each relation is
 // hash-partitioned on the X-attributes of an anchor access constraint
@@ -212,44 +213,21 @@ func run(c config) error {
 		return err
 	}
 
-	if c.shards > 1 {
+	if c.shards > 1 || c.ingest > 0 {
 		return runSharded(ds, db, queries, c)
 	}
 
-	var (
-		eng *engine.Engine
-		ld  *bcq.LiveDatabase
-	)
-	if c.ingest > 0 {
-		ld, err = bcq.NewLiveDatabase(db, ds.Access, bcq.LiveOptions{})
-		if err != nil {
-			return err
-		}
-		eng, err = engine.NewLive(ld, engine.Options{})
-	} else {
-		eng, err = engine.New(ds.Catalog, ds.Access, db, engine.Options{})
-	}
+	eng, err := engine.New(ds.Catalog, ds.Access, db, engine.Options{})
 	if err != nil {
 		return err
 	}
-
-	if c.ingest > 0 {
-		if err := runIngest(eng, ld, queries, c.ingest); err != nil {
+	for _, q := range queries {
+		if err := runOne(ds, eng, db, q, c); err != nil {
 			return err
-		}
-	} else {
-		for _, q := range queries {
-			if err := runOne(ds, eng, db, q, c); err != nil {
-				return err
-			}
 		}
 	}
 	if c.verbose {
-		if ld != nil {
-			printRelStats(ld.RelStats())
-		} else {
-			printRelStats(db.RelStats())
-		}
+		printRelStats(db.RelStats())
 	}
 	st := eng.Stats()
 	fmt.Printf("engine: %d prepares (%d planned, %d cache hits), %d executions\n",
@@ -345,7 +323,7 @@ func runDurable(ds *datagen.Dataset, queries []*bcq.Query, c config) error {
 	}
 
 	if c.ingest > 0 {
-		if err := runShardedIngest(eng, ss, queries, c.ingest); err != nil {
+		if err := driveIngest(eng, ss, queries, c.ingest); err != nil {
 			return err
 		}
 	} else {
@@ -391,11 +369,12 @@ func runDurable(ds *datagen.Dataset, queries []*bcq.Query, c config) error {
 	return nil
 }
 
-// runSharded drives shard mode: the dataset is partitioned into c.shards
-// shards, every query is answered through scatter-gather execution and
-// cross-checked against a single-store engine over the same data, and
-// with -ingest the duplicate stream commits through the shard-parallel
-// write path while readers keep executing on pinned epoch vectors.
+// runSharded drives the writable store: the dataset is partitioned into
+// c.shards shards (one takes the dataset as it stands), every query is
+// answered through scatter-gather execution and cross-checked against a
+// single-store engine over the same data, and with -ingest the duplicate
+// stream commits through the shard-parallel write path while readers
+// keep executing on pinned cuts.
 func runSharded(ds *datagen.Dataset, db *bcq.Database, queries []*bcq.Query, c config) error {
 	ss, err := bcq.NewShardedDatabase(db, ds.Access, bcq.ShardOptions{Shards: c.shards})
 	if err != nil {
@@ -417,7 +396,7 @@ func runSharded(ds *datagen.Dataset, db *bcq.Database, queries []*bcq.Query, c c
 	fmt.Println()
 
 	if c.ingest > 0 {
-		if err := runShardedIngest(eng, ss, queries, c.ingest); err != nil {
+		if err := driveIngest(eng, ss, queries, c.ingest); err != nil {
 			return err
 		}
 	} else {
@@ -488,30 +467,6 @@ func indentBlock(s string) string {
 // renderResult canonicalizes a result for byte-identity comparison.
 func renderResult(r *bcq.Result) string {
 	return fmt.Sprintf("cols=%v tuples=%v stats=%+v dq=%d", r.Cols, r.Tuples, r.Stats, r.DQSize)
-}
-
-// runShardedIngest is live mode over the sharded store: the shared
-// driver streams duplicates through Apply (committing shard-parallel)
-// while readers pin epoch vectors.
-func runShardedIngest(eng *engine.Engine, ss *bcq.ShardedDatabase, queries []*bcq.Query, n int) error {
-	base, err := ss.Base()
-	if err != nil {
-		return err
-	}
-	return driveIngest(eng, ingestTarget{
-		base:  base,
-		apply: ss.Apply,
-		describe: func() string {
-			return fmt.Sprintf("|D| = %d across %d shards", ss.NumTuples(), ss.NumShards())
-		},
-		report: func(elapsed time.Duration, served int) {
-			ig := ss.IngestStats()
-			fmt.Printf("      ingested in %v (%.0f ops/s, %d shard epochs); served %d evaluations concurrently\n",
-				elapsed.Round(time.Millisecond), float64(n)/elapsed.Seconds(), ig.Epochs, served)
-			fmt.Printf("      |D| now %d\n", ss.NumTuples())
-			printShardSizes(ss.View().ShardSizes())
-		},
-	}, queries, n)
 }
 
 // printRelStats renders the per-relation access breakdown (-v).
@@ -595,42 +550,13 @@ func runLimited(prep *engine.Prepared, full *bcq.Result, c config) error {
 // ingestBatch is the write-batch size of live mode: one epoch per batch.
 const ingestBatch = 64
 
-// runIngest is live mode over the single live store.
-func runIngest(eng *engine.Engine, ld *bcq.LiveDatabase, queries []*bcq.Query, n int) error {
-	return driveIngest(eng, ingestTarget{
-		base:  ld.Base(),
-		apply: func(ops []bcq.LiveOp) error { _, err := ld.Apply(ops); return err },
-		describe: func() string {
-			return fmt.Sprintf("|D| = %d", ld.Snapshot().NumTuples())
-		},
-		report: func(elapsed time.Duration, served int) {
-			ig := ld.IngestStats()
-			fmt.Printf("      ingested in %v (%.0f ops/s, %d epochs); served %d evaluations concurrently\n",
-				elapsed.Round(time.Millisecond), float64(n)/elapsed.Seconds(), ig.Epochs, served)
-			fmt.Printf("      |D| now %d\n", ld.Snapshot().NumTuples())
-		},
-	}, queries, n)
-}
-
-// ingestTarget abstracts the store live mode streams into — the single
-// live store or the sharded store — so one driver covers both.
-type ingestTarget struct {
-	// base is the data before ingest, sealed (source of duplicate tuples).
-	base *bcq.Database
-	// apply commits one write batch.
-	apply func([]bcq.LiveOp) error
-	// describe renders the pre-ingest state for the banner line.
-	describe func() string
-	// report prints the mode-specific ingest statistics.
-	report func(elapsed time.Duration, served int)
-}
-
 // driveIngest is live mode: it measures each query's answers and tuple
 // accesses on the pre-ingest state, streams n inserts (duplicates of
-// base tuples — schema-safe by construction) while a reader goroutine
-// keeps executing the queries against pinned views, then re-measures.
-// Bounded queries fetch the same number of tuples at the grown |D|.
-func driveIngest(eng *engine.Engine, tgt ingestTarget, queries []*bcq.Query, n int) error {
+// base tuples — schema-safe by construction) through ss.Apply while a
+// reader goroutine keeps executing the queries against pinned cuts, then
+// re-measures. Bounded queries fetch the same number of tuples at the
+// grown |D|.
+func driveIngest(eng *engine.Engine, ss *bcq.ShardedDatabase, queries []*bcq.Query, n int) error {
 	var preps []*engine.Prepared
 	for _, q := range queries {
 		prep, err := eng.PrepareQuery(q)
@@ -668,19 +594,25 @@ func driveIngest(eng *engine.Engine, tgt ingestTarget, queries []*bcq.Query, n i
 	// duplicate of a live (X, Y) pair can never add a distinct Y-value,
 	// so ingest at full speed violates no constraint — and it is exactly
 	// the duplication mechanism datagen grows |D| with (DESIGN.md §2.2).
-	base := tgt.base
+	v := ss.View()
 	var rels []string
-	for _, rs := range base.Catalog().Relations() {
-		if len(base.MustRelation(rs.Name()).Tuples) > 0 {
+	base := make(map[string][]bcq.Tuple)
+	for _, rs := range ss.Catalog().Relations() {
+		ts, err := v.Tuples(rs.Name())
+		if err != nil {
+			return err
+		}
+		if len(ts) > 0 {
 			rels = append(rels, rs.Name())
+			base[rs.Name()] = ts
 		}
 	}
 	if len(rels) == 0 {
 		return fmt.Errorf("dataset has no tuples to duplicate")
 	}
 
-	fmt.Printf("live: %s; ingesting %d duplicate tuples (batches of %d) with concurrent reads ...\n",
-		tgt.describe(), n, ingestBatch)
+	fmt.Printf("live: |D| = %d, P = %d; ingesting %d duplicate tuples (batches of %d) with concurrent reads ...\n",
+		ss.NumTuples(), ss.NumShards(), n, ingestBatch)
 
 	type readerReport struct {
 		served int
@@ -713,10 +645,10 @@ func driveIngest(eng *engine.Engine, tgt ingestTarget, queries []*bcq.Query, n i
 		ops = ops[:0]
 		for ; i < n && len(ops) < ingestBatch; i++ {
 			rel := rels[i%len(rels)]
-			tuples := base.MustRelation(rel).Tuples
+			tuples := base[rel]
 			ops = append(ops, bcq.InsertOp(rel, tuples[(i/len(rels))%len(tuples)]))
 		}
-		if err := tgt.apply(ops); err != nil {
+		if err := ss.Apply(ops); err != nil {
 			close(done)
 			<-reader
 			return err
@@ -729,7 +661,10 @@ func driveIngest(eng *engine.Engine, tgt ingestTarget, queries []*bcq.Query, n i
 		return rep.err
 	}
 
-	tgt.report(elapsed, rep.served)
+	fmt.Printf("      ingested in %v (%.0f ops/s, %d shard epochs); served %d evaluations concurrently\n",
+		elapsed.Round(time.Millisecond), float64(n)/elapsed.Seconds(), ss.IngestStats().Epochs, rep.served)
+	fmt.Printf("      |D| now %d\n", ss.NumTuples())
+	printShardSizes(ss.View().ShardSizes())
 	fmt.Println()
 
 	flat := true

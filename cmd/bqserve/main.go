@@ -1,6 +1,6 @@
 // Command bqserve serves bounded-query answers over HTTP: it builds one
-// of the built-in datasets, wraps it in a live (or sharded) store and a
-// prepared-query engine, and exposes the serving layer's JSON endpoints
+// of the built-in datasets, wraps it in a store of -shards shards (one by
+// default) and a prepared-query engine, and exposes the serving layer's JSON endpoints
 // — /query, /prepare, /ingest, /stats, /healthz.
 //
 // Usage:
@@ -101,7 +101,6 @@ import (
 
 	"bcq/internal/datagen"
 	"bcq/internal/engine"
-	"bcq/internal/live"
 	"bcq/internal/obs"
 	"bcq/internal/serve"
 	"bcq/internal/shard"
@@ -111,7 +110,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	dataset := flag.String("dataset", "social", "dataset: social | tfacc | mot | tpch")
 	scale := flag.Float64("scale", 0.25, "scale factor")
-	shards := flag.Int("shards", 1, "partition the store into P shards (1 = single live store)")
+	shards := flag.Int("shards", 1, "partition the store into P shards (1 = one shard, the whole dataset)")
 	dataDir := flag.String("data-dir", "", "durable store directory: one WAL for the store + checkpoint segments per shard; an existing store is recovered (dataset/scale only seed a fresh directory)")
 	workers := flag.Int("workers", 0, "concurrently executing requests (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "max queued requests beyond the workers (0 = 8 x workers)")
@@ -360,103 +359,58 @@ func buildServer(c config) (*serve.Server, string, error) {
 		CursorTTL:       c.cursorTTL,
 		Obs:             ob,
 	}
-	engOpts := engine.Options{Metrics: ob.Metrics, Recorder: ob.Traces}
 
+	// The store: a durable directory that already holds one is recovered
+	// (the dataset's tuples already live there — -scale only seeds a
+	// fresh one); otherwise the dataset is built and partitioned into
+	// -shards shards, in memory or written to a fresh -data-dir.
 	var (
-		eng    *engine.Engine
-		kind   string
-		tuples int64
+		ss  *shard.Store
+		rec *shard.Recovery
 	)
-	switch {
-	case c.dataDir != "":
-		// Durable store: recover an existing directory (the dataset's
-		// tuples already live there — -scale only seeds a fresh one) or
-		// create and seed it. A single-shard store uses the same layout
-		// with P = 1, so the directory stays openable either way.
-		var (
-			ss  *shard.Store
-			rec *shard.Recovery
-		)
+	if c.dataDir != "" {
 		if _, merr := shard.ReadManifest(c.dataDir); merr == nil {
 			want := 0 // accept the manifest's count unless -shards was given
 			if c.shardsSet {
 				want = c.shards
 			}
-			ss, rec, err = shard.Open(c.dataDir, ds.Catalog, ds.Access, shard.Options{Shards: want})
-			if err != nil {
+			if ss, rec, err = shard.Open(c.dataDir, ds.Catalog, ds.Access, shard.Options{Shards: want}); err != nil {
 				return nil, "", err
 			}
 		} else if !errors.Is(merr, fs.ErrNotExist) {
 			return nil, "", merr
-		} else {
-			db, err := ds.Build(c.scale)
-			if err != nil {
-				return nil, "", err
-			}
-			ss, err = shard.New(db, ds.Access, shard.Options{Shards: c.shards, Dir: c.dataDir})
-			if err != nil {
-				return nil, "", err
-			}
 		}
-		ss.Instrument(ob.Metrics)
-		eng, err = engine.NewSharded(ss, engOpts)
+	}
+	if ss == nil {
+		db, err := ds.Build(c.scale)
 		if err != nil {
-			ss.Close()
 			return nil, "", err
 		}
-		opts.Ingest = ss.Apply
-		opts.Metrics = ss
-		opts.CloseStore = ss.Close
-		tuples = ss.NumTuples()
+		if ss, err = shard.New(db, ds.Access, shard.Options{Shards: c.shards, Dir: c.dataDir}); err != nil {
+			return nil, "", err
+		}
+	}
+	ss.Instrument(ob.Metrics)
+	eng, err := engine.NewSharded(ss, engine.Options{Metrics: ob.Metrics, Recorder: ob.Traces})
+	if err != nil {
+		ss.Close()
+		return nil, "", err
+	}
+	opts.Ingest = ss.Apply
+	opts.Metrics = ss
+	opts.CloseStore = ss.Close
+	kind := fmt.Sprintf("store (P=%d)", ss.NumShards())
+	if c.dataDir != "" {
 		kind = fmt.Sprintf("durable store (P=%d, dir %s)", ss.NumShards(), c.dataDir)
-		if rec != nil && !rec.Fresh {
-			kind += fmt.Sprintf(", recovered: %d WAL ops replayed", rec.ReplayedOps)
-		}
-	case c.shards > 1:
-		db, err := ds.Build(c.scale)
-		if err != nil {
-			return nil, "", err
-		}
-		ss, err := shard.New(db, ds.Access, shard.Options{Shards: c.shards})
-		if err != nil {
-			return nil, "", err
-		}
-		ss.Instrument(ob.Metrics)
-		eng, err = engine.NewSharded(ss, engOpts)
-		if err != nil {
-			return nil, "", err
-		}
-		opts.Ingest = ss.Apply
-		opts.Metrics = ss
-		tuples = db.NumTuples()
-		kind = fmt.Sprintf("sharded store (P=%d)", c.shards)
-	default:
-		db, err := ds.Build(c.scale)
-		if err != nil {
-			return nil, "", err
-		}
-		ls, err := live.New(db, ds.Access, live.Options{})
-		if err != nil {
-			return nil, "", err
-		}
-		ls.Instrument(ob.Metrics)
-		eng, err = engine.NewLive(ls, engOpts)
-		if err != nil {
-			return nil, "", err
-		}
-		opts.Ingest = func(ops []live.Op) error {
-			_, err := ls.Apply(ops)
-			return err
-		}
-		opts.Metrics = ls
-		tuples = db.NumTuples()
-		kind = "live store"
+	}
+	if rec != nil && !rec.Fresh {
+		kind += fmt.Sprintf(", recovered: %d WAL ops replayed", rec.ReplayedOps)
 	}
 	srv, err := serve.New(eng, opts)
 	if err != nil {
 		return nil, "", err
 	}
 	info := fmt.Sprintf("serving %s at scale %g over a %s: |D| = %d tuples, %d access constraints",
-		ds.Name, c.scale, kind, tuples, ds.Access.Size())
+		ds.Name, c.scale, kind, ss.NumTuples(), ds.Access.Size())
 	return srv, info, nil
 }

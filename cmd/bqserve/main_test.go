@@ -13,7 +13,7 @@ import (
 )
 
 // TestBuildAndServeSmoke stands the server up over the small social
-// dataset (live and sharded) and exercises every endpoint once.
+// dataset (one shard and three) and exercises every endpoint once.
 func TestBuildAndServeSmoke(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		srv, info, err := buildServer(config{

@@ -95,6 +95,7 @@ func fetchFrame(client *http.Client, addr string) (frame, error) {
 		return fr, err
 	}
 	rows := map[string]*endpointRow{}
+	sawEpoch := false
 	for _, ser := range doc.Series {
 		p, ok := newest(ser.Points)
 		if !ok {
@@ -118,7 +119,12 @@ func fetchFrame(client *http.Client, addr string) (frame, error) {
 		case "bcq_queue_wait_seconds":
 			fr.queueMS = p.P99 * 1e3
 		case "bcq_epoch_age_seconds":
-			fr.epochS = p.V
+			// One series per shard: the store's age is the youngest
+			// shard's, the time since any commit.
+			if !sawEpoch || p.V < fr.epochS {
+				fr.epochS = p.V
+			}
+			sawEpoch = true
 		case "bcq_traces_resident":
 			fr.traces = p.V
 		case "bcq_trace_rolling_p99_seconds":

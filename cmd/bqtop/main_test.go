@@ -130,3 +130,35 @@ func TestFetchFrameErrors(t *testing.T) {
 		t.Error("unreachable server did not error")
 	}
 }
+
+// TestFetchFrameShardedEpochAge: a sharded server exports one epoch-age
+// series per shard, and the frame shows the store's age, the youngest
+// shard's — the time since any commit — whatever order the document
+// lists the series in.
+func TestFetchFrameShardedEpochAge(t *testing.T) {
+	const body = `{
+		"interval_ms": 2000, "window": 240, "samples": 1,
+		"series": [
+			{"name": "bcq_epoch_age_seconds", "kind": "gauge", "labels": {"shard": "0"},
+			 "points": [{"ts_ms": 1000, "v": 0.25}]},
+			{"name": "bcq_epoch_age_seconds", "kind": "gauge", "labels": {"shard": "1"},
+			 "points": [{"ts_ms": 1000, "v": 90}]}
+		]
+	}`
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/timeseries", func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte(body))
+	})
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte(`{"ok": true, "epoch": "shard:4,0", "shards": 2}`))
+	})
+	hs := httptest.NewServer(mux)
+	defer hs.Close()
+	fr, err := fetchFrame(hs.Client(), hs.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fr.epochS != 0.25 {
+		t.Errorf("epoch age %.2fs, want the youngest shard's 0.25s", fr.epochS)
+	}
+}

@@ -15,18 +15,18 @@ import (
 	"testing"
 )
 
-// coldPrepareEngine builds a live engine over the ad hoc scene whose plan
+// coldPrepareEngine builds an engine over a one-shard store of the ad hoc scene whose plan
 // cache (and text memo) hold one entry, and two texts of the named shape
 // that differ in one literal: prepared alternately, each evicts the
 // other, so every Prepare is cold.
 func coldPrepareEngine(t testing.TB, shape string) (*Engine, [2]string) {
 	t.Helper()
 	_, acc, db := adhocScene(t)
-	ld, err := NewLiveDatabase(db, acc, LiveOptions{})
+	ss, err := NewShardedDatabase(db, acc, ShardOptions{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewLiveEngine(ld, EngineOptions{PlanCacheSize: 1})
+	eng, err := NewShardedEngine(ss, EngineOptions{PlanCacheSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

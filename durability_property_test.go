@@ -27,6 +27,7 @@ import (
 	"strings"
 	"testing"
 
+	"bcq/internal/live"
 	"bcq/internal/wal"
 )
 
@@ -97,7 +98,7 @@ func durableBatches(seed int64, n int) [][]LiveOp {
 // renderStoreState canonicalizes everything the recovery contract
 // promises: epoch key, tuple count, cardinality statistics, access
 // schema, and every relation's live tuples in sorted order.
-func renderStoreState(t testing.TB, cat *Catalog, ld *LiveDatabase) string {
+func renderStoreState(t testing.TB, cat *Catalog, ld *live.Store) string {
 	t.Helper()
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "epoch=%s tuples=%d\ncard=%+v\naccess=%s\n",
@@ -132,13 +133,13 @@ func TestDurableCrashRecoveryPropertyLive(t *testing.T) {
 		t.Run(fmt.Sprintf("trial=%d", trial), func(t *testing.T) {
 			crashRecoveryTrial(t, 1, 14, int64(1000+trial), int64(trial),
 				func(acc *AccessSchema, db *Database) crashReference {
-					ref, err := NewLiveDatabase(db, acc, LiveOptions{})
+					ref, err := live.New(db, acc, live.Options{})
 					if err != nil {
 						t.Fatal(err)
 					}
 					return crashReference{
 						apply: func(ops []LiveOp) error { _, err := ref.Apply(ops); return err },
-						shard: func(int) *LiveDatabase { return ref },
+						shard: func(int) *live.Store { return ref },
 					}
 				})
 		})
@@ -170,7 +171,7 @@ func TestDurableCrashRecoveryPropertySharded(t *testing.T) {
 // shard by shard (a live store is its own one shard).
 type crashReference struct {
 	apply func([]LiveOp) error
-	shard func(s int) *LiveDatabase
+	shard func(s int) *live.Store
 }
 
 // crashRecoveryTrial arms the fail point of a P-shard durable store's one

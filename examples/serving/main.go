@@ -1,4 +1,4 @@
-// Serving: heavy concurrent traffic over one live store.
+// Serving: heavy concurrent traffic over a one-shard store.
 //
 // The quickstart's social network gets an HTTP front: a query server
 // multiplexes many clients onto the bounded executor through a worker
@@ -70,21 +70,18 @@ func main() {
 		}
 	}
 
-	ld, err := bcq.NewLiveDatabase(db, acc, bcq.LiveOptions{})
+	ss, err := bcq.NewShardedDatabase(db, acc, bcq.ShardOptions{Shards: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
-	eng, err := bcq.NewLiveEngine(ld, bcq.EngineOptions{})
+	eng, err := bcq.NewShardedEngine(ss, bcq.EngineOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	srv, err := bcq.NewQueryServer(eng, bcq.ServeOptions{
 		Workers: 8,
-		Ingest: func(ops []bcq.LiveOp) error {
-			_, err := ld.Apply(ops)
-			return err
-		},
-		Metrics: ld,
+		Ingest:  ss.Apply,
+		Metrics: ss,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -165,7 +162,7 @@ func main() {
 	total := clients * perClient
 	cs := srv.CacheStats()
 	es := eng.Stats()
-	ig := ld.IngestStats()
+	ig := ss.IngestStats()
 	fmt.Printf("served %d queries from %d clients in %v (%.0f q/s)\n",
 		total, clients, elapsed.Round(time.Millisecond), float64(total)/elapsed.Seconds())
 	fmt.Printf("result cache: %d hits / %d misses (%.0f%% hit rate), %d of the misses invalidated by a write to a group the answer read\n",
@@ -173,7 +170,7 @@ func main() {
 	fmt.Printf("plan cache:   %d prepares, %d analyses — two shapes, planned once each\n",
 		es.Prepares, es.CacheMisses)
 	fmt.Printf("ingest:       %d writes committed concurrently, store now at epoch %d (|D| = %d)\n",
-		ig.OpsApplied, ig.Epochs, ld.Snapshot().NumTuples())
+		ig.OpsApplied, ig.Epochs, ss.NumTuples())
 }
 
 func must(err error) {

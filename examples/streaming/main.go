@@ -2,12 +2,13 @@
 //
 // The quickstart's social network goes live: tags and friendships keep
 // streaming in while the platform serves "photos in album a in which
-// user u was tagged by a friend". The live layer makes that safe:
+// user u was tagged by a friend". The writable store — a sharded store
+// of one shard — makes that safe:
 //
 //   - every write batch is checked against the access schema, so the
 //     platform limits (at most 4 photos per album here, so the demo can
 //     hit the bound) stay true and every cached plan stays sound;
-//   - readers pin an immutable snapshot per evaluation — a report opened
+//   - readers pin an immutable cut per evaluation — a report opened
 //     before a write batch keeps seeing the old data, with no locks in
 //     either direction;
 //   - the indices are maintained incrementally, so the query's tuple
@@ -82,11 +83,11 @@ func main() {
 		}
 	}
 
-	ld, err := bcq.NewLiveDatabase(db, acc, bcq.LiveOptions{})
+	ss, err := bcq.NewShardedDatabase(db, acc, bcq.ShardOptions{Shards: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
-	eng, err := bcq.NewLiveEngine(ld, bcq.EngineOptions{})
+	eng, err := bcq.NewShardedEngine(ss, bcq.EngineOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-28s answers=%v  (fetched %d tuples, epoch %d, |D|=%d)\n",
-			tag, res.Tuples, res.Stats.TuplesFetched, ld.Epoch(), ld.Snapshot().NumTuples())
+			tag, res.Tuples, res.Stats.TuplesFetched, ss.View().Epoch(), ss.NumTuples())
 		return res
 	}
 
@@ -111,11 +112,11 @@ func main() {
 	if err := db.Insert("in_album", tup("p3", "a0")); !errors.Is(err, bcq.ErrSealed) {
 		log.Fatalf("expected ErrSealed, got %v", err)
 	}
-	fmt.Println("\ndirect insert into the sealed base: rejected (ErrSealed) — writes go through the live layer")
+	fmt.Println("\ndirect insert into the sealed base: rejected (ErrSealed) — writes go through the store")
 
-	// ...while the live layer applies them as an atomic epoch.
-	pinned := ld.Snapshot() // a report pinned before the write batch
-	_, err = ld.Apply([]bcq.LiveOp{
+	// ...while the store applies them as an atomic epoch.
+	pinned := ss.View() // a report pinned before the write batch
+	err = ss.Apply([]bcq.LiveOp{
 		bcq.InsertOp("in_album", tup("p3", "a0")),
 		bcq.InsertOp("tagging", tup("p3", "f1", "u0")),
 	})
@@ -134,30 +135,16 @@ func main() {
 	// a0 holds p1, p2, p3 — two more photos would exceed the bound of 4,
 	// and with it the soundness of every cached plan.
 	fmt.Println("\n— schema enforcement —")
-	_, err = ld.Apply([]bcq.LiveOp{
+	err = ss.Apply([]bcq.LiveOp{
 		bcq.InsertOp("in_album", tup("p4", "a0")),
 		bcq.InsertOp("in_album", tup("p5", "a0")),
 	})
 	if errors.Is(err, bcq.ErrLiveBound) {
-		fmt.Println("strict mode: 5th photo in album a0 rejected, whole batch rolled back:")
+		fmt.Println("5th photo in album a0 rejected, whole batch rolled back:")
 		fmt.Println("   ", err)
 	} else {
 		log.Fatalf("expected ErrLiveBound, got %v", err)
 	}
-
-	// A permissive store quarantines the violator and commits the rest.
-	ld2, err := bcq.NewLiveDatabase(mustFreeze(ld), acc, bcq.LiveOptions{Mode: bcq.LivePermissive})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if _, err := ld2.Apply([]bcq.LiveOp{
-		bcq.InsertOp("in_album", tup("p4", "a0")),
-		bcq.InsertOp("in_album", tup("p5", "a0")),
-	}); err != nil {
-		log.Fatal(err)
-	}
-	q := ld2.Quarantine()
-	fmt.Printf("permissive mode: batch committed with %d op quarantined (%v)\n", len(q), q[0].Op.Tuple)
 
 	// Growth does not degrade reads: stream in duplicate engagement (the
 	// same mechanism datagen scales |D| with) and watch the fetched-tuple
@@ -169,14 +156,14 @@ func main() {
 		for i := 0; i < 2000; i++ {
 			ops = append(ops, bcq.InsertOp("friends", tup("u0", "f1")))
 			if len(ops) == 64 {
-				if _, err := ld.Apply(ops); err != nil {
+				if err := ss.Apply(ops); err != nil {
 					log.Fatal(err)
 				}
 				ops = ops[:0]
 			}
 		}
 		if len(ops) > 0 {
-			if _, err := ld.Apply(ops); err != nil {
+			if err := ss.Apply(ops); err != nil {
 				log.Fatal(err)
 			}
 		}
@@ -185,17 +172,7 @@ func main() {
 			log.Fatalf("tuple accesses changed: %d → %d", base.Stats.TuplesFetched, grown.Stats.TuplesFetched)
 		}
 	}
-	st := ld.IngestStats()
+	st := ss.IngestStats()
 	fmt.Printf("\ningest: %d ops over %d epochs; reads stayed exact and flat throughout\n",
 		st.OpsApplied, st.Epochs)
-}
-
-// mustFreeze materializes the live store's current snapshot as a fresh
-// sealed database (the demo reuses it as the base of a permissive store).
-func mustFreeze(ld *bcq.LiveDatabase) *bcq.Database {
-	db, err := ld.Snapshot().Freeze()
-	if err != nil {
-		log.Fatal(err)
-	}
-	return db
 }

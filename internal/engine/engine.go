@@ -115,6 +115,9 @@ func (s dbSource) NumShards() int               { return 1 }
 func (s dbSource) ACCard(key string) (stats.ACCard, bool) { return s.cs.ACCard(key) }
 
 // liveSource pins the live store's current epoch per evaluation.
+//
+// Deprecated: it serves only NewLive; both go once the benchmark harness
+// builds every workload's store with shard.New.
 type liveSource struct{ ls *live.Store }
 
 func (s liveSource) View() exec.Store             { return s.ls.Snapshot() }
@@ -326,6 +329,9 @@ func New(cat *schema.Catalog, acc *schema.AccessSchema, db *storage.Database, op
 // store ingests writes. The store's construction already verified
 // D |= A and sealed the base, and every accepted write preserves the
 // invariant, so each cached plan stays sound for every future epoch.
+//
+// Deprecated: serve a shard.Store (Shards: 1 for a single store) through
+// NewSharded. NewLive stays while the benchmark harness names it.
 func NewLive(ls *live.Store, opts Options) (*Engine, error) {
 	if ls == nil {
 		return nil, fmt.Errorf("engine: live store is required")

@@ -23,8 +23,8 @@ const corruptSuffix = ".corrupt"
 // commit of its shards itself (Stage, StageExtension) and checkpoints them
 // all before it resets the log, so Apply and ExtendAccess, which would
 // publish unlogged, are refused.
-func NewShard(base *storage.Database, acc *schema.AccessSchema, mode Mode, dir string, log *wal.WAL) (*Store, error) {
-	st, err := newStore(base, acc, mode, 0)
+func NewShard(base *storage.Database, acc *schema.AccessSchema, dir string, log *wal.WAL) (*Store, error) {
+	st, err := newStore(base, acc, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -53,7 +53,7 @@ func NewShard(base *storage.Database, acc *schema.AccessSchema, mode Mode, dir s
 // Recover reads no log: the sharded store's Open replays its one log over
 // the shards Recover gave it. A directory without a loadable segment is
 // an error.
-func Recover(dir string, cat *schema.Catalog, mode Mode, log *wal.WAL) (*Store, []string, error) {
+func Recover(dir string, cat *schema.Catalog, log *wal.WAL) (*Store, []string, error) {
 	var (
 		corrupt   []string
 		base      *storage.Database
@@ -82,7 +82,7 @@ func Recover(dir string, cat *schema.Catalog, mode Mode, log *wal.WAL) (*Store, 
 			return nil, nil, fmt.Errorf("live: moving corrupt segment aside: %w", err)
 		}
 	}
-	st, err := newStore(base, segAcc, mode, baseEpoch)
+	st, err := newStore(base, segAcc, baseEpoch)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -228,7 +228,7 @@ func TestNewRefusesExistingState(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	if _, err := live.NewShard(live.LoadSocial(t), live.AccessA0(), live.Strict, filepath.Join(dir, "shard-000"), w); err == nil {
+	if _, err := live.NewShard(live.LoadSocial(t), live.AccessA0(), filepath.Join(dir, "shard-000"), w); err == nil {
 		t.Fatal("live.NewShard accepted a directory that already holds a segment")
 	}
 }

@@ -24,8 +24,7 @@ func (st *Store) Instrument(reg *obs.Registry, labels ...obs.Label) {
 	}
 	cf("bcq_ingest_batches_total", "Apply batches received.", st.batches.Load)
 	cf("bcq_ingest_ops_applied_total", "Ops committed into an epoch.", st.applied.Load)
-	cf("bcq_ingest_ops_rejected_total", "Ops rejected (Strict mode bound violations).", st.rejected.Load)
-	cf("bcq_ingest_ops_quarantined_total", "Ops quarantined (Permissive mode).", st.quarantined.Load)
+	cf("bcq_ingest_ops_rejected_total", "Ops rejected (bound violations and missing delete targets).", st.rejected.Load)
 	cf("bcq_ingest_compactions_total", "Compactions run.", st.compactions.Load)
 	cf("bcq_schema_extensions_total", "Access-schema extensions accepted.", st.extensions.Load)
 	reg.GaugeFunc("bcq_epoch", "Current data epoch number.",

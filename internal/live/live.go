@@ -9,9 +9,9 @@
 //
 //   - every write batch is checked against the access schema before it
 //     touches anything — an insert that would push an X-group of some
-//     constraint X → (Y, N) past its bound N is rejected (Strict mode) or
-//     diverted to a quarantine list (Permissive mode), so D |= A stays
-//     invariant and every cached plan stays sound without invalidation;
+//     constraint X → (Y, N) past its bound N rejects the whole batch, so
+//     D |= A stays invariant and every cached plan stays sound without
+//     invalidation;
 //   - accepted batches maintain the access-constraint indices
 //     incrementally: only the touched X-groups are copied and rewritten
 //     (copy-on-write), never the whole index;
@@ -28,9 +28,7 @@
 //
 // Writers are serialized by a mutex (single-writer, many-reader — the
 // HTAP split Polynesia frames as "updates must not break analytical
-// reads"). A batch is all-or-nothing in Strict mode; in Permissive mode
-// structurally valid ops that violate a bound are quarantined and the
-// rest of the batch commits.
+// reads"). A batch is all-or-nothing.
 package live
 
 import (
@@ -51,37 +49,11 @@ import (
 	"bcq/internal/wal"
 )
 
-// Mode selects how a Store treats writes that would violate the access
-// schema.
-type Mode uint8
-
-const (
-	// Strict rejects the whole batch on the first violating op (the
-	// default: ingest pipelines find out immediately).
-	Strict Mode = iota
-	// Permissive quarantines violating ops and commits the rest, so a hot
-	// ingest path never stalls on dirty data. Quarantined ops are
-	// retrievable through Quarantine.
-	Permissive
-)
-
-// String names the mode for diagnostics.
-func (m Mode) String() string {
-	switch m {
-	case Strict:
-		return "strict"
-	case Permissive:
-		return "permissive"
-	default:
-		return fmt.Sprintf("mode(%d)", uint8(m))
-	}
-}
-
-// Options tunes a Store.
-type Options struct {
-	// Mode is the violation policy (default Strict).
-	Mode Mode
-}
+// Options tunes a Store. It has no fields.
+//
+// Deprecated: New takes no options; the type stays while the benchmark
+// harness names it, and goes with New's last caller outside shard.
+type Options struct{}
 
 // ErrBound is the sentinel matched by errors.Is when a write is rejected
 // because it would push an access-constraint group past its bound N,
@@ -147,16 +119,6 @@ func Insert(rel string, t value.Tuple) Op { return Op{Kind: OpInsert, Rel: rel, 
 // Delete builds a delete op.
 func Delete(rel string, t value.Tuple) Op { return Op{Kind: OpDelete, Rel: rel, Tuple: t} }
 
-// Quarantined is one op a Permissive store refused, with the violation
-// that disqualified it and the epoch current after its batch: the epoch
-// the rest of the batch published, or the unchanged epoch when nothing
-// of the batch committed.
-type Quarantined struct {
-	Op    Op
-	Err   error
-	Epoch uint64
-}
-
 // IngestStats counts the write-side activity of a Store.
 type IngestStats struct {
 	// Batches counts Apply calls that reached validation (including
@@ -164,11 +126,9 @@ type IngestStats struct {
 	Batches int64
 	// OpsApplied counts ops committed into an epoch.
 	OpsApplied int64
-	// OpsRejected counts ops refused in Strict mode (each aborts its whole
-	// batch).
+	// OpsRejected counts ops refused for a bound violation or a missing
+	// delete target (each aborts its whole batch).
 	OpsRejected int64
-	// OpsQuarantined counts ops diverted in Permissive mode.
-	OpsQuarantined int64
 	// Epochs is the current epoch number (0 = the pristine base).
 	Epochs uint64
 	// Flattens is always 0.
@@ -301,8 +261,7 @@ next:
 // the groups written since the base; a commit path-copies the trie nodes
 // above the groups it rewrote and shares the rest with the epoch before.
 type Store struct {
-	cat  *schema.Catalog
-	mode Mode
+	cat *schema.Catalog
 
 	// acc is the access schema every write is checked against. It is
 	// replaced wholesale (never mutated) by ExtendAccess, so concurrent
@@ -351,8 +310,6 @@ type Store struct {
 	// baseLen is the immutable base tuple count per relation, by ordinal;
 	// added positions start there.
 	baseLen []int
-	// quarantine accumulates Permissive-mode refusals.
-	quarantine []Quarantined
 
 	// words are the store's version words (version.go): the epoch of the
 	// last commit that rewrote an index group hashing to each of the first
@@ -372,7 +329,6 @@ type Store struct {
 	batches     atomic.Int64
 	applied     atomic.Int64
 	rejected    atomic.Int64
-	quarantined atomic.Int64
 	compactions atomic.Int64
 	extensions  atomic.Int64
 
@@ -402,14 +358,14 @@ type Store struct {
 //
 // The store is in memory. A durable store is a sharded store's shard
 // (NewShard); a durable single store is a sharded store at Shards = 1.
-func New(base *storage.Database, acc *schema.AccessSchema, opts Options) (*Store, error) {
-	return newStore(base, acc, opts.Mode, 0)
+func New(base *storage.Database, acc *schema.AccessSchema, _ Options) (*Store, error) {
+	return newStore(base, acc, 0)
 }
 
 // newStore is New with the root snapshot's epoch: it builds the in-memory
 // store with its root snapshot at baseEpoch (0 for a fresh store, the
 // checkpoint epoch when Recover resumes from a segment).
-func newStore(base *storage.Database, acc *schema.AccessSchema, mode Mode, baseEpoch uint64) (*Store, error) {
+func newStore(base *storage.Database, acc *schema.AccessSchema, baseEpoch uint64) (*Store, error) {
 	if base == nil || acc == nil {
 		return nil, fmt.Errorf("live: base database and access schema are both required")
 	}
@@ -422,7 +378,6 @@ func newStore(base *storage.Database, acc *schema.AccessSchema, mode Mode, baseE
 	}
 	st := &Store{
 		cat:      cat,
-		mode:     mode,
 		byRel:    make(map[string][]acBinding),
 		byKey:    make(map[string]acBinding),
 		relOrd:   make(map[string]int, cat.NumRelations()),
@@ -567,9 +522,6 @@ func (st *Store) Catalog() *schema.Catalog { return st.cat }
 // current one, after any ExtendAccess calls.
 func (st *Store) Access() *schema.AccessSchema { return st.acc.Load() }
 
-// Mode returns the store's violation policy.
-func (st *Store) Mode() Mode { return st.mode }
-
 // Snapshot pins the current epoch: an immutable, fully consistent view
 // safe for any number of concurrent readers, unaffected by later writes.
 func (st *Store) Snapshot() *Snapshot { return st.cur.Load() }
@@ -700,38 +652,23 @@ func (st *Store) ACCard(key string) (stats.ACCard, bool) {
 // IngestStats returns a snapshot of the write-side counters.
 func (st *Store) IngestStats() IngestStats {
 	return IngestStats{
-		Batches:        st.batches.Load(),
-		OpsApplied:     st.applied.Load(),
-		OpsRejected:    st.rejected.Load(),
-		OpsQuarantined: st.quarantined.Load(),
-		Epochs:         st.Epoch(),
-		Compactions:    st.compactions.Load(),
-		Extensions:     st.extensions.Load(),
+		Batches:     st.batches.Load(),
+		OpsApplied:  st.applied.Load(),
+		OpsRejected: st.rejected.Load(),
+		Epochs:      st.Epoch(),
+		Compactions: st.compactions.Load(),
+		Extensions:  st.extensions.Load(),
 	}
-}
-
-// Quarantine returns a copy of the ops a Permissive store has refused so
-// far, in arrival order.
-func (st *Store) Quarantine() []Quarantined {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	out := make([]Quarantined, len(st.quarantine))
-	copy(out, st.quarantine)
-	return out
 }
 
 // Apply validates and commits one batch of writes, returning the epoch
 // the batch published (or the current epoch when nothing changed). The
 // batch is checked op by op against the access schema over the state the
-// previous ops of the same batch produced:
-//
-//   - Strict mode: the first bound violation or missing delete target
-//     aborts the whole batch — no state changes, and the error identifies
-//     the op (errors.Is ErrBound / ErrNoSuchTuple).
-//   - Permissive mode: such ops are quarantined and the rest commit.
-//
-// Structural errors — unknown relation, arity mismatch — always abort the
-// batch in either mode: they are caller bugs, not data properties.
+// previous ops of the same batch produced. The first bound violation or
+// missing delete target aborts the whole batch — no state changes, and
+// the error identifies the op (errors.Is ErrBound / ErrNoSuchTuple). So
+// does a structural error (unknown relation, arity mismatch), which is a
+// caller bug, not a data property.
 //
 // A committed batch is atomic: readers either see the whole batch (by
 // pinning a snapshot at or after the returned epoch) or none of it.
@@ -766,8 +703,7 @@ type Staged struct {
 // effect is computed and nothing is published. The store's writer lock
 // is held from Stage until the batch's Commit or Abort, so no other
 // write comes between; the caller must call exactly one of them, and
-// soon. A batch Strict mode rejects, or one with a structural error,
-// returns the error and holds nothing.
+// soon. A batch Apply would reject returns the error and holds nothing.
 //
 // Stage, Commit is the store's one commit path: Apply runs it in memory,
 // and a sharded store runs it on every shard a batch touches, with one
@@ -776,7 +712,7 @@ type Staged struct {
 func (st *Store) Stage(ops []Op) (*Staged, error) {
 	st.mu.Lock()
 	st.batches.Add(1)
-	sb := &Staged{txn: newTxn(st, st.cur.Load())}
+	sb := &Staged{txn: newTxn(st, st.cur.Load(), ops)}
 	if st.applySec != nil {
 		sb.start = time.Now()
 	}
@@ -793,12 +729,7 @@ func (st *Store) Stage(ops []Op) (*Staged, error) {
 		if err == nil {
 			continue
 		}
-		violation := errors.Is(err, ErrBound) || errors.Is(err, ErrNoSuchTuple)
-		if violation && st.mode == Permissive {
-			sb.quarantined = append(sb.quarantined, Quarantined{Op: op, Err: err})
-			continue
-		}
-		if violation {
+		if errors.Is(err, ErrBound) || errors.Is(err, ErrNoSuchTuple) {
 			st.rejected.Add(1)
 		}
 		sb.done()
@@ -807,23 +738,21 @@ func (st *Store) Stage(ops []Op) (*Staged, error) {
 	return sb, nil
 }
 
-// Ops returns the ops of the batch that take effect when it commits, in
-// batch order — what a write-ahead log records (never quarantined ops, so
-// replaying them through Apply is deterministic and never re-rejects).
-func (sb *Staged) Ops() []Op { return sb.applied }
+// Ops returns the ops of the batch, in batch order: every one takes effect
+// when it commits, and they are what a write-ahead log records.
+func (sb *Staged) Ops() []Op { return sb.ops }
 
 // Epoch returns the epoch Commit publishes: the next one, or the current
-// one when no op of the batch takes effect.
+// one when the batch is empty.
 func (sb *Staged) Epoch() uint64 {
-	if sb.nApplied > 0 {
+	if len(sb.ops) > 0 {
 		return sb.snap.epoch + 1
 	}
 	return sb.snap.epoch
 }
 
-// Commit publishes the staged batch as the next epoch, merges its
-// quarantined ops, releases the writer lock and returns the epoch
-// published (see Epoch).
+// Commit publishes the staged batch as the next epoch, releases the
+// writer lock and returns the epoch published (see Epoch).
 func (sb *Staged) Commit() uint64 {
 	epoch := sb.st.commit(&sb.txn)
 	sb.done()

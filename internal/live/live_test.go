@@ -173,54 +173,6 @@ func TestStrictBoundRejectionIsAtomic(t *testing.T) {
 	}
 }
 
-func TestPermissiveQuarantine(t *testing.T) {
-	st := liveSocial(t, Options{Mode: Permissive})
-	epoch, err := st.Apply([]Op{
-		Insert("friends", strs("u0", "f3")),
-		Insert("in_album", strs("p9", "a0")),    // over bound → quarantined
-		Delete("friends", strs("nobody", "f0")), // missing → quarantined
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if epoch != 1 {
-		t.Fatalf("epoch %d, want 1", epoch)
-	}
-	if n, _ := st.Snapshot().Size("friends"); n != 4 {
-		t.Errorf("valid op not applied (friends size %d, want 4)", n)
-	}
-	q := st.Quarantine()
-	if len(q) != 2 {
-		t.Fatalf("quarantined %d ops, want 2", len(q))
-	}
-	if !errors.Is(q[0].Err, ErrBound) || !errors.Is(q[1].Err, ErrNoSuchTuple) {
-		t.Errorf("quarantine reasons wrong: %v, %v", q[0].Err, q[1].Err)
-	}
-	ig := st.IngestStats()
-	if ig.OpsApplied != 1 || ig.OpsQuarantined != 2 {
-		t.Errorf("ingest stats %+v", ig)
-	}
-	for _, qe := range q {
-		if qe.Epoch != 1 {
-			t.Errorf("quarantined op stamped with epoch %d, want the batch's published epoch 1", qe.Epoch)
-		}
-	}
-
-	// A batch whose every op is quarantined publishes nothing; its
-	// quarantined ops carry the unchanged current epoch.
-	epoch, err = st.Apply([]Op{Insert("in_album", strs("p8", "a0"))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if epoch != 1 {
-		t.Errorf("all-quarantined batch returned epoch %d, want unchanged 1", epoch)
-	}
-	q = st.Quarantine()
-	if last := q[len(q)-1]; last.Epoch != 1 {
-		t.Errorf("quarantined op of a no-op batch stamped with epoch %d, want current 1", last.Epoch)
-	}
-}
-
 // TestChurnDoesNotGrowBookkeeping cycles insert/delete of the same tuple
 // — alone, and doubled so the pair enters and leaves the ledger — and
 // checks after every commit that the writer-side bookkeeping holds
@@ -265,18 +217,27 @@ func TestChurnDoesNotGrowBookkeeping(t *testing.T) {
 	}
 }
 
+// TestStructuralErrorsAbortInBothModes sends an unknown relation and an
+// arity mismatch through both op kinds, insert and delete, each after a
+// valid op of its batch: the batch aborts whole, and no op counts as
+// rejected, since a structural error is a caller bug and not a bound.
 func TestStructuralErrorsAbortInBothModes(t *testing.T) {
-	for _, mode := range []Mode{Strict, Permissive} {
-		st := liveSocial(t, Options{Mode: mode})
-		if _, err := st.Apply([]Op{Insert("nope", strs("x"))}); err == nil {
-			t.Errorf("%v: unknown relation accepted", mode)
+	st := liveSocial(t, Options{})
+	before := st.Snapshot()
+	valid := Insert("friends", strs("u0", "f3"))
+	for _, bad := range []Op{
+		Insert("nope", strs("x")), Delete("nope", strs("x")),
+		Insert("friends", strs("onlyone")), Delete("friends", strs("onlyone")),
+	} {
+		if _, err := st.Apply([]Op{valid, bad}); err == nil {
+			t.Errorf("%v %s%v accepted", bad.Kind, bad.Rel, bad.Tuple)
 		}
-		if _, err := st.Apply([]Op{Insert("friends", strs("onlyone"))}); err == nil {
-			t.Errorf("%v: arity mismatch accepted", mode)
-		}
-		if len(st.Quarantine()) != 0 {
-			t.Errorf("%v: structural error quarantined", mode)
-		}
+	}
+	if st.Snapshot() != before {
+		t.Error("a batch with a structural error published")
+	}
+	if ig := st.IngestStats(); ig.OpsRejected != 0 || ig.OpsApplied != 0 {
+		t.Errorf("ingest stats %+v, want nothing applied or rejected", ig)
 	}
 }
 

@@ -310,7 +310,7 @@ func TestTrieMatchesModel(t *testing.T) {
 	}
 	for seed := range seeds {
 		rng := rand.New(rand.NewSource(seed))
-		scene := probeScene(t) // Permissive; the model is Strict
+		scene := probeScene(t)
 		st, err := New(storage.NewDatabase(scene.cat), scene.Access(), Options{})
 		if err != nil {
 			t.Fatal(err)

@@ -34,14 +34,9 @@ type txn struct {
 	// touched: acKey → pairKey → the pair's positions as of the batch's
 	// progress, nil once the pair is back to fewer than two occurrences.
 	ledger map[string]map[string][]int
-	// quarantined collects Permissive-mode refusals, merged on commit.
-	quarantined []Quarantined
-	// applied records the ops that took effect, in order — the WAL logs
-	// exactly these (never quarantined ones), so replaying them through
-	// Apply is deterministic and never re-rejects.
-	applied []Op
-	// nApplied counts ops that took effect.
-	nApplied int64
+	// ops is the batch. Staging validates every op or fails, so a staged
+	// batch takes effect whole.
+	ops []Op
 }
 
 // rewrite is one group a batch rewrote: its entries as the new epoch
@@ -53,10 +48,11 @@ type rewrite struct {
 	from int
 }
 
-func newTxn(st *Store, snap *Snapshot) txn {
+func newTxn(st *Store, snap *Snapshot, ops []Op) txn {
 	return txn{
 		st:       st,
 		snap:     snap,
+		ops:      ops,
 		groups:   make([]map[string]rewrite, len(snap.roots)),
 		addedNew: make([][]value.Tuple, len(snap.rels)),
 		delNew:   make([]map[int]bool, len(snap.rels)),
@@ -166,8 +162,7 @@ func (tx *txn) relation(op Op) (int, error) {
 
 // insert validates one insert against every constraint on its relation,
 // then applies it to the workspace. Validation is complete before any
-// mutation, so a rejected op leaves the workspace untouched (which is
-// what lets Permissive mode skip it and keep going).
+// mutation, so a rejected op leaves the workspace untouched.
 func (tx *txn) insert(op Op) error {
 	ord, err := tx.relation(op)
 	if err != nil {
@@ -210,8 +205,6 @@ func (tx *txn) insert(op Op) error {
 		tx.setDups(b.key, pk, append(ps, pos))
 	}
 	tx.addedNew[ord] = append(tx.addedNew[ord], t)
-	tx.applied = append(tx.applied, op)
-	tx.nApplied++
 	return nil
 }
 
@@ -264,8 +257,6 @@ func (tx *txn) delete(op Op) error {
 		tx.delNew[ord] = m
 	}
 	m[pos] = true
-	tx.applied = append(tx.applied, op)
-	tx.nApplied++
 	return nil
 }
 
@@ -312,90 +303,80 @@ func (tx *txn) findLive(rel string, ord int, t value.Tuple) (int, bool) {
 }
 
 // commit folds the workspace into the writer state and publishes the next
-// epoch. Called under the store's mutex. A batch with no effective ops
-// (everything quarantined, or empty) publishes nothing — quarantined ops
-// are then stamped with the unchanged current epoch.
+// epoch. Called under the store's mutex. An empty batch publishes
+// nothing.
 func (st *Store) commit(tx *txn) uint64 {
-	published := tx.snap.epoch
-	if tx.nApplied > 0 {
-		next := tx.snapshot()
-		// Per rewritten group: move its card from the size the basis
-		// served to the size the new epoch serves, so the maintained
-		// counters stay equal to a from-scratch recount of the live data;
-		// stamp its version word; and put it in the constraint's trie.
-		cards := *st.cards.Load()
-		var edits []trieEdit
-		for ord, m := range tx.groups {
-			if m == nil {
-				continue
-			}
-			b := st.byOrd[ord]
-			card := cards[b.key]
-			edits = edits[:0]
-			for xk, w := range m {
-				card.resize(int64(w.from), int64(len(w.g)))
-				h := groupHash(b.seed, xk)
-				st.words[groupWord(h)].Store(next.epoch)
-				edits = append(edits, trieEdit{hash: h, key: xk, group: w.g})
-			}
-			next.roots[ord] = next.roots[ord].with(edits, 0, b.seed)
+	if len(tx.ops) == 0 {
+		return tx.snap.epoch
+	}
+	next := tx.snapshot()
+	// Per rewritten group: move its card from the size the basis
+	// served to the size the new epoch serves, so the maintained
+	// counters stay equal to a from-scratch recount of the live data;
+	// stamp its version word; and put it in the constraint's trie.
+	cards := *st.cards.Load()
+	var edits []trieEdit
+	for ord, m := range tx.groups {
+		if m == nil {
+			continue
 		}
-		for acKey, m := range tx.ledger {
-			led := st.ledger[acKey]
-			for pk, ps := range m {
-				if ps == nil {
-					delete(led, pk)
-				} else {
-					led[pk] = ps
-				}
-			}
+		b := st.byOrd[ord]
+		card := cards[b.key]
+		edits = edits[:0]
+		for xk, w := range m {
+			card.resize(int64(w.from), int64(len(w.g)))
+			h := groupHash(b.seed, xk)
+			st.words[groupWord(h)].Store(next.epoch)
+			edits = append(edits, trieEdit{hash: h, key: xk, group: w.g})
 		}
-		// Constraint-less relations: extend the tuple map with the batch's
-		// inserts and prune its deletes, so insert/delete churn cannot grow
-		// it (or the delete-path scans over it) without bound. The prune
-		// preserves list order: positions stay in live order.
-		for ord, ts := range tx.addedNew {
-			pos := st.tupPos[ord]
-			if pos == nil {
-				continue
-			}
-			base := st.baseLen[ord] + len(tx.snap.rels[ord].added)
-			for i, t := range ts {
-				k := t.Key()
-				pos[k] = append(pos[k], base+i)
+		next.roots[ord] = next.roots[ord].with(edits, 0, b.seed)
+	}
+	for acKey, m := range tx.ledger {
+		led := st.ledger[acKey]
+		for pk, ps := range m {
+			if ps == nil {
+				delete(led, pk)
+			} else {
+				led[pk] = ps
 			}
 		}
-		for ord, dm := range tx.delNew {
-			pos := st.tupPos[ord]
-			if pos == nil {
-				continue
-			}
-			for p := range dm {
-				tk := tx.tupleAt(ord, p).Key()
-				if rest := removePos(pos[tk], p); len(rest) == 0 {
-					delete(pos, tk)
-				} else {
-					pos[tk] = rest
-				}
+	}
+	// Constraint-less relations: extend the tuple map with the batch's
+	// inserts and prune its deletes, so insert/delete churn cannot grow
+	// it (or the delete-path scans over it) without bound. The prune
+	// preserves list order: positions stay in live order.
+	for ord, ts := range tx.addedNew {
+		pos := st.tupPos[ord]
+		if pos == nil {
+			continue
+		}
+		base := st.baseLen[ord] + len(tx.snap.rels[ord].added)
+		for i, t := range ts {
+			k := t.Key()
+			pos[k] = append(pos[k], base+i)
+		}
+	}
+	for ord, dm := range tx.delNew {
+		pos := st.tupPos[ord]
+		if pos == nil {
+			continue
+		}
+		for p := range dm {
+			tk := tx.tupleAt(ord, p).Key()
+			if rest := removePos(pos[tk], p); len(rest) == 0 {
+				delete(pos, tk)
+			} else {
+				pos[tk] = rest
 			}
 		}
-
-		st.applied.Add(tx.nApplied)
-		// Words before the snapshot: whoever pins this epoch sees them.
-		st.stampRelations(tx, next)
-		st.cur.Store(next)
-		st.lastCommit.Store(time.Now().UnixNano())
-		published = next.epoch
 	}
 
-	if len(tx.quarantined) > 0 {
-		for i := range tx.quarantined {
-			tx.quarantined[i].Epoch = published
-		}
-		st.quarantine = append(st.quarantine, tx.quarantined...)
-		st.quarantined.Add(int64(len(tx.quarantined)))
-	}
-	return published
+	st.applied.Add(int64(len(tx.ops)))
+	// Words before the snapshot: whoever pins this epoch sees them.
+	st.stampRelations(tx, next)
+	st.cur.Store(next)
+	st.lastCommit.Store(time.Now().UnixNano())
+	return next.epoch
 }
 
 // removePos removes one occurrence of pos from the list, preserving

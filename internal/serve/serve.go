@@ -81,8 +81,8 @@ type Options struct {
 	// ResultCacheSize caps the result cache in entries (0 means the
 	// default 4096; negative disables the cache).
 	ResultCacheSize int
-	// Ingest applies a write batch: wire live.Store.Apply or
-	// shard.Store.Apply here. Nil makes /ingest respond 501.
+	// Ingest applies a write batch: wire shard.Store.Apply here (one
+	// shard for a single store). Nil makes /ingest respond 501.
 	Ingest func(ops []live.Op) error
 	// Metrics adds store-side counters to /stats when non-nil.
 	Metrics StoreMetrics

@@ -217,9 +217,7 @@ func syncDir(dir string) {
 // opts.Shards must be 0 (accept the manifest's count) or equal to it; a
 // disagreement fails with an error matching ErrShardMismatch. On a
 // directory holding no store, Open creates one with opts.Shards shards
-// (acc required). opts.Mode must match the mode the directory was
-// written under for replay to be deterministic; opts.Dir is ignored
-// (dir wins).
+// (acc required). opts.Dir is ignored (dir wins).
 func Open(dir string, cat *schema.Catalog, acc *schema.AccessSchema, opts Options) (*Store, *Recovery, error) {
 	if cat == nil {
 		return nil, nil, fmt.Errorf("shard: Open requires a catalog")
@@ -237,7 +235,7 @@ func Open(dir string, cat *schema.Catalog, acc *schema.AccessSchema, opts Option
 		if acc == nil {
 			return nil, nil, fmt.Errorf("shard: %s holds no store state and no access schema was provided", dir)
 		}
-		st, nerr := New(storage.NewDatabase(cat), acc, Options{Shards: opts.Shards, Mode: opts.Mode, Dir: dir})
+		st, nerr := New(storage.NewDatabase(cat), acc, Options{Shards: opts.Shards, Dir: dir})
 		if nerr != nil {
 			return nil, nil, nerr
 		}
@@ -255,7 +253,6 @@ func Open(dir string, cat *schema.Catalog, acc *schema.AccessSchema, opts Option
 
 	st := &Store{
 		cat:   cat,
-		mode:  opts.Mode,
 		p:     P,
 		dir:   dir,
 		place: make(map[string]*placement, cat.NumRelations()),
@@ -307,7 +304,7 @@ func Open(dir string, cat *schema.Catalog, acc *schema.AccessSchema, opts Option
 		go func(s int) {
 			defer wg.Done()
 			st.shards[s], corrupt[s], errs[s] = live.Recover(
-				filepath.Join(dir, shardDirName(s)), cat, opts.Mode, w)
+				filepath.Join(dir, shardDirName(s)), cat, w)
 		}(s)
 	}
 	wg.Wait()

@@ -41,12 +41,14 @@
 //
 // Apply splits a batch by owning shard and stages the sub-batches
 // shard-parallel: admission checking and copy-on-write group maintenance
-// run under each shard's writer lock (live.Store.Stage). Only when every
-// sub-batch has staged does anything publish, so a batch commits on every
-// shard it touches or on none: a Strict batch with one failing sub-batch
-// commits nothing. A durable store logs the staged batch as one record of
-// its one write-ahead log — every sub-batch with its shard and that
-// shard's next epoch — and fsyncs it once before any shard publishes.
+// run under each shard's writer lock (live.Store.Stage). A batch whose
+// ops all have one owner goes to that shard whole, as every batch does at
+// P = 1. Only when every sub-batch has staged does anything publish, so a
+// batch commits on every shard it touches or on none: a batch with one
+// failing sub-batch commits nothing. A durable store logs the staged
+// batch as one record of its one write-ahead log — every sub-batch with
+// its shard and that shard's next epoch — and fsyncs it once before any
+// shard publishes.
 // Shards in one process on one disk are one failure domain, so recovery
 // holds a logged batch whole or not at all.
 //
@@ -86,9 +88,6 @@ type Options struct {
 	// Shards is the partition count P (≥ 1). Open accepts 0 to mean
 	// "whatever the directory's manifest says".
 	Shards int
-	// Mode is the per-shard live stores' violation policy (default
-	// live.Strict).
-	Mode live.Mode
 	// Dir, when non-empty, makes the store durable: one write-ahead log
 	// at the root (wal.log) records every batch and extension of every
 	// shard, each shard keeps its checkpoint segments in its own
@@ -148,11 +147,10 @@ func (l *locator) owner(t value.Tuple) (int, bool) {
 // writes go through Apply/Insert/Delete, staged shard-parallel and
 // committed on every shard or none.
 type Store struct {
-	cat  *schema.Catalog
-	mode live.Mode
-	p    int      // partition count, fixed before the shards exist
-	dir  string   // durable root directory ("" for in-memory stores)
-	w    *wal.WAL // the store's one log (nil for in-memory stores)
+	cat *schema.Catalog
+	p   int      // partition count, fixed before the shards exist
+	dir string   // durable root directory ("" for in-memory stores)
+	w   *wal.WAL // the store's one log (nil for in-memory stores)
 
 	shards []*live.Store
 	place  map[string]*placement
@@ -168,12 +166,14 @@ type Store struct {
 	viewMu sync.Mutex
 }
 
-// New partitions a loaded database into opts.Shards shards. The base
-// database is only read (tuple by tuple, in load order) and is not
-// retained: each shard gets its own fresh base, indexed and
-// sealed by its live store (which re-verifies D |= A shard by shard — a
-// partition of a satisfying database satisfies the schema, so this cannot
-// fail on correctly loaded data).
+// New partitions a loaded database into opts.Shards shards. At P > 1 the
+// base database is only read (tuple by tuple, in load order) and is not
+// retained: each shard gets its own fresh base, indexed and sealed by its
+// live store (which re-verifies D |= A shard by shard — a partition of a
+// satisfying database satisfies the schema, so this cannot fail on
+// correctly loaded data). At P = 1 the one shard takes base as it stands,
+// as live.New does: its missing access indexes are built and it is
+// sealed, and indexes it already has are kept.
 func New(base *storage.Database, acc *schema.AccessSchema, opts Options) (*Store, error) {
 	if base == nil || acc == nil {
 		return nil, fmt.Errorf("shard: base database and access schema are both required")
@@ -187,7 +187,6 @@ func New(base *storage.Database, acc *schema.AccessSchema, opts Options) (*Store
 	}
 	st := &Store{
 		cat:   cat,
-		mode:  opts.Mode,
 		p:     opts.Shards,
 		place: make(map[string]*placement, cat.NumRelations()),
 	}
@@ -223,24 +222,11 @@ func New(base *storage.Database, acc *schema.AccessSchema, opts Options) (*Store
 		routes[ac.Key()] = rt
 	}
 
-	// Distribute the base tuples in load order: within a shard, relative
-	// order is preserved, which keeps per-shard witness selection
-	// identical to a single store restricted to that shard's tuples.
-	dbs := make([]*storage.Database, P)
-	for s := range dbs {
-		dbs[s] = storage.NewDatabase(cat)
-	}
-	for _, rs := range cat.Relations() {
-		rel := rs.Name()
-		pl := st.place[rel]
-		for _, t := range base.MustRelation(rel).Tuples {
-			s, ok := pl.tuples.owner(t)
-			if !ok {
-				return nil, fmt.Errorf("shard: relation %s tuple %s does not have arity %d", rel, t, rs.Arity())
-			}
-			if err := dbs[s].Insert(rel, t); err != nil {
-				return nil, err
-			}
+	dbs := []*storage.Database{base}
+	if P > 1 {
+		var err error
+		if dbs, err = st.distribute(base); err != nil {
+			return nil, err
 		}
 	}
 	if opts.Dir != "" {
@@ -254,9 +240,9 @@ func New(base *storage.Database, acc *schema.AccessSchema, opts Options) (*Store
 		var ls *live.Store
 		var err error
 		if opts.Dir != "" {
-			ls, err = live.NewShard(dbs[s], acc, opts.Mode, filepath.Join(opts.Dir, shardDirName(s)), st.w)
+			ls, err = live.NewShard(dbs[s], acc, filepath.Join(opts.Dir, shardDirName(s)), st.w)
 		} else {
-			ls, err = live.New(dbs[s], acc, live.Options{Mode: opts.Mode})
+			ls, err = live.New(dbs[s], acc, live.Options{})
 		}
 		if err != nil {
 			st.closeLog()
@@ -276,6 +262,31 @@ func New(base *storage.Database, acc *schema.AccessSchema, opts Options) (*Store
 	}
 	st.publish(routes)
 	return st, nil
+}
+
+// distribute deals the base tuples out to P fresh databases in load
+// order: within a shard, relative order is preserved, which keeps
+// per-shard witness selection identical to a single store restricted to
+// that shard's tuples.
+func (st *Store) distribute(base *storage.Database) ([]*storage.Database, error) {
+	dbs := make([]*storage.Database, st.p)
+	for s := range dbs {
+		dbs[s] = storage.NewDatabase(st.cat)
+	}
+	for _, rs := range st.cat.Relations() {
+		rel := rs.Name()
+		pl := st.place[rel]
+		for _, t := range base.MustRelation(rel).Tuples {
+			s, ok := pl.tuples.owner(t)
+			if !ok {
+				return nil, fmt.Errorf("shard: relation %s tuple %s does not have arity %d", rel, t, rs.Arity())
+			}
+			if err := dbs[s].Insert(rel, t); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return dbs, nil
 }
 
 // buildRoute locates a relation's shard key in a constraint's X-bindings.
@@ -405,9 +416,6 @@ func (st *Store) Access() *schema.AccessSchema { return st.View().Access() }
 // answers it like a store built by New.
 func (st *Store) Base() (*storage.Database, error) { return st.View().Freeze() }
 
-// Mode returns the shards' violation policy.
-func (st *Store) Mode() live.Mode { return st.mode }
-
 // Shard returns one partition's live store (read-mostly introspection;
 // writing to it directly bypasses routing and will corrupt placement,
 // and a durable store's shards refuse it).
@@ -432,86 +440,134 @@ func (st *Store) PlacementOf(rel string) (string, error) {
 }
 
 // Apply validates and commits one batch of writes. Each op goes to the
-// shard its tuple hashes to, and the per-shard sub-batches are staged in
-// parallel (live.Store.Stage), each with the violation semantics of
-// live.Store.Apply: Strict, an op's first violation fails its sub-batch;
-// Permissive, violators are quarantined on their shard. The batch is
+// shard its tuple hashes to, with the semantics of live.Store.Apply: an
+// op's first violation fails its sub-batch. A batch whose ops all have
+// one owner is staged on that shard as it stands; otherwise the per-shard
+// sub-batches are staged in parallel (live.Store.Stage). The batch is
 // atomic across shards: when any sub-batch fails, none commits. A
 // durable store then appends the staged batch to its log as one record
 // and fsyncs it, and only then does every shard publish. An unknown
 // relation or a tuple of the wrong arity fails the batch before anything
 // is staged; otherwise the first sub-batch error (in shard order) is
 // returned. Apply returns after it has published the cut that holds the
-// batch.
+// batch; an empty batch publishes nothing.
 func (st *Store) Apply(ops []live.Op) error {
 	st.viewMu.Lock()
 	defer st.viewMu.Unlock()
 
-	buckets := make([][]live.Op, len(st.shards))
-	for _, op := range ops {
-		pl, ok := st.place[op.Rel]
-		if !ok {
-			return fmt.Errorf("shard: unknown relation %s", op.Rel)
-		}
-		s, ok := pl.tuples.owner(op.Tuple)
-		if !ok {
-			return fmt.Errorf("shard: relation %s expects arity %d, got %d", op.Rel, pl.tuples.width, len(op.Tuple))
-		}
-		buckets[s] = append(buckets[s], op)
+	sole, owners, err := st.route(ops)
+	if err != nil || len(ops) == 0 {
+		return err
 	}
-	var active []int
+	if owners == nil {
+		sb, err := st.shards[sole].Stage(ops)
+		if err != nil {
+			return err
+		}
+		return st.commit([]stagedSub{{sole, sb}})
+	}
+
+	buckets := make([][]live.Op, len(st.shards))
+	for i, op := range ops {
+		buckets[owners[i]] = append(buckets[owners[i]], op)
+	}
+	subs := make([]stagedSub, 0, len(st.shards))
 	for s, sub := range buckets {
 		if len(sub) > 0 {
-			active = append(active, s)
+			subs = append(subs, stagedSub{s: s})
 		}
 	}
 
-	// Stage: the last active bucket runs on the calling goroutine, so a
-	// single-shard batch pays no handoff at all.
-	staged := make([]*live.Staged, len(st.shards))
-	errs := make([]error, len(st.shards))
+	// Stage: the last sub-batch runs on the calling goroutine.
+	errs := make([]error, len(subs))
 	var wg sync.WaitGroup
-	for k, s := range active {
-		if k == len(active)-1 {
-			staged[s], errs[s] = st.shards[s].Stage(buckets[s])
+	for k := range subs {
+		x := &subs[k]
+		if k == len(subs)-1 {
+			x.sb, errs[k] = st.shards[x.s].Stage(buckets[x.s])
 			break
 		}
 		wg.Add(1)
-		go func(s int) {
+		go func() {
 			defer wg.Done()
-			staged[s], errs[s] = st.shards[s].Stage(buckets[s])
-		}(s)
+			x.sb, errs[k] = st.shards[x.s].Stage(buckets[x.s])
+		}()
 	}
 	wg.Wait()
-	abort := func() {
-		for _, sb := range staged {
-			if sb != nil {
-				sb.Abort()
+	for k := range subs {
+		if errs[k] != nil {
+			for _, x := range subs {
+				if x.sb != nil {
+					x.sb.Abort()
+				}
 			}
+			return errs[k]
 		}
 	}
-	for _, s := range active {
-		if errs[s] != nil {
-			abort()
-			return errs[s]
+	return st.commit(subs)
+}
+
+// stagedSub is one shard's staged sub-batch of an Apply.
+type stagedSub struct {
+	s  int
+	sb *live.Staged
+}
+
+// route finds the owning shard of each op, checking its relation and
+// arity. When every op has one owner it returns that owner and nil
+// owners, and allocates nothing.
+func (st *Store) route(ops []live.Op) (sole int, owners []int, err error) {
+	for i, op := range ops {
+		pl, ok := st.place[op.Rel]
+		if !ok {
+			return 0, nil, fmt.Errorf("shard: unknown relation %s", op.Rel)
 		}
+		s, ok := pl.tuples.owner(op.Tuple)
+		if !ok {
+			return 0, nil, fmt.Errorf("shard: relation %s expects arity %d, got %d", op.Rel, pl.tuples.width, len(op.Tuple))
+		}
+		owners = appendOwner(owners, &sole, i, s, len(ops))
 	}
+	return sole, owners, nil
+}
+
+// appendOwner records owner s of item i of n: it keeps the sole owner
+// while items 0..i share one, and spells out every item's owner from the
+// first that differs.
+func appendOwner(owners []int, sole *int, i, s, n int) []int {
+	switch {
+	case owners != nil:
+		return append(owners, s)
+	case i == 0:
+		*sole = s
+	case s != *sole:
+		owners = make([]int, i, n)
+		for j := range owners {
+			owners[j] = *sole
+		}
+		return append(owners, s)
+	}
+	return owners
+}
+
+// commit logs the staged sub-batches as one record, when the store is
+// durable, then commits each on its shard and publishes the cut that
+// holds them. A failed append aborts them all.
+func (st *Store) commit(subs []stagedSub) error {
 	if st.w != nil {
-		subs := make([]wal.Sub, 0, len(active))
-		for _, s := range active {
-			if ops := staged[s].Ops(); len(ops) > 0 {
-				subs = append(subs, wal.Sub{Shard: s, Epoch: staged[s].Epoch(), Ops: ops})
-			}
+		rec := wal.Record{Kind: wal.RecShardBatch, Subs: make([]wal.Sub, len(subs))}
+		for k, x := range subs {
+			rec.Subs[k] = wal.Sub{Shard: x.s, Epoch: x.sb.Epoch(), Ops: x.sb.Ops()}
 		}
-		if len(subs) > 0 {
-			if err := st.w.Append(wal.Record{Kind: wal.RecShardBatch, Subs: subs}); err != nil {
-				abort()
-				return fmt.Errorf("shard: wal append: %w", err)
+		if err := st.w.Append(rec); err != nil {
+			for _, x := range subs {
+				x.sb.Abort()
 			}
+			return fmt.Errorf("shard: wal append: %w", err)
 		}
 	}
-	for _, s := range active {
-		staged[s].Commit()
+	for _, x := range subs {
+		x.sb.Commit()
 	}
 	st.publish(st.View().routes)
 	return nil
@@ -744,20 +800,9 @@ func (st *Store) IngestStats() live.IngestStats {
 		out.Batches += ig.Batches
 		out.OpsApplied += ig.OpsApplied
 		out.OpsRejected += ig.OpsRejected
-		out.OpsQuarantined += ig.OpsQuarantined
 		out.Epochs += ig.Epochs
 		out.Compactions += ig.Compactions
 		out.Extensions += ig.Extensions
-	}
-	return out
-}
-
-// Quarantine concatenates the shards' quarantine lists (shard order, then
-// arrival order within a shard).
-func (st *Store) Quarantine() []live.Quarantined {
-	var out []live.Quarantined
-	for _, ls := range st.shards {
-		out = append(out, ls.Quarantine()...)
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"sync/atomic"
 
@@ -63,6 +64,9 @@ func (v *View) EpochKey() string { return string(v.AppendEpochKey(nil)) }
 // AppendEpochKey appends EpochKey's rendering to dst without building the
 // string.
 func (v *View) AppendEpochKey(dst []byte) []byte {
+	// One growth for the whole rendering: "shard:", then at most 20
+	// digits and a comma per shard.
+	dst = slices.Grow(dst, len("shard:")+21*len(v.snaps))
 	dst = append(dst, "shard:"...)
 	for s, sn := range v.snaps {
 		if s > 0 {
@@ -102,19 +106,28 @@ func (v *View) Snapshot(shard int) *live.Snapshot { return v.snaps[shard] }
 // embedded in the constraint's X-binding, which for the empty key of a
 // pinned relation is always the same shard.
 func (v *View) Partition(ac schema.AccessConstraint, xs []value.Tuple) ([]int, error) {
+	sole, owners, err := v.route(ac, xs)
+	if err != nil || owners != nil {
+		return owners, err
+	}
+	return slices.Repeat([]int{sole}, len(xs)), nil
+}
+
+// route finds the owning shard of each probe in xs. When every probe has
+// one owner it returns that owner and nil owners, and allocates nothing.
+func (v *View) route(ac schema.AccessConstraint, xs []value.Tuple) (sole int, owners []int, err error) {
 	rt, ok := v.routes[ac.Key()]
 	if !ok {
-		return nil, fmt.Errorf("shard: no route for constraint %s (not in the access schema)", ac)
+		return 0, nil, fmt.Errorf("shard: no route for constraint %s (not in the access schema)", ac)
 	}
-	out := make([]int, len(xs))
 	for i, x := range xs {
 		s, ok := rt.owner(x)
 		if !ok {
-			return nil, fmt.Errorf("shard: constraint %s expects %d lookup values, got %d", ac, len(ac.X), len(x))
+			return 0, nil, fmt.Errorf("shard: constraint %s expects %d lookup values, got %d", ac, len(ac.X), len(x))
 		}
-		out[i] = s
+		owners = appendOwner(owners, &sole, i, s, len(xs))
 	}
-	return out, nil
+	return sole, owners, nil
 }
 
 // FetchShard probes one shard's index (exec.PartitionedStore). Counts
@@ -125,14 +138,18 @@ func (v *View) FetchShard(shard int, ac schema.AccessConstraint, xs []value.Tupl
 
 // FetchBatch probes the logical index once per X-tuple (exec.Store): each
 // probe is routed to its owning shard and the groups are gathered back
-// aligned with xs. The executor prefers the explicit scatter-gather path
+// aligned with xs. A batch whose probes all have one owner goes to that
+// shard whole, as every batch does at P = 1, where the executor calls
+// FetchBatch; at P > 1 it prefers the explicit scatter-gather path
 // (Partition + FetchShard), which additionally reports the owning shards
-// for D_Q accounting; FetchBatch exists for callers that treat the view
-// as a plain store.
+// for D_Q accounting.
 func (v *View) FetchBatch(ac schema.AccessConstraint, xs []value.Tuple) ([][]storage.IndexEntry, error) {
-	owners, err := v.Partition(ac, xs)
+	sole, owners, err := v.route(ac, xs)
 	if err != nil {
 		return nil, err
+	}
+	if owners == nil {
+		return v.snaps[sole].FetchBatch(ac, xs)
 	}
 	out := make([][]storage.IndexEntry, len(xs))
 	buckets := make([][]int, len(v.snaps))

@@ -59,10 +59,9 @@ func (k OpKind) String() string {
 	return "delete"
 }
 
-// Op is one write operation of a batch. In a log record only ops that
-// were actually applied appear (Permissive-mode quarantined ops do not),
-// so replay through the admission path is deterministic and never
-// re-rejects.
+// Op is one write operation of a batch. A log record holds only batches
+// that committed whole, so replay through the admission path is
+// deterministic and never re-rejects.
 type Op struct {
 	Kind  OpKind
 	Rel   string

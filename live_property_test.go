@@ -1,5 +1,5 @@
-// Property tests for the live layer's two contracts under concurrency
-// (run them with -race):
+// Property tests for the writable store's two contracts under
+// concurrency, on a one-shard store (run them with -race):
 //
 //  1. Snapshot isolation: a result computed while writers churn is
 //     byte-identical to evaluating on the pinned snapshot alone — both
@@ -38,7 +38,7 @@ where t1.album_id = ? and t2.user_id = ?
 
 // seedLiveScene loads a deterministic social scene: nAlbums albums of 6
 // photos, nUsers users with 4 friends, each photo tagged once.
-func seedLiveScene(t testing.TB, nAlbums, nUsers int) (*LiveDatabase, *Engine, *Prepared) {
+func seedLiveScene(t testing.TB, nAlbums, nUsers int) (*ShardedDatabase, *Engine, *Prepared) {
 	t.Helper()
 	cat, acc, err := ParseDDL(liveTestDDL)
 	if err != nil {
@@ -71,11 +71,11 @@ func seedLiveScene(t testing.TB, nAlbums, nUsers int) (*LiveDatabase, *Engine, *
 		}
 	}
 
-	ld, err := NewLiveDatabase(db, acc, LiveOptions{})
+	ld, err := NewShardedDatabase(db, acc, ShardOptions{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewLiveEngine(ld, EngineOptions{})
+	eng, err := NewShardedEngine(ld, EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestLiveSnapshotIsolationUnderConcurrentIngest(t *testing.T) {
 					mine = mine[1:]
 					ops = append(ops, DeleteOp("in_album", Tuple{Str(victim[0]), Str(victim[1])}))
 				}
-				if _, err := ld.Apply(ops); err != nil {
+				if err := ld.Apply(ops); err != nil {
 					t.Errorf("writer %d batch %d: %v", w, b, err)
 					return
 				}
@@ -157,7 +157,7 @@ func TestLiveSnapshotIsolationUnderConcurrentIngest(t *testing.T) {
 			for i := 0; i < readIter; i++ {
 				album := Str(fmt.Sprintf("a%d", rng.Intn(nAlbums)))
 				user := Str(fmt.Sprintf("u%d", rng.Intn(nUsers)))
-				snap := ld.Snapshot()
+				snap := ld.View()
 				res, err := prep.ExecOn(snap, album, user)
 				if err != nil {
 					t.Errorf("reader %d: %v", r, err)
@@ -194,10 +194,6 @@ func TestLiveSnapshotIsolationUnderConcurrentIngest(t *testing.T) {
 	}
 	rg.Wait()
 	<-writersDone
-
-	if errs := ld.Quarantine(); len(errs) != 0 {
-		t.Fatalf("strict store quarantined %d ops", len(errs))
-	}
 }
 
 // TestLiveBoundedAccessStaysFlatAsDGrows checks contract (b): with the
@@ -212,16 +208,18 @@ func TestLiveBoundedAccessStaysFlatAsDGrows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d0 := ld.Snapshot().NumTuples()
+	d0 := ld.View().NumTuples()
 
 	rng := rand.New(rand.NewSource(7))
-	base := ld.Base()
-	rel := base.MustRelation("friends")
+	friends, err := ld.View().Tuples("friends")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for round := 1; round <= 4; round++ {
 		var ops []LiveOp
 		// Duplicates of base friendships...
 		for i := 0; i < 2*int(d0); i++ {
-			ops = append(ops, InsertOp("friends", rel.Tuples[rng.Intn(len(rel.Tuples))]))
+			ops = append(ops, InsertOp("friends", friends[rng.Intn(len(friends))]))
 		}
 		// ...and fresh tuples in groups the query never touches.
 		for i := 0; i < 64; i++ {
@@ -230,7 +228,7 @@ func TestLiveBoundedAccessStaysFlatAsDGrows(t *testing.T) {
 		}
 		for lo := 0; lo < len(ops); lo += 128 {
 			hi := min(lo+128, len(ops))
-			if _, err := ld.Apply(ops[lo:hi]); err != nil {
+			if err := ld.Apply(ops[lo:hi]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -239,7 +237,7 @@ func TestLiveBoundedAccessStaysFlatAsDGrows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dn := ld.Snapshot().NumTuples()
+		dn := ld.View().NumTuples()
 		if res.Stats.TuplesFetched != first.Stats.TuplesFetched ||
 			res.Stats.IndexLookups != first.Stats.IndexLookups {
 			t.Fatalf("round %d: access stats moved with |D| (%d → %d tuples): %+v vs %+v",
@@ -249,7 +247,7 @@ func TestLiveBoundedAccessStaysFlatAsDGrows(t *testing.T) {
 			t.Fatalf("round %d: answers changed under growth-only ingest", round)
 		}
 	}
-	dn := ld.Snapshot().NumTuples()
+	dn := ld.View().NumTuples()
 	if dn < 8*d0 {
 		t.Fatalf("|D| grew only %d → %d; test intended an order of magnitude", d0, dn)
 	}

@@ -122,19 +122,19 @@ func TestCostOrderedPlanFetchesFewerTuples(t *testing.T) {
 	}
 }
 
-// TestStatsDriftTriggersReplanWithoutRestart ingests skewed data into a
-// live engine until the observed tier cardinality drifts past the
+// TestStatsDriftTriggersReplanWithoutRestart ingests skewed data into an
+// engine over a one-shard store until the observed tier cardinality drifts past the
 // re-planning threshold, then observes the plan cache discard and
 // rebuild the plan — same process, new fetch order, Replans counter
 // advanced.
 func TestStatsDriftTriggersReplanWithoutRestart(t *testing.T) {
 	cat, acc, db := ordersScene(t)
 	_ = cat
-	ld, err := NewLiveDatabase(db, acc, LiveOptions{})
+	ld, err := NewShardedDatabase(db, acc, ShardOptions{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewLiveEngine(ld, EngineOptions{})
+	eng, err := NewShardedEngine(ld, EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestStatsDriftTriggersReplanWithoutRestart(t *testing.T) {
 		if len(ops) == 0 {
 			return
 		}
-		if _, err := ld.Apply(ops); err != nil {
+		if err := ld.Apply(ops); err != nil {
 			t.Fatal(err)
 		}
 		ops = ops[:0]

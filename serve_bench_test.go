@@ -15,9 +15,10 @@
 //	                   write to what it reads (BenchmarkServe_Uncached)
 //
 // TestServeBenchEmit counts the last three's allocations per request,
-// and a cached answer's on a two-shard store, and, when SERVE_BENCH_JSON
-// names a path, writes them there; CI compares the file against
-// bench/BENCH_serve.json (tools/benchcmp).
+// a cached answer's on a two-shard store, and a read after a write to
+// what it reads and a one-op /ingest on a live and on a one-shard store,
+// and, when SERVE_BENCH_JSON names a path, writes them there; CI
+// compares the file against bench/BENCH_serve.json (tools/benchcmp).
 package bcq
 
 import (
@@ -268,6 +269,25 @@ func guardrailOn(srv *serve.Server, epochOf func() uint64, writes []string, hits
 	return g
 }
 
+// ingestGuardrail is one /ingest on a given server, of the given one-op
+// writes in turn, whose store's data version epoch reads: every write
+// commits.
+func ingestGuardrail(srv *serve.Server, epochOf func() uint64, writes []string) guardrail {
+	p := newInProcess(srv.Handler())
+	for _, w := range writes { // fills the handler's pools
+		p.send(p.post, w)
+	}
+	epoch := epochOf()
+	return guardrail{
+		op: func(i int) { p.send(p.post, writes[i%len(writes)]) },
+		check: func(tb testing.TB, n int) {
+			if got := epochOf() - epoch; got != uint64(n) {
+				tb.Fatalf("%d writes moved the epoch %d times; every one must commit", n, got)
+			}
+		},
+	}
+}
+
 // bench times g's op b.N times, its before untimed.
 func (g guardrail) bench(b *testing.B) {
 	b.ReportAllocs()
@@ -339,13 +359,27 @@ func (g guardrail) perOp(tb testing.TB, n int) (allocs, bytes int64) {
 // TestServeBenchEmit measures the three in-process guardrails' allocations
 // per request — a cached answer, a cached answer after an unrelated write,
 // a read after a write to what it reads — and a cached answer's on a
-// two-shard store, and fails when a cached answer allocates at all; with
-// SERVE_BENCH_JSON set the counts are written there (BENCH_serve.json in
-// CI, compared against bench/BENCH_serve.json by tools/benchcmp).
-// Clock-free: nothing here is a time.
+// two-shard store, and fails when a cached answer allocates at all. It
+// also holds a one-shard store to the live store it replaces: a read
+// after a write to what it reads (one_shard_uncached) allocates no more
+// than uncached, and a one-op /ingest (one_shard_ingest) no more than on
+// the live store (ingest) plus the two objects of the cut it publishes,
+// its View and its shard slice. With SERVE_BENCH_JSON set the counts are
+// written there (BENCH_serve.json in CI, compared against
+// bench/BENCH_serve.json by tools/benchcmp). Clock-free: nothing here is
+// a time.
 func TestServeBenchEmit(t *testing.T) {
 	const runs = 500
 	ss, sharded := shardedBenchServer(t, 2)
+	oneShard := func(writes []string, hits bool) guardrail {
+		ss, srv := shardedBenchServer(t, 1)
+		return guardrailOn(srv, func() uint64 { return ss.View().Epoch() }, writes, hits)
+	}
+	oneShardIngest := func() guardrail {
+		ss, srv := shardedBenchServer(t, 1)
+		return ingestGuardrail(srv, func() uint64 { return ss.View().Epoch() }, unrelatedWrites)
+	}
+	ls, srv, _ := benchServer(t)
 	doc := map[string]map[string]int64{}
 	for _, c := range []struct {
 		name string
@@ -355,6 +389,9 @@ func TestServeBenchEmit(t *testing.T) {
 		{"hit_after_write", newGuardrail(t, unrelatedWrites, true)},
 		{"uncached", newGuardrail(t, readWrites, false)},
 		{"sharded_cached_hit", guardrailOn(sharded, func() uint64 { return ss.View().Epoch() }, nil, true)},
+		{"one_shard_uncached", oneShard(readWrites, false)},
+		{"ingest", ingestGuardrail(srv, ls.Epoch, unrelatedWrites)},
+		{"one_shard_ingest", oneShardIngest()},
 	} {
 		allocs, bytes := c.g.perOp(t, runs)
 		doc[c.name] = map[string]int64{"op_allocs": allocs, "op_bytes": bytes}
@@ -364,6 +401,12 @@ func TestServeBenchEmit(t *testing.T) {
 		if n := doc[name]["op_allocs"]; n != 0 {
 			t.Errorf("%s allocates %d objects per request, want 0", name, n)
 		}
+	}
+	if got, live := doc["one_shard_uncached"]["op_allocs"], doc["uncached"]["op_allocs"]; got > live {
+		t.Errorf("one_shard_uncached allocates %d objects per request, the live store's uncached %d", got, live)
+	}
+	if got, live := doc["one_shard_ingest"]["op_allocs"], doc["ingest"]["op_allocs"]; got > live+2 {
+		t.Errorf("one_shard_ingest allocates %d objects per request, the live store's ingest %d plus the cut's 2", got, live)
 	}
 	if path := os.Getenv("SERVE_BENCH_JSON"); path != "" {
 		out, err := json.MarshalIndent(doc, "", "  ")

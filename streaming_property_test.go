@@ -47,7 +47,7 @@ func TestStreamingMatchesMaterializedAcrossStores(t *testing.T) {
 
 	t.Run("live-and-sealed", func(t *testing.T) {
 		ld, _, prep := seedLiveScene(t, nAlbums, nUsers)
-		snap := ld.Snapshot()
+		snap := ld.Shard(0).Snapshot() // the one shard's live snapshot
 		frozen, err := snap.Freeze()
 		if err != nil {
 			t.Fatal(err)
@@ -155,7 +155,7 @@ func TestStreamingPagingUnderConcurrentIngest(t *testing.T) {
 					ops = append(ops, InsertOp("in_album", Tuple{Str(photo), Str(fmt.Sprintf("a%d", rng.Intn(nAlbums)))}))
 					ops = append(ops, InsertOp("tagging", Tuple{Str(photo), Str(fmt.Sprintf("u%d", rng.Intn(nUsers))), Str(fmt.Sprintf("u%d", rng.Intn(nUsers)))}))
 				}
-				if _, err := ld.Apply(ops); err != nil {
+				if err := ld.Apply(ops); err != nil {
 					t.Errorf("writer %d batch %d: %v", w, b, err)
 					return
 				}
@@ -176,7 +176,7 @@ func TestStreamingPagingUnderConcurrentIngest(t *testing.T) {
 			for i := 0; i < readIter; i++ {
 				album := Str(fmt.Sprintf("a%d", rng.Intn(nAlbums)))
 				user := Str(fmt.Sprintf("u%d", rng.Intn(nUsers)))
-				snap := ld.Snapshot()
+				snap := ld.View()
 				full, err := prep.ExecOn(snap, album, user)
 				if err != nil {
 					t.Errorf("reader %d: %v", r, err)
