@@ -329,7 +329,7 @@ func ExecuteStream(p *Plan, st Store, opts StreamOptions) *Stream {
 // Re-exported prepared-query engine types.
 type (
 	// Engine is a long-lived prepared-query service over one database:
-	// parse → analyze → plan runs once per query shape (LRU plan cache),
+	// parse → analyze → plan runs once per query shape (CLOCK plan cache),
 	// bounded execution runs per request.
 	Engine = engine.Engine
 	// Prepared is a cached query plan ready for repeated execution.

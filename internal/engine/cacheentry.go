@@ -3,8 +3,8 @@ package engine
 // cacheEntry is one plan-cache slot: a successfully prepared query, or a
 // preparation error tagged with the store version it was observed at.
 //
-// The engine keeps successes and failures in two separate LRUs
-// (internal/lru instances, serialized under the engine mutex).
+// The engine keeps successes and failures in two separate caches
+// (internal/clock instances, serialized under the engine mutex).
 // Successful plans are sound forever — the live layers keep D |= A
 // invariant, so no epoch advance can invalidate them — and must not be
 // displaced by a burst of failing query shapes. Errors are soft state:

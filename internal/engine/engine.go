@@ -9,7 +9,7 @@
 // path, not the data path. The engine separates the two:
 //
 //   - Prepare runs parse → analyze → plan.Optimize (the cost-based
-//     planner) once per query *shape* and memoizes the result in an LRU
+//     planner) once per query *shape* and memoizes the result in a CLOCK
 //     plan cache keyed by a normalized query fingerprint. Parameterized templates ("attr = ?") are planned
 //     once against opaque sentinel constants; the plan's structure is
 //     value-independent, so it is reusable for every argument vector.
@@ -31,9 +31,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"bcq/internal/clock"
 	"bcq/internal/exec"
 	"bcq/internal/live"
-	"bcq/internal/lru"
 	"bcq/internal/obs"
 	"bcq/internal/schema"
 	"bcq/internal/shard"
@@ -169,7 +169,7 @@ type epochKeyed interface{ AppendEpochKey(dst []byte) []byte }
 
 // Options tunes an engine.
 type Options struct {
-	// PlanCacheSize caps the LRU plan cache (≤ 0 means the default 128).
+	// PlanCacheSize caps the CLOCK plan cache (≤ 0 means the default 128).
 	PlanCacheSize int
 	// Parallelism is read by nothing: every probe runs on the request's
 	// goroutine.
@@ -223,7 +223,7 @@ type Stats struct {
 	// CacheMisses counts prepares that ran the analyze→plan pipeline.
 	CacheMisses int64
 	// Evictions counts plan-cache entries (successful plans) displaced by
-	// the LRU policy. Error entries live in their own cache and never
+	// the CLOCK policy. Error entries live in their own cache and never
 	// displace plans; their evictions are not counted.
 	Evictions int64
 	// StaleRetries counts prepares that re-ran the analysis because the
@@ -262,14 +262,14 @@ type Engine struct {
 	// cache holds successful plans; errs holds preparation errors, each
 	// tagged with the source version it was observed at. Separate caches
 	// so a burst of failing shapes can never displace hot valid plans.
-	cache  *lru.Cache[*cacheEntry]
-	errs   *lru.Cache[*cacheEntry]
+	cache  *clock.Cache[*cacheEntry]
+	errs   *clock.Cache[*cacheEntry]
 	flight map[string]*inflight
 	// texts memoises the pure step in front of the plan cache: query text
 	// → parsed query and fingerprint, so a repeated text is never parsed
 	// or re-rendered. It shares the plan cache's capacity and mutex and
 	// decides nothing: every text still goes through lookupOrBuild.
-	texts *lru.Cache[parsedText]
+	texts *clock.Cache[parsedText]
 
 	// buildHook, when set (tests only), runs at the start of every
 	// analyze→plan pipeline, outside the engine mutex — the observation
@@ -365,9 +365,9 @@ func assemble(cat *schema.Catalog, src Source, opts Options) *Engine {
 	e := &Engine{
 		cat:    cat,
 		src:    src,
-		cache:  lru.New[*cacheEntry](size),
-		errs:   lru.New[*cacheEntry](size),
-		texts:  lru.New[parsedText](size),
+		cache:  clock.New[*cacheEntry](size),
+		errs:   clock.New[*cacheEntry](size),
+		texts:  clock.New[parsedText](size),
 		flight: make(map[string]*inflight),
 	}
 	e.recorder = opts.Recorder
@@ -396,7 +396,7 @@ func (e *Engine) instrument(reg *obs.Registry) {
 	cf("bcq_plan_prepares_total", "Prepare/PrepareQuery calls.", e.prepares.Load)
 	cf("bcq_plan_cache_hits_total", "Prepares answered from the plan cache.", e.hits.Load)
 	cf("bcq_plan_cache_misses_total", "Prepares that ran the analyze->plan pipeline.", e.misses.Load)
-	cf("bcq_plan_cache_evictions_total", "Cached plans displaced by the LRU policy.", e.evictions.Load)
+	cf("bcq_plan_cache_evictions_total", "Cached plans displaced by the CLOCK policy.", e.evictions.Load)
 	cf("bcq_plan_stale_retries_total", "Cached errors retried after a schema-version advance.", e.staleRetries.Load)
 	cf("bcq_plan_replans_total", "Cached plans rebuilt after cardinality drift.", e.replans.Load)
 	cf("bcq_exec_runs_total", "Prepared executions started.", e.execs.Load)

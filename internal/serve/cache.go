@@ -4,8 +4,8 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"bcq/internal/clock"
 	"bcq/internal/exec"
-	"bcq/internal/lru"
 )
 
 // maxCachedBody bounds the /query bodies whose answers are cached, as
@@ -103,49 +103,50 @@ type CacheStats struct {
 	// whose read set had moved since it was computed: answers a write
 	// may have changed. It is part of Misses.
 	Invalidated int64 `json:"invalidated"`
-	// Entries is the current entry count; Capacity the LRU bound.
+	// Entries is the current entry count; Capacity the CLOCK bound.
 	Entries  int `json:"entries"`
 	Capacity int `json:"capacity"`
 }
 
-// resultCache wraps the shared LRU with a mutex and counters, mapping
-// cache keys to entries. Entries are immutable once stored; their
+// resultCache wraps the shared CLOCK cache with counters, mapping cache
+// keys to entries. Lookups take no lock; mu serializes the writes, as the
+// cache's contract asks. Entries are immutable once stored; their
 // payloads are shared between the cache and in-flight responses.
 type resultCache struct {
-	mu          sync.Mutex
+	mu          sync.Mutex // serializes put and stats
 	cap         int
-	lru         *lru.Cache[cacheEntry]
+	entries     *clock.Cache[cacheEntry]
 	hits        atomic.Int64
 	misses      atomic.Int64
 	invalidated atomic.Int64
 }
 
 func newResultCache(capacity int) *resultCache {
-	return &resultCache{cap: capacity, lru: lru.New[cacheEntry](capacity)}
+	return &resultCache{cap: capacity, entries: clock.New[cacheEntry](capacity)}
 }
 
 // get returns the entry stored under key, a /query body, with the key
-// used in place: one hash of the body and one map probe under the mutex,
-// no allocation. Whether the entry is still the answer is the caller's
-// question (cacheEntry.current on the view it pins), and so is the
-// counting: a hit is counted when it is found current, and a miss — and
+// used in place: one hash of the body and a probe of atomic loads, with
+// no lock, no allocation, and no store unless the entry was unreferenced.
+// A get that races a put may miss an entry that is there, which costs a
+// recompute, never a foreign answer. Whether the entry is still the
+// answer is the caller's question (cacheEntry.current on the view it
+// pins), and so is the counting: a hit is counted when it is found current, and a miss — and
 // whether that miss was an invalidation — once, when the request
 // executes, however many times it asked (execQuery).
 func (c *resultCache) get(key []byte) (cacheEntry, bool) {
-	c.mu.Lock()
-	e, ok := c.lru.GetBytes(key)
-	c.mu.Unlock()
-	return e, ok
+	return c.entries.GetBytes(key)
 }
 
 // put stores an entry, replacing the one under its key in place. When a
 // concurrent execution of the same key raced this one, the entry computed
 // on the newer view is kept. It is the one place a key becomes a string:
-// the copy of a body that missed.
+// the copy of a body that missed, made once, and only when no entry
+// holds the key already.
 func (c *resultCache) put(key []byte, e cacheEntry) {
 	c.mu.Lock()
-	if old, ok := c.lru.GetBytes(key); !ok || !newer(old.epochs, e.epochs) {
-		c.lru.Put(string(key), e)
+	if old, ok := c.entries.GetBytes(key); !ok || !newer(old.epochs, e.epochs) {
+		c.entries.PutBytes(key, e)
 	}
 	c.mu.Unlock()
 }
@@ -164,7 +165,7 @@ func newer(a, b []uint64) bool {
 
 func (c *resultCache) stats() CacheStats {
 	c.mu.Lock()
-	entries := c.lru.Len()
+	entries := c.entries.Len()
 	c.mu.Unlock()
 	return CacheStats{
 		Hits:        c.hits.Load(),

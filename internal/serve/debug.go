@@ -75,7 +75,7 @@ func (s *Server) handleDebugTraceByID(w http.ResponseWriter, r *http.Request) {
 		apiError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
-	id := strings.TrimPrefix(r.URL.Path, "/debug/traces/")
+	id := strings.TrimPrefix(r.URL.Path, traceByIDPrefix)
 	if id == "" || strings.Contains(id, "/") {
 		apiError(w, http.StatusBadRequest, "trace ID required: /debug/traces/{id}")
 		return

@@ -48,6 +48,7 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -152,7 +153,11 @@ type Server struct {
 	// behavior.
 	testHold chan struct{}
 
-	mux *http.ServeMux
+	// routes maps each enabled endpoint's exact path to its instrumented
+	// handler; traceByID answers the /debug/traces/ prefix (nil when no
+	// trace recorder is wired). Built once in New and only read after.
+	routes    map[string]http.HandlerFunc
+	traceByID http.HandlerFunc
 }
 
 // New builds a server over an engine.
@@ -194,28 +199,49 @@ func New(eng *engine.Engine, opts Options) (*Server, error) {
 		s.cache = newResultCache(opts.ResultCacheSize)
 	}
 	s.instrument()
-	mux := http.NewServeMux()
-	mux.HandleFunc("/query", s.instrumented("query", s.handleQuery))
-	mux.HandleFunc("/prepare", s.instrumented("prepare", s.handlePrepare))
-	mux.HandleFunc("/ingest", s.instrumented("ingest", s.handleIngest))
-	mux.HandleFunc("/stats", s.instrumented("stats", s.handleStats))
-	mux.HandleFunc("/healthz", s.instrumented("healthz", s.handleHealthz))
+	s.routes = map[string]http.HandlerFunc{
+		"/query":   s.instrumented("query", s.handleQuery),
+		"/prepare": s.instrumented("prepare", s.handlePrepare),
+		"/ingest":  s.instrumented("ingest", s.handleIngest),
+		"/stats":   s.instrumented("stats", s.handleStats),
+		"/healthz": s.instrumented("healthz", s.handleHealthz),
+	}
 	if reg := s.obs.Reg(); reg != nil {
-		mux.HandleFunc("/metrics", s.instrumented("metrics", reg.Handler().ServeHTTP))
+		s.routes["/metrics"] = s.instrumented("metrics", reg.Handler().ServeHTTP)
 	}
 	if s.obs.Series() != nil {
-		mux.HandleFunc("/debug/timeseries", s.instrumented("debug", s.handleDebugTimeseries))
+		s.routes["/debug/timeseries"] = s.instrumented("debug", s.handleDebugTimeseries)
 	}
 	if s.obs.TraceRec() != nil {
-		mux.HandleFunc("/debug/traces", s.instrumented("debug", s.handleDebugTraces))
-		mux.HandleFunc("/debug/traces/", s.instrumented("debug", s.handleDebugTraceByID))
+		s.routes["/debug/traces"] = s.instrumented("debug", s.handleDebugTraces)
+		s.traceByID = s.instrumented("debug", s.handleDebugTraceByID)
 	}
-	s.mux = mux
 	return s, nil
 }
 
-// Handler returns the HTTP handler serving the endpoints.
-func (s *Server) Handler() http.Handler { return s.mux }
+// traceByIDPrefix is the one path prefix the server routes: a retained
+// trace's ID follows it.
+const traceByIDPrefix = "/debug/traces/"
+
+// Handler returns the HTTP handler serving the endpoints. It dispatches
+// on the request's exact path, with one map probe: a path that is not an
+// endpoint's, including an unclean spelling of one (//query,
+// /query/../query) or one with a trailing slash, is 404, never
+// redirected. Paths under /debug/traces/ go to the trace lookup by ID.
+func (s *Server) Handler() http.Handler { return http.HandlerFunc(s.route) }
+
+func (s *Server) route(w http.ResponseWriter, r *http.Request) {
+	path := r.URL.Path
+	if h, ok := s.routes[path]; ok {
+		h(w, r)
+		return
+	}
+	if s.traceByID != nil && strings.HasPrefix(path, traceByIDPrefix) {
+		s.traceByID(w, r)
+		return
+	}
+	http.NotFound(w, r)
+}
 
 // Engine returns the engine the server fronts.
 func (s *Server) Engine() *engine.Engine { return s.eng }
@@ -455,8 +481,8 @@ func (s *Server) onSlot(fn func() handlerResult) (out handlerResult) {
 // prefix would serve truncated answers to unlimited requests.
 //
 // The cache is probed with the body's bytes as they arrived, before the
-// body is decoded: one hash and one map read under the cache's mutex, on
-// the handler goroutine and before admission. A probe that finds no entry
+// body is decoded: one hash and one probe of the CLOCK table, with no
+// lock, on the handler goroutine and before admission. A probe that finds no entry
 // pins no view and costs the request nothing else. A hit is written at
 // once — no engine, no deadline context, no worker, no queue; it is not
 // work, and a saturated server answers it all the same. An untraced hit

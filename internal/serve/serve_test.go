@@ -670,7 +670,7 @@ func TestResultCacheDisabled(t *testing.T) {
 	}
 }
 
-func TestResultCacheLRUBound(t *testing.T) {
+func TestResultCacheCapacityBound(t *testing.T) {
 	_, srv, hs := newTestServer(t, engine.Options{}, Options{ResultCacheSize: 2})
 	for i := 0; i < 4; i++ {
 		body := fmt.Sprintf(`{"query": "select photo_id from in_album where album_id = ?", "args": ["a%d"]}`, i)
@@ -679,6 +679,6 @@ func TestResultCacheLRUBound(t *testing.T) {
 		}
 	}
 	if cs := srv.CacheStats(); cs.Entries != 2 {
-		t.Errorf("cache holds %d entries, want the LRU bound 2", cs.Entries)
+		t.Errorf("cache holds %d entries, want the capacity bound 2", cs.Entries)
 	}
 }

@@ -312,6 +312,32 @@ func (g guardrail) bench(b *testing.B) {
 // snapshot or a worker hand-off creeping back in shows as a multiple.
 func BenchmarkServe_CachedHit(b *testing.B) { newGuardrail(b, nil, true).bench(b) }
 
+// BenchmarkServe_CachedHitParallel is BenchmarkServe_CachedHit from every
+// processor at once (b.RunParallel), each goroutine with its own request
+// and writer: the lookups share the result cache and nothing else, so a
+// lock or a shared store on the hit path shows as ns/op that grows with
+// -cpu. Every request must be a hit that allocates nothing; its time is
+// reported, not asserted.
+func BenchmarkServe_CachedHitParallel(b *testing.B) {
+	_, srv, _ := benchServer(b)
+	h := srv.Handler()
+	warm := newInProcess(h)
+	warm.send(warm.query, albumQuery) // plans and caches
+	base := srv.CacheStats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		p := newInProcess(h)
+		for pb.Next() {
+			p.send(p.query, albumQuery)
+		}
+	})
+	b.StopTimer()
+	if cs := srv.CacheStats(); cs.Hits-base.Hits != int64(b.N) || cs.Misses != base.Misses {
+		b.Fatalf("%d requests: %d hits, %d misses; every one must be a cached answer", b.N, cs.Hits-base.Hits, cs.Misses-base.Misses)
+	}
+}
+
 // BenchmarkServe_Uncached is the miss path's guardrail: the same /query
 // in process, but with one /ingest sent (untimed) before every read that
 // rewrites the album group the read probes, so each read finds its
