@@ -111,18 +111,25 @@ type CacheStats struct {
 // resultCache wraps the shared CLOCK cache with counters, mapping cache
 // keys to entries. Lookups take no lock; mu serializes the writes, as the
 // cache's contract asks. Entries are immutable once stored; their
-// payloads are shared between the cache and in-flight responses.
+// payloads are shared between the cache and in-flight responses. The
+// counters are striped (counter): a request adds to its own stripe.
 type resultCache struct {
 	mu          sync.Mutex // serializes put and stats
 	cap         int
 	entries     *clock.Cache[cacheEntry]
-	hits        atomic.Int64
-	misses      atomic.Int64
-	invalidated atomic.Int64
+	hits        counter
+	misses      counter
+	invalidated counter
 }
 
-func newResultCache(capacity int) *resultCache {
-	return &resultCache{cap: capacity, entries: clock.New[cacheEntry](capacity)}
+func newResultCache(capacity, stripes int) *resultCache {
+	return &resultCache{
+		cap:         capacity,
+		entries:     clock.New[cacheEntry](capacity),
+		hits:        newCounter(stripes),
+		misses:      newCounter(stripes),
+		invalidated: newCounter(stripes),
+	}
 }
 
 // get returns the entry stored under key, a /query body, with the key
@@ -131,9 +138,10 @@ func newResultCache(capacity int) *resultCache {
 // A get that races a put may miss an entry that is there, which costs a
 // recompute, never a foreign answer. Whether the entry is still the
 // answer is the caller's question (cacheEntry.current on the view it
-// pins), and so is the counting: a hit is counted when it is found current, and a miss — and
-// whether that miss was an invalidation — once, when the request
-// executes, however many times it asked (execQuery).
+// pins), and so is the counting: a hit is counted when it is found
+// current (Server.probe), and a miss — and whether that miss was an
+// invalidation — once, when the request executes, however many times it
+// asked (execQuery).
 func (c *resultCache) get(key []byte) (cacheEntry, bool) {
 	return c.entries.GetBytes(key)
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"unicode"
 	"unicode/utf16"
 	"unicode/utf8"
@@ -80,6 +81,10 @@ type bodyDecoder struct {
 	vals  []value.Value // the elements of the array being read
 	slots []opSlot      // /ingest: the ops as decoded so far
 	names []string      // /ingest: op and relation names already seen
+	// stripe is the request counters' stripe (counter) a request read
+	// into this decoder adds to. The pool keeps a decoder per processor,
+	// so the stripe stays with one.
+	stripe uint32
 }
 
 // opSlot is one op of an /ingest body while it is decoded. A repeated
@@ -93,15 +98,31 @@ type opSlot struct {
 	attrErr error // and why
 }
 
-var decoders = sync.Pool{New: func() any { return &bodyDecoder{buf: make([]byte, 0, 1024)} }}
+// decoders pools body decoders; each new one takes the next counter
+// stripe in turn.
+var (
+	decoders = sync.Pool{New: func() any {
+		return &bodyDecoder{buf: make([]byte, 0, 1024), stripe: nextStripe.Add(1)}
+	}}
+	nextStripe atomic.Uint32
+)
 
-// readBody reads r's body, at most maxBodyBytes of it, into a pooled
-// decoder. The caller releases it. The body stays in d.buf, as it
-// arrived, until then: /query probes the result cache with those bytes
-// before decoding them, and an untraced hit writes its response over
-// them.
+// readBody reads r's body into a pooled decoder (read). The caller
+// releases it.
 func readBody(w http.ResponseWriter, r *http.Request) (*bodyDecoder, error) {
 	d := decoders.Get().(*bodyDecoder)
+	if err := d.read(w, r); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// read reads r's body, at most maxBodyBytes of it, into d, which goes
+// back to the pool if that fails. The body stays in d.buf, as it arrived,
+// until d is released: /query probes the result cache with those bytes
+// before decoding them, and an untraced hit writes its response over
+// them.
+func (d *bodyDecoder) read(w http.ResponseWriter, r *http.Request) error {
 	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	buf := d.buf[:0]
 	for {
@@ -116,11 +137,11 @@ func readBody(w http.ResponseWriter, r *http.Request) (*bodyDecoder, error) {
 		if err != nil {
 			d.buf = buf
 			d.release()
-			return nil, fmt.Errorf("invalid request body: %w", err)
+			return fmt.Errorf("invalid request body: %w", err)
 		}
 	}
 	d.reset(buf)
-	return d, nil
+	return nil
 }
 
 // decodeRequest reads r's body and decodes it with decode.

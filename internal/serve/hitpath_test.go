@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"bcq/internal/engine"
 	"bcq/internal/live"
@@ -216,14 +217,34 @@ func TestUntracedHitIsTheEnvelope(t *testing.T) {
 	}
 }
 
+// slowBody is a request body whose first read waits delay: a request
+// that arrives, then takes that long to be read.
+type slowBody struct {
+	strings.Reader
+	delay time.Duration
+	read  bool
+}
+
+func (b *slowBody) Read(p []byte) (int, error) {
+	if !b.read {
+		b.read = true
+		time.Sleep(b.delay)
+	}
+	return b.Reader.Read(p)
+}
+
 // TestTracedHitsPrepareFromThePlanCache: a cached body is answered through
 // tracedHit whenever the request runs traced without a trace header (that
 // case is TestUntracedHitIsTheEnvelope's): on a server whose slow-query
 // log or trace recorder is armed, or when the body itself asks for the
 // diagnostics block. Each such hit is cached:true with a result field
 // byte-identical to the untraced hit's, and costs one prepare, which the
-// plan cache answers.
+// plan cache answers. Where a trace recorder is armed, it keeps the hit
+// with its duration measured from arrival: the hit's body takes
+// bodyDelay to read, and the duration recorded is at least that and at
+// most what the whole request took.
 func TestTracedHitsPrepareFromThePlanCache(t *testing.T) {
+	const bodyDelay = 2 * time.Millisecond
 	// The untraced reference: a server with nothing armed.
 	_, plain, _ := newTestServer(t, engine.Options{}, Options{})
 	warmHit(t, plain.Handler())
@@ -233,32 +254,42 @@ func TestTracedHitsPrepareFromThePlanCache(t *testing.T) {
 		t.Fatalf("untraced reference hit: %s", want)
 	}
 	debugBody := fmt.Sprintf(`{"query": %q, "args": ["a0"], "debug": true}`, hitText)
+	// everything retains every trace it is offered.
+	slowLog := func() *obs.SlowLog { return obs.NewSlowLog(&syncBuffer{}, 0, 1) }
+	everything := func() *obs.TraceRecorder {
+		return obs.NewTraceRecorder(obs.TraceRecorderOptions{SlowThreshold: time.Nanosecond})
+	}
 	cases := []struct {
 		name string
 		obs  *obs.Observer
 		body string
 	}{
-		{"slow-query log", &obs.Observer{SlowLog: obs.NewSlowLog(&syncBuffer{}, 0, 1)}, hitBody},
-		{"trace recorder", &obs.Observer{Traces: obs.NewTraceRecorder(obs.TraceRecorderOptions{})}, hitBody},
+		{"slow-query log", &obs.Observer{SlowLog: slowLog()}, hitBody},
+		{"trace recorder", &obs.Observer{Traces: everything()}, hitBody},
+		{"slow-query log and trace recorder", &obs.Observer{SlowLog: slowLog(), Traces: everything()}, hitBody},
 		{"debug body", nil, debugBody},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, srv, _ := newTestServer(t, engine.Options{}, Options{Obs: tc.obs})
-			send := func() queryEnvelope {
+			send := func(delay time.Duration) queryEnvelope {
 				t.Helper()
-				code, raw := serveInProcess(srv.Handler(), tc.body)
+				req := httptest.NewRequest(http.MethodPost, "/query", &slowBody{Reader: *strings.NewReader(tc.body), delay: delay})
+				rec := httptest.NewRecorder()
+				srv.Handler().ServeHTTP(rec, req)
 				var env queryEnvelope
-				if err := json.Unmarshal(raw, &env); err != nil || code != http.StatusOK {
-					t.Fatalf("status %d: %s", code, raw)
+				if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || rec.Code != http.StatusOK {
+					t.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
 				}
 				return env
 			}
-			if env := send(); env.Cached {
+			if env := send(0); env.Cached {
 				t.Fatal("the first request was answered from the cache")
 			}
 			before := srv.Engine().Stats()
-			env := send()
+			sent := time.Now()
+			env := send(bodyDelay)
+			took := time.Since(sent)
 			if !env.Cached || !bytes.Equal(env.Result, ref.Result) {
 				t.Errorf("traced hit: cached %v, result\n %s\nwant the untraced hit's\n %s", env.Cached, env.Result, ref.Result)
 			}
@@ -270,6 +301,16 @@ func TestTracedHitsPrepareFromThePlanCache(t *testing.T) {
 			}
 			if st := srv.Engine().Stats(); st.Prepares != before.Prepares+1 || st.CacheHits != before.CacheHits+1 {
 				t.Errorf("a traced hit moved the engine %+v -> %+v; want one prepare, a plan-cache hit", before, st)
+			}
+			if rec := tc.obs.TraceRec(); rec != nil {
+				kept := rec.Get(env.TraceID)
+				if kept == nil {
+					t.Fatal("the recorder kept no trace of the hit")
+				}
+				ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+				if kept.DurationMS < ms(bodyDelay) || kept.DurationMS > ms(took) {
+					t.Errorf("the hit's recorded duration is %.3f ms; measured from arrival it is at least the %.3f ms its body took and at most the %.3f ms the request took", kept.DurationMS, ms(bodyDelay), ms(took))
+				}
 			}
 		})
 	}

@@ -178,12 +178,18 @@ func (s *Server) traceFor(r *http.Request, debug bool) *obs.Trace {
 // It then offers the trace to the tail-sampling recorder — forced when
 // the entry was logged, so every slow-log trace ID resolves via
 // /debug/traces/{id} (exemplar linking); otherwise retention falls to
-// the recorder's own slow/outlier criteria. outcome "" means ok.
-func (s *Server) maybeSlowLog(endpoint string, p *engine.Prepared, res *exec.Result, tr *obs.Trace, d time.Duration, answers int, outcome string) {
+// the recorder's own slow/outlier criteria. outcome "" means ok. The
+// duration since start is read only when the slow log or the recorder
+// will use it.
+func (s *Server) maybeSlowLog(endpoint string, p *engine.Prepared, res *exec.Result, tr *obs.Trace, start time.Time, answers int, outcome string) {
+	sl, rec := s.obs.Slow(), s.obs.TraceRec()
+	if sl == nil && (rec == nil || tr == nil) {
+		return
+	}
 	if outcome == "" {
 		outcome = "ok"
 	}
-	sl := s.obs.Slow()
+	d := time.Since(start)
 	logged := sl != nil && sl.ShouldLog(d)
 	if logged {
 		sl.Record(obs.SlowEntry{
@@ -202,7 +208,7 @@ func (s *Server) maybeSlowLog(endpoint string, p *engine.Prepared, res *exec.Res
 			Spans:       tr.JSON(),
 		})
 	}
-	s.obs.TraceRec().Consider(tr, obs.TraceMeta{
+	rec.Consider(tr, obs.TraceMeta{
 		Endpoint:    endpoint,
 		Fingerprint: p.Fingerprint(),
 		Duration:    d,
@@ -215,18 +221,27 @@ func (s *Server) maybeSlowLog(endpoint string, p *engine.Prepared, res *exec.Res
 // considerError finishes a failed request's trace and offers it to the
 // recorder — errored requests always qualify for retention, so the
 // evidence of a failure survives the response.
-func (s *Server) considerError(endpoint, fingerprint string, tr *obs.Trace, d time.Duration) {
+func (s *Server) considerError(endpoint, fingerprint string, tr *obs.Trace, start time.Time) {
 	if tr == nil {
 		return
 	}
 	tr.Finish()
-	s.obs.TraceRec().Consider(tr, obs.TraceMeta{
-		Endpoint:    endpoint,
-		Fingerprint: fingerprint,
-		Duration:    d,
-		Outcome:     "error",
-		Err:         true,
-	})
+	if rec := s.obs.TraceRec(); rec != nil {
+		rec.Consider(tr, obs.TraceMeta{
+			Endpoint:    endpoint,
+			Fingerprint: fingerprint,
+			Duration:    time.Since(start),
+			Outcome:     "error",
+			Err:         true,
+		})
+	}
+}
+
+// timesRequests reports whether anything records a /query's duration:
+// the slow-query log or the trace recorder. Only then does a request read
+// the clock on arrival.
+func (s *Server) timesRequests() bool {
+	return s.obs.Slow() != nil || s.obs.TraceRec() != nil
 }
 
 // slowSteps renders the executed plan's per-operation accounting. Step

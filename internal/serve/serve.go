@@ -135,7 +135,9 @@ type Server struct {
 	draining   chan struct{}
 	closeStore func() error
 
-	queries   atomic.Int64
+	// queries is striped: every /query adds to it, and a cached answer
+	// adds to it and nothing else another client writes.
+	queries   counter
 	ingests   atomic.Int64
 	overloads atomic.Int64
 	timeouts  atomic.Int64
@@ -190,13 +192,15 @@ func New(eng *engine.Engine, opts Options) (*Server, error) {
 		draining:   make(chan struct{}),
 		cursors:    newCursorRegistry(opts.CursorCap, opts.CursorTTL),
 	}
+	stripes := stripeCount()
+	s.queries = newCounter(stripes)
 	switch {
 	case opts.ResultCacheSize < 0:
 		// cache disabled
 	case opts.ResultCacheSize == 0:
-		s.cache = newResultCache(DefaultResultCacheSize)
+		s.cache = newResultCache(DefaultResultCacheSize, stripes)
 	default:
-		s.cache = newResultCache(opts.ResultCacheSize)
+		s.cache = newResultCache(opts.ResultCacheSize, stripes)
 	}
 	s.instrument()
 	s.routes = map[string]http.HandlerFunc{
@@ -364,13 +368,13 @@ func (s *Server) release() {
 
 // deadline resolves a request's deadline from its timeout_ms, capped to
 // nothing — the client owns its patience — and defaulting to the server
-// timeout, counted from now.
-func (s *Server) deadline(ms int64) time.Time {
+// timeout, counted from the request's arrival.
+func (s *Server) deadline(arrival time.Time, ms int64) time.Time {
 	d := s.timeout
 	if ms > 0 {
 		d = time.Duration(ms) * time.Millisecond
 	}
-	return time.Now().Add(d)
+	return arrival.Add(d)
 }
 
 // apiError writes a JSON error with the given status.
@@ -451,8 +455,8 @@ func (s *Server) start(ctx context.Context, deadline time.Time) error {
 // boundedness analysis and /ingest's admission checks are as CPU-real as
 // query execution. The one thing that does not is a /query answered from
 // the caches (handleQuery).
-func (s *Server) runOnWorker(w http.ResponseWriter, r *http.Request, timeoutMS int64, fn func() handlerResult) {
-	if err := s.start(r.Context(), s.deadline(timeoutMS)); err != nil {
+func (s *Server) runOnWorker(w http.ResponseWriter, r *http.Request, arrival time.Time, timeoutMS int64, fn func() handlerResult) {
+	if err := s.start(r.Context(), s.deadline(arrival, timeoutMS)); err != nil {
 		s.rejectAdmission(w, err)
 		return
 	}
@@ -491,25 +495,36 @@ func (s *Server) onSlot(fn func() handlerResult) (out handlerResult) {
 // the body for the plan its trace and Explain want (tracedHit). Anything
 // else is decoded and validated and goes through runOnWorker, taking
 // along what the probe resolved.
+//
+// An untraced hit reads no clock and stores to nothing another client
+// writes: the counters it adds to are striped, on the stripe of its
+// decoder. The arrival time is read on entry only when something will
+// record the request's duration — the slow-query log or the trace
+// recorder (timesRequests); otherwise a request reads it once it is
+// past the probe, where its deadline and its trace start from the one
+// reading.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		apiError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	start := time.Now()
-	s.queries.Add(1)
-	d, err := readBody(w, r)
-	if err != nil {
+	var start time.Time
+	if s.timesRequests() {
+		start = time.Now()
+	}
+	d := decoders.Get().(*bodyDecoder)
+	s.queries.add(d.stripe)
+	if err := d.read(w, r); err != nil {
 		apiError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	defer d.release()
-	var lk lookup
+	lk := lookup{stripe: d.stripe}
 	if s.cache != nil && len(d.buf) <= maxCachedBody {
 		lk.key = d.buf
 		// A draining server answers nothing new, cached or not.
 		if !s.closed.Load() {
-			lk = s.lookup(lk.key)
+			lk = s.probe(lk.key, d.stripe)
 		}
 	}
 	if lk.body != nil {
@@ -526,6 +541,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-BQ-Trace-Id", tr.ID())
 		s.tracedHit(req, lk, tr, start).write(w)
 		return
+	}
+	if start.IsZero() {
+		start = time.Now()
 	}
 	req, err := d.query()
 	if err != nil {
@@ -560,7 +578,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.servePage(w, r, req, tr, start)
 		return
 	}
-	s.runOnWorker(w, r, req.TimeoutMS, func() handlerResult {
+	s.runOnWorker(w, r, start, req.TimeoutMS, func() handlerResult {
 		return s.execQuery(req, tr, start, lk)
 	})
 }
@@ -650,6 +668,8 @@ type lookup struct {
 	// diagnostics block.
 	debug bool
 	stale bool
+	// stripe is the request's counter stripe (its decoder's).
+	stripe uint32
 }
 
 // lookup asks the result cache for the entry under key, a /query body.
@@ -671,8 +691,18 @@ func (s *Server) lookup(key []byte) lookup {
 		lk.stale = true
 		return lk
 	}
-	s.cache.hits.Add(1)
 	lk.body = e.body
+	return lk
+}
+
+// probe is lookup for a request whose counters go to the given stripe: a
+// hit is counted there, once, by whichever probe finds it current.
+func (s *Server) probe(key []byte, stripe uint32) lookup {
+	lk := s.lookup(key)
+	lk.stripe = stripe
+	if lk.body != nil {
+		s.cache.hits.add(stripe)
+	}
 	return lk
 }
 
@@ -683,7 +713,7 @@ func (s *Server) lookup(key []byte) lookup {
 func (s *Server) tracedHit(req queryRequest, lk lookup, tr *obs.Trace, start time.Time) handlerResult {
 	p, err := s.eng.PrepareTraced(req.Query, tr)
 	if err != nil {
-		s.considerError("query", "", tr, time.Since(start))
+		s.considerError("query", "", tr, start)
 		return errResult(http.StatusBadRequest, "%v", err)
 	}
 	return s.hitResult(req, p, lk, tr, start)
@@ -696,10 +726,12 @@ func (s *Server) hitResult(req queryRequest, p *engine.Prepared, lk lookup, tr *
 	if tr != nil {
 		tr.Root().Tag("result_cache", "hit")
 		tr.Finish()
-		s.obs.TraceRec().Consider(tr, obs.TraceMeta{
-			Endpoint: "query", Fingerprint: p.Fingerprint(),
-			Duration: time.Since(start), Outcome: "ok",
-		})
+		if rec := s.obs.TraceRec(); rec != nil {
+			rec.Consider(tr, obs.TraceMeta{
+				Endpoint: "query", Fingerprint: p.Fingerprint(),
+				Duration: time.Since(start), Outcome: "ok",
+			})
+		}
 	}
 	if req.Debug {
 		debug = &debugPayload{Explain: p.Explain(nil), Spans: tr.JSON()}
@@ -718,11 +750,11 @@ func (s *Server) hitResult(req queryRequest, p *engine.Prepared, lk lookup, tr *
 func (s *Server) execQuery(req queryRequest, tr *obs.Trace, start time.Time, lk lookup) handlerResult {
 	p, err := s.eng.PrepareTraced(req.Query, tr)
 	if err != nil {
-		s.considerError("query", "", tr, time.Since(start))
+		s.considerError("query", "", tr, start)
 		return errResult(http.StatusBadRequest, "%v", err)
 	}
 	if lk.view != nil && s.eng.Epoch() != lk.at {
-		lk = s.lookup(lk.key)
+		lk = s.probe(lk.key, lk.stripe)
 	}
 	if lk.body != nil {
 		return s.hitResult(req, p, lk, tr, start)
@@ -734,9 +766,9 @@ func (s *Server) execQuery(req queryRequest, tr *obs.Trace, start time.Time, lk 
 	if lk.key != nil && epochOf(lk.view) != nil {
 		// Counted here and not by the probe: a miss is a cacheable query
 		// that had to execute, however many times the cache was asked.
-		s.cache.misses.Add(1)
+		s.cache.misses.add(lk.stripe)
 		if lk.stale {
-			s.cache.invalidated.Add(1)
+			s.cache.invalidated.add(lk.stripe)
 		}
 		reads = readSets.Get().(*exec.ReadSet)
 		defer func() {
@@ -746,7 +778,7 @@ func (s *Server) execQuery(req queryRequest, tr *obs.Trace, start time.Time, lk 
 	}
 	res, err := p.ExecReadOn(lk.view, tr, reads, req.Args...)
 	if err != nil {
-		s.considerError("query", p.Fingerprint(), tr, time.Since(start))
+		s.considerError("query", p.Fingerprint(), tr, start)
 		return errResult(http.StatusBadRequest, "%v", err)
 	}
 	body := appendResult(res)
@@ -754,7 +786,7 @@ func (s *Server) execQuery(req queryRequest, tr *obs.Trace, start time.Time, lk 
 		s.cache.put(lk.key, newEntry(body, req.Debug, lk.view, reads.Words()))
 	}
 	tr.Finish()
-	s.maybeSlowLog("query", p, res, tr, time.Since(start), len(res.Tuples), "")
+	s.maybeSlowLog("query", p, res, tr, start, len(res.Tuples), "")
 	var debug *debugPayload
 	if req.Debug {
 		debug = &debugPayload{Explain: p.Explain(res), Spans: tr.JSON()}
@@ -779,7 +811,7 @@ const (
 // client's choice, not a plan's bound, the deadline is also enforced
 // between tuples.
 func (s *Server) servePage(w http.ResponseWriter, r *http.Request, req queryRequest, tr *obs.Trace, start time.Time) {
-	deadline := s.deadline(req.TimeoutMS)
+	deadline := s.deadline(start, req.TimeoutMS)
 	ctx, cancel := context.WithDeadline(r.Context(), deadline)
 	defer cancel()
 	if err := s.start(ctx, deadline); err != nil {
@@ -801,7 +833,7 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request, req queryRequ
 	} else {
 		p, err := s.eng.PrepareTraced(req.Query, tr)
 		if err != nil {
-			s.considerError("query", "", tr, time.Since(start))
+			s.considerError("query", "", tr, start)
 			apiError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
@@ -812,7 +844,7 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request, req queryRequ
 		view := s.eng.View()
 		stream, err := p.ExecStreamOn(view, exec.StreamOptions{Trace: tr}, req.Args...)
 		if err != nil {
-			s.considerError("query", p.Fingerprint(), tr, time.Since(start))
+			s.considerError("query", p.Fingerprint(), tr, start)
 			apiError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
@@ -909,7 +941,7 @@ page:
 	if st.prep != nil {
 		// Page durations qualify for the slow log like buffered answers;
 		// the entry's stats are cumulative over the cursor's whole scan.
-		s.maybeSlowLog("query", st.prep, res, st.trace, time.Since(start), n, outcome)
+		s.maybeSlowLog("query", st.prep, res, st.trace, start, n, outcome)
 	}
 	_, _ = w.Write(buf)
 	if flusher != nil {
@@ -965,7 +997,7 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 		apiError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.runOnWorker(w, r, 0, func() handlerResult {
+	s.runOnWorker(w, r, time.Now(), 0, func() handlerResult {
 		p, err := s.eng.Prepare(query)
 		if err != nil {
 			return errResult(http.StatusUnprocessableEntity, "%v", err)
@@ -1022,7 +1054,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		apiError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.runOnWorker(w, r, 0, func() handlerResult {
+	s.runOnWorker(w, r, time.Now(), 0, func() handlerResult {
 		if err := s.ingest(ops); err != nil {
 			status := http.StatusBadRequest
 			if errors.Is(err, live.ErrBound) || errors.Is(err, live.ErrNoSuchTuple) {
