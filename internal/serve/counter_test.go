@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -21,6 +23,30 @@ type unreadable struct{}
 
 func (unreadable) Read([]byte) (int, error) { return 0, errors.New("connection reset") }
 
+// barrierBody is a request body whose first read marks wg done and waits
+// until every other holder of wg has done the same.
+type barrierBody struct {
+	*strings.Reader
+	wg   *sync.WaitGroup
+	read bool
+}
+
+func (b *barrierBody) Read(p []byte) (int, error) {
+	if !b.read {
+		b.read = true
+		b.wg.Done()
+		b.wg.Wait()
+	}
+	return b.Reader.Read(p)
+}
+
+// serveBody sends a POST /query with body through h.
+func serveBody(h http.Handler, body io.Reader) (int, []byte) {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", body))
+	return rec.Code, rec.Body.Bytes()
+}
+
 // TestRequestCountersExactUnderConcurrency: k clients at once send cached
 // hits, misses and bodies that cannot be read or decoded through the
 // handler, and after they return /stats, CacheStats and the /metrics
@@ -30,23 +56,33 @@ func (unreadable) Read([]byte) (int, error) { return 0, errors.New("connection r
 // cached body, so which request hits and which misses is fixed: the first
 // of each phase misses — in the second phase as an invalidation, after a
 // write to the group every such body reads — and the rest hit.
+//
+// There are as many clients as stripes, and every client's first body
+// waits, once read into, until all clients have begun to read theirs, so
+// that all hold a decoder at once. The pool is emptied before, so those
+// decoders are new and take consecutive stripes: every stripe is added
+// to, and a sum that skips one comes out short.
 func TestRequestCountersExactUnderConcurrency(t *testing.T) {
 	const (
-		clients = 8
 		hits    = 40 // per client and phase
 		uniques = 10 // per client: a miss each
 		friends = `select friend_id from friends where user_id = ?`
 	)
 	ls, srv, _ := newTestServer(t, engine.Options{}, Options{Obs: &obs.Observer{Metrics: obs.NewRegistry()}})
 	h := srv.Handler()
+	clients := len(srv.queries.stripes)
+	runtime.GC() // twice: the pool keeps what it holds through one collection
+	runtime.GC()
+	var reading sync.WaitGroup
+	reading.Add(clients)
 	own := func(g int) string {
 		return fmt.Sprintf(`{"query": %q, "args": ["a0"], "timeout_ms": %d}`, hitText, 1000+g)
 	}
-	ask := func(g int, body string, wantCached bool) {
-		code, raw := serveInProcess(h, body)
+	ask := func(g int, body io.Reader, wantCached bool) {
+		code, raw := serveBody(h, body)
 		var env envelope
 		if err := json.Unmarshal(raw, &env); err != nil || code != http.StatusOK || env.Cached != wantCached {
-			t.Errorf("client %d, %s: status %d, want cached %v: %s", g, body, code, wantCached, raw)
+			t.Errorf("client %d: status %d, want cached %v: %s", g, code, wantCached, raw)
 		}
 	}
 	bad := func(g int) {
@@ -70,13 +106,13 @@ func TestRequestCountersExactUnderConcurrency(t *testing.T) {
 	}
 
 	phase(func(g int) {
-		ask(g, own(g), false)
+		ask(g, &barrierBody{Reader: strings.NewReader(own(g)), wg: &reading}, false)
 		for i := 0; i < uniques; i++ {
-			ask(g, fmt.Sprintf(`{"query": %q, "args": ["u0"], "timeout_ms": %d}`, friends, 2000+g*uniques+i), false)
+			ask(g, strings.NewReader(fmt.Sprintf(`{"query": %q, "args": ["u0"], "timeout_ms": %d}`, friends, 2000+g*uniques+i)), false)
 			bad(g)
 		}
 		for i := 0; i < hits; i++ {
-			ask(g, own(g), true)
+			ask(g, strings.NewReader(own(g)), true)
 		}
 	})
 	// A photo of album a0 swapped for another: every own body's answer
@@ -88,20 +124,25 @@ func TestRequestCountersExactUnderConcurrency(t *testing.T) {
 		t.Fatal(err)
 	}
 	phase(func(g int) {
-		ask(g, own(g), false)
+		ask(g, strings.NewReader(own(g)), false)
 		for i := 0; i < hits; i++ {
-			ask(g, own(g), true)
+			ask(g, strings.NewReader(own(g)), true)
 		}
 	})
 	if t.Failed() {
 		t.FailNow()
 	}
 
+	for i := range srv.queries.stripes {
+		if srv.queries.stripes[i].n.Load() == 0 {
+			t.Fatalf("stripe %d of %d was never added to: the clients no longer cover every stripe", i, clients)
+		}
+	}
 	want := map[string]int64{
-		"queries":     clients * (2 + uniques*3 + 2*hits),
-		"hits":        clients * 2 * hits,
-		"misses":      clients * (2 + uniques),
-		"invalidated": clients,
+		"queries":     int64(clients * (2 + uniques*3 + 2*hits)),
+		"hits":        int64(clients * 2 * hits),
+		"misses":      int64(clients * (2 + uniques)),
+		"invalidated": int64(clients),
 	}
 	check := func(source string, got map[string]int64) {
 		t.Helper()
