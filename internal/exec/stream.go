@@ -569,7 +569,7 @@ func (s *Stream) internY(e storage.IndexEntry, yPos []int, mask uint64) []uint32
 	y := s.ybuf[:len(yPos)]
 	for yi, p := range yPos {
 		if yUsed(mask, yi) {
-			y[yi] = s.dict.intern(e.Witness[p])
+			y[yi] = s.dict.intern(e.Witness()[p])
 		}
 	}
 	return y
@@ -605,7 +605,7 @@ func (s *Stream) growStep(si, n int, waveSpan *obs.Span) error {
 			shard = owners[i]
 		}
 		for _, e := range entries {
-			if err := s.trackDQ(ss.rel, shard, e.Pos); err != nil {
+			if err := s.trackDQ(ss.rel, shard, e.Pos()); err != nil {
 				return err
 			}
 			y := s.internY(e, st.YPos, ss.yUse)
@@ -683,7 +683,7 @@ func (s *Stream) advanceVerify(vi int, waveSpan *obs.Span) (bool, error) {
 					shard = owners[i]
 				}
 				for _, e := range entries {
-					if err := s.trackDQ(st.rel, shard, e.Pos); err != nil {
+					if err := s.trackDQ(st.rel, shard, e.Pos()); err != nil {
 						return false, err
 					}
 					s.offerRow(st, vs, s.xids[i*nx:(i+1)*nx], s.internY(e, vs.YPos, st.yUse))

@@ -195,7 +195,7 @@ func (st *Store) buildExtension(ac schema.AccessConstraint) (*extension, error) 
 	}
 	groups := make(map[string][]storage.IndexEntry, idx.NumGroups())
 	for g := range idx.Groups() {
-		groups[value.KeyOf(g[0].Witness, bind.xPos)] = g
+		groups[value.KeyOf(g[0].Witness(), bind.xPos)] = g
 	}
 	return &extension{bind: bind, groups: groups, ledger: ledgerOf(idx, bind, snap.all(ac.Rel))}, nil
 }

@@ -42,7 +42,7 @@ func TestExtendAccessServesLiveData(t *testing.T) {
 	}
 	var photos []string
 	for _, e := range got {
-		photos = append(photos, e.Witness[0].AsString()) // photo_id, the constraint's Y
+		photos = append(photos, e.Witness()[0].AsString()) // photo_id, the constraint's Y
 	}
 	sort.Strings(photos)
 	if want := []string{"p1", "p3", "p9"}; !reflect.DeepEqual(photos, want) {
@@ -71,8 +71,8 @@ func TestExtendAccessServesLiveData(t *testing.T) {
 		t.Fatalf("frozen group has %d entries, live %d", len(fg), len(got))
 	}
 	for i := range fg {
-		if !fg[i].Witness.Equal(got[i].Witness) {
-			t.Errorf("entry %d: frozen %v vs live %v (witness drift)", i, fg[i].Witness, got[i].Witness)
+		if !fg[i].Witness().Equal(got[i].Witness()) {
+			t.Errorf("entry %d: frozen %v vs live %v (witness drift)", i, fg[i].Witness(), got[i].Witness())
 		}
 	}
 }
@@ -104,7 +104,7 @@ func TestExtendAccessSnapshotIsolation(t *testing.T) {
 	}
 	var photos []string
 	for _, e := range g {
-		photos = append(photos, e.Witness[0].AsString()) // photo_id, the constraint's Y
+		photos = append(photos, e.Witness()[0].AsString()) // photo_id, the constraint's Y
 	}
 	sort.Strings(photos)
 	if want := []string{"p1", "p3", "p7"}; !reflect.DeepEqual(photos, want) {

@@ -38,7 +38,7 @@ func checkLedger(t *testing.T, st *Store, stage string) {
 			if pk := pairKey(value.KeyOf(tu, b.xPos), tu, b.yPos); !seen[pk] {
 				seen[pk] = true
 				g := r.at(tu, b.xPos)
-				if i := entryOf(g, tu, b.yPos); i < 0 || g[i].Pos != pos {
+				if i := entryOf(g, tu, b.yPos); i < 0 || g[i].Pos() != pos {
 					t.Fatalf("%s: %s: pair of %s first occurs at %d but its group entry says otherwise (entry %d of %v)",
 						stage, key, tu, pos, i, g)
 				}
@@ -355,7 +355,7 @@ func TestEntryOfAllocatesNothing(t *testing.T) {
 	g := make([]storage.IndexEntry, 1000)
 	for i := range g {
 		tu := strs("x", fmt.Sprintf("y%04d", i))
-		g[i] = storage.IndexEntry{Witness: tu, Pos: i}
+		g[i] = storage.MakeIndexEntry(tu, i)
 	}
 	last, missing := strs("x", "y0999"), strs("x", "nope")
 	var at, none int

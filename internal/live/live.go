@@ -231,7 +231,7 @@ func (c *acCard) resize(from, to int64) {
 func ledgerOf(idx *storage.AccessIndex, b acBinding, tuples iter.Seq2[int, value.Tuple]) map[string][]int {
 	led := make(map[string][]int)
 	for e, ps := range idx.Repeats(tuples) {
-		led[pairKey(value.KeyOf(e.Witness, b.xPos), e.Witness, b.yPos)] = ps
+		led[pairKey(value.KeyOf(e.Witness(), b.xPos), e.Witness(), b.yPos)] = ps
 	}
 	return led
 }
@@ -245,7 +245,7 @@ func entryOf(g []storage.IndexEntry, t value.Tuple, yPos []int) int {
 next:
 	for i := range g {
 		for _, p := range yPos {
-			if g[i].Witness[p] != t[p] {
+			if g[i].Witness()[p] != t[p] {
 				continue next
 			}
 		}

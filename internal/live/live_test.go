@@ -105,7 +105,7 @@ func ys(ac schema.AccessConstraint, entries []storage.IndexEntry) []string {
 	}
 	var out []string
 	for _, e := range entries {
-		out = append(out, e.Witness.Project(yPos).String())
+		out = append(out, e.Witness().Project(yPos).String())
 	}
 	return out
 }
@@ -306,7 +306,7 @@ func TestWitnessDeleteRewitnesses(t *testing.T) {
 	if len(e1) != 1 {
 		t.Fatalf("a1 group size %d, want 1", len(e1))
 	}
-	origPos := e1[0].Pos
+	origPos := e1[0].Pos()
 
 	if err := st.Delete("in_album", strs("p3", "a1")); err != nil {
 		t.Fatal(err)
@@ -315,15 +315,15 @@ func TestWitnessDeleteRewitnesses(t *testing.T) {
 	if len(e2) != 1 {
 		t.Fatalf("a1 group size after witness delete %d, want 1", len(e2))
 	}
-	if e2[0].Pos == origPos {
-		t.Errorf("witness position %d not re-pointed after its tuple was deleted", e2[0].Pos)
+	if e2[0].Pos() == origPos {
+		t.Errorf("witness position %d not re-pointed after its tuple was deleted", e2[0].Pos())
 	}
-	if !e2[0].Witness.Equal(strs("p3", "a1")) {
-		t.Errorf("re-witnessed tuple %v", e2[0].Witness)
+	if !e2[0].Witness().Equal(strs("p3", "a1")) {
+		t.Errorf("re-witnessed tuple %v", e2[0].Witness())
 	}
 	// The pinned earlier snapshot still sees the original witness.
 	e1again, _ := s1.Fetch(inAlbumAC(), strs("a1"))
-	if e1again[0].Pos != origPos {
+	if e1again[0].Pos() != origPos {
 		t.Error("pinned snapshot's witness changed under a later delete")
 	}
 }

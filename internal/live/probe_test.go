@@ -147,7 +147,7 @@ func oneGroup(s *Snapshot, acKey string, x value.Tuple) []storage.IndexEntry {
 // not alike, the same positions, equal witnesses.
 func sameEntries(a, b []storage.IndexEntry) bool {
 	return (a == nil) == (b == nil) && slices.EqualFunc(a, b, func(x, y storage.IndexEntry) bool {
-		return x.Pos == y.Pos && x.Witness.Equal(y.Witness)
+		return x.Pos() == y.Pos() && x.Witness().Equal(y.Witness())
 	})
 }
 
@@ -157,7 +157,7 @@ func sameEntries(a, b []storage.IndexEntry) bool {
 func witnesses(g []storage.IndexEntry) string {
 	ws := make([]string, len(g))
 	for i, e := range g {
-		ws[i] = e.Witness.String()
+		ws[i] = e.Witness().String()
 	}
 	slices.Sort(ws)
 	return fmt.Sprint(ws)

@@ -269,7 +269,7 @@ func checkAgainstModel(t *testing.T, rng *rand.Rand, snap *Snapshot, m *trieMode
 			for _, g := range [][]storage.IndexEntry{got[i], one} {
 				have := make(map[int]string, len(g))
 				for _, e := range g {
-					have[e.Pos] = e.Witness.String()
+					have[e.Pos()] = e.Witness().String()
 				}
 				if len(g) != len(want) || fmt.Sprint(have) != fmt.Sprint(want) {
 					t.Fatalf("%s: epoch %d: %s: group of %s is %v, the model's %v", stage, snap.Epoch(), ac, x, have, want)

@@ -191,14 +191,14 @@ func (tx *txn) insert(op Op) error {
 		if i < 0 {
 			ng := make([]storage.IndexEntry, len(g), len(g)+1)
 			copy(ng, g)
-			ng = append(ng, storage.IndexEntry{Witness: t, Pos: pos})
+			ng = append(ng, storage.MakeIndexEntry(t, pos))
 			tx.setGroup(b, xk, g, ng)
 			continue
 		}
 		pk := pairKey(xk, t, b.yPos)
 		ps := tx.dups(b.key, pk)
 		if ps == nil {
-			ps = []int{g[i].Pos}
+			ps = []int{g[i].Pos()}
 		}
 		// Appending past a committed slice's length leaves the committed
 		// slice as it was, so this needs no copy.
@@ -243,9 +243,9 @@ func (tx *txn) delete(op Op) error {
 		// The pair survives. The ledger holds exactly its live positions,
 		// so what is left after this one starts with the next witness.
 		rest := removePos(slices.Clone(ps), pos)
-		if g[i].Pos == pos {
+		if g[i].Pos() == pos {
 			ng := slices.Clone(g)
-			ng[i] = storage.IndexEntry{Witness: tx.tupleAt(ord, rest[0]), Pos: rest[0]}
+			ng[i] = storage.MakeIndexEntry(tx.tupleAt(ord, rest[0]), rest[0])
 			tx.setGroup(b, xk, g, ng)
 		}
 		tx.setDups(b.key, pk, rest)
@@ -279,7 +279,7 @@ func (tx *txn) candidates(rel string, ord int, t value.Tuple) []int {
 		if ps := tx.dups(b.key, pairKey(xk, t, b.yPos)); ps != nil {
 			return ps
 		}
-		return []int{g[i].Pos}
+		return []int{g[i].Pos()}
 	}
 	ps := tx.st.tupPos[ord][t.Key()]
 	base := tx.st.baseLen[ord] + len(tx.snap.rels[ord].added)

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -146,9 +147,13 @@ func (s *Span) Tag(key, val string) *Span {
 	return s
 }
 
-// TagInt annotates the span with an integer. Nil-safe.
+// TagInt annotates the span with an integer. Nil-safe: a nil span
+// formats nothing.
 func (s *Span) TagInt(key string, v int64) *Span {
-	return s.Tag(key, fmt.Sprintf("%d", v))
+	if s == nil {
+		return nil
+	}
+	return s.Tag(key, strconv.FormatInt(v, 10))
 }
 
 // End closes the span, fixing its duration. Second and later calls are

@@ -98,6 +98,9 @@ func TestTraceNilSafety(t *testing.T) {
 	}
 	sp := tr.StartSpan("x")
 	sp.Tag("k", "v").TagInt("n", 1)
+	if n := testing.AllocsPerRun(100, func() { sp.TagInt("n", 123456) }); n != 0 {
+		t.Errorf("TagInt on a nil span allocates %v times, want 0", n)
+	}
 	sp.Child("y").End()
 	sp.End()
 	tr.Finish()

@@ -184,7 +184,7 @@ func encode(f *os.File, db *storage.Database, acc *schema.AccessSchema, epoch ui
 		for g := range idx.Groups() {
 			buf = binary.BigEndian.AppendUint32(buf, uint32(len(g)))
 			for _, e := range g {
-				buf = binary.BigEndian.AppendUint32(buf, uint32(e.Pos))
+				buf = binary.BigEndian.AppendUint32(buf, uint32(e.Pos()))
 			}
 			if len(buf) >= stageBytes {
 				if err := flush(); err != nil {

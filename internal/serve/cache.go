@@ -68,7 +68,7 @@ func newEntry(body []byte, debug bool, view exec.Store, reads []uint64) cacheEnt
 // it read is at most its shard's epoch in both E0 and v. A view older
 // than the entry is answered too, when nothing the entry read moved in
 // between.
-func (e cacheEntry) current(v exec.Store) bool {
+func (e *cacheEntry) current(v exec.Store) bool {
 	if len(e.reads) == 0 {
 		return true
 	}

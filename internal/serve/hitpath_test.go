@@ -172,7 +172,8 @@ func TestUntracedHitIsTheEnvelope(t *testing.T) {
 	_, srv, _ := newTestServer(t, engine.Options{}, Options{})
 	h := srv.Handler()
 	warmHit(t, h)
-	lk := srv.lookup([]byte(hitBody))
+	lk := lookup{key: []byte(hitBody)}
+	srv.lookup(&lk)
 	if lk.body == nil {
 		t.Fatal("the warmed answer is not cached")
 	}

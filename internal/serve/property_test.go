@@ -447,7 +447,8 @@ func checkCacheLineage(t *testing.T, shards int) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			lk := srv.lookup([]byte(body(rq)))
+			lk := lookup{key: []byte(body(rq))}
+			srv.lookup(&lk)
 			if lk.body == nil {
 				continue
 			}

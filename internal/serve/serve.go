@@ -524,7 +524,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		lk.key = d.buf
 		// A draining server answers nothing new, cached or not.
 		if !s.closed.Load() {
-			lk = s.probe(lk.key, d.stripe)
+			s.probe(&lk)
 		}
 	}
 	if lk.body != nil {
@@ -672,38 +672,35 @@ type lookup struct {
 	stripe uint32
 }
 
-// lookup asks the result cache for the entry under key, a /query body.
-// Only an entry found pins a view, and the entry is checked against that
-// view: a hit is the answer on exactly the view the response names,
-// whichever goroutine runs this and however long the request then waits
-// for a worker. Nothing here decodes the body or asks the engine for a
-// plan, and nothing allocates.
-func (s *Server) lookup(key []byte) lookup {
-	lk := lookup{key: key}
-	e, ok := s.cache.get(key)
+// lookup asks the result cache for the entry under lk.key, a /query
+// body, and fills in the rest of lk. Only an entry found pins a view, and
+// the entry is checked against that view: a hit is the answer on exactly
+// the view the response names, whichever goroutine runs this and however
+// long the request then waits for a worker. Nothing here decodes the body
+// or asks the engine for a plan, and nothing allocates.
+func (s *Server) lookup(lk *lookup) {
+	*lk = lookup{key: lk.key, stripe: lk.stripe}
+	e, ok := s.cache.get(lk.key)
 	if !ok {
-		return lk
+		return
 	}
 	lk.at = s.eng.Epoch()
 	lk.view = s.eng.View()
 	lk.debug = e.debug
 	if !e.current(lk.view) {
 		lk.stale = true
-		return lk
+		return
 	}
 	lk.body = e.body
-	return lk
 }
 
-// probe is lookup for a request whose counters go to the given stripe: a
-// hit is counted there, once, by whichever probe finds it current.
-func (s *Server) probe(key []byte, stripe uint32) lookup {
-	lk := s.lookup(key)
-	lk.stripe = stripe
+// probe is lookup for a request whose counters go to lk.stripe: a hit is
+// counted there, once, by whichever probe finds it current.
+func (s *Server) probe(lk *lookup) {
+	s.lookup(lk)
 	if lk.body != nil {
-		s.cache.hits.add(stripe)
+		s.cache.hits.add(lk.stripe)
 	}
-	return lk
 }
 
 // tracedHit finishes a traced or debug request the result cache answered:
@@ -754,7 +751,7 @@ func (s *Server) execQuery(req queryRequest, tr *obs.Trace, start time.Time, lk 
 		return errResult(http.StatusBadRequest, "%v", err)
 	}
 	if lk.view != nil && s.eng.Epoch() != lk.at {
-		lk = s.probe(lk.key, lk.stripe)
+		s.probe(&lk)
 	}
 	if lk.body != nil {
 		return s.hitResult(req, p, lk, tr, start)

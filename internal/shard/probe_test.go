@@ -106,7 +106,7 @@ func allXs(rng *rand.Rand, n int) []value.Tuple {
 func sortedWitnesses(g []storage.IndexEntry) string {
 	ws := make([]string, len(g))
 	for i, e := range g {
-		ws[i] = e.Witness.String()
+		ws[i] = e.Witness().String()
 	}
 	slices.Sort(ws)
 	return fmt.Sprint(ws)
@@ -180,7 +180,7 @@ func TestViewFetchBatchMatchesOneAtATime(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !slices.EqualFunc(got[i], one[0], func(a, b storage.IndexEntry) bool { return a.Pos == b.Pos && a.Witness.Equal(b.Witness) }) {
+					if !slices.EqualFunc(got[i], one[0], func(a, b storage.IndexEntry) bool { return a.Pos() == b.Pos() && a.Witness().Equal(b.Witness()) }) {
 						t.Fatalf("P=%d seed %d: %s: FetchBatch's group of %s is %v, shard %d's one probe %v", p, seed, ac, x, got[i], owners[i], one[0])
 					}
 					frozen, err := db.Fetch(ac, x)

@@ -3,6 +3,8 @@ package shard_test
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -116,11 +118,100 @@ func TestStoreLogKillPointsAreAtomic(t *testing.T) {
 			ss.Close()
 			for k := range batches {
 				for torn := 0; torn <= frames[k]; torn++ {
-					killAndRecover(t, p, k, torn, torn == frames[k])
+					killAndRecover(t, p, k, torn, frames[k], false)
 				}
 			}
 		})
 	}
+}
+
+// TestStoreLogKillPointsInTheFill tears the one Write of an append that
+// extends the log, frame and fill, at lengths that end inside the fill:
+// the first append of a new store, and the first one after a
+// checkpoint's Reset, which also dies at lengths inside its frame. A
+// whole frame is a record and the fill behind it the log's clean end:
+// recovery holds the whole batch and cuts nothing. A torn frame holds
+// none of it, and recovery cuts it once.
+func TestStoreLogKillPointsInTheFill(t *testing.T) {
+	batches := crossShardBatches()
+	for _, p := range []int{1, 2} {
+		t.Run(fmt.Sprintf("P=%d", p), func(t *testing.T) {
+			dir := t.TempDir()
+			_, acc, db := scene(t, 4, 4)
+			ds, err := shard.New(db, acc, shard.Options{Shards: p, Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			frames := make([]int, 2)
+			for k := range frames {
+				before := ds.WAL().Stats().AppendedBytes
+				if err := ds.Apply(batches[k]); err != nil {
+					t.Fatal(err)
+				}
+				frames[k] = int(ds.WAL().Stats().AppendedBytes - before)
+			}
+			ds.Close()
+			for _, fill := range []int{1, 3, 4096} {
+				killAndRecover(t, p, 0, frames[0]+fill, frames[0], false)
+				killAndRecover(t, p, 1, frames[1]+fill, frames[1], true)
+			}
+			for _, torn := range []int{0, 1, 3, 9, frames[1] - 1, frames[1]} {
+				killAndRecover(t, p, 1, torn, frames[1], true)
+			}
+		})
+	}
+}
+
+// TestStoreLogAppendsInsideTheFile: after the append that extends the
+// log, the batches that fit in its fill leave the file's size as it was,
+// and a closed store's log holds its logical bytes only.
+func TestStoreLogAppendsInsideTheFile(t *testing.T) {
+	dir := t.TempDir()
+	_, acc, db := scene(t, 4, 4)
+	ss, err := shard.New(db, acc, shard.Options{Shards: 2, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := crossShardBatches()
+	crossShard(t, ss, batches[0])
+	size := walSize(t, dir)
+	if size <= ss.WAL().Stats().SizeBytes {
+		t.Fatalf("the first batch left the log's file at %d bytes, no fill past its %d", size, ss.WAL().Stats().SizeBytes)
+	}
+	for _, ops := range batches[1:] {
+		crossShard(t, ss, ops)
+		if got := walSize(t, dir); got != size {
+			t.Fatalf("a batch inside the log's fill changed the file's size: %d -> %d", size, got)
+		}
+	}
+	// The process exits without the checkpoint Store.Close would take.
+	logical := ss.WAL().Stats().SizeBytes
+	if err := ss.WAL().Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := walSize(t, dir); got != logical {
+		t.Fatalf("a closed log holds %d bytes, want its %d logical bytes", got, logical)
+	}
+	cat, acc, _ := scene(t, 4, 4)
+	re, rec, err := shard.Open(dir, cat, acc, shard.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if rec.ReplayedBatches != int64(len(batches)) || rec.TruncatedRecords != 0 {
+		t.Fatalf("recovery replayed %d batches and cut %d frames, want %d and 0", rec.ReplayedBatches, rec.TruncatedRecords, len(batches))
+	}
+	assertSameShardState(t, re, refStore(t, 2, batches), true)
+}
+
+// walSize is the size of the store log's file in dir.
+func walSize(t *testing.T, dir string) int64 {
+	t.Helper()
+	fi, err := os.Stat(filepath.Join(dir, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
 }
 
 // refStore is an in-memory store of the scene that applied ops.
@@ -139,9 +230,11 @@ func refStore(t *testing.T, p int, ops [][]live.Op) *shard.Store {
 	return ss
 }
 
-// killAndRecover commits batches[:k] to a durable store, crashes the
-// append of batches[k] after torn bytes of its frame, and reopens.
-func killAndRecover(t *testing.T, p, k, torn int, whole bool) {
+// killAndRecover commits batches[:k] to a durable store, checkpoints it
+// if asked, crashes the append of batches[k] after torn bytes of its
+// write, and reopens. The dying batch's frame is frame bytes long; a
+// write torn at or past it left the whole frame.
+func killAndRecover(t *testing.T, p, k, torn, frame int, checkpoint bool) {
 	t.Helper()
 	batches := crossShardBatches()
 	dir := t.TempDir()
@@ -155,28 +248,46 @@ func killAndRecover(t *testing.T, p, k, torn int, whole bool) {
 			t.Fatal(err)
 		}
 	}
+	if checkpoint {
+		if err := ss.Compact(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	logical := ss.WAL().Stats().SizeBytes
 	ss.WAL().SetFailPoint(1, torn)
 	if err := ss.Apply(batches[k]); !errors.Is(err, wal.ErrInjectedCrash) {
 		t.Fatalf("batch %d, torn %d: Apply = %v, want the injected crash", k, torn, err)
 	}
-	// The process is dead: no Close. Nothing of the batch published.
-	assertSameShardState(t, ss, refStore(t, p, batches[:k]), true)
+	// Only an append that extends the log writes past its frame: the file
+	// then ends where the torn write does.
+	if size := walSize(t, dir); torn > frame && size != logical+int64(torn) {
+		t.Fatalf("batch %d, torn %d: the log's file holds %d bytes, want %d", k, torn, size, logical+int64(torn))
+	}
+	// The process is dead: no Close. Nothing of the batch published. A
+	// checkpoint publishes an epoch of its own, which the reference,
+	// never checkpointed, does not have.
+	assertSameShardState(t, ss, refStore(t, p, batches[:k]), !checkpoint)
 
 	re, rec, err := shard.Open(dir, cat, acc, shard.Options{})
 	if err != nil {
 		t.Fatalf("batch %d, torn %d: recovery: %v", k, torn, err)
 	}
 	defer re.Close()
-	if whole {
-		assertSameShardState(t, re, refStore(t, p, batches[:k+1]), true)
-		return
+	replayed := int64(k)
+	if checkpoint {
+		replayed = 0
 	}
-	assertSameShardState(t, re, ss, true)
-	if torn > 0 && rec.TruncatedRecords != 1 {
-		t.Fatalf("batch %d, torn %d: recovery cut %d frames, want 1", k, torn, rec.TruncatedRecords)
+	if whole := torn >= frame; whole {
+		assertSameShardState(t, re, refStore(t, p, batches[:k+1]), !checkpoint)
+		replayed++
+	} else {
+		assertSameShardState(t, re, ss, true)
 	}
-	if rec.ReplayedBatches != int64(k) {
-		t.Fatalf("batch %d, torn %d: replayed %d batches, want %d", k, torn, rec.ReplayedBatches, k)
+	if cut := rec.TruncatedRecords; torn > 0 && torn < frame && cut != 1 || torn >= frame && cut != 0 {
+		t.Fatalf("batch %d, torn %d of a %d-byte frame: recovery cut %d frames", k, torn, frame, cut)
+	}
+	if rec.ReplayedBatches != replayed {
+		t.Fatalf("batch %d, torn %d: replayed %d batches, want %d", k, torn, rec.ReplayedBatches, replayed)
 	}
 }
 

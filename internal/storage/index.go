@@ -5,7 +5,9 @@ import (
 	"hash/maphash"
 	"iter"
 	"maps"
+	"math"
 	"slices"
+	"unsafe"
 
 	"bcq/internal/schema"
 	"bcq/internal/value"
@@ -20,14 +22,36 @@ import (
 // whoever needs them holds those positions already (the live writer's
 // bindings, the plan's FetchStep.YPos) and reads them off the witness.
 // A segment file stores a group the same way: its witness positions.
+//
+// An entry is 16 bytes, half of a tuple's slice header and an int: it
+// keeps the witness as its first value and its arity, and the position
+// in 32 bits. The entry arenas are most of an index's heap.
 type IndexEntry struct {
-	// Witness is the first tuple of the relation exhibiting this (X, Y)
-	// combination. It is the relation's own tuple, not a copy.
-	Witness value.Tuple
-	// Pos is the witness's position in the relation, identifying it for
-	// D_Q accounting.
-	Pos int
+	w   *value.Value // the witness's first value
+	n   uint32       // the witness's arity
+	pos uint32
 }
+
+// MakeIndexEntry names the witness t, the relation's own tuple (not a
+// copy), at position pos of its relation.
+func MakeIndexEntry(t value.Tuple, pos int) IndexEntry {
+	if uint(pos) > math.MaxUint32 {
+		panic(fmt.Sprintf("storage: witness position %d past 32 bits", pos))
+	}
+	return IndexEntry{w: unsafe.SliceData(t), n: uint32(len(t)), pos: uint32(pos)}
+}
+
+// Witness is the first tuple of the relation exhibiting this (X, Y)
+// combination. It is the relation's own tuple, not a copy, and it must
+// not be written to.
+func (e IndexEntry) Witness() value.Tuple { return unsafe.Slice(e.w, e.n) }
+
+// Pos is the witness's position in the relation, identifying it for D_Q
+// accounting.
+func (e IndexEntry) Pos() int { return int(e.pos) }
+
+// String shows the witness and its position.
+func (e IndexEntry) String() string { return fmt.Sprintf("%v@%d", e.Witness(), e.pos) }
 
 // AccessIndex is the index of one access constraint X → (Y, N), the
 // witnesses of the distinct Y-values of each X-value, in three flat arrays:
@@ -157,11 +181,11 @@ func (idx *AccessIndex) Repeats(tuples iter.Seq2[int, value.Tuple]) iter.Seq2[In
 		}
 		last := 0
 		for _, e := range idx.entries {
-			last = max(last, e.Pos)
+			last = max(last, e.Pos())
 		}
 		witness := make([]uint64, last/64+1)
 		for _, e := range idx.entries {
-			witness[e.Pos/64] |= 1 << (e.Pos % 64)
+			witness[e.Pos()/64] |= 1 << (e.Pos() % 64)
 		}
 		// One probe per repeat, in scan order, counted per entry; then a
 		// slice per repeated pair, sized by its count, filled in that order.
@@ -181,7 +205,7 @@ func (idx *AccessIndex) Repeats(tuples iter.Seq2[int, value.Tuple]) iter.Seq2[In
 		var runs [][]int
 		for e, c := range count {
 			if c > 0 {
-				runs = append(runs, append(make([]int, 0, c+1), idx.entries[e].Pos))
+				runs = append(runs, append(make([]int, 0, c+1), idx.entries[e].Pos()))
 				count[e] = uint32(len(runs)) // from here on, 1 + the entry's run
 			}
 		}
@@ -205,7 +229,7 @@ func (idx *AccessIndex) entryOf(t value.Tuple) int {
 		return -1
 	}
 	for e := idx.start[g]; e < idx.start[g+1]; e++ {
-		if sameAt(idx.entries[e].Witness, idx.yPos, t, idx.yPos) {
+		if sameAt(idx.entries[e].Witness(), idx.yPos, t, idx.yPos) {
 			return int(e)
 		}
 	}
@@ -221,7 +245,7 @@ func (idx *AccessIndex) find(t value.Tuple, pos []int, h uint64) (int, uint64) {
 		if s == 0 {
 			return -1, i
 		}
-		if g := uint32(s) - 1; s>>32 == h>>32 && sameAt(idx.entries[idx.start[g]].Witness, idx.xPos, t, pos) {
+		if g := uint32(s) - 1; s>>32 == h>>32 && sameAt(idx.entries[idx.start[g]].Witness(), idx.xPos, t, pos) {
 			return int(g), i
 		}
 	}
@@ -316,7 +340,7 @@ func (b *builder) add(pos int, t value.Tuple) error {
 	i := h & mask
 	for ; b.pairs[i] != 0; i = (i + 1) & mask {
 		s := b.pairs[i]
-		if e := uint32(s) - 1; s>>32 == h>>32 && int(b.gid[e]) == g && sameAt(idx.entries[e].Witness, idx.yPos, t, idx.yPos) {
+		if e := uint32(s) - 1; s>>32 == h>>32 && int(b.gid[e]) == g && sameAt(idx.entries[e].Witness(), idx.yPos, t, idx.yPos) {
 			return nil
 		}
 	}
@@ -329,7 +353,7 @@ func (b *builder) add(pos int, t value.Tuple) error {
 	}
 	idx.maxGroup = max(idx.maxGroup, int(b.sizes[g]))
 	b.pairs[i] = slot(h, len(idx.entries))
-	idx.entries = append(idx.entries, IndexEntry{Witness: t, Pos: pos})
+	idx.entries = append(idx.entries, MakeIndexEntry(t, pos))
 	b.gid = append(b.gid, uint32(g))
 	return nil
 }
@@ -403,10 +427,10 @@ func (r *IndexRestore) Install() error {
 	for pos, t := range r.rel.Tuples {
 		g := idx.LookupAt(t, idx.xPos)
 		i := 0
-		for i < len(g) && !sameAt(g[i].Witness, idx.yPos, t, idx.yPos) {
+		for i < len(g) && !sameAt(g[i].Witness(), idx.yPos, t, idx.yPos) {
 			i++
 		}
-		if i == len(g) || g[i].Pos > pos || g[i].Pos == pos && i > 0 && g[i-1].Pos > pos {
+		if i == len(g) || g[i].Pos() > pos || g[i].Pos() == pos && i > 0 && g[i-1].Pos() > pos {
 			return fmt.Errorf("storage: restore %s: tuple %d is not indexed as a scan indexes it", idx.AC, pos)
 		}
 	}

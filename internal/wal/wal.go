@@ -15,14 +15,27 @@
 //	"BCQWAL1\n"                                  8-byte file magic
 //	repeated records:
 //	  u32 payload length | u32 CRC-32C(payload) | payload
+//	while the log is open, a fill tail: 0xFF bytes up to the file's end
 //
-// Open replays the log and stops at the first frame that is torn (short)
-// or fails its checksum; everything after the last valid record is
-// truncated away, which is the only correct reading of a tail written by
-// a crashed process. Records carry the epoch their commit published (per
-// shard, on a sharded store's log), so replay can skip records already
-// folded into a checkpoint segment and detect continuity gaps (a lost
-// checkpoint) instead of replaying stale records onto the wrong base.
+// An append that fits in the file overwrites fill, so its fsync commits
+// data and no change of the file's size. One that does not fit writes its
+// frame and a fresh fillChunk of fill in the same Write. No frame begins
+// with 0xFF (its first byte is the high byte of a length of at most
+// 2^30), so a torn frame is never taken for fill. Close trims the fill: a
+// closed log is exactly its header and frames. Reset, Cut and the rewind
+// of a failed append truncate the file, fill and all; the next append
+// extends it again.
+//
+// Open replays the log and stops where the rest of the file is fill, or
+// at the first frame that is torn (short) or fails its checksum. A fill
+// tail is kept for the next appends; anything else after the last valid
+// record (a torn frame, or the zeros of a hole an OS crash left) is
+// counted and truncated away, which is the only correct reading of a
+// tail written by a crashed process. Records carry the epoch their commit
+// published (per shard, on a sharded store's log), so replay can skip
+// records already folded into a checkpoint segment and detect continuity
+// gaps (a lost checkpoint) instead of replaying stale records onto the
+// wrong base.
 package wal
 
 import (
@@ -128,7 +141,47 @@ const (
 	// maxRecordBytes bounds a frame's declared payload so a corrupt
 	// length field can't drive a giant allocation.
 	maxRecordBytes = 1 << 30
+	// fillChunk is how far past its frame an append that does not fit in
+	// the file extends it, with fillByte: the fill that later appends
+	// overwrite in place.
+	fillChunk = 1 << 20
+	fillByte  = 0xFF
+	// stagedFrame bounds the frames an extending append copies into
+	// stage; a longer one gets a buffer of its own.
+	stagedFrame = 64 << 10
 )
+
+// stage is what an extending append writes from: its frame is copied to
+// end right where stage[stagedFrame:] begins, and that part holds
+// fillChunk fill bytes and is never written again once filled, so frame
+// and fill go down in one Write without a fresh MiB per extension. It is
+// one block for the process (a package array: no heap), filled on first
+// use; stageMu serializes the logs that extend at once.
+var (
+	stage     [stagedFrame + fillChunk]byte
+	stageOnce sync.Once
+	stageMu   sync.Mutex
+)
+
+// fill returns the shared fill block: fillChunk fill bytes, read-only.
+func fill() []byte {
+	stageOnce.Do(func() {
+		for i := range stage {
+			stage[i] = fillByte
+		}
+	})
+	return stage[stagedFrame:]
+}
+
+// isFill reports whether b holds fill bytes only.
+func isFill(b []byte) bool {
+	for _, c := range b {
+		if c != fillByte {
+			return false
+		}
+	}
+	return true
+}
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -179,6 +232,9 @@ type WAL struct {
 	// first Append or Reset drops it.
 	starts []int64
 
+	// alloc is the file's size: sizeBytes, then the fill tail.
+	alloc int64
+
 	appends       atomic.Int64
 	appendedBytes atomic.Int64
 	sizeBytes     atomic.Int64 // header + acknowledged frames
@@ -187,15 +243,23 @@ type WAL struct {
 }
 
 // Open opens (creating if absent) the log at path, replays every valid
-// record, truncates any torn or corrupt tail, and returns the log
-// positioned for appends together with the decoded records in append
-// order.
+// record, truncates any torn or corrupt tail (keeping a fill tail), and
+// returns the log positioned for appends together with the decoded
+// records in append order.
 func Open(path string) (*WAL, []Record, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, nil, err
 	}
-	data, err := io.ReadAll(f)
+	// One read into a buffer of the file's size: a crashed log holds up
+	// to fillChunk of fill past its frames, which a growing buffer would
+	// copy many times over.
+	var data []byte
+	st, err := f.Stat()
+	if err == nil {
+		data = make([]byte, st.Size())
+		_, err = io.ReadFull(f, data)
+	}
 	if err != nil {
 		f.Close()
 		return nil, nil, fmt.Errorf("wal: read %s: %w", path, err)
@@ -215,30 +279,29 @@ func Open(path string) (*WAL, []Record, error) {
 		return nil, nil, fmt.Errorf("wal: %s is not a WAL file (bad magic)", path)
 	}
 	var records []Record
-	off := headerSize
-	valid := off
-	for off < len(data) {
-		rec, n, err := decodeFrame(data[off:])
+	valid := headerSize
+	w.alloc = int64(len(data))
+	// Where the rest of the file is fill, the log ends cleanly.
+	for valid < len(data) && (data[valid] != fillByte || !isFill(data[valid:])) {
+		rec, n, err := decodeFrame(data[valid:])
 		if err != nil {
 			// Torn or corrupt: stop at the last good record rather than
-			// guessing.
+			// guessing, and cut the tail there.
 			w.truncated.Add(1)
+			if err := f.Truncate(int64(valid)); err != nil {
+				f.Close()
+				return nil, nil, fmt.Errorf("wal: truncate torn tail of %s: %w", path, err)
+			}
+			if err := f.Sync(); err != nil {
+				f.Close()
+				return nil, nil, err
+			}
+			w.alloc = int64(valid)
 			break
 		}
 		records = append(records, rec)
-		w.starts = append(w.starts, int64(off))
-		off += n
-		valid = off
-	}
-	if valid < len(data) {
-		if err := f.Truncate(int64(valid)); err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("wal: truncate torn tail of %s: %w", path, err)
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, nil, err
-		}
+		w.starts = append(w.starts, int64(valid))
+		valid += n
 	}
 	if _, err := f.Seek(int64(valid), io.SeekStart); err != nil {
 		f.Close()
@@ -297,8 +360,15 @@ func (w *WAL) reinit() error {
 	if err := w.f.Sync(); err != nil {
 		return err
 	}
-	w.sizeBytes.Store(int64(headerSize))
+	w.truncatedTo(int64(headerSize))
 	return nil
+}
+
+// truncatedTo records that the file was cut to size, which is where the
+// log now ends: no fill is left.
+func (w *WAL) truncatedTo(size int64) {
+	w.sizeBytes.Store(size)
+	w.alloc = size
 }
 
 // fail makes err the log's sticky failure (see WAL.err) and returns it.
@@ -318,6 +388,7 @@ func (w *WAL) rewind(err error) error {
 	}
 	size := w.sizeBytes.Load()
 	if w.f.Truncate(size) == nil {
+		w.alloc = size
 		if _, serr := w.f.Seek(size, io.SeekStart); serr == nil {
 			w.f.Sync()
 		}
@@ -325,10 +396,13 @@ func (w *WAL) rewind(err error) error {
 	return err
 }
 
-// Append frames, writes, and fsyncs one record. It returns only after the
-// record is durable — the caller publishes the epoch afterwards, which is
-// what makes the log a write-AHEAD log. A failed write or fsync poisons
-// the log (see WAL.err) and rewinds the file to its acknowledged size:
+// Append frames, writes, and fsyncs one record: one Write and one Sync.
+// The frame overwrites fill when it fits in the file, and extends the
+// file by its length and fillChunk when it does not. It returns only
+// after the record is durable — the caller publishes the epoch
+// afterwards, which is what makes the log a write-AHEAD log. A failed
+// write or fsync poisons the log (see WAL.err) and rewinds the file to
+// its acknowledged size:
 // the log has one writer, so no acknowledged frame lies past the failed
 // one, and a reopen replays exactly the acknowledged records — never the
 // frame of a batch whose commit returned the error. An injected crash
@@ -345,7 +419,14 @@ func (w *WAL) Append(rec Record) error {
 	w.starts = nil
 	frame := appendFrame(nil, rec)
 
-	if _, err := w.f.Write(frame); err != nil {
+	end := w.sizeBytes.Load() + int64(len(frame))
+	var err error
+	if end <= w.alloc {
+		_, err = w.f.Write(frame)
+	} else {
+		err = w.extend(frame, end)
+	}
+	if err != nil {
 		return w.rewind(fmt.Errorf("wal: append to %s: %w", w.path, err))
 	}
 	if err := w.f.Sync(); err != nil {
@@ -355,6 +436,28 @@ func (w *WAL) Append(rec Record) error {
 	w.appends.Add(1)
 	w.appendedBytes.Add(int64(len(frame)))
 	return nil
+}
+
+// extend writes frame, which ends at end, followed by fillChunk fill
+// bytes in one Write, and leaves the file positioned at end.
+func (w *WAL) extend(frame []byte, end int64) error {
+	var err error
+	if len(frame) <= stagedFrame {
+		fill()
+		stageMu.Lock()
+		at := stagedFrame - len(frame)
+		copy(stage[at:], frame)
+		_, err = w.f.Write(stage[at:])
+		stageMu.Unlock()
+	} else {
+		_, err = w.f.Write(append(frame, fill()...))
+	}
+	if err != nil {
+		return err
+	}
+	w.alloc = end + fillChunk
+	_, err = w.f.Seek(end, io.SeekStart)
+	return err
 }
 
 // Cut drops the records Open replayed from the keep-th on (counting from
@@ -388,7 +491,7 @@ func (w *WAL) Cut(keep int) error {
 		return w.fail(fmt.Errorf("wal: cut %s: %w", w.path, err))
 	}
 	w.starts = w.starts[:keep]
-	w.sizeBytes.Store(size)
+	w.truncatedTo(size)
 	return nil
 }
 
@@ -414,7 +517,7 @@ func (w *WAL) Reset() error {
 	if err := w.f.Sync(); err != nil {
 		return w.fail(fmt.Errorf("wal: reset %s: %w", w.path, err))
 	}
-	w.sizeBytes.Store(int64(headerSize))
+	w.truncatedTo(int64(headerSize))
 	return nil
 }
 
@@ -424,7 +527,9 @@ func (w *WAL) HasRecords() bool {
 	return w.sizeBytes.Load() > int64(headerSize)
 }
 
-// Close fsyncs and closes the file. Idempotent.
+// Close trims the fill tail, fsyncs and closes the file. Idempotent. A
+// log that failed keeps its file as the failure left it, for a reopen to
+// read.
 func (w *WAL) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -432,6 +537,12 @@ func (w *WAL) Close() error {
 		return nil
 	}
 	w.closed = true
+	if size := w.sizeBytes.Load(); w.err == nil && w.alloc > size {
+		if err := w.f.Truncate(size); err != nil {
+			w.f.Close()
+			return fmt.Errorf("wal: trim %s: %w", w.path, err)
+		}
+	}
 	if err := w.f.Sync(); err != nil {
 		w.f.Close()
 		return err
